@@ -1,21 +1,23 @@
 //! State-clone cost across the five subject models — the number that
 //! justifies the incremental executor's default snapshot budget.
 //!
-//! Every checkpoint the [`CheckpointTrie`] caches is one deep clone of the
-//! replica states (`Vec<State>`), and every cache hit is another clone on
-//! the way out. The trie is only a win while cloning a prefix snapshot is
-//! cheaper than re-applying the skipped prefix events. These benchmarks
+//! Every snapshot the [`IncrementalExecutor`] keeps on its path is one
+//! deep clone of the replica states (`Vec<State>`), and resuming from one
+//! that is still needed is another clone on the way out — about 1.1 clones
+//! per run under a lexicographic order with lookahead. Incremental replay
+//! is only a win while that is cheaper than re-applying the skipped prefix
+//! events. These benchmarks
 //! measure that clone for a representative fully-populated state of each
 //! subject: the four catalogue subjects via [`Bug::clone_probe`] (final
 //! states of the bug's recorded order) and the `crdts` collection via a
 //! hand-built workload, since Table 1 has no crdts bug.
 //!
-//! Observed scale: every subject's full-workload snapshot clones in well
-//! under a microsecond and charges under a kilobyte of budget, so the
-//! 64 MiB `DEFAULT_CACHE_BUDGET` keeps a whole 10k-interleaving campaign
-//! resident (see DESIGN.md §10).
+//! Observed scale: every subject's full-workload snapshot clones in about
+//! a microsecond and charges under a kilobyte of budget, and a path holds
+//! at most `N - 1` of them per fault plan, so the 64 MiB
+//! `DEFAULT_CACHE_BUDGET` never bites on these models (see DESIGN.md §10).
 //!
-//! [`CheckpointTrie`]: er_pi::CheckpointTrie
+//! [`IncrementalExecutor`]: er_pi::IncrementalExecutor
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -47,7 +47,7 @@ fn town_session(cap: usize) -> Session<TownApp> {
     });
     // DFS enumerates the 10! space lexicographically; the cap keeps the
     // paper's 10 000-interleaving budget. Lexicographic order maximizes
-    // adjacent-prefix sharing — exactly what the checkpoint trie trades on.
+    // adjacent-prefix sharing — exactly what the incremental executor trades on.
     session.set_mode(ExploreMode::Dfs);
     session.set_cap(cap);
     session
@@ -59,7 +59,7 @@ struct Point {
     incremental: bool,
     wall_ms: u128,
     /// Events physically applied: `explored · N` for scratch, minus the
-    /// trie's `events_saved` for incremental.
+    /// cache's `events_saved` for incremental.
     events_applied: u64,
     cache_hits: Option<u64>,
     cache_misses: Option<u64>,

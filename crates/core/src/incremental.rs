@@ -1,15 +1,20 @@
-//! Prefix-sharing incremental replay: the checkpoint trie and the
-//! executor that resumes from it.
+//! Prefix-sharing incremental replay: the path cache and the executor that
+//! resumes from it.
 //!
 //! The scratch path ([`InlineExecutor`](crate::InlineExecutor)) re-executes
 //! every surviving interleaving from `init_all()` — O(runs · N) event
 //! applications. But the lexicographic explorers emit interleavings in an
 //! order where adjacent schedules share long common prefixes (the average
 //! divergent suffix of a next-permutation stream is `e ≈ 2.72` events,
-//! independent of N). The [`CheckpointTrie`] caches cloned replica-state
-//! snapshots at prefix nodes; the [`IncrementalExecutor`] walks the trie to
-//! the deepest cached prefix of the requested interleaving, clones that
-//! snapshot, and applies only the divergent suffix.
+//! independent of N), and in a sorted stream nothing shares more with the
+//! next run than the run just before it. So the [`IncrementalExecutor`]
+//! keeps only the *path* of the previous run — per fault plan, the executed
+//! steps with a snapshot of the replica states after each. A run takes its
+//! plan's path cut back to the prefix it repeats (what the cut removes is
+//! freed on the spot), clones or takes the deepest snapshot left, applies
+//! only the divergent suffix and leaves the extended path behind. A path
+//! never holds the final depth, so at most `(N - 1) × plans` snapshots are
+//! resident.
 //!
 //! ## Correctness (DESIGN.md §10)
 //!
@@ -19,12 +24,14 @@
 //! `e₀…e_{d-1}` is a pure function of that prefix — so resuming from a
 //! snapshot taken at depth `d` and applying `e_d…e_{N-1}` reaches exactly
 //! the state a scratch replay would. Outcomes of the skipped prefix are
-//! replayed from the trie (each edge stores the [`OpOutcome`] observed when
-//! it was first executed), and simulated time is recomputed from the
+//! replayed from the path (each step stores the [`OpOutcome`] observed when
+//! it was executed), and simulated time is recomputed from the
 //! [`TimeModel`] over the *full* interleaving, so `Execution` — states,
 //! outcomes, `sim_us` — is byte-identical to the scratch executor's.
 //! `CacheStats::sim_us_saved` separately records how much of that total was
-//! never physically re-executed.
+//! never physically re-executed. The lookahead hint of
+//! [`IncrementalExecutor::execute_hinted`] only decides which snapshots are
+//! kept: a wrong hint makes a later run resume shallower, never differently.
 
 use std::sync::Arc;
 
@@ -35,258 +42,174 @@ use crate::subsume::{suffix_hashes, RunMemo, SubsumeHit, SubsumeKey, SubsumeSet}
 use crate::{CacheStats, Execution, OpOutcome, SystemModel, TimeModel};
 
 /// Default snapshot budget for incremental sessions: 64 MiB of
-/// [`state_size_hint`](SystemModel::state_size_hint)-accounted state.
-///
-/// The `state_clone` microbench in `crates/bench` puts a full-workload
-/// snapshot of every subject model well under a kilobyte, so 64 MiB keeps
-/// every prefix of a 10k-interleaving campaign resident with room to spare
-/// while still bounding pathological models.
+/// [`state_size_hint`](SystemModel::state_size_hint)-accounted state. The
+/// `state_clone` microbench in `crates/bench` puts a full-workload snapshot
+/// of every subject model under a kilobyte, so it only bites on
+/// pathological models.
 pub const DEFAULT_CACHE_BUDGET: usize = 64 * 1024 * 1024;
 
-/// A cached set of replica states at some prefix depth.
+/// The replica states after some prefix. Shared by `Arc` between the paths
+/// of different fault plans, and charged against the budget once.
 #[derive(Debug)]
 struct Snapshot<S> {
     states: Vec<S>,
     /// Budget charge for this snapshot (Σ `state_size_hint`, at least 1).
     bytes: usize,
-    /// Last-use tick for LRU eviction.
-    tick: u64,
 }
 
-/// One trie node. The edge *into* the node is labelled by `(event, fault
-/// digest)`: the node at depth `d` along a path represents the prefix
-/// `il[0..d]` *under the faults anchored inside it*, and stores the
-/// [`OpOutcome`] that `il[d-1]` produced when first executed.
+/// One executed step of a path: `steps[d - 1]` is the step that took the
+/// run from depth `d - 1` to depth `d`.
 ///
-/// The digest is [`FaultPlan::digest_at`](er_pi_model::FaultPlan::digest_at)
-/// for the edge's event (0 when no fault anchors there), which makes fault
-/// schedules part of the trie key: two plans that agree on every anchor
-/// along a prefix deterministically reach the same states there (all
-/// derived effects of an anchor — delayed firings, partition windows, crash
-/// recovery — occur at or after the anchor's own step), so they may share
-/// that prefix's snapshots; plans that disagree diverge at the first
-/// differing anchor and never share deeper nodes.
-#[derive(Debug)]
-struct Node<S> {
-    /// Event labelling the edge from the parent (unused for the root).
+/// A step is keyed by `(event, fault digest)`, the digest being
+/// [`FaultPlan::digest_at`](er_pi_model::FaultPlan::digest_at) for the
+/// step's event (0 when no fault anchors there). Two plans that agree on
+/// every anchor along a prefix deterministically reach the same states
+/// there (all derived effects of an anchor — delayed firings, partition
+/// windows, crash recovery — occur at or after the anchor's own step), so a
+/// faulted plan may borrow the fault-free plan's steps up to its first
+/// anchored fault; plans diverge at the first differing digest.
+#[derive(Debug, Clone)]
+struct Step<S> {
     event: EventId,
     /// Digest of the faults anchored at `event` under the path's plan.
     digest: u64,
-    /// Outcome of applying that event at this prefix (root: placeholder).
+    /// Outcome of applying that event at this prefix.
     outcome: OpOutcome,
-    /// Depth of this node (= prefix length it represents).
-    depth: u32,
-    /// Child node indices, searched linearly (branching factor ≤ N).
-    children: Vec<u32>,
-    /// Cached states after the prefix, if not evicted.
-    snapshot: Option<Snapshot<S>>,
+    /// The states after this step, unless the budget refused them.
+    snapshot: Option<Arc<Snapshot<S>>>,
 }
 
-/// A trie over interleaving prefixes caching cloned replica-state
-/// snapshots under a memory budget.
-///
-/// Nodes are created for every prefix ever executed (they are a few dozen
-/// bytes each and record the per-edge outcome needed to replay skipped
-/// prefixes); only *snapshots* — the cloned `Vec<State>` payloads — are
-/// budgeted. When inserting a snapshot would exceed the budget, the
-/// least-recently-used snapshot is evicted first, with *deeper* snapshots
-/// evicted first on a tick tie (shallow prefixes are shared by more future
-/// interleavings, so they are the more valuable residents). A budget of 0
-/// disables caching entirely: every run replays from scratch.
+/// The steps of the most recent run under one fault plan, as far as a later
+/// run can resume from them.
 #[derive(Debug)]
-pub struct CheckpointTrie<S> {
-    nodes: Vec<Node<S>>,
-    /// Indices of nodes currently holding a snapshot.
-    cached: Vec<u32>,
+struct Path<S> {
+    /// [`FaultPlan::digest`](er_pi_model::FaultPlan::digest); 0 is the
+    /// fault-free plan, whose path the other plans borrow from. Only a
+    /// bucketing key: what a run may reuse is decided step by step.
+    plan: u64,
+    steps: Vec<Step<S>>,
+}
+
+/// Every plan's [`Path`], under a budget on the snapshot bytes resident
+/// across all of them: a store that would exceed it is skipped, and a
+/// budget of 0 disables caching entirely.
+#[derive(Debug)]
+struct PathCache<S> {
+    paths: Vec<Path<S>>,
     budget: usize,
     bytes_resident: usize,
-    tick: u64,
 }
 
-impl<S> CheckpointTrie<S> {
-    /// Creates an empty trie with the given snapshot budget in
-    /// [`state_size_hint`](SystemModel::state_size_hint)-accounted bytes.
-    pub fn new(budget: usize) -> Self {
-        CheckpointTrie {
-            nodes: vec![Node {
-                event: EventId::new(0),
-                digest: 0,
-                outcome: OpOutcome::Applied,
-                depth: 0,
-                children: Vec::new(),
-                snapshot: None,
-            }],
-            cached: Vec::new(),
-            budget,
-            bytes_resident: 0,
-            tick: 0,
-        }
-    }
-
-    /// The configured snapshot budget.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Bytes of snapshot state currently resident.
-    pub fn bytes_resident(&self) -> usize {
-        self.bytes_resident
-    }
-
-    /// Number of prefix nodes (including the root).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Returns `true` if the trie holds only the root.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.len() == 1
-    }
-
-    /// Number of snapshots currently cached.
-    pub fn cached_snapshots(&self) -> usize {
-        self.cached.len()
-    }
-
-    fn child(&self, node: u32, event: EventId, digest: u64) -> Option<u32> {
-        self.nodes[node as usize]
-            .children
+impl<S: Clone> PathCache<S> {
+    /// How many leading steps of `steps` the first `N - 1` events of `il`
+    /// repeat, fault digests included.
+    fn matching(steps: &[Step<S>], il: &Interleaving) -> usize {
+        let plan = il.faults();
+        steps
             .iter()
-            .copied()
-            .find(|&c| {
-                let child = &self.nodes[c as usize];
-                child.event == event && child.digest == digest
-            })
+            .zip(il.iter())
+            .take(il.len().saturating_sub(1))
+            .take_while(|(step, &id)| step.event == id && step.digest == plan.digest_at(id))
+            .count()
     }
 
-    fn child_or_insert(
-        &mut self,
-        node: u32,
-        event: EventId,
-        digest: u64,
-        outcome: OpOutcome,
-    ) -> u32 {
-        if let Some(existing) = self.child(node, event, digest) {
-            debug_assert_eq!(
-                self.nodes[existing as usize].outcome, outcome,
-                "non-deterministic SystemModel::apply at a shared prefix"
-            );
-            return existing;
+    /// Cuts `steps` back to `len`, un-charging every snapshot no other
+    /// plan's path still shares.
+    fn truncate(&mut self, steps: &mut Vec<Step<S>>, len: usize) {
+        for step in steps.drain(len.min(steps.len())..) {
+            if let Some(last) = step.snapshot.and_then(Arc::into_inner) {
+                self.bytes_resident -= last.bytes;
+            }
         }
-        let idx = self.nodes.len() as u32;
-        let depth = self.nodes[node as usize].depth + 1;
-        self.nodes.push(Node {
-            event,
-            digest,
-            outcome,
-            depth,
-            children: Vec::new(),
-            snapshot: None,
-        });
-        self.nodes[node as usize].children.push(idx);
-        idx
     }
 
-    /// Stores `states` as the snapshot at `node`, evicting LRU snapshots
-    /// if the budget is exceeded. A zero budget (or a snapshot larger than
-    /// the whole budget) skips the insert.
-    fn store<M>(&mut self, model: &M, node: u32, states: &[S])
+    /// Takes the path of `il`'s fault plan out of the cache, cut back to
+    /// the deepest snapshot `il` can resume from (so its length is the
+    /// resume depth). Under a faulted plan whose own path matches less of
+    /// `il` than the fault-free path does, the difference is borrowed from
+    /// the latter first. Returns the slot in `paths` to put it back into.
+    fn checkout(&mut self, il: &Interleaving) -> (usize, Vec<Step<S>>) {
+        let plan = il.faults().digest();
+        let slot = match self.paths.iter().position(|p| p.plan == plan) {
+            Some(slot) => slot,
+            None => {
+                self.paths.push(Path {
+                    plan,
+                    steps: Vec::new(),
+                });
+                self.paths.len() - 1
+            }
+        };
+        let mut steps = std::mem::take(&mut self.paths[slot].steps);
+        let own = Self::matching(&steps, il);
+        self.truncate(&mut steps, own);
+        if plan != 0 {
+            if let Some(trunk) = self.paths.iter().find(|p| p.plan == 0) {
+                let shared = Self::matching(&trunk.steps, il);
+                if shared > own {
+                    steps.extend_from_slice(&trunk.steps[own..shared]);
+                }
+            }
+        }
+        let resume = steps
+            .iter()
+            .rposition(|step| step.snapshot.is_some())
+            .map_or(0, |at| at + 1);
+        steps.truncate(resume);
+        (slot, steps)
+    }
+
+    /// The states to resume from at the end of a checked-out path. With
+    /// `last_use` the snapshot is moved out of the path instead of cloned
+    /// (unless another plan's path shares it).
+    fn resume(&mut self, steps: &mut [Step<S>], last_use: bool) -> Option<Vec<S>> {
+        let slot = &mut steps.last_mut()?.snapshot;
+        if !last_use {
+            return slot.as_ref().map(|snap| snap.states.clone());
+        }
+        Some(match Arc::try_unwrap(slot.take()?) {
+            Ok(owned) => {
+                self.bytes_resident -= owned.bytes;
+                owned.states
+            }
+            Err(shared) => shared.states.clone(),
+        })
+    }
+
+    /// Snapshots `states` if the budget has room for them.
+    fn store<M>(&mut self, model: &M, states: &[S]) -> Option<Arc<Snapshot<S>>>
     where
-        S: Clone,
         M: SystemModel<State = S>,
     {
-        if self.budget == 0 || self.nodes[node as usize].snapshot.is_some() {
-            return;
-        }
         let bytes = states
             .iter()
             .map(|s| model.state_size_hint(s))
             .sum::<usize>()
             .max(1);
-        if bytes > self.budget {
-            return;
+        if bytes > self.budget.saturating_sub(self.bytes_resident) {
+            return None;
         }
-        self.tick += 1;
-        self.nodes[node as usize].snapshot = Some(Snapshot {
+        self.bytes_resident += bytes;
+        Some(Arc::new(Snapshot {
             states: states.to_vec(),
             bytes,
-            tick: self.tick,
-        });
-        self.cached.push(node);
-        self.bytes_resident += bytes;
-        self.evict_to_budget();
-    }
-
-    /// Evicts least-recently-used snapshots until within budget. Tick ties
-    /// break toward the *deeper* node: shallow prefixes front more of the
-    /// remaining enumeration, so they stay resident longer.
-    fn evict_to_budget(&mut self) {
-        while self.bytes_resident > self.budget && !self.cached.is_empty() {
-            let victim_pos = self
-                .cached
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &n)| {
-                    let node = &self.nodes[n as usize];
-                    let snap = node.snapshot.as_ref().expect("cached node has snapshot");
-                    (snap.tick, u32::MAX - node.depth)
-                })
-                .map(|(pos, _)| pos)
-                .expect("non-empty cached list");
-            let victim = self.cached.swap_remove(victim_pos);
-            let snap = self.nodes[victim as usize]
-                .snapshot
-                .take()
-                .expect("victim holds a snapshot");
-            self.bytes_resident -= snap.bytes;
-        }
-    }
-
-    /// Walks `il` from the root, returning the path of node indices
-    /// (`path[d]` is the node representing `il[0..d]`) up to the deepest
-    /// prefix already present in the trie.
-    fn walk(&self, il: &Interleaving) -> Vec<u32> {
-        let mut path = Vec::with_capacity(il.len() + 1);
-        path.push(0u32);
-        let mut cur = 0u32;
-        for &id in il.iter() {
-            match self.child(cur, id, il.faults().digest_at(id)) {
-                Some(next) => {
-                    cur = next;
-                    path.push(next);
-                }
-                None => break,
-            }
-        }
-        path
-    }
-
-    /// Clones the snapshot at `node` (refreshing its LRU tick), if present.
-    fn resume(&mut self, node: u32) -> Option<Vec<S>>
-    where
-        S: Clone,
-    {
-        self.tick += 1;
-        let tick = self.tick;
-        let snap = self.nodes[node as usize].snapshot.as_mut()?;
-        snap.tick = tick;
-        Some(snap.states.clone())
+        }))
     }
 }
 
-/// Replays interleavings by resuming from the deepest cached common prefix
-/// in a [`CheckpointTrie`], applying only the divergent suffix.
+/// Replays interleavings by resuming from the deepest snapshot on the path
+/// of the previous run, applying only the divergent suffix.
 ///
 /// Produces [`Execution`]s byte-identical to
 /// [`InlineExecutor`](crate::InlineExecutor) — states, outcomes and
-/// `sim_us` — for any eviction schedule; the differential-equivalence
+/// `sim_us` — for any budget and any hint; the differential-equivalence
 /// harness (`tests/incremental_equivalence.rs`, `tests/incremental_props.rs`)
-/// pins this. Each executor owns its trie, so pooled replay gives one to
-/// each worker; the chunked dispenser keeps each worker's stream
-/// prefix-coherent.
+/// pins this. Each executor owns its paths, so pooled replay gives one to
+/// each worker: its chunked claims are a subsequence of the sorted stream,
+/// sorted too, so it loses nothing.
 #[derive(Debug)]
 pub struct IncrementalExecutor<M: SystemModel> {
-    trie: CheckpointTrie<M::State>,
+    cache: PathCache<M::State>,
     stats: CacheStats,
     last_resume_depth: usize,
     last_run_subsumed: bool,
@@ -298,11 +221,15 @@ pub struct IncrementalExecutor<M: SystemModel> {
 }
 
 impl<M: SystemModel> IncrementalExecutor<M> {
-    /// Creates an executor with an empty trie and the given snapshot
-    /// budget (see [`DEFAULT_CACHE_BUDGET`]).
+    /// Creates an executor with no paths and the given snapshot budget (see
+    /// [`DEFAULT_CACHE_BUDGET`]).
     pub fn new(budget: usize) -> Self {
         IncrementalExecutor {
-            trie: CheckpointTrie::new(budget),
+            cache: PathCache {
+                paths: Vec::new(),
+                budget,
+                bytes_resident: 0,
+            },
             stats: CacheStats::default(),
             last_resume_depth: 0,
             last_run_subsumed: false,
@@ -331,28 +258,24 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         self.last_run_subsumed
     }
 
-    /// The cache counters so far. `bytes_resident` reflects the trie's
+    /// The cache counters so far. `bytes_resident` reflects the paths'
     /// current occupancy; the other fields are cumulative.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            bytes_resident: self.trie.bytes_resident(),
+            bytes_resident: self.cache.bytes_resident,
             ..self.stats
         }
     }
 
-    /// The underlying trie (inspection / tests).
-    pub fn trie(&self) -> &CheckpointTrie<M::State> {
-        &self.trie
+    /// Snapshots currently held, counted per path (one shared by two fault
+    /// plans counts twice): at most `(N - 1) × plans seen`.
+    pub fn resident_snapshots(&self) -> usize {
+        let steps = self.cache.paths.iter().flat_map(|path| &path.steps);
+        steps.filter(|step| step.snapshot.is_some()).count()
     }
 
-    /// Executes `il`, resuming from the deepest cached prefix.
-    ///
-    /// The returned [`Execution`] is byte-identical to
-    /// [`InlineExecutor::execute`](crate::InlineExecutor::execute): the
-    /// reported `sim_us` still charges `reset_cost_us` plus every event's
-    /// cost (a rewind *is* a state reset, and skipped prefix events are
-    /// charged as if replayed); [`CacheStats::sim_us_saved`] records the
-    /// portion that was never physically re-executed.
+    /// [`execute_hinted`](IncrementalExecutor::execute_hinted) with no
+    /// knowledge of what comes next.
     pub fn execute(
         &mut self,
         model: &M,
@@ -360,15 +283,46 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         il: &Interleaving,
         time: &TimeModel,
     ) -> Execution<M::State> {
-        let path = self.trie.walk(il);
-        // Deepest node on the path still holding a snapshot.
-        let resume_depth = (0..path.len())
-            .rev()
-            .find(|&d| d > 0 && self.trie.nodes[path[d] as usize].snapshot.is_some())
-            .unwrap_or(0);
+        self.execute_hinted(model, workload, il, None, time)
+    }
+
+    /// Executes `il`, resuming from the deepest snapshot the previous run
+    /// under the same fault plan left on the shared prefix.
+    ///
+    /// `next` is an advisory hint: the interleaving this executor will be
+    /// handed after `il`, if the caller knows it. It is used only when it
+    /// carries `il`'s fault plan. Snapshots are then kept only at depths the
+    /// two share — deeper ones would be cut before anyone could resume from
+    /// them — and the snapshot `il` resumes from is moved out rather than
+    /// cloned when `next` diverges above it. Without a hint every interior
+    /// depth is kept.
+    ///
+    /// The returned [`Execution`] is byte-identical to
+    /// [`InlineExecutor::execute`](crate::InlineExecutor::execute) whatever
+    /// the hint: the reported `sim_us` still charges `reset_cost_us` plus
+    /// every event's cost (a rewind *is* a state reset, and skipped prefix
+    /// events are charged as if replayed); [`CacheStats::sim_us_saved`]
+    /// records the portion that was never physically re-executed.
+    pub fn execute_hinted(
+        &mut self,
+        model: &M,
+        workload: &Workload,
+        il: &Interleaving,
+        next: Option<&Interleaving>,
+        time: &TimeModel,
+    ) -> Execution<M::State> {
+        let n = il.len();
+        // The deepest step worth keeping for the next run.
+        let keep = match next {
+            _ if self.cache.budget == 0 => 0,
+            Some(next) if next.faults() == il.faults() => il.common_prefix_len(next),
+            _ => usize::MAX,
+        };
+        let (slot, mut steps) = self.cache.checkout(il);
+        let resume_depth = steps.len();
         self.last_resume_depth = resume_depth;
 
-        let mut outcomes = Vec::with_capacity(il.len());
+        let mut outcomes = Vec::with_capacity(n);
         let mut sim_us = time.reset_cost_us;
         let mut saved_us = 0u64;
         for (pos, &id) in il.iter().enumerate() {
@@ -379,19 +333,18 @@ impl<M: SystemModel> IncrementalExecutor<M> {
             }
         }
 
-        let mut states = if resume_depth > 0 {
-            self.stats.hits += 1;
-            self.stats.events_saved += resume_depth as u64;
-            self.stats.sim_us_saved += saved_us;
-            for &node in &path[1..=resume_depth] {
-                outcomes.push(self.trie.nodes[node as usize].outcome.clone());
+        let mut states = match self.cache.resume(&mut steps, keep < resume_depth) {
+            Some(states) => {
+                self.stats.hits += 1;
+                self.stats.events_saved += resume_depth as u64;
+                self.stats.sim_us_saved += saved_us;
+                outcomes.extend(steps.iter().map(|step| step.outcome.clone()));
+                states
             }
-            self.trie
-                .resume(path[resume_depth])
-                .expect("resume depth points at a cached snapshot")
-        } else {
-            self.stats.misses += 1;
-            model.init_all()
+            None => {
+                self.stats.misses += 1;
+                model.init_all()
+            }
         };
 
         // Rebuild the fault interpreter's bookkeeping (partition topology,
@@ -410,7 +363,6 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         if self.subsume.is_some() && self.subsume_supported.is_none() {
             self.subsume_supported = Some(model.state_digest(&model.init_all()).is_some());
         }
-        let n = il.len();
         let sub: Option<&SubsumeSet<M::State>> = match self.subsume_supported {
             Some(true) => self.subsume.as_deref(),
             _ => None,
@@ -467,7 +419,6 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         }
 
         if stitched_at.is_none() {
-            let mut cur = path[resume_depth];
             for (pos, &id) in il.iter().enumerate().skip(resume_depth) {
                 let event = workload.event(id);
                 faults.begin_step(model, &mut states, event);
@@ -481,22 +432,24 @@ impl<M: SystemModel> IncrementalExecutor<M> {
                     }
                     other => FaultInterpreter::faulted_outcome(other),
                 };
-                cur =
-                    self.trie
-                        .child_or_insert(cur, id, il.faults().digest_at(id), outcome.clone());
-                outcomes.push(outcome);
                 // Delayed effects due at this step land before the snapshot, so
                 // a stored prefix is the full deterministic function of its
                 // `(events, anchored faults)` path.
                 faults.end_step(model, &mut states, workload, pos);
-                // Snapshot every interior prefix we just reached; the final
-                // depth is never resumed from (a repeat of the same
+                // Extend the path through every interior depth worth keeping;
+                // the final depth is never resumed from (a repeat of the same
                 // interleaving resumes at N-1 and re-applies the last event),
                 // and the end-of-run fault flush below therefore never leaks
-                // into a cached snapshot.
-                if pos + 1 < il.len() {
-                    self.trie.store(model, cur, &states);
+                // into a snapshot.
+                if pos + 1 < n && pos < keep {
+                    steps.push(Step {
+                        event: id,
+                        digest: il.faults().digest_at(id),
+                        outcome: outcome.clone(),
+                        snapshot: self.cache.store(model, &states),
+                    });
                 }
+                outcomes.push(outcome);
                 if audit_hit.is_none() {
                     if let Some(hit) = probe(&states, &faults, pos + 1) {
                         if self.subsume.as_deref().is_some_and(SubsumeSet::audit) {
@@ -514,6 +467,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
                 faults.finish(model, &mut states, workload);
             }
         }
+        self.cache.paths[slot].steps = steps;
 
         if let Some((depth, hit)) = audit_hit {
             assert_eq!(
@@ -559,23 +513,12 @@ impl<M: SystemModel> IncrementalExecutor<M> {
     }
 }
 
-/// Concatenates every replica's canonical encoding, each length-prefixed so
-/// adjacent replicas can never alias — the byte string whose digest is
-/// [`SystemModel::state_digest`]'s default. Audit mode stores and compares
-/// these bytes to tell digest collisions from honest hits. `None` when the
-/// model declines encoding.
+/// The length-prefixed canonical encoding [`SystemModel::state_digest`]'s
+/// default hashes. Audit mode stores and compares these bytes to tell digest
+/// collisions from honest hits. `None` when the model declines encoding.
 fn encode_states<M: SystemModel>(model: &M, states: &[M::State]) -> Option<Vec<u8>> {
     let mut buf = Vec::new();
-    for state in states {
-        let at = buf.len();
-        buf.extend_from_slice(&[0u8; 8]);
-        if !model.state_encode(state, &mut buf) {
-            return None;
-        }
-        let len = (buf.len() - at - 8) as u64;
-        buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
-    }
-    Some(buf)
+    crate::system::encode_states(model, states, &mut buf).then_some(buf)
 }
 
 #[cfg(test)]
@@ -646,36 +589,56 @@ mod tests {
         out
     }
 
-    fn assert_matches_inline(budget: usize, n: u32) -> CacheStats {
+    fn assert_same(scratch: &Execution<Vec<i64>>, inc: &Execution<Vec<i64>>, il: &Interleaving) {
+        assert_eq!(scratch.states, inc.states, "states diverged on {il}");
+        assert_eq!(scratch.outcomes, inc.outcomes, "outcomes diverged on {il}");
+        assert_eq!(scratch.sim_us, inc.sim_us, "sim_us diverged on {il}");
+    }
+
+    /// Replays all `n!` lexicographic orders against the scratch executor,
+    /// with the true next order as the hint when `hinted`; after every run
+    /// the cache must hold at most `n - 1` snapshots within the budget.
+    fn assert_matches_inline(budget: usize, n: u32, hinted: bool) -> CacheStats {
         let w = workload(n as i64);
         let time = TimeModel::paper_setup();
         let mut exec = IncrementalExecutor::<LogModel>::new(budget);
-        for il in lexicographic_orders(n) {
-            let scratch = InlineExecutor::execute(&LogModel, &w, &il, &time);
-            let inc = exec.execute(&LogModel, &w, &il, &time);
-            assert_eq!(scratch.states, inc.states, "states diverged on {il}");
-            assert_eq!(scratch.outcomes, inc.outcomes, "outcomes diverged on {il}");
-            assert_eq!(scratch.sim_us, inc.sim_us, "sim_us diverged on {il}");
+        let orders = lexicographic_orders(n);
+        for (i, il) in orders.iter().enumerate() {
+            let next = orders.get(i + 1).filter(|_| hinted);
+            let scratch = InlineExecutor::execute(&LogModel, &w, il, &time);
+            let inc = exec.execute_hinted(&LogModel, &w, il, next, &time);
+            assert_same(&scratch, &inc, il);
+            assert!(exec.resident_snapshots() < n as usize);
+            assert!(exec.stats().bytes_resident <= budget);
         }
         exec.stats()
     }
 
+    fn shared_prefixes(n: u32) -> u64 {
+        let orders = lexicographic_orders(n);
+        let shared = orders
+            .windows(2)
+            .map(|pair| pair[0].common_prefix_len(&pair[1]));
+        shared.sum::<usize>() as u64
+    }
+
     #[test]
     fn matches_inline_over_all_permutations() {
-        let stats = assert_matches_inline(DEFAULT_CACHE_BUDGET, 5);
         // 120 runs; the first permutation of each depth-1 block (5 of
-        // them) necessarily misses, everything else resumes from a
-        // cached prefix.
-        assert_eq!(stats.misses, 5);
-        assert_eq!(stats.hits, 115);
-        assert!(stats.events_saved > 0);
-        assert!(stats.sim_us_saved > 0);
-        assert!(stats.bytes_resident > 0);
+        // them) necessarily misses, everything else resumes from the
+        // previous run's path — at the full common prefix, hinted or not.
+        for hinted in [false, true] {
+            let stats = assert_matches_inline(DEFAULT_CACHE_BUDGET, 5, hinted);
+            assert_eq!(stats.misses, 5);
+            assert_eq!(stats.hits, 115);
+            assert_eq!(stats.events_saved, shared_prefixes(5));
+            assert!(stats.sim_us_saved > 0);
+        }
     }
 
     #[test]
     fn zero_budget_is_scratch() {
-        let stats = assert_matches_inline(0, 4);
+        let stats = assert_matches_inline(0, 4, false);
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.misses, 24);
         assert_eq!(stats.events_saved, 0);
@@ -683,10 +646,36 @@ mod tests {
     }
 
     #[test]
-    fn tiny_budget_still_byte_identical() {
-        // Room for roughly one snapshot: constant eviction churn.
-        let stats = assert_matches_inline(64, 5);
-        assert_eq!(stats.hits + stats.misses, 120);
+    fn tiny_budget_skips_stores_and_stays_byte_identical() {
+        // Room for one two-replica snapshot: deeper stores are refused.
+        for hinted in [false, true] {
+            let stats = assert_matches_inline(80, 5, hinted);
+            assert_eq!(stats.hits + stats.misses, 120);
+            assert!(stats.hits > 0, "one snapshot still serves resumes");
+            assert!(stats.events_saved < shared_prefixes(5));
+        }
+    }
+
+    #[test]
+    fn a_hint_keeps_only_the_shared_prefix_and_moves_the_last_use_out() {
+        let w = workload(5);
+        let time = TimeModel::paper_setup();
+        let order = |raw: [u32; 5]| -> Interleaving { raw.into_iter().map(EventId::new).collect() };
+        let a = order([0, 1, 2, 3, 4]);
+        let b = order([0, 1, 2, 4, 3]);
+        let c = order([0, 1, 3, 2, 4]);
+        let mut exec = IncrementalExecutor::<LogModel>::new(DEFAULT_CACHE_BUDGET);
+        exec.execute_hinted(&LogModel, &w, &a, Some(&b), &time);
+        assert_eq!(exec.resident_snapshots(), 3, "depths 1..=3 are shared");
+        // b resumes at depth 3 and c shares only 2: the depth-3 snapshot is
+        // taken, not cloned, and nothing deeper is stored.
+        exec.execute_hinted(&LogModel, &w, &b, Some(&c), &time);
+        assert_eq!(exec.last_resume_depth(), 3);
+        assert_eq!(exec.resident_snapshots(), 2);
+        let run = exec.execute_hinted(&LogModel, &w, &c, None, &time);
+        assert_eq!(exec.last_resume_depth(), 2);
+        assert_eq!(exec.resident_snapshots(), 4, "no hint keeps every depth");
+        assert_same(&InlineExecutor::execute(&LogModel, &w, &c, &time), &run, &c);
     }
 
     #[test]
@@ -695,83 +684,83 @@ mod tests {
         let time = TimeModel::paper_setup();
         let il = w.recorded_order();
         let mut exec = IncrementalExecutor::<LogModel>::new(DEFAULT_CACHE_BUDGET);
-        exec.execute(&LogModel, &w, &il, &time);
+        // Dropping the first run's states must not disturb the snapshots.
+        drop(exec.execute(&LogModel, &w, &il, &time));
         let before = exec.stats();
         let again = exec.execute(&LogModel, &w, &il, &time);
         let after = exec.stats();
         assert_eq!(after.hits, before.hits + 1);
         assert_eq!(after.events_saved, before.events_saved + 5);
-        let scratch = InlineExecutor::execute(&LogModel, &w, &il, &time);
-        assert_eq!(scratch.sim_us, again.sim_us);
-        assert_eq!(scratch.states, again.states);
+        assert_same(
+            &InlineExecutor::execute(&LogModel, &w, &il, &time),
+            &again,
+            &il,
+        );
     }
 
     #[test]
-    fn eviction_prefers_older_then_deeper() {
-        let w = workload(3);
-        let time = TimeModel::paper_setup();
-        let orders = lexicographic_orders(3);
-        // Budget sized from real hints so at least one eviction happens.
-        let mut exec = IncrementalExecutor::<LogModel>::new(2 * 80);
-        for il in &orders {
-            exec.execute(&LogModel, &w, il, &time);
-        }
-        let trie = exec.trie();
-        assert!(trie.bytes_resident() <= trie.budget());
-        assert!(trie.cached_snapshots() > 0);
-    }
-
-    #[test]
-    fn matches_inline_across_fault_plans_sharing_one_trie() {
+    fn matches_inline_across_fault_plans_sharing_one_executor() {
         use er_pi_model::{FaultEvent, FaultKind, FaultPlan};
         let w = workload(4);
         let time = TimeModel::paper_setup();
         let ids: Vec<EventId> = w.event_ids().collect();
-        let plans = vec![
+        let crash = FaultKind::CrashRestart {
+            replica: ReplicaId::new(0),
+        };
+        let plans = [
             FaultPlan::empty(),
             FaultPlan::new(vec![FaultEvent::new(ids[1], FaultKind::Drop)]),
             FaultPlan::new(vec![FaultEvent::new(ids[1], FaultKind::Duplicate)]),
             FaultPlan::new(vec![FaultEvent::new(ids[0], FaultKind::Delay { by: 2 })]),
-            FaultPlan::new(vec![FaultEvent::new(
-                ids[2],
-                FaultKind::CrashRestart {
-                    replica: ReplicaId::new(0),
-                },
-            )]),
+            FaultPlan::new(vec![FaultEvent::new(ids[2], crash)]),
         ];
-        // One trie serves the whole product (plan-minor, like the session's
-        // fault product explorer): every execution must stay byte-identical
-        // to scratch replay even though plans interleave in the cache.
+        // One executor serves the whole product (plan-minor, like the
+        // session's fault product explorer), hinted the way the session
+        // hints it: every execution must stay byte-identical to scratch
+        // replay while plans take turns and borrow the fault-free path.
+        let with_plans = |base: Interleaving| {
+            let plans = plans.iter().cloned();
+            plans.map(move |plan| base.clone().with_faults(plan))
+        };
+        let product: Vec<Interleaving> = lexicographic_orders(4)
+            .into_iter()
+            .flat_map(with_plans)
+            .collect();
         let mut exec = IncrementalExecutor::<LogModel>::new(DEFAULT_CACHE_BUDGET);
-        for base in lexicographic_orders(4) {
-            for plan in &plans {
-                let il = base.clone().with_faults(plan.clone());
-                let scratch = InlineExecutor::execute(&LogModel, &w, &il, &time);
-                let inc = exec.execute(&LogModel, &w, &il, &time);
-                assert_eq!(scratch.states, inc.states, "states diverged on {il}");
-                assert_eq!(scratch.outcomes, inc.outcomes, "outcomes diverged on {il}");
-                assert_eq!(scratch.sim_us, inc.sim_us, "sim_us diverged on {il}");
-            }
+        for (i, il) in product.iter().enumerate() {
+            let scratch = InlineExecutor::execute(&LogModel, &w, il, &time);
+            let inc = exec.execute_hinted(&LogModel, &w, il, product.get(i + 1), &time);
+            assert_same(&scratch, &inc, il);
+            assert!(exec.resident_snapshots() <= 3 * plans.len());
         }
-        let stats = exec.stats();
-        assert!(stats.hits > 0, "fault product still shares prefixes");
+        assert!(exec.stats().hits > 0, "fault product still shares prefixes");
     }
 
     #[test]
-    fn snapshot_clone_is_independent() {
-        // Mutating states after a run must not corrupt cached snapshots:
-        // replay the same interleaving twice and a scrambled one in between.
-        let w = workload(4);
+    fn a_faulted_plan_borrows_the_fault_free_path_up_to_its_anchor() {
+        use er_pi_model::{FaultEvent, FaultKind, FaultPlan};
+        let w = workload(5);
         let time = TimeModel::paper_setup();
+        let base = w.recorded_order();
+        let drop_at_3 = FaultPlan::new(vec![FaultEvent::new(EventId::new(3), FaultKind::Drop)]);
+        let faulted = base.clone().with_faults(drop_at_3);
+        let scratch = InlineExecutor::execute(&LogModel, &w, &faulted, &time);
         let mut exec = IncrementalExecutor::<LogModel>::new(DEFAULT_CACHE_BUDGET);
-        let a = w.recorded_order();
-        let b: Interleaving = [3u32, 2, 1, 0].into_iter().map(EventId::new).collect();
-        let first = exec.execute(&LogModel, &w, &a, &time);
-        drop(first);
-        exec.execute(&LogModel, &w, &b, &time);
-        let again = exec.execute(&LogModel, &w, &a, &time);
-        let scratch = InlineExecutor::execute(&LogModel, &w, &a, &time);
-        assert_eq!(scratch.states, again.states);
-        assert_eq!(scratch.outcomes, again.outcomes);
+        exec.execute(&LogModel, &w, &base, &time);
+        let resident = exec.stats().bytes_resident;
+        // The plan has no path of its own yet: e0 e1 e2 come from the
+        // fault-free run, and sharing them is charged once — only the
+        // depth-4 snapshot is new.
+        let run = exec.execute_hinted(&LogModel, &w, &faulted, Some(&faulted), &time);
+        assert_eq!(exec.last_resume_depth(), 3);
+        assert_same(&scratch, &run, &faulted);
+        assert_eq!(exec.resident_snapshots(), 4 + 4);
+        assert!(exec.stats().bytes_resident < 2 * resident);
+        // The fault-free path moving on must not free what the plan holds.
+        let other: Interleaving = [4u32, 3, 2, 1, 0].into_iter().map(EventId::new).collect();
+        exec.execute(&LogModel, &w, &other, &time);
+        let again = exec.execute(&LogModel, &w, &faulted, &time);
+        assert_eq!(exec.last_resume_depth(), 4);
+        assert_same(&scratch, &again, &faulted);
     }
 }

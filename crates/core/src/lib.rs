@@ -156,7 +156,7 @@ pub use executor::{Execution, InlineExecutor, ThreadedExecutor};
 pub use forensics::{
     explain_violation, DigestSource, DivergencePoint, ForensicBundle, ForensicStep, Provenance,
 };
-pub use incremental::{CheckpointTrie, IncrementalExecutor, DEFAULT_CACHE_BUDGET};
+pub use incremental::{IncrementalExecutor, DEFAULT_CACHE_BUDGET};
 pub use metrics::SessionMetrics;
 pub use misconceptions::{misconception, Misconception};
 pub use pool::{ReplayPool, DEFAULT_CHUNK_SIZE};

@@ -60,7 +60,7 @@ impl SessionMetrics {
             ),
             cache_hits: registry.counter(
                 "er_pi_campaign_cache_hits_total",
-                "Runs resumed from a checkpoint-trie prefix.",
+                "Runs resumed from a cached prefix snapshot.",
                 labels,
             ),
             cache_misses: registry.counter(
@@ -75,12 +75,12 @@ impl SessionMetrics {
             ),
             hit_rate: registry.gauge(
                 "er_pi_campaign_cache_hit_rate",
-                "Final checkpoint-trie hit rate of the campaign (0-1).",
+                "Final checkpoint-cache hit rate of the campaign (0-1).",
                 labels,
             ),
             low_hit_rate: registry.gauge(
                 "er_pi_cache_low_hit_rate",
-                "1 when the campaign's checkpoint-trie hit rate fell below \
+                "1 when the campaign's checkpoint-cache hit rate fell below \
                  the degraded-cache threshold, else 0.",
                 labels,
             ),

@@ -44,8 +44,8 @@ pub(crate) const NO_VIOLATION: usize = usize::MAX;
 /// [`Session::set_chunk_size`](crate::Session::set_chunk_size)).
 /// Contiguous chunks (rather than strided or item-at-a-time claims)
 /// preserve per-worker prefix locality: lexicographically adjacent
-/// interleavings land in the same worker's checkpoint trie, so incremental
-/// resumes stay hot. Chunks also amortize the dispenser lock. Cooperative
+/// interleavings land on the same worker's executor, each resuming from the
+/// one before it. Chunks also amortize the dispenser lock. Cooperative
 /// cancellation is checked *between* chunks only — a claimed chunk always
 /// executes to completion, keeping the dispensed index range dense for the
 /// merge.
@@ -84,7 +84,7 @@ pub(crate) struct PoolOutput {
     pub cancelled: bool,
     /// Per-worker replay counters, in worker order.
     pub worker_loads: Vec<WorkerLoad>,
-    /// Checkpoint-cache counters summed over the per-worker tries; `None`
+    /// Checkpoint-cache counters summed over the per-worker executors; `None`
     /// when the pool ran the scratch executor.
     pub cache_stats: Option<CacheStats>,
 }
@@ -229,8 +229,8 @@ impl ReplayPool {
     /// subsumption, shared across all workers (each worker's executor
     /// probes and feeds it); with subsumption on but incremental replay
     /// off, every worker still gets an executor — with a zero snapshot
-    /// budget, so the trie caches nothing and only the subsumption layer
-    /// is live. `chunk_size` is the dispenser claim granularity (see
+    /// budget, so it keeps no path and only the subsumption layer is
+    /// live. `chunk_size` is the dispenser claim granularity (see
     /// [`DEFAULT_CHUNK_SIZE`] for the trade-off; values below 1 are clamped).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run<M, I>(
@@ -275,7 +275,7 @@ impl ReplayPool {
                         };
                         let telemetry = instrument.telemetry.clone();
                         let track = worker_track(worker);
-                        // Each worker owns its trie: no cross-thread
+                        // Each worker owns its executor: no cross-thread
                         // snapshot sharing, and the chunked dispenser keeps
                         // the worker's stream prefix-coherent.
                         let mut executor = match (incremental_budget, subsume) {
@@ -288,8 +288,8 @@ impl ReplayPool {
                                 Some(e)
                             }
                         };
-                        // Each worker also watches its own trie's hit rate
-                        // — the warning names the worker via its track.
+                        // Each worker also watches its own hit rate — the
+                        // warning names the worker via its track.
                         let mut hit_monitor = (incremental_budget.is_some()
                             && telemetry.is_active())
                         .then(HitRateMonitor::default);
@@ -320,7 +320,8 @@ impl ReplayPool {
                                     ],
                                 );
                             }
-                            for (index, il) in chunk {
+                            let mut chunk = chunk.into_iter().peekable();
+                            while let Some((index, il)) = chunk.next() {
                                 let t_run = telemetry.start();
                                 let executed = catch_unwind(AssertUnwindSafe(|| {
                                     execute_one(
@@ -328,6 +329,7 @@ impl ReplayPool {
                                         workload,
                                         index,
                                         il,
+                                        chunk.peek().map(|(_, next)| next),
                                         time,
                                         suite,
                                         executor.as_mut(),
@@ -366,7 +368,7 @@ impl ReplayPool {
                                             );
                                         }
                                         // Only attribute hit/miss when the
-                                        // trie has a budget: a zero-budget
+                                        // cache has a budget: a zero-budget
                                         // subsumption-only executor always
                                         // resumes from depth 0 and would
                                         // report a fictitious 0% hit rate.
@@ -475,14 +477,16 @@ impl ReplayPool {
 }
 
 /// Executes one interleaving — against a fresh checkpoint, or resuming
-/// from the worker's trie when an incremental executor is supplied — and
-/// checks the suite. The per-item body shared by all workers.
+/// from the worker's previous run when an incremental executor is supplied
+/// (`next`, the item after `il` in the worker's chunk, is its lookahead
+/// hint) — and checks the suite. The per-item body shared by all workers.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_one<M: SystemModel>(
     model: &M,
     workload: &Workload,
     index: usize,
     il: Interleaving,
+    next: Option<&Interleaving>,
     time: &TimeModel,
     suite: &TestSuite<M::State>,
     executor: Option<&mut IncrementalExecutor<M>>,
@@ -490,7 +494,7 @@ pub(crate) fn execute_one<M: SystemModel>(
     track: TrackId,
 ) -> WorkerRun {
     let exec = match executor {
-        Some(incremental) => incremental.execute(model, workload, &il, time),
+        Some(incremental) => incremental.execute_hinted(model, workload, &il, next, time),
         None => InlineExecutor::execute(model, workload, &il, time),
     };
     let observations: Vec<Value> = exec.states.iter().map(|s| model.observe(s)).collect();

@@ -140,13 +140,13 @@ pub struct WorkerLoad {
 }
 
 /// Checkpoint-cache counters of an incremental replay — what the
-/// [`CheckpointTrie`](crate::CheckpointTrie) saved relative to replaying
-/// every interleaving from scratch.
+/// [`IncrementalExecutor`](crate::IncrementalExecutor)'s path cache saved
+/// relative to replaying every interleaving from scratch.
 ///
 /// Carried in [`Report::cache_stats`](crate::Report::cache_stats) when the
 /// session ran incrementally (`None` for a scratch replay). Like
 /// [`WorkerLoad`], the counters are legitimately scheduling-dependent under
-/// a parallel pool (each worker owns its own trie), so they are excluded
+/// a parallel pool (each worker owns its own paths), so they are excluded
 /// from [`Report::diff`](crate::Report::diff).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub struct CacheStats {
@@ -157,9 +157,10 @@ pub struct CacheStats {
     /// Event applications skipped by resuming from cached prefixes — the
     /// headline number of the `fig_prefix` benchmark.
     pub events_saved: u64,
-    /// Bytes of snapshot state currently resident in the trie (sum of
+    /// Bytes of snapshot state resident when the replay ended: the sum of
     /// [`SystemModel::state_size_hint`](crate::SystemModel::state_size_hint)
-    /// over cached states, plus bookkeeping overhead).
+    /// over the states of every snapshot still on a path, one shared by
+    /// several fault plans counted once. Never above the cache budget.
     pub bytes_resident: usize,
     /// Simulated time the skipped prefix events would have cost,
     /// microseconds. The *reported* `sim_us` stays byte-identical to a
@@ -183,7 +184,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Merges another worker's counters into this one (pooled replays sum
-    /// the per-worker tries).
+    /// the per-worker caches).
     pub fn absorb(&mut self, other: &CacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;

@@ -65,7 +65,7 @@ pub struct Report {
     pub worker_loads: Vec<WorkerLoad>,
     /// Checkpoint-cache counters of the incremental executor (`None` for a
     /// scratch replay). Under a pool the counters are summed over the
-    /// per-worker tries, which makes them scheduling-dependent — like
+    /// per-worker executors, which makes them scheduling-dependent — like
     /// `worker_loads` and `wall_ms` they are excluded from [`Report::diff`].
     pub cache_stats: Option<CacheStats>,
     /// The end-of-session attribution table unifying the pruning, worker,

@@ -14,7 +14,7 @@
 //!   priority (`(priority, submission)` order — FIFO within a priority
 //!   band), claiming contiguous chunks of the campaign's configured size
 //!   ([`DEFAULT_CHUNK_SIZE`](crate::DEFAULT_CHUNK_SIZE) by default) exactly like
-//!   the pool, with per-`(campaign, slot)` checkpoint tries so incremental
+//!   the pool, with per-`(campaign, slot)` incremental executors so
 //!   prefix locality survives the multiplexing;
 //! * cancellation is cooperative and per-campaign: a tripped
 //!   [`CancelToken`] stops that campaign at its next chunk boundary
@@ -108,7 +108,7 @@ struct CampaignTask<M: SystemModel, I> {
     panicked: Mutex<Option<String>>,
     /// Per-slot incremental executors, taken out for the duration of a
     /// chunk and put back — the service's equivalent of the pool's
-    /// one-trie-per-worker locality.
+    /// one-executor-per-worker locality.
     executors: Mutex<BTreeMap<usize, IncrementalExecutor<M>>>,
     loads: Mutex<BTreeMap<usize, WorkerLoad>>,
     finalized: AtomicBool,
@@ -253,7 +253,7 @@ where
 
         let telemetry = self.params.instrument.telemetry.clone();
         let track = worker_track(slot);
-        // Take the slot's trie out for the whole chunk; another slot
+        // Take the slot's executor out for the whole chunk; another slot
         // serving this campaign concurrently uses its own.
         let mut executor = self.executors.lock().remove(&slot).or_else(|| {
             match (self.params.incremental_budget, &self.params.subsume) {
@@ -268,7 +268,8 @@ where
             }
         });
 
-        for (index, il) in chunk {
+        let mut chunk = chunk.into_iter().peekable();
+        while let Some((index, il)) = chunk.next() {
             let run_started = metrics.map(|_| std::time::Instant::now());
             let executed = catch_unwind(AssertUnwindSafe(|| {
                 execute_one(
@@ -276,6 +277,7 @@ where
                     &self.params.workload,
                     index,
                     il,
+                    chunk.peek().map(|(_, next)| next),
                     &self.params.time,
                     &self.params.suite,
                     executor.as_mut(),

@@ -374,16 +374,16 @@ impl<M: SystemModel> Session<M> {
     /// **on**).
     ///
     /// Incrementally replayed sessions resume each interleaving from the
-    /// deepest cached common prefix in a [`CheckpointTrie`], applying only
-    /// the divergent suffix — the report stays byte-identical to a scratch
-    /// replay ([`Report::diff`] returns `None` between the two), but the
-    /// cache counters land in [`Report::cache_stats`] and the wall-clock
-    /// drops with the workload's prefix locality. Disable it to force the
-    /// §4.3 scratch semantics (e.g. when `SystemModel::apply` is not
-    /// deterministic — which also breaks replay itself — or to baseline
-    /// the saving, as `fig_prefix` does).
-    ///
-    /// [`CheckpointTrie`]: crate::CheckpointTrie
+    /// deepest snapshot the previous run left on their common prefix (see
+    /// [`IncrementalExecutor`]), applying only the divergent suffix — the
+    /// report stays byte-identical to a scratch replay ([`Report::diff`]
+    /// returns `None` between the two), but the cache counters land in
+    /// [`Report::cache_stats`] and the wall-clock drops with the workload's
+    /// prefix locality: about `e` events are applied per run in the
+    /// lexicographic modes, and Random order costs about what scratch
+    /// replay costs. Disable it to force the §4.3 scratch semantics (e.g.
+    /// when `SystemModel::apply` is not deterministic — which also breaks
+    /// replay itself — or to baseline the saving, as `fig_prefix` does).
     pub fn set_incremental(&mut self, incremental: bool) -> &mut Self {
         self.incremental = incremental;
         self
@@ -396,9 +396,12 @@ impl<M: SystemModel> Session<M> {
 
     /// Sets the snapshot budget of the incremental executor, in
     /// [`state_size_hint`](SystemModel::state_size_hint)-accounted bytes
-    /// (default: [`DEFAULT_CACHE_BUDGET`], 64 MiB). Each pool worker gets
-    /// its own trie with this budget. A budget of `0` keeps incremental
-    /// bookkeeping but caches no snapshots — every run replays from
+    /// (default: [`DEFAULT_CACHE_BUDGET`], 64 MiB): a cap on the snapshot
+    /// bytes resident at once, over which a snapshot is not taken. An
+    /// executor holds at most `N - 1` snapshots per fault plan, so the
+    /// default only bites on very large states; each pool worker gets its
+    /// own executor with this budget. A budget of `0` keeps incremental
+    /// bookkeeping but takes no snapshots — every run replays from
     /// scratch.
     ///
     /// [`DEFAULT_CACHE_BUDGET`]: crate::DEFAULT_CACHE_BUDGET
@@ -466,7 +469,7 @@ impl<M: SystemModel> Session<M> {
     /// Sets the pool dispenser's claim granularity, in interleavings per
     /// claim (default: [`DEFAULT_CHUNK_SIZE`]; values below 1 are
     /// clamped). Larger chunks amortize the dispenser lock and keep each
-    /// worker's stream prefix-coherent (hotter checkpoint tries); smaller
+    /// worker's stream prefix-coherent (deeper resumes); smaller
     /// chunks react faster to stop-on-first-violation cancellation, which
     /// is only checked between chunks. Sequential replay ignores it.
     pub fn set_chunk_size(&mut self, chunk: usize) -> &mut Self {
@@ -638,7 +641,7 @@ impl<M: SystemModel> Session<M> {
     /// crash-restarts are *scheduled choice points*, not random draws).
     ///
     /// Fault plans are part of run identity — they enter interleaving
-    /// fingerprints, dedup, persistence, and the checkpoint-trie keys — so
+    /// fingerprints, dedup, persistence, and the path-cache step keys — so
     /// pooled, incremental, and sequential replays of the same plan list
     /// produce byte-identical reports ([`Report::diff`] returns `None`).
     ///
@@ -1013,8 +1016,10 @@ impl<M: SystemModel> Session<M> {
                     if rate < HIT_RATE_THRESHOLD {
                         advisories.push(format!(
                             "checkpoint-cache hit rate {:.1}% over {attributed} attributed \
-                             runs is below the {:.0}% floor — raise the cache budget or \
-                             disable incremental replay",
+                             runs is below the {:.0}% floor — consecutive interleavings \
+                             share few prefixes (Random order sits near 1/N) or the cache \
+                             budget is refusing snapshots; incremental replay then costs \
+                             about what scratch replay costs",
                             rate * 100.0,
                             HIT_RATE_THRESHOLD * 100.0,
                         ));
@@ -1146,8 +1151,8 @@ impl<M: SystemModel> Session<M> {
         let mut stopped_by_violation = false;
         let mut store = self.persist.then(|| InterleavingStore::new(workload));
         // Subsumption without incremental replay still rides on the
-        // incremental executor — with a zero snapshot budget, so the trie
-        // caches nothing and only the explored-set layer is live.
+        // incremental executor — with a zero snapshot budget, so it keeps
+        // no path and only the explored-set layer is live.
         let mut incremental = (self.incremental || self.subsume).then(|| {
             let budget = if self.incremental {
                 self.cache_budget
@@ -1164,12 +1169,26 @@ impl<M: SystemModel> Session<M> {
             && (telemetry.is_active() || self.metrics.is_some()))
         .then(HitRateMonitor::default);
 
-        while let Some((run_index, il)) = source.next() {
+        // One interleaving of lookahead tells the incremental executor
+        // which snapshots the next run can still resume from. Not under
+        // State-4 constraint watching, where a reseed between two runs
+        // decides the next candidate.
+        let lookahead = self.incremental && self.constraints.is_none();
+        // The explorer's counters as of the run a violation stopped the
+        // loop at: the candidate peeked past it must not show in them.
+        let mut counters_at_stop = None;
+        let mut current = source.next();
+        while let Some((run_index, il)) = current.take() {
             // Cooperative cancellation: between runs only, so a cancelled
             // campaign never leaves a half-executed interleaving behind.
             if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                 return Err(ErPiError::Cancelled);
             }
+            let counters = self.stop_on_first_violation.then(|| {
+                let explorer = source.inner().inner();
+                (explorer.stats(), explorer.wasted())
+            });
+            let peeked = if lookahead { source.next() } else { None };
             if let Some(store) = store.as_mut() {
                 store.store(&il);
             }
@@ -1181,7 +1200,13 @@ impl<M: SystemModel> Session<M> {
             // see the correctness argument in `incremental`).
             let t_run = telemetry.start();
             let exec = match incremental.as_mut() {
-                Some(executor) => executor.execute(&self.model, workload, &il, &self.time),
+                Some(executor) => executor.execute_hinted(
+                    &self.model,
+                    workload,
+                    &il,
+                    peeked.as_ref().map(|(_, next)| next),
+                    &self.time,
+                ),
                 None => InlineExecutor::execute(&self.model, workload, &il, &self.time),
             };
             let resumed_depth = incremental.as_ref().map(|e| e.last_resume_depth());
@@ -1259,6 +1284,7 @@ impl<M: SystemModel> Session<M> {
 
             if violated && self.stop_on_first_violation {
                 stopped_by_violation = true;
+                counters_at_stop = counters;
                 break;
             }
 
@@ -1276,10 +1302,13 @@ impl<M: SystemModel> Session<M> {
                     }
                 }
             }
+            current = if lookahead { peeked } else { source.next() };
         }
 
         let stopped_early = stopped_by_violation || source.truncated();
         let explorer = source.inner().inner();
+        let (prune_stats, wasted) =
+            counters_at_stop.unwrap_or_else(|| (explorer.stats(), explorer.wasted()));
         Ok(ReplayOutcome {
             mode,
             runs,
@@ -1287,8 +1316,8 @@ impl<M: SystemModel> Session<M> {
             first_violation_at,
             sim_us,
             stopped_early,
-            prune_stats: explorer.stats(),
-            wasted: explorer.wasted(),
+            prune_stats,
+            wasted,
             store,
             worker_loads: Vec::new(),
             cache_stats: incremental.map(|e| e.stats()),

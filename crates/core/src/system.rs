@@ -2,6 +2,11 @@
 
 use er_pi_model::{Event, ReplicaId, Value};
 
+thread_local! {
+    /// Encoding buffer of [`SystemModel::state_digest`]'s default.
+    static DIGEST_SCRATCH: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
 /// The outcome of applying one event during recording or replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpOutcome {
@@ -53,8 +58,8 @@ impl OpOutcome {
 pub trait SystemModel {
     /// Per-replica state. The `Clone` bound is the snapshot contract of the
     /// replay engine: checkpoint/reset clones states between runs, and the
-    /// incremental [`CheckpointTrie`](crate::CheckpointTrie) additionally
-    /// caches cloned prefix snapshots for copy-on-write reuse. A clone must
+    /// [`IncrementalExecutor`](crate::IncrementalExecutor) additionally
+    /// keeps cloned prefix snapshots to resume later runs from. A clone must
     /// be an independent deep copy — replaying against it must not be
     /// observable from the original.
     type State: Clone;
@@ -124,17 +129,15 @@ pub trait SystemModel {
     /// [`fnv1a128`](er_pi_rdl::fnv1a128). Override only to swap the digest
     /// function; the subsumption layer treats the value as opaque.
     fn state_digest(&self, states: &[Self::State]) -> Option<u128> {
-        let mut buf = Vec::new();
-        for state in states {
-            let at = buf.len();
-            buf.extend_from_slice(&[0u8; 8]); // length placeholder
-            if !self.state_encode(state, &mut buf) {
-                return None;
-            }
-            let len = (buf.len() - at - 8) as u64;
-            buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
-        }
-        Some(er_pi_rdl::fnv1a128(&buf))
+        // One probe per replayed step: the encoding goes into a per-thread
+        // buffer that keeps its capacity. It is taken out for the call, so
+        // a `state_encode` that itself asks for a digest finds an empty
+        // buffer rather than this one.
+        let mut buf = DIGEST_SCRATCH.take();
+        buf.clear();
+        let digest = encode_states(self, states, &mut buf).then(|| er_pi_rdl::fnv1a128(&buf));
+        DIGEST_SCRATCH.set(buf);
+        digest
     }
 
     /// A cheap estimate of one state's resident size in bytes — the unit
@@ -149,6 +152,26 @@ pub trait SystemModel {
     fn state_size_hint(&self, _state: &Self::State) -> usize {
         std::mem::size_of::<Self::State>()
     }
+}
+
+/// Appends every replica's canonical encoding to `out`, each length-prefixed
+/// so adjacent replicas can never alias. `false` when the model declines
+/// [`SystemModel::state_encode`] (`out` is then unspecified).
+pub(crate) fn encode_states<M: SystemModel + ?Sized>(
+    model: &M,
+    states: &[M::State],
+    out: &mut Vec<u8>,
+) -> bool {
+    for state in states {
+        let at = out.len();
+        out.extend_from_slice(&[0u8; 8]); // length placeholder
+        if !model.state_encode(state, out) {
+            return false;
+        }
+        let len = (out.len() - at - 8) as u64;
+        out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    }
+    true
 }
 
 #[cfg(test)]
@@ -230,6 +253,58 @@ mod tests {
             out.extend_from_slice(&state.to_le_bytes());
             true
         }
+    }
+
+    /// Encodes its state as the digest of a one-replica system holding it:
+    /// `state_digest` re-entered from inside `state_encode`.
+    struct Nested;
+
+    impl SystemModel for Nested {
+        type State = u32;
+
+        fn replicas(&self) -> usize {
+            2
+        }
+
+        fn init(&self, _replica: ReplicaId) -> u32 {
+            0
+        }
+
+        fn apply(&self, _states: &mut [u32], _event: &Event) -> OpOutcome {
+            OpOutcome::Applied
+        }
+
+        fn observe(&self, state: &u32) -> Value {
+            Value::from(i64::from(*state))
+        }
+
+        fn state_encode(&self, state: &u32, out: &mut Vec<u8>) -> bool {
+            let inner = Encodable.state_digest(&[*state]).expect("encodable");
+            out.extend_from_slice(&inner.to_le_bytes());
+            true
+        }
+    }
+
+    #[test]
+    fn state_digest_scratch_survives_reuse_and_reentry() {
+        // A long encoding followed by a short one must not leak stale bytes.
+        let long = Encodable.state_digest(&[1, 2]).expect("encodable");
+        let short = Encodable.state_digest(&[1]).expect("encodable");
+        assert_ne!(long, short);
+        assert_eq!(Encodable.state_digest(&[1, 2]), Some(long));
+        assert_eq!(Dummy.state_digest(&[1, 2, 3]), None);
+        assert_eq!(Encodable.state_digest(&[1]), Some(short));
+
+        let mut by_hand = Vec::new();
+        for state in [7u32, 9] {
+            by_hand.extend_from_slice(&16u64.to_le_bytes());
+            let inner = Encodable.state_digest(&[state]).expect("encodable");
+            by_hand.extend_from_slice(&inner.to_le_bytes());
+        }
+        assert_eq!(
+            Nested.state_digest(&[7, 9]),
+            Some(er_pi_rdl::fnv1a128(&by_hand))
+        );
     }
 
     #[test]

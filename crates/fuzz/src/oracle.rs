@@ -25,7 +25,7 @@ pub struct OracleOptions {
     pub workers: usize,
     /// Interleaving cap per case (runs, counting each fault plan).
     pub cap: usize,
-    /// Whether the checkpoint-trie incremental executor is enabled.
+    /// Whether the incremental (path-cache) executor is enabled.
     pub incremental: bool,
     /// Whether state-hash subsumption is enabled (byte-identical reports
     /// either way; subsumed runs land in the report's cache counters).

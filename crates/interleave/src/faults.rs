@@ -9,8 +9,9 @@
 //! fault-free baseline first (when present), then each plan in enumeration
 //! order, before advancing to the next order. Consecutive emissions thus
 //! share their entire event order and differ only in per-anchor fault
-//! digests, which is the friendliest shape for the checkpoint trie —
-//! snapshots are shared up to the first anchored fault.
+//! digests, which is the friendliest shape for the incremental executor —
+//! a faulted run borrows the baseline's snapshots up to its first anchored
+//! fault.
 
 use er_pi_model::{EventId, FaultEvent, FaultKind, FaultPlan, Interleaving, Workload};
 

@@ -76,7 +76,7 @@ impl<I: Iterator<Item = Interleaving>> IndexedSource<I> {
     /// what lets per-worker prefix locality survive the pool: consecutive
     /// interleavings from a lexicographic explorer share long prefixes, so
     /// a worker that owns a contiguous index range keeps resuming from its
-    /// own checkpoint trie instead of fighting over interleavings whose
+    /// own previous run instead of fighting over interleavings whose
     /// prefixes live in another worker's cache.
     ///
     /// Returns fewer than `max` items (possibly none) once the source runs
@@ -149,10 +149,15 @@ impl<I: Iterator<Item = Interleaving>> Iterator for IndexedSource<I> {
             }
             let index = self.next_index;
             self.next_index += 1;
-            if let Some(prev) = &self.last {
-                self.shared_prefix_events += prev.common_prefix_len(&il) as u64;
+            // `last` only feeds the locality counter: refresh it in place so
+            // dispensing allocates nothing beyond the item it hands out.
+            match &mut self.last {
+                Some(prev) => {
+                    self.shared_prefix_events += prev.common_prefix_len(&il) as u64;
+                    prev.clone_from(&il);
+                }
+                None => self.last = Some(il.clone()),
             }
-            self.last = Some(il.clone());
             return Some((index, il));
         }
     }

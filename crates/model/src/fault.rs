@@ -145,10 +145,22 @@ impl std::fmt::Display for FaultEvent {
 /// assert_ne!(plan.digest_at(EventId::new(3)), 0);
 /// assert_eq!(plan.digest_at(EventId::new(4)), 0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[serde(transparent)]
 pub struct FaultPlan {
     faults: Vec<FaultEvent>,
+}
+
+impl Clone for FaultPlan {
+    fn clone(&self) -> Self {
+        FaultPlan {
+            faults: self.faults.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.faults.clone_from(&source.faults);
+    }
 }
 
 impl FaultPlan {
@@ -186,9 +198,9 @@ impl FaultPlan {
     }
 
     /// A 64-bit digest of the faults anchored at `anchor`, or `0` when none
-    /// are. This is the per-edge key component the checkpoint trie uses:
-    /// two plans that agree on every anchor along a prefix share that
-    /// prefix's cached snapshots.
+    /// are. This is the per-step key component of the incremental
+    /// executor's path cache: two plans that agree on every anchor along a
+    /// prefix share that prefix's snapshots.
     pub fn digest_at(&self, anchor: EventId) -> u64 {
         let mut h: u64 = 0;
         for f in self.at(anchor) {

@@ -16,7 +16,7 @@ use crate::{EventId, FaultPlan, LamportTimestamp, Workload};
 /// assert_eq!(il.position(EventId::new(0)), Some(1));
 /// assert_eq!(il.to_string(), "⟨e2 e0 e1⟩");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Interleaving {
     order: Vec<EventId>,
     /// The fault schedule this order runs under. Part of the run identity:
@@ -25,6 +25,22 @@ pub struct Interleaving {
     /// `default` keeps pre-fault persisted orders deserializable.
     #[serde(default)]
     faults: FaultPlan,
+}
+
+impl Clone for Interleaving {
+    fn clone(&self) -> Self {
+        Interleaving {
+            order: self.order.clone(),
+            faults: self.faults.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffers — a retained scratch copy (the dispenser's
+    /// "previous interleaving") is refreshed without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.order.clone_from(&source.order);
+        self.faults.clone_from(&source.faults);
+    }
 }
 
 impl Interleaving {
@@ -144,8 +160,8 @@ impl Interleaving {
         // Two orders under different fault schedules never share replayable
         // state: even identical leading events can diverge at an anchored
         // fault, so the conservative (and sound) answer is zero. Finer
-        // per-anchor sharing is the checkpoint trie's job — its edge keys
-        // carry per-event fault digests.
+        // per-anchor sharing is the incremental executor's job — its path
+        // steps carry per-event fault digests.
         if self.faults != other.faults {
             return 0;
         }
@@ -348,6 +364,18 @@ mod tests {
         // … but the same schedule shares prefixes as before.
         let faulted2 = ids(&[0, 1, 2]).with_faults(plan);
         assert_eq!(faulted.common_prefix_len(&faulted2), 3);
+    }
+
+    #[test]
+    fn clone_from_overwrites_order_and_plan() {
+        use crate::{FaultEvent, FaultKind, FaultPlan};
+        let plan = FaultPlan::new(vec![FaultEvent::new(EventId::new(1), FaultKind::Drop)]);
+        let mut scratch = ids(&[3, 2, 1, 0]).with_faults(plan.clone());
+        for source in [ids(&[0, 1]), ids(&[2, 0, 1]).with_faults(plan)] {
+            scratch.clone_from(&source);
+            assert_eq!(scratch, source);
+            assert_eq!(scratch.fingerprint(), source.fingerprint());
+        }
     }
 
     #[test]

@@ -209,14 +209,14 @@ impl std::fmt::Debug for Bug {
 }
 
 /// A type-erased handle for measuring `State: Clone` cost — the dominant
-/// per-snapshot expense of the incremental executor's checkpoint trie.
+/// per-snapshot expense of the incremental executor's path cache.
 ///
 /// Built by [`Bug::clone_probe`]: holds the final replica states of the
 /// bug's recorded order (a representative fully-populated snapshot). Each
 /// [`CloneProbe::clone_states`] call deep-clones them and returns the
 /// summed [`SystemModel::state_size_hint`], so the `state_clone`
 /// micro-benchmark can weigh clone time against the budget charge the same
-/// clone would incur in the trie.
+/// clone would incur as a snapshot.
 pub struct CloneProbe {
     clone_fn: Box<dyn Fn() -> usize + Send + Sync>,
 }

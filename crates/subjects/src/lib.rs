@@ -37,3 +37,45 @@ pub use replicadb::{ReplicaDbModel, ReplicaDbState, ReplicationMode};
 pub use roshi::{RoshiModel, RoshiState};
 pub use town::{TownApp, TownState};
 pub use yorkie::{YorkieModel, YorkieState};
+
+/// Borrows `states[from]` shared and `states[to]` mutably at the same time,
+/// so a sync handler can read the sender while it updates the receiver
+/// instead of cloning the sender's whole state first.
+///
+/// `None` when `from == to`: a replica syncing with itself receives nothing
+/// (`missing_since` of its own version is empty, and merging a state into
+/// itself changes nothing), so callers skip the transfer.
+pub(crate) fn sender_and_receiver<S>(
+    states: &mut [S],
+    from: usize,
+    to: usize,
+) -> Option<(&S, &mut S)> {
+    use std::cmp::Ordering;
+    match from.cmp(&to) {
+        Ordering::Less => {
+            let (low, high) = states.split_at_mut(to);
+            Some((&low[from], &mut high[0]))
+        }
+        Ordering::Greater => {
+            let (low, high) = states.split_at_mut(from);
+            Some((&high[0], &mut low[to]))
+        }
+        Ordering::Equal => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::sender_and_receiver;
+
+    #[test]
+    fn sender_and_receiver_borrows_either_direction_and_skips_self() {
+        let mut states = vec![10, 20, 30];
+        let (from, to) = sender_and_receiver(&mut states, 0, 2).unwrap();
+        *to += *from;
+        let (from, to) = sender_and_receiver(&mut states, 2, 1).unwrap();
+        *to += *from;
+        assert_eq!(states, vec![10, 60, 40]);
+        assert!(sender_and_receiver(&mut states, 1, 1).is_none());
+    }
+}

@@ -3,6 +3,7 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
+use crate::sender_and_receiver;
 use er_pi::{OpOutcome, SystemModel};
 use er_pi_model::{CanonicalEncode, Event, EventKind, ReplicaId, Value};
 use er_pi_rdl::{DeltaSync, LogEntry, LogSortOrder, MerkleLog};
@@ -177,20 +178,22 @@ impl SystemModel for OrbitModel {
                     if from >= states.len() {
                         return OpOutcome::failed("fetch peer out of range");
                     }
-                    let peer = states[from].log.clone();
                     let mut pulled = 0usize;
-                    loop {
-                        let missing = states[at].log.dangling_refs();
-                        let mut progressed = false;
-                        for hash in missing {
-                            if let Some(entry) = peer.entry(hash) {
-                                states[at].log.apply_op(&entry.clone());
-                                pulled += 1;
-                                progressed = true;
+                    // A replica's own log holds none of its dangling refs.
+                    if let Some((peer, me)) = sender_and_receiver(states, from, at) {
+                        loop {
+                            let missing = me.log.dangling_refs();
+                            let mut progressed = false;
+                            for hash in missing {
+                                if let Some(entry) = peer.log.entry(hash) {
+                                    me.log.apply_op(entry);
+                                    pulled += 1;
+                                    progressed = true;
+                                }
                             }
-                        }
-                        if !progressed {
-                            break;
+                            if !progressed {
+                                break;
+                            }
                         }
                     }
                     OpOutcome::Observed(Value::from(pulled as i64))
@@ -230,8 +233,9 @@ impl SystemModel for OrbitModel {
                 other => OpOutcome::failed(format!("unknown orbitdb op {other}")),
             },
             EventKind::Sync { to, .. } => {
-                let snapshot = states[at].log.clone();
-                states[to.index()].log.sync_from(&snapshot);
+                if let Some((from, to)) = sender_and_receiver(states, at, to.index()) {
+                    to.log.sync_from(&from.log);
+                }
                 OpOutcome::Applied
             }
             EventKind::SyncSend { to, .. } => {

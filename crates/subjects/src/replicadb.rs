@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::sender_and_receiver;
 use er_pi::{OpOutcome, SystemModel};
 use er_pi_model::{CanonicalEncode, Event, EventKind, ReplicaId, Value};
 
@@ -151,21 +152,15 @@ impl SystemModel for ReplicaDbModel {
                 OpOutcome::Applied
             }
             "finish" => {
+                let (source, sink) = sender_and_receiver(states, Self::SOURCE, Self::SINK)
+                    .expect("source and sink are distinct replicas");
                 match self.mode {
-                    ReplicationMode::Complete => {
-                        // Complete mode re-reads the final source state:
-                        // the sink ends as an exact copy.
-                        let src = states[Self::SOURCE].table.clone();
-                        states[Self::SINK].table = src;
-                    }
-                    ReplicationMode::Incremental => {
-                        // Incremental mode only reconciles *upserts* since
-                        // the snapshot; deletions are never propagated.
-                        let src = states[Self::SOURCE].table.clone();
-                        for (k, v) in src {
-                            states[Self::SINK].table.insert(k, v);
-                        }
-                    }
+                    // Complete mode re-reads the final source state: the
+                    // sink ends as an exact copy.
+                    ReplicationMode::Complete => sink.table.clone_from(&source.table),
+                    // Incremental mode only reconciles *upserts* since the
+                    // snapshot; deletions are never propagated.
+                    ReplicationMode::Incremental => sink.table.extend(&source.table),
                 }
                 OpOutcome::Applied
             }

@@ -3,6 +3,7 @@
 
 use std::collections::VecDeque;
 
+use crate::sender_and_receiver;
 use er_pi::{OpOutcome, SystemModel};
 use er_pi_model::CanonicalEncode;
 use er_pi_model::{Event, EventKind, ReplicaId, Value};
@@ -144,8 +145,9 @@ impl SystemModel for RoshiModel {
                 other => OpOutcome::failed(format!("unknown roshi op {other}")),
             },
             EventKind::Sync { to, .. } => {
-                let snapshot = states[at].store.clone();
-                states[to.index()].store.merge(&snapshot);
+                if let Some((from, to)) = sender_and_receiver(states, at, to.index()) {
+                    to.store.merge(&from.store);
+                }
                 OpOutcome::Applied
             }
             EventKind::SyncSend { to, .. } => {

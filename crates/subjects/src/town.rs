@@ -1,5 +1,6 @@
 //! The paper's motivating example (§2.3): the town issue-reporting app.
 
+use crate::sender_and_receiver;
 use er_pi::{OpOutcome, SystemModel};
 use er_pi_model::{CanonicalEncode, Event, EventKind, ReplicaId, Value};
 use er_pi_rdl::{DeltaSync, OrSet};
@@ -116,8 +117,9 @@ impl SystemModel for TownApp {
                 }
             }
             EventKind::Sync { to, .. } => {
-                let snapshot = states[at].issues.clone();
-                states[to.index()].issues.sync_from(&snapshot);
+                if let Some((from, to)) = sender_and_receiver(states, at, to.index()) {
+                    to.issues.sync_from(&from.issues);
+                }
                 OpOutcome::Applied
             }
             EventKind::External { label } if label == "transmit" => {

@@ -3,6 +3,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use crate::sender_and_receiver;
 use er_pi::{OpOutcome, SystemModel};
 use er_pi_model::{CanonicalEncode, Event, EventKind, ReplicaId, Value};
 use er_pi_rdl::{DeltaSync, DocOp, JsonDoc};
@@ -147,8 +148,9 @@ impl SystemModel for YorkieModel {
                 }
             }
             EventKind::Sync { to, .. } => {
-                let snapshot = states[at].doc.clone();
-                states[to.index()].doc.sync_from(&snapshot);
+                if let Some((from, to)) = sender_and_receiver(states, at, to.index()) {
+                    to.doc.sync_from(&from.doc);
+                }
                 OpOutcome::Applied
             }
             EventKind::SyncSend { to, .. } => {

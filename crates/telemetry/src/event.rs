@@ -102,7 +102,7 @@ pub enum EventKind {
         /// The sampled value.
         value: f64,
     },
-    /// A one-line warning diagnostic (e.g. a degraded checkpoint-trie hit
+    /// A one-line warning diagnostic (e.g. a degraded checkpoint-cache hit
     /// rate). The name carries a stable warning code; the message is
     /// human-readable.
     Warning {

@@ -22,7 +22,7 @@
 //!
 //! Plus [`MemorySink`] for tests, [`Progress`] for live runs/sec / ETA /
 //! cache-hit sampling, [`HitRateMonitor`] for the degraded
-//! checkpoint-trie warning, and [`Registry`] — a typed, label-aware
+//! checkpoint-cache warning, and [`Registry`] — a typed, label-aware
 //! metric registry (counters, gauges, log-bucketed latency histograms)
 //! with Prometheus text exposition that every layer of the engine
 //! registers into.

@@ -1,5 +1,5 @@
 //! Live campaign progress: a lock-free aggregator sampled by replay
-//! workers, plus the checkpoint-trie hit-rate monitor.
+//! workers, plus the checkpoint-cache hit-rate monitor.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -169,7 +169,7 @@ pub struct ProgressSnapshot {
     /// the caller supplied one — useful to compare against the measured
     /// ETA.
     pub campaign_secs_hint: Option<f64>,
-    /// Checkpoint-trie hit rate in `[0, 1]` (`None` before any
+    /// Checkpoint-cache hit rate in `[0, 1]` (`None` before any
     /// incremental-replay run finishes).
     pub cache_hit_rate: Option<f64>,
     /// Runs short-circuited by state-hash subsumption so far.
@@ -202,10 +202,11 @@ impl ProgressSnapshot {
     }
 }
 
-/// Watches the checkpoint-trie hit rate over fixed windows of runs and
+/// Watches the checkpoint-cache hit rate over fixed windows of runs and
 /// produces a one-line warning the first time a window degrades below the
-/// threshold — surfacing a misconfigured cache budget instead of letting
-/// replay silently fall back to scratch execution.
+/// threshold — surfacing an order with no prefix locality (or a cache
+/// budget that refuses every snapshot) instead of letting replay silently
+/// fall back to scratch execution.
 #[derive(Debug)]
 pub struct HitRateMonitor {
     window: u64,
@@ -257,8 +258,9 @@ impl HitRateMonitor {
         if fired {
             self.warned = true;
             Some(format!(
-                "checkpoint-trie hit rate {:.1}% over the last {} runs (threshold {:.0}%); \
-                 consider raising set_cache_budget",
+                "checkpoint-cache hit rate {:.1}% over the last {} runs (threshold {:.0}%): \
+                 consecutive runs share few prefixes, or set_cache_budget is refusing \
+                 snapshots",
                 rate * 100.0,
                 self.window,
                 self.threshold * 100.0

@@ -1,17 +1,25 @@
-//! Property tests for the incremental executor's eviction behaviour.
+//! Property tests for the incremental executor's cache behaviour.
 //!
-//! The checkpoint trie is a pure accelerator: *which* snapshots happen to
-//! be resident when a run starts must never leak into the report. These
-//! properties drive randomized workloads through wildly different eviction
-//! schedules — budget 0 (every run from scratch), budget ∞ (nothing ever
-//! evicted) and a small random budget (constant eviction churn) — and
-//! require the merged report to diff clean against the scratch executor
-//! every time, sequentially and under the pool.
+//! The path cache is a pure accelerator: *which* snapshots happen to be
+//! resident when a run starts must never leak into the report. These
+//! properties drive randomized workloads through wildly different budgets
+//! — 0 (every run from scratch), ∞ (no store ever refused) and a small
+//! random budget (most stores refused) — and require the merged report to
+//! diff clean against the scratch executor every time, sequentially and
+//! under the pool. The last property drives the executor directly with
+//! arbitrary lookahead hints: right, absent, unrelated, or under another
+//! fault plan.
 
 use proptest::prelude::*;
 
-use er_pi::{ExploreMode, OpOutcome, Report, Session, SystemModel, TestSuite};
-use er_pi_model::{Event, EventKind, ReplicaId, Value, Workload};
+use er_pi::{
+    ExploreMode, IncrementalExecutor, InlineExecutor, OpOutcome, Report, Session, SystemModel,
+    TestSuite, TimeModel,
+};
+use er_pi_model::{
+    Event, EventId, EventKind, FaultEvent, FaultKind, FaultPlan, Interleaving, ReplicaId, Value,
+    Workload,
+};
 
 /// Two-replica last-write-wins register with a heap-owning state, so
 /// snapshots exercise real deep clones and a non-trivial
@@ -114,6 +122,141 @@ fn replay(workload: &Workload, mode: ExploreMode, workers: usize, budget: Option
     session.replay(&TestSuite::new()).unwrap()
 }
 
+/// One run of a generated sequence: keep the first `keep` events of the
+/// previous order and shuffle the rest by `shuffle` (so sequences share
+/// prefixes the way explorer streams do), under plan number `plan`, hinted
+/// as `hint` says.
+#[derive(Debug, Clone)]
+struct Draw {
+    keep: usize,
+    shuffle: u64,
+    plan: usize,
+    hint: Hint,
+}
+
+#[derive(Debug, Clone)]
+enum Hint {
+    /// The interleaving that really comes next.
+    Right,
+    Absent,
+    /// Some other order, under the run's own plan.
+    Unrelated(u64),
+    /// The right order under a different plan.
+    OtherPlan,
+}
+
+fn arb_draws() -> impl Strategy<Value = Vec<Draw>> {
+    let hint = prop_oneof![
+        Just(Hint::Right),
+        Just(Hint::Right),
+        Just(Hint::Absent),
+        any::<u64>().prop_map(Hint::Unrelated),
+        Just(Hint::OtherPlan),
+    ];
+    proptest::collection::vec(
+        (0usize..6, any::<u64>(), 0usize..5, hint).prop_map(|(keep, shuffle, plan, hint)| Draw {
+            keep,
+            shuffle,
+            plan,
+            hint,
+        }),
+        1..24,
+    )
+}
+
+/// Fisher–Yates over `order[keep..]`, driven by a splitmix-style stream.
+fn reshuffle(order: &mut [EventId], keep: usize, mut seed: u64) {
+    let keep = keep.min(order.len());
+    for i in (keep + 1..order.len()).rev() {
+        seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let j = keep + (seed >> 33) as usize % (i - keep + 1);
+        order.swap(i, j);
+    }
+}
+
+/// The fault-free plan plus one plan per fault kind, anchored on the
+/// workload's own events.
+fn plans_for(workload: &Workload) -> Vec<FaultPlan> {
+    let ids: Vec<EventId> = workload.event_ids().collect();
+    let at = |i: usize| ids[i % ids.len()];
+    vec![
+        FaultPlan::empty(),
+        FaultPlan::new(vec![FaultEvent::new(at(0), FaultKind::Duplicate)]),
+        FaultPlan::new(vec![FaultEvent::new(at(1), FaultKind::Drop)]),
+        FaultPlan::new(vec![FaultEvent::new(at(2), FaultKind::Delay { by: 2 })]),
+        FaultPlan::new(vec![FaultEvent::new(
+            at(3),
+            FaultKind::CrashRestart {
+                replica: ReplicaId::new(0),
+            },
+        )]),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Whatever the executor is told comes next, every `Execution` equals
+    /// the scratch executor's — and after every run the cache holds at
+    /// most `N - 1` snapshots per fault plan seen, within the budget.
+    #[test]
+    fn no_hint_can_change_an_execution(
+        steps in arb_steps(),
+        draws in arb_draws(),
+        faulted in any::<bool>(),
+        budget in prop_oneof![Just(0usize), Just(usize::MAX), 1usize..512],
+    ) {
+        let workload = build_workload(&steps);
+        let plans = plans_for(&workload);
+        let time = TimeModel::paper_setup();
+        let mut order: Vec<EventId> = workload.event_ids().collect();
+        let sequence: Vec<Interleaving> = draws
+            .iter()
+            .map(|draw| {
+                reshuffle(&mut order, draw.keep, draw.shuffle);
+                let plan = if faulted { plans[draw.plan].clone() } else { FaultPlan::empty() };
+                Interleaving::new(order.clone()).with_faults(plan)
+            })
+            .collect();
+
+        let mut executor = IncrementalExecutor::<HistMachine>::new(budget);
+        let mut plans_seen = std::collections::HashSet::new();
+        for (i, (il, draw)) in sequence.iter().zip(&draws).enumerate() {
+            let right = sequence.get(i + 1);
+            let hint = match &draw.hint {
+                Hint::Right => right.cloned(),
+                Hint::Absent => None,
+                Hint::Unrelated(seed) => {
+                    let mut other = il.as_slice().to_vec();
+                    reshuffle(&mut other, 0, *seed);
+                    Some(Interleaving::new(other).with_faults(il.faults().clone()))
+                }
+                Hint::OtherPlan => {
+                    let other = plans.iter().find(|p| *p != il.faults()).expect("five plans");
+                    Some(right.unwrap_or(il).clone().with_faults(other.clone()))
+                }
+            };
+            let scratch = InlineExecutor::execute(&HistMachine, &workload, il, &time);
+            let run = executor.execute_hinted(&HistMachine, &workload, il, hint.as_ref(), &time);
+            prop_assert_eq!(&scratch.states, &run.states, "states diverged at run {}", i);
+            prop_assert_eq!(&scratch.outcomes, &run.outcomes, "outcomes diverged at run {}", i);
+            prop_assert_eq!(scratch.sim_us, run.sim_us, "sim_us diverged at run {}", i);
+
+            plans_seen.insert(il.faults().clone());
+            let depth_cap = workload.len().saturating_sub(1);
+            prop_assert!(executor.resident_snapshots() <= depth_cap * plans_seen.len());
+            prop_assert!(executor.stats().bytes_resident <= budget);
+        }
+        let stats = executor.stats();
+        prop_assert_eq!(stats.hits + stats.misses, sequence.len() as u64);
+        if budget == 0 {
+            prop_assert_eq!(stats.hits, 0);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -140,8 +283,8 @@ proptest! {
         }
     }
 
-    /// Same property under the pool: per-worker tries with arbitrary
-    /// eviction churn still merge into the scratch sequential report.
+    /// Same property under the pool: per-worker caches with arbitrary
+    /// budgets still merge into the scratch sequential report.
     #[test]
     fn pooled_eviction_schedule_never_changes_the_report(
         steps in arb_steps(),
