@@ -1,20 +1,22 @@
-//! State-clone cost across the five subject models — the number that
-//! justifies the incremental executor's default snapshot budget.
+//! State-clone cost across the five subject models.
 //!
 //! Every snapshot the [`IncrementalExecutor`] keeps on its path is one
-//! deep clone of the replica states (`Vec<State>`), and resuming from one
-//! that is still needed is another clone on the way out — about 1.1 clones
-//! per run under a lexicographic order with lookahead. Incremental replay
-//! is only a win while that is cheaper than re-applying the skipped prefix
-//! events. These benchmarks
-//! measure that clone for a representative fully-populated state of each
-//! subject: the four catalogue subjects via [`Bug::clone_probe`] (final
-//! states of the bug's recorded order) and the `crdts` collection via a
-//! hand-built workload, since Table 1 has no crdts bug.
+//! clone of the replica states (`Vec<State>`), resuming from one that is
+//! still needed is another, and so are a subsumption memo and a stitched
+//! tail. The subject states are copy-on-write cells
+//! (`er_pi_rdl::Shared`), so each of those is one `Vec` of pointer bumps
+//! (`tests/snapshot_allocs.rs` pins the one block); the copy is paid by the
+//! next `apply`, for the one replica it writes. These benchmarks measure
+//! the clone for a representative fully-populated state of each subject:
+//! the four catalogue subjects via [`Bug::clone_probe`] (final states of
+//! the bug's recorded order) and the `crdts` collection via a hand-built
+//! workload, since Table 1 has no crdts bug.
 //!
-//! Observed scale: every subject's full-workload snapshot clones in about
-//! a microsecond and charges under a kilobyte of budget, and a path holds
-//! at most `N - 1` of them per fault plan, so the 64 MiB
+//! Observed scale: a full-workload snapshot of any subject clones in under
+//! a tenth of a microsecond (`model.snapshot_clone_ns` of the benchmark's
+//! traced run: 65–82 ns on all four workloads, where the deep copy took
+//! 1.7–3.5 µs) and charges under a kilobyte of budget, and a path holds at
+//! most `N - 1` of them per fault plan, so the 64 MiB
 //! `DEFAULT_CACHE_BUDGET` never bites on these models (see DESIGN.md §10).
 //!
 //! [`IncrementalExecutor`]: er_pi::IncrementalExecutor

@@ -19,9 +19,10 @@
 //! exactly as in fault-free replay, so the time model needs no fault
 //! special-casing and incremental accounting is unchanged.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use er_pi_model::{Event, EventId, FaultKind, FaultPlan, ReplicaId, Workload};
+use er_pi_rdl::{fnv1a64, fnv1a64_extend};
 
 use crate::{OpOutcome, SystemModel};
 
@@ -48,8 +49,10 @@ pub(crate) const REASON_DELAYED: &str = "fault: delivery delayed";
 #[derive(Debug, Clone)]
 pub(crate) struct FaultInterpreter<'p> {
     plan: &'p FaultPlan,
-    /// Cut links, normalized `(min, max)`.
-    partitions: HashSet<(ReplicaId, ReplicaId)>,
+    /// Cut links, normalized `(min, max)`. Ordered, so
+    /// [`pending_digest`](FaultInterpreter::pending_digest) can fold them
+    /// as they come.
+    partitions: BTreeSet<(ReplicaId, ReplicaId)>,
     /// Delayed effects: `(fire_pos, event)`, in scheduling order.
     pending: Vec<(usize, EventId)>,
 }
@@ -66,7 +69,7 @@ impl<'p> FaultInterpreter<'p> {
     pub(crate) fn new(plan: &'p FaultPlan) -> Self {
         FaultInterpreter {
             plan,
-            partitions: HashSet::new(),
+            partitions: BTreeSet::new(),
             pending: Vec::new(),
         }
     }
@@ -121,21 +124,16 @@ impl<'p> FaultInterpreter<'p> {
             return Delivery::Partitioned;
         }
         let mut delay = None;
-        let mut duplicate = false;
         for fault in self.plan.at(event.id) {
             match fault.kind {
                 FaultKind::Drop => return Delivery::Dropped,
                 FaultKind::Delay { by } => delay = Some(by.max(1) as usize),
-                FaultKind::Duplicate => duplicate = true,
                 _ => {}
             }
         }
         if let Some(by) = delay {
             self.pending.push((pos + by, event.id));
             return Delivery::Delayed;
-        }
-        if duplicate {
-            return Delivery::Normal;
         }
         Delivery::Normal
     }
@@ -238,28 +236,27 @@ impl<'p> FaultInterpreter<'p> {
 
     /// A 64-bit digest of the interpreter's fault context: the plan itself
     /// (faults anchored at future events change suffix behavior even when
-    /// nothing has fired yet), the cut links (sorted — the set is
-    /// unordered), and the outstanding delayed effects in scheduling order
-    /// (firing order is behavior, so the `Vec` order is hashed as-is).
-    /// Subsumption folds this into its key: two runs at the same
-    /// replica-state digest but under different plans, partitions, or
-    /// in-flight deliveries behave differently under the same suffix.
+    /// nothing has fired yet), the cut links in sorted order, and the
+    /// outstanding delayed effects in scheduling order (firing order is
+    /// behavior, so the `Vec` order is hashed as-is). Subsumption folds this
+    /// into its key: two runs at the same replica-state digest but under
+    /// different plans, partitions, or in-flight deliveries behave
+    /// differently under the same suffix. One call per subsume probe, so it
+    /// allocates nothing.
     pub(crate) fn pending_digest(&self) -> u64 {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&self.plan.digest().to_le_bytes());
-        let mut links: Vec<(ReplicaId, ReplicaId)> = self.partitions.iter().copied().collect();
-        links.sort_unstable();
-        buf.extend_from_slice(&(links.len() as u64).to_le_bytes());
-        for (a, b) in links {
-            buf.extend_from_slice(&a.raw().to_le_bytes());
-            buf.extend_from_slice(&b.raw().to_le_bytes());
+        // The FNV-1a of these fields laid end to end, folded in place.
+        let mut h = fnv1a64(&self.plan.digest().to_le_bytes());
+        h = fnv1a64_extend(h, &(self.partitions.len() as u64).to_le_bytes());
+        for (a, b) in &self.partitions {
+            h = fnv1a64_extend(h, &a.raw().to_le_bytes());
+            h = fnv1a64_extend(h, &b.raw().to_le_bytes());
         }
-        buf.extend_from_slice(&(self.pending.len() as u64).to_le_bytes());
+        h = fnv1a64_extend(h, &(self.pending.len() as u64).to_le_bytes());
         for &(fire, id) in &self.pending {
-            buf.extend_from_slice(&(fire as u64).to_le_bytes());
-            buf.extend_from_slice(&id.raw().to_le_bytes());
+            h = fnv1a64_extend(h, &(fire as u64).to_le_bytes());
+            h = fnv1a64_extend(h, &id.raw().to_le_bytes());
         }
-        er_pi_rdl::fnv1a64(&buf)
+        h
     }
 
     /// The outcome recorded for a non-`Normal` delivery.
@@ -481,6 +478,33 @@ mod tests {
         let before = delayed.pending_digest();
         delayed.fast_forward(&w, &order, 2);
         assert_ne!(delayed.pending_digest(), before);
+    }
+
+    #[test]
+    fn pending_digest_is_fnv_of_the_concatenated_context() {
+        let (w, ids) = three_ops();
+        let order: Vec<_> = w.event_ids().collect();
+        let plan = FaultPlan::new(vec![
+            FaultEvent::new(
+                ids[0],
+                FaultKind::Partition {
+                    from: r(1),
+                    to: r(0),
+                },
+            ),
+            FaultEvent::new(ids[1], FaultKind::Delay { by: 2 }),
+        ]);
+        let mut interp = FaultInterpreter::new(&plan);
+        interp.fast_forward(&w, &order, 2);
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&plan.digest().to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&r(0).raw().to_le_bytes());
+        bytes.extend_from_slice(&r(1).raw().to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&3u64.to_le_bytes());
+        bytes.extend_from_slice(&ids[1].raw().to_le_bytes());
+        assert_eq!(interp.pending_digest(), fnv1a64(&bytes));
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! ## Correctness (DESIGN.md §10)
 //!
 //! [`SystemModel::apply`] is required to be deterministic in
-//! `(states, event)` and `State: Clone` must produce an independent deep
-//! copy. Under those two contracts, the state reached by applying events
-//! `e₀…e_{d-1}` is a pure function of that prefix — so resuming from a
+//! `(states, event)` and `State: Clone` must produce an observationally
+//! independent copy. Under those two contracts, the state reached by
+//! applying events `e₀…e_{d-1}` is a pure function of that prefix — so resuming from a
 //! snapshot taken at depth `d` and applying `e_d…e_{N-1}` reaches exactly
 //! the state a scratch replay would. Outcomes of the skipped prefix are
 //! replayed from the path (each step stores the [`OpOutcome`] observed when
@@ -218,6 +218,13 @@ pub struct IncrementalExecutor<M: SystemModel> {
     /// Whether the model supports a faithful state encoding — probed once
     /// per executor on the first run (`None` = not yet probed).
     subsume_supported: Option<bool>,
+    /// The initial states of the model this executor serves, built on the
+    /// first run; a run that resumes from nothing starts from a clone.
+    init: Option<Vec<M::State>>,
+    /// Per-run subsumption scratch, kept for its capacity: the current run's
+    /// suffix hashes, and the keys it probed as misses.
+    suffixes: Vec<u64>,
+    pending: Vec<(SubsumeKey, Option<Arc<[u8]>>)>,
 }
 
 impl<M: SystemModel> IncrementalExecutor<M> {
@@ -235,6 +242,9 @@ impl<M: SystemModel> IncrementalExecutor<M> {
             last_run_subsumed: false,
             subsume: None,
             subsume_supported: None,
+            init: None,
+            suffixes: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
@@ -287,7 +297,9 @@ impl<M: SystemModel> IncrementalExecutor<M> {
     }
 
     /// Executes `il`, resuming from the deepest snapshot the previous run
-    /// under the same fault plan left on the shared prefix.
+    /// under the same fault plan left on the shared prefix. An executor
+    /// serves one model: its initial states are built once, from the model
+    /// of the first call.
     ///
     /// `next` is an advisory hint: the interleaving this executor will be
     /// handed after `il`, if the caller knows it. It is used only when it
@@ -343,7 +355,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
             }
             None => {
                 self.stats.misses += 1;
-                model.init_all()
+                self.init.get_or_insert_with(|| model.init_all()).clone()
             }
         };
 
@@ -361,14 +373,21 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         // would miss nearly every hit.
         self.last_run_subsumed = false;
         if self.subsume.is_some() && self.subsume_supported.is_none() {
-            self.subsume_supported = Some(model.state_digest(&model.init_all()).is_some());
+            let init = self.init.get_or_insert_with(|| model.init_all());
+            self.subsume_supported = Some(model.state_digest(init).is_some());
         }
         let sub: Option<&SubsumeSet<M::State>> = match self.subsume_supported {
             Some(true) => self.subsume.as_deref(),
             _ => None,
         };
-        let suffixes = sub.map(|_| suffix_hashes(il));
-        let mut pending: Vec<(SubsumeKey, Option<Arc<[u8]>>)> = Vec::new();
+        if sub.is_some() {
+            suffix_hashes(il, &mut self.suffixes);
+        }
+        let suffixes = &self.suffixes;
+        // A run that unwound out of `apply` must not leave keys behind for
+        // the next run's memo.
+        self.pending.clear();
+        let pending = &mut self.pending;
         // In audit mode a hit does not short-circuit: the tail executes
         // anyway and is compared against the memo at the end of the run.
         let mut audit_hit: Option<(usize, SubsumeHit<M::State>)> = None;
@@ -391,7 +410,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
             let key = SubsumeKey {
                 state: digest,
                 faults: faults.pending_digest(),
-                suffix: suffixes.as_ref().expect("suffixes computed with sub")[depth],
+                suffix: suffixes[depth],
                 depth: depth as u32,
             };
             if let Some(hit) = set.lookup(&key) {
@@ -490,7 +509,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
             self.last_run_subsumed = true;
         }
         if let Some(set) = sub {
-            if !pending.is_empty() {
+            if !self.pending.is_empty() {
                 // The run's full outcome vector and final states are now
                 // known (executed, stitched, or audit-verified — all
                 // byte-identical by determinism): every depth probed as a
@@ -499,7 +518,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
                     outcomes: outcomes.clone(),
                     states: states.clone(),
                 });
-                for (key, bytes) in pending {
+                for (key, bytes) in self.pending.drain(..) {
                     set.insert(key, Arc::clone(&memo), bytes);
                 }
             }

@@ -34,15 +34,20 @@
 //! ```
 //! use er_pi::{OpOutcome, Session, SystemModel, TestSuite};
 //! use er_pi_model::{Event, EventKind, ReplicaId, Value};
-//! use er_pi_rdl::{DeltaSync, OrSet};
+//! use er_pi_rdl::{DeltaSync, OrSet, Shared};
 //!
 //! struct TownApp;
 //!
 //! #[derive(Clone)]
-//! struct TownState {
+//! struct TownReplica {
 //!     issues: OrSet<String>,
 //!     transmitted: Option<Vec<String>>,
 //! }
+//!
+//! // Replay snapshots every replica after every step; behind the
+//! // copy-on-write cell that is a pointer bump each, and a write copies the
+//! // one replica it touches. Field access goes through auto-deref.
+//! type TownState = Shared<TownReplica>;
 //!
 //! impl SystemModel for TownApp {
 //!     type State = TownState;
@@ -50,7 +55,7 @@
 //!     fn replicas(&self) -> usize { 2 }
 //!
 //!     fn init(&self, replica: ReplicaId) -> TownState {
-//!         TownState { issues: OrSet::new(replica), transmitted: None }
+//!         Shared::new(TownReplica { issues: OrSet::new(replica), transmitted: None })
 //!     }
 //!
 //!     fn apply(&self, states: &mut [TownState], event: &Event) -> OpOutcome {
@@ -166,7 +171,7 @@ pub use sanitizer::{IndependenceViolation, SanitizerReport};
 pub use service::ExecutorService;
 pub use session::{LiveSystem, Session};
 pub use summary::{PrunerRow, SessionSummary};
-pub use system::{OpOutcome, SystemModel};
+pub use system::{encoding_digest, OpOutcome, SystemModel};
 pub use time::TimeModel;
 
 // Re-export the neighbours users need at the API boundary.

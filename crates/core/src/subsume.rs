@@ -132,12 +132,14 @@ impl<S> SubsumeSet<S> {
     }
 }
 
-/// Right-fold suffix hashes for one interleaving: `out[pos]` is a hash of
-/// the `(event id, fault-anchor digest)` sequence from `pos` to the end
-/// (`out[len]` covers the empty suffix). Computed once per run in O(N).
-pub(crate) fn suffix_hashes(il: &er_pi_model::Interleaving) -> Vec<u64> {
+/// Right-fold suffix hashes for one interleaving, written over `out`:
+/// `out[pos]` is a hash of the `(event id, fault-anchor digest)` sequence
+/// from `pos` to the end (`out[len]` covers the empty suffix). Computed once
+/// per run in O(N), into a buffer the executor keeps between runs.
+pub(crate) fn suffix_hashes(il: &er_pi_model::Interleaving, out: &mut Vec<u64>) {
     let n = il.len();
-    let mut out = vec![0u64; n + 1];
+    out.clear();
+    out.resize(n + 1, 0);
     for pos in (0..n).rev() {
         let id = il.as_slice()[pos];
         let mut item = [0u8; 12];
@@ -147,7 +149,6 @@ pub(crate) fn suffix_hashes(il: &er_pi_model::Interleaving) -> Vec<u64> {
         // composite key, and O(1) per position.
         out[pos] = out[pos + 1].wrapping_mul(0x0000_0100_0000_01b3) ^ er_pi_rdl::fnv1a64(&item);
     }
-    out
 }
 
 #[cfg(test)]
@@ -157,6 +158,14 @@ mod tests {
 
     fn il(ids: &[u32]) -> Interleaving {
         ids.iter().copied().map(EventId::new).collect()
+    }
+
+    fn suffix_hashes(il: &Interleaving) -> Vec<u64> {
+        // Start from a longer, dirty buffer: a reused one must come out the
+        // same as a fresh one.
+        let mut out = vec![u64::MAX; il.len() + 5];
+        super::suffix_hashes(il, &mut out);
+        out
     }
 
     #[test]

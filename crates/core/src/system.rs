@@ -3,7 +3,7 @@
 use er_pi_model::{Event, ReplicaId, Value};
 
 thread_local! {
-    /// Encoding buffer of [`SystemModel::state_digest`]'s default.
+    /// Encoding buffer of [`encoding_digest`].
     static DIGEST_SCRATCH: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
@@ -57,11 +57,26 @@ impl OpOutcome {
 /// spans two of them.
 pub trait SystemModel {
     /// Per-replica state. The `Clone` bound is the snapshot contract of the
-    /// replay engine: checkpoint/reset clones states between runs, and the
-    /// [`IncrementalExecutor`](crate::IncrementalExecutor) additionally
-    /// keeps cloned prefix snapshots to resume later runs from. A clone must
-    /// be an independent deep copy — replaying against it must not be
-    /// observable from the original.
+    /// replay engine: checkpoint/reset clones states between runs, the
+    /// [`IncrementalExecutor`](crate::IncrementalExecutor) keeps a cloned
+    /// snapshot of every replica after every step it may resume from, and
+    /// subsumption memoizes and hands out final states by cloning them. A
+    /// clone must be an *observationally independent* copy: nothing
+    /// [`apply`](SystemModel::apply) or [`recover`](SystemModel::recover)
+    /// does to one may ever show through [`observe`](SystemModel::observe),
+    /// [`state_encode`](SystemModel::state_encode) or a later `apply` on
+    /// the other. It need not be a deep copy, and since an event writes one
+    /// replica while a snapshot clones all of them, it should not be one.
+    ///
+    /// To adopt structural sharing, keep the replica's fields in a plain
+    /// `#[derive(Clone)]` struct and declare
+    /// `type State = `[`Shared`](er_pi_rdl::Shared)`<Replica>`: a snapshot is
+    /// then one pointer bump per replica, and the first write after it
+    /// copies the replica it touches (`state.field` reads and writes go
+    /// through auto-deref; only `init` changes, to `Shared::new(Replica {
+    /// .. })`). A field that is heavy and often left alone by writes to its
+    /// neighbours can be a `Shared` of its own. Such a model should also
+    /// forward [`replica_digest`](SystemModel::replica_digest) to the cell.
     type State: Clone;
 
     /// Number of replicas in the system (the paper's setup uses three).
@@ -121,23 +136,43 @@ pub trait SystemModel {
         false
     }
 
-    /// A 128-bit digest over all replicas' canonical encodings, or `None`
-    /// when the model declines [`state_encode`](SystemModel::state_encode).
+    /// A 128-bit digest of one replica's canonical encoding, or `None` when
+    /// the model declines [`state_encode`](SystemModel::state_encode).
     ///
-    /// The default length-prefixes each replica's encoding (so adjacent
-    /// replicas can never alias) and hashes the concatenation with
-    /// [`fnv1a128`](er_pi_rdl::fnv1a128). Override only to swap the digest
-    /// function; the subsumption layer treats the value as opaque.
+    /// The default is [`encoding_digest`]: encode, then hash. Subsumption
+    /// asks for every replica's digest after every step, though a step
+    /// writes one replica; a model whose state is a
+    /// [`Shared`](er_pi_rdl::Shared) cell lets the cell remember the digest
+    /// until the replica is next written:
+    ///
+    /// ```text
+    /// fn replica_digest(&self, state: &Self::State) -> Option<u128> {
+    ///     Shared::digest_with(state, || er_pi::encoding_digest(self, state))
+    /// }
+    /// ```
+    ///
+    /// Whatever is returned must be a function of the canonical encoding
+    /// alone: equal digests stand for equal encodings.
+    fn replica_digest(&self, state: &Self::State) -> Option<u128> {
+        encoding_digest(self, state)
+    }
+
+    /// A 128-bit digest over all replicas, or `None` when the model declines
+    /// [`state_encode`](SystemModel::state_encode).
+    ///
+    /// The default folds the fixed-width
+    /// [`replica_digest`](SystemModel::replica_digest)s in replica order
+    /// through [`fnv1a128`](er_pi_rdl::fnv1a128), so neither a reordering of
+    /// replicas nor a shifted boundary between two of them can alias.
+    /// Override only to swap the digest function; the subsumption layer
+    /// treats the value as opaque.
     fn state_digest(&self, states: &[Self::State]) -> Option<u128> {
-        // One probe per replayed step: the encoding goes into a per-thread
-        // buffer that keeps its capacity. It is taken out for the call, so
-        // a `state_encode` that itself asks for a digest finds an empty
-        // buffer rather than this one.
-        let mut buf = DIGEST_SCRATCH.take();
-        buf.clear();
-        let digest = encode_states(self, states, &mut buf).then(|| er_pi_rdl::fnv1a128(&buf));
-        DIGEST_SCRATCH.set(buf);
-        digest
+        let mut digest = er_pi_rdl::fnv1a128(&[]);
+        for state in states {
+            let replica = self.replica_digest(state)?;
+            digest = er_pi_rdl::fnv1a128_extend(digest, &replica.to_le_bytes());
+        }
+        Some(digest)
     }
 
     /// A cheap estimate of one state's resident size in bytes — the unit
@@ -152,6 +187,23 @@ pub trait SystemModel {
     fn state_size_hint(&self, _state: &Self::State) -> usize {
         std::mem::size_of::<Self::State>()
     }
+}
+
+/// [`fnv1a128`](er_pi_rdl::fnv1a128) of `state`'s canonical encoding, or
+/// `None` when `model` declines [`SystemModel::state_encode`] — the default
+/// [`SystemModel::replica_digest`], for overrides to fall back on.
+pub fn encoding_digest<M: SystemModel + ?Sized>(model: &M, state: &M::State) -> Option<u128> {
+    // One call per replica per replayed step: the encoding goes into a
+    // per-thread buffer that keeps its capacity. It is taken out for the
+    // call, so a `state_encode` that itself asks for a digest finds an empty
+    // buffer rather than this one.
+    let mut buf = DIGEST_SCRATCH.take();
+    buf.clear();
+    let digest = model
+        .state_encode(state, &mut buf)
+        .then(|| er_pi_rdl::fnv1a128(&buf));
+    DIGEST_SCRATCH.set(buf);
+    digest
 }
 
 /// Appends every replica's canonical encoding to `out`, each length-prefixed
@@ -297,14 +349,56 @@ mod tests {
 
         let mut by_hand = Vec::new();
         for state in [7u32, 9] {
-            by_hand.extend_from_slice(&16u64.to_le_bytes());
             let inner = Encodable.state_digest(&[state]).expect("encodable");
-            by_hand.extend_from_slice(&inner.to_le_bytes());
+            let replica = er_pi_rdl::fnv1a128(&inner.to_le_bytes());
+            assert_eq!(Nested.replica_digest(&state), Some(replica));
+            by_hand.extend_from_slice(&replica.to_le_bytes());
         }
         assert_eq!(
             Nested.state_digest(&[7, 9]),
             Some(er_pi_rdl::fnv1a128(&by_hand))
         );
+    }
+
+    /// Answers every replica from a fixed table: `state_digest` must be
+    /// built from `replica_digest` alone, never from a fresh encoding.
+    struct Remembering;
+
+    impl SystemModel for Remembering {
+        type State = u32;
+
+        fn replicas(&self) -> usize {
+            2
+        }
+
+        fn init(&self, _replica: ReplicaId) -> u32 {
+            0
+        }
+
+        fn apply(&self, _states: &mut [u32], _event: &Event) -> OpOutcome {
+            OpOutcome::Applied
+        }
+
+        fn observe(&self, state: &u32) -> Value {
+            Value::from(i64::from(*state))
+        }
+
+        fn state_encode(&self, _state: &u32, _out: &mut Vec<u8>) -> bool {
+            panic!("the digest was remembered: nothing to encode")
+        }
+
+        fn replica_digest(&self, state: &u32) -> Option<u128> {
+            Encodable.replica_digest(state)
+        }
+    }
+
+    #[test]
+    fn state_digest_is_a_fold_of_replica_digests() {
+        assert_eq!(
+            Remembering.state_digest(&[3, 4]),
+            Encodable.state_digest(&[3, 4])
+        );
+        assert_eq!(Dummy.replica_digest(&1), None);
     }
 
     #[test]

@@ -495,15 +495,21 @@ impl DeltaSync for JsonDoc {
     }
 
     fn apply_op(&mut self, op: &DocOp) {
+        if !self.ctx.contains(op.dot()) {
+            self.apply_owned(op.clone());
+        }
+    }
+
+    fn apply_owned(&mut self, op: DocOp) {
         if self.ctx.contains(op.dot()) {
             return;
         }
         self.ctx.add(op.dot());
-        if self.apply_resolved(op) {
-            self.log.push(op.clone());
+        if self.apply_resolved(&op) {
+            self.log.push(op);
             self.flush_pending();
         } else {
-            self.pending.push(op.clone());
+            self.pending.push(op);
         }
     }
 

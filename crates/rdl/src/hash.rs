@@ -13,7 +13,18 @@
 /// assert_ne!(fnv1a64(b"abc"), fnv1a64(b"abd"));
 /// ```
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an [`fnv1a64`] hash over more bytes, so a message can be hashed
+/// piece by piece without being assembled first:
+///
+/// ```
+/// use er_pi_rdl::{fnv1a64, fnv1a64_extend};
+///
+/// assert_eq!(fnv1a64_extend(fnv1a64(b"ab"), b"c"), fnv1a64(b"abc"));
+/// ```
+pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -38,7 +49,17 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// assert_ne!(fnv1a128(b"abc") as u64, fnv1a64(b"abc"));
 /// ```
 pub fn fnv1a128(bytes: &[u8]) -> u128 {
-    let mut h: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+    fnv1a128_extend(0x6c62_272e_07bb_0142_62b8_2175_6295_c58d, bytes)
+}
+
+/// Continues an [`fnv1a128`] hash over more bytes (see [`fnv1a64_extend`]).
+///
+/// ```
+/// use er_pi_rdl::{fnv1a128, fnv1a128_extend};
+///
+/// assert_eq!(fnv1a128_extend(fnv1a128(b"ab"), b"c"), fnv1a128(b"abc"));
+/// ```
+pub fn fnv1a128_extend(mut h: u128, bytes: &[u8]) -> u128 {
     for &b in bytes {
         h ^= u128::from(b);
         h = h.wrapping_mul(0x0000_0000_0100_0000_0000_0000_0000_013b);

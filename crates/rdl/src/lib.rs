@@ -58,13 +58,14 @@ mod orset;
 mod register;
 mod rga;
 mod set;
+mod shared;
 mod timeseries;
 mod traits;
 
 pub use commute::{conflict_reasons, ConflictReason, CrdtType, OpKind, OpProfile};
 pub use counter::{GCounter, PnCounter};
 pub use doc::{DocError, DocOp, JsonDoc, JsonValue, PathSegment};
-pub use hash::{fnv1a128, fnv1a64};
+pub use hash::{fnv1a128, fnv1a128_extend, fnv1a64, fnv1a64_extend};
 pub use lwwset::{Bias, LwwElementSet};
 pub use map::{LwwMap, OrMap};
 pub use oplog::{LogEntry, LogSortOrder, MerkleHash, MerkleLog, MerkleLogOp};
@@ -72,5 +73,6 @@ pub use orset::{OrSet, OrSetOp};
 pub use register::{LwwRegister, MvRegister};
 pub use rga::{ElementId, Rga, RgaOp};
 pub use set::{GSet, TwoPhaseSet};
+pub use shared::Shared;
 pub use timeseries::{LwwTimeSeries, ScoredMember, TieBreak, TsOp};
 pub use traits::{DeltaSync, StateCrdt};

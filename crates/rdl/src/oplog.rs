@@ -254,6 +254,25 @@ impl MerkleLog {
     pub fn entry(&self, hash: MerkleHash) -> Option<&LogEntry> {
         self.entries.iter().find(|e| e.hash == hash)
     }
+
+    /// Everything applying a remote entry does short of storing it; `false`
+    /// when the entry is a duplicate or fails the skew check.
+    fn admit(&mut self, op: &MerkleLogOp) -> bool {
+        if self.entries.iter().any(|e| e.hash == op.hash) {
+            self.ctx.add(op.dot);
+            return false; // duplicate: idempotent
+        }
+        if let Some(skew) = self.max_clock_skew {
+            if op.clock.time > self.clock.time() + skew {
+                // Poisoned clock: reject and halt progress on this entry.
+                self.rejected += 1;
+                return false;
+            }
+        }
+        self.ctx.add(op.dot);
+        self.clock.observe(op.clock);
+        true
+    }
 }
 
 impl DeltaSync for MerkleLog {
@@ -268,20 +287,15 @@ impl DeltaSync for MerkleLog {
     }
 
     fn apply_op(&mut self, op: &MerkleLogOp) {
-        if self.entries.iter().any(|e| e.hash == op.hash) {
-            self.ctx.add(op.dot);
-            return; // duplicate: idempotent
+        if self.admit(op) {
+            self.entries.push(op.clone());
         }
-        if let Some(skew) = self.max_clock_skew {
-            if op.clock.time > self.clock.time() + skew {
-                // Poisoned clock: reject and halt progress on this entry.
-                self.rejected += 1;
-                return;
-            }
+    }
+
+    fn apply_owned(&mut self, op: MerkleLogOp) {
+        if self.admit(&op) {
+            self.entries.push(op);
         }
-        self.ctx.add(op.dot);
-        self.clock.observe(op.clock);
-        self.entries.push(op.clone());
     }
 
     fn version(&self) -> &VersionVector {

@@ -91,31 +91,33 @@ impl<T: Ord + Clone> OrSet<T> {
     }
 
     /// Adds `element`; always succeeds (fresh unique tag). Returns the
-    /// generated operation (already applied locally).
-    pub fn insert(&mut self, element: T) -> OrSetOp<T> {
+    /// generated operation, already applied locally and logged (clone it to
+    /// ship it by hand).
+    pub fn insert(&mut self, element: T) -> &OrSetOp<T> {
         let dot = self.ctx.next_dot(self.replica);
-        let op = OrSetOp::Add { element, dot };
-        self.integrate(&op);
-        self.log.push(op.clone());
-        op
+        self.record(OrSetOp::Add { element, dot })
     }
 
     /// Removes `element` if visible. Returns the generated operation, or
     /// `None` if the element is absent (a failed op — nothing to observe).
-    pub fn remove(&mut self, element: &T) -> Option<OrSetOp<T>> {
+    pub fn remove(&mut self, element: &T) -> Option<&OrSetOp<T>> {
         let observed = self.entries.get(element)?.clone();
         if observed.is_empty() {
             return None;
         }
         let dot = self.ctx.next_dot(self.replica);
-        let op = OrSetOp::Remove {
+        Some(self.record(OrSetOp::Remove {
             element: element.clone(),
             observed,
             dot,
-        };
+        }))
+    }
+
+    /// Integrates `op` and moves it into the log.
+    fn record(&mut self, op: OrSetOp<T>) -> &OrSetOp<T> {
         self.integrate(&op);
-        self.log.push(op.clone());
-        Some(op)
+        self.log.push(op);
+        self.log.last().expect("just pushed")
     }
 
     /// Membership test.
@@ -182,12 +184,17 @@ impl<T: Ord + Clone> DeltaSync for OrSet<T> {
     }
 
     fn apply_op(&mut self, op: &OrSetOp<T>) {
+        if !self.ctx.contains(op.dot()) {
+            self.apply_owned(op.clone());
+        }
+    }
+
+    fn apply_owned(&mut self, op: OrSetOp<T>) {
         if self.ctx.contains(op.dot()) {
             return; // redelivery: idempotent
         }
         self.ctx.add(op.dot());
-        self.integrate(op);
-        self.log.push(op.clone());
+        self.record(op);
     }
 
     fn version(&self) -> &VersionVector {
@@ -320,9 +327,10 @@ mod tests {
         let mut a = OrSet::new(r(0));
         let op = a.insert(7);
         let mut b = OrSet::new(r(1));
-        b.apply_op(&op);
+        b.apply_op(op);
         let before = b.clone();
-        b.apply_op(&op);
+        b.apply_op(op);
+        b.apply_owned(op.clone());
         assert_eq!(b, before);
         assert_eq!(b.len(), 1);
     }
@@ -344,9 +352,9 @@ mod tests {
         let mut a = OrSet::new(r(0));
         let mut b = OrSet::new(r(1));
         let mut c = OrSet::new(r(2));
-        let op1 = a.insert("p");
-        let op2 = b.insert("q");
-        let op3 = b.insert("r");
+        let op1 = a.insert("p").clone();
+        let op2 = b.insert("q").clone();
+        let op3 = b.insert("r").clone();
         // c receives ops out of order and duplicated.
         c.apply_op(&op3);
         c.apply_op(&op1);

@@ -403,15 +403,21 @@ impl<T: Clone + PartialEq> DeltaSync for Rga<T> {
     }
 
     fn apply_op(&mut self, op: &RgaOp<T>) {
+        if !self.ctx.contains(op.dot()) {
+            self.apply_owned(op.clone());
+        }
+    }
+
+    fn apply_owned(&mut self, op: RgaOp<T>) {
         if self.ctx.contains(op.dot()) {
             return;
         }
         self.ctx.add(op.dot());
-        if self.integrate(op) {
-            self.log.push(op.clone());
+        if self.integrate(&op) {
+            self.log.push(op);
             self.flush_pending();
         } else {
-            self.pending.push(op.clone());
+            self.pending.push(op);
         }
     }
 

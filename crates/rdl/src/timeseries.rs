@@ -149,49 +149,39 @@ impl LwwTimeSeries {
     /// Inserts `member` under `key` at `score`. Returns `true` if the write
     /// won LWW resolution.
     pub fn insert(&mut self, key: &str, member: &str, score: u64) -> bool {
-        self.log.push(TsOp::Insert {
+        self.apply_owned(TsOp::Insert {
             key: key.to_owned(),
             member: member.to_owned(),
             score,
-        });
-        self.apply_cell(
-            key,
-            member,
-            Cell {
-                score,
-                kind: OpKind::Insert,
-            },
-        )
+        })
     }
 
     /// Deletes `member` under `key` at `score`. Returns `true` if the write
     /// won LWW resolution.
     pub fn delete(&mut self, key: &str, member: &str, score: u64) -> bool {
-        self.log.push(TsOp::Delete {
+        self.apply_owned(TsOp::Delete {
             key: key.to_owned(),
             member: member.to_owned(),
             score,
-        });
-        self.apply_cell(
-            key,
-            member,
-            Cell {
-                score,
-                kind: OpKind::Delete,
-            },
-        )
+        })
     }
 
     /// Applies one remote operation (same resolution as local writes).
     pub fn apply(&mut self, op: &TsOp) {
-        match op {
-            TsOp::Insert { key, member, score } => {
-                self.insert(key, member, *score);
-            }
-            TsOp::Delete { key, member, score } => {
-                self.delete(key, member, *score);
-            }
-        }
+        self.apply_owned(op.clone());
+    }
+
+    /// [`apply`](LwwTimeSeries::apply) for an operation the caller is done
+    /// with: `op` itself goes into the log. Returns `true` if the write won
+    /// LWW resolution.
+    pub fn apply_owned(&mut self, op: TsOp) -> bool {
+        let (key, member, score, kind) = match &op {
+            TsOp::Insert { key, member, score } => (key, member, *score, OpKind::Insert),
+            TsOp::Delete { key, member, score } => (key, member, *score, OpKind::Delete),
+        };
+        let won = self.apply_cell(key, member, Cell { score, kind });
+        self.log.push(op);
+        won
     }
 
     /// The full operation log (for subjects that ship deltas themselves).

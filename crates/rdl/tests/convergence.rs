@@ -199,11 +199,11 @@ proptest! {
         for (rep, act) in actions {
             let s = &mut sources[(rep % 3) as usize];
             match act {
-                SetAction::Insert(v) => ops.push(s.insert(v)),
+                SetAction::Insert(v) => ops.push(s.insert(v).clone()),
                 SetAction::Remove(v) => {
                     // Removes act on observed state: sync first.
                     if let Some(op) = s.remove(&v) {
-                        ops.push(op);
+                        ops.push(op.clone());
                     }
                 }
             }

@@ -208,12 +208,15 @@ impl std::fmt::Debug for Bug {
     }
 }
 
-/// A type-erased handle for measuring `State: Clone` cost — the dominant
-/// per-snapshot expense of the incremental executor's path cache.
+/// A type-erased handle for measuring `State: Clone` cost — what the
+/// incremental executor's path cache pays per snapshot, the subsumption
+/// memo per run and a stitched tail per hit.
 ///
 /// Built by [`Bug::clone_probe`]: holds the final replica states of the
 /// bug's recorded order (a representative fully-populated snapshot). Each
-/// [`CloneProbe::clone_states`] call deep-clones them and returns the
+/// [`CloneProbe::clone_states`] call clones them the way a snapshot does —
+/// with copy-on-write states that is one `Vec` of pointer bumps, which
+/// `tests/snapshot_allocs.rs` pins at one allocated block — and returns the
 /// summed [`SystemModel::state_size_hint`], so the `state_clone`
 /// micro-benchmark can weigh clone time against the budget charge the same
 /// clone would incur as a snapshot.
@@ -222,8 +225,8 @@ pub struct CloneProbe {
 }
 
 impl CloneProbe {
-    /// Deep-clones the captured states once; returns their total size
-    /// hint in bytes.
+    /// Clones the captured states once; returns their total size hint in
+    /// bytes.
     pub fn clone_states(&self) -> usize {
         (self.clone_fn)()
     }
@@ -906,8 +909,9 @@ impl Bug {
     }
 
     /// Builds a [`CloneProbe`] over this bug's model: the final states of
-    /// the recorded order, behind a type-erased deep-clone interface (the
-    /// `state_clone` micro-benchmark's input).
+    /// the recorded order, behind a type-erased clone interface (the input
+    /// of the `state_clone` micro-benchmark and of
+    /// `tests/snapshot_allocs.rs`).
     pub fn clone_probe(&self) -> CloneProbe {
         match &self.imp {
             BugImpl::Roshi { model, .. } => probe(model.clone(), &self.workload),
@@ -1001,6 +1005,20 @@ mod tests {
                 "{}: the recorded order must be violation-free",
                 bug.name
             );
+        }
+    }
+
+    #[test]
+    fn snapshots_stay_independent_across_the_catalogue() {
+        use crate::assert_snapshots_stay_independent as check;
+        for bug in Bug::catalogue() {
+            match &bug.imp {
+                BugImpl::Roshi { model, .. } => check(model, &bug.workload, bug.name),
+                BugImpl::Orbit { model, .. } => check(model, &bug.workload, bug.name),
+                BugImpl::ReplicaDb { model, .. } => check(model, &bug.workload, bug.name),
+                BugImpl::Yorkie { model, .. } => check(model, &bug.workload, bug.name),
+                BugImpl::Crdts { model, .. } => check(model, &bug.workload, bug.name),
+            }
         }
     }
 

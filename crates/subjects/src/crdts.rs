@@ -9,11 +9,11 @@ use std::collections::VecDeque;
 
 use er_pi::{OpOutcome, SystemModel};
 use er_pi_model::{CanonicalEncode, Event, EventKind, LamportTimestamp, ReplicaId, Value};
-use er_pi_rdl::{DeltaSync, LwwRegister, OrSet, PnCounter, Rga, StateCrdt};
+use er_pi_rdl::{DeltaSync, LwwRegister, OrSet, PnCounter, Rga, Shared, StateCrdt};
 
 /// One replica of the composed CRDT collection.
 #[derive(Debug, Clone)]
-pub struct CrdtsState {
+pub struct CrdtsReplica {
     /// An observed-remove set.
     pub set: OrSet<i64>,
     /// A list CRDT.
@@ -32,6 +32,10 @@ pub struct CrdtsState {
     pub inbox: VecDeque<Box<CrdtsSnapshot>>,
 }
 
+/// [`CrdtsModel`]'s per-replica state: a [`CrdtsReplica`] behind a
+/// copy-on-write cell (a snapshot is a pointer bump).
+pub type CrdtsState = Shared<CrdtsReplica>;
+
 /// The payload of a split sync: a full snapshot of the sender.
 #[derive(Debug, Clone)]
 pub struct CrdtsSnapshot {
@@ -42,7 +46,7 @@ pub struct CrdtsSnapshot {
     todos: Vec<(i64, String)>,
 }
 
-impl CrdtsState {
+impl CrdtsReplica {
     fn snapshot(&self) -> CrdtsSnapshot {
         CrdtsSnapshot {
             set: self.set.clone(),
@@ -98,7 +102,7 @@ impl SystemModel for CrdtsModel {
     }
 
     fn init(&self, replica: ReplicaId) -> CrdtsState {
-        CrdtsState {
+        Shared::new(CrdtsReplica {
             set: OrSet::new(replica),
             list: Rga::new(replica),
             counter: PnCounter::new(replica),
@@ -106,7 +110,7 @@ impl SystemModel for CrdtsModel {
             todos: Vec::new(),
             clock: 0,
             inbox: VecDeque::new(),
-        }
+        })
     }
 
     fn apply(&self, states: &mut [CrdtsState], event: &Event) -> OpOutcome {
@@ -282,6 +286,10 @@ impl SystemModel for CrdtsModel {
         }
         true
     }
+
+    fn replica_digest(&self, state: &CrdtsState) -> Option<u128> {
+        Shared::digest_with(state, || er_pi::encoding_digest(self, state))
+    }
 }
 
 #[cfg(test)]
@@ -339,6 +347,24 @@ mod tests {
         let states = run(&model, &w.build());
         assert!(states[1].set.contains(&5));
         assert!(states[1].inbox.is_empty());
+    }
+
+    #[test]
+    fn snapshots_stay_independent_over_every_structure() {
+        let mut w = Workload::builder();
+        for v in [10, 20, 30] {
+            w.update(r(0), "list_push", [Value::from(v)]);
+            w.update(r(1), "set_add", [Value::from(v)]);
+        }
+        let add = w.update(r(0), "set_add", [Value::from(5)]);
+        w.sync_split(r(0), r(1), Some(add));
+        w.update(r(1), "set_remove", [Value::from(10)]);
+        w.update(r(1), "list_move", [Value::from(0), Value::from(2)]);
+        w.update(r(1), "counter_inc", [Value::from(3)]);
+        w.update(r(0), "reg_set", [Value::from(42)]);
+        w.update(r(0), "todo_create", [Value::from("buy milk")]);
+        w.sync_untracked(r(1), r(0));
+        crate::assert_snapshots_stay_independent(&CrdtsModel::new(2), &w.build(), "crdts");
     }
 
     #[test]

@@ -16,10 +16,11 @@
 
 use er_pi::{OpOutcome, SystemModel};
 use er_pi_model::{CanonicalEncode, Event, EventId, EventKind, ReplicaId, Value};
+use er_pi_rdl::Shared;
 
 /// One replica of the ledger application.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LedgerState {
+pub struct LedgerReplica {
     /// Durable: credits issued at this replica, in issue order. This is the
     /// op log a crash-restart recovers from.
     pub log: Vec<(EventId, i64)>,
@@ -28,7 +29,11 @@ pub struct LedgerState {
     pub entries: Vec<(EventId, i64)>,
 }
 
-impl LedgerState {
+/// [`LedgerApp`]'s per-replica state: a [`LedgerReplica`] behind a
+/// copy-on-write cell (a snapshot is a pointer bump).
+pub type LedgerState = Shared<LedgerReplica>;
+
+impl LedgerReplica {
     /// The replica's balance: the sum of all applied entries.
     pub fn balance(&self) -> i64 {
         self.entries.iter().map(|(_, v)| v).sum()
@@ -109,10 +114,10 @@ impl SystemModel for LedgerApp {
     /// state; received entries were volatile and are lost until re-synced.
     fn recover(&self, states: &mut [LedgerState], replica: ReplicaId) {
         let log = std::mem::take(&mut states[replica.index()].log);
-        states[replica.index()] = LedgerState {
+        states[replica.index()] = Shared::new(LedgerReplica {
             entries: log.clone(),
             log,
-        };
+        });
     }
 
     fn observe(&self, state: &LedgerState) -> Value {
@@ -128,6 +133,10 @@ impl SystemModel for LedgerApp {
         state.log.encode_canonical(out);
         state.entries.encode_canonical(out);
         true
+    }
+
+    fn replica_digest(&self, state: &LedgerState) -> Option<u128> {
+        Shared::digest_with(state, || er_pi::encoding_digest(self, state))
     }
 }
 
@@ -156,6 +165,11 @@ mod tests {
         }
         assert_eq!(states[1].balance(), 100);
         assert_eq!(states[1].duplicated_entry(), None);
+    }
+
+    #[test]
+    fn snapshots_stay_independent() {
+        crate::assert_snapshots_stay_independent(&LedgerApp::new(2), &workload(), "ledger");
     }
 
     #[test]

@@ -29,14 +29,14 @@ mod town;
 mod yorkie;
 
 pub use bugs::{Bug, BugCtx, BugStatus, CloneProbe, ProgressFn, ReplayOptions, Repro, SubjectKind};
-pub use crdts::{CrdtsModel, CrdtsState};
-pub use ledger::{LedgerApp, LedgerState};
+pub use crdts::{CrdtsModel, CrdtsReplica, CrdtsState};
+pub use ledger::{LedgerApp, LedgerReplica, LedgerState};
 pub use misconceive::{detect_misconception, misconception_matrix, MatrixCell};
-pub use orbitdb::{OrbitConfig, OrbitModel, OrbitState};
-pub use replicadb::{ReplicaDbModel, ReplicaDbState, ReplicationMode};
-pub use roshi::{RoshiModel, RoshiState};
-pub use town::{TownApp, TownState};
-pub use yorkie::{YorkieModel, YorkieState};
+pub use orbitdb::{OrbitConfig, OrbitModel, OrbitReplica, OrbitState};
+pub use replicadb::{ReplicaDbModel, ReplicaDbReplica, ReplicaDbState, ReplicationMode};
+pub use roshi::{RoshiModel, RoshiReplica, RoshiState};
+pub use town::{TownApp, TownReplica, TownState};
+pub use yorkie::{YorkieModel, YorkieReplica, YorkieState};
 
 /// Borrows `states[from]` shared and `states[to]` mutably at the same time,
 /// so a sync handler can read the sender while it updates the receiver
@@ -61,6 +61,75 @@ pub(crate) fn sender_and_receiver<S>(
             Some((&high[0], &mut low[to]))
         }
         Ordering::Equal => None,
+    }
+}
+
+/// The snapshot contract of [`SystemModel::State`](er_pi::SystemModel),
+/// checked on one recording: the models here share replica states between
+/// clones, and this is what must not show.
+#[cfg(test)]
+pub(crate) fn assert_snapshots_stay_independent<M: er_pi::SystemModel>(
+    model: &M,
+    workload: &er_pi_model::Workload,
+    label: &str,
+) {
+    // Everything the engine can see of a system: per replica, the canonical
+    // bytes and the observation.
+    let view = |states: &[M::State]| -> Vec<(Vec<u8>, er_pi_model::Value)> {
+        let seen = |state| {
+            let mut bytes = Vec::new();
+            assert!(model.state_encode(state, &mut bytes), "{label}: encodes");
+            (bytes, model.observe(state))
+        };
+        states.iter().map(seen).collect()
+    };
+    let order = workload.recorded_order();
+    let replay = |states: &mut Vec<M::State>, from: usize| {
+        for &id in &order.as_slice()[from..] {
+            model.apply(states, workload.event(id));
+        }
+    };
+
+    // Walk the recorded order, cloning the whole system at every prefix,
+    // then keep writing to the live handles: crash every replica and run
+    // the recording once more on what is left.
+    let mut live = model.init_all();
+    let mut kept = vec![live.clone()];
+    for &id in order.iter() {
+        model.apply(&mut live, workload.event(id));
+        kept.push(live.clone());
+    }
+    let finished = view(&live);
+    for replica in 0..model.replicas() as u16 {
+        model.recover(&mut live, er_pi_model::ReplicaId::new(replica));
+    }
+    replay(&mut live, 0);
+
+    for (depth, snapshot) in kept.iter().enumerate() {
+        let mut scratch = model.init_all();
+        for &id in &order.as_slice()[..depth] {
+            model.apply(&mut scratch, workload.event(id));
+        }
+        let expected = view(&scratch);
+        assert_eq!(
+            view(snapshot),
+            expected,
+            "{label}: the snapshot at depth {depth} is not what a scratch replay of its prefix produces"
+        );
+        // The other direction: a run resumed from a clone of the snapshot
+        // ends where the recording did, and leaves the snapshot alone.
+        let mut resumed = snapshot.clone();
+        replay(&mut resumed, depth);
+        assert_eq!(
+            view(&resumed),
+            finished,
+            "{label}: resumed at depth {depth}"
+        );
+        assert_eq!(
+            view(snapshot),
+            expected,
+            "{label}: resuming from depth {depth} wrote through to the snapshot"
+        );
     }
 }
 

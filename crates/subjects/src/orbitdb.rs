@@ -6,7 +6,7 @@ use std::collections::{BTreeSet, VecDeque};
 use crate::sender_and_receiver;
 use er_pi::{OpOutcome, SystemModel};
 use er_pi_model::{CanonicalEncode, Event, EventKind, ReplicaId, Value};
-use er_pi_rdl::{DeltaSync, LogEntry, LogSortOrder, MerkleLog};
+use er_pi_rdl::{DeltaSync, LogEntry, LogSortOrder, MerkleLog, Shared};
 
 /// Static configuration of the OrbitDB subject.
 #[derive(Debug, Clone)]
@@ -38,9 +38,9 @@ impl Default for OrbitConfig {
 
 /// One OrbitDB replica.
 #[derive(Debug, Clone)]
-pub struct OrbitState {
+pub struct OrbitReplica {
     /// The replicated Merkle log.
-    pub log: MerkleLog,
+    pub log: Shared<MerkleLog>,
     /// Pending sync payloads.
     pub inbox: VecDeque<Vec<LogEntry>>,
     /// Identities currently granted write access.
@@ -62,6 +62,10 @@ pub struct OrbitState {
     /// Number of `open_repo` calls refused because the lock was stuck.
     pub failed_opens: u32,
 }
+
+/// [`OrbitModel`]'s per-replica state: an [`OrbitReplica`] behind a
+/// copy-on-write cell (a snapshot is a pointer bump).
+pub type OrbitState = Shared<OrbitReplica>;
 
 /// The OrbitDB subject model.
 ///
@@ -114,8 +118,8 @@ impl SystemModel for OrbitModel {
         log.set_max_clock_skew(self.config.max_clock_skew);
         let mut access = BTreeSet::new();
         access.insert(identity);
-        OrbitState {
-            log,
+        Shared::new(OrbitReplica {
+            log: Shared::new(log),
             inbox: VecDeque::new(),
             access,
             access_cache: None,
@@ -124,7 +128,7 @@ impl SystemModel for OrbitModel {
             lock_stuck: false,
             busy: false,
             failed_opens: 0,
-        }
+        })
     }
 
     fn apply(&self, states: &mut [OrbitState], event: &Event) -> OpOutcome {
@@ -254,8 +258,8 @@ impl SystemModel for OrbitModel {
             }
             EventKind::SyncExec { .. } => match states[at].inbox.pop_front() {
                 Some(entries) => {
-                    for e in &entries {
-                        states[at].log.apply_op(e);
+                    for e in entries {
+                        states[at].log.apply_owned(e);
                     }
                     states[at].busy = true;
                     OpOutcome::Applied
@@ -293,6 +297,10 @@ impl SystemModel for OrbitModel {
         state.busy.encode_canonical(out);
         state.failed_opens.encode_canonical(out);
         true
+    }
+
+    fn replica_digest(&self, state: &OrbitState) -> Option<u128> {
+        Shared::digest_with(state, || er_pi::encoding_digest(self, state))
     }
 }
 

@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 use crate::sender_and_receiver;
 use er_pi::{OpOutcome, SystemModel};
 use er_pi_model::{CanonicalEncode, Event, EventKind, ReplicaId, Value};
+use er_pi_rdl::Shared;
 
 /// ReplicaDB's replication modes (the real tool offers `complete`,
 /// `complete-atomic`, and `incremental`).
@@ -24,7 +25,7 @@ pub enum ReplicationMode {
 /// also uses the state of the acting replica to hold the transfer job's
 /// staging buffer.
 #[derive(Debug, Clone, Default)]
-pub struct ReplicaDbState {
+pub struct ReplicaDbReplica {
     /// Table content (key → row payload).
     pub table: BTreeMap<i64, i64>,
     /// Rows read from the source, awaiting commit to the sink.
@@ -38,6 +39,10 @@ pub struct ReplicaDbState {
     /// Keys captured by the incremental snapshot cut, if taken.
     pub snapshot: Option<Vec<i64>>,
 }
+
+/// [`ReplicaDbModel`]'s per-replica state: a [`ReplicaDbReplica`] behind a
+/// copy-on-write cell (a snapshot is a pointer bump).
+pub type ReplicaDbState = Shared<ReplicaDbReplica>;
 
 /// The ReplicaDB subject model.
 ///
@@ -189,6 +194,10 @@ impl SystemModel for ReplicaDbModel {
         state.oom.encode_canonical(out);
         state.snapshot.encode_canonical(out);
         true
+    }
+
+    fn replica_digest(&self, state: &ReplicaDbState) -> Option<u128> {
+        Shared::digest_with(state, || er_pi::encoding_digest(self, state))
     }
 }
 

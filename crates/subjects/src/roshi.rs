@@ -7,14 +7,14 @@ use crate::sender_and_receiver;
 use er_pi::{OpOutcome, SystemModel};
 use er_pi_model::CanonicalEncode;
 use er_pi_model::{Event, EventKind, ReplicaId, Value};
-use er_pi_rdl::{LwwTimeSeries, ScoredMember, StateCrdt, TieBreak, TsOp};
+use er_pi_rdl::{LwwTimeSeries, ScoredMember, Shared, StateCrdt, TieBreak, TsOp};
 
 /// One Roshi replica: the LWW time-series store plus the application-level
 /// read results the assertions inspect.
 #[derive(Debug, Clone)]
-pub struct RoshiState {
+pub struct RoshiReplica {
     /// The replicated store.
-    pub store: LwwTimeSeries,
+    pub store: Shared<LwwTimeSeries>,
     /// Pending sync payloads (send → exec message queue).
     pub inbox: VecDeque<Vec<TsOp>>,
     /// Result of the last `select`.
@@ -26,6 +26,10 @@ pub struct RoshiState {
     /// leaks Go map ordering into the API.
     pub assembled: Option<Vec<String>>,
 }
+
+/// [`RoshiModel`]'s per-replica state: a [`RoshiReplica`] behind a
+/// copy-on-write cell (a snapshot is a pointer bump).
+pub type RoshiState = Shared<RoshiReplica>;
 
 /// The Roshi subject model.
 ///
@@ -77,13 +81,13 @@ impl SystemModel for RoshiModel {
     }
 
     fn init(&self, _replica: ReplicaId) -> RoshiState {
-        RoshiState {
-            store: LwwTimeSeries::new(self.tie),
+        Shared::new(RoshiReplica {
+            store: Shared::new(LwwTimeSeries::new(self.tie)),
             inbox: VecDeque::new(),
             last_select: None,
             last_deleted: None,
             assembled: None,
-        }
+        })
     }
 
     fn apply(&self, states: &mut [RoshiState], event: &Event) -> OpOutcome {
@@ -157,8 +161,8 @@ impl SystemModel for RoshiModel {
             }
             EventKind::SyncExec { .. } => match states[at].inbox.pop_front() {
                 Some(ops) => {
-                    for op in &ops {
-                        states[at].store.apply(op);
+                    for op in ops {
+                        states[at].store.apply_owned(op);
                     }
                     OpOutcome::Applied
                 }
@@ -209,6 +213,10 @@ impl SystemModel for RoshiModel {
         state.last_deleted.encode_canonical(out);
         state.assembled.encode_canonical(out);
         true
+    }
+
+    fn replica_digest(&self, state: &RoshiState) -> Option<u128> {
+        Shared::digest_with(state, || er_pi::encoding_digest(self, state))
     }
 }
 

@@ -3,18 +3,22 @@
 use crate::sender_and_receiver;
 use er_pi::{OpOutcome, SystemModel};
 use er_pi_model::{CanonicalEncode, Event, EventKind, ReplicaId, Value};
-use er_pi_rdl::{DeltaSync, OrSet};
+use er_pi_rdl::{DeltaSync, OrSet, Shared};
 
 /// One resident's replica: the replicated set of reported issues plus the
 /// (local, non-replicated) record of what was transmitted to the
 /// municipality.
 #[derive(Debug, Clone)]
-pub struct TownState {
+pub struct TownReplica {
     /// Replicated set of open issues.
     pub issues: OrSet<String>,
     /// What this resident transmitted, if they did.
     pub transmitted: Option<Vec<String>>,
 }
+
+/// [`TownApp`]'s per-replica state: a [`TownReplica`] behind a copy-on-write
+/// cell, so a snapshot of the town is one pointer bump per resident.
+pub type TownState = Shared<TownReplica>;
 
 /// The town issue-reporting application.
 ///
@@ -93,10 +97,10 @@ impl SystemModel for TownApp {
     }
 
     fn init(&self, replica: ReplicaId) -> TownState {
-        TownState {
+        Shared::new(TownReplica {
             issues: OrSet::new(replica),
             transmitted: None,
-        }
+        })
     }
 
     fn apply(&self, states: &mut [TownState], event: &Event) -> OpOutcome {
@@ -152,6 +156,10 @@ impl SystemModel for TownApp {
         true
     }
 
+    fn replica_digest(&self, state: &TownState) -> Option<u128> {
+        Shared::digest_with(state, || er_pi::encoding_digest(self, state))
+    }
+
     fn state_size_hint(&self, state: &TownState) -> usize {
         // Proportional estimate for the incremental executor's snapshot
         // budget: tagged OR-set entries dominate, the transmitted snapshot
@@ -167,7 +175,7 @@ impl SystemModel for TownApp {
             .transmitted
             .as_deref()
             .map_or(0, |v| v.iter().map(|s| s.len() + 24).sum());
-        std::mem::size_of::<TownState>() + issues + transmitted
+        std::mem::size_of::<TownReplica>() + issues + transmitted
     }
 }
 
@@ -248,6 +256,14 @@ mod tests {
             erpi.first_violation_at.unwrap() <= dfs.first_violation_at.unwrap(),
             "pruned exploration reaches the bug at least as fast"
         );
+    }
+
+    #[test]
+    fn snapshots_stay_independent_along_the_motivating_recording() {
+        let mut session = Session::new(TownApp::new(2));
+        record_motivating(&mut session);
+        let workload = session.workload().expect("recorded");
+        crate::assert_snapshots_stay_independent(&TownApp::new(2), workload, "town");
     }
 
     #[test]

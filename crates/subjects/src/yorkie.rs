@@ -6,18 +6,22 @@ use std::collections::{BTreeMap, VecDeque};
 use crate::sender_and_receiver;
 use er_pi::{OpOutcome, SystemModel};
 use er_pi_model::{CanonicalEncode, Event, EventKind, ReplicaId, Value};
-use er_pi_rdl::{DeltaSync, DocOp, JsonDoc};
+use er_pi_rdl::{DeltaSync, DocOp, JsonDoc, Shared};
 
 /// One Yorkie replica: the document plus a sync inbox.
 #[derive(Debug, Clone)]
-pub struct YorkieState {
+pub struct YorkieReplica {
     /// The replicated JSON document.
-    pub doc: JsonDoc,
+    pub doc: Shared<JsonDoc>,
     /// Pending sync payloads.
     pub inbox: VecDeque<Vec<DocOp>>,
     /// Keys captured by the last `snapshot_keys` read.
     pub last_snapshot: Option<Vec<String>>,
 }
+
+/// [`YorkieModel`]'s per-replica state: a [`YorkieReplica`] behind a
+/// copy-on-write cell (a snapshot is a pointer bump).
+pub type YorkieState = Shared<YorkieReplica>;
 
 /// The Yorkie subject model.
 ///
@@ -61,11 +65,11 @@ impl SystemModel for YorkieModel {
     }
 
     fn init(&self, replica: ReplicaId) -> YorkieState {
-        YorkieState {
-            doc: JsonDoc::new(replica),
+        Shared::new(YorkieReplica {
+            doc: Shared::new(JsonDoc::new(replica)),
             inbox: VecDeque::new(),
             last_snapshot: None,
-        }
+        })
     }
 
     fn apply(&self, states: &mut [YorkieState], event: &Event) -> OpOutcome {
@@ -161,8 +165,8 @@ impl SystemModel for YorkieModel {
             }
             EventKind::SyncExec { .. } => match states[at].inbox.pop_front() {
                 Some(ops) => {
-                    for op in &ops {
-                        states[at].doc.apply_op(op);
+                    for op in ops {
+                        states[at].doc.apply_owned(op);
                     }
                     OpOutcome::Applied
                 }
@@ -197,6 +201,10 @@ impl SystemModel for YorkieModel {
         state.inbox.encode_canonical(out);
         state.last_snapshot.encode_canonical(out);
         true
+    }
+
+    fn replica_digest(&self, state: &YorkieState) -> Option<u128> {
+        Shared::digest_with(state, || er_pi::encoding_digest(self, state))
     }
 }
 

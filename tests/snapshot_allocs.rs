@@ -1,0 +1,126 @@
+//! A snapshot of any shipped subject allocates one block: the `Vec` that
+//! holds one pointer per replica. Everything else the incremental executor,
+//! the subsumption memo and a stitched tail do with replica states is a
+//! `clone()` of exactly this kind, so this is the number their cost rests on.
+//!
+//! The allocator counts only blocks requested by a thread while that thread
+//! is inside [`blocks_during`], so the count is exact however the harness
+//! schedules its tests.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use er_pi::{InlineExecutor, SystemModel, TimeModel};
+use er_pi_model::{ReplicaId, Value, Workload};
+use er_pi_subjects::{Bug, CrdtsModel, LedgerApp, TownApp};
+
+thread_local! {
+    /// Blocks allocated by this thread since counting began; `None` while
+    /// it is not counting.
+    static BLOCKS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+struct CountingAlloc;
+
+// SAFETY: every request is passed to `System` unchanged; the only addition
+// is a thread-local counter that itself never allocates (`const`
+// initializer, no destructor). `realloc` and `alloc_zeroed` keep their
+// default bodies, which go through `alloc`, so a grown block counts as a
+// block.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // A thread that is tearing its locals down is not counting.
+        let _ = BLOCKS.try_with(|blocks| blocks.set(blocks.get().map(|n| n + 1)));
+        // SAFETY: `layout` is the caller's, forwarded as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns how many blocks this thread allocated meanwhile.
+fn blocks_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    BLOCKS.with(|blocks| blocks.set(Some(0)));
+    let out = f();
+    let counted = BLOCKS.with(|blocks| blocks.take()).expect("counting");
+    (counted, out)
+}
+
+/// The final states of `workload`'s recorded order: every replica populated.
+fn populated<M: SystemModel>(model: &M, workload: &Workload) -> Vec<M::State> {
+    let order = workload.recorded_order();
+    InlineExecutor::execute(model, workload, &order, &TimeModel::paper_setup()).states
+}
+
+fn assert_one_block<S: Clone>(subject: &str, states: &[S]) {
+    let (blocks, copy) = blocks_during(|| states.to_vec());
+    assert_eq!(copy.len(), states.len());
+    assert_eq!(
+        blocks,
+        1,
+        "{subject}: a snapshot of {} replicas allocated {blocks} blocks, not just its Vec",
+        states.len()
+    );
+}
+
+#[test]
+fn the_counter_sees_every_block_of_a_deep_copy() {
+    let nested = vec![vec![1u8; 8], vec![2u8; 8]];
+    let (blocks, copy) = blocks_during(|| nested.clone());
+    assert_eq!((blocks, copy.len()), (3, 2));
+    let (blocks, _) = blocks_during(|| ());
+    assert_eq!(blocks, 0);
+}
+
+#[test]
+fn a_catalogue_snapshot_allocates_one_block() {
+    for bug in Bug::catalogue() {
+        let probe = bug.clone_probe();
+        let (blocks, hint) = blocks_during(|| probe.clone_states());
+        assert!(hint > 0);
+        assert_eq!(
+            blocks, 1,
+            "{} ({}): cloning the recorded order's final states allocated {blocks} blocks, \
+             not just the Vec",
+            bug.subject, bug.name
+        );
+    }
+}
+
+#[test]
+fn a_town_crdts_or_ledger_snapshot_allocates_one_block() {
+    let r = ReplicaId::new;
+
+    // The §2.3 recording.
+    let mut w = Workload::builder();
+    let ev1 = w.update(r(0), "add", [Value::from("otb")]);
+    w.sync_pair(r(0), r(1), ev1);
+    let ev2 = w.update(r(1), "add", [Value::from("ph")]);
+    w.sync_pair(r(1), r(0), ev2);
+    let ev3 = w.update(r(1), "remove", [Value::from("otb")]);
+    w.sync_pair(r(1), r(0), ev3);
+    w.external(r(0), "transmit");
+    let w = w.build();
+    let town = populated(&TownApp::new(2), &w);
+    assert!(town[0].transmitted.is_some() && !town[1].issues.is_empty());
+    assert_one_block("town", &town);
+
+    // Table 1 has no `crdts` bug: OR-set and RGA entries on three replicas.
+    let mut w = Workload::builder();
+    for i in 0..8i64 {
+        w.update(r((i % 3) as u16), "set_add", [Value::from(i)]);
+        w.update(r((i % 3) as u16), "list_push", [Value::from(i)]);
+    }
+    assert_one_block("crdts", &populated(&CrdtsModel::new(3), &w.build()));
+
+    let mut w = Workload::builder();
+    let credit = w.update(r(0), "credit", [Value::from(100)]);
+    w.sync_pair(r(0), r(1), credit);
+    assert_one_block("ledger", &populated(&LedgerApp::new(2), &w.build()));
+}
