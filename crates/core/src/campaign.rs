@@ -1,0 +1,1247 @@
+//! The campaign core: the one claim → execute → merge loop behind every
+//! replay.
+//!
+//! States 2–4 of the paper's workflow are a single loop — dispense a pruned
+//! interleaving, replay it from a checkpoint, check it, feed constraints
+//! back — and this module is that loop, once. A [`Campaign`] owns the
+//! dispenser (an [`IndexedSource`] behind a lock, claimed in contiguous
+//! chunks), one [`IncrementalExecutor`] per replay slot, the run table, the
+//! lowest-violation / stop / panic / cancel flags, the merge and the
+//! stop-point explorer counters. It is driven from exactly two places,
+//! both of which only decide *which thread* calls [`Campaign::step`]:
+//!
+//! * [`Campaign::run`] (behind [`Session::replay`](crate::Session::replay))
+//!   steps slot 0 on the calling thread and slots `1..W` on scoped threads,
+//!   against a borrowed model, workload and suite;
+//! * [`ExecutorService`](crate::ExecutorService) steps queued campaigns
+//!   from its long-lived threads, against owned ones.
+//!
+//! What makes the *merged* result independent of the slot count:
+//!
+//! * every dispensed interleaving carries a stable exploration index, and
+//!   chunks are contiguous index ranges handed out in order, so the table
+//!   is the dense prefix `0..n` of what a one-slot scan would replay;
+//! * under `stop_on_first_violation` the *lowest-indexed* violation wins
+//!   and the table is cut there. An item whose index is above the current
+//!   lowest violation is therefore skipped rather than replayed: the
+//!   lowest only ever decreases, so an item at or below its final value is
+//!   never skipped, and density below the cut is all the merge needs;
+//! * a panicking model surfaces as [`ErPiError::ExecutorPanic`], a tripped
+//!   [`CancelToken`] as [`ErPiError::Cancelled`]; either way the whole
+//!   result set is discarded and the session stays usable.
+
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+
+use er_pi_interleave::{
+    DfsExplorer, ErPiExplorer, ExploreMode, Explorer, FaultProduct, FilterTimings, IndexedSource,
+    PruneStats, PruningConfig, RandomExplorer,
+};
+use er_pi_model::{FaultPlan, Interleaving, Value, Workload};
+use er_pi_telemetry::{worker_track, HitRateMonitor};
+use parking_lot::Mutex;
+
+use crate::instrument::Instrument;
+use crate::metrics::SvcMetrics;
+use crate::subsume::SubsumeSet;
+use crate::{
+    CacheStats, CancelToken, CheckContext, ConstraintsDir, ErPiError, IncrementalExecutor,
+    InlineExecutor, RunRecord, SystemModel, TestSuite, TimeModel, Violation, WorkerLoad,
+};
+
+/// Sentinel for "no violation found yet" in the atomic minimum.
+const NO_VIOLATION: usize = usize::MAX;
+
+/// Interleavings claimed per dispenser lock acquisition. Contiguous chunks
+/// (rather than strided or item-at-a-time claims) preserve per-slot prefix
+/// locality: lexicographically adjacent interleavings land on the same
+/// slot's executor, each resuming from the one before it. Chunks also
+/// amortize the dispenser and run-table locks. Stop flags and the cancel
+/// token are honoured between chunks; inside one, stop-on-first skips the
+/// items above the lowest violation found so far.
+///
+/// Not tunable: no caller ever asked for another value, and the report does
+/// not depend on it (the campaign's unit tests replay at sizes 1, 3 and 32).
+pub const DEFAULT_CHUNK_SIZE: usize = 32;
+
+/// The platform's available parallelism (the session's default worker count
+/// and the meaning of worker count `0`); `1` when it cannot be queried.
+///
+/// An `ER_PI_WORKERS` environment variable overrides the probe:
+/// cgroup-limited deployments (containers with a CPU quota) report the
+/// host's core count through `available_parallelism`, so operators pin the
+/// real budget explicitly. Unparsable or zero values are ignored.
+pub(crate) fn available_workers() -> usize {
+    std::env::var("ER_PI_WORKERS")
+        .ok()
+        .as_deref()
+        .and_then(parse_workers_override)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
+}
+
+/// Parses an `ER_PI_WORKERS` override: a positive integer (surrounding
+/// whitespace tolerated). Anything else — empty, zero, garbage — is `None`
+/// so the platform probe stays authoritative.
+fn parse_workers_override(raw: &str) -> Option<usize> {
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n > 0 => Some(n),
+        _ => None,
+    }
+}
+
+/// An exploration source over any of the three modes.
+enum AnyExplorer<'w> {
+    ErPi(Box<ErPiExplorer<'w>>),
+    Dfs(DfsExplorer),
+    Rand(RandomExplorer),
+}
+
+impl Iterator for AnyExplorer<'_> {
+    type Item = Interleaving;
+
+    fn next(&mut self) -> Option<Interleaving> {
+        match self {
+            AnyExplorer::ErPi(e) => e.next(),
+            AnyExplorer::Dfs(e) => e.next(),
+            AnyExplorer::Rand(e) => e.next(),
+        }
+    }
+}
+
+impl AnyExplorer<'_> {
+    fn mode_name(&self) -> &'static str {
+        match self {
+            AnyExplorer::ErPi(e) => e.name(),
+            AnyExplorer::Dfs(e) => e.name(),
+            AnyExplorer::Rand(e) => e.name(),
+        }
+    }
+
+    /// The deterministic counters: pruning statistics (ER-π mode only) and
+    /// mode-specific wasted work (Random's shuffle retries).
+    fn counters(&self) -> Counters {
+        match self {
+            AnyExplorer::ErPi(e) => (Some(e.stats()), e.wasted_work()),
+            AnyExplorer::Dfs(e) => (None, e.wasted_work()),
+            AnyExplorer::Rand(e) => (None, e.wasted_work()),
+        }
+    }
+
+    fn timings(&self) -> Option<FilterTimings> {
+        match self {
+            AnyExplorer::ErPi(e) => Some(e.timings()),
+            _ => None,
+        }
+    }
+}
+
+type Source<'w> = IndexedSource<FaultProduct<AnyExplorer<'w>>>;
+
+/// An explorer's deterministic counters as of some dispensed item: pruning
+/// statistics (ER-π mode only) and wasted work.
+type Counters = (Option<PruneStats>, u64);
+
+/// Builds the exploration source of one replay: the mode's explorer lifted
+/// to the `orders × plans` product. With no fault configuration the product
+/// holds the single empty plan and is a transparent pass-through — emitted
+/// interleavings are bit-identical to the bare explorer's. A `Cow::Owned`
+/// workload yields a `'static` explorer (only ER-π keeps the workload; the
+/// other two modes read it once).
+fn build_explorer<'w>(
+    mode: ExploreMode,
+    workload: Cow<'w, Workload>,
+    config: &PruningConfig,
+    plans: &[FaultPlan],
+) -> FaultProduct<AnyExplorer<'w>> {
+    let explorer = match mode {
+        ExploreMode::ErPi => AnyExplorer::ErPi(Box::new(ErPiExplorer::over(workload, config))),
+        ExploreMode::Dfs => AnyExplorer::Dfs(DfsExplorer::new(&workload)),
+        ExploreMode::Random { seed } => AnyExplorer::Rand(RandomExplorer::new(&workload, seed)),
+    };
+    FaultProduct::new(explorer, plans.to_vec())
+}
+
+/// What one campaign explores and how it replays it.
+pub(crate) struct Params<'w> {
+    pub workload: Cow<'w, Workload>,
+    pub mode: ExploreMode,
+    /// The effective pruning configuration the exploration starts under.
+    pub config: PruningConfig,
+    pub plans: Vec<FaultPlan>,
+    /// Replay at most this many interleavings.
+    pub cap: usize,
+    pub time: TimeModel,
+    pub stop_on_first_violation: bool,
+    /// Snapshot budget of the per-slot incremental executors; `None` runs
+    /// the scratch executor.
+    pub incremental_budget: Option<usize>,
+    /// State-hash subsumption over one campaign-wide explored-set. With
+    /// incremental replay off every slot still gets an executor — with a
+    /// zero snapshot budget, so only the subsumption layer is live.
+    pub subsume: bool,
+    /// Replay slots (at least one).
+    pub slots: usize,
+    pub instrument: Instrument,
+    pub cancel: Option<CancelToken>,
+}
+
+/// State 4: a watched constraints directory, polled under the dispenser
+/// lock before the claim that starts at every `every`-th exploration index.
+pub(crate) struct Watch<'w> {
+    pub dir: &'w mut ConstraintsDir,
+    /// The session's own configuration: every ingested rule is absorbed
+    /// here as well, so later replays start from it.
+    pub config: &'w mut PruningConfig,
+    pub every: usize,
+}
+
+/// The model and suite a campaign is stepped against; the same for every
+/// step of one campaign.
+pub(crate) struct Subject<'a, M: SystemModel> {
+    pub model: &'a M,
+    pub suite: &'a TestSuite<M::State>,
+}
+
+impl<M: SystemModel> Clone for Subject<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M: SystemModel> Copy for Subject<'_, M> {}
+
+/// The merged result of a campaign, before the session dresses it up as a
+/// [`Report`](crate::Report).
+pub(crate) struct Outcome {
+    pub mode: String,
+    /// Retained runs, ordered by exploration index (dense from 0).
+    pub runs: Vec<RunRecord>,
+    /// Per-run violations of the retained runs, in (run, assertion) order.
+    pub violations: Vec<Violation>,
+    /// Lowest run index with a violation, if any.
+    pub first_violation_at: Option<usize>,
+    /// Σ `sim_us` over the retained runs.
+    pub sim_us: u64,
+    /// A violation under stop-on-first, or the cap, cut the exploration.
+    pub stopped_early: bool,
+    /// The explorer's counters as of exactly the retained runs.
+    pub prune_stats: Option<PruneStats>,
+    pub wasted: u64,
+    /// Per-slot replay counters, in slot order.
+    pub worker_loads: Vec<WorkerLoad>,
+    /// Checkpoint-cache counters summed over the per-slot executors; `None`
+    /// when the campaign ran the scratch executor.
+    pub cache_stats: Option<CacheStats>,
+    pub filter_timings: Option<FilterTimings>,
+    /// The effective configuration at the end: the initial one plus every
+    /// constraint ingested on the way.
+    pub config: PruningConfig,
+}
+
+/// A campaign's life, in order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// Chunks are still being handed out.
+    Claiming,
+    /// No further chunk will ever be claimed; some are still executing.
+    Drained,
+    /// Drained, and every claimed chunk has been recorded: the point from
+    /// which [`Campaign::finish`] may be called.
+    Settled,
+}
+
+/// One dispensed item, with the explorer's counters as of it when the
+/// campaign may stop there.
+type Dispensed = ((usize, Interleaving), Option<Counters>);
+
+/// The state behind the dispenser lock.
+struct Dispenser<'w> {
+    source: Source<'w>,
+    /// The item dispensed past the last claim as its lookahead hint; it
+    /// opens the next claim.
+    peeked: Option<Dispensed>,
+    /// The effective configuration: the initial one plus every constraint
+    /// State 4 ingested so far.
+    config: PruningConfig,
+    watch: Option<Watch<'w>>,
+    /// Chunks claimed but not yet recorded.
+    inflight: usize,
+    /// No further chunk will ever be claimed.
+    exhausted: bool,
+    /// The cancel token tripped at a claim boundary, or the driver aborted.
+    cancelled: bool,
+    /// A constraints file could not be ingested.
+    failed: Option<ErPiError>,
+}
+
+impl Dispenser<'_> {
+    /// Dispenses one item. Under stop-on-first (`counted`) the explorer's
+    /// counters are read right behind it: whatever is dispensed past a
+    /// violating run — the rest of its chunk, other slots' chunks, the
+    /// lookahead — depends on scheduling and must not show in the report.
+    fn next(&mut self, counted: bool) -> Option<Dispensed> {
+        let item = self.source.next()?;
+        let counters = counted.then(|| self.source.inner().inner().counters());
+        Some((item, counters))
+    }
+}
+
+/// One claimed chunk and what replaying it produced. A slot keeps the
+/// buffers from chunk to chunk for their capacity: it claims thousands and
+/// allocates for one.
+#[derive(Default)]
+struct Chunk {
+    /// Contiguous exploration indices, in order.
+    items: Vec<(usize, Interleaving)>,
+    /// Under stop-on-first, the explorer's counters as of each item.
+    counters: Vec<Counters>,
+    /// The item after the chunk, as the lookahead hint of its last run. It
+    /// stays with the dispenser and opens the next claim — usually another
+    /// slot's, which makes the hint conservative, never wrong: a later item
+    /// of a sorted stream shares no more with this run than the next does.
+    hint: Option<Interleaving>,
+    records: Vec<RunRecord>,
+    /// The rare violations, beside the records rather than in them.
+    found: Vec<Violation>,
+}
+
+/// What one replay slot keeps between chunks. Each slot owns its executor:
+/// no cross-thread snapshot sharing, and the chunked dispenser keeps the
+/// slot's stream prefix-coherent.
+struct Slot<M: SystemModel> {
+    executor: Option<IncrementalExecutor<M>>,
+    /// Watches the slot's own hit rate; the warning names it via its track.
+    monitor: Option<HitRateMonitor>,
+    load: WorkerLoad,
+    chunk: Chunk,
+}
+
+/// The run table. Exploration indices are dense from 0 and chunks are
+/// contiguous, so a chunk's records and violations go straight onto the
+/// dense prefix — one lock per chunk, no sort, no second copy; a chunk
+/// that finishes before its predecessor waits in `parked`, keyed by its
+/// first index.
+#[derive(Default)]
+struct Table {
+    runs: Vec<RunRecord>,
+    violations: Vec<Violation>,
+    parked: BTreeMap<usize, (Vec<RunRecord>, Vec<Violation>)>,
+    /// The lowest run stop-on-first stopped a chunk at, with the explorer's
+    /// counters as of it.
+    stopped_at: Option<(usize, Counters)>,
+    panicked: Option<String>,
+}
+
+impl Table {
+    /// Moves a chunk's results onto the dense prefix.
+    fn extend(&mut self, records: &mut Vec<RunRecord>, found: &mut Vec<Violation>) {
+        self.runs.append(records);
+        // Pushed, not appended, so the capacity doubles from 4 like any
+        // push-built `Vec`: `append` doubles from whatever the first
+        // violating chunk found, and how far the last doubling overshoots
+        // is a tenth of a megabyte either way on a 10 000-run campaign.
+        for violation in found.drain(..) {
+            self.violations.push(violation);
+        }
+    }
+}
+
+/// One replay campaign: see the [module docs](self).
+pub(crate) struct Campaign<'w, M: SystemModel> {
+    workload: Cow<'w, Workload>,
+    mode: ExploreMode,
+    plans: Vec<FaultPlan>,
+    time: TimeModel,
+    stop_on_first_violation: bool,
+    /// Whether the executors keep snapshots: hints are worth a lookahead
+    /// and hit/miss attribution means something. A zero-budget
+    /// subsumption-only executor always resumes from depth 0 and would
+    /// report a fictitious 0 % hit rate.
+    incremental: bool,
+    chunk_size: usize,
+    instrument: Instrument,
+    cancel: Option<CancelToken>,
+    /// The executor service's shared latency histograms, when it has a
+    /// registry attached.
+    pub svc: Option<SvcMetrics>,
+    disp: Mutex<Dispenser<'w>>,
+    slots: Vec<Mutex<Slot<M>>>,
+    lowest_violation: AtomicUsize,
+    /// Internal stop: a violation under stop-on-first, or a model panic.
+    stop: AtomicBool,
+    table: Mutex<Table>,
+}
+
+impl<'w, M: SystemModel> Campaign<'w, M> {
+    /// Sets a campaign up; nothing is dispensed before the first
+    /// [`Campaign::step`]. `chunk_size` is [`DEFAULT_CHUNK_SIZE`] everywhere
+    /// but in this module's tests.
+    pub fn new(params: Params<'w>, chunk_size: usize) -> Self {
+        let Params {
+            workload,
+            mode,
+            config,
+            plans,
+            cap,
+            time,
+            stop_on_first_violation,
+            incremental_budget,
+            subsume,
+            slots,
+            instrument,
+            cancel,
+        } = params;
+        let mut explorer = build_explorer(mode, workload.clone(), &config, &plans);
+        if let AnyExplorer::ErPi(e) = explorer.inner_mut() {
+            // Per-filter wall time costs two clock reads per evaluation:
+            // only when someone is watching.
+            if instrument.telemetry.is_active() {
+                e.enable_timing();
+            }
+            // The live sleep-set prune tally (inert when sleep sets are off
+            // or no pair of units commutes).
+            if let Some(progress) = &instrument.progress {
+                e.set_sleep_tally(progress.sleep_tally());
+            }
+        }
+        let incremental = incremental_budget.is_some();
+        let explored = subsume.then(|| Arc::new(SubsumeSet::new()));
+        let monitored =
+            incremental && (instrument.telemetry.is_active() || instrument.metrics.is_some());
+        let slots = (0..slots.max(1))
+            .map(|worker| {
+                let executor = (incremental || subsume).then(|| {
+                    let mut e = IncrementalExecutor::<M>::new(incremental_budget.unwrap_or(0));
+                    if let Some(set) = &explored {
+                        e.enable_subsumption(Arc::clone(set));
+                    }
+                    e
+                });
+                Mutex::new(Slot {
+                    executor,
+                    monitor: monitored.then(HitRateMonitor::default),
+                    load: WorkerLoad {
+                        worker,
+                        runs: 0,
+                        sim_us: 0,
+                    },
+                    chunk: Chunk::default(),
+                })
+            })
+            .collect();
+        Campaign {
+            disp: Mutex::new(Dispenser {
+                source: IndexedSource::new(explorer, cap),
+                peeked: None,
+                config,
+                watch: None,
+                inflight: 0,
+                exhausted: false,
+                cancelled: false,
+                failed: None,
+            }),
+            workload,
+            mode,
+            plans,
+            time,
+            stop_on_first_violation,
+            incremental,
+            chunk_size: chunk_size.max(1),
+            instrument,
+            cancel,
+            svc: None,
+            slots,
+            lowest_violation: AtomicUsize::new(NO_VIOLATION),
+            stop: AtomicBool::new(false),
+            table: Mutex::new(Table::default()),
+        }
+    }
+
+    /// Attaches the State-4 hook. Constraint ingestion is a feedback loop
+    /// on the live exploration order — the rules found while replaying
+    /// `0..k` decide what index `k` is — so a watched campaign has one slot
+    /// (claims are then strictly sequential) and no claim crosses a poll
+    /// boundary, not even to peek.
+    pub fn watch(&mut self, watch: Watch<'w>) {
+        assert_eq!(self.slots.len(), 1, "a watched campaign has one slot");
+        self.disp.get_mut().watch = Some(watch);
+    }
+
+    /// The number of replay slots; [`Campaign::step`] takes `0..slots`.
+    pub fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Claims the next chunk into `chunk` under the dispenser lock; `false`
+    /// once the campaign will hand out no more: the source ran dry or hit
+    /// the cap, a stop flag is up, the cancel token tripped, or ingestion
+    /// failed.
+    fn claim(&self, chunk: &mut Chunk) -> bool {
+        let mut disp = self.disp.lock();
+        if disp.exhausted {
+            return false;
+        }
+        let claimed = if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            disp.cancelled = true;
+            false
+        } else if self.stop.load(Ordering::Acquire) {
+            false
+        } else {
+            self.dispense(&mut disp, chunk).unwrap_or_else(|error| {
+                disp.failed = Some(error);
+                false
+            })
+        };
+        match claimed {
+            true => disp.inflight += 1,
+            false => disp.exhausted = true,
+        }
+        claimed
+    }
+
+    /// Runs the State-4 hook if this claim starts on a poll boundary, then
+    /// dispenses up to one chunk plus — for executors that keep snapshots —
+    /// one item of lookahead. `false` when there was nothing left.
+    fn dispense(&self, disp: &mut Dispenser<'w>, chunk: &mut Chunk) -> Result<bool, ErPiError> {
+        let mut max = self.chunk_size;
+        let mut peek = self.incremental;
+        if let Some(watch) = disp.watch.as_mut() {
+            let at = match &disp.peeked {
+                Some(((index, _), _)) => *index,
+                None => disp.source.dispensed(),
+            };
+            if at > 0 && at % watch.every == 0 {
+                if let Some(newer) = watch.dir.poll()? {
+                    watch.config.absorb(newer.clone());
+                    disp.config.absorb(newer);
+                    // DFS and Random read no pruning configuration, and
+                    // restarting them would only re-emit what the source's
+                    // dedup set — which skips everything already dispensed
+                    // — then drops.
+                    if matches!(self.mode, ExploreMode::ErPi) {
+                        let workload = self.workload.clone();
+                        let fresh = build_explorer(self.mode, workload, &disp.config, &self.plans);
+                        disp.source.reseed(fresh);
+                    }
+                }
+            }
+            let to_boundary = watch.every - at % watch.every;
+            if max >= to_boundary {
+                max = to_boundary;
+                peek = false;
+            }
+        }
+        let counted = self.stop_on_first_violation;
+        let first = disp.peeked.take();
+        let rest = std::iter::from_fn(|| disp.next(counted));
+        for (item, counters) in first.into_iter().chain(rest).take(max) {
+            chunk.items.push(item);
+            chunk.counters.extend(counters);
+        }
+        if peek && chunk.items.len() == max {
+            disp.peeked = disp.next(counted);
+        }
+        chunk.hint = disp.peeked.as_ref().map(|((_, il), _)| il.clone());
+        Ok(!chunk.items.is_empty())
+    }
+
+    /// Claims one chunk and replays it on `slot`; `false` once the campaign
+    /// hands out no more chunks (other slots may still be finishing theirs:
+    /// see [`Campaign::phase`]). A model panic is caught here, noted, and
+    /// stops the campaign.
+    pub fn step(&self, slot: usize, on: Subject<'_, M>) -> bool {
+        let telemetry = &self.instrument.telemetry;
+        let mut state = self.slots[slot].lock();
+        let state = &mut *state;
+        let t_claim = telemetry.start();
+        let claim_started = self.svc.as_ref().map(|_| Instant::now());
+        if !self.claim(&mut state.chunk) {
+            return false;
+        }
+        if let (Some(svc), Some(started)) = (&self.svc, claim_started) {
+            svc.claim_wait
+                .observe_us(started.elapsed().as_micros() as u64);
+        }
+        let (start, _) = state.chunk.items[0];
+        if telemetry.is_active() {
+            let count = state.chunk.items.len();
+            telemetry.span_since(
+                worker_track(slot),
+                "claim",
+                t_claim,
+                vec![("first_index", start.into()), ("count", count.into())],
+            );
+        }
+
+        let executed = catch_unwind(AssertUnwindSafe(|| self.execute_chunk(slot, state, on)));
+
+        let mut table = self.table.lock();
+        let Chunk { records, found, .. } = &mut state.chunk;
+        match executed {
+            Ok(()) if start == table.runs.len() => {
+                table.extend(records, found);
+                loop {
+                    let next = table.runs.len();
+                    let Some((mut records, mut found)) = table.parked.remove(&next) else {
+                        break;
+                    };
+                    table.extend(&mut records, &mut found);
+                }
+            }
+            Ok(()) => {
+                let parked = (std::mem::take(records), std::mem::take(found));
+                table.parked.insert(start, parked);
+            }
+            Err(payload) => {
+                table
+                    .panicked
+                    .get_or_insert_with(|| panic_message(payload.as_ref()));
+                self.stop.store(true, Ordering::Release);
+            }
+        }
+        drop(table);
+        self.disp.lock().inflight -= 1;
+        true
+    }
+
+    /// Replays the items of the slot's claimed chunk in index order, each
+    /// hinted with the one after it (the claim's own lookahead for the
+    /// last).
+    fn execute_chunk(&self, slot: usize, state: &mut Slot<M>, on: Subject<'_, M>) {
+        let mut items = std::mem::take(&mut state.chunk.items);
+        let hint = state.chunk.hint.take();
+        let mut queue = items.drain(..).enumerate().peekable();
+        while let Some((at, (index, il))) = queue.next() {
+            // The merge cuts the table at the lowest violation, and that
+            // only ever moves down: nothing above it can be retained.
+            if self.stop_on_first_violation && index > self.lowest_violation.load(Ordering::Acquire)
+            {
+                break;
+            }
+            let next = queue.peek().map(|(_, (_, next))| next).or(hint.as_ref());
+            if self.execute_one(slot, state, index, il, next, on) {
+                self.lowest_violation.fetch_min(index, Ordering::AcqRel);
+                if self.stop_on_first_violation {
+                    self.stop.store(true, Ordering::Release);
+                    let mut table = self.table.lock();
+                    if table.stopped_at.is_none_or(|(lowest, _)| index < lowest) {
+                        table.stopped_at = Some((index, state.chunk.counters[at]));
+                    }
+                }
+            }
+        }
+        drop(queue);
+        state.chunk.items = items;
+        state.chunk.counters.clear();
+    }
+
+    /// Executes one interleaving — against a fresh checkpoint, or resuming
+    /// from the slot's previous run when it has an incremental executor —
+    /// checks the suite and books the run. Returns whether it violated.
+    fn execute_one(
+        &self,
+        slot: usize,
+        state: &mut Slot<M>,
+        index: usize,
+        il: Interleaving,
+        next: Option<&Interleaving>,
+        on: Subject<'_, M>,
+    ) -> bool {
+        let telemetry = &self.instrument.telemetry;
+        let track = worker_track(slot);
+        let t_run = telemetry.start();
+        let run_started = self.svc.as_ref().map(|_| Instant::now());
+
+        // State 3: checkpointed execution of one interleaving. Fresh states
+        // per run are the checkpoint/reset of §4.3; the incremental executor
+        // reaches the same states by resuming from the deepest cached
+        // prefix (byte-identical execution — see `incremental`).
+        let exec = match state.executor.as_mut() {
+            Some(incremental) => {
+                incremental.execute_hinted(on.model, &self.workload, &il, next, &self.time)
+            }
+            None => InlineExecutor::execute(on.model, &self.workload, &il, &self.time),
+        };
+        let observations: Vec<Value> = exec.states.iter().map(|s| on.model.observe(s)).collect();
+        let ctx = CheckContext {
+            states: &exec.states,
+            observations: &observations,
+            interleaving: &il,
+            outcomes: &exec.outcomes,
+        };
+        let t_check = telemetry.start();
+        let found = &mut state.chunk.found;
+        let before = found.len();
+        for assertion in on.suite.assertions() {
+            if let Err(message) = assertion.check(&ctx) {
+                found.push(Violation {
+                    run: Some(index),
+                    assertion: assertion.name().to_owned(),
+                    message,
+                    interleaving: Some(il.clone()),
+                });
+            }
+        }
+        let violated = found.len() > before;
+        let failed_ops = exec.outcomes.iter().filter(|o| o.is_failed()).count();
+        if let (Some(svc), Some(started)) = (&self.svc, run_started) {
+            svc.run_latency
+                .observe_us(started.elapsed().as_micros() as u64);
+        }
+
+        let resumed_depth = state
+            .executor
+            .as_ref()
+            .map_or(0, IncrementalExecutor::last_resume_depth);
+        if telemetry.is_active() {
+            telemetry.span_since(
+                track,
+                "check",
+                t_check,
+                vec![
+                    ("assertions", on.suite.assertions().len().into()),
+                    ("violated", violated.into()),
+                ],
+            );
+            telemetry.span_since(
+                track,
+                "run",
+                t_run,
+                vec![
+                    ("index", index.into()),
+                    ("resumed_depth", resumed_depth.into()),
+                    ("sim_us", exec.sim_us.into()),
+                    ("violated", violated.into()),
+                    ("failed_ops", failed_ops.into()),
+                ],
+            );
+        }
+        let cache_hit = self.incremental.then_some(resumed_depth > 0);
+        if let (Some(monitor), Some(hit)) = (state.monitor.as_mut(), cache_hit) {
+            if let Some(message) = monitor.record(hit) {
+                if let Some(metrics) = &self.instrument.metrics {
+                    metrics.warn_low_hit_rate();
+                }
+                telemetry.warn(track, "cache:low-hit-rate", message);
+            }
+        }
+        let subsumed = state
+            .executor
+            .as_ref()
+            .is_some_and(IncrementalExecutor::last_run_subsumed);
+        self.instrument.run_done(slot, cache_hit, subsumed);
+
+        state.load.runs += 1;
+        state.load.sim_us += exec.sim_us;
+        state.chunk.records.push(RunRecord {
+            interleaving: il,
+            observations,
+            failed_ops,
+            sim_us: exec.sim_us,
+        });
+        violated
+    }
+
+    /// How far along the campaign is, as of one look under the dispenser
+    /// lock.
+    pub fn phase(&self) -> Phase {
+        let disp = self.disp.lock();
+        match (disp.exhausted, disp.inflight) {
+            (false, _) => Phase::Claiming,
+            (true, 0) => Phase::Settled,
+            (true, _) => Phase::Drained,
+        }
+    }
+
+    /// Stops the campaign from outside (executor-service shutdown): no
+    /// further chunk is claimed and [`Campaign::finish`] reports
+    /// [`ErPiError::Cancelled`].
+    pub fn abort(&self) {
+        let mut disp = self.disp.lock();
+        disp.cancelled = true;
+        disp.exhausted = true;
+    }
+
+    /// Steps the campaign to completion from the calling thread — slot 0
+    /// here, slots `1..` on scoped threads — and merges.
+    pub fn run(self, on: Subject<'_, M>) -> Result<Outcome, ErPiError>
+    where
+        M: Sync,
+        M::State: Send + Sync,
+    {
+        std::thread::scope(|scope| {
+            for slot in 1..self.slots() {
+                let campaign = &self;
+                scope.spawn(move || while campaign.step(slot, on) {});
+            }
+            while self.step(0, on) {}
+        });
+        self.finish()
+    }
+
+    /// The merge: call once, after the campaign has [settled](Phase::Settled).
+    ///
+    /// Cuts the table at the lowest violation under stop-on-first and sums
+    /// what is left. The partial
+    /// results of a panicked, failed or cancelled campaign are discarded
+    /// wholesale — the caller asked for the campaign to stop, not for an
+    /// answer — and the cancel token is looked at once more here, so a
+    /// token tripped after the last claim still cancels.
+    pub fn finish(&self) -> Result<Outcome, ErPiError> {
+        // Slots first and one at a time: a late `step` holds its slot while
+        // it finds the dispenser exhausted.
+        let mut worker_loads = Vec::with_capacity(self.slots.len());
+        let mut cache_stats: Option<CacheStats> = None;
+        for slot in &self.slots {
+            let slot = slot.lock();
+            worker_loads.push(slot.load.clone());
+            if let Some(executor) = &slot.executor {
+                cache_stats
+                    .get_or_insert_with(CacheStats::default)
+                    .absorb(&executor.stats());
+            }
+        }
+        let mut disp = self.disp.lock();
+        let disp = &mut *disp;
+        let mut table = self.table.lock();
+        debug_assert!(
+            disp.exhausted && disp.inflight == 0,
+            "finish before settled"
+        );
+        if let Some(what) = table.panicked.take() {
+            return Err(ErPiError::ExecutorPanic(what));
+        }
+        if let Some(error) = disp.failed.take() {
+            return Err(error);
+        }
+        if disp.cancelled || self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            return Err(ErPiError::Cancelled);
+        }
+
+        // Lowest-indexed violation wins: under stop-on-first, runs beyond
+        // it were speculative and are dropped, so the merged result is the
+        // same for every slot count.
+        let lowest = self.lowest_violation.load(Ordering::Acquire);
+        let stopped = self.stop_on_first_violation && lowest != NO_VIOLATION;
+        let mut runs = std::mem::take(&mut table.runs);
+        let mut violations = std::mem::take(&mut table.violations);
+        if stopped {
+            assert!(runs.len() > lowest, "runs below a violation must be dense");
+            runs.truncate(lowest + 1);
+            violations.retain(|v| v.run.is_some_and(|run| run <= lowest));
+        } else {
+            assert!(
+                table.parked.is_empty() && runs.len() == disp.source.dispensed(),
+                "merged indices must be dense"
+            );
+        }
+
+        let explorer = disp.source.inner().inner();
+        let (prune_stats, wasted) = match table.stopped_at.take() {
+            Some((run, counters)) if stopped => {
+                assert_eq!(run, lowest, "the lowest violation is a stop point");
+                counters
+            }
+            _ => explorer.counters(),
+        };
+        Ok(Outcome {
+            mode: explorer.mode_name().to_owned(),
+            sim_us: runs.iter().map(|run| run.sim_us).sum(),
+            runs,
+            violations,
+            first_violation_at: (lowest != NO_VIOLATION).then_some(lowest),
+            stopped_early: stopped || disp.source.truncated(),
+            prune_stats,
+            wasted,
+            worker_loads,
+            cache_stats,
+            // Timings come from the *live* explorer: they are wall time, so
+            // — unlike the counters — what was dispensed past the stop point
+            // is exactly what was really spent.
+            filter_timings: explorer.timings(),
+            config: std::mem::take(&mut disp.config),
+        })
+    }
+}
+
+/// Extracts a human-readable message from a panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".to_owned()
+    }
+}
+
+/// A two-replica register model and the 24-order workload over it, shared
+/// with the executor service's tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use crate::OpOutcome;
+    use er_pi_model::{Event, EventKind, ReplicaId};
+
+    /// Integer register per replica; `set(v)` writes, fused sync copies.
+    #[derive(Clone)]
+    pub struct RegApp;
+
+    impl SystemModel for RegApp {
+        type State = i64;
+
+        fn replicas(&self) -> usize {
+            2
+        }
+
+        fn init(&self, _replica: ReplicaId) -> i64 {
+            0
+        }
+
+        fn apply(&self, states: &mut [i64], event: &Event) -> OpOutcome {
+            match &event.kind {
+                EventKind::LocalUpdate { op } => {
+                    states[event.replica.index()] = op.arg(0).and_then(Value::as_int).unwrap_or(0);
+                    OpOutcome::Applied
+                }
+                EventKind::Sync { to, .. } => {
+                    states[to.index()] = states[event.replica.index()];
+                    OpOutcome::Applied
+                }
+                _ => OpOutcome::failed("unsupported"),
+            }
+        }
+
+        fn observe(&self, state: &i64) -> Value {
+            Value::from(*state)
+        }
+
+        fn state_encode(&self, state: &i64, out: &mut Vec<u8>) -> bool {
+            out.extend_from_slice(&state.to_le_bytes());
+            true
+        }
+    }
+
+    /// A model that panics on its first `apply`.
+    #[derive(Clone)]
+    pub struct Bomb;
+
+    impl SystemModel for Bomb {
+        type State = ();
+
+        fn replicas(&self) -> usize {
+            1
+        }
+
+        fn init(&self, _replica: ReplicaId) {}
+
+        fn apply(&self, _states: &mut [()], _event: &Event) -> OpOutcome {
+            panic!("campaign kaboom");
+        }
+
+        fn observe(&self, _state: &()) -> Value {
+            Value::Null
+        }
+    }
+
+    /// Two writes, each synced to the other replica: 4! = 24 DFS orders,
+    /// many of which end diverged.
+    pub fn two_writes() -> Workload {
+        let a = ReplicaId::new(0);
+        let b = ReplicaId::new(1);
+        let mut w = Workload::builder();
+        let w1 = w.update(a, "set", [Value::from(1)]);
+        w.sync_pair(a, b, w1);
+        let w2 = w.update(b, "set", [Value::from(2)]);
+        w.sync_pair(b, a, w2);
+        w.build()
+    }
+
+    /// An uncapped, uninstrumented, scratch-executor DFS campaign over an
+    /// owned `workload`; tests override what they exercise.
+    pub fn dfs_params(workload: Workload, slots: usize) -> Params<'static> {
+        Params {
+            workload: Cow::Owned(workload),
+            mode: ExploreMode::Dfs,
+            config: PruningConfig::default(),
+            plans: Vec::new(),
+            cap: usize::MAX,
+            time: TimeModel::paper_setup(),
+            stop_on_first_violation: false,
+            incremental_budget: None,
+            subsume: false,
+            slots,
+            instrument: Instrument::disabled(),
+            cancel: None,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testing::{dfs_params, two_writes, Bomb, RegApp};
+    use super::*;
+    use crate::{Assertion, Session, DEFAULT_CACHE_BUDGET};
+    use std::sync::atomic::AtomicU64;
+
+    const SLOT_COUNTS: [usize; 3] = [1, 2, 4];
+
+    fn run(params: Params<'static>, suite: &TestSuite<i64>) -> Result<Outcome, ErPiError> {
+        run_chunked(params, DEFAULT_CHUNK_SIZE, suite)
+    }
+
+    fn run_chunked(
+        params: Params<'static>,
+        chunk_size: usize,
+        suite: &TestSuite<i64>,
+    ) -> Result<Outcome, ErPiError> {
+        let model = &RegApp;
+        Campaign::new(params, chunk_size).run(Subject { model, suite })
+    }
+
+    fn converge() -> TestSuite<i64> {
+        TestSuite::new().with(Assertion::replicas_converge("conv"))
+    }
+
+    /// Every deterministic field of two outcomes.
+    fn assert_same(a: &Outcome, b: &Outcome, what: &str) {
+        assert_eq!(a.runs, b.runs, "{what}: runs");
+        assert_eq!(a.violations, b.violations, "{what}: violations");
+        assert_eq!(a.first_violation_at, b.first_violation_at, "{what}");
+        assert_eq!(a.sim_us, b.sim_us, "{what}: sim_us");
+        assert_eq!(a.stopped_early, b.stopped_early, "{what}: stopped_early");
+        assert_eq!(a.prune_stats, b.prune_stats, "{what}: prune_stats");
+        assert_eq!(a.wasted, b.wasted, "{what}: wasted");
+    }
+
+    #[test]
+    fn every_slot_count_covers_the_space_in_exploration_order() {
+        let w = two_writes();
+        let scan: Vec<Interleaving> = DfsExplorer::new(&w).collect();
+        for slots in SLOT_COUNTS {
+            let out = run(dfs_params(w.clone(), slots), &TestSuite::new()).unwrap();
+            let replayed: Vec<&Interleaving> = out.runs.iter().map(|r| &r.interleaving).collect();
+            assert_eq!(
+                replayed,
+                scan.iter().collect::<Vec<_>>(),
+                "{slots} slots must preserve exploration order"
+            );
+            assert!(!out.stopped_early);
+            assert_eq!(out.worker_loads.len(), slots);
+            let total: usize = out.worker_loads.iter().map(|l| l.runs).sum();
+            assert_eq!(total, 24, "no lost or duplicated runs across slots");
+        }
+    }
+
+    #[test]
+    fn lowest_indexed_violation_wins() {
+        let w = two_writes();
+        let stop_first = |slots| {
+            let mut params = dfs_params(w.clone(), slots);
+            params.stop_on_first_violation = true;
+            run(params, &converge()).unwrap()
+        };
+        let baseline = stop_first(1);
+        let first = baseline.first_violation_at.expect("some order diverges");
+        assert_eq!(baseline.runs.len(), first + 1);
+        assert!(baseline.stopped_early);
+        for slots in [2, 4, 8] {
+            assert_same(&stop_first(slots), &baseline, &format!("{slots} slots"));
+        }
+    }
+
+    /// The report does not depend on the claim granularity — the reason
+    /// `DEFAULT_CHUNK_SIZE` is a constant and not an option.
+    #[test]
+    fn any_chunking_gives_the_same_result() {
+        let w = two_writes();
+        for (stop, cap) in [(false, usize::MAX), (true, usize::MAX), (false, 10)] {
+            let params = |slots| {
+                let mut params = dfs_params(w.clone(), slots);
+                params.stop_on_first_violation = stop;
+                params.cap = cap;
+                params.incremental_budget = Some(DEFAULT_CACHE_BUDGET);
+                params
+            };
+            let baseline = run_chunked(params(1), 1, &converge()).unwrap();
+            assert_eq!(baseline.stopped_early, stop || cap == 10);
+            for chunk_size in [1, 3, DEFAULT_CHUNK_SIZE] {
+                for slots in SLOT_COUNTS {
+                    let out = run_chunked(params(slots), chunk_size, &converge()).unwrap();
+                    let what = format!("chunks of {chunk_size} on {slots} slots, stop={stop}");
+                    assert_same(&out, &baseline, &what);
+                }
+            }
+        }
+    }
+
+    /// Stop-on-first replays nothing past the violation on one slot: the
+    /// rest of the claimed chunk is skipped, not executed and discarded.
+    #[test]
+    fn one_slot_stops_checking_at_the_first_violation() {
+        let checked = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&checked);
+        let suite = TestSuite::new().with(Assertion::new("counting-conv", move |ctx| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            match ctx.states[0] == ctx.states[1] {
+                true => Ok(()),
+                false => Err("diverged".into()),
+            }
+        }));
+        let mut params = dfs_params(two_writes(), 1);
+        params.stop_on_first_violation = true;
+        let out = run(params, &suite).unwrap();
+        let first = out.first_violation_at.expect("some order diverges");
+        assert!(first > 0 && first + 1 < 24, "a stop in mid-chunk");
+        assert_eq!(checked.load(Ordering::Relaxed), first as u64 + 1);
+    }
+
+    #[test]
+    fn incremental_matches_scratch_on_every_slot_count() {
+        let w = two_writes();
+        for slots in SLOT_COUNTS {
+            let scratch = run(dfs_params(w.clone(), slots), &TestSuite::new()).unwrap();
+            let mut params = dfs_params(w.clone(), slots);
+            params.incremental_budget = Some(DEFAULT_CACHE_BUDGET);
+            let incremental = run(params, &TestSuite::new()).unwrap();
+            assert_same(&incremental, &scratch, &format!("{slots} slots"));
+            assert!(scratch.cache_stats.is_none());
+            let stats = incremental.cache_stats.expect("incremental counters");
+            assert_eq!(stats.hits + stats.misses, 24);
+        }
+    }
+
+    /// The last run of a chunk is hinted with the first item of the next
+    /// one: it keeps snapshots only on the prefix the two share, where an
+    /// unhinted run would keep every interior depth.
+    #[test]
+    fn the_lookahead_hint_crosses_chunk_boundaries() {
+        let w = two_writes();
+        let orders: Vec<Interleaving> = DfsExplorer::new(&w).take(4).collect();
+        let shared = orders[2].common_prefix_len(&orders[3]);
+        assert!(shared < w.len() - 1, "an unhinted run keeps more");
+
+        let mut params = dfs_params(w, 1);
+        params.incremental_budget = Some(DEFAULT_CACHE_BUDGET);
+        let campaign = Campaign::new(params, 3);
+        let on = Subject {
+            model: &RegApp,
+            suite: &TestSuite::new(),
+        };
+        assert!(campaign.step(0, on), "runs 0..3");
+        let slot = campaign.slots[0].lock();
+        let executor = slot.executor.as_ref().expect("incremental");
+        assert_eq!(executor.resident_snapshots(), shared);
+    }
+
+    #[test]
+    fn subsumption_matches_plain_on_every_slot_count() {
+        let w = two_writes();
+        for slots in SLOT_COUNTS {
+            let plain = run(dfs_params(w.clone(), slots), &TestSuite::new()).unwrap();
+            let mut params = dfs_params(w.clone(), slots);
+            params.subsume = true;
+            let subsuming = run(params, &TestSuite::new()).unwrap();
+            assert_same(&subsuming, &plain, &format!("{slots} slots"));
+            let stats = subsuming.cache_stats.expect("subsumption-only counters");
+            assert_eq!(stats.hits + stats.misses, 24);
+            assert_eq!(stats.hits, 0, "a zero budget keeps no snapshot");
+            if slots == 1 {
+                // Deterministic on one slot: later permutations of the
+                // two-writes space re-reach explored states.
+                assert!(stats.subsumed > 0, "subsumption must fire");
+            }
+        }
+    }
+
+    #[test]
+    fn model_panics_surface_as_executor_panic_on_every_slot_count() {
+        let mut w = Workload::builder();
+        w.update(er_pi_model::ReplicaId::new(0), "x", [Value::from(1)]);
+        w.update(er_pi_model::ReplicaId::new(0), "y", [Value::from(2)]);
+        let w = w.build();
+        for slots in SLOT_COUNTS {
+            let campaign = Campaign::new(dfs_params(w.clone(), slots), DEFAULT_CHUNK_SIZE);
+            let (model, suite) = (&Bomb, &TestSuite::new());
+            match campaign.run(Subject { model, suite }) {
+                Err(ErPiError::ExecutorPanic(what)) => assert!(what.contains("campaign kaboom")),
+                other => panic!(
+                    "{slots} slots: expected ExecutorPanic, got {:?}",
+                    other.map(|o| o.runs.len())
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn a_tripped_token_cancels_at_the_claim_and_before_the_merge() {
+        let suite = TestSuite::new();
+        for slots in SLOT_COUNTS {
+            // Tripped before the first claim: nothing runs.
+            let token = CancelToken::new();
+            token.cancel();
+            let mut params = dfs_params(two_writes(), slots);
+            params.cancel = Some(token);
+            let result = run(params, &suite);
+            assert!(matches!(result, Err(ErPiError::Cancelled)), "{slots} slots");
+        }
+
+        // Tripped after the last claim: every run is in the table, and the
+        // campaign is still discarded.
+        let token = CancelToken::new();
+        let mut params = dfs_params(two_writes(), 1);
+        params.cancel = Some(token.clone());
+        let campaign = Campaign::new(params, DEFAULT_CHUNK_SIZE);
+        let on = Subject {
+            model: &RegApp,
+            suite: &suite,
+        };
+        while campaign.step(0, on) {}
+        assert_eq!(campaign.phase(), Phase::Settled);
+        assert_eq!(campaign.table.lock().runs.len(), 24);
+        token.cancel();
+        assert!(matches!(campaign.finish(), Err(ErPiError::Cancelled)));
+    }
+
+    #[test]
+    fn workers_override_parses_strictly() {
+        assert_eq!(parse_workers_override("4"), Some(4));
+        assert_eq!(parse_workers_override(" 16 "), Some(16));
+        assert_eq!(parse_workers_override("0"), None, "zero workers is absurd");
+        assert_eq!(parse_workers_override(""), None);
+        assert_eq!(parse_workers_override("-2"), None);
+        assert_eq!(parse_workers_override("many"), None);
+        assert_eq!(parse_workers_override("4.5"), None);
+    }
+
+    // One test covers both the platform probe and the env override:
+    // `available_workers` reads `ER_PI_WORKERS` on every call, so keeping
+    // the two scenarios in a single #[test] stops the parallel harness
+    // from interleaving them.
+    #[test]
+    fn zero_workers_and_the_er_pi_workers_override() {
+        let mut session = Session::new(RegApp);
+        assert_eq!(session.set_workers(0).workers(), available_workers());
+        assert!(session.workers() >= 1);
+
+        std::env::set_var("ER_PI_WORKERS", "3");
+        let seen = available_workers();
+        let pinned = session.set_workers(0).workers();
+        std::env::remove_var("ER_PI_WORKERS");
+        assert_eq!(seen, 3, "cgroup-limited deployments pin the real budget");
+        assert_eq!(pinned, 3);
+
+        std::env::set_var("ER_PI_WORKERS", "not-a-number");
+        let garbage = available_workers();
+        std::env::remove_var("ER_PI_WORKERS");
+        assert!(garbage >= 1, "garbage overrides fall back to the probe");
+    }
+}

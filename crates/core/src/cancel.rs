@@ -5,11 +5,10 @@ use std::sync::Arc;
 
 /// A shared cancellation flag threaded through a replay campaign.
 ///
-/// Cancellation is *cooperative*: workers poll the token between runs
-/// (sequential replay) or between claimed chunks (pooled and service
-/// replay) — a chunk that has already been claimed always executes to
-/// completion, which keeps dispensed index ranges dense and the merge
-/// deterministic. A cancelled campaign surfaces as
+/// Cancellation is *cooperative*: replay slots poll the token between
+/// claimed chunks, and the merge looks at it once more — a chunk that has
+/// already been claimed executes to completion, and a token tripped after
+/// the last claim still cancels. A cancelled campaign surfaces as
 /// [`ErPiError::Cancelled`](crate::ErPiError::Cancelled) and discards its
 /// partial results; co-scheduled campaigns on a shared
 /// [`ExecutorService`](crate::ExecutorService) are unaffected.

@@ -204,8 +204,8 @@ impl<S: Clone> PathCache<S> {
 /// [`InlineExecutor`](crate::InlineExecutor) — states, outcomes and
 /// `sim_us` — for any budget and any hint; the differential-equivalence
 /// harness (`tests/incremental_equivalence.rs`, `tests/incremental_props.rs`)
-/// pins this. Each executor owns its paths, so pooled replay gives one to
-/// each worker: its chunked claims are a subsequence of the sorted stream,
+/// pins this. Each executor owns its paths, so a campaign gives one to each
+/// replay slot: its chunked claims are a subsequence of the sorted stream,
 /// sorted too, so it loses nothing.
 #[derive(Debug)]
 pub struct IncrementalExecutor<M: SystemModel> {

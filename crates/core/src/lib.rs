@@ -131,6 +131,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod campaign;
 mod cancel;
 mod checks;
 mod constraints;
@@ -142,7 +143,6 @@ mod incremental;
 mod instrument;
 mod metrics;
 mod misconceptions;
-mod pool;
 mod profile;
 mod report;
 mod sanitizer;
@@ -153,6 +153,7 @@ mod summary;
 mod system;
 mod time;
 
+pub use campaign::DEFAULT_CHUNK_SIZE;
 pub use cancel::CancelToken;
 pub use checks::{Assertion, CheckContext, CrossCheck, CrossContext, TestSuite};
 pub use constraints::ConstraintsDir;
@@ -164,7 +165,6 @@ pub use forensics::{
 pub use incremental::{IncrementalExecutor, DEFAULT_CACHE_BUDGET};
 pub use metrics::SessionMetrics;
 pub use misconceptions::{misconception, Misconception};
-pub use pool::{ReplayPool, DEFAULT_CHUNK_SIZE};
 pub use profile::{CacheStats, FailureStats, ReplicaLoad, ResourceProfile, WorkerLoad};
 pub use report::{Report, RunRecord, Violation};
 pub use sanitizer::{IndependenceViolation, SanitizerReport};

@@ -107,30 +107,17 @@ impl ResourceProfile {
     pub fn campaign_secs(&self, interleavings: usize) -> f64 {
         self.run_cost_us() as f64 * interleavings as f64 / 1e6
     }
-
-    /// Projects the campaign under the parallel replay pool: runs are
-    /// independent, so the ideal wall-clock bound is the sequential
-    /// campaign divided across `workers` (the `fig_parallel` benchmark
-    /// measures how close the pool gets).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `workers` is zero.
-    pub fn campaign_secs_parallel(&self, interleavings: usize, workers: usize) -> f64 {
-        assert!(workers > 0, "at least one worker");
-        self.campaign_secs(interleavings) / workers as f64
-    }
 }
 
-/// One replay worker's share of a pooled replay — how many interleavings
-/// it claimed and how much simulated time they cost. Threaded into
+/// One replay slot's share of a campaign — how many interleavings it
+/// replayed and how much simulated time they cost. Threaded into
 /// [`Report::worker_loads`](crate::Report::worker_loads) so the fig8/fig9/
 /// fig10 timing pipelines can attribute cost per worker; the *assignment*
 /// of runs to workers is scheduling-dependent, but the totals across
 /// workers are not.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct WorkerLoad {
-    /// Worker index within the pool (0-based).
+    /// Slot index within the campaign (0-based).
     pub worker: usize,
     /// Interleavings this worker replayed (including runs later discarded
     /// by the lowest-violation-wins merge).
@@ -183,7 +170,7 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Merges another worker's counters into this one (pooled replays sum
+    /// Merges another slot's counters into this one (campaigns sum
     /// the per-worker caches).
     pub fn absorb(&mut self, other: &CacheStats) {
         self.hits += other.hits;

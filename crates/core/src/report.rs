@@ -59,13 +59,13 @@ pub struct Report {
     /// Pre-replay lint diagnostics from the static trace analysis
     /// (misconception patterns flagged before any interleaving ran).
     pub diagnostics: Vec<Diagnostic>,
-    /// Per-worker replay counters of the parallel pool (empty for a
-    /// sequential replay). The run→worker assignment is
+    /// Per-slot replay counters, one entry per replay slot (slot 0 is the
+    /// thread that called `replay`). The run→slot assignment is
     /// scheduling-dependent; every other field of the report is not.
     pub worker_loads: Vec<WorkerLoad>,
     /// Checkpoint-cache counters of the incremental executor (`None` for a
-    /// scratch replay). Under a pool the counters are summed over the
-    /// per-worker executors, which makes them scheduling-dependent — like
+    /// scratch replay). The counters are summed over the per-slot
+    /// executors, which makes them scheduling-dependent — like
     /// `worker_loads` and `wall_ms` they are excluded from [`Report::diff`].
     pub cache_stats: Option<CacheStats>,
     /// The end-of-session attribution table unifying the pruning, worker,
@@ -106,7 +106,7 @@ impl Report {
     /// counters (all legitimately scheduling-dependent) — and names the first
     /// field that differs. `None` means the reports are equivalent: this is
     /// the differential oracle behind the parallel-equivalence suite, where
-    /// a pooled replay must be indistinguishable from a sequential one.
+    /// a replay on many slots must be indistinguishable from one on one.
     pub fn diff(&self, other: &Report) -> Option<String> {
         macro_rules! cmp {
             ($field:ident) => {

@@ -1,32 +1,27 @@
 //! The testing session: `ER-π.Start()` … `ER-π.End(assertions)`.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
 use er_pi_datalog::InterleavingStore;
 use er_pi_interleave::{
-    enumerate_plans, DfsExplorer, ErPiExplorer, ExploreMode, Explorer, FaultProduct, FaultSpace,
-    FilterTimings, IndexedSource, PruneStats, PruningConfig, RandomExplorer,
+    enumerate_plans, ExploreMode, FaultSpace, FilterTimings, PruneStats, PruningConfig,
 };
-use er_pi_model::{
-    EventId, FaultPlan, Interleaving, OpDescriptor, ReplicaId, Value, Workload, WorkloadBuilder,
-};
+use er_pi_model::{EventId, FaultPlan, OpDescriptor, ReplicaId, Value, Workload, WorkloadBuilder};
 use er_pi_telemetry::{
-    HitRateMonitor, Progress, ProgressSnapshot, Sink, Telemetry, COORDINATOR_TRACK,
-    HIT_RATE_THRESHOLD, HIT_RATE_WINDOW,
+    Progress, ProgressSnapshot, Sink, Telemetry, COORDINATOR_TRACK, HIT_RATE_THRESHOLD,
+    HIT_RATE_WINDOW,
 };
 
 use er_pi_analysis::{Diagnostic, TraceAnalysis};
 
+use crate::campaign::{available_workers, Campaign, Outcome, Params, Subject, Watch};
 use crate::instrument::{Instrument, ProgressHook};
-use crate::service::CampaignParams;
-use crate::subsume::SubsumeSet;
 use crate::{
-    CacheStats, CancelToken, CheckContext, ConstraintsDir, CrossContext, ErPiError,
-    ExecutorService, FailureStats, IncrementalExecutor, InlineExecutor, OpOutcome, ReplayPool,
-    Report, ResourceProfile, RunRecord, SanitizerReport, SessionMetrics, SessionSummary,
-    SystemModel, TestSuite, TimeModel, Violation, WorkerLoad, DEFAULT_CACHE_BUDGET,
-    DEFAULT_CHUNK_SIZE,
+    CancelToken, ConstraintsDir, CrossContext, ErPiError, ExecutorService, FailureStats, OpOutcome,
+    Report, ResourceProfile, SanitizerReport, SessionMetrics, SessionSummary, SystemModel,
+    TestSuite, TimeModel, Violation, DEFAULT_CACHE_BUDGET, DEFAULT_CHUNK_SIZE,
 };
 
 /// The live, recording instance of the system under test.
@@ -136,73 +131,6 @@ impl<'m, M: SystemModel> LiveSystem<'m, M> {
     }
 }
 
-/// An exploration source over any of the three modes.
-enum AnyExplorer<'w> {
-    ErPi(Box<ErPiExplorer<'w>>),
-    Dfs(DfsExplorer),
-    Rand(RandomExplorer),
-}
-
-impl Iterator for AnyExplorer<'_> {
-    type Item = Interleaving;
-
-    fn next(&mut self) -> Option<Interleaving> {
-        match self {
-            AnyExplorer::ErPi(e) => e.next(),
-            AnyExplorer::Dfs(e) => e.next(),
-            AnyExplorer::Rand(e) => e.next(),
-        }
-    }
-}
-
-impl AnyExplorer<'_> {
-    fn mode_name(&self) -> &'static str {
-        match self {
-            AnyExplorer::ErPi(e) => e.name(),
-            AnyExplorer::Dfs(e) => e.name(),
-            AnyExplorer::Rand(e) => e.name(),
-        }
-    }
-
-    fn wasted(&self) -> u64 {
-        match self {
-            AnyExplorer::ErPi(e) => e.wasted_work(),
-            AnyExplorer::Dfs(e) => e.wasted_work(),
-            AnyExplorer::Rand(e) => e.wasted_work(),
-        }
-    }
-
-    fn stats(&self) -> Option<PruneStats> {
-        match self {
-            AnyExplorer::ErPi(e) => Some(e.stats()),
-            _ => None,
-        }
-    }
-
-    /// Turns on per-filter wall-time measurement (ER-π mode only; the
-    /// other modes have no filters to time).
-    fn enable_timing(&mut self) {
-        if let AnyExplorer::ErPi(e) = self {
-            e.enable_timing();
-        }
-    }
-
-    fn timings(&self) -> Option<FilterTimings> {
-        match self {
-            AnyExplorer::ErPi(e) => Some(e.timings()),
-            _ => None,
-        }
-    }
-
-    /// Attaches the live sleep-set prune tally (ER-π mode only; inert when
-    /// sleep sets are off or no pair of units commutes).
-    fn set_sleep_tally(&mut self, tally: Arc<std::sync::atomic::AtomicU64>) {
-        if let AnyExplorer::ErPi(e) = self {
-            e.set_sleep_tally(tally);
-        }
-    }
-}
-
 /// One integration-testing session over a [`SystemModel`].
 ///
 /// Mirrors the paper's workflow: [`Session::record`] is State 1 (event
@@ -224,7 +152,6 @@ pub struct Session<M: SystemModel> {
     cache_budget: usize,
     subsume: bool,
     sleep_sets: bool,
-    chunk_size: usize,
     time: TimeModel,
     constraints: Option<ConstraintsDir>,
     constraint_poll_every: usize,
@@ -243,22 +170,6 @@ pub struct Session<M: SystemModel> {
     metrics: Option<SessionMetrics>,
 }
 
-/// What either replay strategy produces before the report is assembled.
-struct ReplayOutcome {
-    mode: String,
-    runs: Vec<RunRecord>,
-    violations: Vec<Violation>,
-    first_violation_at: Option<usize>,
-    sim_us: u64,
-    stopped_early: bool,
-    prune_stats: Option<PruneStats>,
-    wasted: u64,
-    store: Option<InterleavingStore>,
-    worker_loads: Vec<WorkerLoad>,
-    cache_stats: Option<CacheStats>,
-    filter_timings: Option<FilterTimings>,
-}
-
 impl<M: SystemModel> Session<M> {
     /// Creates a session with default settings: ER-π mode, the paper's
     /// 10 000-interleaving cap, and the three-host time model.
@@ -271,12 +182,11 @@ impl<M: SystemModel> Session<M> {
             max_interleavings: 10_000,
             stop_on_first_violation: false,
             keep_runs: false,
-            workers: ReplayPool::available_workers(),
+            workers: available_workers(),
             incremental: true,
             cache_budget: DEFAULT_CACHE_BUDGET,
             subsume: false,
             sleep_sets: false,
-            chunk_size: DEFAULT_CHUNK_SIZE,
             time: TimeModel::paper_setup(),
             constraints: None,
             constraint_poll_every: 100,
@@ -345,20 +255,20 @@ impl<M: SystemModel> Session<M> {
         self
     }
 
-    /// Sets the number of replay worker threads (default: all available
-    /// cores; `0` also means "all available cores").
+    /// Sets the number of replay slots (default: all available cores; `0`
+    /// also means "all available cores").
     ///
-    /// With more than one worker, [`Session::replay`] fans the pruned
-    /// interleaving set across a [`ReplayPool`]; the merged report is
-    /// deterministically identical to the sequential one (compare with
-    /// [`Report::diff`]). `1` forces the sequential in-situ path — the
-    /// reference the differential-equivalence suite checks the pool
-    /// against. Sessions watching a constraints directory replay
-    /// sequentially regardless, because State-4 ingestion is a feedback
-    /// loop on the live exploration order.
+    /// [`Session::replay`] steps slot 0 on the calling thread and every
+    /// further slot on a scoped thread of its own, all claiming chunks of
+    /// the pruned interleaving set from one dispenser; the merged report
+    /// does not depend on the count (compare with [`Report::diff`]) — the
+    /// differential-equivalence suites check every count against a naive
+    /// loop that is not this engine. Sessions watching a constraints
+    /// directory replay on one slot regardless, because State-4 ingestion
+    /// is a feedback loop on the live exploration order.
     pub fn set_workers(&mut self, workers: usize) -> &mut Self {
         self.workers = if workers == 0 {
-            ReplayPool::available_workers()
+            available_workers()
         } else {
             workers
         };
@@ -399,7 +309,7 @@ impl<M: SystemModel> Session<M> {
     /// (default: [`DEFAULT_CACHE_BUDGET`], 64 MiB): a cap on the snapshot
     /// bytes resident at once, over which a snapshot is not taken. An
     /// executor holds at most `N - 1` snapshots per fault plan, so the
-    /// default only bites on very large states; each pool worker gets its
+    /// default only bites on very large states; each replay slot gets its
     /// own executor with this budget. A budget of `0` keeps incremental
     /// bookkeeping but takes no snapshots — every run replays from
     /// scratch.
@@ -464,22 +374,6 @@ impl<M: SystemModel> Session<M> {
     /// Whether sleep-set pruning is enabled.
     pub fn sleep_sets(&self) -> bool {
         self.sleep_sets
-    }
-
-    /// Sets the pool dispenser's claim granularity, in interleavings per
-    /// claim (default: [`DEFAULT_CHUNK_SIZE`]; values below 1 are
-    /// clamped). Larger chunks amortize the dispenser lock and keep each
-    /// worker's stream prefix-coherent (deeper resumes); smaller
-    /// chunks react faster to stop-on-first-violation cancellation, which
-    /// is only checked between chunks. Sequential replay ignores it.
-    pub fn set_chunk_size(&mut self, chunk: usize) -> &mut Self {
-        self.chunk_size = chunk.max(1);
-        self
-    }
-
-    /// The configured claim-chunk granularity.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk_size
     }
 
     /// Replaces the simulated-time model.
@@ -599,10 +493,10 @@ impl<M: SystemModel> Session<M> {
 
     /// Attaches a cooperative [`CancelToken`] to every subsequent replay.
     ///
-    /// Cancellation is checked between runs (sequential strategy) or
-    /// between claimed chunks (pooled and service strategies): tripping
-    /// the token makes the in-flight replay stop at the next boundary and
-    /// return [`ErPiError::Cancelled`], discarding its partial results.
+    /// Cancellation is checked between claimed chunks and once more
+    /// before the merge: tripping the token makes the in-flight replay
+    /// stop at the next boundary and return [`ErPiError::Cancelled`],
+    /// discarding its partial results.
     /// The session stays usable — replace or clear the token and replay
     /// again. The campaign server trips a per-campaign token from its
     /// `DELETE /campaigns/:id` handler.
@@ -642,8 +536,8 @@ impl<M: SystemModel> Session<M> {
     ///
     /// Fault plans are part of run identity — they enter interleaving
     /// fingerprints, dedup, persistence, and the path-cache step keys — so
-    /// pooled, incremental, and sequential replays of the same plan list
-    /// produce byte-identical reports ([`Report::diff`] returns `None`).
+    /// incremental and scratch replays of the same plan list, at any worker
+    /// count, produce byte-identical reports ([`Report::diff`] returns `None`).
     ///
     /// Takes precedence over [`Session::set_fault_space`]. An empty list
     /// (or neither setter called) keeps the fault-free pipeline
@@ -701,61 +595,50 @@ impl<M: SystemModel> Session<M> {
             .ok_or(ErPiError::NothingRecorded)
     }
 
-    /// Builds the exploration source for one replay: the mode's explorer
-    /// lifted to the `orders × plans` product. With no fault configuration
-    /// the product holds the single empty plan and is a transparent
-    /// pass-through — emitted interleavings are bit-identical to the bare
-    /// explorer's.
-    fn build_explorer<'w>(
+    /// Sets up the campaign both replay entry points run: this session's
+    /// exploration of `workload` under `effective`, on `slots` slots.
+    fn campaign<'w>(
         &self,
-        workload: &'w Workload,
-        config: &PruningConfig,
-        plans: &[FaultPlan],
-    ) -> FaultProduct<AnyExplorer<'w>> {
-        let explorer = match self.mode {
-            ExploreMode::ErPi => AnyExplorer::ErPi(Box::new(ErPiExplorer::new(workload, config))),
-            ExploreMode::Dfs => AnyExplorer::Dfs(DfsExplorer::new(workload)),
-            ExploreMode::Random { seed } => AnyExplorer::Rand(RandomExplorer::new(workload, seed)),
+        workload: Cow<'w, Workload>,
+        effective: PruningConfig,
+        slots: usize,
+        instrument: &Instrument,
+    ) -> Campaign<'w, M> {
+        let params = Params {
+            plans: self.resolve_fault_plans(&workload),
+            workload,
+            mode: self.mode,
+            config: effective,
+            cap: self.max_interleavings,
+            time: self.time.clone(),
+            stop_on_first_violation: self.stop_on_first_violation,
+            incremental_budget: self.incremental.then_some(self.cache_budget),
+            subsume: self.subsume,
+            slots,
+            instrument: instrument.clone(),
+            cancel: self.cancel.clone(),
         };
-        FaultProduct::new(explorer, plans.to_vec())
-    }
-
-    /// [`Session::build_explorer`] with an owned workload: the `'static`
-    /// source a campaign needs to outlive this call on the shared
-    /// [`ExecutorService`] threads. Emits bit-identical interleavings —
-    /// [`ErPiExplorer::owned`] is the same explorer over a `Cow::Owned`
-    /// workload, and the other two modes never borrowed it to begin with.
-    fn build_explorer_owned(
-        &self,
-        workload: &Workload,
-        config: &PruningConfig,
-        plans: &[FaultPlan],
-    ) -> FaultProduct<AnyExplorer<'static>> {
-        let explorer = match self.mode {
-            ExploreMode::ErPi => {
-                AnyExplorer::ErPi(Box::new(ErPiExplorer::owned(workload.clone(), config)))
-            }
-            ExploreMode::Dfs => AnyExplorer::Dfs(DfsExplorer::new(workload)),
-            ExploreMode::Random { seed } => AnyExplorer::Rand(RandomExplorer::new(workload, seed)),
-        };
-        FaultProduct::new(explorer, plans.to_vec())
+        Campaign::new(params, DEFAULT_CHUNK_SIZE)
     }
 
     /// Replays the recorded workload's interleavings and checks `suite`
     /// after each one — States 2–4 of the paper's workflow.
     ///
-    /// With the session's worker count above one (the default is all
-    /// available cores, see [`Session::set_workers`]), the pruned set is
-    /// fanned across a [`ReplayPool`]; the merged report is
-    /// deterministically identical to a single-worker replay.
+    /// The pruned set is dispensed in chunks to the session's replay slots
+    /// (the default is one per available core, see
+    /// [`Session::set_workers`]): slot 0 runs on the calling thread, every
+    /// further slot on a scoped thread, and the merged report is
+    /// deterministically identical for any slot count.
     ///
     /// # Errors
     ///
     /// [`ErPiError::NothingRecorded`] without a prior
     /// [`Session::record`]/[`Session::set_workload`];
     /// [`ErPiError::Constraints`] if a constraints file is malformed;
-    /// [`ErPiError::ExecutorPanic`] if the model panics inside a pooled
-    /// replay worker (the session stays usable).
+    /// [`ErPiError::ExecutorPanic`] if the model panics during a replay,
+    /// on any slot (the session stays usable);
+    /// [`ErPiError::Cancelled`] if the session's
+    /// [cancel token](Session::set_cancel_token) trips mid-campaign.
     pub fn replay(&mut self, suite: &TestSuite<M::State>) -> Result<Report, ErPiError>
     where
         M: Sync,
@@ -763,54 +646,45 @@ impl<M: SystemModel> Session<M> {
     {
         let workload = self.workload.clone().ok_or(ErPiError::NothingRecorded)?;
         let started = Instant::now();
-        let slots = if self.workers > 1 && self.constraints.is_none() {
-            self.workers
-        } else {
-            1
+        let slots = match self.constraints {
+            Some(_) => 1,
+            None => self.workers,
         };
         let instrument = self.build_instrument(&workload, slots);
-        let (diagnostics, mut effective) = self.prepare_replay(&workload)?;
-
-        // Constraint watching is a feedback loop on the live exploration
-        // order (State 4 → State 2), so it pins the sequential strategy.
-        let outcome = if self.workers > 1 && self.constraints.is_none() {
-            self.replay_pooled(&workload, &effective, suite, &instrument)?
-        } else {
-            self.replay_sequential(&workload, &mut effective, suite, &instrument)?
-        };
-
-        Ok(self.finish_replay(
-            &workload,
-            &effective,
-            suite,
-            &instrument,
-            started,
-            outcome,
-            diagnostics,
-        ))
+        let (diagnostics, effective) = self.prepare_replay(&workload)?;
+        let mut campaign = self.campaign(Cow::Borrowed(&workload), effective, slots, &instrument);
+        if let Some(dir) = self.constraints.as_mut() {
+            campaign.watch(Watch {
+                dir,
+                config: &mut self.config,
+                every: self.constraint_poll_every,
+            });
+        }
+        let model = &self.model;
+        let outcome = campaign.run(Subject { model, suite })?;
+        Ok(self.finish_replay(&workload, suite, &instrument, started, outcome, diagnostics))
     }
 
     /// Replays the recorded workload on a shared [`ExecutorService`]
-    /// instead of a private [`ReplayPool`]: the campaign is queued at
-    /// `priority` (lower is more urgent) and its chunks are multiplexed
-    /// over the service's process-wide worker threads alongside every
-    /// co-scheduled campaign. The merged report is deterministically
-    /// identical to [`Session::replay`] on the same session — byte for
-    /// byte under [`Report::canonical_json`], for any co-tenancy mix — the
-    /// contract the `server_equivalence` suite pins.
+    /// instead of threads of its own: the campaign is queued at `priority`
+    /// (lower is more urgent) and its chunks are multiplexed over the
+    /// service's process-wide worker threads alongside every co-scheduled
+    /// campaign. It is the same campaign [`Session::replay`] runs, stepped
+    /// by other threads, so the merged report is deterministically
+    /// identical — byte for byte under [`Report::canonical_json`], for any
+    /// co-tenancy mix — the contract the `server_equivalence` suite pins.
     ///
     /// Unlike [`Session::replay`], the service path needs to ship the
     /// campaign to threads that outlive this call, hence the stronger
     /// bounds (`M: Clone + Send + Sync + 'static`). A watched constraints
     /// directory is polled once before generation (as always) but not
-    /// between runs — State-4 live ingestion stays a sequential-replay
-    /// feature.
+    /// between runs — State-4 live ingestion pins a campaign to one slot,
+    /// which a shared service does not offer.
     ///
     /// # Errors
     ///
-    /// Everything [`Session::replay`] returns, plus
-    /// [`ErPiError::Cancelled`] if the session's
-    /// [cancel token](Session::set_cancel_token) trips mid-campaign.
+    /// Everything [`Session::replay`] returns; a service shut down with
+    /// the campaign still queued also reports [`ErPiError::Cancelled`].
     pub fn replay_on(
         &mut self,
         service: &ExecutorService,
@@ -823,19 +697,13 @@ impl<M: SystemModel> Session<M> {
     {
         let workload = self.workload.clone().ok_or(ErPiError::NothingRecorded)?;
         let started = Instant::now();
-        let instrument = self.build_instrument(&workload, service.workers());
+        let slots = service.workers();
+        let instrument = self.build_instrument(&workload, slots);
         let (diagnostics, effective) = self.prepare_replay(&workload)?;
+        let campaign = self.campaign(Cow::Owned(workload.clone()), effective, slots, &instrument);
         let outcome =
-            self.replay_service(service, priority, &workload, &effective, suite, &instrument)?;
-        Ok(self.finish_replay(
-            &workload,
-            &effective,
-            suite,
-            &instrument,
-            started,
-            outcome,
-            diagnostics,
-        ))
+            service.run_campaign(campaign, self.model.clone(), suite.clone(), priority)?;
+        Ok(self.finish_replay(&workload, suite, &instrument, started, outcome, diagnostics))
     }
 
     /// The shared pre-replay pipeline: static analysis, pending-constraint
@@ -910,16 +778,14 @@ impl<M: SystemModel> Session<M> {
 
     /// The shared post-replay pipeline: the independence sanitizer, the
     /// cross-interleaving checks, retry-cost accounting, pruner spans, the
-    /// session summary, and the assembled [`Report`].
-    #[allow(clippy::too_many_arguments)]
+    /// persisted store, the session summary, and the assembled [`Report`].
     fn finish_replay(
         &mut self,
         workload: &Workload,
-        effective: &PruningConfig,
         suite: &TestSuite<M::State>,
         instrument: &Instrument,
         started: Instant,
-        mut outcome: ReplayOutcome,
+        mut outcome: Outcome,
         diagnostics: Vec<Diagnostic>,
     ) -> Report {
         // Dynamic independence cross-check: re-execute every adjacent
@@ -929,7 +795,7 @@ impl<M: SystemModel> Session<M> {
         self.sanitizer_report = self.sanitize.then(|| {
             let t_sanitize = self.telemetry.start();
             let report =
-                crate::sanitizer::sanitize(&self.model, workload, effective, &outcome.runs);
+                crate::sanitizer::sanitize(&self.model, workload, &outcome.config, &outcome.runs);
             self.telemetry.span_since(
                 COORDINATOR_TRACK,
                 "sanitize",
@@ -1003,9 +869,9 @@ impl<M: SystemModel> Session<M> {
 
         // Headless surfacing of the degraded-cache warning (the sink-side
         // `HitRateMonitor` sees it live; this covers campaigns with no
-        // sink attached, across every replay strategy). Advisories are
-        // scheduling-dependent — pooled attribution depends on which
-        // worker got which run — so they live OUTSIDE the byte-identical
+        // sink attached). Advisories are scheduling-dependent — hit/miss
+        // attribution depends on which slot got which run — so they live
+        // OUTSIDE the byte-identical
         // report contract, like `wall_ms` and `worker_loads`.
         let mut advisories: Vec<String> = Vec::new();
         if self.incremental {
@@ -1031,7 +897,14 @@ impl<M: SystemModel> Session<M> {
             }
         }
 
-        self.store = outcome.store;
+        // The persisted store mirrors the retained runs in dispatch order.
+        self.store = self.persist.then(|| {
+            let mut store = InterleavingStore::new(workload);
+            for run in &outcome.runs {
+                store.store(&run.interleaving);
+            }
+            store
+        });
         let report = Report {
             mode: outcome.mode,
             explored: outcome.runs.len(),
@@ -1122,432 +995,12 @@ impl<M: SystemModel> Session<M> {
             cursor += dur_us.max(1);
         }
     }
-
-    /// The in-situ sequential strategy: one interleaving at a time, with
-    /// State-4 constraint ingestion and regeneration between runs. This is
-    /// the reference semantics the parallel pool is checked against.
-    fn replay_sequential(
-        &mut self,
-        workload: &Workload,
-        effective: &mut PruningConfig,
-        suite: &TestSuite<M::State>,
-        instrument: &Instrument,
-    ) -> Result<ReplayOutcome, ErPiError> {
-        let telemetry = instrument.telemetry.clone();
-        let plans = self.resolve_fault_plans(workload);
-        let mut explorer = self.build_explorer(workload, effective, &plans);
-        if telemetry.is_active() {
-            explorer.inner_mut().enable_timing();
-        }
-        if let Some(progress) = &instrument.progress {
-            explorer.inner_mut().set_sleep_tally(progress.sleep_tally());
-        }
-        let mode = explorer.inner().mode_name().to_owned();
-        let mut source = IndexedSource::new(explorer, self.max_interleavings);
-        let mut runs: Vec<RunRecord> = Vec::new();
-        let mut violations: Vec<Violation> = Vec::new();
-        let mut first_violation_at = None;
-        let mut sim_us: u64 = 0;
-        let mut stopped_by_violation = false;
-        let mut store = self.persist.then(|| InterleavingStore::new(workload));
-        // Subsumption without incremental replay still rides on the
-        // incremental executor — with a zero snapshot budget, so it keeps
-        // no path and only the explored-set layer is live.
-        let mut incremental = (self.incremental || self.subsume).then(|| {
-            let budget = if self.incremental {
-                self.cache_budget
-            } else {
-                0
-            };
-            let mut e = IncrementalExecutor::<M>::new(budget);
-            if self.subsume {
-                e.enable_subsumption(Arc::new(SubsumeSet::new()));
-            }
-            e
-        });
-        let mut hit_monitor = (self.incremental
-            && (telemetry.is_active() || self.metrics.is_some()))
-        .then(HitRateMonitor::default);
-
-        // One interleaving of lookahead tells the incremental executor
-        // which snapshots the next run can still resume from. Not under
-        // State-4 constraint watching, where a reseed between two runs
-        // decides the next candidate.
-        let lookahead = self.incremental && self.constraints.is_none();
-        // The explorer's counters as of the run a violation stopped the
-        // loop at: the candidate peeked past it must not show in them.
-        let mut counters_at_stop = None;
-        let mut current = source.next();
-        while let Some((run_index, il)) = current.take() {
-            // Cooperative cancellation: between runs only, so a cancelled
-            // campaign never leaves a half-executed interleaving behind.
-            if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                return Err(ErPiError::Cancelled);
-            }
-            let counters = self.stop_on_first_violation.then(|| {
-                let explorer = source.inner().inner();
-                (explorer.stats(), explorer.wasted())
-            });
-            let peeked = if lookahead { source.next() } else { None };
-            if let Some(store) = store.as_mut() {
-                store.store(&il);
-            }
-
-            // State 3: checkpointed execution of one interleaving. Fresh
-            // states per run are the checkpoint/reset of §4.3; the
-            // incremental executor reaches the same states by resuming
-            // from the deepest cached prefix (byte-identical execution —
-            // see the correctness argument in `incremental`).
-            let t_run = telemetry.start();
-            let exec = match incremental.as_mut() {
-                Some(executor) => executor.execute_hinted(
-                    &self.model,
-                    workload,
-                    &il,
-                    peeked.as_ref().map(|(_, next)| next),
-                    &self.time,
-                ),
-                None => InlineExecutor::execute(&self.model, workload, &il, &self.time),
-            };
-            let resumed_depth = incremental.as_ref().map(|e| e.last_resume_depth());
-            sim_us += exec.sim_us;
-            let observations: Vec<Value> =
-                exec.states.iter().map(|s| self.model.observe(s)).collect();
-
-            let ctx = CheckContext {
-                states: &exec.states,
-                observations: &observations,
-                interleaving: &il,
-                outcomes: &exec.outcomes,
-            };
-            let t_check = telemetry.start();
-            let mut violated = false;
-            for assertion in suite.assertions() {
-                if let Err(message) = assertion.check(&ctx) {
-                    violated = true;
-                    violations.push(Violation {
-                        run: Some(run_index),
-                        assertion: assertion.name().to_owned(),
-                        message,
-                        interleaving: Some(il.clone()),
-                    });
-                }
-            }
-            if violated && first_violation_at.is_none() {
-                first_violation_at = Some(run_index);
-            }
-            if telemetry.is_active() {
-                telemetry.span_since(
-                    COORDINATOR_TRACK,
-                    "check",
-                    t_check,
-                    vec![
-                        ("assertions", suite.assertions().len().into()),
-                        ("violated", violated.into()),
-                    ],
-                );
-                telemetry.span_since(
-                    COORDINATOR_TRACK,
-                    "run",
-                    t_run,
-                    vec![
-                        ("index", run_index.into()),
-                        ("resumed_depth", resumed_depth.unwrap_or(0).into()),
-                        ("sim_us", exec.sim_us.into()),
-                        ("violated", violated.into()),
-                        ("failed_ops", ctx_failed(&exec.outcomes).into()),
-                    ],
-                );
-            }
-            // No hit/miss attribution from a zero-budget subsumption-only
-            // executor — it always resumes from depth 0.
-            let cache_hit = self.incremental.then(|| resumed_depth.unwrap_or(0) > 0);
-            if let (Some(monitor), Some(hit)) = (hit_monitor.as_mut(), cache_hit) {
-                if let Some(message) = monitor.record(hit) {
-                    if let Some(metrics) = &self.metrics {
-                        metrics.warn_low_hit_rate();
-                    }
-                    telemetry.warn(COORDINATOR_TRACK, "cache:low-hit-rate", message);
-                }
-            }
-            let subsumed = incremental
-                .as_ref()
-                .is_some_and(IncrementalExecutor::last_run_subsumed);
-            instrument.run_done(0, cache_hit, subsumed);
-
-            runs.push(RunRecord {
-                interleaving: il,
-                observations,
-                failed_ops: ctx_failed(&exec.outcomes),
-                sim_us: exec.sim_us,
-            });
-
-            if violated && self.stop_on_first_violation {
-                stopped_by_violation = true;
-                counters_at_stop = counters;
-                break;
-            }
-
-            // State 4: periodically ingest runtime constraints and
-            // regenerate the (pruned) interleavings; the source's dedup
-            // set skips everything already replayed.
-            if let Some(constraints) = self.constraints.as_mut() {
-                if runs.len().is_multiple_of(self.constraint_poll_every) {
-                    if let Some(newer) = constraints.poll()? {
-                        self.config.absorb(newer.clone());
-                        effective.absorb(newer);
-                        if matches!(self.mode, ExploreMode::ErPi) {
-                            source.reseed(self.build_explorer(workload, effective, &plans));
-                        }
-                    }
-                }
-            }
-            current = if lookahead { peeked } else { source.next() };
-        }
-
-        let stopped_early = stopped_by_violation || source.truncated();
-        let explorer = source.inner().inner();
-        let (prune_stats, wasted) =
-            counters_at_stop.unwrap_or_else(|| (explorer.stats(), explorer.wasted()));
-        Ok(ReplayOutcome {
-            mode,
-            runs,
-            violations,
-            first_violation_at,
-            sim_us,
-            stopped_early,
-            prune_stats,
-            wasted,
-            store,
-            worker_loads: Vec::new(),
-            cache_stats: incremental.map(|e| e.stats()),
-            filter_timings: explorer.timings(),
-        })
-    }
-
-    /// The pooled strategy: the same dispensing discipline, with execution
-    /// fanned across [`ReplayPool`] workers and results merged back into
-    /// exploration order.
-    fn replay_pooled(
-        &self,
-        workload: &Workload,
-        effective: &PruningConfig,
-        suite: &TestSuite<M::State>,
-        instrument: &Instrument,
-    ) -> Result<ReplayOutcome, ErPiError>
-    where
-        M: Sync,
-        M::State: Send + Sync,
-    {
-        let plans = self.resolve_fault_plans(workload);
-        let mut explorer = self.build_explorer(workload, effective, &plans);
-        if instrument.telemetry.is_active() {
-            explorer.inner_mut().enable_timing();
-        }
-        if let Some(progress) = &instrument.progress {
-            explorer.inner_mut().set_sleep_tally(progress.sleep_tally());
-        }
-        let mode = explorer.inner().mode_name().to_owned();
-        let mut source = IndexedSource::new(explorer, self.max_interleavings);
-        let pool = ReplayPool::new(self.workers);
-        let subsume = self.subsume.then(|| Arc::new(SubsumeSet::new()));
-        let out = pool.run(
-            &self.model,
-            workload,
-            &mut source,
-            &self.time,
-            suite,
-            self.stop_on_first_violation,
-            self.incremental.then_some(self.cache_budget),
-            subsume.as_ref(),
-            self.chunk_size,
-            instrument,
-            self.cancel.as_ref(),
-        )?;
-
-        // Deterministic explorer counters: after a cooperative cancellation
-        // the pool has usually dispensed past the sequential stop point, so
-        // the live explorer's pruning/retry counters depend on scheduling.
-        // Re-derive them by dispensing exactly the retained run count from
-        // a fresh explorer — cheap (generation only) and bit-equal to what
-        // the sequential strategy would have observed.
-        let (prune_stats, wasted) = if out.cancelled {
-            let mut redo = IndexedSource::new(
-                self.build_explorer(workload, effective, &plans),
-                self.max_interleavings,
-            );
-            for _ in 0..out.runs.len() {
-                redo.next();
-            }
-            (redo.inner().inner().stats(), redo.inner().inner().wasted())
-        } else {
-            (
-                source.inner().inner().stats(),
-                source.inner().inner().wasted(),
-            )
-        };
-
-        // The persisted store mirrors the retained runs in dispatch order.
-        let store = self.persist.then(|| {
-            let mut store = InterleavingStore::new(workload);
-            for run in &out.runs {
-                store.store(&run.interleaving);
-            }
-            store
-        });
-
-        // Timings come from the *live* explorer: they are wall time, so —
-        // unlike the counters above — the dispensed-past-the-stop-point
-        // measurement is exactly what was really spent.
-        let filter_timings = source.inner().inner().timings();
-
-        Ok(ReplayOutcome {
-            mode,
-            stopped_early: out.cancelled || source.truncated(),
-            runs: out.runs,
-            violations: out.violations,
-            first_violation_at: out.first_violation_at,
-            sim_us: out.sim_us,
-            prune_stats,
-            wasted,
-            store,
-            worker_loads: out.worker_loads,
-            cache_stats: out.cache_stats,
-            filter_timings,
-        })
-    }
-
-    /// The service strategy: [`Session::replay_pooled`] with the worker
-    /// threads replaced by a shared, process-wide [`ExecutorService`]. The
-    /// campaign owns its exploration source; the service multiplexes chunk
-    /// claims over its slots and hands the source back for the same
-    /// post-processing the pooled path does.
-    fn replay_service(
-        &self,
-        service: &ExecutorService,
-        priority: u8,
-        workload: &Workload,
-        effective: &PruningConfig,
-        suite: &TestSuite<M::State>,
-        instrument: &Instrument,
-    ) -> Result<ReplayOutcome, ErPiError>
-    where
-        M: Clone + Send + Sync + 'static,
-        M::State: Send + Sync,
-    {
-        let plans = self.resolve_fault_plans(workload);
-        let mut explorer = self.build_explorer_owned(workload, effective, &plans);
-        if instrument.telemetry.is_active() {
-            explorer.inner_mut().enable_timing();
-        }
-        if let Some(progress) = &instrument.progress {
-            explorer.inner_mut().set_sleep_tally(progress.sleep_tally());
-        }
-        let mode = explorer.inner().mode_name().to_owned();
-        let source = IndexedSource::new(explorer, self.max_interleavings);
-        let params = CampaignParams {
-            model: self.model.clone(),
-            workload: workload.clone(),
-            time: self.time.clone(),
-            suite: suite.clone(),
-            stop_on_first_violation: self.stop_on_first_violation,
-            incremental_budget: self.incremental.then_some(self.cache_budget),
-            subsume: self.subsume.then(|| Arc::new(SubsumeSet::new())),
-            chunk_size: self.chunk_size,
-            instrument: instrument.clone(),
-            cancel: self.cancel.clone(),
-        };
-        let (out, source) = service.run_campaign(params, source, priority)?;
-
-        // Deterministic explorer counters after a stop-on-first
-        // cancellation: same re-derivation as the pooled path (see
-        // `replay_pooled`).
-        let (prune_stats, wasted) = if out.cancelled {
-            let mut redo = IndexedSource::new(
-                self.build_explorer(workload, effective, &plans),
-                self.max_interleavings,
-            );
-            for _ in 0..out.runs.len() {
-                redo.next();
-            }
-            (redo.inner().inner().stats(), redo.inner().inner().wasted())
-        } else {
-            (
-                source.inner().inner().stats(),
-                source.inner().inner().wasted(),
-            )
-        };
-
-        // The persisted store mirrors the retained runs in dispatch order.
-        let store = self.persist.then(|| {
-            let mut store = InterleavingStore::new(workload);
-            for run in &out.runs {
-                store.store(&run.interleaving);
-            }
-            store
-        });
-
-        let filter_timings = source.inner().inner().timings();
-
-        Ok(ReplayOutcome {
-            mode,
-            stopped_early: out.cancelled || source.truncated(),
-            runs: out.runs,
-            violations: out.violations,
-            first_violation_at: out.first_violation_at,
-            sim_us: out.sim_us,
-            prune_stats,
-            wasted,
-            store,
-            worker_loads: out.worker_loads,
-            cache_stats: out.cache_stats,
-            filter_timings,
-        })
-    }
-}
-
-fn ctx_failed(outcomes: &[OpOutcome]) -> usize {
-    outcomes.iter().filter(|o| o.is_failed()).count()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_pi_model::{Event, EventKind};
-
-    /// Two-replica register with fused sync: replica states are integers;
-    /// `set(v)` writes locally, sync copies the source value over.
-    struct RegApp;
-
-    impl SystemModel for RegApp {
-        type State = i64;
-
-        fn replicas(&self) -> usize {
-            2
-        }
-
-        fn init(&self, _replica: ReplicaId) -> i64 {
-            0
-        }
-
-        fn apply(&self, states: &mut [i64], event: &Event) -> OpOutcome {
-            match &event.kind {
-                EventKind::LocalUpdate { op } => {
-                    states[event.replica.index()] = op.arg(0).and_then(Value::as_int).unwrap_or(0);
-                    OpOutcome::Applied
-                }
-                EventKind::Sync { to, .. } => {
-                    states[to.index()] = states[event.replica.index()];
-                    OpOutcome::Applied
-                }
-                _ => OpOutcome::failed("unsupported"),
-            }
-        }
-
-        fn observe(&self, state: &i64) -> Value {
-            Value::from(*state)
-        }
-    }
+    use crate::campaign::testing::RegApp;
 
     fn record_two_writes(session: &mut Session<RegApp>) {
         let a = ReplicaId::new(0);
@@ -1654,7 +1107,7 @@ mod tests {
     #[test]
     fn incremental_default_diffs_clean_against_scratch() {
         // `set_incremental` defaults on; its report must be byte-identical
-        // to the scratch executor's, sequentially and pooled, with the
+        // to the scratch executor's, on one slot and on four, with the
         // cache counters present only on the incremental side.
         for workers in [1, 4] {
             let mut incremental = Session::new(RegApp);

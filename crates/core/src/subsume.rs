@@ -79,8 +79,8 @@ pub(crate) struct SubsumeHit<S> {
     pub bytes: Option<Arc<[u8]>>,
 }
 
-/// The campaign-wide explored-set, shared by every worker of a replay
-/// (sequential, pooled, or service-hosted). Thread-safe; by the determinism
+/// The campaign-wide explored-set, shared by every slot of a replay (on
+/// either driver). Thread-safe; by the determinism
 /// contract any two inserts under the same key hold equivalent memos, so
 /// first-writer-wins is exact, not approximate.
 #[derive(Debug)]

@@ -47,8 +47,8 @@ pub struct SessionSummary {
     /// Per-pruner attribution rows, in filter evaluation order; empty for
     /// the non-pruning modes or when no filter saw a candidate.
     pub pruners: Vec<PrunerRow>,
-    /// Per-worker replay counters (one row for a sequential replay is
-    /// represented as an empty list, matching `Report::worker_loads`).
+    /// Per-slot replay counters, one row per replay slot (matching
+    /// `Report::worker_loads`).
     pub workers: Vec<WorkerLoad>,
     /// Checkpoint-cache counters (`None` for scratch replay).
     pub cache: Option<CacheStats>,

@@ -21,7 +21,7 @@ use crate::spec::{FuzzCase, Target};
 /// Replay knobs for oracle runs.
 #[derive(Debug, Clone, Copy)]
 pub struct OracleOptions {
-    /// Worker threads for the pooled executor (1 = sequential).
+    /// Replay slots (1 = the calling thread alone).
     pub workers: usize,
     /// Interleaving cap per case (runs, counting each fault plan).
     pub cap: usize,

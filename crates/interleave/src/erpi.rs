@@ -147,18 +147,14 @@ pub struct ErPiExplorer<'w> {
 impl<'w> ErPiExplorer<'w> {
     /// Creates the explorer for `workload` under `config`.
     pub fn new(workload: &'w Workload, config: &PruningConfig) -> Self {
-        ErPiExplorer::build(Cow::Borrowed(workload), config)
+        ErPiExplorer::over(Cow::Borrowed(workload), config)
     }
 
-    /// Like [`ErPiExplorer::new`], but taking ownership of the workload so
-    /// the explorer has no borrowed lifetime — required when an explorer
-    /// outlives the stack frame that configured it (the shared executor
-    /// service keeps one per campaign).
-    pub fn owned(workload: Workload, config: &PruningConfig) -> ErPiExplorer<'static> {
-        ErPiExplorer::build(Cow::Owned(workload), config)
-    }
-
-    fn build(workload: Cow<'w, Workload>, config: &PruningConfig) -> Self {
+    /// Like [`ErPiExplorer::new`], over a workload that is either borrowed
+    /// or owned: `Cow::Owned` gives the explorer no borrowed lifetime,
+    /// which one that outlives the stack frame that configured it needs
+    /// (the shared executor service keeps one per campaign).
+    pub fn over(workload: Cow<'w, Workload>, config: &PruningConfig) -> Self {
         let grouped = group_events(&workload, config);
         let grouping_factor = if grouped.len() == workload.len() {
             1

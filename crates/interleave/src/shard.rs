@@ -1,16 +1,13 @@
 //! Shardable, indexed iteration over the pruned interleaving set.
 //!
-//! [`IndexedSource`] is the single dispensing discipline shared by the
-//! sequential replay loop and the parallel [`ReplayPool`]: it pulls
-//! candidates from any explorer, drops fingerprint duplicates (which appear
-//! after a State-4 regeneration), enforces the interleaving cap, and stamps
-//! every surviving interleaving with a stable, strictly increasing
-//! *exploration index*. Because both execution strategies draw from the same
-//! source, the index assigned to an interleaving is independent of how many
-//! workers later replay it — the invariant the differential-equivalence
-//! suite pins down.
-//!
-//! [`ReplayPool`]: https://docs.rs/er-pi
+//! [`IndexedSource`] is the single dispensing discipline behind every
+//! replay (the dispenser of `er-pi`'s campaign core): it pulls candidates
+//! from any explorer, drops fingerprint duplicates (which appear after a
+//! State-4 regeneration), enforces the interleaving cap, and stamps every
+//! surviving interleaving with a stable, strictly increasing *exploration
+//! index*. Because every replay slot draws from the same source, the index
+//! assigned to an interleaving is independent of how many slots later
+//! replay it — the invariant the differential-equivalence suite pins down.
 
 use std::collections::HashSet;
 
@@ -18,12 +15,11 @@ use er_pi_model::Interleaving;
 
 /// A deduplicating, capping, index-stamping wrapper around an explorer.
 ///
-/// Semantics (identical to the historical sequential loop in
-/// `Session::replay`):
+/// Semantics (those of a plain one-at-a-time replay loop):
 ///
 /// 1. pull the next candidate from the underlying explorer;
 /// 2. if the cap is already reached, mark the source *truncated* and stop —
-///    the candidate is discarded, mirroring the sequential loop's
+///    the candidate is discarded, mirroring such a loop's
 ///    "`runs.len() >= cap` → `stopped_early`" check, which fires only when
 ///    the explorer proves it had more to offer;
 /// 3. if the candidate's fingerprint was already dispensed, skip it
@@ -72,12 +68,14 @@ impl<I: Iterator<Item = Interleaving>> IndexedSource<I> {
     }
 
     /// Claims up to `max` *contiguous* interleavings in one call — the
-    /// parallel pool's dispensing unit. Chunked (not strided) hand-out is
-    /// what lets per-worker prefix locality survive the pool: consecutive
-    /// interleavings from a lexicographic explorer share long prefixes, so
-    /// a worker that owns a contiguous index range keeps resuming from its
-    /// own previous run instead of fighting over interleavings whose
-    /// prefixes live in another worker's cache.
+    /// shape of a replay slot's claim (the engine itself pulls the items
+    /// of a claim one by one, to read the explorer's counters behind each).
+    /// Chunked (not strided) hand-out is what lets per-slot prefix locality
+    /// survive parallel replay: consecutive interleavings from a
+    /// lexicographic explorer share long prefixes, so a slot that owns a
+    /// contiguous index range keeps resuming from its own previous run
+    /// instead of fighting over interleavings whose prefixes live in
+    /// another slot's cache.
     ///
     /// Returns fewer than `max` items (possibly none) once the source runs
     /// dry or hits the cap. Indices within a chunk are consecutive, and
@@ -235,7 +233,7 @@ mod tests {
 
     #[test]
     fn chunked_union_equals_pruned_set() {
-        // The dispensing discipline the pool relies on: chunks hand out
+        // The dispensing discipline parallel replay relies on: chunks hand out
         // contiguous index ranges, partition the dispensed space, and their
         // union is exactly the pruned set an item-at-a-time scan yields.
         let w = workload(5);

@@ -258,38 +258,6 @@ where
     }
 }
 
-/// How one reproduction attempt is scheduled.
-struct RunPlan {
-    mode: ExploreMode,
-    cap: usize,
-    stop_on_first_violation: bool,
-    /// Replay worker threads; `1` pins the sequential reference path.
-    workers: usize,
-    /// Prefix-sharing incremental replay; `false` pins the scratch
-    /// executor the incremental-equivalence suite compares against.
-    incremental: bool,
-    /// Telemetry sink to attach, if any. Telemetry is write-only, so the
-    /// resulting [`Report`] must be byte-identical with or without it
-    /// (pinned by the telemetry-equivalence suite).
-    telemetry: Option<Arc<dyn Sink>>,
-    /// Run the replay-time independence sanitizer. Sanitizer findings land
-    /// next to the [`Report`], never inside it, so the report must also be
-    /// byte-identical with or without this (pinned by the
-    /// sanitizer-equivalence suite).
-    sanitize: bool,
-    /// State-hash subsumption; `false` pins the execute-everything
-    /// reference the dpor-equivalence suite compares against.
-    subsumption: bool,
-    /// Sleep-set (DPOR-style) pruning over unit permutations.
-    sleep_sets: bool,
-    /// Pool dispenser claim granularity, in interleavings.
-    chunk_size: usize,
-    /// Fleet-metrics handle to attach. Like telemetry, metrics are
-    /// write-only: the [`Report`] must be byte-identical with or without
-    /// them.
-    metrics: Option<SessionMetrics>,
-}
-
 /// Options for [`Bug::replay_report_opts`] — the fully general scheduling
 /// knob set behind the differential-equivalence harnesses.
 ///
@@ -309,8 +277,8 @@ pub struct ReplayOptions {
     pub cap: usize,
     /// Stop at the first violating interleaving.
     pub stop_on_first_violation: bool,
-    /// Replay worker threads; `1` pins the sequential reference path,
-    /// `0` uses all available cores.
+    /// Replay slots: `1` replays everything on the calling thread, `0`
+    /// uses all available cores. The report does not depend on it.
     pub workers: usize,
     /// Prefix-sharing incremental replay; `false` pins the scratch
     /// executor.
@@ -326,10 +294,6 @@ pub struct ReplayOptions {
     /// Sleep-set pruning ([`Session::set_sleep_sets`]); violation sets
     /// stay identical, replayed representatives may differ.
     pub sleep_sets: bool,
-    /// Pool dispenser claim granularity
-    /// ([`Session::set_chunk_size`]; default
-    /// [`DEFAULT_CHUNK_SIZE`](er_pi::DEFAULT_CHUNK_SIZE)).
-    pub chunk_size: usize,
     /// Fleet-metrics handle ([`Session::set_metrics`]) exporting run and
     /// pruning counters to a shared registry. Write-only, like
     /// `telemetry`: the report stays byte-identical either way.
@@ -347,7 +311,6 @@ impl Default for ReplayOptions {
             sanitize: false,
             subsumption: false,
             sleep_sets: false,
-            chunk_size: er_pi::DEFAULT_CHUNK_SIZE,
             metrics: None,
         }
     }
@@ -364,44 +327,45 @@ impl std::fmt::Debug for ReplayOptions {
             .field("sanitize", &self.sanitize)
             .field("subsumption", &self.subsumption)
             .field("sleep_sets", &self.sleep_sets)
-            .field("chunk_size", &self.chunk_size)
             .field("metrics", &self.metrics.is_some())
             .finish()
     }
 }
 
-fn run_report<M, S>(
+/// A session over `model` replaying `workload` in `mode` under `opts` —
+/// everything but who runs the replay, which is where [`run_report`] and
+/// [`run_report_on`] differ.
+fn configure<M: SystemModel>(
     model: M,
     workload: &Workload,
     config: &PruningConfig,
-    plan: &RunPlan,
-    check: for<'a> fn(&BugCtx<'a, S>) -> Option<String>,
-) -> (Report, Option<SanitizerReport>)
-where
-    M: SystemModel<State = S> + Sync,
-    S: Send + Sync + 'static,
-{
+    mode: ExploreMode,
+    opts: &ReplayOptions,
+) -> Session<M> {
     let mut session = Session::new(model);
     session.set_workload(workload.clone());
-    if matches!(plan.mode, ExploreMode::ErPi) {
+    if matches!(mode, ExploreMode::ErPi) {
         session.set_config(config.clone());
     }
-    session.set_mode(plan.mode);
-    session.set_cap(plan.cap);
-    session.set_stop_on_first_violation(plan.stop_on_first_violation);
-    session.set_workers(plan.workers);
-    session.set_incremental(plan.incremental);
-    session.set_sanitizer(plan.sanitize);
-    session.set_subsumption(plan.subsumption);
-    session.set_sleep_sets(plan.sleep_sets);
-    session.set_chunk_size(plan.chunk_size);
-    if let Some(sink) = &plan.telemetry {
+    session.set_mode(mode);
+    session.set_cap(opts.cap);
+    session.set_stop_on_first_violation(opts.stop_on_first_violation);
+    session.set_incremental(opts.incremental);
+    session.set_subsumption(opts.subsumption);
+    session.set_sleep_sets(opts.sleep_sets);
+    if let Some(sink) = &opts.telemetry {
         session.set_telemetry(Arc::clone(sink));
     }
-    if let Some(metrics) = &plan.metrics {
+    if let Some(metrics) = &opts.metrics {
         session.set_metrics(metrics.clone());
     }
-    let suite = TestSuite::new().with(Assertion::new("bug-manifested", move |ctx| {
+    session
+}
+
+/// The one-assertion suite of a catalogue bug: violated when `check`
+/// reports a symptom.
+fn bug_suite<S: 'static>(check: for<'a> fn(&BugCtx<'a, S>) -> Option<String>) -> TestSuite<S> {
+    TestSuite::new().with(Assertion::new("bug-manifested", move |ctx| {
         let bug_ctx = BugCtx {
             states: ctx.states,
             failed_ops: ctx.failed_ops(),
@@ -410,21 +374,40 @@ where
             Some(symptom) => Err(symptom),
             None => Ok(()),
         }
-    }));
-    let report = session.replay(&suite).expect("bug workload installed");
+    }))
+}
+
+fn run_report<M, S>(
+    model: M,
+    workload: &Workload,
+    config: &PruningConfig,
+    mode: ExploreMode,
+    opts: &ReplayOptions,
+    check: for<'a> fn(&BugCtx<'a, S>) -> Option<String>,
+) -> (Report, Option<SanitizerReport>)
+where
+    M: SystemModel<State = S> + Sync,
+    S: Send + Sync + 'static,
+{
+    let mut session = configure(model, workload, config, mode, opts);
+    session.set_workers(opts.workers);
+    session.set_sanitizer(opts.sanitize);
+    let report = session
+        .replay(&bug_suite(check))
+        .expect("bug workload installed");
     (report, session.sanitizer_report().cloned())
 }
 
 /// [`run_report`] with the replay submitted to a shared [`ExecutorService`]
-/// instead of a session-private pool — the campaign-server path. Returns
-/// `Err` (instead of panicking) because service campaigns are routinely
-/// cancelled from outside.
+/// instead of run on threads of the session's own — the campaign-server
+/// path. Returns `Err` (instead of panicking) because service campaigns
+/// are routinely cancelled from outside.
 #[allow(clippy::too_many_arguments)]
 fn run_report_on<M, S>(
     model: M,
     workload: &Workload,
     config: &PruningConfig,
-    plan: &RunPlan,
+    opts: &ReplayOptions,
     check: for<'a> fn(&BugCtx<'a, S>) -> Option<String>,
     service: &ExecutorService,
     priority: u8,
@@ -435,39 +418,12 @@ where
     M: SystemModel<State = S> + Clone + Send + Sync + 'static,
     S: Send + Sync + 'static,
 {
-    let mut session = Session::new(model);
-    session.set_workload(workload.clone());
-    if matches!(plan.mode, ExploreMode::ErPi) {
-        session.set_config(config.clone());
-    }
-    session.set_mode(plan.mode);
-    session.set_cap(plan.cap);
-    session.set_stop_on_first_violation(plan.stop_on_first_violation);
-    session.set_incremental(plan.incremental);
-    session.set_subsumption(plan.subsumption);
-    session.set_sleep_sets(plan.sleep_sets);
-    session.set_chunk_size(plan.chunk_size);
-    if let Some(sink) = &plan.telemetry {
-        session.set_telemetry(Arc::clone(sink));
-    }
-    if let Some(metrics) = &plan.metrics {
-        session.set_metrics(metrics.clone());
-    }
+    let mut session = configure(model, workload, config, ExploreMode::ErPi, opts);
     session.set_cancel_token(cancel);
     if let Some(hook) = progress {
         session.set_progress_hook(PROGRESS_EVERY, move |snap| hook(snap));
     }
-    let suite = TestSuite::new().with(Assertion::new("bug-manifested", move |ctx| {
-        let bug_ctx = BugCtx {
-            states: ctx.states,
-            failed_ops: ctx.failed_ops(),
-        };
-        match check(&bug_ctx) {
-            Some(symptom) => Err(symptom),
-            None => Ok(()),
-        }
-    }));
-    session.replay_on(service, priority, &suite)
+    session.replay_on(service, priority, &bug_suite(check))
 }
 
 fn run<M, S>(
@@ -482,20 +438,13 @@ where
     M: SystemModel<State = S> + Sync,
     S: Send + Sync + 'static,
 {
-    let plan = RunPlan {
-        mode,
+    let opts = ReplayOptions {
         cap,
         stop_on_first_violation: true,
         workers: 0, // all available cores
-        incremental: true,
-        telemetry: None,
-        sanitize: false,
-        subsumption: false,
-        sleep_sets: false,
-        chunk_size: er_pi::DEFAULT_CHUNK_SIZE,
-        metrics: None,
+        ..ReplayOptions::default()
     };
-    let (report, _) = run_report(model, workload, config, &plan, check);
+    let (report, _) = run_report(model, workload, config, mode, &opts, check);
     Repro {
         mode: report.mode.clone(),
         found_at: report.first_violation_at.map(|i| i + 1),
@@ -685,7 +634,7 @@ impl Bug {
 
     /// Replays the bug's workload in ER-π mode and returns the full
     /// [`Report`] — the entry point of the differential-equivalence test
-    /// harness. `workers == 1` pins the sequential reference path;
+    /// harness. `workers == 1` replays on the calling thread alone;
     /// `workers == 0` uses all available cores. Reports produced at
     /// different worker counts must satisfy [`Report::diff`] `== None`.
     pub fn replay_report(
@@ -727,35 +676,48 @@ impl Bug {
     /// The [`Report`] half must be byte-identical to a sanitizer-off
     /// replay — the sanitizer observes, it never steers.
     pub fn replay_report_checked(&self, opts: &ReplayOptions) -> (Report, Option<SanitizerReport>) {
-        let plan = RunPlan {
-            mode: ExploreMode::ErPi,
-            cap: opts.cap,
-            stop_on_first_violation: opts.stop_on_first_violation,
-            workers: opts.workers,
-            incremental: opts.incremental,
-            telemetry: opts.telemetry.clone(),
-            sanitize: opts.sanitize,
-            subsumption: opts.subsumption,
-            sleep_sets: opts.sleep_sets,
-            chunk_size: opts.chunk_size,
-            metrics: opts.metrics.clone(),
-        };
+        let mode = ExploreMode::ErPi;
         match &self.imp {
-            BugImpl::Roshi { model, check } => {
-                run_report(model.clone(), &self.workload, &self.config, &plan, *check)
-            }
-            BugImpl::Orbit { model, check } => {
-                run_report(model.clone(), &self.workload, &self.config, &plan, *check)
-            }
-            BugImpl::ReplicaDb { model, check } => {
-                run_report(model.clone(), &self.workload, &self.config, &plan, *check)
-            }
-            BugImpl::Yorkie { model, check } => {
-                run_report(model.clone(), &self.workload, &self.config, &plan, *check)
-            }
-            BugImpl::Crdts { model, check } => {
-                run_report(model.clone(), &self.workload, &self.config, &plan, *check)
-            }
+            BugImpl::Roshi { model, check } => run_report(
+                model.clone(),
+                &self.workload,
+                &self.config,
+                mode,
+                opts,
+                *check,
+            ),
+            BugImpl::Orbit { model, check } => run_report(
+                model.clone(),
+                &self.workload,
+                &self.config,
+                mode,
+                opts,
+                *check,
+            ),
+            BugImpl::ReplicaDb { model, check } => run_report(
+                model.clone(),
+                &self.workload,
+                &self.config,
+                mode,
+                opts,
+                *check,
+            ),
+            BugImpl::Yorkie { model, check } => run_report(
+                model.clone(),
+                &self.workload,
+                &self.config,
+                mode,
+                opts,
+                *check,
+            ),
+            BugImpl::Crdts { model, check } => run_report(
+                model.clone(),
+                &self.workload,
+                &self.config,
+                mode,
+                opts,
+                *check,
+            ),
         }
     }
 
@@ -782,25 +744,12 @@ impl Bug {
         progress: Option<ProgressFn>,
         opts: &ReplayOptions,
     ) -> Result<Report, ErPiError> {
-        let plan = RunPlan {
-            mode: ExploreMode::ErPi,
-            cap: opts.cap,
-            stop_on_first_violation: opts.stop_on_first_violation,
-            workers: 1,
-            incremental: opts.incremental,
-            telemetry: opts.telemetry.clone(),
-            sanitize: false,
-            subsumption: opts.subsumption,
-            sleep_sets: opts.sleep_sets,
-            chunk_size: opts.chunk_size,
-            metrics: opts.metrics.clone(),
-        };
         match &self.imp {
             BugImpl::Roshi { model, check } => run_report_on(
                 model.clone(),
                 &self.workload,
                 &self.config,
-                &plan,
+                opts,
                 *check,
                 service,
                 priority,
@@ -811,7 +760,7 @@ impl Bug {
                 model.clone(),
                 &self.workload,
                 &self.config,
-                &plan,
+                opts,
                 *check,
                 service,
                 priority,
@@ -822,7 +771,7 @@ impl Bug {
                 model.clone(),
                 &self.workload,
                 &self.config,
-                &plan,
+                opts,
                 *check,
                 service,
                 priority,
@@ -833,7 +782,7 @@ impl Bug {
                 model.clone(),
                 &self.workload,
                 &self.config,
-                &plan,
+                opts,
                 *check,
                 service,
                 priority,
@@ -844,7 +793,7 @@ impl Bug {
                 model.clone(),
                 &self.workload,
                 &self.config,
-                &plan,
+                opts,
                 *check,
                 service,
                 priority,

@@ -16,7 +16,7 @@ pub type TrackId = u32;
 /// The coordinating thread's track (recording, enumeration, summary).
 pub const COORDINATOR_TRACK: TrackId = 0;
 
-/// The track of pool worker `worker` (0-based worker index).
+/// The track of replay slot `worker` (0-based slot index).
 pub const fn worker_track(worker: usize) -> TrackId {
     worker as TrackId + 1
 }

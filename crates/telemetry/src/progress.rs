@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Lock-free progress aggregator shared between the session thread and
-/// every pool worker. Workers bump atomic counters as runs finish; anyone
+/// every replay slot. Slots bump atomic counters as runs finish; anyone
 /// can take a [`ProgressSnapshot`] at any time.
 #[derive(Debug)]
 pub struct Progress {
@@ -30,8 +30,7 @@ pub struct Progress {
 }
 
 impl Progress {
-    /// A fresh aggregator for `workers` replay workers (sequential replay
-    /// uses `workers = 1`).
+    /// A fresh aggregator for `workers` replay slots.
     pub fn new(workers: usize) -> Self {
         Progress {
             started: Instant::now(),

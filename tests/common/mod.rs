@@ -1,0 +1,87 @@
+//! What the differential suites share: the worker counts they sweep, and a
+//! reference replay that is not the engine.
+#![allow(dead_code)]
+
+use er_pi::{
+    CheckContext, ExploreMode, InlineExecutor, RunRecord, SystemModel, TestSuite, TimeModel,
+    Violation,
+};
+use er_pi_interleave::{
+    DfsExplorer, ErPiExplorer, FaultProduct, IndexedSource, PruningConfig, RandomExplorer,
+};
+use er_pi_model::{FaultPlan, Interleaving, Value, Workload};
+
+/// The replay slot counts every worker-count sweep covers.
+pub const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// What a replay must report, as far as scheduling cannot change it.
+#[derive(Debug, Default, PartialEq)]
+pub struct Reference {
+    pub runs: Vec<RunRecord>,
+    pub violations: Vec<Violation>,
+    pub first_violation_at: Option<usize>,
+    pub explored: usize,
+    pub stopped_early: bool,
+}
+
+/// The naive loop `Session::replay` is checked against: one interleaving at
+/// a time from the mode's explorer, each executed from scratch, on the
+/// calling thread. It shares no code with the campaign module — no chunks,
+/// no incremental executor, no threads, no merge.
+pub fn reference_replay<M: SystemModel>(
+    model: &M,
+    workload: &Workload,
+    mode: ExploreMode,
+    plans: Vec<FaultPlan>,
+    suite: &TestSuite<M::State>,
+    cap: usize,
+    stop_on_first_violation: bool,
+) -> Reference {
+    let time = TimeModel::paper_setup();
+    let config = PruningConfig::default();
+    let explorer: Box<dyn Iterator<Item = Interleaving>> = match mode {
+        ExploreMode::ErPi => Box::new(ErPiExplorer::new(workload, &config)),
+        ExploreMode::Dfs => Box::new(DfsExplorer::new(workload)),
+        ExploreMode::Random { seed } => Box::new(RandomExplorer::new(workload, seed)),
+    };
+    let mut source = IndexedSource::new(FaultProduct::new(explorer, plans), cap);
+    let mut reference = Reference::default();
+    for (index, il) in source.by_ref() {
+        let exec = InlineExecutor::execute(model, workload, &il, &time);
+        let observations: Vec<Value> = exec.states.iter().map(|s| model.observe(s)).collect();
+        let ctx = CheckContext {
+            states: &exec.states,
+            observations: &observations,
+            interleaving: &il,
+            outcomes: &exec.outcomes,
+        };
+        let mut violated = false;
+        for assertion in suite.assertions() {
+            if let Err(message) = assertion.check(&ctx) {
+                violated = true;
+                reference.violations.push(Violation {
+                    run: Some(index),
+                    assertion: assertion.name().to_owned(),
+                    message,
+                    interleaving: Some(il.clone()),
+                });
+            }
+        }
+        reference.runs.push(RunRecord {
+            failed_ops: ctx.failed_ops(),
+            sim_us: exec.sim_us,
+            interleaving: il,
+            observations,
+        });
+        if violated {
+            reference.first_violation_at.get_or_insert(index);
+            if stop_on_first_violation {
+                reference.stopped_early = true;
+                break;
+            }
+        }
+    }
+    reference.stopped_early |= source.truncated();
+    reference.explored = reference.runs.len();
+    reference
+}

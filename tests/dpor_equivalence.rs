@@ -23,6 +23,9 @@
 //! interleavings) subsumption must answer at least 90% of runs from the
 //! explored set — a ≥10× reduction in physically executed replays.
 
+mod common;
+
+use common::WORKER_COUNTS;
 use proptest::prelude::*;
 
 use er_pi::{ExploreMode, InlineExecutor, Report, Session, TimeModel};
@@ -30,7 +33,6 @@ use er_pi_model::{EventId, FaultEvent, FaultKind, FaultPlan, Interleaving, Repli
 use er_pi_subjects::{Bug, ReplayOptions, TownApp};
 
 const CAP: usize = 10_000;
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn r(i: u16) -> ReplicaId {
     ReplicaId::new(i)

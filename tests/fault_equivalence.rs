@@ -8,12 +8,13 @@
 //! fault-free interleaving can expose, found by fault-space exploration
 //! and reproduced from its minimized (workload, fault schedule) pair.
 
+mod common;
+
+use common::WORKER_COUNTS;
 use er_pi::{CheckContext, FaultSpace, Report, Session, TestSuite};
 use er_pi_fuzz::{report_for, FuzzCase, OracleOptions, SpecEntry, SpecFault, Target, WorkloadSpec};
 use er_pi_model::{EventId, FaultEvent, FaultKind, FaultPlan, ReplicaId, Value, Workload};
 use er_pi_subjects::{CrdtsModel, LedgerApp, LedgerState};
-
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn r(i: u16) -> ReplicaId {
     ReplicaId::new(i)

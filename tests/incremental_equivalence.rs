@@ -14,13 +14,15 @@
 //! `Report::diff` ignores wall-clock, per-worker load and the cache
 //! counters themselves — everything else must match exactly.
 
+mod common;
+
+use common::WORKER_COUNTS;
 use er_pi::{ExploreMode, Report, Session, TestSuite};
 use er_pi_interleave::{ErPiExplorer, Explorer, IndexedSource, PruningConfig, RandomExplorer};
 use er_pi_model::{EventId, Interleaving, ReplicaId, Value};
 use er_pi_subjects::{Bug, TownApp};
 
 const CAP: usize = 10_000;
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 #[test]
 fn incremental_equals_scratch_exhaustive() {
@@ -143,10 +145,10 @@ fn assert_stop_fields_equal(incremental: &Report, scratch: &Report, what: &str) 
     assert_eq!(incremental.diff(scratch), None, "{what}");
 }
 
-/// The sequential loop peeks one interleaving ahead to hint the executor.
-/// When a violation stops it, the peeked candidate has already advanced the
-/// explorer — and must not show in `prune_stats` or `wasted_work`. The
-/// scratch loop never peeks, and a fresh explorer that dispenses exactly the
+/// A claim dispenses one interleaving past its chunk to hint the executor
+/// (and the rest of the chunk past a violation). When a violation stops the
+/// campaign, those candidates have already advanced the explorer — and must
+/// not show in `prune_stats` or `wasted_work`. A scratch replay never peeks, and a fresh explorer that dispenses exactly the
 /// replayed runs is a second, independent reference.
 #[test]
 fn stop_on_first_lookahead_keeps_the_peeked_candidate_out_of_the_counters() {

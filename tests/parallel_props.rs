@@ -4,17 +4,22 @@
 //! the sequential pruned interleaving set — nothing dropped, nothing
 //! duplicated, same order; (b) the merged report is independent of the
 //! worker count; (c) a panic inside one shard surfaces as
-//! [`ErPiError::ExecutorPanic`], other shards are discarded cleanly, and
-//! the session stays usable.
+//! [`ErPiError::ExecutorPanic`] — at one worker and on a shared executor
+//! service too — other shards are discarded cleanly, and the session stays
+//! usable. A plain test pins the same for a pre-tripped cancel token.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use er_pi::{ErPiError, ExploreMode, OpOutcome, Report, Session, SystemModel, TestSuite};
+use er_pi::{
+    CancelToken, ErPiError, ExecutorService, ExploreMode, OpOutcome, Report, Session, SystemModel,
+    TestSuite,
+};
 use er_pi_model::{Event, EventKind, ReplicaId, Value, Workload};
 
 /// Two-replica last-write-wins register, order-sensitive by construction.
+#[derive(Clone)]
 struct RegMachine;
 
 impl SystemModel for RegMachine {
@@ -48,6 +53,7 @@ impl SystemModel for RegMachine {
 }
 
 /// Like [`RegMachine`], but detonates on any `bomb` op.
+#[derive(Clone)]
 struct FuseMachine;
 
 impl SystemModel for FuseMachine {
@@ -164,32 +170,79 @@ proptest! {
         }
     }
 
-    /// A panicking model in one shard surfaces as `ExecutorPanic`; the
-    /// session is not poisoned — a benign workload on the same session
-    /// replays fine afterwards.
+    /// A panicking model surfaces as `ExecutorPanic` at every worker count
+    /// — one included, where the replay runs on the calling thread — and
+    /// on a shared executor service; the session is not poisoned — a benign
+    /// workload on the same session replays fine afterwards.
     #[test]
     fn shard_panic_is_contained(steps in arb_steps()) {
         let mut bomb = Workload::builder();
         bomb.update(ReplicaId::new(0), "set", [Value::from(1)]);
         bomb.update(ReplicaId::new(1), "bomb", [Value::from(0)]);
         let bomb = bomb.build();
-
-        let mut session = Session::new(FuseMachine);
-        session.set_workload(bomb);
-        session.set_mode(ExploreMode::Dfs);
-        session.set_workers(4);
-        let err = session.replay(&TestSuite::new());
-        prop_assert!(
-            matches!(err, Err(ErPiError::ExecutorPanic(_))),
-            "expected ExecutorPanic, got {:?}",
-            err.map(|r| r.explored)
-        );
-
-        // Same session, benign randomized workload: still usable.
         let benign = build_workload(&steps);
-        session.set_workload(benign);
-        let report = session.replay(&TestSuite::new());
-        prop_assert!(report.is_ok(), "session poisoned after shard panic");
-        prop_assert!(report.unwrap().explored > 0);
+        let service = ExecutorService::new(2);
+
+        for workers in [4usize, 1] {
+            let mut session = Session::new(FuseMachine);
+            session.set_workload(bomb.clone());
+            session.set_mode(ExploreMode::Dfs);
+            session.set_workers(workers);
+            let err = session.replay(&TestSuite::new());
+            prop_assert!(
+                matches!(err, Err(ErPiError::ExecutorPanic(_))),
+                "expected ExecutorPanic, got {:?}",
+                err.map(|r| r.explored)
+            );
+
+            // Same session, benign randomized workload: still usable.
+            session.set_workload(benign.clone());
+            let report = session.replay(&TestSuite::new());
+            prop_assert!(report.is_ok(), "session poisoned after shard panic");
+            prop_assert!(report.unwrap().explored > 0);
+
+            // The service driver: same rule, and the service survives too.
+            session.set_workload(bomb.clone());
+            let err = session.replay_on(&service, 0, &TestSuite::new());
+            prop_assert!(
+                matches!(err, Err(ErPiError::ExecutorPanic(_))),
+                "expected ExecutorPanic from the service, got {:?}",
+                err.map(|r| r.explored)
+            );
+            session.set_workload(benign.clone());
+            let report = session.replay_on(&service, 0, &TestSuite::new());
+            prop_assert!(report.is_ok(), "service poisoned after a model panic");
+            prop_assert!(report.unwrap().explored > 0);
+        }
+    }
+}
+
+/// A token tripped before the replay starts cancels it on every driver and
+/// at every worker count, and clearing the token makes the session usable
+/// again.
+#[test]
+fn a_pre_tripped_token_cancels_every_driver() {
+    let workload = build_workload(&[Step::Update(0, 1), Step::Sync(0), Step::Update(1, 2)]);
+    let service = ExecutorService::new(2);
+    for workers in [1usize, 2, 4] {
+        let mut session = Session::new(RegMachine);
+        session.set_workload(workload.clone());
+        session.set_mode(ExploreMode::Dfs).set_workers(workers);
+        let token = CancelToken::new();
+        token.cancel();
+        session.set_cancel_token(Some(token));
+        let cancelled = session.replay(&TestSuite::new());
+        assert!(
+            matches!(cancelled, Err(ErPiError::Cancelled)),
+            "{workers} workers: expected Cancelled"
+        );
+        let cancelled = session.replay_on(&service, 0, &TestSuite::new());
+        assert!(matches!(cancelled, Err(ErPiError::Cancelled)));
+
+        session.set_cancel_token(None);
+        let standalone = session.replay(&TestSuite::new()).unwrap();
+        let shared = session.replay_on(&service, 0, &TestSuite::new()).unwrap();
+        assert_eq!(standalone.explored, 6);
+        assert_eq!(standalone.diff(&shared), None);
     }
 }

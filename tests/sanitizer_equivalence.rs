@@ -10,6 +10,9 @@
 //! by the certifier, and the matching false independence *declaration* is
 //! caught dynamically by the sanitizer.
 
+mod common;
+
+use common::WORKER_COUNTS;
 use er_pi::{
     certify_table_with, validate_table, LintPattern, OpOutcome, PruningConfig, Session,
     SystemModel, TestSuite, Verdict,
@@ -18,7 +21,6 @@ use er_pi_model::{Event, EventId, EventKind, ReplicaId, Value};
 use er_pi_subjects::{Bug, ReplayOptions};
 
 const CAP: usize = 10_000;
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn opts(stop: bool, workers: usize, sanitize: bool) -> ReplayOptions {
     ReplayOptions {

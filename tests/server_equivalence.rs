@@ -12,6 +12,9 @@
 //! 3. **Backpressure**: bounded admission refuses with 429 once the queue
 //!    is full, and queued campaigns can be cancelled before they start.
 
+mod common;
+
+use common::WORKER_COUNTS;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::thread;
@@ -22,7 +25,6 @@ use er_pi_server::{Server, ServerConfig};
 use er_pi_subjects::{Bug, ReplayOptions};
 
 const CAP: usize = 10_000;
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn opts() -> ReplayOptions {
     ReplayOptions {

@@ -10,6 +10,9 @@
 //! field; only wall-clock time, worker loads, cache counters and the
 //! session summary are legitimately scheduling-dependent.
 
+mod common;
+
+use common::WORKER_COUNTS;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -21,7 +24,6 @@ use er_pi::Report;
 use er_pi_subjects::{Bug, ReplayOptions};
 
 const CAP: usize = 10_000;
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn opts(stop: bool, workers: usize, telemetry: Option<Arc<dyn Sink>>) -> ReplayOptions {
     ReplayOptions {
