@@ -23,20 +23,20 @@
 
 use std::process::ExitCode;
 
-use er_pi_subjects::{Bug, ReplayOptions};
+use er_pi::ReplayConfig;
+use er_pi_subjects::Bug;
 
-fn replay_opts() -> ReplayOptions {
-    ReplayOptions {
-        cap: 10_000,
-        stop_on_first_violation: true,
-        ..ReplayOptions::default()
+fn replay_opts(stop_on_first_violation: bool) -> ReplayConfig {
+    ReplayConfig {
+        stop_on_first_violation,
+        ..ReplayConfig::default()
     }
 }
 
 fn explain_all() -> ExitCode {
     let mut failures = 0usize;
     for bug in Bug::catalogue() {
-        let report = bug.replay_report_opts(&replay_opts());
+        let report = bug.replay_report_opts(&replay_opts(true));
         let Some(violation) = report.violations.first() else {
             println!("{:<14} NO VIOLATION under cap", bug.name);
             failures += 1;
@@ -126,14 +126,7 @@ fn main() -> ExitCode {
 
     // Keep replaying past the first violation only when a later one was
     // asked for — the first is the common case and stops early.
-    let opts = if violation_index == 0 {
-        replay_opts()
-    } else {
-        ReplayOptions {
-            stop_on_first_violation: false,
-            ..replay_opts()
-        }
-    };
+    let opts = replay_opts(violation_index == 0);
     let report = bug.replay_report_opts(&opts);
     let Some(violation) = report.violations.get(violation_index) else {
         eprintln!(

@@ -33,9 +33,10 @@ use serde::Serialize;
 
 const CAPS: [usize; 2] = [1_000, 10_000];
 
-/// The town workload extended to 10 events (identical to `fig_prefix`'s):
-/// DFS order maximizes prefix convergence, which is what the subsume set
-/// trades on. Event 5 is the propagation sync of the `remove`.
+/// The town workload extended to 10 events (identical to the `town-dfs`
+/// workload of `benchmark/`): DFS order maximizes prefix convergence,
+/// which is what the subsume set trades on. Event 5 is the propagation
+/// sync of the `remove`.
 fn town_session(cap: usize) -> Session<TownApp> {
     let mut session = Session::new(TownApp::new(2));
     let r = ReplicaId::new;

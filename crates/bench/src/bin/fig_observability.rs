@@ -23,8 +23,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use er_pi::telemetry::Registry;
-use er_pi::{Report, SessionMetrics};
-use er_pi_subjects::{Bug, ReplayOptions};
+use er_pi::{Attachments, ReplayConfig, Report, SessionMetrics};
+use er_pi_subjects::Bug;
 use serde::Serialize;
 
 const DEFAULT_CAP: usize = 5_000;
@@ -35,13 +35,18 @@ const DEFAULT_REPEATS: usize = 5;
 const SUBSET: [&str; 4] = ["Roshi-1", "OrbitDB-2", "ReplicaDB-1", "Yorkie-1"];
 
 fn replay_once(bug: &Bug, cap: usize, metrics: Option<SessionMetrics>) -> (Report, u128) {
-    let opts = ReplayOptions {
+    // One slot: the two sides of an overhead ratio are timed alike.
+    let replay = ReplayConfig {
         cap,
+        workers: 1,
+        ..ReplayConfig::default()
+    };
+    let attach = Attachments {
         metrics,
-        ..ReplayOptions::default()
+        ..Attachments::default()
     };
     let started = Instant::now();
-    let report = bug.replay_report_opts(&opts);
+    let (report, _) = bug.replay_report_checked(&replay, attach);
     (report, started.elapsed().as_micros())
 }
 
@@ -170,10 +175,9 @@ fn main() {
 
     let mut bundles = Vec::new();
     for bug in Bug::catalogue() {
-        let report = bug.replay_report_opts(&ReplayOptions {
-            cap: 10_000,
+        let report = bug.replay_report_opts(&ReplayConfig {
             stop_on_first_violation: true,
-            ..ReplayOptions::default()
+            ..ReplayConfig::default()
         });
         let violation = report
             .violations

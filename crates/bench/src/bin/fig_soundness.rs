@@ -12,8 +12,8 @@
 
 use std::time::Instant;
 
-use er_pi::{certify_table, CertClaim, CertifiedTable, Verdict};
-use er_pi_subjects::{Bug, ReplayOptions};
+use er_pi::{certify_table, Attachments, CertClaim, CertifiedTable, ReplayConfig, Verdict};
+use er_pi_subjects::Bug;
 use serde::Serialize;
 
 const DEFAULT_CAP: usize = 2_000;
@@ -90,14 +90,11 @@ fn main() {
     let table: CertifiedTable = certify_table();
     let certify_ms = started.elapsed().as_millis();
 
-    let opts = |sanitize: bool| ReplayOptions {
+    let opts = |sanitize: bool| ReplayConfig {
         cap,
-        stop_on_first_violation: false,
         workers: 1,
-        incremental: true,
-        telemetry: None,
         sanitize,
-        ..ReplayOptions::default()
+        ..ReplayConfig::default()
     };
 
     let mut catalogue = Vec::new();
@@ -109,7 +106,7 @@ fn main() {
         let reference = bug.replay_report_opts(&opts(false));
         let wall_off_ms = started.elapsed().as_millis();
         let started = Instant::now();
-        let (sanitized, findings) = bug.replay_report_checked(&opts(true));
+        let (sanitized, findings) = bug.replay_report_checked(&opts(true), Attachments::default());
         let wall_on_ms = started.elapsed().as_millis();
         let findings = findings.expect("sanitize was requested");
         total_off += wall_off_ms;

@@ -37,7 +37,7 @@ const DEFAULT_REPEATS: usize = 5;
 type SinkConfig = (&'static str, fn() -> Arc<dyn Sink>);
 
 /// The §2.3 town workload extended to 10 events (the same recording the
-/// `fig_prefix` bench uses), DFS-enumerated under the cap.
+/// `town-dfs` workload of `benchmark/` uses), DFS-enumerated under the cap.
 fn town_session(cap: usize) -> Session<TownApp> {
     let mut session = Session::new(TownApp::new(2));
     let r = ReplicaId::new;

@@ -11,14 +11,15 @@
 //! | `fig8_auto` | Figure 8 variant — hand-declared vs auto-derived independence (JSON) |
 //! | `fig9` | Figure 9 — per-algorithm pruning contributions |
 //! | `fig10` | Figure 10 — the succeed-or-crash micro-benchmark |
-//! | `fig_prefix` | Prefix-sharing incremental replay: events applied, scratch vs incremental (JSON) |
 //! | `fig_telemetry` | Telemetry overhead (NullSink vs detached) and trace-event schema (JSON) |
 //! | `fig_faults` | Fault-schedule exploration: fault-space size vs pruned replays (JSON) |
 //! | `fig_observability` | Metrics-registry overhead (attached vs detached) and forensic-bundle determinism (JSON) |
 //!
-//! Wall-clock numbers — including any parallel speedup — are not figures
-//! of this crate: they come from the calibrated ledger in `benchmark/`
-//! (its README's "Not workloads, and why" covers the two-worker row).
+//! Wall-clock numbers — including any parallel speedup and what
+//! incremental replay saves over scratch replay (`core.incr_hit_ratio`,
+//! `core.incr_events_saved_share`) — are not figures of this crate: they
+//! come from the calibrated ledger in `benchmark/` (its README's "Not
+//! workloads, and why" covers the two-worker row).
 //!
 //! Two operator-facing tools ride along with the figure binaries:
 //! `er-pi-explain` prints the deterministic forensic bundle for a

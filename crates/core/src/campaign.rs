@@ -50,7 +50,8 @@ use crate::metrics::SvcMetrics;
 use crate::subsume::SubsumeSet;
 use crate::{
     CacheStats, CancelToken, CheckContext, ConstraintsDir, ErPiError, IncrementalExecutor,
-    InlineExecutor, RunRecord, SystemModel, TestSuite, TimeModel, Violation, WorkerLoad,
+    InlineExecutor, ReplayConfig, RunRecord, SystemModel, TestSuite, TimeModel, Violation,
+    WorkerLoad,
 };
 
 /// Sentinel for "no violation found yet" in the atomic minimum.
@@ -172,35 +173,33 @@ fn build_explorer<'w>(
 /// What one campaign explores and how it replays it.
 pub(crate) struct Params<'w> {
     pub workload: Cow<'w, Workload>,
-    pub mode: ExploreMode,
+    /// The campaign loop reads `mode`, `cap`, `stop_on_first_violation`,
+    /// `incremental` + `cache_budget` (off runs the scratch executor) and
+    /// `subsumption` (one campaign-wide explored-set; with incremental
+    /// replay off every slot still gets an executor — with a zero snapshot
+    /// budget, so only the subsumption layer is live). The slot count comes
+    /// from the driver, not from `workers`.
+    pub replay: ReplayConfig,
     /// The effective pruning configuration the exploration starts under.
     pub config: PruningConfig,
     pub plans: Vec<FaultPlan>,
-    /// Replay at most this many interleavings.
-    pub cap: usize,
     pub time: TimeModel,
-    pub stop_on_first_violation: bool,
-    /// Snapshot budget of the per-slot incremental executors; `None` runs
-    /// the scratch executor.
-    pub incremental_budget: Option<usize>,
-    /// State-hash subsumption over one campaign-wide explored-set. With
-    /// incremental replay off every slot still gets an executor — with a
-    /// zero snapshot budget, so only the subsumption layer is live.
-    pub subsume: bool,
     /// Replay slots (at least one).
     pub slots: usize,
     pub instrument: Instrument,
-    pub cancel: Option<CancelToken>,
 }
 
+/// A watched constraints directory is polled before the claim that starts
+/// at every this-many-th exploration index.
+const CONSTRAINT_POLL_EVERY: usize = 100;
+
 /// State 4: a watched constraints directory, polled under the dispenser
-/// lock before the claim that starts at every `every`-th exploration index.
+/// lock every [`CONSTRAINT_POLL_EVERY`] exploration indices.
 pub(crate) struct Watch<'w> {
     pub dir: &'w mut ConstraintsDir,
     /// The session's own configuration: every ingested rule is absorbed
     /// here as well, so later replays start from it.
     pub config: &'w mut PruningConfig,
-    pub every: usize,
 }
 
 /// The model and suite a campaign is stepped against; the same for every
@@ -357,18 +356,15 @@ impl Table {
 /// One replay campaign: see the [module docs](self).
 pub(crate) struct Campaign<'w, M: SystemModel> {
     workload: Cow<'w, Workload>,
-    mode: ExploreMode,
+    /// `incremental` doubles as "the executors keep snapshots": hints are
+    /// worth a lookahead and hit/miss attribution means something. A
+    /// zero-budget subsumption-only executor always resumes from depth 0
+    /// and would report a fictitious 0 % hit rate.
+    replay: ReplayConfig,
     plans: Vec<FaultPlan>,
     time: TimeModel,
-    stop_on_first_violation: bool,
-    /// Whether the executors keep snapshots: hints are worth a lookahead
-    /// and hit/miss attribution means something. A zero-budget
-    /// subsumption-only executor always resumes from depth 0 and would
-    /// report a fictitious 0 % hit rate.
-    incremental: bool,
     chunk_size: usize,
     instrument: Instrument,
-    cancel: Option<CancelToken>,
     /// The executor service's shared latency histograms, when it has a
     /// registry attached.
     pub svc: Option<SvcMetrics>,
@@ -387,23 +383,18 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
     pub fn new(params: Params<'w>, chunk_size: usize) -> Self {
         let Params {
             workload,
-            mode,
+            replay,
             config,
             plans,
-            cap,
             time,
-            stop_on_first_violation,
-            incremental_budget,
-            subsume,
             slots,
             instrument,
-            cancel,
         } = params;
-        let mut explorer = build_explorer(mode, workload.clone(), &config, &plans);
+        let mut explorer = build_explorer(replay.mode, workload.clone(), &config, &plans);
         if let AnyExplorer::ErPi(e) = explorer.inner_mut() {
             // Per-filter wall time costs two clock reads per evaluation:
             // only when someone is watching.
-            if instrument.telemetry.is_active() {
+            if instrument.attach.telemetry.is_active() {
                 e.enable_timing();
             }
             // The live sleep-set prune tally (inert when sleep sets are off
@@ -412,14 +403,18 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
                 e.set_sleep_tally(progress.sleep_tally());
             }
         }
-        let incremental = incremental_budget.is_some();
-        let explored = subsume.then(|| Arc::new(SubsumeSet::new()));
+        let explored = replay.subsumption.then(|| Arc::new(SubsumeSet::new()));
+        let attach = &instrument.attach;
         let monitored =
-            incremental && (instrument.telemetry.is_active() || instrument.metrics.is_some());
+            replay.incremental && (attach.telemetry.is_active() || attach.metrics.is_some());
+        let budget = match replay.incremental {
+            true => replay.cache_budget,
+            false => 0,
+        };
         let slots = (0..slots.max(1))
             .map(|worker| {
-                let executor = (incremental || subsume).then(|| {
-                    let mut e = IncrementalExecutor::<M>::new(incremental_budget.unwrap_or(0));
+                let executor = (replay.incremental || replay.subsumption).then(|| {
+                    let mut e = IncrementalExecutor::<M>::new(budget);
                     if let Some(set) = &explored {
                         e.enable_subsumption(Arc::clone(set));
                     }
@@ -439,7 +434,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             .collect();
         Campaign {
             disp: Mutex::new(Dispenser {
-                source: IndexedSource::new(explorer, cap),
+                source: IndexedSource::new(explorer, replay.cap),
                 peeked: None,
                 config,
                 watch: None,
@@ -449,14 +444,11 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
                 failed: None,
             }),
             workload,
-            mode,
+            replay,
             plans,
             time,
-            stop_on_first_violation,
-            incremental,
             chunk_size: chunk_size.max(1),
             instrument,
-            cancel,
             svc: None,
             slots,
             lowest_violation: AtomicUsize::new(NO_VIOLATION),
@@ -480,6 +472,12 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         self.slots.len()
     }
 
+    /// Whether the attached cancel token, if any, has tripped.
+    fn cancelled(&self) -> bool {
+        let token = self.instrument.attach.cancel.as_ref();
+        token.is_some_and(CancelToken::is_cancelled)
+    }
+
     /// Claims the next chunk into `chunk` under the dispenser lock; `false`
     /// once the campaign will hand out no more: the source ran dry or hit
     /// the cap, a stop flag is up, the cancel token tripped, or ingestion
@@ -489,7 +487,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         if disp.exhausted {
             return false;
         }
-        let claimed = if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+        let claimed = if self.cancelled() {
             disp.cancelled = true;
             false
         } else if self.stop.load(Ordering::Acquire) {
@@ -512,13 +510,13 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
     /// one item of lookahead. `false` when there was nothing left.
     fn dispense(&self, disp: &mut Dispenser<'w>, chunk: &mut Chunk) -> Result<bool, ErPiError> {
         let mut max = self.chunk_size;
-        let mut peek = self.incremental;
+        let mut peek = self.replay.incremental;
         if let Some(watch) = disp.watch.as_mut() {
             let at = match &disp.peeked {
                 Some(((index, _), _)) => *index,
                 None => disp.source.dispensed(),
             };
-            if at > 0 && at % watch.every == 0 {
+            if at > 0 && at % CONSTRAINT_POLL_EVERY == 0 {
                 if let Some(newer) = watch.dir.poll()? {
                     watch.config.absorb(newer.clone());
                     disp.config.absorb(newer);
@@ -526,20 +524,21 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
                     // restarting them would only re-emit what the source's
                     // dedup set — which skips everything already dispensed
                     // — then drops.
-                    if matches!(self.mode, ExploreMode::ErPi) {
+                    let mode = self.replay.mode;
+                    if matches!(mode, ExploreMode::ErPi) {
                         let workload = self.workload.clone();
-                        let fresh = build_explorer(self.mode, workload, &disp.config, &self.plans);
+                        let fresh = build_explorer(mode, workload, &disp.config, &self.plans);
                         disp.source.reseed(fresh);
                     }
                 }
             }
-            let to_boundary = watch.every - at % watch.every;
+            let to_boundary = CONSTRAINT_POLL_EVERY - at % CONSTRAINT_POLL_EVERY;
             if max >= to_boundary {
                 max = to_boundary;
                 peek = false;
             }
         }
-        let counted = self.stop_on_first_violation;
+        let counted = self.replay.stop_on_first_violation;
         let first = disp.peeked.take();
         let rest = std::iter::from_fn(|| disp.next(counted));
         for (item, counters) in first.into_iter().chain(rest).take(max) {
@@ -558,7 +557,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
     /// see [`Campaign::phase`]). A model panic is caught here, noted, and
     /// stops the campaign.
     pub fn step(&self, slot: usize, on: Subject<'_, M>) -> bool {
-        let telemetry = &self.instrument.telemetry;
+        let telemetry = &self.instrument.attach.telemetry;
         let mut state = self.slots[slot].lock();
         let state = &mut *state;
         let t_claim = telemetry.start();
@@ -618,18 +617,18 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
     fn execute_chunk(&self, slot: usize, state: &mut Slot<M>, on: Subject<'_, M>) {
         let mut items = std::mem::take(&mut state.chunk.items);
         let hint = state.chunk.hint.take();
+        let stop_on_first = self.replay.stop_on_first_violation;
         let mut queue = items.drain(..).enumerate().peekable();
         while let Some((at, (index, il))) = queue.next() {
             // The merge cuts the table at the lowest violation, and that
             // only ever moves down: nothing above it can be retained.
-            if self.stop_on_first_violation && index > self.lowest_violation.load(Ordering::Acquire)
-            {
+            if stop_on_first && index > self.lowest_violation.load(Ordering::Acquire) {
                 break;
             }
             let next = queue.peek().map(|(_, (_, next))| next).or(hint.as_ref());
             if self.execute_one(slot, state, index, il, next, on) {
                 self.lowest_violation.fetch_min(index, Ordering::AcqRel);
-                if self.stop_on_first_violation {
+                if stop_on_first {
                     self.stop.store(true, Ordering::Release);
                     let mut table = self.table.lock();
                     if table.stopped_at.is_none_or(|(lowest, _)| index < lowest) {
@@ -655,7 +654,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         next: Option<&Interleaving>,
         on: Subject<'_, M>,
     ) -> bool {
-        let telemetry = &self.instrument.telemetry;
+        let telemetry = &self.instrument.attach.telemetry;
         let track = worker_track(slot);
         let t_run = telemetry.start();
         let run_started = self.svc.as_ref().map(|_| Instant::now());
@@ -724,10 +723,10 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
                 ],
             );
         }
-        let cache_hit = self.incremental.then_some(resumed_depth > 0);
+        let cache_hit = self.replay.incremental.then_some(resumed_depth > 0);
         if let (Some(monitor), Some(hit)) = (state.monitor.as_mut(), cache_hit) {
             if let Some(message) = monitor.record(hit) {
-                if let Some(metrics) = &self.instrument.metrics {
+                if let Some(metrics) = &self.instrument.attach.metrics {
                     metrics.warn_low_hit_rate();
                 }
                 telemetry.warn(track, "cache:low-hit-rate", message);
@@ -822,7 +821,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         if let Some(error) = disp.failed.take() {
             return Err(error);
         }
-        if disp.cancelled || self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+        if disp.cancelled || self.cancelled() {
             return Err(ErPiError::Cancelled);
         }
 
@@ -830,7 +829,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         // it were speculative and are dropped, so the merged result is the
         // same for every slot count.
         let lowest = self.lowest_violation.load(Ordering::Acquire);
-        let stopped = self.stop_on_first_violation && lowest != NO_VIOLATION;
+        let stopped = self.replay.stop_on_first_violation && lowest != NO_VIOLATION;
         let mut runs = std::mem::take(&mut table.runs);
         let mut violations = std::mem::take(&mut table.violations);
         if stopped {
@@ -970,17 +969,17 @@ pub(crate) mod testing {
     pub fn dfs_params(workload: Workload, slots: usize) -> Params<'static> {
         Params {
             workload: Cow::Owned(workload),
-            mode: ExploreMode::Dfs,
+            replay: ReplayConfig {
+                mode: ExploreMode::Dfs,
+                cap: usize::MAX,
+                incremental: false,
+                ..ReplayConfig::default()
+            },
             config: PruningConfig::default(),
             plans: Vec::new(),
-            cap: usize::MAX,
             time: TimeModel::paper_setup(),
-            stop_on_first_violation: false,
-            incremental_budget: None,
-            subsume: false,
             slots,
-            instrument: Instrument::disabled(),
-            cancel: None,
+            instrument: Instrument::default(),
         }
     }
 }
@@ -989,7 +988,7 @@ pub(crate) mod testing {
 mod tests {
     use super::testing::{dfs_params, two_writes, Bomb, RegApp};
     use super::*;
-    use crate::{Assertion, Session, DEFAULT_CACHE_BUDGET};
+    use crate::{Assertion, Session};
     use std::sync::atomic::AtomicU64;
 
     const SLOT_COUNTS: [usize; 3] = [1, 2, 4];
@@ -1046,7 +1045,7 @@ mod tests {
         let w = two_writes();
         let stop_first = |slots| {
             let mut params = dfs_params(w.clone(), slots);
-            params.stop_on_first_violation = true;
+            params.replay.stop_on_first_violation = true;
             run(params, &converge()).unwrap()
         };
         let baseline = stop_first(1);
@@ -1066,9 +1065,9 @@ mod tests {
         for (stop, cap) in [(false, usize::MAX), (true, usize::MAX), (false, 10)] {
             let params = |slots| {
                 let mut params = dfs_params(w.clone(), slots);
-                params.stop_on_first_violation = stop;
-                params.cap = cap;
-                params.incremental_budget = Some(DEFAULT_CACHE_BUDGET);
+                params.replay.stop_on_first_violation = stop;
+                params.replay.cap = cap;
+                params.replay.incremental = true;
                 params
             };
             let baseline = run_chunked(params(1), 1, &converge()).unwrap();
@@ -1097,7 +1096,7 @@ mod tests {
             }
         }));
         let mut params = dfs_params(two_writes(), 1);
-        params.stop_on_first_violation = true;
+        params.replay.stop_on_first_violation = true;
         let out = run(params, &suite).unwrap();
         let first = out.first_violation_at.expect("some order diverges");
         assert!(first > 0 && first + 1 < 24, "a stop in mid-chunk");
@@ -1110,7 +1109,7 @@ mod tests {
         for slots in SLOT_COUNTS {
             let scratch = run(dfs_params(w.clone(), slots), &TestSuite::new()).unwrap();
             let mut params = dfs_params(w.clone(), slots);
-            params.incremental_budget = Some(DEFAULT_CACHE_BUDGET);
+            params.replay.incremental = true;
             let incremental = run(params, &TestSuite::new()).unwrap();
             assert_same(&incremental, &scratch, &format!("{slots} slots"));
             assert!(scratch.cache_stats.is_none());
@@ -1130,7 +1129,7 @@ mod tests {
         assert!(shared < w.len() - 1, "an unhinted run keeps more");
 
         let mut params = dfs_params(w, 1);
-        params.incremental_budget = Some(DEFAULT_CACHE_BUDGET);
+        params.replay.incremental = true;
         let campaign = Campaign::new(params, 3);
         let on = Subject {
             model: &RegApp,
@@ -1148,7 +1147,7 @@ mod tests {
         for slots in SLOT_COUNTS {
             let plain = run(dfs_params(w.clone(), slots), &TestSuite::new()).unwrap();
             let mut params = dfs_params(w.clone(), slots);
-            params.subsume = true;
+            params.replay.subsumption = true;
             let subsuming = run(params, &TestSuite::new()).unwrap();
             assert_same(&subsuming, &plain, &format!("{slots} slots"));
             let stats = subsuming.cache_stats.expect("subsumption-only counters");
@@ -1189,7 +1188,7 @@ mod tests {
             let token = CancelToken::new();
             token.cancel();
             let mut params = dfs_params(two_writes(), slots);
-            params.cancel = Some(token);
+            params.instrument.attach.cancel = Some(token);
             let result = run(params, &suite);
             assert!(matches!(result, Err(ErPiError::Cancelled)), "{slots} slots");
         }
@@ -1198,7 +1197,7 @@ mod tests {
         // campaign is still discarded.
         let token = CancelToken::new();
         let mut params = dfs_params(two_writes(), 1);
-        params.cancel = Some(token.clone());
+        params.instrument.attach.cancel = Some(token.clone());
         let campaign = Campaign::new(params, DEFAULT_CHUNK_SIZE);
         let on = Subject {
             model: &RegApp,

@@ -1,0 +1,83 @@
+//! The replay configuration: every knob of a campaign, declared once.
+//!
+//! The paper parameterises a campaign in one place — `ER-π.Start()` …
+//! `ER-π.End(assertions)` (§5.2), with the cap and stop-at-first-reproduction
+//! of §6.2–§6.3 as its knobs — and so does the engine: a [`ReplayConfig`] is
+//! what a [`Session`](crate::Session) stores, what the catalogue and fuzz
+//! harnesses take, and what the campaign server resolves a submitted spec
+//! into. It is plain data; the handles a replay *writes to* travel beside
+//! it as [`Attachments`](crate::Attachments).
+
+use er_pi_interleave::ExploreMode;
+
+use crate::campaign::available_workers;
+use crate::DEFAULT_CACHE_BUDGET;
+
+/// How one campaign explores and replays its workload. Each field is
+/// written by the `Session::set_*` method of (nearly) the same name, whose
+/// documentation says what it does at length.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReplayConfig {
+    /// The exploration mode: ER-π, DFS or Random.
+    pub mode: ExploreMode,
+    /// Replay at most this many interleavings (the paper caps at 10 000).
+    pub cap: usize,
+    /// Stop at the first violating interleaving.
+    pub stop_on_first_violation: bool,
+    /// Replay slots: `1` is the calling thread alone, `0` every available
+    /// core. The report does not depend on it; the per-slot cache and
+    /// subsumption counters beside the report do.
+    pub workers: usize,
+    /// Prefix-sharing incremental replay; `false` pins the scratch executor.
+    pub incremental: bool,
+    /// Snapshot budget of each slot's incremental executor, in bytes.
+    pub cache_budget: usize,
+    /// State-hash subsumption; the report is byte-identical either way.
+    pub subsumption: bool,
+    /// Sleep-set pruning; the violation set is identical either way, the
+    /// replayed representatives may differ.
+    pub sleep_sets: bool,
+    /// Merge the statically derived independence into the pruning rules.
+    pub auto_independence: bool,
+    /// Run the independence sanitizer after the replay (`set_sanitizer`).
+    pub sanitize: bool,
+    /// Certify the commutativity table before the replay.
+    pub certify: bool,
+    /// Persist the replayed interleavings into the deductive store.
+    pub persist: bool,
+    /// Keep the full per-run records in the report.
+    pub keep_runs: bool,
+}
+
+impl Default for ReplayConfig {
+    /// The only default set there is: ER-π mode, the paper's cap, every
+    /// core, incremental replay on, everything optional off.
+    fn default() -> Self {
+        ReplayConfig {
+            mode: ExploreMode::ErPi,
+            cap: 10_000,
+            stop_on_first_violation: false,
+            workers: 0,
+            incremental: true,
+            cache_budget: DEFAULT_CACHE_BUDGET,
+            subsumption: false,
+            sleep_sets: false,
+            auto_independence: false,
+            sanitize: false,
+            certify: false,
+            persist: false,
+            keep_runs: false,
+        }
+    }
+}
+
+impl ReplayConfig {
+    /// The slot count `workers` stands for: itself, or — for `0` — the
+    /// `ER_PI_WORKERS` override, else the platform's parallelism.
+    pub(crate) fn slots(&self) -> usize {
+        match self.workers {
+            0 => available_workers(),
+            n => n,
+        }
+    }
+}

@@ -5,7 +5,7 @@ use er_pi_dlock::{OrderSequencer, RedisLite};
 use er_pi_model::{Interleaving, Workload};
 use parking_lot::Mutex;
 
-use crate::faultexec::{Delivery, FaultInterpreter};
+use crate::faultexec::FaultInterpreter;
 use crate::{ErPiError, OpOutcome, SystemModel, TimeModel};
 
 /// The result of executing one interleaving.
@@ -62,18 +62,7 @@ impl InlineExecutor {
         for (pos, &id) in il.iter().enumerate() {
             let event = workload.event(id);
             sim_us += time.event_cost_us(event);
-            faults.begin_step(model, &mut states, event);
-            let outcome = match faults.delivery(event, pos) {
-                Delivery::Normal => {
-                    let out = model.apply(&mut states, event);
-                    if faults.duplicate(event) {
-                        let _ = model.apply(&mut states, event);
-                    }
-                    out
-                }
-                other => FaultInterpreter::faulted_outcome(other),
-            };
-            faults.end_step(model, &mut states, workload, pos);
+            let outcome = faults.step(model, &mut states, workload, event, pos);
             on_step(pos, id, &outcome, &states);
             outcomes.push(outcome);
         }
@@ -156,19 +145,8 @@ impl ThreadedExecutor {
                             let pos = ticket as usize;
                             let mut guard = states.lock();
                             let mut interp = faults.lock();
-                            interp.begin_step(model, &mut guard, event);
-                            let outcome = match interp.delivery(event, pos) {
-                                Delivery::Normal => {
-                                    let out = model.apply(&mut guard, event);
-                                    if interp.duplicate(event) {
-                                        let _ = model.apply(&mut guard, event);
-                                    }
-                                    out
-                                }
-                                other => FaultInterpreter::faulted_outcome(other),
-                            };
+                            let outcome = interp.step(model, &mut guard, workload, event, pos);
                             outcomes.lock()[pos] = outcome;
-                            interp.end_step(model, &mut guard, workload, pos);
                             local_us += time.event_cost_us(event);
                         });
                     }

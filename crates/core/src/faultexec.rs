@@ -26,19 +26,6 @@ use er_pi_rdl::{fnv1a64, fnv1a64_extend};
 
 use crate::{OpOutcome, SystemModel};
 
-/// What happens to the anchor event at its own schedule slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Delivery {
-    /// Apply normally (a scheduled `Duplicate` additionally re-applies).
-    Normal,
-    /// The endpoints are partitioned: fail without applying.
-    Partitioned,
-    /// A scheduled `Drop`: fail without applying.
-    Dropped,
-    /// A scheduled `Delay`: fail at this slot; the effect fires later.
-    Delayed,
-}
-
 /// Failure reasons recorded for faulted slots (stable strings: they are part
 /// of the byte-identical report contract).
 pub(crate) const REASON_PARTITIONED: &str = "fault: partitioned link";
@@ -87,13 +74,38 @@ impl<'p> FaultInterpreter<'p> {
             .unwrap_or(false)
     }
 
-    /// Fires the topology faults anchored at `event` (before it executes).
-    pub(crate) fn begin_step<M: SystemModel>(
+    /// Executes the event at schedule slot `pos` with its faults and returns
+    /// the outcome the slot records. The order of these calls *is* the fault
+    /// semantics of the [module docs](self) — topology faults, then the
+    /// anchor's own delivery (re-applied when duplicated), then the delayed
+    /// effects due at the end of the step — and every executor goes through
+    /// here, so there is one copy of it.
+    #[inline]
+    pub(crate) fn step<M: SystemModel>(
         &mut self,
         model: &M,
         states: &mut [M::State],
+        workload: &Workload,
         event: &Event,
-    ) {
+        pos: usize,
+    ) -> OpOutcome {
+        self.begin_step(model, states, event);
+        let outcome = match self.undelivered(event, pos) {
+            None => {
+                let out = model.apply(states, event);
+                if self.duplicate(event) {
+                    let _ = model.apply(states, event);
+                }
+                out
+            }
+            Some(reason) => OpOutcome::failed(reason),
+        };
+        self.end_step(model, states, workload, pos);
+        outcome
+    }
+
+    /// Fires the topology faults anchored at `event` (before it executes).
+    fn begin_step<M: SystemModel>(&mut self, model: &M, states: &mut [M::State], event: &Event) {
         if self.idle() {
             return;
         }
@@ -111,36 +123,37 @@ impl<'p> FaultInterpreter<'p> {
         }
     }
 
-    /// Decides the anchor event's own delivery. `pos` is its schedule slot.
+    /// Decides the anchor event's own delivery at its schedule slot `pos`:
+    /// `None` applies it, `Some(reason)` fails the slot without applying —
+    /// partitioned endpoints, a scheduled `Drop`, or a scheduled `Delay`
+    /// (whose effect is queued to fire later).
     ///
     /// Precedence when a plan stacks delivery faults on one anchor:
     /// partition > drop > delay > duplicate (the enumerator never stacks,
     /// but hand-written plans may).
-    pub(crate) fn delivery(&mut self, event: &Event, pos: usize) -> Delivery {
+    fn undelivered(&mut self, event: &Event, pos: usize) -> Option<&'static str> {
         if self.idle() {
-            return Delivery::Normal;
+            return None;
         }
         if self.is_partitioned(event) {
-            return Delivery::Partitioned;
+            return Some(REASON_PARTITIONED);
         }
         let mut delay = None;
         for fault in self.plan.at(event.id) {
             match fault.kind {
-                FaultKind::Drop => return Delivery::Dropped,
+                FaultKind::Drop => return Some(REASON_DROPPED),
                 FaultKind::Delay { by } => delay = Some(by.max(1) as usize),
                 _ => {}
             }
         }
-        if let Some(by) = delay {
-            self.pending.push((pos + by, event.id));
-            return Delivery::Delayed;
-        }
-        Delivery::Normal
+        let by = delay?;
+        self.pending.push((pos + by, event.id));
+        Some(REASON_DELAYED)
     }
 
     /// Returns `true` if `event` should be applied a second time (a
-    /// duplicated delivery). Only meaningful after a `Normal` delivery.
-    pub(crate) fn duplicate(&self, event: &Event) -> bool {
+    /// duplicated delivery). Only meaningful for a delivered event.
+    fn duplicate(&self, event: &Event) -> bool {
         !self.idle()
             && self
                 .plan
@@ -151,7 +164,7 @@ impl<'p> FaultInterpreter<'p> {
     /// Fires delayed effects due at or before `pos` (end of that step).
     /// Their outcomes are discarded — the schedule slot already recorded
     /// [`REASON_DELAYED`].
-    pub(crate) fn end_step<M: SystemModel>(
+    fn end_step<M: SystemModel>(
         &mut self,
         model: &M,
         states: &mut [M::State],
@@ -258,16 +271,6 @@ impl<'p> FaultInterpreter<'p> {
         }
         h
     }
-
-    /// The outcome recorded for a non-`Normal` delivery.
-    pub(crate) fn faulted_outcome(delivery: Delivery) -> OpOutcome {
-        match delivery {
-            Delivery::Partitioned => OpOutcome::failed(REASON_PARTITIONED),
-            Delivery::Dropped => OpOutcome::failed(REASON_DROPPED),
-            Delivery::Delayed => OpOutcome::failed(REASON_DELAYED),
-            Delivery::Normal => unreachable!("normal delivery records the model outcome"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -310,19 +313,7 @@ mod tests {
         let mut interp = FaultInterpreter::new(il.faults());
         for (pos, &id) in il.iter().enumerate() {
             let event = workload.event(id);
-            interp.begin_step(&model, &mut states, event);
-            let outcome = match interp.delivery(event, pos) {
-                Delivery::Normal => {
-                    let out = model.apply(&mut states, event);
-                    if interp.duplicate(event) {
-                        let _ = model.apply(&mut states, event);
-                    }
-                    out
-                }
-                other => FaultInterpreter::faulted_outcome(other),
-            };
-            outcomes.push(outcome);
-            interp.end_step(&model, &mut states, workload, pos);
+            outcomes.push(interp.step(&model, &mut states, workload, event, pos));
         }
         interp.finish(&model, &mut states, workload);
         (states, outcomes)

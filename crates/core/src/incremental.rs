@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 use er_pi_model::{EventId, Interleaving, Workload};
 
-use crate::faultexec::{Delivery, FaultInterpreter};
+use crate::faultexec::FaultInterpreter;
 use crate::subsume::{suffix_hashes, RunMemo, SubsumeHit, SubsumeKey, SubsumeSet};
 use crate::{CacheStats, Execution, OpOutcome, SystemModel, TimeModel};
 
@@ -440,21 +440,10 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         if stitched_at.is_none() {
             for (pos, &id) in il.iter().enumerate().skip(resume_depth) {
                 let event = workload.event(id);
-                faults.begin_step(model, &mut states, event);
-                let outcome = match faults.delivery(event, pos) {
-                    Delivery::Normal => {
-                        let out = model.apply(&mut states, event);
-                        if faults.duplicate(event) {
-                            let _ = model.apply(&mut states, event);
-                        }
-                        out
-                    }
-                    other => FaultInterpreter::faulted_outcome(other),
-                };
-                // Delayed effects due at this step land before the snapshot, so
-                // a stored prefix is the full deterministic function of its
-                // `(events, anchored faults)` path.
-                faults.end_step(model, &mut states, workload, pos);
+                // Delayed effects due at this step land inside it, before the
+                // snapshot, so a stored prefix is the full deterministic
+                // function of its `(events, anchored faults)` path.
+                let outcome = faults.step(model, &mut states, workload, event, pos);
                 // Extend the path through every interior depth worth keeping;
                 // the final depth is never resumed from (a repeat of the same
                 // interleaving resumes at N-1 and re-applies the last event),

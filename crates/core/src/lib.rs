@@ -134,6 +134,7 @@
 mod campaign;
 mod cancel;
 mod checks;
+mod config;
 mod constraints;
 mod error;
 mod executor;
@@ -156,6 +157,7 @@ mod time;
 pub use campaign::DEFAULT_CHUNK_SIZE;
 pub use cancel::CancelToken;
 pub use checks::{Assertion, CheckContext, CrossCheck, CrossContext, TestSuite};
+pub use config::ReplayConfig;
 pub use constraints::ConstraintsDir;
 pub use error::ErPiError;
 pub use executor::{Execution, InlineExecutor, ThreadedExecutor};
@@ -163,6 +165,7 @@ pub use forensics::{
     explain_violation, DigestSource, DivergencePoint, ForensicBundle, ForensicStep, Provenance,
 };
 pub use incremental::{IncrementalExecutor, DEFAULT_CACHE_BUDGET};
+pub use instrument::{Attachments, ProgressHook};
 pub use metrics::SessionMetrics;
 pub use misconceptions::{misconception, Misconception};
 pub use profile::{CacheStats, FailureStats, ReplicaLoad, ResourceProfile, WorkerLoad};

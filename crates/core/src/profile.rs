@@ -141,8 +141,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Runs that found no usable checkpoint and replayed from scratch.
     pub misses: u64,
-    /// Event applications skipped by resuming from cached prefixes — the
-    /// headline number of the `fig_prefix` benchmark.
+    /// Event applications skipped by resuming from cached prefixes — what
+    /// `core.incr_events_saved_share` reports (see `benchmark/README.md`).
     pub events_saved: u64,
     /// Bytes of snapshot state resident when the replay ended: the sum of
     /// [`SystemModel::state_size_hint`](crate::SystemModel::state_size_hint)

@@ -321,14 +321,14 @@ mod tests {
         cancel: Option<CancelToken>,
     ) -> Campaign<'static, RegApp> {
         let mut params = dfs_params(two_writes(), service.workers());
-        params.stop_on_first_violation = stop_on_first_violation;
-        params.cancel = cancel;
+        params.replay.stop_on_first_violation = stop_on_first_violation;
+        params.instrument.attach.cancel = cancel;
         Campaign::new(params, DEFAULT_CHUNK_SIZE)
     }
 
     fn standalone(stop_on_first_violation: bool, suite: &TestSuite<i64>) -> Outcome {
         let mut params = dfs_params(two_writes(), 1);
-        params.stop_on_first_violation = stop_on_first_violation;
+        params.replay.stop_on_first_violation = stop_on_first_violation;
         let model = &RegApp;
         Campaign::new(params, DEFAULT_CHUNK_SIZE)
             .run(Subject { model, suite })

@@ -10,18 +10,17 @@ use er_pi_interleave::{
 };
 use er_pi_model::{EventId, FaultPlan, OpDescriptor, ReplicaId, Value, Workload, WorkloadBuilder};
 use er_pi_telemetry::{
-    Progress, ProgressSnapshot, Sink, Telemetry, COORDINATOR_TRACK, HIT_RATE_THRESHOLD,
-    HIT_RATE_WINDOW,
+    ProgressSnapshot, Sink, Telemetry, COORDINATOR_TRACK, HIT_RATE_THRESHOLD, HIT_RATE_WINDOW,
 };
 
 use er_pi_analysis::{Diagnostic, TraceAnalysis};
 
-use crate::campaign::{available_workers, Campaign, Outcome, Params, Subject, Watch};
-use crate::instrument::{Instrument, ProgressHook};
+use crate::campaign::{Campaign, Outcome, Params, Subject, Watch};
+use crate::instrument::Instrument;
 use crate::{
-    CancelToken, ConstraintsDir, CrossContext, ErPiError, ExecutorService, FailureStats, OpOutcome,
-    Report, ResourceProfile, SanitizerReport, SessionMetrics, SessionSummary, SystemModel,
-    TestSuite, TimeModel, Violation, DEFAULT_CACHE_BUDGET, DEFAULT_CHUNK_SIZE,
+    Attachments, CancelToken, ConstraintsDir, CrossContext, ErPiError, ExecutorService,
+    FailureStats, OpOutcome, ReplayConfig, Report, SanitizerReport, SessionMetrics, SessionSummary,
+    SystemModel, TestSuite, TimeModel, Violation, DEFAULT_CHUNK_SIZE,
 };
 
 /// The live, recording instance of the system under test.
@@ -141,74 +140,52 @@ impl<'m, M: SystemModel> LiveSystem<'m, M> {
 pub struct Session<M: SystemModel> {
     model: M,
     config: PruningConfig,
-    mode: ExploreMode,
-    auto_independence: bool,
-    /// The paper's experiment cap: 10 000 interleavings.
-    max_interleavings: usize,
-    stop_on_first_violation: bool,
-    keep_runs: bool,
-    workers: usize,
-    incremental: bool,
-    cache_budget: usize,
-    subsume: bool,
-    sleep_sets: bool,
+    replay: ReplayConfig,
+    attach: Attachments,
+    /// The paper's three-host time model.
     time: TimeModel,
     constraints: Option<ConstraintsDir>,
-    constraint_poll_every: usize,
-    persist: bool,
-    sanitize: bool,
-    certify: bool,
     workload: Option<Workload>,
     fault_plans: Option<Vec<FaultPlan>>,
     fault_space: Option<FaultSpace>,
     store: Option<InterleavingStore>,
     sanitizer_report: Option<SanitizerReport>,
-    telemetry: Telemetry,
-    progress_hook: Option<ProgressHook>,
-    progress_every: usize,
-    cancel: Option<CancelToken>,
-    metrics: Option<SessionMetrics>,
 }
 
 impl<M: SystemModel> Session<M> {
-    /// Creates a session with default settings: ER-π mode, the paper's
-    /// 10 000-interleaving cap, and the three-host time model.
+    /// Creates a session with [`ReplayConfig::default`] (ER-π mode, the
+    /// paper's 10 000-interleaving cap) and nothing attached.
     pub fn new(model: M) -> Self {
+        Session::with_config(model, ReplayConfig::default(), Attachments::default())
+    }
+
+    /// Creates a session that replays under `replay` and reports through
+    /// `attach`, both handed over whole (what the catalogue, fuzz and server
+    /// harnesses do); the `set_*` methods edit the same two values in place.
+    pub fn with_config(model: M, replay: ReplayConfig, attach: Attachments) -> Self {
         Session {
             model,
             config: PruningConfig::default(),
-            mode: ExploreMode::ErPi,
-            auto_independence: false,
-            max_interleavings: 10_000,
-            stop_on_first_violation: false,
-            keep_runs: false,
-            workers: available_workers(),
-            incremental: true,
-            cache_budget: DEFAULT_CACHE_BUDGET,
-            subsume: false,
-            sleep_sets: false,
+            replay,
+            attach,
             time: TimeModel::paper_setup(),
             constraints: None,
-            constraint_poll_every: 100,
-            persist: false,
-            sanitize: false,
-            certify: false,
             workload: None,
             fault_plans: None,
             fault_space: None,
             store: None,
             sanitizer_report: None,
-            telemetry: Telemetry::disabled(),
-            progress_hook: None,
-            progress_every: 256,
-            cancel: None,
-            metrics: None,
         }
     }
 
     /// The system under test.
     pub fn model(&self) -> &M {
         &self.model
+    }
+
+    /// The replay configuration as the `set_*` methods have left it.
+    pub fn replay_config(&self) -> &ReplayConfig {
+        &self.replay
     }
 
     /// Mutable access to the pruning configuration.
@@ -224,7 +201,7 @@ impl<M: SystemModel> Session<M> {
 
     /// Selects the exploration mode (ER-π, DFS, or Random).
     pub fn set_mode(&mut self, mode: ExploreMode) -> &mut Self {
-        self.mode = mode;
+        self.replay.mode = mode;
         self
     }
 
@@ -233,25 +210,25 @@ impl<M: SystemModel> Session<M> {
     /// [`er_pi_analysis::analyze`] are merged into the pruning
     /// configuration for every replay, replacing hand declarations.
     pub fn set_auto_independence(&mut self, auto: bool) -> &mut Self {
-        self.auto_independence = auto;
+        self.replay.auto_independence = auto;
         self
     }
 
     /// Caps the number of replayed interleavings (paper default: 10 000).
     pub fn set_cap(&mut self, cap: usize) -> &mut Self {
-        self.max_interleavings = cap;
+        self.replay.cap = cap;
         self
     }
 
     /// Stops the replay at the first violation (bug-reproduction mode).
     pub fn set_stop_on_first_violation(&mut self, stop: bool) -> &mut Self {
-        self.stop_on_first_violation = stop;
+        self.replay.stop_on_first_violation = stop;
         self
     }
 
     /// Keeps the full per-run records in the report.
     pub fn set_keep_runs(&mut self, keep: bool) -> &mut Self {
-        self.keep_runs = keep;
+        self.replay.keep_runs = keep;
         self
     }
 
@@ -267,17 +244,14 @@ impl<M: SystemModel> Session<M> {
     /// directory replay on one slot regardless, because State-4 ingestion
     /// is a feedback loop on the live exploration order.
     pub fn set_workers(&mut self, workers: usize) -> &mut Self {
-        self.workers = if workers == 0 {
-            available_workers()
-        } else {
-            workers
-        };
+        self.replay.workers = workers;
         self
     }
 
-    /// The configured replay worker count.
+    /// The replay slot count the configured worker count stands for (`0`
+    /// resolved to the available cores).
     pub fn workers(&self) -> usize {
-        self.workers
+        self.replay.slots()
     }
 
     /// Enables or disables prefix-sharing incremental replay (default:
@@ -293,15 +267,11 @@ impl<M: SystemModel> Session<M> {
     /// lexicographic modes, and Random order costs about what scratch
     /// replay costs. Disable it to force the §4.3 scratch semantics (e.g.
     /// when `SystemModel::apply` is not deterministic — which also breaks
-    /// replay itself — or to baseline the saving, as `fig_prefix` does).
+    /// replay itself — or to baseline the saving, as the scratch oracle of
+    /// `benchmark/` does; see `benchmark/README.md`).
     pub fn set_incremental(&mut self, incremental: bool) -> &mut Self {
-        self.incremental = incremental;
+        self.replay.incremental = incremental;
         self
-    }
-
-    /// Whether incremental replay is enabled.
-    pub fn incremental(&self) -> bool {
-        self.incremental
     }
 
     /// Sets the snapshot budget of the incremental executor, in
@@ -316,13 +286,8 @@ impl<M: SystemModel> Session<M> {
     ///
     /// [`DEFAULT_CACHE_BUDGET`]: crate::DEFAULT_CACHE_BUDGET
     pub fn set_cache_budget(&mut self, bytes: usize) -> &mut Self {
-        self.cache_budget = bytes;
+        self.replay.cache_budget = bytes;
         self
-    }
-
-    /// The configured snapshot budget.
-    pub fn cache_budget(&self) -> usize {
-        self.cache_budget
     }
 
     /// Enables or disables state-hash subsumption (default: **off**).
@@ -342,13 +307,8 @@ impl<M: SystemModel> Session<M> {
     /// full encodings next to the digests and panics on any 128-bit
     /// collision or false subsumption.
     pub fn set_subsumption(&mut self, subsume: bool) -> &mut Self {
-        self.subsume = subsume;
+        self.replay.subsumption = subsume;
         self
-    }
-
-    /// Whether state-hash subsumption is enabled.
-    pub fn subsumption(&self) -> bool {
-        self.subsume
     }
 
     /// Enables or disables sleep-set (DPOR-style) pruning (default:
@@ -367,18 +327,7 @@ impl<M: SystemModel> Session<M> {
     /// one the event-level independence filter would have kept, so reports
     /// are violation-equivalent rather than byte-identical.
     pub fn set_sleep_sets(&mut self, sleep: bool) -> &mut Self {
-        self.sleep_sets = sleep;
-        self
-    }
-
-    /// Whether sleep-set pruning is enabled.
-    pub fn sleep_sets(&self) -> bool {
-        self.sleep_sets
-    }
-
-    /// Replaces the simulated-time model.
-    pub fn set_time_model(&mut self, time: TimeModel) -> &mut Self {
-        self.time = time;
+        self.replay.sleep_sets = sleep;
         self
     }
 
@@ -392,7 +341,7 @@ impl<M: SystemModel> Session<M> {
     /// Persists generated interleavings into the deductive store, queryable
     /// afterwards via [`Session::store`].
     pub fn set_persist(&mut self, persist: bool) -> &mut Self {
-        self.persist = persist;
+        self.replay.persist = persist;
         self
     }
 
@@ -411,13 +360,8 @@ impl<M: SystemModel> Session<M> {
     /// byte-identical to a sanitizer-off one under [`Report::diff`] (pinned
     /// by the `sanitizer_equivalence` suite).
     pub fn set_sanitizer(&mut self, sanitize: bool) -> &mut Self {
-        self.sanitize = sanitize;
+        self.replay.sanitize = sanitize;
         self
-    }
-
-    /// Whether the independence sanitizer is enabled.
-    pub fn sanitizer(&self) -> bool {
-        self.sanitize
     }
 
     /// The independence findings of the last sanitizer-enabled replay
@@ -437,13 +381,8 @@ impl<M: SystemModel> Session<M> {
     /// an `independence-soundness` lint (misconception number 0), alongside
     /// the five misconception lints.
     pub fn set_certify(&mut self, certify: bool) -> &mut Self {
-        self.certify = certify;
+        self.replay.certify = certify;
         self
-    }
-
-    /// Whether pre-replay table certification is enabled.
-    pub fn certify(&self) -> bool {
-        self.certify
     }
 
     /// Attaches a telemetry sink: recording, enumeration, each pruning
@@ -458,7 +397,7 @@ impl<M: SystemModel> Session<M> {
     /// disables the whole layer down to one dead branch per instrumented
     /// site.
     pub fn set_telemetry(&mut self, sink: Arc<dyn Sink>) -> &mut Self {
-        self.telemetry = Telemetry::new(sink);
+        self.attach.telemetry = Telemetry::new(sink);
         self
     }
 
@@ -472,7 +411,7 @@ impl<M: SystemModel> Session<M> {
     /// attached registry leaves the [`Report`] byte-identical to a
     /// detached run.
     pub fn set_metrics(&mut self, metrics: SessionMetrics) -> &mut Self {
-        self.metrics = Some(metrics);
+        self.attach.metrics = Some(metrics);
         self
     }
 
@@ -486,8 +425,8 @@ impl<M: SystemModel> Session<M> {
         every: usize,
         hook: impl Fn(&ProgressSnapshot) + Send + Sync + 'static,
     ) -> &mut Self {
-        self.progress_every = every.max(1);
-        self.progress_hook = Some(Arc::new(hook));
+        self.attach.progress_every = every.max(1);
+        self.attach.progress = Some(Arc::new(hook));
         self
     }
 
@@ -501,7 +440,7 @@ impl<M: SystemModel> Session<M> {
     /// again. The campaign server trips a per-campaign token from its
     /// `DELETE /campaigns/:id` handler.
     pub fn set_cancel_token(&mut self, token: Option<CancelToken>) -> &mut Self {
-        self.cancel = token;
+        self.attach.cancel = token;
         self
     }
 
@@ -509,10 +448,10 @@ impl<M: SystemModel> Session<M> {
     /// of the system, intercepting every call as an event. Returns the
     /// extracted workload.
     pub fn record(&mut self, drive: impl FnOnce(&mut LiveSystem<'_, M>)) -> &Workload {
-        let t_record = self.telemetry.start();
+        let t_record = self.attach.telemetry.start();
         let mut live = LiveSystem::new(&self.model);
         drive(&mut live);
-        self.telemetry.span_since(
+        self.attach.telemetry.span_since(
             COORDINATOR_TRACK,
             "record",
             t_record,
@@ -607,16 +546,11 @@ impl<M: SystemModel> Session<M> {
         let params = Params {
             plans: self.resolve_fault_plans(&workload),
             workload,
-            mode: self.mode,
+            replay: self.replay,
             config: effective,
-            cap: self.max_interleavings,
             time: self.time.clone(),
-            stop_on_first_violation: self.stop_on_first_violation,
-            incremental_budget: self.incremental.then_some(self.cache_budget),
-            subsume: self.subsume,
             slots,
             instrument: instrument.clone(),
-            cancel: self.cancel.clone(),
         };
         Campaign::new(params, DEFAULT_CHUNK_SIZE)
     }
@@ -648,16 +582,17 @@ impl<M: SystemModel> Session<M> {
         let started = Instant::now();
         let slots = match self.constraints {
             Some(_) => 1,
-            None => self.workers,
+            None => self.replay.slots(),
         };
-        let instrument = self.build_instrument(&workload, slots);
+        let instrument = self
+            .attach
+            .instrument(&workload, slots, &self.replay, &self.time);
         let (diagnostics, effective) = self.prepare_replay(&workload)?;
         let mut campaign = self.campaign(Cow::Borrowed(&workload), effective, slots, &instrument);
         if let Some(dir) = self.constraints.as_mut() {
             campaign.watch(Watch {
                 dir,
                 config: &mut self.config,
-                every: self.constraint_poll_every,
             });
         }
         let model = &self.model;
@@ -698,7 +633,9 @@ impl<M: SystemModel> Session<M> {
         let workload = self.workload.clone().ok_or(ErPiError::NothingRecorded)?;
         let started = Instant::now();
         let slots = service.workers();
-        let instrument = self.build_instrument(&workload, slots);
+        let instrument = self
+            .attach
+            .instrument(&workload, slots, &self.replay, &self.time);
         let (diagnostics, effective) = self.prepare_replay(&workload)?;
         let campaign = self.campaign(Cow::Owned(workload.clone()), effective, slots, &instrument);
         let outcome =
@@ -716,10 +653,11 @@ impl<M: SystemModel> Session<M> {
     ) -> Result<(Vec<Diagnostic>, PruningConfig), ErPiError> {
         // The static pass always runs: its lints land in the report, and —
         // if enabled — its derived independence feeds Algorithm 3.
-        let t_analyze = self.telemetry.start();
+        let telemetry = &self.attach.telemetry;
+        let t_analyze = telemetry.start();
         let analysis = er_pi_analysis::analyze(workload);
         let mut diagnostics = analysis.diagnostics.clone();
-        self.telemetry.span_since(
+        telemetry.span_since(
             COORDINATOR_TRACK,
             "analyze",
             t_analyze,
@@ -743,22 +681,22 @@ impl<M: SystemModel> Session<M> {
         let mut effective = self.config.clone();
         // Sleep sets consume the analysis-derived independence relation, so
         // enabling them implies the auto-independence merge.
-        if self.auto_independence || self.sleep_sets {
+        if self.replay.auto_independence || self.replay.sleep_sets {
             effective.absorb(analysis.to_pruning_config());
         }
-        effective.sleep_sets |= self.sleep_sets;
+        effective.sleep_sets |= self.replay.sleep_sets;
 
         // Pre-campaign certification: audit the commutativity table itself
         // and cross-check the effective independence declarations against
         // the certified verdicts. Findings join the misconception lints.
-        if self.certify {
-            let t_certify = self.telemetry.start();
+        if self.replay.certify {
+            let t_certify = telemetry.start();
             let table = er_pi_analysis::certify_table();
             let mut findings = er_pi_analysis::validate_table(&table);
             findings.extend(er_pi_analysis::validate_independence(
                 workload, &effective, &table,
             ));
-            self.telemetry.span_since(
+            telemetry.span_since(
                 COORDINATOR_TRACK,
                 "certify",
                 t_certify,
@@ -792,11 +730,12 @@ impl<M: SystemModel> Session<M> {
         // declared-independent pair swap the pruners relied on. Strictly
         // read-only with respect to the report — findings live on the
         // session only.
-        self.sanitizer_report = self.sanitize.then(|| {
-            let t_sanitize = self.telemetry.start();
+        let telemetry = &self.attach.telemetry;
+        self.sanitizer_report = self.replay.sanitize.then(|| {
+            let t_sanitize = telemetry.start();
             let report =
                 crate::sanitizer::sanitize(&self.model, workload, &outcome.config, &outcome.runs);
-            self.telemetry.span_since(
+            telemetry.span_since(
                 COORDINATOR_TRACK,
                 "sanitize",
                 t_sanitize,
@@ -850,8 +789,8 @@ impl<M: SystemModel> Session<M> {
             cache: outcome.cache_stats,
             failures: FailureStats::from_runs(&outcome.runs),
         };
-        if self.telemetry.is_active() {
-            self.telemetry.instant(
+        if telemetry.is_active() {
+            telemetry.instant(
                 COORDINATOR_TRACK,
                 "summary",
                 vec![
@@ -865,7 +804,7 @@ impl<M: SystemModel> Session<M> {
         if let Some(progress) = &instrument.progress {
             instrument.sample(progress);
         }
-        self.telemetry.flush();
+        telemetry.flush();
 
         // Headless surfacing of the degraded-cache warning (the sink-side
         // `HitRateMonitor` sees it live; this covers campaigns with no
@@ -874,7 +813,7 @@ impl<M: SystemModel> Session<M> {
         // OUTSIDE the byte-identical
         // report contract, like `wall_ms` and `worker_loads`.
         let mut advisories: Vec<String> = Vec::new();
-        if self.incremental {
+        if self.replay.incremental {
             if let Some(cache) = &outcome.cache_stats {
                 let attributed = cache.hits + cache.misses;
                 if attributed >= HIT_RATE_WINDOW {
@@ -889,7 +828,7 @@ impl<M: SystemModel> Session<M> {
                             rate * 100.0,
                             HIT_RATE_THRESHOLD * 100.0,
                         ));
-                        if let Some(metrics) = &self.metrics {
+                        if let Some(metrics) = &self.attach.metrics {
                             metrics.warn_low_hit_rate();
                         }
                     }
@@ -898,7 +837,7 @@ impl<M: SystemModel> Session<M> {
         }
 
         // The persisted store mirrors the retained runs in dispatch order.
-        self.store = self.persist.then(|| {
+        self.store = self.replay.persist.then(|| {
             let mut store = InterleavingStore::new(workload);
             for run in &outcome.runs {
                 store.store(&run.interleaving);
@@ -913,7 +852,7 @@ impl<M: SystemModel> Session<M> {
             wasted_work: outcome.wasted,
             wall_ms,
             sim_us: sim_us_total,
-            runs: if self.keep_runs || !suite.cross_checks().is_empty() {
+            runs: if self.replay.keep_runs || !suite.cross_checks().is_empty() {
                 outcome.runs
             } else {
                 Vec::new()
@@ -926,39 +865,10 @@ impl<M: SystemModel> Session<M> {
             session_summary,
             advisories,
         };
-        if let Some(metrics) = &self.metrics {
+        if let Some(metrics) = &self.attach.metrics {
             metrics.finish(&report);
         }
         report
-    }
-
-    /// Builds the per-replay instrument: the cloned telemetry handle plus —
-    /// when anyone is watching — the shared progress aggregator sized for
-    /// `slots` worker tallies and seeded with the session cap and the
-    /// a-priori campaign projection.
-    fn build_instrument(&self, workload: &Workload, slots: usize) -> Instrument {
-        let watching =
-            self.telemetry.is_active() || self.progress_hook.is_some() || self.metrics.is_some();
-        if !watching {
-            return Instrument::disabled();
-        }
-        let workers = slots.max(1);
-        let expected =
-            (self.max_interleavings < usize::MAX).then_some(self.max_interleavings as u64);
-        let campaign_secs = expected.map(|cap| {
-            ResourceProfile::for_workload(workload, &self.time).campaign_secs(cap as usize)
-        });
-        Instrument {
-            telemetry: self.telemetry.clone(),
-            progress: Some(Arc::new(
-                Progress::new(workers)
-                    .with_expected_total(expected)
-                    .with_campaign_secs(campaign_secs),
-            )),
-            hook: self.progress_hook.clone(),
-            every: self.progress_every,
-            metrics: self.metrics.clone(),
-        }
     }
 
     /// Emits the per-pruner aggregate spans (`prune:<filter>`): checked /
@@ -966,11 +876,12 @@ impl<M: SystemModel> Session<M> {
     /// duration, laid out back-to-back so Perfetto renders the four
     /// algorithms as adjacent blocks.
     fn emit_prune_spans(&self, stats: Option<&PruneStats>, timings: Option<&FilterTimings>) {
-        if !self.telemetry.is_active() {
+        let telemetry = &self.attach.telemetry;
+        if !telemetry.is_active() {
             return;
         }
         let rows = SessionSummary::pruner_rows(stats, timings);
-        let mut cursor = self.telemetry.now_us();
+        let mut cursor = telemetry.now_us();
         for row in rows {
             let label = match row.name {
                 "replica-specific" => "prune:replica-specific",
@@ -981,7 +892,7 @@ impl<M: SystemModel> Session<M> {
                 _ => "prune:other",
             };
             let dur_us = row.wall_ns / 1_000;
-            self.telemetry.span(
+            telemetry.span(
                 COORDINATOR_TRACK,
                 label,
                 cursor,
@@ -1011,6 +922,42 @@ mod tests {
             let w2 = sys.invoke(b, "set", [Value::from(2)]);
             sys.sync(b, a, w2);
         });
+    }
+
+    /// The defaults live in `ReplayConfig::default()` and nowhere else, and
+    /// each setter writes the field it names and no other.
+    #[test]
+    fn setters_write_the_one_replay_config() {
+        let mut expected = ReplayConfig::default();
+        assert_eq!(
+            (expected.mode, expected.cap, expected.workers),
+            (ExploreMode::ErPi, 10_000, 0),
+            "ER-π mode, the paper's cap, every core"
+        );
+        assert!(expected.incremental && expected.cache_budget == crate::DEFAULT_CACHE_BUDGET);
+
+        let mut session = Session::new(RegApp);
+        assert_eq!(session.replay_config(), &expected);
+        macro_rules! writes {
+            ($setter:ident($value:expr) => $field:ident) => {
+                session.$setter($value);
+                expected.$field = $value;
+                assert_eq!(session.replay_config(), &expected, stringify!($setter));
+            };
+        }
+        writes!(set_mode(ExploreMode::Dfs) => mode);
+        writes!(set_cap(7) => cap);
+        writes!(set_stop_on_first_violation(true) => stop_on_first_violation);
+        writes!(set_workers(3) => workers);
+        writes!(set_incremental(false) => incremental);
+        writes!(set_cache_budget(1) => cache_budget);
+        writes!(set_subsumption(true) => subsumption);
+        writes!(set_sleep_sets(true) => sleep_sets);
+        writes!(set_auto_independence(true) => auto_independence);
+        writes!(set_sanitizer(true) => sanitize);
+        writes!(set_certify(true) => certify);
+        writes!(set_persist(true) => persist);
+        writes!(set_keep_runs(true) => keep_runs);
     }
 
     #[test]
@@ -1113,7 +1060,10 @@ mod tests {
             let mut incremental = Session::new(RegApp);
             record_two_writes(&mut incremental);
             incremental.set_mode(ExploreMode::Dfs).set_workers(workers);
-            assert!(incremental.incremental(), "incremental defaults on");
+            assert!(
+                incremental.replay_config().incremental,
+                "incremental defaults on"
+            );
             let inc = incremental.replay(&TestSuite::new()).unwrap();
 
             let mut scratch = Session::new(RegApp);
@@ -1313,7 +1263,6 @@ mod tests {
             .independent_sets
             .push(vec![EventId::new(0), EventId::new(1)]);
         session.set_workers(1).set_sanitizer(true);
-        assert!(session.sanitizer());
         let with = session.replay(&TestSuite::new()).unwrap();
         let findings = session.sanitizer_report().expect("sanitizer ran").clone();
         assert!(!findings.passed());
@@ -1358,7 +1307,6 @@ mod tests {
             sys.invoke(ReplicaId::new(1), "reg_set", [Value::from(2)]);
         });
         session.set_certify(true);
-        assert!(session.certify());
 
         // Healthy table, no declarations: certification is silent.
         let clean = session.replay(&TestSuite::new()).unwrap();

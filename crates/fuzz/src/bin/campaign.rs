@@ -25,7 +25,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use er_pi_fuzz::{case_strategy, corpus, run_case, shrink, Finding, OracleOptions, Target};
+use er_pi::ReplayConfig;
+use er_pi_fuzz::{case_strategy, corpus, run_case, shrink, Finding, Target, ORACLE_CAP};
 use proptest::test_runner::TestRng;
 use proptest::Strategy;
 
@@ -33,7 +34,7 @@ struct Args {
     targets: Vec<Target>,
     seeds: Vec<u32>,
     cases: u32,
-    opts: OracleOptions,
+    replay: ReplayConfig,
     corpus_dir: PathBuf,
     artifacts_dir: PathBuf,
     check_corpus: bool,
@@ -45,7 +46,11 @@ fn parse_args() -> Result<Args, String> {
         targets: vec![Target::Crdts, Target::Ledger],
         seeds: vec![0],
         cases: 32,
-        opts: OracleOptions::default(),
+        replay: ReplayConfig {
+            cap: ORACLE_CAP,
+            workers: 1,
+            ..ReplayConfig::default()
+        },
         corpus_dir: PathBuf::from("tests/corpus"),
         artifacts_dir: PathBuf::from("target/fuzz-artifacts"),
         check_corpus: false,
@@ -75,12 +80,12 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad --cases: {e}"))?;
             }
             "--workers" => {
-                args.opts.workers = value("--workers")?
+                args.replay.workers = value("--workers")?
                     .parse()
                     .map_err(|e| format!("bad --workers: {e}"))?;
             }
             "--cap" => {
-                args.opts.cap = value("--cap")?
+                args.replay.cap = value("--cap")?
                     .parse()
                     .map_err(|e| format!("bad --cap: {e}"))?;
             }
@@ -115,7 +120,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            let Some(finding) = run_case(&case, &args.opts) else {
+            let Some(finding) = run_case(&case, &args.replay) else {
                 eprintln!(
                     "er-pi-fuzz: case {} passes the oracle — nothing to promote",
                     path.display()
@@ -148,7 +153,7 @@ fn main() -> ExitCode {
 
     if args.check_corpus {
         for (path, finding) in &known {
-            match run_case(&finding.case, &args.opts) {
+            match run_case(&finding.case, &args.replay) {
                 Some(fresh)
                     if fresh.assertion == finding.assertion
                         && fresh.fault_dependent == finding.fault_dependent
@@ -178,17 +183,17 @@ fn main() -> ExitCode {
                 let mut rng = TestRng::for_case(&name, case_idx);
                 let case = strategy.generate(&mut rng);
                 explored += 1;
-                let Some(finding) = run_case(&case, &args.opts) else {
+                let Some(finding) = run_case(&case, &args.replay) else {
                     continue;
                 };
                 let accepts = |c: &er_pi_fuzz::FuzzCase| {
-                    run_case(c, &args.opts).is_some_and(|f| {
+                    run_case(c, &args.replay).is_some_and(|f| {
                         f.assertion == finding.assertion
                             && f.fault_dependent == finding.fault_dependent
                     })
                 };
                 let minimal = shrink(&case, &accepts);
-                let shrunk = run_case(&minimal, &args.opts)
+                let shrunk = run_case(&minimal, &args.replay)
                     .expect("the shrinker's last accepted candidate still fails");
                 println!(
                     "finding [{}/{seed}/{case_idx}] {}: {} ({} entries, {} fault(s), \

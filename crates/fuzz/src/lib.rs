@@ -35,6 +35,6 @@ mod shrink;
 mod spec;
 
 pub use gen::{case_strategy, CaseStrategy};
-pub use oracle::{explain_for, report_for, report_for_on, run_case, Finding, OracleOptions};
+pub use oracle::{explain_for, report_for, report_for_on, run_case, Finding, ORACLE_CAP};
 pub use shrink::shrink;
 pub use spec::{FuzzCase, SpecEntry, SpecFault, Target, WorkloadSpec};

@@ -9,39 +9,21 @@
 //! already hunt) and pins the blame on the schedule.
 
 use er_pi::{
-    Assertion, CancelToken, ErPiError, ExecutorService, ForensicBundle, Report, Session,
-    SessionMetrics, SystemModel, TestSuite, Violation,
+    Assertion, Attachments, ErPiError, ExecutorService, ForensicBundle, ReplayConfig, Report,
+    Session, SystemModel, TestSuite, Violation,
 };
 use er_pi_model::FaultPlan;
-use er_pi_subjects::{CrdtsModel, LedgerApp, ProgressFn};
+use er_pi_subjects::{CrdtsModel, LedgerApp};
 use serde::{Deserialize, Serialize};
 
 use crate::spec::{FuzzCase, Target};
 
-/// Replay knobs for oracle runs.
-#[derive(Debug, Clone, Copy)]
-pub struct OracleOptions {
-    /// Replay slots (1 = the calling thread alone).
-    pub workers: usize,
-    /// Interleaving cap per case (runs, counting each fault plan).
-    pub cap: usize,
-    /// Whether the incremental (path-cache) executor is enabled.
-    pub incremental: bool,
-    /// Whether state-hash subsumption is enabled (byte-identical reports
-    /// either way; subsumed runs land in the report's cache counters).
-    pub subsumption: bool,
-}
-
-impl Default for OracleOptions {
-    fn default() -> Self {
-        OracleOptions {
-            workers: 1,
-            cap: 2048,
-            incremental: true,
-            subsumption: false,
-        }
-    }
-}
+/// The interleaving cap fuzzing runs start from (runs per case, counting
+/// each fault plan): generated cases are small, and a campaign replays
+/// thousands of them. The oracle itself obeys whatever
+/// [`ReplayConfig::cap`] it is handed — the campaign server hands it the
+/// submitted one.
+pub const ORACLE_CAP: usize = 2_048;
 
 /// A violation the fuzzer decided to keep: the (shrunk) case plus what its
 /// replay reported.
@@ -85,135 +67,73 @@ fn ledger_suite() -> TestSuite<er_pi_subjects::LedgerState> {
     )
 }
 
-/// Replays `case` exhaustively (up to the cap) and returns the full
-/// [`Report`]. Deterministic for a given `(case, opts.cap)` — worker count
-/// and incremental mode do not change the bytes (the fault-equivalence
-/// tests pin this).
-pub fn report_for(case: &FuzzCase, opts: &OracleOptions) -> Report {
-    let (workload, plan) = case.build();
-    let mut plans = vec![FaultPlan::empty()];
-    if !plan.is_empty() {
-        plans.push(plan);
-    }
-    let replicas = usize::from(case.spec.replicas);
-    match case.target {
-        Target::Crdts => {
-            let mut session = Session::new(CrdtsModel::new(replicas));
-            session
-                .set_workload(workload)
-                .set_fault_plans(plans)
-                .set_workers(opts.workers)
-                .set_cap(opts.cap)
-                .set_incremental(opts.incremental)
-                .set_subsumption(opts.subsumption);
-            session.config_mut().require_causal = true;
-            session.replay(&crdts_suite()).expect("replay cannot fail")
-        }
-        Target::Ledger => {
-            let mut session = Session::new(LedgerApp::new(replicas));
-            session
-                .set_workload(workload)
-                .set_fault_plans(plans)
-                .set_workers(opts.workers)
-                .set_cap(opts.cap)
-                .set_incremental(opts.incremental)
-                .set_subsumption(opts.subsumption);
-            session.config_mut().require_causal = true;
-            session.replay(&ledger_suite()).expect("replay cannot fail")
-        }
-    }
-}
-
-/// The sample period of the optional progress hook, in runs.
-const PROGRESS_EVERY: usize = 16;
-
-#[allow(clippy::too_many_arguments)]
-fn replay_case_on<M>(
+/// A session over `model` set up to replay `case` under `replay`: the
+/// fault-free baseline plan plus the case's schedule, over the causally
+/// valid interleavings — everything but who runs the replay.
+fn session_for<M: SystemModel>(
     model: M,
     case: &FuzzCase,
-    opts: &OracleOptions,
-    suite: &TestSuite<M::State>,
-    service: &ExecutorService,
-    priority: u8,
-    cancel: Option<CancelToken>,
-    progress: Option<ProgressFn>,
-    metrics: Option<SessionMetrics>,
-) -> Result<Report, ErPiError>
-where
-    M: SystemModel + Clone + Send + Sync + 'static,
-    M::State: Send + Sync,
-{
+    replay: &ReplayConfig,
+    attach: Attachments,
+) -> Session<M> {
     let (workload, plan) = case.build();
     let mut plans = vec![FaultPlan::empty()];
     if !plan.is_empty() {
         plans.push(plan);
     }
-    let mut session = Session::new(model);
-    session
-        .set_workload(workload)
-        .set_fault_plans(plans)
-        .set_cap(opts.cap)
-        .set_incremental(opts.incremental)
-        .set_subsumption(opts.subsumption)
-        .set_cancel_token(cancel);
-    if let Some(metrics) = metrics {
-        session.set_metrics(metrics);
-    }
+    let mut session = Session::with_config(model, *replay, attach);
+    session.set_workload(workload).set_fault_plans(plans);
     session.config_mut().require_causal = true;
-    if let Some(hook) = progress {
-        session.set_progress_hook(PROGRESS_EVERY, move |snap| hook(snap));
+    session
+}
+
+/// Replays `case` exhaustively (up to the cap) and returns the full
+/// [`Report`]. Deterministic for a given `(case, replay.cap)` — worker
+/// count and incremental mode do not change the bytes (the
+/// fault-equivalence tests pin this).
+pub fn report_for(case: &FuzzCase, replay: &ReplayConfig) -> Report {
+    let replicas = usize::from(case.spec.replicas);
+    let attach = Attachments::default();
+    match case.target {
+        Target::Crdts => {
+            session_for(CrdtsModel::new(replicas), case, replay, attach).replay(&crdts_suite())
+        }
+        Target::Ledger => {
+            session_for(LedgerApp::new(replicas), case, replay, attach).replay(&ledger_suite())
+        }
     }
-    session.replay_on(service, priority, suite)
+    .expect("replay cannot fail")
 }
 
 /// Replays `case` as one campaign on a shared [`ExecutorService`] — the
 /// path the campaign server takes for submitted traces. The resulting
 /// [`Report`] must be byte-identical (under [`Report::canonical_json`]) to
-/// [`report_for`] with the same options, for any mix of co-scheduled
-/// campaigns. `opts.workers` is ignored: the service owns the threads.
+/// [`report_for`] with the same configuration, for any mix of co-scheduled
+/// campaigns. The service's own thread count stands in for
+/// `replay.workers`.
 ///
 /// # Errors
 ///
-/// [`ErPiError::Cancelled`] if `cancel` trips mid-campaign;
+/// [`ErPiError::Cancelled`] if `attach.cancel` trips mid-campaign;
 /// [`ErPiError::ExecutorPanic`] if a model panics in a worker.
-///
-/// `metrics`, when given, exports the campaign's run and pruning counters
-/// to a shared registry ([`Session::set_metrics`]). [`OracleOptions`] stays
-/// `Copy`, so the handle rides as its own argument; like telemetry it is
-/// write-only and cannot change the report bytes.
-#[allow(clippy::too_many_arguments)]
 pub fn report_for_on(
     case: &FuzzCase,
-    opts: &OracleOptions,
+    replay: &ReplayConfig,
     service: &ExecutorService,
     priority: u8,
-    cancel: Option<CancelToken>,
-    progress: Option<ProgressFn>,
-    metrics: Option<SessionMetrics>,
+    attach: Attachments,
 ) -> Result<Report, ErPiError> {
     let replicas = usize::from(case.spec.replicas);
     match case.target {
-        Target::Crdts => replay_case_on(
-            CrdtsModel::new(replicas),
-            case,
-            opts,
+        Target::Crdts => session_for(CrdtsModel::new(replicas), case, replay, attach).replay_on(
+            service,
+            priority,
             &crdts_suite(),
-            service,
-            priority,
-            cancel,
-            progress,
-            metrics,
         ),
-        Target::Ledger => replay_case_on(
-            LedgerApp::new(replicas),
-            case,
-            opts,
-            &ledger_suite(),
+        Target::Ledger => session_for(LedgerApp::new(replicas), case, replay, attach).replay_on(
             service,
             priority,
-            cancel,
-            progress,
-            metrics,
+            &ledger_suite(),
         ),
     }
 }
@@ -234,8 +154,8 @@ pub fn explain_for(case: &FuzzCase, violation: &Violation) -> Option<ForensicBun
 
 /// Runs the oracle over one case. Returns a [`Finding`] if any assertion
 /// was violated.
-pub fn run_case(case: &FuzzCase, opts: &OracleOptions) -> Option<Finding> {
-    let report = report_for(case, opts);
+pub fn run_case(case: &FuzzCase, replay: &ReplayConfig) -> Option<Finding> {
+    let report = report_for(case, replay);
     let first = report.violations.first()?;
     // Fault-dependent iff every violating run executed a non-empty fault
     // schedule; a violation with no attached interleaving is counted as
@@ -259,6 +179,16 @@ mod tests {
     use super::*;
     use crate::spec::{SpecEntry, SpecFault, WorkloadSpec};
     use er_pi_model::FaultKind;
+
+    /// One slot: the oracle's answer does not depend on it, a test's CPU
+    /// footprint does.
+    fn oracle_config() -> ReplayConfig {
+        ReplayConfig {
+            cap: ORACLE_CAP,
+            workers: 1,
+            ..ReplayConfig::default()
+        }
+    }
 
     fn duplicated_ledger_case() -> FuzzCase {
         FuzzCase {
@@ -288,7 +218,7 @@ mod tests {
 
     #[test]
     fn duplicate_delivery_is_a_fault_dependent_finding() {
-        let finding = run_case(&duplicated_ledger_case(), &OracleOptions::default())
+        let finding = run_case(&duplicated_ledger_case(), &oracle_config())
             .expect("the seeded exactly-once bug must surface");
         assert_eq!(finding.assertion, "fuzz-exactly-once");
         assert!(
@@ -301,21 +231,21 @@ mod tests {
     fn the_fault_free_case_is_clean() {
         let mut case = duplicated_ledger_case();
         case.faults.clear();
-        assert_eq!(run_case(&case, &OracleOptions::default()), None);
+        assert_eq!(run_case(&case, &oracle_config()), None);
     }
 
     #[test]
     fn reports_are_identical_across_workers_and_modes() {
         let case = duplicated_ledger_case();
-        let base = report_for(&case, &OracleOptions::default());
+        let base = report_for(&case, &oracle_config());
         for workers in [2, 4] {
             for incremental in [false, true] {
-                let opts = OracleOptions {
+                let replay = ReplayConfig {
                     workers,
                     incremental,
-                    ..OracleOptions::default()
+                    ..oracle_config()
                 };
-                let other = report_for(&case, &opts);
+                let other = report_for(&case, &replay);
                 assert_eq!(
                     base.diff(&other),
                     None,

@@ -142,7 +142,7 @@ impl Campaign {
             tenant: self.spec.tenant.clone(),
             priority: self.spec.priority,
             subject: self.spec.subject.label(),
-            cap: self.spec.cap,
+            cap: self.spec.replay.cap,
             state: status.phase.as_str().to_owned(),
             progress: status.progress.clone(),
             summary: status.report.as_ref().map(|r| r.session_summary.clone()),

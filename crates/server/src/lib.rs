@@ -62,7 +62,7 @@ pub use campaign::{Campaign, CampaignStatus, ExplainError, Phase};
 pub use events::EventLog;
 pub use metrics::{Metrics, MetricsBody};
 pub use queue::{CampaignQueue, QueueFull};
-pub use spec::{CampaignSpec, SubjectSpec, ValidSpec, DEFAULT_CAP, DEFAULT_PRIORITY};
+pub use spec::{CampaignSpec, SubjectSpec, ValidSpec, DEFAULT_PRIORITY};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]

@@ -17,13 +17,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use er_pi::telemetry::ProgressSnapshot;
-use er_pi::{ErPiError, SessionMetrics};
-use er_pi_fuzz::{report_for_on, OracleOptions};
-use er_pi_subjects::{ProgressFn, ReplayOptions};
+use er_pi::{Attachments, ErPiError, ProgressHook, SessionMetrics};
+use er_pi_fuzz::report_for_on;
 
 use crate::campaign::{Campaign, Phase};
 use crate::spec::SubjectSpec;
 use crate::ServerState;
+
+/// Sample period (in runs) of the progress hook. Small catalogue workloads
+/// finish in a few hundred runs, so a tight period keeps the live view
+/// fresh without measurable overhead.
+const PROGRESS_EVERY: usize = 16;
 
 /// One runner thread: drain the queue until it closes.
 pub(crate) fn runner_loop(state: Arc<ServerState>) {
@@ -45,7 +49,7 @@ fn run_one(state: &ServerState, campaign: &Arc<Campaign>) {
         .observe_queue_wait_us(campaign.submitted_at.elapsed().as_micros() as u64);
     campaign.status.lock().phase = Phase::Running;
     campaign.events.push("status", &campaign.status_json());
-    let progress: ProgressFn = {
+    let progress: ProgressHook = {
         let campaign = Arc::clone(campaign);
         let subsumption_seen = AtomicBool::new(false);
         let sleep_seen = AtomicBool::new(false);
@@ -80,37 +84,22 @@ fn run_one(state: &ServerState, campaign: &Arc<Campaign>) {
         state.metrics.registry(),
         &[("tenant", &spec.tenant), ("campaign", &campaign.id)],
     );
+    let attach = Attachments {
+        metrics: Some(metrics),
+        progress: Some(progress),
+        progress_every: PROGRESS_EVERY,
+        cancel: Some(campaign.cancel.clone()),
+        ..Attachments::default()
+    };
+    // One value for both subject kinds: whatever `validate()` admitted is
+    // what replays.
     let result = match &spec.subject {
-        SubjectSpec::Bug(bug) => bug.replay_report_on(
-            &state.service,
-            spec.priority,
-            Some(campaign.cancel.clone()),
-            Some(progress),
-            &ReplayOptions {
-                cap: spec.cap,
-                stop_on_first_violation: spec.stop_on_first_violation,
-                workers: 1,
-                incremental: spec.incremental,
-                subsumption: spec.subsumption,
-                sleep_sets: spec.sleep_sets,
-                metrics: Some(metrics),
-                ..ReplayOptions::default()
-            },
-        ),
-        SubjectSpec::Trace(case) => report_for_on(
-            case,
-            &OracleOptions {
-                workers: 1,
-                cap: spec.cap,
-                incremental: spec.incremental,
-                subsumption: spec.subsumption,
-            },
-            &state.service,
-            spec.priority,
-            Some(campaign.cancel.clone()),
-            Some(progress),
-            Some(metrics),
-        ),
+        SubjectSpec::Bug(bug) => {
+            bug.replay_report_on(&state.service, spec.priority, &spec.replay, attach)
+        }
+        SubjectSpec::Trace(case) => {
+            report_for_on(case, &spec.replay, &state.service, spec.priority, attach)
+        }
     };
     match result {
         Ok(report) => {

@@ -3,18 +3,17 @@
 //! A spec names exactly one subject — a catalogue bug by name, or a
 //! recorded trace as a [`FuzzCase`] (workload spec + fault schedule) — plus
 //! the replay knobs the paper's campaigns vary: the interleaving cap (the
-//! per-campaign run budget), stop-on-first, and incremental replay. All
-//! knobs are optional in the JSON; [`CampaignSpec::validate`] fills the
-//! defaults and rejects malformed submissions *before* a campaign ID is
-//! assigned, so the queue only ever holds runnable work.
+//! per-campaign run budget), stop-on-first, incremental replay and the two
+//! deep-pruning layers. All are optional in the JSON and mean the same for
+//! both subject kinds; [`CampaignSpec::validate`] resolves them over
+//! [`ReplayConfig::default`] (DESIGN.md §3.1 has why the schema is not the
+//! config itself) and rejects malformed submissions *before* a campaign ID
+//! is assigned, so the queue only ever holds runnable work.
 
+use er_pi::ReplayConfig;
 use er_pi_fuzz::FuzzCase;
 use er_pi_subjects::Bug;
 use serde::Deserialize;
-
-/// Default interleaving cap when the spec leaves it out (the paper's
-/// campaign bound, §6.2).
-pub const DEFAULT_CAP: usize = 10_000;
 
 /// Default scheduling priority (0 is the most urgent; FIFO within equal
 /// priority).
@@ -88,16 +87,9 @@ pub struct ValidSpec {
     pub priority: u8,
     /// What to replay.
     pub subject: SubjectSpec,
-    /// Run budget.
-    pub cap: usize,
-    /// Stop at the first violation.
-    pub stop_on_first_violation: bool,
-    /// Incremental replay.
-    pub incremental: bool,
-    /// State-hash subsumption.
-    pub subsumption: bool,
-    /// Sleep-set pruning.
-    pub sleep_sets: bool,
+    /// How to replay it: the spec's replay keys over
+    /// [`ReplayConfig::default`], for either subject kind.
+    pub replay: ReplayConfig,
 }
 
 impl CampaignSpec {
@@ -140,19 +132,25 @@ impl CampaignSpec {
                 SubjectSpec::Trace(Box::new(case))
             }
         };
-        let cap = self.cap.unwrap_or(DEFAULT_CAP);
-        if cap == 0 {
+        let default = ReplayConfig::default();
+        let replay = ReplayConfig {
+            cap: self.cap.unwrap_or(default.cap),
+            stop_on_first_violation: self
+                .stop_on_first_violation
+                .unwrap_or(default.stop_on_first_violation),
+            incremental: self.incremental.unwrap_or(default.incremental),
+            subsumption: self.subsumption.unwrap_or(default.subsumption),
+            sleep_sets: self.sleep_sets.unwrap_or(default.sleep_sets),
+            ..default
+        };
+        if replay.cap == 0 {
             return Err("cap must be at least 1".to_owned());
         }
         Ok(ValidSpec {
             tenant: self.tenant.unwrap_or_else(|| "anon".to_owned()),
             priority: self.priority.unwrap_or(DEFAULT_PRIORITY).min(9),
             subject,
-            cap,
-            stop_on_first_violation: self.stop_on_first_violation.unwrap_or(false),
-            incremental: self.incremental.unwrap_or(true),
-            subsumption: self.subsumption.unwrap_or(false),
-            sleep_sets: self.sleep_sets.unwrap_or(false),
+            replay,
         })
     }
 }
@@ -167,38 +165,96 @@ mod tests {
         let valid = spec.validate().expect("valid");
         assert_eq!(valid.tenant, "anon");
         assert_eq!(valid.priority, DEFAULT_PRIORITY);
-        assert_eq!(valid.cap, DEFAULT_CAP);
-        assert!(valid.incremental);
-        assert!(!valid.stop_on_first_violation);
-        assert!(!valid.subsumption, "deep pruning is opt-in");
-        assert!(!valid.sleep_sets, "deep pruning is opt-in");
+        assert_eq!(valid.replay, ReplayConfig::default());
         assert_eq!(valid.subject.label(), "bug:Roshi-1");
+    }
+
+    const LEDGER_TRACE: &str = r#""trace": {
+        "target": "Ledger",
+        "spec": {
+            "replicas": 2,
+            "entries": [
+                {"Op": {"replica": 0, "function": "credit", "args": [5]}},
+                {"SyncPair": {"from": 0, "to": 1, "of": 0}}
+            ],
+            "chain_from": null
+        },
+        "faults": [{"anchor": 1, "kind": "Duplicate"}]
+    }"#;
+
+    /// The wire-to-engine parity table: each of the five replay keys, set
+    /// to a non-default value, moves exactly the `ReplayConfig` field of
+    /// the same name and no other — for both subject kinds. A key added to
+    /// the schema and forgotten in `validate()` fails here by name.
+    #[test]
+    fn each_wire_key_resolves_into_exactly_its_replay_field() {
+        // Exhaustive on purpose: a key added to the schema stops this from
+        // compiling until it has a row below.
+        let CampaignSpec {
+            tenant: _,
+            priority: _,
+            bug: _,
+            trace: _,
+            cap: _,
+            stop_on_first_violation: _,
+            incremental: _,
+            subsumption: _,
+            sleep_sets: _,
+        } = serde_json::from_str("{}").expect("parses");
+        let default = ReplayConfig::default();
+        let table = [
+            (r#""cap": 77"#, ReplayConfig { cap: 77, ..default }),
+            (
+                r#""stop_on_first_violation": true"#,
+                ReplayConfig {
+                    stop_on_first_violation: true,
+                    ..default
+                },
+            ),
+            (
+                r#""incremental": false"#,
+                ReplayConfig {
+                    incremental: false,
+                    ..default
+                },
+            ),
+            (
+                r#""subsumption": true"#,
+                ReplayConfig {
+                    subsumption: true,
+                    ..default
+                },
+            ),
+            (
+                r#""sleep_sets": true"#,
+                ReplayConfig {
+                    sleep_sets: true,
+                    ..default
+                },
+            ),
+        ];
+        for subject in [r#""bug": "Roshi-1""#, LEDGER_TRACE] {
+            let bare: CampaignSpec =
+                serde_json::from_str(&format!("{{{subject}}}")).expect("parses");
+            assert_eq!(bare.validate().expect("valid").replay, default);
+            for (key, expected) in &table {
+                let spec: CampaignSpec =
+                    serde_json::from_str(&format!("{{{subject}, {key}}}")).expect("parses");
+                let valid = spec.validate().expect("valid");
+                assert_ne!(*expected, default, "{key} must flip its field");
+                assert_eq!(valid.replay, *expected, "{key}");
+            }
+        }
     }
 
     #[test]
     fn a_trace_spec_round_trips() {
-        let json = r#"{
-            "tenant": "team-a",
-            "priority": 2,
-            "cap": 500,
-            "trace": {
-                "target": "Ledger",
-                "spec": {
-                    "replicas": 2,
-                    "entries": [
-                        {"Op": {"replica": 0, "function": "credit", "args": [5]}},
-                        {"SyncPair": {"from": 0, "to": 1, "of": 0}}
-                    ],
-                    "chain_from": null
-                },
-                "faults": [{"anchor": 1, "kind": "Duplicate"}]
-            }
-        }"#;
-        let spec: CampaignSpec = serde_json::from_str(json).expect("parses");
+        let json = format!(r#"{{"tenant": "team-a", "priority": 2, "cap": 500, {LEDGER_TRACE}}}"#);
+        let spec: CampaignSpec = serde_json::from_str(&json).expect("parses");
         let valid = spec.validate().expect("valid");
         assert_eq!(valid.tenant, "team-a");
         assert_eq!(valid.priority, 2);
-        assert_eq!(valid.cap, 500);
+        assert_eq!(valid.replay.cap, 500);
         assert_eq!(valid.subject.label(), "trace:ledger");
     }
 

@@ -17,32 +17,18 @@ mod rdb_bugs;
 mod roshi_bugs;
 mod yorkie_bugs;
 
-use std::sync::Arc;
-
-use er_pi::telemetry::{ProgressSnapshot, Sink};
 use er_pi::{
-    Assertion, CancelToken, ErPiError, ExecutorService, ExploreMode, ForensicBundle,
-    InlineExecutor, PruningConfig, Report, SanitizerReport, Session, SessionMetrics, SystemModel,
+    Assertion, Attachments, ErPiError, ExecutorService, ExploreMode, ForensicBundle,
+    InlineExecutor, PruningConfig, ReplayConfig, Report, SanitizerReport, Session, SystemModel,
     TestSuite, TimeModel, Violation,
 };
 use er_pi_interleave::{DfsExplorer, PruneStats};
 use er_pi_model::{EventId, Workload};
 
 use crate::{
-    CrdtsState, OrbitModel, OrbitState, ReplicaDbModel, ReplicaDbState, RoshiModel, RoshiState,
-    YorkieModel, YorkieState,
+    OrbitModel, OrbitState, ReplicaDbModel, ReplicaDbState, RoshiModel, RoshiState, YorkieModel,
+    YorkieState,
 };
-
-/// Periodic progress callback for service-scheduled campaigns: invoked
-/// with a live [`ProgressSnapshot`] every few runs (see
-/// [`Bug::replay_report_on`]). The callback runs on service worker
-/// threads — keep it cheap and non-blocking.
-pub type ProgressFn = Arc<dyn Fn(&ProgressSnapshot) + Send + Sync>;
-
-/// Sample period (in runs) of the [`ProgressFn`] hook. Small catalogue
-/// workloads finish in a few hundred runs, so a tight period keeps the
-/// live view fresh without measurable overhead.
-const PROGRESS_EVERY: usize = 16;
 
 /// The five evaluation subjects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -144,15 +130,32 @@ pub(crate) enum BugImpl {
         /// Returns `Some(symptom)` when the bug manifested.
         check: fn(&BugCtx<'_, YorkieState>) -> Option<String>,
     },
-    /// A `crdts` collection bug (unused by Table 1 but kept for symmetry
-    /// with user extensions).
-    #[allow(dead_code)]
-    Crdts {
-        /// Subject model instance.
-        model: crate::CrdtsModel,
-        /// Returns `Some(symptom)` when the bug manifested.
-        check: fn(&BugCtx<'_, CrdtsState>) -> Option<String>,
-    },
+}
+
+/// The one place that dispatches on a bug's subject: evaluates `$body` with
+/// `$model` and `$check` bound to the bug's model and violation check,
+/// monomorphised per subject.
+macro_rules! with_subject {
+    ($bug:expr, |$model:ident, $check:ident| $body:expr) => {
+        match &$bug.imp {
+            BugImpl::Roshi {
+                model: $model,
+                check: $check,
+            } => $body,
+            BugImpl::Orbit {
+                model: $model,
+                check: $check,
+            } => $body,
+            BugImpl::ReplicaDb {
+                model: $model,
+                check: $check,
+            } => $body,
+            BugImpl::Yorkie {
+                model: $model,
+                check: $check,
+            } => $body,
+        }
+    };
 }
 
 /// One reproduction attempt's outcome — a bar of Figures 8a/8b.
@@ -258,110 +261,6 @@ where
     }
 }
 
-/// Options for [`Bug::replay_report_opts`] — the fully general scheduling
-/// knob set behind the differential-equivalence harnesses.
-///
-/// ```
-/// use er_pi_subjects::{Bug, ReplayOptions};
-///
-/// let bug = Bug::by_name("Roshi-1").unwrap();
-/// let report = bug.replay_report_opts(&ReplayOptions {
-///     workers: 2,
-///     ..ReplayOptions::default()
-/// });
-/// assert!(report.explored > 0);
-/// ```
-#[derive(Clone)]
-pub struct ReplayOptions {
-    /// Replay at most this many interleavings (the paper caps at 10 000).
-    pub cap: usize,
-    /// Stop at the first violating interleaving.
-    pub stop_on_first_violation: bool,
-    /// Replay slots: `1` replays everything on the calling thread, `0`
-    /// uses all available cores. The report does not depend on it.
-    pub workers: usize,
-    /// Prefix-sharing incremental replay; `false` pins the scratch
-    /// executor.
-    pub incremental: bool,
-    /// Telemetry sink to attach to the session, if any.
-    pub telemetry: Option<Arc<dyn Sink>>,
-    /// Run the replay-time independence sanitizer alongside the replay;
-    /// retrieve its findings via [`Bug::replay_report_checked`].
-    pub sanitize: bool,
-    /// State-hash subsumption ([`Session::set_subsumption`]); the report
-    /// stays byte-identical either way.
-    pub subsumption: bool,
-    /// Sleep-set pruning ([`Session::set_sleep_sets`]); violation sets
-    /// stay identical, replayed representatives may differ.
-    pub sleep_sets: bool,
-    /// Fleet-metrics handle ([`Session::set_metrics`]) exporting run and
-    /// pruning counters to a shared registry. Write-only, like
-    /// `telemetry`: the report stays byte-identical either way.
-    pub metrics: Option<SessionMetrics>,
-}
-
-impl Default for ReplayOptions {
-    fn default() -> Self {
-        ReplayOptions {
-            cap: 10_000,
-            stop_on_first_violation: false,
-            workers: 1,
-            incremental: true,
-            telemetry: None,
-            sanitize: false,
-            subsumption: false,
-            sleep_sets: false,
-            metrics: None,
-        }
-    }
-}
-
-impl std::fmt::Debug for ReplayOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplayOptions")
-            .field("cap", &self.cap)
-            .field("stop_on_first_violation", &self.stop_on_first_violation)
-            .field("workers", &self.workers)
-            .field("incremental", &self.incremental)
-            .field("telemetry", &self.telemetry.is_some())
-            .field("sanitize", &self.sanitize)
-            .field("subsumption", &self.subsumption)
-            .field("sleep_sets", &self.sleep_sets)
-            .field("metrics", &self.metrics.is_some())
-            .finish()
-    }
-}
-
-/// A session over `model` replaying `workload` in `mode` under `opts` —
-/// everything but who runs the replay, which is where [`run_report`] and
-/// [`run_report_on`] differ.
-fn configure<M: SystemModel>(
-    model: M,
-    workload: &Workload,
-    config: &PruningConfig,
-    mode: ExploreMode,
-    opts: &ReplayOptions,
-) -> Session<M> {
-    let mut session = Session::new(model);
-    session.set_workload(workload.clone());
-    if matches!(mode, ExploreMode::ErPi) {
-        session.set_config(config.clone());
-    }
-    session.set_mode(mode);
-    session.set_cap(opts.cap);
-    session.set_stop_on_first_violation(opts.stop_on_first_violation);
-    session.set_incremental(opts.incremental);
-    session.set_subsumption(opts.subsumption);
-    session.set_sleep_sets(opts.sleep_sets);
-    if let Some(sink) = &opts.telemetry {
-        session.set_telemetry(Arc::clone(sink));
-    }
-    if let Some(metrics) = &opts.metrics {
-        session.set_metrics(metrics.clone());
-    }
-    session
-}
-
 /// The one-assertion suite of a catalogue bug: violated when `check`
 /// reports a symptom.
 fn bug_suite<S: 'static>(check: for<'a> fn(&BugCtx<'a, S>) -> Option<String>) -> TestSuite<S> {
@@ -377,86 +276,8 @@ fn bug_suite<S: 'static>(check: for<'a> fn(&BugCtx<'a, S>) -> Option<String>) ->
     }))
 }
 
-fn run_report<M, S>(
-    model: M,
-    workload: &Workload,
-    config: &PruningConfig,
-    mode: ExploreMode,
-    opts: &ReplayOptions,
-    check: for<'a> fn(&BugCtx<'a, S>) -> Option<String>,
-) -> (Report, Option<SanitizerReport>)
-where
-    M: SystemModel<State = S> + Sync,
-    S: Send + Sync + 'static,
-{
-    let mut session = configure(model, workload, config, mode, opts);
-    session.set_workers(opts.workers);
-    session.set_sanitizer(opts.sanitize);
-    let report = session
-        .replay(&bug_suite(check))
-        .expect("bug workload installed");
-    (report, session.sanitizer_report().cloned())
-}
-
-/// [`run_report`] with the replay submitted to a shared [`ExecutorService`]
-/// instead of run on threads of the session's own — the campaign-server
-/// path. Returns `Err` (instead of panicking) because service campaigns
-/// are routinely cancelled from outside.
-#[allow(clippy::too_many_arguments)]
-fn run_report_on<M, S>(
-    model: M,
-    workload: &Workload,
-    config: &PruningConfig,
-    opts: &ReplayOptions,
-    check: for<'a> fn(&BugCtx<'a, S>) -> Option<String>,
-    service: &ExecutorService,
-    priority: u8,
-    cancel: Option<CancelToken>,
-    progress: Option<ProgressFn>,
-) -> Result<Report, ErPiError>
-where
-    M: SystemModel<State = S> + Clone + Send + Sync + 'static,
-    S: Send + Sync + 'static,
-{
-    let mut session = configure(model, workload, config, ExploreMode::ErPi, opts);
-    session.set_cancel_token(cancel);
-    if let Some(hook) = progress {
-        session.set_progress_hook(PROGRESS_EVERY, move |snap| hook(snap));
-    }
-    session.replay_on(service, priority, &bug_suite(check))
-}
-
-fn run<M, S>(
-    model: M,
-    workload: &Workload,
-    config: &PruningConfig,
-    mode: ExploreMode,
-    cap: usize,
-    check: for<'a> fn(&BugCtx<'a, S>) -> Option<String>,
-) -> Repro
-where
-    M: SystemModel<State = S> + Sync,
-    S: Send + Sync + 'static,
-{
-    let opts = ReplayOptions {
-        cap,
-        stop_on_first_violation: true,
-        workers: 0, // all available cores
-        ..ReplayOptions::default()
-    };
-    let (report, _) = run_report(model, workload, config, mode, &opts, check);
-    Repro {
-        mode: report.mode.clone(),
-        found_at: report.first_violation_at.map(|i| i + 1),
-        explored: report.explored,
-        sim_secs: report.sim_secs(),
-        wall_ms: report.wall_ms,
-        wasted: report.wasted_work,
-    }
-}
-
 fn run_dfs_base<M, S>(
-    model: M,
+    model: &M,
     workload: &Workload,
     base: Vec<EventId>,
     cap: usize,
@@ -477,7 +298,7 @@ where
             break;
         }
         explored += 1;
-        let exec = InlineExecutor::execute(&model, workload, &il, &time);
+        let exec = InlineExecutor::execute(model, workload, &il, &time);
         sim_us += exec.sim_us;
         let failed = exec.outcomes.iter().filter(|o| o.is_failed()).count();
         let ctx = BugCtx {
@@ -538,98 +359,71 @@ impl Bug {
         &self.config
     }
 
+    /// A session over `model` replaying this bug's workload under `replay`
+    /// — with `config` as its pruning rules in ER-π mode — and reporting
+    /// through `attach`: everything but who runs the replay.
+    fn session<M: SystemModel + Clone>(
+        &self,
+        model: &M,
+        config: &PruningConfig,
+        replay: &ReplayConfig,
+        attach: Attachments,
+    ) -> Session<M> {
+        let mut session = Session::with_config(model.clone(), *replay, attach);
+        session.set_workload(self.workload.clone());
+        if matches!(replay.mode, ExploreMode::ErPi) {
+            session.set_config(config.clone());
+        }
+        session
+    }
+
+    /// Replays the bug under `replay` on threads of the session's own, with
+    /// `config` as the pruning rules.
+    fn replay_under(
+        &self,
+        config: &PruningConfig,
+        replay: &ReplayConfig,
+        attach: Attachments,
+    ) -> (Report, Option<SanitizerReport>) {
+        with_subject!(self, |model, check| {
+            let mut session = self.session(model, config, replay, attach);
+            let report = session
+                .replay(&bug_suite(*check))
+                .expect("bug workload installed");
+            (report, session.sanitizer_report().cloned())
+        })
+    }
+
+    /// One reproduction attempt: stop at the first violation, on every
+    /// available core.
+    fn reproduce_under(&self, config: &PruningConfig, mode: ExploreMode, cap: usize) -> Repro {
+        let replay = ReplayConfig {
+            mode,
+            cap,
+            stop_on_first_violation: true,
+            ..ReplayConfig::default()
+        };
+        let (report, _) = self.replay_under(config, &replay, Attachments::default());
+        Repro {
+            mode: report.mode.clone(),
+            found_at: report.first_violation_at.map(|i| i + 1),
+            explored: report.explored,
+            sim_secs: report.sim_secs(),
+            wall_ms: report.wall_ms,
+            wasted: report.wasted_work,
+        }
+    }
+
     /// Attempts to reproduce the bug in `mode`, replaying at most `cap`
     /// interleavings (the paper caps at 10 000).
     pub fn reproduce(&self, mode: ExploreMode, cap: usize) -> Repro {
-        match &self.imp {
-            BugImpl::Roshi { model, check } => run(
-                model.clone(),
-                &self.workload,
-                &self.config,
-                mode,
-                cap,
-                *check,
-            ),
-            BugImpl::Orbit { model, check } => run(
-                model.clone(),
-                &self.workload,
-                &self.config,
-                mode,
-                cap,
-                *check,
-            ),
-            BugImpl::ReplicaDb { model, check } => run(
-                model.clone(),
-                &self.workload,
-                &self.config,
-                mode,
-                cap,
-                *check,
-            ),
-            BugImpl::Yorkie { model, check } => run(
-                model.clone(),
-                &self.workload,
-                &self.config,
-                mode,
-                cap,
-                *check,
-            ),
-            BugImpl::Crdts { model, check } => run(
-                model.clone(),
-                &self.workload,
-                &self.config,
-                mode,
-                cap,
-                *check,
-            ),
-        }
+        self.reproduce_under(&self.config, mode, cap)
     }
 
     /// Attempts to reproduce the bug in ER-π mode under an explicit
     /// pruning configuration (ablation studies).
     pub fn reproduce_with_config(&self, config: PruningConfig, cap: usize) -> Repro {
-        match &self.imp {
-            BugImpl::Roshi { model, check } => run(
-                model.clone(),
-                &self.workload,
-                &config,
-                ExploreMode::ErPi,
-                cap,
-                *check,
-            ),
-            BugImpl::Orbit { model, check } => run(
-                model.clone(),
-                &self.workload,
-                &config,
-                ExploreMode::ErPi,
-                cap,
-                *check,
-            ),
-            BugImpl::ReplicaDb { model, check } => run(
-                model.clone(),
-                &self.workload,
-                &config,
-                ExploreMode::ErPi,
-                cap,
-                *check,
-            ),
-            BugImpl::Yorkie { model, check } => run(
-                model.clone(),
-                &self.workload,
-                &config,
-                ExploreMode::ErPi,
-                cap,
-                *check,
-            ),
-            BugImpl::Crdts { model, check } => run(
-                model.clone(),
-                &self.workload,
-                &config,
-                ExploreMode::ErPi,
-                cap,
-                *check,
-            ),
-        }
+        self.reproduce_under(&config, ExploreMode::ErPi, cap)
     }
 
     /// Replays the bug's workload in ER-π mode and returns the full
@@ -656,151 +450,70 @@ impl Bug {
         workers: usize,
         incremental: bool,
     ) -> Report {
-        self.replay_report_opts(&ReplayOptions {
+        self.replay_report_opts(&ReplayConfig {
             cap,
             stop_on_first_violation,
             workers,
             incremental,
-            ..ReplayOptions::default()
+            ..ReplayConfig::default()
         })
     }
 
-    /// The fully general replay entry point: every scheduling knob plus an
-    /// optional telemetry sink, via [`ReplayOptions`].
-    pub fn replay_report_opts(&self, opts: &ReplayOptions) -> Report {
-        self.replay_report_checked(opts).0
+    /// The fully general replay entry point: the bug's workload and pruning
+    /// rules under any [`ReplayConfig`], nothing attached.
+    ///
+    /// ```
+    /// use er_pi::ReplayConfig;
+    /// use er_pi_subjects::Bug;
+    ///
+    /// let bug = Bug::by_name("Roshi-1").unwrap();
+    /// let report = bug.replay_report_opts(&ReplayConfig {
+    ///     workers: 2,
+    ///     ..ReplayConfig::default()
+    /// });
+    /// assert!(report.explored > 0);
+    /// ```
+    pub fn replay_report_opts(&self, replay: &ReplayConfig) -> Report {
+        self.replay_report_checked(replay, Attachments::default()).0
     }
 
-    /// Like [`Bug::replay_report_opts`], additionally returning the
-    /// independence sanitizer's findings (`Some` iff `opts.sanitize`).
-    /// The [`Report`] half must be byte-identical to a sanitizer-off
-    /// replay — the sanitizer observes, it never steers.
-    pub fn replay_report_checked(&self, opts: &ReplayOptions) -> (Report, Option<SanitizerReport>) {
-        let mode = ExploreMode::ErPi;
-        match &self.imp {
-            BugImpl::Roshi { model, check } => run_report(
-                model.clone(),
-                &self.workload,
-                &self.config,
-                mode,
-                opts,
-                *check,
-            ),
-            BugImpl::Orbit { model, check } => run_report(
-                model.clone(),
-                &self.workload,
-                &self.config,
-                mode,
-                opts,
-                *check,
-            ),
-            BugImpl::ReplicaDb { model, check } => run_report(
-                model.clone(),
-                &self.workload,
-                &self.config,
-                mode,
-                opts,
-                *check,
-            ),
-            BugImpl::Yorkie { model, check } => run_report(
-                model.clone(),
-                &self.workload,
-                &self.config,
-                mode,
-                opts,
-                *check,
-            ),
-            BugImpl::Crdts { model, check } => run_report(
-                model.clone(),
-                &self.workload,
-                &self.config,
-                mode,
-                opts,
-                *check,
-            ),
-        }
+    /// Like [`Bug::replay_report_opts`], reporting through `attach` and
+    /// additionally returning the independence sanitizer's findings (`Some`
+    /// iff `replay.sanitize`). The [`Report`] half must be byte-identical
+    /// to a detached, sanitizer-off replay — both observe, neither steers.
+    pub fn replay_report_checked(
+        &self,
+        replay: &ReplayConfig,
+        attach: Attachments,
+    ) -> (Report, Option<SanitizerReport>) {
+        self.replay_under(&self.config, replay, attach)
     }
 
     /// Replays the bug as one campaign on a shared [`ExecutorService`] —
     /// the path the campaign server takes. The resulting [`Report`] must be
     /// byte-identical (under [`Report::canonical_json`]) to
-    /// [`Bug::replay_report_opts`] with the same options, for any mix of
-    /// co-scheduled campaigns — the `server_equivalence` suite pins this.
-    ///
-    /// `opts.workers` and `opts.sanitize` are ignored: the service owns the
-    /// worker threads, and the sanitizer is a session-side diagnostic.
-    /// `progress`, when given, receives a live snapshot every few runs —
-    /// the campaign server streams these to its clients.
+    /// [`Bug::replay_report_opts`] with the same configuration, for any mix
+    /// of co-scheduled campaigns — the `server_equivalence` suite pins
+    /// this. The service's own thread count stands in for `replay.workers`.
     ///
     /// # Errors
     ///
-    /// [`ErPiError::Cancelled`] if `cancel` trips mid-campaign;
+    /// [`ErPiError::Cancelled`] if `attach.cancel` trips mid-campaign;
     /// [`ErPiError::ExecutorPanic`] if the model panics in a worker.
     pub fn replay_report_on(
         &self,
         service: &ExecutorService,
         priority: u8,
-        cancel: Option<CancelToken>,
-        progress: Option<ProgressFn>,
-        opts: &ReplayOptions,
+        replay: &ReplayConfig,
+        attach: Attachments,
     ) -> Result<Report, ErPiError> {
-        match &self.imp {
-            BugImpl::Roshi { model, check } => run_report_on(
-                model.clone(),
-                &self.workload,
-                &self.config,
-                opts,
-                *check,
+        with_subject!(self, |model, check| {
+            self.session(model, &self.config, replay, attach).replay_on(
                 service,
                 priority,
-                cancel.clone(),
-                progress.clone(),
-            ),
-            BugImpl::Orbit { model, check } => run_report_on(
-                model.clone(),
-                &self.workload,
-                &self.config,
-                opts,
-                *check,
-                service,
-                priority,
-                cancel.clone(),
-                progress.clone(),
-            ),
-            BugImpl::ReplicaDb { model, check } => run_report_on(
-                model.clone(),
-                &self.workload,
-                &self.config,
-                opts,
-                *check,
-                service,
-                priority,
-                cancel.clone(),
-                progress.clone(),
-            ),
-            BugImpl::Yorkie { model, check } => run_report_on(
-                model.clone(),
-                &self.workload,
-                &self.config,
-                opts,
-                *check,
-                service,
-                priority,
-                cancel.clone(),
-                progress.clone(),
-            ),
-            BugImpl::Crdts { model, check } => run_report_on(
-                model.clone(),
-                &self.workload,
-                &self.config,
-                opts,
-                *check,
-                service,
-                priority,
-                cancel.clone(),
-                progress.clone(),
-            ),
-        }
+                &bug_suite(*check),
+            )
+        })
     }
 
     /// Reproduces the bug with a DFS whose frontier expansion order is
@@ -808,23 +521,13 @@ impl Bug {
     /// nondeterminism of restarting a real checker (used by the Figure 10
     /// micro-benchmark).
     pub fn reproduce_dfs_perturbed(&self, base: Vec<EventId>, cap: usize) -> Repro {
-        match &self.imp {
-            BugImpl::Roshi { model, check } => {
-                run_dfs_base(model.clone(), &self.workload, base, cap, *check)
-            }
-            BugImpl::Orbit { model, check } => {
-                run_dfs_base(model.clone(), &self.workload, base, cap, *check)
-            }
-            BugImpl::ReplicaDb { model, check } => {
-                run_dfs_base(model.clone(), &self.workload, base, cap, *check)
-            }
-            BugImpl::Yorkie { model, check } => {
-                run_dfs_base(model.clone(), &self.workload, base, cap, *check)
-            }
-            BugImpl::Crdts { model, check } => {
-                run_dfs_base(model.clone(), &self.workload, base, cap, *check)
-            }
-        }
+        with_subject!(self, |model, check| run_dfs_base(
+            model,
+            &self.workload,
+            base,
+            cap,
+            *check
+        ))
     }
 
     /// Re-executes a violating interleaving step by step and assembles the
@@ -838,23 +541,11 @@ impl Bug {
     /// found it was scheduled. Returns `None` for cross-run violations,
     /// which carry no single interleaving to replay.
     pub fn explain(&self, violation: &Violation) -> Option<ForensicBundle> {
-        match &self.imp {
-            BugImpl::Roshi { model, .. } => {
-                er_pi::explain_violation(model, &self.workload, violation)
-            }
-            BugImpl::Orbit { model, .. } => {
-                er_pi::explain_violation(model, &self.workload, violation)
-            }
-            BugImpl::ReplicaDb { model, .. } => {
-                er_pi::explain_violation(model, &self.workload, violation)
-            }
-            BugImpl::Yorkie { model, .. } => {
-                er_pi::explain_violation(model, &self.workload, violation)
-            }
-            BugImpl::Crdts { model, .. } => {
-                er_pi::explain_violation(model, &self.workload, violation)
-            }
-        }
+        with_subject!(self, |model, _check| er_pi::explain_violation(
+            model,
+            &self.workload,
+            violation
+        ))
     }
 
     /// Builds a [`CloneProbe`] over this bug's model: the final states of
@@ -862,13 +553,7 @@ impl Bug {
     /// of the `state_clone` micro-benchmark and of
     /// `tests/snapshot_allocs.rs`).
     pub fn clone_probe(&self) -> CloneProbe {
-        match &self.imp {
-            BugImpl::Roshi { model, .. } => probe(model.clone(), &self.workload),
-            BugImpl::Orbit { model, .. } => probe(model.clone(), &self.workload),
-            BugImpl::ReplicaDb { model, .. } => probe(model.clone(), &self.workload),
-            BugImpl::Yorkie { model, .. } => probe(model.clone(), &self.workload),
-            BugImpl::Crdts { model, .. } => probe(model.clone(), &self.workload),
-        }
+        with_subject!(self, |model, _check| probe(model.clone(), &self.workload))
     }
 
     /// Explores pruned interleavings until `cap` *candidates* have been
@@ -961,13 +646,7 @@ mod tests {
     fn snapshots_stay_independent_across_the_catalogue() {
         use crate::assert_snapshots_stay_independent as check;
         for bug in Bug::catalogue() {
-            match &bug.imp {
-                BugImpl::Roshi { model, .. } => check(model, &bug.workload, bug.name),
-                BugImpl::Orbit { model, .. } => check(model, &bug.workload, bug.name),
-                BugImpl::ReplicaDb { model, .. } => check(model, &bug.workload, bug.name),
-                BugImpl::Yorkie { model, .. } => check(model, &bug.workload, bug.name),
-                BugImpl::Crdts { model, .. } => check(model, &bug.workload, bug.name),
-            }
+            with_subject!(bug, |model, _check| check(model, &bug.workload, bug.name));
         }
     }
 

@@ -28,8 +28,11 @@ mod roshi;
 mod town;
 mod yorkie;
 
-pub use bugs::{Bug, BugCtx, BugStatus, CloneProbe, ProgressFn, ReplayOptions, Repro, SubjectKind};
+pub use bugs::{Bug, BugCtx, BugStatus, CloneProbe, Repro, SubjectKind};
 pub use crdts::{CrdtsModel, CrdtsReplica, CrdtsState};
+/// The name `benchmark/` imports [`er_pi::ReplayConfig`] by. Nothing else
+/// uses it; it goes with the `[benchmark]` change that renames it there.
+pub use er_pi::ReplayConfig as ReplayOptions;
 pub use ledger::{LedgerApp, LedgerReplica, LedgerState};
 pub use misconceive::{detect_misconception, misconception_matrix, MatrixCell};
 pub use orbitdb::{OrbitConfig, OrbitModel, OrbitReplica, OrbitState};

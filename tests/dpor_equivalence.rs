@@ -28,9 +28,9 @@ mod common;
 use common::WORKER_COUNTS;
 use proptest::prelude::*;
 
-use er_pi::{ExploreMode, InlineExecutor, Report, Session, TimeModel};
+use er_pi::{ExploreMode, InlineExecutor, ReplayConfig, Report, Session, TimeModel};
 use er_pi_model::{EventId, FaultEvent, FaultKind, FaultPlan, Interleaving, ReplicaId, Value};
-use er_pi_subjects::{Bug, ReplayOptions, TownApp};
+use er_pi_subjects::{Bug, TownApp};
 
 const CAP: usize = 10_000;
 
@@ -46,22 +46,22 @@ fn r(i: u16) -> ReplicaId {
 fn subsumption_is_byte_identical_across_the_catalogue() {
     for bug in Bug::catalogue() {
         for stop_first in [false, true] {
-            let reference = bug.replay_report_opts(&ReplayOptions {
+            let reference = bug.replay_report_opts(&ReplayConfig {
                 cap: CAP,
                 stop_on_first_violation: stop_first,
                 workers: 1,
                 incremental: false,
-                ..ReplayOptions::default()
+                ..ReplayConfig::default()
             });
             for workers in WORKER_COUNTS {
                 for incremental in [false, true] {
-                    let subsuming = bug.replay_report_opts(&ReplayOptions {
+                    let subsuming = bug.replay_report_opts(&ReplayConfig {
                         cap: CAP,
                         stop_on_first_violation: stop_first,
                         workers,
                         incremental,
                         subsumption: true,
-                        ..ReplayOptions::default()
+                        ..ReplayConfig::default()
                     });
                     assert_eq!(
                         reference.diff(&subsuming),
@@ -83,11 +83,12 @@ fn subsumption_is_byte_identical_across_the_catalogue() {
 fn subsumption_actually_engages_on_the_catalogue() {
     let mut total_subsumed = 0u64;
     for bug in Bug::catalogue() {
-        let report = bug.replay_report_opts(&ReplayOptions {
+        let report = bug.replay_report_opts(&ReplayConfig {
             cap: CAP,
+            workers: 1,
             subsumption: true,
             incremental: false,
-            ..ReplayOptions::default()
+            ..ReplayConfig::default()
         });
         let stats = report
             .cache_stats
@@ -213,14 +214,16 @@ fn violation_set(report: &Report) -> Vec<(String, String)> {
 fn sleep_sets_preserve_the_violation_set_across_the_catalogue() {
     let mut total_pruned = 0u64;
     for bug in Bug::catalogue() {
-        let reference = bug.replay_report_opts(&ReplayOptions {
+        let reference = bug.replay_report_opts(&ReplayConfig {
             cap: CAP,
-            ..ReplayOptions::default()
+            workers: 1,
+            ..ReplayConfig::default()
         });
-        let pruned = bug.replay_report_opts(&ReplayOptions {
+        let pruned = bug.replay_report_opts(&ReplayConfig {
             cap: CAP,
+            workers: 1,
             sleep_sets: true,
-            ..ReplayOptions::default()
+            ..ReplayConfig::default()
         });
         assert_eq!(
             violation_set(&reference),
@@ -251,16 +254,18 @@ fn sleep_sets_preserve_the_violation_set_across_the_catalogue() {
 #[test]
 fn sleep_and_subsumption_compose() {
     for bug in Bug::catalogue() {
-        let reference = bug.replay_report_opts(&ReplayOptions {
+        let reference = bug.replay_report_opts(&ReplayConfig {
             cap: CAP,
-            ..ReplayOptions::default()
+            workers: 1,
+            ..ReplayConfig::default()
         });
-        let both = bug.replay_report_opts(&ReplayOptions {
+        let both = bug.replay_report_opts(&ReplayConfig {
             cap: CAP,
+            workers: 1,
             sleep_sets: true,
             subsumption: true,
             incremental: false,
-            ..ReplayOptions::default()
+            ..ReplayConfig::default()
         });
         assert_eq!(
             violation_set(&reference),

@@ -11,8 +11,8 @@
 mod common;
 
 use common::WORKER_COUNTS;
-use er_pi::{CheckContext, FaultSpace, Report, Session, TestSuite};
-use er_pi_fuzz::{report_for, FuzzCase, OracleOptions, SpecEntry, SpecFault, Target, WorkloadSpec};
+use er_pi::{CheckContext, FaultSpace, ReplayConfig, Report, Session, TestSuite};
+use er_pi_fuzz::{report_for, FuzzCase, SpecEntry, SpecFault, Target, WorkloadSpec, ORACLE_CAP};
 use er_pi_model::{EventId, FaultEvent, FaultKind, FaultPlan, ReplicaId, Value, Workload};
 use er_pi_subjects::{CrdtsModel, LedgerApp, LedgerState};
 
@@ -160,7 +160,12 @@ fn minimized_pair_replays_deterministically_everywhere() {
             kind: FaultKind::Duplicate,
         }],
     };
-    let reference = report_for(&minimal, &OracleOptions::default());
+    let oracle = ReplayConfig {
+        cap: ORACLE_CAP,
+        workers: 1,
+        ..ReplayConfig::default()
+    };
+    let reference = report_for(&minimal, &oracle);
     // One causal order (the sync depends on its credit), two plans.
     assert_eq!(reference.explored, 2);
     assert_eq!(reference.violations.len(), 1);
@@ -170,10 +175,10 @@ fn minimized_pair_replays_deterministically_everywhere() {
     );
     for workers in WORKER_COUNTS {
         for incremental in [false, true] {
-            let opts = OracleOptions {
+            let opts = ReplayConfig {
                 workers,
                 incremental,
-                ..OracleOptions::default()
+                ..oracle
             };
             let other = report_for(&minimal, &opts);
             assert_eq!(

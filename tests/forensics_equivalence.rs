@@ -13,19 +13,16 @@
 use std::sync::Arc;
 
 use er_pi::telemetry::Registry;
-use er_pi::SessionMetrics;
-use er_pi_subjects::{Bug, ReplayOptions};
+use er_pi::{Attachments, ReplayConfig, SessionMetrics};
+use er_pi_subjects::Bug;
 
-const CAP: usize = 10_000;
-
-fn opts(workers: usize, incremental: bool, subsumption: bool) -> ReplayOptions {
-    ReplayOptions {
-        cap: CAP,
+fn opts(workers: usize, incremental: bool, subsumption: bool) -> ReplayConfig {
+    ReplayConfig {
         stop_on_first_violation: true,
         workers,
         incremental,
         subsumption,
-        ..ReplayOptions::default()
+        ..ReplayConfig::default()
     }
 }
 
@@ -121,7 +118,14 @@ fn fuzz_case_bundles_are_deterministic() {
         }"#,
     )
     .expect("case parses");
-    let report = er_pi_fuzz::report_for(&case, &er_pi_fuzz::OracleOptions::default());
+    let report = er_pi_fuzz::report_for(
+        &case,
+        &ReplayConfig {
+            cap: er_pi_fuzz::ORACLE_CAP,
+            workers: 1,
+            ..ReplayConfig::default()
+        },
+    );
     let violation = report
         .violations
         .first()
@@ -142,15 +146,22 @@ fn fuzz_case_bundles_are_deterministic() {
 fn session_metrics_never_change_the_report() {
     for name in ["Roshi-1", "OrbitDB-2", "ReplicaDB-1", "Yorkie-1"] {
         let bug = Bug::by_name(name).expect("catalogue bug");
-        let reference = bug.replay_report_opts(&ReplayOptions::default());
+        let reference = bug.replay_report_opts(&ReplayConfig {
+            workers: 1,
+            ..ReplayConfig::default()
+        });
         for workers in [1usize, 2, 4] {
             let registry = Arc::new(Registry::new());
             let metrics = SessionMetrics::new(&registry, &[("campaign", name)]);
-            let attached = bug.replay_report_opts(&ReplayOptions {
+            let replay = ReplayConfig {
                 workers,
+                ..ReplayConfig::default()
+            };
+            let attach = Attachments {
                 metrics: Some(metrics),
-                ..ReplayOptions::default()
-            });
+                ..Attachments::default()
+            };
+            let (attached, _) = bug.replay_report_checked(&replay, attach);
             assert_eq!(
                 reference.diff(&attached),
                 None,

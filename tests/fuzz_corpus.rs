@@ -11,7 +11,18 @@
 
 use std::path::Path;
 
-use er_pi_fuzz::{corpus, run_case, shrink, OracleOptions};
+use er_pi::ReplayConfig;
+use er_pi_fuzz::{corpus, run_case, shrink, ORACLE_CAP};
+
+/// What the campaign CLI replays under by default — the configuration the
+/// corpus findings were recorded with.
+fn oracle_config() -> ReplayConfig {
+    ReplayConfig {
+        cap: ORACLE_CAP,
+        workers: 1,
+        ..ReplayConfig::default()
+    }
+}
 
 fn corpus_dir() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus"))
@@ -44,9 +55,9 @@ fn corpus_is_present_and_well_formed() {
 fn every_corpus_finding_reproduces_identically() {
     for (path, finding) in corpus::load(corpus_dir()).unwrap() {
         for workers in [1, 2, 4] {
-            let opts = OracleOptions {
+            let opts = ReplayConfig {
                 workers,
-                ..OracleOptions::default()
+                ..oracle_config()
             };
             let fresh = run_case(&finding.case, &opts)
                 .unwrap_or_else(|| panic!("{} no longer fails", path.display()));
@@ -72,7 +83,7 @@ fn every_corpus_finding_reproduces_identically() {
 /// and fault dependence) must be the identity.
 #[test]
 fn corpus_findings_are_shrunk_fixpoints() {
-    let opts = OracleOptions::default();
+    let opts = oracle_config();
     for (path, finding) in corpus::load(corpus_dir()).unwrap() {
         // Hand-promoted entries document richer schedules (e.g. fan-out
         // double duplicates); only machine-shrunk single-fault entries

@@ -15,8 +15,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use er_pi::telemetry::{lint_exposition, lint_monotone};
+use er_pi::ReplayConfig;
 use er_pi_server::{Server, ServerConfig, ServerHandle};
-use er_pi_subjects::{Bug, ReplayOptions};
+use er_pi_subjects::Bug;
 
 // ---------------------------------------------------------------------
 // Socket helpers (one Connection: close exchange per call).
@@ -261,9 +262,10 @@ fn violation_bundles_are_served_and_match_a_local_explain() {
     // The served bytes are exactly what a standalone replay of the same
     // spec explains locally — forensics are scheduling-independent.
     let bug = Bug::by_name("Roshi-1").expect("catalogue bug");
-    let report = bug.replay_report_opts(&ReplayOptions {
+    let report = bug.replay_report_opts(&ReplayConfig {
         cap: 200,
-        ..ReplayOptions::default()
+        workers: 1,
+        ..ReplayConfig::default()
     });
     let local = bug
         .explain(report.violations.first().expect("Roshi-1 reproduces"))

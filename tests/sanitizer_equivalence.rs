@@ -14,23 +14,18 @@ mod common;
 
 use common::WORKER_COUNTS;
 use er_pi::{
-    certify_table_with, validate_table, LintPattern, OpOutcome, PruningConfig, Session,
-    SystemModel, TestSuite, Verdict,
+    certify_table_with, validate_table, Attachments, LintPattern, OpOutcome, PruningConfig,
+    ReplayConfig, Session, SystemModel, TestSuite, Verdict,
 };
 use er_pi_model::{Event, EventId, EventKind, ReplicaId, Value};
-use er_pi_subjects::{Bug, ReplayOptions};
+use er_pi_subjects::Bug;
 
-const CAP: usize = 10_000;
-
-fn opts(stop: bool, workers: usize, sanitize: bool) -> ReplayOptions {
-    ReplayOptions {
-        cap: CAP,
+fn opts(stop: bool, workers: usize, sanitize: bool) -> ReplayConfig {
+    ReplayConfig {
         stop_on_first_violation: stop,
         workers,
-        incremental: true,
-        telemetry: None,
         sanitize,
-        ..ReplayOptions::default()
+        ..ReplayConfig::default()
     }
 }
 
@@ -43,7 +38,8 @@ fn sanitizer_leaves_reports_byte_identical_and_finds_nothing() {
         for stop in [false, true] {
             let reference = bug.replay_report_opts(&opts(stop, 1, false));
             for workers in WORKER_COUNTS {
-                let (sanitized, findings) = bug.replay_report_checked(&opts(stop, workers, true));
+                let (sanitized, findings) =
+                    bug.replay_report_checked(&opts(stop, workers, true), Attachments::default());
                 assert_eq!(
                     reference.diff(&sanitized),
                     None,
@@ -67,7 +63,7 @@ fn sanitizer_leaves_reports_byte_identical_and_finds_nothing() {
 #[test]
 fn sanitizer_off_returns_no_findings() {
     let bug = Bug::by_name("Roshi-1").unwrap();
-    let (_, findings) = bug.replay_report_checked(&opts(true, 1, false));
+    let (_, findings) = bug.replay_report_checked(&opts(true, 1, false), Attachments::default());
     assert!(findings.is_none());
 }
 
@@ -168,7 +164,8 @@ fn nightly_sanitized_catalogue_sweep() {
     for bug in Bug::catalogue() {
         for stop in [false, true] {
             let reference = bug.replay_report_opts(&opts(stop, 1, false));
-            let (sanitized, findings) = bug.replay_report_checked(&opts(stop, 0, true));
+            let (sanitized, findings) =
+                bug.replay_report_checked(&opts(stop, 0, true), Attachments::default());
             assert_eq!(
                 reference.diff(&sanitized),
                 None,

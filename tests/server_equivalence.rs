@@ -11,6 +11,9 @@
 //!    campaign, final report retrieval, and metrics.
 //! 3. **Backpressure**: bounded admission refuses with 429 once the queue
 //!    is full, and queued campaigns can be cancelled before they start.
+//! 4. **Admission parity**: a served *trace* obeys every replay key the
+//!    daemon admits — its report is the standalone oracle's under the same
+//!    `ReplayConfig`.
 
 mod common;
 
@@ -20,21 +23,16 @@ use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use er_pi::{ExecutorService, Report};
+use er_pi::{Attachments, ExecutorService, ReplayConfig, Report};
+use er_pi_fuzz::{report_for, FuzzCase};
 use er_pi_server::{Server, ServerConfig};
-use er_pi_subjects::{Bug, ReplayOptions};
+use er_pi_subjects::Bug;
 
-const CAP: usize = 10_000;
-
-fn opts() -> ReplayOptions {
-    ReplayOptions {
-        cap: CAP,
-        stop_on_first_violation: false,
+/// The standalone side replays on one slot; the service brings its own.
+fn opts() -> ReplayConfig {
+    ReplayConfig {
         workers: 1,
-        incremental: true,
-        telemetry: None,
-        sanitize: false,
-        ..ReplayOptions::default()
+        ..ReplayConfig::default()
     }
 }
 
@@ -60,16 +58,21 @@ fn co_scheduled_campaign_reports_are_byte_identical_to_standalone() {
                     let service = &service;
                     scope.spawn(move || {
                         let rival = Bug::by_name(rival).expect("catalogue bug");
-                        let rival_opts = ReplayOptions {
+                        let rival_opts = ReplayConfig {
                             cap: 1_000,
                             ..opts()
                         };
                         rival
-                            .replay_report_on(service, priority, None, None, &rival_opts)
+                            .replay_report_on(
+                                service,
+                                priority,
+                                &rival_opts,
+                                Attachments::default(),
+                            )
                             .expect("competitor campaigns finish");
                     });
                 }
-                bug.replay_report_on(&service, 5, None, None, &opts())
+                bug.replay_report_on(&service, 5, &opts(), Attachments::default())
                     .expect("the campaign under test finishes")
             });
             assert_eq!(
@@ -265,6 +268,96 @@ fn delete_cancels_only_the_targeted_campaign_over_a_real_socket() {
 
     let (code, _) = get(&addr, "/campaigns/c-999");
     assert_eq!(code, 404);
+
+    handle.shutdown();
+}
+
+/// A violating Ledger trace — the duplicated sync applies its credit twice
+/// — with four runs, the first violation at run 1.
+const DUPLICATED_LEDGER: &str = r#"{"target": "Ledger", "spec": {"replicas": 2, "entries": [
+    {"Op": {"replica": 0, "function": "credit", "args": [5]}},
+    {"SyncPair": {"from": 0, "to": 1, "of": 0}},
+    {"Op": {"replica": 1, "function": "credit", "args": [7]}}
+], "chain_from": null}, "faults": [{"anchor": 1, "kind": "Duplicate"}]}"#;
+
+/// A Crdts trace whose three updates commute pairwise and never meet: every
+/// order diverges, and sleep sets replay half of them.
+const COMMUTING_CRDTS: &str = r#"{"target": "Crdts", "spec": {"replicas": 3, "entries": [
+    {"Op": {"replica": 0, "function": "counter_inc", "args": [1]}},
+    {"Op": {"replica": 1, "function": "counter_inc", "args": [2]}},
+    {"Op": {"replica": 2, "function": "set_add", "args": [3]}},
+    {"SyncPair": {"from": 0, "to": 1, "of": 0}}
+], "chain_from": null}, "faults": []}"#;
+
+/// A trace campaign obeys every replay key the daemon admits, exactly as a
+/// catalogue campaign does: the served report is the standalone oracle's
+/// under the `ReplayConfig` the keys spell.
+#[test]
+fn served_trace_campaigns_honour_every_admitted_key() {
+    let handle = Server::bind(ServerConfig {
+        port: 0,
+        workers: 2,
+        runners: 1,
+        queue_cap: 4,
+    })
+    .expect("bind")
+    .spawn()
+    .expect("spawn");
+    let addr = handle.addr().to_string();
+    let served = |trace: &str, key: &str| {
+        let id = submit_id(&addr, &format!(r#"{{"trace": {trace}, {key}}}"#));
+        let done = poll_until(&addr, &id, &["done", "cancelled", "failed"]);
+        assert_eq!(field(&done, "state"), Some("done"), "{done}");
+        let (code, report) = get(&addr, &format!("/campaigns/{id}/report"));
+        assert_eq!(code, 200, "{report}");
+        report
+    };
+    let violation_set = |report: &Report| {
+        let mut set: Vec<(String, String)> = report
+            .violations
+            .iter()
+            .map(|v| (v.assertion.clone(), v.message.clone()))
+            .collect();
+        set.sort();
+        set.dedup();
+        set
+    };
+    let exhaustive = ReplayConfig::default();
+
+    let case: FuzzCase = serde_json::from_str(DUPLICATED_LEDGER).expect("the trace parses");
+    let stop_first = ReplayConfig {
+        stop_on_first_violation: true,
+        ..exhaustive
+    };
+    let standalone = report_for(&case, &stop_first);
+    assert!(standalone.stopped_early);
+    assert_eq!(
+        Some(standalone.explored),
+        standalone.first_violation_at.map(|at| at + 1)
+    );
+    assert!(
+        standalone.explored < report_for(&case, &exhaustive).explored,
+        "the key must have something to cut"
+    );
+    assert_eq!(
+        served(DUPLICATED_LEDGER, r#""stop_on_first_violation": true"#),
+        standalone.canonical_json()
+    );
+
+    let case: FuzzCase = serde_json::from_str(COMMUTING_CRDTS).expect("the trace parses");
+    let sleeping = ReplayConfig {
+        sleep_sets: true,
+        ..exhaustive
+    };
+    let standalone = report_for(&case, &sleeping);
+    let unpruned = report_for(&case, &exhaustive);
+    assert!(standalone.explored < unpruned.explored, "a pair commutes");
+    assert!(!standalone.violations.is_empty());
+    assert_eq!(violation_set(&standalone), violation_set(&unpruned));
+    assert_eq!(
+        served(COMMUTING_CRDTS, r#""sleep_sets": true"#),
+        standalone.canonical_json()
+    );
 
     handle.shutdown();
 }

@@ -18,23 +18,29 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use er_pi::telemetry::{
-    ChromeTraceSink, JsonLinesSink, MemorySink, NullSink, SharedBuf, Sink, TelemetryEvent,
+    ChromeTraceSink, JsonLinesSink, MemorySink, NullSink, SharedBuf, Sink, Telemetry,
+    TelemetryEvent,
 };
-use er_pi::Report;
-use er_pi_subjects::{Bug, ReplayOptions};
+use er_pi::{Attachments, ReplayConfig, Report};
+use er_pi_subjects::Bug;
 
-const CAP: usize = 10_000;
+/// The telemetry attachment over `sink`.
+fn sink_attachment(sink: Arc<dyn Sink>) -> Attachments {
+    Attachments {
+        telemetry: Telemetry::new(sink),
+        ..Attachments::default()
+    }
+}
 
-fn opts(stop: bool, workers: usize, telemetry: Option<Arc<dyn Sink>>) -> ReplayOptions {
-    ReplayOptions {
-        cap: CAP,
+/// One replay of `bug` under the paper's cap, into `sink` if there is one.
+fn replay(bug: &Bug, stop: bool, workers: usize, sink: Option<Arc<dyn Sink>>) -> Report {
+    let config = ReplayConfig {
         stop_on_first_violation: stop,
         workers,
-        incremental: true,
-        telemetry,
-        sanitize: false,
-        ..ReplayOptions::default()
-    }
+        ..ReplayConfig::default()
+    };
+    let attach = sink.map(sink_attachment).unwrap_or_default();
+    bug.replay_report_checked(&config, attach).0
 }
 
 /// Builds the sink variant `which` (0–3) and returns it with a closure that
@@ -136,10 +142,10 @@ fn assert_identical(reference: &Report, attached: &Report, label: &str) {
 fn any_sink_never_changes_the_report() {
     for bug in Bug::catalogue() {
         for stop in [false, true] {
-            let reference = bug.replay_report_opts(&opts(stop, 1, None));
+            let reference = replay(&bug, stop, 1, None);
             for workers in WORKER_COUNTS {
                 let sink = Arc::new(MemorySink::new());
-                let attached = bug.replay_report_opts(&opts(stop, workers, Some(sink.clone())));
+                let attached = replay(&bug, stop, workers, Some(sink.clone()));
                 assert_identical(
                     &reference,
                     &attached,
@@ -162,11 +168,11 @@ fn any_sink_never_changes_the_report() {
 fn every_sink_kind_is_write_only_and_well_formed() {
     for name in ["Roshi-1", "OrbitDB-1", "Yorkie-2"] {
         let bug = Bug::by_name(name).expect("catalogue bug");
-        let reference = bug.replay_report_opts(&opts(false, 1, None));
+        let reference = replay(&bug, false, 1, None);
         for which in 0..4 {
             for workers in WORKER_COUNTS {
                 let (sink, check) = make_sink(which);
-                let attached = bug.replay_report_opts(&opts(false, workers, Some(sink)));
+                let attached = replay(&bug, false, workers, Some(sink));
                 assert_identical(
                     &reference,
                     &attached,
@@ -186,7 +192,7 @@ fn attached_report_carries_a_consistent_summary() {
     // summary's attribution table must be populated.
     let bug = Bug::by_name("ReplicaDB-1").expect("catalogue bug");
     let sink = Arc::new(MemorySink::new());
-    let report = bug.replay_report_opts(&opts(false, 2, Some(sink)));
+    let report = replay(&bug, false, 2, Some(sink));
     let summary = &report.session_summary;
     assert_eq!(summary.explored, report.explored);
     assert_eq!(summary.violations, report.violations.len());
@@ -207,7 +213,7 @@ fn trace_run_spans_match_explored_count() {
     let bug = Bug::by_name("ReplicaDB-1").expect("catalogue bug");
     for workers in WORKER_COUNTS {
         let sink = Arc::new(MemorySink::new());
-        let report = bug.replay_report_opts(&opts(false, workers, Some(sink.clone())));
+        let report = replay(&bug, false, workers, Some(sink.clone()));
         let runs = sink
             .events()
             .iter()
@@ -234,9 +240,9 @@ proptest! {
     ) {
         let catalogue = Bug::catalogue();
         let bug = &catalogue[bug_idx];
-        let reference = bug.replay_report_opts(&opts(stop, 1, None));
+        let reference = replay(bug, stop, 1, None);
         let (sink, check) = make_sink(which);
-        let attached = bug.replay_report_opts(&opts(stop, workers, Some(sink)));
+        let attached = replay(bug, stop, workers, Some(sink));
         prop_assert_eq!(
             reference.diff(&attached),
             None,
@@ -274,12 +280,8 @@ fn co_tenant_chrome_traces_stay_separate_and_well_formed() {
                     .replay_report_on(
                         &service,
                         5,
-                        None,
-                        None,
-                        &ReplayOptions {
-                            telemetry: Some(erased),
-                            ..ReplayOptions::default()
-                        },
+                        &ReplayConfig::default(),
+                        sink_attachment(erased),
                     )
                     .expect("co-scheduled campaign completes");
                 sink.close();
