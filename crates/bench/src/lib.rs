@@ -11,9 +11,7 @@
 //! | `fig8_auto` | Figure 8 variant — hand-declared vs auto-derived independence (JSON) |
 //! | `fig9` | Figure 9 — per-algorithm pruning contributions |
 //! | `fig10` | Figure 10 — the succeed-or-crash micro-benchmark |
-//! | `fig_telemetry` | Telemetry overhead (NullSink vs detached) and trace-event schema (JSON) |
 //! | `fig_faults` | Fault-schedule exploration: fault-space size vs pruned replays (JSON) |
-//! | `fig_observability` | Metrics-registry overhead (attached vs detached) and forensic-bundle determinism (JSON) |
 //!
 //! Wall-clock numbers — including any parallel speedup and what
 //! incremental replay saves over scratch replay (`core.incr_hit_ratio`,

@@ -35,18 +35,15 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use er_pi_interleave::{
     DfsExplorer, ErPiExplorer, ExploreMode, Explorer, FaultProduct, FilterTimings, IndexedSource,
     PruneStats, PruningConfig, RandomExplorer,
 };
 use er_pi_model::{FaultPlan, Interleaving, Value, Workload};
-use er_pi_telemetry::{worker_track, HitRateMonitor};
 use parking_lot::Mutex;
 
-use crate::instrument::Instrument;
-use crate::metrics::SvcMetrics;
+use crate::instrument::{Instrument, RunFacts};
 use crate::subsume::SubsumeSet;
 use crate::{
     CacheStats, CancelToken, CheckContext, ConstraintsDir, ErPiError, IncrementalExecutor,
@@ -317,8 +314,6 @@ struct Chunk {
 /// slot's stream prefix-coherent.
 struct Slot<M: SystemModel> {
     executor: Option<IncrementalExecutor<M>>,
-    /// Watches the slot's own hit rate; the warning names it via its track.
-    monitor: Option<HitRateMonitor>,
     load: WorkerLoad,
     chunk: Chunk,
 }
@@ -357,17 +352,12 @@ impl Table {
 pub(crate) struct Campaign<'w, M: SystemModel> {
     workload: Cow<'w, Workload>,
     /// `incremental` doubles as "the executors keep snapshots": hints are
-    /// worth a lookahead and hit/miss attribution means something. A
-    /// zero-budget subsumption-only executor always resumes from depth 0
-    /// and would report a fictitious 0 % hit rate.
+    /// worth a lookahead.
     replay: ReplayConfig,
     plans: Vec<FaultPlan>,
     time: TimeModel,
     chunk_size: usize,
     instrument: Instrument,
-    /// The executor service's shared latency histograms, when it has a
-    /// registry attached.
-    pub svc: Option<SvcMetrics>,
     disp: Mutex<Dispenser<'w>>,
     slots: Vec<Mutex<Slot<M>>>,
     lowest_violation: AtomicUsize,
@@ -392,21 +382,9 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         } = params;
         let mut explorer = build_explorer(replay.mode, workload.clone(), &config, &plans);
         if let AnyExplorer::ErPi(e) = explorer.inner_mut() {
-            // Per-filter wall time costs two clock reads per evaluation:
-            // only when someone is watching.
-            if instrument.attach.telemetry.is_active() {
-                e.enable_timing();
-            }
-            // The live sleep-set prune tally (inert when sleep sets are off
-            // or no pair of units commutes).
-            if let Some(progress) = &instrument.progress {
-                e.set_sleep_tally(progress.sleep_tally());
-            }
+            instrument.observe_explorer(e);
         }
         let explored = replay.subsumption.then(|| Arc::new(SubsumeSet::new()));
-        let attach = &instrument.attach;
-        let monitored =
-            replay.incremental && (attach.telemetry.is_active() || attach.metrics.is_some());
         let budget = match replay.incremental {
             true => replay.cache_budget,
             false => 0,
@@ -422,7 +400,6 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
                 });
                 Mutex::new(Slot {
                     executor,
-                    monitor: monitored.then(HitRateMonitor::default),
                     load: WorkerLoad {
                         worker,
                         runs: 0,
@@ -449,7 +426,6 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             time,
             chunk_size: chunk_size.max(1),
             instrument,
-            svc: None,
             slots,
             lowest_violation: AtomicUsize::new(NO_VIOLATION),
             stop: AtomicBool::new(false),
@@ -557,28 +533,15 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
     /// see [`Campaign::phase`]). A model panic is caught here, noted, and
     /// stops the campaign.
     pub fn step(&self, slot: usize, on: Subject<'_, M>) -> bool {
-        let telemetry = &self.instrument.attach.telemetry;
         let mut state = self.slots[slot].lock();
         let state = &mut *state;
-        let t_claim = telemetry.start();
-        let claim_started = self.svc.as_ref().map(|_| Instant::now());
+        let asked = self.instrument.stamp();
         if !self.claim(&mut state.chunk) {
             return false;
         }
-        if let (Some(svc), Some(started)) = (&self.svc, claim_started) {
-            svc.claim_wait
-                .observe_us(started.elapsed().as_micros() as u64);
-        }
         let (start, _) = state.chunk.items[0];
-        if telemetry.is_active() {
-            let count = state.chunk.items.len();
-            telemetry.span_since(
-                worker_track(slot),
-                "claim",
-                t_claim,
-                vec![("first_index", start.into()), ("count", count.into())],
-            );
-        }
+        self.instrument
+            .chunk_claimed(slot, asked, start, state.chunk.items.len());
 
         let executed = catch_unwind(AssertUnwindSafe(|| self.execute_chunk(slot, state, on)));
 
@@ -654,10 +617,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         next: Option<&Interleaving>,
         on: Subject<'_, M>,
     ) -> bool {
-        let telemetry = &self.instrument.attach.telemetry;
-        let track = worker_track(slot);
-        let t_run = telemetry.start();
-        let run_started = self.svc.as_ref().map(|_| Instant::now());
+        let started = self.instrument.stamp();
 
         // State 3: checkpointed execution of one interleaving. Fresh states
         // per run are the checkpoint/reset of §4.3; the incremental executor
@@ -676,7 +636,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             interleaving: &il,
             outcomes: &exec.outcomes,
         };
-        let t_check = telemetry.start();
+        let check_started = self.instrument.stamp();
         let found = &mut state.chunk.found;
         let before = found.len();
         for assertion in on.suite.assertions() {
@@ -691,52 +651,19 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         }
         let violated = found.len() > before;
         let failed_ops = exec.outcomes.iter().filter(|o| o.is_failed()).count();
-        if let (Some(svc), Some(started)) = (&self.svc, run_started) {
-            svc.run_latency
-                .observe_us(started.elapsed().as_micros() as u64);
-        }
-
-        let resumed_depth = state
-            .executor
-            .as_ref()
-            .map_or(0, IncrementalExecutor::last_resume_depth);
-        if telemetry.is_active() {
-            telemetry.span_since(
-                track,
-                "check",
-                t_check,
-                vec![
-                    ("assertions", on.suite.assertions().len().into()),
-                    ("violated", violated.into()),
-                ],
-            );
-            telemetry.span_since(
-                track,
-                "run",
-                t_run,
-                vec![
-                    ("index", index.into()),
-                    ("resumed_depth", resumed_depth.into()),
-                    ("sim_us", exec.sim_us.into()),
-                    ("violated", violated.into()),
-                    ("failed_ops", failed_ops.into()),
-                ],
-            );
-        }
-        let cache_hit = self.replay.incremental.then_some(resumed_depth > 0);
-        if let (Some(monitor), Some(hit)) = (state.monitor.as_mut(), cache_hit) {
-            if let Some(message) = monitor.record(hit) {
-                if let Some(metrics) = &self.instrument.attach.metrics {
-                    metrics.warn_low_hit_rate();
-                }
-                telemetry.warn(track, "cache:low-hit-rate", message);
-            }
-        }
-        let subsumed = state
-            .executor
-            .as_ref()
-            .is_some_and(IncrementalExecutor::last_run_subsumed);
-        self.instrument.run_done(slot, cache_hit, subsumed);
+        let executor = state.executor.as_ref();
+        self.instrument.run_done(RunFacts {
+            slot,
+            index,
+            resumed_depth: executor.map_or(0, IncrementalExecutor::last_resume_depth),
+            subsumed: executor.is_some_and(IncrementalExecutor::last_run_subsumed),
+            sim_us: exec.sim_us,
+            failed_ops,
+            assertions: on.suite.assertions().len(),
+            violated,
+            started,
+            check_started,
+        });
 
         state.load.runs += 1;
         state.load.sim_us += exec.sim_us;

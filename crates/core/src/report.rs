@@ -38,7 +38,10 @@ pub struct Violation {
 pub struct Report {
     /// Exploration mode name ("ER-π", "DFS", "Rand").
     pub mode: String,
-    /// Number of interleavings replayed.
+    /// Number of interleavings *explored*: the runs this report retains, up
+    /// to the cap or — under stop-on-first — the lowest violation; the same
+    /// at every worker count. What the slots *executed* beyond that is
+    /// scheduling-dependent: [`SessionSummary::executed`].
     pub explored: usize,
     /// All assertion violations found.
     pub violations: Vec<Violation>,

@@ -175,9 +175,9 @@ pub struct ExecutorService {
     workers: usize,
     seq: AtomicU64,
     /// Shared latency histograms, when the embedder attached a metric
-    /// registry ([`ExecutorService::with_registry`]); every campaign
-    /// observes into them.
-    metrics: Option<SvcMetrics>,
+    /// registry ([`ExecutorService::with_registry`]); the instrument of
+    /// every campaign replayed here observes into them.
+    pub(crate) metrics: Option<SvcMetrics>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -255,7 +255,7 @@ impl ExecutorService {
     /// [`ErPiError::ExecutorPanic`] if the model panicked in a worker.
     pub(crate) fn run_campaign<M>(
         &self,
-        mut campaign: Campaign<'static, M>,
+        campaign: Campaign<'static, M>,
         model: M,
         suite: TestSuite<M::State>,
         priority: u8,
@@ -265,7 +265,6 @@ impl ExecutorService {
         M::State: Send + Sync,
     {
         assert_eq!(campaign.slots(), self.workers, "one slot per worker");
-        campaign.svc = self.metrics.clone();
         let task = Arc::new(CampaignTask {
             campaign,
             model,

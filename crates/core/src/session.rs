@@ -5,20 +5,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use er_pi_datalog::InterleavingStore;
-use er_pi_interleave::{
-    enumerate_plans, ExploreMode, FaultSpace, FilterTimings, PruneStats, PruningConfig,
-};
+use er_pi_interleave::{enumerate_plans, ExploreMode, FaultSpace, PruningConfig};
 use er_pi_model::{EventId, FaultPlan, OpDescriptor, ReplicaId, Value, Workload, WorkloadBuilder};
-use er_pi_telemetry::{
-    ProgressSnapshot, Sink, Telemetry, COORDINATOR_TRACK, HIT_RATE_THRESHOLD, HIT_RATE_WINDOW,
-};
+use er_pi_telemetry::{low_hit_rate, ProgressSnapshot, Sink, Telemetry, COORDINATOR_TRACK};
 
 use er_pi_analysis::{Diagnostic, TraceAnalysis};
 
 use crate::campaign::{Campaign, Outcome, Params, Subject, Watch};
 use crate::instrument::Instrument;
 use crate::{
-    Attachments, CancelToken, ConstraintsDir, CrossContext, ErPiError, ExecutorService,
+    Attachments, CacheStats, CancelToken, ConstraintsDir, CrossContext, ErPiError, ExecutorService,
     FailureStats, OpOutcome, ReplayConfig, Report, SanitizerReport, SessionMetrics, SessionSummary,
     SystemModel, TestSuite, TimeModel, Violation, DEFAULT_CHUNK_SIZE,
 };
@@ -403,9 +399,9 @@ impl<M: SystemModel> Session<M> {
 
     /// Attaches label-scoped registry metrics
     /// ([`SessionMetrics`](crate::SessionMetrics)): every subsequent
-    /// replay bumps the campaign's run/cache/subsumption counters per
-    /// finished run and folds pruner statistics and the final cache hit
-    /// rate in when the replay completes.
+    /// replay counts its finished runs in the campaign's
+    /// run/cache/subsumption series and folds pruner statistics and the
+    /// final cache hit rate in when the replay completes.
     ///
     /// Like telemetry sinks, the registry is strictly write-only: an
     /// attached registry leaves the [`Report`] byte-identical to a
@@ -633,9 +629,10 @@ impl<M: SystemModel> Session<M> {
         let workload = self.workload.clone().ok_or(ErPiError::NothingRecorded)?;
         let started = Instant::now();
         let slots = service.workers();
-        let instrument = self
+        let mut instrument = self
             .attach
             .instrument(&workload, slots, &self.replay, &self.time);
+        instrument.svc = service.metrics.clone();
         let (diagnostics, effective) = self.prepare_replay(&workload)?;
         let campaign = self.campaign(Cow::Owned(workload.clone()), effective, slots, &instrument);
         let outcome =
@@ -715,8 +712,9 @@ impl<M: SystemModel> Session<M> {
     }
 
     /// The shared post-replay pipeline: the independence sanitizer, the
-    /// cross-interleaving checks, retry-cost accounting, pruner spans, the
-    /// persisted store, the session summary, and the assembled [`Report`].
+    /// cross-interleaving checks, retry-cost accounting, the session summary
+    /// (which the instrument closes every view on), the persisted store,
+    /// and the assembled [`Report`].
     fn finish_replay(
         &mut self,
         workload: &Workload,
@@ -766,17 +764,22 @@ impl<M: SystemModel> Session<M> {
         let sim_us_total = outcome.sim_us + outcome.wasted * self.time.shuffle_retry_cost_us;
         let wall_ms = started.elapsed().as_millis();
 
-        // Per-pruner attribution spans: one aggregate span per filter,
-        // placed back-to-back at the end of the coordinator track with the
-        // measured in-filter wall time as the duration.
-        self.emit_prune_spans(
-            outcome.prune_stats.as_ref(),
-            outcome.filter_timings.as_ref(),
-        );
-
+        // A subsumption-only executor keeps no snapshots: each of its runs
+        // counts a miss without there having been a cache to miss.
+        let cache = outcome
+            .cache_stats
+            .map(|stats| match self.replay.incremental {
+                true => stats,
+                false => CacheStats {
+                    hits: 0,
+                    misses: 0,
+                    ..stats
+                },
+            });
         let session_summary = SessionSummary {
             mode: outcome.mode.clone(),
             explored: outcome.runs.len(),
+            executed: outcome.worker_loads.iter().map(|load| load.runs).sum(),
             violations: outcome.violations.len(),
             sim_us: sim_us_total,
             wall_ms,
@@ -786,55 +789,18 @@ impl<M: SystemModel> Session<M> {
                 outcome.filter_timings.as_ref(),
             ),
             workers: outcome.worker_loads.clone(),
-            cache: outcome.cache_stats,
+            cache,
             failures: FailureStats::from_runs(&outcome.runs),
         };
-        if telemetry.is_active() {
-            telemetry.instant(
-                COORDINATOR_TRACK,
-                "summary",
-                vec![
-                    ("explored", session_summary.explored.into()),
-                    ("violations", session_summary.violations.into()),
-                    ("sim_us", session_summary.sim_us.into()),
-                    ("rendered", session_summary.render().into()),
-                ],
-            );
-        }
-        if let Some(progress) = &instrument.progress {
-            instrument.sample(progress);
-        }
-        telemetry.flush();
+        instrument.campaign_done(&session_summary);
 
-        // Headless surfacing of the degraded-cache warning (the sink-side
-        // `HitRateMonitor` sees it live; this covers campaigns with no
-        // sink attached). Advisories are scheduling-dependent — hit/miss
-        // attribution depends on which slot got which run — so they live
-        // OUTSIDE the byte-identical
-        // report contract, like `wall_ms` and `worker_loads`.
-        let mut advisories: Vec<String> = Vec::new();
-        if self.replay.incremental {
-            if let Some(cache) = &outcome.cache_stats {
-                let attributed = cache.hits + cache.misses;
-                if attributed >= HIT_RATE_WINDOW {
-                    let rate = cache.hits as f64 / attributed as f64;
-                    if rate < HIT_RATE_THRESHOLD {
-                        advisories.push(format!(
-                            "checkpoint-cache hit rate {:.1}% over {attributed} attributed \
-                             runs is below the {:.0}% floor — consecutive interleavings \
-                             share few prefixes (Random order sits near 1/N) or the cache \
-                             budget is refusing snapshots; incremental replay then costs \
-                             about what scratch replay costs",
-                            rate * 100.0,
-                            HIT_RATE_THRESHOLD * 100.0,
-                        ));
-                        if let Some(metrics) = &self.attach.metrics {
-                            metrics.warn_low_hit_rate();
-                        }
-                    }
-                }
-            }
-        }
+        // The degraded-cache rule once more, over the final counts, for
+        // campaigns nobody watched live. Advisories are scheduling-dependent
+        // — hit/miss attribution depends on which slot got which run — so
+        // they live OUTSIDE the byte-identical report contract, like
+        // `wall_ms` and `worker_loads`.
+        let cache = cache.unwrap_or_default();
+        let advisories = Vec::from_iter(low_hit_rate(cache.hits, cache.misses));
 
         // The persisted store mirrors the retained runs in dispatch order.
         self.store = self.replay.persist.then(|| {
@@ -844,7 +810,7 @@ impl<M: SystemModel> Session<M> {
             }
             store
         });
-        let report = Report {
+        Report {
             mode: outcome.mode,
             explored: outcome.runs.len(),
             first_violation_at: outcome.first_violation_at,
@@ -864,46 +830,6 @@ impl<M: SystemModel> Session<M> {
             cache_stats: outcome.cache_stats,
             session_summary,
             advisories,
-        };
-        if let Some(metrics) = &self.attach.metrics {
-            metrics.finish(&report);
-        }
-        report
-    }
-
-    /// Emits the per-pruner aggregate spans (`prune:<filter>`): checked /
-    /// rejected counts with the measured in-filter wall time as span
-    /// duration, laid out back-to-back so Perfetto renders the four
-    /// algorithms as adjacent blocks.
-    fn emit_prune_spans(&self, stats: Option<&PruneStats>, timings: Option<&FilterTimings>) {
-        let telemetry = &self.attach.telemetry;
-        if !telemetry.is_active() {
-            return;
-        }
-        let rows = SessionSummary::pruner_rows(stats, timings);
-        let mut cursor = telemetry.now_us();
-        for row in rows {
-            let label = match row.name {
-                "replica-specific" => "prune:replica-specific",
-                "independence" => "prune:independence",
-                "failed-ops" => "prune:failed-ops",
-                "causal" => "prune:causal",
-                "sleep" => "prune:sleep",
-                _ => "prune:other",
-            };
-            let dur_us = row.wall_ns / 1_000;
-            telemetry.span(
-                COORDINATOR_TRACK,
-                label,
-                cursor,
-                dur_us,
-                vec![
-                    ("checked", row.checked.into()),
-                    ("rejected", row.rejected.into()),
-                    ("wall_ns", row.wall_ns.into()),
-                ],
-            );
-            cursor += dur_us.max(1);
         }
     }
 }

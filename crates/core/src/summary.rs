@@ -1,14 +1,16 @@
 //! The end-of-session attribution summary.
 
 use er_pi_interleave::{FilterTimings, PruneStats};
+use er_pi_telemetry::hit_rate;
 
 use crate::{CacheStats, FailureStats, WorkerLoad};
 
 /// One pruning algorithm's row in the attribution table.
 #[derive(Debug, Clone, PartialEq, Eq, Default, serde::Serialize)]
 pub struct PrunerRow {
-    /// Filter name (`replica-specific`, `independence`, `failed-ops`,
-    /// `causal`).
+    /// Filter name, as `PruneStats::per_filter` spells it — the one
+    /// spelling the summary, the `prune:<name>` spans and the
+    /// `er_pi_campaign_pruned_total{algorithm}` label all carry.
     pub name: &'static str,
     /// Candidates that reached this filter (count-in).
     pub checked: u64,
@@ -34,8 +36,12 @@ pub struct PrunerRow {
 pub struct SessionSummary {
     /// Exploration mode name.
     pub mode: String,
-    /// Interleavings replayed.
+    /// Runs the report retains: [`Report::explored`](crate::Report::explored).
     pub explored: usize,
+    /// Runs the replay slots executed (Σ `workers[].runs`) — what every live
+    /// counter ends at. Above `explored` only by the speculative runs other
+    /// slots finished past the lowest violation of a stop-on-first replay.
+    pub executed: usize,
     /// Assertion violations found.
     pub violations: usize,
     /// Total simulated time, microseconds.
@@ -50,7 +56,9 @@ pub struct SessionSummary {
     /// Per-slot replay counters, one row per replay slot (matching
     /// `Report::worker_loads`).
     pub workers: Vec<WorkerLoad>,
-    /// Checkpoint-cache counters (`None` for scratch replay).
+    /// Checkpoint-cache counters (`None` for scratch replay). `hits` and
+    /// `misses` stay zero when the executors kept no snapshots
+    /// (subsumption without incremental replay): no hit rate to present.
     pub cache: Option<CacheStats>,
     /// Failed-operation statistics across the replayed runs.
     pub failures: FailureStats,
@@ -93,9 +101,13 @@ impl SessionSummary {
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
+        let executed = match self.executed == self.explored {
+            true => String::new(),
+            false => format!(" ({} executed)", self.executed),
+        };
         let _ = writeln!(
             out,
-            "session summary [{}]: {} runs, {} violation(s), sim {:.3}s, wall {}ms",
+            "session summary [{}]: {} runs{executed}, {} violation(s), sim {:.3}s, wall {}ms",
             self.mode,
             self.explored,
             self.violations,
@@ -132,23 +144,26 @@ impl SessionSummary {
             }
         }
         if let Some(cache) = &self.cache {
-            let _ = writeln!(
-                out,
-                "  cache: {}/{} hits ({:.1}%), {} events saved, {:.3}s saved, {} B resident",
-                cache.hits,
-                cache.hits + cache.misses,
-                cache.hit_rate() * 100.0,
-                cache.events_saved,
-                cache.saved_secs(),
-                cache.bytes_resident,
-            );
+            if let Some(rate) = hit_rate(cache.hits, cache.misses) {
+                let _ = writeln!(
+                    out,
+                    "  cache: {}/{} hits ({:.1}%), {} events saved, {:.3}s saved, {} B resident",
+                    cache.hits,
+                    cache.hits + cache.misses,
+                    rate * 100.0,
+                    cache.events_saved,
+                    cache.saved_secs(),
+                    cache.bytes_resident,
+                );
+            }
             if cache.subsumed > 0 {
+                let executed = self.executed as u64;
                 let _ = writeln!(
                     out,
                     "  subsumption: {} runs short-circuited ({:.1}%), {} executed, {} events skipped",
                     cache.subsumed,
-                    cache.subsume_rate() * 100.0,
-                    cache.executed_runs(),
+                    cache.subsumed as f64 * 100.0 / executed.max(1) as f64,
+                    executed.saturating_sub(cache.subsumed),
                     cache.subsume_events_saved,
                 );
             }
@@ -196,6 +211,7 @@ mod tests {
         let summary = SessionSummary {
             mode: "ER-π".into(),
             explored: 19,
+            executed: 19,
             violations: 1,
             sim_us: 123_000,
             wall_ms: 4,
@@ -242,6 +258,7 @@ mod tests {
         let summary = SessionSummary {
             mode: "ER-π".into(),
             explored: 19,
+            executed: 19,
             violations: 1,
             sim_us: 123_000,
             wall_ms: 4,
@@ -260,6 +277,7 @@ mod tests {
         for key in [
             "\"mode\"",
             "\"explored\"",
+            "\"executed\"",
             "\"violations\"",
             "\"sim_us\"",
             "\"wall_ms\"",
@@ -272,6 +290,28 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+    }
+
+    #[test]
+    fn render_names_both_run_counts_and_no_rate_without_attribution() {
+        // Stop-on-first on two slots, executors that subsume but keep no
+        // snapshots: six speculative runs, no hits or misses attributed.
+        let summary = SessionSummary {
+            explored: 145,
+            executed: 151,
+            cache: Some(CacheStats {
+                subsumed: 100,
+                ..CacheStats::default()
+            }),
+            ..SessionSummary::default()
+        };
+        let text = summary.render();
+        assert!(text.contains("145 runs (151 executed), "), "{text}");
+        assert!(!text.contains("cache:"), "{text}");
+        assert!(
+            text.contains("subsumption: 100 runs short-circuited (66.2%), 51 executed"),
+            "{text}"
+        );
     }
 
     #[test]

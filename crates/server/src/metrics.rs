@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use er_pi::telemetry::{Counter, Gauge, Histogram, Registry};
+use er_pi::Report;
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::sync::Arc;
@@ -31,7 +32,7 @@ pub struct Metrics {
     cancelled: Counter,
     /// Campaigns that errored.
     failed: Counter,
-    /// Interleavings replayed across all finished campaigns.
+    /// Interleavings executed across all finished campaigns.
     runs_total: Counter,
     /// Runs answered from the subsumption set instead of being executed.
     subsumed_total: Counter,
@@ -69,7 +70,8 @@ pub struct MetricsBody {
     pub cancelled: u64,
     /// Campaigns that errored.
     pub failed: u64,
-    /// Interleavings replayed across all finished campaigns.
+    /// Interleavings executed across all finished campaigns (speculative
+    /// runs past a stop-on-first violation included).
     pub runs_total: u64,
     /// Runs answered from the subsumption set instead of being executed.
     pub subsumed_total: u64,
@@ -113,7 +115,8 @@ impl Metrics {
             failed: c("er_pi_server_failed_total", "Campaigns that errored."),
             runs_total: c(
                 "er_pi_server_runs_total",
-                "Interleavings replayed across all finished campaigns.",
+                "Interleavings executed across all finished campaigns: the sum of \
+                 their er_pi_campaign_runs_total.",
             ),
             subsumed_total: c(
                 "er_pi_server_subsumed_total",
@@ -193,19 +196,17 @@ impl Metrics {
         self.failed.inc();
     }
 
-    /// Adds `n` replayed runs to the throughput tally.
-    pub fn add_runs(&self, n: u64) {
-        self.runs_total.add(n);
-    }
-
-    /// Adds `n` subsumption-stitched runs to the campaign-wide tally.
-    pub fn add_subsumed(&self, n: u64) {
-        self.subsumed_total.add(n);
-    }
-
-    /// Adds `n` sleep-set rejections to the campaign-wide tally.
-    pub fn add_sleep_prunes(&self, n: u64) {
-        self.sleep_prunes_total.add(n);
+    /// Adds a finished campaign to the fleet tallies: the runs it executed
+    /// (not the ones its report retains — the fleet counter is the sum of
+    /// the campaigns' own run counters), the runs subsumption stitched and
+    /// the sleep-set rejections.
+    pub fn add_campaign(&self, report: &Report) {
+        let executed = report.session_summary.executed;
+        self.runs_total.add(executed as u64);
+        let cache = report.cache_stats.unwrap_or_default();
+        self.subsumed_total.add(cache.subsumed);
+        let prune = report.prune_stats.unwrap_or_default();
+        self.sleep_prunes_total.add(prune.sleep_rejected);
     }
 
     /// Records one campaign's admission → runner-pickup wait.
@@ -310,9 +311,12 @@ mod tests {
         m.inc_submitted();
         m.inc_submitted();
         m.inc_completed();
-        m.add_runs(500);
-        m.add_subsumed(125);
-        m.add_sleep_prunes(40);
+        let mut report = Report::default();
+        report.session_summary.executed = 500;
+        report.explored = 480;
+        report.cache_stats.get_or_insert_default().subsumed = 125;
+        report.prune_stats.get_or_insert_default().sleep_rejected = 40;
+        m.add_campaign(&report);
         let body = m.body(3, 1, 4, 2);
         assert_eq!(body.submitted, 2);
         assert_eq!(body.completed, 1);

@@ -103,13 +103,7 @@ fn run_one(state: &ServerState, campaign: &Arc<Campaign>) {
     };
     match result {
         Ok(report) => {
-            state.metrics.add_runs(report.explored as u64);
-            if let Some(cache) = &report.cache_stats {
-                state.metrics.add_subsumed(cache.subsumed);
-            }
-            if let Some(prune) = &report.prune_stats {
-                state.metrics.add_sleep_prunes(prune.sleep_rejected);
-            }
+            state.metrics.add_campaign(&report);
             state.metrics.inc_completed();
             state
                 .metrics

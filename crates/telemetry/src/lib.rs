@@ -20,12 +20,12 @@
 //!   [Perfetto](https://ui.perfetto.dev) to see a replay campaign as a
 //!   flamegraph.
 //!
-//! Plus [`MemorySink`] for tests, [`Progress`] for live runs/sec / ETA /
-//! cache-hit sampling, [`HitRateMonitor`] for the degraded
-//! checkpoint-cache warning, and [`Registry`] — a typed, label-aware
-//! metric registry (counters, gauges, log-bucketed latency histograms)
-//! with Prometheus text exposition that every layer of the engine
-//! registers into.
+//! Plus [`MemorySink`] for tests, [`Progress`] for the live run tally
+//! (runs/sec, ETA, cache-hit sampling), [`low_hit_rate`] for the degraded
+//! checkpoint-cache warning over it, and [`Registry`] — a typed,
+//! label-aware metric registry (counters, gauges, log-bucketed latency
+//! histograms) with Prometheus text exposition that every layer of the
+//! engine registers into.
 //!
 //! Telemetry is strictly write-only: nothing observed through this crate
 //! feeds back into replay results, so attaching any sink leaves `Report`s
@@ -46,7 +46,8 @@ pub use event::{
 };
 pub use handle::Telemetry;
 pub use progress::{
-    HitRateMonitor, Progress, ProgressSnapshot, HIT_RATE_THRESHOLD, HIT_RATE_WINDOW,
+    hit_rate, low_hit_rate, Progress, ProgressSnapshot, RunCells, HIT_RATE_THRESHOLD,
+    HIT_RATE_WINDOW,
 };
 pub use registry::{
     lint_exposition, lint_monotone, Counter, Gauge, Histogram, MetricKind, Registry,

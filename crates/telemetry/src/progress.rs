@@ -1,9 +1,20 @@
-//! Live campaign progress: a lock-free aggregator sampled by replay
-//! workers, plus the checkpoint-cache hit-rate monitor.
+//! Live campaign progress: one lock-free tally of finished runs, read by
+//! the progress snapshot, by everything rendered from it and — when its
+//! cells are registry series — by the metric exposition; plus the one
+//! low-hit-rate rule over that tally.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+use crate::registry::Counter;
+
+/// The per-run cells of a campaign's tally, in the order `[runs, cache
+/// hits, cache misses, subsumed]`. Detached by default; a campaign that
+/// exports into a [`Registry`](crate::Registry) hands in that registry's own
+/// series, so one [`Progress::record_run`] advances the live snapshot and
+/// the exposition through the same memory.
+pub type RunCells = [Counter; 4];
 
 /// Lock-free progress aggregator shared between the session thread and
 /// every replay slot. Slots bump atomic counters as runs finish; anyone
@@ -11,12 +22,13 @@ use std::time::Instant;
 #[derive(Debug)]
 pub struct Progress {
     started: Instant,
-    runs_done: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    /// Runs short-circuited by state-hash subsumption (a subset of
-    /// `runs_done` — a subsumed run still completes and is reported).
-    subsumed: AtomicU64,
+    cells: RunCells,
+    /// What the cells read when this campaign began. Registry series keep
+    /// accumulating over every replay of a session; a campaign counts from
+    /// zero.
+    base: [u64; 4],
+    /// The low-hit-rate warning has been handed out.
+    warned: AtomicBool,
     /// Unit permutations pruned by the sleep-set filter. Behind an `Arc`
     /// so the exploring thread can bump it without holding the aggregator
     /// (see [`Progress::sleep_tally`]).
@@ -30,19 +42,27 @@ pub struct Progress {
 }
 
 impl Progress {
-    /// A fresh aggregator for `workers` replay slots.
+    /// A fresh aggregator for `workers` replay slots, over detached cells.
     pub fn new(workers: usize) -> Self {
         Progress {
             started: Instant::now(),
-            runs_done: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            subsumed: AtomicU64::new(0),
+            cells: RunCells::default(),
+            base: [0; 4],
+            warned: AtomicBool::new(false),
             sleep_prunes: Arc::new(AtomicU64::new(0)),
             per_worker: (0..workers.max(1)).map(|_| AtomicU64::new(0)).collect(),
             expected_total: None,
             campaign_secs_hint: None,
         }
+    }
+
+    /// Counts into `cells` instead of cells of its own, starting from what
+    /// they read now. Two campaigns running at once need cells of their
+    /// own each.
+    pub fn with_cells(mut self, cells: RunCells) -> Self {
+        self.base = cells.each_ref().map(Counter::get);
+        self.cells = cells;
+        self
     }
 
     /// Sets the expected number of runs (enables the measured ETA).
@@ -58,28 +78,29 @@ impl Progress {
     }
 
     /// Records one finished run on `worker`'s tally. `cache_hit` says
-    /// whether the run resumed from a checkpoint (`None` when incremental
-    /// replay is off); `subsumed` whether state-hash subsumption stitched
-    /// the run's tail instead of executing it. Returns the new total, so
-    /// callers can trigger periodic work every N runs without a second
-    /// load.
+    /// whether the run resumed from a checkpoint (`None` when the executors
+    /// keep no snapshots); `subsumed` whether state-hash subsumption
+    /// stitched the run's tail instead of executing it. Returns the
+    /// campaign's new total, so callers can trigger periodic work every N
+    /// runs without a second load.
     pub fn record_run(&self, worker: usize, cache_hit: Option<bool>, subsumed: bool) -> u64 {
+        let [runs, cache_hits, cache_misses, subsumed_runs] = &self.cells;
         if let Some(w) = self.per_worker.get(worker) {
             w.fetch_add(1, Ordering::Relaxed);
         }
         match cache_hit {
             Some(true) => {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                cache_hits.inc();
             }
             Some(false) => {
-                self.cache_misses.fetch_add(1, Ordering::Relaxed);
+                cache_misses.inc();
             }
             None => {}
         }
         if subsumed {
-            self.subsumed.fetch_add(1, Ordering::Relaxed);
+            subsumed_runs.inc();
         }
-        self.runs_done.fetch_add(1, Ordering::Relaxed) + 1
+        runs.inc() - self.base[0]
     }
 
     /// The shared sleep-set prune tally: hand the `Arc` to the explorer
@@ -94,22 +115,31 @@ impl Progress {
         self.per_worker.len()
     }
 
+    /// This campaign's `[runs, cache hits, cache misses, subsumed]` so far.
+    fn counts(&self) -> [u64; 4] {
+        std::array::from_fn(|i| self.cells[i].get() - self.base[i])
+    }
+
+    /// The [`low_hit_rate`] sentence over the tally so far — the first time
+    /// the rule holds, and never again for this campaign.
+    pub fn low_hit_rate_warning(&self) -> Option<String> {
+        if self.warned.load(Ordering::Relaxed) {
+            return None;
+        }
+        let [_, hits, misses, _] = self.counts();
+        let message = low_hit_rate(hits, misses)?;
+        (!self.warned.swap(true, Ordering::Relaxed)).then_some(message)
+    }
+
     /// Takes a consistent-enough snapshot (counters are relaxed; exact
     /// cross-counter consistency is not needed for display).
     pub fn snapshot(&self) -> ProgressSnapshot {
         let elapsed = self.started.elapsed().as_secs_f64();
-        let runs_done = self.runs_done.load(Ordering::Relaxed);
+        let [runs_done, hits, misses, subsumed_runs] = self.counts();
         let runs_per_sec = if elapsed > 0.0 {
             runs_done as f64 / elapsed
         } else {
             0.0
-        };
-        let hits = self.cache_hits.load(Ordering::Relaxed);
-        let misses = self.cache_misses.load(Ordering::Relaxed);
-        let cache_hit_rate = if hits + misses > 0 {
-            Some(hits as f64 / (hits + misses) as f64)
-        } else {
-            None
         };
         // ETA only once throughput is measurable: with zero completed runs
         // (or a zero-elapsed window) the division would fabricate an
@@ -122,12 +152,6 @@ impl Progress {
             Some(total) if runs_per_sec > 0.0 && runs_done >= total => Some(0.0),
             _ => None,
         };
-        let subsumed_runs = self.subsumed.load(Ordering::Relaxed);
-        let subsume_rate = if runs_done > 0 {
-            Some(subsumed_runs as f64 / runs_done as f64)
-        } else {
-            None
-        };
         ProgressSnapshot {
             elapsed_secs: elapsed,
             runs_done,
@@ -135,9 +159,9 @@ impl Progress {
             runs_per_sec,
             eta_secs,
             campaign_secs_hint: self.campaign_secs_hint,
-            cache_hit_rate,
+            cache_hit_rate: hit_rate(hits, misses),
             subsumed_runs,
-            subsume_rate,
+            subsume_rate: share(subsumed_runs, runs_done),
             sleep_prunes: self.sleep_prunes.load(Ordering::Relaxed),
             per_worker_runs: self
                 .per_worker
@@ -155,7 +179,9 @@ impl Progress {
 pub struct ProgressSnapshot {
     /// Wall-clock seconds since replay started.
     pub elapsed_secs: f64,
-    /// Runs completed so far.
+    /// Runs executed so far: every run a replay slot finished, the
+    /// speculative ones past a stop-on-first violation included. It ends at
+    /// `SessionSummary::executed`, which `Report::explored` never exceeds.
     pub runs_done: u64,
     /// Expected total runs (the session cap), when bounded.
     pub expected_total: Option<u64>,
@@ -201,73 +227,41 @@ impl ProgressSnapshot {
     }
 }
 
-/// Watches the checkpoint-cache hit rate over fixed windows of runs and
-/// produces a one-line warning the first time a window degrades below the
-/// threshold — surfacing an order with no prefix locality (or a cache
-/// budget that refuses every snapshot) instead of letting replay silently
-/// fall back to scratch execution.
-#[derive(Debug)]
-pub struct HitRateMonitor {
-    window: u64,
-    threshold: f64,
-    hits: u64,
-    seen: u64,
-    warned: bool,
-}
-
-/// Runs per observation window of the default monitor.
+/// Attributed runs below which [`low_hit_rate`] stays quiet.
 pub const HIT_RATE_WINDOW: u64 = 1_000;
-/// Hit-rate floor below which the default monitor warns.
+/// Hit-rate floor below which [`low_hit_rate`] warns.
 pub const HIT_RATE_THRESHOLD: f64 = 0.10;
 
-impl Default for HitRateMonitor {
-    fn default() -> Self {
-        HitRateMonitor::new(HIT_RATE_WINDOW, HIT_RATE_THRESHOLD)
-    }
+/// `part / whole` in `[0, 1]`; no rate over an empty whole.
+fn share(part: u64, whole: u64) -> Option<f64> {
+    (whole > 0).then(|| part as f64 / whole as f64)
 }
 
-impl HitRateMonitor {
-    /// A monitor warning when a `window`-run window's hit rate is below
-    /// `threshold`.
-    pub fn new(window: u64, threshold: f64) -> Self {
-        HitRateMonitor {
-            window: window.max(1),
-            threshold,
-            hits: 0,
-            seen: 0,
-            warned: false,
-        }
-    }
+/// The checkpoint-cache hit rate of `hits` resumed and `misses` scratch
+/// runs, in `[0, 1]`; `None` when no run was attributed — the executors
+/// keep no snapshots, or nothing has finished yet.
+pub fn hit_rate(hits: u64, misses: u64) -> Option<f64> {
+    share(hits, hits + misses)
+}
 
-    /// Records one run (`hit` = resumed from a checkpoint). Returns the
-    /// warning message when a completed window first falls below the
-    /// threshold; at most one warning per monitor.
-    pub fn record(&mut self, hit: bool) -> Option<String> {
-        self.seen += 1;
-        if hit {
-            self.hits += 1;
-        }
-        if self.seen < self.window {
-            return None;
-        }
-        let rate = self.hits as f64 / self.seen as f64;
-        let fired = !self.warned && rate < self.threshold;
-        self.hits = 0;
-        self.seen = 0;
-        if fired {
-            self.warned = true;
-            Some(format!(
-                "checkpoint-cache hit rate {:.1}% over the last {} runs (threshold {:.0}%): \
-                 consecutive runs share few prefixes, or set_cache_budget is refusing \
-                 snapshots",
-                rate * 100.0,
-                self.window,
-                self.threshold * 100.0
-            ))
-        } else {
-            None
-        }
-    }
+/// The degraded-cache rule: at least [`HIT_RATE_WINDOW`] attributed runs
+/// with a cumulative hit rate under [`HIT_RATE_THRESHOLD`] — an order with
+/// no prefix locality, or a cache budget that refuses every snapshot,
+/// surfaced instead of letting replay silently fall back to scratch
+/// execution. Returns the one sentence every view words it with.
+pub fn low_hit_rate(hits: u64, misses: u64) -> Option<String> {
+    let attributed = hits + misses;
+    let rate = hit_rate(hits, misses)?;
+    (attributed >= HIT_RATE_WINDOW && rate < HIT_RATE_THRESHOLD).then(|| {
+        format!(
+            "checkpoint-cache hit rate {:.1}% over {attributed} attributed runs is below \
+             the {:.0}% floor — consecutive interleavings share few prefixes (Random \
+             order sits near 1/N) or the cache budget is refusing snapshots; incremental \
+             replay then costs about what scratch replay costs",
+            rate * 100.0,
+            HIT_RATE_THRESHOLD * 100.0,
+        )
+    })
 }
 
 #[cfg(test)]
@@ -346,38 +340,63 @@ mod tests {
     }
 
     #[test]
-    fn monitor_warns_once_on_a_cold_window() {
-        let mut m = HitRateMonitor::new(10, 0.10);
-        for i in 0..9 {
-            assert_eq!(m.record(false), None, "run {i}");
-        }
-        let msg = m.record(false).expect("window completed cold");
-        assert!(msg.contains("0.0%"), "{msg}");
-        assert!(msg.contains("set_cache_budget"), "{msg}");
-        // Second cold window stays quiet: warn-once.
-        for _ in 0..10 {
-            assert_eq!(m.record(false), None);
-        }
+    fn shared_cells_accumulate_while_each_campaign_counts_from_zero() {
+        let registry = crate::Registry::new();
+        let cells = || -> RunCells {
+            ["runs", "hits", "misses", "subsumed"]
+                .map(|name| registry.counter(&format!("er_pi_{name}_total"), name, &[]))
+        };
+        let first = Progress::new(1).with_cells(cells());
+        first.record_run(0, Some(true), false);
+        first.record_run(0, Some(false), true);
+        assert_eq!(first.snapshot().runs_done, 2);
+
+        // A second replay under the same series: the series keep their
+        // totals, the campaign's own view starts over.
+        let second = Progress::new(1).with_cells(cells());
+        assert_eq!(second.snapshot().runs_done, 0);
+        assert_eq!(second.record_run(0, Some(true), false), 1);
+        let snapshot = second.snapshot();
+        assert_eq!((snapshot.runs_done, snapshot.subsumed_runs), (1, 0));
+        assert_eq!(snapshot.cache_hit_rate, Some(1.0));
+        assert_eq!(cells().map(|cell| cell.get()), [3, 2, 1, 1]);
     }
 
     #[test]
-    fn monitor_stays_quiet_above_threshold() {
-        let mut m = HitRateMonitor::new(10, 0.10);
-        for i in 0..20 {
-            assert_eq!(m.record(i % 2 == 0), None);
+    fn the_low_hit_rate_warning_fires_once_past_the_window() {
+        let p = Progress::new(1);
+        for run in 1..HIT_RATE_WINDOW {
+            p.record_run(0, Some(false), false);
+            assert_eq!(p.low_hit_rate_warning(), None, "run {run}");
         }
+        p.record_run(0, Some(false), false);
+        let message = p.low_hit_rate_warning().expect("a cold window");
+        assert!(
+            message.contains("0.0% over 1000 attributed runs"),
+            "{message}"
+        );
+        assert_eq!(Some(message), low_hit_rate(0, HIT_RATE_WINDOW));
+        // Still cold, but said once.
+        p.record_run(0, Some(false), false);
+        assert_eq!(p.low_hit_rate_warning(), None);
     }
 
     #[test]
-    fn windows_are_independent() {
-        let mut m = HitRateMonitor::new(10, 0.5);
-        // First window warm, second cold: the warning fires on the second.
-        for _ in 0..10 {
-            assert_eq!(m.record(true), None);
+    fn the_rule_needs_attribution_a_window_and_a_rate_under_the_floor() {
+        assert_eq!(hit_rate(0, 0), None);
+        assert_eq!(low_hit_rate(0, 0), None, "nothing attributed");
+        assert_eq!(low_hit_rate(0, HIT_RATE_WINDOW - 1), None, "too few runs");
+        assert_eq!(
+            low_hit_rate(100, 900),
+            None,
+            "10% is the floor, not below it"
+        );
+        assert!(low_hit_rate(99, 901).is_some());
+        // Unattributed runs never make a window.
+        let p = Progress::new(1);
+        for _ in 0..2 * HIT_RATE_WINDOW {
+            p.record_run(0, None, false);
         }
-        for _ in 0..9 {
-            assert_eq!(m.record(false), None);
-        }
-        assert!(m.record(false).is_some());
+        assert_eq!(p.low_hit_rate_warning(), None);
     }
 }

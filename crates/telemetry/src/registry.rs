@@ -44,14 +44,15 @@ impl MetricKind {
     }
 }
 
-/// A monotone counter handle. Cloning shares the underlying cell.
-#[derive(Debug, Clone)]
+/// A monotone counter handle. Cloning shares the underlying cell; the
+/// `Default` is a detached cell no registry renders.
+#[derive(Debug, Clone, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// Adds one.
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+    /// Adds one and returns the new value.
+    pub fn inc(&self) -> u64 {
+        self.0.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Adds `n`.

@@ -108,13 +108,13 @@ impl Sink for MemorySink {
 /// Machine-readable JSON Lines output: one self-contained JSON object per
 /// event, one per line.
 ///
-/// The schema is flat and stable (validated by the `fig_telemetry` CI job):
+/// The schema is flat and stable (validated by `tests/telemetry_equivalence.rs`):
 ///
 /// ```json
 /// {"kind":"span","name":"run","ts_us":12,"dur_us":3,"track":1,"args":{"index":0}}
 /// {"kind":"instant","name":"summary","ts_us":40,"track":0,"args":{}}
 /// {"kind":"counter","name":"progress:runs_per_sec","ts_us":41,"track":0,"value":812.5}
-/// {"kind":"warning","name":"cache:low-hit-rate","ts_us":90,"track":1,"message":"..."}
+/// {"kind":"warning","name":"cache:low-hit-rate","ts_us":90,"track":0,"message":"..."}
 /// ```
 pub struct JsonLinesSink<W: Write + Send> {
     writer: Mutex<W>,

@@ -234,6 +234,37 @@ fn event_stream_replays_history_and_ends_with_the_terminal_event() {
             );
         }
     }
+    // The terminal frame, the exposition and the report tell one story:
+    // the runs the slots executed in every live view, the runs the report
+    // retains in the other two.
+    let terminal = body
+        .lines()
+        .rev()
+        .find_map(|l| l.strip_prefix("data: "))
+        .expect("a terminal frame");
+    let count = |json: &str, name: &str| -> u64 {
+        let value = field(json, name).unwrap_or_else(|| panic!("no {name} in {json}"));
+        value.parse().unwrap_or_else(|_| panic!("{name}: {value}"))
+    };
+    let executed = count(terminal, "executed");
+    assert_eq!(count(terminal, "runs_done"), executed, "{terminal}");
+    let (_, _, exposition) = get_accept(&addr, "/metrics", "text/plain");
+    let series = |prefix: &str| -> u64 {
+        let line = exposition.lines().find(|l| l.starts_with(prefix));
+        let value = line.and_then(|l| l.rsplit(' ').next());
+        value
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no {prefix} sample:\n{exposition}"))
+    };
+    let campaign = format!("er_pi_campaign_runs_total{{tenant=\"anon\",campaign=\"{id}\"}} ");
+    assert_eq!(series(&campaign), executed);
+    // The daemon's only campaign: the fleet counter is the sum of one.
+    assert_eq!(series("er_pi_server_runs_total "), executed);
+    let (code, report) = get(&addr, &format!("/campaigns/{id}/report"));
+    assert_eq!(code, 200, "{report}");
+    assert_eq!(count(&report, "explored"), count(terminal, "explored"));
+    assert!(executed >= count(&report, "explored"));
+
     // Unknown campaigns get a plain 404, not a stream.
     let (code, _) = get(&addr, "/campaigns/c-999/events");
     assert_eq!(code, 404);

@@ -3,14 +3,20 @@
 //! the subsumption memo and a stitched tail do with replica states is a
 //! `clone()` of exactly this kind, so this is the number their cost rests on.
 //!
+//! The same exact count stands in for what two wall-clock overhead ceilings
+//! used to approximate: a metric registry attached to a replay is counted
+//! into, so it costs a fixed number of blocks per campaign and none per run.
+//!
 //! The allocator counts only blocks requested by a thread while that thread
 //! is inside [`blocks_during`], so the count is exact however the harness
 //! schedules its tests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
-use er_pi::{InlineExecutor, SystemModel, TimeModel};
+use er_pi::telemetry::Registry;
+use er_pi::{Attachments, InlineExecutor, ReplayConfig, SessionMetrics, SystemModel, TimeModel};
 use er_pi_model::{ReplicaId, Value, Workload};
 use er_pi_subjects::{Bug, CrdtsModel, LedgerApp, TownApp};
 
@@ -123,4 +129,35 @@ fn a_town_crdts_or_ledger_snapshot_allocates_one_block() {
     let credit = w.update(r(0), "credit", [Value::from(100)]);
     w.sync_pair(r(0), r(1), credit);
     assert_one_block("ledger", &populated(&LedgerApp::new(2), &w.build()));
+}
+
+/// A one-worker replay runs on the calling thread, so every block it asks
+/// for is counted. With a registry attached it asks for the same number of
+/// blocks *more* than the detached replay at 500 runs and at 2 000: set-up
+/// and the end-of-campaign fold allocate, a finished run and a periodic
+/// sample do not.
+#[test]
+fn an_attached_registry_allocates_nothing_per_run() {
+    let bug = Bug::by_name("Yorkie-1").expect("catalogue bug");
+    let extra_blocks = |cap: usize| {
+        let config = ReplayConfig {
+            cap,
+            workers: 1,
+            ..ReplayConfig::default()
+        };
+        let registry = Arc::new(Registry::new());
+        let attach = Attachments {
+            metrics: Some(SessionMetrics::new(&registry, &[("campaign", bug.name)])),
+            ..Attachments::default()
+        };
+        let (detached, reference) = blocks_during(|| bug.replay_report_opts(&config));
+        let (attached, (report, _)) = blocks_during(|| bug.replay_report_checked(&config, attach));
+        assert_eq!(report.explored, cap);
+        assert_eq!(reference.diff(&report), None);
+        let text = registry.render_prometheus();
+        let runs = format!("er_pi_campaign_runs_total{{campaign=\"Yorkie-1\"}} {cap}\n");
+        assert!(text.contains(&runs), "the registry counted along:\n{text}");
+        attached - detached
+    };
+    assert_eq!(extra_blocks(500), extra_blocks(2_000));
 }

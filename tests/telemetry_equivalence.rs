@@ -9,19 +9,25 @@
 //! matrix under proptest. `Report::diff` compares every deterministic
 //! field; only wall-clock time, worker loads, cache counters and the
 //! session summary are legitimately scheduling-dependent.
+//!
+//! The observers are also checked against each other: a campaign watched
+//! through a sink, a metric registry and a progress hook at once must tell
+//! one story — the summary, the registry series, the hook's last snapshot
+//! and the trace agree, by name, on every count they share.
 
 mod common;
 
 use common::WORKER_COUNTS;
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
 use er_pi::telemetry::{
-    ChromeTraceSink, JsonLinesSink, MemorySink, NullSink, SharedBuf, Sink, Telemetry,
-    TelemetryEvent,
+    hit_rate, ChromeTraceSink, EventKind, JsonLinesSink, MemorySink, NullSink, ProgressSnapshot,
+    Registry, SharedBuf, Sink, Telemetry, TelemetryEvent, HIT_RATE_WINDOW,
 };
-use er_pi::{Attachments, ReplayConfig, Report};
+use er_pi::{Attachments, ReplayConfig, Report, SessionMetrics};
 use er_pi_subjects::Bug;
 
 /// The telemetry attachment over `sink`.
@@ -41,6 +47,191 @@ fn replay(bug: &Bug, stop: bool, workers: usize, sink: Option<Arc<dyn Sink>>) ->
     };
     let attach = sink.map(sink_attachment).unwrap_or_default();
     bug.replay_report_checked(&config, attach).0
+}
+
+/// A campaign watched through every observer at once, and what each saw.
+struct Watched {
+    report: Report,
+    events: Vec<TelemetryEvent>,
+    /// The registry's exposition; the campaign's series carry one label,
+    /// `campaign`.
+    exposition: String,
+    /// The progress hook's last snapshot.
+    last: ProgressSnapshot,
+}
+
+fn replay_watched(bug: &Bug, config: &ReplayConfig) -> Watched {
+    let sink = Arc::new(MemorySink::new());
+    let registry = Arc::new(Registry::new());
+    let last = Arc::new(Mutex::new(None));
+    let seen = Arc::clone(&last);
+    let attach = Attachments {
+        metrics: Some(SessionMetrics::new(&registry, &[("campaign", bug.name)])),
+        progress: Some(Arc::new(move |snapshot: &ProgressSnapshot| {
+            *seen.lock().unwrap() = Some(snapshot.clone());
+        })),
+        ..sink_attachment(sink.clone())
+    };
+    let report = bug.replay_report_checked(config, attach).0;
+    let last = last.lock().unwrap().take();
+    Watched {
+        report,
+        events: sink.events(),
+        exposition: registry.render_prometheus(),
+        last: last.expect("every watched replay ends with a sample"),
+    }
+}
+
+impl Watched {
+    /// The values of every series of family `name`, with their label sets.
+    fn series(&self, name: &str) -> Vec<(&str, f64)> {
+        let samples = self.exposition.lines().filter_map(|line| {
+            let (labels, value) = line
+                .strip_prefix(name)?
+                .strip_prefix('{')?
+                .split_once("} ")?;
+            Some((labels, value.parse().expect("a sample value")))
+        });
+        samples.collect()
+    }
+
+    /// The campaign's one series of family `name`, if it was ever set.
+    fn metric(&self, name: &str) -> Option<f64> {
+        let series = self.series(name);
+        assert!(series.len() <= 1, "{name}: {series:?}");
+        series.first().map(|&(_, value)| value)
+    }
+
+    fn count(&self, name: &str) -> u64 {
+        self.metric(name).unwrap_or_else(|| panic!("no {name}")) as u64
+    }
+
+    fn named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a TelemetryEvent> {
+        self.events.iter().filter(move |event| event.name == name)
+    }
+}
+
+/// The agreement table: each fact once per view that shows it, compared by
+/// name. `config` is what the campaign replayed under, `label` names it.
+fn assert_views_agree(watched: &Watched, config: &ReplayConfig, label: &str) {
+    let Watched { report, last, .. } = watched;
+    let summary = &report.session_summary;
+
+    // Executed: every run a slot replayed, in five views; explored: what
+    // the report retains of them.
+    let executed = summary.executed as u64;
+    let by_worker: usize = summary.workers.iter().map(|load| load.runs).sum();
+    assert_eq!(by_worker, summary.executed, "{label}: Σ workers[].runs");
+    assert_eq!(
+        watched.count("er_pi_campaign_runs_total"),
+        executed,
+        "{label}: er_pi_campaign_runs_total"
+    );
+    assert_eq!(last.runs_done, executed, "{label}: last snapshot");
+    assert_eq!(
+        last.per_worker_runs.iter().sum::<u64>(),
+        executed,
+        "{label}"
+    );
+    assert_eq!(
+        watched.named("run").count(),
+        summary.executed,
+        "{label}: run spans"
+    );
+    assert_eq!(summary.explored, report.explored, "{label}");
+    assert!(summary.executed >= report.explored, "{label}");
+    if !config.stop_on_first_violation {
+        assert_eq!(summary.executed, report.explored, "{label}: exhaustive");
+    }
+    let first_line = summary.render().lines().next().unwrap().to_owned();
+    assert_eq!(
+        first_line.contains("executed"),
+        summary.executed != summary.explored,
+        "{label}: {first_line}"
+    );
+
+    // Cache attribution: wherever the executors keep snapshots, and
+    // nowhere else — a subsumption-only campaign has no hit rate to show.
+    let cache = report.cache_stats.unwrap_or_default();
+    let (hits, misses) = match config.incremental {
+        true => (cache.hits, cache.misses),
+        false => (0, 0),
+    };
+    let rate = hit_rate(hits, misses);
+    assert_eq!(
+        watched.count("er_pi_campaign_cache_hits_total"),
+        hits,
+        "{label}"
+    );
+    assert_eq!(
+        watched.count("er_pi_campaign_cache_misses_total"),
+        misses,
+        "{label}"
+    );
+    assert_eq!(last.cache_hit_rate, rate, "{label}: last snapshot");
+    assert_eq!(
+        watched.metric("er_pi_campaign_cache_hit_rate"),
+        rate,
+        "{label}: er_pi_campaign_cache_hit_rate"
+    );
+    let rendered = summary.render();
+    assert_eq!(
+        rendered.contains("\n  cache: "),
+        rate.is_some(),
+        "{label}: {rendered}"
+    );
+    assert_eq!(
+        watched.count("er_pi_campaign_subsumed_total"),
+        cache.subsumed,
+        "{label}"
+    );
+    assert_eq!(last.subsumed_runs, cache.subsumed, "{label}: last snapshot");
+    assert_eq!(
+        rendered.contains("\n  subsumption: "),
+        cache.subsumed > 0,
+        "{label}: {rendered}"
+    );
+
+    // One row per pruner, one spelling: the summary's rows are the
+    // registry's `algorithm` labels and the trace's `prune:` spans.
+    let rows: Vec<_> = summary.pruners.iter().map(|row| row.name).collect();
+    let spans: Vec<_> = watched
+        .events
+        .iter()
+        .filter_map(|event| event.name.strip_prefix("prune:"))
+        .collect();
+    assert_eq!(spans, rows, "{label}: prune spans");
+    let pruned = watched.series("er_pi_campaign_pruned_total");
+    assert_eq!(pruned.len(), rows.len(), "{label}: {pruned:?}");
+    for row in &summary.pruners {
+        let algorithm = format!("algorithm=\"{}\"", row.name);
+        let series = pruned
+            .iter()
+            .find(|(labels, _)| labels.ends_with(&algorithm));
+        let rejected = series.map(|&(_, rejected)| rejected as u64);
+        assert_eq!(rejected, Some(row.rejected), "{label}: {algorithm}");
+    }
+
+    // The low-hit-rate rule: in the report, latched in the registry and
+    // warned into the sink, or in none of them.
+    let advised = report.advisories.len();
+    assert!(advised <= 1, "{label}: {:?}", report.advisories);
+    assert_eq!(
+        watched.metric("er_pi_cache_low_hit_rate"),
+        Some(advised as f64),
+        "{label}: er_pi_cache_low_hit_rate"
+    );
+    let warnings: Vec<_> = watched.named("cache:low-hit-rate").collect();
+    assert_eq!(warnings.len(), advised, "{label}: {warnings:?}");
+    for (warning, advisory) in warnings.iter().zip(&report.advisories) {
+        let EventKind::Warning { message } = &warning.kind else {
+            panic!("{label}: {warning:?}");
+        };
+        let sentence = "checkpoint-cache hit rate 0.0% over ";
+        assert!(message.starts_with(sentence), "{label}: {message}");
+        assert!(advisory.starts_with(sentence), "{label}: {advisory}");
+        assert_eq!(warning.track, 0, "{label}: once, on the coordinator track");
+    }
 }
 
 /// Builds the sink variant `which` (0–3) and returns it with a closure that
@@ -63,7 +254,9 @@ fn make_sink(which: usize) -> (Arc<dyn Sink>, Box<dyn FnOnce()>) {
             let probe = buf.clone();
             (
                 Arc::new(JsonLinesSink::new(buf)),
-                Box::new(move || assert_jsonl_schema(&probe.contents())),
+                Box::new(move || {
+                    assert_jsonl_schema(&probe.contents());
+                }),
             )
         }
         _ => {
@@ -82,22 +275,33 @@ fn make_sink(which: usize) -> (Arc<dyn Sink>, Box<dyn FnOnce()>) {
     }
 }
 
-/// Every line of a JSON Lines stream is one object with a known `kind`.
-fn assert_jsonl_schema(contents: &str) {
+/// Every line of a JSON Lines stream is one object with a known `kind`,
+/// the common keys and that kind's payload keys. Returns the kinds seen.
+fn assert_jsonl_schema(contents: &str) -> BTreeSet<&str> {
     assert!(!contents.is_empty(), "jsonl sink wrote nothing");
+    let mut kinds = BTreeSet::new();
     for line in contents.lines() {
         assert!(
             line.starts_with("{\"kind\":\"") && line.ends_with('}'),
             "malformed jsonl line: {line}"
         );
         let kind = line["{\"kind\":\"".len()..].split('"').next().unwrap();
-        assert!(
-            ["span", "instant", "counter", "warning"].contains(&kind),
-            "unknown event kind {kind:?} in line: {line}"
-        );
-        assert!(line.contains("\"ts_us\":"), "line lacks ts_us: {line}");
-        assert!(line.contains("\"track\":"), "line lacks track: {line}");
+        let payload: &[&str] = match kind {
+            "span" => &["dur_us", "args"],
+            "instant" => &["args"],
+            "counter" => &["value"],
+            "warning" => &["message"],
+            _ => panic!("unknown event kind {kind:?} in line: {line}"),
+        };
+        for key in ["name", "ts_us", "track"].iter().chain(payload) {
+            assert!(
+                line.contains(&format!("\"{key}\":")),
+                "{kind} line lacks {key}: {line}"
+            );
+        }
+        kinds.insert(kind);
     }
+    kinds
 }
 
 /// A closed Chrome trace is one JSON array of event objects with the
@@ -137,28 +341,106 @@ fn assert_identical(reference: &Report, attached: &Report, label: &str) {
 }
 
 /// The full catalogue, every worker count, both scheduling modes: a session
-/// with a collecting sink diffs clean against a detached one.
+/// with a collecting sink — and a registry and a progress hook — diffs clean
+/// against a detached one, and what the three observers saw agrees.
 #[test]
 fn any_sink_never_changes_the_report() {
     for bug in Bug::catalogue() {
         for stop in [false, true] {
             let reference = replay(&bug, stop, 1, None);
             for workers in WORKER_COUNTS {
-                let sink = Arc::new(MemorySink::new());
-                let attached = replay(&bug, stop, workers, Some(sink.clone()));
-                assert_identical(
-                    &reference,
-                    &attached,
-                    &format!("{} stop={stop} workers={workers}", bug.name),
-                );
+                let config = ReplayConfig {
+                    stop_on_first_violation: stop,
+                    workers,
+                    ..ReplayConfig::default()
+                };
+                let watched = replay_watched(&bug, &config);
+                let label = format!("{} stop={stop} workers={workers}", bug.name);
+                assert_identical(&reference, &watched.report, &label);
                 assert!(
-                    !sink.events().is_empty(),
+                    !watched.events.is_empty(),
                     "{}: attached sink saw no events",
                     bug.name
                 );
+                assert_views_agree(&watched, &config, &label);
             }
         }
     }
+}
+
+/// What the catalogue sweep's default configuration never enters, on one
+/// bug per subject family: executors that keep no snapshots but subsume
+/// (no hit rate in any view), subsumption over incremental replay, and a
+/// cache budget that refuses every snapshot (the low-hit-rate rule fires
+/// exactly on the campaigns that reach its window).
+#[test]
+fn the_views_agree_under_subsumption_and_a_refusing_cache() {
+    const CAP: usize = 2_000;
+    let base = ReplayConfig {
+        cap: CAP,
+        ..ReplayConfig::default()
+    };
+    let variants = [
+        (
+            "subsumption only",
+            ReplayConfig {
+                incremental: false,
+                subsumption: true,
+                ..base
+            },
+        ),
+        (
+            "incremental + subsumption",
+            ReplayConfig {
+                subsumption: true,
+                ..base
+            },
+        ),
+        (
+            "cache_budget 0",
+            ReplayConfig {
+                cache_budget: 0,
+                ..base
+            },
+        ),
+    ];
+    for name in ["Roshi-1", "OrbitDB-2", "ReplicaDB-1", "Yorkie-1"] {
+        let bug = Bug::by_name(name).expect("catalogue bug");
+        let reference = bug.replay_report_opts(&ReplayConfig { workers: 1, ..base });
+        for (variant, config) in variants {
+            for workers in WORKER_COUNTS {
+                let config = ReplayConfig { workers, ..config };
+                let watched = replay_watched(&bug, &config);
+                let label = format!("{name} {variant} workers={workers}");
+                assert_identical(&reference, &watched.report, &label);
+                assert_views_agree(&watched, &config, &label);
+                if config.cache_budget == 0 {
+                    let advised = !watched.report.advisories.is_empty();
+                    let past_the_window = reference.explored as u64 >= HIT_RATE_WINDOW;
+                    assert_eq!(advised, past_the_window, "{label}");
+                }
+            }
+        }
+    }
+    // The stream a `warning` line really occurs in: all four event kinds,
+    // each with its payload keys.
+    let buf = SharedBuf::new();
+    let refusing = ReplayConfig {
+        workers: 1,
+        ..variants[2].1
+    };
+    Bug::by_name("Yorkie-1")
+        .expect("catalogue bug")
+        .replay_report_checked(
+            &refusing,
+            sink_attachment(Arc::new(JsonLinesSink::new(buf.clone()))),
+        );
+    let stream = buf.contents();
+    let kinds = assert_jsonl_schema(&stream);
+    assert_eq!(
+        Vec::from_iter(kinds),
+        ["counter", "instant", "span", "warning"]
+    );
 }
 
 /// The sink matrix — null, memory, jsonl, chrome-trace — on a
