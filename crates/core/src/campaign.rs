@@ -40,15 +40,15 @@ use er_pi_interleave::{
     DfsExplorer, ErPiExplorer, ExploreMode, Explorer, FaultProduct, FilterTimings, IndexedSource,
     PruneStats, PruningConfig, RandomExplorer,
 };
-use er_pi_model::{FaultPlan, Interleaving, Value, Workload};
+use er_pi_model::{FaultPlan, Interleaving, Workload};
 use parking_lot::Mutex;
 
 use crate::instrument::{Instrument, RunFacts};
 use crate::subsume::SubsumeSet;
 use crate::{
-    CacheStats, CancelToken, CheckContext, ConstraintsDir, ErPiError, IncrementalExecutor,
-    InlineExecutor, ReplayConfig, RunRecord, SystemModel, TestSuite, TimeModel, Violation,
-    WorkerLoad,
+    CacheStats, CancelToken, CheckContext, ConstraintsDir, ErPiError, FailureStats,
+    IncrementalExecutor, InlineExecutor, ReplayConfig, RunRecord, SystemModel, TestSuite,
+    TimeModel, Violation, WorkerLoad,
 };
 
 /// Sentinel for "no violation found yet" in the atomic minimum.
@@ -218,7 +218,11 @@ impl<M: SystemModel> Copy for Subject<'_, M> {}
 /// [`Report`](crate::Report).
 pub(crate) struct Outcome {
     pub mode: String,
-    /// Retained runs, ordered by exploration index (dense from 0).
+    /// How many runs the campaign retains: exploration indices `0..explored`.
+    pub explored: usize,
+    /// The retained runs' records, ordered by exploration index — when the
+    /// campaign built any ([`ReplayConfig::keep_runs`] has the rule), else
+    /// empty.
     pub runs: Vec<RunRecord>,
     /// Per-run violations of the retained runs, in (run, assertion) order.
     pub violations: Vec<Violation>,
@@ -226,6 +230,8 @@ pub(crate) struct Outcome {
     pub first_violation_at: Option<usize>,
     /// Σ `sim_us` over the retained runs.
     pub sim_us: u64,
+    /// Failed operations over the retained runs.
+    pub failures: FailureStats,
     /// A violation under stop-on-first, or the cap, cut the exploration.
     pub stopped_early: bool,
     /// The explorer's counters as of exactly the retained runs.
@@ -304,9 +310,38 @@ struct Chunk {
     /// slot's, which makes the hint conservative, never wrong: a later item
     /// of a sorted stream shares no more with this run than the next does.
     hint: Option<Interleaving>,
+    /// What the executed items produced.
+    done: Rows,
+}
+
+/// What replaying a contiguous range of exploration indices produced, in
+/// index order.
+#[derive(Default)]
+struct Rows {
+    /// `(sim_us, failed_ops)` per run: all the report needs of a run nobody
+    /// reads. Density, the stop-on-first cut and every sum of the report
+    /// are read from this column.
+    tallies: Vec<(u64, usize)>,
+    /// The runs' records — row for row beside `tallies` when the campaign
+    /// builds them ([`ReplayConfig::keep_runs`] has the rule), else empty.
     records: Vec<RunRecord>,
-    /// The rare violations, beside the records rather than in them.
-    found: Vec<Violation>,
+    /// The rare violations, beside the rows rather than in them.
+    violations: Vec<Violation>,
+}
+
+impl Rows {
+    /// Moves `later`'s rows behind these; `later` keeps its capacity.
+    fn append(&mut self, later: &mut Rows) {
+        self.tallies.append(&mut later.tallies);
+        self.records.append(&mut later.records);
+        // Pushed, not appended, so the capacity doubles from 4 like any
+        // push-built `Vec`: `append` doubles from whatever the first
+        // violating chunk found, and how far the last doubling overshoots
+        // is a tenth of a megabyte either way on a 10 000-run campaign.
+        for violation in later.violations.drain(..) {
+            self.violations.push(violation);
+        }
+    }
 }
 
 /// What one replay slot keeps between chunks. Each slot owns its executor:
@@ -319,33 +354,18 @@ struct Slot<M: SystemModel> {
 }
 
 /// The run table. Exploration indices are dense from 0 and chunks are
-/// contiguous, so a chunk's records and violations go straight onto the
-/// dense prefix — one lock per chunk, no sort, no second copy; a chunk
-/// that finishes before its predecessor waits in `parked`, keyed by its
-/// first index.
+/// contiguous, so a chunk's rows go straight onto the dense prefix — one
+/// lock per chunk, no sort, no second copy; a chunk that finishes before
+/// its predecessor waits in `parked`, keyed by its first index.
 #[derive(Default)]
 struct Table {
-    runs: Vec<RunRecord>,
-    violations: Vec<Violation>,
-    parked: BTreeMap<usize, (Vec<RunRecord>, Vec<Violation>)>,
+    /// The dense prefix: row `i` is exploration index `i`.
+    merged: Rows,
+    parked: BTreeMap<usize, Rows>,
     /// The lowest run stop-on-first stopped a chunk at, with the explorer's
     /// counters as of it.
     stopped_at: Option<(usize, Counters)>,
     panicked: Option<String>,
-}
-
-impl Table {
-    /// Moves a chunk's results onto the dense prefix.
-    fn extend(&mut self, records: &mut Vec<RunRecord>, found: &mut Vec<Violation>) {
-        self.runs.append(records);
-        // Pushed, not appended, so the capacity doubles from 4 like any
-        // push-built `Vec`: `append` doubles from whatever the first
-        // violating chunk found, and how far the last doubling overshoots
-        // is a tenth of a megabyte either way on a 10 000-run campaign.
-        for violation in found.drain(..) {
-            self.violations.push(violation);
-        }
-    }
 }
 
 /// One replay campaign: see the [module docs](self).
@@ -546,21 +566,17 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         let executed = catch_unwind(AssertUnwindSafe(|| self.execute_chunk(slot, state, on)));
 
         let mut table = self.table.lock();
-        let Chunk { records, found, .. } = &mut state.chunk;
+        let Table { merged, parked, .. } = &mut *table;
+        let done = &mut state.chunk.done;
         match executed {
-            Ok(()) if start == table.runs.len() => {
-                table.extend(records, found);
-                loop {
-                    let next = table.runs.len();
-                    let Some((mut records, mut found)) = table.parked.remove(&next) else {
-                        break;
-                    };
-                    table.extend(&mut records, &mut found);
+            Ok(()) if start == merged.tallies.len() => {
+                merged.append(done);
+                while let Some(mut next) = parked.remove(&merged.tallies.len()) {
+                    merged.append(&mut next);
                 }
             }
             Ok(()) => {
-                let parked = (std::mem::take(records), std::mem::take(found));
-                table.parked.insert(start, parked);
+                parked.insert(start, std::mem::take(done));
             }
             Err(payload) => {
                 table
@@ -629,15 +645,10 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             }
             None => InlineExecutor::execute(on.model, &self.workload, &il, &self.time),
         };
-        let observations: Vec<Value> = exec.states.iter().map(|s| on.model.observe(s)).collect();
-        let ctx = CheckContext {
-            states: &exec.states,
-            observations: &observations,
-            interleaving: &il,
-            outcomes: &exec.outcomes,
-        };
+        let observe = |state: &M::State| on.model.observe(state);
+        let ctx = CheckContext::observing(&exec.states, &observe, &il, &exec.outcomes);
         let check_started = self.instrument.stamp();
-        let found = &mut state.chunk.found;
+        let found = &mut state.chunk.done.violations;
         let before = found.len();
         for assertion in on.suite.assertions() {
             if let Err(message) = assertion.check(&ctx) {
@@ -667,12 +678,16 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
 
         state.load.runs += 1;
         state.load.sim_us += exec.sim_us;
-        state.chunk.records.push(RunRecord {
-            interleaving: il,
-            observations,
-            failed_ops,
-            sim_us: exec.sim_us,
-        });
+        state.chunk.done.tallies.push((exec.sim_us, failed_ops));
+        if self.replay.builds_records(on.suite) {
+            let observations = ctx.into_observations();
+            state.chunk.done.records.push(RunRecord {
+                interleaving: il,
+                observations,
+                failed_ops,
+                sim_us: exec.sim_us,
+            });
+        }
         violated
     }
 
@@ -757,18 +772,29 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         // same for every slot count.
         let lowest = self.lowest_violation.load(Ordering::Acquire);
         let stopped = self.replay.stop_on_first_violation && lowest != NO_VIOLATION;
-        let mut runs = std::mem::take(&mut table.runs);
-        let mut violations = std::mem::take(&mut table.violations);
+        let Rows {
+            mut tallies,
+            records: mut runs,
+            mut violations,
+        } = std::mem::take(&mut table.merged);
         if stopped {
-            assert!(runs.len() > lowest, "runs below a violation must be dense");
+            assert!(
+                tallies.len() > lowest,
+                "runs below a violation must be dense"
+            );
+            tallies.truncate(lowest + 1);
             runs.truncate(lowest + 1);
             violations.retain(|v| v.run.is_some_and(|run| run <= lowest));
         } else {
             assert!(
-                table.parked.is_empty() && runs.len() == disp.source.dispensed(),
+                table.parked.is_empty() && tallies.len() == disp.source.dispensed(),
                 "merged indices must be dense"
             );
         }
+        assert!(
+            runs.is_empty() || runs.len() == tallies.len(),
+            "records are built for every run or for none"
+        );
 
         let explorer = disp.source.inner().inner();
         let (prune_stats, wasted) = match table.stopped_at.take() {
@@ -780,7 +806,9 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         };
         Ok(Outcome {
             mode: explorer.mode_name().to_owned(),
-            sim_us: runs.iter().map(|run| run.sim_us).sum(),
+            explored: tallies.len(),
+            sim_us: tallies.iter().map(|&(sim_us, _)| sim_us).sum(),
+            failures: FailureStats::from_failed_ops(tallies.iter().map(|&(_, failed)| failed)),
             runs,
             violations,
             first_violation_at: (lowest != NO_VIOLATION).then_some(lowest),
@@ -815,7 +843,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub(crate) mod testing {
     use super::*;
     use crate::OpOutcome;
-    use er_pi_model::{Event, EventKind, ReplicaId};
+    use er_pi_model::{Event, EventKind, ReplicaId, Value};
 
     /// Integer register per replica; `set(v)` writes, fused sync copies.
     #[derive(Clone)]
@@ -892,7 +920,8 @@ pub(crate) mod testing {
     }
 
     /// An uncapped, uninstrumented, scratch-executor DFS campaign over an
-    /// owned `workload`; tests override what they exercise.
+    /// owned `workload`; tests override what they exercise. It builds run
+    /// records: the tests compare `Outcome::runs` to pin the merge order.
     pub fn dfs_params(workload: Workload, slots: usize) -> Params<'static> {
         Params {
             workload: Cow::Owned(workload),
@@ -900,6 +929,7 @@ pub(crate) mod testing {
                 mode: ExploreMode::Dfs,
                 cap: usize::MAX,
                 incremental: false,
+                keep_runs: true,
                 ..ReplayConfig::default()
             },
             config: PruningConfig::default(),
@@ -916,6 +946,7 @@ mod tests {
     use super::testing::{dfs_params, two_writes, Bomb, RegApp};
     use super::*;
     use crate::{Assertion, Session};
+    use er_pi_model::Value;
     use std::sync::atomic::AtomicU64;
 
     const SLOT_COUNTS: [usize; 3] = [1, 2, 4];
@@ -940,6 +971,12 @@ mod tests {
     /// Every deterministic field of two outcomes.
     fn assert_same(a: &Outcome, b: &Outcome, what: &str) {
         assert_eq!(a.runs, b.runs, "{what}: runs");
+        assert_same_but_for_records(a, b, what);
+    }
+
+    fn assert_same_but_for_records(a: &Outcome, b: &Outcome, what: &str) {
+        assert_eq!(a.explored, b.explored, "{what}: explored");
+        assert_eq!(a.failures, b.failures, "{what}: failures");
         assert_eq!(a.violations, b.violations, "{what}: violations");
         assert_eq!(a.first_violation_at, b.first_violation_at, "{what}");
         assert_eq!(a.sim_us, b.sim_us, "{what}: sim_us");
@@ -977,6 +1014,7 @@ mod tests {
         };
         let baseline = stop_first(1);
         let first = baseline.first_violation_at.expect("some order diverges");
+        assert_eq!(baseline.explored, first + 1);
         assert_eq!(baseline.runs.len(), first + 1);
         assert!(baseline.stopped_early);
         for slots in [2, 4, 8] {
@@ -1004,6 +1042,35 @@ mod tests {
                     let out = run_chunked(params(slots), chunk_size, &converge()).unwrap();
                     let what = format!("chunks of {chunk_size} on {slots} slots, stop={stop}");
                     assert_same(&out, &baseline, &what);
+                }
+            }
+        }
+    }
+
+    /// Default retention keeps a `(sim_us, failed_ops)` row per run and no
+    /// record; every number of the outcome comes out the same as from the
+    /// records, cut or uncut, in order or parked.
+    #[test]
+    fn a_campaign_without_records_sums_to_the_same_outcome() {
+        let w = two_writes();
+        for stop in [false, true] {
+            let params = |slots, keep_runs| {
+                let mut params = dfs_params(w.clone(), slots);
+                params.replay.stop_on_first_violation = stop;
+                params.replay.keep_runs = keep_runs;
+                params
+            };
+            let kept = run(params(1, true), &converge()).unwrap();
+            assert_eq!(kept.runs.len(), kept.explored);
+            let from_records = FailureStats::from_runs(&kept.runs);
+            assert_eq!(kept.failures, from_records);
+            assert_eq!(kept.sim_us, kept.runs.iter().map(|r| r.sim_us).sum::<u64>());
+            for chunk_size in [1, 3, DEFAULT_CHUNK_SIZE] {
+                for slots in SLOT_COUNTS {
+                    let bare = run_chunked(params(slots, false), chunk_size, &converge()).unwrap();
+                    assert!(bare.runs.is_empty(), "nothing asked for records");
+                    let what = format!("chunks of {chunk_size} on {slots} slots, stop={stop}");
+                    assert_same_but_for_records(&bare, &kept, &what);
                 }
             }
         }
@@ -1101,7 +1168,7 @@ mod tests {
                 Err(ErPiError::ExecutorPanic(what)) => assert!(what.contains("campaign kaboom")),
                 other => panic!(
                     "{slots} slots: expected ExecutorPanic, got {:?}",
-                    other.map(|o| o.runs.len())
+                    other.map(|o| o.explored)
                 ),
             }
         }
@@ -1132,7 +1199,7 @@ mod tests {
         };
         while campaign.step(0, on) {}
         assert_eq!(campaign.phase(), Phase::Settled);
-        assert_eq!(campaign.table.lock().runs.len(), 24);
+        assert_eq!(campaign.table.lock().merged.tallies.len(), 24);
         token.cancel();
         assert!(matches!(campaign.finish(), Err(ErPiError::Cancelled)));
     }

@@ -1,27 +1,103 @@
 //! Test assertions: per-interleaving and cross-interleaving checks.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use er_pi_model::{Interleaving, Value};
 
 use crate::{OpOutcome, RunRecord};
 
+/// Where a [`CheckContext`]'s observations come from.
+enum Observations<'a, S> {
+    /// Computed by whoever built the context.
+    Ready(&'a [Value]),
+    /// `observe` over the final states, the first time someone reads them.
+    /// The cell and the borrowed closure live in the context itself: an
+    /// unread run allocates nothing for them.
+    OnRead {
+        observe: &'a dyn Fn(&S) -> Value,
+        seen: OnceCell<Vec<Value>>,
+    },
+}
+
 /// Everything an assertion can look at after one replayed interleaving.
-#[derive(Debug)]
 pub struct CheckContext<'a, S> {
     /// Final replica states of this run.
     pub states: &'a [S],
-    /// Per-replica observations ([`SystemModel::observe`]).
-    ///
-    /// [`SystemModel::observe`]: crate::SystemModel::observe
-    pub observations: &'a [Value],
     /// The interleaving that was executed.
     pub interleaving: &'a Interleaving,
     /// Per-event outcomes, aligned with the interleaving's positions.
     pub outcomes: &'a [OpOutcome],
+    observations: Observations<'a, S>,
 }
 
-impl<S> CheckContext<'_, S> {
+impl<'a, S> CheckContext<'a, S> {
+    /// A context over ready-made `observations`, one per replica — what a
+    /// harness that has already called [`SystemModel::observe`] passes its
+    /// assertions.
+    ///
+    /// [`SystemModel::observe`]: crate::SystemModel::observe
+    pub fn new(
+        states: &'a [S],
+        observations: &'a [Value],
+        interleaving: &'a Interleaving,
+        outcomes: &'a [OpOutcome],
+    ) -> Self {
+        CheckContext {
+            states,
+            interleaving,
+            outcomes,
+            observations: Observations::Ready(observations),
+        }
+    }
+
+    /// The campaign's context: `observe` runs over `states` at most once,
+    /// when [`CheckContext::observations`] is first read or the run's record
+    /// is kept ([`CheckContext::into_observations`]) — and not at all for a
+    /// run whose observations nobody looks at.
+    pub(crate) fn observing(
+        states: &'a [S],
+        observe: &'a dyn Fn(&S) -> Value,
+        interleaving: &'a Interleaving,
+        outcomes: &'a [OpOutcome],
+    ) -> Self {
+        CheckContext {
+            states,
+            interleaving,
+            outcomes,
+            observations: Observations::OnRead {
+                observe,
+                seen: OnceCell::new(),
+            },
+        }
+    }
+
+    /// Per-replica observations ([`SystemModel::observe`] of each final
+    /// state). The engine computes them on the first read of a run, so an
+    /// assertion that decides from [`states`](CheckContext::states) or
+    /// [`outcomes`](CheckContext::outcomes) alone never pays for them.
+    ///
+    /// [`SystemModel::observe`]: crate::SystemModel::observe
+    pub fn observations(&self) -> &[Value] {
+        match &self.observations {
+            Observations::Ready(values) => values,
+            Observations::OnRead { observe, seen } => {
+                seen.get_or_init(|| self.states.iter().map(observe).collect())
+            }
+        }
+    }
+
+    /// The observations as the run's record keeps them: whatever an
+    /// assertion already read, computed now otherwise.
+    pub(crate) fn into_observations(self) -> Vec<Value> {
+        match self.observations {
+            Observations::Ready(values) => values.to_vec(),
+            Observations::OnRead { observe, seen } => seen
+                .into_inner()
+                .unwrap_or_else(|| self.states.iter().map(observe).collect()),
+        }
+    }
+
     /// Number of events that failed in this run.
     pub fn failed_ops(&self) -> usize {
         self.outcomes.iter().filter(|o| o.is_failed()).count()
@@ -29,7 +105,17 @@ impl<S> CheckContext<'_, S> {
 
     /// Returns `true` if every replica observes the same value.
     pub fn observations_converged(&self) -> bool {
-        self.observations.windows(2).all(|w| w[0] == w[1])
+        self.observations().windows(2).all(|w| w[0] == w[1])
+    }
+}
+
+impl<S: std::fmt::Debug> std::fmt::Debug for CheckContext<'_, S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CheckContext")
+            .field("states", &self.states)
+            .field("interleaving", &self.interleaving)
+            .field("outcomes", &self.outcomes)
+            .finish_non_exhaustive()
     }
 }
 
@@ -86,7 +172,7 @@ impl<S> Assertion<S> {
             } else {
                 Err(format!(
                     "replica observations diverge: {:?}",
-                    ctx.observations
+                    ctx.observations()
                 ))
             }
         })
@@ -96,7 +182,7 @@ impl<S> Assertion<S> {
     /// duplicate entries — the paper's `assertNoDuplication`.
     pub fn no_duplication(name: impl Into<String>, replica: usize) -> Self {
         Assertion::new(name, move |ctx: &CheckContext<'_, S>| {
-            let Some(items) = ctx.observations.get(replica).and_then(Value::as_list) else {
+            let Some(items) = ctx.observations().get(replica).and_then(Value::as_list) else {
                 return Ok(());
             };
             let mut seen = Vec::new();
@@ -283,12 +369,7 @@ mod tests {
         interleaving: &'a Interleaving,
         outcomes: &'a [OpOutcome],
     ) -> CheckContext<'a, u32> {
-        CheckContext {
-            states,
-            observations,
-            interleaving,
-            outcomes,
-        }
+        CheckContext::new(states, observations, interleaving, outcomes)
     }
 
     #[test]
@@ -300,6 +381,40 @@ mod tests {
         assert!(a.check(&ctx(&[0, 0], &same, &il, &[])).is_ok());
         assert!(a.check(&ctx(&[0, 0], &diff, &il, &[])).is_err());
         assert_eq!(a.name(), "conv");
+    }
+
+    /// The campaign's context pays for `observe` on the first read, once,
+    /// and a kept record takes what an assertion already computed.
+    #[test]
+    fn observations_are_computed_on_first_read_and_at_most_once() {
+        use std::cell::Cell;
+        let il = Interleaving::new(vec![]);
+        let calls = Cell::new(0);
+        let observe = |state: &u32| {
+            calls.set(calls.get() + 1);
+            Value::from(i64::from(*state))
+        };
+        let lazy = || CheckContext::observing(&[7, 7, 8], &observe, &il, &[]);
+
+        let unread = lazy();
+        assert_eq!(unread.failed_ops(), 0);
+        drop(unread);
+        assert_eq!(calls.get(), 0, "nobody read them");
+
+        let read = lazy();
+        assert!(!read.observations_converged());
+        assert_eq!(read.observations().len(), 3);
+        assert_eq!(calls.get(), 3, "one observe per replica, on the first read");
+        let kept = read.into_observations();
+        assert_eq!(kept, [Value::from(7), Value::from(7), Value::from(8)]);
+        assert_eq!(calls.get(), 3, "the record keeps what the assertion read");
+
+        assert_eq!(lazy().into_observations(), kept);
+        assert_eq!(
+            calls.get(),
+            6,
+            "a kept record of an unread run computes them"
+        );
     }
 
     #[test]

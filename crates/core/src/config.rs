@@ -11,7 +11,7 @@
 use er_pi_interleave::ExploreMode;
 
 use crate::campaign::available_workers;
-use crate::DEFAULT_CACHE_BUDGET;
+use crate::{TestSuite, DEFAULT_CACHE_BUDGET};
 
 /// How one campaign explores and replays its workload. Each field is
 /// written by the `Session::set_*` method of (nearly) the same name, whose
@@ -45,7 +45,32 @@ pub struct ReplayConfig {
     pub certify: bool,
     /// Persist the replayed interleavings into the deductive store.
     pub persist: bool,
-    /// Keep the full per-run records in the report.
+    /// Return the per-run [`RunRecord`]s in [`Report::runs`]. **Off** by
+    /// default, and this is the one place the whole retention rule is
+    /// written down:
+    ///
+    /// * a campaign always keeps one `(sim_us, failed_ops)` row per run, and
+    ///   everything else a report states — `explored`, `sim_us`, the
+    ///   stop-on-first cut, the failure statistics — is read from those
+    ///   rows;
+    /// * it builds `RunRecord`s (the interleaving and the per-replica
+    ///   observations of every run) only when something reads them: this
+    ///   flag, a suite with cross-interleaving checks, [`sanitize`] or
+    ///   [`persist`];
+    /// * `Report::runs` returns them under this flag or a suite with
+    ///   cross-checks — the sanitizer and the deductive store read the
+    ///   records and the report still drops them — and is empty otherwise.
+    ///
+    /// It is also the rule for when [`SystemModel::observe`] runs: once per
+    /// replica per run while records are built, otherwise only for a run
+    /// whose assertions read [`CheckContext::observations`].
+    ///
+    /// [`RunRecord`]: crate::RunRecord
+    /// [`Report::runs`]: crate::Report::runs
+    /// [`sanitize`]: ReplayConfig::sanitize
+    /// [`persist`]: ReplayConfig::persist
+    /// [`SystemModel::observe`]: crate::SystemModel::observe
+    /// [`CheckContext::observations`]: crate::CheckContext::observations
     pub keep_runs: bool,
 }
 
@@ -72,6 +97,20 @@ impl Default for ReplayConfig {
 }
 
 impl ReplayConfig {
+    /// Whether a campaign checking `suite` builds [`RunRecord`]s: the
+    /// second clause of the rule on [`ReplayConfig::keep_runs`].
+    ///
+    /// [`RunRecord`]: crate::RunRecord
+    pub(crate) fn builds_records<S>(&self, suite: &TestSuite<S>) -> bool {
+        self.returns_records(suite) || self.sanitize || self.persist
+    }
+
+    /// Whether the report of a campaign checking `suite` returns the
+    /// records in `Report::runs`: the third clause of the same rule.
+    pub(crate) fn returns_records<S>(&self, suite: &TestSuite<S>) -> bool {
+        self.keep_runs || !suite.cross_checks().is_empty()
+    }
+
     /// The slot count `workers` stands for: itself, or — for `0` — the
     /// `ER_PI_WORKERS` override, else the platform's parallelism.
     pub(crate) fn slots(&self) -> usize {

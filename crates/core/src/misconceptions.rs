@@ -85,7 +85,7 @@ impl Misconception {
             // order) at the end of every interleaving.
             Misconception::ListOrderConsistency => {
                 suite.with(Assertion::new(name, |ctx: &crate::CheckContext<'_, S>| {
-                    for pair in ctx.observations.windows(2) {
+                    for pair in ctx.observations().windows(2) {
                         if pair[0] != pair[1] {
                             return Err(format!(
                                 "list order differs between replicas: {} vs {}",
@@ -113,7 +113,7 @@ impl Misconception {
             Misconception::SequentialIds => {
                 suite.with(Assertion::new(name, |ctx: &crate::CheckContext<'_, S>| {
                     let mut seen: Vec<&Value> = Vec::new();
-                    for obs in ctx.observations {
+                    for obs in ctx.observations() {
                         let Some(ids) = obs.as_list() else { continue };
                         for id in ids {
                             if seen.contains(&id) {
@@ -171,12 +171,7 @@ mod tests {
     }
 
     fn ctx<'a>(observations: &'a [Value], il: &'a Interleaving) -> CheckContext<'a, ()> {
-        CheckContext {
-            states: &[],
-            observations,
-            interleaving: il,
-            outcomes: &[],
-        }
+        CheckContext::new(&[], observations, il, &[])
     }
 
     #[test]

@@ -227,11 +227,18 @@ pub struct FailureStats {
 impl FailureStats {
     /// Aggregates over run records (e.g. `Report::runs`).
     pub fn from_runs(runs: &[RunRecord]) -> Self {
-        FailureStats {
-            runs_with_failures: runs.iter().filter(|r| r.failed_ops > 0).count(),
-            runs: runs.len(),
-            failed_ops: runs.iter().map(|r| r.failed_ops).sum(),
+        FailureStats::from_failed_ops(runs.iter().map(|r| r.failed_ops))
+    }
+
+    /// Aggregates over per-run failed-operation counts.
+    pub(crate) fn from_failed_ops(per_run: impl IntoIterator<Item = usize>) -> Self {
+        let mut stats = FailureStats::default();
+        for failed_ops in per_run {
+            stats.runs += 1;
+            stats.runs_with_failures += usize::from(failed_ops > 0);
+            stats.failed_ops += failed_ops;
         }
+        stats
     }
 
     /// Fraction of runs that saw a failure (0 when no runs).

@@ -55,7 +55,9 @@ pub struct Report {
     pub wall_ms: u128,
     /// Total simulated time across all runs, microseconds.
     pub sim_us: u64,
-    /// Per-run records (kept only when the session retains them).
+    /// Per-run records, in replay order — empty unless the session was
+    /// asked for them or the suite has cross-interleaving checks; the rule
+    /// is on [`ReplayConfig::keep_runs`](crate::ReplayConfig::keep_runs).
     pub runs: Vec<RunRecord>,
     /// Whether the exploration stopped early (violation or cap).
     pub stopped_early: bool,

@@ -343,7 +343,7 @@ mod tests {
             let out = service
                 .run_campaign(campaign(&service, false, None), RegApp, suite.clone(), 5)
                 .unwrap();
-            assert_eq!(out.runs.len(), 24);
+            assert_eq!(out.explored, 24);
             assert_eq!(
                 out.runs, baseline.runs,
                 "{workers} service workers must preserve exploration order"
@@ -399,7 +399,7 @@ mod tests {
             let out = service
                 .run_campaign(campaign(&service, false, None), RegApp, suite, 0)
                 .unwrap();
-            assert_eq!(out.runs.len(), 24);
+            assert_eq!(out.explored, 24);
         }
     }
 
@@ -416,14 +416,14 @@ mod tests {
                 Err(ErPiError::ExecutorPanic(what)) => assert!(what.contains("campaign kaboom")),
                 other => panic!(
                     "expected ExecutorPanic, got {:?}",
-                    other.map(|o| o.runs.len())
+                    other.map(|o| o.explored)
                 ),
             }
             // The service itself survives the panic.
             let out = service
                 .run_campaign(campaign(&service, false, None), RegApp, TestSuite::new(), 0)
                 .unwrap();
-            assert_eq!(out.runs.len(), 24);
+            assert_eq!(out.explored, 24);
         }
     }
 

@@ -15,8 +15,8 @@ use crate::campaign::{Campaign, Outcome, Params, Subject, Watch};
 use crate::instrument::Instrument;
 use crate::{
     Attachments, CacheStats, CancelToken, ConstraintsDir, CrossContext, ErPiError, ExecutorService,
-    FailureStats, OpOutcome, ReplayConfig, Report, SanitizerReport, SessionMetrics, SessionSummary,
-    SystemModel, TestSuite, TimeModel, Violation, DEFAULT_CHUNK_SIZE,
+    OpOutcome, ReplayConfig, Report, SanitizerReport, SessionMetrics, SessionSummary, SystemModel,
+    TestSuite, TimeModel, Violation, DEFAULT_CHUNK_SIZE,
 };
 
 /// The live, recording instance of the system under test.
@@ -222,7 +222,10 @@ impl<M: SystemModel> Session<M> {
         self
     }
 
-    /// Keeps the full per-run records in the report.
+    /// Returns the per-run records in [`Report::runs`] (default: **off**).
+    /// [`ReplayConfig::keep_runs`] states the whole rule: what a campaign
+    /// keeps of a run either way, what else makes it build records, and
+    /// when [`SystemModel::observe`] runs.
     pub fn set_keep_runs(&mut self, keep: bool) -> &mut Self {
         self.replay.keep_runs = keep;
         self
@@ -778,7 +781,7 @@ impl<M: SystemModel> Session<M> {
             });
         let session_summary = SessionSummary {
             mode: outcome.mode.clone(),
-            explored: outcome.runs.len(),
+            explored: outcome.explored,
             executed: outcome.worker_loads.iter().map(|load| load.runs).sum(),
             violations: outcome.violations.len(),
             sim_us: sim_us_total,
@@ -790,7 +793,7 @@ impl<M: SystemModel> Session<M> {
             ),
             workers: outcome.worker_loads.clone(),
             cache,
-            failures: FailureStats::from_runs(&outcome.runs),
+            failures: outcome.failures,
         };
         instrument.campaign_done(&session_summary);
 
@@ -812,16 +815,15 @@ impl<M: SystemModel> Session<M> {
         });
         Report {
             mode: outcome.mode,
-            explored: outcome.runs.len(),
+            explored: outcome.explored,
             first_violation_at: outcome.first_violation_at,
             prune_stats: outcome.prune_stats,
             wasted_work: outcome.wasted,
             wall_ms,
             sim_us: sim_us_total,
-            runs: if self.replay.keep_runs || !suite.cross_checks().is_empty() {
-                outcome.runs
-            } else {
-                Vec::new()
+            runs: match self.replay.returns_records(suite) {
+                true => outcome.runs,
+                false => Vec::new(),
             },
             violations: outcome.violations,
             stopped_early: outcome.stopped_early,

@@ -278,13 +278,13 @@ impl Iterator for ErPiExplorer<'_> {
 
     fn next(&mut self) -> Option<Interleaving> {
         loop {
-            let perm = self.perms.next()?;
+            let perm = self.perms.step()?;
             // The sleep-set check runs on the raw unit permutation, before
             // the flatten: a pruned candidate never pays event-level work.
             if self.sleep.is_active() {
                 self.stats.sleep_checked += 1;
                 let t = self.timing.then(std::time::Instant::now);
-                let ok = self.sleep.is_canonical(&perm);
+                let ok = self.sleep.is_canonical(perm);
                 if let Some(t) = t {
                     self.timings.sleep_ns += t.elapsed().as_nanos() as u64;
                 }
@@ -293,7 +293,7 @@ impl Iterator for ErPiExplorer<'_> {
                     continue;
                 }
             }
-            let order = self.grouped.flatten(&perm);
+            let order = self.grouped.flatten(perm);
             match self.rejecting_filter(&order) {
                 None => {
                     self.stats.emitted += 1;

@@ -105,7 +105,7 @@ impl Iterator for DfsExplorer {
     type Item = Interleaving;
 
     fn next(&mut self) -> Option<Interleaving> {
-        let perm = self.perms.next()?;
+        let perm = self.perms.step()?;
         Some(perm.iter().map(|&i| self.ids[i]).collect())
     }
 }

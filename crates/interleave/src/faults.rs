@@ -289,18 +289,20 @@ impl<I: Iterator<Item = Interleaving>> Iterator for FaultProduct<I> {
     type Item = Interleaving;
 
     fn next(&mut self) -> Option<Interleaving> {
-        loop {
-            if let Some(base) = &self.current {
-                if self.next_plan < self.plans.len() {
-                    let plan = self.plans[self.next_plan].clone();
-                    self.next_plan += 1;
-                    return Some(base.clone().with_faults(plan));
-                }
-                self.current = None;
-            }
+        if self.current.is_none() {
             self.current = Some(self.inner.next()?);
             self.next_plan = 0;
         }
+        // `new` leaves at least one plan, so a fresh base always has one.
+        let plan = self.plans[self.next_plan].clone();
+        self.next_plan += 1;
+        // The last plan takes the base order itself: the fault-free product
+        // hands the explorer's interleavings through without copying them.
+        let base = match self.next_plan == self.plans.len() {
+            true => self.current.take(),
+            false => self.current.clone(),
+        };
+        base.map(|order| order.with_faults(plan))
     }
 }
 

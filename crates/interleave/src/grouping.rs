@@ -19,6 +19,8 @@ use crate::PruningConfig;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupedUnits {
     units: Vec<Vec<EventId>>,
+    /// Events over all units: the length of every flattened order.
+    events: usize,
 }
 
 impl GroupedUnits {
@@ -49,9 +51,13 @@ impl GroupedUnits {
     /// Panics if `perm` is not a permutation of `0..len()`.
     pub fn flatten(&self, perm: &[usize]) -> Vec<EventId> {
         assert_eq!(perm.len(), self.units.len(), "not a unit permutation");
-        perm.iter()
-            .flat_map(|&u| self.units[u].iter().copied())
-            .collect()
+        // Sized up front: `flat_map` has no useful size hint, so collecting
+        // it grows the order by reallocation.
+        let mut order = Vec::with_capacity(self.events);
+        for &u in perm {
+            order.extend_from_slice(&self.units[u]);
+        }
+        order
     }
 }
 
@@ -126,7 +132,7 @@ pub fn group_events(workload: &Workload, config: &PruningConfig) -> GroupedUnits
             }
         }
     }
-    GroupedUnits { units }
+    GroupedUnits { units, events: n }
 }
 
 #[cfg(test)]

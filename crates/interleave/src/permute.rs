@@ -65,25 +65,32 @@ impl Permutations {
         v[i..].reverse();
         true
     }
-}
 
-impl Iterator for Permutations {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
+    /// Advances to the next permutation and lends it out: [`Iterator::next`]
+    /// without the copy, for callers that map the indices to something else
+    /// straight away (the explorers do, once per interleaving).
+    ///
+    /// ```
+    /// use er_pi_interleave::Permutations;
+    ///
+    /// let mut perms = Permutations::new(2);
+    /// assert_eq!(perms.step(), Some(&[0, 1][..]));
+    /// assert_eq!(perms.step(), Some(&[1, 0][..]));
+    /// assert_eq!(perms.step(), None);
+    /// ```
+    pub fn step(&mut self) -> Option<&[usize]> {
         match self.state {
             PermState::Fresh => {
-                self.state = PermState::Running;
-                if self.current.is_empty() {
-                    self.state = PermState::Done;
-                    // The empty permutation exists exactly once.
-                    return Some(Vec::new());
-                }
-                Some(self.current.clone())
+                // The empty permutation exists exactly once.
+                self.state = match self.current.is_empty() {
+                    true => PermState::Done,
+                    false => PermState::Running,
+                };
+                Some(&self.current)
             }
             PermState::Running => {
                 if self.advance() {
-                    Some(self.current.clone())
+                    Some(&self.current)
                 } else {
                     self.state = PermState::Done;
                     None
@@ -91,6 +98,14 @@ impl Iterator for Permutations {
             }
             PermState::Done => None,
         }
+    }
+}
+
+impl Iterator for Permutations {
+    type Item = Vec<usize>;
+
+    fn next(&mut self) -> Option<Vec<usize>> {
+        self.step().map(<[usize]>::to_vec)
     }
 }
 
@@ -133,6 +148,18 @@ mod tests {
     fn empty_domain_yields_one_empty_permutation() {
         let perms: Vec<Vec<usize>> = Permutations::new(0).collect();
         assert_eq!(perms, vec![Vec::<usize>::new()]);
+    }
+
+    #[test]
+    fn the_borrowing_step_lends_what_next_would_copy() {
+        for n in 0..6 {
+            let mut lent = Permutations::new(n);
+            for owned in Permutations::new(n) {
+                assert_eq!(lent.step(), Some(owned.as_slice()), "n = {n}");
+            }
+            assert_eq!(lent.step(), None, "n = {n}");
+            assert_eq!(lent.step(), None, "exhausted stays exhausted");
+        }
     }
 
     #[test]

@@ -127,21 +127,23 @@ impl<T: Ord + Clone> OrSet<T> {
             .is_some_and(|tags| !tags.is_empty())
     }
 
-    /// Visible elements, in sorted order.
-    pub fn elements(&self) -> Vec<&T> {
+    /// Iterates over the visible elements, in sorted order, without
+    /// collecting them.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.entries
             .iter()
             .filter(|(_, tags)| !tags.is_empty())
             .map(|(e, _)| e)
-            .collect()
+    }
+
+    /// Visible elements, in sorted order.
+    pub fn elements(&self) -> Vec<&T> {
+        self.iter().collect()
     }
 
     /// Number of visible elements.
     pub fn len(&self) -> usize {
-        self.entries
-            .values()
-            .filter(|tags| !tags.is_empty())
-            .count()
+        self.iter().count()
     }
 
     /// Returns `true` if no element is visible.
@@ -272,6 +274,11 @@ mod tests {
         assert!(s.contains(&1));
         assert_eq!(s.len(), 1);
         assert_eq!(s.elements(), vec![&1]);
+        s.insert(0);
+        s.insert(2);
+        s.remove(&1);
+        assert!(s.iter().eq([&0, &2]), "visible elements only, sorted");
+        assert_eq!(s.elements(), vec![&0, &2]);
     }
 
     #[test]

@@ -127,8 +127,7 @@ impl SystemModel for TownApp {
                 OpOutcome::Applied
             }
             EventKind::External { label } if label == "transmit" => {
-                let snapshot: Vec<String> =
-                    states[at].issues.elements().into_iter().cloned().collect();
+                let snapshot: Vec<String> = states[at].issues.iter().cloned().collect();
                 states[at].transmitted = Some(snapshot.clone());
                 OpOutcome::Observed(snapshot.into_iter().collect())
             }
@@ -137,7 +136,7 @@ impl SystemModel for TownApp {
     }
 
     fn observe(&self, state: &TownState) -> Value {
-        let issues: Value = state.issues.elements().into_iter().cloned().collect();
+        let issues: Value = state.issues.iter().cloned().collect();
         let transmitted = state
             .transmitted
             .clone()
@@ -165,12 +164,7 @@ impl SystemModel for TownApp {
         // budget: tagged OR-set entries dominate, the transmitted snapshot
         // is a plain string list. Per-entry constants approximate the tag
         // and container overhead; only relative accuracy matters.
-        let issues: usize = state
-            .issues
-            .elements()
-            .into_iter()
-            .map(|s| s.len() + 48)
-            .sum();
+        let issues: usize = state.issues.iter().map(|s| s.len() + 48).sum();
         let transmitted: usize = state
             .transmitted
             .as_deref()

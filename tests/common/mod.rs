@@ -1,18 +1,35 @@
-//! What the differential suites share: the worker counts they sweep, and a
-//! reference replay that is not the engine.
+//! What the differential suites share: the worker counts they sweep, the
+//! benchmark's town recording, and a reference replay that is not the engine.
 #![allow(dead_code)]
 
 use er_pi::{
-    CheckContext, ExploreMode, InlineExecutor, RunRecord, SystemModel, TestSuite, TimeModel,
-    Violation,
+    CheckContext, ExploreMode, InlineExecutor, LiveSystem, RunRecord, SystemModel, TestSuite,
+    TimeModel, Violation,
 };
 use er_pi_interleave::{
     DfsExplorer, ErPiExplorer, FaultProduct, IndexedSource, PruningConfig, RandomExplorer,
 };
-use er_pi_model::{FaultPlan, Interleaving, Value, Workload};
+use er_pi_model::{FaultPlan, Interleaving, ReplicaId, Value, Workload};
 
 /// The replay slot counts every worker-count sweep covers.
 pub const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// The benchmark's town recording (`benchmark/src/inputs.rs`, with fixed
+/// issue names): the §2.3 example extended with a second add/remove pair,
+/// 10 events on 2 replicas.
+pub fn record_town<M: SystemModel>(app: &mut LiveSystem<'_, M>) {
+    let r = ReplicaId::new;
+    let ev1 = app.invoke(r(0), "add", [Value::from("otb")]);
+    app.sync(r(0), r(1), ev1);
+    let ev2 = app.invoke(r(1), "add", [Value::from("ph")]);
+    app.sync(r(1), r(0), ev2);
+    let ev3 = app.invoke(r(1), "remove", [Value::from("otb")]);
+    app.sync(r(1), r(0), ev3);
+    let ev4 = app.invoke(r(0), "add", [Value::from("pl")]);
+    app.sync(r(0), r(1), ev4);
+    app.invoke(r(1), "remove", [Value::from("ph")]);
+    app.external(r(0), "transmit");
+}
 
 /// What a replay must report, as far as scheduling cannot change it.
 #[derive(Debug, Default, PartialEq)]
@@ -49,12 +66,7 @@ pub fn reference_replay<M: SystemModel>(
     for (index, il) in source.by_ref() {
         let exec = InlineExecutor::execute(model, workload, &il, &time);
         let observations: Vec<Value> = exec.states.iter().map(|s| model.observe(s)).collect();
-        let ctx = CheckContext {
-            states: &exec.states,
-            observations: &observations,
-            interleaving: &il,
-            outcomes: &exec.outcomes,
-        };
+        let ctx = CheckContext::new(&exec.states, &observations, &il, &exec.outcomes);
         let mut violated = false;
         for assertion in suite.assertions() {
             if let Err(message) = assertion.check(&ctx) {

@@ -8,17 +8,23 @@
 //! compares every field except wall-clock time and per-worker load
 //! (which are legitimately scheduling-dependent). One worker is no
 //! separate code path — it is the same loop on the calling thread — so
-//! the last test anchors the lot against a naive loop that is not the
-//! engine (`common::reference_replay`).
+//! the naive-loop test anchors the lot against a loop that is not the engine
+//! (`common::reference_replay`).
+//!
+//! The last two tests pin the retention rule (`ReplayConfig::keep_runs`): a
+//! report under default retention states exactly what one that kept its run
+//! records states, and `SystemModel::observe` runs only for a reader.
 
 mod common;
 
-use common::{reference_replay, Reference, WORKER_COUNTS};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use common::{record_town, reference_replay, Reference, WORKER_COUNTS};
 use er_pi::{
-    enumerate_plans, Assertion, ExploreMode, FaultSpace, LiveSystem, Session, SystemModel,
-    TestSuite,
+    enumerate_plans, Assertion, ExploreMode, FailureStats, FaultSpace, LiveSystem, OpOutcome,
+    ReplayConfig, Report, Session, SystemModel, TestSuite,
 };
-use er_pi_model::{ReplicaId, Value};
+use er_pi_model::{Event, ReplicaId, Value};
 use er_pi_subjects::{Bug, CrdtsModel, RoshiModel, TownApp, YorkieModel};
 
 const CAP: usize = 10_000;
@@ -195,23 +201,7 @@ fn the_engine_equals_a_reference_that_is_not_the_engine() {
         },
         &town,
     );
-    against_the_naive_loop(
-        "town, 10 events",
-        || TownApp::new(2),
-        |app| {
-            let ev1 = app.invoke(r(0), "add", [Value::from("otb")]);
-            app.sync(r(0), r(1), ev1);
-            let ev2 = app.invoke(r(1), "add", [Value::from("ph")]);
-            app.sync(r(1), r(0), ev2);
-            let ev3 = app.invoke(r(1), "remove", [Value::from("otb")]);
-            app.sync(r(1), r(0), ev3);
-            let ev4 = app.invoke(r(0), "add", [Value::from("pl")]);
-            app.sync(r(0), r(1), ev4);
-            app.invoke(r(1), "remove", [Value::from("ph")]);
-            app.external(r(0), "transmit");
-        },
-        &town,
-    );
+    against_the_naive_loop("town, 10 events", || TownApp::new(2), record_town, &town);
     against_the_naive_loop(
         "roshi",
         || RoshiModel::new(2),
@@ -242,4 +232,150 @@ fn the_engine_equals_a_reference_that_is_not_the_engine() {
         },
         &generic_suite(),
     );
+}
+
+/// A report under default retention states what one that kept its run
+/// records states — all of it but the records.
+fn assert_retention_only_adds_records(what: &str, default: &Report, mut kept: Report) {
+    assert!(default.runs.is_empty(), "{what}: nothing asked for records");
+    assert_eq!(kept.runs.len(), kept.explored, "{what}: a record per run");
+    let failures = default.session_summary.failures;
+    assert_eq!(failures, kept.session_summary.failures, "{what}: failures");
+    assert_eq!(failures, FailureStats::from_runs(&kept.runs), "{what}");
+    assert_eq!(default.session_summary.explored, default.explored, "{what}");
+    // `explored`, `sim_us`, `violations` and every other deterministic field.
+    kept.runs.clear();
+    assert_eq!(default.diff(&kept), None, "{what}");
+}
+
+/// The tally column is all a report needs of a run: over the catalogue and
+/// the benchmark's town recording, at every worker count and both stop
+/// policies, default retention and `keep_runs` report the same `explored`,
+/// `sim_us`, violations and failure statistics (that the kept `runs` are the
+/// naive loop's is the test above).
+#[test]
+fn default_retention_reports_what_kept_records_report() {
+    for stop in [false, true] {
+        for workers in WORKER_COUNTS {
+            let config = |keep_runs| ReplayConfig {
+                cap: MATRIX_CAP,
+                stop_on_first_violation: stop,
+                workers,
+                keep_runs,
+                ..ReplayConfig::default()
+            };
+            for bug in Bug::catalogue() {
+                let what = format!("{} stop={stop} workers={workers}", bug.name);
+                let default = bug.replay_report_opts(&config(false));
+                let kept = bug.replay_report_opts(&config(true));
+                assert_retention_only_adds_records(&what, &default, kept);
+            }
+            for mode in [ExploreMode::Dfs, ExploreMode::Random { seed: 7 }] {
+                let what = format!("town {mode} stop={stop} workers={workers}");
+                let replay = |keep_runs| {
+                    let config = ReplayConfig {
+                        mode,
+                        ..config(keep_runs)
+                    };
+                    let mut session =
+                        Session::with_config(TownApp::new(2), config, Default::default());
+                    session.record(record_town);
+                    session.replay(&TownApp::invariant()).expect("recorded")
+                };
+                assert_retention_only_adds_records(&what, &replay(false), replay(true));
+            }
+        }
+    }
+}
+
+/// Forwards to `M` and counts the `observe` calls.
+struct CountingObserve<M> {
+    inner: M,
+    observed: AtomicUsize,
+}
+
+impl<M: SystemModel> SystemModel for CountingObserve<M> {
+    type State = M::State;
+
+    fn replicas(&self) -> usize {
+        self.inner.replicas()
+    }
+
+    fn init(&self, replica: ReplicaId) -> M::State {
+        self.inner.init(replica)
+    }
+
+    fn apply(&self, states: &mut [M::State], event: &Event) -> OpOutcome {
+        self.inner.apply(states, event)
+    }
+
+    fn observe(&self, state: &M::State) -> Value {
+        self.observed.fetch_add(1, Ordering::Relaxed);
+        self.inner.observe(state)
+    }
+
+    fn recover(&self, states: &mut [M::State], replica: ReplicaId) {
+        self.inner.recover(states, replica);
+    }
+
+    fn state_encode(&self, state: &M::State, out: &mut Vec<u8>) -> bool {
+        self.inner.state_encode(state, out)
+    }
+
+    fn replica_digest(&self, state: &M::State) -> Option<u128> {
+        self.inner.replica_digest(state)
+    }
+
+    fn state_size_hint(&self, state: &M::State) -> usize {
+        self.inner.state_size_hint(state)
+    }
+}
+
+/// Observations are paid for on read: `observe` runs once per replica for a
+/// run whose assertions read them or whose record is kept, never twice, and
+/// not at all for a run nobody reads.
+#[test]
+fn observe_runs_only_when_something_reads_it() {
+    const REPLICAS: usize = 2;
+    let reading = || TestSuite::new().with(Assertion::replicas_converge("converge"));
+    let reading_twice = || reading().with(Assertion::no_duplication("no-dup", 0));
+    let cases = [
+        (
+            "default retention, no reader",
+            false,
+            TownApp::invariant(),
+            0,
+        ),
+        ("one reading assertion", false, reading(), REPLICAS),
+        ("two reading assertions", false, reading_twice(), REPLICAS),
+        (
+            "kept records, no reader",
+            true,
+            TownApp::invariant(),
+            REPLICAS,
+        ),
+        ("kept records and a reader", true, reading_twice(), REPLICAS),
+    ];
+    for (what, keep_runs, suite, per_run) in cases {
+        for workers in WORKER_COUNTS {
+            let model = CountingObserve {
+                inner: TownApp::new(REPLICAS),
+                observed: AtomicUsize::new(0),
+            };
+            let mut session = Session::new(model);
+            session.record(record_town);
+            session
+                .set_mode(ExploreMode::Dfs)
+                .set_cap(MATRIX_CAP)
+                .set_workers(workers)
+                .set_keep_runs(keep_runs);
+            let report = session.replay(&suite).expect("recorded");
+            assert_eq!(report.explored, MATRIX_CAP);
+            assert_eq!(
+                session.model().observed.load(Ordering::Relaxed),
+                per_run * report.explored,
+                "{what} at {workers} workers"
+            );
+        }
+    }
 }

@@ -7,16 +7,25 @@
 //! used to approximate: a metric registry attached to a replay is counted
 //! into, so it costs a fixed number of blocks per campaign and none per run.
 //!
+//! And it is the number a replay as a whole is held to: blocks per run of
+//! the benchmark's town campaign, under default retention and with the run
+//! records kept.
+//!
 //! The allocator counts only blocks requested by a thread while that thread
 //! is inside [`blocks_during`], so the count is exact however the harness
 //! schedules its tests.
+
+mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
 use er_pi::telemetry::Registry;
-use er_pi::{Attachments, InlineExecutor, ReplayConfig, SessionMetrics, SystemModel, TimeModel};
+use er_pi::{
+    Attachments, ExploreMode, InlineExecutor, ReplayConfig, Session, SessionMetrics, SystemModel,
+    TimeModel,
+};
 use er_pi_model::{ReplicaId, Value, Workload};
 use er_pi_subjects::{Bug, CrdtsModel, LedgerApp, TownApp};
 
@@ -160,4 +169,40 @@ fn an_attached_registry_allocates_nothing_per_run() {
         attached - detached
     };
     assert_eq!(extra_blocks(500), extra_blocks(2_000));
+}
+
+/// Blocks per run of `benchmark/`'s `town-dfs` campaign (its
+/// `allocs_per_replay`): the 10-event town recording in DFS order, capped at
+/// 10 000, one worker, session defaults.
+///
+/// Under default retention a run leaves a `(sim_us, failed_ops)` row and
+/// nothing else — no `observe`, no `RunRecord` — and measures 44.94; a run
+/// that built and dropped a record cost 60.72. With `keep_runs` every run
+/// builds its record (interleaving + observations): no benchmark workload
+/// takes that path, so this is what holds it to the 61 blocks a record-
+/// building run was allowed before records became optional.
+#[test]
+fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
+    let blocks_per_run = |keep_runs: bool| {
+        let config = ReplayConfig {
+            mode: ExploreMode::Dfs,
+            cap: 10_000,
+            workers: 1,
+            keep_runs,
+            ..ReplayConfig::default()
+        };
+        let mut session = Session::with_config(TownApp::new(2), config, Attachments::default());
+        session.record(common::record_town);
+        let suite = TownApp::invariant();
+        let (blocks, report) = blocks_during(|| session.replay(&suite).expect("recorded"));
+        assert_eq!(report.explored, 10_000);
+        assert_eq!(report.runs.len(), if keep_runs { 10_000 } else { 0 });
+        blocks as f64 / report.explored as f64
+    };
+    let (default, kept) = (blocks_per_run(false), blocks_per_run(true));
+    assert!(
+        default <= 46.0,
+        "default retention: {default} blocks per run"
+    );
+    assert!(kept <= 61.0, "keep_runs: {kept} blocks per run");
 }
