@@ -1,40 +1,40 @@
-//! Datalog derivation of the independence set and interference relation.
+//! Derivation of the independence sets and the interference relation.
 //!
-//! The happens-before and commutativity passes produce *base facts*; the
-//! derivation itself is expressed as Datalog rules ([`analysis_rules`]) and
-//! evaluated bottom-up (semi-naive) to fixpoint, mirroring how the paper
-//! keeps its pruning logic in the deductive database. The derived
-//! `independent` pairs and `interferes` relation are then read back out and
-//! packaged for `er_pi_interleave::independence_canonical`.
+//! The happens-before and commutativity passes classify the events; this
+//! module turns that into the two inputs of Algorithm 3, with plain loops
+//! over the recorded events, packaged for
+//! `er_pi_interleave::independence_canonical`.
 //!
-//! # Base facts
+//! # Event roles
 //!
-//! | Relation | Meaning |
+//! | Role | Meaning |
 //! |---|---|
-//! | `hb_edge(A, B)` | direct happens-before edge (program order or dep) |
-//! | `concurrent(A, B)` | neither clock dominates (both directions) |
-//! | `co_replica(A, B)` | distinct updates recorded at the same replica |
-//! | `commutes(A, B)` | both profiles known and the table approves the swap |
-//! | `conflicts(A, B)` | both profiles known and the table rejects the swap |
-//! | `upd(E)` | local update with a known, non-`Read` profile |
-//! | `opaque(E)` | local update whose vocabulary is unknown |
-//! | `observer(E)` | external event or `Read`-profile update |
-//! | `sync_touch(E, R)` | sync event `E` has endpoint replica `R` |
-//! | `ev_replica(E, R)` | event `E` executes at replica `R` |
+//! | update | local update with a known, non-`Read` profile |
+//! | opaque | local update whose vocabulary is unknown |
+//! | observer | external event or `Read`-profile update |
+//! | sync | synchronization event, touching its two endpoint replicas |
 //!
-//! # Derived relations
+//! # Independence
 //!
-//! * `hb(A, B)` — transitive happens-before closure,
-//! * `independent(A, B)` — the pair may be swapped: commuting updates that
-//!   are concurrent or co-located on one replica,
-//! * `ind(E)` — `E` participates in some independent pair,
-//! * `interferes(X, Y)` — `X` is the `R(ev, iev)` relation of Algorithm 3:
-//!   it can observe or transport the replica state that independent event
-//!   `Y` mutates, so it blocks merging when it sits inside the span.
+//! Two updates are *independent* — the pair may be swapped — when the
+//! commutativity table approves the swap and they are concurrent or
+//! co-located on one replica; they *conflict* when the table rejects it.
+//! The sets are a greedy partition of the independent pairs into cliques.
+//!
+//! # Interference
+//!
+//! `(x, y)` is the `R(ev, iev)` relation of Algorithm 3: `x` can observe or
+//! transport the replica state that set member `y` mutates, so it blocks
+//! merging when it sits inside the span. `x` interferes with `y` when it is
+//!
+//! 1. a sync with an endpoint at `y`'s replica,
+//! 2. an observer at `y`'s replica,
+//! 3. another update at `y`'s replica,
+//! 4. an update that conflicts with `y`, or
+//! 5. any opaque update — one outside the vocabulary may observe anything
+//!    (ReplicaDB's `read_batch` reads the *source* replica from the sink
+//!    side), so it conservatively interferes with every member.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use er_pi_datalog::{atom, evaluate, fact, var, CmpOp, Const, Database, Rule};
 use er_pi_model::{EventId, Workload};
 use er_pi_rdl::{OpKind, OpProfile};
 
@@ -51,111 +51,26 @@ pub struct DerivedIndependence {
     pub interference: Vec<(EventId, EventId)>,
 }
 
-/// The Datalog program deriving `hb`, `independent`, `ind`, and
-/// `interferes` from the base facts extracted by the static passes.
-pub fn analysis_rules() -> Vec<Rule> {
-    vec![
-        // hb(A, B) :- hb_edge(A, B).
-        Rule::new(atom("hb", [var("A"), var("B")])).when(atom("hb_edge", [var("A"), var("B")])),
-        // hb(A, C) :- hb(A, B), hb_edge(B, C).
-        Rule::new(atom("hb", [var("A"), var("C")]))
-            .when(atom("hb", [var("A"), var("B")]))
-            .when(atom("hb_edge", [var("B"), var("C")])),
-        // independent(A, B) :- concurrent(A, B), commutes(A, B),
-        //                      upd(A), upd(B).
-        Rule::new(atom("independent", [var("A"), var("B")]))
-            .when(atom("concurrent", [var("A"), var("B")]))
-            .when(atom("commutes", [var("A"), var("B")]))
-            .when(atom("upd", [var("A")]))
-            .when(atom("upd", [var("B")])),
-        // independent(A, B) :- co_replica(A, B), commutes(A, B),
-        //                      upd(A), upd(B).
-        Rule::new(atom("independent", [var("A"), var("B")]))
-            .when(atom("co_replica", [var("A"), var("B")]))
-            .when(atom("commutes", [var("A"), var("B")]))
-            .when(atom("upd", [var("A")]))
-            .when(atom("upd", [var("B")])),
-        // ind(E) :- independent(E, B).
-        Rule::new(atom("ind", [var("E")])).when(atom("independent", [var("E"), var("B")])),
-        // interferes(X, Y) :- ind(Y), ev_replica(Y, R), sync_touch(X, R).
-        Rule::new(atom("interferes", [var("X"), var("Y")]))
-            .when(atom("ind", [var("Y")]))
-            .when(atom("ev_replica", [var("Y"), var("R")]))
-            .when(atom("sync_touch", [var("X"), var("R")])),
-        // interferes(X, Y) :- ind(Y), ev_replica(Y, R), observer(X),
-        //                     ev_replica(X, R).
-        Rule::new(atom("interferes", [var("X"), var("Y")]))
-            .when(atom("ind", [var("Y")]))
-            .when(atom("ev_replica", [var("Y"), var("R")]))
-            .when(atom("observer", [var("X")]))
-            .when(atom("ev_replica", [var("X"), var("R")])),
-        // interferes(X, Y) :- ind(Y), ev_replica(Y, R), upd(X),
-        //                     ev_replica(X, R), X != Y.
-        Rule::new(atom("interferes", [var("X"), var("Y")]))
-            .when(atom("ind", [var("Y")]))
-            .when(atom("ev_replica", [var("Y"), var("R")]))
-            .when(atom("upd", [var("X")]))
-            .when(atom("ev_replica", [var("X"), var("R")]))
-            .filter(var("X"), CmpOp::Ne, var("Y")),
-        // interferes(X, Y) :- ind(Y), conflicts(X, Y).
-        Rule::new(atom("interferes", [var("X"), var("Y")]))
-            .when(atom("ind", [var("Y")]))
-            .when(atom("conflicts", [var("X"), var("Y")])),
-        // interferes(X, Y) :- ind(Y), opaque(X).
-        // An update outside the vocabulary may observe anything (ReplicaDB's
-        // read_batch reads the *source* replica from the sink side), so it
-        // conservatively interferes with every independent event.
-        Rule::new(atom("interferes", [var("X"), var("Y")]))
-            .when(atom("ind", [var("Y")]))
-            .when(atom("opaque", [var("X")])),
-    ]
+/// How the commutativity table and the happens-before order relate two
+/// updates.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Pair {
+    /// Not both updates, or commuting but ordered across replicas.
+    Unrelated,
+    /// Commuting, and concurrent or co-located: the pair may be swapped.
+    Independent,
+    /// The table rejects the swap.
+    Conflicting,
 }
 
-fn eid(c: &Const) -> EventId {
-    match c {
-        Const::Int(i) => EventId::new(u32::try_from(*i).expect("event id fits u32")),
-        Const::Str(s) => panic!("expected event id, got {s:?}"),
-    }
-}
-
-/// Loads the base facts for `workload`, runs [`analysis_rules`] to fixpoint,
-/// and reads the derived relations back out.
+/// Derives the independence sets and the interference relation of
+/// `workload` from its happens-before graph and operation profiles.
 pub(crate) fn derive(
     workload: &Workload,
     hb: &HbGraph,
     profiles: &[Option<OpProfile>],
-) -> (Database, DerivedIndependence) {
-    let mut db = Database::new();
+) -> DerivedIndependence {
     let events = workload.events();
-
-    for ev in events {
-        db.insert(fact("ev_replica", [ev.id.index(), ev.replica.index()]));
-        if let Some((from, to)) = ev.sync_endpoints() {
-            db.insert(fact("sync_touch", [ev.id.index(), from.index()]));
-            db.insert(fact("sync_touch", [ev.id.index(), to.index()]));
-        }
-        match &profiles[ev.id.index()] {
-            Some(p) if p.kind == OpKind::Read => {
-                db.insert(fact("observer", [ev.id.index()]));
-            }
-            Some(_) => {
-                db.insert(fact("upd", [ev.id.index()]));
-            }
-            None if ev.is_update() => {
-                db.insert(fact("opaque", [ev.id.index()]));
-            }
-            None if !ev.is_sync() => {
-                db.insert(fact("observer", [ev.id.index()]));
-            }
-            None => {}
-        }
-    }
-    for &(a, b) in hb.edges() {
-        db.insert(fact("hb_edge", [a.index(), b.index()]));
-    }
-
-    // Pairwise facts between profiled updates: concurrency, co-location,
-    // and the commutativity verdicts.
     let updates: Vec<EventId> = events
         .iter()
         .filter(|ev| matches!(&profiles[ev.id.index()], Some(p) if p.kind != OpKind::Read))
@@ -180,78 +95,86 @@ pub(crate) fn derive(
         })
         .collect();
     let mut verdicts: Vec<Option<bool>> = vec![None; classes.len() * classes.len()];
+    // The symmetric pair relation, indexed by event id.
+    let n = events.len();
+    let mut pairs = vec![Pair::Unrelated; n * n];
     for (i, &a) in updates.iter().enumerate() {
         for (j, &b) in updates.iter().enumerate().skip(i + 1) {
-            if hb.concurrent(a, b) {
-                db.insert(fact("concurrent", [a.index(), b.index()]));
-                db.insert(fact("concurrent", [b.index(), a.index()]));
-            }
-            if events[a.index()].replica == events[b.index()].replica {
-                db.insert(fact("co_replica", [a.index(), b.index()]));
-                db.insert(fact("co_replica", [b.index(), a.index()]));
-            }
             let (ca, cb) = (class_of[i], class_of[j]);
             let commutes = *verdicts[ca * classes.len() + cb]
                 .get_or_insert_with(|| classes[ca].commutes_with(classes[cb]).is_none());
-            let rel = if commutes { "commutes" } else { "conflicts" };
-            db.insert(fact(rel, [a.index(), b.index()]));
-            db.insert(fact(rel, [b.index(), a.index()]));
+            let pair = if !commutes {
+                Pair::Conflicting
+            } else if hb.concurrent(a, b) || events[a.index()].replica == events[b.index()].replica
+            {
+                Pair::Independent
+            } else {
+                continue;
+            };
+            pairs[a.index() * n + b.index()] = pair;
+            pairs[b.index() * n + a.index()] = pair;
         }
     }
-
-    evaluate(&analysis_rules(), &mut db);
-
-    // Read back the symmetric `independent` relation as an adjacency map.
-    let mut adjacent: BTreeMap<EventId, BTreeSet<EventId>> = BTreeMap::new();
-    for tuple in db.relation("independent") {
-        let (a, b) = (eid(&tuple[0]), eid(&tuple[1]));
-        adjacent.entry(a).or_default().insert(b);
-    }
+    let pair = |a: EventId, b: EventId| pairs[a.index() * n + b.index()];
 
     // Greedy clique partition in ascending id order: deterministic, and the
     // id order is exactly the canonical-representative order Algorithm 3
     // keeps. Singletons merge nothing, so they are dropped.
-    let mut assigned: BTreeSet<EventId> = BTreeSet::new();
+    let mut set_of: Vec<Option<usize>> = vec![None; n];
     let mut sets: Vec<Vec<EventId>> = Vec::new();
-    for &seed in adjacent.keys() {
-        if assigned.contains(&seed) {
+    for (i, &seed) in updates.iter().enumerate() {
+        if set_of[seed.index()].is_some() {
             continue;
         }
         let mut clique = vec![seed];
-        for (&candidate, peers) in adjacent.range(seed..).skip(1) {
-            if !assigned.contains(&candidate) && clique.iter().all(|m| peers.contains(m)) {
+        for &candidate in &updates[i + 1..] {
+            if set_of[candidate.index()].is_none()
+                && clique
+                    .iter()
+                    .all(|&m| pair(candidate, m) == Pair::Independent)
+            {
                 clique.push(candidate);
             }
         }
         if clique.len() >= 2 {
-            assigned.extend(clique.iter().copied());
+            for m in &clique {
+                set_of[m.index()] = Some(sets.len());
+            }
             sets.push(clique);
         }
     }
 
-    // Interference pairs, restricted to members of the kept sets. Pairs
-    // within one set are dropped: the canonical check skips co-members, and
-    // a set's own updates reorder soundly by construction. A member of a
+    // Interference pairs, for the members of the kept sets. Pairs within
+    // one set are dropped: the canonical check skips co-members, and a
+    // set's own updates reorder soundly by construction. A member of a
     // *different* set stays — it is an ordinary interferer for this set.
-    let set_of: BTreeMap<EventId, usize> = sets
-        .iter()
-        .enumerate()
-        .flat_map(|(i, set)| set.iter().map(move |&m| (m, i)))
-        .collect();
-    let mut interference: Vec<(EventId, EventId)> = db
-        .relation("interferes")
-        .into_iter()
-        .map(|tuple| (eid(&tuple[0]), eid(&tuple[1])))
-        .filter(|(x, y)| match (set_of.get(x), set_of.get(y)) {
-            (_, None) => false,
-            (Some(sx), Some(sy)) => sx != sy,
-            (None, Some(_)) => true,
-        })
-        .collect();
+    let mut interference: Vec<(EventId, EventId)> = Vec::new();
+    for &y in sets.iter().flatten() {
+        let at = events[y.index()].replica;
+        for x in events {
+            if set_of[x.id.index()] == set_of[y.index()] {
+                continue;
+            }
+            let interferes = match (&profiles[x.id.index()], x.sync_endpoints()) {
+                // (1) a sync touching the member's replica
+                (_, Some((from, to))) => from == at || to == at,
+                // (3) another update there, or (4) a conflicting one anywhere
+                (Some(p), _) if p.kind != OpKind::Read => {
+                    x.replica == at || pair(x.id, y) == Pair::Conflicting
+                }
+                // (5) an opaque update
+                (None, _) if x.is_update() => true,
+                // (2) an observer — external event or read — there
+                _ => x.replica == at,
+            };
+            if interferes {
+                interference.push((x.id, y));
+            }
+        }
+    }
     interference.sort_unstable();
-    interference.dedup();
 
-    (db, DerivedIndependence { sets, interference })
+    DerivedIndependence { sets, interference }
 }
 
 #[cfg(test)]
@@ -356,25 +279,12 @@ mod tests {
     }
 
     #[test]
-    fn database_exposes_base_and_derived_relations() {
-        let mut w = Workload::builder();
-        let a = w.update(r(0), "counter_inc", [Value::from(1)]);
-        let b = w.update(r(1), "counter_inc", [Value::from(1)]);
-        let analysis = analyze(&w.build());
-        let db = analysis.database();
-        assert!(db.contains(&fact("independent", [a.index(), b.index()])));
-        assert!(db.contains(&fact("independent", [b.index(), a.index()])));
-        assert!(db.contains(&fact("ind", [a.index()])));
-        assert!(db.contains(&fact("concurrent", [a.index(), b.index()])));
-        assert!(db.contains(&fact("commutes", [a.index(), b.index()])));
-        assert_eq!(db.relation_len("opaque"), 0);
-    }
-
-    #[test]
     fn memoized_verdicts_match_the_naive_table_walk() {
         // A workload that repeats a handful of op shapes across replicas —
-        // the profile-class memo must produce exactly the facts a naive
-        // per-event-pair table walk would, for every pair and direction.
+        // the profile-class memo must derive exactly what a naive
+        // per-event-pair table walk would. No syncs and no observers, so
+        // every pair is concurrent or co-located: independence is the
+        // table's verdict alone, and interference is co-location or conflict.
         let mut w = Workload::builder();
         for rep in 0..3u16 {
             w.update(r(rep), "counter_inc", [Value::from(1)]);
@@ -385,52 +295,46 @@ mod tests {
         }
         let workload = w.build();
         let analysis = analyze(&workload);
-        let db = analysis.database();
+        let DerivedIndependence { sets, interference } = &analysis.independence;
 
         let profiled: Vec<_> = workload
             .events()
             .iter()
-            .filter_map(|ev| {
-                let p = analysis.profile(ev.id)?;
-                (p.kind != er_pi_rdl::OpKind::Read).then(|| (ev.id, p.clone()))
+            .map(|ev| {
+                (
+                    ev.id,
+                    ev.replica,
+                    analysis.profile(ev.id).expect("profiled"),
+                )
             })
             .collect();
-        assert!(profiled.len() >= 15, "workload must exercise repetition");
-        for (i, (a, pa)) in profiled.iter().enumerate() {
-            for (b, pb) in &profiled[i + 1..] {
-                let rel = if pa.commutes_with(pb).is_none() {
-                    "commutes"
-                } else {
-                    "conflicts"
-                };
-                let anti = if rel == "commutes" {
-                    "conflicts"
-                } else {
-                    "commutes"
-                };
-                for (x, y) in [(a, b), (b, a)] {
-                    assert!(
-                        db.contains(&fact(rel, [x.index(), y.index()])),
-                        "missing {rel}({x:?}, {y:?})"
-                    );
-                    assert!(
-                        !db.contains(&fact(anti, [x.index(), y.index()])),
-                        "contradictory {anti}({x:?}, {y:?})"
-                    );
+        assert_eq!(profiled.len(), 15, "workload must exercise repetition");
+        let commutes = |a: EventId, b: EventId| {
+            let (lo, hi) = (a.min(b).index(), a.max(b).index());
+            profiled[lo].2.commutes_with(profiled[hi].2).is_none()
+        };
+        let set_of = |e: EventId| sets.iter().position(|set| set.contains(&e));
+
+        assert!(!sets.is_empty());
+        for set in sets {
+            for (i, &a) in set.iter().enumerate() {
+                for &b in &set[i + 1..] {
+                    assert!(commutes(a, b), "{a:?} and {b:?} share a set but conflict");
                 }
             }
         }
-    }
-
-    #[test]
-    fn hb_closure_is_derived_in_datalog() {
-        let mut w = Workload::builder();
-        let a = w.update(r(0), "counter_inc", [Value::from(1)]);
-        w.update(r(0), "counter_inc", [Value::from(1)]);
-        let c = w.update(r(0), "counter_inc", [Value::from(1)]);
-        let analysis = analyze(&w.build());
-        assert!(analysis
-            .database()
-            .contains(&fact("hb", [a.index(), c.index()])));
+        for &(x, rx, _) in &profiled {
+            if set_of(x).is_none() {
+                // The greedy partition leaves no update a set could absorb.
+                for set in sets {
+                    assert!(set.iter().any(|&m| !commutes(x, m)), "{x:?} fits {set:?}");
+                }
+            }
+            for &(y, ry, _) in &profiled {
+                let expected =
+                    set_of(y).is_some() && set_of(x) != set_of(y) && (rx == ry || !commutes(x, y));
+                assert_eq!(interference.contains(&(x, y)), expected, "({x:?}, {y:?})");
+            }
+        }
     }
 }

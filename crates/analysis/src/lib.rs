@@ -16,10 +16,12 @@
 //!    mapped to an abstract operation profile (which RDL type family it
 //!    touches and what it does), and pairs are classified against the
 //!    per-type commutativity tables in `er-pi-rdl`.
-//! 3. **Derivation** ([`analyze`]): the `independent` and `interferes`
-//!    relations are derived *in Datalog* (semi-naive evaluation over the
-//!    base facts extracted in steps 1–2; see [`analysis_rules`]), read back
-//!    out, and packaged as the exact inputs
+//! 3. **Derivation** ([`analyze`]): plain loops over the results of steps
+//!    1–2. Commuting updates that are concurrent or co-located are
+//!    partitioned into independent sets, and an event interferes with a
+//!    set member when it is a sync touching the member's replica, an
+//!    observer at it, another update at it, a conflicting update, or any
+//!    update outside the vocabulary — packaged as the exact inputs
 //!    `er_pi_interleave::independence_canonical` consumes.
 //! 4. **Lints** ([`TraceAnalysis::diagnostics`]): the five misconception
 //!    patterns of the paper's Table 2 are flagged on the static trace,
@@ -93,12 +95,11 @@ pub use audit::{
     CertClaim, CertSummary, CertifiedTable, Verdict,
 };
 pub use certify::{family_name, kind_sig, CertWitness, PairEvidence};
-pub use derive::{analysis_rules, DerivedIndependence};
+pub use derive::DerivedIndependence;
 pub use hb::HbGraph;
 pub use lint::{Diagnostic, LintPattern};
 pub use vocab::interpret_op;
 
-use er_pi_datalog::Database;
 use er_pi_interleave::PruningConfig;
 use er_pi_model::{EventId, VersionVector, Workload};
 use er_pi_rdl::OpProfile;
@@ -112,7 +113,6 @@ pub struct TraceAnalysis {
     pub independence: DerivedIndependence,
     /// Misconception lints, in event order of their first involved event.
     pub diagnostics: Vec<Diagnostic>,
-    db: Database,
 }
 
 impl TraceAnalysis {
@@ -135,14 +135,6 @@ impl TraceAnalysis {
     /// external events, and for updates whose vocabulary is unknown).
     pub fn profile(&self, event: EventId) -> Option<&OpProfile> {
         self.profiles.get(event.index()).and_then(|p| p.as_ref())
-    }
-
-    /// The deductive database holding the base facts (`hb_edge`,
-    /// `concurrent`, `co_replica`, `commutes`, `conflicts`, `upd`,
-    /// `opaque`, `observer`, `sync_touch`, `ev_replica`) and the relations
-    /// derived from them (`hb`, `independent`, `ind`, `interferes`).
-    pub fn database(&self) -> &Database {
-        &self.db
     }
 
     /// Packages the derived relations as a [`PruningConfig`] fragment —
@@ -168,7 +160,7 @@ impl TraceAnalysis {
 }
 
 /// Runs the full static pass over `workload`: happens-before construction,
-/// commutativity classification, Datalog derivation of the
+/// commutativity classification, derivation of the
 /// independence/interference relations, and the misconception lints.
 pub fn analyze(workload: &Workload) -> TraceAnalysis {
     let hb = HbGraph::build(workload);
@@ -177,13 +169,12 @@ pub fn analyze(workload: &Workload) -> TraceAnalysis {
         .iter()
         .map(|ev| ev.op().and_then(interpret_op))
         .collect();
-    let (db, independence) = derive::derive(workload, &hb, &profiles);
+    let independence = derive::derive(workload, &hb, &profiles);
     let diagnostics = lint::lint(workload, &hb, &profiles);
     TraceAnalysis {
         hb,
         profiles,
         independence,
         diagnostics,
-        db,
     }
 }

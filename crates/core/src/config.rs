@@ -43,8 +43,6 @@ pub struct ReplayConfig {
     pub sanitize: bool,
     /// Certify the commutativity table before the replay.
     pub certify: bool,
-    /// Persist the replayed interleavings into the deductive store.
-    pub persist: bool,
     /// Return the per-run [`RunRecord`]s in [`Report::runs`]. **Off** by
     /// default, and this is the one place the whole retention rule is
     /// written down:
@@ -55,11 +53,12 @@ pub struct ReplayConfig {
     ///   rows;
     /// * it builds `RunRecord`s (the interleaving and the per-replica
     ///   observations of every run) only when something reads them: this
-    ///   flag, a suite with cross-interleaving checks, [`sanitize`] or
-    ///   [`persist`];
+    ///   flag, a suite with cross-interleaving checks or [`sanitize`];
     /// * `Report::runs` returns them under this flag or a suite with
-    ///   cross-checks — the sanitizer and the deductive store read the
-    ///   records and the report still drops them — and is empty otherwise.
+    ///   cross-checks — the sanitizer reads the records and the report
+    ///   still drops them — and is empty otherwise. A caller that wants the
+    ///   replayed interleavings elsewhere (the `er-pi-datalog` store, say)
+    ///   sets this flag and copies them out of the report.
     ///
     /// It is also the rule for when [`SystemModel::observe`] runs: once per
     /// replica per run while records are built, otherwise only for a run
@@ -68,7 +67,6 @@ pub struct ReplayConfig {
     /// [`RunRecord`]: crate::RunRecord
     /// [`Report::runs`]: crate::Report::runs
     /// [`sanitize`]: ReplayConfig::sanitize
-    /// [`persist`]: ReplayConfig::persist
     /// [`SystemModel::observe`]: crate::SystemModel::observe
     /// [`CheckContext::observations`]: crate::CheckContext::observations
     pub keep_runs: bool,
@@ -90,7 +88,6 @@ impl Default for ReplayConfig {
             auto_independence: false,
             sanitize: false,
             certify: false,
-            persist: false,
             keep_runs: false,
         }
     }
@@ -102,7 +99,7 @@ impl ReplayConfig {
     ///
     /// [`RunRecord`]: crate::RunRecord
     pub(crate) fn builds_records<S>(&self, suite: &TestSuite<S>) -> bool {
-        self.returns_records(suite) || self.sanitize || self.persist
+        self.returns_records(suite) || self.sanitize
     }
 
     /// Whether the report of a campaign checking `suite` returns the

@@ -19,11 +19,16 @@
 //! ```text
 //! ER-π.Start()
 //!   State 1: extract events via proxies            → Session::record
-//!   State 2: generate + prune + persist            → Session::replay
+//!   State 2: generate + prune                      → Session::replay
 //!   State 3: execute each interleaving, run tests  → Session::replay
 //!   State 4: ingest new constraints, goto State 2  → constraints directory
 //! ER-π.End(assertions)
 //! ```
+//!
+//! The paper's State 2 also persists the generated interleavings in a
+//! deductive store; here that is the caller's step — replay with
+//! [`Session::set_keep_runs`] and copy `Report::runs` into
+//! `er_pi_datalog::InterleavingStore` (`examples/distributed_replay.rs`).
 //!
 //! ## Example
 //!

@@ -4,7 +4,6 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
-use er_pi_datalog::InterleavingStore;
 use er_pi_interleave::{enumerate_plans, ExploreMode, FaultSpace, PruningConfig};
 use er_pi_model::{EventId, FaultPlan, OpDescriptor, ReplicaId, Value, Workload, WorkloadBuilder};
 use er_pi_telemetry::{low_hit_rate, ProgressSnapshot, Sink, Telemetry, COORDINATOR_TRACK};
@@ -130,7 +129,7 @@ impl<'m, M: SystemModel> LiveSystem<'m, M> {
 ///
 /// Mirrors the paper's workflow: [`Session::record`] is State 1 (event
 /// extraction through proxies); [`Session::replay`] runs States 2–4
-/// (generate + prune + persist, execute each interleaving with checkpointed
+/// (generate + prune, execute each interleaving with checkpointed
 /// state, ingest runtime constraints). See the
 /// [crate-level example](crate).
 pub struct Session<M: SystemModel> {
@@ -144,7 +143,6 @@ pub struct Session<M: SystemModel> {
     workload: Option<Workload>,
     fault_plans: Option<Vec<FaultPlan>>,
     fault_space: Option<FaultSpace>,
-    store: Option<InterleavingStore>,
     sanitizer_report: Option<SanitizerReport>,
 }
 
@@ -169,7 +167,6 @@ impl<M: SystemModel> Session<M> {
             workload: None,
             fault_plans: None,
             fault_space: None,
-            store: None,
             sanitizer_report: None,
         }
     }
@@ -334,13 +331,6 @@ impl<M: SystemModel> Session<M> {
     /// workflow).
     pub fn watch_constraints(&mut self, dir: impl Into<std::path::PathBuf>) -> &mut Self {
         self.constraints = Some(ConstraintsDir::new(dir));
-        self
-    }
-
-    /// Persists generated interleavings into the deductive store, queryable
-    /// afterwards via [`Session::store`].
-    pub fn set_persist(&mut self, persist: bool) -> &mut Self {
-        self.replay.persist = persist;
         self
     }
 
@@ -511,11 +501,6 @@ impl<M: SystemModel> Session<M> {
     /// The recorded workload, if any.
     pub fn workload(&self) -> Option<&Workload> {
         self.workload.as_ref()
-    }
-
-    /// The deductive store filled by the last persisted replay.
-    pub fn store(&self) -> Option<&InterleavingStore> {
-        self.store.as_ref()
     }
 
     /// Runs the static trace analysis over the recorded workload:
@@ -716,8 +701,8 @@ impl<M: SystemModel> Session<M> {
 
     /// The shared post-replay pipeline: the independence sanitizer, the
     /// cross-interleaving checks, retry-cost accounting, the session summary
-    /// (which the instrument closes every view on), the persisted store,
-    /// and the assembled [`Report`].
+    /// (which the instrument closes every view on), and the assembled
+    /// [`Report`].
     fn finish_replay(
         &mut self,
         workload: &Workload,
@@ -805,14 +790,6 @@ impl<M: SystemModel> Session<M> {
         let cache = cache.unwrap_or_default();
         let advisories = Vec::from_iter(low_hit_rate(cache.hits, cache.misses));
 
-        // The persisted store mirrors the retained runs in dispatch order.
-        self.store = self.replay.persist.then(|| {
-            let mut store = InterleavingStore::new(workload);
-            for run in &outcome.runs {
-                store.store(&run.interleaving);
-            }
-            store
-        });
         Report {
             mode: outcome.mode,
             explored: outcome.explored,
@@ -884,7 +861,6 @@ mod tests {
         writes!(set_auto_independence(true) => auto_independence);
         writes!(set_sanitizer(true) => sanitize);
         writes!(set_certify(true) => certify);
-        writes!(set_persist(true) => persist);
         writes!(set_keep_runs(true) => keep_runs);
     }
 
@@ -1008,17 +984,6 @@ mod tests {
             assert_eq!(stats.hits + stats.misses, 24);
             assert!(inc.sim_us_actual() <= inc.sim_us);
         }
-    }
-
-    #[test]
-    fn persistence_fills_the_deductive_store() {
-        let mut session = Session::new(RegApp);
-        record_two_writes(&mut session);
-        session.set_persist(true);
-        let report = session.replay(&TestSuite::new()).unwrap();
-        let store = session.store().expect("persisted");
-        assert_eq!(store.len(), report.explored);
-        assert!(store.interleaving(0).is_some());
     }
 
     #[test]

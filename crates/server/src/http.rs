@@ -1,14 +1,15 @@
 //! A deliberately small HTTP/1.1 layer over `std::net` — request parsing,
 //! the route table, and canned responses. One thread per connection,
 //! `Connection: close`; campaign replays never run on connection threads,
-//! so a slow client cannot stall the service.
+//! so a slow client cannot stall the service, and every socket carries a
+//! read and a write timeout, so a stalled one cannot hold its thread.
 //!
 //! The one exception to request/response/close is
 //! `GET /campaigns/:id/events`: that connection switches to a
 //! Server-Sent-Events stream over keep-alive and its thread tails the
 //! campaign's [`EventLog`](crate::EventLog) until the terminal frame.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -21,6 +22,14 @@ use crate::ServerState;
 /// Upper bound on request size (headers + body); larger submissions are
 /// refused with 413.
 const MAX_REQUEST_BYTES: usize = 4 << 20;
+
+/// How long a connection may stay silent before its request is complete;
+/// after that it is answered `408 Request Timeout` and closed.
+const READ_TIMEOUT: Duration = Duration::from_millis(if cfg!(test) { 300 } else { 10_000 });
+
+/// How long one write may block on a client that has stopped reading — an
+/// SSE subscriber included — before the connection is dropped.
+const WRITE_TIMEOUT: Duration = READ_TIMEOUT;
 
 /// How long an idle SSE stream waits for news before emitting a
 /// `: keep-alive` comment so proxies and clients see a live socket.
@@ -70,26 +79,21 @@ pub(crate) fn serve(state: Arc<ServerState>, listener: TcpListener) {
 
 /// Serves one connection: parse, route, respond, close.
 fn handle(state: &ServerState, mut stream: TcpStream) {
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let request = match read_request(&mut stream) {
         Ok(Some(request)) => request,
-        Ok(None) => {
-            respond(
-                &mut stream,
-                413,
-                "Payload Too Large",
-                JSON,
-                error_body("too large"),
-            );
-            return;
-        }
-        Err(_) => {
-            respond(
-                &mut stream,
-                400,
-                "Bad Request",
-                JSON,
-                error_body("malformed request"),
-            );
+        refused => {
+            let (code, reason, message) = match refused {
+                Ok(_) => (413, "Payload Too Large", "too large"),
+                // A read that timed out is `WouldBlock` on Unix, `TimedOut`
+                // elsewhere.
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    (408, "Request Timeout", "request not received in time")
+                }
+                Err(_) => (400, "Bad Request", "malformed request"),
+            };
+            respond(&mut stream, code, reason, JSON, error_body(message));
             return;
         }
     };
@@ -419,6 +423,43 @@ mod tests {
 
     // The route table itself is exercised end-to-end (over a real socket)
     // by the workspace-level `server_equivalence` suite.
+
+    #[test]
+    fn stalled_clients_get_408_while_others_are_served() {
+        use crate::{Server, ServerConfig};
+
+        let config = ServerConfig {
+            port: 0,
+            workers: 1,
+            runners: 1,
+            queue_cap: 1,
+        };
+        let server = Server::bind(config).unwrap().spawn().unwrap();
+        let silent = TcpStream::connect(server.addr()).unwrap();
+        let mut half = TcpStream::connect(server.addr()).unwrap();
+        half.write_all(b"GET /healthz HTTP/1.1\r\nHost: x").unwrap();
+
+        // Both stalled connections are open; a third one is served.
+        let mut live = TcpStream::connect(server.addr()).unwrap();
+        live.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let mut response = String::new();
+        live.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+
+        for mut stalled in [silent, half] {
+            // A guard for the test itself: fail rather than hang.
+            stalled.set_read_timeout(Some(READ_TIMEOUT * 20)).unwrap();
+            let mut response = String::new();
+            stalled
+                .read_to_string(&mut response)
+                .expect("the server answers and closes within its deadline");
+            assert!(
+                response.starts_with("HTTP/1.1 408 Request Timeout"),
+                "{response}"
+            );
+        }
+        server.shutdown();
+    }
 
     #[test]
     fn phase_names_are_wire_stable() {

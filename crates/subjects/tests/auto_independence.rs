@@ -1,6 +1,6 @@
 //! Ground truth for the static analysis pass on the evaluation subjects.
 //!
-//! Three claims are checked against the real subject workloads:
+//! Four claims are checked against the real subject workloads:
 //!
 //! 1. The independence knowledge the bug catalogue used to hand-declare
 //!    (ReplicaDB's disjoint-key put batch) is *derived* by the analysis.
@@ -10,11 +10,13 @@
 //! 3. The pre-replay lint pass statically flags the Table 2 misconception
 //!    patterns on the seeded subject workloads, before any interleaving
 //!    is replayed.
+//! 4. The derived relation of every catalogue workload is exactly the
+//!    pinned one (set sizes and pair counts; `ReplicaDB-2` in full).
 
 use std::collections::BTreeSet;
 
 use er_pi::{analyze, Session};
-use er_pi_model::{ReplicaId, Value};
+use er_pi_model::{EventId, ReplicaId, Value};
 use er_pi_rdl::TieBreak;
 use er_pi_subjects::{Bug, CrdtsModel, RoshiModel};
 
@@ -69,16 +71,57 @@ fn catalogue_reproduces_with_auto_derived_independence() {
 }
 
 #[test]
-fn analysis_covers_every_catalogue_workload() {
-    for bug in Bug::catalogue() {
-        let analysis = analyze(bug.workload());
-        let db = analysis.database();
-        assert!(
-            db.relation_len("ev_replica") == bug.workload().len(),
-            "{}: every event must be profiled into the fact base",
-            bug.name
-        );
+fn derived_relation_is_pinned_per_catalogue_workload() {
+    // Set sizes and interference-pair count of every catalogue workload, as
+    // the Datalog derivation this pass replaced produced them.
+    let pinned: [(&str, &[usize], usize); 12] = [
+        ("Roshi-1", &[], 0),
+        ("Roshi-2", &[2], 13),
+        ("Roshi-3", &[6], 37),
+        ("OrbitDB-1", &[], 0),
+        ("OrbitDB-2", &[], 0),
+        ("OrbitDB-3", &[], 0),
+        ("OrbitDB-4", &[], 0),
+        ("OrbitDB-5", &[], 0),
+        ("ReplicaDB-1", &[3], 21),
+        ("ReplicaDB-2", &[5, 2], 69),
+        ("Yorkie-1", &[2], 30),
+        ("Yorkie-2", &[3, 4], 105),
+    ];
+    assert_eq!(Bug::catalogue().len(), pinned.len());
+    for (name, set_sizes, interference) in pinned {
+        let bug = Bug::by_name(name).expect("catalogue entry");
+        let derived = analyze(bug.workload()).independence;
+        let sizes: Vec<usize> = derived.sets.iter().map(Vec::len).collect();
+        assert_eq!(sizes, set_sizes, "{name}: set sizes");
+        assert_eq!(derived.interference.len(), interference, "{name}: pairs");
     }
+
+    // The two-set workload in full: members, order, every pair.
+    let ids = |ixs: &[u32]| -> Vec<EventId> { ixs.iter().map(|&i| EventId::new(i)).collect() };
+    let derived = analyze(Bug::by_name("ReplicaDB-2").unwrap().workload()).independence;
+    assert_eq!(derived.sets, [ids(&[0, 1, 2, 7, 11]), ids(&[3, 8])]);
+    #[rustfmt::skip]
+    let interference: [(u32, u32); 69] = [
+        (0, 3), (0, 8),
+        (1, 3), (1, 8),
+        (2, 3), (2, 8),
+        (3, 0), (3, 1), (3, 2), (3, 7), (3, 11),
+        (4, 0), (4, 1), (4, 2), (4, 3), (4, 7), (4, 8), (4, 11),
+        (5, 0), (5, 1), (5, 2), (5, 3), (5, 7), (5, 8), (5, 11),
+        (6, 0), (6, 1), (6, 2), (6, 3), (6, 7), (6, 8), (6, 11),
+        (7, 3), (7, 8),
+        (8, 0), (8, 1), (8, 2), (8, 7), (8, 11),
+        (9, 0), (9, 1), (9, 2), (9, 3), (9, 7), (9, 8), (9, 11),
+        (10, 0), (10, 1), (10, 2), (10, 3), (10, 7), (10, 8), (10, 11),
+        (11, 3), (11, 8),
+        (12, 0), (12, 1), (12, 2), (12, 3), (12, 7), (12, 8), (12, 11),
+        (13, 0), (13, 1), (13, 2), (13, 3), (13, 7), (13, 8), (13, 11),
+    ];
+    assert_eq!(
+        derived.interference,
+        interference.map(|(x, y)| (EventId::new(x), EventId::new(y)))
+    );
 }
 
 /// Collects the misconception numbers the lint pass flags for a recorded

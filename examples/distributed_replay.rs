@@ -16,6 +16,7 @@
 use er_pi::{
     FailedOpsRule, InlineExecutor, PruningConfig, Session, SystemModel, ThreadedExecutor, TimeModel,
 };
+use er_pi_datalog::InterleavingStore;
 use er_pi_model::{EventId, ReplicaId, Value};
 use er_pi_subjects::TownApp;
 
@@ -77,12 +78,15 @@ fn main() {
     .expect("write constraints");
 
     session.watch_constraints(&dir);
-    session.set_persist(true);
+    session.set_keep_runs(true);
     let report = session.replay(&TownApp::invariant()).unwrap();
     println!("{}", report.summary());
     println!("(19 instead of 24: the JSON constraint was ingested mid-replay)");
 
-    let store = session.store().expect("persisted");
+    // Persistence (the paper's Souffle store, §5.1) is the caller's step:
+    // copy the replayed interleavings out of the report.
+    let mut store = InterleavingStore::new(session.workload().expect("recorded"));
+    store.store_all(report.runs.iter().map(|r| &r.interleaving));
     println!(
         "deductive store holds {} interleavings over {} facts",
         store.len(),
@@ -90,7 +94,6 @@ fn main() {
     );
     // A Datalog query over the persisted interleavings: in how many does
     // the transmit precede the fix's synchronization?
-    let mut store = store.clone();
     store.derive_precedes();
     let stale = store.interleavings_where_precedes(ev4, ev3);
     println!(

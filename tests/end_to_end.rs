@@ -5,6 +5,7 @@ use er_pi::{
     Assertion, ExploreMode, FailedOpsRule, InlineExecutor, PruningConfig, Session, SystemModel,
     TestSuite, ThreadedExecutor, TimeModel,
 };
+use er_pi_datalog::InterleavingStore;
 use er_pi_model::{EventId, ReplicaId, Value};
 use er_pi_subjects::{CrdtsModel, RoshiModel, TownApp, YorkieModel};
 
@@ -94,10 +95,11 @@ fn threaded_and_inline_executors_agree_on_every_pruned_order() {
 fn persisted_interleavings_are_queryable_via_datalog() {
     let mut session = Session::new(TownApp::new(2));
     let [_, _, ev3, ev4] = record_motivating(&mut session);
-    session.set_persist(true);
+    session.set_keep_runs(true);
     let report = session.replay(&TestSuite::new()).unwrap();
 
-    let mut store = session.store().unwrap().clone();
+    let mut store = InterleavingStore::new(session.workload().unwrap());
+    store.store_all(report.runs.iter().map(|r| &r.interleaving));
     assert_eq!(store.len(), report.explored);
     store.derive_precedes();
     let stale = store.interleavings_where_precedes(ev4, ev3);
@@ -107,7 +109,7 @@ fn persisted_interleavings_are_queryable_via_datalog() {
 
     // Round-trip the store through its JSON persistence.
     let json = store.to_json();
-    let back = er_pi_datalog::InterleavingStore::from_json(&json).unwrap();
+    let back = InterleavingStore::from_json(&json).unwrap();
     assert_eq!(back.len(), store.len());
 }
 
