@@ -255,7 +255,7 @@ impl<M: SystemModel> Session<M> {
     ///
     /// Incrementally replayed sessions resume each interleaving from the
     /// deepest snapshot the previous run left on their common prefix (see
-    /// [`IncrementalExecutor`]), applying only the divergent suffix — the
+    /// [`IncrementalExecutor`](crate::IncrementalExecutor)), applying only the divergent suffix — the
     /// report stays byte-identical to a scratch replay ([`Report::diff`]
     /// returns `None` between the two), but the cache counters land in
     /// [`Report::cache_stats`] and the wall-clock drops with the workload's
@@ -407,7 +407,7 @@ impl<M: SystemModel> Session<M> {
     /// Installs a periodic progress callback, invoked every `every`
     /// finished runs (from whichever thread crosses the boundary) with a
     /// live [`ProgressSnapshot`]: runs/sec, measured ETA, the a-priori
-    /// [`ResourceProfile::campaign_secs`] projection, cache hit rate, and
+    /// [`ResourceProfile::campaign_secs`](crate::ResourceProfile::campaign_secs) projection, cache hit rate, and
     /// per-worker utilization.
     pub fn set_progress_hook(
         &mut self,

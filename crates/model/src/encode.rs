@@ -30,6 +30,13 @@ impl<T: CanonicalEncode + ?Sized> CanonicalEncode for &T {
     }
 }
 
+/// A shared value encodes as the value: sharing is a storage detail.
+impl<T: CanonicalEncode + ?Sized> CanonicalEncode for std::sync::Arc<T> {
+    fn encode_canonical(&self, out: &mut Vec<u8>) {
+        (**self).encode_canonical(out);
+    }
+}
+
 impl CanonicalEncode for bool {
     fn encode_canonical(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
@@ -242,6 +249,17 @@ mod tests {
         assert_eq!(enc(&ReplicaId::new(3)).len(), 2);
         assert_eq!(enc(&EventId::new(9)).len(), 4);
         assert_eq!(enc(&Dot::new(ReplicaId::new(1), 7)).len(), 10);
+    }
+
+    #[test]
+    fn sharing_does_not_show_in_the_encoding() {
+        use std::sync::Arc;
+        let plain = vec!["ab".to_owned(), "c".to_owned()];
+        let shared: Vec<Arc<String>> = plain.iter().cloned().map(Arc::new).collect();
+        assert_eq!(enc(&shared), enc(&plain));
+        let slice: Arc<[String]> = plain.clone().into();
+        assert_eq!(enc(&slice), enc(&plain));
+        assert_eq!(enc(&Arc::<str>::from("ab")), enc("ab"));
     }
 
     #[test]

@@ -355,7 +355,7 @@ pub struct ConflictReason {
 /// Enumerates every distinct conflict reason the table can emit, together
 /// with the families producing it. The list is the table's claim surface:
 /// the certifier fails if an executable pair emits a reason missing here,
-/// so additions to [`conflict`] must be mirrored below.
+/// so additions to `conflict` must be mirrored below.
 pub fn conflict_reasons() -> &'static [ConflictReason] {
     use CrdtType::*;
     const ALL: &[CrdtType] = &[

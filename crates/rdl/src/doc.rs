@@ -11,14 +11,15 @@
 //!   the Yorkie-2 bug (issue #663).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use er_pi_model::{
     CanonicalEncode, Dot, DotContext, LamportClock, LamportTimestamp, ReplicaId, Value,
     VersionVector,
 };
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 
-use crate::{DeltaSync, Rga, RgaOp, StateCrdt};
+use crate::{DeltaSync, Log, Rga, RgaOp, StateCrdt};
 
 /// One segment of a document path (an object key).
 pub type PathSegment = String;
@@ -170,10 +171,43 @@ impl DocOp {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 enum Node {
     Prim(Value),
-    Obj(BTreeMap<String, Entry>),
+    Obj(Obj),
     Arr(Rga<Value>),
     /// LWW tombstone left behind by `Remove`.
     Removed,
+}
+
+/// The keys of one object, each with its subtree behind a reference count.
+///
+/// Cloning an object — which cloning the document does to its root — copies
+/// one map of handles and none of the subtrees. A write then un-shares the
+/// entries on the path from the root to the key it touches
+/// ([`Arc::make_mut`], one level at a time) and leaves every sibling
+/// subtree shared with the snapshots that hold it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Obj(BTreeMap<Arc<str>, Arc<Entry>>);
+
+// The vendored serde stand-in has no impls for `Arc`: the map of keys to
+// entries it is, by hand.
+impl Serialize for Obj {
+    fn to_content(&self) -> Content {
+        let entry = |(key, entry): (&Arc<str>, &Arc<Entry>)| (key.to_content(), entry.to_content());
+        Content::Map(self.0.iter().map(entry).collect())
+    }
+}
+
+impl Deserialize for Obj {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        let entries = BTreeMap::<String, Entry>::from_content(content)?;
+        let shared = |(key, entry): (String, Entry)| (key.into(), Arc::new(entry));
+        Ok(Obj(entries.into_iter().map(shared).collect()))
+    }
+}
+
+impl CanonicalEncode for Obj {
+    fn encode_canonical(&self, out: &mut Vec<u8>) {
+        self.0.encode_canonical(out);
+    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -208,10 +242,11 @@ struct Entry {
 pub struct JsonDoc {
     replica: ReplicaId,
     clock: LamportClock,
-    root: BTreeMap<String, Entry>,
+    root: Obj,
     ctx: DotContext,
-    log: Vec<DocOp>,
-    pending: Vec<DocOp>,
+    log: Log<DocOp>,
+    /// Array operations whose array has not arrived yet.
+    pending: Log<DocOp>,
 }
 
 impl JsonDoc {
@@ -220,10 +255,10 @@ impl JsonDoc {
         JsonDoc {
             replica,
             clock: LamportClock::new(replica),
-            root: BTreeMap::new(),
+            root: Obj::default(),
             ctx: DotContext::new(),
-            log: Vec::new(),
-            pending: Vec::new(),
+            log: Log::new(),
+            pending: Log::new(),
         }
     }
 
@@ -236,10 +271,9 @@ impl JsonDoc {
         path.iter().map(|s| (*s).to_owned()).collect()
     }
 
-    fn record(&mut self, op: DocOp) -> DocOp {
+    fn record(&mut self, op: DocOp) -> Arc<DocOp> {
         self.apply_resolved(&op);
-        self.log.push(op.clone());
-        op
+        Arc::clone(self.log.push(op))
     }
 
     /// LWW-sets `path` to a primitive `value`.
@@ -248,7 +282,7 @@ impl JsonDoc {
     ///
     /// Returns [`DocError::WrongShape`] if an intermediate segment resolves
     /// to a primitive or array owned by a *newer* write (the set would lose).
-    pub fn set(&mut self, path: &[&str], value: Value) -> Result<DocOp, DocError> {
+    pub fn set(&mut self, path: &[&str], value: Value) -> Result<Arc<DocOp>, DocError> {
         assert!(!path.is_empty(), "path must be non-empty");
         let ts = self.clock.tick();
         let dot = self.ctx.next_dot(self.replica);
@@ -265,7 +299,7 @@ impl JsonDoc {
         &mut self,
         path: &[&str],
         entries: BTreeMap<String, Value>,
-    ) -> Result<DocOp, DocError> {
+    ) -> Result<Arc<DocOp>, DocError> {
         assert!(!path.is_empty(), "path must be non-empty");
         let ts = self.clock.tick();
         let dot = self.ctx.next_dot(self.replica);
@@ -278,7 +312,7 @@ impl JsonDoc {
     }
 
     /// LWW-removes the key at `path`.
-    pub fn remove(&mut self, path: &[&str]) -> Result<DocOp, DocError> {
+    pub fn remove(&mut self, path: &[&str]) -> Result<Arc<DocOp>, DocError> {
         assert!(!path.is_empty(), "path must be non-empty");
         let ts = self.clock.tick();
         let dot = self.ctx.next_dot(self.replica);
@@ -290,7 +324,7 @@ impl JsonDoc {
     }
 
     /// LWW-creates an empty array at `path`.
-    pub fn new_array(&mut self, path: &[&str]) -> Result<DocOp, DocError> {
+    pub fn new_array(&mut self, path: &[&str]) -> Result<Arc<DocOp>, DocError> {
         assert!(!path.is_empty(), "path must be non-empty");
         let ts = self.clock.tick();
         let dot = self.ctx.next_dot(self.replica);
@@ -306,31 +340,29 @@ impl JsonDoc {
         path: &[&str],
         f: impl FnOnce(&mut Rga<Value>) -> Result<R, DocError>,
     ) -> Result<R, DocError> {
-        let segs = Self::path_vec(path);
-        let node =
-            resolve_mut(&mut self.root, &segs).ok_or_else(|| DocError::NotFound(segs.clone()))?;
-        match node {
-            Node::Arr(rga) => f(rga),
-            _ => Err(DocError::WrongShape {
-                path: segs,
-                expected: "array",
+        match array_mut(&mut self.root, path) {
+            Some(rga) => f(rga),
+            None => Err(match resolve(&self.root, path) {
+                Some(_) => DocError::WrongShape {
+                    path: Self::path_vec(path),
+                    expected: "array",
+                },
+                None => DocError::NotFound(Self::path_vec(path)),
             }),
         }
     }
 
-    fn record_arr(&mut self, path: &[&str], op: RgaOp<Value>) -> DocOp {
+    fn record_arr(&mut self, path: &[&str], op: Arc<RgaOp<Value>>) -> Arc<DocOp> {
         let dot = self.ctx.next_dot(self.replica);
-        let doc_op = DocOp::Arr {
+        Arc::clone(self.log.push(DocOp::Arr {
             path: Self::path_vec(path),
-            op,
+            op: RgaOp::clone(&op),
             dot,
-        };
-        self.log.push(doc_op.clone());
-        doc_op
+        }))
     }
 
     /// Appends `value` to the array at `path`.
-    pub fn arr_push(&mut self, path: &[&str], value: Value) -> Result<DocOp, DocError> {
+    pub fn arr_push(&mut self, path: &[&str], value: Value) -> Result<Arc<DocOp>, DocError> {
         let op = self.with_array(path, |rga| Ok(rga.push(value)))?;
         Ok(self.record_arr(path, op))
     }
@@ -341,7 +373,7 @@ impl JsonDoc {
         path: &[&str],
         idx: usize,
         value: Value,
-    ) -> Result<DocOp, DocError> {
+    ) -> Result<Arc<DocOp>, DocError> {
         let op = self.with_array(path, |rga| {
             if idx > rga.len() {
                 return Err(DocError::IndexOutOfBounds {
@@ -355,7 +387,7 @@ impl JsonDoc {
     }
 
     /// Deletes index `idx` of the array at `path`.
-    pub fn arr_delete(&mut self, path: &[&str], idx: usize) -> Result<DocOp, DocError> {
+    pub fn arr_delete(&mut self, path: &[&str], idx: usize) -> Result<Arc<DocOp>, DocError> {
         let op = self.with_array(path, |rga| {
             rga.delete(idx).ok_or(DocError::IndexOutOfBounds {
                 index: idx,
@@ -367,7 +399,12 @@ impl JsonDoc {
 
     /// Moves array element `from` to position `to` using the *correct*
     /// stable-identity move (Yorkie's fixed `MoveAfter`).
-    pub fn arr_move(&mut self, path: &[&str], from: usize, to: usize) -> Result<DocOp, DocError> {
+    pub fn arr_move(
+        &mut self,
+        path: &[&str],
+        from: usize,
+        to: usize,
+    ) -> Result<Arc<DocOp>, DocError> {
         let op = self.with_array(path, |rga| {
             rga.move_item(from, to).ok_or(DocError::IndexOutOfBounds {
                 index: from.max(to),
@@ -379,22 +416,21 @@ impl JsonDoc {
 
     /// Moves array element `from` to position `to` using the *naive*
     /// delete+insert — the application-level move that duplicates under
-    /// concurrency (misconception #3 / bug Yorkie-1).
+    /// concurrency (misconception #3 / bug Yorkie-1). Returns the delete
+    /// and the insert, in that order.
     pub fn arr_move_naive(
         &mut self,
         path: &[&str],
         from: usize,
         to: usize,
-    ) -> Result<(DocOp, DocOp), DocError> {
-        let (del, ins) = self.with_array(path, |rga| {
+    ) -> Result<[Arc<DocOp>; 2], DocError> {
+        let [del, ins] = self.with_array(path, |rga| {
             rga.move_naive(from, to).ok_or(DocError::IndexOutOfBounds {
                 index: from.max(to),
                 len: rga.len(),
             })
         })?;
-        let del = self.record_arr(path, del);
-        let ins = self.record_arr(path, ins);
-        Ok((del, ins))
+        Ok([self.record_arr(path, del), self.record_arr(path, ins)])
     }
 
     /// Reads the snapshot at `path` (`&[]` reads the whole document root).
@@ -402,8 +438,7 @@ impl JsonDoc {
         if path.is_empty() {
             return Some(snapshot_obj(&self.root));
         }
-        let segs = Self::path_vec(path);
-        resolve(&self.root, &segs).map(snapshot_node)
+        resolve(&self.root, path).map(snapshot_node)
     }
 
     /// Snapshot of the whole document.
@@ -430,16 +465,16 @@ impl JsonDoc {
                     .iter()
                     .map(|(k, v)| {
                         (
-                            k.clone(),
-                            Entry {
+                            k.as_str().into(),
+                            Arc::new(Entry {
                                 ts: *ts,
                                 replaced_at: None,
                                 node: Node::Prim(v.clone()),
-                            },
+                            }),
                         )
                     })
                     .collect();
-                set_at(&mut self.root, path, Node::Obj(obj), *ts, true);
+                set_at(&mut self.root, path, Node::Obj(Obj(obj)), *ts, true);
                 true
             }
             DocOp::Remove { path, ts, .. } => {
@@ -453,12 +488,12 @@ impl JsonDoc {
                 set_at(&mut self.root, path, Node::Arr(arr), *ts, false);
                 true
             }
-            DocOp::Arr { path, op, .. } => match resolve_mut(&mut self.root, path) {
-                Some(Node::Arr(rga)) => {
-                    rga.apply_op(op);
+            DocOp::Arr { path, op, .. } => match array_mut(&mut self.root, path) {
+                Some(rga) => {
+                    rga.apply_op(&Arc::new(op.clone()));
                     true
                 }
-                _ => false,
+                None => false,
             },
         }
     }
@@ -467,12 +502,12 @@ impl JsonDoc {
         loop {
             let mut progressed = false;
             let pending = std::mem::take(&mut self.pending);
-            for op in pending {
-                if self.apply_resolved(&op) {
+            for op in pending.shared() {
+                if self.apply_resolved(op) {
                     progressed = true;
-                    self.log.push(op);
+                    self.log.push_shared(Arc::clone(op));
                 } else {
-                    self.pending.push(op);
+                    self.pending.push_shared(Arc::clone(op));
                 }
             }
             if !progressed {
@@ -485,31 +520,25 @@ impl JsonDoc {
 impl DeltaSync for JsonDoc {
     type Op = DocOp;
 
-    fn missing_since(&self, since: &VersionVector) -> Vec<DocOp> {
+    fn missing_since(&self, since: &VersionVector) -> Vec<Arc<DocOp>> {
         self.log
-            .iter()
-            .chain(self.pending.iter())
+            .shared()
+            .chain(self.pending.shared())
             .filter(|op| !since.contains(op.dot()))
             .cloned()
             .collect()
     }
 
-    fn apply_op(&mut self, op: &DocOp) {
-        if !self.ctx.contains(op.dot()) {
-            self.apply_owned(op.clone());
-        }
-    }
-
-    fn apply_owned(&mut self, op: DocOp) {
+    fn apply_op(&mut self, op: &Arc<DocOp>) {
         if self.ctx.contains(op.dot()) {
             return;
         }
         self.ctx.add(op.dot());
-        if self.apply_resolved(&op) {
-            self.log.push(op);
+        if self.apply_resolved(op) {
+            self.log.push_shared(Arc::clone(op));
             self.flush_pending();
         } else {
-            self.pending.push(op);
+            self.pending.push_shared(Arc::clone(op));
         }
     }
 
@@ -618,43 +647,48 @@ impl CanonicalEncode for JsonDoc {
 /// LWW-writes `node` at `path` under `ts`, creating intermediate objects.
 /// `replaces` marks wholesale replacements (SetObject/Remove), which also
 /// shadow *older deeper* writes arriving later.
-fn set_at(
-    root: &mut BTreeMap<String, Entry>,
-    path: &[PathSegment],
-    node: Node,
-    ts: LamportTimestamp,
-    replaces: bool,
-) {
-    debug_assert!(!path.is_empty());
+///
+/// Entries on the way down are un-shared only once the write is known to
+/// pass through them, so a write that loses to an ancestor copies nothing.
+fn set_at(root: &mut Obj, path: &[PathSegment], node: Node, ts: LamportTimestamp, replaces: bool) {
+    let (key, parents) = path.split_last().expect("paths are non-empty");
     let mut current = root;
-    for seg in &path[..path.len() - 1] {
-        let entry = current.entry(seg.clone()).or_insert_with(|| Entry {
-            ts,
-            replaced_at: None,
-            node: Node::Obj(BTreeMap::new()),
-        });
-        if entry.replaced_at.is_some_and(|r| r > ts) {
+    for seg in parents {
+        if !current.0.contains_key(seg.as_str()) {
+            let object = Entry {
+                ts,
+                replaced_at: None,
+                node: Node::Obj(Obj::default()),
+            };
+            current.0.insert(seg.as_str().into(), Arc::new(object));
+        }
+        let slot = current
+            .0
+            .get_mut(seg.as_str())
+            .expect("present or just put");
+        if slot.replaced_at.is_some_and(|r| r > ts) {
             return; // an ancestor was replaced after this write: it loses
         }
-        if !matches!(entry.node, Node::Obj(_)) {
+        let is_object = matches!(slot.node, Node::Obj(_));
+        if !is_object && ts <= slot.ts {
+            return; // older write loses silently (LWW)
+        }
+        let entry = Arc::make_mut(slot);
+        if !is_object {
             // Traversing through a non-object: a deeper write implies the
-            // object exists; it wins only if newer.
-            if ts > entry.ts {
-                entry.ts = ts;
-                entry.node = Node::Obj(BTreeMap::new());
-            } else {
-                return; // older write loses silently (LWW)
-            }
+            // object exists, and this one is newer.
+            entry.ts = ts;
+            entry.node = Node::Obj(Obj::default());
         }
         match &mut entry.node {
             Node::Obj(map) => current = map,
             _ => unreachable!("just normalized to an object"),
         }
     }
-    let key = &path[path.len() - 1];
-    match current.get_mut(key) {
-        Some(entry) => {
-            if ts > entry.ts {
+    match current.0.get_mut(key.as_str()) {
+        Some(slot) => {
+            if ts > slot.ts {
+                let entry = Arc::make_mut(slot);
                 entry.ts = ts;
                 entry.node = node;
                 if replaces {
@@ -663,55 +697,49 @@ fn set_at(
             }
         }
         None => {
-            current.insert(
-                key.clone(),
-                Entry {
-                    ts,
-                    replaced_at: replaces.then_some(ts),
-                    node,
-                },
-            );
+            let entry = Entry {
+                ts,
+                replaced_at: replaces.then_some(ts),
+                node,
+            };
+            current.0.insert(key.as_str().into(), Arc::new(entry));
         }
     }
 }
 
-fn resolve<'a>(root: &'a BTreeMap<String, Entry>, path: &[PathSegment]) -> Option<&'a Node> {
+fn resolve<'a, S: AsRef<str>>(root: &'a Obj, path: &[S]) -> Option<&'a Node> {
+    let (key, parents) = path.split_last()?;
     let mut current = root;
-    for (i, seg) in path.iter().enumerate() {
-        let entry = current.get(seg)?;
-        if i == path.len() - 1 {
-            return match entry.node {
-                Node::Removed => None,
-                ref n => Some(n),
-            };
-        }
-        match &entry.node {
+    for seg in parents {
+        match &current.0.get(seg.as_ref())?.node {
             Node::Obj(map) => current = map,
             _ => return None,
         }
     }
-    None
+    match &current.0.get(key.as_ref())?.node {
+        Node::Removed => None,
+        node => Some(node),
+    }
 }
 
-fn resolve_mut<'a>(
-    root: &'a mut BTreeMap<String, Entry>,
-    path: &[PathSegment],
-) -> Option<&'a mut Node> {
+/// The array at `path`, for writing: un-shares the entries down to it.
+/// `None` — and nothing copied — unless `path` resolves to an array.
+fn array_mut<'a, S: AsRef<str>>(root: &'a mut Obj, path: &[S]) -> Option<&'a mut Rga<Value>> {
+    if !matches!(resolve(root, path), Some(Node::Arr(_))) {
+        return None;
+    }
+    let (key, parents) = path.split_last()?;
     let mut current = root;
-    for (i, seg) in path.iter().enumerate() {
-        let entry = current.get_mut(seg)?;
-        if i == path.len() - 1 {
-            return match entry.node {
-                Node::Removed => None,
-                ref mut n => Some(n),
-            };
-        }
-        match &mut entry.node {
+    for seg in parents {
+        match &mut Arc::make_mut(current.0.get_mut(seg.as_ref())?).node {
             Node::Obj(map) => current = map,
             _ => return None,
         }
     }
-    None
+    match &mut Arc::make_mut(current.0.get_mut(key.as_ref())?).node {
+        Node::Arr(rga) => Some(rga),
+        _ => None,
+    }
 }
 
 fn snapshot_node(node: &Node) -> JsonValue {
@@ -723,11 +751,12 @@ fn snapshot_node(node: &Node) -> JsonValue {
     }
 }
 
-fn snapshot_obj(map: &BTreeMap<String, Entry>) -> JsonValue {
+fn snapshot_obj(map: &Obj) -> JsonValue {
     JsonValue::Object(
-        map.iter()
+        map.0
+            .iter()
             .filter(|(_, e)| !matches!(e.node, Node::Removed))
-            .map(|(k, e)| (k.clone(), snapshot_node(&e.node)))
+            .map(|(k, e)| (k.to_string(), snapshot_node(&e.node)))
             .collect(),
     )
 }

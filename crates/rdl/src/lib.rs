@@ -13,6 +13,7 @@
 //! | sequences | [`Rga`] (replicated growable array with move support) |
 //! | maps | [`LwwMap`], [`OrMap`] |
 //! | stores | [`LwwTimeSeries`] (Roshi-style), [`MerkleLog`] (OrbitDB-style), [`JsonDoc`] (Yorkie-style) |
+//! | sharing | [`Shared`] (copy-on-write cell), [`Log`] (append-only log of shared operations) |
 //!
 //! All state-based types implement [`StateCrdt`] (join-semilattice `merge`);
 //! the op-based types additionally implement [`DeltaSync`], producing the
@@ -43,6 +44,49 @@
 //! assert_eq!(a.elements(), b.elements());
 //! assert_eq!(a.len(), 2);
 //! ```
+//!
+//! # What a copy shares
+//!
+//! A replay engine snapshots every replica at every step and resumes later
+//! runs from those snapshots, so these types are copied far more often than
+//! a library's usually are. Two layers keep a copy proportional to what the
+//! next write touches, not to what the replica has lived through:
+//!
+//! * [`Shared`] is the copy-on-write cell a subject model wraps each
+//!   replica in: a snapshot is a pointer bump, the first write after it
+//!   clones the replica.
+//! * That clone is shallow where it counts. Every delta type keeps its
+//!   operations in a [`Log`] — an array of handles, one allocation per
+//!   operation for the operation's whole life, in the issuer's log, in the
+//!   deltas [`DeltaSync::missing_since`] ships and in every receiver's log.
+//!   An [`OrSet`] reads each element out of the add that introduced it
+//!   instead of keeping a second copy, and a [`JsonDoc`] holds every subtree
+//!   behind its own reference count, so a write un-shares one root-to-leaf
+//!   path and nothing beside it.
+//!
+//! None of it shows: two copies are observationally independent, and
+//! equality, the canonical encoding and serde are those of the plain
+//! structures (`tests/shared_props.rs` checks both against models that share
+//! nothing).
+//!
+//! ```
+//! use er_pi_model::ReplicaId;
+//! use er_pi_rdl::{DeltaSync, OrSet};
+//!
+//! let mut live = OrSet::new(ReplicaId::new(0));
+//! live.insert("pothole".to_owned());
+//! let snapshot = live.clone(); // shares the operation and its string
+//! live.insert("overturned trash bin".to_owned());
+//! live.remove("pothole");
+//! assert_eq!(snapshot.elements(), ["pothole"]);
+//! assert_eq!(live.elements(), ["overturned trash bin"]);
+//! // The shared history is the same allocation in both.
+//! let (kept, grown) = (
+//!     snapshot.missing_since(&Default::default()),
+//!     live.missing_since(&Default::default()),
+//! );
+//! assert!(std::sync::Arc::ptr_eq(&kept[0], &grown[0]));
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,6 +95,7 @@ mod commute;
 mod counter;
 mod doc;
 mod hash;
+mod log;
 mod lwwset;
 mod map;
 mod oplog;
@@ -66,6 +111,7 @@ pub use commute::{conflict_reasons, ConflictReason, CrdtType, OpKind, OpProfile}
 pub use counter::{GCounter, PnCounter};
 pub use doc::{DocError, DocOp, JsonDoc, JsonValue, PathSegment};
 pub use hash::{fnv1a128, fnv1a128_extend, fnv1a64, fnv1a64_extend};
+pub use log::Log;
 pub use lwwset::{Bias, LwwElementSet};
 pub use map::{LwwMap, OrMap};
 pub use oplog::{LogEntry, LogSortOrder, MerkleHash, MerkleLog, MerkleLogOp};

@@ -18,13 +18,15 @@
 //! * **OrbitDB-4** (issue #583) — partially synced DAGs leave *dangling*
 //!   head references ([`MerkleLog::dangling_refs`]).
 
+use std::sync::Arc;
+
 use er_pi_model::{
     CanonicalEncode, Dot, DotContext, LamportClock, LamportTimestamp, ReplicaId, Value,
     VersionVector,
 };
 use serde::{Deserialize, Serialize};
 
-use crate::{fnv1a64, DeltaSync, StateCrdt};
+use crate::{fnv1a64, DeltaSync, Log, StateCrdt};
 
 /// Content hash of one log entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -110,7 +112,8 @@ pub struct MerkleLog {
     identity: String,
     clock: LamportClock,
     sort: LogSortOrder,
-    entries: Vec<LogEntry>,
+    /// Entries in arrival order.
+    entries: Log<LogEntry>,
     ctx: DotContext,
     /// Reject incoming entries whose clock exceeds ours by more than this.
     max_clock_skew: Option<u64>,
@@ -126,7 +129,7 @@ impl MerkleLog {
             identity: identity.into(),
             clock: LamportClock::new(replica),
             sort: LogSortOrder::default(),
-            entries: Vec::new(),
+            entries: Log::new(),
             ctx: DotContext::new(),
             max_clock_skew: None,
             rejected: 0,
@@ -172,27 +175,25 @@ impl MerkleLog {
     }
 
     /// Appends `payload` on top of the current heads; returns the new entry.
-    pub fn append(&mut self, payload: Value) -> LogEntry {
+    pub fn append(&mut self, payload: Value) -> Arc<LogEntry> {
         let clock = self.clock.tick();
         let refs = self.heads();
         let dot = self.ctx.next_dot(self.replica);
         let hash = LogEntry::compute_hash(clock, &self.identity, &payload, &refs, dot);
-        let entry = LogEntry {
+        Arc::clone(self.entries.push(LogEntry {
             hash,
             clock,
             identity: self.identity.clone(),
             payload,
             refs,
             dot,
-        };
-        self.entries.push(entry.clone());
-        entry
+        }))
     }
 
     /// The current heads: entries no other entry references.
     pub fn heads(&self) -> Vec<MerkleHash> {
         let mut heads: Vec<MerkleHash> = self.entries.iter().map(|e| e.hash).collect();
-        for e in &self.entries {
+        for e in self.entries.iter() {
             heads.retain(|h| !e.refs.contains(h));
         }
         heads
@@ -202,7 +203,7 @@ impl MerkleLog {
     /// match" symptom of OrbitDB-4 after a partial sync.
     pub fn dangling_refs(&self) -> Vec<MerkleHash> {
         let mut missing = Vec::new();
-        for e in &self.entries {
+        for e in self.entries.iter() {
             for &r in &e.refs {
                 if !self.entries.iter().any(|x| x.hash == r) && !missing.contains(&r) {
                     missing.push(r);
@@ -250,9 +251,10 @@ impl MerkleLog {
         self.entries.is_empty()
     }
 
-    /// Looks up an entry by hash.
-    pub fn entry(&self, hash: MerkleHash) -> Option<&LogEntry> {
-        self.entries.iter().find(|e| e.hash == hash)
+    /// Looks up an entry by hash: the log's handle to it, which
+    /// [`apply_op`](DeltaSync::apply_op) on another log shares.
+    pub fn entry(&self, hash: MerkleHash) -> Option<&Arc<LogEntry>> {
+        self.entries.shared().find(|e| e.hash == hash)
     }
 
     /// Everything applying a remote entry does short of storing it; `false`
@@ -278,23 +280,17 @@ impl MerkleLog {
 impl DeltaSync for MerkleLog {
     type Op = MerkleLogOp;
 
-    fn missing_since(&self, since: &VersionVector) -> Vec<MerkleLogOp> {
+    fn missing_since(&self, since: &VersionVector) -> Vec<Arc<MerkleLogOp>> {
         self.entries
-            .iter()
+            .shared()
             .filter(|e| !since.contains(e.dot))
             .cloned()
             .collect()
     }
 
-    fn apply_op(&mut self, op: &MerkleLogOp) {
+    fn apply_op(&mut self, op: &Arc<MerkleLogOp>) {
         if self.admit(op) {
-            self.entries.push(op.clone());
-        }
-    }
-
-    fn apply_owned(&mut self, op: MerkleLogOp) {
-        if self.admit(&op) {
-            self.entries.push(op);
+            self.entries.push_shared(Arc::clone(op));
         }
     }
 

@@ -1,11 +1,13 @@
 //! Observed-remove set (add-wins), with op-based delta synchronization.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use er_pi_model::{CanonicalEncode, Dot, DotContext, ReplicaId, VersionVector};
-use serde::{Deserialize, Serialize};
+use serde::{content_get, Content, DeError, Deserialize, Serialize};
 
-use crate::{DeltaSync, StateCrdt};
+use crate::{DeltaSync, Log, StateCrdt};
 
 /// One replicated operation of an [`OrSet`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -35,7 +37,88 @@ impl<T> OrSetOp<T> {
             OrSetOp::Add { dot, .. } | OrSetOp::Remove { dot, .. } => *dot,
         }
     }
+
+    /// The element the operation adds or removes.
+    pub fn element(&self) -> &T {
+        match self {
+            OrSetOp::Add { element, .. } | OrSetOp::Remove { element, .. } => element,
+        }
+    }
 }
+
+/// The live add-tags of one element, in arrival order. An element nearly
+/// always has exactly one, which is stored inline: an entry then owns no
+/// block of its own, and copying a set copies one array.
+#[derive(Debug, Clone)]
+enum Tags {
+    None,
+    One(Dot),
+    /// Two or more when built; a remove may leave fewer behind.
+    Many(Vec<Dot>),
+}
+
+impl Tags {
+    fn as_slice(&self) -> &[Dot] {
+        match self {
+            Tags::None => &[],
+            Tags::One(dot) => std::slice::from_ref(dot),
+            Tags::Many(dots) => dots,
+        }
+    }
+
+    fn push(&mut self, dot: Dot) {
+        match self {
+            Tags::None => *self = Tags::One(dot),
+            Tags::One(first) => *self = Tags::Many(vec![*first, dot]),
+            Tags::Many(dots) => dots.push(dot),
+        }
+    }
+
+    fn retain(&mut self, keep: impl Fn(&Dot) -> bool) {
+        match self {
+            Tags::None => {}
+            Tags::One(dot) => {
+                if !keep(dot) {
+                    *self = Tags::None;
+                }
+            }
+            Tags::Many(dots) => dots.retain(keep),
+        }
+    }
+}
+
+impl From<Vec<Dot>> for Tags {
+    fn from(dots: Vec<Dot>) -> Self {
+        match dots[..] {
+            [] => Tags::None,
+            [dot] => Tags::One(dot),
+            _ => Tags::Many(dots),
+        }
+    }
+}
+
+/// One element that was ever added, with its live tags. The element is not
+/// stored a second time: it is read out of the add that introduced it,
+/// which the log holds too.
+#[derive(Debug, Clone)]
+struct Entry<T> {
+    introduced_by: Arc<OrSetOp<T>>,
+    tags: Tags,
+}
+
+impl<T> Entry<T> {
+    fn element(&self) -> &T {
+        self.introduced_by.element()
+    }
+}
+
+impl<T: PartialEq> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.element() == other.element() && self.tags.as_slice() == other.tags.as_slice()
+    }
+}
+
+impl<T: Eq> Eq for Entry<T> {}
 
 /// An observed-remove set: adds win over concurrent removes.
 ///
@@ -46,6 +129,10 @@ impl<T> OrSetOp<T> {
 ///
 /// The type is simultaneously state-based ([`StateCrdt::merge`]) and
 /// op-based ([`DeltaSync`]); the op log is retained for delta computation.
+///
+/// A clone shares every operation and every element with the original (see
+/// [`Log`]); it allocates the log's array, the entry array and the two small
+/// trees of tags and versions, whatever the set holds.
 ///
 /// ```
 /// use er_pi_model::ReplicaId;
@@ -60,16 +147,16 @@ impl<T> OrSetOp<T> {
 /// a.sync_from(&b);
 /// assert!(!a.contains(&"otb")); // observed remove took effect
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrSet<T: Ord> {
     replica: ReplicaId,
-    /// Live add-tags per element.
-    entries: BTreeMap<T, Vec<Dot>>,
+    /// One entry per element ever added, sorted by element.
+    entries: Vec<Entry<T>>,
     /// Add-tags already killed by a remove (so late-arriving adds with a
     /// removed tag do not resurrect the element under reordered delivery).
     removed_tags: BTreeSet<Dot>,
     /// Full op history (for delta sync).
-    log: Vec<OrSetOp<T>>,
+    log: Log<OrSetOp<T>>,
     ctx: DotContext,
 }
 
@@ -78,9 +165,9 @@ impl<T: Ord + Clone> OrSet<T> {
     pub fn new(replica: ReplicaId) -> Self {
         OrSet {
             replica,
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
             removed_tags: BTreeSet::new(),
-            log: Vec::new(),
+            log: Log::new(),
             ctx: DotContext::new(),
         }
     }
@@ -91,40 +178,58 @@ impl<T: Ord + Clone> OrSet<T> {
     }
 
     /// Adds `element`; always succeeds (fresh unique tag). Returns the
-    /// generated operation, already applied locally and logged (clone it to
-    /// ship it by hand).
-    pub fn insert(&mut self, element: T) -> &OrSetOp<T> {
+    /// generated operation, already applied locally and logged (clone the
+    /// handle to ship it by hand).
+    pub fn insert(&mut self, element: T) -> &Arc<OrSetOp<T>> {
         let dot = self.ctx.next_dot(self.replica);
-        self.record(OrSetOp::Add { element, dot })
+        self.record(Arc::new(OrSetOp::Add { element, dot }))
     }
 
     /// Removes `element` if visible. Returns the generated operation, or
     /// `None` if the element is absent (a failed op — nothing to observe).
-    pub fn remove(&mut self, element: &T) -> Option<&OrSetOp<T>> {
-        let observed = self.entries.get(element)?.clone();
-        if observed.is_empty() {
+    /// Like a map lookup, takes any borrowed form of the element.
+    pub fn remove<Q>(&mut self, element: &Q) -> Option<&Arc<OrSetOp<T>>>
+    where
+        T: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        let entry = &self.entries[self.position(element).ok()?];
+        if entry.tags.as_slice().is_empty() {
             return None;
         }
+        let (element, observed) = (entry.element().clone(), entry.tags.as_slice().to_vec());
         let dot = self.ctx.next_dot(self.replica);
-        Some(self.record(OrSetOp::Remove {
-            element: element.clone(),
+        Some(self.record(Arc::new(OrSetOp::Remove {
+            element,
             observed,
             dot,
-        }))
+        })))
     }
 
-    /// Integrates `op` and moves it into the log.
-    fn record(&mut self, op: OrSetOp<T>) -> &OrSetOp<T> {
+    /// Integrates `op` and puts it into the log.
+    fn record(&mut self, op: Arc<OrSetOp<T>>) -> &Arc<OrSetOp<T>> {
         self.integrate(&op);
-        self.log.push(op);
-        self.log.last().expect("just pushed")
+        self.log.push_shared(op)
     }
 
-    /// Membership test.
-    pub fn contains(&self, element: &T) -> bool {
+    /// Where `element`'s entry is, or where it would go.
+    fn position<Q>(&self, element: &Q) -> Result<usize, usize>
+    where
+        T: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
         self.entries
-            .get(element)
-            .is_some_and(|tags| !tags.is_empty())
+            .binary_search_by(|entry| entry.element().borrow().cmp(element))
+    }
+
+    /// Membership test, by any borrowed form of the element.
+    pub fn contains<Q>(&self, element: &Q) -> bool
+    where
+        T: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        self.position(element)
+            .is_ok_and(|at| !self.entries[at].tags.as_slice().is_empty())
     }
 
     /// Iterates over the visible elements, in sorted order, without
@@ -132,8 +237,8 @@ impl<T: Ord + Clone> OrSet<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.entries
             .iter()
-            .filter(|(_, tags)| !tags.is_empty())
-            .map(|(e, _)| e)
+            .filter(|entry| !entry.tags.as_slice().is_empty())
+            .map(Entry::element)
     }
 
     /// Visible elements, in sorted order.
@@ -151,23 +256,34 @@ impl<T: Ord + Clone> OrSet<T> {
         self.len() == 0
     }
 
-    fn integrate(&mut self, op: &OrSetOp<T>) {
-        match op {
+    fn integrate(&mut self, op: &Arc<OrSetOp<T>>) {
+        match &**op {
             OrSetOp::Add { element, dot } => {
                 if self.removed_tags.contains(dot) {
                     return; // this tag was already killed by a remove
                 }
-                let tags = self.entries.entry(element.clone()).or_default();
-                if !tags.contains(dot) {
-                    tags.push(*dot);
+                match self.position(element) {
+                    Ok(at) => {
+                        let tags = &mut self.entries[at].tags;
+                        if !tags.as_slice().contains(dot) {
+                            tags.push(*dot);
+                        }
+                    }
+                    Err(at) => self.entries.insert(
+                        at,
+                        Entry {
+                            introduced_by: Arc::clone(op),
+                            tags: Tags::One(*dot),
+                        },
+                    ),
                 }
             }
             OrSetOp::Remove {
                 element, observed, ..
             } => {
                 self.removed_tags.extend(observed.iter().copied());
-                if let Some(tags) = self.entries.get_mut(element) {
-                    tags.retain(|t| !observed.contains(t));
+                if let Ok(at) = self.position(element) {
+                    self.entries[at].tags.retain(|t| !observed.contains(t));
                 }
             }
         }
@@ -177,26 +293,20 @@ impl<T: Ord + Clone> OrSet<T> {
 impl<T: Ord + Clone> DeltaSync for OrSet<T> {
     type Op = OrSetOp<T>;
 
-    fn missing_since(&self, since: &VersionVector) -> Vec<OrSetOp<T>> {
+    fn missing_since(&self, since: &VersionVector) -> Vec<Arc<OrSetOp<T>>> {
         self.log
-            .iter()
+            .shared()
             .filter(|op| !since.contains(op.dot()))
             .cloned()
             .collect()
     }
 
-    fn apply_op(&mut self, op: &OrSetOp<T>) {
-        if !self.ctx.contains(op.dot()) {
-            self.apply_owned(op.clone());
-        }
-    }
-
-    fn apply_owned(&mut self, op: OrSetOp<T>) {
+    fn apply_op(&mut self, op: &Arc<OrSetOp<T>>) {
         if self.ctx.contains(op.dot()) {
             return; // redelivery: idempotent
         }
         self.ctx.add(op.dot());
-        self.record(op);
+        self.record(Arc::clone(op));
     }
 
     fn version(&self) -> &VersionVector {
@@ -207,6 +317,65 @@ impl<T: Ord + Clone> DeltaSync for OrSet<T> {
 impl<T: Ord + Clone> StateCrdt for OrSet<T> {
     fn merge(&mut self, other: &Self) {
         self.sync_from(other);
+    }
+}
+
+// By hand, for the entries: they serialize as the `element -> tags` map
+// they are, and read back as handles into the log read beside them.
+impl<T: Ord + Serialize> Serialize for OrSet<T> {
+    fn to_content(&self) -> Content {
+        let entries = self
+            .entries
+            .iter()
+            .map(|entry| {
+                (
+                    entry.element().to_content(),
+                    entry.tags.as_slice().to_content(),
+                )
+            })
+            .collect();
+        let field = |name: &str, content| (Content::Str(name.to_owned()), content);
+        Content::Map(vec![
+            field("replica", self.replica.to_content()),
+            field("entries", Content::Map(entries)),
+            field("removed_tags", self.removed_tags.to_content()),
+            field("log", self.log.to_content()),
+            field("ctx", self.ctx.to_content()),
+        ])
+    }
+}
+
+impl<T: Ord + Deserialize> Deserialize for OrSet<T> {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        let Content::Map(fields) = content else {
+            return Err(DeError::expected("map", "OrSet"));
+        };
+        fn field<F: Deserialize>(fields: &[(Content, Content)], name: &str) -> Result<F, DeError> {
+            let content = content_get(fields, name).ok_or(DeError::missing_field(name, "OrSet"))?;
+            F::from_content(content)
+        }
+        let log: Log<OrSetOp<T>> = field(fields, "log")?;
+        let tags: BTreeMap<T, Vec<Dot>> = field(fields, "entries")?;
+        let entries = tags
+            .into_iter()
+            .map(|(element, tags)| {
+                let introduced_by = log
+                    .shared()
+                    .find(|op| matches!(***op, OrSetOp::Add { .. }) && *op.element() == element)
+                    .ok_or(DeError::custom("OrSet entry without an add in the log"))?;
+                Ok(Entry {
+                    introduced_by: Arc::clone(introduced_by),
+                    tags: tags.into(),
+                })
+            })
+            .collect::<Result<_, DeError>>()?;
+        Ok(OrSet {
+            replica: field(fields, "replica")?,
+            entries,
+            removed_tags: field(fields, "removed_tags")?,
+            log,
+            ctx: field(fields, "ctx")?,
+        })
     }
 }
 
@@ -246,9 +415,9 @@ impl<T: Ord + CanonicalEncode> CanonicalEncode for OrSet<T> {
     fn encode_canonical(&self, out: &mut Vec<u8>) {
         self.replica.encode_canonical(out);
         (self.entries.len() as u64).encode_canonical(out);
-        for (element, tags) in &self.entries {
-            element.encode_canonical(out);
-            tags.encode_canonical(out);
+        for entry in &self.entries {
+            entry.element().encode_canonical(out);
+            entry.tags.as_slice().encode_canonical(out);
         }
         (self.removed_tags.len() as u64).encode_canonical(out);
         for dot in &self.removed_tags {
@@ -337,7 +506,7 @@ mod tests {
         b.apply_op(op);
         let before = b.clone();
         b.apply_op(op);
-        b.apply_owned(op.clone());
+        b.apply_op(&Arc::new(OrSetOp::clone(op)));
         assert_eq!(b, before);
         assert_eq!(b.len(), 1);
     }
@@ -351,7 +520,7 @@ mod tests {
         a.insert(2);
         let delta = a.missing_since(b.version());
         assert_eq!(delta.len(), 1);
-        assert!(matches!(&delta[0], OrSetOp::Add { element: 2, .. }));
+        assert!(matches!(&*delta[0], OrSetOp::Add { element: 2, .. }));
     }
 
     #[test]

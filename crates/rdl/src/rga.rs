@@ -4,12 +4,14 @@
 //! #3 (move duplication) of the paper's §6.2, and behind the Yorkie-1 bug
 //! (`Array.MoveAfter` divergence, issue #676).
 
+use std::sync::Arc;
+
 use er_pi_model::{
     CanonicalEncode, Dot, DotContext, LamportClock, LamportTimestamp, ReplicaId, VersionVector,
 };
 use serde::{Deserialize, Serialize};
 
-use crate::{DeltaSync, StateCrdt};
+use crate::{DeltaSync, Log, StateCrdt};
 
 /// The unique, stable identity of one list element: the Lamport timestamp of
 /// the insert that created it.
@@ -105,8 +107,9 @@ pub struct Rga<T> {
     clock: LamportClock,
     nodes: Vec<Node<T>>,
     ctx: DotContext,
-    log: Vec<RgaOp<T>>,
-    pending: Vec<RgaOp<T>>,
+    log: Log<RgaOp<T>>,
+    /// Operations whose referenced elements have not arrived yet.
+    pending: Log<RgaOp<T>>,
 }
 
 impl<T: Clone + PartialEq> Rga<T> {
@@ -117,8 +120,8 @@ impl<T: Clone + PartialEq> Rga<T> {
             clock: LamportClock::new(replica),
             nodes: Vec::new(),
             ctx: DotContext::new(),
-            log: Vec::new(),
-            pending: Vec::new(),
+            log: Log::new(),
+            pending: Log::new(),
         }
     }
 
@@ -173,7 +176,7 @@ impl<T: Clone + PartialEq> Rga<T> {
     }
 
     /// Appends `value` at the end of the list.
-    pub fn push(&mut self, value: T) -> RgaOp<T> {
+    pub fn push(&mut self, value: T) -> Arc<RgaOp<T>> {
         let after = self.nodes.iter().rev().find(|n| !n.deleted).map(|n| n.id);
         self.insert_after(after, value)
     }
@@ -183,7 +186,7 @@ impl<T: Clone + PartialEq> Rga<T> {
     /// # Panics
     ///
     /// Panics if `idx > len`.
-    pub fn insert(&mut self, idx: usize, value: T) -> RgaOp<T> {
+    pub fn insert(&mut self, idx: usize, value: T) -> Arc<RgaOp<T>> {
         assert!(
             idx <= self.len(),
             "index {idx} out of bounds (len {})",
@@ -194,43 +197,42 @@ impl<T: Clone + PartialEq> Rga<T> {
     }
 
     /// Inserts `value` after element `after` (`None` = head).
-    pub fn insert_after(&mut self, after: Option<ElementId>, value: T) -> RgaOp<T> {
+    pub fn insert_after(&mut self, after: Option<ElementId>, value: T) -> Arc<RgaOp<T>> {
         let id = ElementId(self.clock.tick());
         let dot = self.ctx.next_dot(self.replica);
-        let op = RgaOp::Insert {
+        self.record(RgaOp::Insert {
             id,
             after,
             value,
             dot,
-        };
+        })
+    }
+
+    /// Integrates a local operation (its references resolve) and logs it.
+    fn record(&mut self, op: RgaOp<T>) -> Arc<RgaOp<T>> {
         self.integrate(&op);
-        self.log.push(op.clone());
-        op
+        Arc::clone(self.log.push(op))
     }
 
     /// Tombstones the element at visible index `idx`. Returns `None` (a
     /// failed op) if the index is out of bounds.
-    pub fn delete(&mut self, idx: usize) -> Option<RgaOp<T>> {
+    pub fn delete(&mut self, idx: usize) -> Option<Arc<RgaOp<T>>> {
         let id = self.id_at(idx)?;
         self.delete_id(id)
     }
 
     /// Tombstones element `id`. Returns `None` if absent or already deleted.
-    pub fn delete_id(&mut self, id: ElementId) -> Option<RgaOp<T>> {
-        let node = self.nodes.iter().find(|n| n.id == id && !n.deleted)?;
-        let _ = node;
+    pub fn delete_id(&mut self, id: ElementId) -> Option<Arc<RgaOp<T>>> {
+        self.nodes.iter().find(|n| n.id == id && !n.deleted)?;
         let dot = self.ctx.next_dot(self.replica);
-        let op = RgaOp::Delete { id, dot };
-        self.integrate(&op);
-        self.log.push(op.clone());
-        Some(op)
+        Some(self.record(RgaOp::Delete { id, dot }))
     }
 
     /// Moves the element at visible index `from` to sit after the element
     /// currently preceding visible index `to`, using the **correct** move
     /// primitive (stable identity, LWW position). Returns `None` if either
     /// index is out of bounds.
-    pub fn move_item(&mut self, from: usize, to: usize) -> Option<RgaOp<T>> {
+    pub fn move_item(&mut self, from: usize, to: usize) -> Option<Arc<RgaOp<T>>> {
         let id = self.id_at(from)?;
         if to > self.len() {
             return None;
@@ -257,33 +259,35 @@ impl<T: Clone + PartialEq> Rga<T> {
     }
 
     /// Moves element `id` to sit after `after` (`None` = head).
-    pub fn move_after_id(&mut self, id: ElementId, after: Option<ElementId>) -> Option<RgaOp<T>> {
+    pub fn move_after_id(
+        &mut self,
+        id: ElementId,
+        after: Option<ElementId>,
+    ) -> Option<Arc<RgaOp<T>>> {
         if !self.nodes.iter().any(|n| n.id == id && !n.deleted) {
             return None;
         }
         let moved_at = self.clock.tick();
         let dot = self.ctx.next_dot(self.replica);
-        let op = RgaOp::Move {
+        Some(self.record(RgaOp::Move {
             id,
             after,
             moved_at,
             dot,
-        };
-        self.integrate(&op);
-        self.log.push(op.clone());
-        Some(op)
+        }))
     }
 
     /// The *defective* move an application with misconception #3 writes:
     /// delete + re-insert as a **new** element. Under concurrent moves of
     /// the same element this duplicates it, because each replica mints a
-    /// fresh identity whose tombstone the other never observes.
-    pub fn move_naive(&mut self, from: usize, to: usize) -> Option<(RgaOp<T>, RgaOp<T>)> {
+    /// fresh identity whose tombstone the other never observes. Returns the
+    /// delete and the insert, in that order.
+    pub fn move_naive(&mut self, from: usize, to: usize) -> Option<[Arc<RgaOp<T>>; 2]> {
         let value = self.get(from)?.clone();
         let del = self.delete(from)?;
         let to = to.min(self.len());
         let ins = self.insert(to, value);
-        Some((del, ins))
+        Some([del, ins])
     }
 
     fn node_pos(&self, id: ElementId) -> Option<usize> {
@@ -374,12 +378,12 @@ impl<T: Clone + PartialEq> Rga<T> {
         loop {
             let mut progressed = false;
             let pending = std::mem::take(&mut self.pending);
-            for op in pending {
-                if self.integrate(&op) {
+            for op in pending.shared() {
+                if self.integrate(op) {
                     progressed = true;
-                    self.log.push(op);
+                    self.log.push_shared(Arc::clone(op));
                 } else {
-                    self.pending.push(op);
+                    self.pending.push_shared(Arc::clone(op));
                 }
             }
             if !progressed {
@@ -392,32 +396,26 @@ impl<T: Clone + PartialEq> Rga<T> {
 impl<T: Clone + PartialEq> DeltaSync for Rga<T> {
     type Op = RgaOp<T>;
 
-    fn missing_since(&self, since: &VersionVector) -> Vec<RgaOp<T>> {
+    fn missing_since(&self, since: &VersionVector) -> Vec<Arc<RgaOp<T>>> {
         // Include still-pending ops too: the receiver may have their deps.
         self.log
-            .iter()
-            .chain(self.pending.iter())
+            .shared()
+            .chain(self.pending.shared())
             .filter(|op| !since.contains(op.dot()))
             .cloned()
             .collect()
     }
 
-    fn apply_op(&mut self, op: &RgaOp<T>) {
-        if !self.ctx.contains(op.dot()) {
-            self.apply_owned(op.clone());
-        }
-    }
-
-    fn apply_owned(&mut self, op: RgaOp<T>) {
+    fn apply_op(&mut self, op: &Arc<RgaOp<T>>) {
         if self.ctx.contains(op.dot()) {
             return;
         }
         self.ctx.add(op.dot());
-        if self.integrate(&op) {
-            self.log.push(op);
+        if self.integrate(op) {
+            self.log.push_shared(Arc::clone(op));
             self.flush_pending();
         } else {
-            self.pending.push(op);
+            self.pending.push_shared(Arc::clone(op));
         }
     }
 
@@ -559,7 +557,7 @@ mod tests {
         let mut a = Rga::new(r(0));
         let op1 = a.push(1);
         let op2 = a.insert_after(
-            match &op1 {
+            match &*op1 {
                 RgaOp::Insert { id, .. } => Some(*id),
                 _ => unreachable!(),
             },

@@ -7,11 +7,12 @@
 //! and expose a `deleted` flag per member — the field the Roshi-1 bug
 //! (issue #18) miscomputes.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::StateCrdt;
+use crate::{Log, StateCrdt};
 use er_pi_model::CanonicalEncode;
 
 /// What happens when an insert and a delete of the same member carry the
@@ -44,7 +45,7 @@ pub struct ScoredMember {
 
 /// One replicated operation of a [`LwwTimeSeries`], as shipped in sync
 /// messages.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TsOp {
     /// Insert `member` into `key`'s set at `score`.
     Insert {
@@ -97,7 +98,7 @@ pub struct LwwTimeSeries {
     tie: TieBreak,
     keys: BTreeMap<String, BTreeMap<String, Cell>>,
     /// Full op history, for delta-style shipping by the subjects.
-    log: Vec<TsOp>,
+    log: Log<TsOp>,
 }
 
 impl LwwTimeSeries {
@@ -106,7 +107,7 @@ impl LwwTimeSeries {
         LwwTimeSeries {
             tie,
             keys: BTreeMap::new(),
-            log: Vec::new(),
+            log: Log::new(),
         }
     }
 
@@ -149,43 +150,38 @@ impl LwwTimeSeries {
     /// Inserts `member` under `key` at `score`. Returns `true` if the write
     /// won LWW resolution.
     pub fn insert(&mut self, key: &str, member: &str, score: u64) -> bool {
-        self.apply_owned(TsOp::Insert {
+        self.apply(&Arc::new(TsOp::Insert {
             key: key.to_owned(),
             member: member.to_owned(),
             score,
-        })
+        }))
     }
 
     /// Deletes `member` under `key` at `score`. Returns `true` if the write
     /// won LWW resolution.
     pub fn delete(&mut self, key: &str, member: &str, score: u64) -> bool {
-        self.apply_owned(TsOp::Delete {
+        self.apply(&Arc::new(TsOp::Delete {
             key: key.to_owned(),
             member: member.to_owned(),
             score,
-        })
+        }))
     }
 
-    /// Applies one remote operation (same resolution as local writes).
-    pub fn apply(&mut self, op: &TsOp) {
-        self.apply_owned(op.clone());
-    }
-
-    /// [`apply`](LwwTimeSeries::apply) for an operation the caller is done
-    /// with: `op` itself goes into the log. Returns `true` if the write won
-    /// LWW resolution.
-    pub fn apply_owned(&mut self, op: TsOp) -> bool {
-        let (key, member, score, kind) = match &op {
+    /// Applies one operation — a remote one resolves as a local write does —
+    /// and logs a handle to it. Returns `true` if the write won LWW
+    /// resolution.
+    pub fn apply(&mut self, op: &Arc<TsOp>) -> bool {
+        let (key, member, score, kind) = match &**op {
             TsOp::Insert { key, member, score } => (key, member, *score, OpKind::Insert),
             TsOp::Delete { key, member, score } => (key, member, *score, OpKind::Delete),
         };
         let won = self.apply_cell(key, member, Cell { score, kind });
-        self.log.push(op);
+        self.log.push_shared(Arc::clone(op));
         won
     }
 
     /// The full operation log (for subjects that ship deltas themselves).
-    pub fn log(&self) -> &[TsOp] {
+    pub fn log(&self) -> &Log<TsOp> {
         &self.log
     }
 
@@ -292,10 +288,13 @@ impl StateCrdt for LwwTimeSeries {
                 self.apply_cell(key, member, cell);
             }
         }
-        for op in &other.log {
-            if !self.log.contains(op) {
-                self.log.push(op.clone());
-            }
+        // The log grows by the operations it does not hold yet, compared by
+        // value and in `other`'s order; one pass over each log, not one scan
+        // of `self.log` per incoming operation.
+        let mut held: HashSet<&TsOp> = self.log.iter().collect();
+        let missing: Vec<&Arc<TsOp>> = other.log.shared().filter(|op| held.insert(op)).collect();
+        for op in missing {
+            self.log.push_shared(Arc::clone(op));
         }
     }
 }
@@ -391,8 +390,8 @@ mod tests {
         let mut a = LwwTimeSeries::default();
         a.insert("k", "m", 7);
         let mut b = LwwTimeSeries::default();
-        for op in a.log().to_vec() {
-            b.apply(&op);
+        for op in a.log().shared() {
+            b.apply(op);
         }
         assert_eq!(b.select("k", 0, 10), a.select("k", 0, 10));
     }

@@ -1,5 +1,7 @@
 //! The two replication interfaces the substrate exposes.
 
+use std::sync::Arc;
+
 use er_pi_model::VersionVector;
 
 /// A state-based (convergent) replicated data type.
@@ -25,27 +27,23 @@ pub trait StateCrdt: Clone {
 /// The replica simulator uses this to build sync messages: the sender calls
 /// [`DeltaSync::missing_since`] with the receiver's version vector and ships
 /// the returned operations; the receiver applies them with
-/// [`DeltaSync::apply_op`] (or [`DeltaSync::apply_owned`] when it is done
-/// with them). Applying must be idempotent (redelivery safe) and commutative
-/// across concurrent operations.
+/// [`DeltaSync::apply_op`]. Applying must be idempotent (redelivery safe)
+/// and commutative across concurrent operations.
+///
+/// Operations travel as `Arc<Op>`: an operation is allocated once, by the
+/// replica that issued it, and the sender's [`Log`](crate::Log), the delta
+/// and every receiver's log hold that one allocation.
 pub trait DeltaSync {
     /// The operation type shipped between replicas.
-    type Op: Clone;
+    type Op;
 
     /// Operations this replica has observed that `since` has not.
-    fn missing_since(&self, since: &VersionVector) -> Vec<Self::Op>;
+    fn missing_since(&self, since: &VersionVector) -> Vec<Arc<Self::Op>>;
 
-    /// Applies one (possibly remote, possibly redelivered) operation.
-    fn apply_op(&mut self, op: &Self::Op);
-
-    /// [`apply_op`](DeltaSync::apply_op) for an operation the caller is done
-    /// with. Types that retain applied operations (an op log) override this
-    /// to keep `op` itself instead of a copy, so an operation shipped by
-    /// [`sync_from`](DeltaSync::sync_from) is cloned once — out of the
-    /// sender's log — and not a second time into the receiver's.
-    fn apply_owned(&mut self, op: Self::Op) {
-        self.apply_op(&op);
-    }
+    /// Applies one (possibly remote, possibly redelivered) operation; a
+    /// type that retains applied operations keeps a handle to `op`, not a
+    /// copy.
+    fn apply_op(&mut self, op: &Arc<Self::Op>);
 
     /// The version vector summarizing every operation observed so far.
     fn version(&self) -> &VersionVector;
@@ -53,7 +51,7 @@ pub trait DeltaSync {
     /// Applies every operation in `ops` in order.
     fn apply_ops<'a, I>(&mut self, ops: I)
     where
-        I: IntoIterator<Item = &'a Self::Op>,
+        I: IntoIterator<Item = &'a Arc<Self::Op>>,
         Self::Op: 'a,
     {
         for op in ops {
@@ -66,23 +64,25 @@ pub trait DeltaSync {
     where
         Self: Sized,
     {
-        for op in other.missing_since(self.version()) {
-            self.apply_owned(op);
+        for op in &other.missing_since(self.version()) {
+            self.apply_op(op);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::DeltaSync;
     use crate::{JsonDoc, LwwTimeSeries, MerkleLog, OrSet, Rga, TieBreak};
     use er_pi_model::{ReplicaId, Value};
 
-    /// Ships everything `sender` knows into two copies of `fresh`, by
-    /// reference and by value, every operation twice and in reverse order
-    /// (so buffering and redelivery are on the path): the receivers must
-    /// come out equal, and equal to what `sync_from` builds.
-    fn owned_matches_borrowed<T>(sender: &T, fresh: T)
+    /// Ships everything `sender` knows into `fresh`, every operation twice
+    /// and in reverse order (so buffering and redelivery are on the path):
+    /// the receiver must come out with `sync_from`'s version, holding the
+    /// sender's allocations rather than copies of them.
+    fn shipped_ops_are_shared<T>(sender: &T, fresh: T)
     where
         T: DeltaSync + Clone + PartialEq + std::fmt::Debug,
     {
@@ -91,28 +91,32 @@ mod tests {
         let mut synced = fresh.clone();
         synced.sync_from(sender);
         ops.reverse();
-        let (mut by_ref, mut by_value) = (fresh.clone(), fresh);
+        let mut receiver = fresh;
         for op in &ops {
-            by_ref.apply_op(op);
-            by_ref.apply_op(op);
+            receiver.apply_op(op);
+            receiver.apply_op(op);
         }
-        for op in ops {
-            by_value.apply_owned(op.clone());
-            by_value.apply_owned(op);
+        assert_eq!(receiver.version(), synced.version());
+        let held = receiver.missing_since(&Default::default());
+        assert_eq!(held.len(), ops.len());
+        for op in &held {
+            assert!(
+                ops.iter().any(|sent| Arc::ptr_eq(sent, op)),
+                "the receiver holds a copy of {:p}",
+                Arc::as_ptr(op)
+            );
         }
-        assert_eq!(by_ref, by_value);
-        assert_eq!(by_value.version(), synced.version());
     }
 
     #[test]
-    fn apply_owned_is_apply_op_for_every_delta_type() {
+    fn a_shipped_op_is_one_allocation_for_every_delta_type() {
         let (a, b) = (ReplicaId::new(0), ReplicaId::new(1));
 
         let mut set = OrSet::new(a);
         set.insert("x");
         set.insert("y");
         set.remove(&"x");
-        owned_matches_borrowed(&set, OrSet::new(b));
+        shipped_ops_are_shared(&set, OrSet::new(b));
 
         let mut list = Rga::new(a);
         list.push(1);
@@ -120,34 +124,36 @@ mod tests {
         list.insert(1, 3);
         list.delete(0);
         list.move_item(1, 0);
-        owned_matches_borrowed(&list, Rga::new(b));
+        shipped_ops_are_shared(&list, Rga::new(b));
 
         let mut log = MerkleLog::new(a, "alice");
         log.append(Value::from("one"));
         log.append(Value::from("two"));
-        owned_matches_borrowed(&log, MerkleLog::new(b, "bob"));
+        shipped_ops_are_shared(&log, MerkleLog::new(b, "bob"));
 
         let mut doc = JsonDoc::new(a);
         doc.set(&["profile", "name"], Value::from("ada")).unwrap();
         doc.new_array(&["todos"]).unwrap();
         doc.arr_push(&["todos"], Value::from("write")).unwrap();
         doc.remove(&["profile", "name"]).unwrap();
-        owned_matches_borrowed(&doc, JsonDoc::new(b));
+        shipped_ops_are_shared(&doc, JsonDoc::new(b));
     }
 
     #[test]
-    fn time_series_apply_owned_is_apply() {
+    fn a_time_series_applies_its_log_by_handle() {
         let mut source = LwwTimeSeries::new(TieBreak::InsertWins);
         source.insert("k", "m1", 10);
         source.delete("k", "m1", 20);
         source.insert("k", "m2", 5);
-        let mut by_ref = LwwTimeSeries::new(TieBreak::InsertWins);
-        let mut by_value = by_ref.clone();
-        for op in source.log() {
-            by_ref.apply(op);
-            by_value.apply_owned(op.clone());
+        let mut replayed = LwwTimeSeries::new(TieBreak::InsertWins);
+        for op in source.log().shared() {
+            replayed.apply(op);
         }
-        assert_eq!(by_ref, by_value);
-        assert_eq!(by_value, source);
+        assert_eq!(replayed, source);
+        assert!(replayed
+            .log()
+            .shared()
+            .zip(source.log().shared())
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
     }
 }

@@ -1,5 +1,7 @@
 //! The virtual cluster: replicas + network + simulated time.
 
+use std::sync::Arc;
+
 use er_pi_model::ReplicaId;
 use er_pi_rdl::DeltaSync;
 
@@ -21,14 +23,11 @@ use crate::{DeliveryMode, HostProfile, Replica, SimClock, VirtualNetwork};
 #[derive(Debug, Clone)]
 pub struct Cluster<T: DeltaSync + Clone> {
     replicas: Vec<Replica<T>>,
-    network: VirtualNetwork<Vec<T::Op>>,
+    network: VirtualNetwork<Vec<Arc<T::Op>>>,
     sim: SimClock,
 }
 
-impl<T: DeltaSync + Clone> Cluster<T>
-where
-    T::Op: Clone,
-{
+impl<T: DeltaSync + Clone> Cluster<T> {
     /// Creates a cluster of `n` replicas with default host profiles;
     /// `make` builds each replica's initial state.
     pub fn new(n: usize, make: impl Fn(ReplicaId) -> T) -> Self {
@@ -162,7 +161,7 @@ where
     }
 
     /// Direct access to the network (partitions, delivery modes).
-    pub fn network_mut(&mut self) -> &mut VirtualNetwork<Vec<T::Op>> {
+    pub fn network_mut(&mut self) -> &mut VirtualNetwork<Vec<Arc<T::Op>>> {
         &mut self.network
     }
 

@@ -556,6 +556,15 @@ impl Bug {
         with_subject!(self, |model, _check| probe(model.clone(), &self.workload))
     }
 
+    /// [`prefix_digests`](crate::prefix_digests) of this bug's model along
+    /// its recorded order.
+    pub fn prefix_digests(&self) -> Vec<(u128, u128)> {
+        with_subject!(self, |model, _check| crate::prefix_digests(
+            model,
+            &self.workload
+        ))
+    }
+
     /// Explores pruned interleavings until `cap` *candidates* have been
     /// examined and reports the per-algorithm pruning statistics (the
     /// Figure 9 data).
@@ -647,6 +656,72 @@ mod tests {
         use crate::assert_snapshots_stay_independent as check;
         for bug in Bug::catalogue() {
             with_subject!(bug, |model, _check| check(model, &bug.workload, bug.name));
+        }
+    }
+
+    /// At least forty events of `subject`'s vocabulary on `replicas`
+    /// replicas: every op log (and every array under it) grows past the
+    /// sizes the Table 1 recordings reach, fused and split syncs included.
+    fn long_recording(subject: SubjectKind, replicas: usize) -> Workload {
+        use er_pi_model::{ReplicaId, Value};
+        let r = |i: usize| ReplicaId::new((i % replicas) as u16);
+        let text = |s: String| Value::from(s);
+        let mut w = Workload::builder();
+        for i in 0..14usize {
+            let n = i as i64;
+            let update = match subject {
+                SubjectKind::Roshi => {
+                    let member = text(format!("m{}", i % 5));
+                    let op = if i % 4 == 3 { "delete" } else { "insert" };
+                    w.update(r(i), op, [text("k".into()), member, Value::from(10 + n)])
+                }
+                SubjectKind::OrbitDb => w.update(r(i), "append", [text(format!("entry-{i}"))]),
+                SubjectKind::ReplicaDb => match i % 4 {
+                    3 => w.update(r(0), "delete", [Value::from(n - 1)]),
+                    _ => w.update(r(0), "put", [Value::from(n), Value::from(n * n)]),
+                },
+                SubjectKind::Yorkie => match i {
+                    0 => w.update(r(i), "new_array", [text("todos".into())]),
+                    1..=6 => w.update(r(0), "push", [text("todos".into()), Value::from(n)]),
+                    7 => w.update(r(0), "move", [text("todos".into()), 0.into(), 2.into()]),
+                    8 => w.update(
+                        r(0),
+                        "move_naive",
+                        [text("todos".into()), 1.into(), 3.into()],
+                    ),
+                    9 => w.update(r(i), "remove", [text("profile.name".into())]),
+                    _ => w.update(r(i), "set", [text(format!("profile.f{}", i % 3)), n.into()]),
+                },
+                SubjectKind::Crdts => unreachable!("Table 1 has no crdts bug"),
+            };
+            match subject {
+                SubjectKind::ReplicaDb => {
+                    w.update(r(1), "read_batch", [Value::from(0), Value::from(n)]);
+                    w.update(r(1), "commit_batch", Vec::<Value>::new());
+                }
+                // The Yorkie array lives at replica 0; everyone hears of it.
+                _ if i % 3 == 2 => {
+                    w.sync_split(r(i), r(i + 1), Some(update));
+                }
+                _ => {
+                    w.sync_pair(r(i), r(i + 1), update);
+                    w.sync_pair(r(i + 1), r(i + 2), update);
+                }
+            }
+        }
+        let w = w.build();
+        assert!(w.len() >= 40, "{subject}: {} events", w.len());
+        w
+    }
+
+    #[test]
+    fn snapshots_stay_independent_along_long_recordings() {
+        use crate::assert_snapshots_stay_independent as check;
+        for bug in Bug::catalogue() {
+            with_subject!(bug, |model, _check| {
+                let workload = long_recording(bug.subject, model.replicas());
+                check(model, &workload, bug.name)
+            });
         }
     }
 

@@ -180,7 +180,7 @@ pub(super) fn yorkie_2() -> Bug {
             st.doc
                 .missing_since(&VersionVector::new())
                 .iter()
-                .map(|op| match op {
+                .map(|op| match &**op {
                     DocOp::SetPrim { path, .. } => path.join("."),
                     DocOp::SetObject { path, .. } => format!("set:{}", path.join(".")),
                     _ => "?".into(),

@@ -368,6 +368,31 @@ mod tests {
     }
 
     #[test]
+    fn snapshots_stay_independent_along_a_long_recording() {
+        // 45 events on three replicas: the set's and the list's logs, the
+        // list's nodes and the snapshot inbox all grow well past what the
+        // recording above reaches.
+        let mut w = Workload::builder();
+        for i in 0..15u16 {
+            let (at, v) = (r(i % 3), Value::from(i64::from(i)));
+            let add = w.update(at, "set_add", [v.clone()]);
+            match i % 5 {
+                3 => w.update(at, "set_remove", [Value::from(i64::from(i) - 3)]),
+                4 => w.update(at, "list_move_naive", [Value::from(0), Value::from(1)]),
+                _ => w.update(at, "list_push", [v]),
+            };
+            if i % 2 == 0 {
+                w.sync_pair(at, r((i + 1) % 3), add);
+            } else {
+                w.sync_split(at, r((i + 1) % 3), Some(add));
+            }
+        }
+        let w = w.build();
+        assert!(w.len() >= 40);
+        crate::assert_snapshots_stay_independent(&CrdtsModel::new(3), &w, "crdts, long");
+    }
+
+    #[test]
     fn naive_move_duplicates() {
         let model = CrdtsModel::new(2);
         let mut w = Workload::builder();

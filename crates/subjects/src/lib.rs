@@ -67,6 +67,41 @@ pub(crate) fn sender_and_receiver<S>(
     }
 }
 
+/// What a model — and the `rdl` types under it — produce along one
+/// recording, as digests: for the initial states and after each event of
+/// `workload`'s recorded order, the [`fnv1a128`](er_pi_rdl::fnv1a128) of
+/// every replica's `state_encode` bytes and of every replica's canonically
+/// encoded observation, both in replica order.
+///
+/// A campaign report cannot show a change to what `rdl` encodes or observes
+/// (its reference replay runs the same `rdl`); literals of these can, and
+/// `tests/state_bytes.rs` holds every shipped subject to them.
+///
+/// # Panics
+///
+/// Panics if `model` declines [`SystemModel::state_encode`](er_pi::SystemModel::state_encode).
+pub fn prefix_digests<M: er_pi::SystemModel>(
+    model: &M,
+    workload: &er_pi_model::Workload,
+) -> Vec<(u128, u128)> {
+    use er_pi_model::CanonicalEncode;
+    let digests = |states: &[M::State]| {
+        let (mut bytes, mut seen) = (Vec::new(), Vec::new());
+        for state in states {
+            assert!(model.state_encode(state, &mut bytes), "model encodes");
+            model.observe(state).encode_canonical(&mut seen);
+        }
+        (er_pi_rdl::fnv1a128(&bytes), er_pi_rdl::fnv1a128(&seen))
+    };
+    let mut states = model.init_all();
+    let mut out = vec![digests(&states)];
+    for &id in workload.recorded_order().iter() {
+        model.apply(&mut states, workload.event(id));
+        out.push(digests(&states));
+    }
+    out
+}
+
 /// The snapshot contract of [`SystemModel::State`](er_pi::SystemModel),
 /// checked on one recording: the models here share replica states between
 /// clones, and this is what must not show.

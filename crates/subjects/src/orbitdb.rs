@@ -2,6 +2,7 @@
 //! database (paper §6, Subject 2).
 
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use crate::sender_and_receiver;
 use er_pi::{OpOutcome, SystemModel};
@@ -42,7 +43,7 @@ pub struct OrbitReplica {
     /// The replicated Merkle log.
     pub log: Shared<MerkleLog>,
     /// Pending sync payloads.
-    pub inbox: VecDeque<Vec<LogEntry>>,
+    pub inbox: VecDeque<Vec<Arc<LogEntry>>>,
     /// Identities currently granted write access.
     pub access: BTreeSet<String>,
     /// Cached access snapshot — the stale-cache surface of OrbitDB-3
@@ -258,8 +259,10 @@ impl SystemModel for OrbitModel {
             }
             EventKind::SyncExec { .. } => match states[at].inbox.pop_front() {
                 Some(entries) => {
-                    for e in entries {
-                        states[at].log.apply_owned(e);
+                    // Entry by entry, each through `DerefMut`: an empty delta
+                    // must not un-share the log.
+                    for e in &entries {
+                        states[at].log.apply_op(e);
                     }
                     states[at].busy = true;
                     OpOutcome::Applied

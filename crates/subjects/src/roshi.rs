@@ -2,6 +2,7 @@
 //! LWW-set semantics (paper §6, Subject 1).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::sender_and_receiver;
 use er_pi::{OpOutcome, SystemModel};
@@ -16,7 +17,7 @@ pub struct RoshiReplica {
     /// The replicated store.
     pub store: Shared<LwwTimeSeries>,
     /// Pending sync payloads (send → exec message queue).
-    pub inbox: VecDeque<Vec<TsOp>>,
+    pub inbox: VecDeque<Vec<Arc<TsOp>>>,
     /// Result of the last `select`.
     pub last_select: Option<Vec<ScoredMember>>,
     /// Result of the last `read_deleted` — the response field of issue #18.
@@ -36,7 +37,7 @@ pub type RoshiState = Shared<RoshiReplica>;
 /// Operation vocabulary (`LocalUpdate` functions):
 ///
 /// * `insert(key, member, score)` / `delete(key, member, score)`,
-/// * `select(key)` — records the page into [`RoshiState::last_select`],
+/// * `select(key)` — records the page into [`RoshiReplica::last_select`],
 /// * `read_deleted(key, member)` — records the `deleted` response field,
 /// * `assemble(key)` — builds a response in local first-insertion order
 ///   (the Go-map-order leak of Roshi-3).
@@ -132,7 +133,7 @@ impl SystemModel for RoshiModel {
                     // First-insertion (map iteration) order of visible
                     // members: depends on the local apply history.
                     let mut order: Vec<String> = Vec::new();
-                    for tsop in states[at].store.log() {
+                    for tsop in states[at].store.log().iter() {
                         if let TsOp::Insert { key: k, member, .. } = tsop {
                             if k == key && !order.contains(member) {
                                 order.push(member.clone());
@@ -155,14 +156,14 @@ impl SystemModel for RoshiModel {
                 OpOutcome::Applied
             }
             EventKind::SyncSend { to, .. } => {
-                let ops = states[at].store.log().to_vec();
+                let ops = states[at].store.log().shared().cloned().collect();
                 states[to.index()].inbox.push_back(ops);
                 OpOutcome::Applied
             }
             EventKind::SyncExec { .. } => match states[at].inbox.pop_front() {
                 Some(ops) => {
-                    for op in ops {
-                        states[at].store.apply_owned(op);
+                    for op in &ops {
+                        states[at].store.apply(op);
                     }
                     OpOutcome::Applied
                 }

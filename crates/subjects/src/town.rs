@@ -1,5 +1,7 @@
 //! The paper's motivating example (§2.3): the town issue-reporting app.
 
+use std::sync::Arc;
+
 use crate::sender_and_receiver;
 use er_pi::{OpOutcome, SystemModel};
 use er_pi_model::{CanonicalEncode, Event, EventKind, ReplicaId, Value};
@@ -12,8 +14,10 @@ use er_pi_rdl::{DeltaSync, OrSet, Shared};
 pub struct TownReplica {
     /// Replicated set of open issues.
     pub issues: OrSet<String>,
-    /// What this resident transmitted, if they did.
-    pub transmitted: Option<Vec<String>>,
+    /// What this resident transmitted, if they did. Behind a reference
+    /// count, like everything else a copy of the replica would otherwise
+    /// duplicate.
+    pub transmitted: Option<Arc<[String]>>,
 }
 
 /// [`TownApp`]'s per-replica state: a [`TownReplica`] behind a copy-on-write
@@ -107,16 +111,21 @@ impl SystemModel for TownApp {
         let at = event.replica.index();
         match &event.kind {
             EventKind::LocalUpdate { op } => {
-                let arg = op.arg(0).and_then(Value::as_str).unwrap_or("").to_owned();
+                let arg = op.arg(0).and_then(Value::as_str).unwrap_or("");
                 match op.function() {
                     "add" => {
-                        states[at].issues.insert(arg);
+                        states[at].issues.insert(arg.to_owned());
                         OpOutcome::Applied
                     }
-                    "remove" => match states[at].issues.remove(&arg) {
-                        Some(_) => OpOutcome::Applied,
-                        None => OpOutcome::failed("remove of unseen issue"),
-                    },
+                    // Asked through `&self` first: a remove that fails writes
+                    // nothing, so it must not un-share the replica either.
+                    "remove" if !states[at].issues.contains(arg) => {
+                        OpOutcome::failed("remove of unseen issue")
+                    }
+                    "remove" => {
+                        states[at].issues.remove(arg);
+                        OpOutcome::Applied
+                    }
                     other => OpOutcome::failed(format!("unknown town op {other}")),
                 }
             }
@@ -127,9 +136,10 @@ impl SystemModel for TownApp {
                 OpOutcome::Applied
             }
             EventKind::External { label } if label == "transmit" => {
-                let snapshot: Vec<String> = states[at].issues.iter().cloned().collect();
-                states[at].transmitted = Some(snapshot.clone());
-                OpOutcome::Observed(snapshot.into_iter().collect())
+                let issues: Vec<String> = states[at].issues.iter().cloned().collect();
+                let observed: Value = issues.iter().map(String::as_str).collect();
+                states[at].transmitted = Some(issues.into());
+                OpOutcome::Observed(observed)
             }
             _ => OpOutcome::failed("unsupported event kind for TownApp"),
         }
@@ -139,8 +149,8 @@ impl SystemModel for TownApp {
         let issues: Value = state.issues.iter().cloned().collect();
         let transmitted = state
             .transmitted
-            .clone()
-            .map(|v| v.into_iter().collect())
+            .as_deref()
+            .map(|issues| issues.iter().cloned().collect())
             .unwrap_or(Value::Null);
         Value::List(vec![issues, transmitted])
     }
@@ -258,6 +268,25 @@ mod tests {
         record_motivating(&mut session);
         let workload = session.workload().expect("recorded");
         crate::assert_snapshots_stay_independent(&TownApp::new(2), workload, "town");
+    }
+
+    #[test]
+    fn snapshots_stay_independent_along_a_long_recording() {
+        // 48 events: both logs and the entry arrays outgrow every capacity
+        // the motivating recording reaches, with re-adds of removed issues
+        // and a transmit in the middle.
+        let r = ReplicaId::new;
+        let mut w = er_pi_model::Workload::builder();
+        for i in 0..16u16 {
+            let issue = Value::from(format!("issue-{}", i % 6));
+            let op = if i % 4 == 3 { "remove" } else { "add" };
+            let update = w.update(r(i % 2), op, [issue]);
+            w.sync_pair(r(i % 2), r((i + 1) % 2), update);
+            w.external(r(i % 2), "transmit");
+        }
+        let w = w.build();
+        assert!(w.len() >= 40);
+        crate::assert_snapshots_stay_independent(&TownApp::new(2), &w, "town, long");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! Subject 4).
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use crate::sender_and_receiver;
 use er_pi::{OpOutcome, SystemModel};
@@ -14,7 +15,7 @@ pub struct YorkieReplica {
     /// The replicated JSON document.
     pub doc: Shared<JsonDoc>,
     /// Pending sync payloads.
-    pub inbox: VecDeque<Vec<DocOp>>,
+    pub inbox: VecDeque<Vec<Arc<DocOp>>>,
     /// Keys captured by the last `snapshot_keys` read.
     pub last_snapshot: Option<Vec<String>>,
 }
@@ -165,8 +166,10 @@ impl SystemModel for YorkieModel {
             }
             EventKind::SyncExec { .. } => match states[at].inbox.pop_front() {
                 Some(ops) => {
-                    for op in ops {
-                        states[at].doc.apply_owned(op);
+                    // Op by op, each through `DerefMut`: an empty delta
+                    // must not un-share the document.
+                    for op in &ops {
+                        states[at].doc.apply_op(op);
                     }
                     OpOutcome::Applied
                 }
