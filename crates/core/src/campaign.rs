@@ -457,10 +457,14 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
     /// on the live exploration order — the rules found while replaying
     /// `0..k` decide what index `k` is — so a watched campaign has one slot
     /// (claims are then strictly sequential) and no claim crosses a poll
-    /// boundary, not even to peek.
+    /// boundary, not even to peek. Call before the first [`Campaign::step`].
     pub fn watch(&mut self, watch: Watch<'w>) {
         assert_eq!(self.slots.len(), 1, "a watched campaign has one slot");
-        self.disp.get_mut().watch = Some(watch);
+        let disp = self.disp.get_mut();
+        // The one source an ingested rule may reseed: it alone keeps the
+        // fingerprints of what it dispensed.
+        disp.source.make_reseedable();
+        disp.watch = Some(watch);
     }
 
     /// The number of replay slots; [`Campaign::step`] takes `0..slots`.
@@ -638,15 +642,22 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         // State 3: checkpointed execution of one interleaving. Fresh states
         // per run are the checkpoint/reset of §4.3; the incremental executor
         // reaches the same states by resuming from the deepest cached
-        // prefix (byte-identical execution — see `incremental`).
-        let exec = match state.executor.as_mut() {
-            Some(incremental) => {
-                incremental.execute_hinted(on.model, &self.workload, &il, next, &self.time)
+        // prefix (byte-identical execution — see `incremental`). Either way
+        // the run is read through one borrow: of the slot's cursor, or of
+        // the scratch executor's `Execution`.
+        if let Some(incremental) = state.executor.as_mut() {
+            incremental.advance(on.model, &self.workload, &il, next, &self.time);
+        }
+        let scratch;
+        let exec = match state.executor.as_ref() {
+            Some(incremental) => incremental.run(),
+            None => {
+                scratch = InlineExecutor::execute(on.model, &self.workload, &il, &self.time);
+                scratch.view()
             }
-            None => InlineExecutor::execute(on.model, &self.workload, &il, &self.time),
         };
         let observe = |state: &M::State| on.model.observe(state);
-        let ctx = CheckContext::observing(&exec.states, &observe, &il, &exec.outcomes);
+        let ctx = CheckContext::observing(exec.states, &observe, &il, exec.outcomes);
         let check_started = self.instrument.stamp();
         let found = &mut state.chunk.done.violations;
         let before = found.len();
@@ -661,7 +672,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             }
         }
         let violated = found.len() > before;
-        let failed_ops = exec.outcomes.iter().filter(|o| o.is_failed()).count();
+        let failed_ops = exec.failed_ops;
         let executor = state.executor.as_ref();
         self.instrument.run_done(RunFacts {
             slot,

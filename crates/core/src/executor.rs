@@ -8,7 +8,12 @@ use parking_lot::Mutex;
 use crate::faultexec::FaultInterpreter;
 use crate::{ErPiError, OpOutcome, SystemModel, TimeModel};
 
-/// The result of executing one interleaving.
+/// The result of executing one interleaving, owned.
+///
+/// What [`InlineExecutor`] and [`ThreadedExecutor`] build per run, and what
+/// [`IncrementalExecutor::execute`](crate::IncrementalExecutor::execute)
+/// hands out by giving its buffers away. The campaign loop reads every run
+/// through [`Execution::view`]'s borrow instead, whichever executor made it.
 #[derive(Debug)]
 pub struct Execution<S> {
     /// Final replica states.
@@ -17,6 +22,33 @@ pub struct Execution<S> {
     pub outcomes: Vec<OpOutcome>,
     /// Simulated time charged, microseconds.
     pub sim_us: u64,
+}
+
+impl<S> Execution<S> {
+    /// This run, borrowed (the failed operations are counted here).
+    pub fn view(&self) -> ExecutionRef<'_, S> {
+        ExecutionRef {
+            states: &self.states,
+            outcomes: &self.outcomes,
+            sim_us: self.sim_us,
+            failed_ops: self.outcomes.iter().filter(|o| o.is_failed()).count(),
+        }
+    }
+}
+
+/// One executed interleaving, borrowed from whoever holds it: an
+/// [`Execution`], or the run an
+/// [`IncrementalExecutor`](crate::IncrementalExecutor) is on.
+#[derive(Debug)]
+pub struct ExecutionRef<'a, S> {
+    /// Final replica states.
+    pub states: &'a [S],
+    /// Per-event outcomes, aligned with the interleaving.
+    pub outcomes: &'a [OpOutcome],
+    /// Simulated time charged, microseconds.
+    pub sim_us: u64,
+    /// How many of `outcomes` are failed operations.
+    pub failed_ops: usize,
 }
 
 /// Replays interleavings on the current thread — the fast path used for the

@@ -1,5 +1,5 @@
-//! Prefix-sharing incremental replay: the path cache and the executor that
-//! resumes from it.
+//! Prefix-sharing incremental replay: the path cache, and the executor that
+//! moves along it as a cursor.
 //!
 //! The scratch path ([`InlineExecutor`](crate::InlineExecutor)) re-executes
 //! every surviving interleaving from `init_all()` — O(runs · N) event
@@ -9,12 +9,14 @@
 //! independent of N), and in a sorted stream nothing shares more with the
 //! next run than the run just before it. So the [`IncrementalExecutor`]
 //! keeps only the *path* of the previous run — per fault plan, the executed
-//! steps with a snapshot of the replica states after each. A run takes its
-//! plan's path cut back to the prefix it repeats (what the cut removes is
-//! freed on the spot), clones or takes the deepest snapshot left, applies
-//! only the divergent suffix and leaves the extended path behind. A path
-//! never holds the final depth, so at most `(N - 1) × plans` snapshots are
-//! resident.
+//! steps with a snapshot of the replica states after each — and the previous
+//! run itself: its states, its outcomes and its running totals per depth. A
+//! run takes its plan's path cut back to the prefix it repeats (what the cut
+//! removes is freed on the spot), pops the previous run's buffers back to
+//! that prefix, refills the states in place from the deepest snapshot left
+//! (or takes the snapshot itself on its last use), applies only the
+//! divergent suffix and leaves the extended path behind. A path never holds
+//! the final depth, so at most `(N - 1) × plans` snapshots are resident.
 //!
 //! ## Correctness (DESIGN.md §10)
 //!
@@ -23,15 +25,18 @@
 //! independent copy. Under those two contracts, the state reached by
 //! applying events `e₀…e_{d-1}` is a pure function of that prefix — so resuming from a
 //! snapshot taken at depth `d` and applying `e_d…e_{N-1}` reaches exactly
-//! the state a scratch replay would. Outcomes of the skipped prefix are
-//! replayed from the path (each step stores the [`OpOutcome`] observed when
-//! it was executed), and simulated time is recomputed from the
-//! [`TimeModel`] over the *full* interleaving, so `Execution` — states,
-//! outcomes, `sim_us` — is byte-identical to the scratch executor's.
-//! `CacheStats::sim_us_saved` separately records how much of that total was
-//! never physically re-executed. The lookahead hint of
-//! [`IncrementalExecutor::execute_hinted`] only decides which snapshots are
-//! kept: a wrong hint makes a later run resume shallower, never differently.
+//! the state a scratch replay would. So are the outcomes of that prefix and
+//! the time it is charged: what the previous run holds for the steps it
+//! shares with this one — matched by `(event, fault digest)`, the key the
+//! path is matched by — is what this run would compute, and stays where it
+//! is; where the path vouches for more than the previous run does (another
+//! plan's run came in between), the difference is refilled from the path
+//! (each step stores the [`OpOutcome`] observed when it was executed). The
+//! run — states, outcomes, `sim_us` — is byte-identical to the scratch
+//! executor's. `CacheStats::sim_us_saved` separately records how much of
+//! that total was never physically re-executed. The lookahead hint of
+//! [`IncrementalExecutor::advance`] only decides which snapshots are kept:
+//! a wrong hint makes a later run resume shallower, never differently.
 
 use std::sync::Arc;
 
@@ -39,7 +44,7 @@ use er_pi_model::{EventId, Interleaving, Workload};
 
 use crate::faultexec::FaultInterpreter;
 use crate::subsume::{suffix_hashes, RunMemo, SubsumeHit, SubsumeKey, SubsumeSet};
-use crate::{CacheStats, Execution, OpOutcome, SystemModel, TimeModel};
+use crate::{CacheStats, Execution, ExecutionRef, OpOutcome, SystemModel, TimeModel};
 
 /// Default snapshot budget for incremental sessions: 64 MiB of
 /// [`state_size_hint`](SystemModel::state_size_hint)-accounted state. The
@@ -100,17 +105,24 @@ struct PathCache<S> {
     bytes_resident: usize,
 }
 
+/// How many of the leading `(event, fault digest)` keys — of a path's steps,
+/// or of the rows of the run the cursor is on — the first `limit` events of
+/// `il` repeat. This is the one definition of "shares a prefix with `il`":
+/// what it counts, a later run may reuse.
+fn matching(keys: impl Iterator<Item = (EventId, u64)>, il: &Interleaving, limit: usize) -> usize {
+    let plan = il.faults();
+    keys.zip(il.iter())
+        .take(limit)
+        .take_while(|&((event, digest), &id)| event == id && digest == plan.digest_at(id))
+        .count()
+}
+
 impl<S: Clone> PathCache<S> {
     /// How many leading steps of `steps` the first `N - 1` events of `il`
     /// repeat, fault digests included.
     fn matching(steps: &[Step<S>], il: &Interleaving) -> usize {
-        let plan = il.faults();
-        steps
-            .iter()
-            .zip(il.iter())
-            .take(il.len().saturating_sub(1))
-            .take_while(|(step, &id)| step.event == id && step.digest == plan.digest_at(id))
-            .count()
+        let keys = steps.iter().map(|step| (step.event, step.digest));
+        matching(keys, il, il.len().saturating_sub(1))
     }
 
     /// Cuts `steps` back to `len`, un-charging every snapshot no other
@@ -159,21 +171,31 @@ impl<S: Clone> PathCache<S> {
         (slot, steps)
     }
 
-    /// The states to resume from at the end of a checked-out path. With
-    /// `last_use` the snapshot is moved out of the path instead of cloned
-    /// (unless another plan's path shares it).
-    fn resume(&mut self, steps: &mut [Step<S>], last_use: bool) -> Option<Vec<S>> {
-        let slot = &mut steps.last_mut()?.snapshot;
+    /// Refills `into` with the states at the end of a checked-out path;
+    /// `false` when the path is empty (nothing to resume from). `into` keeps
+    /// its allocation: the snapshot is cloned over it, or — with `last_use`,
+    /// unless another plan's path shares it — moved out of the path and
+    /// into its place.
+    fn resume(&mut self, steps: &mut [Step<S>], last_use: bool, into: &mut Vec<S>) -> bool {
+        let Some(slot) = steps.last_mut().map(|step| &mut step.snapshot) else {
+            return false;
+        };
         if !last_use {
-            return slot.as_ref().map(|snap| snap.states.clone());
+            let Some(snapshot) = slot.as_ref() else {
+                return false;
+            };
+            into.clone_from(&snapshot.states);
+            return true;
         }
-        Some(match Arc::try_unwrap(slot.take()?) {
-            Ok(owned) => {
+        match slot.take().map(Arc::try_unwrap) {
+            None => return false,
+            Some(Ok(owned)) => {
                 self.bytes_resident -= owned.bytes;
-                owned.states
+                *into = owned.states;
             }
-            Err(shared) => shared.states.clone(),
-        })
+            Some(Err(shared)) => into.clone_from(&shared.states),
+        }
+        true
     }
 
     /// Snapshots `states` if the budget has room for them.
@@ -197,19 +219,121 @@ impl<S: Clone> PathCache<S> {
     }
 }
 
-/// Replays interleavings by resuming from the deepest snapshot on the path
-/// of the previous run, applying only the divergent suffix.
+/// One step of the run the cursor is on, beside its outcome: `rows[d - 1]`
+/// is the step that took the run from depth `d - 1` to depth `d`, with the
+/// run's totals up to there.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    event: EventId,
+    /// As [`Step::digest`]: with `event`, the key a later run must repeat
+    /// to share this step.
+    digest: u64,
+    /// Σ [`TimeModel::event_cost_us`] over events `0..d` — what a run that
+    /// resumes at depth `d` does not re-execute.
+    sim_us: u64,
+    /// Failed outcomes among events `0..d`.
+    failed_ops: usize,
+}
+
+/// The run an executor is on: the buffers one run leaves and the next takes
+/// over, cut back to the prefix the two share.
+#[derive(Debug)]
+struct Cursor<S> {
+    /// Replica states at the end of the run.
+    states: Vec<S>,
+    /// Per-event outcomes, aligned with the run's interleaving.
+    outcomes: Vec<OpOutcome>,
+    /// One row per outcome.
+    rows: Vec<Row>,
+    /// [`TimeModel::reset_cost_us`] as of the run.
+    reset_us: u64,
+}
+
+impl<S> Default for Cursor<S> {
+    fn default() -> Self {
+        Cursor {
+            states: Vec::new(),
+            outcomes: Vec::new(),
+            rows: Vec::new(),
+            reset_us: 0,
+        }
+    }
+}
+
+impl<S> Cursor<S> {
+    /// How many of the first `limit` steps of the held run `il` repeats,
+    /// under the key of [`PathCache::matching`].
+    fn matching(&self, il: &Interleaving, limit: usize) -> usize {
+        let keys = self.rows.iter().map(|row| (row.event, row.digest));
+        matching(keys, il, limit)
+    }
+
+    fn truncate(&mut self, depth: usize) {
+        self.outcomes.truncate(depth);
+        self.rows.truncate(depth);
+    }
+
+    /// `(sim_us, failed_ops)` of the steps held so far.
+    fn totals(&self) -> (u64, usize) {
+        self.rows
+            .last()
+            .map_or((0, 0), |row| (row.sim_us, row.failed_ops))
+    }
+
+    fn push(&mut self, event: EventId, digest: u64, cost_us: u64, outcome: OpOutcome) {
+        let (sim_us, failed_ops) = self.totals();
+        self.rows.push(Row {
+            event,
+            digest,
+            sim_us: sim_us + cost_us,
+            failed_ops: failed_ops + usize::from(outcome.is_failed()),
+        });
+        self.outcomes.push(outcome);
+    }
+
+    fn view(&self) -> ExecutionRef<'_, S> {
+        let (sim_us, failed_ops) = self.totals();
+        ExecutionRef {
+            states: &self.states,
+            outcomes: &self.outcomes,
+            sim_us: self.reset_us + sim_us,
+            failed_ops,
+        }
+    }
+}
+
+/// Replays interleavings as a cursor over the exploration tree: each run
+/// pops the previous one back to the prefix the two share and pushes only
+/// the divergent suffix.
 ///
-/// Produces [`Execution`]s byte-identical to
-/// [`InlineExecutor`](crate::InlineExecutor) — states, outcomes and
-/// `sim_us` — for any budget and any hint; the differential-equivalence
-/// harness (`tests/incremental_equivalence.rs`, `tests/incremental_props.rs`)
-/// pins this. Each executor owns its paths, so a campaign gives one to each
-/// replay slot: its chunked claims are a subsequence of the sorted stream,
-/// sorted too, so it loses nothing.
+/// The executor owns the run it is on — final `states`, per-event
+/// `outcomes`, and the running simulated-time and failed-op totals per
+/// depth. [`advance`](IncrementalExecutor::advance) moves it to the next
+/// interleaving: what the two runs share under the `(event, fault digest)`
+/// key stays where it is, `states` is refilled in place from the deepest
+/// snapshot on the path, and the rest is executed. A resumed run therefore
+/// allocates no vector, clones no outcome of the shared prefix and prices
+/// none of its events again. [`run`](IncrementalExecutor::run)
+/// borrows the result; [`execute`](IncrementalExecutor::execute) and
+/// [`execute_hinted`](IncrementalExecutor::execute_hinted) are the same
+/// body handing the buffers out as an owned [`Execution`], which leaves the
+/// cursor empty — the next run then rebuilds its prefix from the path, as a
+/// fresh executor with a warm path cache would. A run that unwinds out of
+/// [`SystemModel::apply`] leaves the cursor empty too.
+///
+/// Every run is byte-identical to
+/// [`InlineExecutor`](crate::InlineExecutor)'s — states, outcomes and
+/// `sim_us` — for any budget, any hint and any order of interleavings; the
+/// differential-equivalence harness (`tests/incremental_equivalence.rs`,
+/// `tests/incremental_props.rs`) pins this. An executor serves one model,
+/// one workload and one time model (snapshots, outcomes and per-depth costs
+/// are all remembered by event id). Each executor owns its paths, so a
+/// campaign gives one to each replay slot: its chunked claims are a
+/// subsequence of the sorted stream, sorted too, so it loses nothing.
 #[derive(Debug)]
 pub struct IncrementalExecutor<M: SystemModel> {
     cache: PathCache<M::State>,
+    cursor: Cursor<M::State>,
     stats: CacheStats,
     last_resume_depth: usize,
     last_run_subsumed: bool,
@@ -228,8 +352,8 @@ pub struct IncrementalExecutor<M: SystemModel> {
 }
 
 impl<M: SystemModel> IncrementalExecutor<M> {
-    /// Creates an executor with no paths and the given snapshot budget (see
-    /// [`DEFAULT_CACHE_BUDGET`]).
+    /// Creates an executor with no paths, an empty cursor and the given
+    /// snapshot budget (see [`DEFAULT_CACHE_BUDGET`]).
     pub fn new(budget: usize) -> Self {
         IncrementalExecutor {
             cache: PathCache {
@@ -237,6 +361,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
                 budget,
                 bytes_resident: 0,
             },
+            cursor: Cursor::default(),
             stats: CacheStats::default(),
             last_resume_depth: 0,
             last_run_subsumed: false,
@@ -255,9 +380,9 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         self.subsume = Some(set);
     }
 
-    /// The prefix depth the most recent [`IncrementalExecutor::execute`]
-    /// resumed from (0 = scratch replay). Telemetry reads this to attribute
-    /// each run as a cache hit or miss.
+    /// The prefix depth the most recent run resumed from (0 = scratch
+    /// replay). Telemetry reads this to attribute each run as a cache hit
+    /// or miss.
     pub fn last_resume_depth(&self) -> usize {
         self.last_resume_depth
     }
@@ -296,10 +421,52 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         self.execute_hinted(model, workload, il, None, time)
     }
 
-    /// Executes `il`, resuming from the deepest snapshot the previous run
-    /// under the same fault plan left on the shared prefix. An executor
-    /// serves one model: its initial states are built once, from the model
-    /// of the first call.
+    /// [`advance`](IncrementalExecutor::advance)s to `il` and hands the run
+    /// out as an owned [`Execution`], byte-identical to
+    /// [`InlineExecutor::execute`](crate::InlineExecutor::execute) whatever
+    /// the hint.
+    ///
+    /// The buffers leave with it, so the cursor is empty afterwards: the
+    /// next run allocates its own and refills the shared prefix's outcomes
+    /// from the path. Callers that only read a run take
+    /// [`advance`](IncrementalExecutor::advance) +
+    /// [`run`](IncrementalExecutor::run) instead.
+    pub fn execute_hinted(
+        &mut self,
+        model: &M,
+        workload: &Workload,
+        il: &Interleaving,
+        next: Option<&Interleaving>,
+        time: &TimeModel,
+    ) -> Execution<M::State> {
+        self.advance(model, workload, il, next, time);
+        let sim_us = self.run().sim_us;
+        let mut run = std::mem::take(&mut self.cursor);
+        // The rows have no place in an `Execution`: emptied, their buffer
+        // stays for the next run.
+        run.rows.clear();
+        self.cursor.rows = run.rows;
+        Execution {
+            states: run.states,
+            outcomes: run.outcomes,
+            sim_us,
+        }
+    }
+
+    /// The run the cursor is on: the most recent
+    /// [`advance`](IncrementalExecutor::advance), borrowed. Empty (no
+    /// states, no outcomes) on a fresh executor, after
+    /// [`execute`](IncrementalExecutor::execute) moved the run out, and
+    /// after a run that unwound.
+    pub fn run(&self) -> ExecutionRef<'_, M::State> {
+        self.cursor.view()
+    }
+
+    /// Moves the cursor to `il`: executes it, resuming from the deepest
+    /// snapshot the previous run under the same fault plan left on the
+    /// shared prefix, and keeps the result for [`run`](IncrementalExecutor::run).
+    /// An executor serves one model: its initial states are built once,
+    /// from the model of the first call.
     ///
     /// `next` is an advisory hint: the interleaving this executor will be
     /// handed after `il`, if the caller knows it. It is used only when it
@@ -309,60 +476,68 @@ impl<M: SystemModel> IncrementalExecutor<M> {
     /// cloned when `next` diverges above it. Without a hint every interior
     /// depth is kept.
     ///
-    /// The returned [`Execution`] is byte-identical to
+    /// The run is byte-identical to
     /// [`InlineExecutor::execute`](crate::InlineExecutor::execute) whatever
     /// the hint: the reported `sim_us` still charges `reset_cost_us` plus
     /// every event's cost (a rewind *is* a state reset, and skipped prefix
     /// events are charged as if replayed); [`CacheStats::sim_us_saved`]
     /// records the portion that was never physically re-executed.
-    pub fn execute_hinted(
+    pub fn advance(
         &mut self,
         model: &M,
         workload: &Workload,
         il: &Interleaving,
         next: Option<&Interleaving>,
         time: &TimeModel,
-    ) -> Execution<M::State> {
+    ) {
         let n = il.len();
+        let plan = il.faults();
         // The deepest step worth keeping for the next run.
         let keep = match next {
             _ if self.cache.budget == 0 => 0,
-            Some(next) if next.faults() == il.faults() => il.common_prefix_len(next),
+            Some(next) if next.faults() == plan => il.common_prefix_len(next),
             _ => usize::MAX,
         };
         let (slot, mut steps) = self.cache.checkout(il);
         let resume_depth = steps.len();
         self.last_resume_depth = resume_depth;
 
-        let mut outcomes = Vec::with_capacity(n);
-        let mut sim_us = time.reset_cost_us;
-        let mut saved_us = 0u64;
-        for (pos, &id) in il.iter().enumerate() {
-            let cost = time.event_cost_us(workload.event(id));
-            sim_us += cost;
-            if pos < resume_depth {
-                saved_us += cost;
-            }
+        // The run is taken out for as long as it is being rewritten: if
+        // `apply` unwinds, it is dropped and the cursor stays empty.
+        let mut run = std::mem::take(&mut self.cursor);
+        run.reset_us = time.reset_cost_us;
+        // What the previous run and the path both vouch for stays in place.
+        // Past it, up to the resume depth, the path knows better: another
+        // plan's run came in between (a plan-minor fault stream), or the
+        // steps were borrowed from the fault-free trunk.
+        let cost_us = |id: EventId| time.event_cost_us(workload.event(id));
+        let kept = run.matching(il, resume_depth);
+        run.truncate(kept);
+        // A no-op on buffers that held a run of this workload before.
+        run.outcomes.reserve(n - kept);
+        run.rows.reserve(n - kept);
+        for step in &steps[kept..] {
+            let cost_us = cost_us(step.event);
+            run.push(step.event, step.digest, cost_us, step.outcome.clone());
         }
 
-        let mut states = match self.cache.resume(&mut steps, keep < resume_depth) {
-            Some(states) => {
-                self.stats.hits += 1;
-                self.stats.events_saved += resume_depth as u64;
-                self.stats.sim_us_saved += saved_us;
-                outcomes.extend(steps.iter().map(|step| step.outcome.clone()));
-                states
-            }
-            None => {
-                self.stats.misses += 1;
-                self.init.get_or_insert_with(|| model.init_all()).clone()
-            }
-        };
+        if self
+            .cache
+            .resume(&mut steps, keep < resume_depth, &mut run.states)
+        {
+            self.stats.hits += 1;
+            self.stats.events_saved += resume_depth as u64;
+            self.stats.sim_us_saved += run.totals().0;
+        } else {
+            self.stats.misses += 1;
+            let init = self.init.get_or_insert_with(|| model.init_all());
+            run.states.clone_from(init);
+        }
 
         // Rebuild the fault interpreter's bookkeeping (partition topology,
         // outstanding delayed effects) as of the resume depth; the snapshot
         // states already contain everything the skipped prefix did.
-        let mut faults = FaultInterpreter::new(il.faults());
+        let mut faults = FaultInterpreter::new(plan);
         faults.fast_forward(workload, il.as_slice(), resume_depth);
 
         // Subsumption bookkeeping. The probe runs at the resume depth
@@ -390,6 +565,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         let pending = &mut self.pending;
         // In audit mode a hit does not short-circuit: the tail executes
         // anyway and is compared against the memo at the end of the run.
+        let audit = sub.is_some_and(SubsumeSet::audit);
         let mut audit_hit: Option<(usize, SubsumeHit<M::State>)> = None;
         let mut stitched_at: Option<usize> = None;
 
@@ -426,13 +602,19 @@ impl<M: SystemModel> IncrementalExecutor<M> {
             pending.push((key, bytes));
             None
         };
+        // Ends the run at `depth` with the donor's tail.
+        let stitch = |run: &mut Cursor<M::State>, memo: &RunMemo<M::State>, depth: usize| {
+            for (&id, outcome) in il.iter().zip(&memo.outcomes).skip(depth) {
+                run.push(id, plan.digest_at(id), cost_us(id), outcome.clone());
+            }
+            run.states.clone_from(&memo.states);
+        };
 
-        if let Some(hit) = probe(&states, &faults, resume_depth) {
-            if self.subsume.as_deref().is_some_and(SubsumeSet::audit) {
+        if let Some(hit) = probe(&run.states, &faults, resume_depth) {
+            if audit {
                 audit_hit = Some((resume_depth, hit));
             } else {
-                outcomes.extend_from_slice(&hit.memo.outcomes[resume_depth..]);
-                states = hit.memo.states.clone();
+                stitch(&mut run, &hit.memo, resume_depth);
                 stitched_at = Some(resume_depth);
             }
         }
@@ -440,10 +622,11 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         if stitched_at.is_none() {
             for (pos, &id) in il.iter().enumerate().skip(resume_depth) {
                 let event = workload.event(id);
+                let digest = plan.digest_at(id);
                 // Delayed effects due at this step land inside it, before the
                 // snapshot, so a stored prefix is the full deterministic
                 // function of its `(events, anchored faults)` path.
-                let outcome = faults.step(model, &mut states, workload, event, pos);
+                let outcome = faults.step(model, &mut run.states, workload, event, pos);
                 // Extend the path through every interior depth worth keeping;
                 // the final depth is never resumed from (a repeat of the same
                 // interleaving resumes at N-1 and re-applies the last event),
@@ -452,19 +635,18 @@ impl<M: SystemModel> IncrementalExecutor<M> {
                 if pos + 1 < n && pos < keep {
                     steps.push(Step {
                         event: id,
-                        digest: il.faults().digest_at(id),
+                        digest,
                         outcome: outcome.clone(),
-                        snapshot: self.cache.store(model, &states),
+                        snapshot: self.cache.store(model, &run.states),
                     });
                 }
-                outcomes.push(outcome);
+                run.push(id, digest, time.event_cost_us(event), outcome);
                 if audit_hit.is_none() {
-                    if let Some(hit) = probe(&states, &faults, pos + 1) {
-                        if self.subsume.as_deref().is_some_and(SubsumeSet::audit) {
+                    if let Some(hit) = probe(&run.states, &faults, pos + 1) {
+                        if audit {
                             audit_hit = Some((pos + 1, hit));
                         } else {
-                            outcomes.extend_from_slice(&hit.memo.outcomes[pos + 1..]);
-                            states = hit.memo.states.clone();
+                            stitch(&mut run, &hit.memo, pos + 1);
                             stitched_at = Some(pos + 1);
                             break;
                         }
@@ -472,20 +654,20 @@ impl<M: SystemModel> IncrementalExecutor<M> {
                 }
             }
             if stitched_at.is_none() {
-                faults.finish(model, &mut states, workload);
+                faults.finish(model, &mut run.states, workload);
             }
         }
         self.cache.paths[slot].steps = steps;
 
         if let Some((depth, hit)) = audit_hit {
             assert_eq!(
-                &outcomes[depth..],
+                &run.outcomes[depth..],
                 &hit.memo.outcomes[depth..],
                 "ER_PI_SUBSUME_AUDIT: false subsumption at depth {depth}: \
                  executed outcomes diverge from the memoized run"
             );
             assert_eq!(
-                encode_states(model, &states),
+                encode_states(model, &run.states),
                 encode_states(model, &hit.memo.states),
                 "ER_PI_SUBSUME_AUDIT: false subsumption at depth {depth}: \
                  final states diverge from the memoized run"
@@ -504,20 +686,15 @@ impl<M: SystemModel> IncrementalExecutor<M> {
                 // byte-identical by determinism): every depth probed as a
                 // miss becomes a donor entry, shared through one memo.
                 let memo = Arc::new(RunMemo {
-                    outcomes: outcomes.clone(),
-                    states: states.clone(),
+                    outcomes: run.outcomes.clone(),
+                    states: run.states.clone(),
                 });
                 for (key, bytes) in self.pending.drain(..) {
                     set.insert(key, Arc::clone(&memo), bytes);
                 }
             }
         }
-
-        Execution {
-            states,
-            outcomes,
-            sim_us,
-        }
+        self.cursor = run;
     }
 }
 
@@ -597,15 +774,21 @@ mod tests {
         out
     }
 
-    fn assert_same(scratch: &Execution<Vec<i64>>, inc: &Execution<Vec<i64>>, il: &Interleaving) {
+    fn assert_same(
+        scratch: &Execution<Vec<i64>>,
+        inc: ExecutionRef<'_, Vec<i64>>,
+        il: &Interleaving,
+    ) {
         assert_eq!(scratch.states, inc.states, "states diverged on {il}");
         assert_eq!(scratch.outcomes, inc.outcomes, "outcomes diverged on {il}");
         assert_eq!(scratch.sim_us, inc.sim_us, "sim_us diverged on {il}");
+        assert_eq!(scratch.view().failed_ops, inc.failed_ops, "on {il}");
     }
 
     /// Replays all `n!` lexicographic orders against the scratch executor,
-    /// with the true next order as the hint when `hinted`; after every run
-    /// the cache must hold at most `n - 1` snapshots within the budget.
+    /// with the true next order as the hint when `hinted`, each run read
+    /// borrowed from the cursor the way the campaign reads it; after every
+    /// run the cache must hold at most `n - 1` snapshots within the budget.
     fn assert_matches_inline(budget: usize, n: u32, hinted: bool) -> CacheStats {
         let w = workload(n as i64);
         let time = TimeModel::paper_setup();
@@ -614,8 +797,8 @@ mod tests {
         for (i, il) in orders.iter().enumerate() {
             let next = orders.get(i + 1).filter(|_| hinted);
             let scratch = InlineExecutor::execute(&LogModel, &w, il, &time);
-            let inc = exec.execute_hinted(&LogModel, &w, il, next, &time);
-            assert_same(&scratch, &inc, il);
+            exec.advance(&LogModel, &w, il, next, &time);
+            assert_same(&scratch, exec.run(), il);
             assert!(exec.resident_snapshots() < n as usize);
             assert!(exec.stats().bytes_resident <= budget);
         }
@@ -683,7 +866,8 @@ mod tests {
         let run = exec.execute_hinted(&LogModel, &w, &c, None, &time);
         assert_eq!(exec.last_resume_depth(), 2);
         assert_eq!(exec.resident_snapshots(), 4, "no hint keeps every depth");
-        assert_same(&InlineExecutor::execute(&LogModel, &w, &c, &time), &run, &c);
+        let scratch = InlineExecutor::execute(&LogModel, &w, &c, &time);
+        assert_same(&scratch, run.view(), &c);
     }
 
     #[test]
@@ -701,7 +885,7 @@ mod tests {
         assert_eq!(after.events_saved, before.events_saved + 5);
         assert_same(
             &InlineExecutor::execute(&LogModel, &w, &il, &time),
-            &again,
+            again.view(),
             &il,
         );
     }
@@ -737,8 +921,8 @@ mod tests {
         let mut exec = IncrementalExecutor::<LogModel>::new(DEFAULT_CACHE_BUDGET);
         for (i, il) in product.iter().enumerate() {
             let scratch = InlineExecutor::execute(&LogModel, &w, il, &time);
-            let inc = exec.execute_hinted(&LogModel, &w, il, product.get(i + 1), &time);
-            assert_same(&scratch, &inc, il);
+            exec.advance(&LogModel, &w, il, product.get(i + 1), &time);
+            assert_same(&scratch, exec.run(), il);
             assert!(exec.resident_snapshots() <= 3 * plans.len());
         }
         assert!(exec.stats().hits > 0, "fault product still shares prefixes");
@@ -761,7 +945,7 @@ mod tests {
         // depth-4 snapshot is new.
         let run = exec.execute_hinted(&LogModel, &w, &faulted, Some(&faulted), &time);
         assert_eq!(exec.last_resume_depth(), 3);
-        assert_same(&scratch, &run, &faulted);
+        assert_same(&scratch, run.view(), &faulted);
         assert_eq!(exec.resident_snapshots(), 4 + 4);
         assert!(exec.stats().bytes_resident < 2 * resident);
         // The fault-free path moving on must not free what the plan holds.
@@ -769,6 +953,94 @@ mod tests {
         exec.execute(&LogModel, &w, &other, &time);
         let again = exec.execute(&LogModel, &w, &faulted, &time);
         assert_eq!(exec.last_resume_depth(), 4);
-        assert_same(&scratch, &again, &faulted);
+        assert_same(&scratch, again.view(), &faulted);
+    }
+
+    #[test]
+    fn a_resumed_run_rewrites_its_suffix_in_the_buffers_of_the_run_before() {
+        let w = workload(5);
+        let time = TimeModel::paper_setup();
+        let orders = lexicographic_orders(5);
+        let mut exec = IncrementalExecutor::<LogModel>::new(DEFAULT_CACHE_BUDGET);
+        exec.advance(&LogModel, &w, &orders[0], None, &time);
+        let buffers = |exec: &IncrementalExecutor<LogModel>| {
+            let run = exec.run();
+            (run.states.as_ptr(), run.outcomes.as_ptr())
+        };
+        let first = buffers(&exec);
+        for il in &orders[1..] {
+            exec.advance(&LogModel, &w, il, None, &time);
+            assert_eq!(buffers(&exec), first, "no engine vector per run");
+        }
+    }
+
+    #[test]
+    fn moving_a_run_out_leaves_the_cursor_empty_and_the_next_run_equal() {
+        let w = workload(5);
+        let time = TimeModel::paper_setup();
+        let orders = lexicographic_orders(5);
+        let mut exec = IncrementalExecutor::<LogModel>::new(DEFAULT_CACHE_BUDGET);
+        assert!(exec.run().states.is_empty() && exec.run().outcomes.is_empty());
+        exec.advance(&LogModel, &w, &orders[0], None, &time);
+        assert_eq!(exec.run().outcomes.len(), 5);
+        drop(exec.execute(&LogModel, &w, &orders[1], &time));
+        assert!(exec.run().states.is_empty() && exec.run().outcomes.is_empty());
+        // Nothing to pop back to: the whole prefix comes from the path.
+        exec.advance(&LogModel, &w, &orders[2], None, &time);
+        assert_eq!(
+            exec.last_resume_depth(),
+            orders[1].common_prefix_len(&orders[2])
+        );
+        let scratch = InlineExecutor::execute(&LogModel, &w, &orders[2], &time);
+        assert_same(&scratch, exec.run(), &orders[2]);
+    }
+
+    #[test]
+    fn a_run_that_unwinds_leaves_the_cursor_empty_and_the_next_run_equal() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        /// [`LogModel`], except that applying the value 4 panics.
+        struct Fused;
+
+        impl SystemModel for Fused {
+            type State = Vec<i64>;
+
+            fn replicas(&self) -> usize {
+                LogModel.replicas()
+            }
+
+            fn init(&self, replica: ReplicaId) -> Vec<i64> {
+                LogModel.init(replica)
+            }
+
+            fn apply(&self, states: &mut [Vec<i64>], event: &Event) -> OpOutcome {
+                let armed = EventId::new(4);
+                assert!(event.id != armed || states[0].len() < 2, "fuse");
+                LogModel.apply(states, event)
+            }
+
+            fn observe(&self, state: &Vec<i64>) -> Value {
+                LogModel.observe(state)
+            }
+        }
+
+        let w = workload(5);
+        let time = TimeModel::paper_setup();
+        let order = |raw: [u32; 5]| -> Interleaving { raw.into_iter().map(EventId::new).collect() };
+        // e4 runs at replica 0 (values 0, 2, 4): it blows up once two of
+        // them went before it.
+        let fine = order([0, 1, 4, 2, 3]);
+        let blows = order([0, 1, 2, 4, 3]);
+        let after = order([0, 1, 3, 4, 2]);
+        let mut exec = IncrementalExecutor::<Fused>::new(DEFAULT_CACHE_BUDGET);
+        exec.advance(&Fused, &w, &fine, None, &time);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            exec.advance(&Fused, &w, &blows, None, &time);
+        }));
+        assert!(unwound.is_err());
+        assert!(exec.run().states.is_empty() && exec.run().outcomes.is_empty());
+        exec.advance(&Fused, &w, &after, None, &time);
+        let scratch = InlineExecutor::execute(&LogModel, &w, &after, &time);
+        assert_same(&scratch, exec.run(), &after);
     }
 }

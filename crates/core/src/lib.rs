@@ -165,7 +165,7 @@ pub use checks::{Assertion, CheckContext, CrossCheck, CrossContext, TestSuite};
 pub use config::ReplayConfig;
 pub use constraints::ConstraintsDir;
 pub use error::ErPiError;
-pub use executor::{Execution, InlineExecutor, ThreadedExecutor};
+pub use executor::{Execution, ExecutionRef, InlineExecutor, ThreadedExecutor};
 pub use forensics::{
     explain_violation, DigestSource, DivergencePoint, ForensicBundle, ForensicStep, Provenance,
 };

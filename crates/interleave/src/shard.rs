@@ -2,18 +2,33 @@
 //!
 //! [`IndexedSource`] is the single dispensing discipline behind every
 //! replay (the dispenser of `er-pi`'s campaign core): it pulls candidates
-//! from any explorer, drops fingerprint duplicates (which appear after a
-//! State-4 regeneration), enforces the interleaving cap, and stamps every
+//! from any explorer, enforces the interleaving cap, and stamps every
 //! surviving interleaving with a stable, strictly increasing *exploration
 //! index*. Because every replay slot draws from the same source, the index
 //! assigned to an interleaving is independent of how many slots later
 //! replay it — the invariant the differential-equivalence suite pins down.
+//!
+//! No explorer of this crate emits an interleaving twice: [`DfsExplorer`],
+//! [`ErPiExplorer`] and [`FaultProduct`] enumerate, and [`RandomExplorer`]
+//! keeps its own set of what it drew (`tests/explorer_distinct.rs` at the
+//! workspace root pins all of it). A duplicate can only come from a State-4
+//! regeneration — [`IndexedSource::reseed`] swaps in a fresh explorer that
+//! starts over — so only a source [made for
+//! that](IndexedSource::make_reseedable) fingerprints what it dispenses and
+//! drops what it has dispensed before; every other source hands its
+//! explorer's items through untouched and retains nothing.
+//!
+//! [`DfsExplorer`]: crate::DfsExplorer
+//! [`ErPiExplorer`]: crate::ErPiExplorer
+//! [`FaultProduct`]: crate::FaultProduct
+//! [`RandomExplorer`]: crate::RandomExplorer
 
 use std::collections::HashSet;
 
 use er_pi_model::Interleaving;
 
-/// A deduplicating, capping, index-stamping wrapper around an explorer.
+/// A capping, index-stamping wrapper around an explorer — deduplicating
+/// too, when it was [made reseedable](IndexedSource::make_reseedable).
 ///
 /// Semantics (those of a plain one-at-a-time replay loop):
 ///
@@ -22,8 +37,8 @@ use er_pi_model::Interleaving;
 ///    the candidate is discarded, mirroring such a loop's
 ///    "`runs.len() >= cap` → `stopped_early`" check, which fires only when
 ///    the explorer proves it had more to offer;
-/// 3. if the candidate's fingerprint was already dispensed, skip it
-///    (regenerated explorers re-emit old interleavings);
+/// 3. on a reseedable source, if the candidate's fingerprint was already
+///    dispensed, skip it (regenerated explorers re-emit old interleavings);
 /// 4. otherwise dispense `(index, interleaving)` with the next index.
 ///
 /// ```
@@ -45,26 +60,50 @@ use er_pi_model::Interleaving;
 #[derive(Debug)]
 pub struct IndexedSource<I> {
     inner: I,
-    seen: HashSet<u64>,
+    /// Fingerprints of everything dispensed — kept only by a reseedable
+    /// source, the one kind that can be handed a duplicate.
+    seen: Option<HashSet<u64>>,
     next_index: usize,
     cap: usize,
     truncated: bool,
-    last: Option<Interleaving>,
-    shared_prefix_events: u64,
 }
 
 impl<I: Iterator<Item = Interleaving>> IndexedSource<I> {
     /// Wraps `inner`, dispensing at most `cap` interleavings.
+    ///
+    /// The source trusts `inner` not to repeat itself (every explorer of
+    /// this crate qualifies — [`DfsExplorer`](crate::DfsExplorer),
+    /// [`ErPiExplorer`](crate::ErPiExplorer) and
+    /// [`FaultProduct`](crate::FaultProduct) enumerate,
+    /// [`RandomExplorer`](crate::RandomExplorer) keeps its own set): it
+    /// neither hashes nor remembers what it hands out, and it cannot be
+    /// [reseeded](IndexedSource::reseed) unless
+    /// [`make_reseedable`](IndexedSource::make_reseedable) is called before
+    /// the first dispense.
     pub fn new(inner: I, cap: usize) -> Self {
         IndexedSource {
             inner,
-            seen: HashSet::new(),
+            seen: None,
             next_index: 0,
             cap,
             truncated: false,
-            last: None,
-            shared_prefix_events: 0,
         }
+    }
+
+    /// Makes this a source that may be [reseeded](IndexedSource::reseed):
+    /// from here on it fingerprints every candidate and skips the ones it
+    /// has dispensed before.
+    ///
+    /// # Panics
+    ///
+    /// If anything was dispensed already: what went out unrecorded could be
+    /// re-emitted after a reseed.
+    pub fn make_reseedable(&mut self) {
+        assert_eq!(
+            self.next_index, 0,
+            "a source is made reseedable before its first dispense"
+        );
+        self.seen = Some(HashSet::new());
     }
 
     /// Claims up to `max` *contiguous* interleavings in one call — the
@@ -91,19 +130,22 @@ impl<I: Iterator<Item = Interleaving>> IndexedSource<I> {
         chunk
     }
 
-    /// Total events shared between consecutively dispensed interleavings
-    /// (the sum of [`Interleaving::common_prefix_len`] over adjacent
-    /// pairs) — the prefix locality the incremental executor trades on.
-    /// Divide by `dispensed - 1` for the average resumable depth.
-    pub fn shared_prefix_events(&self) -> u64 {
-        self.shared_prefix_events
-    }
-
     /// Replaces the underlying explorer while keeping the dedup set, the
     /// index counter, and the cap — the State-4 regeneration: newly ingested
     /// constraints rebuild the generator, and anything it re-emits that was
     /// already replayed is skipped.
+    ///
+    /// # Panics
+    ///
+    /// On a source that was not [made
+    /// reseedable](IndexedSource::make_reseedable): it kept no record of
+    /// what it dispensed, so the fresh explorer's repeats would be replayed
+    /// again under new indices instead of being skipped.
     pub fn reseed(&mut self, inner: I) {
+        assert!(
+            self.seen.is_some(),
+            "reseed on a source that was not made reseedable: it would re-emit what it dispensed"
+        );
         self.inner = inner;
     }
 
@@ -142,20 +184,13 @@ impl<I: Iterator<Item = Interleaving>> Iterator for IndexedSource<I> {
                 self.truncated = true;
                 return None;
             }
-            if !self.seen.insert(il.fingerprint()) {
-                continue;
+            if let Some(seen) = &mut self.seen {
+                if !seen.insert(il.fingerprint()) {
+                    continue;
+                }
             }
             let index = self.next_index;
             self.next_index += 1;
-            // `last` only feeds the locality counter: refresh it in place so
-            // dispensing allocates nothing beyond the item it hands out.
-            match &mut self.last {
-                Some(prev) => {
-                    self.shared_prefix_events += prev.common_prefix_len(&il) as u64;
-                    prev.clone_from(&il);
-                }
-                None => self.last = Some(il.clone()),
-            }
             return Some((index, il));
         }
     }
@@ -213,6 +248,7 @@ mod tests {
     fn reseed_skips_already_dispensed_interleavings() {
         let w = workload(3);
         let mut source = IndexedSource::new(DfsExplorer::new(&w), usize::MAX);
+        source.make_reseedable();
         let first_three: Vec<_> = source.by_ref().take(3).collect();
         assert_eq!(first_three.len(), 3);
         // Regenerate: the fresh explorer re-emits all six orders, but the
@@ -271,21 +307,23 @@ mod tests {
     }
 
     #[test]
-    fn prefix_locality_counter_matches_adjacent_overlap() {
-        let w = workload(4);
+    #[should_panic(expected = "not made reseedable")]
+    fn reseed_on_a_plain_source_panics() {
+        let w = workload(3);
         let mut source = IndexedSource::new(DfsExplorer::new(&w), usize::MAX);
-        let dispensed: Vec<Interleaving> = source.by_ref().map(|(_, il)| il).collect();
-        let expected: u64 = dispensed
-            .windows(2)
-            .map(|pair| pair[0].common_prefix_len(&pair[1]) as u64)
-            .sum();
-        assert_eq!(source.shared_prefix_events(), expected);
-        // Lexicographic DFS guarantees substantial locality: the average
-        // shared prefix of adjacent permutations approaches N - e.
-        assert!(
-            source.shared_prefix_events() as f64 / (dispensed.len() - 1) as f64 > 1.0,
-            "lexicographic order should share > 1 event on average"
-        );
+        assert_eq!(source.by_ref().take(3).count(), 3);
+        // Nothing remembers those three: the fresh explorer would hand
+        // them out again as indices 3, 4 and 5.
+        source.reseed(DfsExplorer::new(&w));
+    }
+
+    #[test]
+    #[should_panic(expected = "before its first dispense")]
+    fn a_source_is_not_made_reseedable_after_dispensing() {
+        let w = workload(3);
+        let mut source = IndexedSource::new(DfsExplorer::new(&w), usize::MAX);
+        source.next();
+        source.make_reseedable();
     }
 
     #[test]

@@ -170,8 +170,8 @@ impl CanonicalEncode for Dot {
 
 impl CanonicalEncode for VersionVector {
     fn encode_canonical(&self, out: &mut Vec<u8>) {
-        // `iter()` walks the underlying BTreeMap: sorted, deterministic.
-        let pairs: Vec<(ReplicaId, u64)> = self.iter().collect();
+        // `iter()` is in replica order: sorted, deterministic.
+        let pairs = self.iter();
         (pairs.len() as u64).encode_canonical(out);
         for (r, c) in pairs {
             r.encode_canonical(out);

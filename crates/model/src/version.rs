@@ -1,11 +1,79 @@
 //! Version vectors for causal comparison of replica states.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{content_get, Content, DeError, Deserialize, Serialize};
 
 use crate::{Dot, ReplicaId};
+
+/// How many replicas a [`VersionVector`] counts without a heap block.
+const INLINE: usize = 4;
+
+type Pair = (ReplicaId, u64);
+
+/// The `(replica, count)` pairs of a [`VersionVector`], sorted by replica.
+///
+/// A vector is cloned with every replica copy (it sits in each
+/// [`DotContext`](crate::DotContext)) and holds two or three entries, so up
+/// to [`INLINE`] of them live in the value itself: a clone is a `memcpy`,
+/// not a map node allocated, walked and freed. Entries are never removed, so
+/// a vector spills to the heap once and stays there.
+#[derive(Clone)]
+enum Counts {
+    Inline { len: u8, pairs: [Pair; INLINE] },
+    Spilled(Vec<Pair>),
+}
+
+impl Counts {
+    fn as_slice(&self) -> &[Pair] {
+        match self {
+            Counts::Inline { len, pairs } => &pairs[..usize::from(*len)],
+            Counts::Spilled(pairs) => pairs,
+        }
+    }
+
+    /// The count of `replica`, entered as 0 if it has none yet.
+    fn slot(&mut self, replica: ReplicaId) -> &mut u64 {
+        let at = match self.as_slice().binary_search_by_key(&replica, |&(r, _)| r) {
+            Ok(at) => at,
+            Err(at) => {
+                self.insert(at, (replica, 0));
+                at
+            }
+        };
+        match self {
+            Counts::Inline { pairs, .. } => &mut pairs[at].1,
+            Counts::Spilled(pairs) => &mut pairs[at].1,
+        }
+    }
+
+    fn insert(&mut self, at: usize, pair: Pair) {
+        match self {
+            Counts::Inline { len, pairs } if usize::from(*len) < INLINE => {
+                pairs.copy_within(at..usize::from(*len), at + 1);
+                pairs[at] = pair;
+                *len += 1;
+            }
+            Counts::Inline { pairs, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE);
+                spilled.extend_from_slice(pairs);
+                spilled.insert(at, pair);
+                *self = Counts::Spilled(spilled);
+            }
+            Counts::Spilled(pairs) => pairs.insert(at, pair),
+        }
+    }
+}
+
+impl Default for Counts {
+    fn default() -> Self {
+        Counts::Inline {
+            len: 0,
+            pairs: [(ReplicaId::new(0), 0); INLINE],
+        }
+    }
+}
 
 /// A version vector: per-replica count of observed updates.
 ///
@@ -28,9 +96,9 @@ use crate::{Dot, ReplicaId};
 /// b.merge(&a);
 /// assert!(b.dominates(&a));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 pub struct VersionVector {
-    counts: BTreeMap<ReplicaId, u64>,
+    counts: Counts,
 }
 
 impl VersionVector {
@@ -41,12 +109,16 @@ impl VersionVector {
 
     /// Returns the number of updates observed from `replica`.
     pub fn get(&self, replica: ReplicaId) -> u64 {
-        self.counts.get(&replica).copied().unwrap_or(0)
+        let pairs = self.counts.as_slice();
+        pairs
+            .iter()
+            .find(|&&(r, _)| r == replica)
+            .map_or(0, |&(_, c)| c)
     }
 
     /// Records one more local update at `replica` and returns its [`Dot`].
     pub fn increment(&mut self, replica: ReplicaId) -> Dot {
-        let c = self.counts.entry(replica).or_insert(0);
+        let c = self.counts.slot(replica);
         *c += 1;
         Dot::new(replica, *c)
     }
@@ -60,7 +132,7 @@ impl VersionVector {
     /// expected one or beyond (gaps are absorbed — this models op logs that
     /// deliver batches).
     pub fn observe(&mut self, dot: Dot) {
-        let c = self.counts.entry(dot.replica).or_insert(0);
+        let c = self.counts.slot(dot.replica);
         if dot.counter > *c {
             *c = dot.counter;
         }
@@ -68,8 +140,8 @@ impl VersionVector {
 
     /// Point-wise maximum with `other`.
     pub fn merge(&mut self, other: &VersionVector) {
-        for (&r, &c) in &other.counts {
-            let mine = self.counts.entry(r).or_insert(0);
+        for &(r, c) in other.counts.as_slice() {
+            let mine = self.counts.slot(r);
             if c > *mine {
                 *mine = c;
             }
@@ -78,7 +150,7 @@ impl VersionVector {
 
     /// Returns `true` if `self` has observed everything `other` has.
     pub fn dominates(&self, other: &VersionVector) -> bool {
-        other.counts.iter().all(|(&r, &c)| self.get(r) >= c)
+        other.iter().all(|(r, c)| self.get(r) >= c)
     }
 
     /// Returns `true` if neither vector dominates the other (the states are
@@ -98,22 +170,81 @@ impl VersionVector {
         }
     }
 
-    /// Iterates over `(replica, count)` pairs with non-zero counts.
-    pub fn iter(&self) -> impl Iterator<Item = (ReplicaId, u64)> + '_ {
-        self.counts.iter().map(|(&r, &c)| (r, c))
+    /// Iterates over the `(replica, count)` pairs in replica order, without
+    /// allocating.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (ReplicaId, u64)> + '_ {
+        self.counts.as_slice().iter().copied()
     }
 
     /// Total number of updates observed across all replicas.
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.iter().map(|(_, c)| c).sum()
+    }
+}
+
+/// By content: where the pairs are stored is not part of the value.
+impl PartialEq for VersionVector {
+    fn eq(&self, other: &Self) -> bool {
+        self.counts.as_slice() == other.counts.as_slice()
+    }
+}
+
+impl Eq for VersionVector {}
+
+impl fmt::Debug for VersionVector {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct AsMap<'a>(&'a VersionVector);
+        impl fmt::Debug for AsMap<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("VersionVector")
+            .field("counts", &AsMap(self))
+            .finish()
     }
 }
 
 impl FromIterator<(ReplicaId, u64)> for VersionVector {
     fn from_iter<I: IntoIterator<Item = (ReplicaId, u64)>>(iter: I) -> Self {
-        VersionVector {
-            counts: iter.into_iter().filter(|&(_, c)| c > 0).collect(),
+        let mut vector = VersionVector::new();
+        for (r, c) in iter.into_iter().filter(|&(_, c)| c > 0) {
+            *vector.counts.slot(r) = c;
         }
+        vector
+    }
+}
+
+// By hand: the wire shape stays the `{"counts": {replica: count}}` of the
+// map this used to be.
+impl Serialize for VersionVector {
+    fn to_content(&self) -> Content {
+        let counts = self
+            .iter()
+            .map(|(r, c)| (r.to_content(), c.to_content()))
+            .collect();
+        Content::Map(vec![(
+            Content::Str("counts".to_owned()),
+            Content::Map(counts),
+        )])
+    }
+}
+
+impl Deserialize for VersionVector {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        let Content::Map(fields) = content else {
+            return Err(DeError::expected("map", "VersionVector"));
+        };
+        let counts = content_get(fields, "counts")
+            .ok_or(DeError::missing_field("counts", "VersionVector"))?;
+        let Content::Map(entries) = counts else {
+            return Err(DeError::expected("map", "VersionVector"));
+        };
+        let mut vector = VersionVector::new();
+        for (r, c) in entries {
+            *vector.counts.slot(ReplicaId::from_content(r)?) = u64::from_content(c)?;
+        }
+        Ok(vector)
     }
 }
 

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use er_pi_model::{
-    factorial, Dot, EventId, Interleaving, LamportClock, LamportTimestamp, ReplicaId, Value,
-    VersionVector, Workload,
+    factorial, CanonicalEncode, Dot, EventId, Interleaving, LamportClock, LamportTimestamp,
+    ReplicaId, Value, VersionVector, Workload,
 };
 
 fn arb_replica() -> impl Strategy<Value = ReplicaId> {
@@ -14,6 +14,16 @@ fn arb_replica() -> impl Strategy<Value = ReplicaId> {
 fn arb_vv() -> impl Strategy<Value = VersionVector> {
     proptest::collection::vec((arb_replica(), 0u64..16), 0..6)
         .prop_map(|pairs| pairs.into_iter().collect())
+}
+
+/// Up to seven replicas: past the inline capacity of four.
+fn arb_wide_vv() -> impl Strategy<Value = VersionVector> {
+    proptest::collection::vec((0u16..7, 0u64..12), 0..8).prop_map(|pairs| {
+        pairs
+            .into_iter()
+            .map(|(r, c)| (ReplicaId::new(r), c))
+            .collect()
+    })
 }
 
 proptest! {
@@ -65,6 +75,69 @@ proptest! {
         v.observe(dot);
         prop_assert!(v.contains(dot));
         prop_assert!(v.get(r) >= before);
+    }
+
+    /// The inline-then-spilled storage against the `BTreeMap` it replaced:
+    /// over `increment` / `observe` / `merge` on seven replicas (the spill
+    /// is at the fifth) every read, the canonical bytes and the serde shape
+    /// are the map's, and equality is by content on either side of the spill.
+    #[test]
+    fn vv_matches_a_btreemap_model(
+        ops in proptest::collection::vec((0u8..3, 0u16..7, 0u64..12, arb_wide_vv()), 0..40),
+    ) {
+        use std::collections::BTreeMap;
+        let mut vv = VersionVector::new();
+        let mut model: BTreeMap<ReplicaId, u64> = BTreeMap::new();
+        for (op, replica, counter, other) in ops {
+            let r = ReplicaId::new(replica);
+            match op {
+                0 => {
+                    let c = model.entry(r).or_insert(0);
+                    *c += 1;
+                    prop_assert_eq!(vv.increment(r), Dot::new(r, *c));
+                }
+                1 => {
+                    let c = model.entry(r).or_insert(0);
+                    *c = (*c).max(counter);
+                    vv.observe(Dot::new(r, counter));
+                }
+                _ => {
+                    for (r, c) in other.iter() {
+                        let mine = model.entry(r).or_insert(0);
+                        *mine = (*mine).max(c);
+                    }
+                    vv.merge(&other);
+                }
+            }
+            let pairs: Vec<(ReplicaId, u64)> = model.iter().map(|(&r, &c)| (r, c)).collect();
+            prop_assert_eq!(vv.iter().collect::<Vec<_>>(), pairs.clone());
+            prop_assert_eq!(vv.total(), model.values().sum::<u64>());
+            for raw in 0..8 {
+                let r = ReplicaId::new(raw);
+                prop_assert_eq!(vv.get(r), model.get(&r).copied().unwrap_or(0));
+            }
+            // Rebuilt from scratch the pairs land in the same storage or the
+            // other one; equality and the bytes do not care.
+            let mut rebuilt = VersionVector::new();
+            for &(r, c) in pairs.iter().rev() {
+                rebuilt.observe(Dot::new(r, c));
+            }
+            prop_assert_eq!(&rebuilt, &vv);
+            prop_assert_eq!(&vv.clone(), &vv);
+            let mut bytes = Vec::new();
+            vv.encode_canonical(&mut bytes);
+            let mut expected = Vec::new();
+            (pairs.len() as u64).encode_canonical(&mut expected);
+            for (r, c) in &pairs {
+                r.encode_canonical(&mut expected);
+                c.encode_canonical(&mut expected);
+            }
+            prop_assert_eq!(bytes, expected);
+            let json = serde_json::to_string(&vv).unwrap();
+            let wire = BTreeMap::from([("counts", model.clone())]);
+            prop_assert_eq!(&json, &serde_json::to_string(&wire).unwrap());
+            prop_assert_eq!(&serde_json::from_str::<VersionVector>(&json).unwrap(), &vv);
+        }
     }
 
     /// Lamport clock: a chain of ticks and observes is strictly increasing.

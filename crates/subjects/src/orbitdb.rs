@@ -44,11 +44,14 @@ pub struct OrbitReplica {
     pub log: Shared<MerkleLog>,
     /// Pending sync payloads.
     pub inbox: VecDeque<Vec<Arc<LogEntry>>>,
-    /// Identities currently granted write access.
-    pub access: BTreeSet<String>,
+    /// Identities currently granted write access. Behind a cell of its own,
+    /// like the log: a replica copy shares the set until a `grant` or
+    /// `revoke` writes it.
+    pub access: Shared<BTreeSet<String>>,
     /// Cached access snapshot — the stale-cache surface of OrbitDB-3
-    /// ("could not append entry although write access is granted").
-    pub access_cache: Option<BTreeSet<String>>,
+    /// ("could not append entry although write access is granted"). A handle
+    /// on the set as it was when `cache_access` ran.
+    pub access_cache: Option<Shared<BTreeSet<String>>>,
     /// Appends rejected by the access check.
     pub rejected_appends: u32,
     /// Whether the repo folder lock is currently held.
@@ -122,7 +125,7 @@ impl SystemModel for OrbitModel {
         Shared::new(OrbitReplica {
             log: Shared::new(log),
             inbox: VecDeque::new(),
-            access,
+            access: Shared::new(access),
             access_cache: None,
             rejected_appends: 0,
             repo_locked: false,
@@ -139,17 +142,18 @@ impl SystemModel for OrbitModel {
                 "append" => {
                     let payload = op.arg(0).cloned().unwrap_or(Value::Null);
                     let state = &mut states[at];
-                    let identity = state.log.identity().to_owned();
+                    let identity = state.log.identity();
                     let granted = state
                         .access_cache
                         .as_ref()
                         .unwrap_or(&state.access)
-                        .contains(&identity);
+                        .contains(identity);
                     if !granted {
-                        state.rejected_appends += 1;
-                        return OpOutcome::failed(format!(
+                        let refusal = format!(
                             "could not append entry: {identity} not in (cached) access list"
-                        ));
+                        );
+                        state.rejected_appends += 1;
+                        return OpOutcome::failed(refusal);
                     }
                     state.log.append(payload);
                     OpOutcome::Applied

@@ -234,6 +234,7 @@ fn constraint_watching_dispenses_the_reseeded_sequence() {
     let mut constrained = base.clone();
     constrained.absorb(rule.clone());
     let mut source = IndexedSource::new(ErPiExplorer::new(&workload, &base), CAP);
+    source.make_reseedable();
     let mut expected: Vec<Interleaving> = source.by_ref().take(100).map(|(_, il)| il).collect();
     source.reseed(ErPiExplorer::new(&workload, &constrained));
     expected.extend(source.map(|(_, il)| il));

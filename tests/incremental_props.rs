@@ -6,9 +6,16 @@
 //! — 0 (every run from scratch), ∞ (no store ever refused) and a small
 //! random budget (most stores refused) — and require the merged report to
 //! diff clean against the scratch executor every time, sequentially and
-//! under the pool. The last property drives the executor directly with
-//! arbitrary lookahead hints: right, absent, unrelated, or under another
-//! fault plan.
+//! under the pool. The first property drives the executor directly, in no
+//! explorer's order — repeats, plan switches between consecutive runs, plans
+//! that share a prefix with the fault-free trunk — with arbitrary lookahead
+//! hints (right, absent, unrelated, or under another fault plan), reading
+//! each run borrowed from the cursor, taking it out owned, or blowing it up
+//! half way.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Once;
 
 use proptest::prelude::*;
 
@@ -60,6 +67,56 @@ impl SystemModel for HistMachine {
     fn state_size_hint(&self, state: &Vec<i64>) -> usize {
         std::mem::size_of::<Vec<i64>>() + state.len() * std::mem::size_of::<i64>()
     }
+}
+
+/// [`HistMachine`] with a fuse: applying the armed event panics.
+struct Fused {
+    armed: AtomicU32,
+}
+
+const UNARMED: u32 = u32::MAX;
+
+impl SystemModel for Fused {
+    type State = Vec<i64>;
+
+    fn replicas(&self) -> usize {
+        HistMachine.replicas()
+    }
+
+    fn init(&self, replica: ReplicaId) -> Vec<i64> {
+        HistMachine.init(replica)
+    }
+
+    fn apply(&self, states: &mut [Vec<i64>], event: &Event) -> OpOutcome {
+        if event.id.raw() == self.armed.load(Ordering::Relaxed) {
+            panic!("{FUSE}");
+        }
+        HistMachine.apply(states, event)
+    }
+
+    fn observe(&self, state: &Vec<i64>) -> Value {
+        HistMachine.observe(state)
+    }
+
+    fn state_size_hint(&self, state: &Vec<i64>) -> usize {
+        HistMachine.state_size_hint(state)
+    }
+}
+
+const FUSE: &str = "the armed event was applied";
+
+/// Keeps the fuse's panics off stderr; every other panic prints as usual.
+fn silence_the_fuse() {
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let fuse = info.payload().downcast_ref::<String>();
+            if fuse.is_none_or(|message| message != FUSE) {
+                default(info);
+            }
+        }));
+    });
 }
 
 #[derive(Debug, Clone)]
@@ -124,14 +181,28 @@ fn replay(workload: &Workload, mode: ExploreMode, workers: usize, budget: Option
 
 /// One run of a generated sequence: keep the first `keep` events of the
 /// previous order and shuffle the rest by `shuffle` (so sequences share
-/// prefixes the way explorer streams do), under plan number `plan`, hinted
-/// as `hint` says.
+/// prefixes the way explorer streams do — `keep` past the end repeats the
+/// order), under plan number `plan`, hinted as `hint` says and read as
+/// `take` says.
 #[derive(Debug, Clone)]
 struct Draw {
     keep: usize,
     shuffle: u64,
     plan: usize,
     hint: Hint,
+    take: Take,
+}
+
+/// How a run leaves the executor.
+#[derive(Debug, Clone)]
+enum Take {
+    /// `advance` + `run`: the campaign's reading, the cursor keeps the run.
+    Borrowed,
+    /// `execute_hinted`: the buffers leave, the cursor is empty afterwards.
+    Owned,
+    /// `advance` with the event at this position (modulo the length) armed:
+    /// unwinds unless the run resumes past it.
+    Unwound(usize),
 }
 
 #[derive(Debug, Clone)]
@@ -153,13 +224,23 @@ fn arb_draws() -> impl Strategy<Value = Vec<Draw>> {
         any::<u64>().prop_map(Hint::Unrelated),
         Just(Hint::OtherPlan),
     ];
+    let take = prop_oneof![
+        Just(Take::Borrowed),
+        Just(Take::Borrowed),
+        Just(Take::Borrowed),
+        Just(Take::Owned),
+        (0usize..12).prop_map(Take::Unwound),
+    ];
     proptest::collection::vec(
-        (0usize..6, any::<u64>(), 0usize..5, hint).prop_map(|(keep, shuffle, plan, hint)| Draw {
-            keep,
-            shuffle,
-            plan,
-            hint,
-        }),
+        (0usize..6, any::<u64>(), 0usize..5, hint, take).prop_map(
+            |(keep, shuffle, plan, hint, take)| Draw {
+                keep,
+                shuffle,
+                plan,
+                hint,
+                take,
+            },
+        ),
         1..24,
     )
 }
@@ -198,9 +279,11 @@ fn plans_for(workload: &Workload) -> Vec<FaultPlan> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Whatever the executor is told comes next, every `Execution` equals
-    /// the scratch executor's — and after every run the cache holds at
-    /// most `N - 1` snapshots per fault plan seen, within the budget.
+    /// Whatever order the runs come in, whatever the executor is told comes
+    /// next and however the run before was taken — borrowed, moved out, or
+    /// unwound out of `apply` — every run equals the scratch executor's, and
+    /// after every run the cache holds at most `N - 1` snapshots per fault
+    /// plan seen, within the budget.
     #[test]
     fn no_hint_can_change_an_execution(
         steps in arb_steps(),
@@ -208,9 +291,11 @@ proptest! {
         faulted in any::<bool>(),
         budget in prop_oneof![Just(0usize), Just(usize::MAX), 1usize..512],
     ) {
+        silence_the_fuse();
         let workload = build_workload(&steps);
         let plans = plans_for(&workload);
         let time = TimeModel::paper_setup();
+        let model = Fused { armed: AtomicU32::new(UNARMED) };
         let mut order: Vec<EventId> = workload.event_ids().collect();
         let sequence: Vec<Interleaving> = draws
             .iter()
@@ -221,7 +306,7 @@ proptest! {
             })
             .collect();
 
-        let mut executor = IncrementalExecutor::<HistMachine>::new(budget);
+        let mut executor = IncrementalExecutor::<Fused>::new(budget);
         let mut plans_seen = std::collections::HashSet::new();
         for (i, (il, draw)) in sequence.iter().zip(&draws).enumerate() {
             let right = sequence.get(i + 1);
@@ -238,11 +323,38 @@ proptest! {
                     Some(right.unwrap_or(il).clone().with_faults(other.clone()))
                 }
             };
-            let scratch = InlineExecutor::execute(&HistMachine, &workload, il, &time);
-            let run = executor.execute_hinted(&HistMachine, &workload, il, hint.as_ref(), &time);
-            prop_assert_eq!(&scratch.states, &run.states, "states diverged at run {}", i);
-            prop_assert_eq!(&scratch.outcomes, &run.outcomes, "outcomes diverged at run {}", i);
+            let hint = hint.as_ref();
+            let scratch = InlineExecutor::execute(&model, &workload, il, &time);
+            let owned;
+            let run = match draw.take {
+                Take::Borrowed => {
+                    executor.advance(&model, &workload, il, hint, &time);
+                    executor.run()
+                }
+                Take::Owned => {
+                    owned = executor.execute_hinted(&model, &workload, il, hint, &time);
+                    prop_assert!(executor.run().outcomes.is_empty(), "the run moved out");
+                    owned.view()
+                }
+                Take::Unwound(at) => {
+                    model.armed.store(il.as_slice()[at % il.len()].raw(), Ordering::Relaxed);
+                    let unwound = catch_unwind(AssertUnwindSafe(|| {
+                        executor.advance(&model, &workload, il, hint, &time);
+                    }));
+                    model.armed.store(UNARMED, Ordering::Relaxed);
+                    if unwound.is_err() {
+                        let left = executor.run();
+                        prop_assert!(left.states.is_empty() && left.outcomes.is_empty());
+                        continue;
+                    }
+                    // The armed event sat in the resumed prefix.
+                    executor.run()
+                }
+            };
+            prop_assert_eq!(&scratch.states[..], run.states, "states diverged at run {}", i);
+            prop_assert_eq!(&scratch.outcomes[..], run.outcomes, "outcomes diverged at run {}", i);
             prop_assert_eq!(scratch.sim_us, run.sim_us, "sim_us diverged at run {}", i);
+            prop_assert_eq!(scratch.view().failed_ops, run.failed_ops);
 
             plans_seen.insert(il.faults().clone());
             let depth_cap = workload.len().saturating_sub(1);
