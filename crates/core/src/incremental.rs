@@ -43,7 +43,7 @@ use std::sync::Arc;
 use er_pi_model::{EventId, Interleaving, Workload};
 
 use crate::faultexec::FaultInterpreter;
-use crate::subsume::{suffix_hashes, RunMemo, SubsumeHit, SubsumeKey, SubsumeSet};
+use crate::subsume::{suffix_hashes, End, MemoId, SubsumeKey, SubsumeSet};
 use crate::{CacheStats, Execution, ExecutionRef, OpOutcome, SystemModel, TimeModel};
 
 /// Default snapshot budget for incremental sessions: 64 MiB of
@@ -125,9 +125,10 @@ impl<S: Clone> PathCache<S> {
         matching(keys, il, il.len().saturating_sub(1))
     }
 
-    /// Cuts `steps` back to `len`, un-charging every snapshot no other
-    /// plan's path still shares.
-    fn truncate(&mut self, steps: &mut Vec<Step<S>>, len: usize) {
+    /// Cuts the path in `slot` back to `len` steps, un-charging every
+    /// snapshot no other plan's path still shares.
+    fn truncate(&mut self, slot: usize, len: usize) {
+        let steps = &mut self.paths[slot].steps;
         for step in steps.drain(len.min(steps.len())..) {
             if let Some(last) = step.snapshot.and_then(Arc::into_inner) {
                 self.bytes_resident -= last.bytes;
@@ -135,12 +136,14 @@ impl<S: Clone> PathCache<S> {
         }
     }
 
-    /// Takes the path of `il`'s fault plan out of the cache, cut back to
-    /// the deepest snapshot `il` can resume from (so its length is the
-    /// resume depth). Under a faulted plan whose own path matches less of
+    /// Cuts the path of `il`'s fault plan back to the deepest snapshot `il`
+    /// can resume from (so its length is the resume depth) and returns its
+    /// slot in `paths`. Under a faulted plan whose own path matches less of
     /// `il` than the fault-free path does, the difference is borrowed from
-    /// the latter first. Returns the slot in `paths` to put it back into.
-    fn checkout(&mut self, il: &Interleaving) -> (usize, Vec<Step<S>>) {
+    /// the latter first. The path stays in the cache while the run extends
+    /// it, so a run that unwinds leaves it as far as it got — every snapshot
+    /// on it still charged, none charged that is not on it.
+    fn checkout(&mut self, il: &Interleaving) -> usize {
         let plan = il.faults().digest();
         let slot = match self.paths.iter().position(|p| p.plan == plan) {
             Some(slot) => slot,
@@ -152,31 +155,36 @@ impl<S: Clone> PathCache<S> {
                 self.paths.len() - 1
             }
         };
-        let mut steps = std::mem::take(&mut self.paths[slot].steps);
-        let own = Self::matching(&steps, il);
-        self.truncate(&mut steps, own);
+        let own = Self::matching(&self.paths[slot].steps, il);
+        self.truncate(slot, own);
         if plan != 0 {
-            if let Some(trunk) = self.paths.iter().find(|p| p.plan == 0) {
+            if let Some(trunk) = self.paths.iter().position(|p| p.plan == 0) {
+                let [path, trunk] = self
+                    .paths
+                    .get_disjoint_mut([slot, trunk])
+                    .expect("a faulted plan's path is not the trunk");
                 let shared = Self::matching(&trunk.steps, il);
                 if shared > own {
-                    steps.extend_from_slice(&trunk.steps[own..shared]);
+                    path.steps.extend_from_slice(&trunk.steps[own..shared]);
                 }
             }
         }
+        let steps = &mut self.paths[slot].steps;
         let resume = steps
             .iter()
             .rposition(|step| step.snapshot.is_some())
             .map_or(0, |at| at + 1);
         steps.truncate(resume);
-        (slot, steps)
+        slot
     }
 
-    /// Refills `into` with the states at the end of a checked-out path;
-    /// `false` when the path is empty (nothing to resume from). `into` keeps
-    /// its allocation: the snapshot is cloned over it, or — with `last_use`,
-    /// unless another plan's path shares it — moved out of the path and
-    /// into its place.
-    fn resume(&mut self, steps: &mut [Step<S>], last_use: bool, into: &mut Vec<S>) -> bool {
+    /// Refills `into` with the states at the end of the checked-out path in
+    /// `slot`; `false` when the path is empty (nothing to resume from).
+    /// `into` keeps its allocation: the snapshot is cloned over it, or —
+    /// with `last_use`, unless another plan's path shares it — moved out of
+    /// the path and into its place.
+    fn resume(&mut self, slot: usize, last_use: bool, into: &mut Vec<S>) -> bool {
+        let steps = &mut self.paths[slot].steps;
         let Some(slot) = steps.last_mut().map(|step| &mut step.snapshot) else {
             return false;
         };
@@ -319,7 +327,8 @@ impl<S> Cursor<S> {
 /// body handing the buffers out as an owned [`Execution`], which leaves the
 /// cursor empty — the next run then rebuilds its prefix from the path, as a
 /// fresh executor with a warm path cache would. A run that unwinds out of
-/// [`SystemModel::apply`] leaves the cursor empty too.
+/// [`SystemModel::apply`] leaves the cursor empty too, and its path as far
+/// as it got, the budget charged for exactly the snapshots on it.
 ///
 /// Every run is byte-identical to
 /// [`InlineExecutor`](crate::InlineExecutor)'s — states, outcomes and
@@ -348,7 +357,7 @@ pub struct IncrementalExecutor<M: SystemModel> {
     /// Per-run subsumption scratch, kept for its capacity: the current run's
     /// suffix hashes, and the keys it probed as misses.
     suffixes: Vec<u64>,
-    pending: Vec<(SubsumeKey, Option<Arc<[u8]>>)>,
+    pending: Vec<(SubsumeKey, Option<Box<[u8]>>)>,
 }
 
 impl<M: SystemModel> IncrementalExecutor<M> {
@@ -498,8 +507,8 @@ impl<M: SystemModel> IncrementalExecutor<M> {
             Some(next) if next.faults() == plan => il.common_prefix_len(next),
             _ => usize::MAX,
         };
-        let (slot, mut steps) = self.cache.checkout(il);
-        let resume_depth = steps.len();
+        let slot = self.cache.checkout(il);
+        let resume_depth = self.cache.paths[slot].steps.len();
         self.last_resume_depth = resume_depth;
 
         // The run is taken out for as long as it is being rewritten: if
@@ -516,14 +525,14 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         // A no-op on buffers that held a run of this workload before.
         run.outcomes.reserve(n - kept);
         run.rows.reserve(n - kept);
-        for step in &steps[kept..] {
+        for step in &self.cache.paths[slot].steps[kept..] {
             let cost_us = cost_us(step.event);
             run.push(step.event, step.digest, cost_us, step.outcome.clone());
         }
 
         if self
             .cache
-            .resume(&mut steps, keep < resume_depth, &mut run.states)
+            .resume(slot, keep < resume_depth, &mut run.states)
         {
             self.stats.hits += 1;
             self.stats.events_saved += resume_depth as u64;
@@ -556,32 +565,29 @@ impl<M: SystemModel> IncrementalExecutor<M> {
             _ => None,
         };
         if sub.is_some() {
-            suffix_hashes(il, &mut self.suffixes);
+            suffix_hashes(il, resume_depth, &mut self.suffixes);
         }
         let suffixes = &self.suffixes;
         // A run that unwound out of `apply` must not leave keys behind for
-        // the next run's memo.
+        // the next run to record.
         self.pending.clear();
         let pending = &mut self.pending;
         // In audit mode a hit does not short-circuit: the tail executes
-        // anyway and is compared against the memo at the end of the run.
+        // anyway and is compared against the donor's at the end of the run.
         let audit = sub.is_some_and(SubsumeSet::audit);
-        let mut audit_hit: Option<(usize, SubsumeHit<M::State>)> = None;
-        let mut stitched_at: Option<usize> = None;
 
         let mut probe = |states: &[M::State],
                          faults: &FaultInterpreter<'_>,
                          depth: usize|
-         -> Option<SubsumeHit<M::State>> {
+         -> Option<(usize, MemoId)> {
             let set = sub?;
             if depth >= n {
                 return None;
             }
             let digest = model.state_digest(states)?;
-            let bytes: Option<Arc<[u8]>> = if set.audit() {
-                encode_states(model, states).map(Arc::from)
-            } else {
-                None
+            let bytes = match set.audit() {
+                true => encode_states(model, states).map(Vec::into_boxed_slice),
+                false => None,
             };
             let key = SubsumeKey {
                 state: digest,
@@ -589,37 +595,16 @@ impl<M: SystemModel> IncrementalExecutor<M> {
                 suffix: suffixes[depth],
                 depth: depth as u32,
             };
-            if let Some(hit) = set.lookup(&key) {
-                if let (Some(a), Some(b)) = (&bytes, &hit.bytes) {
-                    assert!(
-                        a == b,
-                        "ER_PI_SUBSUME_AUDIT: 128-bit digest collision at depth {depth}: \
-                         distinct canonical states share digest {digest:#034x}"
-                    );
-                }
-                return Some(hit);
+            let hit = set.lookup(&key, bytes.as_deref());
+            if hit.is_none() {
+                pending.push((key, bytes));
             }
-            pending.push((key, bytes));
-            None
-        };
-        // Ends the run at `depth` with the donor's tail.
-        let stitch = |run: &mut Cursor<M::State>, memo: &RunMemo<M::State>, depth: usize| {
-            for (&id, outcome) in il.iter().zip(&memo.outcomes).skip(depth) {
-                run.push(id, plan.digest_at(id), cost_us(id), outcome.clone());
-            }
-            run.states.clone_from(&memo.states);
+            hit.map(|memo| (depth, memo))
         };
 
-        if let Some(hit) = probe(&run.states, &faults, resume_depth) {
-            if audit {
-                audit_hit = Some((resume_depth, hit));
-            } else {
-                stitch(&mut run, &hit.memo, resume_depth);
-                stitched_at = Some(resume_depth);
-            }
-        }
-
-        if stitched_at.is_none() {
+        // The first hit: the depth from which this run's tail is that memo's.
+        let mut donor = probe(&run.states, &faults, resume_depth);
+        if donor.is_none() || audit {
             for (pos, &id) in il.iter().enumerate().skip(resume_depth) {
                 let event = workload.event(id);
                 let digest = plan.digest_at(id);
@@ -633,65 +618,71 @@ impl<M: SystemModel> IncrementalExecutor<M> {
                 // and the end-of-run fault flush below therefore never leaks
                 // into a snapshot.
                 if pos + 1 < n && pos < keep {
-                    steps.push(Step {
+                    let snapshot = self.cache.store(model, &run.states);
+                    self.cache.paths[slot].steps.push(Step {
                         event: id,
                         digest,
                         outcome: outcome.clone(),
-                        snapshot: self.cache.store(model, &run.states),
+                        snapshot,
                     });
                 }
                 run.push(id, digest, time.event_cost_us(event), outcome);
-                if audit_hit.is_none() {
-                    if let Some(hit) = probe(&run.states, &faults, pos + 1) {
-                        if audit {
-                            audit_hit = Some((pos + 1, hit));
-                        } else {
-                            stitch(&mut run, &hit.memo, pos + 1);
-                            stitched_at = Some(pos + 1);
-                            break;
-                        }
+                if donor.is_none() {
+                    donor = probe(&run.states, &faults, pos + 1);
+                    if donor.is_some() && !audit {
+                        break;
                     }
                 }
             }
-            if stitched_at.is_none() {
-                faults.finish(model, &mut run.states, workload);
-            }
         }
-        self.cache.paths[slot].steps = steps;
+        match (donor, sub) {
+            // Ends the run at `depth` with the donor's tail.
+            (Some((depth, memo)), Some(set)) if !audit => set.read_tail(memo, depth, |mut tail| {
+                for (&id, outcome) in il.as_slice()[depth..].iter().zip(tail.by_ref()) {
+                    run.push(id, plan.digest_at(id), cost_us(id), outcome.clone());
+                }
+                run.states.clear();
+                run.states.extend_from_slice(tail.states());
+            }),
+            _ => faults.finish(model, &mut run.states, workload),
+        }
 
-        if let Some((depth, hit)) = audit_hit {
-            assert_eq!(
-                &run.outcomes[depth..],
-                &hit.memo.outcomes[depth..],
-                "ER_PI_SUBSUME_AUDIT: false subsumption at depth {depth}: \
-                 executed outcomes diverge from the memoized run"
-            );
-            assert_eq!(
-                encode_states(model, &run.states),
-                encode_states(model, &hit.memo.states),
-                "ER_PI_SUBSUME_AUDIT: false subsumption at depth {depth}: \
-                 final states diverge from the memoized run"
-            );
-            stitched_at = Some(depth);
-        }
-        if let Some(depth) = stitched_at {
+        if let Some((depth, memo)) = donor {
+            if let Some(set) = sub.filter(|_| audit) {
+                // The donor's tail is read the way a stitch reads it, through
+                // every link of its chain.
+                let (outcomes, states) = set.read_tail(memo, depth, |mut tail| {
+                    let outcomes: Vec<OpOutcome> = tail.by_ref().cloned().collect();
+                    (outcomes, encode_states(model, tail.states()))
+                });
+                assert_eq!(
+                    &run.outcomes[depth..],
+                    &outcomes[..],
+                    "ER_PI_SUBSUME_AUDIT: false subsumption at depth {depth}: \
+                     executed outcomes diverge from the memoized run"
+                );
+                assert_eq!(
+                    encode_states(model, &run.states),
+                    states,
+                    "ER_PI_SUBSUME_AUDIT: false subsumption at depth {depth}: \
+                     final states diverge from the memoized run"
+                );
+            }
             self.stats.subsumed += 1;
             self.stats.subsume_events_saved += (n - depth) as u64;
             self.last_run_subsumed = true;
         }
         if let Some(set) = sub {
             if !self.pending.is_empty() {
-                // The run's full outcome vector and final states are now
-                // known (executed, stitched, or audit-verified — all
-                // byte-identical by determinism): every depth probed as a
-                // miss becomes a donor entry, shared through one memo.
-                let memo = Arc::new(RunMemo {
-                    outcomes: run.outcomes.clone(),
-                    states: run.states.clone(),
-                });
-                for (key, bytes) in self.pending.drain(..) {
-                    set.insert(key, Arc::clone(&memo), bytes);
-                }
+                // Every depth probed as a miss comes to answer from this
+                // run. Stitched or audit-verified, its tail past the donor's
+                // depth is the donor's, so it links there; executed, it
+                // leaves its final states.
+                let end = match donor {
+                    Some((depth, memo)) => End::Stitched { memo, depth },
+                    None => End::Executed(&run.states),
+                };
+                set.record(&mut self.pending, &run.outcomes, end);
             }
         }
         self.cursor = run;
@@ -1040,6 +1031,71 @@ mod tests {
         assert!(unwound.is_err());
         assert!(exec.run().states.is_empty() && exec.run().outcomes.is_empty());
         exec.advance(&Fused, &w, &after, None, &time);
+        let scratch = InlineExecutor::execute(&LogModel, &w, &after, &time);
+        assert_same(&scratch, exec.run(), &after);
+    }
+
+    /// Σ `bytes` over the distinct snapshots the paths hold.
+    fn resident_bytes<M: SystemModel>(exec: &IncrementalExecutor<M>) -> usize {
+        let mut seen = std::collections::HashSet::new();
+        let steps = exec.cache.paths.iter().flat_map(|path| &path.steps);
+        let snapshots = steps.filter_map(|step| step.snapshot.as_ref());
+        let distinct = snapshots.filter(|snapshot| seen.insert(Arc::as_ptr(snapshot)));
+        distinct.map(|snapshot| snapshot.bytes).sum()
+    }
+
+    #[test]
+    fn a_run_that_unwinds_leaves_the_budget_charged_with_what_is_resident() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        /// [`LogModel`], except that applying e3 after e2 panics.
+        struct Fused;
+
+        impl SystemModel for Fused {
+            type State = Vec<i64>;
+
+            fn replicas(&self) -> usize {
+                LogModel.replicas()
+            }
+
+            fn init(&self, replica: ReplicaId) -> Vec<i64> {
+                LogModel.init(replica)
+            }
+
+            fn apply(&self, states: &mut [Vec<i64>], event: &Event) -> OpOutcome {
+                assert!(
+                    event.id != EventId::new(3) || !states[0].contains(&2),
+                    "fuse"
+                );
+                LogModel.apply(states, event)
+            }
+
+            fn observe(&self, state: &Vec<i64>) -> Value {
+                LogModel.observe(state)
+            }
+
+            fn state_size_hint(&self, state: &Vec<i64>) -> usize {
+                LogModel.state_size_hint(state)
+            }
+        }
+
+        let w = workload(5);
+        let time = TimeModel::paper_setup();
+        let order = |raw: [u32; 5]| -> Interleaving { raw.into_iter().map(EventId::new).collect() };
+        let mut exec = IncrementalExecutor::<Fused>::new(DEFAULT_CACHE_BUDGET);
+        // Snapshots at depths 1 to 3 are stored before e3 blows up.
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            exec.advance(&Fused, &w, &order([0, 1, 2, 3, 4]), None, &time);
+        }));
+        assert!(unwound.is_err());
+        let charged = exec.stats().bytes_resident;
+        assert!(charged > 0);
+        assert_eq!(charged, resident_bytes(&exec));
+        // What the unwound run stored is still there to resume from.
+        let after = order([0, 1, 3, 2, 4]);
+        exec.advance(&Fused, &w, &after, None, &time);
+        assert_eq!(exec.last_resume_depth(), 2);
+        assert_eq!(exec.stats().bytes_resident, resident_bytes(&exec));
         let scratch = InlineExecutor::execute(&LogModel, &w, &after, &time);
         assert_same(&scratch, exec.run(), &after);
     }

@@ -11,14 +11,21 @@
 //! (state digest, fault-context digest, remaining-suffix hash, depth)
 //! ```
 //!
-//! together with a memo of that run's full outcome vector and final states.
-//! When a later run reaches an already-recorded key, its tail is *stitched*
-//! from the memo instead of executed: by determinism of
+//! and points it at that run's tail: the outcomes from that depth on and the
+//! final states. When a later run reaches an already-recorded key, its tail
+//! is *stitched* from the set instead of executed: by determinism of
 //! [`SystemModel::apply`](crate::SystemModel::apply), equal states + equal
 //! fault context + the same remaining event sequence at the same positions
-//! must reproduce exactly the memoized outcomes and final states, so the
+//! must reproduce exactly the recorded outcomes and final states, so the
 //! stitched run is byte-identical to what execution would have produced —
 //! the violation set cannot change (DESIGN.md §15).
+//!
+//! A tail is stored once. Every run that records keys appends only the
+//! outcomes nobody gave it — from its shallowest new key to where it was
+//! stitched, or to its end — and then either links to the run it was
+//! stitched from or, having executed to the end, appends its final states.
+//! Reading a tail follows those links; what a link skips is, by the same
+//! determinism, exactly what the linking run received.
 //!
 //! Soundness rests on [`SystemModel::state_encode`] being *faithful*: equal
 //! encodings must imply behaviorally identical states. Models decline by
@@ -29,13 +36,17 @@
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::Mutex;
 
 use crate::OpOutcome;
 
 /// The explored-set key: everything that determines a run's remaining
 /// behavior at a given depth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// Its fields are digests already, so it hashes as one word folded from
+/// them rather than through SipHash; equality still compares all four.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SubsumeKey {
     /// 128-bit digest over all replicas' canonical state encodings
     /// ([`SystemModel::state_digest`](crate::SystemModel::state_digest)).
@@ -53,50 +64,227 @@ pub(crate) struct SubsumeKey {
     pub depth: u32,
 }
 
-/// What an earlier run recorded at some key: its full outcome vector and
-/// its final (post-fault-flush) replica states. Shared via `Arc` across the
-/// many depths of one run.
+impl Hash for SubsumeKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let fold = self.state as u64
+            ^ (self.state >> 64) as u64
+            ^ self.faults.rotate_left(21)
+            ^ self.suffix.rotate_left(42)
+            ^ u64::from(self.depth).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        // One multiply spreads the fold over both ends of the word: the
+        // table indexes by the low bits and tags by the high ones.
+        state.write_u64((fold ^ (fold >> 32)).wrapping_mul(0xbf58_476d_1ce4_e5b9));
+    }
+}
+
+/// Passes on the one word [`SubsumeKey`] hashes to.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = word;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+type KeyMap<V> = HashMap<SubsumeKey, V, BuildHasherDefault<KeyHasher>>;
+
+/// Index of a memo in the set.
+pub(crate) type MemoId = u32;
+
+/// An offset into one of the arena's vectors, which are indexed by `u32` to
+/// keep a [`Memo`] at 24 bytes.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a subsume arena holds under 2^32 entries")
+}
+
+/// `start..end` in one of the arena's vectors.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    /// Appends `items` to `arena` and returns where they went.
+    fn append<T: Clone>(arena: &mut Vec<T>, items: &[T]) -> Span {
+        let start = offset(arena.len());
+        arena.extend_from_slice(items);
+        Span {
+            start,
+            end: offset(arena.len()),
+        }
+    }
+
+    fn len(self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    fn of<T>(self, arena: &[T]) -> &[T] {
+        &arena[self.start as usize..self.end as usize]
+    }
+}
+
+/// Where a memo's run goes on past its own outcomes.
+#[derive(Debug, Clone, Copy)]
+enum Next {
+    /// The run was stitched from this memo, at the depth where the run's own
+    /// outcomes end.
+    Donor(MemoId),
+    /// The run executed to the end and left these final states.
+    States(Span),
+}
+
+/// One run's record: its outcomes at depths `from..from + own.len()`, then
+/// [`Next`].
+#[derive(Debug, Clone, Copy)]
+struct Memo {
+    /// Depth of the shallowest key that maps here.
+    from: u32,
+    own: Span,
+    next: Next,
+}
+
+/// Every memo of a campaign and what they store, appended to and never
+/// rewritten.
 #[derive(Debug)]
-pub(crate) struct RunMemo<S> {
-    /// Outcomes of the donor run, all positions.
-    pub outcomes: Vec<OpOutcome>,
-    /// Final replica states of the donor run.
-    pub states: Vec<S>,
+struct Tails<S> {
+    memos: Vec<Memo>,
+    outcomes: Vec<OpOutcome>,
+    states: Vec<S>,
+}
+
+impl<S: Clone> Tails<S> {
+    /// Appends a memo for a run whose outcomes are `outcomes`, answering for
+    /// depths `from` on.
+    fn push(&mut self, from: usize, outcomes: &[OpOutcome], end: &End<'_, S>) -> MemoId {
+        let (own, next) = match *end {
+            End::Stitched { memo, depth } => (&outcomes[from..depth], Next::Donor(memo)),
+            End::Executed(states) => (
+                &outcomes[from..],
+                Next::States(Span::append(&mut self.states, states)),
+            ),
+        };
+        let memo = Memo {
+            from: offset(from),
+            own: Span::append(&mut self.outcomes, own),
+            next,
+        };
+        self.memos.push(memo);
+        offset(self.memos.len() - 1)
+    }
+}
+
+/// The tail of a recorded run from some depth on: its outcomes, in order, as
+/// an iterator, and then [`states`](Tail::states).
+///
+/// It walks the run's own outcomes and, past them, those of the memo it was
+/// stitched from, continued at the same depth. A key maps to a memo only if
+/// that memo's run probed the key as a miss and so went on past its depth,
+/// which means every memo a tail links to holds at least one outcome deeper
+/// than the one before: a tail from depth `d` of an `n`-event run costs
+/// `O(n - d)` however long the chain behind it is.
+pub(crate) struct Tail<'a, S> {
+    tails: &'a Tails<S>,
+    memo: &'a Memo,
+    depth: usize,
+}
+
+impl<'a, S> Tail<'a, S> {
+    /// The final states of the run the chain ends in.
+    pub(crate) fn states(&self) -> &'a [S] {
+        let mut memo = self.memo;
+        loop {
+            match memo.next {
+                Next::Donor(donor) => memo = &self.tails.memos[donor as usize],
+                Next::States(states) => return states.of(&self.tails.states),
+            }
+        }
+    }
+}
+
+impl<'a, S> Iterator for Tail<'a, S> {
+    type Item = &'a OpOutcome;
+
+    fn next(&mut self) -> Option<&'a OpOutcome> {
+        loop {
+            let memo = self.memo;
+            debug_assert!(memo.from as usize <= self.depth, "a link starts deeper");
+            let at = self.depth - memo.from as usize;
+            if at < memo.own.len() {
+                self.depth += 1;
+                return memo.own.of(&self.tails.outcomes).get(at);
+            }
+            let Next::Donor(donor) = memo.next else {
+                return None;
+            };
+            self.memo = &self.tails.memos[donor as usize];
+        }
+    }
+}
+
+/// How a recording run ended.
+#[derive(Debug)]
+pub(crate) enum End<'a, S> {
+    /// Its tail from `depth` on is `memo`'s: stitched from it, or — in audit
+    /// mode — executed and verified against it.
+    Stitched { memo: MemoId, depth: usize },
+    /// It executed to the last event, leaving these final states.
+    Executed(&'a [S]),
 }
 
 #[derive(Debug)]
-struct StoredEntry<S> {
-    memo: Arc<RunMemo<S>>,
-    /// Canonical state bytes at the key's depth — kept only in audit mode,
-    /// to distinguish a genuine digest collision from a true hit.
-    bytes: Option<Arc<[u8]>>,
-}
-
-/// A successful lookup.
-#[derive(Debug)]
-pub(crate) struct SubsumeHit<S> {
-    pub memo: Arc<RunMemo<S>>,
-    pub bytes: Option<Arc<[u8]>>,
+struct Arena<S> {
+    /// Each recorded key, to the memo that answers for it.
+    keys: KeyMap<MemoId>,
+    /// Canonical state bytes per key — kept only in audit mode, to tell a
+    /// genuine digest collision from a true hit.
+    bytes: KeyMap<Box<[u8]>>,
+    tails: Tails<S>,
 }
 
 /// The campaign-wide explored-set, shared by every slot of a replay (on
-/// either driver). Thread-safe; by the determinism
-/// contract any two inserts under the same key hold equivalent memos, so
-/// first-writer-wins is exact, not approximate.
+/// either driver): an append-only arena of run tails behind one lock.
+///
+/// Keys map to memos; a memo holds only the outcomes its run computed past
+/// its shallowest new key and links to the memo it was stitched from, so a
+/// donor's tail is stored once however many runs are answered from it.
+/// Nothing is overwritten or evicted before the campaign ends, and by the
+/// determinism contract any two runs recording one key hold the same tail
+/// there, so first-writer-wins is exact, not approximate. A run whose keys
+/// were all taken meanwhile (by another slot) stores nothing.
 #[derive(Debug)]
 pub(crate) struct SubsumeSet<S> {
-    map: Mutex<HashMap<SubsumeKey, StoredEntry<S>>>,
+    arena: Mutex<Arena<S>>,
     audit: bool,
 }
 
-impl<S> SubsumeSet<S> {
+impl<S: Clone> SubsumeSet<S> {
     /// Creates an empty set. Audit mode is read from the
     /// `ER_PI_SUBSUME_AUDIT` environment variable (`1` enables it) once,
     /// here — every executor sharing the set sees the same decision.
     pub(crate) fn new() -> Self {
         let audit = std::env::var_os("ER_PI_SUBSUME_AUDIT").is_some_and(|v| v == *"1");
         SubsumeSet {
-            map: Mutex::new(HashMap::new()),
+            arena: Mutex::new(Arena {
+                keys: KeyMap::default(),
+                bytes: KeyMap::default(),
+                tails: Tails {
+                    memos: Vec::new(),
+                    outcomes: Vec::new(),
+                    states: Vec::new(),
+                },
+            }),
             audit,
         }
     }
@@ -106,41 +294,97 @@ impl<S> SubsumeSet<S> {
         self.audit
     }
 
-    /// Looks up `key`, cloning the memo handle out of the lock.
-    pub(crate) fn lookup(&self, key: &SubsumeKey) -> Option<SubsumeHit<S>> {
-        let map = self.map.lock().expect("subsume set lock");
-        map.get(key).map(|e| SubsumeHit {
-            memo: Arc::clone(&e.memo),
-            bytes: e.bytes.clone(),
+    /// The memo recorded under `key`. In audit mode `bytes` are the probing
+    /// states' canonical encoding, and a hit whose recorded bytes differ is
+    /// a digest collision: this panics.
+    pub(crate) fn lookup(&self, key: &SubsumeKey, bytes: Option<&[u8]>) -> Option<MemoId> {
+        let arena = self.arena.lock().expect("subsume set lock");
+        let memo = arena.keys.get(key).copied();
+        let collides = match (bytes, arena.bytes.get(key)) {
+            (Some(probed), Some(recorded)) => probed != &recorded[..],
+            _ => false,
+        };
+        drop(arena);
+        assert!(
+            !collides,
+            "ER_PI_SUBSUME_AUDIT: 128-bit digest collision at depth {}: \
+             distinct canonical states share digest {:#034x}",
+            key.depth, key.state
+        );
+        memo
+    }
+
+    /// Reads `memo`'s tail from `depth` on — which must be the depth of a
+    /// key that maps to it — under the lock.
+    pub(crate) fn read_tail<R>(
+        &self,
+        memo: MemoId,
+        depth: usize,
+        read: impl FnOnce(Tail<'_, S>) -> R,
+    ) -> R {
+        let arena = self.arena.lock().expect("subsume set lock");
+        let tails = &arena.tails;
+        read(Tail {
+            tails,
+            memo: &tails.memos[memo as usize],
+            depth,
         })
     }
 
-    /// Records `memo` under `key`. First writer wins; concurrent inserts
-    /// under one key are byte-equivalent by determinism, so dropping the
-    /// loser changes nothing observable.
-    pub(crate) fn insert(&self, key: SubsumeKey, memo: Arc<RunMemo<S>>, bytes: Option<Arc<[u8]>>) {
-        let mut map = self.map.lock().expect("subsume set lock");
-        if let MapEntry::Vacant(slot) = map.entry(key) {
-            slot.insert(StoredEntry { memo, bytes });
+    /// Records a run: every key of `pending` (drained, in increasing depth,
+    /// each with its audit bytes) not yet in the set comes to answer from a
+    /// memo of this run, whose `outcomes` and `end` it stores from the
+    /// shallowest such key on. Takes the lock once.
+    pub(crate) fn record(
+        &self,
+        pending: &mut Vec<(SubsumeKey, Option<Box<[u8]>>)>,
+        outcomes: &[OpOutcome],
+        end: End<'_, S>,
+    ) {
+        let mut arena = self.arena.lock().expect("subsume set lock");
+        let Arena { keys, bytes, tails } = &mut *arena;
+        let mut memo = None;
+        for (key, encoded) in pending.drain(..) {
+            let MapEntry::Vacant(slot) = keys.entry(key) else {
+                continue;
+            };
+            let depth = key.depth as usize;
+            slot.insert(*memo.get_or_insert_with(|| tails.push(depth, outcomes, &end)));
+            if let Some(encoded) = encoded {
+                bytes.insert(key, encoded);
+            }
         }
     }
 
     /// Number of recorded keys (tests / diagnostics).
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.map.lock().expect("subsume set lock").len()
+        self.arena.lock().expect("subsume set lock").keys.len()
+    }
+
+    /// Number of stored memos (tests).
+    #[cfg(test)]
+    fn memos(&self) -> usize {
+        self.arena
+            .lock()
+            .expect("subsume set lock")
+            .tails
+            .memos
+            .len()
     }
 }
 
 /// Right-fold suffix hashes for one interleaving, written over `out`:
 /// `out[pos]` is a hash of the `(event id, fault-anchor digest)` sequence
-/// from `pos` to the end (`out[len]` covers the empty suffix). Computed once
-/// per run in O(N), into a buffer the executor keeps between runs.
-pub(crate) fn suffix_hashes(il: &er_pi_model::Interleaving, out: &mut Vec<u64>) {
+/// from `pos` to the end (`out[len]` covers the empty suffix). Only
+/// `out[from..=len]` is computed — a run probes nothing above the depth it
+/// resumes at — in O(len - from), into a buffer the executor keeps between
+/// runs; what lies below `from` is left as it was.
+pub(crate) fn suffix_hashes(il: &er_pi_model::Interleaving, from: usize, out: &mut Vec<u64>) {
     let n = il.len();
-    out.clear();
     out.resize(n + 1, 0);
-    for pos in (0..n).rev() {
+    out[n] = 0;
+    for pos in (from..n).rev() {
         let id = il.as_slice()[pos];
         let mut item = [0u8; 12];
         item[..4].copy_from_slice(&id.raw().to_le_bytes());
@@ -154,7 +398,7 @@ pub(crate) fn suffix_hashes(il: &er_pi_model::Interleaving, out: &mut Vec<u64>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_pi_model::{EventId, Interleaving};
+    use er_pi_model::{EventId, Interleaving, Value};
 
     fn il(ids: &[u32]) -> Interleaving {
         ids.iter().copied().map(EventId::new).collect()
@@ -164,7 +408,7 @@ mod tests {
         // Start from a longer, dirty buffer: a reused one must come out the
         // same as a fresh one.
         let mut out = vec![u64::MAX; il.len() + 5];
-        super::suffix_hashes(il, &mut out);
+        super::suffix_hashes(il, 0, &mut out);
         out
     }
 
@@ -198,33 +442,115 @@ mod tests {
     }
 
     #[test]
-    fn set_is_first_writer_wins() {
+    fn suffix_hashes_from_a_depth_equal_the_full_computation_there() {
+        let order = il(&[4, 2, 0, 3, 1, 5]);
+        let full = suffix_hashes(&order);
+        for from in 0..=order.len() {
+            // Whatever a longer run left in the buffer stays below `from`.
+            let mut out = vec![7; 9];
+            super::suffix_hashes(&order, from, &mut out);
+            assert_eq!(out.len(), order.len() + 1);
+            assert_eq!(out[from..], full[from..], "from depth {from}");
+        }
+    }
+
+    fn key(state: u128, depth: u32) -> SubsumeKey {
+        SubsumeKey {
+            state,
+            faults: 0,
+            suffix: 0,
+            depth,
+        }
+    }
+
+    /// Outcomes a run named `run` computed at positions `0..n`.
+    fn outcomes(run: &str, n: usize) -> Vec<OpOutcome> {
+        (0..n)
+            .map(|at| OpOutcome::Observed(Value::from(format!("{run}{at}"))))
+            .collect()
+    }
+
+    fn tail(set: &SubsumeSet<u32>, key: &SubsumeKey) -> (Vec<OpOutcome>, Vec<u32>) {
+        let memo = set.lookup(key, None).expect("recorded");
+        set.read_tail(memo, key.depth as usize, |mut tail| {
+            let outcomes = tail.by_ref().cloned().collect();
+            (outcomes, tail.states().to_vec())
+        })
+    }
+
+    /// Pending keys `(state, depth)` of a run, as the executor collects them.
+    fn pending(keys: &[(u128, u32)]) -> Vec<(SubsumeKey, Option<Box<[u8]>>)> {
+        keys.iter()
+            .map(|&(state, depth)| (key(state, depth), None))
+            .collect()
+    }
+
+    #[test]
+    fn keys_at_several_depths_of_one_run_each_read_their_own_tail() {
         let set: SubsumeSet<u32> = SubsumeSet::new();
-        let key = SubsumeKey {
-            state: 1,
-            faults: 2,
-            suffix: 3,
-            depth: 4,
+        let a = outcomes("a", 5);
+        let keys = [(10, 1), (11, 2), (12, 4)];
+        set.record(&mut pending(&keys), &a, End::Executed(&[7, 8]));
+        assert_eq!((set.len(), set.memos()), (3, 1));
+        for (state, depth) in keys {
+            let (outcomes, states) = tail(&set, &key(state, depth));
+            assert_eq!(outcomes, a[depth as usize..], "depth {depth}");
+            assert_eq!(states, [7, 8]);
+        }
+    }
+
+    #[test]
+    fn a_donor_chain_reads_each_runs_own_outcomes_then_the_donors_tail() {
+        let set: SubsumeSet<u32> = SubsumeSet::new();
+        // A executes to the end.
+        let a = outcomes("a", 5);
+        set.record(&mut pending(&[(30, 2), (31, 3)]), &a, End::Executed(&[7]));
+        // B is stitched from A's key at depth 3: its outcomes from there on
+        // are A's.
+        let hit = set.lookup(&key(31, 3), None).expect("A recorded");
+        let mut b = outcomes("b", 3);
+        b.extend_from_slice(&a[3..]);
+        let stitched = End::Stitched {
+            memo: hit,
+            depth: 3,
         };
-        assert!(set.lookup(&key).is_none());
-        set.insert(
-            key,
-            Arc::new(RunMemo {
-                outcomes: vec![OpOutcome::Applied],
-                states: vec![7],
-            }),
-            None,
-        );
-        set.insert(
-            key,
-            Arc::new(RunMemo {
-                outcomes: vec![],
-                states: vec![9],
-            }),
-            None,
-        );
-        let hit = set.lookup(&key).expect("recorded");
-        assert_eq!(hit.memo.states, vec![7], "first writer won");
-        assert_eq!(set.len(), 1);
+        set.record(&mut pending(&[(20, 1), (21, 2)]), &b, stitched);
+        // C is stitched from B's key at depth 2.
+        let hit = set.lookup(&key(21, 2), None).expect("B recorded");
+        let mut c = outcomes("c", 2);
+        c.extend_from_slice(&b[2..]);
+        let stitched = End::Stitched {
+            memo: hit,
+            depth: 2,
+        };
+        set.record(&mut pending(&[(10, 0), (11, 1)]), &c, stitched);
+        assert_eq!(set.memos(), 3);
+
+        // C's keys: C's own outcomes, B's own, then A's tail and A's states.
+        let (outcomes, states) = tail(&set, &key(10, 0));
+        assert_eq!(outcomes, c);
+        assert_eq!(outcomes[2], b[2], "B's own outcome");
+        assert_eq!(outcomes[3..], a[3..], "A's tail");
+        assert_eq!(states, [7], "A's final states");
+        assert_eq!(tail(&set, &key(11, 1)).0, c[1..]);
+        // B's key at depth 1 reads the same chain from B.
+        assert_eq!(tail(&set, &key(20, 1)), (b[1..].to_vec(), vec![7]));
+    }
+
+    #[test]
+    fn first_writer_wins_and_a_run_with_no_new_key_stores_nothing() {
+        let set: SubsumeSet<u32> = SubsumeSet::new();
+        let first = outcomes("first", 4);
+        set.record(&mut pending(&[(1, 2), (2, 3)]), &first, End::Executed(&[7]));
+        // Another slot probed the same keys as misses meanwhile.
+        let late = outcomes("late", 4);
+        set.record(&mut pending(&[(1, 2), (2, 3)]), &late, End::Executed(&[9]));
+        assert_eq!((set.len(), set.memos()), (2, 1), "nothing stored");
+        assert_eq!(tail(&set, &key(1, 2)), (first[2..].to_vec(), vec![7]));
+        // One new key among taken ones: the memo starts at the new key.
+        set.record(&mut pending(&[(1, 2), (3, 3)]), &late, End::Executed(&[9]));
+        assert_eq!((set.len(), set.memos()), (3, 2));
+        assert_eq!(tail(&set, &key(1, 2)).1, [7], "first writer won");
+        assert_eq!(tail(&set, &key(3, 3)), (late[3..].to_vec(), vec![9]));
     }
 }

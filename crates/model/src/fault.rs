@@ -15,7 +15,10 @@
 //! the explorer take the product `interleavings × plans` without re-deriving
 //! plans per order.
 
-use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
+use serde::{Content, DeError, Deserialize, Serialize};
 
 use crate::{EventId, ReplicaId};
 
@@ -145,22 +148,15 @@ impl std::fmt::Display for FaultEvent {
 /// assert_ne!(plan.digest_at(EventId::new(3)), 0);
 /// assert_eq!(plan.digest_at(EventId::new(4)), 0);
 /// ```
-#[derive(Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+///
+/// The faults are shared: a clone — one per run of a fault product — is a
+/// reference-count bump, and the fault-free plan holds no reference at all.
+/// It serializes as the JSON array of its faults.
+#[derive(Default, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
-    faults: Vec<FaultEvent>,
-}
-
-impl Clone for FaultPlan {
-    fn clone(&self) -> Self {
-        FaultPlan {
-            faults: self.faults.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.faults.clone_from(&source.faults);
-    }
+    /// Sorted and deduplicated; `None` is the fault-free plan, never an
+    /// empty slice.
+    faults: Option<Arc<[FaultEvent]>>,
 }
 
 impl FaultPlan {
@@ -169,7 +165,9 @@ impl FaultPlan {
     pub fn new(mut faults: Vec<FaultEvent>) -> Self {
         faults.sort();
         faults.dedup();
-        FaultPlan { faults }
+        FaultPlan {
+            faults: (!faults.is_empty()).then(|| faults.into()),
+        }
     }
 
     /// The empty (fault-free) plan.
@@ -177,24 +175,28 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
+    fn as_slice(&self) -> &[FaultEvent] {
+        self.faults.as_deref().unwrap_or_default()
+    }
+
     /// Returns `true` if the plan schedules no faults.
     pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
+        self.faults.is_none()
     }
 
     /// Number of scheduled faults.
     pub fn len(&self) -> usize {
-        self.faults.len()
+        self.as_slice().len()
     }
 
     /// Iterates over the scheduled faults in sorted order.
     pub fn iter(&self) -> std::slice::Iter<'_, FaultEvent> {
-        self.faults.iter()
+        self.as_slice().iter()
     }
 
     /// The faults anchored at `anchor`, in sorted order.
     pub fn at(&self, anchor: EventId) -> impl Iterator<Item = &FaultEvent> {
-        self.faults.iter().filter(move |f| f.anchor == anchor)
+        self.iter().filter(move |f| f.anchor == anchor)
     }
 
     /// A 64-bit digest of the faults anchored at `anchor`, or `0` when none
@@ -215,15 +217,44 @@ impl FaultPlan {
     /// A 64-bit digest of the whole plan (`0` for the empty plan), mixed
     /// into [`Interleaving::fingerprint`](crate::Interleaving::fingerprint).
     pub fn digest(&self) -> u64 {
-        if self.faults.is_empty() {
+        if self.is_empty() {
             return 0;
         }
         let mut h: u64 = FNV_OFFSET;
-        for f in &self.faults {
+        for f in self {
             fnv(&mut h, &f.anchor.raw().to_le_bytes());
             f.kind.mix(&mut h);
         }
         h
+    }
+}
+
+// Hashed, printed and serialized as the list of faults it used to be stored
+// as, so nothing keyed on a plan sees the sharing.
+
+impl Hash for FaultPlan {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl std::fmt::Debug for FaultPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FaultPlan")
+            .field("faults", &self.as_slice())
+            .finish()
+    }
+}
+
+impl Serialize for FaultPlan {
+    fn to_content(&self) -> Content {
+        self.as_slice().to_content()
+    }
+}
+
+impl Deserialize for FaultPlan {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        Vec::from_content(content).map(FaultPlan::new)
     }
 }
 
@@ -244,17 +275,17 @@ impl<'a> IntoIterator for &'a FaultPlan {
     type IntoIter = std::slice::Iter<'a, FaultEvent>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.faults.iter()
+        self.iter()
     }
 }
 
 impl std::fmt::Display for FaultPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.faults.is_empty() {
+        if self.is_empty() {
             return f.write_str("∅");
         }
         f.write_str("{")?;
-        for (i, fault) in self.faults.iter().enumerate() {
+        for (i, fault) in self.iter().enumerate() {
             if i > 0 {
                 f.write_str(", ")?;
             }
@@ -332,6 +363,58 @@ mod tests {
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
+    }
+
+    #[test]
+    fn serde_writes_the_json_array_of_faults() {
+        assert_eq!(serde_json::to_string(&FaultPlan::empty()).unwrap(), "[]");
+        let back: FaultPlan = serde_json::from_str("[]").unwrap();
+        assert!(back.is_empty());
+        let plan = FaultPlan::new(vec![
+            FaultEvent::new(e(4), FaultKind::Delay { by: 2 }),
+            FaultEvent::new(e(1), FaultKind::Drop),
+        ]);
+        let json = serde_json::to_string(&plan).unwrap();
+        assert_eq!(
+            json,
+            r#"[{"anchor":1,"kind":"Drop"},{"anchor":4,"kind":{"Delay":{"by":2}}}]"#
+        );
+        assert_eq!(serde_json::from_str::<FaultPlan>(&json).unwrap(), plan);
+    }
+
+    #[test]
+    fn an_interleaving_round_trips_with_its_plan() {
+        let plan = FaultPlan::new(vec![FaultEvent::new(e(1), FaultKind::Duplicate)]);
+        let il = crate::Interleaving::new(vec![e(1), e(0)]).with_faults(plan);
+        let json = serde_json::to_string(&il).unwrap();
+        assert_eq!(
+            json,
+            r#"{"order":[1,0],"faults":[{"anchor":1,"kind":"Duplicate"}]}"#
+        );
+        let back: crate::Interleaving = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, il);
+        assert_eq!(back.faults().digest(), il.faults().digest());
+        let plain = crate::Interleaving::new(vec![e(0)]);
+        let json = serde_json::to_string(&plain).unwrap();
+        assert_eq!(json, r#"{"order":[0],"faults":[]}"#);
+        assert_eq!(
+            serde_json::from_str::<crate::Interleaving>(&json).unwrap(),
+            plain
+        );
+    }
+
+    #[test]
+    fn a_clone_shares_the_faults_and_the_empty_plan_holds_none() {
+        let plan = FaultPlan::new(vec![FaultEvent::new(e(2), FaultKind::Drop)]);
+        let copy = plan.clone();
+        let shared = |p: &FaultPlan| p.faults.as_ref().map(Arc::as_ptr);
+        assert_eq!(shared(&copy), shared(&plan));
+        assert!(FaultPlan::new(Vec::new()).faults.is_none());
+        assert_eq!(FaultPlan::new(Vec::new()), FaultPlan::empty());
+        assert_eq!(
+            format!("{plan:?}"),
+            "FaultPlan { faults: [FaultEvent { anchor: EventId(2), kind: Drop }] }"
+        );
     }
 
     #[test]

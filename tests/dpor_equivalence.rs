@@ -28,7 +28,8 @@ mod common;
 use common::WORKER_COUNTS;
 use proptest::prelude::*;
 
-use er_pi::{ExploreMode, InlineExecutor, ReplayConfig, Report, Session, TimeModel};
+use er_pi::{Attachments, ExploreMode, InlineExecutor, ReplayConfig, Report, Session, TimeModel};
+use er_pi_interleave::FaultSpace;
 use er_pi_model::{EventId, FaultEvent, FaultKind, FaultPlan, Interleaving, ReplicaId, Value};
 use er_pi_subjects::{Bug, TownApp};
 
@@ -162,6 +163,51 @@ fn motivating_workload_subsumes_ten_x() {
         report.explored,
         stats.subsumed
     );
+}
+
+/// The benchmark's `fault-subsume` shape: the 10-event town recording in DFS
+/// order under every one-fault plan, with subsumption on. Runs here are
+/// stitched from runs that were themselves stitched, so the reports pin tails
+/// read through chains of links — and under `ER_PI_SUBSUME_AUDIT=1` every
+/// such tail is checked against execution.
+#[test]
+fn a_subsuming_fault_product_equals_scratch_replay() {
+    let replay = |workers: usize, stop_first: bool, subsumption: bool| {
+        let config = ReplayConfig {
+            mode: ExploreMode::Dfs,
+            cap: 2_000,
+            workers,
+            stop_on_first_violation: stop_first,
+            incremental: subsumption,
+            subsumption,
+            ..ReplayConfig::default()
+        };
+        let mut session = Session::with_config(TownApp::new(2), config, Attachments::default());
+        session.record(common::record_town);
+        session.set_fault_space(FaultSpace::all(1));
+        session.replay(&TownApp::invariant()).expect("recorded")
+    };
+    for stop_first in [false, true] {
+        let reference = replay(1, stop_first, false);
+        for workers in [1, 2] {
+            let subsuming = replay(workers, stop_first, true);
+            assert_eq!(
+                reference.diff(&subsuming),
+                None,
+                "workers={workers}, stop_first={stop_first}"
+            );
+            // A dropped sync violates on the second run, so only the
+            // exhaustive campaign lives long enough to subsume.
+            let stats = subsuming
+                .cache_stats
+                .expect("subsuming replay reports stats");
+            assert!(
+                stop_first || stats.subsumed > 1_000,
+                "workers={workers}: {} runs subsumed",
+                stats.subsumed
+            );
+        }
+    }
 }
 
 /// `ER_PI_SUBSUME_AUDIT=1` keeps the canonical bytes next to the digests

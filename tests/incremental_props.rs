@@ -325,6 +325,9 @@ proptest! {
             };
             let hint = hint.as_ref();
             let scratch = InlineExecutor::execute(&model, &workload, il, &time);
+            // A run that unwinds leaves its plan's path as far as it got.
+            plans_seen.insert(il.faults().clone());
+            let depth_cap = workload.len().saturating_sub(1);
             let owned;
             let run = match draw.take {
                 Take::Borrowed => {
@@ -345,6 +348,8 @@ proptest! {
                     if unwound.is_err() {
                         let left = executor.run();
                         prop_assert!(left.states.is_empty() && left.outcomes.is_empty());
+                        prop_assert!(executor.resident_snapshots() <= depth_cap * plans_seen.len());
+                        prop_assert!(executor.stats().bytes_resident <= budget);
                         continue;
                     }
                     // The armed event sat in the resumed prefix.
@@ -356,8 +361,6 @@ proptest! {
             prop_assert_eq!(scratch.sim_us, run.sim_us, "sim_us diverged at run {}", i);
             prop_assert_eq!(scratch.view().failed_ops, run.failed_ops);
 
-            plans_seen.insert(il.faults().clone());
-            let depth_cap = workload.len().saturating_sub(1);
             prop_assert!(executor.resident_snapshots() <= depth_cap * plans_seen.len());
             prop_assert!(executor.stats().bytes_resident <= budget);
         }

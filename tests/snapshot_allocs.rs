@@ -8,9 +8,9 @@
 //! into, so it costs a fixed number of blocks per campaign and none per run.
 //!
 //! And it is the number a replay as a whole is held to: blocks per run of
-//! the benchmark's town campaign, under default retention and with the run
-//! records kept — and, over a model that allocates nothing, blocks per run
-//! of the engine alone.
+//! the benchmark's town campaigns, under default retention, with the run
+//! records kept and under a subsuming fault product — and, over a model that
+//! allocates nothing, blocks per run of the engine alone.
 //!
 //! The allocator counts only blocks requested by a thread while that thread
 //! is inside [`blocks_during`], so the count is exact however the harness
@@ -309,6 +309,38 @@ fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
     assert!(dfs <= 21.5, "DFS order: {dfs} blocks per run");
     assert!(random <= 26.3, "Random order: {random} blocks per run");
     assert!(kept <= 31.2, "keep_runs: {kept} blocks per run");
+}
+
+/// Blocks per run of `benchmark/`'s `fault-subsume` campaign: the same town
+/// recording in DFS order under every one-fault plan (27 plans), with
+/// state-hash subsumption, capped at 10 000, one worker.
+///
+/// Three quarters of its runs are answered from the explored-set, so much of
+/// what a run costs there is what recording it costs. It measures 17.08 now
+/// that the set stores each donor's tail once — a run appends only the
+/// outcomes no donor gave it, into one arena — and a run's fault plan is
+/// shared rather than copied (22.39 when every recording run deep-copied its
+/// whole outcome vector and states into a memo of its own and the fault
+/// product cloned each plan's list).
+#[test]
+fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
+    let config = ReplayConfig {
+        mode: ExploreMode::Dfs,
+        cap: 10_000,
+        workers: 1,
+        subsumption: true,
+        ..ReplayConfig::default()
+    };
+    let mut session = Session::with_config(TownApp::new(2), config, Attachments::default());
+    session.record(common::record_town);
+    session.set_fault_space(er_pi_interleave::FaultSpace::all(1));
+    let suite = TownApp::invariant();
+    let (blocks, report) = blocks_during(|| session.replay(&suite).expect("recorded"));
+    assert_eq!(report.explored, 10_000);
+    let stats = report.cache_stats.expect("subsuming replay reports stats");
+    assert!(stats.subsumed > 7_000, "{} runs subsumed", stats.subsumed);
+    let per_run = blocks as f64 / report.explored as f64;
+    assert!(per_run <= 17.5, "fault-subsume: {per_run} blocks per run");
 }
 
 /// The engine's own blocks: a fault-free DFS campaign over a model whose
