@@ -47,8 +47,8 @@ use crate::instrument::{Instrument, RunFacts};
 use crate::subsume::SubsumeSet;
 use crate::{
     CacheStats, CancelToken, CheckContext, ConstraintsDir, ErPiError, FailureStats,
-    IncrementalExecutor, InlineExecutor, ReplayConfig, RunRecord, SystemModel, TestSuite,
-    TimeModel, Violation, WorkerLoad,
+    IncrementalExecutor, ReplayConfig, RunRecord, SystemModel, TestSuite, TimeModel, Violation,
+    WorkerLoad, DEFAULT_CACHE_BUDGET,
 };
 
 /// Sentinel for "no violation found yet" in the atomic minimum.
@@ -171,11 +171,10 @@ fn build_explorer<'w>(
 pub(crate) struct Params<'w> {
     pub workload: Cow<'w, Workload>,
     /// The campaign loop reads `mode`, `cap`, `stop_on_first_violation`,
-    /// `incremental` + `cache_budget` (off runs the scratch executor) and
-    /// `subsumption` (one campaign-wide explored-set; with incremental
-    /// replay off every slot still gets an executor — with a zero snapshot
-    /// budget, so only the subsumption layer is live). The slot count comes
-    /// from the driver, not from `workers`.
+    /// `incremental` (the slots' snapshot budget: [`DEFAULT_CACHE_BUDGET`],
+    /// or 0 for scratch replay) and `subsumption` (one campaign-wide
+    /// explored-set). The slot count comes from the driver, not from
+    /// `workers`.
     pub replay: ReplayConfig,
     /// The effective pruning configuration the exploration starts under.
     pub config: PruningConfig,
@@ -240,7 +239,7 @@ pub(crate) struct Outcome {
     /// Per-slot replay counters, in slot order.
     pub worker_loads: Vec<WorkerLoad>,
     /// Checkpoint-cache counters summed over the per-slot executors; `None`
-    /// when the campaign ran the scratch executor.
+    /// when the campaign neither kept snapshots nor subsumed.
     pub cache_stats: Option<CacheStats>,
     pub filter_timings: Option<FilterTimings>,
     /// The effective configuration at the end: the initial one plus every
@@ -344,11 +343,12 @@ impl Rows {
     }
 }
 
-/// What one replay slot keeps between chunks. Each slot owns its executor:
-/// no cross-thread snapshot sharing, and the chunked dispenser keeps the
-/// slot's stream prefix-coherent.
+/// What one replay slot keeps between chunks. Each slot owns its executor —
+/// the cursor, at a zero snapshot budget under scratch replay: no
+/// cross-thread snapshot sharing, and the chunked dispenser keeps the slot's
+/// stream prefix-coherent.
 struct Slot<M: SystemModel> {
-    executor: Option<IncrementalExecutor<M>>,
+    executor: IncrementalExecutor<M>,
     load: WorkerLoad,
     chunk: Chunk,
 }
@@ -406,18 +406,15 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         }
         let explored = replay.subsumption.then(|| Arc::new(SubsumeSet::new()));
         let budget = match replay.incremental {
-            true => replay.cache_budget,
+            true => DEFAULT_CACHE_BUDGET,
             false => 0,
         };
         let slots = (0..slots.max(1))
             .map(|worker| {
-                let executor = (replay.incremental || replay.subsumption).then(|| {
-                    let mut e = IncrementalExecutor::<M>::new(budget);
-                    if let Some(set) = &explored {
-                        e.enable_subsumption(Arc::clone(set));
-                    }
-                    e
-                });
+                let mut executor = IncrementalExecutor::<M>::new(budget);
+                if let Some(set) = &explored {
+                    executor.enable_subsumption(Arc::clone(set));
+                }
                 Mutex::new(Slot {
                     executor,
                     load: WorkerLoad {
@@ -625,8 +622,8 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         state.chunk.counters.clear();
     }
 
-    /// Executes one interleaving — against a fresh checkpoint, or resuming
-    /// from the slot's previous run when it has an incremental executor —
+    /// Executes one interleaving on the slot's cursor — from fresh states
+    /// under scratch replay, else resuming from the slot's previous run —
     /// checks the suite and books the run. Returns whether it violated.
     fn execute_one(
         &self,
@@ -640,22 +637,14 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         let started = self.instrument.stamp();
 
         // State 3: checkpointed execution of one interleaving. Fresh states
-        // per run are the checkpoint/reset of §4.3; the incremental executor
-        // reaches the same states by resuming from the deepest cached
-        // prefix (byte-identical execution — see `incremental`). Either way
-        // the run is read through one borrow: of the slot's cursor, or of
-        // the scratch executor's `Execution`.
-        if let Some(incremental) = state.executor.as_mut() {
-            incremental.advance(on.model, &self.workload, &il, next, &self.time);
-        }
-        let scratch;
-        let exec = match state.executor.as_ref() {
-            Some(incremental) => incremental.run(),
-            None => {
-                scratch = InlineExecutor::execute(on.model, &self.workload, &il, &self.time);
-                scratch.view()
-            }
-        };
+        // per run are the checkpoint/reset of §4.3 — the cursor at a zero
+        // budget; with snapshots it reaches the same states by resuming from
+        // the deepest cached prefix (byte-identical execution — see
+        // `incremental`).
+        state
+            .executor
+            .advance(on.model, &self.workload, &il, next, &self.time);
+        let exec = state.executor.run();
         let observe = |state: &M::State| on.model.observe(state);
         let ctx = CheckContext::observing(exec.states, &observe, &il, exec.outcomes);
         let check_started = self.instrument.stamp();
@@ -673,12 +662,11 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         }
         let violated = found.len() > before;
         let failed_ops = exec.failed_ops;
-        let executor = state.executor.as_ref();
         self.instrument.run_done(RunFacts {
             slot,
             index,
-            resumed_depth: executor.map_or(0, IncrementalExecutor::last_resume_depth),
-            subsumed: executor.is_some_and(IncrementalExecutor::last_run_subsumed),
+            resumed_depth: state.executor.last_resume_depth(),
+            subsumed: state.executor.last_run_subsumed(),
             sim_us: exec.sim_us,
             failed_ops,
             assertions: on.suite.assertions().len(),
@@ -751,16 +739,14 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         // Slots first and one at a time: a late `step` holds its slot while
         // it finds the dispenser exhausted.
         let mut worker_loads = Vec::with_capacity(self.slots.len());
-        let mut cache_stats: Option<CacheStats> = None;
+        let mut cache_stats = CacheStats::default();
         for slot in &self.slots {
             let slot = slot.lock();
             worker_loads.push(slot.load.clone());
-            if let Some(executor) = &slot.executor {
-                cache_stats
-                    .get_or_insert_with(CacheStats::default)
-                    .absorb(&executor.stats());
-            }
+            cache_stats.absorb(&slot.executor.stats());
         }
+        let cache_stats =
+            (self.replay.incremental || self.replay.subsumption).then_some(cache_stats);
         let mut disp = self.disp.lock();
         let disp = &mut *disp;
         let mut table = self.table.lock();
@@ -930,7 +916,7 @@ pub(crate) mod testing {
         w.build()
     }
 
-    /// An uncapped, uninstrumented, scratch-executor DFS campaign over an
+    /// An uncapped, uninstrumented, scratch-replay DFS campaign over an
     /// owned `workload`; tests override what they exercise. It builds run
     /// records: the tests compare `Outcome::runs` to pin the merge order.
     pub fn dfs_params(workload: Workload, slots: usize) -> Params<'static> {
@@ -1142,8 +1128,7 @@ mod tests {
         };
         assert!(campaign.step(0, on), "runs 0..3");
         let slot = campaign.slots[0].lock();
-        let executor = slot.executor.as_ref().expect("incremental");
-        assert_eq!(executor.resident_snapshots(), shared);
+        assert_eq!(slot.executor.resident_snapshots(), shared);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use er_pi_interleave::ExploreMode;
 
 use crate::campaign::available_workers;
-use crate::{TestSuite, DEFAULT_CACHE_BUDGET};
+use crate::TestSuite;
 
 /// How one campaign explores and replays its workload. Each field is
 /// written by the `Session::set_*` method of (nearly) the same name, whose
@@ -28,10 +28,9 @@ pub struct ReplayConfig {
     /// core. The report does not depend on it; the per-slot cache and
     /// subsumption counters beside the report do.
     pub workers: usize,
-    /// Prefix-sharing incremental replay; `false` pins the scratch executor.
+    /// Prefix-sharing incremental replay; `false` replays every run from
+    /// scratch (the same executor, keeping no snapshot).
     pub incremental: bool,
-    /// Snapshot budget of each slot's incremental executor, in bytes.
-    pub cache_budget: usize,
     /// State-hash subsumption; the report is byte-identical either way.
     pub subsumption: bool,
     /// Sleep-set pruning; the violation set is identical either way, the
@@ -82,7 +81,6 @@ impl Default for ReplayConfig {
             stop_on_first_violation: false,
             workers: 0,
             incremental: true,
-            cache_budget: DEFAULT_CACHE_BUDGET,
             subsumption: false,
             sleep_sets: false,
             auto_independence: false,

@@ -1,19 +1,15 @@
-//! Interleaving executors: fast inline replay and the distributed-lock
-//! threaded replay.
+//! The naive reference executor and the owned run it returns.
 
-use er_pi_dlock::{OrderSequencer, RedisLite};
 use er_pi_model::{Interleaving, Workload};
-use parking_lot::Mutex;
 
-use crate::faultexec::FaultInterpreter;
-use crate::{ErPiError, OpOutcome, SystemModel, TimeModel};
+use crate::{FaultInterpreter, OpOutcome, SystemModel, TimeModel};
 
 /// The result of executing one interleaving, owned.
 ///
-/// What [`InlineExecutor`] and [`ThreadedExecutor`] build per run, and what
+/// What [`InlineExecutor`] builds per run, and what
 /// [`IncrementalExecutor::execute`](crate::IncrementalExecutor::execute)
-/// hands out by giving its buffers away. The campaign loop reads every run
-/// through [`Execution::view`]'s borrow instead, whichever executor made it.
+/// hands out by giving its buffers away. The campaign reads every run
+/// borrowed from its cursor instead, as an [`ExecutionRef`].
 #[derive(Debug)]
 pub struct Execution<S> {
     /// Final replica states.
@@ -24,20 +20,7 @@ pub struct Execution<S> {
     pub sim_us: u64,
 }
 
-impl<S> Execution<S> {
-    /// This run, borrowed (the failed operations are counted here).
-    pub fn view(&self) -> ExecutionRef<'_, S> {
-        ExecutionRef {
-            states: &self.states,
-            outcomes: &self.outcomes,
-            sim_us: self.sim_us,
-            failed_ops: self.outcomes.iter().filter(|o| o.is_failed()).count(),
-        }
-    }
-}
-
-/// One executed interleaving, borrowed from whoever holds it: an
-/// [`Execution`], or the run an
+/// One executed interleaving, borrowed from the run an
 /// [`IncrementalExecutor`](crate::IncrementalExecutor) is on.
 #[derive(Debug)]
 pub struct ExecutionRef<'a, S> {
@@ -51,8 +34,15 @@ pub struct ExecutionRef<'a, S> {
     pub failed_ops: usize,
 }
 
-/// Replays interleavings on the current thread — the fast path used for the
-/// 10 000-interleaving experiments of §6.3.
+/// Replays one interleaving from fresh states on the current thread, in the
+/// plainest way there is: the naive reference the engine's results are
+/// compared with.
+///
+/// No engine path calls it — a campaign, scratch or not, replays through
+/// the [`IncrementalExecutor`](crate::IncrementalExecutor) cursor (at a zero
+/// snapshot budget when incremental replay is off) — so a suite that holds
+/// a report to runs of this executor compares the engine with code it does
+/// not share beyond [`FaultInterpreter`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InlineExecutor;
 
@@ -67,26 +57,6 @@ impl InlineExecutor {
         il: &Interleaving,
         time: &TimeModel,
     ) -> Execution<M::State> {
-        Self::execute_stepwise(model, workload, il, time, |_, _, _, _| {})
-    }
-
-    /// Like [`InlineExecutor::execute`], invoking `on_step` after every
-    /// completed step with `(position, event id, outcome, states)` — the
-    /// states as left *after* the step's fault surgery. The closure is
-    /// observational only; the default no-op compiles away, so the fast
-    /// path is unchanged. Used by the violation flight recorder to capture
-    /// per-step state digests without a second executor.
-    pub fn execute_stepwise<M, F>(
-        model: &M,
-        workload: &Workload,
-        il: &Interleaving,
-        time: &TimeModel,
-        mut on_step: F,
-    ) -> Execution<M::State>
-    where
-        M: SystemModel,
-        F: FnMut(usize, er_pi_model::EventId, &OpOutcome, &[M::State]),
-    {
         let mut states = model.init_all();
         let mut outcomes = Vec::with_capacity(il.len());
         let mut sim_us = time.reset_cost_us;
@@ -94,9 +64,7 @@ impl InlineExecutor {
         for (pos, &id) in il.iter().enumerate() {
             let event = workload.event(id);
             sim_us += time.event_cost_us(event);
-            let outcome = faults.step(model, &mut states, workload, event, pos);
-            on_step(pos, id, &outcome, &states);
-            outcomes.push(outcome);
+            outcomes.push(faults.step(model, &mut states, workload, event, pos));
         }
         faults.finish(model, &mut states, workload);
         Execution {
@@ -104,104 +72,6 @@ impl InlineExecutor {
             outcomes,
             sim_us,
         }
-    }
-}
-
-/// Replays interleavings with one thread per replica, gated by the
-/// distributed-lock [`OrderSequencer`] — the faithful reproduction of the
-/// paper's §4.3 replay mechanism ("a mutex with a shared key managed by a
-/// Redis server, thus effecting the required distributed order").
-///
-/// Event *i* of the interleaving is ticket *i*; the thread owning the
-/// event's replica blocks on the sequencer until every earlier ticket has
-/// completed. By construction the executed order is exactly the scheduled
-/// one — asserted equivalent to [`InlineExecutor`] in the integration tests.
-#[derive(Debug, Default)]
-pub struct ThreadedExecutor;
-
-impl ThreadedExecutor {
-    /// Executes `il` with one thread per replica.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ErPiError::ExecutorPanic`] if a replica thread panics
-    /// (e.g. an assertion inside the model).
-    pub fn execute<M>(
-        model: &M,
-        workload: &Workload,
-        il: &Interleaving,
-        time: &TimeModel,
-    ) -> Result<Execution<M::State>, ErPiError>
-    where
-        M: SystemModel + Sync,
-        M::State: Send,
-    {
-        let sequencer = OrderSequencer::new(RedisLite::new(), "er-pi-replay");
-        let states = Mutex::new(model.init_all());
-        let outcomes = Mutex::new(vec![OpOutcome::Applied; il.len()]);
-        // The sequencer already imposes the total schedule order, so the
-        // fault interpreter can live behind one lock and observe exactly
-        // the same step sequence as the inline executor.
-        let faults = Mutex::new(FaultInterpreter::new(il.faults()));
-
-        // Partition tickets by owning replica.
-        let replica_count = model.replicas();
-        let mut tickets_per_replica: Vec<Vec<(u64, er_pi_model::EventId)>> =
-            vec![Vec::new(); replica_count];
-        for (pos, &id) in il.iter().enumerate() {
-            let replica = workload.event(id).replica.index();
-            assert!(
-                replica < replica_count,
-                "event {id} executes at replica {replica}, but the model has {replica_count}"
-            );
-            tickets_per_replica[replica].push((pos as u64, id));
-        }
-
-        // Each replica thread accumulates its own simulated-time partial
-        // and returns it through `join`; the partials are then summed in
-        // replica order. This keeps the total structurally independent of
-        // thread completion order (and off the hot lock), so it is always
-        // equal to the inline executor's sum.
-        let result: Result<Vec<u64>, String> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for tickets in tickets_per_replica {
-                let sequencer = &sequencer;
-                let states = &states;
-                let outcomes = &outcomes;
-                let faults = &faults;
-                handles.push(scope.spawn(move || {
-                    let mut local_us = 0u64;
-                    for (ticket, id) in tickets {
-                        sequencer.run_in_order(ticket, || {
-                            let event = workload.event(id);
-                            let pos = ticket as usize;
-                            let mut guard = states.lock();
-                            let mut interp = faults.lock();
-                            let outcome = interp.step(model, &mut guard, workload, event, pos);
-                            outcomes.lock()[pos] = outcome;
-                            local_us += time.event_cost_us(event);
-                        });
-                    }
-                    local_us
-                }));
-            }
-            let mut partials = Vec::with_capacity(replica_count);
-            for handle in handles {
-                partials.push(handle.join().map_err(|e| format!("{e:?}"))?);
-            }
-            Ok(partials)
-        });
-        let partials = result.map_err(ErPiError::ExecutorPanic)?;
-
-        let mut final_states = states.into_inner();
-        faults
-            .into_inner()
-            .finish(model, &mut final_states, workload);
-        Ok(Execution {
-            states: final_states,
-            outcomes: outcomes.into_inner(),
-            sim_us: time.reset_cost_us + partials.iter().sum::<u64>(),
-        })
     }
 }
 
@@ -257,92 +127,5 @@ mod tests {
         assert_eq!(exec.states[0][..6], [5, 4, 3, 2, 1, 0]);
         assert_eq!(exec.outcomes.len(), 6);
         assert!(exec.sim_us > 0);
-    }
-
-    #[test]
-    fn threaded_matches_inline_exactly() {
-        let w = probe_workload();
-        let time = TimeModel::paper_setup();
-        // A deliberately scrambled order.
-        let il: Interleaving = [3u32, 0, 5, 1, 4, 2]
-            .into_iter()
-            .map(er_pi_model::EventId::new)
-            .collect();
-        let inline = InlineExecutor::execute(&OrderProbe, &w, &il, &time);
-        let threaded = ThreadedExecutor::execute(&OrderProbe, &w, &il, &time).unwrap();
-        assert_eq!(inline.states, threaded.states);
-        assert_eq!(inline.outcomes, threaded.outcomes);
-        assert_eq!(inline.sim_us, threaded.sim_us);
-
-        // Regression: on a multi-sync workload the per-event costs differ
-        // per replica (sync vs update, host profiles), so any accounting
-        // that depended on thread completion order would drift here. The
-        // per-thread partial sums must still equal the inline total.
-        let mut mw = Workload::builder();
-        let u0 = mw.update(ReplicaId::new(0), "op", [Value::from(0)]);
-        mw.sync_pair(ReplicaId::new(0), ReplicaId::new(1), u0);
-        let u1 = mw.update(ReplicaId::new(1), "op", [Value::from(1)]);
-        mw.sync_pair(ReplicaId::new(1), ReplicaId::new(2), u1);
-        let send = mw.sync_send(ReplicaId::new(2), ReplicaId::new(0), Some(u1));
-        mw.sync_exec(ReplicaId::new(0), ReplicaId::new(2), send);
-        mw.update(ReplicaId::new(2), "op", [Value::from(2)]);
-        let mw = mw.build();
-        let scrambled: Interleaving = [2u32, 0, 6, 1, 4, 3, 5]
-            .into_iter()
-            .map(er_pi_model::EventId::new)
-            .collect();
-        for il in [mw.recorded_order(), scrambled] {
-            let inline = InlineExecutor::execute(&OrderProbe, &mw, &il, &time);
-            let threaded = ThreadedExecutor::execute(&OrderProbe, &mw, &il, &time).unwrap();
-            assert_eq!(inline.sim_us, threaded.sim_us, "sim_us drift on {il}");
-            assert_eq!(inline.states, threaded.states);
-            assert_eq!(inline.outcomes, threaded.outcomes);
-        }
-    }
-
-    #[test]
-    fn threaded_matches_inline_under_faults() {
-        use er_pi_model::{FaultEvent, FaultKind, FaultPlan};
-        let w = probe_workload();
-        let time = TimeModel::paper_setup();
-        let ids: Vec<er_pi_model::EventId> = w.event_ids().collect();
-        let plan = FaultPlan::new(vec![
-            FaultEvent::new(ids[1], FaultKind::Drop),
-            FaultEvent::new(ids[2], FaultKind::Duplicate),
-            FaultEvent::new(ids[3], FaultKind::Delay { by: 2 }),
-        ]);
-        let il = w.recorded_order().with_faults(plan);
-        let inline = InlineExecutor::execute(&OrderProbe, &w, &il, &time);
-        let threaded = ThreadedExecutor::execute(&OrderProbe, &w, &il, &time).unwrap();
-        assert_eq!(inline.states, threaded.states);
-        assert_eq!(inline.outcomes, threaded.outcomes);
-        assert_eq!(inline.sim_us, threaded.sim_us);
-        // Faults do not change the simulated-time ledger.
-        let fault_free = InlineExecutor::execute(&OrderProbe, &w, &w.recorded_order(), &time);
-        assert_eq!(inline.sim_us, fault_free.sim_us);
-    }
-
-    #[test]
-    fn threaded_reports_panics_as_errors() {
-        struct Bomb;
-        impl SystemModel for Bomb {
-            type State = ();
-            fn replicas(&self) -> usize {
-                1
-            }
-            fn init(&self, _r: ReplicaId) {}
-            fn apply(&self, _s: &mut [()], _e: &Event) -> OpOutcome {
-                panic!("kaboom");
-            }
-            fn observe(&self, _s: &()) -> Value {
-                Value::Null
-            }
-        }
-        let mut w = Workload::builder();
-        w.update(ReplicaId::new(0), "x", [Value::from(1)]);
-        let w = w.build();
-        let il = w.recorded_order();
-        let err = ThreadedExecutor::execute(&Bomb, &w, &il, &TimeModel::paper_setup());
-        assert!(matches!(err, Err(ErPiError::ExecutorPanic(_))));
     }
 }

@@ -1,9 +1,12 @@
 //! Deterministic interpretation of [`FaultPlan`]s during replay.
 //!
-//! Every executor (inline, threaded, incremental) runs scheduled faults
-//! through one [`FaultInterpreter`], so the semantics — and therefore the
-//! produced `(states, outcomes)` — are byte-identical across execution
-//! paths. The interpreter is pure bookkeeping over the plan:
+//! [`FaultInterpreter`] is the one public stepping primitive: the cursor
+//! ([`IncrementalExecutor`](crate::IncrementalExecutor)), the forensic
+//! recorder, the naive reference ([`InlineExecutor`](crate::InlineExecutor))
+//! and the threaded Redlock executor outside this crate all step an
+//! interleaving through it, so the semantics — and therefore the produced
+//! `(states, outcomes)` — are byte-identical across execution paths. The
+//! interpreter is pure bookkeeping over the plan:
 //!
 //! * **Topology faults** (`Partition`/`Heal`/`CrashRestart`) fire *before*
 //!   their anchor event executes.
@@ -33,8 +36,14 @@ pub(crate) const REASON_DROPPED: &str = "fault: message dropped";
 pub(crate) const REASON_DELAYED: &str = "fault: delivery delayed";
 
 /// Replays one interleaving's fault schedule deterministically.
+///
+/// One run is [`new`](FaultInterpreter::new), then
+/// [`step`](FaultInterpreter::step) for each event in schedule order (its
+/// position in the interleaving as `pos`), then
+/// [`finish`](FaultInterpreter::finish) — the whole body of
+/// [`InlineExecutor::execute`](crate::InlineExecutor::execute).
 #[derive(Debug, Clone)]
-pub(crate) struct FaultInterpreter<'p> {
+pub struct FaultInterpreter<'p> {
     plan: &'p FaultPlan,
     /// Cut links, normalized `(min, max)`. Ordered, so
     /// [`pending_digest`](FaultInterpreter::pending_digest) can fold them
@@ -53,7 +62,9 @@ fn normalize(a: ReplicaId, b: ReplicaId) -> (ReplicaId, ReplicaId) {
 }
 
 impl<'p> FaultInterpreter<'p> {
-    pub(crate) fn new(plan: &'p FaultPlan) -> Self {
+    /// An interpreter at the start of a run under `plan`: no link cut, no
+    /// delivery outstanding.
+    pub fn new(plan: &'p FaultPlan) -> Self {
         FaultInterpreter {
             plan,
             partitions: BTreeSet::new(),
@@ -76,12 +87,13 @@ impl<'p> FaultInterpreter<'p> {
 
     /// Executes the event at schedule slot `pos` with its faults and returns
     /// the outcome the slot records. The order of these calls *is* the fault
-    /// semantics of the [module docs](self) — topology faults, then the
+    /// semantics — topology faults anchored at the event, then the
     /// anchor's own delivery (re-applied when duplicated), then the delayed
     /// effects due at the end of the step — and every executor goes through
-    /// here, so there is one copy of it.
+    /// here, so there is one copy of it. `states` is left as it is after
+    /// the whole step, fault surgery included.
     #[inline]
-    pub(crate) fn step<M: SystemModel>(
+    pub fn step<M: SystemModel>(
         &mut self,
         model: &M,
         states: &mut [M::State],
@@ -188,8 +200,10 @@ impl<'p> FaultInterpreter<'p> {
         }
     }
 
-    /// Flushes every still-pending delayed effect after the last event.
-    pub(crate) fn finish<M: SystemModel>(
+    /// Flushes every still-pending delayed effect after the last event
+    /// (unless its link is partitioned); call once, after the last
+    /// [`step`](FaultInterpreter::step).
+    pub fn finish<M: SystemModel>(
         &mut self,
         model: &M,
         states: &mut [M::State],

@@ -27,10 +27,10 @@
 use std::collections::VecDeque;
 
 use er_pi_analysis::HbGraph;
-use er_pi_model::{EventId, Interleaving, Workload};
+use er_pi_model::{Interleaving, Workload};
 use serde::Serialize;
 
-use crate::{InlineExecutor, OpOutcome, SystemModel, TimeModel, Violation};
+use crate::{FaultInterpreter, OpOutcome, SystemModel, Violation};
 
 /// Default flight-recorder capacity, in steps. Workload segments are
 /// short (tens of events); the cap only matters for adversarial inputs.
@@ -208,44 +208,39 @@ struct RecordedRun {
 }
 
 fn record_run<M: SystemModel>(model: &M, workload: &Workload, il: &Interleaving) -> RecordedRun {
-    let time = TimeModel::paper_setup();
     let mut recorder = FlightRecorder::new(RECORDER_CAPACITY);
     let mut observations: Vec<Vec<String>> = Vec::with_capacity(il.len());
     let mut source = DigestSource::Canonical;
-    let execution = InlineExecutor::execute_stepwise(
-        model,
-        workload,
-        il,
-        &time,
-        |pos: usize, id: EventId, outcome: &OpOutcome, states: &[M::State]| {
-            let event = workload.event(id);
-            let (digest, digest_source) = digest_states(model, states);
-            source = digest_source;
-            recorder.record(ForensicStep {
-                pos,
-                event: event.to_string(),
-                replica: event.replica.raw(),
-                outcome: outcome_string(outcome),
-                digest,
-            });
-            observations.push(
-                states
-                    .iter()
-                    .map(|s| model.observe(s).to_string())
-                    .collect(),
-            );
-        },
-    );
+    let observe = |states: &[M::State]| -> Vec<String> {
+        states
+            .iter()
+            .map(|s| model.observe(s).to_string())
+            .collect()
+    };
+    let mut states = model.init_all();
+    let mut faults = FaultInterpreter::new(il.faults());
+    for (pos, &id) in il.iter().enumerate() {
+        let event = workload.event(id);
+        // The states as left after the step, fault surgery included.
+        let outcome = faults.step(model, &mut states, workload, event, pos);
+        let (digest, digest_source) = digest_states(model, &states);
+        source = digest_source;
+        recorder.record(ForensicStep {
+            pos,
+            event: event.to_string(),
+            replica: event.replica.raw(),
+            outcome: outcome_string(&outcome),
+            digest,
+        });
+        observations.push(observe(&states));
+    }
+    faults.finish(model, &mut states, workload);
     let (steps, dropped) = recorder.into_parts();
     RecordedRun {
         steps,
         dropped,
         observations,
-        final_observations: execution
-            .states
-            .iter()
-            .map(|s| model.observe(s).to_string())
-            .collect(),
+        final_observations: observe(&states),
         digest_source: source,
     }
 }
@@ -311,7 +306,7 @@ pub fn explain_violation<M: SystemModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_pi_model::{Event, EventKind, ReplicaId, Value};
+    use er_pi_model::{Event, EventId, EventKind, ReplicaId, Value};
 
     /// Integer register per replica with canonical encoding, so digests
     /// take the canonical path.

@@ -1,10 +1,11 @@
 //! Prefix-sharing incremental replay: the path cache, and the executor that
 //! moves along it as a cursor.
 //!
-//! The scratch path ([`InlineExecutor`](crate::InlineExecutor)) re-executes
-//! every surviving interleaving from `init_all()` — O(runs · N) event
-//! applications. But the lexicographic explorers emit interleavings in an
-//! order where adjacent schedules share long common prefixes (the average
+//! Scratch replay re-executes every surviving interleaving from `init_all()`
+//! — O(runs · N) event applications — and is this executor at a zero
+//! snapshot budget: the campaign's only executor, with nothing kept. But the
+//! lexicographic explorers emit interleavings in an order where adjacent
+//! schedules share long common prefixes (the average
 //! divergent suffix of a next-permutation stream is `e ≈ 2.72` events,
 //! independent of N), and in a sorted stream nothing shares more with the
 //! next run than the run just before it. So the [`IncrementalExecutor`]
@@ -40,17 +41,18 @@
 
 use std::sync::Arc;
 
-use er_pi_model::{EventId, Interleaving, Workload};
+use er_pi_model::{EventId, Interleaving, ReplicaId, Workload};
 
 use crate::faultexec::FaultInterpreter;
 use crate::subsume::{suffix_hashes, End, MemoId, SubsumeKey, SubsumeSet};
 use crate::{CacheStats, Execution, ExecutionRef, OpOutcome, SystemModel, TimeModel};
 
-/// Default snapshot budget for incremental sessions: 64 MiB of
-/// [`state_size_hint`](SystemModel::state_size_hint)-accounted state. The
-/// `state_clone` microbench in `crates/bench` puts a full-workload snapshot
-/// of every subject model under a kilobyte, so it only bites on
-/// pathological models.
+/// The snapshot budget of every incremental campaign's executors: 64 MiB of
+/// [`state_size_hint`](SystemModel::state_size_hint)-accounted state (a
+/// scratch campaign's executors get 0). Not an option: the `state_clone`
+/// microbench in `crates/bench` puts a full-workload snapshot of every
+/// subject model under a kilobyte, so the one thing that can make it bind
+/// is a model whose hint says its states are that large.
 pub const DEFAULT_CACHE_BUDGET: usize = 64 * 1024 * 1024;
 
 /// The replica states after some prefix. Shared by `Arc` between the paths
@@ -322,11 +324,10 @@ impl<S> Cursor<S> {
 /// snapshot on the path, and the rest is executed. A resumed run therefore
 /// allocates no vector, clones no outcome of the shared prefix and prices
 /// none of its events again. [`run`](IncrementalExecutor::run)
-/// borrows the result; [`execute`](IncrementalExecutor::execute) and
-/// [`execute_hinted`](IncrementalExecutor::execute_hinted) are the same
-/// body handing the buffers out as an owned [`Execution`], which leaves the
-/// cursor empty — the next run then rebuilds its prefix from the path, as a
-/// fresh executor with a warm path cache would. A run that unwinds out of
+/// borrows the result; [`execute`](IncrementalExecutor::execute) is the
+/// same body handing the buffers out as an owned [`Execution`], which leaves
+/// the cursor empty — the next run then rebuilds its prefix from the path,
+/// as a fresh executor with a warm path cache would. A run that unwinds out of
 /// [`SystemModel::apply`] leaves the cursor empty too, and its path as far
 /// as it got, the budget charged for exactly the snapshots on it.
 ///
@@ -334,9 +335,11 @@ impl<S> Cursor<S> {
 /// [`InlineExecutor`](crate::InlineExecutor)'s — states, outcomes and
 /// `sim_us` — for any budget, any hint and any order of interleavings; the
 /// differential-equivalence harness (`tests/incremental_equivalence.rs`,
-/// `tests/incremental_props.rs`) pins this. An executor serves one model,
-/// one workload and one time model (snapshots, outcomes and per-depth costs
-/// are all remembered by event id). Each executor owns its paths, so a
+/// `tests/incremental_props.rs`) pins this. At budget 0 it keeps no
+/// snapshot and every run replays from `init_all()` into the buffers of the
+/// run before: that is the campaign's scratch replay. An executor serves
+/// one model, one workload and one time model (snapshots, outcomes and
+/// per-depth costs are all remembered by event id). Each executor owns its paths, so a
 /// campaign gives one to each replay slot: its chunked claims are a
 /// subsequence of the sorted stream, sorted too, so it loses nothing.
 #[derive(Debug)]
@@ -418,8 +421,14 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         steps.filter(|step| step.snapshot.is_some()).count()
     }
 
-    /// [`execute_hinted`](IncrementalExecutor::execute_hinted) with no
-    /// knowledge of what comes next.
+    /// [`advance`](IncrementalExecutor::advance)s to `il`, unhinted, and
+    /// hands the run out as an owned [`Execution`].
+    ///
+    /// The buffers leave with it, so the cursor is empty afterwards: the
+    /// next run allocates its own and refills the shared prefix's outcomes
+    /// from the path. Callers that only read a run take
+    /// [`advance`](IncrementalExecutor::advance) +
+    /// [`run`](IncrementalExecutor::run) instead.
     pub fn execute(
         &mut self,
         model: &M,
@@ -427,28 +436,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         il: &Interleaving,
         time: &TimeModel,
     ) -> Execution<M::State> {
-        self.execute_hinted(model, workload, il, None, time)
-    }
-
-    /// [`advance`](IncrementalExecutor::advance)s to `il` and hands the run
-    /// out as an owned [`Execution`], byte-identical to
-    /// [`InlineExecutor::execute`](crate::InlineExecutor::execute) whatever
-    /// the hint.
-    ///
-    /// The buffers leave with it, so the cursor is empty afterwards: the
-    /// next run allocates its own and refills the shared prefix's outcomes
-    /// from the path. Callers that only read a run take
-    /// [`advance`](IncrementalExecutor::advance) +
-    /// [`run`](IncrementalExecutor::run) instead.
-    pub fn execute_hinted(
-        &mut self,
-        model: &M,
-        workload: &Workload,
-        il: &Interleaving,
-        next: Option<&Interleaving>,
-        time: &TimeModel,
-    ) -> Execution<M::State> {
-        self.advance(model, workload, il, next, time);
+        self.advance(model, workload, il, None, time);
         let sim_us = self.run().sim_us;
         let mut run = std::mem::take(&mut self.cursor);
         // The rows have no place in an `Execution`: emptied, their buffer
@@ -539,8 +527,22 @@ impl<M: SystemModel> IncrementalExecutor<M> {
             self.stats.sim_us_saved += run.totals().0;
         } else {
             self.stats.misses += 1;
-            let init = self.init.get_or_insert_with(|| model.init_all());
-            run.states.clone_from(init);
+            match self.cache.budget {
+                // No snapshot will share these states, so they are built
+                // fresh rather than cloned from the kept initial ones: each
+                // replica is the run's own, and its first write copies
+                // nothing.
+                0 => {
+                    run.states.clear();
+                    let replicas = 0..model.replicas() as u16;
+                    run.states
+                        .extend(replicas.map(|r| model.init(ReplicaId::new(r))));
+                }
+                _ => {
+                    let init = self.init.get_or_insert_with(|| model.init_all());
+                    run.states.clone_from(init);
+                }
+            }
         }
 
         // Rebuild the fault interpreter's bookkeeping (partition topology,
@@ -765,6 +767,16 @@ mod tests {
         out
     }
 
+    /// An owned run, read the way the cursor's is.
+    fn borrowed(run: &Execution<Vec<i64>>) -> ExecutionRef<'_, Vec<i64>> {
+        ExecutionRef {
+            states: &run.states,
+            outcomes: &run.outcomes,
+            sim_us: run.sim_us,
+            failed_ops: run.outcomes.iter().filter(|o| o.is_failed()).count(),
+        }
+    }
+
     fn assert_same(
         scratch: &Execution<Vec<i64>>,
         inc: ExecutionRef<'_, Vec<i64>>,
@@ -773,7 +785,7 @@ mod tests {
         assert_eq!(scratch.states, inc.states, "states diverged on {il}");
         assert_eq!(scratch.outcomes, inc.outcomes, "outcomes diverged on {il}");
         assert_eq!(scratch.sim_us, inc.sim_us, "sim_us diverged on {il}");
-        assert_eq!(scratch.view().failed_ops, inc.failed_ops, "on {il}");
+        assert_eq!(borrowed(scratch).failed_ops, inc.failed_ops, "on {il}");
     }
 
     /// Replays all `n!` lexicographic orders against the scratch executor,
@@ -847,18 +859,18 @@ mod tests {
         let b = order([0, 1, 2, 4, 3]);
         let c = order([0, 1, 3, 2, 4]);
         let mut exec = IncrementalExecutor::<LogModel>::new(DEFAULT_CACHE_BUDGET);
-        exec.execute_hinted(&LogModel, &w, &a, Some(&b), &time);
+        exec.advance(&LogModel, &w, &a, Some(&b), &time);
         assert_eq!(exec.resident_snapshots(), 3, "depths 1..=3 are shared");
         // b resumes at depth 3 and c shares only 2: the depth-3 snapshot is
         // taken, not cloned, and nothing deeper is stored.
-        exec.execute_hinted(&LogModel, &w, &b, Some(&c), &time);
+        exec.advance(&LogModel, &w, &b, Some(&c), &time);
         assert_eq!(exec.last_resume_depth(), 3);
         assert_eq!(exec.resident_snapshots(), 2);
-        let run = exec.execute_hinted(&LogModel, &w, &c, None, &time);
+        exec.advance(&LogModel, &w, &c, None, &time);
         assert_eq!(exec.last_resume_depth(), 2);
         assert_eq!(exec.resident_snapshots(), 4, "no hint keeps every depth");
         let scratch = InlineExecutor::execute(&LogModel, &w, &c, &time);
-        assert_same(&scratch, run.view(), &c);
+        assert_same(&scratch, exec.run(), &c);
     }
 
     #[test]
@@ -876,7 +888,7 @@ mod tests {
         assert_eq!(after.events_saved, before.events_saved + 5);
         assert_same(
             &InlineExecutor::execute(&LogModel, &w, &il, &time),
-            again.view(),
+            borrowed(&again),
             &il,
         );
     }
@@ -934,9 +946,9 @@ mod tests {
         // The plan has no path of its own yet: e0 e1 e2 come from the
         // fault-free run, and sharing them is charged once — only the
         // depth-4 snapshot is new.
-        let run = exec.execute_hinted(&LogModel, &w, &faulted, Some(&faulted), &time);
+        exec.advance(&LogModel, &w, &faulted, Some(&faulted), &time);
         assert_eq!(exec.last_resume_depth(), 3);
-        assert_same(&scratch, run.view(), &faulted);
+        assert_same(&scratch, exec.run(), &faulted);
         assert_eq!(exec.resident_snapshots(), 4 + 4);
         assert!(exec.stats().bytes_resident < 2 * resident);
         // The fault-free path moving on must not free what the plan holds.
@@ -944,7 +956,7 @@ mod tests {
         exec.execute(&LogModel, &w, &other, &time);
         let again = exec.execute(&LogModel, &w, &faulted, &time);
         assert_eq!(exec.last_resume_depth(), 4);
-        assert_same(&scratch, again.view(), &faulted);
+        assert_same(&scratch, borrowed(&again), &faulted);
     }
 
     #[test]

@@ -165,7 +165,8 @@ pub use checks::{Assertion, CheckContext, CrossCheck, CrossContext, TestSuite};
 pub use config::ReplayConfig;
 pub use constraints::ConstraintsDir;
 pub use error::ErPiError;
-pub use executor::{Execution, ExecutionRef, InlineExecutor, ThreadedExecutor};
+pub use executor::{Execution, ExecutionRef, InlineExecutor};
+pub use faultexec::FaultInterpreter;
 pub use forensics::{
     explain_violation, DigestSource, DivergencePoint, ForensicBundle, ForensicStep, Provenance,
 };

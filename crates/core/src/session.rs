@@ -270,22 +270,6 @@ impl<M: SystemModel> Session<M> {
         self
     }
 
-    /// Sets the snapshot budget of the incremental executor, in
-    /// [`state_size_hint`](SystemModel::state_size_hint)-accounted bytes
-    /// (default: [`DEFAULT_CACHE_BUDGET`], 64 MiB): a cap on the snapshot
-    /// bytes resident at once, over which a snapshot is not taken. An
-    /// executor holds at most `N - 1` snapshots per fault plan, so the
-    /// default only bites on very large states; each replay slot gets its
-    /// own executor with this budget. A budget of `0` keeps incremental
-    /// bookkeeping but takes no snapshots — every run replays from
-    /// scratch.
-    ///
-    /// [`DEFAULT_CACHE_BUDGET`]: crate::DEFAULT_CACHE_BUDGET
-    pub fn set_cache_budget(&mut self, bytes: usize) -> &mut Self {
-        self.replay.cache_budget = bytes;
-        self
-    }
-
     /// Enables or disables state-hash subsumption (default: **off**).
     ///
     /// Each replay then keeps a campaign-wide explored-set of
@@ -839,7 +823,7 @@ mod tests {
             (ExploreMode::ErPi, 10_000, 0),
             "ER-π mode, the paper's cap, every core"
         );
-        assert!(expected.incremental && expected.cache_budget == crate::DEFAULT_CACHE_BUDGET);
+        assert!(expected.incremental);
 
         let mut session = Session::new(RegApp);
         assert_eq!(session.replay_config(), &expected);
@@ -855,7 +839,6 @@ mod tests {
         writes!(set_stop_on_first_violation(true) => stop_on_first_violation);
         writes!(set_workers(3) => workers);
         writes!(set_incremental(false) => incremental);
-        writes!(set_cache_budget(1) => cache_budget);
         writes!(set_subsumption(true) => subsumption);
         writes!(set_sleep_sets(true) => sleep_sets);
         writes!(set_auto_independence(true) => auto_independence);

@@ -93,7 +93,9 @@ pub trait SystemModel {
     /// convergence assertions and cross-interleaving comparisons.
     fn observe(&self, state: &Self::State) -> Value;
 
-    /// Builds all initial states.
+    /// Builds all initial states: [`init`](SystemModel::init) of each
+    /// replica, in order (scratch replay builds a run's states that way,
+    /// replica by replica, into the buffer of the run before).
     fn init_all(&self) -> Vec<Self::State> {
         (0..self.replicas() as u16)
             .map(|i| self.init(ReplicaId::new(i)))
@@ -176,8 +178,10 @@ pub trait SystemModel {
     }
 
     /// A cheap estimate of one state's resident size in bytes — the unit
-    /// the incremental executor's snapshot budget is accounted in (see
-    /// [`Session::set_cache_budget`](crate::Session::set_cache_budget)).
+    /// the incremental executor's snapshot budget
+    /// ([`DEFAULT_CACHE_BUDGET`](crate::DEFAULT_CACHE_BUDGET)) is accounted
+    /// in, and the one input that can make it bind: a snapshot that would
+    /// take the executor past it is not taken.
     ///
     /// The default is `size_of::<State>()`, which ignores heap payloads;
     /// models whose states own significant heap data (sets, logs,

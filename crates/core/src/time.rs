@@ -1,7 +1,6 @@
 //! The simulated-time model behind Figure 8b.
 
-use er_pi_model::{Event, EventKind, Workload};
-use er_pi_replica::HostProfile;
+use er_pi_model::{Event, EventKind, HostProfile, Workload};
 
 /// Charges simulated time for replayed events, based on per-replica host
 /// profiles.

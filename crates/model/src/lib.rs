@@ -12,8 +12,9 @@
 //! * complete *workloads* — the set of events raised between the
 //!   `ER-π.Start()` and `ER-π.End()` markers ([`Workload`],
 //!   [`WorkloadBuilder`]),
-//! * and *interleavings* — total orders over a workload's events
-//!   ([`Interleaving`]).
+//! * *interleavings* — total orders over a workload's events
+//!   ([`Interleaving`]),
+//! * and the hosts events run on, priced per event ([`HostProfile`]).
 //!
 //! # Example
 //!
@@ -51,6 +52,7 @@ mod dotctx;
 mod encode;
 mod event;
 mod fault;
+mod host;
 mod ids;
 mod interleaving;
 mod value;
@@ -62,6 +64,7 @@ pub use dotctx::DotContext;
 pub use encode::CanonicalEncode;
 pub use event::{Event, EventKind, OpDescriptor};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
+pub use host::HostProfile;
 pub use ids::{Dot, EventId, ReplicaId};
 pub use interleaving::{factorial, reduction_factor, Interleaving};
 pub use value::Value;

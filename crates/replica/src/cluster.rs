@@ -2,10 +2,10 @@
 
 use std::sync::Arc;
 
-use er_pi_model::ReplicaId;
+use er_pi_model::{HostProfile, ReplicaId};
 use er_pi_rdl::DeltaSync;
 
-use crate::{DeliveryMode, HostProfile, Replica, SimClock, VirtualNetwork};
+use crate::{DeliveryMode, Replica, SimClock, VirtualNetwork};
 
 /// A virtual cluster of replicas holding op-based CRDT states.
 ///

@@ -10,8 +10,9 @@
 //!   around every replayed interleaving, paper §4.3),
 //! * [`VirtualNetwork`] — per-pair FIFO message queues with configurable
 //!   delivery: in-order, seeded reordering, loss, or partitions,
-//! * [`HostProfile`] / [`SimClock`] — per-host cost models reproducing the
-//!   *time* dimension of Figure 8b without the physical hardware,
+//! * [`SimClock`] — simulated time, charged per
+//!   [`HostProfile`](er_pi_model::HostProfile), reproducing the *time*
+//!   dimension of Figure 8b without the physical hardware,
 //! * [`Cluster`] — the three-replica assembly used throughout the
 //!   evaluation.
 //!
@@ -35,12 +36,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod clock;
 mod cluster;
-mod host;
 mod network;
 mod replica;
 
+pub use clock::SimClock;
 pub use cluster::Cluster;
-pub use host::{HostProfile, SimClock};
 pub use network::{DeliveryMode, LinkFault, VirtualNetwork};
 pub use replica::Replica;

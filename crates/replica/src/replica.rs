@@ -1,8 +1,6 @@
 //! A single replica: state + checkpointing + host profile.
 
-use er_pi_model::ReplicaId;
-
-use crate::HostProfile;
+use er_pi_model::{HostProfile, ReplicaId};
 
 /// One replica of the replicated data system.
 ///

@@ -2,7 +2,8 @@
 //! the route table, and canned responses. One thread per connection,
 //! `Connection: close`; campaign replays never run on connection threads,
 //! so a slow client cannot stall the service, and every socket carries a
-//! read and a write timeout, so a stalled one cannot hold its thread.
+//! read and a write timeout and every request a deadline, so a stalled or
+//! trickling one cannot hold its thread.
 //!
 //! The one exception to request/response/close is
 //! `GET /campaigns/:id/events`: that connection switches to a
@@ -14,7 +15,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::campaign::ExplainError;
 use crate::ServerState;
@@ -26,6 +27,10 @@ const MAX_REQUEST_BYTES: usize = 4 << 20;
 /// How long a connection may stay silent before its request is complete;
 /// after that it is answered `408 Request Timeout` and closed.
 const READ_TIMEOUT: Duration = Duration::from_millis(if cfg!(test) { 300 } else { 10_000 });
+
+/// How long a whole request may take to arrive, however steadily its bytes
+/// trickle in; after that it is answered `408 Request Timeout` and closed.
+const REQUEST_DEADLINE: Duration = Duration::from_millis(if cfg!(test) { 1_000 } else { 30_000 });
 
 /// How long one write may block on a client that has stopped reading — an
 /// SSE subscriber included — before the connection is dropped.
@@ -79,7 +84,6 @@ pub(crate) fn serve(state: Arc<ServerState>, listener: TcpListener) {
 
 /// Serves one connection: parse, route, respond, close.
 fn handle(state: &ServerState, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let request = match read_request(&mut stream) {
         Ok(Some(request)) => request,
@@ -321,9 +325,21 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Reads one request. `Ok(None)` means the request exceeded
-/// [`MAX_REQUEST_BYTES`].
+/// Reads into `chunk`, waiting at most [`READ_TIMEOUT`] and not past
+/// `deadline`.
+fn read_by(stream: &mut TcpStream, chunk: &mut [u8], deadline: Instant) -> std::io::Result<usize> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(ErrorKind::TimedOut.into());
+    }
+    stream.set_read_timeout(Some(left.min(READ_TIMEOUT)))?;
+    stream.read(chunk)
+}
+
+/// Reads one request within [`REQUEST_DEADLINE`]. `Ok(None)` means the
+/// request exceeded [`MAX_REQUEST_BYTES`].
 fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
+    let deadline = Instant::now() + REQUEST_DEADLINE;
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
     let header_end = loop {
@@ -333,7 +349,7 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
         if buf.len() > MAX_REQUEST_BYTES {
             return Ok(None);
         }
-        let n = stream.read(&mut chunk)?;
+        let n = read_by(stream, &mut chunk, deadline)?;
         if n == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
@@ -372,7 +388,7 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
     }
     let mut body = buf[header_end + 4..].to_vec();
     while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
+        let n = read_by(stream, &mut chunk, deadline)?;
         if n == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
@@ -458,6 +474,60 @@ mod tests {
                 "{response}"
             );
         }
+        server.shutdown();
+    }
+
+    /// One header byte every third of a read timeout: no single read ever
+    /// times out, and the request deadline still answers it.
+    #[test]
+    fn a_trickling_client_gets_408_at_the_request_deadline() {
+        use crate::{Server, ServerConfig};
+
+        let config = ServerConfig {
+            port: 0,
+            workers: 1,
+            runners: 1,
+            queue_cap: 1,
+        };
+        let server = Server::bind(config).unwrap().spawn().unwrap();
+        let started = Instant::now();
+        let mut slow = TcpStream::connect(server.addr()).unwrap();
+        slow.write_all(b"GET /healthz HTTP/1.1\r\nX-Trickle: ")
+            .unwrap();
+        slow.set_read_timeout(Some(READ_TIMEOUT / 3)).unwrap();
+        let mut response = Vec::new();
+        let mut served = false;
+        // A guard for the test itself: a server without a deadline would
+        // take the bytes for ever, so stop trickling and fail.
+        while started.elapsed() < REQUEST_DEADLINE * 4 {
+            if slow.write_all(b"a").is_err() {
+                break;
+            }
+            let mut chunk = [0u8; 256];
+            match slow.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => response.extend_from_slice(&chunk[..n]),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(e) => panic!("trickling: {e}"),
+            }
+            if !served && started.elapsed() > READ_TIMEOUT * 2 {
+                // Past a read timeout of trickling, another client is served.
+                let mut live = TcpStream::connect(server.addr()).unwrap();
+                live.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+                let mut healthz = String::new();
+                live.read_to_string(&mut healthz).unwrap();
+                assert!(healthz.starts_with("HTTP/1.1 200 OK"), "{healthz}");
+                served = true;
+            }
+        }
+        let elapsed = started.elapsed();
+        let response = String::from_utf8_lossy(&response);
+        assert!(
+            response.starts_with("HTTP/1.1 408 Request Timeout"),
+            "after {elapsed:?}: {response:?}"
+        );
+        assert!(served);
+        assert!(elapsed < REQUEST_DEADLINE * 2, "answered after {elapsed:?}");
         server.shutdown();
     }
 

@@ -441,7 +441,7 @@ impl Bug {
     }
 
     /// Like [`Bug::replay_report`], with explicit control over incremental
-    /// replay: `incremental == false` pins the scratch executor, the
+    /// replay: `incremental == false` replays every run from scratch, the
     /// reference side of the incremental differential-equivalence suite.
     pub fn replay_report_with(
         &self,

@@ -13,11 +13,10 @@
 //!
 //! Run with: `cargo run --example distributed_replay`
 
-use er_pi::{
-    FailedOpsRule, InlineExecutor, PruningConfig, Session, SystemModel, ThreadedExecutor, TimeModel,
-};
+use er_pi::{FailedOpsRule, InlineExecutor, PruningConfig, Session, SystemModel, TimeModel};
 use er_pi_datalog::InterleavingStore;
 use er_pi_model::{EventId, ReplicaId, Value};
+use er_pi_repro::ThreadedExecutor;
 use er_pi_subjects::TownApp;
 
 fn main() {

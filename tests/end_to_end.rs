@@ -3,10 +3,11 @@
 
 use er_pi::{
     Assertion, ExploreMode, FailedOpsRule, InlineExecutor, PruningConfig, Session, SystemModel,
-    TestSuite, ThreadedExecutor, TimeModel,
+    TestSuite, TimeModel,
 };
 use er_pi_datalog::InterleavingStore;
 use er_pi_model::{EventId, ReplicaId, Value};
+use er_pi_repro::ThreadedExecutor;
 use er_pi_subjects::{CrdtsModel, RoshiModel, TownApp, YorkieModel};
 
 fn r(i: u16) -> ReplicaId {

@@ -13,7 +13,8 @@
 use std::sync::Arc;
 
 use er_pi::telemetry::Registry;
-use er_pi::{Attachments, ReplayConfig, SessionMetrics};
+use er_pi::{Attachments, ForensicBundle, ReplayConfig, SessionMetrics, Violation};
+use er_pi_rdl::fnv1a128;
 use er_pi_subjects::Bug;
 
 fn opts(workers: usize, incremental: bool, subsumption: bool) -> ReplayConfig {
@@ -99,10 +100,9 @@ fn explaining_twice_is_deterministic_and_complete() {
     );
 }
 
-/// A fuzz-case violation explains the same way: the bundle is rebuilt
-/// from the case spec alone and is stable across re-assembly.
-#[test]
-fn fuzz_case_bundles_are_deterministic() {
+/// The ledger fuzz case whose duplicated sync violates exactly-once, and
+/// the violation its one-worker campaign finds first.
+fn fuzz_case() -> (er_pi_fuzz::FuzzCase, Violation) {
     let case: er_pi_fuzz::FuzzCase = serde_json::from_str(
         r#"{
             "target": "Ledger",
@@ -128,14 +128,67 @@ fn fuzz_case_bundles_are_deterministic() {
     );
     let violation = report
         .violations
-        .first()
+        .into_iter()
+        .next()
         .expect("the duplicated sync violates exactly-once");
-    let first = er_pi_fuzz::explain_for(&case, violation).expect("explains");
-    let second = er_pi_fuzz::explain_for(&case, violation).expect("explains");
+    (case, violation)
+}
+
+/// A fuzz-case violation explains the same way: the bundle is rebuilt
+/// from the case spec alone and is stable across re-assembly.
+#[test]
+fn fuzz_case_bundles_are_deterministic() {
+    let (case, violation) = fuzz_case();
+    let first = er_pi_fuzz::explain_for(&case, &violation).expect("explains");
+    let second = er_pi_fuzz::explain_for(&case, &violation).expect("explains");
     assert_eq!(first.canonical_json(), second.canonical_json());
     assert_eq!(
         first.provenance.fault_count, 1,
         "the fault plan rides in the bundle"
+    );
+}
+
+/// The bundles' bytes, held to literals rather than to each other:
+/// `fnv1a128` of the canonical JSON of every catalogue bug's first-violation
+/// bundle (one worker, scratch replay) and of the fuzz case's. A change to
+/// how a violating run is re-executed, digested or rendered shows here even
+/// when every bundle still agrees with every other.
+#[test]
+fn forensic_bundles_match_their_pinned_bytes() {
+    const PINNED: [(&str, u128); 13] = [
+        ("Roshi-1", 0xa5052c80eefebfa6b8a6a697f371b2e2),
+        ("Roshi-2", 0xdc89ce261b5b6ae9dedf398ef821a032),
+        ("Roshi-3", 0x3d7d5247ad04073f92d46cfaec1d676f),
+        ("OrbitDB-1", 0xcba5d4d801a11423b112acb3847a6410),
+        ("OrbitDB-2", 0x7204a857ea3d17ae1e56c9d652a85076),
+        ("OrbitDB-3", 0xe58d73ad419d2a56761bdde8fed2bb4c),
+        ("OrbitDB-4", 0x72b5acd2f334d1de1de9a08bd4e9668a),
+        ("OrbitDB-5", 0x609c37f429c63b964d976dd9712746a6),
+        ("ReplicaDB-1", 0x2588f0c5375732407f8594b1ac78d3b6),
+        ("ReplicaDB-2", 0x860892356ca24fc27b9c1bafc48c5122),
+        ("Yorkie-1", 0x1af204748c43677da9820c92128aecb9),
+        ("Yorkie-2", 0x879711ade5c3bee83c0c2c42917f7b5e),
+        ("ledger fuzz case", 0x5e6ed95f2607ea25b070edefd380b631),
+    ];
+    let digest = |bundle: ForensicBundle| fnv1a128(bundle.canonical_json().as_bytes());
+    let mut seen: Vec<(&str, u128)> = Bug::catalogue()
+        .iter()
+        .map(|bug| {
+            let report = bug.replay_report_opts(&opts(1, false, false));
+            let violation = report.violations.first().expect("catalogue bug reproduces");
+            (bug.name, digest(bug.explain(violation).expect("explains")))
+        })
+        .collect();
+    let (case, violation) = fuzz_case();
+    let fuzz = er_pi_fuzz::explain_for(&case, &violation).expect("explains");
+    seen.push(("ledger fuzz case", digest(fuzz)));
+    let rows: String = seen
+        .iter()
+        .map(|(name, digest)| format!("        ({name:?}, 0x{digest:032x}),\n"))
+        .collect();
+    assert_eq!(
+        seen, PINNED,
+        "the rows, if the change was intended:\n{rows}"
     );
 }
 

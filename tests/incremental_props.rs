@@ -5,8 +5,10 @@
 //! properties drive randomized workloads through wildly different budgets
 //! — 0 (every run from scratch), ∞ (no store ever refused) and a small
 //! random budget (most stores refused) — and require the merged report to
-//! diff clean against the scratch executor every time, sequentially and
-//! under the pool. The first property drives the executor directly, in no
+//! diff clean against scratch replay every time, sequentially and under the
+//! pool. A campaign's budget is fixed, so there the model's
+//! `state_size_hint` makes it bind: a hint above the budget refuses every
+//! snapshot, a scaled one stands for a small budget. The first property drives the executor directly, in no
 //! explorer's order — repeats, plan switches between consecutive runs, plans
 //! that share a prefix with the fault-free trunk — with arbitrary lookahead
 //! hints (right, absent, unrelated, or under another fault plan), reading
@@ -20,8 +22,8 @@ use std::sync::Once;
 use proptest::prelude::*;
 
 use er_pi::{
-    ExploreMode, IncrementalExecutor, InlineExecutor, OpOutcome, Report, Session, SystemModel,
-    TestSuite, TimeModel,
+    ExecutionRef, ExploreMode, IncrementalExecutor, InlineExecutor, OpOutcome, Report, Session,
+    SystemModel, TestSuite, TimeModel, DEFAULT_CACHE_BUDGET,
 };
 use er_pi_model::{
     Event, EventId, EventKind, FaultEvent, FaultKind, FaultPlan, Interleaving, ReplicaId, Value,
@@ -66,6 +68,42 @@ impl SystemModel for HistMachine {
 
     fn state_size_hint(&self, state: &Vec<i64>) -> usize {
         std::mem::size_of::<Vec<i64>>() + state.len() * std::mem::size_of::<i64>()
+    }
+}
+
+/// [`HistMachine`] with its `state_size_hint` multiplied by `scale`: under
+/// the campaign's fixed [`DEFAULT_CACHE_BUDGET`], its snapshots are refused
+/// where a budget of `DEFAULT_CACHE_BUDGET / scale` bytes would refuse the
+/// plain machine's.
+struct Scaled {
+    scale: usize,
+}
+
+/// Every snapshot of a [`Scaled`] machine at this scale is charged more
+/// than the whole budget: a cache that refuses everything.
+const REFUSING: usize = DEFAULT_CACHE_BUDGET;
+
+impl SystemModel for Scaled {
+    type State = Vec<i64>;
+
+    fn replicas(&self) -> usize {
+        HistMachine.replicas()
+    }
+
+    fn init(&self, replica: ReplicaId) -> Vec<i64> {
+        HistMachine.init(replica)
+    }
+
+    fn apply(&self, states: &mut [Vec<i64>], event: &Event) -> OpOutcome {
+        HistMachine.apply(states, event)
+    }
+
+    fn observe(&self, state: &Vec<i64>) -> Value {
+        HistMachine.observe(state)
+    }
+
+    fn state_size_hint(&self, state: &Vec<i64>) -> usize {
+        HistMachine.state_size_hint(state) * self.scale
     }
 }
 
@@ -160,23 +198,38 @@ fn build_workload(steps: &[Step]) -> Workload {
     w.build()
 }
 
-fn replay(workload: &Workload, mode: ExploreMode, workers: usize, budget: Option<usize>) -> Report {
-    let mut session = Session::new(HistMachine);
-    session.set_workload(workload.clone());
-    session.set_mode(mode);
-    session.set_keep_runs(true);
-    session.set_cap(100_000);
-    session.set_workers(workers);
-    match budget {
-        Some(budget) => {
-            session.set_incremental(true);
-            session.set_cache_budget(budget);
-        }
-        None => {
-            session.set_incremental(false);
-        }
+/// A campaign over `workload`: incremental on a [`Scaled`] machine at
+/// `scale`, or — for `None` — scratch replay of the plain one.
+fn replay(workload: &Workload, mode: ExploreMode, workers: usize, scale: Option<usize>) -> Report {
+    fn on<M: SystemModel + Sync>(model: M, workload: &Workload, mode: ExploreMode) -> Session<M> {
+        let mut session = Session::new(model);
+        session.set_workload(workload.clone());
+        session.set_mode(mode);
+        session.set_keep_runs(true);
+        session.set_cap(100_000);
+        session
     }
-    session.replay(&TestSuite::new()).unwrap()
+    let suite = TestSuite::new();
+    match scale {
+        Some(scale) => on(Scaled { scale }, workload, mode)
+            .set_workers(workers)
+            .set_incremental(true)
+            .replay(&suite),
+        None => on(HistMachine, workload, mode)
+            .set_workers(workers)
+            .set_incremental(false)
+            .replay(&suite),
+    }
+    .unwrap()
+}
+
+/// The scales that stand for budgets 0, ∞ and `random_budget` bytes.
+fn scales(random_budget: usize) -> [usize; 3] {
+    [REFUSING, 1, DEFAULT_CACHE_BUDGET / random_budget]
+}
+
+fn failed(outcomes: &[OpOutcome]) -> usize {
+    outcomes.iter().filter(|o| o.is_failed()).count()
 }
 
 /// One run of a generated sequence: keep the first `keep` events of the
@@ -198,7 +251,8 @@ struct Draw {
 enum Take {
     /// `advance` + `run`: the campaign's reading, the cursor keeps the run.
     Borrowed,
-    /// `execute_hinted`: the buffers leave, the cursor is empty afterwards.
+    /// `execute` (unhinted): the buffers leave, the cursor is empty
+    /// afterwards.
     Owned,
     /// `advance` with the event at this position (modulo the length) armed:
     /// unwinds unless the run resumes past it.
@@ -335,9 +389,14 @@ proptest! {
                     executor.run()
                 }
                 Take::Owned => {
-                    owned = executor.execute_hinted(&model, &workload, il, hint, &time);
+                    owned = executor.execute(&model, &workload, il, &time);
                     prop_assert!(executor.run().outcomes.is_empty(), "the run moved out");
-                    owned.view()
+                    ExecutionRef {
+                        states: &owned.states,
+                        outcomes: &owned.outcomes,
+                        sim_us: owned.sim_us,
+                        failed_ops: failed(&owned.outcomes),
+                    }
                 }
                 Take::Unwound(at) => {
                     model.armed.store(il.as_slice()[at % il.len()].raw(), Ordering::Relaxed);
@@ -359,7 +418,7 @@ proptest! {
             prop_assert_eq!(&scratch.states[..], run.states, "states diverged at run {}", i);
             prop_assert_eq!(&scratch.outcomes[..], run.outcomes, "outcomes diverged at run {}", i);
             prop_assert_eq!(scratch.sim_us, run.sim_us, "sim_us diverged at run {}", i);
-            prop_assert_eq!(scratch.view().failed_ops, run.failed_ops);
+            prop_assert_eq!(failed(&scratch.outcomes), run.failed_ops);
 
             prop_assert!(executor.resident_snapshots() <= depth_cap * plans_seen.len());
             prop_assert!(executor.stats().bytes_resident <= budget);
@@ -375,8 +434,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Budget 0, budget ∞ and a small random budget produce the same
-    /// report as the scratch executor, in both exploration modes.
+    /// Budget 0, budget ∞ and a small random budget — as hint scales —
+    /// produce the same report as scratch replay, in both exploration modes.
     #[test]
     fn eviction_schedule_never_changes_the_report(
         steps in arb_steps(),
@@ -385,13 +444,13 @@ proptest! {
         let workload = build_workload(&steps);
         for mode in [ExploreMode::ErPi, ExploreMode::Dfs] {
             let scratch = replay(&workload, mode, 1, None);
-            for budget in [0, usize::MAX, random_budget] {
-                let incremental = replay(&workload, mode, 1, Some(budget));
+            for scale in scales(random_budget) {
+                let incremental = replay(&workload, mode, 1, Some(scale));
                 prop_assert_eq!(
                     scratch.diff(&incremental),
                     None,
-                    "budget {} diverged from scratch in {:?} mode",
-                    budget,
+                    "hint scale {} diverged from scratch in {:?} mode",
+                    scale,
                     mode
                 );
             }
@@ -408,26 +467,26 @@ proptest! {
         let workload = build_workload(&steps);
         let scratch = replay(&workload, ExploreMode::Dfs, 1, None);
         for workers in [2usize, 4] {
-            for budget in [0, usize::MAX, random_budget] {
-                let incremental = replay(&workload, ExploreMode::Dfs, workers, Some(budget));
+            for scale in scales(random_budget) {
+                let incremental = replay(&workload, ExploreMode::Dfs, workers, Some(scale));
                 prop_assert_eq!(
                     scratch.diff(&incremental),
                     None,
-                    "budget {} at {} workers diverged from scratch",
-                    budget,
+                    "hint scale {} at {} workers diverged from scratch",
+                    scale,
                     workers
                 );
             }
         }
     }
 
-    /// Budget 0 admits no snapshots: every probe is a miss, nothing is
-    /// saved, nothing stays resident — the degenerate case really is the
-    /// scratch executor plus counters.
+    /// A refusing cache admits no snapshots: every probe is a miss, nothing
+    /// is saved, nothing stays resident — the degenerate case really is
+    /// scratch replay plus counters.
     #[test]
     fn zero_budget_saves_nothing(steps in arb_steps()) {
         let workload = build_workload(&steps);
-        let report = replay(&workload, ExploreMode::Dfs, 1, Some(0));
+        let report = replay(&workload, ExploreMode::Dfs, 1, Some(REFUSING));
         let stats = report.cache_stats.expect("incremental run reports stats");
         prop_assert_eq!(stats.hits, 0);
         prop_assert_eq!(stats.events_saved, 0);

@@ -350,7 +350,10 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
 /// path stores (its `Vec` and its reference count) — the executor is a
 /// cursor, so a run brings no `states` and no `outcomes` vector of its own,
 /// and the dispenser remembers nothing. 2.47 blocks per run; 3.98 when
-/// every run built its two vectors.
+/// every run built its two vectors. Scratch replay is the same cursor
+/// keeping no snapshot, so a run costs the interleaving alone: 1.006 (3.006
+/// while scratch replay had an executor of its own, which built a run's
+/// `states` and `outcomes` afresh).
 #[test]
 fn the_engine_allocates_a_pinned_number_of_blocks_per_run() {
     struct Tally;
@@ -377,26 +380,32 @@ fn the_engine_allocates_a_pinned_number_of_blocks_per_run() {
         }
     }
 
-    let config = ReplayConfig {
-        mode: ExploreMode::Dfs,
-        cap: 10_000,
-        workers: 1,
-        ..ReplayConfig::default()
+    let blocks_per_run = |incremental: bool| {
+        let config = ReplayConfig {
+            mode: ExploreMode::Dfs,
+            cap: 10_000,
+            workers: 1,
+            incremental,
+            ..ReplayConfig::default()
+        };
+        let mut session = Session::with_config(Tally, config, Attachments::default());
+        session.record(|app| {
+            for i in 0..8u16 {
+                app.invoke(ReplicaId::new(i % 2), "bump", [Value::from(i64::from(i))]);
+            }
+        });
+        let suite = er_pi::TestSuite::new().with_assertion("two replicas", |ctx| {
+            (ctx.states.len() == 2)
+                .then_some(())
+                .ok_or_else(|| "a replica went missing".to_owned())
+        });
+        let (blocks, report) = blocks_during(|| session.replay(&suite).expect("recorded"));
+        assert_eq!(report.explored, 10_000);
+        assert!(report.violations.is_empty());
+        blocks as f64 / report.explored as f64
     };
-    let mut session = Session::with_config(Tally, config, Attachments::default());
-    session.record(|app| {
-        for i in 0..8u16 {
-            app.invoke(ReplicaId::new(i % 2), "bump", [Value::from(i64::from(i))]);
-        }
-    });
-    let suite = er_pi::TestSuite::new().with_assertion("two replicas", |ctx| {
-        (ctx.states.len() == 2)
-            .then_some(())
-            .ok_or_else(|| "a replica went missing".to_owned())
-    });
-    let (blocks, report) = blocks_during(|| session.replay(&suite).expect("recorded"));
-    assert_eq!(report.explored, 10_000);
-    assert!(report.violations.is_empty());
-    let per_run = blocks as f64 / report.explored as f64;
+    let per_run = blocks_per_run(true);
     assert!(per_run <= 2.5, "the engine alone: {per_run} blocks per run");
+    let scratch = blocks_per_run(false);
+    assert!(scratch <= 1.5, "scratch replay: {scratch} blocks per run");
 }

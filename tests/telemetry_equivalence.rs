@@ -27,8 +27,14 @@ use er_pi::telemetry::{
     hit_rate, ChromeTraceSink, EventKind, JsonLinesSink, MemorySink, NullSink, ProgressSnapshot,
     Registry, SharedBuf, Sink, Telemetry, TelemetryEvent, HIT_RATE_WINDOW,
 };
-use er_pi::{Attachments, ReplayConfig, Report, SessionMetrics};
-use er_pi_subjects::Bug;
+use er_pi::{
+    Assertion, Attachments, OpOutcome, ReplayConfig, Report, Session, SessionMetrics, SystemModel,
+    TestSuite, DEFAULT_CACHE_BUDGET,
+};
+use er_pi_model::{Event, ReplicaId, Value};
+use er_pi_subjects::{
+    Bug, OrbitConfig, OrbitModel, ReplicaDbModel, ReplicationMode, RoshiModel, YorkieModel,
+};
 
 /// The telemetry attachment over `sink`.
 fn sink_attachment(sink: Arc<dyn Sink>) -> Attachments {
@@ -61,18 +67,26 @@ struct Watched {
 }
 
 fn replay_watched(bug: &Bug, config: &ReplayConfig) -> Watched {
+    watch(bug.name, |attach| {
+        bug.replay_report_checked(config, attach).0
+    })
+}
+
+/// The campaign `replay` runs into the attachments it is handed, watched
+/// through every observer at once; `name` labels its registry series.
+fn watch(name: &str, replay: impl FnOnce(Attachments) -> Report) -> Watched {
     let sink = Arc::new(MemorySink::new());
     let registry = Arc::new(Registry::new());
     let last = Arc::new(Mutex::new(None));
     let seen = Arc::clone(&last);
     let attach = Attachments {
-        metrics: Some(SessionMetrics::new(&registry, &[("campaign", bug.name)])),
+        metrics: Some(SessionMetrics::new(&registry, &[("campaign", name)])),
         progress: Some(Arc::new(move |snapshot: &ProgressSnapshot| {
             *seen.lock().unwrap() = Some(snapshot.clone());
         })),
         ..sink_attachment(sink.clone())
     };
-    let report = bug.replay_report_checked(config, attach).0;
+    let report = replay(attach);
     let last = last.lock().unwrap().take();
     Watched {
         report,
@@ -368,10 +382,92 @@ fn any_sink_never_changes_the_report() {
     }
 }
 
+/// A subject model whose every snapshot outweighs the whole snapshot
+/// budget: an incremental executor over it keeps nothing and every run
+/// misses — a refusing cache, made by the model's `state_size_hint`.
+#[derive(Clone)]
+struct Refusing<M>(M);
+
+impl<M: SystemModel> SystemModel for Refusing<M> {
+    type State = M::State;
+
+    fn replicas(&self) -> usize {
+        self.0.replicas()
+    }
+
+    fn init(&self, replica: ReplicaId) -> M::State {
+        self.0.init(replica)
+    }
+
+    fn apply(&self, states: &mut [M::State], event: &Event) -> OpOutcome {
+        self.0.apply(states, event)
+    }
+
+    fn observe(&self, state: &M::State) -> Value {
+        self.0.observe(state)
+    }
+
+    fn recover(&self, states: &mut [M::State], replica: ReplicaId) {
+        self.0.recover(states, replica)
+    }
+
+    fn state_encode(&self, state: &M::State, out: &mut Vec<u8>) -> bool {
+        self.0.state_encode(state, out)
+    }
+
+    fn replica_digest(&self, state: &M::State) -> Option<u128> {
+        self.0.replica_digest(state)
+    }
+
+    fn state_size_hint(&self, _state: &M::State) -> usize {
+        DEFAULT_CACHE_BUDGET + 1
+    }
+}
+
+/// `bug`'s workload and pruning rules replayed on `model` under `config`
+/// into `attach`, checked for convergence.
+fn replay_on<M>(model: M, bug: &Bug, config: &ReplayConfig, attach: Attachments) -> Report
+where
+    M: SystemModel + Sync,
+    M::State: Send + Sync,
+{
+    let mut session = Session::with_config(model, *config, attach);
+    session.set_workload(bug.workload().clone());
+    session.set_config(bug.pruning_config().clone());
+    let suite = TestSuite::new().with(Assertion::replicas_converge("converge"));
+    session.replay(&suite).expect("workload installed")
+}
+
+/// The refusing cache over `bug`'s own model, at every worker count: the
+/// report diffs clean against the plain model's, the views agree, and the
+/// low-hit-rate rule fires exactly on the campaigns that reach its window.
+fn assert_a_refusing_cache_agrees<M>(bug: &str, model: M, base: ReplayConfig)
+where
+    M: SystemModel + Clone + Sync,
+    M::State: Send + Sync,
+{
+    let bug = Bug::by_name(bug).expect("catalogue bug");
+    let one = ReplayConfig { workers: 1, ..base };
+    let reference = replay_on(model.clone(), &bug, &one, Attachments::default());
+    for workers in WORKER_COUNTS {
+        let config = ReplayConfig { workers, ..base };
+        let refusing = Refusing(model.clone());
+        let watched = watch(bug.name, |attach| {
+            replay_on(refusing, &bug, &config, attach)
+        });
+        let label = format!("{} refusing cache workers={workers}", bug.name);
+        assert_identical(&reference, &watched.report, &label);
+        assert_views_agree(&watched, &config, &label);
+        let advised = !watched.report.advisories.is_empty();
+        let past_the_window = reference.explored as u64 >= HIT_RATE_WINDOW;
+        assert_eq!(advised, past_the_window, "{label}");
+    }
+}
+
 /// What the catalogue sweep's default configuration never enters, on one
 /// bug per subject family: executors that keep no snapshots but subsume
 /// (no hit rate in any view), subsumption over incremental replay, and a
-/// cache budget that refuses every snapshot (the low-hit-rate rule fires
+/// model whose snapshots the cache refuses (the low-hit-rate rule fires
 /// exactly on the campaigns that reach its window).
 #[test]
 fn the_views_agree_under_subsumption_and_a_refusing_cache() {
@@ -396,13 +492,6 @@ fn the_views_agree_under_subsumption_and_a_refusing_cache() {
                 ..base
             },
         ),
-        (
-            "cache_budget 0",
-            ReplayConfig {
-                cache_budget: 0,
-                ..base
-            },
-        ),
     ];
     for name in ["Roshi-1", "OrbitDB-2", "ReplicaDB-1", "Yorkie-1"] {
         let bug = Bug::by_name(name).expect("catalogue bug");
@@ -414,27 +503,30 @@ fn the_views_agree_under_subsumption_and_a_refusing_cache() {
                 let label = format!("{name} {variant} workers={workers}");
                 assert_identical(&reference, &watched.report, &label);
                 assert_views_agree(&watched, &config, &label);
-                if config.cache_budget == 0 {
-                    let advised = !watched.report.advisories.is_empty();
-                    let past_the_window = reference.explored as u64 >= HIT_RATE_WINDOW;
-                    assert_eq!(advised, past_the_window, "{label}");
-                }
             }
         }
     }
+    // The refusing cache, each bug on its own model.
+    assert_a_refusing_cache_agrees("Roshi-1", RoshiModel::new(2), base);
+    let skewed = OrbitConfig {
+        max_clock_skew: Some(1_000),
+        ..OrbitConfig::default()
+    };
+    assert_a_refusing_cache_agrees("OrbitDB-2", OrbitModel::with_config(2, skewed), base);
+    let complete = ReplicaDbModel::new(ReplicationMode::Complete, 2 * 64);
+    assert_a_refusing_cache_agrees("ReplicaDB-1", complete, base);
+    assert_a_refusing_cache_agrees("Yorkie-1", YorkieModel::new(2), base);
+
     // The stream a `warning` line really occurs in: all four event kinds,
     // each with its payload keys.
     let buf = SharedBuf::new();
-    let refusing = ReplayConfig {
-        workers: 1,
-        ..variants[2].1
-    };
-    Bug::by_name("Yorkie-1")
-        .expect("catalogue bug")
-        .replay_report_checked(
-            &refusing,
-            sink_attachment(Arc::new(JsonLinesSink::new(buf.clone()))),
-        );
+    let yorkie = Bug::by_name("Yorkie-1").expect("catalogue bug");
+    replay_on(
+        Refusing(YorkieModel::new(2)),
+        &yorkie,
+        &ReplayConfig { workers: 1, ..base },
+        sink_attachment(Arc::new(JsonLinesSink::new(buf.clone()))),
+    );
     let stream = buf.contents();
     let kinds = assert_jsonl_schema(&stream);
     assert_eq!(
