@@ -11,7 +11,7 @@
 //! | `fig8_auto` | Figure 8 variant — hand-declared vs auto-derived independence (JSON) |
 //! | `fig9` | Figure 9 — per-algorithm pruning contributions |
 //! | `fig10` | Figure 10 — the succeed-or-crash micro-benchmark |
-//! | `fig_faults` | Fault-schedule exploration: fault-space size vs pruned replays (JSON) |
+//! | `ablation` | Per-pruner ablation of the Figure 8 sweep |
 //!
 //! Wall-clock numbers — including any parallel speedup and what
 //! incremental replay saves over scratch replay (`core.incr_hit_ratio`,
@@ -19,12 +19,14 @@
 //! come from the calibrated ledger in `benchmark/` (its README's "Not
 //! workloads, and why" covers the two-worker row).
 //!
-//! Two operator-facing tools ride along with the figure binaries:
+//! What the deep reductions, the sanitizer and fault schedules promise is
+//! asserted by the root suites (the catalogue matrix, `dpor_equivalence`,
+//! `fault_equivalence`), not emitted here for a script to check.
+//!
+//! One operator-facing tool rides along with the figure binaries:
 //! `er-pi-explain` prints the deterministic forensic bundle for a
 //! catalogue bug's violation (the same bytes the campaign daemon serves
-//! at `/campaigns/:id/violations/:n`), and `er-pi-promlint` lints a
-//! Prometheus text exposition read from stdin (CI pipes the daemon's
-//! `GET /metrics` scrape through it).
+//! at `/campaigns/:id/violations/:n`).
 
 /// The seed used for the Random exploration mode across all experiments.
 /// Fixed for reproducibility; any seed produces the same qualitative shape

@@ -342,13 +342,18 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
     let deadline = Instant::now() + REQUEST_DEADLINE;
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
+    // Where the terminator scan resumes: a `\r\n\r\n` split across two
+    // reads starts at most 3 bytes before the newer one, so each byte is
+    // scanned once.
+    let mut scanned = 0;
     let header_end = loop {
-        if let Some(at) = find_header_end(&buf) {
-            break at;
+        if let Some(at) = find_header_end(&buf[scanned..]) {
+            break scanned + at;
         }
         if buf.len() > MAX_REQUEST_BYTES {
             return Ok(None);
         }
+        scanned = buf.len().saturating_sub(3);
         let n = read_by(stream, &mut chunk, deadline)?;
         if n == 0 {
             return Err(std::io::Error::new(
@@ -383,7 +388,8 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
             headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
         }
     }
-    if content_length > MAX_REQUEST_BYTES {
+    // `content_length` is the client's: compare without adding to it.
+    if content_length > MAX_REQUEST_BYTES.saturating_sub(header_end + 4) {
         return Ok(None);
     }
     let mut body = buf[header_end + 4..].to_vec();
@@ -435,6 +441,69 @@ mod tests {
     fn header_end_detection() {
         assert_eq!(find_header_end(b"GET / HTTP/1.1\r\n\r\nrest"), Some(14));
         assert_eq!(find_header_end(b"partial\r\n"), None);
+    }
+
+    /// One request over a fresh connection to a one-worker daemon: `parts`
+    /// written in turn, a pause after each, then the whole response.
+    fn exchange_in_parts(parts: &[&[u8]]) -> String {
+        use crate::{Server, ServerConfig};
+
+        let config = ServerConfig {
+            port: 0,
+            workers: 1,
+            runners: 1,
+            queue_cap: 1,
+        };
+        let server = Server::bind(config).unwrap().spawn().unwrap();
+        let mut client = TcpStream::connect(server.addr()).unwrap();
+        for part in parts {
+            client.write_all(part).unwrap();
+            client.flush().unwrap();
+            thread::sleep(Duration::from_millis(20));
+        }
+        client.set_read_timeout(Some(READ_TIMEOUT * 20)).unwrap();
+        let mut response = String::new();
+        client.read_to_string(&mut response).unwrap();
+        server.shutdown();
+        response
+    }
+
+    #[test]
+    fn a_terminator_split_across_reads_is_found() {
+        let response = exchange_in_parts(&[b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r", b"\n"]);
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+    }
+
+    /// The bound is on headers and body together: 3 MiB of headers and a
+    /// declared 2 MiB body each fit alone, and are refused before the body
+    /// is read.
+    #[test]
+    fn headers_and_body_share_one_size_bound() {
+        let padding = format!("X-Pad: {}\r\n", "a".repeat(3 << 20));
+        let head = format!(
+            "POST /campaigns HTTP/1.1\r\n{padding}Content-Length: {}\r\n\r\n",
+            2 << 20
+        );
+        let response = exchange_in_parts(&[head.as_bytes()]);
+        assert!(
+            response.starts_with("HTTP/1.1 413 Payload Too Large"),
+            "{response}"
+        );
+    }
+
+    /// A declared length that would overflow the headers + body sum is
+    /// refused like any other oversized body, not wrapped into a small one.
+    #[test]
+    fn a_content_length_at_usize_max_gets_413() {
+        let head = format!(
+            "POST /campaigns HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            usize::MAX
+        );
+        let response = exchange_in_parts(&[head.as_bytes()]);
+        assert!(
+            response.starts_with("HTTP/1.1 413 Payload Too Large"),
+            "{response}"
+        );
     }
 
     // The route table itself is exercised end-to-end (over a real socket)

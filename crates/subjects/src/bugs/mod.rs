@@ -426,39 +426,6 @@ impl Bug {
         self.reproduce_under(&config, ExploreMode::ErPi, cap)
     }
 
-    /// Replays the bug's workload in ER-π mode and returns the full
-    /// [`Report`] — the entry point of the differential-equivalence test
-    /// harness. `workers == 1` replays on the calling thread alone;
-    /// `workers == 0` uses all available cores. Reports produced at
-    /// different worker counts must satisfy [`Report::diff`] `== None`.
-    pub fn replay_report(
-        &self,
-        cap: usize,
-        stop_on_first_violation: bool,
-        workers: usize,
-    ) -> Report {
-        self.replay_report_with(cap, stop_on_first_violation, workers, true)
-    }
-
-    /// Like [`Bug::replay_report`], with explicit control over incremental
-    /// replay: `incremental == false` replays every run from scratch, the
-    /// reference side of the incremental differential-equivalence suite.
-    pub fn replay_report_with(
-        &self,
-        cap: usize,
-        stop_on_first_violation: bool,
-        workers: usize,
-        incremental: bool,
-    ) -> Report {
-        self.replay_report_opts(&ReplayConfig {
-            cap,
-            stop_on_first_violation,
-            workers,
-            incremental,
-            ..ReplayConfig::default()
-        })
-    }
-
     /// The fully general replay entry point: the bug's workload and pruning
     /// rules under any [`ReplayConfig`], nothing attached.
     ///

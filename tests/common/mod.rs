@@ -1,10 +1,17 @@
-//! What the differential suites share: the worker counts they sweep, the
-//! benchmark's town recording, and a reference replay that is not the engine.
+//! What the differential suites share: the scheduling cells they sweep, the
+//! catalogue matrix over those cells (`matrix`), the benchmark's town
+//! recording, a reference replay that is not the engine, and the agreement
+//! table of a watched campaign's views (`views`).
 #![allow(dead_code)]
 
+pub mod matrix;
+pub mod views;
+
+use std::fmt;
+
 use er_pi::{
-    CheckContext, ExploreMode, InlineExecutor, LiveSystem, RunRecord, SystemModel, TestSuite,
-    TimeModel, Violation,
+    CheckContext, ExploreMode, InlineExecutor, LiveSystem, ReplayConfig, RunRecord, Session,
+    SystemModel, TestSuite, TimeModel, Violation,
 };
 use er_pi_interleave::{
     DfsExplorer, ErPiExplorer, FaultProduct, IndexedSource, PruningConfig, RandomExplorer,
@@ -13,6 +20,73 @@ use er_pi_model::{FaultPlan, Interleaving, ReplicaId, Value, Workload};
 
 /// The replay slot counts every worker-count sweep covers.
 pub const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// One cell of the scheduling matrix: how a campaign is run, never what it
+/// reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Cell {
+    pub workers: usize,
+    pub incremental: bool,
+    pub subsumption: bool,
+}
+
+/// The cell every reference replays in: one worker, scratch, no
+/// subsumption.
+pub const SCRATCH: Cell = Cell {
+    workers: 1,
+    incremental: false,
+    subsumption: false,
+};
+
+/// The matrix every equivalence sweep walks: [`WORKER_COUNTS`] × executor
+/// {scratch, incremental} × subsumption {off, on}, twelve cells.
+pub fn cells() -> impl Iterator<Item = Cell> {
+    WORKER_COUNTS.into_iter().flat_map(|workers| {
+        [(false, false), (false, true), (true, false), (true, true)]
+            .into_iter()
+            .map(move |(incremental, subsumption)| Cell {
+                workers,
+                incremental,
+                subsumption,
+            })
+    })
+}
+
+impl Cell {
+    /// `base` run in this cell.
+    pub fn config(self, base: ReplayConfig) -> ReplayConfig {
+        ReplayConfig {
+            workers: self.workers,
+            incremental: self.incremental,
+            subsumption: self.subsumption,
+            ..base
+        }
+    }
+
+    /// Puts `session` in this cell.
+    pub fn apply<M: SystemModel>(self, session: &mut Session<M>) -> &mut Session<M> {
+        session
+            .set_workers(self.workers)
+            .set_incremental(self.incremental)
+            .set_subsumption(self.subsumption)
+    }
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let executor = if self.incremental {
+            "incremental"
+        } else {
+            "scratch"
+        };
+        let subsume = if self.subsumption {
+            " + subsumption"
+        } else {
+            ""
+        };
+        write!(f, "{} worker(s), {executor}{subsume}", self.workers)
+    }
+}
 
 /// The benchmark's town recording (`benchmark/src/inputs.rs`, with fixed
 /// issue names): the §2.3 example extended with a second add/remove pair,

@@ -6,9 +6,11 @@
 //!
 //! * **Subsumption** never changes *which* interleavings are replayed — it
 //!   only answers some of them from memoized run tails — so its reports
-//!   must be *byte-identical* (`Report::diff == None`) to
-//!   reductions-off across the full 12-bug catalogue, every worker count,
-//!   both executors and both stopping policies.
+//!   must be *byte-identical* (`Report::diff == None`) to reductions-off:
+//!   over the 12-bug catalogue, every worker count, both executors and both
+//!   stopping policies (the subsumption cells of the catalogue matrix,
+//!   `common::matrix`), and on the town workloads, with and without fault
+//!   plans.
 //! * **Sleep sets** drop redundant members of commutation classes before
 //!   replay, so the replayed set shrinks; what is preserved is the
 //!   *violation set* — same assertions failing with the same messages —
@@ -21,17 +23,19 @@
 //! The headline acceptance number also lives here: on the §6.3 motivating
 //! workload (town app extended to 10 events, DFS, capped at 10 000
 //! interleavings) subsumption must answer at least 90% of runs from the
-//! explored set — a ≥10× reduction in physically executed replays.
+//! explored set — a ≥10× reduction in physically executed replays — with
+//! and without a two-plan fault schedule.
 
 mod common;
 
-use common::WORKER_COUNTS;
+use common::matrix::{sweep, sweep_sleep, violation_set};
+
 use proptest::prelude::*;
 
-use er_pi::{Attachments, ExploreMode, InlineExecutor, ReplayConfig, Report, Session, TimeModel};
+use er_pi::{Attachments, ExploreMode, InlineExecutor, ReplayConfig, Session, TimeModel};
 use er_pi_interleave::FaultSpace;
 use er_pi_model::{EventId, FaultEvent, FaultKind, FaultPlan, Interleaving, ReplicaId, Value};
-use er_pi_subjects::{Bug, TownApp};
+use er_pi_subjects::TownApp;
 
 const CAP: usize = 10_000;
 
@@ -40,129 +44,128 @@ fn r(i: u16) -> ReplicaId {
 }
 
 // ---------------------------------------------------------------------------
-// Subsumption: byte-identical reports across the catalogue.
+// Subsumption on the town workloads: the ≥10× acceptance number on the
+// motivating 10k-interleaving workload, and both reductions beside it.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn subsumption_is_byte_identical_across_the_catalogue() {
-    for bug in Bug::catalogue() {
-        for stop_first in [false, true] {
-            let reference = bug.replay_report_opts(&ReplayConfig {
-                cap: CAP,
-                stop_on_first_violation: stop_first,
-                workers: 1,
-                incremental: false,
-                ..ReplayConfig::default()
-            });
-            for workers in WORKER_COUNTS {
-                for incremental in [false, true] {
-                    let subsuming = bug.replay_report_opts(&ReplayConfig {
-                        cap: CAP,
-                        stop_on_first_violation: stop_first,
-                        workers,
-                        incremental,
-                        subsumption: true,
-                        ..ReplayConfig::default()
-                    });
-                    assert_eq!(
-                        reference.diff(&subsuming),
-                        None,
-                        "{}: subsumption diverged (workers={workers}, \
-                         incremental={incremental}, stop_first={stop_first})",
-                        bug.name
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The equivalence above must not be vacuous: across the catalogue the
-/// subsume set has to actually answer runs, otherwise we are comparing
-/// plain replay with plain replay.
-#[test]
-fn subsumption_actually_engages_on_the_catalogue() {
-    let mut total_subsumed = 0u64;
-    for bug in Bug::catalogue() {
-        let report = bug.replay_report_opts(&ReplayConfig {
-            cap: CAP,
-            workers: 1,
-            subsumption: true,
-            incremental: false,
-            ..ReplayConfig::default()
-        });
-        let stats = report
-            .cache_stats
-            .unwrap_or_else(|| panic!("{}: subsuming replay must report CacheStats", bug.name));
-        assert_eq!(
-            stats.hits + stats.misses,
-            report.explored as u64,
-            "{}: every explored interleaving is one subsume probe",
-            bug.name
-        );
-        assert_eq!(
-            stats.executed_runs() + stats.subsumed,
-            report.explored as u64,
-            "{}: runs are either executed or subsumed",
-            bug.name
-        );
-        total_subsumed += stats.subsumed;
-    }
-    assert!(
-        total_subsumed > 0,
-        "the 12-bug catalogue produced no subsumed runs at all"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// The acceptance number: ≥10× fewer executed replays on the motivating
-// 10k-interleaving workload.
-// ---------------------------------------------------------------------------
-
-/// The §6.3 workload: the §2.3 town recording extended to 10 events.
+/// The §6.3 workload: the §2.3 town recording extended to 10 events, in
+/// DFS order. Event 5 is the propagation sync of the first `remove`.
 fn town_session_10(cap: usize) -> Session<TownApp> {
     let mut session = Session::new(TownApp::new(2));
-    session.record(|sys| {
-        let ev1 = sys.invoke(r(0), "add", [Value::from("otb")]);
-        sys.sync(r(0), r(1), ev1);
-        let ev2 = sys.invoke(r(1), "add", [Value::from("ph")]);
-        sys.sync(r(1), r(0), ev2);
-        let ev3 = sys.invoke(r(1), "remove", [Value::from("otb")]);
-        sys.sync(r(1), r(0), ev3);
-        let ev4 = sys.invoke(r(0), "add", [Value::from("pl")]);
-        sys.sync(r(0), r(1), ev4);
-        sys.invoke(r(1), "remove", [Value::from("ph")]);
-        sys.external(r(0), "transmit");
-    });
+    session.record(common::record_town);
     session.set_mode(ExploreMode::Dfs);
     session.set_cap(cap);
     session
 }
 
+/// The two-plan fault schedule: the empty baseline and a dropped `event`,
+/// the propagation sync of a `remove`, under which clean interleavings
+/// become violating.
+fn two_plans(event: u32) -> Vec<FaultPlan> {
+    let drop = FaultEvent::new(EventId::new(event), FaultKind::Drop);
+    vec![FaultPlan::empty(), FaultPlan::new(vec![drop])]
+}
+
+/// At least 90% of the 10 000 runs answered from the explored set, fault
+/// free and under the two-plan schedule (whose fault digests partition the
+/// key space), and the report byte-identical either way.
 #[test]
 fn motivating_workload_subsumes_ten_x() {
-    let mut reference = town_session_10(CAP);
-    let reference = reference.replay(&TownApp::invariant()).expect("recorded");
+    for plans in [None, Some(two_plans(5))] {
+        let replay = |subsumption: bool| {
+            let mut session = town_session_10(CAP);
+            if let Some(plans) = &plans {
+                session.set_fault_plans(plans.clone());
+            }
+            session.set_subsumption(subsumption);
+            session.replay(&TownApp::invariant()).expect("recorded")
+        };
+        let (reference, report) = (replay(false), replay(true));
+        let faults = plans.is_some();
+        assert_eq!(
+            reference.diff(&report),
+            None,
+            "faults={faults}: subsumption must keep the 10k-interleaving report byte-identical"
+        );
+        let stats = report.cache_stats.expect("subsuming replay reports stats");
+        let executed = stats.executed_runs();
+        assert_eq!(report.explored, CAP, "faults={faults}: the cap binds");
+        assert!(
+            executed * 10 <= report.explored as u64,
+            "faults={faults}: acceptance floor: ≥10× fewer executed replays \
+             (explored {}, executed {executed}, subsumed {})",
+            report.explored,
+            stats.subsumed
+        );
+    }
+}
 
-    let mut session = town_session_10(CAP);
-    session.set_subsumption(true);
-    let report = session.replay(&TownApp::invariant()).expect("recorded");
+/// A variant of the §2.3 recording whose lone adds of distinct elements on
+/// different replicas are certified-commuting units, giving the sleep
+/// filter real commutation classes. ER-π order; event 3 is the propagation
+/// sync of the `remove`.
+fn commuting_session(cap: usize) -> Session<TownApp> {
+    let mut session = Session::new(TownApp::new(2));
+    session.record(|sys| {
+        let ev1 = sys.invoke(r(0), "add", [Value::from("otb")]);
+        sys.sync(r(0), r(1), ev1);
+        let ev3 = sys.invoke(r(1), "remove", [Value::from("otb")]);
+        sys.sync(r(1), r(0), ev3);
+        sys.invoke(r(0), "add", [Value::from("pl")]);
+        sys.invoke(r(1), "add", [Value::from("ph")]);
+        sys.invoke(r(0), "add", [Value::from("tri")]);
+        sys.invoke(r(1), "add", [Value::from("sq")]);
+        sys.external(r(0), "transmit");
+    });
+    session.set_cap(cap);
+    session
+}
 
-    assert_eq!(
-        reference.diff(&report),
-        None,
-        "subsumption must keep the 10k-interleaving report byte-identical"
-    );
-    let stats = report.cache_stats.expect("subsuming replay reports stats");
-    let executed = stats.executed_runs();
-    assert_eq!(report.explored, CAP, "the cap binds on the 10! space");
-    assert!(
-        executed * 10 <= report.explored as u64,
-        "acceptance floor: ≥10× fewer executed replays \
-         (explored {}, executed {executed}, subsumed {})",
-        report.explored,
-        stats.subsumed
-    );
+/// Both reductions on the two town workloads, fault free and under the
+/// two-plan schedule, at 1 000 and 10 000 interleavings: subsumption diffs
+/// clean against the reductions-off baseline, and sleep sets — alone and
+/// with subsumption — keep its distinct violation set. On the commuting
+/// workload, fault free, the sleep filter must actually reject schedules.
+#[test]
+fn deep_reductions_keep_the_town_findings() {
+    type Build = fn(usize) -> Session<TownApp>;
+    let shapes: [(&str, Build, u32); 2] = [
+        ("town10", town_session_10, 5),
+        ("commuting", commuting_session, 3),
+    ];
+    for (workload, build, drop_event) in shapes {
+        for cap in [1_000, CAP] {
+            for faults in [false, true] {
+                let replay = |subsumption: bool, sleep_sets: bool| {
+                    let mut session = build(cap);
+                    if faults {
+                        session.set_fault_plans(two_plans(drop_event));
+                    }
+                    session.set_subsumption(subsumption);
+                    session.set_sleep_sets(sleep_sets);
+                    session.replay(&TownApp::invariant()).expect("recorded")
+                };
+                let what = format!("{workload} cap={cap} faults={faults}");
+                let baseline = replay(false, false);
+                let subsuming = replay(true, false);
+                assert_eq!(baseline.diff(&subsuming), None, "{what}: subsumption");
+                let violations = violation_set(&baseline);
+                for subsumption in [false, true] {
+                    let pruned = replay(subsumption, true);
+                    assert_eq!(
+                        violation_set(&pruned),
+                        violations,
+                        "{what} subsumption={subsumption}: sleep sets changed the violation set"
+                    );
+                    let rejected = pruned.prune_stats.map_or(0, |s| s.sleep_rejected);
+                    assert!(
+                        workload != "commuting" || faults || rejected > 0,
+                        "{what} subsumption={subsumption}: sleep sets pruned nothing"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// The benchmark's `fault-subsume` shape: the 10-event town recording in DFS
@@ -238,95 +241,51 @@ fn audit_mode_executes_hits_and_stays_identical() {
 }
 
 // ---------------------------------------------------------------------------
-// Sleep sets: violation-set equivalence across the catalogue.
+// The catalogue: both reductions on their cells of the catalogue matrix.
 // ---------------------------------------------------------------------------
 
-/// The violation set as the sorted *distinct* (assertion, message) pairs —
-/// sleep sets drop redundant members of commutation classes, so a
-/// violation witnessed by several equivalent schedules may keep fewer
-/// witnesses; what must survive is every distinct violation.
-fn violation_set(report: &Report) -> Vec<(String, String)> {
-    let mut v: Vec<(String, String)> = report
-        .violations
-        .iter()
-        .map(|v| (v.assertion.clone(), v.message.clone()))
-        .collect();
-    v.sort();
-    v.dedup();
-    v
+/// Subsumption on the catalogue matrix (`common::matrix`) keeps the report
+/// byte-identical to a one-worker scratch reference. These are the
+/// exhaustive multi-worker scratch + subsumption cells; the one-worker one
+/// is below, the incremental + subsumption column belongs to
+/// `telemetry_equivalence` and every stop-first subsumption cell to
+/// `forensics_equivalence`.
+#[test]
+fn subsumption_is_byte_identical_across_the_catalogue() {
+    sweep(false, |cell| {
+        !cell.incremental && cell.subsumption && cell.workers > 1
+    });
 }
 
+/// The equivalence above must not be vacuous: across the catalogue the
+/// subsume set has to actually answer runs, otherwise plain replay is
+/// compared with plain replay.
+#[test]
+fn subsumption_actually_engages_on_the_catalogue() {
+    let totals = sweep(false, |cell| {
+        !cell.incremental && cell.subsumption && cell.workers == 1
+    });
+    assert!(
+        totals.subsumed > 0,
+        "the 12-bug catalogue produced no subsumed runs at all"
+    );
+}
+
+/// Sleep sets keep every bug's distinct violation set, replaying no more.
 #[test]
 fn sleep_sets_preserve_the_violation_set_across_the_catalogue() {
-    let mut total_pruned = 0u64;
-    for bug in Bug::catalogue() {
-        let reference = bug.replay_report_opts(&ReplayConfig {
-            cap: CAP,
-            workers: 1,
-            ..ReplayConfig::default()
-        });
-        let pruned = bug.replay_report_opts(&ReplayConfig {
-            cap: CAP,
-            workers: 1,
-            sleep_sets: true,
-            ..ReplayConfig::default()
-        });
-        assert_eq!(
-            violation_set(&reference),
-            violation_set(&pruned),
-            "{}: sleep sets changed the violation set",
-            bug.name
-        );
-        assert!(
-            pruned.explored <= reference.explored,
-            "{}: sleep sets cannot grow the replayed set",
-            bug.name
-        );
-        // Enabling sleep sets also pulls in the auto-derived independence
-        // relation (which feeds the event-level canonical filter), so the
-        // explored count can shrink by more than the sleep rejections alone.
-        if let Some(stats) = &pruned.prune_stats {
-            total_pruned += stats.sleep_rejected;
-        }
-    }
+    let totals = sweep_sleep(false);
     assert!(
-        total_pruned > 0,
+        totals.sleep_rejected > 0,
         "sleep sets pruned nothing anywhere in the catalogue"
     );
 }
 
-/// Sleep sets compose with subsumption: both on at once still preserves
+/// Sleep sets compose with subsumption: both on at once still preserve
 /// the violation set, and the layers don't double-count.
 #[test]
 fn sleep_and_subsumption_compose() {
-    for bug in Bug::catalogue() {
-        let reference = bug.replay_report_opts(&ReplayConfig {
-            cap: CAP,
-            workers: 1,
-            ..ReplayConfig::default()
-        });
-        let both = bug.replay_report_opts(&ReplayConfig {
-            cap: CAP,
-            workers: 1,
-            sleep_sets: true,
-            subsumption: true,
-            incremental: false,
-            ..ReplayConfig::default()
-        });
-        assert_eq!(
-            violation_set(&reference),
-            violation_set(&both),
-            "{}: composed reductions changed the violation set",
-            bug.name
-        );
-        let stats = both.cache_stats.expect("subsuming replay reports stats");
-        assert_eq!(
-            stats.executed_runs() + stats.subsumed,
-            both.explored as u64,
-            "{}: composed layers double-counted a run",
-            bug.name
-        );
-    }
+    sweep_sleep(true);
 }
 
 // ---------------------------------------------------------------------------
@@ -482,8 +441,6 @@ fn subsumption_keys_include_the_fault_digest() {
         session.set_cap(50_000);
         session
     };
-    // Event 5 is `sync(b → a, ev3)`: the propagation of the remove.
-    let drop_remove_sync = FaultPlan::new(vec![FaultEvent::new(EventId::new(5), FaultKind::Drop)]);
     let town = |subsumption: bool, plans: Vec<FaultPlan>| {
         let mut session = town_session_7();
         session.set_fault_plans(plans);
@@ -491,9 +448,10 @@ fn subsumption_keys_include_the_fault_digest() {
         session.replay(&TownApp::invariant()).expect("recorded")
     };
 
+    // Event 5 is `sync(b → a, ev3)`: the propagation of the remove.
     let baseline_only = town(false, vec![FaultPlan::empty()]);
-    let reference = town(false, vec![FaultPlan::empty(), drop_remove_sync.clone()]);
-    let subsuming = town(true, vec![FaultPlan::empty(), drop_remove_sync]);
+    let reference = town(false, two_plans(5));
+    let subsuming = town(true, two_plans(5));
 
     assert!(
         reference.violations.len() > baseline_only.violations.len(),

@@ -6,12 +6,13 @@
 //! modes, and executor kinds. These tests pin that matrix — and the reason
 //! fault schedules exist at all: a seeded fault-dependent bug that *no*
 //! fault-free interleaving can expose, found by fault-space exploration
-//! and reproduced from its minimized (workload, fault schedule) pair.
+//! and reproduced from its minimized (workload, fault schedule) pair — and
+//! how the fault product grows with the fault budget.
 
 mod common;
 
-use common::WORKER_COUNTS;
-use er_pi::{CheckContext, FaultSpace, ReplayConfig, Report, Session, TestSuite};
+use common::{cells, Cell, SCRATCH};
+use er_pi::{enumerate_plans, CheckContext, FaultSpace, ReplayConfig, Report, Session, TestSuite};
 use er_pi_fuzz::{report_for, FuzzCase, SpecEntry, SpecFault, Target, WorkloadSpec, ORACLE_CAP};
 use er_pi_model::{EventId, FaultEvent, FaultKind, FaultPlan, ReplicaId, Value, Workload};
 use er_pi_subjects::{CrdtsModel, LedgerApp, LedgerState};
@@ -41,19 +42,12 @@ fn exactly_once_suite() -> TestSuite<LedgerState> {
     })
 }
 
-fn ledger_report(
-    plans: Vec<FaultPlan>,
-    workers: usize,
-    stop_first: bool,
-    incremental: bool,
-) -> Report {
+fn ledger_report(plans: Vec<FaultPlan>, cell: Cell, stop_first: bool) -> Report {
     let mut session = Session::new(LedgerApp::new(2));
-    session
+    cell.apply(&mut session)
         .set_workload(ledger_workload())
         .set_fault_plans(plans)
-        .set_workers(workers)
         .set_stop_on_first_violation(stop_first)
-        .set_incremental(incremental)
         .set_cap(50_000);
     session.config_mut().require_causal = true;
     session.replay(&exactly_once_suite()).unwrap()
@@ -67,27 +61,15 @@ fn duplicate_plan() -> FaultPlan {
 #[test]
 fn same_fault_plan_is_byte_identical_across_the_matrix() {
     for stop_first in [false, true] {
-        let reference = ledger_report(
-            vec![FaultPlan::empty(), duplicate_plan()],
-            1,
-            stop_first,
-            false,
-        );
-        for workers in WORKER_COUNTS {
-            for incremental in [false, true] {
-                let other = ledger_report(
-                    vec![FaultPlan::empty(), duplicate_plan()],
-                    workers,
-                    stop_first,
-                    incremental,
-                );
-                assert_eq!(
-                    reference.diff(&other),
-                    None,
-                    "stop_first={stop_first} workers={workers} incremental={incremental} \
-                     diverged from the sequential reference"
-                );
-            }
+        let plans = || vec![FaultPlan::empty(), duplicate_plan()];
+        let reference = ledger_report(plans(), SCRATCH, stop_first);
+        for cell in cells() {
+            let other = ledger_report(plans(), cell, stop_first);
+            assert_eq!(
+                reference.diff(&other),
+                None,
+                "stop_first={stop_first} {cell} diverged from the sequential reference"
+            );
         }
     }
 }
@@ -97,7 +79,7 @@ fn same_fault_plan_is_byte_identical_across_the_matrix() {
 /// violates exactly-once — the bug class that only fault schedules reach.
 #[test]
 fn fault_space_finds_what_no_fault_free_interleaving_can() {
-    let fault_free = ledger_report(vec![FaultPlan::empty()], 1, false, false);
+    let fault_free = ledger_report(vec![FaultPlan::empty()], SCRATCH, false);
     assert!(
         !fault_free.stopped_early && fault_free.explored < 50_000,
         "the fault-free space must be fully explored for the claim to hold"
@@ -173,20 +155,13 @@ fn minimized_pair_replays_deterministically_everywhere() {
         reference.prune_stats.is_some(),
         "pruner stats must be recomputed under fault plans"
     );
-    for workers in WORKER_COUNTS {
-        for incremental in [false, true] {
-            let opts = ReplayConfig {
-                workers,
-                incremental,
-                ..oracle
-            };
-            let other = report_for(&minimal, &opts);
-            assert_eq!(
-                reference.diff(&other),
-                None,
-                "minimized pair diverged at workers={workers} incremental={incremental}"
-            );
-        }
+    for cell in cells() {
+        let other = report_for(&minimal, &cell.config(oracle));
+        assert_eq!(
+            reference.diff(&other),
+            None,
+            "minimized pair diverged at {cell}"
+        );
     }
 }
 
@@ -202,28 +177,137 @@ fn crdts_fault_space_is_deterministic_across_the_matrix() {
         w.sync_pair(r(1), r(0), b);
         w.build()
     };
-    let run = |workers: usize, incremental: bool| {
+    let run = |cell: Cell| {
         let mut session = Session::new(CrdtsModel::new(2));
-        session
+        cell.apply(&mut session)
             .set_workload(workload())
             .set_fault_space(FaultSpace::all(1))
-            .set_workers(workers)
-            .set_incremental(incremental)
             .set_cap(50_000);
         session.config_mut().require_causal = true;
         session
             .replay(&TestSuite::new().with(er_pi::Assertion::replicas_converge("converge")))
             .unwrap()
     };
-    let reference = run(1, false);
+    let reference = run(SCRATCH);
     assert!(reference.explored > 0);
-    for workers in WORKER_COUNTS {
-        for incremental in [false, true] {
+    for cell in cells() {
+        assert_eq!(
+            reference.diff(&run(cell)),
+            None,
+            "crdts fault space diverged at {cell}"
+        );
+    }
+}
+
+/// A subject of the fault-space sweep: two updates cross-shipped between
+/// two replicas, the second a read-modify-write issued after the first
+/// arrives, so causally invalid unit orders exist for the pruner to reject.
+fn causal_workload(first: &str, first_arg: i64, second: &str, second_arg: i64) -> Workload {
+    let mut w = Workload::builder();
+    let a = w.update(r(0), first, [Value::from(first_arg)]);
+    let s1 = w.sync_pair(r(0), r(1), a);
+    let b = w.update(r(1), second, [Value::from(second_arg)]);
+    w.depends(b, s1);
+    w.sync_pair(r(1), r(0), b);
+    w.build()
+}
+
+/// `workload` on `model` under `space` (`None`: the empty plan alone), the
+/// causal pruner on or off, in `cell`.
+fn fault_space_report<M>(
+    model: M,
+    workload: &Workload,
+    suite: &TestSuite<M::State>,
+    space: &Option<FaultSpace>,
+    causal: bool,
+    cell: Cell,
+) -> Report
+where
+    M: er_pi::SystemModel + Sync,
+    M::State: Send + Sync,
+{
+    let mut session = Session::new(model);
+    cell.apply(&mut session)
+        .set_workload(workload.clone())
+        .set_cap(10_000);
+    match space {
+        Some(space) => session.set_fault_space(space.clone()),
+        None => session.set_fault_plans(vec![FaultPlan::empty()]),
+    };
+    session.config_mut().require_causal = causal;
+    session.replay(suite).expect("workload installed")
+}
+
+/// Fault spaces of growing budget over both fault subjects: how many plans
+/// each enumerates and how many runs its product replays with the causal
+/// pruner off and on (the pruner rejects each causally invalid order once
+/// per plan), that fault-free exploration is clean and every violation
+/// carries its fault schedule, and that four incremental workers report
+/// what one scratch worker does.
+#[test]
+fn fault_spaces_stay_sound_and_deterministic_as_the_budget_grows() {
+    // (space, plans, replays with the causal pruner off, replays with it
+    // on): the same on both subjects, which share their shape.
+    let spaces = [
+        ("none", None, 1, 2, 1),
+        ("default(1)", Some(FaultSpace::default()), 5, 10, 5),
+        ("all(1)", Some(FaultSpace::all(1)), 13, 26, 13),
+        ("all(2)", Some(FaultSpace::all(2)), 60, 120, 60),
+    ];
+    let parallel = Cell {
+        workers: 4,
+        incremental: true,
+        subsumption: false,
+    };
+    let ledger = causal_workload("credit", 10, "credit", 20);
+    let crdts = causal_workload("set_add", 1, "counter_inc", 2);
+    let converge = TestSuite::new().with(er_pi::Assertion::replicas_converge("converge"));
+    for (subject, workload) in [("ledger", &ledger), ("crdts", &crdts)] {
+        let mut found = 0;
+        for (space_name, space, plans, unpruned, pruned) in &spaces {
+            let what = format!("{subject} {space_name}");
+            let run = |causal: bool, cell: Cell| match subject {
+                "ledger" => fault_space_report(
+                    LedgerApp::new(2),
+                    workload,
+                    &exactly_once_suite(),
+                    space,
+                    causal,
+                    cell,
+                ),
+                _ => {
+                    fault_space_report(CrdtsModel::new(2), workload, &converge, space, causal, cell)
+                }
+            };
+            let enumerated = space
+                .as_ref()
+                .map_or(1, |space| enumerate_plans(workload, space).len());
+            assert_eq!(enumerated, *plans, "{what}: plans");
+            let report = run(true, SCRATCH);
             assert_eq!(
-                reference.diff(&run(workers, incremental)),
+                run(false, SCRATCH).explored,
+                *unpruned,
+                "{what}: causal off"
+            );
+            assert_eq!(report.explored, *pruned, "{what}: causal on");
+            assert!(
+                space.is_some() || report.violations.is_empty(),
+                "{what}: fault-free exploration must be clean"
+            );
+            for violation in &report.violations {
+                let il = violation.interleaving.as_ref().expect("per-run violation");
+                assert!(
+                    !il.faults().is_empty(),
+                    "{what}: a violation escaped its fault schedule: {violation:?}"
+                );
+            }
+            found += report.violations.len();
+            assert_eq!(
+                report.diff(&run(true, parallel)),
                 None,
-                "crdts fault space diverged at workers={workers} incremental={incremental}"
+                "{what}: {parallel}"
             );
         }
+        assert!(found > 0, "{subject}: no fault space surfaced a violation");
     }
 }

@@ -5,13 +5,18 @@
 //! step by step, never from live campaign state. So however the campaign
 //! that found the violation was scheduled — worker count, scratch vs
 //! incremental executor, state-hash subsumption on or off — the bundle for
-//! the first violation must come out byte-identical. These tests pin that
-//! across the twelve-bug catalogue, and pin the metrics registry as
-//! write-only: a session exporting into a shared [`Registry`] produces the
-//! same canonical report bytes as a detached one.
+//! the first violation must come out byte-identical; every stop-first cell
+//! of the catalogue matrix (`common::matrix`) holds that. The other tests
+//! pin the bundles themselves — deterministic, complete, equal to literal
+//! digests — and the metrics registry as write-only: a session exporting
+//! into a shared [`Registry`] produces the same canonical report bytes as a
+//! detached one.
+
+mod common;
 
 use std::sync::Arc;
 
+use common::matrix::sweep;
 use er_pi::telemetry::Registry;
 use er_pi::{Attachments, ForensicBundle, ReplayConfig, SessionMetrics, Violation};
 use er_pi_rdl::fnv1a128;
@@ -27,54 +32,14 @@ fn opts(workers: usize, incremental: bool, subsumption: bool) -> ReplayConfig {
     }
 }
 
-/// The scheduling matrix: {1, 2, 4} workers × {scratch, incremental,
-/// incremental+subsumption}.
-fn matrix() -> Vec<(usize, bool, bool)> {
-    let mut configs = Vec::new();
-    for workers in [1usize, 2, 4] {
-        for (incremental, subsumption) in [(false, false), (true, false), (true, true)] {
-            configs.push((workers, incremental, subsumption));
-        }
-    }
-    configs
-}
-
 /// Every catalogue bug: the first violation's forensic bundle is
 /// byte-identical no matter how the campaign that found it was scheduled.
+/// Every stop-first cell of the matrix compares its bundle with the
+/// reference's; these are the subsumption ones, scratch and incremental
+/// (watched).
 #[test]
 fn forensic_bundles_are_byte_identical_across_scheduling() {
-    for bug in Bug::catalogue() {
-        let reference = {
-            let report = bug.replay_report_opts(&opts(1, false, false));
-            let violation = report
-                .violations
-                .first()
-                .unwrap_or_else(|| panic!("{}: catalogue bug must reproduce", bug.name));
-            bug.explain(violation)
-                .unwrap_or_else(|| panic!("{}: per-run violation must explain", bug.name))
-                .canonical_json()
-        };
-        for (workers, incremental, subsumption) in matrix() {
-            let report = bug.replay_report_opts(&opts(workers, incremental, subsumption));
-            let violation = report.violations.first().unwrap_or_else(|| {
-                panic!(
-                    "{}: no violation at workers={workers} incremental={incremental} \
-                     subsumption={subsumption}",
-                    bug.name
-                )
-            });
-            let bundle = bug
-                .explain(violation)
-                .expect("per-run violation must explain")
-                .canonical_json();
-            assert_eq!(
-                bundle, reference,
-                "{}: bundle diverged at workers={workers} incremental={incremental} \
-                 subsumption={subsumption}",
-                bug.name
-            );
-        }
-    }
+    sweep(true, |cell| cell.subsumption);
 }
 
 /// Re-explaining the same violation is a no-op: two assemblies of the

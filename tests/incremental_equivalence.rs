@@ -1,126 +1,65 @@
-//! Differential-equivalence matrix for the incremental (path-cache)
+//! Differential-equivalence harness for the incremental (path-cache)
 //! executor.
 //!
 //! The incremental engine's contract is stricter than "same verdict": the
 //! report it produces must be *byte-identical* to the scratch executor's —
 //! same runs, same outcomes, same violations, same `sim_us` — because the
 //! cache only skips work whose result is already known, never changes what
-//! a run computes. These tests pin that contract across the full 12-bug
-//! catalogue, with and without `stop_on_first_violation`, at 1, 2 and 4
-//! workers, always diffing against a *scratch* single-worker reference
-//! (PR 2's differential harness compared pooled-vs-sequential; here the
-//! axis is incremental-vs-scratch).
-//!
-//! `Report::diff` ignores wall-clock, per-worker load and the cache
-//! counters themselves — everything else must match exactly.
+//! a run computes. The first four tests pin that over the 12-bug catalogue,
+//! with the cache's own counters: they replay the incremental column of the
+//! catalogue matrix (`common::matrix`). The last two pin the places a run's
+//! successor is not simply the next candidate: a stop-on-first lookahead in
+//! Random order, and a constraint reseed.
 
 mod common;
 
-use common::WORKER_COUNTS;
+use common::matrix::sweep;
+use common::{Cell, SCRATCH};
 use er_pi::{ExploreMode, Report, Session, TestSuite};
 use er_pi_interleave::{ErPiExplorer, Explorer, IndexedSource, PruningConfig, RandomExplorer};
 use er_pi_model::{EventId, Interleaving, ReplicaId, Value};
-use er_pi_subjects::{Bug, TownApp};
+use er_pi_subjects::TownApp;
 
 const CAP: usize = 10_000;
 
-#[test]
-fn incremental_equals_scratch_exhaustive() {
-    for bug in Bug::catalogue() {
-        let scratch = bug.replay_report_with(CAP, false, 1, false);
-        for workers in WORKER_COUNTS {
-            let incremental = bug.replay_report_with(CAP, false, workers, true);
-            assert_eq!(
-                scratch.diff(&incremental),
-                None,
-                "{} at {workers} workers: incremental diverged from scratch (exhaustive)",
-                bug.name
-            );
-        }
+/// The incremental cell of the matrix at `workers`.
+fn incremental(workers: usize) -> Cell {
+    Cell {
+        workers,
+        incremental: true,
+        ..SCRATCH
     }
 }
 
 #[test]
+fn incremental_equals_scratch_exhaustive() {
+    sweep(false, |cell| cell == incremental(2));
+}
+
+/// Includes, on one worker, the catalogue half of
+/// `stop_on_first_lookahead_keeps_the_peeked_candidate_out_of_the_counters`:
+/// the counters are a fresh explorer's over exactly the replayed runs.
+#[test]
 fn incremental_equals_scratch_stop_on_first() {
-    for bug in Bug::catalogue() {
-        let scratch = bug.replay_report_with(CAP, true, 1, false);
-        for workers in WORKER_COUNTS {
-            let incremental = bug.replay_report_with(CAP, true, workers, true);
-            assert_eq!(
-                scratch.diff(&incremental),
-                None,
-                "{} at {workers} workers: incremental diverged from scratch (stop-on-first)",
-                bug.name
-            );
-        }
-    }
+    sweep(true, |cell| cell.incremental && !cell.subsumption);
 }
 
 /// The cache must actually engage on the catalogue: lexicographically
 /// adjacent interleavings share prefixes, so a sequential exhaustive sweep
-/// with more than a handful of runs must record hits and saved events —
-/// otherwise the equivalence above is vacuous (scratch == scratch).
+/// must record hits, and save exactly the common prefixes of consecutive
+/// runs — otherwise the equivalence is vacuous (scratch == scratch).
 #[test]
 fn incremental_actually_reuses_prefixes() {
-    for bug in Bug::catalogue() {
-        let report = bug.replay_report_with(CAP, false, 1, true);
-        let stats = report
-            .cache_stats
-            .unwrap_or_else(|| panic!("{}: incremental run must report CacheStats", bug.name));
-        assert_eq!(
-            stats.hits + stats.misses,
-            report.explored as u64,
-            "{}: every explored interleaving is one cache probe",
-            bug.name
-        );
-        if report.explored > 2 {
-            assert!(
-                stats.hits > 0 && stats.events_saved > 0,
-                "{}: {} interleavings explored but no prefix reuse (hits={}, saved={})",
-                bug.name,
-                report.explored,
-                stats.hits,
-                stats.events_saved
-            );
-        }
-        // The saving is pinned exactly: the explorer is lexicographic, so
-        // every run resumes from the whole prefix it shares with the run
-        // before it (short of the final depth, which is never kept).
-        let explorer = ErPiExplorer::new(bug.workload(), bug.pruning_config());
-        let dispensed: Vec<Interleaving> = IndexedSource::new(explorer, CAP)
-            .map(|(_, il)| il)
-            .collect();
-        let shared: u64 = dispensed
-            .windows(2)
-            .map(|pair| pair[0].common_prefix_len(&pair[1]).min(pair[1].len() - 1) as u64)
-            .sum();
-        assert_eq!(
-            stats.events_saved, shared,
-            "{}: events saved != common prefixes of consecutive runs",
-            bug.name
-        );
-        assert!(
-            report.sim_us_actual() <= report.sim_us,
-            "{}: saved simulated time cannot exceed charged time",
-            bug.name
-        );
-    }
+    sweep(false, |cell| cell == incremental(1));
 }
 
 /// `sim_us` itself (as reported) is charged for the *full* interleaving —
 /// the saving is accounted separately in `CacheStats::sim_us_saved` — so
-/// the simulated-time figures in a report never depend on cache luck.
+/// the simulated-time figures a four-worker incremental report states are
+/// the one-worker scratch reference's (`Report::diff` compares `sim_us`).
 #[test]
 fn charged_sim_us_is_cache_independent() {
-    for bug in Bug::catalogue() {
-        let scratch = bug.replay_report_with(CAP, false, 1, false);
-        let incremental = bug.replay_report_with(CAP, false, 4, true);
-        assert_eq!(
-            scratch.sim_us, incremental.sim_us,
-            "{}: charged sim_us must not depend on the executor",
-            bug.name
-        );
-    }
+    sweep(false, |cell| cell == incremental(4));
 }
 
 /// Four ungrouped updates at two replicas: 4! = 24 interleavings.
@@ -148,29 +87,12 @@ fn assert_stop_fields_equal(incremental: &Report, scratch: &Report, what: &str) 
 /// A claim dispenses one interleaving past its chunk to hint the executor
 /// (and the rest of the chunk past a violation). When a violation stops the
 /// campaign, those candidates have already advanced the explorer — and must
-/// not show in `prune_stats` or `wasted_work`. A scratch replay never peeks, and a fresh explorer that dispenses exactly the
-/// replayed runs is a second, independent reference.
+/// not show in `prune_stats` or `wasted_work`. A scratch replay never
+/// peeks, and a fresh explorer that dispenses exactly the replayed runs is
+/// a second, independent reference. (ER-π mode over the catalogue is
+/// `incremental_equals_scratch_stop_on_first`'s one-worker cell.)
 #[test]
 fn stop_on_first_lookahead_keeps_the_peeked_candidate_out_of_the_counters() {
-    // ER-π mode, every pruner the bug configures.
-    for bug in Bug::catalogue() {
-        let incremental = bug.replay_report_with(CAP, true, 1, true);
-        let scratch = bug.replay_report_with(CAP, true, 1, false);
-        assert_stop_fields_equal(&incremental, &scratch, bug.name);
-        let explorer = ErPiExplorer::new(bug.workload(), bug.pruning_config());
-        let mut fresh = IndexedSource::new(explorer, CAP);
-        assert_eq!(
-            fresh.by_ref().take(incremental.explored).count(),
-            incremental.explored
-        );
-        assert_eq!(
-            incremental.prune_stats,
-            Some(fresh.inner().stats()),
-            "{}: counters are those of exactly the replayed runs",
-            bug.name
-        );
-    }
-
     // Random mode: `wasted_work` counts shuffle retries, and the shuffle
     // behind the peeked candidate retries too. Only the reversed order
     // violates, so a 24-order space draws duplicates before it stops.

@@ -6,8 +6,9 @@
 //! pins the *observer* side: `GET /metrics` content-negotiates a lintable
 //! Prometheus text exposition whose counters only ever go up, a campaign's
 //! `/events` stream replays its full history and terminates with the
-//! campaign, and `/violations/:n` serves the same forensic bundle bytes a
-//! standalone replay of the same spec explains locally.
+//! campaign, `/violations/:n` serves the same forensic bundle bytes a
+//! standalone replay of the same spec explains locally, and the status,
+//! summary, progress and report payloads keep their key sets.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -18,6 +19,7 @@ use er_pi::telemetry::{lint_exposition, lint_monotone};
 use er_pi::ReplayConfig;
 use er_pi_server::{Server, ServerConfig, ServerHandle};
 use er_pi_subjects::Bug;
+use serde::Content;
 
 // ---------------------------------------------------------------------
 // Socket helpers (one Connection: close exchange per call).
@@ -97,6 +99,31 @@ fn field<'a>(json: &'a str, name: &str) -> Option<&'a str> {
     Some(rest[..end].trim().trim_matches('"'))
 }
 
+/// The entries of a JSON object, keys in the order the body carries them.
+fn entries(value: Content) -> Vec<(String, Content)> {
+    let Content::Map(entries) = value else {
+        panic!("not an object: {value:?}");
+    };
+    let key = |k| match k {
+        Content::Str(k) => k,
+        k => panic!("non-string key {k:?}"),
+    };
+    entries.into_iter().map(|(k, v)| (key(k), v)).collect()
+}
+
+fn object(json: &str) -> Vec<(String, Content)> {
+    entries(serde_json::from_str(json).unwrap_or_else(|e| panic!("{e}: {json}")))
+}
+
+fn keys(object: &[(String, Content)]) -> Vec<&str> {
+    object.iter().map(|(k, _)| k.as_str()).collect()
+}
+
+fn member(object: &[(String, Content)], name: &str) -> Content {
+    let value = object.iter().find(|(k, _)| k == name);
+    value.unwrap_or_else(|| panic!("no {name}")).1.clone()
+}
+
 fn submit_id(addr: &str, spec: &str) -> String {
     let (code, body) = post(addr, "/campaigns", spec);
     assert_eq!(code, 202, "submission refused: {body}");
@@ -138,6 +165,10 @@ fn tiny_daemon() -> (ServerHandle, String) {
 #[test]
 fn metrics_negotiate_json_and_lintable_monotone_prometheus_text() {
     let (handle, addr) = tiny_daemon();
+    assert_eq!(
+        get(&addr, "/healthz"),
+        (200, r#"{"status":"ok"}"#.to_owned())
+    );
 
     // Default (no Accept): the JSON body with its stable key set.
     let (code, content_type, body) = get_accept(&addr, "/metrics", "application/json");
@@ -204,6 +235,30 @@ fn metrics_negotiate_json_and_lintable_monotone_prometheus_text() {
         second.contains("er_pi_submit_to_report_us_bucket"),
         "latency histogram missing:\n{second}"
     );
+
+    // Three more campaigns queued at once and run side by side: every
+    // submission is accounted for, and none failed.
+    let ids: Vec<String> = ["Roshi-2", "OrbitDB-1", "Yorkie-2"]
+        .iter()
+        .enumerate()
+        .map(|(i, bug)| {
+            let spec =
+                format!(r#"{{"bug": "{bug}", "cap": 200, "tenant": "t{i}", "priority": {i}}}"#);
+            submit_id(&addr, &spec)
+        })
+        .collect();
+    for id in &ids {
+        assert_eq!(poll_until_terminal(&addr, id), "done");
+    }
+    let (_, _, body) = get_accept(&addr, "/metrics", "application/json");
+    let fleet = object(&body);
+    for (counter, expected) in [("submitted", 4), ("completed", 4), ("failed", 0)] {
+        assert_eq!(
+            member(&fleet, counter),
+            Content::Int(expected),
+            "{counter}: {body}"
+        );
+    }
     handle.shutdown();
 }
 
@@ -264,6 +319,68 @@ fn event_stream_replays_history_and_ends_with_the_terminal_event() {
     assert_eq!(code, 200, "{report}");
     assert_eq!(count(&report, "explored"), count(terminal, "explored"));
     assert!(executed >= count(&report, "explored"));
+    assert!(count(&report, "explored") > 0, "{report}");
+
+    // The payloads a client reads, key for key; the canonical report holds
+    // only the deterministic fields, so no wall clock, load or cache count.
+    let (code, status) = get(&addr, &format!("/campaigns/{id}"));
+    assert_eq!(code, 200, "{status}");
+    let status = object(&status);
+    assert_eq!(
+        keys(&status),
+        ["id", "tenant", "priority", "subject", "cap", "state", "progress", "summary", "error"]
+    );
+    let summary = entries(member(&status, "summary"));
+    assert_eq!(
+        keys(&summary),
+        [
+            "mode",
+            "explored",
+            "executed",
+            "violations",
+            "sim_us",
+            "wall_ms",
+            "grouping_factor",
+            "pruners",
+            "workers",
+            "cache",
+            "failures"
+        ]
+    );
+    let progress = entries(member(&status, "progress"));
+    assert_eq!(
+        keys(&progress),
+        [
+            "elapsed_secs",
+            "runs_done",
+            "expected_total",
+            "runs_per_sec",
+            "eta_secs",
+            "campaign_secs_hint",
+            "cache_hit_rate",
+            "subsumed_runs",
+            "subsume_rate",
+            "sleep_prunes",
+            "per_worker_runs"
+        ]
+    );
+    let report = object(&report);
+    assert_eq!(
+        keys(&report),
+        [
+            "mode",
+            "explored",
+            "first_violation_at",
+            "prune_stats",
+            "wasted_work",
+            "sim_us",
+            "stopped_early",
+            "violations",
+            "runs",
+            "diagnostics"
+        ]
+    );
+    assert_eq!(member(&report, "explored"), member(&summary, "explored"));
 
     // Unknown campaigns get a plain 404, not a stream.
     let (code, _) = get(&addr, "/campaigns/c-999/events");

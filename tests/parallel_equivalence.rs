@@ -2,14 +2,12 @@
 //!
 //! The campaign core's contract is that a merged [`Report`] is
 //! *byte-identical* for any worker count — same runs, same order, same
-//! violations, same simulated time. These tests pin that contract across
-//! the entire 12-bug catalogue, with and without
-//! `stop_on_first_violation`, at 1, 2 and 4 workers. `Report::diff`
-//! compares every field except wall-clock time and per-worker load
-//! (which are legitimately scheduling-dependent). One worker is no
-//! separate code path — it is the same loop on the calling thread — so
-//! the naive-loop test anchors the lot against a loop that is not the engine
-//! (`common::reference_replay`).
+//! violations, same simulated time. The first four tests pin that over the
+//! 12-bug catalogue against a one-worker engine reference: they replay the
+//! scratch column of the catalogue matrix (`common::matrix`), sanitizer
+//! attached. The naive-loop test anchors the lot against a loop that is not
+//! the engine (`common::reference_replay`), on every model `tests/` can name
+//! and in every cell of `common::cells()`.
 //!
 //! The last two tests pin the retention rule (`ReplayConfig::keep_runs`): a
 //! report under default retention states exactly what one that kept its run
@@ -19,7 +17,8 @@ mod common;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use common::{record_town, reference_replay, Reference, WORKER_COUNTS};
+use common::matrix::sweep;
+use common::{cells, record_town, reference_replay, Cell, Reference, SCRATCH, WORKER_COUNTS};
 use er_pi::{
     enumerate_plans, Assertion, ExploreMode, FailureStats, FaultSpace, LiveSystem, OpOutcome,
     ReplayConfig, Report, Session, SystemModel, TestSuite,
@@ -27,7 +26,6 @@ use er_pi::{
 use er_pi_model::{Event, ReplicaId, Value};
 use er_pi_subjects::{Bug, CrdtsModel, RoshiModel, TownApp, YorkieModel};
 
-const CAP: usize = 10_000;
 /// Cap of the engine-versus-naive-loop matrix: enough runs for ten chunks
 /// on one slot and for every slot of four to claim several.
 const MATRIX_CAP: usize = 640;
@@ -36,83 +34,52 @@ fn r(i: u16) -> ReplicaId {
     ReplicaId::new(i)
 }
 
+/// `workers == 1` is the same campaign loop on the calling thread alone, the
+/// left-hand side of every diff: replaying the stop-first reference's own
+/// configuration again must reproduce it.
+#[test]
+fn one_worker_is_the_sequential_path() {
+    sweep(true, |cell| cell == SCRATCH);
+}
+
+#[test]
+fn parallel_equals_sequential_exhaustive() {
+    sweep(false, |cell| {
+        !cell.incremental && !cell.subsumption && cell.workers > 1
+    });
+}
+
+#[test]
+fn parallel_equals_sequential_stop_on_first() {
+    sweep(true, |cell| {
+        cell == Cell {
+            workers: 2,
+            ..SCRATCH
+        }
+    });
+}
+
+/// The first violation a parallel run reports must be the *lowest-indexed*
+/// one — the interleaving a sequential scan flags first — not merely "some"
+/// violation that happened to finish early: the reference has one, and
+/// `Report::diff` compares `first_violation_at`. Every stop-first cell of the
+/// matrix holds that; this is its four-worker scratch cell.
+#[test]
+fn first_violation_index_is_scheduling_independent() {
+    sweep(true, |cell| {
+        cell == Cell {
+            workers: 4,
+            ..SCRATCH
+        }
+    });
+}
+
 /// Assertions any model can be held to; some orders of the recordings below
 /// violate each.
 fn generic_suite<S>() -> TestSuite<S> {
     TestSuite::new()
         .with(Assertion::replicas_converge("converge"))
         .with(Assertion::no_failed_ops("no-failed-ops"))
-}
-
-/// `workers == 1` is the same campaign loop on the calling thread alone,
-/// the left-hand side of every diff below: it must be deterministic.
-#[test]
-fn one_worker_is_the_sequential_path() {
-    for bug in Bug::catalogue() {
-        let a = bug.replay_report(CAP, true, 1);
-        let b = bug.replay_report(CAP, true, 1);
-        assert_eq!(
-            a.diff(&b),
-            None,
-            "{}: sequential replay must be deterministic",
-            bug.name
-        );
-    }
-}
-
-#[test]
-fn parallel_equals_sequential_exhaustive() {
-    for bug in Bug::catalogue() {
-        let reference = bug.replay_report(CAP, false, 1);
-        for workers in WORKER_COUNTS {
-            let parallel = bug.replay_report(CAP, false, workers);
-            assert_eq!(
-                reference.diff(&parallel),
-                None,
-                "{} at {workers} workers diverged from sequential (exhaustive)",
-                bug.name
-            );
-        }
-    }
-}
-
-#[test]
-fn parallel_equals_sequential_stop_on_first() {
-    for bug in Bug::catalogue() {
-        let reference = bug.replay_report(CAP, true, 1);
-        for workers in WORKER_COUNTS {
-            let parallel = bug.replay_report(CAP, true, workers);
-            assert_eq!(
-                reference.diff(&parallel),
-                None,
-                "{} at {workers} workers diverged from sequential (stop-on-first)",
-                bug.name
-            );
-        }
-    }
-}
-
-/// The first violation a parallel run reports must be the *lowest-indexed*
-/// one — i.e. exactly the interleaving a sequential scan would have flagged
-/// first — not merely "some" violation that happened to finish early.
-#[test]
-fn first_violation_index_is_scheduling_independent() {
-    for bug in Bug::catalogue() {
-        let reference = bug.replay_report(CAP, true, 1);
-        assert!(
-            reference.first_violation_at.is_some(),
-            "{}: catalogue bug must manifest under ER-π pruning",
-            bug.name
-        );
-        for workers in WORKER_COUNTS {
-            let parallel = bug.replay_report(CAP, true, workers);
-            assert_eq!(
-                parallel.first_violation_at, reference.first_violation_at,
-                "{} at {workers} workers found a different first violation",
-                bug.name
-            );
-        }
-    }
 }
 
 /// One recorded session the engine is held against the naive loop on.
@@ -145,35 +112,30 @@ fn against_the_naive_loop<M>(
                     stop || reference.explored > 1,
                     "{what}: nothing to interleave"
                 );
-                for workers in WORKER_COUNTS {
-                    for incremental in [true, false] {
-                        let mut session = Session::new(new_model());
-                        session.set_workload(workload.clone());
-                        session
-                            .set_mode(mode)
-                            .set_cap(MATRIX_CAP)
-                            .set_stop_on_first_violation(stop)
-                            .set_workers(workers)
-                            .set_incremental(incremental)
-                            .set_keep_runs(true);
-                        if let Some(space) = &faults {
-                            session.set_fault_space(space.clone());
-                        }
-                        let report = session.replay(suite).expect("workload installed");
-                        let engine = Reference {
-                            runs: report.runs,
-                            violations: report.violations,
-                            first_violation_at: report.first_violation_at,
-                            explored: report.explored,
-                            stopped_early: report.stopped_early,
-                        };
-                        assert!(
-                            engine == reference,
-                            "{what}: {mode} stop={stop} faults={} workers={workers} \
-                             incremental={incremental} diverged from the naive loop",
-                            faults.is_some()
-                        );
+                for cell in cells() {
+                    let mut session = Session::new(new_model());
+                    session.set_workload(workload.clone());
+                    cell.apply(&mut session)
+                        .set_mode(mode)
+                        .set_cap(MATRIX_CAP)
+                        .set_stop_on_first_violation(stop)
+                        .set_keep_runs(true);
+                    if let Some(space) = &faults {
+                        session.set_fault_space(space.clone());
                     }
+                    let report = session.replay(suite).expect("workload installed");
+                    let engine = Reference {
+                        runs: report.runs,
+                        violations: report.violations,
+                        first_violation_at: report.first_violation_at,
+                        explored: report.explored,
+                        stopped_early: report.stopped_early,
+                    };
+                    assert!(
+                        engine == reference,
+                        "{what}: {mode} stop={stop} faults={} {cell} diverged from the naive loop",
+                        faults.is_some()
+                    );
                 }
             }
         }
@@ -181,9 +143,10 @@ fn against_the_naive_loop<M>(
 }
 
 /// The anchor of every workers-N-versus-1 diff in the suites: the engine —
-/// chunked claims, per-slot incremental executors, scoped threads, the
-/// merge — reports exactly what a naive one-at-a-time scratch loop that
-/// shares none of that code reports, on every model `tests/` can name.
+/// chunked claims, per-slot incremental executors, subsumption, scoped
+/// threads, the merge — reports exactly what a naive one-at-a-time scratch
+/// loop that shares none of that code reports, on every model `tests/` can
+/// name.
 #[test]
 fn the_engine_equals_a_reference_that_is_not_the_engine() {
     let town = TownApp::invariant();

@@ -3,46 +3,42 @@
 //! Telemetry is strictly *write-only*: attaching any sink — the no-op
 //! [`NullSink`], the in-memory collector, the JSON Lines stream or the
 //! Chrome trace-event stream — must leave the [`Report`] byte-identical to
-//! a detached session. These tests pin that contract across the twelve-bug
-//! catalogue at 1, 2 and 4 workers, in both exhaustive and
-//! stop-on-first-violation scheduling, and then randomize the whole knob
-//! matrix under proptest. `Report::diff` compares every deterministic
-//! field; only wall-clock time, worker loads, cache counters and the
-//! session summary are legitimately scheduling-dependent.
+//! a detached session. The catalogue matrix (`common::matrix`) pins that
+//! for a sink, a registry and a progress hook at once over the whole
+//! catalogue, in its incremental + subsumption column; the other tests cover
+//! every sink kind on a bug per subject family, randomize the knob matrix
+//! under proptest, and reach what the matrix never enters (a refusing cache,
+//! co-tenant traces).
+//! `Report::diff` compares every deterministic field; only wall-clock
+//! time, worker loads, cache counters and the session summary are
+//! legitimately scheduling-dependent.
 //!
 //! The observers are also checked against each other: a campaign watched
 //! through a sink, a metric registry and a progress hook at once must tell
-//! one story — the summary, the registry series, the hook's last snapshot
-//! and the trace agree, by name, on every count they share.
+//! one story — `common::views::assert_views_agree`.
 
 mod common;
 
+use common::matrix::sweep;
+use common::views::{assert_views_agree, replay_watched, sink_attachment, watch};
 use common::WORKER_COUNTS;
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use er_pi::telemetry::{
-    hit_rate, ChromeTraceSink, EventKind, JsonLinesSink, MemorySink, NullSink, ProgressSnapshot,
-    Registry, SharedBuf, Sink, Telemetry, TelemetryEvent, HIT_RATE_WINDOW,
+    ChromeTraceSink, JsonLinesSink, MemorySink, NullSink, SharedBuf, Sink, TelemetryEvent,
+    HIT_RATE_WINDOW,
 };
 use er_pi::{
-    Assertion, Attachments, OpOutcome, ReplayConfig, Report, Session, SessionMetrics, SystemModel,
-    TestSuite, DEFAULT_CACHE_BUDGET,
+    Assertion, Attachments, OpOutcome, ReplayConfig, Report, Session, SystemModel, TestSuite,
+    DEFAULT_CACHE_BUDGET,
 };
 use er_pi_model::{Event, ReplicaId, Value};
 use er_pi_subjects::{
     Bug, OrbitConfig, OrbitModel, ReplicaDbModel, ReplicationMode, RoshiModel, YorkieModel,
 };
-
-/// The telemetry attachment over `sink`.
-fn sink_attachment(sink: Arc<dyn Sink>) -> Attachments {
-    Attachments {
-        telemetry: Telemetry::new(sink),
-        ..Attachments::default()
-    }
-}
 
 /// One replay of `bug` under the paper's cap, into `sink` if there is one.
 fn replay(bug: &Bug, stop: bool, workers: usize, sink: Option<Arc<dyn Sink>>) -> Report {
@@ -53,199 +49,6 @@ fn replay(bug: &Bug, stop: bool, workers: usize, sink: Option<Arc<dyn Sink>>) ->
     };
     let attach = sink.map(sink_attachment).unwrap_or_default();
     bug.replay_report_checked(&config, attach).0
-}
-
-/// A campaign watched through every observer at once, and what each saw.
-struct Watched {
-    report: Report,
-    events: Vec<TelemetryEvent>,
-    /// The registry's exposition; the campaign's series carry one label,
-    /// `campaign`.
-    exposition: String,
-    /// The progress hook's last snapshot.
-    last: ProgressSnapshot,
-}
-
-fn replay_watched(bug: &Bug, config: &ReplayConfig) -> Watched {
-    watch(bug.name, |attach| {
-        bug.replay_report_checked(config, attach).0
-    })
-}
-
-/// The campaign `replay` runs into the attachments it is handed, watched
-/// through every observer at once; `name` labels its registry series.
-fn watch(name: &str, replay: impl FnOnce(Attachments) -> Report) -> Watched {
-    let sink = Arc::new(MemorySink::new());
-    let registry = Arc::new(Registry::new());
-    let last = Arc::new(Mutex::new(None));
-    let seen = Arc::clone(&last);
-    let attach = Attachments {
-        metrics: Some(SessionMetrics::new(&registry, &[("campaign", name)])),
-        progress: Some(Arc::new(move |snapshot: &ProgressSnapshot| {
-            *seen.lock().unwrap() = Some(snapshot.clone());
-        })),
-        ..sink_attachment(sink.clone())
-    };
-    let report = replay(attach);
-    let last = last.lock().unwrap().take();
-    Watched {
-        report,
-        events: sink.events(),
-        exposition: registry.render_prometheus(),
-        last: last.expect("every watched replay ends with a sample"),
-    }
-}
-
-impl Watched {
-    /// The values of every series of family `name`, with their label sets.
-    fn series(&self, name: &str) -> Vec<(&str, f64)> {
-        let samples = self.exposition.lines().filter_map(|line| {
-            let (labels, value) = line
-                .strip_prefix(name)?
-                .strip_prefix('{')?
-                .split_once("} ")?;
-            Some((labels, value.parse().expect("a sample value")))
-        });
-        samples.collect()
-    }
-
-    /// The campaign's one series of family `name`, if it was ever set.
-    fn metric(&self, name: &str) -> Option<f64> {
-        let series = self.series(name);
-        assert!(series.len() <= 1, "{name}: {series:?}");
-        series.first().map(|&(_, value)| value)
-    }
-
-    fn count(&self, name: &str) -> u64 {
-        self.metric(name).unwrap_or_else(|| panic!("no {name}")) as u64
-    }
-
-    fn named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a TelemetryEvent> {
-        self.events.iter().filter(move |event| event.name == name)
-    }
-}
-
-/// The agreement table: each fact once per view that shows it, compared by
-/// name. `config` is what the campaign replayed under, `label` names it.
-fn assert_views_agree(watched: &Watched, config: &ReplayConfig, label: &str) {
-    let Watched { report, last, .. } = watched;
-    let summary = &report.session_summary;
-
-    // Executed: every run a slot replayed, in five views; explored: what
-    // the report retains of them.
-    let executed = summary.executed as u64;
-    let by_worker: usize = summary.workers.iter().map(|load| load.runs).sum();
-    assert_eq!(by_worker, summary.executed, "{label}: Σ workers[].runs");
-    assert_eq!(
-        watched.count("er_pi_campaign_runs_total"),
-        executed,
-        "{label}: er_pi_campaign_runs_total"
-    );
-    assert_eq!(last.runs_done, executed, "{label}: last snapshot");
-    assert_eq!(
-        last.per_worker_runs.iter().sum::<u64>(),
-        executed,
-        "{label}"
-    );
-    assert_eq!(
-        watched.named("run").count(),
-        summary.executed,
-        "{label}: run spans"
-    );
-    assert_eq!(summary.explored, report.explored, "{label}");
-    assert!(summary.executed >= report.explored, "{label}");
-    if !config.stop_on_first_violation {
-        assert_eq!(summary.executed, report.explored, "{label}: exhaustive");
-    }
-    let first_line = summary.render().lines().next().unwrap().to_owned();
-    assert_eq!(
-        first_line.contains("executed"),
-        summary.executed != summary.explored,
-        "{label}: {first_line}"
-    );
-
-    // Cache attribution: wherever the executors keep snapshots, and
-    // nowhere else — a subsumption-only campaign has no hit rate to show.
-    let cache = report.cache_stats.unwrap_or_default();
-    let (hits, misses) = match config.incremental {
-        true => (cache.hits, cache.misses),
-        false => (0, 0),
-    };
-    let rate = hit_rate(hits, misses);
-    assert_eq!(
-        watched.count("er_pi_campaign_cache_hits_total"),
-        hits,
-        "{label}"
-    );
-    assert_eq!(
-        watched.count("er_pi_campaign_cache_misses_total"),
-        misses,
-        "{label}"
-    );
-    assert_eq!(last.cache_hit_rate, rate, "{label}: last snapshot");
-    assert_eq!(
-        watched.metric("er_pi_campaign_cache_hit_rate"),
-        rate,
-        "{label}: er_pi_campaign_cache_hit_rate"
-    );
-    let rendered = summary.render();
-    assert_eq!(
-        rendered.contains("\n  cache: "),
-        rate.is_some(),
-        "{label}: {rendered}"
-    );
-    assert_eq!(
-        watched.count("er_pi_campaign_subsumed_total"),
-        cache.subsumed,
-        "{label}"
-    );
-    assert_eq!(last.subsumed_runs, cache.subsumed, "{label}: last snapshot");
-    assert_eq!(
-        rendered.contains("\n  subsumption: "),
-        cache.subsumed > 0,
-        "{label}: {rendered}"
-    );
-
-    // One row per pruner, one spelling: the summary's rows are the
-    // registry's `algorithm` labels and the trace's `prune:` spans.
-    let rows: Vec<_> = summary.pruners.iter().map(|row| row.name).collect();
-    let spans: Vec<_> = watched
-        .events
-        .iter()
-        .filter_map(|event| event.name.strip_prefix("prune:"))
-        .collect();
-    assert_eq!(spans, rows, "{label}: prune spans");
-    let pruned = watched.series("er_pi_campaign_pruned_total");
-    assert_eq!(pruned.len(), rows.len(), "{label}: {pruned:?}");
-    for row in &summary.pruners {
-        let algorithm = format!("algorithm=\"{}\"", row.name);
-        let series = pruned
-            .iter()
-            .find(|(labels, _)| labels.ends_with(&algorithm));
-        let rejected = series.map(|&(_, rejected)| rejected as u64);
-        assert_eq!(rejected, Some(row.rejected), "{label}: {algorithm}");
-    }
-
-    // The low-hit-rate rule: in the report, latched in the registry and
-    // warned into the sink, or in none of them.
-    let advised = report.advisories.len();
-    assert!(advised <= 1, "{label}: {:?}", report.advisories);
-    assert_eq!(
-        watched.metric("er_pi_cache_low_hit_rate"),
-        Some(advised as f64),
-        "{label}: er_pi_cache_low_hit_rate"
-    );
-    let warnings: Vec<_> = watched.named("cache:low-hit-rate").collect();
-    assert_eq!(warnings.len(), advised, "{label}: {warnings:?}");
-    for (warning, advisory) in warnings.iter().zip(&report.advisories) {
-        let EventKind::Warning { message } = &warning.kind else {
-            panic!("{label}: {warning:?}");
-        };
-        let sentence = "checkpoint-cache hit rate 0.0% over ";
-        assert!(message.starts_with(sentence), "{label}: {message}");
-        assert!(advisory.starts_with(sentence), "{label}: {advisory}");
-        assert_eq!(warning.track, 0, "{label}: once, on the coordinator track");
-    }
 }
 
 /// Builds the sink variant `which` (0–3) and returns it with a closure that
@@ -354,32 +157,14 @@ fn assert_identical(reference: &Report, attached: &Report, label: &str) {
     );
 }
 
-/// The full catalogue, every worker count, both scheduling modes: a session
-/// with a collecting sink — and a registry and a progress hook — diffs clean
-/// against a detached one, and what the three observers saw agrees.
+/// The full catalogue at every worker count, exhaustive: a session with a
+/// collecting sink — and a registry and a progress hook — diffs clean
+/// against a detached reference, and what the three observers saw agrees.
+/// These are the matrix's watched cells; their stop-first half belongs to
+/// `forensics_equivalence`.
 #[test]
 fn any_sink_never_changes_the_report() {
-    for bug in Bug::catalogue() {
-        for stop in [false, true] {
-            let reference = replay(&bug, stop, 1, None);
-            for workers in WORKER_COUNTS {
-                let config = ReplayConfig {
-                    stop_on_first_violation: stop,
-                    workers,
-                    ..ReplayConfig::default()
-                };
-                let watched = replay_watched(&bug, &config);
-                let label = format!("{} stop={stop} workers={workers}", bug.name);
-                assert_identical(&reference, &watched.report, &label);
-                assert!(
-                    !watched.events.is_empty(),
-                    "{}: attached sink saw no events",
-                    bug.name
-                );
-                assert_views_agree(&watched, &config, &label);
-            }
-        }
-    }
+    sweep(false, |cell| cell.incremental && cell.subsumption);
 }
 
 /// A subject model whose every snapshot outweighs the whole snapshot
