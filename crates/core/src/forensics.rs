@@ -19,10 +19,10 @@
 //!   observable state deltas at that step;
 //! * the workload's happens-before graph as Graphviz DOT
 //!   ([`HbGraph::to_dot`]);
-//! * provenance: the interleaving fingerprint, the fault digest, and
+//! * provenance: the interleaving fingerprint, the fault digest,
 //!   whether digests came from the model's canonical encoding (the same
 //!   encoding state-hash subsumption trusts) or from the lossy `observe`
-//!   projection.
+//!   projection, and the name of the digest function.
 
 use std::collections::VecDeque;
 
@@ -98,6 +98,11 @@ pub struct Provenance {
     pub is_recorded_order: bool,
     /// What the per-step digests are computed from.
     pub digest_source: DigestSource,
+    /// Which digest function computed them:
+    /// [`DIGEST128_NAME`](er_pi_rdl::DIGEST128_NAME), the function behind
+    /// [`encoding_digest`](crate::encoding_digest), the default
+    /// [`SystemModel::state_digest`] fold and the `observe` fallback.
+    pub digest: &'static str,
 }
 
 /// The deterministic forensic bundle for one violation.
@@ -191,7 +196,7 @@ fn digest_states<M: SystemModel>(model: &M, states: &[M::State]) -> (String, Dig
         buf.extend_from_slice(rendered.as_bytes());
     }
     (
-        format!("{:032x}", er_pi_rdl::fnv1a128(&buf)),
+        format!("{:032x}", er_pi_rdl::digest128(&buf)),
         DigestSource::ObserveProjection,
     )
 }
@@ -299,6 +304,7 @@ pub fn explain_violation<M: SystemModel>(
             fault_count: il.faults().len(),
             is_recorded_order: il.as_slice() == baseline_il.as_slice(),
             digest_source: run.digest_source,
+            digest: er_pi_rdl::DIGEST128_NAME,
         },
     })
 }
@@ -393,6 +399,7 @@ mod tests {
         assert_eq!(a.steps.len(), w.len());
         assert_eq!(a.steps_dropped, 0);
         assert_eq!(a.provenance.digest_source, DigestSource::Canonical);
+        assert_eq!(a.provenance.digest, er_pi_rdl::DIGEST128_NAME);
         assert!(!a.provenance.is_recorded_order);
         let div = a.first_divergence.expect("a reversed order diverges");
         assert_eq!(div.pos, 0);

@@ -679,10 +679,18 @@ impl<M: SystemModel> IncrementalExecutor<M> {
                 // Every depth probed as a miss comes to answer from this
                 // run. Stitched or audit-verified, its tail past the donor's
                 // depth is the donor's, so it links there; executed, it
-                // leaves its final states.
+                // leaves its final states, under their digest.
+                let bytes = match (donor, audit) {
+                    (None, true) => encode_states(model, &run.states),
+                    _ => None,
+                };
                 let end = match donor {
                     Some((depth, memo)) => End::Stitched { memo, depth },
-                    None => End::Executed(&run.states),
+                    None => End::Executed {
+                        states: &run.states,
+                        digest: model.state_digest(&run.states),
+                        bytes: bytes.as_deref(),
+                    },
                 };
                 set.record(&mut self.pending, &run.outcomes, end);
             }
@@ -1045,6 +1053,59 @@ mod tests {
         exec.advance(&Fused, &w, &after, None, &time);
         let scratch = InlineExecutor::execute(&LogModel, &w, &after, &time);
         assert_same(&scratch, exec.run(), &after);
+    }
+
+    #[test]
+    #[should_panic(expected = "digest collision at the final states")]
+    fn an_audited_final_digest_shared_by_other_bytes_panics() {
+        /// [`LogModel`] with a faithful encoding but one digest for every
+        /// state.
+        struct Constant;
+
+        impl SystemModel for Constant {
+            type State = Vec<i64>;
+
+            fn replicas(&self) -> usize {
+                LogModel.replicas()
+            }
+
+            fn init(&self, replica: ReplicaId) -> Vec<i64> {
+                LogModel.init(replica)
+            }
+
+            fn apply(&self, states: &mut [Vec<i64>], event: &Event) -> OpOutcome {
+                LogModel.apply(states, event)
+            }
+
+            fn observe(&self, state: &Vec<i64>) -> Value {
+                LogModel.observe(state)
+            }
+
+            fn state_encode(&self, state: &Vec<i64>, out: &mut Vec<u8>) -> bool {
+                out.extend(state.iter().flat_map(|v| v.to_le_bytes()));
+                true
+            }
+
+            fn replica_digest(&self, _state: &Vec<i64>) -> Option<u128> {
+                Some(0)
+            }
+        }
+
+        // Two writes to one replica, in both orders: no key of one run is a
+        // key of the other (their suffixes differ at every depth), and they
+        // end in different states under one digest.
+        let mut w = Workload::builder();
+        for v in [1, 2] {
+            w.update(ReplicaId::new(0), "op", [Value::from(v)]);
+        }
+        let w = w.build();
+        let time = TimeModel::paper_setup();
+        let mut exec = IncrementalExecutor::<Constant>::new(0);
+        exec.enable_subsumption(Arc::new(SubsumeSet::with_audit(true)));
+        for raw in [[0, 1], [1, 0]] {
+            let il: Interleaving = raw.into_iter().map(EventId::new).collect();
+            exec.advance(&Constant, &w, &il, None, &time);
+        }
     }
 
     /// Σ `bytes` over the distinct snapshots the paths hold.

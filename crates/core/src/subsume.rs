@@ -23,16 +23,17 @@
 //! A tail is stored once. Every run that records keys appends only the
 //! outcomes nobody gave it — from its shallowest new key to where it was
 //! stitched, or to its end — and then either links to the run it was
-//! stitched from or, having executed to the end, appends its final states.
-//! Reading a tail follows those links; what a link skips is, by the same
-//! determinism, exactly what the linking run received.
+//! stitched from or, having executed to the end, points at its final
+//! states, which are appended only if no run before left states of the same
+//! digest. Reading a tail follows those links; what a link skips is, by the
+//! same determinism, exactly what the linking run received.
 //!
 //! Soundness rests on [`SystemModel::state_encode`] being *faithful*: equal
 //! encodings must imply behaviorally identical states. Models decline by
 //! default (subsumption is then silently inert), and the
 //! `ER_PI_SUBSUME_AUDIT=1` mode re-executes every would-be-subsumed tail
-//! and fails loudly on either a 128-bit digest collision or an unfaithful
-//! encoding.
+//! and fails loudly on either a 128-bit digest collision — of a key or of
+//! two runs' final states — or an unfaithful encoding.
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
@@ -77,7 +78,8 @@ impl Hash for SubsumeKey {
     }
 }
 
-/// Passes on the one word [`SubsumeKey`] hashes to.
+/// Passes on the one word [`SubsumeKey`] hashes to, or the two halves of a
+/// state digest folded into one: both are mixed already.
 #[derive(Default)]
 struct KeyHasher(u64);
 
@@ -90,6 +92,10 @@ impl Hasher for KeyHasher {
         self.0 = word;
     }
 
+    fn write_u128(&mut self, digest: u128) {
+        self.0 = digest as u64 ^ (digest >> 64) as u64;
+    }
+
     fn write(&mut self, bytes: &[u8]) {
         for &byte in bytes {
             self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
@@ -98,6 +104,9 @@ impl Hasher for KeyHasher {
 }
 
 type KeyMap<V> = HashMap<SubsumeKey, V, BuildHasherDefault<KeyHasher>>;
+
+/// A map keyed by a state digest.
+type DigestMap<V> = HashMap<u128, V, BuildHasherDefault<KeyHasher>>;
 
 /// Index of a memo in the set.
 pub(crate) type MemoId = u32;
@@ -141,7 +150,8 @@ enum Next {
     /// The run was stitched from this memo, at the depth where the run's own
     /// outcomes end.
     Donor(MemoId),
-    /// The run executed to the end and left these final states.
+    /// The run executed to the end and left these final states — shared
+    /// with every other run whose final states have the same digest.
     States(Span),
 }
 
@@ -164,17 +174,10 @@ struct Tails<S> {
     states: Vec<S>,
 }
 
-impl<S: Clone> Tails<S> {
-    /// Appends a memo for a run whose outcomes are `outcomes`, answering for
-    /// depths `from` on.
-    fn push(&mut self, from: usize, outcomes: &[OpOutcome], end: &End<'_, S>) -> MemoId {
-        let (own, next) = match *end {
-            End::Stitched { memo, depth } => (&outcomes[from..depth], Next::Donor(memo)),
-            End::Executed(states) => (
-                &outcomes[from..],
-                Next::States(Span::append(&mut self.states, states)),
-            ),
-        };
+impl<S> Tails<S> {
+    /// Appends a memo whose own outcomes are `own`, answering for depths
+    /// `from` on.
+    fn push(&mut self, from: usize, own: &[OpOutcome], next: Next) -> MemoId {
         let memo = Memo {
             from: offset(from),
             own: Span::append(&mut self.outcomes, own),
@@ -239,8 +242,15 @@ pub(crate) enum End<'a, S> {
     /// Its tail from `depth` on is `memo`'s: stitched from it, or — in audit
     /// mode — executed and verified against it.
     Stitched { memo: MemoId, depth: usize },
-    /// It executed to the last event, leaving these final states.
-    Executed(&'a [S]),
+    /// It executed to the last event, leaving `states`, whose
+    /// [`state_digest`](crate::SystemModel::state_digest) is `digest` (`None`
+    /// if the model declined to encode them) and, in audit mode, whose
+    /// canonical encoding is `bytes`.
+    Executed {
+        states: &'a [S],
+        digest: Option<u128>,
+        bytes: Option<&'a [u8]>,
+    },
 }
 
 #[derive(Debug)]
@@ -250,6 +260,13 @@ struct Arena<S> {
     /// Canonical state bytes per key — kept only in audit mode, to tell a
     /// genuine digest collision from a true hit.
     bytes: KeyMap<Box<[u8]>>,
+    /// Each stored final state's digest, to where the states went: equal
+    /// digests stand for equal canonical encodings, which stand for
+    /// identical behaviour, so one copy answers for every run that left
+    /// them.
+    finals: DigestMap<Span>,
+    /// Canonical bytes per final digest — audit mode only, like `bytes`.
+    final_bytes: DigestMap<Box<[u8]>>,
     tails: Tails<S>,
 }
 
@@ -258,7 +275,8 @@ struct Arena<S> {
 ///
 /// Keys map to memos; a memo holds only the outcomes its run computed past
 /// its shallowest new key and links to the memo it was stitched from, so a
-/// donor's tail is stored once however many runs are answered from it.
+/// donor's tail is stored once however many runs are answered from it, and
+/// final states are stored once per distinct state digest.
 /// Nothing is overwritten or evicted before the campaign ends, and by the
 /// determinism contract any two runs recording one key hold the same tail
 /// there, so first-writer-wins is exact, not approximate. A run whose keys
@@ -274,11 +292,17 @@ impl<S: Clone> SubsumeSet<S> {
     /// `ER_PI_SUBSUME_AUDIT` environment variable (`1` enables it) once,
     /// here — every executor sharing the set sees the same decision.
     pub(crate) fn new() -> Self {
-        let audit = std::env::var_os("ER_PI_SUBSUME_AUDIT").is_some_and(|v| v == *"1");
+        Self::with_audit(std::env::var_os("ER_PI_SUBSUME_AUDIT").is_some_and(|v| v == *"1"))
+    }
+
+    /// Creates an empty set, in audit mode if `audit`.
+    pub(crate) fn with_audit(audit: bool) -> Self {
         SubsumeSet {
             arena: Mutex::new(Arena {
                 keys: KeyMap::default(),
                 bytes: KeyMap::default(),
+                finals: DigestMap::default(),
+                final_bytes: DigestMap::default(),
                 tails: Tails {
                     memos: Vec::new(),
                     outcomes: Vec::new(),
@@ -334,7 +358,9 @@ impl<S: Clone> SubsumeSet<S> {
     /// Records a run: every key of `pending` (drained, in increasing depth,
     /// each with its audit bytes) not yet in the set comes to answer from a
     /// memo of this run, whose `outcomes` and `end` it stores from the
-    /// shallowest such key on. Takes the lock once.
+    /// shallowest such key on. Takes the lock once. In audit mode, final
+    /// states whose digest is stored already but whose bytes differ are a
+    /// digest collision: this panics.
     pub(crate) fn record(
         &self,
         pending: &mut Vec<(SubsumeKey, Option<Box<[u8]>>)>,
@@ -342,14 +368,51 @@ impl<S: Clone> SubsumeSet<S> {
         end: End<'_, S>,
     ) {
         let mut arena = self.arena.lock().expect("subsume set lock");
-        let Arena { keys, bytes, tails } = &mut *arena;
-        let mut memo = None;
-        for (key, encoded) in pending.drain(..) {
+        let Arena {
+            keys,
+            bytes,
+            finals,
+            final_bytes,
+            tails,
+        } = &mut *arena;
+        // Keys another slot took meanwhile answer from its run; this run's
+        // memo starts at its shallowest new key, if it has one.
+        let Some(first) = pending.iter().position(|(key, _)| !keys.contains_key(key)) else {
+            pending.clear();
+            return;
+        };
+        let (to, next) = match end {
+            End::Stitched { memo, depth } => (depth, Next::Donor(memo)),
+            End::Executed {
+                states,
+                digest,
+                bytes: encoded,
+            } => {
+                let mut append = || Span::append(&mut tails.states, states);
+                let span = match digest {
+                    Some(digest) => *finals.entry(digest).or_insert_with(append),
+                    None => append(),
+                };
+                if let (Some(digest), Some(encoded)) = (digest, encoded) {
+                    let recorded = final_bytes.entry(digest).or_insert_with(|| encoded.into());
+                    if **recorded != *encoded {
+                        drop(arena);
+                        panic!(
+                            "ER_PI_SUBSUME_AUDIT: 128-bit digest collision at the final \
+                             states: distinct canonical states share digest {digest:#034x}"
+                        );
+                    }
+                }
+                (outcomes.len(), Next::States(span))
+            }
+        };
+        let from = pending[first].0.depth as usize;
+        let memo = tails.push(from, &outcomes[from..to], next);
+        for (key, encoded) in pending.drain(..).skip(first) {
             let MapEntry::Vacant(slot) = keys.entry(key) else {
                 continue;
             };
-            let depth = key.depth as usize;
-            slot.insert(*memo.get_or_insert_with(|| tails.push(depth, outcomes, &end)));
+            slot.insert(memo);
             if let Some(encoded) = encoded {
                 bytes.insert(key, encoded);
             }
@@ -370,6 +433,17 @@ impl<S: Clone> SubsumeSet<S> {
             .expect("subsume set lock")
             .tails
             .memos
+            .len()
+    }
+
+    /// Number of stored final states, counted per replica (tests).
+    #[cfg(test)]
+    fn stored_states(&self) -> usize {
+        self.arena
+            .lock()
+            .expect("subsume set lock")
+            .tails
+            .states
             .len()
     }
 }
@@ -478,6 +552,19 @@ mod tests {
         })
     }
 
+    /// The end of a run that executed to `states`, digested as the executor
+    /// would: equal states, equal digests.
+    fn executed(states: &[u32]) -> End<'_, u32> {
+        let digest = states.iter().fold(0, |digest, &state| {
+            er_pi_rdl::digest128_fold(digest, u128::from(state))
+        });
+        End::Executed {
+            states,
+            digest: Some(digest),
+            bytes: None,
+        }
+    }
+
     /// Pending keys `(state, depth)` of a run, as the executor collects them.
     fn pending(keys: &[(u128, u32)]) -> Vec<(SubsumeKey, Option<Box<[u8]>>)> {
         keys.iter()
@@ -490,7 +577,7 @@ mod tests {
         let set: SubsumeSet<u32> = SubsumeSet::new();
         let a = outcomes("a", 5);
         let keys = [(10, 1), (11, 2), (12, 4)];
-        set.record(&mut pending(&keys), &a, End::Executed(&[7, 8]));
+        set.record(&mut pending(&keys), &a, executed(&[7, 8]));
         assert_eq!((set.len(), set.memos()), (3, 1));
         for (state, depth) in keys {
             let (outcomes, states) = tail(&set, &key(state, depth));
@@ -504,7 +591,7 @@ mod tests {
         let set: SubsumeSet<u32> = SubsumeSet::new();
         // A executes to the end.
         let a = outcomes("a", 5);
-        set.record(&mut pending(&[(30, 2), (31, 3)]), &a, End::Executed(&[7]));
+        set.record(&mut pending(&[(30, 2), (31, 3)]), &a, executed(&[7]));
         // B is stitched from A's key at depth 3: its outcomes from there on
         // are A's.
         let hit = set.lookup(&key(31, 3), None).expect("A recorded");
@@ -541,16 +628,41 @@ mod tests {
     fn first_writer_wins_and_a_run_with_no_new_key_stores_nothing() {
         let set: SubsumeSet<u32> = SubsumeSet::new();
         let first = outcomes("first", 4);
-        set.record(&mut pending(&[(1, 2), (2, 3)]), &first, End::Executed(&[7]));
+        set.record(&mut pending(&[(1, 2), (2, 3)]), &first, executed(&[7]));
         // Another slot probed the same keys as misses meanwhile.
         let late = outcomes("late", 4);
-        set.record(&mut pending(&[(1, 2), (2, 3)]), &late, End::Executed(&[9]));
+        set.record(&mut pending(&[(1, 2), (2, 3)]), &late, executed(&[9]));
         assert_eq!((set.len(), set.memos()), (2, 1), "nothing stored");
         assert_eq!(tail(&set, &key(1, 2)), (first[2..].to_vec(), vec![7]));
         // One new key among taken ones: the memo starts at the new key.
-        set.record(&mut pending(&[(1, 2), (3, 3)]), &late, End::Executed(&[9]));
+        set.record(&mut pending(&[(1, 2), (3, 3)]), &late, executed(&[9]));
         assert_eq!((set.len(), set.memos()), (3, 2));
         assert_eq!(tail(&set, &key(1, 2)).1, [7], "first writer won");
         assert_eq!(tail(&set, &key(3, 3)), (late[3..].to_vec(), vec![9]));
+    }
+
+    #[test]
+    fn final_states_of_one_digest_are_stored_once() {
+        let set: SubsumeSet<u32> = SubsumeSet::new();
+        let a = outcomes("a", 4);
+        set.record(&mut pending(&[(1, 2)]), &a, executed(&[7, 8]));
+        // Another order of the same events ends in the same states.
+        let b = outcomes("b", 4);
+        set.record(&mut pending(&[(2, 1)]), &b, executed(&[7, 8]));
+        assert_eq!((set.memos(), set.stored_states()), (2, 2), "one span");
+        assert_eq!(tail(&set, &key(1, 2)), (a[2..].to_vec(), vec![7, 8]));
+        assert_eq!(tail(&set, &key(2, 1)), (b[1..].to_vec(), vec![7, 8]));
+        // Other states are stored beside them; a run that declined to
+        // digest its states stores them unshared.
+        set.record(&mut pending(&[(3, 1)]), &b, executed(&[7, 9]));
+        let undigested = End::Executed {
+            states: &[7, 8],
+            digest: None,
+            bytes: None,
+        };
+        set.record(&mut pending(&[(4, 1)]), &b, undigested);
+        assert_eq!(set.stored_states(), 6);
+        assert_eq!(tail(&set, &key(3, 1)).1, [7, 9]);
+        assert_eq!(tail(&set, &key(4, 1)).1, [7, 8]);
     }
 }

@@ -163,18 +163,16 @@ pub trait SystemModel {
     /// [`state_encode`](SystemModel::state_encode).
     ///
     /// The default folds the fixed-width
-    /// [`replica_digest`](SystemModel::replica_digest)s in replica order
-    /// through [`fnv1a128`](er_pi_rdl::fnv1a128), so neither a reordering of
-    /// replicas nor a shifted boundary between two of them can alias.
-    /// Override only to swap the digest function; the subsumption layer
-    /// treats the value as opaque.
+    /// [`replica_digest`](SystemModel::replica_digest)s in replica order,
+    /// from `0`, through [`digest128_fold`](er_pi_rdl::digest128_fold), so
+    /// neither a reordering of replicas nor a shifted boundary between two
+    /// of them can alias. Override only to swap the digest function; the
+    /// subsumption layer treats the value as opaque.
     fn state_digest(&self, states: &[Self::State]) -> Option<u128> {
-        let mut digest = er_pi_rdl::fnv1a128(&[]);
-        for state in states {
+        states.iter().try_fold(0, |digest, state| {
             let replica = self.replica_digest(state)?;
-            digest = er_pi_rdl::fnv1a128_extend(digest, &replica.to_le_bytes());
-        }
-        Some(digest)
+            Some(er_pi_rdl::digest128_fold(digest, replica))
+        })
     }
 
     /// A cheap estimate of one state's resident size in bytes — the unit
@@ -193,7 +191,7 @@ pub trait SystemModel {
     }
 }
 
-/// [`fnv1a128`](er_pi_rdl::fnv1a128) of `state`'s canonical encoding, or
+/// [`digest128`](er_pi_rdl::digest128) of `state`'s canonical encoding, or
 /// `None` when `model` declines [`SystemModel::state_encode`] — the default
 /// [`SystemModel::replica_digest`], for overrides to fall back on.
 pub fn encoding_digest<M: SystemModel + ?Sized>(model: &M, state: &M::State) -> Option<u128> {
@@ -205,7 +203,7 @@ pub fn encoding_digest<M: SystemModel + ?Sized>(model: &M, state: &M::State) -> 
     buf.clear();
     let digest = model
         .state_encode(state, &mut buf)
-        .then(|| er_pi_rdl::fnv1a128(&buf));
+        .then(|| er_pi_rdl::digest128(&buf));
     DIGEST_SCRATCH.set(buf);
     digest
 }
@@ -351,17 +349,16 @@ mod tests {
         assert_eq!(Dummy.state_digest(&[1, 2, 3]), None);
         assert_eq!(Encodable.state_digest(&[1]), Some(short));
 
-        let mut by_hand = Vec::new();
+        let mut by_hand = 0;
         for state in [7u32, 9] {
-            let inner = Encodable.state_digest(&[state]).expect("encodable");
-            let replica = er_pi_rdl::fnv1a128(&inner.to_le_bytes());
+            let encoded = er_pi_rdl::digest128(&state.to_le_bytes());
+            let inner = er_pi_rdl::digest128_fold(0, encoded);
+            assert_eq!(Encodable.state_digest(&[state]), Some(inner));
+            let replica = er_pi_rdl::digest128(&inner.to_le_bytes());
             assert_eq!(Nested.replica_digest(&state), Some(replica));
-            by_hand.extend_from_slice(&replica.to_le_bytes());
+            by_hand = er_pi_rdl::digest128_fold(by_hand, replica);
         }
-        assert_eq!(
-            Nested.state_digest(&[7, 9]),
-            Some(er_pi_rdl::fnv1a128(&by_hand))
-        );
+        assert_eq!(Nested.state_digest(&[7, 9]), Some(by_hand));
     }
 
     /// Answers every replica from a fixed table: `state_digest` must be

@@ -532,6 +532,15 @@ impl Bug {
         ))
     }
 
+    /// [`prefix_encodings`](crate::prefix_encodings) of this bug's model
+    /// along its recorded order.
+    pub fn prefix_encodings(&self) -> Vec<(u128, Vec<Vec<u8>>)> {
+        with_subject!(self, |model, _check| crate::prefix_encodings(
+            model,
+            &self.workload
+        ))
+    }
+
     /// Explores pruned interleavings until `cap` *candidates* have been
     /// examined and reports the per-algorithm pruning statistics (the
     /// Figure 9 data).

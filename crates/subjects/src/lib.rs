@@ -85,19 +85,51 @@ pub fn prefix_digests<M: er_pi::SystemModel>(
     workload: &er_pi_model::Workload,
 ) -> Vec<(u128, u128)> {
     use er_pi_model::CanonicalEncode;
-    let digests = |states: &[M::State]| {
+    walk_recording(model, workload, |states| {
         let (mut bytes, mut seen) = (Vec::new(), Vec::new());
         for state in states {
             assert!(model.state_encode(state, &mut bytes), "model encodes");
             model.observe(state).encode_canonical(&mut seen);
         }
         (er_pi_rdl::fnv1a128(&bytes), er_pi_rdl::fnv1a128(&seen))
-    };
+    })
+}
+
+/// What state-hash subsumption keys on along the recording
+/// [`prefix_digests`] walks: for the initial states and after each event,
+/// the model's [`state_digest`](er_pi::SystemModel::state_digest) and every
+/// replica's `state_encode` bytes, in replica order.
+///
+/// # Panics
+///
+/// Panics if `model` declines [`SystemModel::state_encode`](er_pi::SystemModel::state_encode).
+pub fn prefix_encodings<M: er_pi::SystemModel>(
+    model: &M,
+    workload: &er_pi_model::Workload,
+) -> Vec<(u128, Vec<Vec<u8>>)> {
+    walk_recording(model, workload, |states| {
+        let encodings = states.iter().map(|state| {
+            let mut bytes = Vec::new();
+            assert!(model.state_encode(state, &mut bytes), "model encodes");
+            bytes
+        });
+        let digest = model.state_digest(states).expect("model encodes");
+        (digest, encodings.collect())
+    })
+}
+
+/// `visit` of `model`'s initial states and of its states after each event
+/// of `workload`'s recorded order.
+fn walk_recording<M: er_pi::SystemModel, T>(
+    model: &M,
+    workload: &er_pi_model::Workload,
+    mut visit: impl FnMut(&[M::State]) -> T,
+) -> Vec<T> {
     let mut states = model.init_all();
-    let mut out = vec![digests(&states)];
+    let mut out = vec![visit(&states)];
     for &id in workload.recorded_order().iter() {
         model.apply(&mut states, workload.event(id));
-        out.push(digests(&states));
+        out.push(visit(&states));
     }
     out
 }

@@ -19,7 +19,7 @@ mod common;
 use er_pi::Session;
 use er_pi_model::{ReplicaId, Value, Workload};
 use er_pi_rdl::{DeltaSync, JsonDoc, LwwTimeSeries, MerkleLog, OrSet, Rga, TieBreak};
-use er_pi_subjects::{prefix_digests, Bug, CrdtsModel, TownApp};
+use er_pi_subjects::{prefix_digests, prefix_encodings, Bug, CrdtsModel, TownApp};
 
 /// Per subject and prefix, initial states first: the digest of the state
 /// bytes, then of the observations.
@@ -348,15 +348,15 @@ fn assert_pinned(subject: &str, digests: &[(u128, u128)]) {
     );
 }
 
-#[test]
-fn town_and_crdts_bytes_are_pinned() {
+fn town_workload() -> Workload {
     let mut session = Session::new(TownApp::new(2));
     session.record(common::record_town);
-    let workload = session.workload().expect("recorded");
-    assert_pinned("town", &prefix_digests(&TownApp::new(2), workload));
+    session.workload().expect("recorded").clone()
+}
 
-    // Every `crdts` structure, a correct and a naive move, fused and split
-    // syncs.
+/// Every `crdts` structure, a correct and a naive move, fused and split
+/// syncs.
+fn crdts_workload() -> Workload {
     let r = ReplicaId::new;
     let mut w = Workload::builder();
     for i in 0..4i64 {
@@ -373,8 +373,15 @@ fn town_and_crdts_bytes_are_pinned() {
     w.update(r(2), "reg_set", [Value::from(7)]);
     let create = w.update(r(2), "todo_create", [Value::from("write")]);
     w.sync_split(r(2), r(0), Some(create));
-    let w = w.build();
-    assert_pinned("crdts", &prefix_digests(&CrdtsModel::new(3), &w));
+    w.build()
+}
+
+#[test]
+fn town_and_crdts_bytes_are_pinned() {
+    let town = prefix_digests(&TownApp::new(2), &town_workload());
+    assert_pinned("town", &town);
+    let crdts = prefix_digests(&CrdtsModel::new(3), &crdts_workload());
+    assert_pinned("crdts", &crdts);
 }
 
 #[test]
@@ -384,6 +391,55 @@ fn catalogue_bytes_are_pinned() {
         assert_eq!(digests.len(), bug.events() + 1);
         assert_pinned(bug.name, &digests);
     }
+}
+
+/// Subsumption keys on [`er_pi_rdl::digest128`] of each replica's encoding,
+/// folded into a state digest: over every encoding the pinned recordings
+/// pass through, equal digests must mean equal bytes and equal bytes equal
+/// digests — per replica and per state.
+#[test]
+fn the_state_digest_partitions_encodings_as_their_bytes_do() {
+    use std::collections::HashMap;
+
+    /// Records that `bytes` digest to `digest`; neither may have been seen
+    /// with a different partner.
+    fn pair<B: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
+        by_bytes: &mut HashMap<B, u128>,
+        by_digest: &mut HashMap<u128, B>,
+        bytes: B,
+        digest: u128,
+    ) {
+        assert_eq!(*by_bytes.entry(bytes.clone()).or_insert(digest), digest);
+        assert_eq!(
+            *by_digest.entry(digest).or_insert_with(|| bytes.clone()),
+            bytes
+        );
+    }
+
+    let mut walks = vec![
+        prefix_encodings(&TownApp::new(2), &town_workload()),
+        prefix_encodings(&CrdtsModel::new(3), &crdts_workload()),
+    ];
+    walks.extend(Bug::catalogue().iter().map(Bug::prefix_encodings));
+    let (mut replicas, mut replica_digests) = (HashMap::new(), HashMap::new());
+    let (mut states, mut state_digests) = (HashMap::new(), HashMap::new());
+    let (mut replicas_seen, mut states_seen) = (0, 0);
+    for (state_digest, encodings) in walks.into_iter().flatten() {
+        let mut fold = 0;
+        states_seen += 1;
+        replicas_seen += encodings.len();
+        for bytes in &encodings {
+            let digest = er_pi_rdl::digest128(bytes);
+            pair(&mut replicas, &mut replica_digests, bytes.clone(), digest);
+            fold = er_pi_rdl::digest128_fold(fold, digest);
+        }
+        assert_eq!(state_digest, fold, "the default fold of replica digests");
+        pair(&mut states, &mut state_digests, encodings, state_digest);
+    }
+    // Both directions were exercised: many classes, and some of them met
+    // more than once.
+    assert!(replicas.len() > 100 && replicas.len() < replicas_seen);
+    assert!(states.len() > 100 && states.len() < states_seen);
 }
 
 /// Serializes `value`, compares with the literal, and reads it back.

@@ -121,19 +121,19 @@ fn fuzz_case_bundles_are_deterministic() {
 #[test]
 fn forensic_bundles_match_their_pinned_bytes() {
     const PINNED: [(&str, u128); 13] = [
-        ("Roshi-1", 0xa5052c80eefebfa6b8a6a697f371b2e2),
-        ("Roshi-2", 0xdc89ce261b5b6ae9dedf398ef821a032),
-        ("Roshi-3", 0x3d7d5247ad04073f92d46cfaec1d676f),
-        ("OrbitDB-1", 0xcba5d4d801a11423b112acb3847a6410),
-        ("OrbitDB-2", 0x7204a857ea3d17ae1e56c9d652a85076),
-        ("OrbitDB-3", 0xe58d73ad419d2a56761bdde8fed2bb4c),
-        ("OrbitDB-4", 0x72b5acd2f334d1de1de9a08bd4e9668a),
-        ("OrbitDB-5", 0x609c37f429c63b964d976dd9712746a6),
-        ("ReplicaDB-1", 0x2588f0c5375732407f8594b1ac78d3b6),
-        ("ReplicaDB-2", 0x860892356ca24fc27b9c1bafc48c5122),
-        ("Yorkie-1", 0x1af204748c43677da9820c92128aecb9),
-        ("Yorkie-2", 0x879711ade5c3bee83c0c2c42917f7b5e),
-        ("ledger fuzz case", 0x5e6ed95f2607ea25b070edefd380b631),
+        ("Roshi-1", 0x02aa309b2728884328d45cea531488af),
+        ("Roshi-2", 0x464afd54e02a5d50a28b904c1c512d70),
+        ("Roshi-3", 0xdf2eee693604484c302bb178c655fa1f),
+        ("OrbitDB-1", 0x4693fccad922622f63771162887ce7d8),
+        ("OrbitDB-2", 0x2d3f53d7298a820c9ebb148258f64a2c),
+        ("OrbitDB-3", 0x626843059b1056fe28dba793ab6ce74d),
+        ("OrbitDB-4", 0xffac2f51f357b6cbd3df48d36fabf3d0),
+        ("OrbitDB-5", 0x80cc628c88cd12668f26c83f961f8562),
+        ("ReplicaDB-1", 0x77c7f306e693bf7e999b11529dddb831),
+        ("ReplicaDB-2", 0x853bad56274857f7008a2ebc00da4aa5),
+        ("Yorkie-1", 0x3e691539a12fb8dca93b481c57b3d38a),
+        ("Yorkie-2", 0x1f96e962ca5751de249b47d7e206c74b),
+        ("ledger fuzz case", 0xd6025aa763bd24618d1b00c39448305c),
     ];
     let digest = |bundle: ForensicBundle| fnv1a128(bundle.canonical_json().as_bytes());
     let mut seen: Vec<(&str, u128)> = Bug::catalogue()
