@@ -645,29 +645,29 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             .executor
             .advance(on.model, &self.workload, &il, next, &self.time);
         let exec = state.executor.run();
+        let (sim_us, failed_ops) = (exec.sim_us, exec.failed_ops);
         let observe = |state: &M::State| on.model.observe(state);
         let ctx = CheckContext::observing(exec.states, &observe, &il, exec.outcomes);
         let check_started = self.instrument.stamp();
-        let found = &mut state.chunk.done.violations;
-        let before = found.len();
+        let done = &mut state.chunk.done;
+        let before = done.violations.len();
         for assertion in on.suite.assertions() {
             if let Err(message) = assertion.check(&ctx) {
-                found.push(Violation {
+                done.violations.push(Violation {
                     run: Some(index),
                     assertion: assertion.name().to_owned(),
                     message,
-                    interleaving: Some(il.clone()),
+                    interleaving: None,
                 });
             }
         }
-        let violated = found.len() > before;
-        let failed_ops = exec.failed_ops;
+        let violated = done.violations.len() > before;
         self.instrument.run_done(RunFacts {
             slot,
             index,
             resumed_depth: state.executor.last_resume_depth(),
             subsumed: state.executor.last_run_subsumed(),
-            sim_us: exec.sim_us,
+            sim_us,
             failed_ops,
             assertions: on.suite.assertions().len(),
             violated,
@@ -676,16 +676,33 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         });
 
         state.load.runs += 1;
-        state.load.sim_us += exec.sim_us;
-        state.chunk.done.tallies.push((exec.sim_us, failed_ops));
-        if self.replay.builds_records(on.suite) {
-            let observations = ctx.into_observations();
-            state.chunk.done.records.push(RunRecord {
-                interleaving: il,
-                observations,
-                failed_ops,
-                sim_us: exec.sim_us,
-            });
+        state.load.sim_us += sim_us;
+        done.tallies.push((sim_us, failed_ops));
+        // The run's interleaving goes to what keeps it — its record, or else
+        // its last violation — and a copy to each other violation.
+        let violations = &mut done.violations[before..];
+        match self.replay.builds_records(on.suite) {
+            true => {
+                for violation in violations {
+                    violation.interleaving = Some(il.clone());
+                }
+                let observations = ctx.into_observations();
+                done.records.push(RunRecord {
+                    interleaving: il,
+                    observations,
+                    failed_ops,
+                    sim_us,
+                });
+            }
+            false => {
+                drop(ctx);
+                if let Some((last, earlier)) = violations.split_last_mut() {
+                    for violation in earlier {
+                        violation.interleaving = Some(il.clone());
+                    }
+                    last.interleaving = Some(il);
+                }
+            }
         }
         violated
     }
@@ -1068,6 +1085,53 @@ mod tests {
                     assert!(bare.runs.is_empty(), "nothing asked for records");
                     let what = format!("chunks of {chunk_size} on {slots} slots, stop={stop}");
                     assert_same_but_for_records(&bare, &kept, &what);
+                }
+            }
+        }
+    }
+
+    /// A run that fails two assertions gives each violation its
+    /// interleaving: a copy to the first and the run's own to the last — or,
+    /// with the records kept, a copy to each and the run's own to its
+    /// record.
+    #[test]
+    fn every_violation_carries_its_runs_interleaving() {
+        let w = two_writes();
+        let scan: Vec<Interleaving> = DfsExplorer::new(&w).collect();
+        let suite = TestSuite::new()
+            .with(Assertion::replicas_converge("conv"))
+            .with(Assertion::replicas_converge("conv-again"));
+        for keep_runs in [false, true] {
+            let mut baseline: Option<Outcome> = None;
+            for slots in SLOT_COUNTS {
+                for chunk_size in [1, 3, DEFAULT_CHUNK_SIZE] {
+                    let mut params = dfs_params(w.clone(), slots);
+                    params.replay.keep_runs = keep_runs;
+                    let out = run_chunked(params, chunk_size, &suite).unwrap();
+                    let what = format!("chunks of {chunk_size} on {slots} slots, keep={keep_runs}");
+                    assert!(!out.violations.is_empty(), "{what}: some order diverges");
+                    for pair in out.violations.chunks(2) {
+                        let names = [&pair[0].assertion, &pair[1].assertion];
+                        assert_eq!(names, ["conv", "conv-again"], "{what}");
+                        assert_eq!(pair[0].run, pair[1].run, "{what}");
+                    }
+                    for violation in &out.violations {
+                        let run = violation.run.expect("a per-run violation");
+                        let il = violation.interleaving.as_ref();
+                        assert_eq!(il, Some(&scan[run]), "{what}: run {run}");
+                    }
+                    match keep_runs {
+                        true => {
+                            let kept: Vec<&Interleaving> =
+                                out.runs.iter().map(|r| &r.interleaving).collect();
+                            assert_eq!(kept, scan.iter().collect::<Vec<_>>(), "{what}");
+                        }
+                        false => assert!(out.runs.is_empty(), "{what}"),
+                    }
+                    match &baseline {
+                        Some(baseline) => assert_same(&out, baseline, &what),
+                        None => baseline = Some(out),
+                    }
                 }
             }
         }

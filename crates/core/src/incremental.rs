@@ -15,8 +15,8 @@
 //! run takes its plan's path cut back to the prefix it repeats (what the cut
 //! removes is freed on the spot), pops the previous run's buffers back to
 //! that prefix, refills the states in place from the deepest snapshot left
-//! (or takes the snapshot itself on its last use), applies only the
-//! divergent suffix and leaves the extended path behind. A path never holds
+//! (dropping the snapshot on its last use), applies only the divergent
+//! suffix and leaves the extended path behind. A path never holds
 //! the final depth, so at most `(N - 1) × plans` snapshots are resident.
 //!
 //! ## Correctness (DESIGN.md §10)
@@ -55,13 +55,23 @@ use crate::{CacheStats, Execution, ExecutionRef, OpOutcome, SystemModel, TimeMod
 /// is a model whose hint says its states are that large.
 pub const DEFAULT_CACHE_BUDGET: usize = 64 * 1024 * 1024;
 
-/// The replica states after some prefix. Shared by `Arc` between the paths
-/// of different fault plans, and charged against the budget once.
-#[derive(Debug)]
+/// The replica states after some prefix: one block, built straight from
+/// the cursor's states and shared by `Arc` between the paths of different
+/// fault plans, beside its budget charge. The charge is carried by every
+/// path holding the block and released by the last one to drop it.
+#[derive(Debug, Clone)]
 struct Snapshot<S> {
-    states: Vec<S>,
+    states: Arc<[S]>,
     /// Budget charge for this snapshot (Σ `state_size_hint`, at least 1).
     bytes: usize,
+}
+
+impl<S> Snapshot<S> {
+    /// Whether no other path holds these states: dropping this handle
+    /// frees them, and their charge with them.
+    fn last(&self) -> bool {
+        Arc::strong_count(&self.states) == 1
+    }
 }
 
 /// One executed step of a path: `steps[d - 1]` is the step that took the
@@ -83,7 +93,7 @@ struct Step<S> {
     /// Outcome of applying that event at this prefix.
     outcome: OpOutcome,
     /// The states after this step, unless the budget refused them.
-    snapshot: Option<Arc<Snapshot<S>>>,
+    snapshot: Option<Snapshot<S>>,
 }
 
 /// The steps of the most recent run under one fault plan, as far as a later
@@ -132,7 +142,7 @@ impl<S: Clone> PathCache<S> {
     fn truncate(&mut self, slot: usize, len: usize) {
         let steps = &mut self.paths[slot].steps;
         for step in steps.drain(len.min(steps.len())..) {
-            if let Some(last) = step.snapshot.and_then(Arc::into_inner) {
+            if let Some(last) = step.snapshot.filter(Snapshot::last) {
                 self.bytes_resident -= last.bytes;
             }
         }
@@ -182,34 +192,29 @@ impl<S: Clone> PathCache<S> {
 
     /// Refills `into` with the states at the end of the checked-out path in
     /// `slot`; `false` when the path is empty (nothing to resume from).
-    /// `into` keeps its allocation: the snapshot is cloned over it, or —
-    /// with `last_use`, unless another plan's path shares it — moved out of
-    /// the path and into its place.
+    /// `into` keeps its allocation: the snapshot is cloned over it element
+    /// by element. With `last_use` the path then drops the snapshot, which —
+    /// unless another plan's path shares it — releases its charge and
+    /// leaves `into` the only holder of its replicas.
     fn resume(&mut self, slot: usize, last_use: bool, into: &mut Vec<S>) -> bool {
         let steps = &mut self.paths[slot].steps;
         let Some(slot) = steps.last_mut().map(|step| &mut step.snapshot) else {
             return false;
         };
-        if !last_use {
-            let Some(snapshot) = slot.as_ref() else {
-                return false;
-            };
-            into.clone_from(&snapshot.states);
-            return true;
-        }
-        match slot.take().map(Arc::try_unwrap) {
-            None => return false,
-            Some(Ok(owned)) => {
-                self.bytes_resident -= owned.bytes;
-                *into = owned.states;
+        let Some(snapshot) = slot.as_ref() else {
+            return false;
+        };
+        snapshot.states[..].clone_into(into);
+        if last_use {
+            if let Some(last) = slot.take().filter(Snapshot::last) {
+                self.bytes_resident -= last.bytes;
             }
-            Some(Err(shared)) => into.clone_from(&shared.states),
         }
         true
     }
 
     /// Snapshots `states` if the budget has room for them.
-    fn store<M>(&mut self, model: &M, states: &[S]) -> Option<Arc<Snapshot<S>>>
+    fn store<M>(&mut self, model: &M, states: &[S]) -> Option<Snapshot<S>>
     where
         M: SystemModel<State = S>,
     {
@@ -222,10 +227,10 @@ impl<S: Clone> PathCache<S> {
             return None;
         }
         self.bytes_resident += bytes;
-        Some(Arc::new(Snapshot {
-            states: states.to_vec(),
+        Some(Snapshot {
+            states: Arc::from(states),
             bytes,
-        }))
+        })
     }
 }
 
@@ -469,9 +474,9 @@ impl<M: SystemModel> IncrementalExecutor<M> {
     /// handed after `il`, if the caller knows it. It is used only when it
     /// carries `il`'s fault plan. Snapshots are then kept only at depths the
     /// two share — deeper ones would be cut before anyone could resume from
-    /// them — and the snapshot `il` resumes from is moved out rather than
-    /// cloned when `next` diverges above it. Without a hint every interior
-    /// depth is kept.
+    /// them — and the snapshot `il` resumes from is dropped as soon as the
+    /// run is refilled from it when `next` diverges above it. Without a hint
+    /// every interior depth is kept.
     ///
     /// The run is byte-identical to
     /// [`InlineExecutor::execute`](crate::InlineExecutor::execute) whatever
@@ -859,7 +864,7 @@ mod tests {
     }
 
     #[test]
-    fn a_hint_keeps_only_the_shared_prefix_and_moves_the_last_use_out() {
+    fn a_hint_keeps_only_the_shared_prefix_and_drops_the_last_use() {
         let w = workload(5);
         let time = TimeModel::paper_setup();
         let order = |raw: [u32; 5]| -> Interleaving { raw.into_iter().map(EventId::new).collect() };
@@ -870,7 +875,7 @@ mod tests {
         exec.advance(&LogModel, &w, &a, Some(&b), &time);
         assert_eq!(exec.resident_snapshots(), 3, "depths 1..=3 are shared");
         // b resumes at depth 3 and c shares only 2: the depth-3 snapshot is
-        // taken, not cloned, and nothing deeper is stored.
+        // dropped once b is refilled from it, and nothing deeper is stored.
         exec.advance(&LogModel, &w, &b, Some(&c), &time);
         assert_eq!(exec.last_resume_depth(), 3);
         assert_eq!(exec.resident_snapshots(), 2);
@@ -1113,7 +1118,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         let steps = exec.cache.paths.iter().flat_map(|path| &path.steps);
         let snapshots = steps.filter_map(|step| step.snapshot.as_ref());
-        let distinct = snapshots.filter(|snapshot| seen.insert(Arc::as_ptr(snapshot)));
+        let distinct = snapshots.filter(|snapshot| seen.insert(Arc::as_ptr(&snapshot.states)));
         distinct.map(|snapshot| snapshot.bytes).sum()
     }
 

@@ -180,7 +180,7 @@ pub use sanitizer::{IndependenceViolation, SanitizerReport};
 pub use service::ExecutorService;
 pub use session::{LiveSystem, Session};
 pub use summary::{PrunerRow, SessionSummary};
-pub use system::{encoding_digest, OpOutcome, SystemModel};
+pub use system::{encoding_digest, OpOutcome, Reason, SystemModel};
 pub use time::TimeModel;
 
 // Re-export the neighbours users need at the API boundary.

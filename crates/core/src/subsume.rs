@@ -540,7 +540,7 @@ mod tests {
     /// Outcomes a run named `run` computed at positions `0..n`.
     fn outcomes(run: &str, n: usize) -> Vec<OpOutcome> {
         (0..n)
-            .map(|at| OpOutcome::Observed(Value::from(format!("{run}{at}"))))
+            .map(|at| OpOutcome::observed(Value::from(format!("{run}{at}"))))
             .collect()
     }
 

@@ -1,5 +1,9 @@
 //! The system-under-test abstraction.
 
+use std::borrow::Cow;
+use std::fmt;
+use std::sync::Arc;
+
 use er_pi_model::{Event, ReplicaId, Value};
 
 thread_local! {
@@ -8,6 +12,13 @@ thread_local! {
 }
 
 /// The outcome of applying one event during recording or replay.
+///
+/// The engine copies outcomes between the run it is on, the paths it may
+/// resume from, subsumption memos and stitched tails, so a clone allocates
+/// nothing: a failure [`Reason`] is a `&'static str` or a string shared with
+/// the outcome it was cloned from, and an observation is shared by `Arc`.
+/// Equality and `Debug` compare and print the reason and the value, not the
+/// handles.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpOutcome {
     /// The event executed and changed (or legitimately read) state.
@@ -17,23 +28,75 @@ pub enum OpOutcome {
     /// Failed ops are first-class in ER-π: Algorithm 4 prunes around them.
     Failed {
         /// Human-readable reason.
-        reason: String,
+        reason: Reason,
     },
     /// The event produced an observable value (reads, transmissions).
-    Observed(Value),
+    Observed(Arc<Value>),
 }
 
 impl OpOutcome {
-    /// Convenience constructor for failures.
-    pub fn failed(reason: impl Into<String>) -> Self {
-        OpOutcome::Failed {
-            reason: reason.into(),
-        }
+    /// Convenience constructor for failures: a `&'static str` reason
+    /// allocates nothing, an owned `String` moves behind a reference count.
+    pub fn failed(reason: impl Into<Cow<'static, str>>) -> Self {
+        let reason = match reason.into() {
+            Cow::Borrowed(text) => Reason(Text::Static(text)),
+            Cow::Owned(text) => Reason(Text::Shared(text.into())),
+        };
+        OpOutcome::Failed { reason }
+    }
+
+    /// Convenience constructor for observations.
+    pub fn observed(value: Value) -> Self {
+        OpOutcome::Observed(Arc::new(value))
     }
 
     /// Returns `true` for [`OpOutcome::Failed`].
     pub fn is_failed(&self) -> bool {
         matches!(self, OpOutcome::Failed { .. })
+    }
+}
+
+/// Why an event failed: a static string, or an owned one shared by every
+/// clone — so cloning it allocates nothing. It reads as the `str` it holds,
+/// through `Deref`, `Display`, `Debug` and equality; build one with
+/// [`OpOutcome::failed`].
+#[derive(Clone)]
+pub struct Reason(Text);
+
+#[derive(Clone)]
+enum Text {
+    Static(&'static str),
+    Shared(Arc<str>),
+}
+
+impl std::ops::Deref for Reason {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        match &self.0 {
+            Text::Static(text) => text,
+            Text::Shared(text) => text,
+        }
+    }
+}
+
+impl PartialEq for Reason {
+    fn eq(&self, other: &Reason) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Reason {}
+
+impl fmt::Debug for Reason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl fmt::Display for Reason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
     }
 }
 
@@ -236,11 +299,19 @@ mod tests {
     fn op_outcome_constructors() {
         assert!(OpOutcome::failed("nope").is_failed());
         assert!(!OpOutcome::Applied.is_failed());
-        assert!(!OpOutcome::Observed(Value::from(1)).is_failed());
+        assert!(!OpOutcome::observed(Value::from(1)).is_failed());
         match OpOutcome::failed("reason") {
-            OpOutcome::Failed { reason } => assert_eq!(reason, "reason"),
+            OpOutcome::Failed { reason } => assert_eq!(&*reason, "reason"),
             _ => unreachable!(),
         }
+        // A reason reads as its text, however it is held.
+        let owned = OpOutcome::failed(String::from("reason"));
+        assert_eq!(owned, OpOutcome::failed("reason"));
+        assert_eq!(format!("{owned:?}"), r#"Failed { reason: "reason" }"#);
+        let OpOutcome::Failed { reason } = owned else {
+            unreachable!()
+        };
+        assert_eq!(reason.to_string(), "reason");
     }
 
     struct Dummy;

@@ -16,7 +16,7 @@ use crate::{EventId, FaultPlan, LamportTimestamp, Workload};
 /// assert_eq!(il.position(EventId::new(0)), Some(1));
 /// assert_eq!(il.to_string(), "⟨e2 e0 e1⟩");
 /// ```
-#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Interleaving {
     order: Vec<EventId>,
     /// The fault schedule this order runs under. Part of the run identity:
@@ -25,22 +25,6 @@ pub struct Interleaving {
     /// `default` keeps pre-fault persisted orders deserializable.
     #[serde(default)]
     faults: FaultPlan,
-}
-
-impl Clone for Interleaving {
-    fn clone(&self) -> Self {
-        Interleaving {
-            order: self.order.clone(),
-            faults: self.faults.clone(),
-        }
-    }
-
-    /// Reuses `self`'s buffers — a retained scratch copy (the dispenser's
-    /// "previous interleaving") is refreshed without allocating.
-    fn clone_from(&mut self, source: &Self) {
-        self.order.clone_from(&source.order);
-        self.faults.clone_from(&source.faults);
-    }
 }
 
 impl Interleaving {

@@ -207,7 +207,7 @@ impl SystemModel for CrdtsModel {
                         let next = state.todos.iter().map(|(id, _)| *id).max().unwrap_or(0) + 1;
                         state.todos.push((next, title));
                         state.todos.sort();
-                        OpOutcome::Observed(Value::from(next))
+                        OpOutcome::observed(Value::from(next))
                     }
                     other => OpOutcome::failed(format!("unknown crdts op {other}")),
                 }

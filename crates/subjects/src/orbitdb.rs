@@ -205,11 +205,11 @@ impl SystemModel for OrbitModel {
                             }
                         }
                     }
-                    OpOutcome::Observed(Value::from(pulled as i64))
+                    OpOutcome::observed(Value::from(pulled as i64))
                 }
                 "audit" => {
                     let values: Value = states[at].log.values().into_iter().cloned().collect();
-                    OpOutcome::Observed(values)
+                    OpOutcome::observed(values)
                 }
                 "open_repo" => {
                     let state = &mut states[at];

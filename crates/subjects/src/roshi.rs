@@ -119,14 +119,14 @@ impl SystemModel for RoshiModel {
                     let key = op.arg(0).and_then(Value::as_str).unwrap_or("k");
                     let page = states[at].store.select(key, 0, usize::MAX);
                     states[at].last_select = Some(page.clone());
-                    OpOutcome::Observed(page.into_iter().map(|m| Value::from(m.member)).collect())
+                    OpOutcome::observed(page.into_iter().map(|m| Value::from(m.member)).collect())
                 }
                 "read_deleted" => {
                     let key = op.arg(0).and_then(Value::as_str).unwrap_or("k");
                     let member = op.arg(1).and_then(Value::as_str).unwrap_or("");
                     let flag = states[at].store.is_deleted(key, member);
                     states[at].last_deleted = flag;
-                    OpOutcome::Observed(flag.map(Value::from).unwrap_or(Value::Null))
+                    OpOutcome::observed(flag.map(Value::from).unwrap_or(Value::Null))
                 }
                 "assemble" => {
                     let key = op.arg(0).and_then(Value::as_str).unwrap_or("k");
@@ -145,7 +145,7 @@ impl SystemModel for RoshiModel {
                         .filter(|m| states[at].store.is_deleted(key, m) == Some(false))
                         .collect();
                     states[at].assembled = Some(visible.clone());
-                    OpOutcome::Observed(visible.into_iter().collect())
+                    OpOutcome::observed(visible.into_iter().collect())
                 }
                 other => OpOutcome::failed(format!("unknown roshi op {other}")),
             },

@@ -139,7 +139,7 @@ impl SystemModel for TownApp {
                 let issues: Vec<String> = states[at].issues.iter().cloned().collect();
                 let observed: Value = issues.iter().map(String::as_str).collect();
                 states[at].transmitted = Some(issues.into());
-                OpOutcome::Observed(observed)
+                OpOutcome::observed(observed)
             }
             _ => OpOutcome::failed("unsupported event kind for TownApp"),
         }

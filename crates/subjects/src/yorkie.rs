@@ -107,7 +107,7 @@ impl SystemModel for YorkieModel {
                         };
                         let keys: Vec<String> = map.keys().cloned().collect();
                         states[at].last_snapshot = Some(keys.clone());
-                        OpOutcome::Observed(keys.into_iter().collect())
+                        OpOutcome::observed(keys.into_iter().collect())
                     }
                     // The Yorkie-2 misuse pattern: read the object and
                     // write it back wholesale ("normalize settings"). Any

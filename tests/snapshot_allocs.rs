@@ -1,7 +1,10 @@
-//! A snapshot of any shipped subject allocates one block: the `Vec` that
-//! holds one pointer per replica. Everything else the incremental executor,
-//! the subsumption memo and a stitched tail do with replica states is a
-//! `clone()` of exactly this kind, so this is the number their cost rests on.
+//! A snapshot of any shipped subject allocates one block: the array that
+//! holds one pointer per replica (a path keeps it beside its reference
+//! count, in the same block). Everything else the incremental executor, the
+//! subsumption memo and a stitched tail do with replica states is a
+//! `clone()` of exactly this kind, so this is the number their cost rests
+//! on. What they do with an outcome is a `clone()` too, and that allocates
+//! nothing.
 //!
 //! The same exact count stands in for what two wall-clock overhead ceilings
 //! used to approximate: a metric registry attached to a replay is counted
@@ -24,8 +27,8 @@ use std::sync::Arc;
 
 use er_pi::telemetry::Registry;
 use er_pi::{
-    Attachments, ExploreMode, InlineExecutor, ReplayConfig, Session, SessionMetrics, SystemModel,
-    TimeModel,
+    Attachments, ExploreMode, InlineExecutor, OpOutcome, ReplayConfig, Session, SessionMetrics,
+    SystemModel, TimeModel,
 };
 use er_pi_model::{ReplicaId, Value, Workload};
 use er_pi_subjects::{Bug, CrdtsModel, LedgerApp, OrbitModel, OrbitReplica, TownApp};
@@ -139,6 +142,27 @@ fn a_town_crdts_or_ledger_snapshot_allocates_one_block() {
     let credit = w.update(r(0), "credit", [Value::from(100)]);
     w.sync_pair(r(0), r(1), credit);
     assert_one_block("ledger", &populated(&LedgerApp::new(2), &w.build()));
+}
+
+/// Building a failure from a static reason copies nothing, and cloning any
+/// outcome — which is how the cursor refills from a path, a faulted plan
+/// borrows the fault-free plan's steps, a memo is recorded and a tail is
+/// stitched — allocates nothing: an owned reason and an observation are
+/// shared, not copied.
+#[test]
+fn an_outcome_is_built_from_a_static_reason_and_cloned_without_allocating() {
+    let (blocks, _) = blocks_during(|| OpOutcome::failed("a static reason"));
+    assert_eq!(blocks, 0, "a failure with a static reason");
+    let outcomes = [
+        OpOutcome::failed("a static reason"),
+        OpOutcome::failed(format!("an owned reason, #{}", 7)),
+        OpOutcome::observed(["otb", "ph"].into_iter().map(Value::from).collect()),
+    ];
+    for outcome in &outcomes {
+        let (blocks, copy) = blocks_during(|| outcome.clone());
+        assert_eq!(blocks, 0, "cloning {outcome:?}");
+        assert_eq!(&copy, outcome);
+    }
 }
 
 /// What `Shared` copies on the first write after a snapshot is a `clone` of
@@ -272,19 +296,21 @@ fn an_attached_registry_allocates_nothing_per_run() {
 /// worker, session defaults.
 ///
 /// DFS order resumes 73 % of its events from snapshots, so nearly every
-/// applied event first copies the replica it writes; it measures 20.98 now
-/// that the executor rewrites the previous run's buffers in place, the
-/// dispenser keeps no fingerprints and a version vector sits inline in its
-/// replica (26.09 before that; 43.92 while a copy duplicated the op log,
-/// the elements and the transmitted list). Random order applies 99 % of
-/// its events to states no snapshot holds and shares next to nothing with
-/// the run before it, so it is the pin on what sharing — of structures and
-/// of buffers — costs where there is nothing to share: 25.70 (29.65, 40.35).
+/// applied event first copies the replica it writes; it measures 19.53 now
+/// that a snapshot is one block and an outcome clones as a handle (20.98
+/// before that; 26.09 before the executor rewrote the previous run's
+/// buffers in place, the dispenser stopped keeping fingerprints and a
+/// version vector moved inline into its replica; 43.92 while a copy
+/// duplicated the op log, the elements and the transmitted list). Random
+/// order applies 99 % of its events to states no snapshot holds and shares
+/// next to nothing with the run before it, so it is the pin on what sharing
+/// — of structures and of buffers — costs where there is nothing to share:
+/// 24.85 (25.70, 29.65, 40.35).
 ///
 /// Under default retention a run leaves a `(sim_us, failed_ops)` row and
 /// nothing else — no `observe`, no `RunRecord`. With `keep_runs` every run
 /// builds its record (interleaving + observations): no benchmark workload
-/// takes that path, so this is what holds it (30.63; 35.74).
+/// takes that path, so this is what holds it (29.97; 30.63, 35.74).
 #[test]
 fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
     let blocks_per_run = |mode: ExploreMode, keep_runs: bool| {
@@ -306,9 +332,9 @@ fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
     let dfs = blocks_per_run(ExploreMode::Dfs, false);
     let random = blocks_per_run(ExploreMode::Random { seed: 7 }, false);
     let kept = blocks_per_run(ExploreMode::Dfs, true);
-    assert!(dfs <= 21.5, "DFS order: {dfs} blocks per run");
-    assert!(random <= 26.3, "Random order: {random} blocks per run");
-    assert!(kept <= 31.2, "keep_runs: {kept} blocks per run");
+    assert!(dfs <= 20.0, "DFS order: {dfs} blocks per run");
+    assert!(random <= 25.3, "Random order: {random} blocks per run");
+    assert!(kept <= 30.5, "keep_runs: {kept} blocks per run");
 }
 
 /// Blocks per run of `benchmark/`'s `fault-subsume` campaign: the same town
@@ -316,12 +342,13 @@ fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
 /// state-hash subsumption, capped at 10 000, one worker.
 ///
 /// Three quarters of its runs are answered from the explored-set, so much of
-/// what a run costs there is what recording it costs. It measures 17.08 now
-/// that the set stores each donor's tail once — a run appends only the
-/// outcomes no donor gave it, into one arena — and a run's fault plan is
-/// shared rather than copied (22.39 when every recording run deep-copied its
-/// whole outcome vector and states into a memo of its own and the fault
-/// product cloned each plan's list).
+/// what a run costs there is what recording it costs. It measures 11.50 now
+/// that an outcome clones as a handle — a failure reason is a static string,
+/// an observation is shared — wherever the cursor, the paths, the memos and
+/// stitched tails copy it, a violation takes its run's interleaving instead
+/// of a copy, and a snapshot is one block (17.08 before that; 22.39 when
+/// every recording run deep-copied its whole outcome vector and states into
+/// a memo of its own and the fault product cloned each plan's list).
 #[test]
 fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
     let config = ReplayConfig {
@@ -340,17 +367,18 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
     let stats = report.cache_stats.expect("subsuming replay reports stats");
     assert!(stats.subsumed > 7_000, "{} runs subsumed", stats.subsumed);
     let per_run = blocks as f64 / report.explored as f64;
-    assert!(per_run <= 17.5, "fault-subsume: {per_run} blocks per run");
+    assert!(per_run <= 12.0, "fault-subsume: {per_run} blocks per run");
 }
 
 /// The engine's own blocks: a fault-free DFS campaign over a model whose
 /// state is a `u64` and whose `apply` allocates nothing, checked by an
 /// assertion that reads the states in place. What is left per run is the
-/// interleaving the dispenser hands out and two blocks per snapshot the
-/// path stores (its `Vec` and its reference count) — the executor is a
+/// interleaving the dispenser hands out and one block per snapshot the path
+/// stores (its states, beside their reference count) — the executor is a
 /// cursor, so a run brings no `states` and no `outcomes` vector of its own,
-/// and the dispenser remembers nothing. 2.47 blocks per run; 3.98 when
-/// every run built its two vectors. Scratch replay is the same cursor
+/// and the dispenser remembers nothing. 1.76 blocks per run; 2.47 while a
+/// snapshot was two blocks (a reference count pointing at a `Vec`), 3.98
+/// when every run built its two vectors. Scratch replay is the same cursor
 /// keeping no snapshot, so a run costs the interleaving alone: 1.006 (3.006
 /// while scratch replay had an executor of its own, which built a run's
 /// `states` and `outcomes` afresh).
@@ -405,7 +433,7 @@ fn the_engine_allocates_a_pinned_number_of_blocks_per_run() {
         blocks as f64 / report.explored as f64
     };
     let per_run = blocks_per_run(true);
-    assert!(per_run <= 2.5, "the engine alone: {per_run} blocks per run");
+    assert!(per_run <= 1.8, "the engine alone: {per_run} blocks per run");
     let scratch = blocks_per_run(false);
     assert!(scratch <= 1.5, "scratch replay: {scratch} blocks per run");
 }
