@@ -14,7 +14,6 @@ pub use er_pi_dlock;
 pub use er_pi_interleave;
 pub use er_pi_model;
 pub use er_pi_rdl;
-pub use er_pi_replica;
 pub use er_pi_subjects;
 
 mod threaded;

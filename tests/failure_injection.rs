@@ -1,199 +1,280 @@
-//! Failure-injection tests: the virtual cluster's adverse delivery modes
-//! (reordering, loss, partitions) against the RDL substrate, and what they
-//! mean for ER-π's misconception detectors.
+//! Failure injection as fault-plan campaigns: reordered, lost, partitioned,
+//! duplicated and crash-interrupted deliveries, scheduled as [`FaultPlan`]s
+//! and replayed through the engine's own fault path (the replay cursor
+//! stepping `FaultInterpreter`, which calls `SystemModel::recover` on a
+//! crash) over the crdts subject's OR-set and RGA.
+//!
+//! Each row is a crdts workload plus a fault schedule. [`report_for`]
+//! replays the fault-free plan beside the faulted one over every causal
+//! interleaving, so a row proves something either way:
+//!
+//! * a row that converges ends in an anti-entropy chain (`chain_from`) and
+//!   replays with no violation;
+//! * a row that diverges violates, and every violating run carries the
+//!   fault schedule, so the fault-free plan of the same case is clean.
+//!
+//! Convergence under *any* delivery order of the same operations is
+//! `er-pi-rdl`'s `convergence.rs` (`orset_delivery_order_independent`,
+//! `rga_delivery_order_independent`) and the fuzzer's crdts target
+//! (`tests/fuzz_corpus.rs`). That a run never sees the damage a run before
+//! it left behind, whatever was cached, moved out or unwound, is
+//! `incremental_props.rs::no_hint_can_change_an_execution`.
+//!
+//! [`FaultPlan`]: er_pi_model::FaultPlan
 
-use er_pi_model::ReplicaId;
-use er_pi_rdl::{DeltaSync, OrSet, Rga};
-use er_pi_replica::{Cluster, DeliveryMode, LinkFault};
+use er_pi::{ReplayConfig, Report};
+use er_pi_fuzz::{report_for, FuzzCase, SpecEntry, SpecFault, Target, WorkloadSpec, ORACLE_CAP};
+use er_pi_model::{FaultKind, ReplicaId};
 
 fn r(i: u16) -> ReplicaId {
     ReplicaId::new(i)
 }
 
-fn elements(set: &OrSet<i64>) -> Vec<i64> {
-    set.elements().into_iter().copied().collect()
+fn op(replica: u16, function: &str, arg: i64) -> SpecEntry {
+    SpecEntry::Op {
+        replica,
+        function: function.into(),
+        args: vec![arg],
+    }
+}
+
+fn ship(from: u16, to: u16, of: Option<usize>) -> SpecEntry {
+    SpecEntry::SyncPair { from, to, of }
+}
+
+/// Three replicas gossip: `function(i + 1)` at replica `i`, each shipped to
+/// the next replica (entries 0–5), then the anti-entropy chain
+/// r0→r1→r2→r1→r0 (entries 6–9).
+fn gossip(function: &str) -> WorkloadSpec {
+    let mut entries = Vec::new();
+    for i in 0..3 {
+        entries.push(op(i, function, i64::from(i) + 1));
+        entries.push(ship(i, (i + 1) % 3, Some(entries.len() - 1)));
+    }
+    for (from, to) in [(0, 1), (1, 2), (2, 1), (1, 0)] {
+        entries.push(ship(from, to, None));
+    }
+    WorkloadSpec {
+        replicas: 3,
+        entries,
+        chain_from: Some(6),
+    }
+}
+
+/// Two replicas each add one element and ship it to the other (add,
+/// ship 0→1, add, ship 1→0), with no anti-entropy chain after.
+fn cross_ship() -> WorkloadSpec {
+    WorkloadSpec {
+        replicas: 2,
+        entries: vec![
+            op(0, "set_add", 1),
+            ship(0, 1, Some(0)),
+            op(1, "set_add", 2),
+            ship(1, 0, Some(2)),
+        ],
+        chain_from: None,
+    }
+}
+
+/// One fault-plan campaign: `faults` (spec index of the anchor, kind) over
+/// `spec`, and what its report must show — `explored` runs over both plans
+/// and `violations` violating runs.
+struct Row {
+    what: &'static str,
+    spec: WorkloadSpec,
+    faults: Vec<(usize, FaultKind)>,
+    explored: usize,
+    violations: usize,
+}
+
+fn case(spec: &WorkloadSpec, faults: &[(usize, FaultKind)]) -> FuzzCase {
+    FuzzCase {
+        target: Target::Crdts,
+        spec: spec.clone(),
+        faults: faults
+            .iter()
+            .map(|&(anchor, kind)| SpecFault { anchor, kind })
+            .collect(),
+    }
+}
+
+/// `case` replayed on one worker, every run's final observations kept.
+fn campaign(case: &FuzzCase, incremental: bool) -> Report {
+    report_for(
+        case,
+        &ReplayConfig {
+            cap: ORACLE_CAP,
+            workers: 1,
+            incremental,
+            keep_runs: true,
+            ..ReplayConfig::default()
+        },
+    )
+}
+
+/// Replays each row and checks its counts; every violation must carry a
+/// non-empty fault schedule.
+fn check(rows: &[Row]) {
+    for row in rows {
+        let report = campaign(&case(&row.spec, &row.faults), true);
+        let what = row.what;
+        assert_eq!(report.explored, row.explored, "{what}: runs");
+        assert_eq!(
+            report.violations.len(),
+            row.violations,
+            "{what}: violations"
+        );
+        for violation in &report.violations {
+            let il = violation.interleaving.as_ref().expect("per-run violation");
+            assert!(
+                !il.faults().is_empty(),
+                "{what}: a fault-free run violated: {violation:?}"
+            );
+        }
+    }
 }
 
 #[test]
 fn orset_converges_under_reordered_delivery() {
-    // Misconception #1's flip side: the CRDT layer tolerates reordering;
-    // it is the application logic on top that may not.
-    let mut cluster: Cluster<OrSet<i64>> = Cluster::paper_setup(OrSet::new);
-    cluster.set_delivery(DeliveryMode::Reordered { seed: 99 });
-    for i in 0..10 {
-        cluster.update(r((i % 3) as u16), |s| {
-            s.insert(i);
-        });
-        cluster.sync_send(r((i % 3) as u16), r(((i + 1) % 3) as u16));
-    }
-    // Drain everything (multiple passes; reordering shuffles queues).
-    for _ in 0..20 {
-        for to in 0..3 {
-            while cluster.sync_exec(r(to)).is_some() {}
-        }
-        // Final anti-entropy round so everyone sees everything.
-        for from in 0..3 {
-            for to in 0..3 {
-                if from != to {
-                    cluster.sync_pair(r(from), r(to));
-                }
-            }
-        }
-    }
-    assert!(cluster.converged_by(elements));
-    assert_eq!(cluster.state(r(0)).len(), 10);
+    check(&[Row {
+        what: "reorder",
+        spec: gossip("set_add"),
+        faults: vec![
+            (1, FaultKind::Delay { by: 2 }),
+            (3, FaultKind::Delay { by: 1 }),
+        ],
+        explored: 12,
+        violations: 0,
+    }]);
 }
 
+/// A lost message is made good by a later sync; without one, the replicas
+/// stay apart in exactly the runs under the drop.
 #[test]
 fn lossy_network_delays_but_does_not_corrupt() {
-    let mut cluster: Cluster<OrSet<i64>> = Cluster::new(2, OrSet::new);
-    cluster.set_delivery(DeliveryMode::Lossy {
-        loss_permille: 400,
-        seed: 3,
-    });
-    cluster.update(r(0), |s| {
-        s.insert(7);
-    });
-    // Keep retransmitting until the op survives the lossy link.
-    let mut attempts = 0;
-    while !cluster.state(r(1)).contains(&7) {
-        cluster.sync_send(r(0), r(1));
-        let _ = cluster.sync_exec(r(1));
-        attempts += 1;
-        assert!(attempts < 100, "lossy link never delivered");
-    }
-    let (_, delivered, dropped) = cluster.network_mut().stats();
-    assert!(delivered >= 1);
-    assert!(dropped + delivered >= attempts as u64 / 2);
-    assert!(cluster.state(r(1)).contains(&7));
+    check(&[
+        Row {
+            what: "loss, retransmitted",
+            spec: gossip("set_add"),
+            faults: vec![(1, FaultKind::Drop)],
+            explored: 12,
+            violations: 0,
+        },
+        Row {
+            what: "loss of 0→1, no retransmit",
+            spec: cross_ship(),
+            faults: vec![(1, FaultKind::Drop)],
+            explored: 4,
+            violations: 2,
+        },
+        Row {
+            what: "loss of 1→0, no retransmit",
+            spec: cross_ship(),
+            faults: vec![(3, FaultKind::Drop)],
+            explored: 4,
+            violations: 2,
+        },
+    ]);
 }
 
+/// A partition that heals before the anti-entropy chain converges; one that
+/// never heals diverges in every run under it.
 #[test]
 fn partition_heals_into_convergence() {
-    let mut cluster: Cluster<OrSet<i64>> = Cluster::new(2, OrSet::new);
-    cluster.network_mut().partition(r(0), r(1));
-    cluster.update(r(0), |s| {
-        s.insert(1);
-    });
-    cluster.update(r(1), |s| {
-        s.insert(2);
-    });
-    cluster.sync_send(r(0), r(1));
-    assert_eq!(cluster.sync_exec(r(1)), None, "partitioned");
-    assert!(!cluster.converged_by(elements));
-
-    cluster.network_mut().heal(r(0), r(1));
-    assert!(cluster.sync_exec(r(1)).is_some());
-    cluster.sync_pair(r(1), r(0));
-    assert!(cluster.converged_by(elements));
-    assert_eq!(cluster.state(r(0)).len(), 2);
+    let partition = (
+        0,
+        FaultKind::Partition {
+            from: r(0),
+            to: r(1),
+        },
+    );
+    check(&[
+        Row {
+            what: "partition, healed",
+            spec: gossip("set_add"),
+            faults: vec![
+                partition,
+                (
+                    6,
+                    FaultKind::Heal {
+                        from: r(0),
+                        to: r(1),
+                    },
+                ),
+            ],
+            explored: 12,
+            violations: 0,
+        },
+        Row {
+            what: "partition, never healed",
+            spec: gossip("set_add"),
+            faults: vec![partition],
+            explored: 12,
+            violations: 6,
+        },
+    ]);
 }
 
-#[test]
-fn checkpoint_reset_discards_in_flight_damage() {
-    // The replay engine's isolation guarantee: whatever a chaotic
-    // interleaving did — including messages still in flight — a reset
-    // restores the checkpointed world.
-    let mut cluster: Cluster<Rga<i64>> = Cluster::paper_setup(Rga::new);
-    cluster.update(r(0), |l| {
-        l.push(1);
-    });
-    cluster.sync_pair(r(0), r(1));
-    cluster.checkpoint_all();
-
-    // Chaos: partial syncs, reordered deliveries, concurrent edits.
-    cluster.set_delivery(DeliveryMode::Reordered { seed: 5 });
-    cluster.update(r(1), |l| {
-        l.push(2);
-    });
-    cluster.update(r(2), |l| {
-        l.push(3);
-    });
-    cluster.sync_send(r(1), r(2));
-    cluster.sync_send(r(2), r(0));
-    let _ = cluster.sync_exec(r(0));
-
-    cluster.reset_all();
-    assert_eq!(cluster.state(r(0)).values(), vec![&1]);
-    assert_eq!(cluster.state(r(1)).values(), vec![&1]);
-    assert!(cluster.state(r(2)).is_empty());
-    assert_eq!(cluster.network_mut().in_flight(), 0, "wire is clean");
-}
-
+/// A duplicated delivery is absorbed: CRDT merges are idempotent. The
+/// ledger subject, whose sync is not, is
+/// `fault_equivalence.rs::fault_space_finds_what_no_fault_free_interleaving_can`.
 #[test]
 fn scheduled_duplicate_delivery_through_the_cluster() {
-    // A scheduled LinkFault::Duplicate redelivers one sync message: the
-    // substrate (idempotent CRDT ops) absorbs it, and the extra delivery is
-    // visible in the network stats — the deterministic counterpart of the
-    // RNG-seeded lossy/reordered modes.
-    let mut cluster: Cluster<OrSet<i64>> = Cluster::new(2, OrSet::new);
-    cluster
-        .network_mut()
-        .schedule_fault(r(0), r(1), LinkFault::Duplicate);
-    cluster.update(r(0), |s| {
-        s.insert(42);
-    });
-    cluster.sync_send(r(0), r(1));
-    // First exec consumes the fault: the message is delivered but stays
-    // queued; the second exec delivers it again.
-    assert_eq!(cluster.sync_exec(r(1)), Some(1));
-    assert_eq!(cluster.sync_exec(r(1)), Some(1), "duplicate delivery");
-    assert_eq!(cluster.sync_exec(r(1)), None, "wire is drained");
-    let (_, delivered, dropped) = cluster.network_mut().stats();
-    assert_eq!((delivered, dropped), (2, 0));
-    assert!(cluster.converged_by(elements));
-    assert_eq!(cluster.state(r(1)).len(), 1, "idempotent ops deduplicate");
+    check(&[Row {
+        what: "duplicate",
+        spec: gossip("set_add"),
+        faults: vec![(1, FaultKind::Duplicate)],
+        explored: 12,
+        violations: 0,
+    }]);
 }
 
+/// A replica restarted mid-gossip still converges. That it recovers the
+/// state it held, phase by phase, is the recovery-parity table of
+/// `fault_equivalence.rs`.
 #[test]
 fn crash_restart_recovers_observably_equal_state_from_the_log() {
-    let mut cluster: Cluster<OrSet<i64>> = Cluster::paper_setup(OrSet::new);
-    cluster.update(r(0), |s| {
-        s.insert(1);
-    });
-    cluster.update(r(0), |s| {
-        s.insert(2);
-    });
-    cluster.sync_pair(r(0), r(1));
-    cluster.update(r(1), |s| {
-        s.insert(3);
-    });
-    // A message still on the wire when the crash hits...
-    cluster.update(r(2), |s| {
-        s.insert(4);
-    });
-    cluster.sync_send(r(2), r(1));
-
-    let before = elements(cluster.state(r(1)));
-    let replayed = cluster.crash_restart(r(1), OrSet::new);
-    // Log replay recovers every op the replica had observed: two received
-    // from r0 plus its own — recovery-state equality.
-    assert_eq!(replayed, 3);
-    assert_eq!(elements(cluster.state(r(1))), before);
-
-    // The in-flight message survived the crash and still applies.
-    assert_eq!(cluster.sync_exec(r(1)), Some(1));
-    assert!(cluster.state(r(1)).contains(&4));
-    cluster.sync_pair(r(1), r(0));
-    cluster.sync_pair(r(1), r(2));
-    cluster.sync_pair(r(0), r(2));
-    assert!(cluster.converged_by(elements));
+    check(&[Row {
+        what: "crash",
+        spec: gossip("set_add"),
+        faults: vec![(3, FaultKind::CrashRestart { replica: r(1) })],
+        explored: 12,
+        violations: 0,
+    }]);
 }
 
 #[test]
 fn rga_survives_duplicated_and_reordered_ops() {
-    // Apply a realistic op stream through the worst network mode and
-    // verify list convergence (the substrate-level guarantee the
-    // misconception detectors rely on to blame the *application*).
-    let mut a = Rga::new(r(0));
-    let ops: Vec<_> = (0..8).map(|i| a.push(i)).collect();
-    let mut b = Rga::new(r(1));
-    // Deliver twice, reversed.
-    for op in ops.iter().rev() {
-        b.apply_op(op);
-    }
-    for op in ops.iter() {
-        b.apply_op(op);
-    }
-    assert_eq!(a.values(), b.values());
+    check(&[Row {
+        what: "rga",
+        spec: gossip("list_push"),
+        faults: vec![(1, FaultKind::Duplicate), (3, FaultKind::Delay { by: 2 })],
+        explored: 12,
+        violations: 0,
+    }]);
+}
+
+/// A delivery still in flight when a run ends, a duplicate and a crash
+/// leave nothing behind for the next run: replayed from cached prefixes,
+/// the campaign reports what scratch replay does, final observations
+/// included. The ring has no anti-entropy chain, so a delivery the cursor
+/// forgot on resuming shows in the states a run ends in.
+#[test]
+fn checkpoint_reset_discards_in_flight_damage() {
+    let mut ring = gossip("list_push");
+    ring.entries.truncate(6);
+    ring.chain_from = None;
+    let chaos = case(
+        &ring,
+        &[
+            (1, FaultKind::Delay { by: 9 }),
+            (3, FaultKind::Duplicate),
+            (4, FaultKind::CrashRestart { replica: r(2) }),
+        ],
+    );
+    let scratch = campaign(&chaos, false);
+    let incremental = campaign(&chaos, true);
+    assert_eq!(scratch.diff(&incremental), None);
+    let stats = incremental.cache_stats.expect("incremental replay counts");
+    assert!(stats.events_saved > 0, "no run resumed from a prefix");
 }

@@ -6,16 +6,20 @@
 //! modes, and executor kinds. These tests pin that matrix — and the reason
 //! fault schedules exist at all: a seeded fault-dependent bug that *no*
 //! fault-free interleaving can expose, found by fault-space exploration
-//! and reproduced from its minimized (workload, fault schedule) pair — and
-//! how the fault product grows with the fault budget.
+//! and reproduced from its minimized (workload, fault schedule) pair — how
+//! the fault product grows with the fault budget, and that a crash-restart
+//! recovers, phase by phase, the state normal execution reaches.
 
 mod common;
 
 use common::{cells, Cell, SCRATCH};
-use er_pi::{enumerate_plans, CheckContext, FaultSpace, ReplayConfig, Report, Session, TestSuite};
+use er_pi::{
+    enumerate_plans, CheckContext, FaultInterpreter, FaultSpace, OpOutcome, ReplayConfig, Report,
+    Session, SystemModel, TestSuite,
+};
 use er_pi_fuzz::{report_for, FuzzCase, SpecEntry, SpecFault, Target, WorkloadSpec, ORACLE_CAP};
-use er_pi_model::{EventId, FaultEvent, FaultKind, FaultPlan, ReplicaId, Value, Workload};
-use er_pi_subjects::{CrdtsModel, LedgerApp, LedgerState};
+use er_pi_model::{Event, EventId, FaultEvent, FaultKind, FaultPlan, ReplicaId, Value, Workload};
+use er_pi_subjects::{CrdtsModel, CrdtsState, LedgerApp, LedgerState};
 
 fn r(i: u16) -> ReplicaId {
     ReplicaId::new(i)
@@ -310,4 +314,177 @@ fn fault_spaces_stay_sound_and_deterministic_as_the_budget_grows() {
         }
         assert!(found > 0, "{subject}: no fault space surfaced a violation");
     }
+}
+
+/// One row of a recovery-parity table, in the shape of a recovery audit's
+/// "phase × normal × recovery × identical?": after the step at `position`
+/// of the recorded order under the crash `plan`, does `replica` hold what it
+/// holds at the same position of the run without the crash?
+#[derive(Debug)]
+struct Parity {
+    plan: String,
+    position: usize,
+    replica: usize,
+    identical: bool,
+}
+
+/// Steps `workload`'s recorded order through `FaultInterpreter` under each
+/// single-crash plan and under the empty plan side by side, comparing every
+/// replica's `replica_digest` after every step.
+fn recovery_parity<M: SystemModel>(model: &M, workload: &Workload) -> Vec<Parity> {
+    let crashes = FaultSpace {
+        budget: 1,
+        drop: false,
+        duplicate: false,
+        delay_window: 0,
+        partitions: false,
+        crashes: true,
+        include_local_ops: false,
+        include_baseline: false,
+    };
+    let order = workload.recorded_order();
+    let normal_plan = FaultPlan::empty();
+    let digest = |state: &M::State| model.replica_digest(state).expect("the subject encodes");
+    let mut table = Vec::new();
+    for plan in enumerate_plans(workload, &crashes) {
+        let (mut recovered, mut normal) = (model.init_all(), model.init_all());
+        let mut crashing = FaultInterpreter::new(&plan);
+        let mut running = FaultInterpreter::new(&normal_plan);
+        for (position, &id) in order.iter().enumerate() {
+            let event = workload.event(id);
+            crashing.step(model, &mut recovered, workload, event, position);
+            running.step(model, &mut normal, workload, event, position);
+            for replica in 0..model.replicas() {
+                table.push(Parity {
+                    plan: plan.to_string(),
+                    position,
+                    replica,
+                    identical: digest(&recovered[replica]) == digest(&normal[replica]),
+                });
+            }
+        }
+    }
+    table
+}
+
+/// The `(plan, position, replica)` rows of `table` that differ.
+fn differing(table: &[Parity]) -> Vec<(&str, usize, usize)> {
+    table
+        .iter()
+        .filter(|row| !row.identical)
+        .map(|row| (row.plan.as_str(), row.position, row.replica))
+        .collect()
+}
+
+/// How many rows of `table` disagree with `pinned` on `identical`.
+fn flipped(pinned: &[Parity], table: &[Parity]) -> usize {
+    assert_eq!(pinned.len(), table.len());
+    pinned
+        .iter()
+        .zip(table)
+        .filter(|(p, t)| p.identical != t.identical)
+        .count()
+}
+
+/// `inner` with `recover` replaced: a mutant for the parity tables.
+struct Recovering<M, F> {
+    inner: M,
+    recover: F,
+}
+
+impl<M, F> SystemModel for Recovering<M, F>
+where
+    M: SystemModel,
+    F: Fn(&M, &mut [M::State], ReplicaId),
+{
+    type State = M::State;
+
+    fn replicas(&self) -> usize {
+        self.inner.replicas()
+    }
+
+    fn init(&self, replica: ReplicaId) -> M::State {
+        self.inner.init(replica)
+    }
+
+    fn apply(&self, states: &mut [M::State], event: &Event) -> OpOutcome {
+        self.inner.apply(states, event)
+    }
+
+    fn observe(&self, state: &M::State) -> Value {
+        self.inner.observe(state)
+    }
+
+    fn recover(&self, states: &mut [M::State], replica: ReplicaId) {
+        (self.recover)(&self.inner, states, replica)
+    }
+
+    fn state_encode(&self, state: &M::State, out: &mut Vec<u8>) -> bool {
+        self.inner.state_encode(state, out)
+    }
+
+    fn replica_digest(&self, state: &M::State) -> Option<u128> {
+        self.inner.replica_digest(state)
+    }
+}
+
+/// Ledger recovery replays the durable log: a replica crashed before
+/// its own credit has lost the entry it received, and one crashed before
+/// shipping has lost it too; every other (plan, phase, replica) is the
+/// state normal execution reaches. A recovery that also loses the last
+/// durable entry shows.
+#[test]
+fn ledger_recovery_parity_phase_by_phase() {
+    let workload = ledger_workload();
+    let pinned = recovery_parity(&LedgerApp::new(2), &workload);
+    assert_eq!(pinned.len(), 32, "4 plans × 4 positions × 2 replicas");
+    assert_eq!(
+        differing(&pinned),
+        [
+            ("{crash R1@e2}", 2, 1),
+            ("{crash R1@e2}", 3, 1),
+            ("{crash R1@e3}", 3, 1),
+        ]
+    );
+    let lossy = Recovering {
+        inner: LedgerApp::new(2),
+        recover: |model: &LedgerApp, states: &mut [LedgerState], replica: ReplicaId| {
+            model.recover(states, replica);
+            let state = &mut states[replica.index()];
+            if let Some(last) = state.log.pop() {
+                state.entries.retain(|entry| *entry != last);
+            }
+        },
+    };
+    assert_eq!(flipped(&pinned, &recovery_parity(&lossy, &workload)), 7);
+}
+
+/// crdts recovery keeps every structure and loses the inbox: only a
+/// receiver crashed between a split sync's send and its exec differs, from
+/// that exec on. A restart from `init` (the trait's default) shows.
+#[test]
+fn crdts_recovery_parity_phase_by_phase() {
+    let mut w = Workload::builder();
+    let add = w.update(r(0), "set_add", [Value::from(1)]);
+    w.sync_split(r(0), r(1), Some(add));
+    let push = w.update(r(1), "list_push", [Value::from(2)]);
+    w.sync_pair(r(1), r(0), push);
+    let workload = w.build();
+    let pinned = recovery_parity(&CrdtsModel::new(2), &workload);
+    assert_eq!(pinned.len(), 50, "5 plans × 5 positions × 2 replicas");
+    assert_eq!(
+        differing(&pinned),
+        [
+            ("{crash R1@e2}", 2, 1),
+            ("{crash R1@e2}", 3, 1),
+            ("{crash R1@e2}", 4, 1),
+        ]
+    );
+    let amnesiac = Recovering {
+        inner: CrdtsModel::new(2),
+        recover: |model: &CrdtsModel, states: &mut [CrdtsState], replica: ReplicaId| {
+            states[replica.index()] = model.init(replica);
+        },
+    };
+    assert_eq!(flipped(&pinned, &recovery_parity(&amnesiac, &workload)), 12);
 }
