@@ -647,7 +647,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         let exec = state.executor.run();
         let (sim_us, failed_ops) = (exec.sim_us, exec.failed_ops);
         let observe = |state: &M::State| on.model.observe(state);
-        let ctx = CheckContext::observing(exec.states, &observe, &il, exec.outcomes);
+        let ctx = CheckContext::observing(&exec, &observe, &il);
         let check_started = self.instrument.stamp();
         let done = &mut state.chunk.done;
         let before = done.violations.len();
@@ -655,7 +655,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             if let Err(message) = assertion.check(&ctx) {
                 done.violations.push(Violation {
                     run: Some(index),
-                    assertion: assertion.name().to_owned(),
+                    assertion: Arc::clone(assertion.shared_name()),
                     message,
                     interleaving: None,
                 });
@@ -1111,7 +1111,7 @@ mod tests {
                     let what = format!("chunks of {chunk_size} on {slots} slots, keep={keep_runs}");
                     assert!(!out.violations.is_empty(), "{what}: some order diverges");
                     for pair in out.violations.chunks(2) {
-                        let names = [&pair[0].assertion, &pair[1].assertion];
+                        let names = [&*pair[0].assertion, &*pair[1].assertion];
                         assert_eq!(names, ["conv", "conv-again"], "{what}");
                         assert_eq!(pair[0].run, pair[1].run, "{what}");
                     }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use er_pi_model::{Interleaving, Value};
 
-use crate::{OpOutcome, RunRecord};
+use crate::{ExecutionRef, OpOutcome, RunRecord};
 
 /// Where a [`CheckContext`]'s observations come from.
 enum Observations<'a, S> {
@@ -28,6 +28,8 @@ pub struct CheckContext<'a, S> {
     pub interleaving: &'a Interleaving,
     /// Per-event outcomes, aligned with the interleaving's positions.
     pub outcomes: &'a [OpOutcome],
+    /// How many of `outcomes` are failed operations.
+    failed_ops: usize,
     observations: Observations<'a, S>,
 }
 
@@ -47,24 +49,25 @@ impl<'a, S> CheckContext<'a, S> {
             states,
             interleaving,
             outcomes,
+            failed_ops: outcomes.iter().filter(|o| o.is_failed()).count(),
             observations: Observations::Ready(observations),
         }
     }
 
-    /// The campaign's context: `observe` runs over `states` at most once,
-    /// when [`CheckContext::observations`] is first read or the run's record
-    /// is kept ([`CheckContext::into_observations`]) — and not at all for a
-    /// run whose observations nobody looks at.
+    /// The campaign's context over the run `exec`: `observe` runs over its
+    /// states at most once, when [`CheckContext::observations`] is first
+    /// read or the run's record is kept ([`CheckContext::into_observations`])
+    /// — and not at all for a run whose observations nobody looks at.
     pub(crate) fn observing(
-        states: &'a [S],
+        exec: &ExecutionRef<'a, S>,
         observe: &'a dyn Fn(&S) -> Value,
         interleaving: &'a Interleaving,
-        outcomes: &'a [OpOutcome],
     ) -> Self {
         CheckContext {
-            states,
+            states: exec.states,
             interleaving,
-            outcomes,
+            outcomes: exec.outcomes,
+            failed_ops: exec.failed_ops,
             observations: Observations::OnRead {
                 observe,
                 seen: OnceCell::new(),
@@ -98,9 +101,10 @@ impl<'a, S> CheckContext<'a, S> {
         }
     }
 
-    /// Number of events that failed in this run.
+    /// Number of events that failed in this run: counted once, when the
+    /// context was built (the campaign's executor already holds it).
     pub fn failed_ops(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.is_failed()).count()
+        self.failed_ops
     }
 
     /// Returns `true` if every replica observes the same value.
@@ -127,7 +131,7 @@ type CheckFn<S> = Arc<dyn Fn(&CheckContext<'_, S>) -> Result<(), String> + Send 
 /// A per-interleaving assertion (the functions passed to `ER-π.End(...)`
 /// in the paper's Go snippet).
 pub struct Assertion<S> {
-    name: String,
+    name: Arc<str>,
     check: CheckFn<S>,
 }
 
@@ -135,7 +139,7 @@ pub struct Assertion<S> {
 impl<S> Clone for Assertion<S> {
     fn clone(&self) -> Self {
         Assertion {
-            name: self.name.clone(),
+            name: Arc::clone(&self.name),
             check: Arc::clone(&self.check),
         }
     }
@@ -143,18 +147,28 @@ impl<S> Clone for Assertion<S> {
 
 impl<S> Assertion<S> {
     /// Creates a named assertion.
+    ///
+    /// `check` runs after every replayed interleaving, pass or fail, so
+    /// what it costs is paid once per run. It should read the states in
+    /// place — borrowed views, not snapshots, owned keys or string copies —
+    /// and build its message only when it fails.
     pub fn new(
         name: impl Into<String>,
         check: impl Fn(&CheckContext<'_, S>) -> Result<(), String> + Send + Sync + 'static,
     ) -> Self {
         Assertion {
-            name: name.into(),
+            name: name.into().into(),
             check: Arc::new(check),
         }
     }
 
     /// The assertion's name (reported in violations).
     pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The name as the handle each of its violations shares.
+    pub(crate) fn shared_name(&self) -> &Arc<str> {
         &self.name
     }
 
@@ -232,7 +246,7 @@ type CrossFn = Arc<dyn Fn(&CrossContext<'_>) -> Result<(), String> + Send + Sync
 /// and #5 are detected this way).
 #[derive(Clone)]
 pub struct CrossCheck {
-    name: String,
+    name: Arc<str>,
     check: CrossFn,
 }
 
@@ -243,13 +257,18 @@ impl CrossCheck {
         check: impl Fn(&CrossContext<'_>) -> Result<(), String> + Send + Sync + 'static,
     ) -> Self {
         CrossCheck {
-            name: name.into(),
+            name: name.into().into(),
             check: Arc::new(check),
         }
     }
 
     /// The check's name.
     pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The name as the handle its violation shares.
+    pub(crate) fn shared_name(&self) -> &Arc<str> {
         &self.name
     }
 
@@ -394,7 +413,13 @@ mod tests {
             calls.set(calls.get() + 1);
             Value::from(i64::from(*state))
         };
-        let lazy = || CheckContext::observing(&[7, 7, 8], &observe, &il, &[]);
+        let exec = ExecutionRef {
+            states: &[7, 7, 8],
+            outcomes: &[],
+            sim_us: 0,
+            failed_ops: 0,
+        };
+        let lazy = || CheckContext::observing(&exec, &observe, &il);
 
         let unread = lazy();
         assert_eq!(unread.failed_ops(), 0);

@@ -290,7 +290,7 @@ pub fn explain_violation<M: SystemModel>(
 
     let hb = HbGraph::build(workload);
     Some(ForensicBundle {
-        assertion: violation.assertion.clone(),
+        assertion: violation.assertion.to_string(),
         message: violation.message.clone(),
         run: violation.run,
         interleaving: il.clone(),

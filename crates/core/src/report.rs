@@ -1,5 +1,7 @@
 //! Replay reports.
 
+use std::sync::Arc;
+
 use er_pi_analysis::Diagnostic;
 use er_pi_interleave::PruneStats;
 use er_pi_model::{Interleaving, Value};
@@ -25,8 +27,8 @@ pub struct Violation {
     /// Index of the violating run (replay order); `None` for cross-run
     /// checks, which look at the whole set.
     pub run: Option<usize>,
-    /// The violated assertion's name.
-    pub assertion: String,
+    /// The violated assertion's name, shared with the assertion.
+    pub assertion: Arc<str>,
     /// The assertion's failure message.
     pub message: String,
     /// The violating interleaving, if per-run.

@@ -725,7 +725,7 @@ impl<M: SystemModel> Session<M> {
             if let Err(message) = check.check(&cross_ctx) {
                 outcome.violations.push(Violation {
                     run: None,
-                    assertion: check.name().to_owned(),
+                    assertion: Arc::clone(check.shared_name()),
                     message,
                     interleaving: None,
                 });
@@ -918,7 +918,7 @@ mod tests {
         assert!(!report.passed());
         assert!(report.first_violation_at.is_some());
         let v = &report.violations[0];
-        assert_eq!(v.assertion, "conv");
+        assert_eq!(&*v.assertion, "conv");
         assert!(v.interleaving.is_some());
     }
 

@@ -167,7 +167,7 @@ pub fn run_case(case: &FuzzCase, replay: &ReplayConfig) -> Option<Finding> {
     });
     Some(Finding {
         case: case.clone(),
-        assertion: first.assertion.clone(),
+        assertion: first.assertion.to_string(),
         message: first.message.clone(),
         fault_dependent,
         fingerprint: case.fingerprint(),

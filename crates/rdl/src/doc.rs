@@ -98,6 +98,79 @@ impl JsonValue {
     }
 }
 
+/// One visible node of a [`JsonDoc`], read in place: what
+/// [`JsonDoc::get`] would snapshot, with no key or value copied. Two views
+/// are equal exactly when their snapshots ([`JsonView::to_json`]) are.
+#[derive(Debug, Clone, Copy)]
+pub struct JsonView<'a>(ViewNode<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum ViewNode<'a> {
+    Prim(&'a Value),
+    Object(&'a Obj),
+    Array(&'a Rga<Value>),
+}
+
+impl<'a> JsonView<'a> {
+    /// A view of `node`; `None` for a tombstone, which no read shows.
+    fn of(node: &'a Node) -> Option<Self> {
+        Some(JsonView(match node {
+            Node::Prim(v) => ViewNode::Prim(v),
+            Node::Obj(map) => ViewNode::Object(map),
+            Node::Arr(rga) => ViewNode::Array(rga),
+            Node::Removed => return None,
+        }))
+    }
+
+    /// The primitive payload, if this is a leaf.
+    pub fn as_prim(self) -> Option<&'a Value> {
+        match self.0 {
+            ViewNode::Prim(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The visible keys in order, if this is an object.
+    pub fn keys(self) -> Option<impl Iterator<Item = &'a str> + Clone> {
+        match self.0 {
+            ViewNode::Object(map) => Some(visible_entries(map).map(|(key, _)| key)),
+            _ => None,
+        }
+    }
+
+    /// The visible items in order, if this is an array.
+    pub fn items(self) -> Option<impl Iterator<Item = &'a Value> + Clone> {
+        match self.0 {
+            ViewNode::Array(rga) => Some(rga.visible()),
+            _ => None,
+        }
+    }
+
+    /// The snapshot of this node: [`JsonDoc::get`]'s value.
+    pub fn to_json(self) -> JsonValue {
+        match self.0 {
+            ViewNode::Prim(v) => JsonValue::Prim(v.clone()),
+            ViewNode::Object(map) => JsonValue::Object(
+                visible_entries(map)
+                    .map(|(key, view)| (key.to_owned(), view.to_json()))
+                    .collect(),
+            ),
+            ViewNode::Array(rga) => JsonValue::Array(rga.visible().cloned().collect()),
+        }
+    }
+}
+
+impl PartialEq for JsonView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self.0, other.0) {
+            (ViewNode::Prim(a), ViewNode::Prim(b)) => a == b,
+            (ViewNode::Object(a), ViewNode::Object(b)) => visible_entries(a).eq(visible_entries(b)),
+            (ViewNode::Array(a), ViewNode::Array(b)) => a.visible().eq(b.visible()),
+            _ => false,
+        }
+    }
+}
+
 /// One replicated operation of a [`JsonDoc`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DocOp {
@@ -187,12 +260,11 @@ enum Node {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Obj(BTreeMap<Arc<str>, Arc<Entry>>);
 
-// The vendored serde stand-in has no impls for `Arc`: the map of keys to
-// entries it is, by hand.
+// The vendored serde stand-in serializes an `Arc` but cannot deserialize
+// one: the map of keys to entries it is, by hand.
 impl Serialize for Obj {
     fn to_content(&self) -> Content {
-        let entry = |(key, entry): (&Arc<str>, &Arc<Entry>)| (key.to_content(), entry.to_content());
-        Content::Map(self.0.iter().map(entry).collect())
+        self.0.to_content()
     }
 }
 
@@ -433,17 +505,42 @@ impl JsonDoc {
         Ok([self.record_arr(path, del), self.record_arr(path, ins)])
     }
 
+    /// Reads the node at `path` in place (`&[]` reads the whole document
+    /// root): what [`JsonDoc::get`] snapshots, with nothing copied.
+    pub fn view(&self, path: &[&str]) -> Option<JsonView<'_>> {
+        if path.is_empty() {
+            return Some(self.root_view());
+        }
+        resolve(&self.root, path).and_then(JsonView::of)
+    }
+
+    /// The whole document, read in place. Two documents' root views are
+    /// equal exactly when their [`root`](JsonDoc::root) snapshots are.
+    pub fn root_view(&self) -> JsonView<'_> {
+        JsonView(ViewNode::Object(&self.root))
+    }
+
     /// Reads the snapshot at `path` (`&[]` reads the whole document root).
     pub fn get(&self, path: &[&str]) -> Option<JsonValue> {
-        if path.is_empty() {
-            return Some(snapshot_obj(&self.root));
-        }
-        resolve(&self.root, path).map(snapshot_node)
+        self.view(path).map(JsonView::to_json)
     }
 
     /// Snapshot of the whole document.
     pub fn root(&self) -> JsonValue {
-        snapshot_obj(&self.root)
+        self.root_view().to_json()
+    }
+
+    /// The operations this document holds, read in place: those applied,
+    /// then those still pending, in the order
+    /// [`missing_since`](DeltaSync::missing_since) of an empty version
+    /// vector ships them.
+    pub fn ops(&self) -> impl Iterator<Item = &DocOp> {
+        self.held().map(|op| &**op)
+    }
+
+    /// The handles of [`JsonDoc::ops`].
+    fn held(&self) -> impl Iterator<Item = &Arc<DocOp>> {
+        self.log.shared().chain(self.pending.shared())
     }
 
     /// Applies `op` to the tree, creating intermediate objects as needed.
@@ -521,9 +618,7 @@ impl DeltaSync for JsonDoc {
     type Op = DocOp;
 
     fn missing_since(&self, since: &VersionVector) -> Vec<Arc<DocOp>> {
-        self.log
-            .shared()
-            .chain(self.pending.shared())
+        self.held()
             .filter(|op| !since.contains(op.dot()))
             .cloned()
             .collect()
@@ -742,23 +837,12 @@ fn array_mut<'a, S: AsRef<str>>(root: &'a mut Obj, path: &[S]) -> Option<&'a mut
     }
 }
 
-fn snapshot_node(node: &Node) -> JsonValue {
-    match node {
-        Node::Prim(v) => JsonValue::Prim(v.clone()),
-        Node::Obj(map) => snapshot_obj(map),
-        Node::Arr(rga) => JsonValue::Array(rga.values().into_iter().cloned().collect()),
-        Node::Removed => JsonValue::Prim(Value::Null),
-    }
-}
-
-fn snapshot_obj(map: &Obj) -> JsonValue {
-    JsonValue::Object(
-        map.0
-            .iter()
-            .filter(|(_, e)| !matches!(e.node, Node::Removed))
-            .map(|(k, e)| (k.to_string(), snapshot_node(&e.node)))
-            .collect(),
-    )
+/// An object's visible entries in key order: each key with a view of its
+/// subtree, tombstones skipped.
+fn visible_entries(map: &Obj) -> impl Iterator<Item = (&str, JsonView<'_>)> + Clone {
+    map.0
+        .iter()
+        .filter_map(|(key, entry)| Some((&**key, JsonView::of(&entry.node)?)))
 }
 
 #[cfg(test)]

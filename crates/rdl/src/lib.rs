@@ -109,7 +109,7 @@ mod traits;
 
 pub use commute::{conflict_reasons, ConflictReason, CrdtType, OpKind, OpProfile};
 pub use counter::{GCounter, PnCounter};
-pub use doc::{DocError, DocOp, JsonDoc, JsonValue, PathSegment};
+pub use doc::{DocError, DocOp, JsonDoc, JsonValue, JsonView, PathSegment};
 pub use hash::{digest128, digest128_fold, fnv1a128, fnv1a64, fnv1a64_extend, DIGEST128_NAME};
 pub use log::Log;
 pub use lwwset::{Bias, LwwElementSet};

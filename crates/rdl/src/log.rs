@@ -120,10 +120,11 @@ impl<T: CanonicalEncode> CanonicalEncode for Log<T> {
     }
 }
 
-// The vendored serde stand-in has no impls for `Arc`: a sequence, by hand.
+// The vendored serde stand-in serializes an `Arc` but cannot deserialize
+// one: a sequence, by hand.
 impl<T: Serialize> Serialize for Log<T> {
     fn to_content(&self) -> Content {
-        Content::Seq(self.iter().map(Serialize::to_content).collect())
+        self.items.to_content()
     }
 }
 

@@ -241,6 +241,13 @@ impl MerkleLog {
         self.entries().into_iter().map(|e| &e.payload).collect()
     }
 
+    /// Payloads in arrival order, read in place: the order in which
+    /// [`missing_since`](DeltaSync::missing_since) of an empty version
+    /// vector would ship them.
+    pub fn arrival(&self) -> impl Iterator<Item = &Value> {
+        self.entries.iter().map(|e| &e.payload)
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -140,22 +140,19 @@ impl<T: Clone + PartialEq> Rga<T> {
         self.len() == 0
     }
 
-    /// Visible values in list order.
+    /// Visible values in list order, read in place.
+    pub fn visible(&self) -> impl Iterator<Item = &T> + Clone {
+        self.nodes.iter().filter(|n| !n.deleted).map(|n| &n.value)
+    }
+
+    /// Visible values in list order, collected.
     pub fn values(&self) -> Vec<&T> {
-        self.nodes
-            .iter()
-            .filter(|n| !n.deleted)
-            .map(|n| &n.value)
-            .collect()
+        self.visible().collect()
     }
 
     /// The value at visible index `idx`.
     pub fn get(&self, idx: usize) -> Option<&T> {
-        self.nodes
-            .iter()
-            .filter(|n| !n.deleted)
-            .nth(idx)
-            .map(|n| &n.value)
+        self.visible().nth(idx)
     }
 
     /// The stable identity of the element at visible index `idx`.

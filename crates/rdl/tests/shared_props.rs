@@ -1,13 +1,17 @@
 //! Property tests for the copy-on-write cell and the shared structures below
 //! it: two handles to one value are observationally independent, whatever is
-//! done through either.
+//! done through either. And the borrowed reads over them — a document's
+//! views and held ops, a log's arrival order, a list's visible items — read
+//! what the snapshots and deltas they stand in for copy out.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use er_pi_model::{CanonicalEncode, Dot, DotContext, ReplicaId, VersionVector};
-use er_pi_rdl::{fnv1a128, DeltaSync, Log, OrSet, OrSetOp, Shared};
+use er_pi_model::{CanonicalEncode, Dot, DotContext, ReplicaId, Value, VersionVector};
+use er_pi_rdl::{
+    fnv1a128, DeltaSync, JsonDoc, JsonValue, Log, MerkleLog, OrSet, OrSetOp, Rga, Shared,
+};
 
 #[derive(Debug, Clone)]
 enum Action {
@@ -330,5 +334,208 @@ proptest! {
                 assert!(shipped.iter().map(|op| &**op).eq(plain.log.iter()));
             },
         );
+    }
+}
+
+/// One step on one of two replicas: `(kind, replica, path or index, a, b)`,
+/// interpreted by each of `docs`, `logs` and `lists` below. Each has a
+/// delivery step that hands a single op of the other replica over, out of
+/// order if it picks one, so buffered and rejected ops are in play.
+type Step = (u8, usize, usize, i64, usize);
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec((0u8..10, 0usize..2, 0usize..8, 0i64..6, 0usize..6), 0..32)
+}
+
+/// A payload: an integer or a string, so a read must tell them apart.
+fn payload(a: i64) -> Value {
+    if a % 2 == 0 {
+        Value::from(a)
+    } else {
+        Value::from(format!("s{a}"))
+    }
+}
+
+/// The paths the document steps write to and the properties read at: the
+/// root, objects, leaves under them, the two array paths (4 and 5), and a
+/// path through a leaf.
+const PATHS: [&[&str]; 8] = [
+    &[],
+    &["a"],
+    &["a", "x"],
+    &["a", "y"],
+    &["l"],
+    &["a", "l"],
+    &["b"],
+    &["b", "x", "z"],
+];
+
+/// Hands `to` the `pick`-th op `from` holds that `to` has not seen.
+fn deliver<T: DeltaSync>(from: &T, to: &mut T, pick: usize) {
+    let missing = from.missing_since(to.version());
+    if !missing.is_empty() {
+        to.apply_op(&missing[pick % missing.len()]);
+    }
+}
+
+/// Two documents after `steps`.
+fn docs(steps: &[Step]) -> [JsonDoc; 2] {
+    let mut docs = [
+        JsonDoc::new(ReplicaId::new(0)),
+        JsonDoc::new(ReplicaId::new(1)),
+    ];
+    for &(kind, replica, path, a, b) in steps {
+        let [first, second] = &mut docs;
+        let (doc, other) = if replica == 0 {
+            (first, second)
+        } else {
+            (second, first)
+        };
+        // Array steps go to the two array paths, the rest anywhere.
+        let at = match kind {
+            3..=7 => PATHS[4 + path % 2],
+            _ => PATHS[path.max(1)],
+        };
+        // A step that does not apply (no array there, index out of range)
+        // leaves the document as it was.
+        let _ = match kind {
+            0 => doc.set(at, payload(a)).map(drop),
+            1 => {
+                let entries = (0..b % 3).map(|i| (format!("k{i}"), payload(a + i as i64)));
+                doc.set_object(at, entries.collect()).map(drop)
+            }
+            2 => doc.remove(at).map(drop),
+            3 => doc.new_array(at).map(drop),
+            4 | 5 => doc.arr_push(at, payload(a)).map(drop),
+            6 => doc.arr_delete(at, b).map(drop),
+            7 => doc.arr_move_naive(at, a as usize, b).map(drop),
+            8 => {
+                deliver(other, doc, b);
+                Ok(())
+            }
+            _ => {
+                doc.sync_from(other);
+                Ok(())
+            }
+        };
+    }
+    docs
+}
+
+/// Two Merkle logs after `steps`, the second rejecting far-future clocks.
+fn logs(steps: &[Step]) -> [MerkleLog; 2] {
+    let mut logs = [
+        MerkleLog::new(ReplicaId::new(0), "a"),
+        MerkleLog::new(ReplicaId::new(1), "b"),
+    ];
+    logs[1].set_max_clock_skew(Some(8));
+    for &(kind, replica, _, a, b) in steps {
+        let [first, second] = &mut logs;
+        let (log, other) = if replica == 0 {
+            (first, second)
+        } else {
+            (second, first)
+        };
+        match kind {
+            0..=5 => drop(log.append(payload(a))),
+            6 => log.force_clock(log.clock_time() + 16 * a as u64),
+            7 | 8 => deliver(other, log, b),
+            _ => log.sync_from(other),
+        }
+    }
+    logs
+}
+
+/// Two lists after `steps`.
+fn lists(steps: &[Step]) -> [Rga<Value>; 2] {
+    let mut lists = [Rga::new(ReplicaId::new(0)), Rga::new(ReplicaId::new(1))];
+    for &(kind, replica, at, a, b) in steps {
+        let [first, second] = &mut lists;
+        let (list, other) = if replica == 0 {
+            (first, second)
+        } else {
+            (second, first)
+        };
+        match kind {
+            0..=2 => drop(list.push(payload(a))),
+            3 => drop(list.insert(at.min(list.len()), payload(a))),
+            4 => drop(list.delete(b)),
+            5 => drop(list.move_item(at, b)),
+            6 => drop(list.move_naive(at, b)),
+            7 | 8 => deliver(other, list, b),
+            _ => list.sync_from(other),
+        }
+    }
+    lists
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn a_document_view_reads_what_its_snapshot_copies(steps in arb_steps()) {
+        let docs = docs(&steps);
+        for doc in &docs {
+            for path in PATHS {
+                let (view, snapshot) = (doc.view(path), doc.get(path));
+                prop_assert_eq!(view.map(|v| v.to_json()), snapshot.clone(), "{:?}", path);
+                let Some(view) = view else { continue };
+                let snapshot = snapshot.expect("a view has a snapshot");
+                prop_assert_eq!(view.as_prim(), snapshot.as_prim());
+                let keys = snapshot.as_object().map(|map| map.keys().map(String::as_str).collect());
+                prop_assert_eq!(view.keys().map(Iterator::collect::<Vec<_>>), keys);
+                let items = snapshot.as_array().map(|items| items.iter().collect());
+                prop_assert_eq!(view.items().map(Iterator::collect::<Vec<_>>), items);
+            }
+            prop_assert_eq!(doc.root_view().to_json(), doc.root());
+        }
+        let [a, b] = &docs;
+        prop_assert_eq!(a.root_view() == b.root_view(), a.root() == b.root());
+        for path in PATHS {
+            prop_assert_eq!(a.view(path) == b.view(path), a.get(path) == b.get(path));
+        }
+    }
+
+    #[test]
+    fn visible_tree_equality_agrees_with_snapshots_once_synced(steps in arb_steps()) {
+        // Synced documents are mostly equal, which arbitrary ones rarely are.
+        let [mut a, mut b] = docs(&steps);
+        a.sync_from(&b);
+        b.sync_from(&a);
+        prop_assert_eq!(a.root_view() == b.root_view(), a.root() == b.root());
+        let copy = a.clone();
+        prop_assert!(a.root_view() == copy.root_view());
+        // A key no step writes: the trees now differ by it.
+        b.set(&["fresh"], Value::from(1)).expect("a set applies");
+        prop_assert!(a.root() != b.root());
+        prop_assert!(a.root_view() != b.root_view());
+        prop_assert!(matches!(b.get(&["fresh"]), Some(JsonValue::Prim(_))));
+    }
+
+    #[test]
+    fn held_ops_and_arrival_order_are_what_an_empty_version_ships(steps in arb_steps()) {
+        let empty = VersionVector::new();
+        for doc in &docs(&steps) {
+            let shipped = doc.missing_since(&empty);
+            prop_assert!(doc.ops().eq(shipped.iter().map(|op| &**op)));
+        }
+        for log in &logs(&steps) {
+            let shipped = log.missing_since(&empty);
+            prop_assert!(log.arrival().eq(shipped.iter().map(|entry| &entry.payload)));
+            prop_assert_eq!(log.arrival().count(), log.len());
+        }
+    }
+
+    #[test]
+    fn a_list_reads_its_visible_items_in_place(steps in arb_steps()) {
+        for list in &lists(&steps) {
+            let values = list.values();
+            prop_assert!(list.visible().eq(values.iter().copied()));
+            prop_assert_eq!(list.visible().count(), list.len());
+            for (i, value) in values.iter().enumerate() {
+                prop_assert_eq!(list.get(i), Some(*value));
+            }
+            prop_assert_eq!(list.get(values.len()), None);
+        }
     }
 }

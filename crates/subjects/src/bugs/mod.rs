@@ -90,6 +90,12 @@ impl std::fmt::Display for BugStatus {
 
 /// What a bug's violation predicate can inspect after one replayed
 /// interleaving.
+///
+/// The predicate runs after every replay of the bug, pass or fail, so it
+/// reads the states in place — [`JsonDoc::view`](er_pi_rdl::JsonDoc::view),
+/// [`MerkleLog::arrival`](er_pi_rdl::MerkleLog::arrival),
+/// [`JsonDoc::ops`](er_pi_rdl::JsonDoc::ops) — instead of snapshotting
+/// them, and formats its symptom only when the bug manifested.
 #[derive(Debug)]
 pub struct BugCtx<'a, S> {
     /// Final replica states.

@@ -2,7 +2,7 @@
 
 use er_pi::PruningConfig;
 use er_pi_model::{EventId, ReplicaId, Value, Workload};
-use er_pi_rdl::{DeltaSync, LogSortOrder};
+use er_pi_rdl::LogSortOrder;
 
 use crate::{OrbitConfig, OrbitModel, OrbitState};
 
@@ -16,13 +16,15 @@ fn v(s: &str) -> Value {
     Value::from(s)
 }
 
-fn payloads(state: &OrbitState) -> Vec<String> {
-    state
-        .log
-        .values()
-        .into_iter()
-        .map(|p| p.to_string())
-        .collect()
+/// Whether `state`'s log received exactly the string payloads `expected`,
+/// in that order.
+fn arrived(state: &OrbitState, expected: &[&str]) -> bool {
+    state.log.len() == expected.len()
+        && state
+            .log
+            .arrival()
+            .zip(expected)
+            .all(|(payload, s)| payload.as_str() == Some(s))
 }
 
 /// OrbitDB-1 (issue #513): *ordering tie-breaker can cause undefined
@@ -48,13 +50,23 @@ pub(super) fn orbitdb_1() -> Bug {
         if ctx.failed_ops != 0 {
             return None;
         }
-        let (p0, p1) = (payloads(&ctx.states[0]), payloads(&ctx.states[1]));
-        if p0.len() == 3 && p1.len() == 3 && p0 != p1 {
-            return Some(format!(
-                "same-identity tie left replicas with different orders: {p0:?} vs {p1:?}"
-            ));
+        let (l0, l1) = (&ctx.states[0].log, &ctx.states[1].log);
+        if l0.len() != 3 || l1.len() != 3 {
+            return None;
         }
-        None
+        // The symptom shows each payload's display; two payloads are equal
+        // exactly when their displays are.
+        let (p0, p1) = (l0.values(), l1.values());
+        if p0 == p1 {
+            return None;
+        }
+        let shown = |payloads: Vec<&Value>| -> Vec<String> {
+            payloads.iter().map(ToString::to_string).collect()
+        };
+        let (p0, p1) = (shown(p0), shown(p1));
+        Some(format!(
+            "same-identity tie left replicas with different orders: {p0:?} vs {p1:?}"
+        ))
     }
 
     Bug {
@@ -104,16 +116,7 @@ pub(super) fn orbitdb_2() -> Bug {
         if r1.log.rejected_count() != 1 {
             return None;
         }
-        let arrival = |st: &OrbitState| -> Vec<String> {
-            st.log
-                .missing_since(&er_pi_model::VersionVector::new())
-                .iter()
-                .map(|e| e.payload.to_string())
-                .collect()
-        };
-        let r0_expected = ["x", "y", "poisoned"].map(|s| format!("{s:?}"));
-        let r1_expected = ["y", "x"].map(|s| format!("{s:?}"));
-        if arrival(r0) == r0_expected && arrival(r1) == r1_expected {
+        if arrived(r0, &["x", "y", "poisoned"]) && arrived(r1, &["y", "x"]) {
             return Some("peer halts on far-future Lamport clock".into());
         }
         None
@@ -169,15 +172,8 @@ pub(super) fn orbitdb_3() -> Bug {
         if ctx.states[0].rejected_appends != 1 {
             return None;
         }
-        let arrival = |st: &OrbitState| -> Vec<String> {
-            st.log
-                .missing_since(&er_pi_model::VersionVector::new())
-                .iter()
-                .map(|e| e.payload.to_string())
-                .collect()
-        };
-        let expected = ["a0", "b0", "b1"].map(|s| format!("{s:?}"));
-        if arrival(&ctx.states[0]) == expected && arrival(&ctx.states[1]) == expected {
+        let expected = ["a0", "b0", "b1"];
+        if arrived(&ctx.states[0], &expected) && arrived(&ctx.states[1], &expected) {
             return Some("granted writer denied by the stale access cache".into());
         }
         None
@@ -239,19 +235,12 @@ pub(super) fn orbitdb_4() -> Bug {
         // head IN ORDER and healed every R0-authored ancestor, yet one
         // R2-authored parent is missing forever — verify fails on exactly
         // that hash.
-        let arrival = |st: &OrbitState| -> Vec<String> {
-            st.log
-                .missing_since(&er_pi_model::VersionVector::new())
-                .iter()
-                .map(|e| e.payload.to_string())
-                .collect()
-        };
-        let r1_expected = ["c2", "a3", "a2", "a1", "c3"].map(|s| format!("{s:?}"));
+        let r1_expected = ["c2", "a3", "a2", "a1", "c3"];
         // Heads-only sync: R2 received only R0's head (a2); a1 stays
         // dangling at R2 (it never fetches), which is normal operation.
-        let r2_expected = ["a2", "c1", "c2", "c3"].map(|s| format!("{s:?}"));
-        if arrival(st) == r1_expected
-            && arrival(&ctx.states[2]) == r2_expected
+        let r2_expected = ["a2", "c1", "c2", "c3"];
+        if arrived(st, &r1_expected)
+            && arrived(&ctx.states[2], &r2_expected)
             && !st.log.verify()
             && st.log.dangling_refs().len() == 1
         {
@@ -330,14 +319,7 @@ pub(super) fn orbitdb_5() -> Bug {
         if ctx.failed_ops != 2 || !st.lock_stuck || st.failed_opens != 1 {
             return None;
         }
-        let arrival: Vec<String> = st
-            .log
-            .missing_since(&er_pi_model::VersionVector::new())
-            .iter()
-            .map(|e| e.payload.to_string())
-            .collect();
-        let expected = ["a1", "a2", "c1", "a3", "a4", "a5"].map(|s| format!("{s:?}"));
-        if arrival != expected || st.busy {
+        if !arrived(st, &["a1", "a2", "c1", "a3", "a4", "a5"]) || st.busy {
             return None;
         }
         Some("repo folder lock left behind by a close racing an unflushed sync".into())

@@ -1,9 +1,8 @@
 //! The two Yorkie bugs of Table 1.
 
 use er_pi::PruningConfig;
-use er_pi_model::VersionVector;
 use er_pi_model::{ReplicaId, Value, Workload};
-use er_pi_rdl::{DeltaSync, DocOp, JsonValue};
+use er_pi_rdl::{DocOp, PathSegment};
 
 use crate::{YorkieModel, YorkieState};
 
@@ -17,11 +16,27 @@ fn v(s: &str) -> Value {
     Value::from(s)
 }
 
-fn list(state: &YorkieState) -> Option<Vec<Value>> {
-    state
-        .doc
-        .get(&["l"])
-        .and_then(|j| j.as_array().map(<[Value]>::to_vec))
+/// The visible items of the list `l`, read in place.
+fn list(state: &YorkieState) -> Option<impl Iterator<Item = &Value> + Clone> {
+    state.doc.view(&["l"])?.items()
+}
+
+/// `path.join(".") == joined`, without the join.
+fn joins_to(path: &[PathSegment], joined: &str) -> bool {
+    let mut rest = joined;
+    for (i, segment) in path.iter().enumerate() {
+        if i > 0 {
+            let Some(after) = rest.strip_prefix('.') else {
+                return false;
+            };
+            rest = after;
+        }
+        let Some(after) = rest.strip_prefix(segment.as_str()) else {
+            return false;
+        };
+        rest = after;
+    }
+    rest.is_empty()
 }
 
 /// Yorkie-1 (issue #676): *document doesn't converge when using
@@ -63,14 +78,16 @@ pub(super) fn yorkie_1() -> Bug {
         let l0 = list(&ctx.states[0])?;
         let l1 = list(&ctx.states[1])?;
         // Converged replicas whose list duplicates an element.
-        if l0 != l1 {
+        if !l0.clone().eq(l1) {
             return None;
         }
         // The corrupted board of the issue report: a duplicated "x", one
         // copy at replica 1's move target (index 1), with the full session
         // content present.
-        let dup = l0.iter().filter(|x| **x == Value::from("x")).count();
-        if l0.len() == 6 && dup == 2 && l0.get(1) == Some(&Value::from("x")) {
+        let is_x = |item: &Value| item.as_str() == Some("x");
+        let dup = l0.clone().filter(|item| is_x(item)).count();
+        if l0.clone().count() == 6 && dup == 2 && l0.clone().nth(1).is_some_and(is_x) {
+            let l0: Vec<&Value> = l0.collect();
             return Some(format!(
                 "Array.MoveAfter duplicated the moved element: {l0:?}"
             ));
@@ -120,11 +137,14 @@ pub(super) fn yorkie_2() -> Bug {
     let e = w.update(r(1), "set", [v("cfg.e"), Value::from(5)]);
     w.sync_split(r(1), r(0), Some(e));
 
-    fn cfg_keys(state: &YorkieState) -> Option<Vec<String>> {
-        match state.doc.get(&["cfg"])? {
-            JsonValue::Object(map) => Some(map.keys().cloned().collect()),
-            _ => None,
-        }
+    /// The visible keys of the object `cfg`, read in place.
+    fn cfg_keys(state: &YorkieState) -> Option<impl Iterator<Item = &str> + Clone> {
+        state.doc.view(&["cfg"])?.keys()
+    }
+
+    /// The primitive at `path`, read in place.
+    fn prim<'a>(state: &'a YorkieState, path: &[&str]) -> Option<&'a Value> {
+        state.doc.view(path)?.as_prim()
     }
 
     fn check(ctx: &BugCtx<'_, YorkieState>) -> Option<String> {
@@ -136,56 +156,51 @@ pub(super) fn yorkie_2() -> Bug {
         let k1 = cfg_keys(&states[1])?;
         // Converged replicas that silently lost the concurrent sibling d,
         // while the rest of the document round-tripped completely.
-        if k0 != k1 {
+        if !k0.clone().eq(k1) {
             return None;
         }
         let expect_rest = ["a", "b", "c", "e"];
-        if !expect_rest.iter().all(|k| k0.iter().any(|x| x == k)) {
+        if !expect_rest.iter().all(|k| k0.clone().any(|x| x == *k)) {
             return None;
         }
-        if k0.iter().any(|x| x == "d") {
+        if k0.clone().any(|x| x == "d") {
             return None;
         }
         // The unrelated subtree must have survived intact (the report's
         // confusing part: only the nested object misbehaves).
-        let title_ok = states.iter().all(|st| {
-            st.doc
-                .get(&["doc", "title"])
-                .and_then(|j| j.as_prim().cloned())
-                == Some(Value::from("settings"))
-        });
+        let title_ok = states
+            .iter()
+            .all(|st| prim(st, &["doc", "title"]).and_then(Value::as_str) == Some("settings"));
         if !title_ok {
             return None;
         }
         // Fully converged documents — the loss is silent.
-        if states[0].doc.root() != states[1].doc.root() {
+        if states[0].doc.root_view() != states[1].doc.root_view() {
             return None;
         }
         // The rest of the session round-tripped: the revision bump reached
         // both replicas.
-        let rev_ok = states.iter().all(|st| {
-            st.doc
-                .get(&["doc", "rev"])
-                .and_then(|j| j.as_prim().cloned())
-                == Some(Value::from(2))
-        });
+        let rev_ok = states
+            .iter()
+            .all(|st| prim(st, &["doc", "rev"]) == Some(&Value::Int(2)));
         if !rev_ok {
             return None;
         }
         // The race's signature in the replicas' operation logs (what the
         // reporter reconstructed from their sync traces): everything
         // applied in session order, except that R0 received d only after
-        // its own refresh.
-        let log = |st: &YorkieState| -> Vec<String> {
-            st.doc
-                .missing_since(&VersionVector::new())
-                .iter()
-                .map(|op| match &**op {
-                    DocOp::SetPrim { path, .. } => path.join("."),
-                    DocOp::SetObject { path, .. } => format!("set:{}", path.join(".")),
-                    _ => "?".into(),
-                })
-                .collect()
+        // its own refresh. An op reads as its joined path, "set:" and the
+        // path for a whole-object set, "?" for anything else.
+        let logged = |op: &DocOp, expected: &str| match op {
+            DocOp::SetPrim { path, .. } => joins_to(path, expected),
+            DocOp::SetObject { path, .. } => expected
+                .strip_prefix("set:")
+                .is_some_and(|rest| joins_to(path, rest)),
+            _ => expected == "?",
+        };
+        let log_is = |st: &YorkieState, expected: &[&str]| {
+            st.doc.ops().count() == expected.len()
+                && st.doc.ops().zip(expected).all(|(op, e)| logged(op, e))
         };
         let r0_expected = [
             "cfg.a",
@@ -207,9 +222,10 @@ pub(super) fn yorkie_2() -> Bug {
             "set:cfg",
             "cfg.e",
         ];
-        if log(&states[0]) != r0_expected || log(&states[1]) != r1_expected {
+        if !log_is(&states[0], &r0_expected) || !log_is(&states[1], &r1_expected) {
             return None;
         }
+        let k0: Vec<&str> = k0.collect();
         Some(format!(
             "set over nested object dropped sibling key d: {k0:?}"
         ))

@@ -225,7 +225,7 @@ mod tests {
         // The violating interleavings all place the transmit before the
         // remove's synchronization reached replica A.
         for v in &report.violations {
-            assert_eq!(v.assertion, "no-stale-issue-transmitted");
+            assert_eq!(&*v.assertion, "no-stale-issue-transmitted");
         }
     }
 

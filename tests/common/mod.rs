@@ -147,7 +147,7 @@ pub fn reference_replay<M: SystemModel>(
                 violated = true;
                 reference.violations.push(Violation {
                     run: Some(index),
-                    assertion: assertion.name().to_owned(),
+                    assertion: assertion.name().into(),
                     message,
                     interleaving: Some(il.clone()),
                 });

@@ -53,7 +53,7 @@ fn explaining_twice_is_deterministic_and_complete() {
     let first = bug.explain(violation).expect("explains");
     let second = bug.explain(violation).expect("explains");
     assert_eq!(first.canonical_json(), second.canonical_json());
-    assert_eq!(first.assertion, violation.assertion);
+    assert_eq!(first.assertion, &*violation.assertion);
     assert_eq!(first.steps.len(), bug.events());
     assert!(
         first.hb_dot.starts_with("digraph happens_before"),

@@ -316,7 +316,7 @@ fn served_trace_campaigns_honour_every_admitted_key() {
         let mut set: Vec<(String, String)> = report
             .violations
             .iter()
-            .map(|v| (v.assertion.clone(), v.message.clone()))
+            .map(|v| (v.assertion.to_string(), v.message.clone()))
             .collect();
         set.sort();
         set.dedup();

@@ -12,8 +12,9 @@
 //!
 //! And it is the number a replay as a whole is held to: blocks per run of
 //! the benchmark's town campaigns, under default retention, with the run
-//! records kept and under a subsuming fault product — and, over a model that
-//! allocates nothing, blocks per run of the engine alone.
+//! records kept and under a subsuming fault product; of its catalogue sweep,
+//! where every run ends in a bug check — and, over a model that allocates
+//! nothing, blocks per run of the engine alone.
 //!
 //! The allocator counts only blocks requested by a thread while that thread
 //! is inside [`blocks_during`], so the count is exact however the harness
@@ -368,6 +369,35 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
     assert!(stats.subsumed > 7_000, "{} runs subsumed", stats.subsumed);
     let per_run = blocks as f64 / report.explored as f64;
     assert!(per_run <= 12.0, "fault-subsume: {per_run} blocks per run");
+}
+
+/// Blocks per run of `benchmark/`'s `catalogue` sweep: the twelve bugs of
+/// Table 1 in ER-π mode, capped at 10 000, one worker, session defaults,
+/// every violation kept.
+///
+/// Every run ends in the bug's check, pass or fail, so this is the pin on
+/// what a check costs: it reads the replica states in place and formats its
+/// symptom only when the bug manifested. It measures 30.69 blocks per run;
+/// 41.46 while the checks snapshotted JSON subtrees, collected keys and
+/// list items into vectors and turned every log payload into a string to
+/// compare it, on every run.
+#[test]
+fn the_catalogue_sweep_allocates_a_pinned_number_of_blocks_per_run() {
+    let config = ReplayConfig {
+        cap: 10_000,
+        workers: 1,
+        ..ReplayConfig::default()
+    };
+    let (mut blocks, mut runs) = (0, 0);
+    for bug in Bug::catalogue() {
+        let (counted, report) = blocks_during(|| bug.replay_report_opts(&config));
+        assert!(!report.violations.is_empty(), "{}: reproduced", bug.name);
+        blocks += counted;
+        runs += report.explored;
+    }
+    assert_eq!(runs, 92_160, "the sweep is fixed");
+    let per_run = blocks as f64 / runs as f64;
+    assert!(per_run <= 30.7, "catalogue: {per_run} blocks per run");
 }
 
 /// The engine's own blocks: a fault-free DFS campaign over a model whose
