@@ -416,9 +416,10 @@ pub fn validate_table(table: &CertifiedTable) -> Vec<Diagnostic> {
 }
 
 /// Cross-checks the independence declarations of `config` (hand-written or
-/// Datalog-derived) against the certified table: any declared-independent
-/// pair whose profiles the table says conflict — or whose "commutes" claim
-/// was certified unsound — becomes a diagnostic, *before* any pruning runs.
+/// derived by [`crate::analyze`]) against the certified table: any
+/// declared-independent pair whose profiles the table says conflict — or
+/// whose "commutes" claim was certified unsound — becomes a diagnostic,
+/// *before* any pruning runs.
 pub fn validate_independence(
     workload: &Workload,
     config: &PruningConfig,

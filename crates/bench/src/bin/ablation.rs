@@ -4,8 +4,7 @@
 //! automatic event grouping only (developer-specified groups, independence
 //! sets, and failed-ops rules stripped), and (c) no pruning at all
 //! (equivalent to DFS). The gap between the columns is each layer's
-//! contribution — the DESIGN.md ablation the criterion micro-benches can't
-//! show at the system level.
+//! contribution at the system level — the DESIGN.md ablation.
 
 use er_pi::{ExploreMode, PruningConfig, Session, SystemModel, TestSuite};
 use er_pi_bench::{fmt_found, CAP};

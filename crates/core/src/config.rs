@@ -56,8 +56,8 @@ pub struct ReplayConfig {
     /// * `Report::runs` returns them under this flag or a suite with
     ///   cross-checks — the sanitizer reads the records and the report
     ///   still drops them — and is empty otherwise. A caller that wants the
-    ///   replayed interleavings elsewhere (the `er-pi-datalog` store, say)
-    ///   sets this flag and copies them out of the report.
+    ///   replayed interleavings persisted sets this flag: the report's
+    ///   canonical JSON then holds them.
     ///
     /// It is also the rule for when [`SystemModel::observe`] runs: once per
     /// replica per run while records are built, otherwise only for a run

@@ -49,10 +49,11 @@ use crate::{CacheStats, Execution, ExecutionRef, OpOutcome, SystemModel, TimeMod
 
 /// The snapshot budget of every incremental campaign's executors: 64 MiB of
 /// [`state_size_hint`](SystemModel::state_size_hint)-accounted state (a
-/// scratch campaign's executors get 0). Not an option: the `state_clone`
-/// microbench in `crates/bench` puts a full-workload snapshot of every
-/// subject model under a kilobyte, so the one thing that can make it bind
-/// is a model whose hint says its states are that large.
+/// scratch campaign's executors get 0). Not an option: every shipped
+/// subject's full-workload snapshot is charged under a kilobyte (pinned by
+/// `tests/snapshot_allocs.rs`; the benchmark times the same clone as
+/// `model.snapshot_clone_ns`), so the one thing that can make it bind is a
+/// model whose hint says its states are that large.
 pub const DEFAULT_CACHE_BUDGET: usize = 64 * 1024 * 1024;
 
 /// The replica states after some prefix: one block, built straight from

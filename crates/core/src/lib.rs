@@ -26,9 +26,9 @@
 //! ```
 //!
 //! The paper's State 2 also persists the generated interleavings in a
-//! deductive store; here that is the caller's step — replay with
-//! [`Session::set_keep_runs`] and copy `Report::runs` into
-//! `er_pi_datalog::InterleavingStore` (`examples/distributed_replay.rs`).
+//! Souffle Datalog store; here the persisted forms are a report's
+//! canonical JSON (`Report::canonical_json`, which holds the replayed
+//! interleavings under [`Session::set_keep_runs`]) and forensic bundles.
 //!
 //! ## Example
 //!

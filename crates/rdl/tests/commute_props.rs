@@ -6,8 +6,8 @@
 //!
 //! * **Symmetry** — `a.commutes_with(b)` and `b.commutes_with(a)` agree on
 //!   commute-vs-conflict for every pair, including cross-family ones. The
-//!   analysis inserts both fact directions from one call, so an asymmetric
-//!   table would silently desynchronize the Datalog base facts.
+//!   analysis asks each pair once, in recording order, so an asymmetric
+//!   table would make the derived relation depend on which event came first.
 //! * **Reflexive-disjointness** — operations on *different* families always
 //!   commute (they act on disjoint objects), and that verdict is symmetric.
 //! * **Erasure conservatism** — replacing a known argument with `None`

@@ -1,9 +1,10 @@
 //! A deliberately small HTTP/1.1 layer over `std::net` — request parsing,
-//! the route table, and canned responses. One thread per connection,
-//! `Connection: close`; campaign replays never run on connection threads,
-//! so a slow client cannot stall the service, and every socket carries a
-//! read and a write timeout and every request a deadline, so a stalled or
-//! trickling one cannot hold its thread.
+//! the route table, and canned responses. One thread per connection, at
+//! most [`MAX_CONNECTIONS`] at once, `Connection: close`; campaign replays
+//! never run on connection threads, so a slow client cannot stall the
+//! service, and every socket carries a read and a write timeout and every
+//! request a deadline, so a stalled or trickling one cannot hold its
+//! thread.
 //!
 //! The one exception to request/response/close is
 //! `GET /campaigns/:id/events`: that connection switches to a
@@ -12,7 +13,7 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -35,6 +36,12 @@ const REQUEST_DEADLINE: Duration = Duration::from_millis(if cfg!(test) { 1_000 }
 /// How long one write may block on a client that has stopped reading — an
 /// SSE subscriber included — before the connection is dropped.
 const WRITE_TIMEOUT: Duration = READ_TIMEOUT;
+
+/// How many connections are served at once. Past it the accept loop answers
+/// `503 Service Unavailable` itself and closes, so clients that hold their
+/// connections (stalled ones until their deadline, SSE subscribers until
+/// the campaign ends) cannot make the daemon spawn threads without bound.
+const MAX_CONNECTIONS: usize = if cfg!(test) { 4 } else { 256 };
 
 /// How long an idle SSE stream waits for news before emitting a
 /// `: keep-alive` comment so proxies and clients see a live socket.
@@ -70,22 +77,54 @@ impl Request {
 /// Accept loop. Returns when the state's shutdown flag is raised (the
 /// shutdown path makes one dummy connection to unblock `accept`).
 pub(crate) fn serve(state: Arc<ServerState>, listener: TcpListener) {
+    // Only this loop adds to the count, so a slot seen free stays free
+    // until it is taken.
+    let live = Arc::new(AtomicUsize::new(0));
     for stream in listener.incoming() {
         if state.shutdown.load(Ordering::Acquire) {
             break;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(mut stream) = stream else { continue };
+        if live.load(Ordering::Acquire) >= MAX_CONNECTIONS {
+            let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+            let body = error_body("too many connections");
+            respond(&mut stream, 503, "Service Unavailable", JSON, body);
+            continue;
+        }
+        let slot = Slot::take(&live);
         let state = Arc::clone(&state);
         let _ = thread::Builder::new()
             .name("er-pi-http".to_owned())
-            .spawn(move || handle(&state, stream));
+            .spawn(move || {
+                handle(&state, &mut stream);
+                // The slot frees before the socket closes, so a client
+                // that saw this response end can connect again at once.
+                drop(slot);
+            });
     }
 }
 
-/// Serves one connection: parse, route, respond, close.
-fn handle(state: &ServerState, mut stream: TcpStream) {
+/// One of the [`MAX_CONNECTIONS`] slots, held by a connection thread and
+/// given back when dropped (a panicking handler included).
+struct Slot(Arc<AtomicUsize>);
+
+impl Slot {
+    fn take(live: &Arc<AtomicUsize>) -> Self {
+        live.fetch_add(1, Ordering::AcqRel);
+        Slot(Arc::clone(live))
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// Serves one connection: parse, route, respond. The caller closes it.
+fn handle(state: &ServerState, stream: &mut TcpStream) {
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let request = match read_request(&mut stream) {
+    let request = match read_request(stream) {
         Ok(Some(request)) => request,
         refused => {
             let (code, reason, message) = match refused {
@@ -97,7 +136,7 @@ fn handle(state: &ServerState, mut stream: TcpStream) {
                 }
                 Err(_) => (400, "Bad Request", "malformed request"),
             };
-            respond(&mut stream, code, reason, JSON, error_body(message));
+            respond(stream, code, reason, JSON, error_body(message));
             return;
         }
     };
@@ -115,7 +154,7 @@ fn handle(state: &ServerState, mut stream: TcpStream) {
         }
     }
     let (code, reason, content_type, body) = route(state, &request);
-    respond(&mut stream, code, reason, content_type, body);
+    respond(stream, code, reason, content_type, body);
 }
 
 fn path_segments(path: &str) -> Vec<&str> {
@@ -205,10 +244,10 @@ fn route(state: &ServerState, request: &Request) -> (u16, &'static str, &'static
 /// Events stream. The client immediately gets a `status` frame, then the
 /// campaign's full event history, then live frames as the runner appends
 /// them, then the terminal frame — at which point the stream ends.
-fn stream_events(state: &ServerState, mut stream: TcpStream, id: &str) {
+fn stream_events(state: &ServerState, stream: &mut TcpStream, id: &str) {
     let Some(campaign) = state.campaign(id) else {
         let (code, reason, body) = (404, "Not Found", error_body(&format!("no campaign {id}")));
-        respond(&mut stream, code, reason, JSON, body);
+        respond(stream, code, reason, JSON, body);
         return;
     };
     let head = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: keep-alive\r\n\r\n";
@@ -363,30 +402,32 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
         }
         buf.extend_from_slice(&chunk[..n]);
     };
-    let head = std::str::from_utf8(&buf[..header_end])
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 header"))?;
+    let head =
+        std::str::from_utf8(&buf[..header_end]).map_err(|_| malformed("non-UTF-8 header"))?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_owned();
     let path = parts.next().unwrap_or("").to_owned();
     if method.is_empty() || path.is_empty() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "bad request line",
-        ));
+        return Err(malformed("bad request line"));
     }
     let mut content_length = 0usize;
     let mut headers = Vec::new();
     for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, "bad content-length")
-                })?;
-            }
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
+        // A field name is a token: a line without `:`, a folded
+        // continuation line and `Name : value` are all refused.
+        let (name, value) = line
+            .split_once(':')
+            .filter(|(name, _)| !name.is_empty() && !name.contains(char::is_whitespace))
+            .ok_or_else(|| malformed("bad header line"))?;
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = value
+                .trim()
+                .parse()
+                .map_err(|_| malformed("bad content-length"))?;
         }
+        headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
     }
     // `content_length` is the client's: compare without adding to it.
     if content_length > MAX_REQUEST_BYTES.saturating_sub(header_end + 4) {
@@ -412,6 +453,10 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
     }))
 }
 
+fn malformed(what: &'static str) -> std::io::Error {
+    std::io::Error::new(ErrorKind::InvalidData, what)
+}
+
 fn find_header_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
@@ -430,6 +475,28 @@ fn respond(stream: &mut TcpStream, code: u16, reason: &str, content_type: &str, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn test_server() -> crate::ServerHandle {
+        let config = crate::ServerConfig {
+            port: 0,
+            workers: 1,
+            runners: 1,
+            queue_cap: 1,
+        };
+        crate::Server::bind(config).unwrap().spawn().unwrap()
+    }
+
+    /// Everything the server sends until it closes.
+    fn read_response(stream: &mut TcpStream) -> String {
+        // A guard for the test itself: fail rather than hang.
+        stream.set_read_timeout(Some(READ_TIMEOUT * 20)).unwrap();
+        let mut response = String::new();
+        stream
+            .read_to_string(&mut response)
+            .expect("the server answers and closes within its deadline");
+        response
+    }
 
     #[test]
     fn json_strings_are_escaped() {
@@ -446,24 +513,14 @@ mod tests {
     /// One request over a fresh connection to a one-worker daemon: `parts`
     /// written in turn, a pause after each, then the whole response.
     fn exchange_in_parts(parts: &[&[u8]]) -> String {
-        use crate::{Server, ServerConfig};
-
-        let config = ServerConfig {
-            port: 0,
-            workers: 1,
-            runners: 1,
-            queue_cap: 1,
-        };
-        let server = Server::bind(config).unwrap().spawn().unwrap();
+        let server = test_server();
         let mut client = TcpStream::connect(server.addr()).unwrap();
         for part in parts {
             client.write_all(part).unwrap();
             client.flush().unwrap();
             thread::sleep(Duration::from_millis(20));
         }
-        client.set_read_timeout(Some(READ_TIMEOUT * 20)).unwrap();
-        let mut response = String::new();
-        client.read_to_string(&mut response).unwrap();
+        let response = read_response(&mut client);
         server.shutdown();
         response
     }
@@ -511,15 +568,7 @@ mod tests {
 
     #[test]
     fn stalled_clients_get_408_while_others_are_served() {
-        use crate::{Server, ServerConfig};
-
-        let config = ServerConfig {
-            port: 0,
-            workers: 1,
-            runners: 1,
-            queue_cap: 1,
-        };
-        let server = Server::bind(config).unwrap().spawn().unwrap();
+        let server = test_server();
         let silent = TcpStream::connect(server.addr()).unwrap();
         let mut half = TcpStream::connect(server.addr()).unwrap();
         half.write_all(b"GET /healthz HTTP/1.1\r\nHost: x").unwrap();
@@ -527,17 +576,11 @@ mod tests {
         // Both stalled connections are open; a third one is served.
         let mut live = TcpStream::connect(server.addr()).unwrap();
         live.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
-        let mut response = String::new();
-        live.read_to_string(&mut response).unwrap();
+        let response = read_response(&mut live);
         assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
 
         for mut stalled in [silent, half] {
-            // A guard for the test itself: fail rather than hang.
-            stalled.set_read_timeout(Some(READ_TIMEOUT * 20)).unwrap();
-            let mut response = String::new();
-            stalled
-                .read_to_string(&mut response)
-                .expect("the server answers and closes within its deadline");
+            let response = read_response(&mut stalled);
             assert!(
                 response.starts_with("HTTP/1.1 408 Request Timeout"),
                 "{response}"
@@ -550,15 +593,7 @@ mod tests {
     /// times out, and the request deadline still answers it.
     #[test]
     fn a_trickling_client_gets_408_at_the_request_deadline() {
-        use crate::{Server, ServerConfig};
-
-        let config = ServerConfig {
-            port: 0,
-            workers: 1,
-            runners: 1,
-            queue_cap: 1,
-        };
-        let server = Server::bind(config).unwrap().spawn().unwrap();
+        let server = test_server();
         let started = Instant::now();
         let mut slow = TcpStream::connect(server.addr()).unwrap();
         slow.write_all(b"GET /healthz HTTP/1.1\r\nX-Trickle: ")
@@ -583,8 +618,7 @@ mod tests {
                 // Past a read timeout of trickling, another client is served.
                 let mut live = TcpStream::connect(server.addr()).unwrap();
                 live.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
-                let mut healthz = String::new();
-                live.read_to_string(&mut healthz).unwrap();
+                let healthz = read_response(&mut live);
                 assert!(healthz.starts_with("HTTP/1.1 200 OK"), "{healthz}");
                 served = true;
             }
@@ -597,6 +631,158 @@ mod tests {
         );
         assert!(served);
         assert!(elapsed < REQUEST_DEADLINE * 2, "answered after {elapsed:?}");
+        server.shutdown();
+    }
+
+    /// A header line that is not `name: value` is refused, not skipped (the
+    /// generated sweep below found it skipped and the request served).
+    #[test]
+    fn a_header_line_that_is_not_a_field_gets_400() {
+        for line in [
+            "Host x",
+            " folded continuation",
+            "Content-Length : 0",
+            ": empty",
+        ] {
+            let request = format!("GET /healthz HTTP/1.0\r\n{line}\r\n\r\n");
+            let response = exchange_in_parts(&[request.as_bytes()]);
+            assert!(
+                response.starts_with("HTTP/1.1 400 Bad Request"),
+                "{line:?}: {response}"
+            );
+        }
+    }
+
+    /// Holding every slot with a silent connection, the next client is
+    /// answered 503 by the accept loop; once the silent ones get their 408,
+    /// the daemon serves again.
+    #[test]
+    fn past_the_connection_cap_a_client_gets_503() {
+        let server = test_server();
+        let stalled: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(server.addr()).unwrap())
+            .collect();
+        let mut over = TcpStream::connect(server.addr()).unwrap();
+        let response = read_response(&mut over);
+        assert!(
+            response.starts_with("HTTP/1.1 503 Service Unavailable"),
+            "{response}"
+        );
+        for mut stalled in stalled {
+            let response = read_response(&mut stalled);
+            assert!(
+                response.starts_with("HTTP/1.1 408 Request Timeout"),
+                "{response}"
+            );
+        }
+        let mut live = TcpStream::connect(server.addr()).unwrap();
+        live.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let response = read_response(&mut live);
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        server.shutdown();
+    }
+
+    /// One generated request: its bytes, and whether it is malformed (and
+    /// so must be refused with a 4xx) rather than merely odd.
+    #[derive(Debug)]
+    struct Generated {
+        bytes: Vec<u8>,
+        malformed: bool,
+    }
+
+    const METHODS: &[&str] = &["GET", "POST", "DELETE", "PUT"];
+    const PATHS: &[&str] = &["/healthz", "/metrics", "/campaigns", "/nope"];
+    const VERSIONS: &[&str] = &["HTTP/1.1", "HTTP/1.0", "HTTP/2"];
+    const HEADERS: &[&str] = &["Host: x", "Accept: text/plain", "X-C: a:b"];
+    const NO_COLON: &[&str] = &["Host x", "X-No-Colon", " folded continuation"];
+    const NON_UTF8: &[&[u8]] = &[b"\xff", b"\xc3\x28", b"\x80abc", b"\xed\xa0\x80"];
+
+    /// A well-formed request with one family's defect, or none: family 0 is
+    /// well-formed, 1 has a request line of fewer than two tokens, 2 a
+    /// header line without `:`, 3 non-UTF-8 header bytes, 4 a `Content-Length`
+    /// that is no length, 5 one longer than the body sent, 6 one shorter.
+    /// Only 6 is not malformed: the bytes past the length are ignored.
+    fn request() -> impl Strategy<Value = Generated> {
+        let line = (0..METHODS.len(), 0..PATHS.len(), 0..VERSIONS.len());
+        let headers = proptest::collection::vec(0..HEADERS.len(), 0..3);
+        let body = proptest::collection::vec(any::<u8>(), 1..48);
+        (0u8..7, line, headers, body, any::<usize>()).prop_map(
+            |(family, (m, p, v), headers, body, pick)| {
+                let tokens = [METHODS[m], PATHS[p], VERSIONS[v]];
+                let line = tokens[..if family == 1 { pick % 2 } else { 3 }].join(" ");
+                let mut bytes = format!("{line}\r\n").into_bytes();
+                for &h in &headers {
+                    bytes.extend_from_slice(format!("{}\r\n", HEADERS[h]).as_bytes());
+                }
+                let length = match family {
+                    2 => {
+                        let line = NO_COLON[pick % NO_COLON.len()];
+                        bytes.extend_from_slice(format!("{line}\r\n").as_bytes());
+                        body.len().to_string()
+                    }
+                    3 => {
+                        bytes.extend_from_slice(b"X-Bytes: ");
+                        bytes.extend_from_slice(NON_UTF8[pick % NON_UTF8.len()]);
+                        bytes.extend_from_slice(b"\r\n");
+                        body.len().to_string()
+                    }
+                    4 => {
+                        let past_usize = (usize::MAX as u128 + 1).to_string();
+                        let bad = ["abc", "", "12x", "-1", "0x10", &past_usize];
+                        bad[pick % bad.len()].to_owned()
+                    }
+                    5 => (body.len() + 1 + pick % 16).to_string(),
+                    6 => (pick % body.len()).to_string(),
+                    _ => body.len().to_string(),
+                };
+                bytes.extend_from_slice(format!("Content-Length: {length}\r\n\r\n").as_bytes());
+                bytes.extend_from_slice(&body);
+                Generated {
+                    bytes,
+                    malformed: (1..=5).contains(&family),
+                }
+            },
+        )
+    }
+
+    /// Every generated request is answered with a status line, a malformed
+    /// one with a 4xx, and the daemon still serves `/healthz` after the
+    /// sweep. Each case half-closes after writing, so a body shorter than
+    /// its length ends in EOF rather than a read timeout.
+    #[test]
+    fn every_malformed_request_gets_a_status_line() {
+        use proptest::test_runner::TestRng;
+
+        let server = test_server();
+        let strategy = request();
+        for case in 0..64 {
+            let mut rng =
+                TestRng::for_case("http::every_malformed_request_gets_a_status_line", case);
+            let generated = strategy.generate(&mut rng);
+            let mut client = TcpStream::connect(server.addr()).unwrap();
+            client.write_all(&generated.bytes).unwrap();
+            client.shutdown(std::net::Shutdown::Write).unwrap();
+            let response = read_response(&mut client);
+            let code = response
+                .strip_prefix("HTTP/1.1 ")
+                .and_then(|rest| rest.get(..4))
+                .and_then(|code| code.strip_suffix(' '))
+                .and_then(|code| code.parse::<u16>().ok());
+            let request = String::from_utf8_lossy(&generated.bytes);
+            let Some(code) = code else {
+                panic!("case {case}: {request:?} got no status line: {response:?}");
+            };
+            if generated.malformed {
+                assert!(
+                    (400..500).contains(&code),
+                    "case {case}: malformed {request:?} got {code}"
+                );
+            }
+        }
+        let mut live = TcpStream::connect(server.addr()).unwrap();
+        live.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let response = read_response(&mut live);
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
         server.shutdown();
     }
 

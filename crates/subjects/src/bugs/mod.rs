@@ -226,9 +226,9 @@ impl std::fmt::Debug for Bug {
 /// [`CloneProbe::clone_states`] call clones them the way a snapshot does —
 /// with copy-on-write states that is one `Vec` of pointer bumps, which
 /// `tests/snapshot_allocs.rs` pins at one allocated block — and returns the
-/// summed [`SystemModel::state_size_hint`], so the `state_clone`
-/// micro-benchmark can weigh clone time against the budget charge the same
-/// clone would incur as a snapshot.
+/// summed [`SystemModel::state_size_hint`], the budget charge the same clone
+/// would incur as a snapshot, which that test pins under a kilobyte. The
+/// benchmark times the clone as `model.snapshot_clone_ns`.
 pub struct CloneProbe {
     clone_fn: Box<dyn Fn() -> usize + Send + Sync>,
 }
@@ -523,8 +523,8 @@ impl Bug {
 
     /// Builds a [`CloneProbe`] over this bug's model: the final states of
     /// the recorded order, behind a type-erased clone interface (the input
-    /// of the `state_clone` micro-benchmark and of
-    /// `tests/snapshot_allocs.rs`).
+    /// of `tests/snapshot_allocs.rs` and of the benchmark's
+    /// `model.snapshot_clone_ns`).
     pub fn clone_probe(&self) -> CloneProbe {
         with_subject!(self, |model, _check| probe(model.clone(), &self.workload))
     }

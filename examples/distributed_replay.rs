@@ -8,13 +8,11 @@
 //!    it produces the same states as the fast inline executor.
 //! 2. **Runtime constraints (workflow State 4)** — drops a JSON constraints
 //!    file into a watched directory mid-session and shows ER-π absorbing it
-//!    and shrinking the remaining problem space, plus the deductive-store
-//!    persistence of the generated interleavings.
+//!    and shrinking the remaining problem space.
 //!
 //! Run with: `cargo run --example distributed_replay`
 
 use er_pi::{FailedOpsRule, InlineExecutor, PruningConfig, Session, SystemModel, TimeModel};
-use er_pi_datalog::InterleavingStore;
 use er_pi_model::{EventId, ReplicaId, Value};
 use er_pi_repro::ThreadedExecutor;
 use er_pi_subjects::TownApp;
@@ -58,7 +56,7 @@ fn main() {
     println!("states identical to the inline executor: {same}");
     assert!(same);
 
-    // -- Part 2: runtime constraints + persistence ----------------------
+    // -- Part 2: runtime constraints ------------------------------------
     println!("\n== runtime constraints (workflow State 4) ==");
     let dir = std::env::temp_dir().join(format!("er-pi-constraints-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("constraints dir");
@@ -77,28 +75,9 @@ fn main() {
     .expect("write constraints");
 
     session.watch_constraints(&dir);
-    session.set_keep_runs(true);
     let report = session.replay(&TownApp::invariant()).unwrap();
     println!("{}", report.summary());
     println!("(19 instead of 24: the JSON constraint was ingested mid-replay)");
-
-    // Persistence (the paper's Souffle store, §5.1) is the caller's step:
-    // copy the replayed interleavings out of the report.
-    let mut store = InterleavingStore::new(session.workload().expect("recorded"));
-    store.store_all(report.runs.iter().map(|r| &r.interleaving));
-    println!(
-        "deductive store holds {} interleavings over {} facts",
-        store.len(),
-        store.database().len()
-    );
-    // A Datalog query over the persisted interleavings: in how many does
-    // the transmit precede the fix's synchronization?
-    store.derive_precedes();
-    let stale = store.interleavings_where_precedes(ev4, ev3);
-    println!(
-        "datalog query: transmit-before-remove holds in {} of the persisted orders",
-        stale.len()
-    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

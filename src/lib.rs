@@ -9,7 +9,6 @@
 //! It also holds the one replay path the engine does not run on:
 //! [`ThreadedExecutor`], the paper's §4.3 Redlock-sequenced replay.
 pub use er_pi;
-pub use er_pi_datalog;
 pub use er_pi_dlock;
 pub use er_pi_interleave;
 pub use er_pi_model;

@@ -1,11 +1,10 @@
 //! End-to-end integration tests across the workspace: the full
-//! record → generate → prune → persist → replay → assert pipeline.
+//! record → generate → prune → replay → assert pipeline.
 
 use er_pi::{
     Assertion, ExploreMode, FailedOpsRule, InlineExecutor, PruningConfig, Session, SystemModel,
     TestSuite, TimeModel,
 };
-use er_pi_datalog::InterleavingStore;
 use er_pi_model::{EventId, ReplicaId, Value};
 use er_pi_repro::ThreadedExecutor;
 use er_pi_subjects::{CrdtsModel, RoshiModel, TownApp, YorkieModel};
@@ -90,28 +89,6 @@ fn threaded_and_inline_executors_agree_on_every_pruned_order() {
         checked += 1;
     }
     assert_eq!(checked, 24);
-}
-
-#[test]
-fn persisted_interleavings_are_queryable_via_datalog() {
-    let mut session = Session::new(TownApp::new(2));
-    let [_, _, ev3, ev4] = record_motivating(&mut session);
-    session.set_keep_runs(true);
-    let report = session.replay(&TestSuite::new()).unwrap();
-
-    let mut store = InterleavingStore::new(session.workload().unwrap());
-    store.store_all(report.runs.iter().map(|r| &r.interleaving));
-    assert_eq!(store.len(), report.explored);
-    store.derive_precedes();
-    let stale = store.interleavings_where_precedes(ev4, ev3);
-    let fresh = store.interleavings_where_precedes(ev3, ev4);
-    assert_eq!(stale.len() + fresh.len(), report.explored);
-    assert!(!stale.is_empty() && !fresh.is_empty());
-
-    // Round-trip the store through its JSON persistence.
-    let json = store.to_json();
-    let back = InterleavingStore::from_json(&json).unwrap();
-    assert_eq!(back.len(), store.len());
 }
 
 #[test]

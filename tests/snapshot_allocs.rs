@@ -78,7 +78,7 @@ fn populated<M: SystemModel>(model: &M, workload: &Workload) -> Vec<M::State> {
     InlineExecutor::execute(model, workload, &order, &TimeModel::paper_setup()).states
 }
 
-fn assert_one_block<S: Clone>(subject: &str, states: &[S]) {
+fn assert_one_block<M: SystemModel>(subject: &str, model: &M, states: &[M::State]) {
     let (blocks, copy) = blocks_during(|| states.to_vec());
     assert_eq!(copy.len(), states.len());
     assert_eq!(
@@ -87,6 +87,9 @@ fn assert_one_block<S: Clone>(subject: &str, states: &[S]) {
         "{subject}: a snapshot of {} replicas allocated {blocks} blocks, not just its Vec",
         states.len()
     );
+    // Charged under a kilobyte: what `DEFAULT_CACHE_BUDGET` rests on.
+    let hint: usize = copy.iter().map(|s| model.state_size_hint(s)).sum();
+    assert!((1..1024).contains(&hint), "{subject}: charged {hint}");
 }
 
 #[test]
@@ -103,7 +106,8 @@ fn a_catalogue_snapshot_allocates_one_block() {
     for bug in Bug::catalogue() {
         let probe = bug.clone_probe();
         let (blocks, hint) = blocks_during(|| probe.clone_states());
-        assert!(hint > 0);
+        // Charged under a kilobyte: what `DEFAULT_CACHE_BUDGET` rests on.
+        assert!((1..1024).contains(&hint), "{}: charged {hint}", bug.name);
         assert_eq!(
             blocks, 1,
             "{} ({}): cloning the recorded order's final states allocated {blocks} blocks, \
@@ -129,7 +133,7 @@ fn a_town_crdts_or_ledger_snapshot_allocates_one_block() {
     let w = w.build();
     let town = populated(&TownApp::new(2), &w);
     assert!(town[0].transmitted.is_some() && !town[1].issues.is_empty());
-    assert_one_block("town", &town);
+    assert_one_block("town", &TownApp::new(2), &town);
 
     // Table 1 has no `crdts` bug: OR-set and RGA entries on three replicas.
     let mut w = Workload::builder();
@@ -137,12 +141,14 @@ fn a_town_crdts_or_ledger_snapshot_allocates_one_block() {
         w.update(r((i % 3) as u16), "set_add", [Value::from(i)]);
         w.update(r((i % 3) as u16), "list_push", [Value::from(i)]);
     }
-    assert_one_block("crdts", &populated(&CrdtsModel::new(3), &w.build()));
+    let crdts = CrdtsModel::new(3);
+    assert_one_block("crdts", &crdts, &populated(&crdts, &w.build()));
 
     let mut w = Workload::builder();
     let credit = w.update(r(0), "credit", [Value::from(100)]);
     w.sync_pair(r(0), r(1), credit);
-    assert_one_block("ledger", &populated(&LedgerApp::new(2), &w.build()));
+    let ledger = LedgerApp::new(2);
+    assert_one_block("ledger", &ledger, &populated(&ledger, &w.build()));
 }
 
 /// Building a failure from a static reason copies nothing, and cloning any
