@@ -110,11 +110,11 @@ impl ResourceProfile {
 }
 
 /// One replay slot's share of a campaign — how many interleavings it
-/// replayed and how much simulated time they cost. Threaded into
-/// [`Report::worker_loads`](crate::Report::worker_loads) so the fig8/fig9/
-/// fig10 timing pipelines can attribute cost per worker; the *assignment*
-/// of runs to workers is scheduling-dependent, but the totals across
-/// workers are not.
+/// replayed and how much simulated time they cost. A report carries one
+/// per slot in [`SessionSummary::workers`](crate::SessionSummary::workers),
+/// so the fig8/fig9/fig10 timing pipelines can attribute cost per worker;
+/// the *assignment* of runs to workers is scheduling-dependent, but the
+/// totals across workers are not.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct WorkerLoad {
     /// Slot index within the campaign (0-based).

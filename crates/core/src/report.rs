@@ -6,7 +6,7 @@ use er_pi_analysis::Diagnostic;
 use er_pi_interleave::PruneStats;
 use er_pi_model::{Interleaving, Value};
 
-use crate::{CacheStats, SessionSummary, WorkerLoad};
+use crate::{CacheStats, SessionSummary};
 
 /// The record of one replayed interleaving.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -66,25 +66,22 @@ pub struct Report {
     /// Pre-replay lint diagnostics from the static trace analysis
     /// (misconception patterns flagged before any interleaving ran).
     pub diagnostics: Vec<Diagnostic>,
-    /// Per-slot replay counters, one entry per replay slot (slot 0 is the
-    /// thread that called `replay`). The run→slot assignment is
-    /// scheduling-dependent; every other field of the report is not.
-    pub worker_loads: Vec<WorkerLoad>,
     /// Checkpoint-cache counters of the incremental executor (`None` for a
     /// scratch replay). The counters are summed over the per-slot
-    /// executors, which makes them scheduling-dependent — like
-    /// `worker_loads` and `wall_ms` they are excluded from [`Report::diff`].
+    /// executors, which makes them scheduling-dependent — like `wall_ms`
+    /// they are excluded from [`Report::diff`].
     pub cache_stats: Option<CacheStats>,
     /// The end-of-session attribution table unifying the pruning, worker,
-    /// cache, and failure counters. Aggregates the scheduling-dependent
-    /// fields above (wall time, worker loads, cache counters), so it is
-    /// likewise excluded from [`Report::diff`].
+    /// cache, and failure counters. Its per-slot rows
+    /// ([`SessionSummary::workers`]) and the wall time and cache counters it
+    /// aggregates are scheduling-dependent, so it is likewise excluded from
+    /// [`Report::diff`].
     pub session_summary: SessionSummary,
     /// Operational advisories (e.g. the degraded checkpoint-cache
     /// warning), surfaced here so headless campaigns see them without a
     /// telemetry sink. Derived from the scheduling-dependent cache
-    /// counters, so — like `wall_ms` and `worker_loads` — advisories are
-    /// excluded from [`Report::diff`] and [`Report::canonical_json`].
+    /// counters, so — like `wall_ms` and the summary's worker rows —
+    /// advisories are excluded from [`Report::diff`] and [`Report::canonical_json`].
     pub advisories: Vec<String>,
 }
 
@@ -184,6 +181,7 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WorkerLoad;
 
     #[test]
     fn summary_mentions_the_essentials() {
@@ -215,11 +213,14 @@ mod tests {
     fn diff_ignores_wall_clock_worker_assignment_and_cache_counters() {
         let a = Report {
             wall_ms: 10,
-            worker_loads: vec![WorkerLoad {
-                worker: 0,
-                runs: 3,
-                sim_us: 9,
-            }],
+            session_summary: SessionSummary {
+                workers: vec![WorkerLoad {
+                    worker: 0,
+                    runs: 3,
+                    sim_us: 9,
+                }],
+                ..SessionSummary::default()
+            },
             cache_stats: Some(CacheStats {
                 hits: 5,
                 misses: 1,
@@ -264,11 +265,14 @@ mod tests {
             mode: "ER-π".into(),
             explored: 19,
             wall_ms: 777,
-            worker_loads: vec![WorkerLoad {
-                worker: 1,
-                runs: 19,
-                sim_us: 5,
-            }],
+            session_summary: SessionSummary {
+                workers: vec![WorkerLoad {
+                    worker: 1,
+                    runs: 19,
+                    sim_us: 5,
+                }],
+                ..SessionSummary::default()
+            },
             ..Report::default()
         };
         assert_eq!(base.diff(&rescheduled), None);

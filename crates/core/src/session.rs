@@ -760,7 +760,7 @@ impl<M: SystemModel> Session<M> {
                 outcome.prune_stats.as_ref(),
                 outcome.filter_timings.as_ref(),
             ),
-            workers: outcome.worker_loads.clone(),
+            workers: outcome.worker_loads,
             cache,
             failures: outcome.failures,
         };
@@ -770,7 +770,7 @@ impl<M: SystemModel> Session<M> {
         // campaigns nobody watched live. Advisories are scheduling-dependent
         // — hit/miss attribution depends on which slot got which run — so
         // they live OUTSIDE the byte-identical report contract, like
-        // `wall_ms` and `worker_loads`.
+        // `wall_ms` and the summary's worker rows.
         let cache = cache.unwrap_or_default();
         let advisories = Vec::from_iter(low_hit_rate(cache.hits, cache.misses));
 
@@ -789,7 +789,6 @@ impl<M: SystemModel> Session<M> {
             violations: outcome.violations,
             stopped_early: outcome.stopped_early,
             diagnostics,
-            worker_loads: outcome.worker_loads,
             cache_stats: outcome.cache_stats,
             session_summary,
             advisories,

@@ -53,8 +53,9 @@ pub struct SessionSummary {
     /// Per-pruner attribution rows, in filter evaluation order; empty for
     /// the non-pruning modes or when no filter saw a candidate.
     pub pruners: Vec<PrunerRow>,
-    /// Per-slot replay counters, one row per replay slot (matching
-    /// `Report::worker_loads`).
+    /// Per-slot replay counters, one row per replay slot (slot 0 is the
+    /// thread that called `replay`). The run→slot assignment is
+    /// scheduling-dependent; the sum is [`SessionSummary::executed`].
     pub workers: Vec<WorkerLoad>,
     /// Checkpoint-cache counters (`None` for scratch replay). `hits` and
     /// `misses` stay zero when the executors kept no snapshots

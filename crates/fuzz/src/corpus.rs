@@ -3,7 +3,7 @@
 //! Each corpus file holds one [`Finding`]; the filename embeds the case
 //! fingerprint (`finding-<fingerprint:016x>.json`) so campaign runs can
 //! match fresh findings against known ones without parsing. The corpus is
-//! the fuzzing analogue of the bug catalogue: `tests/fuzz_corpus.rs`
+//! the fuzzing analogue of the bug catalogue: `tests/suite/fuzz_corpus.rs`
 //! re-runs every file deterministically on each `cargo test`.
 
 use std::fs;

@@ -10,7 +10,7 @@
 //!
 //! No explorer of this crate emits an interleaving twice: [`DfsExplorer`],
 //! [`ErPiExplorer`] and [`FaultProduct`] enumerate, and [`RandomExplorer`]
-//! keeps its own set of what it drew (`tests/explorer_distinct.rs` at the
+//! keeps its own set of what it drew (`tests/suite/explorer_distinct.rs` at the
 //! workspace root pins all of it). A duplicate can only come from a State-4
 //! regeneration — [`IndexedSource::reseed`] swaps in a fresh explorer that
 //! starts over — so only a source [made for

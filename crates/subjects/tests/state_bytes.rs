@@ -13,8 +13,8 @@
 //! field in a canonical encoding, say — replaces the row with the one the
 //! failure message prints.
 
-#[path = "../../../tests/common/mod.rs"]
-mod common;
+#[path = "../../../tests/common/town.rs"]
+mod town;
 
 use er_pi::Session;
 use er_pi_model::{ReplicaId, Value, Workload};
@@ -350,7 +350,7 @@ fn assert_pinned(subject: &str, digests: &[(u128, u128)]) {
 
 fn town_workload() -> Workload {
     let mut session = Session::new(TownApp::new(2));
-    session.record(common::record_town);
+    session.record(town::record_town);
     session.workload().expect("recorded").clone()
 }
 

@@ -1,22 +1,29 @@
 //! What the differential suites share: the scheduling cells they sweep, the
 //! catalogue matrix over those cells (`matrix`), the benchmark's town
-//! recording, a reference replay that is not the engine, and the agreement
-//! table of a watched campaign's views (`views`).
+//! recording (`town`), a reference replay that is not the engine, and the
+//! agreement table of a watched campaign's views (`views`). Each root test
+//! binary that declares `mod common` uses a part of it.
 #![allow(dead_code)]
 
 pub mod matrix;
+pub mod town;
 pub mod views;
 
 use std::fmt;
 
 use er_pi::{
-    CheckContext, ExploreMode, InlineExecutor, LiveSystem, ReplayConfig, RunRecord, Session,
-    SystemModel, TestSuite, TimeModel, Violation,
+    CheckContext, ExploreMode, InlineExecutor, ReplayConfig, RunRecord, Session, SystemModel,
+    TestSuite, TimeModel, Violation,
 };
 use er_pi_interleave::{
     DfsExplorer, ErPiExplorer, FaultProduct, IndexedSource, PruningConfig, RandomExplorer,
 };
 use er_pi_model::{FaultPlan, Interleaving, ReplicaId, Value, Workload};
+
+/// Replica `i`.
+pub fn r(i: u16) -> ReplicaId {
+    ReplicaId::new(i)
+}
 
 /// The replay slot counts every worker-count sweep covers.
 pub const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
@@ -86,23 +93,6 @@ impl fmt::Display for Cell {
         };
         write!(f, "{} worker(s), {executor}{subsume}", self.workers)
     }
-}
-
-/// The benchmark's town recording (`benchmark/src/inputs.rs`, with fixed
-/// issue names): the §2.3 example extended with a second add/remove pair,
-/// 10 events on 2 replicas.
-pub fn record_town<M: SystemModel>(app: &mut LiveSystem<'_, M>) {
-    let r = ReplicaId::new;
-    let ev1 = app.invoke(r(0), "add", [Value::from("otb")]);
-    app.sync(r(0), r(1), ev1);
-    let ev2 = app.invoke(r(1), "add", [Value::from("ph")]);
-    app.sync(r(1), r(0), ev2);
-    let ev3 = app.invoke(r(1), "remove", [Value::from("otb")]);
-    app.sync(r(1), r(0), ev3);
-    let ev4 = app.invoke(r(0), "add", [Value::from("pl")]);
-    app.sync(r(0), r(1), ev4);
-    app.invoke(r(1), "remove", [Value::from("ph")]);
-    app.external(r(0), "transmit");
 }
 
 /// What a replay must report, as far as scheduling cannot change it.

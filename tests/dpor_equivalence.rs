@@ -28,20 +28,18 @@
 
 mod common;
 
-use common::matrix::{sweep, sweep_sleep, violation_set};
+use crate::common::matrix::{sweep, sweep_sleep, violation_set};
+use crate::common::r;
+use crate::common::town::record_town;
 
 use proptest::prelude::*;
 
 use er_pi::{Attachments, ExploreMode, InlineExecutor, ReplayConfig, Session, TimeModel};
 use er_pi_interleave::FaultSpace;
-use er_pi_model::{EventId, FaultEvent, FaultKind, FaultPlan, Interleaving, ReplicaId, Value};
+use er_pi_model::{EventId, FaultEvent, FaultKind, FaultPlan, Interleaving, Value};
 use er_pi_subjects::TownApp;
 
 const CAP: usize = 10_000;
-
-fn r(i: u16) -> ReplicaId {
-    ReplicaId::new(i)
-}
 
 // ---------------------------------------------------------------------------
 // Subsumption on the town workloads: the ≥10× acceptance number on the
@@ -52,7 +50,7 @@ fn r(i: u16) -> ReplicaId {
 /// DFS order. Event 5 is the propagation sync of the first `remove`.
 fn town_session_10(cap: usize) -> Session<TownApp> {
     let mut session = Session::new(TownApp::new(2));
-    session.record(common::record_town);
+    session.record(record_town);
     session.set_mode(ExploreMode::Dfs);
     session.set_cap(cap);
     session
@@ -186,7 +184,7 @@ fn a_subsuming_fault_product_equals_scratch_replay() {
             ..ReplayConfig::default()
         };
         let mut session = Session::with_config(TownApp::new(2), config, Attachments::default());
-        session.record(common::record_town);
+        session.record(record_town);
         session.set_fault_space(FaultSpace::all(1));
         session.replay(&TownApp::invariant()).expect("recorded")
     };
@@ -211,33 +209,6 @@ fn a_subsuming_fault_product_equals_scratch_replay() {
             );
         }
     }
-}
-
-/// `ER_PI_SUBSUME_AUDIT=1` keeps the canonical bytes next to the digests
-/// and executes every hit anyway, panicking on a 128-bit collision or a
-/// false subsumption — and the audited report must still equal the plain
-/// reference, with the verified hits counted as subsumed.
-#[test]
-fn audit_mode_executes_hits_and_stays_identical() {
-    let mut reference = town_session_10(CAP);
-    let reference = reference.replay(&TownApp::invariant()).expect("recorded");
-
-    std::env::set_var("ER_PI_SUBSUME_AUDIT", "1");
-    let mut session = town_session_10(CAP);
-    session.set_subsumption(true);
-    let audited = session.replay(&TownApp::invariant()).expect("recorded");
-    std::env::remove_var("ER_PI_SUBSUME_AUDIT");
-
-    assert_eq!(
-        reference.diff(&audited),
-        None,
-        "audit mode changed the report"
-    );
-    let stats = audited.cache_stats.expect("subsuming replay reports stats");
-    assert!(
-        stats.subsumed > 0,
-        "audit mode must still count verified hits as subsumed"
-    );
 }
 
 // ---------------------------------------------------------------------------

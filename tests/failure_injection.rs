@@ -16,7 +16,7 @@
 //! Convergence under *any* delivery order of the same operations is
 //! `er-pi-rdl`'s `convergence.rs` (`orset_delivery_order_independent`,
 //! `rga_delivery_order_independent`) and the fuzzer's crdts target
-//! (`tests/fuzz_corpus.rs`). That a run never sees the damage a run before
+//! (`tests/suite/fuzz_corpus.rs`). That a run never sees the damage a run before
 //! it left behind, whatever was cached, moved out or unwound, is
 //! `incremental_props.rs::no_hint_can_change_an_execution`.
 //!

@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{cells, Cell, SCRATCH};
+use crate::common::{cells, r, Cell, SCRATCH};
 use er_pi::{
     enumerate_plans, CheckContext, FaultInterpreter, FaultSpace, OpOutcome, ReplayConfig, Report,
     Session, SystemModel, TestSuite,
@@ -20,10 +20,6 @@ use er_pi::{
 use er_pi_fuzz::{report_for, FuzzCase, SpecEntry, SpecFault, Target, WorkloadSpec, ORACLE_CAP};
 use er_pi_model::{Event, EventId, FaultEvent, FaultKind, FaultPlan, ReplicaId, Value, Workload};
 use er_pi_subjects::{CrdtsModel, CrdtsState, LedgerApp, LedgerState};
-
-fn r(i: u16) -> ReplicaId {
-    ReplicaId::new(i)
-}
 
 /// Two credits on different replicas, each shipped to the other.
 fn ledger_workload() -> Workload {

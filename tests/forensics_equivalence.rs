@@ -12,11 +12,11 @@
 //! into a shared [`Registry`] produces the same canonical report bytes as a
 //! detached one.
 
-mod common;
-
 use std::sync::Arc;
 
-use common::matrix::sweep;
+mod common;
+
+use crate::common::matrix::sweep;
 use er_pi::telemetry::Registry;
 use er_pi::{Attachments, ForensicBundle, ReplayConfig, SessionMetrics, Violation};
 use er_pi_rdl::fnv1a128;

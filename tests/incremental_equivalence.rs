@@ -13,8 +13,8 @@
 
 mod common;
 
-use common::matrix::sweep;
-use common::{Cell, SCRATCH};
+use crate::common::matrix::sweep;
+use crate::common::{Cell, SCRATCH};
 use er_pi::{ExploreMode, Report, Session, TestSuite};
 use er_pi_interleave::{ErPiExplorer, Explorer, IndexedSource, PruningConfig, RandomExplorer};
 use er_pi_model::{EventId, Interleaving, ReplicaId, Value};

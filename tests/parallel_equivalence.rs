@@ -13,12 +13,13 @@
 //! report under default retention states exactly what one that kept its run
 //! records states, and `SystemModel::observe` runs only for a reader.
 
-mod common;
-
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use common::matrix::sweep;
-use common::{cells, record_town, reference_replay, Cell, Reference, SCRATCH, WORKER_COUNTS};
+mod common;
+
+use crate::common::matrix::sweep;
+use crate::common::town::record_town;
+use crate::common::{cells, r, reference_replay, Cell, Reference, SCRATCH, WORKER_COUNTS};
 use er_pi::{
     enumerate_plans, Assertion, ExploreMode, FailureStats, FaultSpace, LiveSystem, OpOutcome,
     ReplayConfig, Report, Session, SystemModel, TestSuite,
@@ -29,10 +30,6 @@ use er_pi_subjects::{Bug, CrdtsModel, RoshiModel, TownApp, YorkieModel};
 /// Cap of the engine-versus-naive-loop matrix: enough runs for ten chunks
 /// on one slot and for every slot of four to claim several.
 const MATRIX_CAP: usize = 640;
-
-fn r(i: u16) -> ReplicaId {
-    ReplicaId::new(i)
-}
 
 /// `workers == 1` is the same campaign loop on the calling thread alone, the
 /// left-hand side of every diff: replaying the stop-first reference's own

@@ -13,8 +13,8 @@
 
 mod common;
 
-use common::matrix::sweep;
-use common::SCRATCH;
+use crate::common::matrix::sweep;
+use crate::common::SCRATCH;
 use er_pi::{
     certify_table, certify_table_with, validate_table, Attachments, LintPattern, OpOutcome,
     PruningConfig, ReplayConfig, Session, SystemModel, TestSuite, Verdict,

@@ -20,7 +20,8 @@
 //! is inside [`blocks_during`], so the count is exact however the harness
 //! schedules its tests.
 
-mod common;
+#[path = "common/town.rs"]
+mod town;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -329,7 +330,7 @@ fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
             ..ReplayConfig::default()
         };
         let mut session = Session::with_config(TownApp::new(2), config, Attachments::default());
-        session.record(common::record_town);
+        session.record(town::record_town);
         let suite = TownApp::invariant();
         let (blocks, report) = blocks_during(|| session.replay(&suite).expect("recorded"));
         assert_eq!(report.explored, 10_000);
@@ -366,7 +367,7 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
         ..ReplayConfig::default()
     };
     let mut session = Session::with_config(TownApp::new(2), config, Attachments::default());
-    session.record(common::record_town);
+    session.record(town::record_town);
     session.set_fault_space(er_pi_interleave::FaultSpace::all(1));
     let suite = TownApp::invariant();
     let (blocks, report) = blocks_during(|| session.replay(&suite).expect("recorded"));

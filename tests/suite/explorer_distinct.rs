@@ -10,10 +10,9 @@
 //! (`RandomExplorer` draws with replacement and keeps its own set; its unit
 //! tests and `incremental_equivalence.rs`' wasted-work check hold that.)
 
-mod common;
-
 use std::collections::HashSet;
 
+use crate::common::town::record_town;
 use er_pi::Session;
 use er_pi_interleave::{
     enumerate_plans, DfsExplorer, ErPiExplorer, FaultProduct, FaultSpace, PruningConfig,
@@ -39,7 +38,7 @@ fn assert_distinct(what: &str, explorer: impl Iterator<Item = Interleaving>) {
 /// The benchmark's 10-event town recording.
 fn town_workload() -> Workload {
     let mut session = Session::new(TownApp::new(2));
-    session.record(common::record_town);
+    session.record(record_town);
     session.workload().expect("recorded").clone()
 }
 

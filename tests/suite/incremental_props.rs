@@ -21,6 +21,7 @@ use std::sync::Once;
 
 use proptest::prelude::*;
 
+use crate::steps::{arb_steps, build_workload};
 use er_pi::{
     ExecutionRef, ExploreMode, IncrementalExecutor, InlineExecutor, OpOutcome, Report, Session,
     SystemModel, TestSuite, TimeModel, DEFAULT_CACHE_BUDGET,
@@ -155,47 +156,6 @@ fn silence_the_fuse() {
             }
         }));
     });
-}
-
-#[derive(Debug, Clone)]
-enum Step {
-    Update(u16, i64),
-    Sync(u16),
-}
-
-fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
-    proptest::collection::vec(
-        prop_oneof![
-            (0u16..2, 1i64..9).prop_map(|(r, v)| Step::Update(r, v)),
-            (0u16..2).prop_map(Step::Sync),
-        ],
-        1..6,
-    )
-}
-
-fn build_workload(steps: &[Step]) -> Workload {
-    let mut w = Workload::builder();
-    let mut last_update = None;
-    for step in steps {
-        match step {
-            Step::Update(r, v) => {
-                last_update = Some(w.update(ReplicaId::new(*r), "set", [Value::from(*v)]));
-            }
-            Step::Sync(r) => {
-                let from = ReplicaId::new(*r);
-                let to = ReplicaId::new(1 - *r);
-                match last_update {
-                    Some(u) => {
-                        w.sync_pair(from, to, u);
-                    }
-                    None => {
-                        w.sync_untracked(from, to);
-                    }
-                }
-            }
-        }
-    }
-    w.build()
 }
 
 /// A campaign over `workload`: incremental on a [`Scaled`] machine at

@@ -10,94 +10,12 @@
 //! standalone replay of the same spec explains locally, and the status,
 //! summary, progress and report payloads keep their key sets.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::thread;
-use std::time::{Duration, Instant};
-
+use crate::http::{daemon, field, get, get_accept, poll_until_done, submit_id};
 use er_pi::telemetry::{lint_exposition, lint_monotone};
 use er_pi::ReplayConfig;
-use er_pi_server::{Server, ServerConfig, ServerHandle};
+use er_pi_server::{ServerConfig, ServerHandle};
 use er_pi_subjects::Bug;
 use serde::Content;
-
-// ---------------------------------------------------------------------
-// Socket helpers (one Connection: close exchange per call).
-// ---------------------------------------------------------------------
-
-fn exchange(addr: &str, request: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to the daemon");
-    stream
-        .write_all(request.as_bytes())
-        .expect("write the request");
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .expect("read the response");
-    let code = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .expect("a status line");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_owned())
-        .unwrap_or_default();
-    (code, body)
-}
-
-fn get(addr: &str, path: &str) -> (u16, String) {
-    exchange(
-        addr,
-        &format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"),
-    )
-}
-
-fn get_accept(addr: &str, path: &str, accept: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to the daemon");
-    stream
-        .write_all(
-            format!(
-                "GET {path} HTTP/1.1\r\nHost: t\r\nAccept: {accept}\r\nConnection: close\r\n\r\n"
-            )
-            .as_bytes(),
-        )
-        .expect("write the request");
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .expect("read the response");
-    let (head, body) = response.split_once("\r\n\r\n").expect("a header block");
-    let code = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .expect("a status line");
-    let content_type = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Type: "))
-        .unwrap_or_default()
-        .to_owned();
-    (code, content_type, body.to_owned())
-}
-
-fn post(addr: &str, path: &str, body: &str) -> (u16, String) {
-    exchange(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
-}
-
-fn field<'a>(json: &'a str, name: &str) -> Option<&'a str> {
-    let key = format!("\"{name}\":");
-    let at = json.find(&key)? + key.len();
-    let rest = json[at..].trim_start();
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"'))
-}
 
 /// The entries of a JSON object, keys in the order the body carries them.
 fn entries(value: Content) -> Vec<(String, Content)> {
@@ -124,38 +42,13 @@ fn member(object: &[(String, Content)], name: &str) -> Content {
     value.unwrap_or_else(|| panic!("no {name}")).1.clone()
 }
 
-fn submit_id(addr: &str, spec: &str) -> String {
-    let (code, body) = post(addr, "/campaigns", spec);
-    assert_eq!(code, 202, "submission refused: {body}");
-    field(&body, "id").expect("an id").to_owned()
-}
-
-fn poll_until_terminal(addr: &str, id: &str) -> String {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let (code, body) = get(addr, &format!("/campaigns/{id}"));
-        assert_eq!(code, 200, "status poll failed: {body}");
-        let state = field(&body, "state").expect("a state").to_owned();
-        if ["done", "cancelled", "failed"].contains(&state.as_str()) {
-            return state;
-        }
-        assert!(Instant::now() < deadline, "campaign {id} stuck in {state}");
-        thread::sleep(Duration::from_millis(5));
-    }
-}
-
 fn tiny_daemon() -> (ServerHandle, String) {
-    let handle = Server::bind(ServerConfig {
+    daemon(ServerConfig {
         port: 0,
         workers: 2,
         runners: 2,
         queue_cap: 8,
     })
-    .expect("binds")
-    .spawn()
-    .expect("spawns");
-    let addr = handle.addr().to_string();
-    (handle, addr)
 }
 
 // ---------------------------------------------------------------------
@@ -221,7 +114,7 @@ fn metrics_negotiate_json_and_lintable_monotone_prometheus_text() {
         &addr,
         r#"{"bug": "Roshi-1", "cap": 200, "tenant": "smoke"}"#,
     );
-    assert_eq!(poll_until_terminal(&addr, &id), "done");
+    poll_until_done(&addr, &id);
     let (_, _, second) = get_accept(&addr, "/metrics", "text/plain");
     lint_exposition(&second).expect("second scrape lints");
     lint_monotone(&first, &second).expect("counters only go up");
@@ -248,7 +141,7 @@ fn metrics_negotiate_json_and_lintable_monotone_prometheus_text() {
         })
         .collect();
     for id in &ids {
-        assert_eq!(poll_until_terminal(&addr, id), "done");
+        poll_until_done(&addr, id);
     }
     let (_, _, body) = get_accept(&addr, "/metrics", "application/json");
     let fleet = object(&body);
@@ -267,7 +160,7 @@ fn event_stream_replays_history_and_ends_with_the_terminal_event() {
     let (handle, addr) = tiny_daemon();
     let id = submit_id(&addr, r#"{"bug": "OrbitDB-2", "cap": 500}"#);
     // Late subscription is the harder case: the full history must replay.
-    assert_eq!(poll_until_terminal(&addr, &id), "done");
+    poll_until_done(&addr, &id);
     let (code, body) = get(&addr, &format!("/campaigns/{id}/events"));
     assert_eq!(code, 200, "{body}");
     let events: Vec<&str> = body
@@ -392,7 +285,7 @@ fn event_stream_replays_history_and_ends_with_the_terminal_event() {
 fn violation_bundles_are_served_and_match_a_local_explain() {
     let (handle, addr) = tiny_daemon();
     let id = submit_id(&addr, r#"{"bug": "Roshi-1", "cap": 200}"#);
-    assert_eq!(poll_until_terminal(&addr, &id), "done");
+    poll_until_done(&addr, &id);
 
     let (code, bundle) = get(&addr, &format!("/campaigns/{id}/violations/0"));
     assert_eq!(code, 200, "{bundle}");

@@ -3,7 +3,8 @@
 //! single run, and faster than the sequential scan.
 //!
 //! Ignored by default (it replays 20 000 interleavings of a deliberately
-//! latency-heavy model); the nightly CI job runs it with `-- --ignored`.
+//! latency-heavy model); the nightly CI job runs it with
+//! `cargo test --test suite -- parallel_soak:: --ignored`.
 
 use std::collections::HashSet;
 use std::time::Instant;

@@ -15,8 +15,7 @@
 //! [`FULL_CAP_CATALOGUE_HASH`], pins the catalogue at the paper's cap of
 //! 10 000: every verdict the bug checks reach in the benchmark's sweep.
 
-mod common;
-
+use crate::common::town::record_town;
 use er_pi::{Attachments, ExploreMode, FaultSpace, ReplayConfig, Report, Session};
 use er_pi_subjects::{Bug, TownApp};
 
@@ -39,7 +38,7 @@ const EXECUTORS: [(bool, bool); 4] = [(false, false), (true, false), (true, true
 /// one-fault plan if `faulted`.
 fn town_report(config: ReplayConfig, faulted: bool) -> Report {
     let mut session = Session::with_config(TownApp::new(2), config, Attachments::default());
-    session.record(common::record_town);
+    session.record(record_town);
     if faulted {
         session.set_fault_space(FaultSpace::all(1));
     }

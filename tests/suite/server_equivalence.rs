@@ -15,17 +15,18 @@
 //!    daemon admits — its report is the standalone oracle's under the same
 //!    `ReplayConfig`.
 
-mod common;
-
-use common::WORKER_COUNTS;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::thread;
-use std::time::{Duration, Instant};
+
+use crate::common::matrix::violation_set;
+use crate::common::WORKER_COUNTS;
+use crate::http::{
+    daemon, delete, field, get, poll_until, poll_until_done, poll_until_progress, post, submit_id,
+    TERMINAL,
+};
 
 use er_pi::{Attachments, ExecutorService, ReplayConfig, Report};
 use er_pi_fuzz::{report_for, FuzzCase};
-use er_pi_server::{Server, ServerConfig};
+use er_pi_server::ServerConfig;
 use er_pi_subjects::Bug;
 
 /// The standalone side replays on one slot; the service brings its own.
@@ -89,111 +90,6 @@ fn co_scheduled_campaign_reports_are_byte_identical_to_standalone() {
     }
 }
 
-// ---------------------------------------------------------------------
-// Socket-level helpers: one Connection: close exchange per call.
-// ---------------------------------------------------------------------
-
-fn exchange(addr: &str, request: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to the daemon");
-    stream
-        .write_all(request.as_bytes())
-        .expect("write the request");
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .expect("read the response");
-    let code = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .expect("a status line");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_owned())
-        .unwrap_or_default();
-    (code, body)
-}
-
-fn get(addr: &str, path: &str) -> (u16, String) {
-    exchange(
-        addr,
-        &format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"),
-    )
-}
-
-fn post(addr: &str, path: &str, body: &str) -> (u16, String) {
-    exchange(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
-}
-
-fn delete(addr: &str, path: &str) -> (u16, String) {
-    exchange(
-        addr,
-        &format!("DELETE {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"),
-    )
-}
-
-fn field<'a>(json: &'a str, name: &str) -> Option<&'a str> {
-    let key = format!("\"{name}\":");
-    let at = json.find(&key)? + key.len();
-    let rest = json[at..].trim_start();
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-fn submit_id(addr: &str, spec: &str) -> String {
-    let (code, body) = post(addr, "/campaigns", spec);
-    assert_eq!(code, 202, "submission refused: {body}");
-    field(&body, "id").expect("an id").to_owned()
-}
-
-/// Polls until the campaign reaches `want` (or any terminal state if
-/// `want` is terminal-only); panics after 120 s.
-fn poll_until(addr: &str, id: &str, want: &[&str]) -> String {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let (code, body) = get(addr, &format!("/campaigns/{id}"));
-        assert_eq!(code, 200, "status poll failed: {body}");
-        let state = field(&body, "state").expect("a state").to_owned();
-        if want.contains(&state.as_str()) {
-            return body;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "campaign {id} stuck in {state}, wanted {want:?}"
-        );
-        thread::sleep(Duration::from_millis(5));
-    }
-}
-
-/// Polls until the campaign is running *and* has published a live
-/// progress snapshot — i.e. exploration proper is under way.
-fn poll_until_progress(addr: &str, id: &str) -> String {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let (code, body) = get(addr, &format!("/campaigns/{id}"));
-        assert_eq!(code, 200, "status poll failed: {body}");
-        if body.contains("\"runs_done\"") {
-            return body;
-        }
-        let state = field(&body, "state").expect("a state").to_owned();
-        assert!(
-            !["done", "cancelled", "failed"].contains(&state.as_str()),
-            "campaign {id} ended ({state}) before progress was observed"
-        );
-        assert!(
-            Instant::now() < deadline,
-            "campaign {id} never published progress"
-        );
-        thread::sleep(Duration::from_millis(2));
-    }
-}
-
 /// A trace campaign with a causally unconstrained 756 756-interleaving
 /// space: 15 round-robin ledger credits over 3 replicas. Big enough that
 /// a capped campaign is still mid-flight when the test lands a `DELETE`.
@@ -217,16 +113,12 @@ fn long_trace_spec(tenant: &str, priority: u8) -> String {
 /// the co-scheduled one still reports.
 #[test]
 fn delete_cancels_only_the_targeted_campaign_over_a_real_socket() {
-    let handle = Server::bind(ServerConfig {
+    let (handle, addr) = daemon(ServerConfig {
         port: 0,
         workers: 2,
         runners: 2,
         queue_cap: 8,
-    })
-    .expect("bind")
-    .spawn()
-    .expect("spawn");
-    let addr = handle.addr().to_string();
+    });
 
     let (code, body) = get(&addr, "/healthz");
     assert_eq!((code, body.as_str()), (200, r#"{"status":"ok"}"#));
@@ -245,14 +137,13 @@ fn delete_cancels_only_the_targeted_campaign_over_a_real_socket() {
     let (code, body) = delete(&addr, &format!("/campaigns/{victim}"));
     assert_eq!(code, 202, "{body}");
 
-    let ended = poll_until(&addr, &victim, &["cancelled", "done", "failed"]);
+    let ended = poll_until(&addr, &victim, &TERMINAL);
     assert_eq!(field(&ended, "state"), Some("cancelled"), "{ended}");
     let (code, body) = get(&addr, &format!("/campaigns/{victim}/report"));
     assert_eq!(code, 409, "cancelled campaigns have no report: {body}");
 
     // The co-scheduled campaign is untouched: it completes and reports.
-    let done = poll_until(&addr, &cotenant, &["done", "cancelled", "failed"]);
-    assert_eq!(field(&done, "state"), Some("done"), "{done}");
+    poll_until_done(&addr, &cotenant);
     let (code, report) = get(&addr, &format!("/campaigns/{cotenant}/report"));
     assert_eq!(code, 200, "{report}");
     assert!(report.contains("\"explored\""), "{report}");
@@ -294,33 +185,18 @@ const COMMUTING_CRDTS: &str = r#"{"target": "Crdts", "spec": {"replicas": 3, "en
 /// under the `ReplayConfig` the keys spell.
 #[test]
 fn served_trace_campaigns_honour_every_admitted_key() {
-    let handle = Server::bind(ServerConfig {
+    let (handle, addr) = daemon(ServerConfig {
         port: 0,
         workers: 2,
         runners: 1,
         queue_cap: 4,
-    })
-    .expect("bind")
-    .spawn()
-    .expect("spawn");
-    let addr = handle.addr().to_string();
+    });
     let served = |trace: &str, key: &str| {
         let id = submit_id(&addr, &format!(r#"{{"trace": {trace}, {key}}}"#));
-        let done = poll_until(&addr, &id, &["done", "cancelled", "failed"]);
-        assert_eq!(field(&done, "state"), Some("done"), "{done}");
+        poll_until_done(&addr, &id);
         let (code, report) = get(&addr, &format!("/campaigns/{id}/report"));
         assert_eq!(code, 200, "{report}");
         report
-    };
-    let violation_set = |report: &Report| {
-        let mut set: Vec<(String, String)> = report
-            .violations
-            .iter()
-            .map(|v| (v.assertion.to_string(), v.message.clone()))
-            .collect();
-        set.sort();
-        set.dedup();
-        set
     };
     let exhaustive = ReplayConfig::default();
 
@@ -366,16 +242,12 @@ fn served_trace_campaigns_honour_every_admitted_key() {
 /// submission is refused with 429; a queued campaign DELETEs immediately.
 #[test]
 fn full_queues_refuse_submissions_with_429() {
-    let handle = Server::bind(ServerConfig {
+    let (handle, addr) = daemon(ServerConfig {
         port: 0,
         workers: 1,
         runners: 1,
         queue_cap: 1,
-    })
-    .expect("bind")
-    .spawn()
-    .expect("spawn");
-    let addr = handle.addr().to_string();
+    });
 
     let running = submit_id(&addr, &long_trace_spec("tenant-a", 5));
     poll_until(&addr, &running, &["running"]);

@@ -19,9 +19,9 @@
 
 mod common;
 
-use common::matrix::sweep;
-use common::views::{assert_views_agree, replay_watched, sink_attachment, watch};
-use common::WORKER_COUNTS;
+use crate::common::matrix::sweep;
+use crate::common::views::{assert_views_agree, replay_watched, sink_attachment, watch};
+use crate::common::WORKER_COUNTS;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
