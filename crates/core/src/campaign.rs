@@ -64,7 +64,7 @@ const NO_VIOLATION: usize = usize::MAX;
 ///
 /// Not tunable: no caller ever asked for another value, and the report does
 /// not depend on it (the campaign's unit tests replay at sizes 1, 3 and 32).
-pub const DEFAULT_CHUNK_SIZE: usize = 32;
+pub(crate) const DEFAULT_CHUNK_SIZE: usize = 32;
 
 /// The platform's available parallelism (the session's default worker count
 /// and the meaning of worker count `0`); `1` when it cannot be queried.

@@ -340,7 +340,7 @@ impl<S> Cursor<S> {
 /// Every run is byte-identical to
 /// [`InlineExecutor`](crate::InlineExecutor)'s — states, outcomes and
 /// `sim_us` — for any budget, any hint and any order of interleavings; the
-/// differential-equivalence harness (`tests/incremental_equivalence.rs`,
+/// differential-equivalence harness (`tests/suite/incremental_equivalence.rs`,
 /// `tests/suite/incremental_props.rs`) pins this. At budget 0 it keeps no
 /// snapshot and every run replays from `init_all()` into the buffers of the
 /// run before: that is the campaign's scratch replay. An executor serves

@@ -10,7 +10,7 @@ use er_pi_model::Workload;
 use er_pi_telemetry::{worker_track, Progress, ProgressSnapshot, Telemetry, COORDINATOR_TRACK};
 
 use crate::metrics::{SessionMetrics, SvcMetrics};
-use crate::{CancelToken, ReplayConfig, ResourceProfile, SessionSummary, TimeModel};
+use crate::{CancelToken, ReplayConfig, SessionSummary, TimeModel};
 
 /// The periodic progress callback of [`Attachments::progress`].
 pub type ProgressHook = Arc<dyn Fn(&ProgressSnapshot) + Send + Sync>;
@@ -69,9 +69,8 @@ impl Attachments {
             self.telemetry.is_active() || self.progress.is_some() || self.metrics.is_some();
         let progress = watching.then(|| {
             let expected = (config.cap < usize::MAX).then_some(config.cap as u64);
-            let campaign_secs = expected.map(|cap| {
-                ResourceProfile::for_workload(workload, time).campaign_secs(cap as usize)
-            });
+            let campaign_secs =
+                expected.map(|cap| time.run_cost_us(workload) as f64 * cap as f64 / 1e6);
             let cells = self.metrics.as_ref().map(SessionMetrics::run_cells);
             Arc::new(
                 Progress::new(slots.max(1))

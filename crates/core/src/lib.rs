@@ -159,7 +159,6 @@ mod summary;
 mod system;
 mod time;
 
-pub use campaign::DEFAULT_CHUNK_SIZE;
 pub use cancel::CancelToken;
 pub use checks::{Assertion, CheckContext, CrossCheck, CrossContext, TestSuite};
 pub use config::ReplayConfig;
@@ -174,7 +173,7 @@ pub use incremental::{IncrementalExecutor, DEFAULT_CACHE_BUDGET};
 pub use instrument::{Attachments, ProgressHook};
 pub use metrics::SessionMetrics;
 pub use misconceptions::{misconception, Misconception};
-pub use profile::{CacheStats, FailureStats, ReplicaLoad, ResourceProfile, WorkerLoad};
+pub use profile::{CacheStats, FailureStats, WorkerLoad};
 pub use report::{Report, RunRecord, Violation};
 pub use sanitizer::{IndependenceViolation, SanitizerReport};
 pub use service::ExecutorService;

@@ -1,113 +1,7 @@
-//! Resource profiling — the paper's §8 future-work direction
-//! ("we plan to extend the applicability and usefulness of ER-π for tasks
-//! such as resource profiling"), implemented over the replay machinery.
-//!
-//! A [`ResourceProfile`] breaks a workload's replay cost down per replica
-//! and per event kind under a [`TimeModel`], and aggregates observed
-//! failure rates across a set of replayed runs. Developers use it to spot
-//! hot replicas (e.g. an underpowered edge device dominating replay time)
-//! before scaling out a test campaign.
+//! The counters a report carries about how a campaign ran: per-slot loads,
+//! checkpoint-cache savings and failed-operation rates.
 
-use er_pi_model::{EventKind, ReplicaId, Workload};
-
-use crate::{RunRecord, TimeModel};
-
-/// Per-replica share of one replay's simulated cost.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplicaLoad {
-    /// The replica.
-    pub replica: ReplicaId,
-    /// Events executing at this replica.
-    pub events: usize,
-    /// Local RDL updates among them.
-    pub updates: usize,
-    /// Synchronization events among them (any flavour).
-    pub syncs: usize,
-    /// Simulated cost charged to this replica per replay, microseconds.
-    pub cost_us: u64,
-}
-
-/// A workload's replay-cost profile.
-///
-/// ```
-/// use er_pi::{ResourceProfile, TimeModel};
-/// use er_pi_model::{ReplicaId, Value, Workload};
-///
-/// let mut w = Workload::builder();
-/// let u = w.update(ReplicaId::new(0), "add", [Value::from(1)]);
-/// w.sync_pair(ReplicaId::new(0), ReplicaId::new(2), u);
-/// let w = w.build();
-///
-/// let profile = ResourceProfile::for_workload(&w, &TimeModel::paper_setup());
-/// // The Raspberry Pi replica (id 2) receives the sync — but the fused
-/// // sync executes at the sender, so replica 0 carries the cost here.
-/// assert_eq!(profile.busiest().unwrap().replica, ReplicaId::new(0));
-/// assert!(profile.run_cost_us() > 0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResourceProfile {
-    loads: Vec<ReplicaLoad>,
-    reset_cost_us: u64,
-}
-
-impl ResourceProfile {
-    /// Profiles one replay of `workload` under `time`.
-    pub fn for_workload(workload: &Workload, time: &TimeModel) -> Self {
-        let mut loads: Vec<ReplicaLoad> = workload
-            .replicas()
-            .into_iter()
-            .map(|replica| ReplicaLoad {
-                replica,
-                events: 0,
-                updates: 0,
-                syncs: 0,
-                cost_us: 0,
-            })
-            .collect();
-        for event in workload.events() {
-            let Some(load) = loads.iter_mut().find(|l| l.replica == event.replica) else {
-                continue;
-            };
-            load.events += 1;
-            match event.kind {
-                EventKind::LocalUpdate { .. } => load.updates += 1,
-                EventKind::SyncSend { .. }
-                | EventKind::SyncExec { .. }
-                | EventKind::Sync { .. } => load.syncs += 1,
-                EventKind::External { .. } => {}
-            }
-            load.cost_us += time.event_cost_us(event);
-        }
-        ResourceProfile {
-            loads,
-            reset_cost_us: time.reset_cost_us,
-        }
-    }
-
-    /// Per-replica loads, in replica order.
-    pub fn loads(&self) -> &[ReplicaLoad] {
-        &self.loads
-    }
-
-    /// The most expensive replica, or `None` for the profile of an empty
-    /// workload (no replicas, nothing to attribute).
-    pub fn busiest(&self) -> Option<&ReplicaLoad> {
-        self.loads.iter().max_by_key(|l| l.cost_us)
-    }
-
-    /// Total simulated cost of one replay, including the checkpoint/reset
-    /// overhead.
-    pub fn run_cost_us(&self) -> u64 {
-        self.loads.iter().map(|l| l.cost_us).sum::<u64>() + self.reset_cost_us
-    }
-
-    /// Projects the cost of a whole campaign of `interleavings` replays,
-    /// in simulated seconds — the planning number behind the paper's
-    /// "seven machine days" remark.
-    pub fn campaign_secs(&self, interleavings: usize) -> f64 {
-        self.run_cost_us() as f64 * interleavings as f64 / 1e6
-    }
-}
+use crate::RunRecord;
 
 /// One replay slot's share of a campaign — how many interleavings it
 /// replayed and how much simulated time they cost. A report carries one
@@ -254,56 +148,7 @@ impl FailureStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_pi_model::{Interleaving, Value};
-
-    fn workload() -> Workload {
-        let mut w = Workload::builder();
-        let u0 = w.update(ReplicaId::new(0), "add", [Value::from(1)]);
-        w.update(ReplicaId::new(2), "add", [Value::from(2)]);
-        w.sync_pair(ReplicaId::new(0), ReplicaId::new(1), u0);
-        w.external(ReplicaId::new(1), "read");
-        w.build()
-    }
-
-    #[test]
-    fn loads_partition_the_events() {
-        let profile = ResourceProfile::for_workload(&workload(), &TimeModel::paper_setup());
-        let total: usize = profile.loads().iter().map(|l| l.events).sum();
-        assert_eq!(total, 4);
-        let r0 = &profile.loads()[0];
-        assert_eq!(r0.updates, 1);
-        assert_eq!(r0.syncs, 1);
-    }
-
-    #[test]
-    fn pi_replica_charges_more_per_update() {
-        let profile = ResourceProfile::for_workload(&workload(), &TimeModel::paper_setup());
-        let pi = profile
-            .loads()
-            .iter()
-            .find(|l| l.replica == ReplicaId::new(2))
-            .unwrap();
-        // One update on the Raspberry Pi profile costs over a millisecond.
-        assert_eq!(pi.updates, 1);
-        assert!(pi.cost_us > 1_000, "Pi op cost: {}", pi.cost_us);
-    }
-
-    #[test]
-    fn busiest_is_none_for_an_empty_workload() {
-        let empty = Workload::builder().build();
-        let profile = ResourceProfile::for_workload(&empty, &TimeModel::paper_setup());
-        assert!(profile.busiest().is_none());
-        let profile = ResourceProfile::for_workload(&workload(), &TimeModel::paper_setup());
-        assert!(profile.busiest().is_some());
-    }
-
-    #[test]
-    fn campaign_projection_scales_linearly() {
-        let profile = ResourceProfile::for_workload(&workload(), &TimeModel::paper_setup());
-        let one = profile.campaign_secs(1);
-        let ten_k = profile.campaign_secs(10_000);
-        assert!((ten_k / one - 10_000.0).abs() < 1e-6);
-    }
+    use er_pi_model::Interleaving;
 
     #[test]
     fn cache_stats_merge_and_rates() {

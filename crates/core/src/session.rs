@@ -10,12 +10,12 @@ use er_pi_telemetry::{low_hit_rate, ProgressSnapshot, Sink, Telemetry, COORDINAT
 
 use er_pi_analysis::{Diagnostic, TraceAnalysis};
 
-use crate::campaign::{Campaign, Outcome, Params, Subject, Watch};
+use crate::campaign::{Campaign, Outcome, Params, Subject, Watch, DEFAULT_CHUNK_SIZE};
 use crate::instrument::Instrument;
 use crate::{
     Attachments, CacheStats, CancelToken, ConstraintsDir, CrossContext, ErPiError, ExecutorService,
     OpOutcome, ReplayConfig, Report, SanitizerReport, SessionMetrics, SessionSummary, SystemModel,
-    TestSuite, TimeModel, Violation, DEFAULT_CHUNK_SIZE,
+    TestSuite, TimeModel, Violation,
 };
 
 /// The live, recording instance of the system under test.
@@ -391,8 +391,8 @@ impl<M: SystemModel> Session<M> {
     /// Installs a periodic progress callback, invoked every `every`
     /// finished runs (from whichever thread crosses the boundary) with a
     /// live [`ProgressSnapshot`]: runs/sec, measured ETA, the a-priori
-    /// [`ResourceProfile::campaign_secs`](crate::ResourceProfile::campaign_secs) projection, cache hit rate, and
-    /// per-worker utilization.
+    /// projection (the cap times [`TimeModel::run_cost_us`], in seconds),
+    /// cache hit rate, and per-worker utilization.
     pub fn set_progress_hook(
         &mut self,
         every: usize,
@@ -1109,10 +1109,12 @@ mod tests {
         let mut session = Session::new(RegApp);
         record_two_writes(&mut session);
         session.set_mode(ExploreMode::Dfs).set_workers(1);
+        let run_cost_us = TimeModel::paper_setup().run_cost_us(session.workload().unwrap());
+        let projection = run_cost_us as f64 * session.replay_config().cap as f64 / 1e6;
         session.set_progress_hook(8, move |snap| {
             assert!(snap.runs_done > 0);
             assert!(snap.expected_total.is_some());
-            assert!(snap.campaign_secs_hint.is_some());
+            assert_eq!(snap.campaign_secs_hint, Some(projection));
             fired2.fetch_add(1, Ordering::Relaxed);
         });
         let report = session.replay(&TestSuite::new()).unwrap();

@@ -36,8 +36,8 @@ pub struct Progress {
     per_worker: Vec<AtomicU64>,
     /// Expected total number of runs, when the campaign is bounded.
     expected_total: Option<u64>,
-    /// A-priori whole-campaign projection (seconds), e.g. from
-    /// `ResourceProfile::campaign_secs`. Carried into snapshots untouched.
+    /// A-priori whole-campaign projection (seconds), e.g. the cap times
+    /// `TimeModel::run_cost_us`. Carried into snapshots untouched.
     campaign_secs_hint: Option<f64>,
 }
 
@@ -190,9 +190,9 @@ pub struct ProgressSnapshot {
     /// Measured time-to-completion estimate, seconds
     /// (`None` when the campaign is unbounded or throughput is still 0).
     pub eta_secs: Option<f64>,
-    /// The a-priori projection from `ResourceProfile::campaign_secs`, if
-    /// the caller supplied one — useful to compare against the measured
-    /// ETA.
+    /// The a-priori projection (the cap times `TimeModel::run_cost_us`, in
+    /// seconds), if the caller supplied one — useful to compare against the
+    /// measured ETA.
     pub campaign_secs_hint: Option<f64>,
     /// Checkpoint-cache hit rate in `[0, 1]` (`None` before any
     /// incremental-replay run finishes).

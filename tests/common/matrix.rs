@@ -39,10 +39,12 @@
 //!
 //! The sleep-set cells ([`sweep_sleep`]) belong to `sleep_sets_preserve_…`
 //! and `sleep_and_subsumption_compose`. The reference of a (bug, stop) is
-//! replayed once per test binary and shared by every test in it, so the
-//! ownership keeps most suites to one stop policy: only
-//! `parallel_equivalence` and `incremental_equivalence`, whose test names
-//! say both, replay the references of both.
+//! replayed once per test binary and shared by every test in it. Three
+//! binaries sweep the matrix: `suite`, whose `forensics_`, `incremental_`,
+//! `parallel_` and `sanitizer_equivalence` modules replay the references of
+//! both stop policies once between them, and `dpor_equivalence` and
+//! `telemetry_equivalence`, which own exhaustive cells only and replay the
+//! exhaustive references again.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -108,15 +110,15 @@ pub fn violation_set(report: &Report) -> Vec<(String, String)> {
 }
 
 /// The scratch reference of one (bug, stop policy).
-struct Reference {
+pub struct Reference {
     report: Report,
     /// The first violation's canonical bundle, stop-first only.
-    bundle: Option<String>,
+    pub bundle: Option<String>,
 }
 
 /// `bug`'s reference under `stop`, replayed the first time a test of this
 /// binary asks for it; tests asking at once wait for the one replay.
-fn reference(bug: &Bug, stop: bool) -> &'static Reference {
+pub fn reference(bug: &Bug, stop: bool) -> &'static Reference {
     type Slots = HashMap<(&'static str, bool), &'static OnceLock<Reference>>;
     static SLOTS: OnceLock<Mutex<Slots>> = OnceLock::new();
     let slot = *SLOTS
@@ -133,7 +135,7 @@ fn reference(bug: &Bug, stop: bool) -> &'static Reference {
 }
 
 /// The campaign every cell runs, before the cell's own settings.
-fn base(stop: bool) -> ReplayConfig {
+pub fn base(stop: bool) -> ReplayConfig {
     ReplayConfig {
         cap: CAP,
         stop_on_first_violation: stop,

@@ -1,12 +1,16 @@
-//! One root test binary for the suites that share no catalogue sweep: each
-//! module is one suite, and `common`, `http` and `steps` are compiled once
-//! for all of them. Run one suite with its module path as the filter:
-//! `cargo test --test suite -- server_equivalence::`.
+//! One root test binary: each module is one suite, and `common`, `http` and
+//! `steps` are compiled once for all of them. Run one suite with its module
+//! path as the filter: `cargo test --test suite -- server_equivalence::`.
 //!
-//! The differential suites that sweep the catalogue matrix stay binaries of
-//! their own at `tests/*.rs`, as do `snapshot_allocs`, whose counting
-//! allocator would replace every other test's, and `subsume_audit`, which
-//! sets an environment variable the engine reads.
+//! The four catalogue-matrix suites here (`forensics_`, `incremental_`,
+//! `parallel_` and `sanitizer_equivalence`) share one scratch reference per
+//! (bug, stop policy) (`common::matrix`); `dpor_` and
+//! `telemetry_equivalence` sweep the matrix too and still replay their own.
+//! Those two, `fault_equivalence`, `end_to_end`, `evaluation_shape` and
+//! `failure_injection` are binaries of their own at `tests/*.rs`, as are
+//! `snapshot_allocs`, whose counting allocator would replace every other
+//! test's, and `subsume_audit`, which sets an environment variable the
+//! engine reads.
 
 #[path = "../common/mod.rs"]
 mod common;
@@ -14,10 +18,14 @@ mod http;
 mod steps;
 
 mod explorer_distinct;
+mod forensics_equivalence;
 mod fuzz_corpus;
+mod incremental_equivalence;
 mod incremental_props;
 mod observability_smoke;
+mod parallel_equivalence;
 mod parallel_props;
 mod parallel_soak;
 mod report_identity;
+mod sanitizer_equivalence;
 mod server_equivalence;
