@@ -194,7 +194,9 @@ impl<S: Clone> PathCache<S> {
     /// Refills `into` with the states at the end of the checked-out path in
     /// `slot`; `false` when the path is empty (nothing to resume from).
     /// `into` keeps its allocation: the snapshot is cloned over it element
-    /// by element. With `last_use` the path then drops the snapshot, which —
+    /// by element, with each state's `clone_from` (a copy-on-write state
+    /// keeps the value it displaces there, for the run's first write to copy
+    /// into). With `last_use` the path then drops the snapshot, which —
     /// unless another plan's path shares it — releases its charge and
     /// leaves `into` the only holder of its replicas.
     fn resume(&mut self, slot: usize, last_use: bool, into: &mut Vec<S>) -> bool {
@@ -649,8 +651,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
                 for (&id, outcome) in il.as_slice()[depth..].iter().zip(tail.by_ref()) {
                     run.push(id, plan.digest_at(id), cost_us(id), outcome.clone());
                 }
-                run.states.clear();
-                run.states.extend_from_slice(tail.states());
+                run.states.clone_from_slice(tail.states());
             }),
             _ => faults.finish(model, &mut run.states, workload),
         }
@@ -782,7 +783,7 @@ mod tests {
     }
 
     /// An owned run, read the way the cursor's is.
-    fn borrowed(run: &Execution<Vec<i64>>) -> ExecutionRef<'_, Vec<i64>> {
+    fn borrowed<S>(run: &Execution<S>) -> ExecutionRef<'_, S> {
         ExecutionRef {
             states: &run.states,
             outcomes: &run.outcomes,
@@ -791,9 +792,9 @@ mod tests {
         }
     }
 
-    fn assert_same(
-        scratch: &Execution<Vec<i64>>,
-        inc: ExecutionRef<'_, Vec<i64>>,
+    fn assert_same<S: PartialEq + std::fmt::Debug>(
+        scratch: &Execution<S>,
+        inc: ExecutionRef<'_, S>,
         il: &Interleaving,
     ) {
         assert_eq!(scratch.states, inc.states, "states diverged on {il}");
@@ -842,6 +843,94 @@ mod tests {
             assert_eq!(stats.events_saved, shared_prefixes(5));
             assert!(stats.sim_us_saved > 0);
         }
+    }
+
+    /// A replica behind a copy-on-write cell that counts the copies its
+    /// first writes make: `clone` is a fresh copy, `clone_from` a copy into
+    /// the value a refill retired.
+    #[derive(Debug, PartialEq)]
+    struct Counted(Vec<i64>);
+
+    thread_local! {
+        /// `(fresh clones, copies into a retired value)` on this thread.
+        static COPIES: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            COPIES.with(|n| n.set((n.get().0 + 1, n.get().1)));
+            Counted(self.0.clone())
+        }
+
+        fn clone_from(&mut self, source: &Self) {
+            COPIES.with(|n| n.set((n.get().0, n.get().1 + 1)));
+            self.0.clone_from(&source.0);
+        }
+    }
+
+    /// [`LogModel`] with each replica in a [`er_pi_rdl::Shared`] cell, the
+    /// way every shipped subject holds its replicas.
+    struct CellModel;
+
+    impl SystemModel for CellModel {
+        type State = er_pi_rdl::Shared<Counted>;
+
+        fn replicas(&self) -> usize {
+            LogModel.replicas()
+        }
+
+        fn init(&self, _replica: ReplicaId) -> Self::State {
+            er_pi_rdl::Shared::new(Counted(Vec::new()))
+        }
+
+        fn apply(&self, states: &mut [Self::State], event: &Event) -> OpOutcome {
+            if let EventKind::LocalUpdate { op } = &event.kind {
+                let v = op.arg(0).and_then(Value::as_int).unwrap_or(-1);
+                states[event.replica.index()].0.push(v);
+                if v % 3 == 0 {
+                    return OpOutcome::failed("multiple of three");
+                }
+            }
+            OpOutcome::Applied
+        }
+
+        fn observe(&self, state: &Self::State) -> Value {
+            LogModel.observe(&state.0)
+        }
+
+        fn state_size_hint(&self, state: &Self::State) -> usize {
+            LogModel.state_size_hint(&state.0)
+        }
+    }
+
+    #[test]
+    fn a_refill_leaves_each_write_a_retired_copy_to_write_into() {
+        // The hinted sweep of `matches_inline_over_all_permutations`. A run
+        // resumes from a snapshot the path shares, so its first write to a
+        // replica copies; the refill before it retired the copy the last
+        // run wrote, and the write copies into that instead of allocating.
+        let (n, w, time) = (5, workload(5), TimeModel::paper_setup());
+        let orders = lexicographic_orders(n);
+        let mut exec = IncrementalExecutor::<CellModel>::new(DEFAULT_CACHE_BUDGET);
+        let mut copies = (0, 0);
+        for (i, il) in orders.iter().enumerate() {
+            let scratch = InlineExecutor::execute(&CellModel, &w, il, &time);
+            COPIES.with(|n| n.set((0, 0)));
+            exec.advance(&CellModel, &w, il, orders.get(i + 1), &time);
+            let (fresh, into) = COPIES.with(|n| n.get());
+            copies = (copies.0 + fresh, copies.1 + into);
+            assert_same(&scratch, exec.run(), il);
+        }
+        assert_eq!(exec.stats().hits, 115);
+        // 236 copies either way, and all of them fresh while a refill
+        // dropped what it displaced. Still fresh: a copy of a replica whose
+        // displaced value a snapshot also held, and a second copy of one
+        // replica in one run (the first used the retired value up).
+        assert_eq!(
+            copies,
+            (67, 169),
+            "(fresh clones, copies into a retired value)"
+        );
     }
 
     #[test]

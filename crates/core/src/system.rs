@@ -140,6 +140,10 @@ pub trait SystemModel {
     /// .. })`). A field that is heavy and often left alone by writes to its
     /// neighbours can be a `Shared` of its own. Such a model should also
     /// forward [`replica_digest`](SystemModel::replica_digest) to the cell.
+    /// The engine resets its states with `clone_from`, and a `Shared` keeps
+    /// the value that displaces for the next copy to write into, with the
+    /// replica's own `clone_from`: a hand-written one that copies field by
+    /// field makes that copy touch only what differs.
     type State: Clone;
 
     /// Number of replicas in the system (the paper's setup uses three).

@@ -6,7 +6,7 @@ use std::fmt;
 use er_pi_model::{CanonicalEncode, ReplicaId};
 use serde::{Deserialize, Serialize};
 
-use crate::StateCrdt;
+use crate::{clone_map_from, StateCrdt};
 
 /// A grow-only counter: one monotone count per replica; value = sum.
 ///
@@ -21,10 +21,27 @@ use crate::StateCrdt;
 /// a.merge(&b);
 /// assert_eq!(a.value(), 5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GCounter {
     replica: ReplicaId,
     counts: BTreeMap<ReplicaId, u64>,
+}
+
+impl Clone for GCounter {
+    fn clone(&self) -> Self {
+        let GCounter { replica, counts } = self;
+        GCounter {
+            replica: *replica,
+            counts: counts.clone(),
+        }
+    }
+
+    /// Field by field, each into the one it replaces.
+    fn clone_from(&mut self, source: &Self) {
+        let GCounter { replica, counts } = source;
+        self.replica = *replica;
+        clone_map_from(&mut self.counts, counts);
+    }
 }
 
 impl GCounter {
@@ -86,10 +103,27 @@ impl fmt::Display for GCounter {
 /// a.decrement(4);
 /// assert_eq!(a.value(), 6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PnCounter {
     inc: GCounter,
     dec: GCounter,
+}
+
+impl Clone for PnCounter {
+    fn clone(&self) -> Self {
+        let PnCounter { inc, dec } = self;
+        PnCounter {
+            inc: inc.clone(),
+            dec: dec.clone(),
+        }
+    }
+
+    /// Field by field, each into the one it replaces.
+    fn clone_from(&mut self, source: &Self) {
+        let PnCounter { inc, dec } = source;
+        self.inc.clone_from(inc);
+        self.dec.clone_from(dec);
+    }
 }
 
 impl PnCounter {

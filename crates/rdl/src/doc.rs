@@ -19,6 +19,7 @@ use er_pi_model::{
 };
 use serde::{Content, DeError, Deserialize, Serialize};
 
+use crate::copy::{clone_arc_from, clone_map_with};
 use crate::{DeltaSync, Log, Rga, RgaOp, StateCrdt};
 
 /// One segment of a document path (an object key).
@@ -256,9 +257,20 @@ enum Node {
 /// one map of handles and none of the subtrees. A write then un-shares the
 /// entries on the path from the root to the key it touches
 /// ([`Arc::make_mut`], one level at a time) and leaves every sibling
-/// subtree shared with the snapshots that hold it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// subtree shared with the snapshots that hold it. Copied over another
+/// object, it keeps the handles the two hold in common.
+#[derive(Debug, Default, PartialEq, Eq)]
 struct Obj(BTreeMap<Arc<str>, Arc<Entry>>);
+
+impl Clone for Obj {
+    fn clone(&self) -> Self {
+        Obj(self.0.clone())
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        clone_map_with(&mut self.0, &source.0, clone_arc_from);
+    }
+}
 
 // The vendored serde stand-in serializes an `Arc` but cannot deserialize
 // one: the map of keys to entries it is, by hand.
@@ -310,7 +322,7 @@ struct Entry {
 /// );
 /// # Ok::<(), er_pi_rdl::DocError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JsonDoc {
     replica: ReplicaId,
     clock: LamportClock,
@@ -319,6 +331,45 @@ pub struct JsonDoc {
     log: Log<DocOp>,
     /// Array operations whose array has not arrived yet.
     pending: Log<DocOp>,
+}
+
+impl Clone for JsonDoc {
+    fn clone(&self) -> Self {
+        let JsonDoc {
+            replica,
+            clock,
+            root,
+            ctx,
+            log,
+            pending,
+        } = self;
+        JsonDoc {
+            replica: *replica,
+            clock: clock.clone(),
+            root: root.clone(),
+            ctx: ctx.clone(),
+            log: log.clone(),
+            pending: pending.clone(),
+        }
+    }
+
+    /// Field by field, each into the one it replaces.
+    fn clone_from(&mut self, source: &Self) {
+        let JsonDoc {
+            replica,
+            clock,
+            root,
+            ctx,
+            log,
+            pending,
+        } = source;
+        self.replica = *replica;
+        self.clock.clone_from(clock);
+        self.root.clone_from(root);
+        self.ctx.clone_from(ctx);
+        self.log.clone_from(log);
+        self.pending.clone_from(pending);
+    }
 }
 
 impl JsonDoc {

@@ -54,7 +54,8 @@
 //!
 //! * [`Shared`] is the copy-on-write cell a subject model wraps each
 //!   replica in: a snapshot is a pointer bump, the first write after it
-//!   clones the replica.
+//!   copies the replica — into the copy a reset to a snapshot displaced,
+//!   when the cell kept one.
 //! * That clone is shallow where it counts. Every delta type keeps its
 //!   operations in a [`Log`] — an array of handles, one allocation per
 //!   operation for the operation's whole life, in the issuer's log, in the
@@ -63,6 +64,10 @@
 //!   instead of keeping a second copy, and a [`JsonDoc`] holds every subtree
 //!   behind its own reference count, so a write un-shares one root-to-leaf
 //!   path and nothing beside it.
+//! * A copy into a stale copy touches only what differs. Every structure
+//!   here that holds a log, handles or a map has a field-wise `clone_from`:
+//!   a log keeps the handles the two share ([`clone_handles_from`]) and a
+//!   map the entries ([`clone_map_from`]).
 //!
 //! None of it shows: two copies are observationally independent, and
 //! equality, the canonical encoding and serde are those of the plain
@@ -92,6 +97,7 @@
 #![warn(missing_docs)]
 
 mod commute;
+mod copy;
 mod counter;
 mod doc;
 mod hash;
@@ -108,6 +114,7 @@ mod timeseries;
 mod traits;
 
 pub use commute::{conflict_reasons, ConflictReason, CrdtType, OpKind, OpProfile};
+pub use copy::{clone_handles_from, clone_map_from};
 pub use counter::{GCounter, PnCounter};
 pub use doc::{DocError, DocOp, JsonDoc, JsonValue, JsonView, PathSegment};
 pub use hash::{digest128, digest128_fold, fnv1a128, fnv1a64, fnv1a64_extend, DIGEST128_NAME};

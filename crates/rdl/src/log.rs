@@ -6,6 +6,8 @@ use std::sync::Arc;
 use er_pi_model::CanonicalEncode;
 use serde::{Content, DeError, Deserialize, Serialize};
 
+use crate::clone_handles_from;
+
 /// An append-only sequence of reference-counted items: the op log of every
 /// delta type in this crate.
 ///
@@ -18,6 +20,12 @@ use serde::{Content, DeError, Deserialize, Serialize};
 /// handle is what [`DeltaSync::missing_since`](crate::DeltaSync) ships and
 /// what the receiver's log keeps, so an operation is allocated once, where
 /// it was issued, for every replica and every snapshot that ever holds it.
+///
+/// `clone_from` over another version of the same history keeps the handles
+/// the two share and touches only the ones after them
+/// ([`clone_handles_from`]): a replica reset to a snapshot, and then copied
+/// into the stale copy it displaced, copies the few operations it differs
+/// in — no block at all when that copy has room.
 ///
 /// A log that nothing shares pushes in place, like a `Vec`. Equality,
 /// `Debug`, the canonical encoding and serde are those of a `Vec<T>` with
@@ -106,6 +114,18 @@ impl<T> Clone for Log<T> {
         }
         Log { items }
     }
+
+    /// Keeps the leading handles the two logs share and replaces the rest,
+    /// leaving room for one more handle, like `clone`: no block if the log
+    /// already had that room.
+    fn clone_from(&mut self, source: &Self) {
+        let Log { items } = source;
+        if !items.is_empty() {
+            let room = (items.len() + 1).saturating_sub(self.items.len());
+            self.items.reserve_exact(room);
+        }
+        clone_handles_from(&mut self.items, items);
+    }
 }
 
 impl<T: fmt::Debug> fmt::Debug for Log<T> {
@@ -165,6 +185,29 @@ mod tests {
         assert_eq!(a.last().map(String::as_str), Some("two"));
         assert_ne!(a, b);
         assert!(a.iter().eq(b.iter().take(2)));
+    }
+
+    #[test]
+    fn a_copy_over_a_stale_log_keeps_the_shared_handles_and_its_block() {
+        let mut base = Log::new();
+        base.push("one".to_owned());
+        let mut a = base.clone();
+        a.push("two".to_owned());
+        let mut stale = base.clone();
+        stale.push("other".to_owned());
+        stale.push("another".to_owned());
+        let block = stale.items.as_ptr();
+        stale.clone_from(&a);
+        assert_eq!(stale, a);
+        assert!(stale
+            .shared()
+            .zip(a.shared())
+            .all(|(x, y)| Arc::ptr_eq(x, y)));
+        assert_eq!(stale.items.as_ptr(), block, "no new block");
+        assert!(stale.items.capacity() > stale.len(), "room for a push");
+        let mut empty = Log::<String>::new();
+        empty.clone_from(&Log::new());
+        assert_eq!(empty.items.capacity(), 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use er_pi_model::LamportTimestamp;
 use serde::{Deserialize, Serialize};
 
-use crate::StateCrdt;
+use crate::{clone_map_from, StateCrdt};
 
 /// Tie-breaking policy when an element's latest add and remove carry the
 /// *same* timestamp.
@@ -37,11 +37,38 @@ pub enum Bias {
 /// s.add("x", LamportTimestamp::new(3, r0));
 /// assert!(s.contains(&"x"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LwwElementSet<T: Ord> {
     bias: Bias,
     adds: BTreeMap<T, LamportTimestamp>,
     removes: BTreeMap<T, LamportTimestamp>,
+}
+
+impl<T: Ord + Clone> Clone for LwwElementSet<T> {
+    fn clone(&self) -> Self {
+        let LwwElementSet {
+            bias,
+            adds,
+            removes,
+        } = self;
+        LwwElementSet {
+            bias: *bias,
+            adds: adds.clone(),
+            removes: removes.clone(),
+        }
+    }
+
+    /// Field by field, each into the one it replaces.
+    fn clone_from(&mut self, source: &Self) {
+        let LwwElementSet {
+            bias,
+            adds,
+            removes,
+        } = source;
+        self.bias = *bias;
+        clone_map_from(&mut self.adds, adds);
+        clone_map_from(&mut self.removes, removes);
+    }
 }
 
 impl<T: Ord + Clone> LwwElementSet<T> {

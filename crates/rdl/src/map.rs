@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use er_pi_model::{LamportTimestamp, ReplicaId, VersionVector};
 use serde::{Deserialize, Serialize};
 
-use crate::{LwwRegister, StateCrdt};
+use crate::{clone_map_from, LwwRegister, StateCrdt};
 
 /// A last-write-wins map: per key, the highest-timestamped write (or
 /// tombstone) wins.
@@ -20,9 +20,23 @@ use crate::{LwwRegister, StateCrdt};
 /// m.remove(&"k", LamportTimestamp::new(2, r0));
 /// assert_eq!(m.get(&"k"), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LwwMap<K: Ord, V> {
     entries: BTreeMap<K, LwwRegister<Option<V>>>,
+}
+
+impl<K: Ord + Clone, V: Clone> Clone for LwwMap<K, V> {
+    fn clone(&self) -> Self {
+        let LwwMap { entries } = self;
+        LwwMap {
+            entries: entries.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let LwwMap { entries } = source;
+        clone_map_from(&mut self.entries, entries);
+    }
 }
 
 impl<K: Ord + Clone, V: Clone> LwwMap<K, V> {
@@ -119,7 +133,7 @@ impl<K: Ord + Clone, V: Clone> StateCrdt for LwwMap<K, V> {
 /// m.update_with("hits", || GCounter::new(ReplicaId::new(0)), |c| c.increment(2));
 /// assert_eq!(m.get(&"hits").unwrap().value(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OrMap<K: Ord, V> {
     replica: ReplicaId,
     entries: BTreeMap<K, V>,
@@ -127,6 +141,37 @@ pub struct OrMap<K: Ord, V> {
     removed: BTreeMap<K, VersionVector>,
     /// Per-key update version.
     versions: BTreeMap<K, VersionVector>,
+}
+
+impl<K: Ord + Clone, V: Clone> Clone for OrMap<K, V> {
+    fn clone(&self) -> Self {
+        let OrMap {
+            replica,
+            entries,
+            removed,
+            versions,
+        } = self;
+        OrMap {
+            replica: *replica,
+            entries: entries.clone(),
+            removed: removed.clone(),
+            versions: versions.clone(),
+        }
+    }
+
+    /// Field by field, each into the one it replaces.
+    fn clone_from(&mut self, source: &Self) {
+        let OrMap {
+            replica,
+            entries,
+            removed,
+            versions,
+        } = source;
+        self.replica = *replica;
+        clone_map_from(&mut self.entries, entries);
+        clone_map_from(&mut self.removed, removed);
+        clone_map_from(&mut self.versions, versions);
+    }
 }
 
 impl<K: Ord + Clone, V: StateCrdt + PartialEq> OrMap<K, V> {

@@ -106,7 +106,7 @@ pub type MerkleLogOp = LogEntry;
 /// assert_eq!(a.values(), b.values());
 /// assert_eq!(a.len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MerkleLog {
     replica: ReplicaId,
     identity: String,
@@ -119,6 +119,53 @@ pub struct MerkleLog {
     max_clock_skew: Option<u64>,
     /// Entries rejected due to clock skew (progress-halt symptom).
     rejected: u64,
+}
+
+impl Clone for MerkleLog {
+    fn clone(&self) -> Self {
+        let MerkleLog {
+            replica,
+            identity,
+            clock,
+            sort,
+            entries,
+            ctx,
+            max_clock_skew,
+            rejected,
+        } = self;
+        MerkleLog {
+            replica: *replica,
+            identity: identity.clone(),
+            clock: clock.clone(),
+            sort: *sort,
+            entries: entries.clone(),
+            ctx: ctx.clone(),
+            max_clock_skew: *max_clock_skew,
+            rejected: *rejected,
+        }
+    }
+
+    /// Field by field, each into the one it replaces.
+    fn clone_from(&mut self, source: &Self) {
+        let MerkleLog {
+            replica,
+            identity,
+            clock,
+            sort,
+            entries,
+            ctx,
+            max_clock_skew,
+            rejected,
+        } = source;
+        self.replica = *replica;
+        self.identity.clone_from(identity);
+        self.clock.clone_from(clock);
+        self.sort = *sort;
+        self.entries.clone_from(entries);
+        self.ctx.clone_from(ctx);
+        self.max_clock_skew = *max_clock_skew;
+        self.rejected = *rejected;
+    }
 }
 
 impl MerkleLog {

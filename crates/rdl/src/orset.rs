@@ -7,6 +7,7 @@ use std::sync::Arc;
 use er_pi_model::{CanonicalEncode, Dot, DotContext, ReplicaId, VersionVector};
 use serde::{content_get, Content, DeError, Deserialize, Serialize};
 
+use crate::copy::{clone_arc_from, clone_set_from};
 use crate::{DeltaSync, Log, StateCrdt};
 
 /// One replicated operation of an [`OrSet`].
@@ -100,10 +101,32 @@ impl From<Vec<Dot>> for Tags {
 /// One element that was ever added, with its live tags. The element is not
 /// stored a second time: it is read out of the add that introduced it,
 /// which the log holds too.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Entry<T> {
     introduced_by: Arc<OrSetOp<T>>,
     tags: Tags,
+}
+
+impl<T> Clone for Entry<T> {
+    fn clone(&self) -> Self {
+        let Entry {
+            introduced_by,
+            tags,
+        } = self;
+        Entry {
+            introduced_by: Arc::clone(introduced_by),
+            tags: tags.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Entry {
+            introduced_by,
+            tags,
+        } = source;
+        clone_arc_from(&mut self.introduced_by, introduced_by);
+        self.tags.clone_from(tags);
+    }
 }
 
 impl<T> Entry<T> {
@@ -131,8 +154,10 @@ impl<T: Eq> Eq for Entry<T> {}
 /// op-based ([`DeltaSync`]); the op log is retained for delta computation.
 ///
 /// A clone shares every operation and every element with the original (see
-/// [`Log`]); it allocates the log's array, the entry array and the two small
-/// trees of tags and versions, whatever the set holds.
+/// [`Log`]); it allocates the log's array, the entry array and the tree of
+/// removed tags (when there are any), whatever the set holds. `clone_from`
+/// copies into those: over a stale copy of the same set it allocates only
+/// where the source outgrew them.
 ///
 /// ```
 /// use er_pi_model::ReplicaId;
@@ -147,7 +172,7 @@ impl<T: Eq> Eq for Entry<T> {}
 /// a.sync_from(&b);
 /// assert!(!a.contains(&"otb")); // observed remove took effect
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct OrSet<T: Ord> {
     replica: ReplicaId,
     /// One entry per element ever added, sorted by element.
@@ -287,6 +312,41 @@ impl<T: Ord + Clone> OrSet<T> {
                 }
             }
         }
+    }
+}
+
+impl<T: Ord + Clone> Clone for OrSet<T> {
+    fn clone(&self) -> Self {
+        let OrSet {
+            replica,
+            entries,
+            removed_tags,
+            log,
+            ctx,
+        } = self;
+        OrSet {
+            replica: *replica,
+            entries: entries.clone(),
+            removed_tags: removed_tags.clone(),
+            log: log.clone(),
+            ctx: ctx.clone(),
+        }
+    }
+
+    /// Field by field, each into the one it replaces.
+    fn clone_from(&mut self, source: &Self) {
+        let OrSet {
+            replica,
+            entries,
+            removed_tags,
+            log,
+            ctx,
+        } = source;
+        self.replica = *replica;
+        self.entries.clone_from(entries);
+        clone_set_from(&mut self.removed_tags, removed_tags);
+        self.log.clone_from(log);
+        self.ctx.clone_from(ctx);
     }
 }
 

@@ -101,7 +101,7 @@ struct Node<T> {
 /// b.sync_from(&a);
 /// assert_eq!(b.values(), vec![&"x", &"y"]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Rga<T> {
     replica: ReplicaId,
     clock: LamportClock,
@@ -110,6 +110,45 @@ pub struct Rga<T> {
     log: Log<RgaOp<T>>,
     /// Operations whose referenced elements have not arrived yet.
     pending: Log<RgaOp<T>>,
+}
+
+impl<T: Clone> Clone for Rga<T> {
+    fn clone(&self) -> Self {
+        let Rga {
+            replica,
+            clock,
+            nodes,
+            ctx,
+            log,
+            pending,
+        } = self;
+        Rga {
+            replica: *replica,
+            clock: clock.clone(),
+            nodes: nodes.clone(),
+            ctx: ctx.clone(),
+            log: log.clone(),
+            pending: pending.clone(),
+        }
+    }
+
+    /// Field by field, each into the one it replaces.
+    fn clone_from(&mut self, source: &Self) {
+        let Rga {
+            replica,
+            clock,
+            nodes,
+            ctx,
+            log,
+            pending,
+        } = source;
+        self.replica = *replica;
+        self.clock.clone_from(clock);
+        self.nodes.clone_from(nodes);
+        self.ctx.clone_from(ctx);
+        self.log.clone_from(log);
+        self.pending.clone_from(pending);
+    }
 }
 
 impl<T: Clone + PartialEq> Rga<T> {

@@ -4,6 +4,7 @@ use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
+use crate::copy::clone_set_from;
 use crate::StateCrdt;
 
 /// A grow-only set: elements can only be added.
@@ -18,9 +19,23 @@ use crate::StateCrdt;
 /// a.merge(&b);
 /// assert!(a.contains(&1) && a.contains(&2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct GSet<T: Ord> {
     items: BTreeSet<T>,
+}
+
+impl<T: Ord + Clone> Clone for GSet<T> {
+    fn clone(&self) -> Self {
+        let GSet { items } = self;
+        GSet {
+            items: items.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let GSet { items } = source;
+        clone_set_from(&mut self.items, items);
+    }
 }
 
 impl<T: Ord> GSet<T> {
@@ -92,10 +107,27 @@ impl<T: Ord> FromIterator<T> for GSet<T> {
 /// assert!(!s.insert("x")); // re-add is refused: the tombstone wins
 /// assert!(!s.contains(&"x"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TwoPhaseSet<T: Ord> {
     added: BTreeSet<T>,
     removed: BTreeSet<T>,
+}
+
+impl<T: Ord + Clone> Clone for TwoPhaseSet<T> {
+    fn clone(&self) -> Self {
+        let TwoPhaseSet { added, removed } = self;
+        TwoPhaseSet {
+            added: added.clone(),
+            removed: removed.clone(),
+        }
+    }
+
+    /// Field by field, each into the one it replaces.
+    fn clone_from(&mut self, source: &Self) {
+        let TwoPhaseSet { added, removed } = source;
+        clone_set_from(&mut self.added, added);
+        clone_set_from(&mut self.removed, removed);
+    }
 }
 
 impl<T: Ord + Clone> TwoPhaseSet<T> {

@@ -9,8 +9,7 @@ use std::sync::Arc;
 use er_pi_model::CanonicalEncode;
 
 /// A value behind a reference count: `clone` is a pointer bump, and the
-/// first write through a handle that shares its value copies it
-/// ([`Arc::make_mut`]).
+/// first write through a handle that shares its value copies it.
 ///
 /// A replay engine snapshots every replica at every step but an event writes
 /// one of them, so a subject model declares `type State = Shared<Replica>`:
@@ -20,9 +19,20 @@ use er_pi_model::CanonicalEncode;
 /// as they would on the bare struct; a `&self` method called through a
 /// `&mut` binding resolves to `Deref` and copies nothing.
 ///
+/// The engine also resets its replicas to a snapshot before every run, with
+/// `clone_from`, and each reset would free the copies the last run's writes
+/// made. So a handle keeps one of them: `clone_from` *retires* the value it
+/// displaces when no other handle holds it, and the next write through a
+/// handle that shares its value copies that value into the retired one with
+/// `T::clone_from` — which for the structures of this crate touches only
+/// what the two differ in — instead of allocating a fresh copy
+/// ([`Arc::make_mut`]). A handle retires at most one value, `clone` leaves
+/// it behind, and a write through a handle that holds its value alone stays
+/// in place.
+///
 /// Two handles are *observationally* independent: nothing done through one
 /// can be seen through the other. Equality, `Debug` and the canonical
-/// encoding are the value's own.
+/// encoding are the value's own; a retired value takes part in none of them.
 ///
 /// The cell can also remember one 128-bit digest of its value
 /// ([`Shared::digest_with`]): every handle sharing the value shares it, and
@@ -40,8 +50,20 @@ use er_pi_model::CanonicalEncode;
 /// a.push(3); // copies, then writes the copy
 /// assert_eq!((a.len(), b.len()), (3, 2));
 /// assert!(!Shared::ptr_eq(&a, &b));
+///
+/// // A reset to `b` retires `a`'s copy, and the next write reuses it.
+/// let copy: *const Vec<i32> = &*a;
+/// a.clone_from(&b);
+/// assert!(Shared::ptr_eq(&a, &b));
+/// a.push(4);
+/// assert_eq!((&*a, &*b, &*a as *const _), (&vec![1, 2, 4], &vec![1, 2], copy));
 /// ```
-pub struct Shared<T>(Arc<Inner<T>>);
+pub struct Shared<T> {
+    live: Arc<Inner<T>>,
+    /// A value this handle displaced while it held it alone, kept for the
+    /// next copy to write into. No other handle ever sees it.
+    retired: Option<Arc<Inner<T>>>,
+}
 
 struct Inner<T> {
     value: T,
@@ -51,7 +73,8 @@ struct Inner<T> {
 }
 
 impl<T: Clone> Clone for Inner<T> {
-    /// Only `DerefMut` copies an `Inner`, on its way to a write.
+    /// Only `DerefMut` copies an `Inner`, on its way to a write, when the
+    /// handle has no retired value to copy into.
     fn clone(&self) -> Self {
         Inner {
             value: self.value.clone(),
@@ -91,10 +114,13 @@ impl DigestMemo {
 impl<T> Shared<T> {
     /// Moves `value` behind a fresh reference count.
     pub fn new(value: T) -> Self {
-        Shared(Arc::new(Inner {
-            value,
-            digest: DigestMemo::default(),
-        }))
+        Shared {
+            live: Arc::new(Inner {
+                value,
+                digest: DigestMemo::default(),
+            }),
+            retired: None,
+        }
     }
 
     /// The digest remembered for the current value, or `compute`'s result —
@@ -102,7 +128,7 @@ impl<T> Shared<T> {
     /// one digest and does not know what produced it: always ask with the
     /// same pure function of the value.
     pub fn digest_with(this: &Self, compute: impl FnOnce() -> Option<u128>) -> Option<u128> {
-        let memo = &this.0.digest;
+        let memo = &this.live.digest;
         memo.get().or_else(|| {
             let digest = compute()?;
             memo.set(digest);
@@ -114,13 +140,30 @@ impl<T> Shared<T> {
     /// separated them). An associated function, like [`Arc::ptr_eq`], so it
     /// cannot shadow a method of `T`.
     pub fn ptr_eq(a: &Self, b: &Self) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
+        Arc::ptr_eq(&a.live, &b.live)
     }
 }
 
 impl<T> Clone for Shared<T> {
+    /// Another handle on the value; the retired value stays behind.
     fn clone(&self) -> Self {
-        Shared(Arc::clone(&self.0))
+        Shared {
+            live: Arc::clone(&self.live),
+            retired: None,
+        }
+    }
+
+    /// Points this handle at `source`'s value. The value it held is
+    /// retired if nothing else holds it (replacing any value retired
+    /// before), so the next write through this handle copies into it.
+    fn clone_from(&mut self, source: &Self) {
+        if Shared::ptr_eq(self, source) {
+            return;
+        }
+        let mut displaced = std::mem::replace(&mut self.live, Arc::clone(&source.live));
+        if Arc::get_mut(&mut displaced).is_some() {
+            self.retired = Some(displaced);
+        }
     }
 }
 
@@ -128,13 +171,22 @@ impl<T> Deref for Shared<T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        &self.0.value
+        &self.live.value
     }
 }
 
 impl<T: Clone> DerefMut for Shared<T> {
     fn deref_mut(&mut self) -> &mut T {
-        let inner = Arc::make_mut(&mut self.0);
+        if let Some(mut spare) = self.retired.take() {
+            if Arc::get_mut(&mut self.live).is_some() {
+                self.retired = Some(spare);
+            } else {
+                let copy = Arc::get_mut(&mut spare).expect("no other handle sees a retired value");
+                copy.value.clone_from(&self.live.value);
+                self.live = spare;
+            }
+        }
+        let inner = Arc::make_mut(&mut self.live);
         inner.digest = DigestMemo::default();
         &mut inner.value
     }
@@ -148,7 +200,7 @@ impl<T: Default> Default for Shared<T> {
 
 impl<T: PartialEq> PartialEq for Shared<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.0.value == other.0.value
+        self.live.value == other.live.value
     }
 }
 
@@ -156,13 +208,13 @@ impl<T: Eq> Eq for Shared<T> {}
 
 impl<T: fmt::Debug> fmt::Debug for Shared<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.value.fmt(f)
+        self.live.value.fmt(f)
     }
 }
 
 impl<T: CanonicalEncode> CanonicalEncode for Shared<T> {
     fn encode_canonical(&self, out: &mut Vec<u8>) {
-        self.0.value.encode_canonical(out);
+        self.live.value.encode_canonical(out);
     }
 }
 
@@ -249,6 +301,44 @@ mod tests {
         assert_eq!(Shared::digest_with(&c, || Some(1 << 64)), Some(1 << 64));
         assert_eq!(Shared::digest_with(&c, || Some(u128::MAX)), Some(u128::MAX));
         assert_eq!(Shared::digest_with(&c, || Some(5)), Some(u128::MAX));
+    }
+
+    #[test]
+    fn a_retired_value_is_the_handles_own_and_shows_nowhere() {
+        let base = Shared::new(vec![1i64]);
+        let base_digest = Shared::digest_with(&base, || Some(crate::fnv1a128(&bytes(&base))));
+        let mut a = base.clone();
+        a.push(2);
+        let spare: *const Vec<i64> = &*a;
+        a.clone_from(&base);
+        // Equality, `Debug`, the encoding and the digest memo are the live
+        // value's: `a` answers with `base`'s remembered digest.
+        assert_eq!(
+            (&a, format!("{a:?}"), bytes(&a)),
+            (&base, format!("{base:?}"), bytes(&base))
+        );
+        assert_eq!(Shared::digest_with(&a, || None), base_digest);
+        // A clone leaves it behind: the clone's first write copies afresh.
+        let mut b = a.clone();
+        b.push(3);
+        assert_ne!(&*b as *const Vec<i64>, spare);
+        // A value the handle shares on reset is not retired; one it holds
+        // alone is, in place of the one retired before.
+        let mut c = a.clone();
+        c.push(4);
+        c.clone_from(&base);
+        let other = Shared::new(vec![7i64]);
+        let newer: *const Vec<i64> = &*other;
+        c.clone_from(&other);
+        drop(other);
+        c.clone_from(&base);
+        c.push(5);
+        assert_eq!((&*c as *const Vec<i64>, &*c), (newer, &vec![1, 5]));
+        // The write forgot the digest `c` shared with `base`.
+        assert_eq!(Shared::digest_with(&c, || None), None);
+        a.push(6);
+        assert_eq!(&*a as *const Vec<i64>, spare);
+        assert_eq!((&*base, &*a, &*b), (&vec![1], &vec![1, 6], &vec![1, 3]));
     }
 
     #[test]

@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Log, StateCrdt};
+use crate::copy::clone_map_with;
+use crate::{clone_map_from, Log, StateCrdt};
 use er_pi_model::CanonicalEncode;
 
 /// What happens when an insert and a delete of the same member carry the
@@ -93,12 +94,32 @@ struct Cell {
 /// assert_eq!(page.len(), 1);
 /// assert_eq!(page[0].member, "event-2");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LwwTimeSeries {
     tie: TieBreak,
     keys: BTreeMap<String, BTreeMap<String, Cell>>,
     /// Full op history, for delta-style shipping by the subjects.
     log: Log<TsOp>,
+}
+
+impl Clone for LwwTimeSeries {
+    fn clone(&self) -> Self {
+        let LwwTimeSeries { tie, keys, log } = self;
+        LwwTimeSeries {
+            tie: *tie,
+            keys: keys.clone(),
+            log: log.clone(),
+        }
+    }
+
+    /// Field by field, each into the one it replaces; a key's members are
+    /// copied into the member map the key already has.
+    fn clone_from(&mut self, source: &Self) {
+        let LwwTimeSeries { tie, keys, log } = source;
+        self.tie = *tie;
+        clone_map_with(&mut self.keys, keys, clone_map_from);
+        self.log.clone_from(log);
+    }
 }
 
 impl LwwTimeSeries {

@@ -1,16 +1,20 @@
 //! Property tests for the copy-on-write cell and the shared structures below
 //! it: two handles to one value are observationally independent, whatever is
-//! done through either. And the borrowed reads over them — a document's
-//! views and held ops, a log's arrival order, a list's visible items — read
-//! what the snapshots and deltas they stand in for copy out.
+//! done through either — also after a reset with `clone_from`, which retires
+//! the value it displaces and copies into it field by field. And the
+//! borrowed reads over them — a document's views and held ops, a log's
+//! arrival order, a list's visible items — read what the snapshots and
+//! deltas they stand in for copy out.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Debug;
 
 use proptest::prelude::*;
 
 use er_pi_model::{CanonicalEncode, Dot, DotContext, ReplicaId, Value, VersionVector};
 use er_pi_rdl::{
-    fnv1a128, DeltaSync, JsonDoc, JsonValue, Log, MerkleLog, OrSet, OrSetOp, Rga, Shared,
+    fnv1a128, DeltaSync, JsonDoc, JsonValue, Log, LwwTimeSeries, MerkleLog, OrSet, OrSetOp, Rga,
+    Shared, StateCrdt, TieBreak,
 };
 
 #[derive(Debug, Clone)]
@@ -121,6 +125,66 @@ proptest! {
             }
         }
         prop_assert_eq!(&*a, &alone);
+    }
+}
+
+/// Runs `actions` through `cell` the way [`drive`] does, without its checks.
+fn apply(cell: &mut Cell, actions: &[Action]) {
+    for action in actions {
+        match action {
+            Action::Insert(v) => drop(cell.insert(*v)),
+            Action::Remove(v) => drop(cell.remove(v)),
+            Action::Read(v) => drop(cell.contains(v)),
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn a_write_after_a_reset_copies_into_the_value_it_displaced(
+        history in arb_actions(),
+        stale_writes in arb_actions(),
+        writes in arb_actions(),
+        displaced_is_shared in any::<bool>(),
+    ) {
+        let mut snapshot: Cell = Shared::new(OrSet::new(ReplicaId::new(0)));
+        apply(&mut snapshot, &history);
+        let snapshot_bytes = bytes(&snapshot);
+        // A copy that went on from the snapshot, held by this handle alone
+        // unless another one holds it too.
+        let mut stale = snapshot.clone();
+        apply(&mut stale, &[Action::Insert(100)]);
+        apply(&mut stale, &stale_writes);
+        let holder = displaced_is_shared.then(|| stale.clone());
+        let holder_bytes = holder.as_ref().map(bytes);
+        let displaced: *const OrSet<i64> = &*stale;
+
+        stale.clone_from(&snapshot);
+        // Takes the block a displaced value that was dropped would leave,
+        // so a fresh copy cannot land at the displaced value's address.
+        let _decoy: Cell = Shared::new(OrSet::new(ReplicaId::new(1)));
+        prop_assert!(Shared::ptr_eq(&stale, &snapshot));
+        prop_assert_eq!(bytes(&stale), snapshot_bytes.clone());
+        apply(&mut stale, &[Action::Insert(101)]);
+        apply(&mut stale, &writes);
+
+        let written: *const OrSet<i64> = &*stale;
+        prop_assert_eq!(
+            written == displaced,
+            !displaced_is_shared,
+            "the write copies into the displaced value exactly when nothing else held it"
+        );
+        prop_assert!(!Shared::ptr_eq(&stale, &snapshot));
+        prop_assert_eq!(bytes(&snapshot), snapshot_bytes, "the write showed in the snapshot");
+        prop_assert_eq!(holder.as_ref().map(bytes), holder_bytes, "the write showed in the holder");
+        prop_assert_eq!(digest(&stale), fnv1a128(&bytes(&stale)), "a stale digest");
+        // What it holds is what the same writes build on a plain copy.
+        let mut plain: Cell = Shared::new((*snapshot).clone());
+        apply(&mut plain, &[Action::Insert(101)]);
+        apply(&mut plain, &writes);
+        prop_assert_eq!(&*stale, &*plain);
+        prop_assert_eq!(bytes(&stale), bytes(&plain));
+        prop_assert_eq!(format!("{stale:?}"), format!("{plain:?}"));
     }
 }
 
@@ -378,95 +442,222 @@ fn deliver<T: DeltaSync>(from: &T, to: &mut T, pick: usize) {
     }
 }
 
-/// Two documents after `steps`.
-fn docs(steps: &[Step]) -> [JsonDoc; 2] {
-    let mut docs = [
-        JsonDoc::new(ReplicaId::new(0)),
-        JsonDoc::new(ReplicaId::new(1)),
-    ];
-    for &(kind, replica, path, a, b) in steps {
-        let [first, second] = &mut docs;
-        let (doc, other) = if replica == 0 {
-            (first, second)
-        } else {
-            (second, first)
-        };
-        // Array steps go to the two array paths, the rest anywhere.
-        let at = match kind {
-            3..=7 => PATHS[4 + path % 2],
-            _ => PATHS[path.max(1)],
-        };
-        // A step that does not apply (no array there, index out of range)
-        // leaves the document as it was.
-        let _ = match kind {
-            0 => doc.set(at, payload(a)).map(drop),
-            1 => {
-                let entries = (0..b % 3).map(|i| (format!("k{i}"), payload(a + i as i64)));
-                doc.set_object(at, entries.collect()).map(drop)
-            }
-            2 => doc.remove(at).map(drop),
-            3 => doc.new_array(at).map(drop),
-            4 | 5 => doc.arr_push(at, payload(a)).map(drop),
-            6 => doc.arr_delete(at, b).map(drop),
-            7 => doc.arr_move_naive(at, a as usize, b).map(drop),
-            8 => {
-                deliver(other, doc, b);
-                Ok(())
-            }
-            _ => {
-                doc.sync_from(other);
-                Ok(())
-            }
-        };
+/// The replica a step acts on, and the other one.
+fn acting<T>(pair: &mut [T; 2], replica: usize) -> (&mut T, &mut T) {
+    let [first, second] = pair;
+    if replica == 0 {
+        (first, second)
+    } else {
+        (second, first)
     }
-    docs
 }
 
-/// Two Merkle logs after `steps`, the second rejecting far-future clocks.
-fn logs(steps: &[Step]) -> [MerkleLog; 2] {
+/// `pair` after `steps`, each applied with `step`.
+fn run<T>(mut pair: [T; 2], steps: &[Step], step: fn(&mut [T; 2], Step)) -> [T; 2] {
+    for &s in steps {
+        step(&mut pair, s);
+    }
+    pair
+}
+
+fn fresh_docs() -> [JsonDoc; 2] {
+    [
+        JsonDoc::new(ReplicaId::new(0)),
+        JsonDoc::new(ReplicaId::new(1)),
+    ]
+}
+
+fn doc_step(docs: &mut [JsonDoc; 2], (kind, replica, path, a, b): Step) {
+    let (doc, other) = acting(docs, replica);
+    // Array steps go to the two array paths, the rest anywhere.
+    let at = match kind {
+        3..=7 => PATHS[4 + path % 2],
+        _ => PATHS[path.max(1)],
+    };
+    // A step that does not apply (no array there, index out of range)
+    // leaves the document as it was.
+    let _ = match kind {
+        0 => doc.set(at, payload(a)).map(drop),
+        1 => {
+            let entries = (0..b % 3).map(|i| (format!("k{i}"), payload(a + i as i64)));
+            doc.set_object(at, entries.collect()).map(drop)
+        }
+        2 => doc.remove(at).map(drop),
+        3 => doc.new_array(at).map(drop),
+        4 | 5 => doc.arr_push(at, payload(a)).map(drop),
+        6 => doc.arr_delete(at, b).map(drop),
+        7 => doc.arr_move_naive(at, a as usize, b).map(drop),
+        8 => {
+            deliver(other, doc, b);
+            Ok(())
+        }
+        _ => {
+            doc.sync_from(other);
+            Ok(())
+        }
+    };
+}
+
+/// Two documents after `steps`.
+fn docs(steps: &[Step]) -> [JsonDoc; 2] {
+    run(fresh_docs(), steps, doc_step)
+}
+
+/// Two Merkle logs, the second rejecting far-future clocks.
+fn fresh_logs() -> [MerkleLog; 2] {
     let mut logs = [
         MerkleLog::new(ReplicaId::new(0), "a"),
         MerkleLog::new(ReplicaId::new(1), "b"),
     ];
     logs[1].set_max_clock_skew(Some(8));
-    for &(kind, replica, _, a, b) in steps {
-        let [first, second] = &mut logs;
-        let (log, other) = if replica == 0 {
-            (first, second)
-        } else {
-            (second, first)
-        };
-        match kind {
-            0..=5 => drop(log.append(payload(a))),
-            6 => log.force_clock(log.clock_time() + 16 * a as u64),
-            7 | 8 => deliver(other, log, b),
-            _ => log.sync_from(other),
-        }
-    }
     logs
+}
+
+fn log_step(logs: &mut [MerkleLog; 2], (kind, replica, _, a, b): Step) {
+    let (log, other) = acting(logs, replica);
+    match kind {
+        0..=5 => drop(log.append(payload(a))),
+        6 => log.force_clock(log.clock_time() + 16 * a as u64),
+        7 | 8 => deliver(other, log, b),
+        _ => log.sync_from(other),
+    }
+}
+
+/// Two Merkle logs after `steps`.
+fn logs(steps: &[Step]) -> [MerkleLog; 2] {
+    run(fresh_logs(), steps, log_step)
+}
+
+fn fresh_lists() -> [Rga<Value>; 2] {
+    [Rga::new(ReplicaId::new(0)), Rga::new(ReplicaId::new(1))]
+}
+
+fn list_step(lists: &mut [Rga<Value>; 2], (kind, replica, at, a, b): Step) {
+    let (list, other) = acting(lists, replica);
+    match kind {
+        0..=2 => drop(list.push(payload(a))),
+        3 => drop(list.insert(at.min(list.len()), payload(a))),
+        4 => drop(list.delete(b)),
+        5 => drop(list.move_item(at, b)),
+        6 => drop(list.move_naive(at, b)),
+        7 | 8 => deliver(other, list, b),
+        _ => list.sync_from(other),
+    }
 }
 
 /// Two lists after `steps`.
 fn lists(steps: &[Step]) -> [Rga<Value>; 2] {
-    let mut lists = [Rga::new(ReplicaId::new(0)), Rga::new(ReplicaId::new(1))];
-    for &(kind, replica, at, a, b) in steps {
-        let [first, second] = &mut lists;
-        let (list, other) = if replica == 0 {
-            (first, second)
-        } else {
-            (second, first)
-        };
-        match kind {
-            0..=2 => drop(list.push(payload(a))),
-            3 => drop(list.insert(at.min(list.len()), payload(a))),
-            4 => drop(list.delete(b)),
-            5 => drop(list.move_item(at, b)),
-            6 => drop(list.move_naive(at, b)),
-            7 | 8 => deliver(other, list, b),
-            _ => list.sync_from(other),
-        }
+    run(fresh_lists(), steps, list_step)
+}
+
+fn fresh_sets() -> [OrSet<i64>; 2] {
+    [OrSet::new(ReplicaId::new(0)), OrSet::new(ReplicaId::new(1))]
+}
+
+fn set_step(sets: &mut [OrSet<i64>; 2], (kind, replica, _, a, b): Step) {
+    let (set, other) = acting(sets, replica);
+    match kind {
+        0..=3 => drop(set.insert(a)),
+        4..=6 => drop(set.remove(&a)),
+        7 | 8 => deliver(other, set, b),
+        _ => set.sync_from(other),
     }
-    lists
+}
+
+fn fresh_series() -> [LwwTimeSeries; 2] {
+    [
+        LwwTimeSeries::new(TieBreak::InsertWins),
+        LwwTimeSeries::new(TieBreak::InsertWins),
+    ]
+}
+
+fn series_step(series: &mut [LwwTimeSeries; 2], (kind, replica, key, a, b): Step) {
+    let (store, other) = acting(series, replica);
+    let (key, member, score) = (format!("k{}", key % 3), format!("m{a}"), b as u64);
+    match kind {
+        0..=4 => drop(store.insert(&key, &member, score)),
+        5..=7 => drop(store.delete(&key, &member, score)),
+        _ => store.merge(other),
+    }
+}
+
+fn fresh_op_logs() -> [Log<String>; 2] {
+    [Log::new(), Log::new()]
+}
+
+/// A push of a new item, or of the other log's last one.
+fn op_log_step(logs: &mut [Log<String>; 2], (kind, replica, _, a, _): Step) {
+    let (log, other) = acting(logs, replica);
+    match (kind, other.shared().last()) {
+        (0..=6, _) | (_, None) => drop(log.push(format!("item-{a}-{}", log.len()))),
+        (_, Some(item)) => drop(log.push_shared(std::sync::Arc::clone(item))),
+    }
+}
+
+/// `clone_from` is `clone`, however much of its history the stale copy
+/// shares: two pairs go on from one `history` along `left` and `right`,
+/// `b.clone_from(&a)` makes the second equal to the first — in value, in
+/// canonical bytes and in `Debug` — and after it writes to either one are
+/// invisible to the other.
+fn assert_clone_from_is_clone<T: Clone + PartialEq + Debug + CanonicalEncode>(
+    fresh: [T; 2],
+    [history, left, right, after]: &[Vec<Step>; 4],
+    step: fn(&mut [T; 2], Step),
+) {
+    let base = run(fresh, history, step);
+    let a = run(base.clone(), left, step);
+    let mut b = run(base, right, step);
+    for (mine, theirs) in b.iter_mut().zip(&a) {
+        mine.clone_from(theirs);
+    }
+    let view = |pair: &[T; 2]| (pair.each_ref().map(encoded), format!("{pair:?}"));
+    assert_eq!(b, a);
+    assert_eq!(view(&b), view(&a), "canonical bytes and Debug");
+    let a_was = view(&a);
+    let b = run(b, after, step);
+    assert_eq!(view(&a), a_was, "a write to the copy showed in its source");
+    let b_was = view(&b);
+    let a = run(a, after, step);
+    assert_eq!(view(&b), b_was, "a write to the source showed in its copy");
+    assert_eq!(a, b, "the same steps from equal values");
+}
+
+fn arb_histories() -> impl Strategy<Value = [Vec<Step>; 4]> {
+    (arb_steps(), arb_steps(), arb_steps(), arb_steps()).prop_map(|(h, l, r, a)| [h, l, r, a])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn a_log_copied_over_a_stale_one_is_its_clone(steps in arb_histories()) {
+        assert_clone_from_is_clone(fresh_op_logs(), &steps, op_log_step);
+    }
+
+    #[test]
+    fn an_or_set_copied_over_a_stale_one_is_its_clone(steps in arb_histories()) {
+        assert_clone_from_is_clone(fresh_sets(), &steps, set_step);
+    }
+
+    #[test]
+    fn a_list_copied_over_a_stale_one_is_its_clone(steps in arb_histories()) {
+        assert_clone_from_is_clone(fresh_lists(), &steps, list_step);
+    }
+
+    #[test]
+    fn a_document_copied_over_a_stale_one_is_its_clone(steps in arb_histories()) {
+        assert_clone_from_is_clone(fresh_docs(), &steps, doc_step);
+    }
+
+    #[test]
+    fn a_merkle_log_copied_over_a_stale_one_is_its_clone(steps in arb_histories()) {
+        assert_clone_from_is_clone(fresh_logs(), &steps, log_step);
+    }
+
+    #[test]
+    fn a_time_series_copied_over_a_stale_one_is_its_clone(steps in arb_histories()) {
+        assert_clone_from_is_clone(fresh_series(), &steps, series_step);
+    }
 }
 
 proptest! {

@@ -229,6 +229,12 @@ impl std::fmt::Debug for Bug {
 /// summed [`SystemModel::state_size_hint`], the budget charge the same clone
 /// would incur as a snapshot, which that test pins under a kilobyte. The
 /// benchmark times the clone as `model.snapshot_clone_ns`.
+///
+/// It is a fresh clone, into new handles. What the engine pays after one
+/// is not here: the first write to a replica copies it, and after a refill
+/// that copy goes into the value the refill displaced
+/// ([`er_pi_rdl::Shared`]), which `tests/snapshot_allocs.rs` pins at no
+/// block per subject replica.
 pub struct CloneProbe {
     clone_fn: Box<dyn Fn() -> usize + Send + Sync>,
 }

@@ -7,12 +7,13 @@
 
 use std::collections::VecDeque;
 
+use crate::clone_queue_from;
 use er_pi::{OpOutcome, SystemModel};
 use er_pi_model::{CanonicalEncode, Event, EventKind, LamportTimestamp, ReplicaId, Value};
 use er_pi_rdl::{DeltaSync, LwwRegister, OrSet, PnCounter, Rga, Shared, StateCrdt};
 
 /// One replica of the composed CRDT collection.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CrdtsReplica {
     /// An observed-remove set.
     pub set: OrSet<i64>,
@@ -32,18 +33,97 @@ pub struct CrdtsReplica {
     pub inbox: VecDeque<Box<CrdtsSnapshot>>,
 }
 
+impl Clone for CrdtsReplica {
+    fn clone(&self) -> Self {
+        let CrdtsReplica {
+            set,
+            list,
+            counter,
+            register,
+            todos,
+            clock,
+            inbox,
+        } = self;
+        CrdtsReplica {
+            set: set.clone(),
+            list: list.clone(),
+            counter: counter.clone(),
+            register: register.clone(),
+            todos: todos.clone(),
+            clock: *clock,
+            inbox: inbox.clone(),
+        }
+    }
+
+    /// Field by field, each into the one it replaces; an inbox snapshot
+    /// into the one in its place.
+    fn clone_from(&mut self, source: &Self) {
+        let CrdtsReplica {
+            set,
+            list,
+            counter,
+            register,
+            todos,
+            clock,
+            inbox,
+        } = source;
+        self.set.clone_from(set);
+        self.list.clone_from(list);
+        self.counter.clone_from(counter);
+        self.register.clone_from(register);
+        self.todos.clone_from(todos);
+        self.clock = *clock;
+        clone_queue_from(&mut self.inbox, inbox, Clone::clone_from);
+    }
+}
+
 /// [`CrdtsModel`]'s per-replica state: a [`CrdtsReplica`] behind a
 /// copy-on-write cell (a snapshot is a pointer bump).
 pub type CrdtsState = Shared<CrdtsReplica>;
 
 /// The payload of a split sync: a full snapshot of the sender.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CrdtsSnapshot {
     set: OrSet<i64>,
     list: Rga<i64>,
     counter: PnCounter,
     register: LwwRegister<i64>,
     todos: Vec<(i64, String)>,
+}
+
+impl Clone for CrdtsSnapshot {
+    fn clone(&self) -> Self {
+        let CrdtsSnapshot {
+            set,
+            list,
+            counter,
+            register,
+            todos,
+        } = self;
+        CrdtsSnapshot {
+            set: set.clone(),
+            list: list.clone(),
+            counter: counter.clone(),
+            register: register.clone(),
+            todos: todos.clone(),
+        }
+    }
+
+    /// Field by field, each into the one it replaces.
+    fn clone_from(&mut self, source: &Self) {
+        let CrdtsSnapshot {
+            set,
+            list,
+            counter,
+            register,
+            todos,
+        } = source;
+        self.set.clone_from(set);
+        self.list.clone_from(list);
+        self.counter.clone_from(counter);
+        self.register.clone_from(register);
+        self.todos.clone_from(todos);
+    }
 }
 
 impl CrdtsReplica {

@@ -19,7 +19,7 @@ use er_pi_model::{CanonicalEncode, Event, EventId, EventKind, ReplicaId, Value};
 use er_pi_rdl::Shared;
 
 /// One replica of the ledger application.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct LedgerReplica {
     /// Durable: credits issued at this replica, in issue order. This is the
     /// op log a crash-restart recovers from.
@@ -27,6 +27,23 @@ pub struct LedgerReplica {
     /// Volatile: every entry applied here (own credits + received ones),
     /// in application order. Duplicated [`EventId`]s are the bug.
     pub entries: Vec<(EventId, i64)>,
+}
+
+impl Clone for LedgerReplica {
+    fn clone(&self) -> Self {
+        let LedgerReplica { log, entries } = self;
+        LedgerReplica {
+            log: log.clone(),
+            entries: entries.clone(),
+        }
+    }
+
+    /// Field by field, each into the one it replaces.
+    fn clone_from(&mut self, source: &Self) {
+        let LedgerReplica { log, entries } = source;
+        self.log.clone_from(log);
+        self.entries.clone_from(entries);
+    }
 }
 
 /// [`LedgerApp`]'s per-replica state: a [`LedgerReplica`] behind a

@@ -67,6 +67,22 @@ pub(crate) fn sender_and_receiver<S>(
     }
 }
 
+/// Makes the queue `into` a copy of `from`, copying each payload over the
+/// one in its place with `copy` and cloning only those `into` lacks: the
+/// inbox half of a replica's field-wise `clone_from`.
+pub(crate) fn clone_queue_from<T: Clone>(
+    into: &mut std::collections::VecDeque<T>,
+    from: &std::collections::VecDeque<T>,
+    copy: impl Fn(&mut T, &T),
+) {
+    into.truncate(from.len());
+    let kept = into.len();
+    for (mine, theirs) in into.iter_mut().zip(from) {
+        copy(mine, theirs);
+    }
+    into.extend(from.iter().skip(kept).cloned());
+}
+
 /// What a model — and the `rdl` types under it — produce along one
 /// recording, as digests: for the initial states and after each event of
 /// `workload`'s recorded order, the [`fnv1a128`](er_pi_rdl::fnv1a128) of
@@ -175,6 +191,13 @@ pub(crate) fn assert_snapshots_stay_independent<M: er_pi::SystemModel>(
     }
     replay(&mut live, 0);
 
+    // The engine resumes the way the refill below does: it copies the
+    // snapshot over the states the previous run left, with `clone_from`,
+    // and a copy-on-write state keeps what that displaces for its next
+    // write. The first run to be refilled is a whole, unshared one.
+    let mut refilled = model.init_all();
+    replay(&mut refilled, 0);
+
     for (depth, snapshot) in kept.iter().enumerate() {
         let mut scratch = model.init_all();
         for &id in &order.as_slice()[..depth] {
@@ -199,6 +222,23 @@ pub(crate) fn assert_snapshots_stay_independent<M: er_pi::SystemModel>(
             view(snapshot),
             expected,
             "{label}: resuming from depth {depth} wrote through to the snapshot"
+        );
+        refilled.clone_from(snapshot);
+        assert_eq!(
+            view(&refilled),
+            expected,
+            "{label}: refilled at depth {depth}"
+        );
+        replay(&mut refilled, depth);
+        assert_eq!(
+            view(&refilled),
+            finished,
+            "{label}: refilled and resumed at depth {depth}"
+        );
+        assert_eq!(
+            view(snapshot),
+            expected,
+            "{label}: a run refilled at depth {depth} wrote through to the snapshot"
         );
     }
 }

@@ -4,10 +4,10 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use crate::sender_and_receiver;
+use crate::{clone_queue_from, sender_and_receiver};
 use er_pi::{OpOutcome, SystemModel};
 use er_pi_model::{CanonicalEncode, Event, EventKind, ReplicaId, Value};
-use er_pi_rdl::{DeltaSync, LogEntry, LogSortOrder, MerkleLog, Shared};
+use er_pi_rdl::{clone_handles_from, DeltaSync, LogEntry, LogSortOrder, MerkleLog, Shared};
 
 /// Static configuration of the OrbitDB subject.
 #[derive(Debug, Clone)]
@@ -38,7 +38,7 @@ impl Default for OrbitConfig {
 }
 
 /// One OrbitDB replica.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct OrbitReplica {
     /// The replicated Merkle log.
     pub log: Shared<MerkleLog>,
@@ -65,6 +65,60 @@ pub struct OrbitReplica {
     pub busy: bool,
     /// Number of `open_repo` calls refused because the lock was stuck.
     pub failed_opens: u32,
+}
+
+impl Clone for OrbitReplica {
+    fn clone(&self) -> Self {
+        let OrbitReplica {
+            log,
+            inbox,
+            access,
+            access_cache,
+            rejected_appends,
+            repo_locked,
+            lock_stuck,
+            busy,
+            failed_opens,
+        } = self;
+        OrbitReplica {
+            log: log.clone(),
+            inbox: inbox.clone(),
+            access: access.clone(),
+            access_cache: access_cache.clone(),
+            rejected_appends: *rejected_appends,
+            repo_locked: *repo_locked,
+            lock_stuck: *lock_stuck,
+            busy: *busy,
+            failed_opens: *failed_opens,
+        }
+    }
+
+    /// Field by field, each into the one it replaces; an inbox payload by
+    /// pointer.
+    fn clone_from(&mut self, source: &Self) {
+        let OrbitReplica {
+            log,
+            inbox,
+            access,
+            access_cache,
+            rejected_appends,
+            repo_locked,
+            lock_stuck,
+            busy,
+            failed_opens,
+        } = source;
+        self.log.clone_from(log);
+        clone_queue_from(&mut self.inbox, inbox, |mine, theirs| {
+            clone_handles_from(mine, theirs)
+        });
+        self.access.clone_from(access);
+        self.access_cache.clone_from(access_cache);
+        self.rejected_appends = *rejected_appends;
+        self.repo_locked = *repo_locked;
+        self.lock_stuck = *lock_stuck;
+        self.busy = *busy;
+        self.failed_opens = *failed_opens;
+    }
 }
 
 /// [`OrbitModel`]'s per-replica state: an [`OrbitReplica`] behind a

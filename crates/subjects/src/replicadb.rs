@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use crate::sender_and_receiver;
 use er_pi::{OpOutcome, SystemModel};
 use er_pi_model::{CanonicalEncode, Event, EventKind, ReplicaId, Value};
-use er_pi_rdl::Shared;
+use er_pi_rdl::{clone_map_from, Shared};
 
 /// ReplicaDB's replication modes (the real tool offers `complete`,
 /// `complete-atomic`, and `incremental`).
@@ -24,7 +24,7 @@ pub enum ReplicationMode {
 /// Replica 0 is the *source* database, replica 1 the *sink*; the model
 /// also uses the state of the acting replica to hold the transfer job's
 /// staging buffer.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct ReplicaDbReplica {
     /// Table content (key → row payload).
     pub table: BTreeMap<i64, i64>,
@@ -38,6 +38,45 @@ pub struct ReplicaDbReplica {
     pub oom: bool,
     /// Keys captured by the incremental snapshot cut, if taken.
     pub snapshot: Option<Vec<i64>>,
+}
+
+impl Clone for ReplicaDbReplica {
+    fn clone(&self) -> Self {
+        let ReplicaDbReplica {
+            table,
+            staging,
+            staging_bytes,
+            peak_staging_bytes,
+            oom,
+            snapshot,
+        } = self;
+        ReplicaDbReplica {
+            table: table.clone(),
+            staging: staging.clone(),
+            staging_bytes: *staging_bytes,
+            peak_staging_bytes: *peak_staging_bytes,
+            oom: *oom,
+            snapshot: snapshot.clone(),
+        }
+    }
+
+    /// Field by field, each into the one it replaces.
+    fn clone_from(&mut self, source: &Self) {
+        let ReplicaDbReplica {
+            table,
+            staging,
+            staging_bytes,
+            peak_staging_bytes,
+            oom,
+            snapshot,
+        } = source;
+        clone_map_from(&mut self.table, table);
+        self.staging.clone_from(staging);
+        self.staging_bytes = *staging_bytes;
+        self.peak_staging_bytes = *peak_staging_bytes;
+        self.oom = *oom;
+        self.snapshot.clone_from(snapshot);
+    }
 }
 
 /// [`ReplicaDbModel`]'s per-replica state: a [`ReplicaDbReplica`] behind a
@@ -140,13 +179,14 @@ impl SystemModel for ReplicaDbModel {
                 OpOutcome::Applied
             }
             "commit_batch" => {
-                let job = &mut states[Self::SINK];
+                let job = &mut *states[Self::SINK];
                 if job.staging.is_empty() {
                     return OpOutcome::failed("commit with empty staging");
                 }
-                let rows = std::mem::take(&mut job.staging);
                 job.staging_bytes = 0;
-                for (k, v) in rows {
+                // Drained, not taken: the buffer stays, for the next batch
+                // and for a copy into this replica to reuse.
+                for (k, v) in job.staging.drain(..) {
                     job.table.insert(k, v);
                 }
                 OpOutcome::Applied

@@ -4,15 +4,17 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::sender_and_receiver;
+use crate::{clone_queue_from, sender_and_receiver};
 use er_pi::{OpOutcome, SystemModel};
 use er_pi_model::CanonicalEncode;
 use er_pi_model::{Event, EventKind, ReplicaId, Value};
-use er_pi_rdl::{LwwTimeSeries, ScoredMember, Shared, StateCrdt, TieBreak, TsOp};
+use er_pi_rdl::{
+    clone_handles_from, LwwTimeSeries, ScoredMember, Shared, StateCrdt, TieBreak, TsOp,
+};
 
 /// One Roshi replica: the LWW time-series store plus the application-level
 /// read results the assertions inspect.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RoshiReplica {
     /// The replicated store.
     pub store: Shared<LwwTimeSeries>,
@@ -26,6 +28,44 @@ pub struct RoshiReplica {
     /// order* — the roshi-server response assembly of issue #40, which
     /// leaks Go map ordering into the API.
     pub assembled: Option<Vec<String>>,
+}
+
+impl Clone for RoshiReplica {
+    fn clone(&self) -> Self {
+        let RoshiReplica {
+            store,
+            inbox,
+            last_select,
+            last_deleted,
+            assembled,
+        } = self;
+        RoshiReplica {
+            store: store.clone(),
+            inbox: inbox.clone(),
+            last_select: last_select.clone(),
+            last_deleted: *last_deleted,
+            assembled: assembled.clone(),
+        }
+    }
+
+    /// Field by field, each into the one it replaces; an inbox payload by
+    /// pointer.
+    fn clone_from(&mut self, source: &Self) {
+        let RoshiReplica {
+            store,
+            inbox,
+            last_select,
+            last_deleted,
+            assembled,
+        } = source;
+        self.store.clone_from(store);
+        clone_queue_from(&mut self.inbox, inbox, |mine, theirs| {
+            clone_handles_from(mine, theirs)
+        });
+        self.last_select.clone_from(last_select);
+        self.last_deleted = *last_deleted;
+        self.assembled.clone_from(assembled);
+    }
 }
 
 /// [`RoshiModel`]'s per-replica state: a [`RoshiReplica`] behind a

@@ -10,7 +10,7 @@ use er_pi_rdl::{DeltaSync, OrSet, Shared};
 /// One resident's replica: the replicated set of reported issues plus the
 /// (local, non-replicated) record of what was transmitted to the
 /// municipality.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TownReplica {
     /// Replicated set of open issues.
     pub issues: OrSet<String>,
@@ -18,6 +18,29 @@ pub struct TownReplica {
     /// count, like everything else a copy of the replica would otherwise
     /// duplicate.
     pub transmitted: Option<Arc<[String]>>,
+}
+
+impl Clone for TownReplica {
+    fn clone(&self) -> Self {
+        let TownReplica {
+            issues,
+            transmitted,
+        } = self;
+        TownReplica {
+            issues: issues.clone(),
+            transmitted: transmitted.clone(),
+        }
+    }
+
+    /// Field by field, each into the one it replaces.
+    fn clone_from(&mut self, source: &Self) {
+        let TownReplica {
+            issues,
+            transmitted,
+        } = source;
+        self.issues.clone_from(issues);
+        self.transmitted.clone_from(transmitted);
+    }
 }
 
 /// [`TownApp`]'s per-replica state: a [`TownReplica`] behind a copy-on-write

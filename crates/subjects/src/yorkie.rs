@@ -4,13 +4,13 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use crate::sender_and_receiver;
+use crate::{clone_queue_from, sender_and_receiver};
 use er_pi::{OpOutcome, SystemModel};
 use er_pi_model::{CanonicalEncode, Event, EventKind, ReplicaId, Value};
-use er_pi_rdl::{DeltaSync, DocOp, JsonDoc, Shared};
+use er_pi_rdl::{clone_handles_from, DeltaSync, DocOp, JsonDoc, Shared};
 
 /// One Yorkie replica: the document plus a sync inbox.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct YorkieReplica {
     /// The replicated JSON document.
     pub doc: Shared<JsonDoc>,
@@ -18,6 +18,36 @@ pub struct YorkieReplica {
     pub inbox: VecDeque<Vec<Arc<DocOp>>>,
     /// Keys captured by the last `snapshot_keys` read.
     pub last_snapshot: Option<Vec<String>>,
+}
+
+impl Clone for YorkieReplica {
+    fn clone(&self) -> Self {
+        let YorkieReplica {
+            doc,
+            inbox,
+            last_snapshot,
+        } = self;
+        YorkieReplica {
+            doc: doc.clone(),
+            inbox: inbox.clone(),
+            last_snapshot: last_snapshot.clone(),
+        }
+    }
+
+    /// Field by field, each into the one it replaces; an inbox payload by
+    /// pointer.
+    fn clone_from(&mut self, source: &Self) {
+        let YorkieReplica {
+            doc,
+            inbox,
+            last_snapshot,
+        } = source;
+        self.doc.clone_from(doc);
+        clone_queue_from(&mut self.inbox, inbox, |mine, theirs| {
+            clone_handles_from(mine, theirs)
+        });
+        self.last_snapshot.clone_from(last_snapshot);
+    }
 }
 
 /// [`YorkieModel`]'s per-replica state: a [`YorkieReplica`] behind a

@@ -4,7 +4,9 @@
 //! subsumption memo and a stitched tail do with replica states is a
 //! `clone()` of exactly this kind, so this is the number their cost rests
 //! on. What they do with an outcome is a `clone()` too, and that allocates
-//! nothing.
+//! nothing. The copy a write makes after the cursor refills its states
+//! from a snapshot goes into the value the refill displaced, and that
+//! allocates nothing either.
 //!
 //! The same exact count stands in for what two wall-clock overhead ceilings
 //! used to approximate: a metric registry attached to a replay is counted
@@ -32,7 +34,7 @@ use er_pi::{
     Attachments, ExploreMode, InlineExecutor, OpOutcome, ReplayConfig, Session, SessionMetrics,
     SystemModel, TimeModel,
 };
-use er_pi_model::{ReplicaId, Value, Workload};
+use er_pi_model::{EventKind, ReplicaId, Value, Workload};
 use er_pi_subjects::{Bug, CrdtsModel, LedgerApp, OrbitModel, OrbitReplica, TownApp};
 
 thread_local! {
@@ -268,6 +270,135 @@ fn a_copy_and_the_write_after_it_cost_the_same_at_any_history() {
     });
 }
 
+/// After a refill, the copy a write makes goes into the value the refill
+/// displaced: for every subject replica, at every step of its recordings
+/// that wrote a replica, copying the snapshot's replica into the value the
+/// step left behind allocates no block where a copy of the snapshot
+/// allocates some. The one exception is the receiving end of a split sync,
+/// which consumed an inbox payload the snapshot still holds: the copy
+/// builds that payload again, and only that.
+///
+/// The engine refills with `clone_from` ([`er_pi_rdl::Shared`] retires the
+/// value it displaces) and applies the next event, whose first write
+/// through the cell is the copy counted here — of the replica, and of the
+/// store, log or document cell inside it when the step wrote that too.
+#[test]
+fn a_write_after_a_refill_copies_into_the_retired_value_without_a_block() {
+    use er_pi_rdl::Shared;
+    use er_pi_subjects::{
+        ReplicaDbModel, ReplicationMode, RoshiModel, RoshiReplica, SubjectKind, YorkieModel,
+        YorkieReplica,
+    };
+
+    /// A replica's nested cell: the address of its value, and a write
+    /// through it.
+    type Inner<R> = (fn(&R) -> *const u8, fn(&mut R));
+
+    fn assert_copies_in_place<R: Clone + std::fmt::Debug, M: SystemModel<State = Shared<R>>>(
+        subject: &str,
+        model: &M,
+        workload: &Workload,
+        inner: Option<Inner<R>>,
+    ) {
+        let mut snapshot = model.init_all();
+        let mut copies = 0;
+        for &id in workload.recorded_order().iter() {
+            let event = workload.event(id);
+            let mut run = snapshot.clone();
+            model.apply(&mut run, event);
+            let written: Vec<(usize, bool)> = (0..run.len())
+                .filter(|&at| !Shared::ptr_eq(&run[at], &snapshot[at]))
+                .map(|at| {
+                    let wrote = inner.is_some_and(|(of, _)| of(&run[at]) != of(&snapshot[at]));
+                    (at, wrote)
+                })
+                .collect();
+            let receiver = match event.kind {
+                EventKind::SyncExec { .. } => Some(event.replica.index()),
+                _ => None,
+            };
+            run.clone_from(&snapshot);
+            for &(at, wrote_inner) in &written {
+                let copy = |replica: &mut Shared<R>| {
+                    let replica: &mut R = replica;
+                    if let Some((_, write)) = inner.filter(|_| wrote_inner) {
+                        write(replica);
+                    }
+                };
+                let (fresh, ()) = blocks_during(|| copy(&mut snapshot.clone()[at]));
+                let (reused, ()) = blocks_during(|| copy(&mut run[at]));
+                assert!(fresh > 0, "{subject}, {event}: a plain copy allocates");
+                match receiver == Some(at) {
+                    false => assert_eq!(reused, 0, "{subject}, {event}: blocks"),
+                    true => assert!(reused < fresh, "{subject}, {event}: {reused} blocks"),
+                }
+                assert_eq!(format!("{:?}", *run[at]), format!("{:?}", *snapshot[at]));
+                copies += 1;
+            }
+            model.apply(&mut snapshot, event);
+        }
+        assert!(copies > 0, "{subject}: no step wrote");
+    }
+
+    let r = ReplicaId::new;
+    let town = TownApp::new(2);
+    let mut w = Workload::builder();
+    let ev1 = w.update(r(0), "add", [Value::from("otb")]);
+    w.sync_pair(r(0), r(1), ev1);
+    let ev2 = w.update(r(1), "add", [Value::from("ph")]);
+    w.sync_pair(r(1), r(0), ev2);
+    let ev3 = w.update(r(1), "remove", [Value::from("otb")]);
+    w.sync_pair(r(1), r(0), ev3);
+    w.external(r(0), "transmit");
+    assert_copies_in_place("town", &town, &w.build(), None);
+
+    fn write_through<T: Clone>(cell: &mut Shared<T>) {
+        let _: &mut T = cell;
+    }
+    let roshi: Inner<RoshiReplica> = (
+        |r| &*r.store as *const _ as _,
+        |r| write_through(&mut r.store),
+    );
+    let orbit: Inner<OrbitReplica> = (|r| &*r.log as *const _ as _, |r| write_through(&mut r.log));
+    let yorkie: Inner<YorkieReplica> =
+        (|r| &*r.doc as *const _ as _, |r| write_through(&mut r.doc));
+    for bug in Bug::catalogue() {
+        let (w, name) = (bug.workload(), bug.name);
+        let replicas = w.replicas().len();
+        match bug.subject {
+            SubjectKind::Roshi => {
+                assert_copies_in_place(name, &RoshiModel::new(replicas), w, Some(roshi))
+            }
+            SubjectKind::OrbitDb => {
+                assert_copies_in_place(name, &OrbitModel::new(replicas), w, Some(orbit))
+            }
+            SubjectKind::Yorkie => {
+                assert_copies_in_place(name, &YorkieModel::new(replicas), w, Some(yorkie))
+            }
+            SubjectKind::ReplicaDb => {
+                let model = ReplicaDbModel::new(ReplicationMode::Complete, u64::MAX);
+                assert_copies_in_place(name, &model, w, None)
+            }
+            SubjectKind::Crdts => unreachable!("Table 1 has no crdts bug"),
+        }
+    }
+
+    let mut w = Workload::builder();
+    for i in 0..8i64 {
+        let (at, next) = (r((i % 3) as u16), r(((i + 1) % 3) as u16));
+        let add = w.update(at, "set_add", [Value::from(i)]);
+        w.update(at, "list_push", [Value::from(i)]);
+        w.sync_split(at, next, Some(add));
+    }
+    assert_copies_in_place("crdts", &CrdtsModel::new(3), &w.build(), None);
+
+    let mut w = Workload::builder();
+    let credit = w.update(r(0), "credit", [Value::from(100)]);
+    w.sync_pair(r(0), r(1), credit);
+    w.update(r(1), "credit", [Value::from(5)]);
+    assert_copies_in_place("ledger", &LedgerApp::new(2), &w.build(), None);
+}
+
 /// A one-worker replay runs on the calling thread, so every block it asks
 /// for is counted. With a registry attached it asks for the same number of
 /// blocks *more* than the detached replay at 500 runs and at 2 000: set-up
@@ -304,21 +435,23 @@ fn an_attached_registry_allocates_nothing_per_run() {
 /// worker, session defaults.
 ///
 /// DFS order resumes 73 % of its events from snapshots, so nearly every
-/// applied event first copies the replica it writes; it measures 19.53 now
-/// that a snapshot is one block and an outcome clones as a handle (20.98
-/// before that; 26.09 before the executor rewrote the previous run's
-/// buffers in place, the dispenser stopped keeping fingerprints and a
-/// version vector moved inline into its replica; 43.92 while a copy
-/// duplicated the op log, the elements and the transmitted list). Random
-/// order applies 99 % of its events to states no snapshot holds and shares
-/// next to nothing with the run before it, so it is the pin on what sharing
-/// — of structures and of buffers — costs where there is nothing to share:
-/// 24.85 (25.70, 29.65, 40.35).
+/// applied event first copies the replica it writes; it measures 12.16 now
+/// that the copy goes into the one the refill before the run displaced,
+/// field by field (19.53 while every such copy was fresh and the refill
+/// freed it; 20.98 before a snapshot was one block and an outcome cloned as
+/// a handle; 26.09 before the executor rewrote the previous run's buffers
+/// in place, the dispenser stopped keeping fingerprints and a version
+/// vector moved inline into its replica; 43.92 while a copy duplicated the
+/// op log, the elements and the transmitted list). Random order applies
+/// 99 % of its events to states no snapshot holds and shares next to
+/// nothing with the run before it, so it is the pin on what sharing — of
+/// structures and of buffers — costs where there is nothing to share:
+/// 17.58 (24.85, 25.70, 29.65, 40.35).
 ///
 /// Under default retention a run leaves a `(sim_us, failed_ops)` row and
 /// nothing else — no `observe`, no `RunRecord`. With `keep_runs` every run
 /// builds its record (interleaving + observations): no benchmark workload
-/// takes that path, so this is what holds it (29.97; 30.63, 35.74).
+/// takes that path, so this is what holds it (22.60; 29.97, 30.63, 35.74).
 #[test]
 fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
     let blocks_per_run = |mode: ExploreMode, keep_runs: bool| {
@@ -340,9 +473,9 @@ fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
     let dfs = blocks_per_run(ExploreMode::Dfs, false);
     let random = blocks_per_run(ExploreMode::Random { seed: 7 }, false);
     let kept = blocks_per_run(ExploreMode::Dfs, true);
-    assert!(dfs <= 20.0, "DFS order: {dfs} blocks per run");
-    assert!(random <= 25.3, "Random order: {random} blocks per run");
-    assert!(kept <= 30.5, "keep_runs: {kept} blocks per run");
+    assert!(dfs <= 12.3, "DFS order: {dfs} blocks per run");
+    assert!(random <= 17.8, "Random order: {random} blocks per run");
+    assert!(kept <= 22.9, "keep_runs: {kept} blocks per run");
 }
 
 /// Blocks per run of `benchmark/`'s `fault-subsume` campaign: the same town
@@ -350,13 +483,15 @@ fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
 /// state-hash subsumption, capped at 10 000, one worker.
 ///
 /// Three quarters of its runs are answered from the explored-set, so much of
-/// what a run costs there is what recording it costs. It measures 11.50 now
-/// that an outcome clones as a handle — a failure reason is a static string,
-/// an observation is shared — wherever the cursor, the paths, the memos and
-/// stitched tails copy it, a violation takes its run's interleaving instead
-/// of a copy, and a snapshot is one block (17.08 before that; 22.39 when
-/// every recording run deep-copied its whole outcome vector and states into
-/// a memo of its own and the fault product cloned each plan's list).
+/// what a run costs there is what recording it costs. It measures 10.07 now
+/// that a write after a refill or a stitched tail copies into the value the
+/// refill displaced (10.81 before that; 11.50 before an outcome cloned as a
+/// handle — a failure reason is a static string, an observation is shared —
+/// wherever the cursor, the paths, the memos and stitched tails copy it, a
+/// violation took its run's interleaving instead of a copy, and a snapshot
+/// was one block; 17.08 before that; 22.39 when every recording run
+/// deep-copied its whole outcome vector and states into a memo of its own
+/// and the fault product cloned each plan's list).
 #[test]
 fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
     let config = ReplayConfig {
@@ -375,7 +510,7 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
     let stats = report.cache_stats.expect("subsuming replay reports stats");
     assert!(stats.subsumed > 7_000, "{} runs subsumed", stats.subsumed);
     let per_run = blocks as f64 / report.explored as f64;
-    assert!(per_run <= 12.0, "fault-subsume: {per_run} blocks per run");
+    assert!(per_run <= 10.3, "fault-subsume: {per_run} blocks per run");
 }
 
 /// Blocks per run of `benchmark/`'s `catalogue` sweep: the twelve bugs of
@@ -384,10 +519,12 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
 ///
 /// Every run ends in the bug's check, pass or fail, so this is the pin on
 /// what a check costs: it reads the replica states in place and formats its
-/// symptom only when the bug manifested. It measures 30.69 blocks per run;
-/// 41.46 while the checks snapshotted JSON subtrees, collected keys and
-/// list items into vectors and turned every log payload into a string to
-/// compare it, on every run.
+/// symptom only when the bug manifested. It measures 24.72 blocks per run
+/// now that a write after a refill copies into the replica the refill
+/// displaced, touching only what differs; 30.69 while each such copy was
+/// fresh; 41.46 while the checks snapshotted JSON subtrees, collected keys
+/// and list items into vectors and turned every log payload into a string
+/// to compare it, on every run.
 #[test]
 fn the_catalogue_sweep_allocates_a_pinned_number_of_blocks_per_run() {
     let config = ReplayConfig {
@@ -404,7 +541,7 @@ fn the_catalogue_sweep_allocates_a_pinned_number_of_blocks_per_run() {
     }
     assert_eq!(runs, 92_160, "the sweep is fixed");
     let per_run = blocks as f64 / runs as f64;
-    assert!(per_run <= 30.7, "catalogue: {per_run} blocks per run");
+    assert!(per_run <= 24.8, "catalogue: {per_run} blocks per run");
 }
 
 /// The engine's own blocks: a fault-free DFS campaign over a model whose
