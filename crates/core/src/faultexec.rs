@@ -46,7 +46,7 @@ pub(crate) const REASON_DELAYED: &str = "fault: delivery delayed";
 pub struct FaultInterpreter<'p> {
     plan: &'p FaultPlan,
     /// Cut links, normalized `(min, max)`. Ordered, so
-    /// [`pending_digest`](FaultInterpreter::pending_digest) can fold them
+    /// [`live_digest`](FaultInterpreter::live_digest) can fold them
     /// as they come.
     partitions: BTreeSet<(ReplicaId, ReplicaId)>,
     /// Delayed effects: `(fire_pos, event)`, in scheduling order.
@@ -61,28 +61,43 @@ fn normalize(a: ReplicaId, b: ReplicaId) -> (ReplicaId, ReplicaId) {
     }
 }
 
+/// Whether `event` is a sync across one of the cut `links`.
+fn partitioned(links: &BTreeSet<(ReplicaId, ReplicaId)>, event: &Event) -> bool {
+    event
+        .sync_endpoints()
+        .is_some_and(|(a, b)| links.contains(&normalize(a, b)))
+}
+
 impl<'p> FaultInterpreter<'p> {
     /// An interpreter at the start of a run under `plan`: no link cut, no
     /// delivery outstanding.
     pub fn new(plan: &'p FaultPlan) -> Self {
+        Self::reusing(plan, Vec::new())
+    }
+
+    /// [`new`](FaultInterpreter::new), queueing delayed effects in `pending`
+    /// (emptied first): a buffer an earlier run handed back through
+    /// [`into_pending`](FaultInterpreter::into_pending), kept for its
+    /// capacity.
+    pub(crate) fn reusing(plan: &'p FaultPlan, mut pending: Vec<(usize, EventId)>) -> Self {
+        pending.clear();
         FaultInterpreter {
             plan,
             partitions: BTreeSet::new(),
-            pending: Vec::new(),
+            pending,
         }
+    }
+
+    /// The delayed-effect buffer, for the next run's
+    /// [`reusing`](FaultInterpreter::reusing).
+    pub(crate) fn into_pending(self) -> Vec<(usize, EventId)> {
+        self.pending
     }
 
     /// Returns `true` when the plan schedules no faults — callers may take
     /// the zero-overhead fault-free path.
     pub(crate) fn idle(&self) -> bool {
         self.plan.is_empty()
-    }
-
-    fn is_partitioned(&self, event: &Event) -> bool {
-        event
-            .sync_endpoints()
-            .map(|(a, b)| self.partitions.contains(&normalize(a, b)))
-            .unwrap_or(false)
     }
 
     /// Executes the event at schedule slot `pos` with its faults and returns
@@ -147,7 +162,7 @@ impl<'p> FaultInterpreter<'p> {
         if self.idle() {
             return None;
         }
-        if self.is_partitioned(event) {
+        if partitioned(&self.partitions, event) {
             return Some(REASON_PARTITIONED);
         }
         let mut delay = None;
@@ -191,7 +206,7 @@ impl<'p> FaultInterpreter<'p> {
             if self.pending[i].0 <= pos {
                 let (_, id) = self.pending.remove(i);
                 let event = workload.event(id);
-                if !self.is_partitioned(event) {
+                if !partitioned(&self.partitions, event) {
                     let _ = model.apply(states, event);
                 }
             } else {
@@ -209,10 +224,9 @@ impl<'p> FaultInterpreter<'p> {
         states: &mut [M::State],
         workload: &Workload,
     ) {
-        let pending = std::mem::take(&mut self.pending);
-        for (_, id) in pending {
+        for (_, id) in self.pending.drain(..) {
             let event = workload.event(id);
-            if !self.is_partitioned(event) {
+            if !partitioned(&self.partitions, event) {
                 let _ = model.apply(states, event);
             }
         }
@@ -241,7 +255,7 @@ impl<'p> FaultInterpreter<'p> {
                 }
             }
             let event = workload.event(id);
-            if self.is_partitioned(event) {
+            if partitioned(&self.partitions, event) {
                 continue; // the slot failed; nothing was scheduled
             }
             if self.plan.at(id).any(|f| matches!(f.kind, FaultKind::Drop)) {
@@ -261,19 +275,21 @@ impl<'p> FaultInterpreter<'p> {
         }
     }
 
-    /// A 64-bit digest of the interpreter's fault context: the plan itself
-    /// (faults anchored at future events change suffix behavior even when
-    /// nothing has fired yet), the cut links in sorted order, and the
-    /// outstanding delayed effects in scheduling order (firing order is
-    /// behavior, so the `Vec` order is hashed as-is). Subsumption folds this
-    /// into its key: two runs at the same replica-state digest but under
-    /// different plans, partitions, or in-flight deliveries behave
-    /// differently under the same suffix. One call per subsume probe, so it
+    /// A 64-bit digest of what the faults that already fired left live: the
+    /// cut links in sorted order, and the outstanding delayed effects in
+    /// scheduling order (firing order is behavior, so the `Vec` order is
+    /// hashed as-is). Subsumption folds this into its key. The plan itself
+    /// is not hashed: the interpreter reads it only at the anchor being
+    /// stepped, and the key's suffix hash already folds the anchor digest of
+    /// every event still to come, so a fault that fired acts on the rest of
+    /// the run only through the replica states, the cut links and the
+    /// delayed effects (DESIGN.md §15). Two runs at the same replica-state
+    /// digest, depth and suffix under different plans thus share a key once
+    /// their live context agrees. One call per subsume probe, so it
     /// allocates nothing.
-    pub(crate) fn pending_digest(&self) -> u64 {
+    pub(crate) fn live_digest(&self) -> u64 {
         // The FNV-1a of these fields laid end to end, folded in place.
-        let mut h = fnv1a64(&self.plan.digest().to_le_bytes());
-        h = fnv1a64_extend(h, &(self.partitions.len() as u64).to_le_bytes());
+        let mut h = fnv1a64(&(self.partitions.len() as u64).to_le_bytes());
         for (a, b) in &self.partitions {
             h = fnv1a64_extend(h, &a.raw().to_le_bytes());
             h = fnv1a64_extend(h, &b.raw().to_le_bytes());
@@ -451,42 +467,56 @@ mod tests {
     }
 
     #[test]
-    fn pending_digest_separates_plans_topology_and_delays() {
+    fn live_digest_forgets_fired_faults_and_keeps_topology_and_delays() {
         let (w, ids) = three_ops();
         let order: Vec<_> = w.event_ids().collect();
 
         let empty = FaultPlan::empty();
-        let base = FaultInterpreter::new(&empty).pending_digest();
+        let base = FaultInterpreter::new(&empty).live_digest();
 
-        // A different plan — even before anything fires — changes the key.
-        let drop_plan = FaultPlan::new(vec![FaultEvent::new(ids[2], FaultKind::Drop)]);
-        let fresh = FaultInterpreter::new(&drop_plan);
-        assert_ne!(fresh.pending_digest(), base);
+        // A plan is not part of the digest: its anchors still to come are in
+        // the suffix hash, and a drop that fired leaves nothing live.
+        let drop_plan = FaultPlan::new(vec![FaultEvent::new(ids[1], FaultKind::Drop)]);
+        let mut dropped = FaultInterpreter::new(&drop_plan);
+        assert_eq!(dropped.live_digest(), base);
+        dropped.fast_forward(&w, &order, 2);
+        assert_eq!(dropped.live_digest(), base, "a fired drop is forgotten");
 
-        // Live partition state changes the key.
-        let pplan = FaultPlan::new(vec![FaultEvent::new(
-            ids[0],
-            FaultKind::Partition {
-                from: r(0),
-                to: r(1),
-            },
-        )]);
-        let mut cut = FaultInterpreter::new(&pplan);
-        let before = cut.pending_digest();
-        cut.fast_forward(&w, &order, 1);
-        assert_ne!(cut.pending_digest(), before);
+        // A live partition changes the digest, and healing it restores it.
+        let cut = FaultKind::Partition {
+            from: r(0),
+            to: r(1),
+        };
+        let heal = FaultKind::Heal {
+            from: r(0),
+            to: r(1),
+        };
+        let pplan = FaultPlan::new(vec![
+            FaultEvent::new(ids[0], cut),
+            FaultEvent::new(ids[2], heal),
+        ]);
+        let mut window = FaultInterpreter::new(&pplan);
+        window.fast_forward(&w, &order, 1);
+        assert_ne!(window.live_digest(), base);
+        let mut healed = FaultInterpreter::new(&pplan);
+        healed.fast_forward(&w, &order, 3);
+        assert_eq!(healed.live_digest(), base, "a healed link is forgotten");
 
-        // Outstanding delayed effects change the key, and firing order
+        // An outstanding delayed effect changes the digest, and firing order
         // matters (the pending Vec is hashed in order).
         let dplan = FaultPlan::new(vec![FaultEvent::new(ids[1], FaultKind::Delay { by: 2 })]);
         let mut delayed = FaultInterpreter::new(&dplan);
-        let before = delayed.pending_digest();
         delayed.fast_forward(&w, &order, 2);
-        assert_ne!(delayed.pending_digest(), before);
+        assert_ne!(delayed.live_digest(), base);
+        let mut two = FaultInterpreter::new(&dplan);
+        two.pending = vec![(3, ids[1]), (4, ids[2])];
+        let mut swapped = FaultInterpreter::new(&dplan);
+        swapped.pending = vec![(4, ids[2]), (3, ids[1])];
+        assert_ne!(two.live_digest(), swapped.live_digest());
     }
 
     #[test]
-    fn pending_digest_is_fnv_of_the_concatenated_context() {
+    fn live_digest_is_fnv_of_the_concatenated_context() {
         let (w, ids) = three_ops();
         let order: Vec<_> = w.event_ids().collect();
         let plan = FaultPlan::new(vec![
@@ -501,15 +531,39 @@ mod tests {
         ]);
         let mut interp = FaultInterpreter::new(&plan);
         interp.fast_forward(&w, &order, 2);
+        // Links, then delayed effects: no plan digest in front.
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(&plan.digest().to_le_bytes());
         bytes.extend_from_slice(&1u64.to_le_bytes());
         bytes.extend_from_slice(&r(0).raw().to_le_bytes());
         bytes.extend_from_slice(&r(1).raw().to_le_bytes());
         bytes.extend_from_slice(&1u64.to_le_bytes());
         bytes.extend_from_slice(&3u64.to_le_bytes());
         bytes.extend_from_slice(&ids[1].raw().to_le_bytes());
-        assert_eq!(interp.pending_digest(), fnv1a64(&bytes));
+        assert_eq!(interp.live_digest(), fnv1a64(&bytes));
+    }
+
+    #[test]
+    fn a_reused_delay_buffer_starts_empty_and_finish_keeps_its_capacity() {
+        let (w, ids) = three_ops();
+        let plan = FaultPlan::new(vec![FaultEvent::new(ids[2], FaultKind::Delay { by: 5 })]);
+        let il = w.recorded_order().with_faults(plan.clone());
+        let (model, mut states) = (Probe, Probe.init_all());
+        let mut interp = FaultInterpreter::reusing(&plan, vec![(9, ids[0]); 4]);
+        assert!(interp.pending.is_empty(), "emptied before the run");
+        for (pos, &id) in il.iter().enumerate() {
+            interp.step(&model, &mut states, &w, w.event(id), pos);
+        }
+        interp.finish(&model, &mut states, &w);
+        assert_eq!(
+            states,
+            run(&w, &il).0,
+            "the same run as a fresh interpreter"
+        );
+        let buffer = interp.into_pending();
+        assert!(
+            buffer.is_empty() && buffer.capacity() >= 4,
+            "drained, not taken"
+        );
     }
 
     #[test]

@@ -369,6 +369,9 @@ pub struct IncrementalExecutor<M: SystemModel> {
     /// suffix hashes, and the keys it probed as misses.
     suffixes: Vec<u64>,
     pending: Vec<(SubsumeKey, Option<Box<[u8]>>)>,
+    /// The fault interpreter's queue of delayed effects, handed from run to
+    /// run for its capacity.
+    delays: Vec<(usize, EventId)>,
 }
 
 impl<M: SystemModel> IncrementalExecutor<M> {
@@ -390,6 +393,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
             init: None,
             suffixes: Vec::new(),
             pending: Vec::new(),
+            delays: Vec::new(),
         }
     }
 
@@ -556,7 +560,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         // Rebuild the fault interpreter's bookkeeping (partition topology,
         // outstanding delayed effects) as of the resume depth; the snapshot
         // states already contain everything the skipped prefix did.
-        let mut faults = FaultInterpreter::new(plan);
+        let mut faults = FaultInterpreter::reusing(plan, std::mem::take(&mut self.delays));
         faults.fast_forward(workload, il.as_slice(), resume_depth);
 
         // Subsumption bookkeeping. The probe runs at the resume depth
@@ -601,7 +605,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
             };
             let key = SubsumeKey {
                 state: digest,
-                faults: faults.pending_digest(),
+                faults: faults.live_digest(),
                 suffix: suffixes[depth],
                 depth: depth as u32,
             };
@@ -655,6 +659,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
             }),
             _ => faults.finish(model, &mut run.states, workload),
         }
+        self.delays = faults.into_pending();
 
         if let Some((depth, memo)) = donor {
             if let Some(set) = sub.filter(|_| audit) {

@@ -273,10 +273,11 @@ impl<M: SystemModel> Session<M> {
     /// Enables or disables state-hash subsumption (default: **off**).
     ///
     /// Each replay then keeps a campaign-wide explored-set of
-    /// `(state digest, fault digest, suffix hash, depth)` keys; whenever a
-    /// run reaches a state some memoized run already continued from — with
-    /// the same pending faults and the same remaining events — the
-    /// memoized tail is stitched in instead of executed. The report stays
+    /// `(state digest, live-fault digest, suffix hash, depth)` keys; whenever
+    /// a run reaches a state some memoized run already continued from — with
+    /// the same cut links and delayed effects in flight, and the same
+    /// remaining events and fault anchors — the memoized tail is stitched in
+    /// instead of executed, whichever fault plan recorded it. The report stays
     /// byte-identical to a subsumption-off replay ([`Report::diff`]
     /// returns `None`; the dpor-equivalence suite pins it), and
     /// [`CacheStats::subsumed`] / [`CacheStats::subsume_events_saved`]

@@ -8,17 +8,21 @@
 //! [`SubsumeSet`] records, for every depth of every executed run, the key
 //!
 //! ```text
-//! (state digest, fault-context digest, remaining-suffix hash, depth)
+//! (state digest, live-fault digest, remaining-suffix hash, depth)
 //! ```
 //!
 //! and points it at that run's tail: the outcomes from that depth on and the
 //! final states. When a later run reaches an already-recorded key, its tail
 //! is *stitched* from the set instead of executed: by determinism of
 //! [`SystemModel::apply`](crate::SystemModel::apply), equal states + equal
-//! fault context + the same remaining event sequence at the same positions
-//! must reproduce exactly the recorded outcomes and final states, so the
-//! stitched run is byte-identical to what execution would have produced —
-//! the violation set cannot change (DESIGN.md §15).
+//! cut links and in-flight delayed effects + the same remaining
+//! `(event, fault anchors)` sequence at the same positions must reproduce
+//! exactly the recorded outcomes and final states, so the stitched run is
+//! byte-identical to what execution would have produced — the violation set
+//! cannot change (DESIGN.md §15). The key holds no plan: a fault still ahead
+//! is in the suffix hash, and one that fired lives on only in the states,
+//! the links and the delayed effects, so a run can be stitched from a tail
+//! recorded under another fault plan.
 //!
 //! A tail is stored once. Every run that records keys appends only the
 //! outcomes nobody gave it — from its shallowest new key to where it was
@@ -52,9 +56,12 @@ pub(crate) struct SubsumeKey {
     /// 128-bit digest over all replicas' canonical state encodings
     /// ([`SystemModel::state_digest`](crate::SystemModel::state_digest)).
     pub state: u128,
-    /// Digest of the fault context: the plan plus the interpreter's live
-    /// partitions and outstanding delayed effects
-    /// (`FaultInterpreter::pending_digest`).
+    /// Digest of what fired faults left live: the interpreter's cut links
+    /// and outstanding delayed effects (`FaultInterpreter::live_digest`).
+    /// Not the plan: its anchors still ahead are in [`suffix`](Self::suffix),
+    /// and one that fired acts on the rest of the run only through the
+    /// replica states and this live context, so runs under different plans
+    /// share a key once those agree.
     pub faults: u64,
     /// Hash of the remaining `(event, fault-anchor digest)` suffix, in
     /// order.
@@ -513,6 +520,27 @@ mod tests {
         assert_ne!(a[0], b[0]);
         assert_ne!(a[1], b[1], "anchor inside the suffix changes it");
         assert_eq!(a[2], b[2], "anchor before the suffix does not");
+    }
+
+    /// The key no longer holds the plan, so a future fault is kept apart by
+    /// the suffix hash alone: under the empty plan and under a drop of the
+    /// event at position 2, one order's hashes differ at every depth whose
+    /// suffix still holds the anchor and agree past it.
+    #[test]
+    fn suffix_hashes_keep_a_future_fault_apart_until_its_anchor() {
+        use er_pi_model::{FaultEvent, FaultKind, FaultPlan};
+        let ids = [4, 2, 0, 3, 1, 5];
+        let anchor = 2;
+        let drop = FaultEvent::new(EventId::new(ids[anchor]), FaultKind::Drop);
+        let plain = suffix_hashes(&il(&ids));
+        let faulted = suffix_hashes(&il(&ids).with_faults(FaultPlan::new(vec![drop])));
+        for depth in 0..=ids.len() {
+            if depth <= anchor {
+                assert_ne!(plain[depth], faulted[depth], "depth {depth}: anchor ahead");
+            } else {
+                assert_eq!(plain[depth], faulted[depth], "depth {depth}: anchor passed");
+            }
+        }
     }
 
     #[test]

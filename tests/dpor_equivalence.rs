@@ -24,7 +24,8 @@
 //! workload (town app extended to 10 events, DFS, capped at 10 000
 //! interleavings) subsumption must answer at least 90% of runs from the
 //! explored set — a ≥10× reduction in physically executed replays — with
-//! and without a two-plan fault schedule.
+//! and without a two-plan fault schedule, and under every plan of one and
+//! of two faults.
 
 mod common;
 
@@ -65,37 +66,88 @@ fn two_plans(event: u32) -> Vec<FaultPlan> {
 }
 
 /// At least 90% of the 10 000 runs answered from the explored set, fault
-/// free and under the two-plan schedule (whose fault digests partition the
-/// key space), and the report byte-identical either way.
+/// free, under the two-plan schedule and under every plan of one and of two
+/// faults, and the report byte-identical each time. A fault still ahead of a
+/// run is in its key's suffix hash, and one that fired is in its states, cut
+/// links and delayed effects, so a run stitches tails recorded under other
+/// plans: at one worker the one-fault space executes 921 runs and the
+/// two-fault space 813 (2 252 and 4 295 while the key held the whole plan).
 #[test]
 fn motivating_workload_subsumes_ten_x() {
-    for plans in [None, Some(two_plans(5))] {
+    type Faults = fn(&mut Session<TownApp>);
+    let rows: [(&str, Option<usize>, Faults); 4] = [
+        ("fault free", None, |_| {}),
+        ("[empty, Drop@5]", None, |session| {
+            session.set_fault_plans(two_plans(5));
+        }),
+        ("all(1)", Some(1), |session| {
+            session.set_fault_space(FaultSpace::all(1));
+        }),
+        ("all(2)", Some(1), |session| {
+            session.set_fault_space(FaultSpace::all(2));
+        }),
+    ];
+    for (faults, workers, set_faults) in rows {
         let replay = |subsumption: bool| {
             let mut session = town_session_10(CAP);
-            if let Some(plans) = &plans {
-                session.set_fault_plans(plans.clone());
+            if let Some(workers) = workers {
+                session.set_workers(workers);
             }
+            set_faults(&mut session);
             session.set_subsumption(subsumption);
             session.replay(&TownApp::invariant()).expect("recorded")
         };
         let (reference, report) = (replay(false), replay(true));
-        let faults = plans.is_some();
         assert_eq!(
             reference.diff(&report),
             None,
-            "faults={faults}: subsumption must keep the 10k-interleaving report byte-identical"
+            "{faults}: subsumption must keep the 10k-interleaving report byte-identical"
         );
         let stats = report.cache_stats.expect("subsuming replay reports stats");
         let executed = stats.executed_runs();
-        assert_eq!(report.explored, CAP, "faults={faults}: the cap binds");
+        assert_eq!(report.explored, CAP, "{faults}: the cap binds");
         assert!(
             executed * 10 <= report.explored as u64,
-            "faults={faults}: acceptance floor: ≥10× fewer executed replays \
+            "{faults}: acceptance floor: ≥10× fewer executed replays \
              (explored {}, executed {executed}, subsumed {})",
             report.explored,
             stats.subsumed
         );
     }
+}
+
+/// The empty plan and a duplicated delivery of event 5, at one worker: a
+/// duplicate fires at its anchor and leaves only state behind, so past it a
+/// run under one plan is stitched from tails the other recorded. The
+/// executed and subsumed counts are pinned exactly (960 and 9 040 while the
+/// key held the whole plan), and the report equals scratch replay.
+#[test]
+fn a_duplicated_delivery_stitches_tails_across_plans() {
+    let duplicate = FaultEvent::new(EventId::new(5), FaultKind::Duplicate);
+    let plans = vec![FaultPlan::empty(), FaultPlan::new(vec![duplicate])];
+    let replay = |subsumption: bool| {
+        let config = ReplayConfig {
+            mode: ExploreMode::Dfs,
+            cap: CAP,
+            workers: 1,
+            incremental: subsumption,
+            subsumption,
+            ..ReplayConfig::default()
+        };
+        let mut session = Session::with_config(TownApp::new(2), config, Attachments::default());
+        session.record(record_town);
+        session.set_fault_plans(plans.clone());
+        session.replay(&TownApp::invariant()).expect("recorded")
+    };
+    let (reference, report) = (replay(false), replay(true));
+    assert_eq!(reference.diff(&report), None);
+    assert_eq!(report.explored, CAP);
+    let stats = report.cache_stats.expect("subsuming replay reports stats");
+    assert_eq!(
+        (stats.executed_runs(), stats.subsumed),
+        (599, 9_401),
+        "executed and subsumed runs"
+    );
 }
 
 /// A variant of the §2.3 recording whose lone adds of distinct elements on
@@ -383,16 +435,18 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Fault digests are part of the subsumption key.
+// Fault anchors still ahead are part of the subsumption key.
 // ---------------------------------------------------------------------------
 
 /// Two fault plans over the town workload: the empty baseline and a
 /// dropped-sync schedule under which the same event sequence reaches a
 /// *different* final state (the remove never propagates, so interleavings
-/// that are clean fault-free become violating). If the subsume key
-/// ignored the fault digest, runs of one plan would be stitched from the
-/// other plan's memoized tails and the per-plan violation sets would
-/// merge — caught here as a non-null `Report::diff`.
+/// that are clean fault-free become violating). The key keeps the two apart
+/// at every depth where they would differ: until the drop fires, its anchor
+/// digest is in the suffix hash; after it, the replica states differ. If the
+/// suffix hash ignored anchor digests, runs of one plan would be stitched
+/// from the other plan's memoized tails before the drop and the per-plan
+/// violation sets would merge — caught here as a non-null `Report::diff`.
 #[test]
 fn subsumption_keys_include_the_fault_digest() {
     // The §2.3 7-event recording: small enough that the cap never binds on
