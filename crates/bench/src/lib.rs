@@ -20,8 +20,9 @@
 //! workloads, and why" covers the two-worker row).
 //!
 //! What the deep reductions, the sanitizer and fault schedules promise is
-//! asserted by the root suites (the catalogue matrix, `dpor_equivalence`,
-//! `fault_equivalence`), not emitted here for a script to check.
+//! asserted by the root test suite (`tests/suite`: the catalogue matrix,
+//! `dpor_equivalence`, `fault_equivalence`), not emitted here for a script
+//! to check.
 //!
 //! One operator-facing tool rides along with the figure binaries:
 //! `er-pi-explain` prints the deterministic forensic bundle for a

@@ -18,8 +18,9 @@ pub type ProgressHook = Arc<dyn Fn(&ProgressSnapshot) + Send + Sync>;
 /// The handles a replay reports through or is stopped by — everything a
 /// caller may attach that is not configuration. All of them are outside the
 /// determinism boundary: any combination leaves the [`Report`](crate::Report)
-/// byte-identical to a detached run (the `telemetry_equivalence`,
-/// `forensics_equivalence` and `parallel_props` suites pin this), which is
+/// byte-identical to a detached run (the root test suite's
+/// `telemetry_equivalence`, `forensics_equivalence` and `parallel_props`
+/// modules under `tests/suite` pin this), which is
 /// why they are kept apart from the [`ReplayConfig`] data.
 #[derive(Clone)]
 pub struct Attachments {

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use er_pi_interleave::{enumerate_plans, ExploreMode, FaultSpace, PruningConfig};
-use er_pi_model::{EventId, FaultPlan, OpDescriptor, ReplicaId, Value, Workload, WorkloadBuilder};
+use er_pi_model::{EventId, FaultPlan, ReplicaId, Value, Workload, WorkloadBuilder};
 use er_pi_telemetry::{low_hit_rate, ProgressSnapshot, Sink, Telemetry, COORDINATOR_TRACK};
 
 use er_pi_analysis::{Diagnostic, TraceAnalysis};
@@ -55,12 +55,6 @@ impl<'m, M: SystemModel> LiveSystem<'m, M> {
         A::Item: Into<Value>,
     {
         let id = self.builder.update(replica, function, args);
-        self.run_last(id)
-    }
-
-    /// Invokes (and records) a pre-built operation descriptor.
-    pub fn invoke_op(&mut self, replica: ReplicaId, op: OpDescriptor) -> EventId {
-        let id = self.builder.update_op(replica, op);
         self.run_last(id)
     }
 
@@ -366,10 +360,10 @@ impl<M: SystemModel> Session<M> {
     ///
     /// Telemetry is strictly write-only — attaching any sink leaves the
     /// [`Report`] byte-identical to a detached run ([`Report::diff`]
-    /// returns `None` between the two; the `telemetry_equivalence` suite
-    /// pins this). The default is [`er_pi_telemetry::NullSink`], which
-    /// disables the whole layer down to one dead branch per instrumented
-    /// site.
+    /// returns `None` between the two;
+    /// `tests/suite/telemetry_equivalence.rs` pins this). The default is
+    /// [`er_pi_telemetry::NullSink`], which disables the whole layer down to
+    /// one dead branch per instrumented site.
     pub fn set_telemetry(&mut self, sink: Arc<dyn Sink>) -> &mut Self {
         self.attach.telemetry = Telemetry::new(sink);
         self

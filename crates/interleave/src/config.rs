@@ -40,7 +40,9 @@ pub struct FailedOpsRule {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PruningConfig {
-    /// Disable the always-on event grouping (used by ablation benches).
+    /// Disable the always-on event grouping, so that every event is its own
+    /// unit. No explorer or bench sets it; the grouping and pruning-soundness
+    /// tests do.
     #[serde(default)]
     pub disable_grouping: bool,
     /// Developer-specified extra groups (each inner list is fused into one

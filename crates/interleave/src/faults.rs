@@ -41,8 +41,6 @@ pub struct FaultSpace {
     pub partitions: bool,
     /// Schedule a crash-restart of the executing replica before each event.
     pub crashes: bool,
-    /// Also anchor drop/duplicate/delay at local updates (not just syncs).
-    pub include_local_ops: bool,
     /// Emit the fault-free baseline plan first.
     pub include_baseline: bool,
 }
@@ -56,7 +54,6 @@ impl Default for FaultSpace {
             delay_window: 1,
             partitions: false,
             crashes: false,
-            include_local_ops: false,
             include_baseline: true,
         }
     }
@@ -72,15 +69,8 @@ impl FaultSpace {
             delay_window: 2,
             partitions: true,
             crashes: true,
-            include_local_ops: false,
             include_baseline: true,
         }
-    }
-
-    /// Disables the fault-free baseline plan.
-    pub fn without_baseline(mut self) -> Self {
-        self.include_baseline = false;
-        self
     }
 }
 
@@ -107,11 +97,8 @@ impl Candidate {
 
 fn candidates(workload: &Workload, space: &FaultSpace) -> Vec<Candidate> {
     let mut out = Vec::new();
-    let anchored: Vec<&er_pi_model::Event> = workload
-        .events()
-        .iter()
-        .filter(|ev| ev.is_sync() || (space.include_local_ops && ev.is_update()))
-        .collect();
+    let anchored: Vec<&er_pi_model::Event> =
+        workload.events().iter().filter(|ev| ev.is_sync()).collect();
     for ev in &anchored {
         if space.drop {
             out.push(Candidate::single(ev.id, FaultKind::Drop));

@@ -63,10 +63,9 @@ impl GroupedUnits {
 
 /// Computes the grouped units of `workload` (Algorithm 1).
 ///
-/// With `config.disable_grouping`, every event is its own unit (used by the
-/// DFS/Random baselines and the ablation benches). Developer groups from
-/// `config.extra_groups` are merged after the automatic rules; transitive
-/// overlaps fuse into a single unit.
+/// With `config.disable_grouping`, every event is its own unit. Developer
+/// groups from `config.extra_groups` are merged after the automatic rules;
+/// transitive overlaps fuse into a single unit.
 pub fn group_events(workload: &Workload, config: &PruningConfig) -> GroupedUnits {
     let n = workload.len();
     // Union-find over event indices.

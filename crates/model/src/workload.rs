@@ -251,11 +251,6 @@ impl WorkloadBuilder {
         )
     }
 
-    /// Records a local RDL update with an explicit [`OpDescriptor`].
-    pub fn update_op(&mut self, replica: ReplicaId, op: OpDescriptor) -> EventId {
-        self.push(replica, EventKind::LocalUpdate { op }, Vec::new())
-    }
-
     /// Records a "send sync request" event from `from` to `to`, shipping the
     /// effects of update `of`.
     pub fn sync_send(&mut self, from: ReplicaId, to: ReplicaId, of: Option<EventId>) -> EventId {

@@ -13,7 +13,7 @@
 //! field in a canonical encoding, say — replaces the row with the one the
 //! failure message prints.
 
-#[path = "../../../tests/common/town.rs"]
+#[path = "../../../tests/suite/common/town.rs"]
 mod town;
 
 use er_pi::Session;

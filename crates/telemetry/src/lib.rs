@@ -29,8 +29,8 @@
 //!
 //! Telemetry is strictly write-only: nothing observed through this crate
 //! feeds back into replay results, so attaching any sink leaves `Report`s
-//! byte-identical to a detached run (enforced by the
-//! `telemetry_equivalence` test suite in the workspace root).
+//! byte-identical to a detached run (enforced by the workspace root's
+//! `tests/suite/telemetry_equivalence.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -108,7 +108,7 @@ impl Sink for MemorySink {
 /// Machine-readable JSON Lines output: one self-contained JSON object per
 /// event, one per line.
 ///
-/// The schema is flat and stable (validated by `tests/telemetry_equivalence.rs`):
+/// The schema is flat and stable (validated by `tests/suite/telemetry_equivalence.rs`):
 ///
 /// ```json
 /// {"kind":"span","name":"run","ts_us":12,"dur_us":3,"track":1,"args":{"index":0}}

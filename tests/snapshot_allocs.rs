@@ -22,7 +22,7 @@
 //! is inside [`blocks_during`], so the count is exact however the harness
 //! schedules its tests.
 
-#[path = "common/town.rs"]
+#[path = "suite/common/town.rs"]
 mod town;
 
 use std::alloc::{GlobalAlloc, Layout, System};

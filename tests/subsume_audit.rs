@@ -4,7 +4,7 @@
 //! happened to build one meanwhile. Each test sets it and none removes it:
 //! they run side by side, and only their subsuming replays build a set.
 
-#[path = "common/town.rs"]
+#[path = "suite/common/town.rs"]
 mod town;
 
 use er_pi::{ExploreMode, Session};

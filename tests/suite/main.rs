@@ -2,22 +2,22 @@
 //! `steps` are compiled once for all of them. Run one suite with its module
 //! path as the filter: `cargo test --test suite -- server_equivalence::`.
 //!
-//! The four catalogue-matrix suites here (`forensics_`, `incremental_`,
-//! `parallel_` and `sanitizer_equivalence`) share one scratch reference per
-//! (bug, stop policy) (`common::matrix`); `dpor_` and
-//! `telemetry_equivalence` sweep the matrix too and still replay their own.
-//! Those two, `fault_equivalence`, `end_to_end`, `evaluation_shape` and
-//! `failure_injection` are binaries of their own at `tests/*.rs`, as are
+//! The catalogue-matrix suites here (`dpor_`, `forensics_`, `incremental_`,
+//! `parallel_`, `sanitizer_` and `telemetry_equivalence`) share one scratch
+//! reference per (bug, stop policy) (`common::matrix`), so each reference is
+//! replayed once. `end_to_end`, `evaluation_shape` and `failure_injection`
+//! are still binaries of their own at `tests/*.rs`, as are
 //! `snapshot_allocs`, whose counting allocator would replace every other
 //! test's, and `subsume_audit`, which sets an environment variable the
-//! engine reads.
+//! engine reads; the last two include only `common/town.rs`.
 
-#[path = "../common/mod.rs"]
 mod common;
 mod http;
 mod steps;
 
+mod dpor_equivalence;
 mod explorer_distinct;
+mod fault_equivalence;
 mod forensics_equivalence;
 mod fuzz_corpus;
 mod incremental_equivalence;
@@ -29,3 +29,4 @@ mod parallel_soak;
 mod report_identity;
 mod sanitizer_equivalence;
 mod server_equivalence;
+mod telemetry_equivalence;
