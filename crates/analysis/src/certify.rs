@@ -585,11 +585,11 @@ fn apply(st: &mut St, op: &Op, pos: u64, idx: u16) -> CertOutcome {
             CertOutcome::Applied
         }
         (St::Ts(t), Op::TsInsert(m, score)) => {
-            t.insert("k", m, *score);
+            t.insert("k", *m, *score);
             CertOutcome::Applied
         }
         (St::Ts(t), Op::TsDelete(m, score)) => {
-            t.delete("k", m, *score);
+            t.delete("k", *m, *score);
             CertOutcome::Applied
         }
         (St::Ts(t), Op::TsSelect) => CertOutcome::Observed(format!("{:?}", t.select("k", 0, 16))),

@@ -226,7 +226,7 @@ mod tests {
     fn value_variants_are_tag_disjoint() {
         assert_ne!(enc(&Value::Null), enc(&Value::Bool(false)));
         assert_ne!(enc(&Value::Int(0)), enc(&Value::Bool(false)));
-        assert_ne!(enc(&Value::Str(String::new())), enc(&Value::List(vec![])));
+        assert_ne!(enc(&Value::from("")), enc(&Value::List(vec![])));
         // Nested lists encode structurally, not by flattening.
         let nested = Value::List(vec![Value::List(vec![Value::Int(1)])]);
         let flat = Value::List(vec![Value::Int(1)]);

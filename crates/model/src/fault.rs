@@ -180,6 +180,7 @@ impl FaultPlan {
     }
 
     /// Returns `true` if the plan schedules no faults.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.faults.is_none()
     }
@@ -195,6 +196,7 @@ impl FaultPlan {
     }
 
     /// The faults anchored at `anchor`, in sorted order.
+    #[inline]
     pub fn at(&self, anchor: EventId) -> impl Iterator<Item = &FaultEvent> {
         self.iter().filter(move |f| f.anchor == anchor)
     }
@@ -203,7 +205,11 @@ impl FaultPlan {
     /// are. This is the per-step key component of the incremental
     /// executor's path cache: two plans that agree on every anchor along a
     /// prefix share that prefix's snapshots.
+    #[inline]
     pub fn digest_at(&self, anchor: EventId) -> u64 {
+        if self.faults.is_none() {
+            return 0;
+        }
         let mut h: u64 = 0;
         for f in self.at(anchor) {
             if h == 0 {

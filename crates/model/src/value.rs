@@ -1,6 +1,7 @@
 //! A small dynamic value type for operation arguments and document content.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -10,6 +11,11 @@ use serde::{Deserialize, Serialize};
 /// ([`OpDescriptor`](crate::OpDescriptor)) and as the leaf content of the
 /// JSON document CRDT. Deliberately small — only the shapes the evaluation
 /// subjects need.
+///
+/// A string is held behind a reference count: cloning a value — an
+/// argument into a replica, an observation, an array element — shares the
+/// text instead of copying it. Sharing is a storage detail: `Display`, the
+/// serde form, ordering and the canonical bytes are the text's.
 ///
 /// ```
 /// use er_pi_model::Value;
@@ -30,8 +36,8 @@ pub enum Value {
     Bool(bool),
     /// Signed integer.
     Int(i64),
-    /// UTF-8 string.
-    Str(String),
+    /// UTF-8 string, shared between the values cloned from it.
+    Str(Arc<str>),
     /// Ordered list of values.
     List(Vec<Value>),
 }
@@ -47,6 +53,15 @@ impl Value {
 
     /// Returns the string payload, if this is a [`Value::Str`].
     pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(&**s),
+            _ => None,
+        }
+    }
+
+    /// Returns the shared string handle, if this is a [`Value::Str`]:
+    /// what a caller keeps to hold the text without copying it.
+    pub fn as_shared_str(&self) -> Option<&Arc<str>> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
@@ -101,13 +116,27 @@ impl From<u32> for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_owned())
+        Value::Str(s.into())
     }
 }
 
+/// Copies the text into a new shared allocation; a caller that already
+/// holds an `Arc<str>` passes that instead.
 impl From<String> for Value {
     fn from(s: String) -> Self {
+        Value::Str(s.into())
+    }
+}
+
+impl From<Arc<str>> for Value {
+    fn from(s: Arc<str>) -> Self {
         Value::Str(s)
+    }
+}
+
+impl From<&Arc<str>> for Value {
+    fn from(s: &Arc<str>) -> Self {
+        Value::Str(Arc::clone(s))
     }
 }
 
@@ -180,6 +209,53 @@ mod tests {
         ];
         vals.sort();
         assert_eq!(vals[0], Value::Null);
+    }
+
+    /// The text behind a shared string is what every external form shows:
+    /// these literals are the ones a `String` payload produced.
+    #[test]
+    fn a_shared_string_keeps_its_display_serde_and_canonical_bytes() {
+        use crate::CanonicalEncode;
+
+        let quoted = Value::from("a\"b");
+        let list = Value::List(vec![Value::from("otb"), Value::from(7), Value::from("ph")]);
+        assert_eq!(quoted.to_string(), r#""a\"b""#);
+        assert_eq!(list.to_string(), r#"["otb", 7, "ph"]"#);
+        assert_eq!(serde_json::to_string(&quoted).unwrap(), r#"{"Str":"a\"b"}"#);
+        assert_eq!(
+            serde_json::to_string(&list).unwrap(),
+            r#"{"List":[{"Str":"otb"},{"Int":7},{"Str":"ph"}]}"#
+        );
+        let bytes = |v: &Value| {
+            let mut out = Vec::new();
+            v.encode_canonical(&mut out);
+            out
+        };
+        assert_eq!(
+            bytes(&quoted),
+            [3, 3, 0, 0, 0, 0, 0, 0, 0, b'a', b'"', b'b']
+        );
+        assert_eq!(
+            bytes(&list),
+            [
+                4, 3, 0, 0, 0, 0, 0, 0, 0, // a list of three
+                3, 3, 0, 0, 0, 0, 0, 0, 0, b'o', b't', b'b', // "otb"
+                2, 7, 0, 0, 0, 0, 0, 0, 0, // 7
+                3, 2, 0, 0, 0, 0, 0, 0, 0, b'p', b'h', // "ph"
+            ]
+        );
+        let json = serde_json::to_string(&list).unwrap();
+        assert_eq!(serde_json::from_str::<Value>(&json).unwrap(), list);
+    }
+
+    #[test]
+    fn a_clone_shares_the_text() {
+        let original = Value::from(String::from("issue"));
+        let copy = original.clone();
+        let (a, b) = (original.as_shared_str(), copy.as_shared_str());
+        assert!(Arc::ptr_eq(a.unwrap(), b.unwrap()));
+        assert_eq!(Value::from(Arc::clone(a.unwrap())), original);
+        assert_eq!(Value::from(3).as_shared_str(), None);
     }
 
     #[test]

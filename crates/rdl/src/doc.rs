@@ -22,8 +22,9 @@ use serde::{Content, DeError, Deserialize, Serialize};
 use crate::copy::{clone_arc_from, clone_map_with};
 use crate::{DeltaSync, Log, Rga, RgaOp, StateCrdt};
 
-/// One segment of a document path (an object key).
-pub type PathSegment = String;
+/// One segment of a document path (an object key): a handle to the key
+/// the document holds, where it holds one.
+pub type PathSegment = Arc<str>;
 
 /// Errors returned by the document's local mutation API.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -272,8 +273,8 @@ impl Clone for Obj {
     }
 }
 
-// The vendored serde stand-in serializes an `Arc` but cannot deserialize
-// one: the map of keys to entries it is, by hand.
+// The vendored serde stand-in serializes an `Arc` but deserializes only an
+// `Arc<str>`: the map of keys to entries it is, by hand.
 impl Serialize for Obj {
     fn to_content(&self) -> Content {
         self.0.to_content()
@@ -282,8 +283,8 @@ impl Serialize for Obj {
 
 impl Deserialize for Obj {
     fn from_content(content: &Content) -> Result<Self, DeError> {
-        let entries = BTreeMap::<String, Entry>::from_content(content)?;
-        let shared = |(key, entry): (String, Entry)| (key.into(), Arc::new(entry));
+        let entries = BTreeMap::<Arc<str>, Entry>::from_content(content)?;
+        let shared = |(key, entry): (Arc<str>, Entry)| (key, Arc::new(entry));
         Ok(Obj(entries.into_iter().map(shared).collect()))
     }
 }
@@ -390,8 +391,20 @@ impl JsonDoc {
         self.replica
     }
 
-    fn path_vec(path: &[&str]) -> Vec<PathSegment> {
-        path.iter().map(|s| (*s).to_owned()).collect()
+    /// `path` as segments: the handle of each key the document already
+    /// holds along it, a new string only past where it ends.
+    fn path_vec(&self, path: &[&str]) -> Vec<PathSegment> {
+        let mut current = Some(&self.root);
+        path.iter()
+            .map(|segment| {
+                let held = current.and_then(|obj| obj.0.get_key_value(*segment));
+                current = held.and_then(|(_, entry)| match &entry.node {
+                    Node::Obj(map) => Some(map),
+                    _ => None,
+                });
+                held.map_or_else(|| Arc::from(*segment), |(key, _)| Arc::clone(key))
+            })
+            .collect()
     }
 
     fn record(&mut self, op: DocOp) -> Arc<DocOp> {
@@ -410,7 +423,7 @@ impl JsonDoc {
         let ts = self.clock.tick();
         let dot = self.ctx.next_dot(self.replica);
         Ok(self.record(DocOp::SetPrim {
-            path: Self::path_vec(path),
+            path: self.path_vec(path),
             value,
             ts,
             dot,
@@ -427,7 +440,7 @@ impl JsonDoc {
         let ts = self.clock.tick();
         let dot = self.ctx.next_dot(self.replica);
         Ok(self.record(DocOp::SetObject {
-            path: Self::path_vec(path),
+            path: self.path_vec(path),
             entries,
             ts,
             dot,
@@ -440,7 +453,7 @@ impl JsonDoc {
         let ts = self.clock.tick();
         let dot = self.ctx.next_dot(self.replica);
         Ok(self.record(DocOp::Remove {
-            path: Self::path_vec(path),
+            path: self.path_vec(path),
             ts,
             dot,
         }))
@@ -452,7 +465,7 @@ impl JsonDoc {
         let ts = self.clock.tick();
         let dot = self.ctx.next_dot(self.replica);
         Ok(self.record(DocOp::NewArray {
-            path: Self::path_vec(path),
+            path: self.path_vec(path),
             ts,
             dot,
         }))
@@ -467,10 +480,10 @@ impl JsonDoc {
             Some(rga) => f(rga),
             None => Err(match resolve(&self.root, path) {
                 Some(_) => DocError::WrongShape {
-                    path: Self::path_vec(path),
+                    path: self.path_vec(path),
                     expected: "array",
                 },
-                None => DocError::NotFound(Self::path_vec(path)),
+                None => DocError::NotFound(self.path_vec(path)),
             }),
         }
     }
@@ -478,7 +491,7 @@ impl JsonDoc {
     fn record_arr(&mut self, path: &[&str], op: Arc<RgaOp<Value>>) -> Arc<DocOp> {
         let dot = self.ctx.next_dot(self.replica);
         Arc::clone(self.log.push(DocOp::Arr {
-            path: Self::path_vec(path),
+            path: self.path_vec(path),
             op: RgaOp::clone(&op),
             dot,
         }))
@@ -800,18 +813,15 @@ fn set_at(root: &mut Obj, path: &[PathSegment], node: Node, ts: LamportTimestamp
     let (key, parents) = path.split_last().expect("paths are non-empty");
     let mut current = root;
     for seg in parents {
-        if !current.0.contains_key(seg.as_str()) {
+        if !current.0.contains_key(&**seg) {
             let object = Entry {
                 ts,
                 replaced_at: None,
                 node: Node::Obj(Obj::default()),
             };
-            current.0.insert(seg.as_str().into(), Arc::new(object));
+            current.0.insert(Arc::clone(seg), Arc::new(object));
         }
-        let slot = current
-            .0
-            .get_mut(seg.as_str())
-            .expect("present or just put");
+        let slot = current.0.get_mut(&**seg).expect("present or just put");
         if slot.replaced_at.is_some_and(|r| r > ts) {
             return; // an ancestor was replaced after this write: it loses
         }
@@ -831,7 +841,7 @@ fn set_at(root: &mut Obj, path: &[PathSegment], node: Node, ts: LamportTimestamp
             _ => unreachable!("just normalized to an object"),
         }
     }
-    match current.0.get_mut(key.as_str()) {
+    match current.0.get_mut(&**key) {
         Some(slot) => {
             if ts > slot.ts {
                 let entry = Arc::make_mut(slot);
@@ -848,7 +858,7 @@ fn set_at(root: &mut Obj, path: &[PathSegment], node: Node, ts: LamportTimestamp
                 replaced_at: replaces.then_some(ts),
                 node,
             };
-            current.0.insert(key.as_str().into(), Arc::new(entry));
+            current.0.insert(Arc::clone(key), Arc::new(entry));
         }
     }
 }

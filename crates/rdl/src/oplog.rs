@@ -18,6 +18,7 @@
 //! * **OrbitDB-4** (issue #583) — partially synced DAGs leave *dangling*
 //!   head references ([`MerkleLog::dangling_refs`]).
 
+use std::fmt::{self, Write};
 use std::sync::Arc;
 
 use er_pi_model::{
@@ -26,7 +27,7 @@ use er_pi_model::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::{fnv1a64, DeltaSync, Log, StateCrdt};
+use crate::{fnv1a64, fnv1a64_extend, DeltaSync, Log, StateCrdt};
 
 /// Content hash of one log entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -74,17 +75,30 @@ impl LogEntry {
         refs: &[MerkleHash],
         dot: Dot,
     ) -> MerkleHash {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&clock.time.to_le_bytes());
-        bytes.extend_from_slice(&clock.replica.raw().to_le_bytes());
-        bytes.extend_from_slice(identity.as_bytes());
-        bytes.extend_from_slice(payload.to_string().as_bytes());
+        // FNV-1a over the fields in order, streamed: the same bytes as
+        // hashing them assembled, with no buffer and no rendered payload.
+        let mut h = fnv1a64(&clock.time.to_le_bytes());
+        h = fnv1a64_extend(h, &clock.replica.raw().to_le_bytes());
+        h = fnv1a64_extend(h, identity.as_bytes());
+        let mut payload_hash = FnvWriter(h);
+        write!(payload_hash, "{payload}").expect("hashing a value's text cannot fail");
+        h = payload_hash.0;
         for r in refs {
-            bytes.extend_from_slice(&r.0.to_le_bytes());
+            h = fnv1a64_extend(h, &r.0.to_le_bytes());
         }
-        bytes.extend_from_slice(&dot.counter.to_le_bytes());
-        bytes.extend_from_slice(&dot.replica.raw().to_le_bytes());
-        MerkleHash(fnv1a64(&bytes))
+        h = fnv1a64_extend(h, &dot.counter.to_le_bytes());
+        h = fnv1a64_extend(h, &dot.replica.raw().to_le_bytes());
+        MerkleHash(h)
+    }
+}
+
+/// A [`fmt::Write`] that folds what is written into an [`fnv1a64`] hash.
+struct FnvWriter(u64);
+
+impl fmt::Write for FnvWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a64_extend(self.0, s.as_bytes());
+        Ok(())
     }
 }
 

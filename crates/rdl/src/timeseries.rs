@@ -40,8 +40,8 @@ pub enum TieBreak {
 pub struct ScoredMember {
     /// Score (timestamp) of the winning write.
     pub score: u64,
-    /// Member payload.
-    pub member: String,
+    /// Member payload, shared with the store that holds it.
+    pub member: Arc<str>,
 }
 
 /// One replicated operation of a [`LwwTimeSeries`], as shipped in sync
@@ -51,18 +51,18 @@ pub enum TsOp {
     /// Insert `member` into `key`'s set at `score`.
     Insert {
         /// Target key.
-        key: String,
+        key: Arc<str>,
         /// Member payload.
-        member: String,
+        member: Arc<str>,
         /// Write score.
         score: u64,
     },
     /// Delete `member` from `key`'s set at `score`.
     Delete {
         /// Target key.
-        key: String,
+        key: Arc<str>,
         /// Member payload.
-        member: String,
+        member: Arc<str>,
         /// Write score.
         score: u64,
     },
@@ -83,6 +83,10 @@ struct Cell {
 /// A Roshi-style LWW time-series store: keys map to LWW sets of scored
 /// members.
 ///
+/// Keys and members are shared strings: the store, its op log, the ops it
+/// ships and the pages it returns hold handles to one allocation per
+/// string a caller passed in.
+///
 /// ```
 /// use er_pi_rdl::{LwwTimeSeries, TieBreak};
 ///
@@ -92,12 +96,12 @@ struct Cell {
 /// ts.delete("stream", "event-1", 300);
 /// let page = ts.select("stream", 0, 10);
 /// assert_eq!(page.len(), 1);
-/// assert_eq!(page[0].member, "event-2");
+/// assert_eq!(&*page[0].member, "event-2");
 /// ```
 #[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LwwTimeSeries {
     tie: TieBreak,
-    keys: BTreeMap<String, BTreeMap<String, Cell>>,
+    keys: BTreeMap<Arc<str>, BTreeMap<Arc<str>, Cell>>,
     /// Full op history, for delta-style shipping by the subjects.
     log: Log<TsOp>,
 }
@@ -137,11 +141,14 @@ impl LwwTimeSeries {
         self.tie
     }
 
-    fn apply_cell(&mut self, key: &str, member: &str, incoming: Cell) -> bool {
-        let set = self.keys.entry(key.to_owned()).or_default();
-        match set.get_mut(member) {
+    /// Resolves `incoming` against `member`'s cell under `key`; a key or
+    /// member seen for the first time stores a handle to the caller's
+    /// string, one already held is looked up by its text.
+    fn apply_cell(&mut self, key: &Arc<str>, member: &Arc<str>, incoming: Cell) -> bool {
+        let set = self.keys.entry(Arc::clone(key)).or_default();
+        match set.get_mut(&**member) {
             None => {
-                set.insert(member.to_owned(), incoming);
+                set.insert(Arc::clone(member), incoming);
                 true
             }
             Some(current) => {
@@ -169,21 +176,32 @@ impl LwwTimeSeries {
     }
 
     /// Inserts `member` under `key` at `score`. Returns `true` if the write
-    /// won LWW resolution.
-    pub fn insert(&mut self, key: &str, member: &str, score: u64) -> bool {
+    /// won LWW resolution. A caller that holds the strings as `Arc<str>`
+    /// hands over the handles, which the store keeps without copying.
+    pub fn insert(
+        &mut self,
+        key: impl Into<Arc<str>>,
+        member: impl Into<Arc<str>>,
+        score: u64,
+    ) -> bool {
         self.apply(&Arc::new(TsOp::Insert {
-            key: key.to_owned(),
-            member: member.to_owned(),
+            key: key.into(),
+            member: member.into(),
             score,
         }))
     }
 
     /// Deletes `member` under `key` at `score`. Returns `true` if the write
-    /// won LWW resolution.
-    pub fn delete(&mut self, key: &str, member: &str, score: u64) -> bool {
+    /// won LWW resolution. Takes handles as [`insert`](Self::insert) does.
+    pub fn delete(
+        &mut self,
+        key: impl Into<Arc<str>>,
+        member: impl Into<Arc<str>>,
+        score: u64,
+    ) -> bool {
         self.apply(&Arc::new(TsOp::Delete {
-            key: key.to_owned(),
-            member: member.to_owned(),
+            key: key.into(),
+            member: member.into(),
             score,
         }))
     }
@@ -217,7 +235,7 @@ impl LwwTimeSeries {
             .filter(|(_, cell)| cell.kind == OpKind::Insert)
             .map(|(m, cell)| ScoredMember {
                 score: cell.score,
-                member: m.clone(),
+                member: Arc::clone(m),
             })
             .collect();
         members.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.member.cmp(&b.member)));
@@ -244,7 +262,7 @@ impl LwwTimeSeries {
 
     /// All keys with any recorded member (visible or tombstoned).
     pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.keys.keys().map(String::as_str)
+        self.keys.keys().map(|key| &**key)
     }
 }
 
@@ -331,7 +349,7 @@ mod tests {
         ts.insert("k", "b", 20);
         let page = ts.select("k", 0, 10);
         assert_eq!(page.len(), 2);
-        assert_eq!(page[0].member, "b", "descending score order");
+        assert_eq!(&*page[0].member, "b", "descending score order");
         assert_eq!(ts.key_len("k"), 2);
     }
 
@@ -339,12 +357,12 @@ mod tests {
     fn select_pagination() {
         let mut ts = LwwTimeSeries::default();
         for i in 0..5u64 {
-            ts.insert("k", &format!("m{i}"), i * 10);
+            ts.insert("k", format!("m{i}"), i * 10);
         }
         let page = ts.select("k", 1, 2);
         assert_eq!(page.len(), 2);
-        assert_eq!(page[0].member, "m3");
-        assert_eq!(page[1].member, "m2");
+        assert_eq!(&*page[0].member, "m3");
+        assert_eq!(&*page[1].member, "m2");
         assert!(ts.select("missing", 0, 10).is_empty());
     }
 

@@ -171,9 +171,9 @@ proptest! {
             let member = format!("m{member}");
             let s = &mut states[rep % 3];
             if ins {
-                s.insert(&key, &member, score);
+                s.insert(key, member, score);
             } else {
-                s.delete(&key, &member, score);
+                s.delete(key, member, score);
             }
         }
         let [a, b, c] = states;

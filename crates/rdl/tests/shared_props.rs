@@ -575,8 +575,8 @@ fn series_step(series: &mut [LwwTimeSeries; 2], (kind, replica, key, a, b): Step
     let (store, other) = acting(series, replica);
     let (key, member, score) = (format!("k{}", key % 3), format!("m{a}"), b as u64);
     match kind {
-        0..=4 => drop(store.insert(&key, &member, score)),
-        5..=7 => drop(store.delete(&key, &member, score)),
+        0..=4 => drop(store.insert(key, member, score)),
+        5..=7 => drop(store.delete(key, member, score)),
         _ => store.merge(other),
     }
 }

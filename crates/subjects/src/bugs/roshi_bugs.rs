@@ -47,7 +47,7 @@ pub(super) fn roshi_1() -> Bug {
         let page_ok = r1
             .last_select
             .as_ref()
-            .is_some_and(|page| page.len() == 1 && page[0].member == "m");
+            .is_some_and(|page| page.len() == 1 && &*page[0].member == "m");
         if converged && page_ok && r0.last_deleted == Some(false) && r1.last_deleted == Some(true) {
             return Some("reader replica served deleted=true for a present element".into());
         }
@@ -155,7 +155,11 @@ pub(super) fn roshi_3() -> Bug {
         // The leak, exactly as in the issue report: the response shows
         // writer R2's first member squeezed between writer R0's m3 and m2
         // — an order no client ever submitted.
-        if assembled == &["m3", "m4", "m2", "m5", "m6"] {
+        if assembled
+            .iter()
+            .map(|m| &**m)
+            .eq(["m3", "m4", "m2", "m5", "m6"])
+        {
             return Some(format!(
                 "assembled response leaks arrival order: {assembled:?}"
             ));

@@ -31,7 +31,7 @@ fn joins_to(path: &[PathSegment], joined: &str) -> bool {
             };
             rest = after;
         }
-        let Some(after) = rest.strip_prefix(segment.as_str()) else {
+        let Some(after) = rest.strip_prefix(&**segment) else {
             return false;
         };
         rest = after;

@@ -332,7 +332,7 @@ impl SystemModel for CrdtsModel {
         let todos: Value = state
             .todos
             .iter()
-            .map(|(id, title)| Value::List(vec![Value::from(*id), Value::from(title.clone())]))
+            .map(|(id, title)| Value::List(vec![Value::from(*id), Value::from(title.as_str())]))
             .collect();
         Value::List(vec![
             set,

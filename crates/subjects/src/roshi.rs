@@ -20,14 +20,14 @@ pub struct RoshiReplica {
     pub store: Shared<LwwTimeSeries>,
     /// Pending sync payloads (send → exec message queue).
     pub inbox: VecDeque<Vec<Arc<TsOp>>>,
-    /// Result of the last `select`.
+    /// Result of the last `select`: handles to the store's members.
     pub last_select: Option<Vec<ScoredMember>>,
     /// Result of the last `read_deleted` — the response field of issue #18.
     pub last_deleted: Option<bool>,
     /// Result of the last `assemble`: members in *local map iteration
     /// order* — the roshi-server response assembly of issue #40, which
-    /// leaks Go map ordering into the API.
-    pub assembled: Option<Vec<String>>,
+    /// leaks Go map ordering into the API. Handles to the logged members.
+    pub assembled: Option<Vec<Arc<str>>>,
 }
 
 impl Clone for RoshiReplica {
@@ -106,10 +106,12 @@ impl RoshiModel {
     }
 }
 
-fn args3(op: &er_pi_model::OpDescriptor) -> Option<(String, String, u64)> {
+/// `(key, member, score)`: the recorded argument strings by handle, which
+/// the store keeps as they are.
+fn args3(op: &er_pi_model::OpDescriptor) -> Option<(Arc<str>, Arc<str>, u64)> {
     Some((
-        op.arg(0)?.as_str()?.to_owned(),
-        op.arg(1)?.as_str()?.to_owned(),
+        Arc::clone(op.arg(0)?.as_shared_str()?),
+        Arc::clone(op.arg(1)?.as_shared_str()?),
         op.arg(2)?.as_int()? as u64,
     ))
 }
@@ -139,7 +141,7 @@ impl SystemModel for RoshiModel {
                     let Some((key, member, score)) = args3(op) else {
                         return OpOutcome::failed("insert needs (key, member, score)");
                     };
-                    if states[at].store.insert(&key, &member, score) {
+                    if states[at].store.insert(key, member, score) {
                         OpOutcome::Applied
                     } else {
                         OpOutcome::failed("stale insert lost LWW resolution")
@@ -149,7 +151,7 @@ impl SystemModel for RoshiModel {
                     let Some((key, member, score)) = args3(op) else {
                         return OpOutcome::failed("delete needs (key, member, score)");
                     };
-                    if states[at].store.delete(&key, &member, score) {
+                    if states[at].store.delete(key, member, score) {
                         OpOutcome::Applied
                     } else {
                         OpOutcome::failed("stale delete lost LWW resolution")
@@ -158,8 +160,9 @@ impl SystemModel for RoshiModel {
                 "select" => {
                     let key = op.arg(0).and_then(Value::as_str).unwrap_or("k");
                     let page = states[at].store.select(key, 0, usize::MAX);
-                    states[at].last_select = Some(page.clone());
-                    OpOutcome::observed(page.into_iter().map(|m| Value::from(m.member)).collect())
+                    let observed = page.iter().map(|m| Value::from(&m.member)).collect();
+                    states[at].last_select = Some(page);
+                    OpOutcome::observed(observed)
                 }
                 "read_deleted" => {
                     let key = op.arg(0).and_then(Value::as_str).unwrap_or("k");
@@ -172,20 +175,18 @@ impl SystemModel for RoshiModel {
                     let key = op.arg(0).and_then(Value::as_str).unwrap_or("k");
                     // First-insertion (map iteration) order of visible
                     // members: depends on the local apply history.
-                    let mut order: Vec<String> = Vec::new();
+                    let mut order: Vec<Arc<str>> = Vec::new();
                     for tsop in states[at].store.log().iter() {
                         if let TsOp::Insert { key: k, member, .. } = tsop {
-                            if k == key && !order.contains(member) {
-                                order.push(member.clone());
+                            if **k == *key && !order.contains(member) {
+                                order.push(Arc::clone(member));
                             }
                         }
                     }
-                    let visible: Vec<String> = order
-                        .into_iter()
-                        .filter(|m| states[at].store.is_deleted(key, m) == Some(false))
-                        .collect();
-                    states[at].assembled = Some(visible.clone());
-                    OpOutcome::observed(visible.into_iter().collect())
+                    order.retain(|m| states[at].store.is_deleted(key, m) == Some(false));
+                    let observed = order.iter().map(Value::from).collect();
+                    states[at].assembled = Some(order);
+                    OpOutcome::observed(observed)
                 }
                 other => OpOutcome::failed(format!("unknown roshi op {other}")),
             },
@@ -223,8 +224,8 @@ impl SystemModel for RoshiModel {
                 let members: Value = state
                     .store
                     .select(k, 0, usize::MAX)
-                    .into_iter()
-                    .map(|m| Value::from(m.member))
+                    .iter()
+                    .map(|m| Value::from(&m.member))
                     .collect();
                 Value::List(vec![Value::from(k), members])
             })
@@ -232,13 +233,13 @@ impl SystemModel for RoshiModel {
         let selected = state
             .last_select
             .as_ref()
-            .map(|page| page.iter().map(|m| Value::from(m.member.clone())).collect())
+            .map(|page| page.iter().map(|m| Value::from(&m.member)).collect())
             .unwrap_or(Value::Null);
         let deleted = state.last_deleted.map(Value::from).unwrap_or(Value::Null);
         let assembled = state
             .assembled
             .as_ref()
-            .map(|v| v.iter().cloned().collect())
+            .map(|v| v.iter().map(Value::from).collect())
             .unwrap_or(Value::Null);
         Value::List(vec![Value::List(keys), selected, deleted, assembled])
     }
@@ -352,7 +353,8 @@ mod tests {
             for ev in [i1, i2, asm] {
                 model.apply(&mut states, w.event(ev));
             }
-            states[0].assembled.clone().unwrap()
+            let assembled = states[0].assembled.clone().unwrap();
+            assembled.iter().map(|m| m.to_string()).collect::<Vec<_>>()
         };
         assert_eq!(mk("a", "b"), vec!["a", "b"]);
         assert_eq!(mk("b", "a"), vec!["b", "a"], "iteration order leaks");

@@ -12,12 +12,23 @@ use er_pi_rdl::{DeltaSync, OrSet, Shared};
 /// municipality.
 #[derive(Debug)]
 pub struct TownReplica {
-    /// Replicated set of open issues.
-    pub issues: OrSet<String>,
-    /// What this resident transmitted, if they did. Behind a reference
-    /// count, like everything else a copy of the replica would otherwise
-    /// duplicate.
-    pub transmitted: Option<Arc<[String]>>,
+    /// Replicated set of open issues, each the handle of the argument that
+    /// added it.
+    pub issues: OrSet<Arc<str>>,
+    /// What this resident transmitted, if they did: a [`Value::List`] of
+    /// issue strings, the one list the transmit's outcome observed. Behind
+    /// a reference count, like everything else a copy of the replica would
+    /// otherwise duplicate.
+    pub transmitted: Option<Arc<Value>>,
+}
+
+impl TownReplica {
+    /// The issues this resident transmitted, in the order sent (none if it
+    /// did not transmit).
+    pub fn transmitted_issues(&self) -> impl Iterator<Item = &str> {
+        let items = self.transmitted.as_deref().and_then(Value::as_list);
+        items.unwrap_or_default().iter().filter_map(Value::as_str)
+    }
 }
 
 impl Clone for TownReplica {
@@ -96,12 +107,10 @@ impl TownApp {
             "no-stale-issue-transmitted",
             |ctx: &er_pi::CheckContext<'_, TownState>| {
                 for (replica, state) in ctx.states.iter().enumerate() {
-                    if let Some(items) = &state.transmitted {
-                        if items.iter().any(|i| i == "otb") {
-                            return Err(format!(
-                                "replica {replica} transmitted the already-fixed issue \"otb\""
-                            ));
-                        }
+                    if state.transmitted_issues().any(|i| i == "otb") {
+                        return Err(format!(
+                            "replica {replica} transmitted the already-fixed issue \"otb\""
+                        ));
                     }
                 }
                 Ok(())
@@ -134,10 +143,12 @@ impl SystemModel for TownApp {
         let at = event.replica.index();
         match &event.kind {
             EventKind::LocalUpdate { op } => {
-                let arg = op.arg(0).and_then(Value::as_str).unwrap_or("");
+                let shared = op.arg(0).and_then(Value::as_shared_str);
+                let arg = shared.map_or("", |s| &**s);
                 match op.function() {
                     "add" => {
-                        states[at].issues.insert(arg.to_owned());
+                        let issue = shared.map_or_else(|| Arc::from(""), Arc::clone);
+                        states[at].issues.insert(issue);
                         OpOutcome::Applied
                     }
                     // Asked through `&self` first: a remove that fails writes
@@ -159,22 +170,18 @@ impl SystemModel for TownApp {
                 OpOutcome::Applied
             }
             EventKind::External { label } if label == "transmit" => {
-                let issues: Vec<String> = states[at].issues.iter().cloned().collect();
-                let observed: Value = issues.iter().map(String::as_str).collect();
-                states[at].transmitted = Some(issues.into());
-                OpOutcome::observed(observed)
+                let issues: Value = states[at].issues.iter().map(Value::from).collect();
+                let issues = Arc::new(issues);
+                states[at].transmitted = Some(Arc::clone(&issues));
+                OpOutcome::Observed(issues)
             }
             _ => OpOutcome::failed("unsupported event kind for TownApp"),
         }
     }
 
     fn observe(&self, state: &TownState) -> Value {
-        let issues: Value = state.issues.iter().cloned().collect();
-        let transmitted = state
-            .transmitted
-            .as_deref()
-            .map(|issues| issues.iter().cloned().collect())
-            .unwrap_or(Value::Null);
+        let issues: Value = state.issues.iter().map(Value::from).collect();
+        let transmitted = state.transmitted.as_deref().cloned().unwrap_or(Value::Null);
         Value::List(vec![issues, transmitted])
     }
 
@@ -184,7 +191,18 @@ impl SystemModel for TownApp {
         // context — everything a future add/remove/sync can observe — and
         // `transmitted` is the only other field `apply` reads or writes.
         state.issues.encode_canonical(out);
-        state.transmitted.encode_canonical(out);
+        // Encoded as an optional list of strings, not as the `Value` that
+        // holds it: these bytes are pinned (`state_bytes.rs`).
+        match state.transmitted {
+            None => out.push(0),
+            Some(_) => {
+                out.push(1);
+                (state.transmitted_issues().count() as u64).encode_canonical(out);
+                for issue in state.transmitted_issues() {
+                    issue.encode_canonical(out);
+                }
+            }
+        }
         true
     }
 
@@ -198,10 +216,7 @@ impl SystemModel for TownApp {
         // is a plain string list. Per-entry constants approximate the tag
         // and container overhead; only relative accuracy matters.
         let issues: usize = state.issues.iter().map(|s| s.len() + 48).sum();
-        let transmitted: usize = state
-            .transmitted
-            .as_deref()
-            .map_or(0, |v| v.iter().map(|s| s.len() + 24).sum());
+        let transmitted: usize = state.transmitted_issues().map(|s| s.len() + 24).sum();
         std::mem::size_of::<TownReplica>() + issues + transmitted
     }
 }

@@ -107,8 +107,7 @@ impl SystemModel for YorkieModel {
         let at = event.replica.index();
         match &event.kind {
             EventKind::LocalUpdate { op } => {
-                let path_raw = op.arg(0).and_then(Value::as_str).unwrap_or("").to_owned();
-                let path = split_path(&path_raw);
+                let path = split_path(op.arg(0).and_then(Value::as_str).unwrap_or(""));
                 if path.is_empty() {
                     return OpOutcome::failed("empty document path");
                 }
@@ -136,8 +135,9 @@ impl SystemModel for YorkieModel {
                             return OpOutcome::failed("snapshot_keys needs an object path");
                         };
                         let keys: Vec<String> = map.keys().cloned().collect();
-                        states[at].last_snapshot = Some(keys.clone());
-                        OpOutcome::observed(keys.into_iter().collect())
+                        let observed = keys.iter().map(String::as_str).collect();
+                        states[at].last_snapshot = Some(keys);
+                        OpOutcome::observed(observed)
                     }
                     // The Yorkie-2 misuse pattern: read the object and
                     // write it back wholesale ("normalize settings"). Any
@@ -218,7 +218,7 @@ impl SystemModel for YorkieModel {
                 er_pi_rdl::JsonValue::Prim(p) => p.clone(),
                 er_pi_rdl::JsonValue::Object(map) => map
                     .iter()
-                    .map(|(k, v)| Value::List(vec![Value::from(k.clone()), render(v)]))
+                    .map(|(k, v)| Value::List(vec![Value::from(k.as_str()), render(v)]))
                     .collect(),
                 er_pi_rdl::JsonValue::Array(items) => Value::List(items.clone()),
             }

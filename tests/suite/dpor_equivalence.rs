@@ -344,11 +344,9 @@ fn town_erpi_session() -> Session<TownApp> {
 fn violates(model: &TownApp, session: &Session<TownApp>, il: &Interleaving) -> bool {
     let workload = session.workload().expect("recorded");
     let exec = InlineExecutor::execute(model, workload, il, &TimeModel::default());
-    exec.states.iter().any(|s| {
-        s.transmitted
-            .as_ref()
-            .is_some_and(|items| items.iter().any(|i| i == "otb"))
-    })
+    exec.states
+        .iter()
+        .any(|s| s.transmitted_issues().any(|i| i == "otb"))
 }
 
 /// Full-vs-pruned interleaving lists plus the full enumeration's first

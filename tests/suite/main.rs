@@ -5,11 +5,11 @@
 //! The catalogue-matrix suites here (`dpor_`, `forensics_`, `incremental_`,
 //! `parallel_`, `sanitizer_` and `telemetry_equivalence`) share one scratch
 //! reference per (bug, stop policy) (`common::matrix`), so each reference is
-//! replayed once. `end_to_end`, `evaluation_shape` and `failure_injection`
-//! are still binaries of their own at `tests/*.rs`, as are
-//! `snapshot_allocs`, whose counting allocator would replace every other
-//! test's, and `subsume_audit`, which sets an environment variable the
-//! engine reads; the last two include only `common/town.rs`.
+//! replayed once. `end_to_end` and `evaluation_shape` are still binaries of
+//! their own at `tests/*.rs`, as are `snapshot_allocs`, whose counting
+//! allocator would replace every other test's, and `subsume_audit`, which
+//! sets an environment variable the engine reads; the last two include only
+//! `common/town.rs`.
 
 mod common;
 mod http;
@@ -17,6 +17,7 @@ mod steps;
 
 mod dpor_equivalence;
 mod explorer_distinct;
+mod failure_injection;
 mod fault_equivalence;
 mod forensics_equivalence;
 mod fuzz_corpus;
