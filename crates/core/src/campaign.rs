@@ -43,6 +43,7 @@ use er_pi_interleave::{
 use er_pi_model::{FaultPlan, Interleaving, Workload};
 use parking_lot::Mutex;
 
+use crate::incremental::branch_depth;
 use crate::instrument::{Instrument, RunFacts};
 use crate::subsume::SubsumeSet;
 use crate::{
@@ -266,8 +267,8 @@ type Dispensed = ((usize, Interleaving), Option<Counters>);
 /// The state behind the dispenser lock.
 struct Dispenser<'w> {
     source: Source<'w>,
-    /// The item dispensed past the last claim as its lookahead hint; it
-    /// opens the next claim.
+    /// The item dispensed past the last claim as its lookahead; it opens
+    /// the next claim.
     peeked: Option<Dispensed>,
     /// The effective configuration: the initial one plus every constraint
     /// State 4 ingested so far.
@@ -304,11 +305,16 @@ struct Chunk {
     items: Vec<(usize, Interleaving)>,
     /// Under stop-on-first, the explorer's counters as of each item.
     counters: Vec<Counters>,
-    /// The item after the chunk, as the lookahead hint of its last run. It
-    /// stays with the dispenser and opens the next claim — usually another
-    /// slot's, which makes the hint conservative, never wrong: a later item
-    /// of a sorted stream shares no more with this run than the next does.
-    hint: Option<Interleaving>,
+    /// The [`branch_depth`] from the last item to the item dispensed after
+    /// the chunk, read under the dispenser lock. That item stays with the
+    /// dispenser and opens the next claim — usually another slot's, which
+    /// makes this entry conservative, never wrong: a later item of a sorted
+    /// stream shares no more with this run than the next does.
+    tail: Option<u32>,
+    /// The chunk's lookahead, kept for its capacity: entry `i` is the branch
+    /// depth from item `i` to item `i + 1`, the last one `tail`. Run `i`
+    /// reads it from entry `i` on.
+    lookahead: Vec<u32>,
     /// What the executed items produced.
     done: Rows,
 }
@@ -371,8 +377,8 @@ struct Table {
 /// One replay campaign: see the [module docs](self).
 pub(crate) struct Campaign<'w, M: SystemModel> {
     workload: Cow<'w, Workload>,
-    /// `incremental` doubles as "the executors keep snapshots": hints are
-    /// worth a lookahead.
+    /// `incremental` doubles as "the executors keep snapshots": a lookahead
+    /// is worth computing.
     replay: ReplayConfig,
     plans: Vec<FaultPlan>,
     time: TimeModel,
@@ -545,7 +551,10 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         if peek && chunk.items.len() == max {
             disp.peeked = disp.next(counted);
         }
-        chunk.hint = disp.peeked.as_ref().map(|((_, il), _)| il.clone());
+        chunk.tail = match (chunk.items.last(), &disp.peeked) {
+            (Some((_, last)), Some(((_, next), _))) => Some(branch_depth(last, next)),
+            _ => None,
+        };
         Ok(!chunk.items.is_empty())
     }
 
@@ -592,21 +601,28 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
     }
 
     /// Replays the items of the slot's claimed chunk in index order, each
-    /// hinted with the one after it (the claim's own lookahead for the
-    /// last).
+    /// told the branch depths of the items after it, to the claim's own
+    /// lookahead past the last (executors that keep snapshots only).
     fn execute_chunk(&self, slot: usize, state: &mut Slot<M>, on: Subject<'_, M>) {
         let mut items = std::mem::take(&mut state.chunk.items);
-        let hint = state.chunk.hint.take();
+        let lookahead = &mut state.chunk.lookahead;
+        lookahead.clear();
+        if self.replay.incremental {
+            let pairs = items
+                .windows(2)
+                .map(|pair| branch_depth(&pair[0].1, &pair[1].1));
+            lookahead.extend(pairs.chain(state.chunk.tail));
+        }
+        let lookahead = std::mem::take(lookahead);
         let stop_on_first = self.replay.stop_on_first_violation;
-        let mut queue = items.drain(..).enumerate().peekable();
-        while let Some((at, (index, il))) = queue.next() {
+        for (at, (index, il)) in items.drain(..).enumerate() {
             // The merge cuts the table at the lowest violation, and that
             // only ever moves down: nothing above it can be retained.
             if stop_on_first && index > self.lowest_violation.load(Ordering::Acquire) {
                 break;
             }
-            let next = queue.peek().map(|(_, (_, next))| next).or(hint.as_ref());
-            if self.execute_one(slot, state, index, il, next, on) {
+            let ahead = lookahead.get(at..).unwrap_or_default();
+            if self.execute_one(slot, state, index, il, ahead, on) {
                 self.lowest_violation.fetch_min(index, Ordering::AcqRel);
                 if stop_on_first {
                     self.stop.store(true, Ordering::Release);
@@ -617,8 +633,8 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
                 }
             }
         }
-        drop(queue);
         state.chunk.items = items;
+        state.chunk.lookahead = lookahead;
         state.chunk.counters.clear();
     }
 
@@ -631,7 +647,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         state: &mut Slot<M>,
         index: usize,
         il: Interleaving,
-        next: Option<&Interleaving>,
+        lookahead: &[u32],
         on: Subject<'_, M>,
     ) -> bool {
         let started = self.instrument.stamp();
@@ -643,7 +659,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         // `incremental`).
         state
             .executor
-            .advance(on.model, &self.workload, &il, next, &self.time);
+            .advance(on.model, &self.workload, &il, lookahead, &self.time);
         let exec = state.executor.run();
         let (sim_us, failed_ops) = (exec.sim_us, exec.failed_ops);
         let observe = |state: &M::State| on.model.observe(state);
@@ -1173,15 +1189,16 @@ mod tests {
         }
     }
 
-    /// The last run of a chunk is hinted with the first item of the next
-    /// one: it keeps snapshots only on the prefix the two share, where an
-    /// unhinted run would keep every interior depth.
+    /// Each run of a chunk is told the branch depths of the items after it,
+    /// and the last one its branch depth to the first item of the next
+    /// chunk: it keeps snapshots only on the prefix the two share, where a
+    /// run told nothing would keep every interior depth.
     #[test]
-    fn the_lookahead_hint_crosses_chunk_boundaries() {
+    fn the_lookahead_crosses_chunk_boundaries() {
         let w = two_writes();
         let orders: Vec<Interleaving> = DfsExplorer::new(&w).take(4).collect();
         let shared = orders[2].common_prefix_len(&orders[3]);
-        assert!(shared < w.len() - 1, "an unhinted run keeps more");
+        assert!(shared < w.len() - 1, "a run told nothing keeps more");
 
         let mut params = dfs_params(w, 1);
         params.replay.incremental = true;
@@ -1193,6 +1210,9 @@ mod tests {
         assert!(campaign.step(0, on), "runs 0..3");
         let slot = campaign.slots[0].lock();
         assert_eq!(slot.executor.resident_snapshots(), shared);
+        let pairs = orders.windows(2);
+        let depths: Vec<u32> = pairs.map(|pair| branch_depth(&pair[0], &pair[1])).collect();
+        assert_eq!(slot.chunk.lookahead, depths, "each pair, and one past");
     }
 
     #[test]

@@ -19,6 +19,18 @@
 //! suffix and leaves the extended path behind. A path never holds
 //! the final depth, so at most `(N - 1) × plans` snapshots are resident.
 //!
+//! A snapshot is worth its copy only where a later run branches off. The
+//! caller passes each run the rest of what it knows is coming — one
+//! [`branch_depth`] per pair of consecutive runs — and the run stores a
+//! snapshot only at the running minima of those depths (the points at which
+//! the runs after it leave its path), or at any depth the window still
+//! shared when it ran out. ER-π's explorer permutes grouped units, so its
+//! runs diverge only at unit boundaries and no depth inside a unit is
+//! snapshotted; a DFS stream, which diverges everywhere, keeps what a
+//! one-run hint kept. A snapshot still shared with the live replicas would
+//! make the next write copy a replica, so this is most of what a skipped
+//! snapshot saves.
+//!
 //! ## Correctness (DESIGN.md §10)
 //!
 //! [`SystemModel::apply`] is required to be deterministic in
@@ -35,9 +47,9 @@
 //! (each step stores the [`OpOutcome`] observed when it was executed). The
 //! run — states, outcomes, `sim_us` — is byte-identical to the scratch
 //! executor's. `CacheStats::sim_us_saved` separately records how much of
-//! that total was never physically re-executed. The lookahead hint of
+//! that total was never physically re-executed. The lookahead of
 //! [`IncrementalExecutor::advance`] only decides which snapshots are kept:
-//! a wrong hint makes a later run resume shallower, never differently.
+//! a wrong one makes a later run resume shallower, never differently.
 
 use std::sync::Arc;
 
@@ -55,6 +67,53 @@ use crate::{CacheStats, Execution, ExecutionRef, OpOutcome, SystemModel, TimeMod
 /// `model.snapshot_clone_ns`), so the one thing that can make it bind is a
 /// model whose hint says its states are that large.
 pub const DEFAULT_CACHE_BUDGET: usize = 64 * 1024 * 1024;
+
+/// A lookahead entry of [`IncrementalExecutor::advance`] that says nothing:
+/// the two runs it sits between are under different fault plans.
+pub const UNKNOWN_DEPTH: u32 = u32::MAX;
+
+/// The lookahead entry between a run of `il` and the run of `next` right
+/// after it on the same executor: the depth at which `next` leaves `il`'s
+/// path, their common prefix. [`UNKNOWN_DEPTH`] when the two are under
+/// different fault plans: `next` then runs on another plan's path, and
+/// what it does to `il`'s says nothing about the runs after it.
+pub fn branch_depth(il: &Interleaving, next: &Interleaving) -> u32 {
+    match il.faults() == next.faults() {
+        true => il.common_prefix_len(next).min(UNKNOWN_DEPTH as usize - 1) as u32,
+        false => UNKNOWN_DEPTH,
+    }
+}
+
+/// Reads a run's lookahead (see [`IncrementalExecutor::advance`]): pushes
+/// onto `branches`, deepest first, the depths deeper than `resume` at which later
+/// runs leave the run's path — the running minima of `lookahead`, up to the
+/// first that is no deeper than `resume` — and returns
+/// `(floor, keep_resume)`: every depth up to `floor` is kept as well (the
+/// window ended, or a plan change hid what follows, while the runs still
+/// shared that much), and whether a later run resumes from the snapshot
+/// this one resumes from.
+fn branches(lookahead: &[u32], resume: usize, branches: &mut Vec<u32>) -> (usize, bool) {
+    branches.clear();
+    let mut low = usize::MAX;
+    for &depth in lookahead
+        .iter()
+        .take_while(|&&depth| depth != UNKNOWN_DEPTH)
+    {
+        let depth = depth as usize;
+        if depth <= resume {
+            // Every run from here on leaves this path no deeper than the
+            // resume depth: nothing deeper is reused by anyone.
+            return (0, depth == resume);
+        }
+        if depth < low {
+            low = depth;
+            branches.push(depth as u32);
+        }
+    }
+    // The floor covers the shallowest branch.
+    branches.pop();
+    (low, true)
+}
 
 /// The replica states after some prefix: one block, built straight from
 /// the cursor's states and shared by `Arc` between the paths of different
@@ -341,7 +400,7 @@ impl<S> Cursor<S> {
 ///
 /// Every run is byte-identical to
 /// [`InlineExecutor`](crate::InlineExecutor)'s — states, outcomes and
-/// `sim_us` — for any budget, any hint and any order of interleavings; the
+/// `sim_us` — for any budget, any lookahead and any order of interleavings; the
 /// differential-equivalence harness (`tests/suite/incremental_equivalence.rs`,
 /// `tests/suite/incremental_props.rs`) pins this. At budget 0 it keeps no
 /// snapshot and every run replays from `init_all()` into the buffers of the
@@ -372,6 +431,9 @@ pub struct IncrementalExecutor<M: SystemModel> {
     /// The fault interpreter's queue of delayed effects, handed from run to
     /// run for its capacity.
     delays: Vec<(usize, EventId)>,
+    /// The depths a run stores a snapshot at deeper than its lookahead's floor,
+    /// deepest first, kept for its capacity.
+    branches: Vec<u32>,
 }
 
 impl<M: SystemModel> IncrementalExecutor<M> {
@@ -394,6 +456,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
             suffixes: Vec::new(),
             pending: Vec::new(),
             delays: Vec::new(),
+            branches: Vec::new(),
         }
     }
 
@@ -448,7 +511,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         il: &Interleaving,
         time: &TimeModel,
     ) -> Execution<M::State> {
-        self.advance(model, workload, il, None, time);
+        self.advance(model, workload, il, &[], time);
         let sim_us = self.run().sim_us;
         let mut run = std::mem::take(&mut self.cursor);
         // The rows have no place in an `Execution`: emptied, their buffer
@@ -477,17 +540,25 @@ impl<M: SystemModel> IncrementalExecutor<M> {
     /// An executor serves one model: its initial states are built once,
     /// from the model of the first call.
     ///
-    /// `next` is an advisory hint: the interleaving this executor will be
-    /// handed after `il`, if the caller knows it. It is used only when it
-    /// carries `il`'s fault plan. Snapshots are then kept only at depths the
-    /// two share — deeper ones would be cut before anyone could resume from
-    /// them — and the snapshot `il` resumes from is dropped as soon as the
-    /// run is refilled from it when `next` diverges above it. Without a hint
-    /// every interior depth is kept.
+    /// `lookahead` is advisory: what the caller knows of the runs this
+    /// executor will be handed after `il`, as their [`branch_depth`]s —
+    /// entry 0 between `il` and the next run, entry `i` between the `i`-th
+    /// and the `i + 1`-th run after it. Each run resumes from the path the
+    /// run before left, so a later run reuses a snapshot of this one only
+    /// at a depth every run in between shared: the running minima of the
+    /// slice. The walk stops at the first minimum no deeper than the resume
+    /// depth (nothing deeper is reused past it), at an [`UNKNOWN_DEPTH`]
+    /// entry, or at the end of the slice. A snapshot is then stored at a
+    /// depth only if it is one of the minima, or if the walk ran out while
+    /// the runs still shared that depth (past there the slice knows
+    /// nothing); the snapshot `il` resumes from is dropped as soon as the
+    /// run is refilled from it unless its depth passes the same test. An
+    /// empty slice keeps every interior depth; a one-entry slice keeps the
+    /// prefix `il` shares with the next run.
     ///
     /// The run is byte-identical to
     /// [`InlineExecutor::execute`](crate::InlineExecutor::execute) whatever
-    /// the hint: the reported `sim_us` still charges `reset_cost_us` plus
+    /// the lookahead: the reported `sim_us` still charges `reset_cost_us` plus
     /// every event's cost (a rewind *is* a state reset, and skipped prefix
     /// events are charged as if replayed); [`CacheStats::sim_us_saved`]
     /// records the portion that was never physically re-executed.
@@ -496,20 +567,25 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         model: &M,
         workload: &Workload,
         il: &Interleaving,
-        next: Option<&Interleaving>,
+        lookahead: &[u32],
         time: &TimeModel,
     ) {
         let n = il.len();
         let plan = il.faults();
-        // The deepest step worth keeping for the next run.
-        let keep = match next {
-            _ if self.cache.budget == 0 => 0,
-            Some(next) if next.faults() == plan => il.common_prefix_len(next),
-            _ => usize::MAX,
-        };
         let slot = self.cache.checkout(il);
         let resume_depth = self.cache.paths[slot].steps.len();
         self.last_resume_depth = resume_depth;
+        // The deepest step worth keeping for the next run (the path is cut
+        // there before anyone could resume from deeper), and which depths
+        // up to it are worth a snapshot.
+        let (keep, floor, keep_resume) = match lookahead.first() {
+            _ if self.cache.budget == 0 => (0, 0, true),
+            Some(&next) if next != UNKNOWN_DEPTH => {
+                let (floor, keep_resume) = branches(lookahead, resume_depth, &mut self.branches);
+                (next as usize, floor, keep_resume)
+            }
+            _ => (usize::MAX, usize::MAX, true),
+        };
 
         // The run is taken out for as long as it is being rewritten: if
         // `apply` unwinds, it is dropped and the cursor stays empty.
@@ -530,10 +606,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
             run.push(step.event, step.digest, cost_us, step.outcome.clone());
         }
 
-        if self
-            .cache
-            .resume(slot, keep < resume_depth, &mut run.states)
-        {
+        if self.cache.resume(slot, !keep_resume, &mut run.states) {
             self.stats.hits += 1;
             self.stats.events_saved += resume_depth as u64;
             self.stats.sim_us_saved += run.totals().0;
@@ -626,13 +699,22 @@ impl<M: SystemModel> IncrementalExecutor<M> {
                 // snapshot, so a stored prefix is the full deterministic
                 // function of its `(events, anchored faults)` path.
                 let outcome = faults.step(model, &mut run.states, workload, event, pos);
-                // Extend the path through every interior depth worth keeping;
-                // the final depth is never resumed from (a repeat of the same
+                // Extend the path through every interior depth worth keeping,
+                // with a snapshot where a later run branches off; the final
+                // depth is never resumed from (a repeat of the same
                 // interleaving resumes at N-1 and re-applies the last event),
                 // and the end-of-run fault flush below therefore never leaks
                 // into a snapshot.
                 if pos + 1 < n && pos < keep {
-                    let snapshot = self.cache.store(model, &run.states);
+                    let depth = pos + 1;
+                    let branch = self.branches.last().is_some_and(|&b| b as usize == depth);
+                    if branch {
+                        self.branches.pop();
+                    }
+                    let snapshot = match branch || depth <= floor {
+                        true => self.cache.store(model, &run.states),
+                        false => None,
+                    };
                     self.cache.paths[slot].steps.push(Step {
                         event: id,
                         digest,
@@ -808,19 +890,33 @@ mod tests {
         assert_eq!(borrowed(scratch).failed_ops, inc.failed_ops, "on {il}");
     }
 
+    /// The [`branch_depth`] of each consecutive pair of `orders`.
+    fn branch_depths(orders: &[Interleaving]) -> Vec<u32> {
+        let pairs = orders.windows(2);
+        pairs.map(|pair| branch_depth(&pair[0], &pair[1])).collect()
+    }
+
+    /// Run `i`'s lookahead: up to `window` entries of `depths` from `i` on.
+    fn window(depths: &[u32], i: usize, window: usize) -> &[u32] {
+        let rest = depths.get(i..).unwrap_or_default();
+        &rest[..window.min(rest.len())]
+    }
+
     /// Replays all `n!` lexicographic orders against the scratch executor,
-    /// with the true next order as the hint when `hinted`, each run read
-    /// borrowed from the cursor the way the campaign reads it; after every
-    /// run the cache must hold at most `n - 1` snapshots within the budget.
-    fn assert_matches_inline(budget: usize, n: u32, hinted: bool) -> CacheStats {
+    /// each run told up to `lookahead` of the branch depths ahead of it
+    /// (0 tells it nothing), each read borrowed from the cursor the way the
+    /// campaign reads it; after every run the cache must hold at most
+    /// `n - 1` snapshots within the budget.
+    fn assert_matches_inline(budget: usize, n: u32, lookahead: usize) -> CacheStats {
         let w = workload(n as i64);
         let time = TimeModel::paper_setup();
         let mut exec = IncrementalExecutor::<LogModel>::new(budget);
         let orders = lexicographic_orders(n);
+        let depths = branch_depths(&orders);
         for (i, il) in orders.iter().enumerate() {
-            let next = orders.get(i + 1).filter(|_| hinted);
+            let ahead = window(&depths, i, lookahead);
             let scratch = InlineExecutor::execute(&LogModel, &w, il, &time);
-            exec.advance(&LogModel, &w, il, next, &time);
+            exec.advance(&LogModel, &w, il, ahead, &time);
             assert_same(&scratch, exec.run(), il);
             assert!(exec.resident_snapshots() < n as usize);
             assert!(exec.stats().bytes_resident <= budget);
@@ -840,9 +936,10 @@ mod tests {
     fn matches_inline_over_all_permutations() {
         // 120 runs; the first permutation of each depth-1 block (5 of
         // them) necessarily misses, everything else resumes from the
-        // previous run's path — at the full common prefix, hinted or not.
-        for hinted in [false, true] {
-            let stats = assert_matches_inline(DEFAULT_CACHE_BUDGET, 5, hinted);
+        // previous run's path — at the full common prefix, whatever the
+        // run is told of the runs after it.
+        for lookahead in [0, 1, 3, usize::MAX] {
+            let stats = assert_matches_inline(DEFAULT_CACHE_BUDGET, 5, lookahead);
             assert_eq!(stats.misses, 5);
             assert_eq!(stats.hits, 115);
             assert_eq!(stats.events_saved, shared_prefixes(5));
@@ -910,18 +1007,20 @@ mod tests {
 
     #[test]
     fn a_refill_leaves_each_write_a_retired_copy_to_write_into() {
-        // The hinted sweep of `matches_inline_over_all_permutations`. A run
+        // The one-run lookahead sweep of
+        // `matches_inline_over_all_permutations`. A run
         // resumes from a snapshot the path shares, so its first write to a
         // replica copies; the refill before it retired the copy the last
         // run wrote, and the write copies into that instead of allocating.
         let (n, w, time) = (5, workload(5), TimeModel::paper_setup());
         let orders = lexicographic_orders(n);
+        let depths = branch_depths(&orders);
         let mut exec = IncrementalExecutor::<CellModel>::new(DEFAULT_CACHE_BUDGET);
         let mut copies = (0, 0);
         for (i, il) in orders.iter().enumerate() {
             let scratch = InlineExecutor::execute(&CellModel, &w, il, &time);
             COPIES.with(|n| n.set((0, 0)));
-            exec.advance(&CellModel, &w, il, orders.get(i + 1), &time);
+            exec.advance(&CellModel, &w, il, window(&depths, i, 1), &time);
             let (fresh, into) = COPIES.with(|n| n.get());
             copies = (copies.0 + fresh, copies.1 + into);
             assert_same(&scratch, exec.run(), il);
@@ -940,7 +1039,7 @@ mod tests {
 
     #[test]
     fn zero_budget_is_scratch() {
-        let stats = assert_matches_inline(0, 4, false);
+        let stats = assert_matches_inline(0, 4, 0);
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.misses, 24);
         assert_eq!(stats.events_saved, 0);
@@ -950,8 +1049,8 @@ mod tests {
     #[test]
     fn tiny_budget_skips_stores_and_stays_byte_identical() {
         // Room for one two-replica snapshot: deeper stores are refused.
-        for hinted in [false, true] {
-            let stats = assert_matches_inline(80, 5, hinted);
+        for lookahead in [0, 1, usize::MAX] {
+            let stats = assert_matches_inline(80, 5, lookahead);
             assert_eq!(stats.hits + stats.misses, 120);
             assert!(stats.hits > 0, "one snapshot still serves resumes");
             assert!(stats.events_saved < shared_prefixes(5));
@@ -959,7 +1058,7 @@ mod tests {
     }
 
     #[test]
-    fn a_hint_keeps_only_the_shared_prefix_and_drops_the_last_use() {
+    fn a_one_run_lookahead_keeps_only_the_shared_prefix_and_drops_the_last_use() {
         let w = workload(5);
         let time = TimeModel::paper_setup();
         let order = |raw: [u32; 5]| -> Interleaving { raw.into_iter().map(EventId::new).collect() };
@@ -967,18 +1066,76 @@ mod tests {
         let b = order([0, 1, 2, 4, 3]);
         let c = order([0, 1, 3, 2, 4]);
         let mut exec = IncrementalExecutor::<LogModel>::new(DEFAULT_CACHE_BUDGET);
-        exec.advance(&LogModel, &w, &a, Some(&b), &time);
+        exec.advance(&LogModel, &w, &a, &[branch_depth(&a, &b)], &time);
         assert_eq!(exec.resident_snapshots(), 3, "depths 1..=3 are shared");
         // b resumes at depth 3 and c shares only 2: the depth-3 snapshot is
         // dropped once b is refilled from it, and nothing deeper is stored.
-        exec.advance(&LogModel, &w, &b, Some(&c), &time);
+        exec.advance(&LogModel, &w, &b, &[branch_depth(&b, &c)], &time);
         assert_eq!(exec.last_resume_depth(), 3);
         assert_eq!(exec.resident_snapshots(), 2);
-        exec.advance(&LogModel, &w, &c, None, &time);
+        exec.advance(&LogModel, &w, &c, &[], &time);
         assert_eq!(exec.last_resume_depth(), 2);
-        assert_eq!(exec.resident_snapshots(), 4, "no hint keeps every depth");
+        assert_eq!(
+            exec.resident_snapshots(),
+            4,
+            "no lookahead keeps every depth"
+        );
         let scratch = InlineExecutor::execute(&LogModel, &w, &c, &time);
         assert_same(&scratch, exec.run(), &c);
+    }
+
+    /// The depths of the snapshots the paths hold, path by path.
+    fn snapshot_depths<M: SystemModel>(exec: &IncrementalExecutor<M>) -> Vec<usize> {
+        let steps = exec
+            .cache
+            .paths
+            .iter()
+            .flat_map(|path| path.steps.iter().enumerate());
+        let stored = steps.filter(|(_, step)| step.snapshot.is_some());
+        stored.map(|(at, _)| at + 1).collect()
+    }
+
+    #[test]
+    fn a_whole_chunk_lookahead_snapshots_only_where_a_later_run_branches() {
+        // Four units of two events (e0 e1, e2 e3, …) in every order, the
+        // way ER-π's explorer permutes grouped units: runs diverge only at
+        // even depths. One chunk, each run told the branch depths of all the
+        // runs after it, closed by a 0 (a next chunk that starts elsewhere).
+        let w = workload(8);
+        let time = TimeModel::paper_setup();
+        let units = |order: &Interleaving| -> Interleaving {
+            let events = order
+                .iter()
+                .flat_map(|unit| [2 * unit.raw(), 2 * unit.raw() + 1]);
+            events.map(EventId::new).collect()
+        };
+        let orders: Vec<Interleaving> = lexicographic_orders(4).iter().map(units).collect();
+        let mut depths = branch_depths(&orders);
+        depths.push(0);
+        let mut exec = IncrementalExecutor::<LogModel>::new(DEFAULT_CACHE_BUDGET);
+        for (i, il) in orders.iter().enumerate() {
+            exec.advance(&LogModel, &w, il, &depths[i..], &time);
+            let scratch = InlineExecutor::execute(&LogModel, &w, il, &time);
+            assert_same(&scratch, exec.run(), il);
+            let stored = snapshot_depths(&exec);
+            assert_eq!(exec.resident_snapshots(), stored.len());
+            assert!(
+                stored.iter().all(|depth| depth % 2 == 0),
+                "run {i} stored a snapshot inside a unit: {stored:?}"
+            );
+            if i == 4 {
+                // u0 u3 u1 u2 resumes at 2; the next run shares 4 with it,
+                // the one after that nothing. Depth 2 had its last use in
+                // the refill, so only the branch at 4 is left.
+                assert_eq!(exec.last_resume_depth(), 2);
+                assert_eq!(stored, [4]);
+            }
+        }
+        // Fewer snapshots, and every run still resumed at its full common
+        // prefix.
+        let shared = depths.iter().map(|&depth| u64::from(depth)).sum::<u64>();
+        assert_eq!(exec.stats().events_saved, shared);
+        assert_eq!(exec.resident_snapshots(), 0, "the last run is told 0");
     }
 
     #[test]
@@ -1018,8 +1175,9 @@ mod tests {
             FaultPlan::new(vec![FaultEvent::new(ids[2], crash)]),
         ];
         // One executor serves the whole product (plan-minor, like the
-        // session's fault product explorer), hinted the way the session
-        // hints it: every execution must stay byte-identical to scratch
+        // session's fault product explorer), told what comes next the way
+        // a campaign's chunk tells it — an unknown depth at every plan
+        // change: every execution must stay byte-identical to scratch
         // replay while plans take turns and borrow the fault-free path.
         let with_plans = |base: Interleaving| {
             let plans = plans.iter().cloned();
@@ -1029,10 +1187,11 @@ mod tests {
             .into_iter()
             .flat_map(with_plans)
             .collect();
+        let depths = branch_depths(&product);
         let mut exec = IncrementalExecutor::<LogModel>::new(DEFAULT_CACHE_BUDGET);
         for (i, il) in product.iter().enumerate() {
             let scratch = InlineExecutor::execute(&LogModel, &w, il, &time);
-            exec.advance(&LogModel, &w, il, product.get(i + 1), &time);
+            exec.advance(&LogModel, &w, il, window(&depths, i, 32), &time);
             assert_same(&scratch, exec.run(), il);
             assert!(exec.resident_snapshots() <= 3 * plans.len());
         }
@@ -1054,7 +1213,8 @@ mod tests {
         // The plan has no path of its own yet: e0 e1 e2 come from the
         // fault-free run, and sharing them is charged once — only the
         // depth-4 snapshot is new.
-        exec.advance(&LogModel, &w, &faulted, Some(&faulted), &time);
+        let again = branch_depth(&faulted, &faulted);
+        exec.advance(&LogModel, &w, &faulted, &[again], &time);
         assert_eq!(exec.last_resume_depth(), 3);
         assert_same(&scratch, exec.run(), &faulted);
         assert_eq!(exec.resident_snapshots(), 4 + 4);
@@ -1073,14 +1233,14 @@ mod tests {
         let time = TimeModel::paper_setup();
         let orders = lexicographic_orders(5);
         let mut exec = IncrementalExecutor::<LogModel>::new(DEFAULT_CACHE_BUDGET);
-        exec.advance(&LogModel, &w, &orders[0], None, &time);
+        exec.advance(&LogModel, &w, &orders[0], &[], &time);
         let buffers = |exec: &IncrementalExecutor<LogModel>| {
             let run = exec.run();
             (run.states.as_ptr(), run.outcomes.as_ptr())
         };
         let first = buffers(&exec);
         for il in &orders[1..] {
-            exec.advance(&LogModel, &w, il, None, &time);
+            exec.advance(&LogModel, &w, il, &[], &time);
             assert_eq!(buffers(&exec), first, "no engine vector per run");
         }
     }
@@ -1092,12 +1252,12 @@ mod tests {
         let orders = lexicographic_orders(5);
         let mut exec = IncrementalExecutor::<LogModel>::new(DEFAULT_CACHE_BUDGET);
         assert!(exec.run().states.is_empty() && exec.run().outcomes.is_empty());
-        exec.advance(&LogModel, &w, &orders[0], None, &time);
+        exec.advance(&LogModel, &w, &orders[0], &[], &time);
         assert_eq!(exec.run().outcomes.len(), 5);
         drop(exec.execute(&LogModel, &w, &orders[1], &time));
         assert!(exec.run().states.is_empty() && exec.run().outcomes.is_empty());
         // Nothing to pop back to: the whole prefix comes from the path.
-        exec.advance(&LogModel, &w, &orders[2], None, &time);
+        exec.advance(&LogModel, &w, &orders[2], &[], &time);
         assert_eq!(
             exec.last_resume_depth(),
             orders[1].common_prefix_len(&orders[2])
@@ -1144,13 +1304,13 @@ mod tests {
         let blows = order([0, 1, 2, 4, 3]);
         let after = order([0, 1, 3, 4, 2]);
         let mut exec = IncrementalExecutor::<Fused>::new(DEFAULT_CACHE_BUDGET);
-        exec.advance(&Fused, &w, &fine, None, &time);
+        exec.advance(&Fused, &w, &fine, &[], &time);
         let unwound = catch_unwind(AssertUnwindSafe(|| {
-            exec.advance(&Fused, &w, &blows, None, &time);
+            exec.advance(&Fused, &w, &blows, &[], &time);
         }));
         assert!(unwound.is_err());
         assert!(exec.run().states.is_empty() && exec.run().outcomes.is_empty());
-        exec.advance(&Fused, &w, &after, None, &time);
+        exec.advance(&Fused, &w, &after, &[], &time);
         let scratch = InlineExecutor::execute(&LogModel, &w, &after, &time);
         assert_same(&scratch, exec.run(), &after);
     }
@@ -1204,7 +1364,7 @@ mod tests {
         exec.enable_subsumption(Arc::new(SubsumeSet::with_audit(true)));
         for raw in [[0, 1], [1, 0]] {
             let il: Interleaving = raw.into_iter().map(EventId::new).collect();
-            exec.advance(&Constant, &w, &il, None, &time);
+            exec.advance(&Constant, &w, &il, &[], &time);
         }
     }
 
@@ -1258,7 +1418,7 @@ mod tests {
         let mut exec = IncrementalExecutor::<Fused>::new(DEFAULT_CACHE_BUDGET);
         // Snapshots at depths 1 to 3 are stored before e3 blows up.
         let unwound = catch_unwind(AssertUnwindSafe(|| {
-            exec.advance(&Fused, &w, &order([0, 1, 2, 3, 4]), None, &time);
+            exec.advance(&Fused, &w, &order([0, 1, 2, 3, 4]), &[], &time);
         }));
         assert!(unwound.is_err());
         let charged = exec.stats().bytes_resident;
@@ -1266,7 +1426,7 @@ mod tests {
         assert_eq!(charged, resident_bytes(&exec));
         // What the unwound run stored is still there to resume from.
         let after = order([0, 1, 3, 2, 4]);
-        exec.advance(&Fused, &w, &after, None, &time);
+        exec.advance(&Fused, &w, &after, &[], &time);
         assert_eq!(exec.last_resume_depth(), 2);
         assert_eq!(exec.stats().bytes_resident, resident_bytes(&exec));
         let scratch = InlineExecutor::execute(&LogModel, &w, &after, &time);

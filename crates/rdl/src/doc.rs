@@ -134,8 +134,14 @@ impl<'a> JsonView<'a> {
 
     /// The visible keys in order, if this is an object.
     pub fn keys(self) -> Option<impl Iterator<Item = &'a str> + Clone> {
+        Some(self.entries()?.map(|(key, _)| key))
+    }
+
+    /// The visible entries in key order, each key with a view of its
+    /// subtree, if this is an object.
+    pub fn entries(self) -> Option<impl Iterator<Item = (&'a str, JsonView<'a>)> + Clone> {
         match self.0 {
-            ViewNode::Object(map) => Some(visible_entries(map).map(|(key, _)| key)),
+            ViewNode::Object(map) => Some(visible_entries(map)),
             _ => None,
         }
     }

@@ -372,6 +372,18 @@ impl<T: Ord + Clone> DeltaSync for OrSet<T> {
     fn version(&self) -> &VersionVector {
         self.ctx.vector()
     }
+
+    /// [`missing_since`](DeltaSync::missing_since)`(self.version())`,
+    /// applied in its order straight off `other`'s log: no delta `Vec`, one
+    /// handle bump per operation recorded. An operation the shipped filter
+    /// would leave out is one the version already covers, and `apply_op`
+    /// skips it as a redelivery; the version only grows, so every one it
+    /// lets through the delta would have carried.
+    fn sync_from(&mut self, other: &Self) {
+        for op in other.log.shared() {
+            self.apply_op(op);
+        }
+    }
 }
 
 impl<T: Ord + Clone> StateCrdt for OrSet<T> {
@@ -508,6 +520,31 @@ mod tests {
         s.remove(&1);
         assert!(s.iter().eq([&0, &2]), "visible elements only, sorted");
         assert_eq!(s.elements(), vec![&0, &2]);
+    }
+
+    #[test]
+    fn sync_from_applies_what_the_shipped_delta_would() {
+        let mut sender = OrSet::new(r(0));
+        for x in 0..6 {
+            sender.insert(x);
+        }
+        sender.remove(&2);
+        // The receiver holds operations of its own, and two of the
+        // sender's out of order: a cloud past its version, which the
+        // shipped delta carries again.
+        let ops = sender.missing_since(&VersionVector::default());
+        let mut receiver = OrSet::new(r(1));
+        receiver.insert(9);
+        receiver.apply_op(&ops[3]);
+        receiver.apply_op(&ops[5]);
+        let mut shipped = receiver.clone();
+        for op in &sender.missing_since(shipped.version()) {
+            shipped.apply_op(op);
+        }
+        receiver.sync_from(&sender);
+        assert_eq!(receiver, shipped, "the same operations, in the same order");
+        let mut held = receiver.log.shared().zip(shipped.log.shared());
+        assert!(held.all(|(a, b)| Arc::ptr_eq(a, b)), "the sender's handles");
     }
 
     #[test]

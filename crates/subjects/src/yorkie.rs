@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use crate::{clone_queue_from, sender_and_receiver};
 use er_pi::{OpOutcome, SystemModel};
-use er_pi_model::{CanonicalEncode, Event, EventKind, ReplicaId, Value};
-use er_pi_rdl::{clone_handles_from, DeltaSync, DocOp, JsonDoc, Shared};
+use er_pi_model::{CanonicalEncode, Event, EventKind, OpDescriptor, ReplicaId, Value};
+use er_pi_rdl::{clone_handles_from, DeltaSync, DocOp, JsonDoc, JsonView, Shared};
 
 /// One Yorkie replica: the document plus a sync inbox.
 #[derive(Debug)]
@@ -77,14 +77,109 @@ impl YorkieModel {
     }
 }
 
-fn split_path(raw: &str) -> Vec<&str> {
-    raw.split('.').filter(|s| !s.is_empty()).collect()
+/// Hands `f` the segments of the dotted document path `raw`, empty ones
+/// skipped, on the stack: a path of more than [`INLINE_SEGMENTS`] segments
+/// goes through a `Vec`.
+fn with_path<R>(raw: &str, f: impl FnOnce(&[&str]) -> R) -> R {
+    let segments = || raw.split('.').filter(|s| !s.is_empty());
+    let mut inline = [""; INLINE_SEGMENTS];
+    let mut len = 0;
+    for segment in segments() {
+        if len == INLINE_SEGMENTS {
+            return f(&segments().collect::<Vec<_>>());
+        }
+        inline[len] = segment;
+        len += 1;
+    }
+    f(&inline[..len])
 }
+
+/// Path segments [`with_path`] holds without a heap buffer.
+const INLINE_SEGMENTS: usize = 8;
 
 fn doc_result(result: Result<impl Sized, er_pi_rdl::DocError>) -> OpOutcome {
     match result {
         Ok(_) => OpOutcome::Applied,
         Err(e) => OpOutcome::failed(e.to_string()),
+    }
+}
+
+/// Applies the local update `op` at replica `at`, on the document path
+/// `path`.
+fn local_update(
+    states: &mut [YorkieState],
+    at: usize,
+    op: &OpDescriptor,
+    path: &[&str],
+) -> OpOutcome {
+    if path.is_empty() {
+        return OpOutcome::failed("empty document path");
+    }
+    let doc = &mut states[at].doc;
+    match op.function() {
+        "set" => {
+            let v = op.arg(1).cloned().unwrap_or(Value::Null);
+            doc_result(doc.set(path, v))
+        }
+        "set_object" => {
+            let mut entries = BTreeMap::new();
+            let mut i = 1;
+            while let (Some(k), Some(v)) = (op.arg(i), op.arg(i + 1)) {
+                let Some(key) = k.as_str() else {
+                    return OpOutcome::failed("set_object keys must be strings");
+                };
+                entries.insert(key.to_owned(), v.clone());
+                i += 2;
+            }
+            doc_result(doc.set_object(path, entries))
+        }
+        "remove" => doc_result(doc.remove(path)),
+        "snapshot_keys" => {
+            let Some(keys) = doc.view(path).and_then(JsonView::keys) else {
+                return OpOutcome::failed("snapshot_keys needs an object path");
+            };
+            let keys: Vec<String> = keys.map(str::to_owned).collect();
+            let observed = keys.iter().map(String::as_str).collect();
+            states[at].last_snapshot = Some(keys);
+            OpOutcome::observed(observed)
+        }
+        // The Yorkie-2 misuse pattern: read the object and
+        // write it back wholesale ("normalize settings"). Any
+        // concurrent sibling write older than this refresh is
+        // silently dropped.
+        "refresh_object" => {
+            let Some(fields) = doc.view(path).and_then(JsonView::entries) else {
+                return OpOutcome::failed("refresh_object needs an object path");
+            };
+            let entries: BTreeMap<String, Value> = fields
+                .filter_map(|(key, field)| Some((key.to_owned(), field.as_prim()?.clone())))
+                .collect();
+            doc_result(doc.set_object(path, entries))
+        }
+        "new_array" => doc_result(doc.new_array(path)),
+        "push" => {
+            let v = op.arg(1).cloned().unwrap_or(Value::Null);
+            doc_result(doc.arr_push(path, v))
+        }
+        "move" => {
+            let (Some(from), Some(to)) = (
+                op.arg(1).and_then(Value::as_int),
+                op.arg(2).and_then(Value::as_int),
+            ) else {
+                return OpOutcome::failed("move needs (path, from, to)");
+            };
+            doc_result(doc.arr_move(path, from as usize, to as usize))
+        }
+        "move_naive" => {
+            let (Some(from), Some(to)) = (
+                op.arg(1).and_then(Value::as_int),
+                op.arg(2).and_then(Value::as_int),
+            ) else {
+                return OpOutcome::failed("move_naive needs (path, from, to)");
+            };
+            doc_result(doc.arr_move_naive(path, from as usize, to as usize))
+        }
+        other => OpOutcome::failed(format!("unknown yorkie op {other}")),
     }
 }
 
@@ -107,80 +202,8 @@ impl SystemModel for YorkieModel {
         let at = event.replica.index();
         match &event.kind {
             EventKind::LocalUpdate { op } => {
-                let path = split_path(op.arg(0).and_then(Value::as_str).unwrap_or(""));
-                if path.is_empty() {
-                    return OpOutcome::failed("empty document path");
-                }
-                let doc = &mut states[at].doc;
-                match op.function() {
-                    "set" => {
-                        let v = op.arg(1).cloned().unwrap_or(Value::Null);
-                        doc_result(doc.set(&path, v))
-                    }
-                    "set_object" => {
-                        let mut entries = BTreeMap::new();
-                        let mut i = 1;
-                        while let (Some(k), Some(v)) = (op.arg(i), op.arg(i + 1)) {
-                            let Some(key) = k.as_str() else {
-                                return OpOutcome::failed("set_object keys must be strings");
-                            };
-                            entries.insert(key.to_owned(), v.clone());
-                            i += 2;
-                        }
-                        doc_result(doc.set_object(&path, entries))
-                    }
-                    "remove" => doc_result(doc.remove(&path)),
-                    "snapshot_keys" => {
-                        let Some(er_pi_rdl::JsonValue::Object(map)) = doc.get(&path) else {
-                            return OpOutcome::failed("snapshot_keys needs an object path");
-                        };
-                        let keys: Vec<String> = map.keys().cloned().collect();
-                        let observed = keys.iter().map(String::as_str).collect();
-                        states[at].last_snapshot = Some(keys);
-                        OpOutcome::observed(observed)
-                    }
-                    // The Yorkie-2 misuse pattern: read the object and
-                    // write it back wholesale ("normalize settings"). Any
-                    // concurrent sibling write older than this refresh is
-                    // silently dropped.
-                    "refresh_object" => {
-                        let Some(er_pi_rdl::JsonValue::Object(map)) = doc.get(&path) else {
-                            return OpOutcome::failed("refresh_object needs an object path");
-                        };
-                        let entries: BTreeMap<String, Value> = map
-                            .iter()
-                            .filter_map(|(k, v)| match v {
-                                er_pi_rdl::JsonValue::Prim(p) => Some((k.clone(), p.clone())),
-                                _ => None,
-                            })
-                            .collect();
-                        doc_result(doc.set_object(&path, entries))
-                    }
-                    "new_array" => doc_result(doc.new_array(&path)),
-                    "push" => {
-                        let v = op.arg(1).cloned().unwrap_or(Value::Null);
-                        doc_result(doc.arr_push(&path, v))
-                    }
-                    "move" => {
-                        let (Some(from), Some(to)) = (
-                            op.arg(1).and_then(Value::as_int),
-                            op.arg(2).and_then(Value::as_int),
-                        ) else {
-                            return OpOutcome::failed("move needs (path, from, to)");
-                        };
-                        doc_result(doc.arr_move(&path, from as usize, to as usize))
-                    }
-                    "move_naive" => {
-                        let (Some(from), Some(to)) = (
-                            op.arg(1).and_then(Value::as_int),
-                            op.arg(2).and_then(Value::as_int),
-                        ) else {
-                            return OpOutcome::failed("move_naive needs (path, from, to)");
-                        };
-                        doc_result(doc.arr_move_naive(&path, from as usize, to as usize))
-                    }
-                    other => OpOutcome::failed(format!("unknown yorkie op {other}")),
-                }
+                let raw = op.arg(0).and_then(Value::as_str).unwrap_or("");
+                with_path(raw, |path| local_update(states, at, op, path))
             }
             EventKind::Sync { to, .. } => {
                 if let Some((from, to)) = sender_and_receiver(states, at, to.index()) {
@@ -256,6 +279,15 @@ mod tests {
             model.apply(&mut states, ev);
         }
         states
+    }
+
+    #[test]
+    fn a_path_is_split_on_the_stack_and_past_it_on_the_heap() {
+        let segments = |raw: &str| with_path(raw, |path| path.join("/"));
+        assert_eq!(segments(".a..b.c."), "a/b/c");
+        assert_eq!(segments(""), "");
+        let deep: Vec<String> = (0..INLINE_SEGMENTS + 3).map(|i| i.to_string()).collect();
+        assert_eq!(segments(&deep.join(".")), deep.join("/"));
     }
 
     #[test]

@@ -435,9 +435,12 @@ fn an_attached_registry_allocates_nothing_per_run() {
 /// worker, session defaults.
 ///
 /// DFS order resumes 73 % of its events from snapshots, so nearly every
-/// applied event first copies the replica it writes; it measures 8.69 now
-/// that an issue is the handle of the argument that added it and a transmit
-/// builds one list its outcome and its replica share (12.16 while each add,
+/// applied event first copies the replica it writes; it measures 7.62 now
+/// that a sync between OR-sets walks the sender's log in place instead of
+/// shipping a delta `Vec`, and the snapshot a run resumes from is dropped on
+/// its last use even when the next run shares more (8.69 once an issue was
+/// the handle of the argument that added it and a transmit
+/// built one list its outcome and its replica share; 12.16 while each add,
 /// remove and transmit copied the issue strings, once the copy went into the
 /// one the refill before the run displaced, field by field; 19.53 while every such copy was fresh and the refill
 /// freed it; 20.98 before a snapshot was one block and an outcome cloned as
@@ -448,13 +451,13 @@ fn an_attached_registry_allocates_nothing_per_run() {
 /// 99 % of its events to states no snapshot holds and shares next to
 /// nothing with the run before it, so it is the pin on what sharing — of
 /// structures and of buffers — costs where there is nothing to share:
-/// 9.87 (17.58, 24.85, 25.70, 29.65, 40.35).
+/// 8.02 (9.87, 17.58, 24.85, 25.70, 29.65, 40.35).
 ///
 /// Under default retention a run leaves a `(sim_us, failed_ops)` row and
 /// nothing else — no `observe`, no `RunRecord`. With `keep_runs` every run
 /// builds its record (interleaving + observations): no benchmark workload
-/// takes that path, so this is what holds it (15.07; 22.60, 29.97, 30.63,
-/// 35.74).
+/// takes that path, so this is what holds it (14.00; 15.07, 22.60, 29.97,
+/// 30.63, 35.74).
 #[test]
 fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
     let blocks_per_run = |mode: ExploreMode, keep_runs: bool| {
@@ -476,9 +479,9 @@ fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
     let dfs = blocks_per_run(ExploreMode::Dfs, false);
     let random = blocks_per_run(ExploreMode::Random { seed: 7 }, false);
     let kept = blocks_per_run(ExploreMode::Dfs, true);
-    assert!(dfs <= 8.8, "DFS order: {dfs} blocks per run");
-    assert!(random <= 10.0, "Random order: {random} blocks per run");
-    assert!(kept <= 15.3, "keep_runs: {kept} blocks per run");
+    assert!(dfs <= 7.7, "DFS order: {dfs} blocks per run");
+    assert!(random <= 8.1, "Random order: {random} blocks per run");
+    assert!(kept <= 14.2, "keep_runs: {kept} blocks per run");
 }
 
 /// Blocks per run of `benchmark/`'s `fault-subsume` campaign: the same town
@@ -486,8 +489,9 @@ fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
 /// state-hash subsumption, capped at 10 000, one worker.
 ///
 /// Nine in ten of its runs are answered from the explored-set, so much of
-/// what a run costs there is what recording it costs. It measures 5.43 now
-/// that an issue string is shared by the argument, the set and the
+/// what a run costs there is what recording it costs. It measures 5.23 now
+/// that a sync between OR-sets applies the sender's log in place; 5.43 once
+/// an issue string was shared by the argument, the set and the
 /// transmitted list; 6.42 while each of them copied it, once the key held
 /// what fired faults left live rather than the whole plan, so runs stitch
 /// tails recorded under other plans, and the fault interpreter's delay
@@ -519,7 +523,7 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
     let stats = report.cache_stats.expect("subsuming replay reports stats");
     assert!(stats.subsumed > 9_000, "{} runs subsumed", stats.subsumed);
     let per_run = blocks as f64 / report.explored as f64;
-    assert!(per_run <= 5.5, "fault-subsume: {per_run} blocks per run");
+    assert!(per_run <= 5.3, "fault-subsume: {per_run} blocks per run");
 }
 
 /// Blocks per run of `benchmark/`'s `catalogue` sweep: the twelve bugs of
@@ -528,10 +532,13 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
 ///
 /// Every run ends in the bug's check, pass or fail, so this is the pin on
 /// what a check costs: it reads the replica states in place and formats its
-/// symptom only when the bug manifested. It measures 15.44 blocks per run
-/// now that a string is allocated once and shared — a `Value::Str`, a
+/// symptom only when the bug manifested. It measures 12.77 blocks per run
+/// now that a run snapshots only the depths a later run of its chunk
+/// branches off at (no depth inside one of ER-π's grouped units) and a
+/// Yorkie update reads its path and its object in place; 15.44 once a
+/// string was allocated once and shared — a `Value::Str`, a
 /// time-series key or member, a document path segment — and a Merkle
-/// entry's hash streams its fields instead of rendering them; 24.72 while
+/// entry's hash streamed its fields instead of rendering them; 24.72 while
 /// every clone of an argument, an observation or an array element copied
 /// its text, once a write after a refill copied into the replica the refill
 /// displaced, touching only what differs; 30.69 while each such copy was
@@ -541,12 +548,15 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
 ///
 /// The sweep-wide figure averages one bug's regression away, so the two
 /// bugs that allocate most per run are pinned on their own. Roshi-3 (the
-/// bulk of the benchmark's time to first violation) measures 18.50: its
-/// store keeps the recorded argument strings by handle (53.34 while each
+/// bulk of the benchmark's time to first violation) measures 13.43, half
+/// its snapshots gone with the depths inside its units (18.50 once its
+/// store kept the recorded argument strings by handle; 53.34 while each
 /// insert or delete copied its key and member twice, each cell write copied
 /// the key again, and every copy of the store or a page copied the strings
-/// it held). Yorkie-1 measures 23.25: its array elements and ops share
-/// their strings and a path is the document's own key handles (39.68).
+/// it held). Yorkie-1 measures 20.88: a local update hands its path to the
+/// document from the stack and reads an object's keys and fields in place
+/// (23.25 once its array elements and ops shared their strings and a path
+/// was the document's own key handles; 39.68).
 #[test]
 fn the_catalogue_sweep_allocates_a_pinned_number_of_blocks_per_run() {
     let config = ReplayConfig {
@@ -564,7 +574,7 @@ fn the_catalogue_sweep_allocates_a_pinned_number_of_blocks_per_run() {
     }
     assert_eq!(runs, 92_160, "the sweep is fixed");
     let per_run = blocks as f64 / runs as f64;
-    assert!(per_run <= 15.6, "catalogue: {per_run} blocks per run");
+    assert!(per_run <= 12.9, "catalogue: {per_run} blocks per run");
     let bug = |name: &str| {
         per_bug
             .iter()
@@ -573,8 +583,8 @@ fn the_catalogue_sweep_allocates_a_pinned_number_of_blocks_per_run() {
             .1
     };
     let (roshi, yorkie) = (bug("Roshi-3"), bug("Yorkie-1"));
-    assert!(roshi <= 18.7, "Roshi-3: {roshi} blocks per run");
-    assert!(yorkie <= 23.5, "Yorkie-1: {yorkie} blocks per run");
+    assert!(roshi <= 13.6, "Roshi-3: {roshi} blocks per run");
+    assert!(yorkie <= 21.1, "Yorkie-1: {yorkie} blocks per run");
 }
 
 /// The engine's own blocks: a fault-free DFS campaign over a model whose
@@ -583,7 +593,9 @@ fn the_catalogue_sweep_allocates_a_pinned_number_of_blocks_per_run() {
 /// interleaving the dispenser hands out and one block per snapshot the path
 /// stores (its states, beside their reference count) — the executor is a
 /// cursor, so a run brings no `states` and no `outcomes` vector of its own,
-/// and the dispenser remembers nothing. 1.76 blocks per run; 2.47 while a
+/// and the dispenser remembers nothing. 1.73 blocks per run now that a run
+/// snapshots only the depths a later run of its chunk branches off at;
+/// 1.76 while it kept every depth it shared with the next run; 2.47 while a
 /// snapshot was two blocks (a reference count pointing at a `Vec`), 3.98
 /// when every run built its two vectors. Scratch replay is the same cursor
 /// keeping no snapshot, so a run costs the interleaving alone: 1.006 (3.006
@@ -640,7 +652,10 @@ fn the_engine_allocates_a_pinned_number_of_blocks_per_run() {
         blocks as f64 / report.explored as f64
     };
     let per_run = blocks_per_run(true);
-    assert!(per_run <= 1.8, "the engine alone: {per_run} blocks per run");
+    assert!(
+        per_run <= 1.75,
+        "the engine alone: {per_run} blocks per run"
+    );
     let scratch = blocks_per_run(false);
     assert!(scratch <= 1.5, "scratch replay: {scratch} blocks per run");
 }

@@ -10,10 +10,10 @@
 //! `state_size_hint` makes it bind: a hint above the budget refuses every
 //! snapshot, a scaled one stands for a small budget. The first property drives the executor directly, in no
 //! explorer's order — repeats, plan switches between consecutive runs, plans
-//! that share a prefix with the fault-free trunk — with arbitrary lookahead
-//! hints (right, absent, unrelated, or under another fault plan), reading
-//! each run borrowed from the cursor, taking it out owned, or blowing it up
-//! half way.
+//! that share a prefix with the fault-free trunk — with arbitrary
+//! lookaheads (the true branch depths of the next few runs, none, an
+//! unknown depth, or entries that lie), reading each run borrowed from the
+//! cursor, taking it out owned, or blowing it up half way.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -23,8 +23,8 @@ use proptest::prelude::*;
 
 use crate::steps::{arb_steps, build_workload};
 use er_pi::{
-    ExecutionRef, ExploreMode, IncrementalExecutor, InlineExecutor, OpOutcome, Report, Session,
-    SystemModel, TestSuite, TimeModel, DEFAULT_CACHE_BUDGET,
+    branch_depth, ExecutionRef, ExploreMode, IncrementalExecutor, InlineExecutor, OpOutcome,
+    Report, Session, SystemModel, TestSuite, TimeModel, DEFAULT_CACHE_BUDGET, UNKNOWN_DEPTH,
 };
 use er_pi_model::{
     Event, EventId, EventKind, FaultEvent, FaultKind, FaultPlan, Interleaving, ReplicaId, Value,
@@ -195,14 +195,14 @@ fn failed(outcomes: &[OpOutcome]) -> usize {
 /// One run of a generated sequence: keep the first `keep` events of the
 /// previous order and shuffle the rest by `shuffle` (so sequences share
 /// prefixes the way explorer streams do — `keep` past the end repeats the
-/// order), under plan number `plan`, hinted as `hint` says and read as
-/// `take` says.
+/// order), under plan number `plan`, told `lookahead` of the runs after it
+/// and read as `take` says.
 #[derive(Debug, Clone)]
 struct Draw {
     keep: usize,
     shuffle: u64,
     plan: usize,
-    hint: Hint,
+    lookahead: Lookahead,
     take: Take,
 }
 
@@ -219,24 +219,61 @@ enum Take {
     Unwound(usize),
 }
 
+/// What a run is told of the runs after it.
 #[derive(Debug, Clone)]
-enum Hint {
-    /// The interleaving that really comes next.
-    Right,
+enum Lookahead {
+    /// The true branch depths of up to this many runs after it, an unknown
+    /// depth at each plan change: what a campaign's chunk tells it.
+    Right(usize),
     Absent,
-    /// Some other order, under the run's own plan.
-    Unrelated(u64),
-    /// The right order under a different plan.
-    OtherPlan,
+    /// An unknown depth: the next run is under another plan.
+    Unknown,
+    /// This many entries drawn from the seed, each a depth up to one past
+    /// the workload or an unknown one: a lie, shallower or deeper.
+    Lying(u64, usize),
+    /// The true depth to the next run, then lies.
+    RightThenLying(u64, usize),
+}
+
+impl Lookahead {
+    /// The entries run `i` of a sequence whose true branch depths are
+    /// `truth` is handed, for a workload of `n` events.
+    fn entries(&self, truth: &[u32], i: usize, n: usize) -> Vec<u32> {
+        let right = truth.get(i..).unwrap_or_default();
+        let lie = |mut seed: u64, len: usize| -> Vec<u32> {
+            let draws = std::iter::repeat_with(move || {
+                seed = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                match (seed >> 33) % 8 {
+                    0 => UNKNOWN_DEPTH,
+                    _ => ((seed >> 40) % (n as u64 + 2)) as u32,
+                }
+            });
+            draws.take(len).collect()
+        };
+        match *self {
+            Lookahead::Right(len) => right.iter().copied().take(len).collect(),
+            Lookahead::Absent => Vec::new(),
+            Lookahead::Unknown => vec![UNKNOWN_DEPTH],
+            Lookahead::Lying(seed, len) => lie(seed, len),
+            Lookahead::RightThenLying(seed, len) => {
+                let first = right.first().copied();
+                first.into_iter().chain(lie(seed, len)).collect()
+            }
+        }
+    }
 }
 
 fn arb_draws() -> impl Strategy<Value = Vec<Draw>> {
-    let hint = prop_oneof![
-        Just(Hint::Right),
-        Just(Hint::Right),
-        Just(Hint::Absent),
-        any::<u64>().prop_map(Hint::Unrelated),
-        Just(Hint::OtherPlan),
+    let lookahead = prop_oneof![
+        Just(Lookahead::Right(1)),
+        (2usize..32).prop_map(Lookahead::Right),
+        (2usize..32).prop_map(Lookahead::Right),
+        Just(Lookahead::Absent),
+        Just(Lookahead::Unknown),
+        (any::<u64>(), 1usize..12).prop_map(|(seed, len)| Lookahead::Lying(seed, len)),
+        (any::<u64>(), 1usize..12).prop_map(|(seed, len)| Lookahead::RightThenLying(seed, len)),
     ];
     let take = prop_oneof![
         Just(Take::Borrowed),
@@ -246,12 +283,12 @@ fn arb_draws() -> impl Strategy<Value = Vec<Draw>> {
         (0usize..12).prop_map(Take::Unwound),
     ];
     proptest::collection::vec(
-        (0usize..6, any::<u64>(), 0usize..5, hint, take).prop_map(
-            |(keep, shuffle, plan, hint, take)| Draw {
+        (0usize..6, any::<u64>(), 0usize..5, lookahead, take).prop_map(
+            |(keep, shuffle, plan, lookahead, take)| Draw {
                 keep,
                 shuffle,
                 plan,
-                hint,
+                lookahead,
                 take,
             },
         ),
@@ -320,24 +357,14 @@ proptest! {
             })
             .collect();
 
+        let truth: Vec<u32> = sequence
+            .windows(2)
+            .map(|pair| branch_depth(&pair[0], &pair[1]))
+            .collect();
         let mut executor = IncrementalExecutor::<Fused>::new(budget);
         let mut plans_seen = std::collections::HashSet::new();
         for (i, (il, draw)) in sequence.iter().zip(&draws).enumerate() {
-            let right = sequence.get(i + 1);
-            let hint = match &draw.hint {
-                Hint::Right => right.cloned(),
-                Hint::Absent => None,
-                Hint::Unrelated(seed) => {
-                    let mut other = il.as_slice().to_vec();
-                    reshuffle(&mut other, 0, *seed);
-                    Some(Interleaving::new(other).with_faults(il.faults().clone()))
-                }
-                Hint::OtherPlan => {
-                    let other = plans.iter().find(|p| *p != il.faults()).expect("five plans");
-                    Some(right.unwrap_or(il).clone().with_faults(other.clone()))
-                }
-            };
-            let hint = hint.as_ref();
+            let lookahead = draw.lookahead.entries(&truth, i, workload.len());
             let scratch = InlineExecutor::execute(&model, &workload, il, &time);
             // A run that unwinds leaves its plan's path as far as it got.
             plans_seen.insert(il.faults().clone());
@@ -345,7 +372,7 @@ proptest! {
             let owned;
             let run = match draw.take {
                 Take::Borrowed => {
-                    executor.advance(&model, &workload, il, hint, &time);
+                    executor.advance(&model, &workload, il, &lookahead, &time);
                     executor.run()
                 }
                 Take::Owned => {
@@ -361,7 +388,7 @@ proptest! {
                 Take::Unwound(at) => {
                     model.armed.store(il.as_slice()[at % il.len()].raw(), Ordering::Relaxed);
                     let unwound = catch_unwind(AssertUnwindSafe(|| {
-                        executor.advance(&model, &workload, il, hint, &time);
+                        executor.advance(&model, &workload, il, &lookahead, &time);
                     }));
                     model.armed.store(UNARMED, Ordering::Relaxed);
                     if unwound.is_err() {

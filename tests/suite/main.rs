@@ -5,8 +5,8 @@
 //! The catalogue-matrix suites here (`dpor_`, `forensics_`, `incremental_`,
 //! `parallel_`, `sanitizer_` and `telemetry_equivalence`) share one scratch
 //! reference per (bug, stop policy) (`common::matrix`), so each reference is
-//! replayed once. `end_to_end` and `evaluation_shape` are still binaries of
-//! their own at `tests/*.rs`, as are `snapshot_allocs`, whose counting
+//! replayed once. `end_to_end` is still a binary of its own at
+//! `tests/end_to_end.rs`, as are `snapshot_allocs`, whose counting
 //! allocator would replace every other test's, and `subsume_audit`, which
 //! sets an environment variable the engine reads; the last two include only
 //! `common/town.rs`.
@@ -16,6 +16,7 @@ mod http;
 mod steps;
 
 mod dpor_equivalence;
+mod evaluation_shape;
 mod explorer_distinct;
 mod failure_injection;
 mod fault_equivalence;
