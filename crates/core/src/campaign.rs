@@ -43,7 +43,7 @@ use er_pi_interleave::{
 use er_pi_model::{FaultPlan, Interleaving, Workload};
 use parking_lot::Mutex;
 
-use crate::incremental::branch_depth;
+use crate::incremental::{branch_depth, UNKNOWN_DEPTH};
 use crate::instrument::{Instrument, RunFacts};
 use crate::subsume::SubsumeSet;
 use crate::{
@@ -65,6 +65,8 @@ const NO_VIOLATION: usize = usize::MAX;
 ///
 /// Not tunable: no caller ever asked for another value, and the report does
 /// not depend on it (the campaign's unit tests replay at sizes 1, 3 and 32).
+/// A fault product of `P ≤ 32` plans claims `⌊32 / P⌋ · P` items, so that a
+/// claim ends on a base order (see [`Chunk::bases`]).
 pub(crate) const DEFAULT_CHUNK_SIZE: usize = 32;
 
 /// The platform's available parallelism (the session's default worker count
@@ -305,16 +307,25 @@ struct Chunk {
     items: Vec<(usize, Interleaving)>,
     /// Under stop-on-first, the explorer's counters as of each item.
     counters: Vec<Counters>,
-    /// The [`branch_depth`] from the last item to the item dispensed after
-    /// the chunk, read under the dispenser lock. That item stays with the
-    /// dispenser and opens the next claim — usually another slot's, which
-    /// makes this entry conservative, never wrong: a later item of a sorted
-    /// stream shares no more with this run than the next does.
+    /// The lookahead entry from the last item to the item dispensed after
+    /// the chunk, read under the dispenser lock: their [`branch_depth`], or
+    /// under a fault product where the next base order leaves the last one
+    /// ([`UNKNOWN_DEPTH`] if that item is a run of the same base order).
+    /// That item stays with the dispenser and opens the next claim —
+    /// usually another slot's, which makes this entry conservative, never
+    /// wrong: a later item of a sorted stream shares no more with this run
+    /// than the next does.
     tail: Option<u32>,
-    /// The chunk's lookahead, kept for its capacity: entry `i` is the branch
-    /// depth from item `i` to item `i + 1`, the last one `tail`. Run `i`
-    /// reads it from entry `i` on.
+    /// The chunk's lookahead, kept for its capacity. With one plan, entry
+    /// `i` is the branch depth from item `i` to item `i + 1`, the last one
+    /// `tail`, and run `i` reads it from entry `i` on. Under a fault product
+    /// it has one entry per base order, the common prefix of that order and
+    /// the next, the last one `tail`: a faulted run reads it from its own
+    /// base order on, which are the branch depths between its plan's runs.
     lookahead: Vec<u32>,
+    /// Under a fault product, the base order of each item within the
+    /// chunk: where its run's lookahead starts. Empty with one plan.
+    bases: Vec<u32>,
     /// What the executed items produced.
     done: Rows,
 }
@@ -415,6 +426,13 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             true => DEFAULT_CACHE_BUDGET,
             false => 0,
         };
+        // A claim of a fault product ends on a base order when one fits.
+        let chunk_size = chunk_size.max(1);
+        let per_order = plans.len().max(1);
+        let chunk_size = match per_order <= chunk_size {
+            true => chunk_size / per_order * per_order,
+            false => chunk_size,
+        };
         let slots = (0..slots.max(1))
             .map(|worker| {
                 let mut executor = IncrementalExecutor::<M>::new(budget);
@@ -447,7 +465,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             replay,
             plans,
             time,
-            chunk_size: chunk_size.max(1),
+            chunk_size,
             instrument,
             slots,
             lowest_violation: AtomicUsize::new(NO_VIOLATION),
@@ -552,7 +570,10 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             disp.peeked = disp.next(counted);
         }
         chunk.tail = match (chunk.items.last(), &disp.peeked) {
-            (Some((_, last)), Some(((_, next), _))) => Some(branch_depth(last, next)),
+            (Some((_, last)), Some(((_, next), _))) => Some(match self.plans.len() > 1 {
+                false => branch_depth(last, next),
+                true => next_order(last, next).unwrap_or(UNKNOWN_DEPTH),
+            }),
             _ => None,
         };
         Ok(!chunk.items.is_empty())
@@ -601,19 +622,39 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
     }
 
     /// Replays the items of the slot's claimed chunk in index order, each
-    /// told the branch depths of the items after it, to the claim's own
-    /// lookahead past the last (executors that keep snapshots only).
+    /// told the branch depths of the runs after it that take its path, to
+    /// the claim's own lookahead past the last (executors that keep
+    /// snapshots only).
     fn execute_chunk(&self, slot: usize, state: &mut Slot<M>, on: Subject<'_, M>) {
         let mut items = std::mem::take(&mut state.chunk.items);
-        let lookahead = &mut state.chunk.lookahead;
+        let Chunk {
+            tail,
+            lookahead,
+            bases,
+            ..
+        } = &mut state.chunk;
         lookahead.clear();
+        bases.clear();
         if self.replay.incremental {
-            let pairs = items
-                .windows(2)
-                .map(|pair| branch_depth(&pair[0].1, &pair[1].1));
-            lookahead.extend(pairs.chain(state.chunk.tail));
+            match self.plans.len() > 1 {
+                false => {
+                    let pairs = items
+                        .windows(2)
+                        .map(|pair| branch_depth(&pair[0].1, &pair[1].1));
+                    lookahead.extend(pairs.chain(*tail));
+                }
+                true => {
+                    bases.push(0);
+                    for pair in items.windows(2) {
+                        lookahead.extend(next_order(&pair[0].1, &pair[1].1));
+                        bases.push(lookahead.len() as u32);
+                    }
+                    lookahead.extend(*tail);
+                }
+            }
         }
         let lookahead = std::mem::take(lookahead);
+        let bases = std::mem::take(bases);
         let stop_on_first = self.replay.stop_on_first_violation;
         for (at, (index, il)) in items.drain(..).enumerate() {
             // The merge cuts the table at the lowest violation, and that
@@ -621,7 +662,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             if stop_on_first && index > self.lowest_violation.load(Ordering::Acquire) {
                 break;
             }
-            let ahead = lookahead.get(at..).unwrap_or_default();
+            let ahead = window(&lookahead, &bases, at, &il);
             if self.execute_one(slot, state, index, il, ahead, on) {
                 self.lowest_violation.fetch_min(index, Ordering::AcqRel);
                 if stop_on_first {
@@ -635,6 +676,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         }
         state.chunk.items = items;
         state.chunk.lookahead = lookahead;
+        state.chunk.bases = bases;
         state.chunk.counters.clear();
     }
 
@@ -856,6 +898,26 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
     }
 }
 
+/// For two consecutive items of a fault product, the depth at which
+/// `next`'s base order leaves `il`'s: their common prefix as orders, plans
+/// aside. `None` when the two are runs of one base order.
+fn next_order(il: &Interleaving, next: &Interleaving) -> Option<u32> {
+    let shared = il.iter().zip(next).take_while(|(a, b)| a == b).count();
+    (shared < il.len()).then(|| shared.min(UNKNOWN_DEPTH as usize - 1) as u32)
+}
+
+/// Run `at`'s slice of its chunk's lookahead (see [`Chunk::lookahead`]):
+/// from entry `at` on with one plan; under a fault product from its base
+/// order's entry on, and nothing for the fault-free plan, which keeps every
+/// depth because the other plans borrow its path up to their first anchor.
+fn window<'a>(lookahead: &'a [u32], bases: &[u32], at: usize, il: &Interleaving) -> &'a [u32] {
+    match bases.get(at) {
+        None => lookahead.get(at..).unwrap_or_default(),
+        Some(_) if il.faults().is_empty() => &[],
+        Some(&base) => &lookahead[base as usize..],
+    }
+}
+
 /// Extracts a human-readable message from a panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -976,7 +1038,7 @@ mod tests {
     use super::testing::{dfs_params, two_writes, Bomb, RegApp};
     use super::*;
     use crate::{Assertion, Session};
-    use er_pi_model::Value;
+    use er_pi_model::{FaultEvent, FaultKind, Value};
     use std::sync::atomic::AtomicU64;
 
     const SLOT_COUNTS: [usize; 3] = [1, 2, 4];
@@ -1193,6 +1255,13 @@ mod tests {
     /// and the last one its branch depth to the first item of the next
     /// chunk: it keeps snapshots only on the prefix the two share, where a
     /// run told nothing would keep every interior depth.
+    ///
+    /// Under a fault product of `P ≤ 32` plans a claim holds `⌊32 / P⌋ · P`
+    /// items and ends on a base order, and each faulted run is told the
+    /// branch depths between its own plan's runs, to the first one past the
+    /// claim; the fault-free plan is told nothing. Over 32 plans a claim
+    /// holds 32 items, and where the next item is a run of the same base
+    /// order the depth past the claim is unknown.
     #[test]
     fn the_lookahead_crosses_chunk_boundaries() {
         let w = two_writes();
@@ -1200,7 +1269,7 @@ mod tests {
         let shared = orders[2].common_prefix_len(&orders[3]);
         assert!(shared < w.len() - 1, "a run told nothing keeps more");
 
-        let mut params = dfs_params(w, 1);
+        let mut params = dfs_params(w.clone(), 1);
         params.replay.incremental = true;
         let campaign = Campaign::new(params, 3);
         let on = Subject {
@@ -1213,6 +1282,57 @@ mod tests {
         let pairs = orders.windows(2);
         let depths: Vec<u32> = pairs.map(|pair| branch_depth(&pair[0], &pair[1])).collect();
         assert_eq!(slot.chunk.lookahead, depths, "each pair, and one past");
+        drop(slot);
+
+        let sync = w
+            .events()
+            .iter()
+            .find(|event| event.is_sync())
+            .expect("a sync");
+        let delay = |by| FaultPlan::new(vec![FaultEvent::new(sync.id, FaultKind::Delay { by })]);
+        for count in [5, 40] {
+            let plans: Vec<FaultPlan> = std::iter::once(FaultPlan::empty())
+                .chain((1..count).map(delay))
+                .collect();
+            let p = plans.len();
+            let product: Vec<Interleaving> =
+                FaultProduct::new(DfsExplorer::new(&w), plans.clone()).collect();
+            let params = |incremental| {
+                let mut params = dfs_params(w.clone(), 1);
+                params.replay.incremental = incremental;
+                params.plans = plans.clone();
+                params
+            };
+            let campaign = Campaign::new(params(true), DEFAULT_CHUNK_SIZE);
+            assert!(campaign.step(0, on));
+            let claim = match p <= DEFAULT_CHUNK_SIZE {
+                true => DEFAULT_CHUNK_SIZE / p * p,
+                false => DEFAULT_CHUNK_SIZE,
+            };
+            let slot = campaign.slots[0].lock();
+            assert_eq!(slot.load.runs, claim, "{p} plans");
+            let peeked = campaign.disp.lock().peeked.as_ref().map(|((at, _), _)| *at);
+            assert_eq!(peeked, Some(claim), "{p} plans");
+            let chunk = &slot.chunk;
+            for (at, il) in product[..claim].iter().enumerate() {
+                let ahead = window(&chunk.lookahead, &chunk.bases, at, il);
+                let own: Vec<u32> = match (il.faults().is_empty(), p <= DEFAULT_CHUNK_SIZE) {
+                    (true, _) => Vec::new(),
+                    (false, true) => {
+                        assert_eq!(claim % p, 0, "the claim ends on a base order");
+                        let runs = (at..claim).step_by(p);
+                        runs.map(|i| branch_depth(&product[i], &product[i + p]))
+                            .collect()
+                    }
+                    (false, false) => vec![UNKNOWN_DEPTH],
+                };
+                assert_eq!(ahead, own, "{p} plans, run {at}");
+            }
+            drop(slot);
+            while campaign.step(0, on) {}
+            let scratch = run(params(false), &TestSuite::new()).unwrap();
+            assert_same(&campaign.finish().unwrap(), &scratch, &format!("{p} plans"));
+        }
     }
 
     #[test]

@@ -20,16 +20,23 @@
 //! the final depth, so at most `(N - 1) × plans` snapshots are resident.
 //!
 //! A snapshot is worth its copy only where a later run branches off. The
-//! caller passes each run the rest of what it knows is coming — one
-//! [`branch_depth`] per pair of consecutive runs — and the run stores a
-//! snapshot only at the running minima of those depths (the points at which
-//! the runs after it leave its path), or at any depth the window still
-//! shared when it ran out. ER-π's explorer permutes grouped units, so its
-//! runs diverge only at unit boundaries and no depth inside a unit is
-//! snapshotted; a DFS stream, which diverges everywhere, keeps what a
-//! one-run hint kept. A snapshot still shared with the live replicas would
-//! make the next write copy a replica, so this is most of what a skipped
-//! snapshot saves.
+//! caller passes each run the rest of what it knows is coming of the runs
+//! of its fault plan — one [`branch_depth`] per pair of consecutive such
+//! runs — and the run stores a snapshot only at the running minima of
+//! those depths (the points at which the runs after it leave its path), or
+//! at any depth the window still shared when it ran out. ER-π's explorer
+//! permutes grouped units, so its runs diverge only at unit boundaries and
+//! no depth inside a unit is snapshotted; a DFS stream, which diverges
+//! everywhere, keeps what a one-run hint kept. Under a plan-minor fault
+//! product a faulted run is told the common prefixes of the base orders
+//! after its own, and the fault-free run is told nothing: every other plan
+//! borrows its path, so it keeps every depth. A snapshot still shared with
+//! the live replicas would make the next write copy a replica, so this is
+//! most of what a skipped snapshot saves. A subsumption hit can stop a run
+//! short of a depth a later run branches off at; it then keeps the
+//! snapshot it resumed from while the next run shares more, and stores one
+//! where it stopped, so the next run resumes as deep as if every depth had
+//! been kept.
 //!
 //! ## Correctness (DESIGN.md §10)
 //!
@@ -93,7 +100,6 @@ pub fn branch_depth(il: &Interleaving, next: &Interleaving) -> u32 {
 /// shared that much), and whether a later run resumes from the snapshot
 /// this one resumes from.
 fn branches(lookahead: &[u32], resume: usize, branches: &mut Vec<u32>) -> (usize, bool) {
-    branches.clear();
     let mut low = usize::MAX;
     for &depth in lookahead
         .iter()
@@ -255,24 +261,42 @@ impl<S: Clone> PathCache<S> {
     /// `into` keeps its allocation: the snapshot is cloned over it element
     /// by element, with each state's `clone_from` (a copy-on-write state
     /// keeps the value it displaces there, for the run's first write to copy
-    /// into). With `last_use` the path then drops the snapshot, which —
-    /// unless another plan's path shares it — releases its charge and
-    /// leaves `into` the only holder of its replicas.
-    fn resume(&mut self, slot: usize, last_use: bool, into: &mut Vec<S>) -> bool {
-        let steps = &mut self.paths[slot].steps;
-        let Some(slot) = steps.last_mut().map(|step| &mut step.snapshot) else {
-            return false;
-        };
-        let Some(snapshot) = slot.as_ref() else {
+    /// into).
+    fn resume(&mut self, slot: usize, into: &mut Vec<S>) -> bool {
+        let steps = &self.paths[slot].steps;
+        let Some(snapshot) = steps.last().and_then(|step| step.snapshot.as_ref()) else {
             return false;
         };
         snapshot.states[..].clone_into(into);
-        if last_use {
-            if let Some(last) = slot.take().filter(Snapshot::last) {
+        true
+    }
+
+    /// Drops the snapshot at the end of the path in `slot` after its last
+    /// use, which — unless another plan's path shares it — releases its
+    /// charge and leaves the run refilled from it the only holder of its
+    /// replicas.
+    fn release(&mut self, slot: usize) {
+        let last = self.paths[slot].steps.last_mut();
+        if let Some(last) = last.and_then(|step| step.snapshot.take()) {
+            if last.last() {
                 self.bytes_resident -= last.bytes;
             }
         }
-        true
+    }
+
+    /// Snapshots `states` at the end of the path in `slot`, unless that
+    /// step holds one already.
+    fn store_last<M>(&mut self, model: &M, slot: usize, states: &[S])
+    where
+        M: SystemModel<State = S>,
+    {
+        let steps = &self.paths[slot].steps;
+        if steps.last().is_some_and(|step| step.snapshot.is_none()) {
+            let snapshot = self.store(model, states);
+            if let Some(step) = self.paths[slot].steps.last_mut() {
+                step.snapshot = snapshot;
+            }
+        }
     }
 
     /// Snapshots `states` if the budget has room for them.
@@ -460,6 +484,17 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         }
     }
 
+    /// Creates an executor like [`new`](IncrementalExecutor::new) that also
+    /// short-circuits each run by state-hash subsumption against the runs
+    /// it replayed before, as the one slot of a campaign with
+    /// [`ReplayConfig::subsumption`](crate::ReplayConfig::subsumption) does.
+    /// Inert when the model declines [`SystemModel::state_encode`].
+    pub fn subsuming(budget: usize) -> Self {
+        let mut executor = Self::new(budget);
+        executor.enable_subsumption(Arc::new(SubsumeSet::new()));
+        executor
+    }
+
     /// Attaches the campaign's shared explored-set; subsequent runs may be
     /// short-circuited by subsumption (and feed the set). Inert when the
     /// model declines [`SystemModel::state_encode`].
@@ -540,21 +575,27 @@ impl<M: SystemModel> IncrementalExecutor<M> {
     /// An executor serves one model: its initial states are built once,
     /// from the model of the first call.
     ///
-    /// `lookahead` is advisory: what the caller knows of the runs this
-    /// executor will be handed after `il`, as their [`branch_depth`]s —
-    /// entry 0 between `il` and the next run, entry `i` between the `i`-th
-    /// and the `i + 1`-th run after it. Each run resumes from the path the
-    /// run before left, so a later run reuses a snapshot of this one only
-    /// at a depth every run in between shared: the running minima of the
-    /// slice. The walk stops at the first minimum no deeper than the resume
-    /// depth (nothing deeper is reused past it), at an [`UNKNOWN_DEPTH`]
-    /// entry, or at the end of the slice. A snapshot is then stored at a
-    /// depth only if it is one of the minima, or if the walk ran out while
-    /// the runs still shared that depth (past there the slice knows
-    /// nothing); the snapshot `il` resumes from is dropped as soon as the
-    /// run is refilled from it unless its depth passes the same test. An
-    /// empty slice keeps every interior depth; a one-entry slice keeps the
-    /// prefix `il` shares with the next run.
+    /// `lookahead` is advisory: what the caller knows of the runs of `il`'s
+    /// fault plan this executor will be handed after `il`, as their
+    /// [`branch_depth`]s — entry 0 between `il` and the next such run,
+    /// entry `i` between the `i`-th and the `i + 1`-th after it. Each run
+    /// resumes from the path the run of its plan before it left, so a later
+    /// run reuses a snapshot of this one only at a depth every run in
+    /// between shared: the running minima of the slice. The walk stops at
+    /// the first minimum no deeper than the resume depth (nothing deeper is
+    /// reused past it), at an [`UNKNOWN_DEPTH`] entry, or at the end of the
+    /// slice. A snapshot is then stored at a depth only if it is one of the
+    /// minima, or if the walk ran out while the runs still shared that depth
+    /// (past there the slice knows nothing). The snapshot `il` resumes from
+    /// is dropped after its last use unless its depth passes the same test:
+    /// at the refill, or — when the next run shares more than the resume
+    /// depth — just before the first applied event. A run stopped by a
+    /// subsumption hit short of a minimum it owes stores a snapshot where
+    /// it stopped instead, so the next run resumes as deep as it could from
+    /// a run that kept every depth. An empty slice keeps every interior
+    /// depth; a one-entry slice keeps the prefix `il` shares with the next
+    /// run. The fault-free plan's path is also read by every other plan up
+    /// to its first anchored fault, so its runs are best told nothing.
     ///
     /// The run is byte-identical to
     /// [`InlineExecutor::execute`](crate::InlineExecutor::execute) whatever
@@ -578,6 +619,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         // The deepest step worth keeping for the next run (the path is cut
         // there before anyone could resume from deeper), and which depths
         // up to it are worth a snapshot.
+        self.branches.clear();
         let (keep, floor, keep_resume) = match lookahead.first() {
             _ if self.cache.budget == 0 => (0, 0, true),
             Some(&next) if next != UNKNOWN_DEPTH => {
@@ -606,7 +648,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
             run.push(step.event, step.digest, cost_us, step.outcome.clone());
         }
 
-        if self.cache.resume(slot, !keep_resume, &mut run.states) {
+        if self.cache.resume(slot, &mut run.states) {
             self.stats.hits += 1;
             self.stats.events_saved += resume_depth as u64;
             self.stats.sim_us_saved += run.totals().0;
@@ -628,6 +670,14 @@ impl<M: SystemModel> IncrementalExecutor<M> {
                     run.states.clone_from(init);
                 }
             }
+        }
+        // The snapshot `il` resumes from, when no later run resumes from it,
+        // goes after its last use: at the refill, or — when the next run
+        // shares more — just before the first applied event, so that a run
+        // stopped by a hit right here leaves it to the next one.
+        let deferred = !keep_resume && keep > resume_depth;
+        if !keep_resume && !deferred {
+            self.cache.release(slot);
         }
 
         // Rebuild the fault interpreter's bookkeeping (partition topology,
@@ -692,6 +742,9 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         // The first hit: the depth from which this run's tail is that memo's.
         let mut donor = probe(&run.states, &faults, resume_depth);
         if donor.is_none() || audit {
+            if deferred {
+                self.cache.release(slot);
+            }
             for (pos, &id) in il.iter().enumerate().skip(resume_depth) {
                 let event = workload.event(id);
                 let digest = plan.digest_at(id);
@@ -726,6 +779,11 @@ impl<M: SystemModel> IncrementalExecutor<M> {
                 if donor.is_none() {
                     donor = probe(&run.states, &faults, pos + 1);
                     if donor.is_some() && !audit {
+                        // A later run still branches off deeper than this
+                        // one got: it resumes where this one stopped.
+                        if !self.branches.is_empty() {
+                            self.cache.store_last(model, slot, &run.states);
+                        }
                         break;
                     }
                 }
@@ -1126,7 +1184,8 @@ mod tests {
             if i == 4 {
                 // u0 u3 u1 u2 resumes at 2; the next run shares 4 with it,
                 // the one after that nothing. Depth 2 had its last use in
-                // the refill, so only the branch at 4 is left.
+                // the refill and went before the run's first event, so only
+                // the branch at 4 is left.
                 assert_eq!(exec.last_resume_depth(), 2);
                 assert_eq!(stored, [4]);
             }
@@ -1176,26 +1235,49 @@ mod tests {
         ];
         // One executor serves the whole product (plan-minor, like the
         // session's fault product explorer), told what comes next the way
-        // a campaign's chunk tells it — an unknown depth at every plan
-        // change: every execution must stay byte-identical to scratch
-        // replay while plans take turns and borrow the fault-free path.
-        let with_plans = |base: Interleaving| {
-            let plans = plans.iter().cloned();
-            plans.map(move |plan| base.clone().with_faults(plan))
-        };
-        let product: Vec<Interleaving> = lexicographic_orders(4)
-            .into_iter()
-            .flat_map(with_plans)
+        // a campaign's claims of 30 items (six base orders) tell it: a
+        // faulted run the common prefixes of the base orders from its own to
+        // the first past its claim — the branch depths between its plan's
+        // runs — and the fault-free run nothing. Every execution must stay
+        // byte-identical to scratch replay while plans take turns and
+        // borrow the fault-free path, and every run must resume as deep as
+        // it does told nothing at all.
+        let orders = lexicographic_orders(4);
+        let depths = branch_depths(&orders);
+        let product: Vec<Interleaving> = orders
+            .iter()
+            .flat_map(|base| {
+                plans
+                    .iter()
+                    .map(|plan| base.clone().with_faults(plan.clone()))
+            })
             .collect();
-        let depths = branch_depths(&product);
+        let (p, claim) = (plans.len(), 30);
+        let own_plan = |i: usize| -> &[u32] {
+            let (base, last) = (i / p, (i / claim * claim + claim) / p);
+            match i % p {
+                0 => &[],
+                _ => &depths[base.min(depths.len())..last.min(depths.len())],
+            }
+        };
         let mut exec = IncrementalExecutor::<LogModel>::new(DEFAULT_CACHE_BUDGET);
+        let mut told_nothing = IncrementalExecutor::<LogModel>::new(DEFAULT_CACHE_BUDGET);
+        let mut resident = (0, 0);
         for (i, il) in product.iter().enumerate() {
             let scratch = InlineExecutor::execute(&LogModel, &w, il, &time);
-            exec.advance(&LogModel, &w, il, window(&depths, i, 32), &time);
+            exec.advance(&LogModel, &w, il, own_plan(i), &time);
             assert_same(&scratch, exec.run(), il);
             assert!(exec.resident_snapshots() <= 3 * plans.len());
+            told_nothing.advance(&LogModel, &w, il, &[], &time);
+            assert_eq!(exec.last_resume_depth(), told_nothing.last_resume_depth());
+            resident.0 += exec.resident_snapshots();
+            resident.1 += told_nothing.resident_snapshots();
         }
         assert!(exec.stats().hits > 0, "fault product still shares prefixes");
+        assert!(
+            resident.0 < resident.1,
+            "fewer snapshots held: {resident:?}"
+        );
     }
 
     #[test]

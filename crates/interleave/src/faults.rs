@@ -11,7 +11,11 @@
 //! share their entire event order and differ only in per-anchor fault
 //! digests, which is the friendliest shape for the incremental executor —
 //! a faulted run borrows the baseline's snapshots up to its first anchored
-//! fault.
+//! fault. Runs of one plan are a base order apart, so the campaign claims
+//! whole base orders (`⌊32 / P⌋ · P` items of a `P`-plan product) and
+//! tells each faulted run the common prefixes of the base orders after its
+//! own: the branch depths between that plan's runs, which decide where its
+//! path keeps a snapshot.
 
 use er_pi_model::{EventId, FaultEvent, FaultKind, FaultPlan, Interleaving, Workload};
 

@@ -21,15 +21,19 @@ use std::sync::Once;
 
 use proptest::prelude::*;
 
+use crate::common::town::record_town;
 use crate::steps::{arb_steps, build_workload};
 use er_pi::{
-    branch_depth, ExecutionRef, ExploreMode, IncrementalExecutor, InlineExecutor, OpOutcome,
-    Report, Session, SystemModel, TestSuite, TimeModel, DEFAULT_CACHE_BUDGET, UNKNOWN_DEPTH,
+    branch_depth, Attachments, ExecutionRef, ExploreMode, IncrementalExecutor, InlineExecutor,
+    OpOutcome, ReplayConfig, Report, Session, SystemModel, TestSuite, TimeModel,
+    DEFAULT_CACHE_BUDGET, UNKNOWN_DEPTH,
 };
+use er_pi_interleave::{enumerate_plans, DfsExplorer, FaultProduct, FaultSpace};
 use er_pi_model::{
     Event, EventId, EventKind, FaultEvent, FaultKind, FaultPlan, Interleaving, ReplicaId, Value,
     Workload,
 };
+use er_pi_subjects::TownApp;
 
 /// Two-replica last-write-wins register with a heap-owning state, so
 /// snapshots exercise real deep clones and a non-trivial
@@ -480,5 +484,61 @@ proptest! {
         prop_assert_eq!(stats.sim_us_saved, 0);
         prop_assert_eq!(stats.bytes_resident, 0);
         prop_assert_eq!(stats.misses, report.explored as u64);
+    }
+}
+
+/// A subsuming campaign resumes as many events as an executor told nothing
+/// of the runs to come, which keeps every depth: the benchmark's town
+/// recording in DFS order, capped at 10 000, one worker, fault-free and
+/// under every one-fault plan. A run that stops at a hit on its resume depth
+/// keeps the snapshot it resumed from while the next run shares more, and
+/// one that stops short of a depth a later run branches off at leaves a
+/// snapshot where it stopped; without either, the next run resumes
+/// shallower. Run for run, the two replays are identical.
+#[test]
+fn a_run_stopped_by_a_hit_leaves_the_next_run_its_resume_point() {
+    let time = TimeModel::paper_setup();
+    let model = TownApp::new(2);
+    for (faults, saved) in [(false, 67_004), (true, 68_635)] {
+        let config = ReplayConfig {
+            mode: ExploreMode::Dfs,
+            cap: 10_000,
+            workers: 1,
+            subsumption: true,
+            keep_runs: true,
+            ..ReplayConfig::default()
+        };
+        let mut session = Session::with_config(model.clone(), config, Attachments::default());
+        session.record(record_town);
+        let space = FaultSpace::all(1);
+        if faults {
+            session.set_fault_space(space.clone());
+        }
+        let report = session.replay(&TestSuite::new()).expect("replay");
+        let campaign = report.cache_stats.expect("subsuming replay reports stats");
+        let workload = session.workload().expect("recorded");
+        let plans = match faults {
+            true => enumerate_plans(workload, &space),
+            false => Vec::new(),
+        };
+        let product = FaultProduct::new(DfsExplorer::new(workload), plans);
+        let mut told_nothing = IncrementalExecutor::<TownApp>::subsuming(DEFAULT_CACHE_BUDGET);
+        assert_eq!(report.runs.len(), 10_000);
+        for (record, il) in report.runs.iter().zip(product) {
+            assert_eq!(record.interleaving, il);
+            told_nothing.advance(&model, workload, &il, &[], &time);
+            let run = told_nothing.run();
+            let observed: Vec<Value> = run.states.iter().map(|s| model.observe(s)).collect();
+            assert_eq!(record.observations, observed, "on {il}");
+            assert_eq!(record.sim_us, run.sim_us, "on {il}");
+            assert_eq!(record.failed_ops, run.failed_ops, "on {il}");
+        }
+        let alone = told_nothing.stats();
+        assert_eq!(campaign.subsumed, alone.subsumed, "faults: {faults}");
+        assert_eq!(
+            campaign.events_saved, alone.events_saved,
+            "faults: {faults}"
+        );
+        assert_eq!(campaign.events_saved, saved, "faults: {faults}");
     }
 }

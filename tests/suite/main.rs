@@ -5,10 +5,9 @@
 //! The catalogue-matrix suites here (`dpor_`, `forensics_`, `incremental_`,
 //! `parallel_`, `sanitizer_` and `telemetry_equivalence`) share one scratch
 //! reference per (bug, stop policy) (`common::matrix`), so each reference is
-//! replayed once. `end_to_end` is still a binary of its own at
-//! `tests/end_to_end.rs`, as are `snapshot_allocs`, whose counting
-//! allocator would replace every other test's, and `subsume_audit`, which
-//! sets an environment variable the engine reads; the last two include only
+//! replayed once. Two root binaries stand apart: `snapshot_allocs`, whose
+//! counting allocator would replace every other test's, and `subsume_audit`,
+//! which sets an environment variable the engine reads; both include only
 //! `common/town.rs`.
 
 mod common;
@@ -16,6 +15,7 @@ mod http;
 mod steps;
 
 mod dpor_equivalence;
+mod end_to_end;
 mod evaluation_shape;
 mod explorer_distinct;
 mod failure_injection;
