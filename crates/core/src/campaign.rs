@@ -29,6 +29,10 @@
 //! * a panicking model surfaces as [`ErPiError::ExecutorPanic`], a tripped
 //!   [`CancelToken`] as [`ErPiError::Cancelled`]; either way the whole
 //!   result set is discarded and the session stays usable.
+//!
+//! A slot's lookahead is one rule: a claim is a stretch of a plan-minor
+//! fault product (a fault-free campaign is the one-plan product) with one
+//! entry per base order, read from each run's own base order on.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -43,7 +47,6 @@ use er_pi_interleave::{
 use er_pi_model::{FaultPlan, Interleaving, Workload};
 use parking_lot::Mutex;
 
-use crate::incremental::{branch_depth, UNKNOWN_DEPTH};
 use crate::instrument::{Instrument, RunFacts};
 use crate::subsume::SubsumeSet;
 use crate::{
@@ -307,24 +310,21 @@ struct Chunk {
     items: Vec<(usize, Interleaving)>,
     /// Under stop-on-first, the explorer's counters as of each item.
     counters: Vec<Counters>,
-    /// The lookahead entry from the last item to the item dispensed after
-    /// the chunk, read under the dispenser lock: their [`branch_depth`], or
-    /// under a fault product where the next base order leaves the last one
-    /// ([`UNKNOWN_DEPTH`] if that item is a run of the same base order).
+    /// The lookahead entry past the chunk, read under the dispenser lock:
+    /// where the base order of the item dispensed after the chunk leaves the
+    /// last item's ([`next_order`]); none when that item is another run of
+    /// the same base order (a claim of a product of more than 32 plans).
     /// That item stays with the dispenser and opens the next claim —
     /// usually another slot's, which makes this entry conservative, never
     /// wrong: a later item of a sorted stream shares no more with this run
     /// than the next does.
     tail: Option<u32>,
-    /// The chunk's lookahead, kept for its capacity. With one plan, entry
-    /// `i` is the branch depth from item `i` to item `i + 1`, the last one
-    /// `tail`, and run `i` reads it from entry `i` on. Under a fault product
-    /// it has one entry per base order, the common prefix of that order and
-    /// the next, the last one `tail`: a faulted run reads it from its own
-    /// base order on, which are the branch depths between its plan's runs.
+    /// The chunk's lookahead, kept for its capacity: one entry per base
+    /// order, where the next one leaves it, the last one `tail`. From a
+    /// run's own base order on, the depths at which its plan's runs branch.
     lookahead: Vec<u32>,
-    /// Under a fault product, the base order of each item within the
-    /// chunk: where its run's lookahead starts. Empty with one plan.
+    /// The base order of each item within the chunk: where its run's
+    /// lookahead starts.
     bases: Vec<u32>,
     /// What the executed items produced.
     done: Rows,
@@ -570,10 +570,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             disp.peeked = disp.next(counted);
         }
         chunk.tail = match (chunk.items.last(), &disp.peeked) {
-            (Some((_, last)), Some(((_, next), _))) => Some(match self.plans.len() > 1 {
-                false => branch_depth(last, next),
-                true => next_order(last, next).unwrap_or(UNKNOWN_DEPTH),
-            }),
+            (Some((_, last)), Some(((_, next), _))) => next_order(last, next),
             _ => None,
         };
         Ok(!chunk.items.is_empty())
@@ -636,33 +633,28 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         lookahead.clear();
         bases.clear();
         if self.replay.incremental {
-            match self.plans.len() > 1 {
-                false => {
-                    let pairs = items
-                        .windows(2)
-                        .map(|pair| branch_depth(&pair[0].1, &pair[1].1));
-                    lookahead.extend(pairs.chain(*tail));
-                }
-                true => {
-                    bases.push(0);
-                    for pair in items.windows(2) {
-                        lookahead.extend(next_order(&pair[0].1, &pair[1].1));
-                        bases.push(lookahead.len() as u32);
-                    }
-                    lookahead.extend(*tail);
-                }
+            // Once per slot: the buffers keep their capacity from claim to
+            // claim, and neither outgrows a claim.
+            lookahead.reserve(self.chunk_size);
+            bases.reserve(self.chunk_size);
+            bases.push(0);
+            for pair in items.windows(2) {
+                lookahead.extend(next_order(&pair[0].1, &pair[1].1));
+                bases.push(lookahead.len() as u32);
             }
+            lookahead.extend(*tail);
         }
         let lookahead = std::mem::take(lookahead);
         let bases = std::mem::take(bases);
         let stop_on_first = self.replay.stop_on_first_violation;
+        let product = self.plans.len() > 1;
         for (at, (index, il)) in items.drain(..).enumerate() {
             // The merge cuts the table at the lowest violation, and that
             // only ever moves down: nothing above it can be retained.
             if stop_on_first && index > self.lowest_violation.load(Ordering::Acquire) {
                 break;
             }
-            let ahead = window(&lookahead, &bases, at, &il);
+            let ahead = window(&lookahead, &bases, at, product && il.faults().is_empty());
             if self.execute_one(slot, state, index, il, ahead, on) {
                 self.lowest_violation.fetch_min(index, Ordering::AcqRel);
                 if stop_on_first {
@@ -903,18 +895,16 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
 /// aside. `None` when the two are runs of one base order.
 fn next_order(il: &Interleaving, next: &Interleaving) -> Option<u32> {
     let shared = il.iter().zip(next).take_while(|(a, b)| a == b).count();
-    (shared < il.len()).then(|| shared.min(UNKNOWN_DEPTH as usize - 1) as u32)
+    (shared < il.len()).then_some(shared as u32)
 }
 
-/// Run `at`'s slice of its chunk's lookahead (see [`Chunk::lookahead`]):
-/// from entry `at` on with one plan; under a fault product from its base
-/// order's entry on, and nothing for the fault-free plan, which keeps every
-/// depth because the other plans borrow its path up to their first anchor.
-fn window<'a>(lookahead: &'a [u32], bases: &[u32], at: usize, il: &Interleaving) -> &'a [u32] {
+/// Run `at`'s slice of its chunk's lookahead (see [`Chunk::lookahead`]),
+/// nothing under scratch replay or for the `trunk`: the fault-free plan of
+/// a product keeps every depth, since the other plans borrow its path.
+fn window<'a>(lookahead: &'a [u32], bases: &[u32], at: usize, trunk: bool) -> &'a [u32] {
     match bases.get(at) {
-        None => lookahead.get(at..).unwrap_or_default(),
-        Some(_) if il.faults().is_empty() => &[],
-        Some(&base) => &lookahead[base as usize..],
+        Some(&base) if !trunk => &lookahead[base as usize..],
+        _ => &[],
     }
 }
 
@@ -1261,7 +1251,7 @@ mod tests {
     /// branch depths between its own plan's runs, to the first one past the
     /// claim; the fault-free plan is told nothing. Over 32 plans a claim
     /// holds 32 items, and where the next item is a run of the same base
-    /// order the depth past the claim is unknown.
+    /// order nothing is known past the claim: the window is empty.
     #[test]
     fn the_lookahead_crosses_chunk_boundaries() {
         let w = two_writes();
@@ -1280,7 +1270,9 @@ mod tests {
         let slot = campaign.slots[0].lock();
         assert_eq!(slot.executor.resident_snapshots(), shared);
         let pairs = orders.windows(2);
-        let depths: Vec<u32> = pairs.map(|pair| branch_depth(&pair[0], &pair[1])).collect();
+        let depths: Vec<u32> = pairs
+            .map(|pair| pair[0].common_prefix_len(&pair[1]) as u32)
+            .collect();
         assert_eq!(slot.chunk.lookahead, depths, "each pair, and one past");
         drop(slot);
 
@@ -1315,16 +1307,17 @@ mod tests {
             assert_eq!(peeked, Some(claim), "{p} plans");
             let chunk = &slot.chunk;
             for (at, il) in product[..claim].iter().enumerate() {
-                let ahead = window(&chunk.lookahead, &chunk.bases, at, il);
+                let trunk = p > 1 && il.faults().is_empty();
+                let ahead = window(&chunk.lookahead, &chunk.bases, at, trunk);
                 let own: Vec<u32> = match (il.faults().is_empty(), p <= DEFAULT_CHUNK_SIZE) {
                     (true, _) => Vec::new(),
                     (false, true) => {
                         assert_eq!(claim % p, 0, "the claim ends on a base order");
                         let runs = (at..claim).step_by(p);
-                        runs.map(|i| branch_depth(&product[i], &product[i + p]))
-                            .collect()
+                        let depth = |i: usize| product[i].common_prefix_len(&product[i + p]) as u32;
+                        runs.map(depth).collect()
                     }
-                    (false, false) => vec![UNKNOWN_DEPTH],
+                    (false, false) => Vec::new(),
                 };
                 assert_eq!(ahead, own, "{p} plans, run {at}");
             }

@@ -17,6 +17,15 @@
 //!   `anchor position + by`, in scheduling order; effects still pending when
 //!   the run ends are flushed after the last event (unless partitioned).
 //!
+//! Each rule has one copy. A step is its state-free half — the links cut or
+//! healed at the anchor and the anchor's delivery decision, which queues a
+//! delay — between the crash-restarts before it and the retirement of the
+//! delayed effects due at its end. Flushing at the end of a run is that
+//! retirement past every position, and resuming from a snapshot
+//! (`fast_forward`) is the state-free half and the retirement, position by
+//! position, with nothing applied: a resumed run's bookkeeping is the one a
+//! run from scratch reaches by stepping.
+//!
 //! Fault surgery rearranges *which* state transitions happen, not the
 //! simulated-time ledger: `sim_us` stays `reset_cost + Σ event costs`
 //! exactly as in fault-free replay, so the time model needs no fault
@@ -102,11 +111,11 @@ impl<'p> FaultInterpreter<'p> {
 
     /// Executes the event at schedule slot `pos` with its faults and returns
     /// the outcome the slot records. The order of these calls *is* the fault
-    /// semantics — topology faults anchored at the event, then the
+    /// semantics — crash-restarts and links cut or healed at the event, the
     /// anchor's own delivery (re-applied when duplicated), then the delayed
-    /// effects due at the end of the step — and every executor goes through
-    /// here, so there is one copy of it. `states` is left as it is after
-    /// the whole step, fault surgery included.
+    /// effects due at the end of the step — and every executor goes
+    /// through here, so there is one copy of it. `states` is left as it is
+    /// after the whole step, fault surgery included.
     #[inline]
     pub fn step<M: SystemModel>(
         &mut self,
@@ -116,8 +125,8 @@ impl<'p> FaultInterpreter<'p> {
         event: &Event,
         pos: usize,
     ) -> OpOutcome {
-        self.begin_step(model, states, event);
-        let outcome = match self.undelivered(event, pos) {
+        self.restart(model, states, event);
+        let outcome = match self.route(event, pos) {
             None => {
                 let out = model.apply(states, event);
                 if self.duplicate(event) {
@@ -127,15 +136,39 @@ impl<'p> FaultInterpreter<'p> {
             }
             Some(reason) => OpOutcome::failed(reason),
         };
-        self.end_step(model, states, workload, pos);
+        self.end_step(workload, pos, |event| {
+            let _ = model.apply(states, event);
+        });
         outcome
     }
 
-    /// Fires the topology faults anchored at `event` (before it executes).
-    fn begin_step<M: SystemModel>(&mut self, model: &M, states: &mut [M::State], event: &Event) {
+    /// Fires the crash-restarts anchored at `event` (before it executes).
+    fn restart<M: SystemModel>(&self, model: &M, states: &mut [M::State], event: &Event) {
         if self.idle() {
             return;
         }
+        for fault in self.plan.at(event.id) {
+            if let FaultKind::CrashRestart { replica } = fault.kind {
+                model.recover(states, replica);
+            }
+        }
+    }
+
+    /// The half of a step that touches no state: cuts and heals the links
+    /// anchored at `event` (before it executes), then decides its own
+    /// delivery at schedule slot `pos`. `None` applies it, `Some(reason)`
+    /// fails the slot without applying — partitioned endpoints, a scheduled
+    /// `Drop`, or a scheduled `Delay` (whose effect is queued to fire
+    /// later).
+    ///
+    /// Precedence when a plan stacks delivery faults on one anchor:
+    /// partition > drop > delay > duplicate (the enumerator never stacks,
+    /// but hand-written plans may).
+    fn route(&mut self, event: &Event, pos: usize) -> Option<&'static str> {
+        if self.idle() {
+            return None;
+        }
+        let (mut dropped, mut delay) = (false, None);
         for fault in self.plan.at(event.id) {
             match fault.kind {
                 FaultKind::Partition { from, to } => {
@@ -144,34 +177,16 @@ impl<'p> FaultInterpreter<'p> {
                 FaultKind::Heal { from, to } => {
                     self.partitions.remove(&normalize(from, to));
                 }
-                FaultKind::CrashRestart { replica } => model.recover(states, replica),
+                FaultKind::Drop => dropped = true,
+                FaultKind::Delay { by } => delay = Some(by.max(1) as usize),
                 _ => {}
             }
-        }
-    }
-
-    /// Decides the anchor event's own delivery at its schedule slot `pos`:
-    /// `None` applies it, `Some(reason)` fails the slot without applying —
-    /// partitioned endpoints, a scheduled `Drop`, or a scheduled `Delay`
-    /// (whose effect is queued to fire later).
-    ///
-    /// Precedence when a plan stacks delivery faults on one anchor:
-    /// partition > drop > delay > duplicate (the enumerator never stacks,
-    /// but hand-written plans may).
-    fn undelivered(&mut self, event: &Event, pos: usize) -> Option<&'static str> {
-        if self.idle() {
-            return None;
         }
         if partitioned(&self.partitions, event) {
             return Some(REASON_PARTITIONED);
         }
-        let mut delay = None;
-        for fault in self.plan.at(event.id) {
-            match fault.kind {
-                FaultKind::Drop => return Some(REASON_DROPPED),
-                FaultKind::Delay { by } => delay = Some(by.max(1) as usize),
-                _ => {}
-            }
+        if dropped {
+            return Some(REASON_DROPPED);
         }
         let by = delay?;
         self.pending.push((pos + by, event.id));
@@ -188,35 +203,27 @@ impl<'p> FaultInterpreter<'p> {
                 .any(|f| f.kind == FaultKind::Duplicate)
     }
 
-    /// Fires delayed effects due at or before `pos` (end of that step).
-    /// Their outcomes are discarded — the schedule slot already recorded
-    /// [`REASON_DELAYED`].
-    fn end_step<M: SystemModel>(
-        &mut self,
-        model: &M,
-        states: &mut [M::State],
-        workload: &Workload,
-        pos: usize,
-    ) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].0 <= pos {
-                let (_, id) = self.pending.remove(i);
-                let event = workload.event(id);
-                if !partitioned(&self.partitions, event) {
-                    let _ = model.apply(states, event);
-                }
-            } else {
-                i += 1;
+    /// Retires the delayed effects due at or before `pos` (end of that
+    /// step), in scheduling order, handing each to `fire` unless its link
+    /// is partitioned. Their outcomes are discarded — the schedule slot
+    /// already recorded [`REASON_DELAYED`].
+    fn end_step(&mut self, workload: &Workload, pos: usize, mut fire: impl FnMut(&Event)) {
+        let partitions = &self.partitions;
+        self.pending.retain(|&(due, id)| {
+            if due > pos {
+                return true;
             }
-        }
+            let event = workload.event(id);
+            if !partitioned(partitions, event) {
+                fire(event);
+            }
+            false
+        });
     }
 
     /// Flushes every still-pending delayed effect after the last event
-    /// (unless its link is partitioned); call once, after the last
+    /// (unless its link is partitioned): the end of a step past every
+    /// position. Call once, after the last
     /// [`step`](FaultInterpreter::step).
     pub fn finish<M: SystemModel>(
         &mut self,
@@ -224,54 +231,24 @@ impl<'p> FaultInterpreter<'p> {
         states: &mut [M::State],
         workload: &Workload,
     ) {
-        for (_, id) in self.pending.drain(..) {
-            let event = workload.event(id);
-            if !partitioned(&self.partitions, event) {
-                let _ = model.apply(states, event);
-            }
-        }
+        self.end_step(workload, usize::MAX, |event| {
+            let _ = model.apply(states, event);
+        });
     }
 
     /// Rebuilds the interpreter's bookkeeping as if the events at positions
     /// `0..depth` of `order` had executed — without touching states (the
-    /// checkpoint snapshot already contains their effects). Used when the
-    /// incremental executor resumes from a cached prefix: partition state is
-    /// replayed, and delayed effects that fired inside the prefix are
-    /// discarded while those still outstanding at `depth` are retained.
+    /// checkpoint snapshot already contains their effects): each position
+    /// is [`step`](FaultInterpreter::step)'s state-free half and the
+    /// retirement at its end. Used when the incremental executor resumes
+    /// from a cached prefix.
     pub(crate) fn fast_forward(&mut self, workload: &Workload, order: &[EventId], depth: usize) {
         if self.idle() {
             return;
         }
         for (pos, &id) in order.iter().take(depth).enumerate() {
-            for fault in self.plan.at(id) {
-                match fault.kind {
-                    FaultKind::Partition { from, to } => {
-                        self.partitions.insert(normalize(from, to));
-                    }
-                    FaultKind::Heal { from, to } => {
-                        self.partitions.remove(&normalize(from, to));
-                    }
-                    _ => {}
-                }
-            }
-            let event = workload.event(id);
-            if partitioned(&self.partitions, event) {
-                continue; // the slot failed; nothing was scheduled
-            }
-            if self.plan.at(id).any(|f| matches!(f.kind, FaultKind::Drop)) {
-                continue;
-            }
-            if let Some(by) = self.plan.at(id).find_map(|f| match f.kind {
-                FaultKind::Delay { by } => Some(by.max(1) as usize),
-                _ => None,
-            }) {
-                self.pending.push((pos + by, id));
-            }
-            // An effect fires at the end of the first step whose position
-            // reaches fire_pos; within the prefix that means fire_pos <
-            // depth (steps 0..depth ran, so end-of-step fired through
-            // depth-1).
-            self.pending.retain(|&(fire, _)| fire > pos);
+            let _ = self.route(workload.event(id), pos);
+            self.end_step(workload, pos, |_| {});
         }
     }
 
@@ -590,5 +567,49 @@ mod tests {
         let mut interp = FaultInterpreter::new(&pplan);
         interp.fast_forward(&w, &order, 3);
         assert!(interp.partitions.contains(&(r(0), r(1))));
+    }
+
+    #[test]
+    fn fast_forward_leaves_what_stepping_leaves_at_every_depth() {
+        // A delayed effect due at a step that fails — dropped, or a sync
+        // across a link cut before it — is retired at that step's end all
+        // the same: a run resumed right after it must not fire it again.
+        let mut w = Workload::builder();
+        let a = w.update(r(0), "op", [Value::from(1)]);
+        let b = w.update(r(0), "op", [Value::from(2)]);
+        w.sync_pair(r(0), r(1), b);
+        w.update(r(0), "op", [Value::from(3)]);
+        let w = w.build();
+        let order: Vec<_> = w.event_ids().collect();
+        let cut = FaultKind::Partition {
+            from: r(0),
+            to: r(1),
+        };
+        let plans = [
+            FaultPlan::new(vec![
+                FaultEvent::new(a, FaultKind::Delay { by: 1 }),
+                FaultEvent::new(b, FaultKind::Drop),
+            ]),
+            FaultPlan::new(vec![
+                FaultEvent::new(a, cut),
+                FaultEvent::new(b, FaultKind::Delay { by: 1 }),
+            ]),
+        ];
+        for plan in &plans {
+            let (model, mut states) = (Probe, Probe.init_all());
+            let mut stepped = FaultInterpreter::new(plan);
+            for depth in 0..=order.len() {
+                let mut resumed = FaultInterpreter::new(plan);
+                resumed.fast_forward(&w, &order, depth);
+                assert_eq!(
+                    resumed.live_digest(),
+                    stepped.live_digest(),
+                    "{plan:?} at depth {depth}"
+                );
+                if let Some(&id) = order.get(depth) {
+                    stepped.step(&model, &mut states, &w, w.event(id), depth);
+                }
+            }
+        }
     }
 }

@@ -21,10 +21,11 @@
 //!
 //! A snapshot is worth its copy only where a later run branches off. The
 //! caller passes each run the rest of what it knows is coming of the runs
-//! of its fault plan — one [`branch_depth`] per pair of consecutive such
-//! runs — and the run stores a snapshot only at the running minima of
-//! those depths (the points at which the runs after it leave its path), or
-//! at any depth the window still shared when it ran out. ER-π's explorer
+//! of its fault plan — one branch depth (common prefix) per pair of
+//! consecutive such runs, ending where the caller stops knowing — and the
+//! run stores a snapshot only at the running minima of those depths (the
+//! points at which the runs after it leave its path), or at any depth the
+//! window still shared when it ran out. ER-π's explorer
 //! permutes grouped units, so its runs diverge only at unit boundaries and
 //! no depth inside a unit is snapshotted; a DFS stream, which diverges
 //! everywhere, keeps what a one-run hint kept. Under a plan-minor fault
@@ -52,6 +53,10 @@
 //! is; where the path vouches for more than the previous run does (another
 //! plan's run came in between), the difference is refilled from the path
 //! (each step stores the [`OpOutcome`] observed when it was executed). The
+//! fault interpreter's bookkeeping at the resume depth — the cut links and
+//! the delayed effects still due — is rebuilt by `fast_forward`, which is
+//! `step`'s own bookkeeping without the states, so it too is what a
+//! scratch replay holds there. The
 //! run — states, outcomes, `sim_us` — is byte-identical to the scratch
 //! executor's. `CacheStats::sim_us_saved` separately records how much of
 //! that total was never physically re-executed. The lookahead of
@@ -75,36 +80,17 @@ use crate::{CacheStats, Execution, ExecutionRef, OpOutcome, SystemModel, TimeMod
 /// model whose hint says its states are that large.
 pub const DEFAULT_CACHE_BUDGET: usize = 64 * 1024 * 1024;
 
-/// A lookahead entry of [`IncrementalExecutor::advance`] that says nothing:
-/// the two runs it sits between are under different fault plans.
-pub const UNKNOWN_DEPTH: u32 = u32::MAX;
-
-/// The lookahead entry between a run of `il` and the run of `next` right
-/// after it on the same executor: the depth at which `next` leaves `il`'s
-/// path, their common prefix. [`UNKNOWN_DEPTH`] when the two are under
-/// different fault plans: `next` then runs on another plan's path, and
-/// what it does to `il`'s says nothing about the runs after it.
-pub fn branch_depth(il: &Interleaving, next: &Interleaving) -> u32 {
-    match il.faults() == next.faults() {
-        true => il.common_prefix_len(next).min(UNKNOWN_DEPTH as usize - 1) as u32,
-        false => UNKNOWN_DEPTH,
-    }
-}
-
 /// Reads a run's lookahead (see [`IncrementalExecutor::advance`]): pushes
 /// onto `branches`, deepest first, the depths deeper than `resume` at which later
 /// runs leave the run's path — the running minima of `lookahead`, up to the
 /// first that is no deeper than `resume` — and returns
 /// `(floor, keep_resume)`: every depth up to `floor` is kept as well (the
-/// window ended, or a plan change hid what follows, while the runs still
-/// shared that much), and whether a later run resumes from the snapshot
-/// this one resumes from.
+/// window ended while the runs still shared that much; all of them when it
+/// is empty), and whether a later run resumes from the snapshot this one
+/// resumes from.
 fn branches(lookahead: &[u32], resume: usize, branches: &mut Vec<u32>) -> (usize, bool) {
     let mut low = usize::MAX;
-    for &depth in lookahead
-        .iter()
-        .take_while(|&&depth| depth != UNKNOWN_DEPTH)
-    {
+    for &depth in lookahead {
         let depth = depth as usize;
         if depth <= resume {
             // Every run from here on leaves this path no deeper than the
@@ -576,17 +562,18 @@ impl<M: SystemModel> IncrementalExecutor<M> {
     /// from the model of the first call.
     ///
     /// `lookahead` is advisory: what the caller knows of the runs of `il`'s
-    /// fault plan this executor will be handed after `il`, as their
-    /// [`branch_depth`]s — entry 0 between `il` and the next such run,
-    /// entry `i` between the `i`-th and the `i + 1`-th after it. Each run
-    /// resumes from the path the run of its plan before it left, so a later
-    /// run reuses a snapshot of this one only at a depth every run in
+    /// fault plan this executor will be handed after `il`, as their branch
+    /// depths (the common prefix of two consecutive such runs) — entry 0
+    /// between `il` and the next such run, entry `i` between the `i`-th and
+    /// the `i + 1`-th after it — ending where the caller stops knowing. Each
+    /// run resumes from the path the run of its plan before it left, so a
+    /// later run reuses a snapshot of this one only at a depth every run in
     /// between shared: the running minima of the slice. The walk stops at
     /// the first minimum no deeper than the resume depth (nothing deeper is
-    /// reused past it), at an [`UNKNOWN_DEPTH`] entry, or at the end of the
-    /// slice. A snapshot is then stored at a depth only if it is one of the
-    /// minima, or if the walk ran out while the runs still shared that depth
-    /// (past there the slice knows nothing). The snapshot `il` resumes from
+    /// reused past it) or at the end of the slice. A snapshot is then
+    /// stored at a depth only if it is one of the minima, or if the walk ran
+    /// out while the runs still shared that depth (past there the slice
+    /// knows nothing). The snapshot `il` resumes from
     /// is dropped after its last use unless its depth passes the same test:
     /// at the refill, or — when the next run shares more than the resume
     /// depth — just before the first applied event. A run stopped by a
@@ -620,13 +607,13 @@ impl<M: SystemModel> IncrementalExecutor<M> {
         // there before anyone could resume from deeper), and which depths
         // up to it are worth a snapshot.
         self.branches.clear();
-        let (keep, floor, keep_resume) = match lookahead.first() {
-            _ if self.cache.budget == 0 => (0, 0, true),
-            Some(&next) if next != UNKNOWN_DEPTH => {
+        let (keep, floor, keep_resume) = match self.cache.budget {
+            0 => (0, 0, true),
+            _ => {
+                let next = lookahead.first().map_or(usize::MAX, |&next| next as usize);
                 let (floor, keep_resume) = branches(lookahead, resume_depth, &mut self.branches);
-                (next as usize, floor, keep_resume)
+                (next, floor, keep_resume)
             }
-            _ => (usize::MAX, usize::MAX, true),
         };
 
         // The run is taken out for as long as it is being rewritten: if
@@ -948,10 +935,13 @@ mod tests {
         assert_eq!(borrowed(scratch).failed_ops, inc.failed_ops, "on {il}");
     }
 
-    /// The [`branch_depth`] of each consecutive pair of `orders`.
+    /// The branch depth (common prefix) of each consecutive pair of
+    /// `orders`.
     fn branch_depths(orders: &[Interleaving]) -> Vec<u32> {
         let pairs = orders.windows(2);
-        pairs.map(|pair| branch_depth(&pair[0], &pair[1])).collect()
+        pairs
+            .map(|pair| pair[0].common_prefix_len(&pair[1]) as u32)
+            .collect()
     }
 
     /// Run `i`'s lookahead: up to `window` entries of `depths` from `i` on.
@@ -1124,11 +1114,11 @@ mod tests {
         let b = order([0, 1, 2, 4, 3]);
         let c = order([0, 1, 3, 2, 4]);
         let mut exec = IncrementalExecutor::<LogModel>::new(DEFAULT_CACHE_BUDGET);
-        exec.advance(&LogModel, &w, &a, &[branch_depth(&a, &b)], &time);
+        exec.advance(&LogModel, &w, &a, &[a.common_prefix_len(&b) as u32], &time);
         assert_eq!(exec.resident_snapshots(), 3, "depths 1..=3 are shared");
         // b resumes at depth 3 and c shares only 2: the depth-3 snapshot is
         // dropped once b is refilled from it, and nothing deeper is stored.
-        exec.advance(&LogModel, &w, &b, &[branch_depth(&b, &c)], &time);
+        exec.advance(&LogModel, &w, &b, &[b.common_prefix_len(&c) as u32], &time);
         assert_eq!(exec.last_resume_depth(), 3);
         assert_eq!(exec.resident_snapshots(), 2);
         exec.advance(&LogModel, &w, &c, &[], &time);
@@ -1295,7 +1285,7 @@ mod tests {
         // The plan has no path of its own yet: e0 e1 e2 come from the
         // fault-free run, and sharing them is charged once — only the
         // depth-4 snapshot is new.
-        let again = branch_depth(&faulted, &faulted);
+        let again = faulted.len() as u32;
         exec.advance(&LogModel, &w, &faulted, &[again], &time);
         assert_eq!(exec.last_resume_depth(), 3);
         assert_same(&scratch, exec.run(), &faulted);
@@ -1307,6 +1297,36 @@ mod tests {
         let again = exec.execute(&LogModel, &w, &faulted, &time);
         assert_eq!(exec.last_resume_depth(), 4);
         assert_same(&scratch, borrowed(&again), &faulted);
+    }
+
+    #[test]
+    fn a_run_resumed_after_a_failed_step_does_not_fire_its_delay_again() {
+        use er_pi_model::{FaultEvent, FaultKind, FaultPlan};
+        // e0's delivery is delayed to the end of step 1, where e1 is
+        // dropped: the effect fires there, inside the snapshot at depth 2,
+        // and a run resumed from that snapshot must not fire it again.
+        let mut w = Workload::builder();
+        let ids: Vec<EventId> = (1..=4)
+            .map(|v| w.update(ReplicaId::new(0), "op", [Value::from(v)]))
+            .collect();
+        let w = w.build();
+        let plan = FaultPlan::new(vec![
+            FaultEvent::new(ids[0], FaultKind::Delay { by: 1 }),
+            FaultEvent::new(ids[1], FaultKind::Drop),
+        ]);
+        let order = |raw: [usize; 4]| -> Interleaving {
+            let il: Interleaving = raw.into_iter().map(|i| ids[i]).collect();
+            il.with_faults(plan.clone())
+        };
+        let (first, second) = (order([0, 1, 2, 3]), order([0, 1, 3, 2]));
+        let time = TimeModel::paper_setup();
+        let mut exec = IncrementalExecutor::<LogModel>::new(DEFAULT_CACHE_BUDGET);
+        exec.advance(&LogModel, &w, &first, &[], &time);
+        exec.advance(&LogModel, &w, &second, &[], &time);
+        assert_eq!(exec.last_resume_depth(), 2);
+        let scratch = InlineExecutor::execute(&LogModel, &w, &second, &time);
+        assert_eq!(scratch.states[0], [1, 4, 3]);
+        assert_same(&scratch, exec.run(), &second);
     }
 
     #[test]

@@ -169,7 +169,7 @@ pub use faultexec::FaultInterpreter;
 pub use forensics::{
     explain_violation, DigestSource, DivergencePoint, ForensicBundle, ForensicStep, Provenance,
 };
-pub use incremental::{branch_depth, IncrementalExecutor, DEFAULT_CACHE_BUDGET, UNKNOWN_DEPTH};
+pub use incremental::{IncrementalExecutor, DEFAULT_CACHE_BUDGET};
 pub use instrument::{Attachments, ProgressHook};
 pub use metrics::SessionMetrics;
 pub use misconceptions::{misconception, Misconception};

@@ -12,8 +12,8 @@
 
 use crate::common::{cells, r, Cell, SCRATCH};
 use er_pi::{
-    enumerate_plans, CheckContext, FaultInterpreter, FaultSpace, OpOutcome, ReplayConfig, Report,
-    Session, SystemModel, TestSuite,
+    enumerate_plans, CheckContext, ExploreMode, FaultInterpreter, FaultSpace, OpOutcome,
+    ReplayConfig, Report, Session, SystemModel, TestSuite,
 };
 use er_pi_fuzz::{report_for, FuzzCase, SpecEntry, SpecFault, Target, WorkloadSpec, ORACLE_CAP};
 use er_pi_model::{Event, EventId, FaultEvent, FaultKind, FaultPlan, ReplicaId, Value, Workload};
@@ -70,6 +70,46 @@ fn same_fault_plan_is_byte_identical_across_the_matrix() {
             );
         }
     }
+}
+
+/// A credit delayed by one step, due at a sync that fails on a link cut
+/// before it: the delivery lands at the end of the failed step, inside the
+/// snapshot taken after it, and a run resumed from that snapshot must not
+/// land it a second time. Exhaustive DFS on one worker, exactly-once
+/// checked on every run: incremental replay reports what scratch replay
+/// does, which is no violation.
+#[test]
+fn a_delay_due_at_a_partitioned_sync_lands_once_on_a_resumed_run() {
+    let mut w = Workload::builder();
+    let credit = w.update(r(0), "credit", [Value::from(10)]);
+    let sync = w.sync_pair(r(0), r(1), credit);
+    w.update(r(1), "credit", [Value::from(20)]);
+    w.update(r(1), "credit", [Value::from(30)]);
+    let workload = w.build();
+    let cut = FaultKind::Partition {
+        from: r(0),
+        to: r(1),
+    };
+    let plan = FaultPlan::new(vec![
+        FaultEvent::new(credit, FaultKind::Delay { by: 1 }),
+        FaultEvent::new(sync, cut),
+    ]);
+    let report = |cell: Cell| {
+        let mut session = Session::new(LedgerApp::new(2));
+        cell.apply(&mut session)
+            .set_workload(workload.clone())
+            .set_mode(ExploreMode::Dfs)
+            .set_fault_plans(vec![plan.clone()]);
+        session.replay(&exactly_once_suite()).unwrap()
+    };
+    let scratch = report(SCRATCH);
+    assert_eq!(scratch.explored, 24);
+    assert_eq!(scratch.first_violation_at, None);
+    let incremental = report(Cell {
+        incremental: true,
+        ..SCRATCH
+    });
+    assert_eq!(scratch.diff(&incremental), None);
 }
 
 /// The acceptance witness: exhaustive *fault-free* exploration of the

@@ -10,9 +10,9 @@
 //! `state_size_hint` makes it bind: a hint above the budget refuses every
 //! snapshot, a scaled one stands for a small budget. The first property drives the executor directly, in no
 //! explorer's order — repeats, plan switches between consecutive runs, plans
-//! that share a prefix with the fault-free trunk — with arbitrary
-//! lookaheads (the true branch depths of the next few runs, none, an
-//! unknown depth, or entries that lie), reading each run borrowed from the
+//! that share a prefix with the fault-free trunk, plans that stack two
+//! faults — with arbitrary lookaheads (the true branch depths of the next
+//! few runs, none, or entries that lie), reading each run borrowed from the
 //! cursor, taking it out owned, or blowing it up half way.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -24,9 +24,8 @@ use proptest::prelude::*;
 use crate::common::town::record_town;
 use crate::steps::{arb_steps, build_workload};
 use er_pi::{
-    branch_depth, Attachments, ExecutionRef, ExploreMode, IncrementalExecutor, InlineExecutor,
-    OpOutcome, ReplayConfig, Report, Session, SystemModel, TestSuite, TimeModel,
-    DEFAULT_CACHE_BUDGET, UNKNOWN_DEPTH,
+    Attachments, ExecutionRef, ExploreMode, IncrementalExecutor, InlineExecutor, OpOutcome,
+    ReplayConfig, Report, Session, SystemModel, TestSuite, TimeModel, DEFAULT_CACHE_BUDGET,
 };
 use er_pi_interleave::{enumerate_plans, DfsExplorer, FaultProduct, FaultSpace};
 use er_pi_model::{
@@ -226,23 +225,24 @@ enum Take {
 /// What a run is told of the runs after it.
 #[derive(Debug, Clone)]
 enum Lookahead {
-    /// The true branch depths of up to this many runs after it, an unknown
-    /// depth at each plan change: what a campaign's chunk tells it.
+    /// The true branch depths of up to this many runs after it, up to the
+    /// first plan change: what a campaign's chunk tells it.
     Right(usize),
+    /// Nothing: nothing is known, or the next run is under another plan.
     Absent,
-    /// An unknown depth: the next run is under another plan.
-    Unknown,
-    /// This many entries drawn from the seed, each a depth up to one past
-    /// the workload or an unknown one: a lie, shallower or deeper.
+    /// Up to this many entries drawn from the seed, each a depth up to one
+    /// past the workload: a lie, shallower or deeper. A draw of one in
+    /// eight ends it early.
     Lying(u64, usize),
-    /// The true depth to the next run, then lies.
+    /// The true depth to the next run, then lies; nothing at a plan change.
     RightThenLying(u64, usize),
 }
 
 impl Lookahead {
     /// The entries run `i` of a sequence whose true branch depths are
-    /// `truth` is handed, for a workload of `n` events.
-    fn entries(&self, truth: &[u32], i: usize, n: usize) -> Vec<u32> {
+    /// `truth` (`None` where the plan changes) is handed, for a workload of
+    /// `n` events.
+    fn entries(&self, truth: &[Option<u32>], i: usize, n: usize) -> Vec<u32> {
         let right = truth.get(i..).unwrap_or_default();
         let lie = |mut seed: u64, len: usize| -> Vec<u32> {
             let draws = std::iter::repeat_with(move || {
@@ -250,21 +250,23 @@ impl Lookahead {
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 match (seed >> 33) % 8 {
-                    0 => UNKNOWN_DEPTH,
-                    _ => ((seed >> 40) % (n as u64 + 2)) as u32,
+                    0 => None,
+                    _ => Some(((seed >> 40) % (n as u64 + 2)) as u32),
                 }
             });
-            draws.take(len).collect()
+            draws.take(len).map_while(|depth| depth).collect()
         };
         match *self {
-            Lookahead::Right(len) => right.iter().copied().take(len).collect(),
+            Lookahead::Right(len) => right.iter().take(len).map_while(|&depth| depth).collect(),
             Lookahead::Absent => Vec::new(),
-            Lookahead::Unknown => vec![UNKNOWN_DEPTH],
             Lookahead::Lying(seed, len) => lie(seed, len),
-            Lookahead::RightThenLying(seed, len) => {
-                let first = right.first().copied();
-                first.into_iter().chain(lie(seed, len)).collect()
-            }
+            Lookahead::RightThenLying(seed, len) => match right.first() {
+                Some(None) => Vec::new(),
+                first => {
+                    let first = first.copied().flatten();
+                    first.into_iter().chain(lie(seed, len)).collect()
+                }
+            },
         }
     }
 }
@@ -275,7 +277,7 @@ fn arb_draws() -> impl Strategy<Value = Vec<Draw>> {
         (2usize..32).prop_map(Lookahead::Right),
         (2usize..32).prop_map(Lookahead::Right),
         Just(Lookahead::Absent),
-        Just(Lookahead::Unknown),
+        Just(Lookahead::Absent),
         (any::<u64>(), 1usize..12).prop_map(|(seed, len)| Lookahead::Lying(seed, len)),
         (any::<u64>(), 1usize..12).prop_map(|(seed, len)| Lookahead::RightThenLying(seed, len)),
     ];
@@ -287,7 +289,7 @@ fn arb_draws() -> impl Strategy<Value = Vec<Draw>> {
         (0usize..12).prop_map(Take::Unwound),
     ];
     proptest::collection::vec(
-        (0usize..6, any::<u64>(), 0usize..5, lookahead, take).prop_map(
+        (0usize..6, any::<u64>(), 0usize..PLANS, lookahead, take).prop_map(
             |(keep, shuffle, plan, lookahead, take)| Draw {
                 keep,
                 shuffle,
@@ -312,12 +314,25 @@ fn reshuffle(order: &mut [EventId], keep: usize, mut seed: u64) {
     }
 }
 
-/// The fault-free plan plus one plan per fault kind, anchored on the
-/// workload's own events.
-fn plans_for(workload: &Workload) -> Vec<FaultPlan> {
+/// How many plans [`plans_for`] builds.
+const PLANS: usize = 7;
+
+/// The fault-free plan, one plan per fault kind, and two plans that stack a
+/// one-step delay with steps that fail — every event but the delayed one
+/// dropped, or every sync after the delayed event across a link cut before
+/// it — all anchored on the workload's own events.
+fn plans_for(workload: &Workload) -> [FaultPlan; PLANS] {
     let ids: Vec<EventId> = workload.event_ids().collect();
     let at = |i: usize| ids[i % ids.len()];
-    vec![
+    let delay = FaultEvent::new(at(0), FaultKind::Delay { by: 1 });
+    let cut = FaultKind::Partition {
+        from: ReplicaId::new(0),
+        to: ReplicaId::new(1),
+    };
+    let drops = ids[1..]
+        .iter()
+        .map(|&id| FaultEvent::new(id, FaultKind::Drop));
+    [
         FaultPlan::empty(),
         FaultPlan::new(vec![FaultEvent::new(at(0), FaultKind::Duplicate)]),
         FaultPlan::new(vec![FaultEvent::new(at(1), FaultKind::Drop)]),
@@ -328,6 +343,8 @@ fn plans_for(workload: &Workload) -> Vec<FaultPlan> {
                 replica: ReplicaId::new(0),
             },
         )]),
+        FaultPlan::new(std::iter::once(delay).chain(drops).collect()),
+        FaultPlan::new(vec![delay, FaultEvent::new(at(0), cut)]),
     ]
 }
 
@@ -361,9 +378,12 @@ proptest! {
             })
             .collect();
 
-        let truth: Vec<u32> = sequence
+        let truth: Vec<Option<u32>> = sequence
             .windows(2)
-            .map(|pair| branch_depth(&pair[0], &pair[1]))
+            .map(|pair| {
+                let same_plan = pair[0].faults() == pair[1].faults();
+                same_plan.then(|| pair[0].common_prefix_len(&pair[1]) as u32)
+            })
             .collect();
         let mut executor = IncrementalExecutor::<Fused>::new(budget);
         let mut plans_seen = std::collections::HashSet::new();
