@@ -120,8 +120,8 @@ impl Iterator for AnyExplorer<'_> {
     }
 }
 
-impl AnyExplorer<'_> {
-    fn mode_name(&self) -> &'static str {
+impl Explorer for AnyExplorer<'_> {
+    fn name(&self) -> &'static str {
         match self {
             AnyExplorer::ErPi(e) => e.name(),
             AnyExplorer::Dfs(e) => e.name(),
@@ -129,14 +129,32 @@ impl AnyExplorer<'_> {
         }
     }
 
+    fn wasted_work(&self) -> u64 {
+        match self {
+            AnyExplorer::ErPi(e) => e.wasted_work(),
+            AnyExplorer::Dfs(e) => e.wasted_work(),
+            AnyExplorer::Rand(e) => e.wasted_work(),
+        }
+    }
+
+    fn fill(&mut self, buf: &mut Interleaving) -> bool {
+        match self {
+            AnyExplorer::ErPi(e) => e.fill(buf),
+            AnyExplorer::Dfs(e) => e.fill(buf),
+            AnyExplorer::Rand(e) => e.fill(buf),
+        }
+    }
+}
+
+impl AnyExplorer<'_> {
     /// The deterministic counters: pruning statistics (ER-π mode only) and
     /// mode-specific wasted work (Random's shuffle retries).
     fn counters(&self) -> Counters {
-        match self {
-            AnyExplorer::ErPi(e) => (Some(e.stats()), e.wasted_work()),
-            AnyExplorer::Dfs(e) => (None, e.wasted_work()),
-            AnyExplorer::Rand(e) => (None, e.wasted_work()),
-        }
+        let stats = match self {
+            AnyExplorer::ErPi(e) => Some(e.stats()),
+            _ => None,
+        };
+        (stats, self.wasted_work())
     }
 
     fn timings(&self) -> Option<FilterTimings> {
@@ -265,16 +283,20 @@ pub(crate) enum Phase {
     Settled,
 }
 
-/// One dispensed item, with the explorer's counters as of it when the
-/// campaign may stop there.
-type Dispensed = ((usize, Interleaving), Option<Counters>);
+/// One dispensed item's exploration index, with the explorer's counters as
+/// of it when the campaign may stop there; its interleaving is in the
+/// buffer it was dispensed into.
+type Dispensed = (usize, Option<Counters>);
 
 /// The state behind the dispenser lock.
 struct Dispenser<'w> {
     source: Source<'w>,
-    /// The item dispensed past the last claim as its lookahead; it opens
-    /// the next claim.
+    /// The item dispensed past the last claim as its lookahead, in `peek`;
+    /// it opens the next claim.
     peeked: Option<Dispensed>,
+    /// The buffer the lookahead is dispensed into. The next claim swaps it
+    /// for its first buffer, which is dispensed into next.
+    peek: Interleaving,
     /// The effective configuration: the initial one plus every constraint
     /// State 4 ingested so far.
     config: PruningConfig,
@@ -290,14 +312,15 @@ struct Dispenser<'w> {
 }
 
 impl Dispenser<'_> {
-    /// Dispenses one item. Under stop-on-first (`counted`) the explorer's
-    /// counters are read right behind it: whatever is dispensed past a
-    /// violating run — the rest of its chunk, other slots' chunks, the
-    /// lookahead — depends on scheduling and must not show in the report.
-    fn next(&mut self, counted: bool) -> Option<Dispensed> {
-        let item = self.source.next()?;
+    /// Dispenses one item into `buf`. Under stop-on-first (`counted`) the
+    /// explorer's counters are read right behind it: whatever is dispensed
+    /// past a violating run — the rest of its chunk, other slots' chunks,
+    /// the lookahead — depends on scheduling and must not show in the
+    /// report.
+    fn fill(&mut self, buf: &mut Interleaving, counted: bool) -> Option<Dispensed> {
+        let index = self.source.fill(buf)?;
         let counters = counted.then(|| self.source.inner().inner().counters());
-        Some((item, counters))
+        Some((index, counters))
     }
 }
 
@@ -306,8 +329,15 @@ impl Dispenser<'_> {
 /// allocates for one.
 #[derive(Default)]
 struct Chunk {
-    /// Contiguous exploration indices, in order.
-    items: Vec<(usize, Interleaving)>,
+    /// The exploration index of the first item; the others follow it.
+    start: usize,
+    /// How many items the claim holds: `orders[..len]`.
+    len: usize,
+    /// The items' interleavings, in buffers the explorer writes over claim
+    /// after claim. A run whose order is kept (by its record or a
+    /// violation) takes it out of its buffer, and the next claim refills
+    /// the emptied one.
+    orders: Vec<Interleaving>,
     /// Under stop-on-first, the explorer's counters as of each item.
     counters: Vec<Counters>,
     /// The lookahead entry past the chunk, read under the dispenser lock:
@@ -328,6 +358,26 @@ struct Chunk {
     bases: Vec<u32>,
     /// What the executed items produced.
     done: Rows,
+}
+
+impl Chunk {
+    /// The buffer of item `at`, made on the slot's first claims.
+    fn buffer(&mut self, at: usize) -> &mut Interleaving {
+        if at == self.orders.len() {
+            self.orders.push(Interleaving::default());
+        }
+        &mut self.orders[at]
+    }
+
+    /// Books a dispensed item as the claim's next.
+    fn push(&mut self, (index, counters): Dispensed) {
+        debug_assert!(self.len == 0 || index == self.start + self.len);
+        if self.len == 0 {
+            self.start = index;
+        }
+        self.len += 1;
+        self.counters.extend(counters);
+    }
 }
 
 /// What replaying a contiguous range of exploration indices produced, in
@@ -454,6 +504,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             disp: Mutex::new(Dispenser {
                 source: IndexedSource::new(explorer, replay.cap),
                 peeked: None,
+                peek: Interleaving::default(),
                 config,
                 watch: None,
                 inflight: 0,
@@ -533,8 +584,8 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         let mut max = self.chunk_size;
         let mut peek = self.replay.incremental;
         if let Some(watch) = disp.watch.as_mut() {
-            let at = match &disp.peeked {
-                Some(((index, _), _)) => *index,
+            let at = match disp.peeked {
+                Some((index, _)) => index,
                 None => disp.source.dispensed(),
             };
             if at > 0 && at % CONSTRAINT_POLL_EVERY == 0 {
@@ -560,20 +611,27 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             }
         }
         let counted = self.replay.stop_on_first_violation;
-        let first = disp.peeked.take();
-        let rest = std::iter::from_fn(|| disp.next(counted));
-        for (item, counters) in first.into_iter().chain(rest).take(max) {
-            chunk.items.push(item);
-            chunk.counters.extend(counters);
+        chunk.len = 0;
+        if let Some(first) = disp.peeked.take() {
+            std::mem::swap(chunk.buffer(0), &mut disp.peek);
+            chunk.push(first);
         }
-        if peek && chunk.items.len() == max {
-            disp.peeked = disp.next(counted);
+        while chunk.len < max {
+            match disp.fill(chunk.buffer(chunk.len), counted) {
+                Some(item) => chunk.push(item),
+                None => break,
+            }
         }
-        chunk.tail = match (chunk.items.last(), &disp.peeked) {
-            (Some((_, last)), Some(((_, next), _))) => next_order(last, next),
+        if peek && chunk.len == max {
+            let mut buf = std::mem::take(&mut disp.peek);
+            disp.peeked = disp.fill(&mut buf, counted);
+            disp.peek = buf;
+        }
+        chunk.tail = match (chunk.len, &disp.peeked) {
+            (1.., Some(_)) => next_order(&chunk.orders[chunk.len - 1], &disp.peek),
             _ => None,
         };
-        Ok(!chunk.items.is_empty())
+        Ok(chunk.len > 0)
     }
 
     /// Claims one chunk and replays it on `slot`; `false` once the campaign
@@ -587,9 +645,9 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         if !self.claim(&mut state.chunk) {
             return false;
         }
-        let (start, _) = state.chunk.items[0];
+        let start = state.chunk.start;
         self.instrument
-            .chunk_claimed(slot, asked, start, state.chunk.items.len());
+            .chunk_claimed(slot, asked, start, state.chunk.len);
 
         let executed = catch_unwind(AssertUnwindSafe(|| self.execute_chunk(slot, state, on)));
 
@@ -623,13 +681,17 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
     /// the claim's own lookahead past the last (executors that keep
     /// snapshots only).
     fn execute_chunk(&self, slot: usize, state: &mut Slot<M>, on: Subject<'_, M>) {
-        let mut items = std::mem::take(&mut state.chunk.items);
+        let mut buffers = std::mem::take(&mut state.chunk.orders);
         let Chunk {
+            start,
+            len,
             tail,
             lookahead,
             bases,
             ..
         } = &mut state.chunk;
+        let (start, len) = (*start, *len);
+        let orders = &mut buffers[..len];
         lookahead.clear();
         bases.clear();
         if self.replay.incremental {
@@ -638,8 +700,8 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             lookahead.reserve(self.chunk_size);
             bases.reserve(self.chunk_size);
             bases.push(0);
-            for pair in items.windows(2) {
-                lookahead.extend(next_order(&pair[0].1, &pair[1].1));
+            for pair in orders.windows(2) {
+                lookahead.extend(next_order(&pair[0], &pair[1]));
                 bases.push(lookahead.len() as u32);
             }
             lookahead.extend(*tail);
@@ -648,7 +710,8 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         let bases = std::mem::take(bases);
         let stop_on_first = self.replay.stop_on_first_violation;
         let product = self.plans.len() > 1;
-        for (at, (index, il)) in items.drain(..).enumerate() {
+        for (at, il) in orders.iter_mut().enumerate() {
+            let index = start + at;
             // The merge cuts the table at the lowest violation, and that
             // only ever moves down: nothing above it can be retained.
             if stop_on_first && index > self.lowest_violation.load(Ordering::Acquire) {
@@ -666,7 +729,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
                 }
             }
         }
-        state.chunk.items = items;
+        state.chunk.orders = buffers;
         state.chunk.lookahead = lookahead;
         state.chunk.bases = bases;
         state.chunk.counters.clear();
@@ -680,7 +743,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         slot: usize,
         state: &mut Slot<M>,
         index: usize,
-        il: Interleaving,
+        il: &mut Interleaving,
         lookahead: &[u32],
         on: Subject<'_, M>,
     ) -> bool {
@@ -693,11 +756,11 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         // `incremental`).
         state
             .executor
-            .advance(on.model, &self.workload, &il, lookahead, &self.time);
+            .advance(on.model, &self.workload, il, lookahead, &self.time);
         let exec = state.executor.run();
         let (sim_us, failed_ops) = (exec.sim_us, exec.failed_ops);
         let observe = |state: &M::State| on.model.observe(state);
-        let ctx = CheckContext::observing(&exec, &observe, &il);
+        let ctx = CheckContext::observing(&exec, &observe, il);
         let check_started = self.instrument.stamp();
         let done = &mut state.chunk.done;
         let before = done.violations.len();
@@ -729,7 +792,9 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         state.load.sim_us += sim_us;
         done.tallies.push((sim_us, failed_ops));
         // The run's interleaving goes to what keeps it — its record, or else
-        // its last violation — and a copy to each other violation.
+        // its last violation — and a copy to each other violation. Taken out
+        // of the slot's buffer, it holds exactly its events: the buffer grew
+        // to the order's length and no further.
         let violations = &mut done.violations[before..];
         match self.replay.builds_records(on.suite) {
             true => {
@@ -738,7 +803,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
                 }
                 let observations = ctx.into_observations();
                 done.records.push(RunRecord {
-                    interleaving: il,
+                    interleaving: std::mem::take(il),
                     observations,
                     failed_ops,
                     sim_us,
@@ -750,7 +815,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
                     for violation in earlier {
                         violation.interleaving = Some(il.clone());
                     }
-                    last.interleaving = Some(il);
+                    last.interleaving = Some(std::mem::take(il));
                 }
             }
         }
@@ -869,7 +934,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             _ => explorer.counters(),
         };
         Ok(Outcome {
-            mode: explorer.mode_name().to_owned(),
+            mode: explorer.name().to_owned(),
             explored: tallies.len(),
             sim_us: tallies.iter().map(|&(sim_us, _)| sim_us).sum(),
             failures: FailureStats::from_failed_ops(tallies.iter().map(|&(_, failed)| failed)),
@@ -1303,7 +1368,7 @@ mod tests {
             };
             let slot = campaign.slots[0].lock();
             assert_eq!(slot.load.runs, claim, "{p} plans");
-            let peeked = campaign.disp.lock().peeked.as_ref().map(|((at, _), _)| *at);
+            let peeked = campaign.disp.lock().peeked.map(|(at, _)| at);
             assert_eq!(peeked, Some(claim), "{p} plans");
             let chunk = &slot.chunk;
             for (at, il) in product[..claim].iter().enumerate() {

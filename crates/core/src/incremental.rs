@@ -107,23 +107,16 @@ fn branches(lookahead: &[u32], resume: usize, branches: &mut Vec<u32>) -> (usize
     (low, true)
 }
 
-/// The replica states after some prefix: one block, built straight from
-/// the cursor's states and shared by `Arc` between the paths of different
-/// fault plans, beside its budget charge. The charge is carried by every
-/// path holding the block and released by the last one to drop it.
+/// The replica states after some prefix, in a block shared by `Arc` between
+/// the paths of different fault plans, beside its budget charge. The charge
+/// is carried by every path holding the block and released by the last one
+/// to drop it, which hands the block, emptied, to the next snapshot
+/// ([`PathCache::recycle`]).
 #[derive(Debug, Clone)]
 struct Snapshot<S> {
-    states: Arc<[S]>,
+    states: Arc<Vec<S>>,
     /// Budget charge for this snapshot (Σ `state_size_hint`, at least 1).
     bytes: usize,
-}
-
-impl<S> Snapshot<S> {
-    /// Whether no other path holds these states: dropping this handle
-    /// frees them, and their charge with them.
-    fn last(&self) -> bool {
-        Arc::strong_count(&self.states) == 1
-    }
 }
 
 /// One executed step of a path: `steps[d - 1]` is the step that took the
@@ -167,6 +160,11 @@ struct PathCache<S> {
     paths: Vec<Path<S>>,
     budget: usize,
     bytes_resident: usize,
+    /// The blocks of snapshots no path holds any more, emptied: the next
+    /// stores are built in them. Emptied, because a replica handle left in
+    /// a pooled block would keep its value shared, and the cursor's next
+    /// write to it would copy instead of writing in place.
+    free: Vec<Arc<Vec<S>>>,
 }
 
 /// How many of the leading `(event, fault digest)` keys — of a path's steps,
@@ -192,11 +190,23 @@ impl<S: Clone> PathCache<S> {
     /// Cuts the path in `slot` back to `len` steps, un-charging every
     /// snapshot no other plan's path still shares.
     fn truncate(&mut self, slot: usize, len: usize) {
-        let steps = &mut self.paths[slot].steps;
+        let mut steps = std::mem::take(&mut self.paths[slot].steps);
         for step in steps.drain(len.min(steps.len())..) {
-            if let Some(last) = step.snapshot.filter(Snapshot::last) {
-                self.bytes_resident -= last.bytes;
+            if let Some(snapshot) = step.snapshot {
+                self.recycle(snapshot);
             }
+        }
+        self.paths[slot].steps = steps;
+    }
+
+    /// Lets go of a path's handle on `snapshot`. The last one un-charges it
+    /// and pools its block, emptied, for [`PathCache::store`].
+    fn recycle(&mut self, snapshot: Snapshot<S>) {
+        let Snapshot { mut states, bytes } = snapshot;
+        if let Some(block) = Arc::get_mut(&mut states) {
+            self.bytes_resident -= bytes;
+            block.clear();
+            self.free.push(states);
         }
     }
 
@@ -263,10 +273,8 @@ impl<S: Clone> PathCache<S> {
     /// replicas.
     fn release(&mut self, slot: usize) {
         let last = self.paths[slot].steps.last_mut();
-        if let Some(last) = last.and_then(|step| step.snapshot.take()) {
-            if last.last() {
-                self.bytes_resident -= last.bytes;
-            }
+        if let Some(snapshot) = last.and_then(|step| step.snapshot.take()) {
+            self.recycle(snapshot);
         }
     }
 
@@ -299,8 +307,12 @@ impl<S: Clone> PathCache<S> {
             return None;
         }
         self.bytes_resident += bytes;
+        let mut block = self.free.pop().unwrap_or_default();
+        let held = Arc::get_mut(&mut block).expect("no path holds a pooled block");
+        held.reserve_exact(states.len());
+        held.extend_from_slice(states);
         Some(Snapshot {
-            states: Arc::from(states),
+            states: block,
             bytes,
         })
     }
@@ -455,6 +467,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
                 paths: Vec::new(),
                 budget,
                 bytes_resident: 0,
+                free: Vec::new(),
             },
             cursor: Cursor::default(),
             stats: CacheStats::default(),

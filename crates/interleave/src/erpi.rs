@@ -2,11 +2,13 @@
 
 use std::borrow::Cow;
 
-use er_pi_model::{Interleaving, Workload};
+use er_pi_model::{FaultPlan, Interleaving, Workload};
 
+use crate::explorer::fresh;
+use crate::independence::IndependentSet;
 use crate::{
-    failed_ops_canonical, group_events, independence_canonical, replica_specific_canonical,
-    sleep::SleepSet, Explorer, GroupedUnits, PruningConfig,
+    failed_ops_canonical, group_events, replica_specific_canonical, sleep::SleepSet, Explorer,
+    GroupedUnits, PruningConfig,
 };
 
 /// Per-algorithm pruning counters, observed while exploring.
@@ -137,6 +139,9 @@ pub struct ErPiExplorer<'w> {
     workload: Cow<'w, Workload>,
     config: PruningConfig,
     grouped: GroupedUnits,
+    /// The declared independent sets, indexed by event: built with the
+    /// explorer (so again on a State-4 reseed), read per candidate.
+    independent: Vec<IndependentSet>,
     perms: crate::Permutations,
     sleep: SleepSet,
     stats: PruneStats,
@@ -167,11 +172,17 @@ impl<'w> ErPiExplorer<'w> {
         } else {
             SleepSet::default()
         };
+        let independent = config
+            .independent_sets
+            .iter()
+            .map(|set| IndependentSet::new(set, &config.interference, workload.len()))
+            .collect();
         ErPiExplorer {
             workload,
             config: config.clone(),
             perms: crate::Permutations::new(grouped.len()),
             grouped,
+            independent,
             sleep,
             stats: PruneStats {
                 grouping_factor,
@@ -215,7 +226,8 @@ impl<'w> ErPiExplorer<'w> {
     /// Checks every configured canonical predicate, updating the per-filter
     /// count-in counters (and wall-time, when enabled); returns the name of
     /// the first filter that rejects, or `None` if the order is canonical.
-    fn rejecting_filter(&mut self, order: &[er_pi_model::EventId]) -> Option<&'static str> {
+    fn rejecting_filter(&mut self, il: &Interleaving) -> Option<&'static str> {
+        let order = il.as_slice();
         if let Some(target) = self.config.target_replica {
             self.stats.replica_specific_checked += 1;
             let t = self.timing.then(std::time::Instant::now);
@@ -227,14 +239,10 @@ impl<'w> ErPiExplorer<'w> {
                 return Some("replica-specific");
             }
         }
-        if !self.config.independent_sets.is_empty() {
+        if !self.independent.is_empty() {
             self.stats.independence_checked += 1;
             let t = self.timing.then(std::time::Instant::now);
-            let ok = self
-                .config
-                .independent_sets
-                .iter()
-                .all(|set| independence_canonical(order, set, &self.config.interference));
+            let ok = self.independent.iter().all(|set| set.is_canonical(order));
             if let Some(t) = t {
                 self.timings.independence_ns += t.elapsed().as_nanos() as u64;
             }
@@ -260,8 +268,7 @@ impl<'w> ErPiExplorer<'w> {
         if self.config.require_causal {
             self.stats.causal_checked += 1;
             let t = self.timing.then(std::time::Instant::now);
-            let il = Interleaving::new(order.to_vec());
-            let ok = self.workload.is_causally_valid(&il);
+            let ok = self.workload.is_causally_valid(il);
             if let Some(t) = t {
                 self.timings.causal_ns += t.elapsed().as_nanos() as u64;
             }
@@ -277,8 +284,22 @@ impl Iterator for ErPiExplorer<'_> {
     type Item = Interleaving;
 
     fn next(&mut self) -> Option<Interleaving> {
+        fresh(self)
+    }
+}
+
+impl Explorer for ErPiExplorer<'_> {
+    fn name(&self) -> &'static str {
+        "ER-π"
+    }
+
+    /// Flattens each candidate into `buf` and filters it there: a rejected
+    /// candidate is overwritten by the next.
+    fn fill(&mut self, buf: &mut Interleaving) -> bool {
         loop {
-            let perm = self.perms.step()?;
+            let Some(perm) = self.perms.step() else {
+                return false;
+            };
             // The sleep-set check runs on the raw unit permutation, before
             // the flatten: a pruned candidate never pays event-level work.
             if self.sleep.is_active() {
@@ -293,11 +314,14 @@ impl Iterator for ErPiExplorer<'_> {
                     continue;
                 }
             }
-            let order = self.grouped.flatten(perm);
-            match self.rejecting_filter(&order) {
+            let grouped = &self.grouped;
+            buf.refill(self.workload.len(), &FaultPlan::empty(), |order| {
+                grouped.flatten_into(perm, order);
+            });
+            match self.rejecting_filter(buf) {
                 None => {
                     self.stats.emitted += 1;
-                    return Some(Interleaving::new(order));
+                    return true;
                 }
                 Some("replica-specific") => self.stats.replica_specific_rejected += 1,
                 Some("independence") => self.stats.independence_rejected += 1,
@@ -306,12 +330,6 @@ impl Iterator for ErPiExplorer<'_> {
                 Some(other) => unreachable!("unknown filter {other}"),
             }
         }
-    }
-}
-
-impl Explorer for ErPiExplorer<'_> {
-    fn name(&self) -> &'static str {
-        "ER-π"
     }
 }
 

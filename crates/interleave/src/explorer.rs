@@ -2,7 +2,7 @@
 
 use std::collections::HashSet;
 
-use er_pi_model::{factorial, EventId, Interleaving, Workload};
+use er_pi_model::{factorial, EventId, FaultPlan, Interleaving, Workload};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -11,9 +11,11 @@ use crate::Permutations;
 
 /// A source of interleavings to replay.
 ///
-/// All explorers are plain iterators; [`Explorer::wasted_work`] additionally
-/// exposes mode-specific overhead (the Random explorer's shuffle retries),
-/// which feeds the simulated-time model of Figure 8b.
+/// All explorers are plain iterators; [`Explorer::fill`] is the same
+/// stream written into a buffer the caller keeps, which is how the replay
+/// engine draws it, and [`Explorer::wasted_work`] additionally exposes
+/// mode-specific overhead (the Random explorer's shuffle retries), which
+/// feeds the simulated-time model of Figure 8b.
 pub trait Explorer: Iterator<Item = Interleaving> {
     /// Short mode name for reports ("ER-π", "DFS", "Rand").
     fn name(&self) -> &'static str;
@@ -22,6 +24,37 @@ pub trait Explorer: Iterator<Item = Interleaving> {
     /// shuffles). Zero for systematic explorers.
     fn wasted_work(&self) -> u64 {
         0
+    }
+
+    /// Writes the next interleaving — the one [`Iterator::next`] would
+    /// return — over `buf`'s order and plan ([`Interleaving::refill`]), so
+    /// that a caller dispensing into the same buffers allocates nothing per
+    /// interleaving. Returns `false` once the explorer is exhausted; `buf`
+    /// then holds nothing meaningful. An explorer's `next` is this, into a
+    /// fresh buffer.
+    fn fill(&mut self, buf: &mut Interleaving) -> bool;
+}
+
+/// [`Iterator::next`] of an [`Explorer`]: its [`fill`](Explorer::fill)
+/// into a fresh buffer.
+pub(crate) fn fresh(explorer: &mut impl Explorer) -> Option<Interleaving> {
+    let mut il = Interleaving::default();
+    explorer.fill(&mut il).then_some(il)
+}
+
+/// Moves `inner`'s next item into `buf`: what a wrapper that is generic
+/// over any iterator of interleavings pulls with where it cannot
+/// [`fill`](Explorer::fill).
+pub(crate) fn pull_next<I>(inner: &mut I, buf: &mut Interleaving) -> bool
+where
+    I: Iterator<Item = Interleaving>,
+{
+    match inner.next() {
+        Some(next) => {
+            *buf = next;
+            true
+        }
+        None => false,
     }
 }
 
@@ -105,14 +138,24 @@ impl Iterator for DfsExplorer {
     type Item = Interleaving;
 
     fn next(&mut self) -> Option<Interleaving> {
-        let perm = self.perms.step()?;
-        Some(perm.iter().map(|&i| self.ids[i]).collect())
+        fresh(self)
     }
 }
 
 impl Explorer for DfsExplorer {
     fn name(&self) -> &'static str {
         "DFS"
+    }
+
+    fn fill(&mut self, buf: &mut Interleaving) -> bool {
+        let Some(perm) = self.perms.step() else {
+            return false;
+        };
+        let ids = &self.ids;
+        buf.refill(perm.len(), &FaultPlan::empty(), |order| {
+            order.extend(perm.iter().map(|&i| ids[i]));
+        });
+        true
     }
 }
 
@@ -154,18 +197,7 @@ impl Iterator for RandomExplorer {
     type Item = Interleaving;
 
     fn next(&mut self) -> Option<Interleaving> {
-        if (self.seen.len() as u128) >= self.total {
-            return None; // the whole space has been emitted
-        }
-        loop {
-            let mut order = self.ids.clone();
-            order.shuffle(&mut self.rng);
-            let candidate = Interleaving::new(order);
-            if self.seen.insert(candidate.fingerprint()) {
-                return Some(candidate);
-            }
-            self.retries += 1;
-        }
+        fresh(self)
     }
 }
 
@@ -176,6 +208,24 @@ impl Explorer for RandomExplorer {
 
     fn wasted_work(&self) -> u64 {
         self.retries
+    }
+
+    fn fill(&mut self, buf: &mut Interleaving) -> bool {
+        if (self.seen.len() as u128) >= self.total {
+            return false; // the whole space has been emitted
+        }
+        loop {
+            // A retry reshuffles in the same buffer.
+            let (ids, rng) = (&self.ids, &mut self.rng);
+            buf.refill(ids.len(), &FaultPlan::empty(), |order| {
+                order.extend_from_slice(ids);
+                order.shuffle(rng);
+            });
+            if self.seen.insert(buf.fingerprint()) {
+                return true;
+            }
+            self.retries += 1;
+        }
     }
 }
 

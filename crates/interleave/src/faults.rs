@@ -19,6 +19,7 @@
 
 use er_pi_model::{EventId, FaultEvent, FaultKind, FaultPlan, Interleaving, Workload};
 
+use crate::explorer::pull_next;
 use crate::Explorer;
 
 /// The configurable fault budget: which faults to schedule, where, and how
@@ -235,17 +236,24 @@ pub fn enumerate_plans(workload: &Workload, space: &FaultSpace) -> Vec<FaultPlan
 ///
 /// For each base order pulled from the inner explorer, emits that order once
 /// per plan (plan-minor). With the single empty plan this is a transparent
-/// pass-through — emitted interleavings are bit-identical to the inner
-/// explorer's, so the fault-free pipeline is unchanged.
+/// pass-through — emitted interleavings are equal to the inner explorer's,
+/// so the fault-free pipeline is unchanged.
+///
+/// The base order is kept in a buffer of the product's own, copied into
+/// each of its plans' items but the last, which takes the buffer: over an
+/// [`Explorer`], [`Explorer::fill`] refills the buffers in place and
+/// allocates nothing.
 #[derive(Debug)]
 pub struct FaultProduct<I> {
     inner: I,
     plans: Vec<FaultPlan>,
-    current: Option<Interleaving>,
+    /// The base order the product is on.
+    base: Interleaving,
+    /// The plan of the next item; 0 when it opens a new base order.
     next_plan: usize,
 }
 
-impl<I: Iterator<Item = Interleaving>> FaultProduct<I> {
+impl<I> FaultProduct<I> {
     /// Wraps `inner`, emitting each of its orders under each of `plans`.
     /// An empty plan list behaves like the single fault-free plan.
     pub fn new(inner: I, mut plans: Vec<FaultPlan>) -> Self {
@@ -255,7 +263,7 @@ impl<I: Iterator<Item = Interleaving>> FaultProduct<I> {
         FaultProduct {
             inner,
             plans,
-            current: None,
+            base: Interleaving::default(),
             next_plan: 0,
         }
     }
@@ -274,26 +282,44 @@ impl<I: Iterator<Item = Interleaving>> FaultProduct<I> {
     pub fn plan_count(&self) -> usize {
         self.plans.len()
     }
+
+    /// The product's one rule: `pull` refills the base buffer from the
+    /// inner explorer when a new base order is due, and `buf` becomes the
+    /// base order under the next plan — a copy, except for the base order's
+    /// last plan, which takes the base buffer itself and leaves the
+    /// product `buf`'s to refill. A one-plan product thus passes its
+    /// explorer's orders through without copying them.
+    fn fill_with(
+        &mut self,
+        buf: &mut Interleaving,
+        pull: impl FnOnce(&mut I, &mut Interleaving) -> bool,
+    ) -> bool {
+        if self.next_plan == 0 && !pull(&mut self.inner, &mut self.base) {
+            return false;
+        }
+        // `new` leaves at least one plan.
+        let plan = &self.plans[self.next_plan];
+        self.next_plan = (self.next_plan + 1) % self.plans.len();
+        match self.next_plan {
+            0 => {
+                std::mem::swap(buf, &mut self.base);
+                *buf = std::mem::take(buf).with_faults(plan.clone());
+            }
+            _ => {
+                let base = self.base.as_slice();
+                buf.refill(base.len(), plan, |order| order.extend_from_slice(base));
+            }
+        }
+        true
+    }
 }
 
 impl<I: Iterator<Item = Interleaving>> Iterator for FaultProduct<I> {
     type Item = Interleaving;
 
     fn next(&mut self) -> Option<Interleaving> {
-        if self.current.is_none() {
-            self.current = Some(self.inner.next()?);
-            self.next_plan = 0;
-        }
-        // `new` leaves at least one plan, so a fresh base always has one.
-        let plan = self.plans[self.next_plan].clone();
-        self.next_plan += 1;
-        // The last plan takes the base order itself: the fault-free product
-        // hands the explorer's interleavings through without copying them.
-        let base = match self.next_plan == self.plans.len() {
-            true => self.current.take(),
-            false => self.current.clone(),
-        };
-        base.map(|order| order.with_faults(plan))
+        let mut il = Interleaving::default();
+        self.fill_with(&mut il, pull_next).then_some(il)
     }
 }
 
@@ -304,6 +330,10 @@ impl<I: Explorer> Explorer for FaultProduct<I> {
 
     fn wasted_work(&self) -> u64 {
         self.inner.wasted_work()
+    }
+
+    fn fill(&mut self, buf: &mut Interleaving) -> bool {
+        self.fill_with(buf, I::fill)
     }
 }
 

@@ -50,14 +50,20 @@ impl GroupedUnits {
     ///
     /// Panics if `perm` is not a permutation of `0..len()`.
     pub fn flatten(&self, perm: &[usize]) -> Vec<EventId> {
-        assert_eq!(perm.len(), self.units.len(), "not a unit permutation");
         // Sized up front: `flat_map` has no useful size hint, so collecting
         // it grows the order by reallocation.
         let mut order = Vec::with_capacity(self.events);
+        self.flatten_into(perm, &mut order);
+        order
+    }
+
+    /// [`flatten`](GroupedUnits::flatten), appending to `order`: the ER-π
+    /// explorer flattens into the buffer it dispenses.
+    pub(crate) fn flatten_into(&self, perm: &[usize], order: &mut Vec<EventId>) {
+        assert_eq!(perm.len(), self.units.len(), "not a unit permutation");
         for &u in perm {
             order.extend_from_slice(&self.units[u]);
         }
-        order
     }
 }
 

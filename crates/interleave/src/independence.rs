@@ -7,8 +7,6 @@
 //! the representative where the independent events appear in ascending
 //! event-id order.
 
-use std::collections::HashSet;
-
 use er_pi_model::EventId;
 
 /// Returns `true` if `order` is the canonical representative of its
@@ -19,6 +17,9 @@ use er_pi_model::EventId;
 /// Algorithm 3). If an interfering event sits between the first and last
 /// independent event, the class collapses to singletons (everything is
 /// canonical — no merging).
+///
+/// This indexes the set by event and asks the index; the ER-π explorer
+/// builds one index per declared set, once, and asks it per candidate.
 ///
 /// ```
 /// use er_pi_interleave::independence_canonical;
@@ -40,39 +41,83 @@ pub fn independence_canonical(
     independent: &[EventId],
     interference: &[(EventId, EventId)],
 ) -> bool {
-    // Index the declared set and its interferers once, so the scan over
-    // `order` is linear instead of rescanning both slices per event.
-    let members: HashSet<EventId> = independent.iter().copied().collect();
+    let bound = order.iter().map(|id| id.index() + 1).max().unwrap_or(0);
+    IndependentSet::new(independent, interference, bound).is_canonical(order)
+}
 
-    // Positions of the independent events actually present.
-    let mut positions: Vec<(usize, EventId)> = Vec::new();
-    for (pos, &id) in order.iter().enumerate() {
-        if members.contains(&id) {
-            positions.push((pos, id));
+/// What an event is to one declared independent set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Role {
+    #[default]
+    Neither,
+    Member,
+    /// Interferes with a member and is not one itself.
+    Interferer,
+}
+
+/// One declared independent set, indexed by event: its members, and the
+/// events that interfere with one of them. Built once from the pruning
+/// configuration, it answers [`independence_canonical`] in one pass over
+/// the order, with no allocation.
+#[derive(Debug, Clone)]
+pub(crate) struct IndependentSet {
+    /// `roles[id.index()]`, for the ids below the bound it was built for.
+    roles: Vec<Role>,
+}
+
+impl IndependentSet {
+    /// Indexes `independent` and its interferers among the events whose
+    /// index is below `bound` — every id an order checked against it holds
+    /// (a workload's length; ids past it never show in an order).
+    pub(crate) fn new(
+        independent: &[EventId],
+        interference: &[(EventId, EventId)],
+        bound: usize,
+    ) -> Self {
+        let mut roles = vec![Role::Neither; bound];
+        for id in independent {
+            if let Some(role) = roles.get_mut(id.index()) {
+                *role = Role::Member;
+            }
         }
-    }
-    if positions.len() < 2 {
-        return true;
-    }
-    let first = positions[0].0;
-    let last = positions[positions.len() - 1].0;
-
-    // Events that interfere with some member of the set.
-    let interferers: HashSet<EventId> = interference
-        .iter()
-        .filter(|&&(_, y)| members.contains(&y))
-        .map(|&(x, _)| x)
-        .collect();
-
-    // Check the in-between events for interference.
-    for &id in &order[first..=last] {
-        if !members.contains(&id) && interferers.contains(&id) {
-            return true; // merge blocked: every order stays distinct
+        // A member absent from every order still makes its interferers
+        // block: membership is the declaration's, not the index's.
+        for (x, y) in interference {
+            if independent.contains(y) {
+                if let Some(role @ Role::Neither) = roles.get_mut(x.index()) {
+                    *role = Role::Interferer;
+                }
+            }
         }
+        IndependentSet { roles }
     }
 
-    // Canonical: ascending id order among the independent events.
-    positions.windows(2).all(|w| w[0].1 < w[1].1)
+    fn role(&self, id: EventId) -> Role {
+        self.roles.get(id.index()).copied().unwrap_or_default()
+    }
+
+    /// [`independence_canonical`] for this set: an interferer between two
+    /// members blocks the merge (canonical); otherwise the members must
+    /// appear in strictly ascending id order.
+    pub(crate) fn is_canonical(&self, order: &[EventId]) -> bool {
+        let mut last: Option<EventId> = None;
+        let mut ascending = true;
+        // An interferer seen since the last member: blocking, if another
+        // member follows.
+        let mut between = false;
+        for &id in order {
+            match self.role(id) {
+                Role::Member if between => return true,
+                Role::Member => {
+                    ascending &= last.is_none_or(|prev| prev < id);
+                    last = Some(id);
+                }
+                Role::Interferer => between = last.is_some(),
+                Role::Neither => {}
+            }
+        }
+        ascending
+    }
 }
 
 #[cfg(test)]

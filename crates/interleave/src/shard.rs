@@ -27,6 +27,9 @@ use std::collections::HashSet;
 
 use er_pi_model::Interleaving;
 
+use crate::explorer::pull_next;
+use crate::Explorer;
+
 /// A capping, index-stamping wrapper around an explorer — deduplicating
 /// too, when it was [made reseedable](IndexedSource::make_reseedable).
 ///
@@ -57,6 +60,10 @@ use er_pi_model::Interleaving;
 /// assert!(source.next().is_none());
 /// assert!(!source.truncated(), "the space ran dry before the cap");
 /// ```
+///
+/// Over an [`Explorer`], [`IndexedSource::fill`] dispenses the same stream
+/// into a buffer the caller keeps: the replay engine's slots refill theirs
+/// claim after claim.
 #[derive(Debug)]
 pub struct IndexedSource<I> {
     inner: I,
@@ -66,6 +73,47 @@ pub struct IndexedSource<I> {
     next_index: usize,
     cap: usize,
     truncated: bool,
+}
+
+impl<I> IndexedSource<I> {
+    /// The dispensing rule, once: `pull` writes candidates from the
+    /// explorer into `buf` until one may go out, whose index it returns.
+    fn dispense(
+        &mut self,
+        buf: &mut Interleaving,
+        mut pull: impl FnMut(&mut I, &mut Interleaving) -> bool,
+    ) -> Option<usize> {
+        if self.truncated {
+            return None;
+        }
+        loop {
+            if !pull(&mut self.inner, buf) {
+                return None;
+            }
+            if self.next_index >= self.cap {
+                self.truncated = true;
+                return None;
+            }
+            if let Some(seen) = &mut self.seen {
+                if !seen.insert(buf.fingerprint()) {
+                    continue;
+                }
+            }
+            let index = self.next_index;
+            self.next_index += 1;
+            return Some(index);
+        }
+    }
+}
+
+impl<I: Explorer> IndexedSource<I> {
+    /// [`Iterator::next`], written over `buf` ([`Explorer::fill`]) instead
+    /// of into a fresh interleaving: the index dispensed, or `None` (and
+    /// `buf` holding nothing meaningful) once the source is done. The cap
+    /// is probed the same way: the candidate past it is still drawn.
+    pub fn fill(&mut self, buf: &mut Interleaving) -> Option<usize> {
+        self.dispense(buf, I::fill)
+    }
 }
 
 impl<I: Iterator<Item = Interleaving>> IndexedSource<I> {
@@ -175,24 +223,9 @@ impl<I: Iterator<Item = Interleaving>> Iterator for IndexedSource<I> {
     type Item = (usize, Interleaving);
 
     fn next(&mut self) -> Option<(usize, Interleaving)> {
-        if self.truncated {
-            return None;
-        }
-        loop {
-            let il = self.inner.next()?;
-            if self.next_index >= self.cap {
-                self.truncated = true;
-                return None;
-            }
-            if let Some(seen) = &mut self.seen {
-                if !seen.insert(il.fingerprint()) {
-                    continue;
-                }
-            }
-            let index = self.next_index;
-            self.next_index += 1;
-            return Some((index, il));
-        }
+        let mut il = Interleaving::default();
+        let index = self.dispense(&mut il, pull_next)?;
+        Some((index, il))
     }
 }
 

@@ -53,7 +53,118 @@ fn sort_constrained(order: &[EventId], constrained: &[EventId]) -> Vec<EventId> 
     out
 }
 
+/// Algorithm 3 read straight off its definition, with no index: the
+/// positions of the set's members in `order`; an event between the first
+/// and the last of them that is not a member and interferes with one
+/// blocks the merge; otherwise the members must ascend strictly.
+fn naive_independence(
+    order: &[EventId],
+    independent: &[EventId],
+    interference: &[(EventId, EventId)],
+) -> bool {
+    let positions: Vec<usize> = (0..order.len())
+        .filter(|&at| independent.contains(&order[at]))
+        .collect();
+    let (Some(&first), Some(&last)) = (positions.first(), positions.last()) else {
+        return true;
+    };
+    let interferes = |id: EventId| {
+        !independent.contains(&id)
+            && interference
+                .iter()
+                .any(|&(x, y)| x == id && independent.contains(&y))
+    };
+    if order[first..=last].iter().any(|&id| interferes(id)) {
+        return true;
+    }
+    positions.windows(2).all(|w| order[w[0]] < order[w[1]])
+}
+
+/// `(x, y)`: `x` interferes with independent event `y`.
+type Interference = (EventId, EventId);
+
+fn ids(raw: Vec<u32>) -> Vec<EventId> {
+    raw.into_iter().map(e).collect()
+}
+
+/// The corners a random draw may miss, each against the naive rule.
+#[test]
+fn indexed_independence_matches_the_naive_rule_at_the_corners() {
+    let order = [e(1), e(3), e(0), e(2)];
+    let cases: [(&[EventId], &[Interference]); 7] = [
+        // Members absent from the order, and an empty set.
+        (&[e(7), e(9)], &[]),
+        (&[], &[]),
+        (&[], &[(e(3), e(1))]),
+        // Duplicate members.
+        (&[e(2), e(1), e(2), e(1)], &[]),
+        // An interferer that is itself a member does not block.
+        (&[e(1), e(3), e(2)], &[(e(3), e(2))]),
+        // An interferer of a member absent from the order still blocks.
+        (&[e(0), e(1), e(9)], &[(e(3), e(9))]),
+        // An interferer of nothing in the set does not.
+        (&[e(1), e(2)], &[(e(3), e(7))]),
+    ];
+    for (set, interference) in cases {
+        assert_eq!(
+            independence_canonical(&order, set, interference),
+            naive_independence(&order, set, interference),
+            "{set:?} with {interference:?}"
+        );
+    }
+    // A repeated member in the order is not ascending past itself.
+    let repeated = [e(0), e(1), e(1)];
+    assert!(!independence_canonical(&repeated, &[e(0), e(1)], &[]));
+    assert!(!naive_independence(&repeated, &[e(0), e(1)], &[]));
+}
+
 proptest! {
+    /// The indexed independence check is the naive rule, over orders that
+    /// may repeat or skip ids, sets that may hold ids the order lacks and
+    /// repeat their own, and interference lists whose interferers may be
+    /// members.
+    #[test]
+    fn indexed_independence_matches_the_naive_rule(
+        order in proptest::collection::vec(0u32..10, 0..12),
+        set in proptest::collection::vec(0u32..12, 0..6),
+        interference in proptest::collection::vec((0u32..12, 0u32..12), 0..5),
+    ) {
+        let (order, set) = (ids(order), ids(set));
+        let interference: Vec<(EventId, EventId)> =
+            interference.into_iter().map(|(x, y)| (e(x), e(y))).collect();
+        prop_assert_eq!(
+            independence_canonical(&order, &set, &interference),
+            naive_independence(&order, &set, &interference)
+        );
+    }
+
+    /// The ER-π explorer's own index (built once, bounded by the workload)
+    /// keeps exactly the orders the naive rule accepts: ungrouped, its
+    /// stream is DFS's, filtered.
+    #[test]
+    fn the_explorers_independence_index_matches_the_naive_rule(
+        n in 2usize..6,
+        set in proptest::collection::vec(0u32..8, 0..5),
+        interference in proptest::collection::vec((0u32..8, 0u32..8), 0..4),
+    ) {
+        let w = flat_workload(n);
+        let set = ids(set);
+        let interference: Vec<(EventId, EventId)> =
+            interference.into_iter().map(|(x, y)| (e(x), e(y))).collect();
+        let config = PruningConfig {
+            disable_grouping: true,
+            independent_sets: vec![set.clone()],
+            interference: interference.clone(),
+            ..PruningConfig::default()
+        };
+        let emitted: Vec<_> = ErPiExplorer::new(&w, &config).collect();
+        let expected: Vec<_> = DfsExplorer::new(&w)
+            .filter(|il| naive_independence(il.as_slice(), &set, &interference))
+            .collect();
+        prop_assert_eq!(emitted, expected);
+    }
+
+
     /// Independence: every rejected order has an accepted representative,
     /// and the survivor count is exactly n!/|S|! (no interference).
     #[test]

@@ -16,7 +16,10 @@ use crate::{EventId, FaultPlan, LamportTimestamp, Workload};
 /// assert_eq!(il.position(EventId::new(0)), Some(1));
 /// assert_eq!(il.to_string(), "⟨e2 e0 e1⟩");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// `Default` is the empty order, fault-free: a buffer to
+/// [`refill`](Interleaving::refill), or what `mem::take` leaves behind.
+#[derive(Debug, Default, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Interleaving {
     order: Vec<EventId>,
     /// The fault schedule this order runs under. Part of the run identity:
@@ -45,6 +48,36 @@ impl Interleaving {
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
+    }
+
+    /// Rewrites this interleaving in place: `write` appends the new order
+    /// of `len` events to the emptied order, and the plan becomes `faults`.
+    ///
+    /// The order keeps its allocation, so an explorer that dispenses into
+    /// the same buffer run after run allocates nothing; an empty buffer
+    /// grows to exactly `len`, so an order taken out of it with
+    /// `mem::take` carries no spare capacity.
+    ///
+    /// ```
+    /// use er_pi_model::{EventId, FaultPlan, Interleaving};
+    ///
+    /// let mut buf = Interleaving::default();
+    /// buf.refill(3, &FaultPlan::empty(), |order| {
+    ///     order.extend([2, 0, 1].map(EventId::new));
+    /// });
+    /// assert_eq!(buf.to_string(), "⟨e2 e0 e1⟩");
+    /// ```
+    pub fn refill(
+        &mut self,
+        len: usize,
+        faults: &FaultPlan,
+        write: impl FnOnce(&mut Vec<EventId>),
+    ) {
+        self.order.clear();
+        self.order.reserve_exact(len);
+        write(&mut self.order);
+        debug_assert_eq!(self.order.len(), len, "the order written is `len` long");
+        self.faults.clone_from(faults);
     }
 
     /// The fault schedule this order runs under.
@@ -360,6 +393,29 @@ mod tests {
             assert_eq!(scratch, source);
             assert_eq!(scratch.fingerprint(), source.fingerprint());
         }
+    }
+
+    #[test]
+    fn refill_overwrites_order_and_plan_in_place() {
+        use crate::{FaultEvent, FaultKind, FaultPlan};
+        let plan = FaultPlan::new(vec![FaultEvent::new(EventId::new(1), FaultKind::Drop)]);
+        let mut buf = ids(&[3, 2, 1, 0]).with_faults(plan.clone());
+        let at = buf.as_slice().as_ptr();
+        buf.refill(2, &FaultPlan::empty(), |order| {
+            order.extend([EventId::new(1), EventId::new(0)])
+        });
+        assert_eq!(buf, ids(&[1, 0]));
+        assert_eq!(buf.as_slice().as_ptr(), at, "the order kept its block");
+        buf.refill(3, &plan, |order| order.extend((0..3).map(EventId::new)));
+        assert_eq!(buf, ids(&[0, 1, 2]).with_faults(plan));
+        let taken = std::mem::take(&mut buf);
+        assert_eq!(buf, Interleaving::default());
+        let mut fresh = Interleaving::default();
+        fresh.refill(3, taken.faults(), |order| {
+            order.extend_from_slice(taken.as_slice())
+        });
+        assert_eq!(fresh, taken);
+        assert_eq!(fresh.into_inner().capacity(), 3, "no spare capacity");
     }
 
     #[test]

@@ -176,11 +176,14 @@ impl<T> Deref for Shared<T> {
 }
 
 impl<T: Clone> DerefMut for Shared<T> {
+    /// Copies into the retired value only when the live one is shared. No
+    /// handle ever makes a `Weak`, so a strong count of one means this
+    /// handle holds its value alone, and no other can start sharing it
+    /// meanwhile: the write then stays in place behind one atomic
+    /// read-modify-write (`make_mut`'s) and keeps the spare.
     fn deref_mut(&mut self) -> &mut T {
-        if let Some(mut spare) = self.retired.take() {
-            if Arc::get_mut(&mut self.live).is_some() {
-                self.retired = Some(spare);
-            } else {
+        if self.retired.is_some() && Arc::strong_count(&self.live) > 1 {
+            if let Some(mut spare) = self.retired.take() {
                 let copy = Arc::get_mut(&mut spare).expect("no other handle sees a retired value");
                 copy.value.clone_from(&self.live.value);
                 self.live = spare;
@@ -339,6 +342,43 @@ mod tests {
         a.push(6);
         assert_eq!(&*a as *const Vec<i64>, spare);
         assert_eq!((&*base, &*a, &*b), (&vec![1], &vec![1, 6], &vec![1, 3]));
+    }
+
+    /// A handle holding its value alone and a retired one besides: the
+    /// write stays in the live value, and the spare stays for later.
+    #[test]
+    fn a_unique_handle_with_a_retired_value_writes_in_place_and_keeps_its_spare() {
+        let base = Shared::new(vec![1i64]);
+        let mut a = base.clone();
+        a.push(2);
+        let spare: *const Inner<Vec<i64>> = Arc::as_ptr(&a.live);
+        a.clone_from(&Shared::new(vec![9i64]));
+        assert_eq!(a.retired.as_ref().map(Arc::as_ptr), Some(spare));
+        let live: *const Inner<Vec<i64>> = Arc::as_ptr(&a.live);
+        a.push(10);
+        assert_eq!(Arc::as_ptr(&a.live), live, "written in place");
+        assert_eq!(
+            a.retired.as_ref().map(Arc::as_ptr),
+            Some(spare),
+            "spare kept"
+        );
+        assert_eq!((&*a, &*base), (&vec![9, 10], &vec![1]));
+    }
+
+    /// A handle sharing its value with another and holding a retired one:
+    /// the write copies into the spare, which becomes the live value.
+    #[test]
+    fn a_shared_handle_with_a_retired_value_copies_into_the_spare() {
+        let base = Shared::new(vec![1i64, 2]);
+        let mut a = base.clone();
+        a.push(3);
+        let spare: *const Inner<Vec<i64>> = Arc::as_ptr(&a.live);
+        a.clone_from(&base);
+        assert!(Shared::ptr_eq(&a, &base));
+        a.push(4);
+        assert_eq!(Arc::as_ptr(&a.live), spare, "the copy went into the spare");
+        assert!(a.retired.is_none(), "the spare is live now");
+        assert_eq!((&*a, &*base), (&vec![1, 2, 4], &vec![1, 2]));
     }
 
     #[test]

@@ -201,15 +201,23 @@ impl SystemModel for RoshiModel {
                 states[to.index()].inbox.push_back(ops);
                 OpOutcome::Applied
             }
-            EventKind::SyncExec { .. } => match states[at].inbox.pop_front() {
-                Some(ops) => {
-                    for op in &ops {
-                        states[at].store.apply(op);
+            EventKind::SyncExec { .. } => {
+                // One write access to the replica, and one to its store,
+                // for the whole batch.
+                let replica = &mut *states[at];
+                match replica.inbox.pop_front() {
+                    Some(ops) => {
+                        if !ops.is_empty() {
+                            let store = &mut *replica.store;
+                            for op in &ops {
+                                store.apply(op);
+                            }
+                        }
+                        OpOutcome::Applied
                     }
-                    OpOutcome::Applied
+                    None => OpOutcome::failed("sync exec before any send arrived"),
                 }
-                None => OpOutcome::failed("sync exec before any send arrived"),
-            },
+            }
             EventKind::External { label } => {
                 OpOutcome::failed(format!("unsupported external event {label}"))
             }

@@ -1,6 +1,7 @@
 //! A snapshot of any shipped subject allocates one block: the array that
-//! holds one pointer per replica (a path keeps it beside its reference
-//! count, in the same block). Everything else the incremental executor, the
+//! holds one pointer per replica (a path copies it into the emptied block of
+//! a snapshot no path holds any more, so there it allocates nothing once the
+//! campaign is under way). Everything else the incremental executor, the
 //! subsumption memo and a stitched tail do with replica states is a
 //! `clone()` of exactly this kind, so this is the number their cost rests
 //! on. What they do with an outcome is a `clone()` too, and that allocates
@@ -435,10 +436,13 @@ fn an_attached_registry_allocates_nothing_per_run() {
 /// worker, session defaults.
 ///
 /// DFS order resumes 73 % of its events from snapshots, so nearly every
-/// applied event first copies the replica it writes; it measures 7.62 now
-/// that a sync between OR-sets walks the sender's log in place instead of
-/// shipping a delta `Vec`, and the snapshot a run resumes from is dropped on
-/// its last use even when the next run shares more (8.69 once an issue was
+/// applied event first copies the replica it writes; it measures 6.69 now
+/// that the dispenser writes each interleaving over a buffer its slot keeps
+/// and a snapshot is built in the emptied block of one no path holds any
+/// more (7.62 once a sync between OR-sets walked the sender's log in place
+/// instead of shipping a delta `Vec`, and the snapshot a run resumes from
+/// was dropped on its last use even when the next run shares more; 8.69
+/// once an issue was
 /// the handle of the argument that added it and a transmit
 /// built one list its outcome and its replica share; 12.16 while each add,
 /// remove and transmit copied the issue strings, once the copy went into the
@@ -451,13 +455,15 @@ fn an_attached_registry_allocates_nothing_per_run() {
 /// 99 % of its events to states no snapshot holds and shares next to
 /// nothing with the run before it, so it is the pin on what sharing — of
 /// structures and of buffers — costs where there is nothing to share:
-/// 8.02 (9.87, 17.58, 24.85, 25.70, 29.65, 40.35).
+/// 7.41, a retried shuffle redrawn in the same buffer (8.02, 9.87, 17.58,
+/// 24.85, 25.70, 29.65, 40.35).
 ///
 /// Under default retention a run leaves a `(sim_us, failed_ops)` row and
 /// nothing else — no `observe`, no `RunRecord`. With `keep_runs` every run
 /// builds its record (interleaving + observations): no benchmark workload
-/// takes that path, so this is what holds it (14.00; 15.07, 22.60, 29.97,
-/// 30.63, 35.74).
+/// takes that path, so this is what holds it: 13.28, the record taking its
+/// run's interleaving out of the slot's buffer, which the next claim
+/// refills (14.00; 15.07, 22.60, 29.97, 30.63, 35.74).
 #[test]
 fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
     let blocks_per_run = |mode: ExploreMode, keep_runs: bool| {
@@ -479,9 +485,9 @@ fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
     let dfs = blocks_per_run(ExploreMode::Dfs, false);
     let random = blocks_per_run(ExploreMode::Random { seed: 7 }, false);
     let kept = blocks_per_run(ExploreMode::Dfs, true);
-    assert!(dfs <= 7.7, "DFS order: {dfs} blocks per run");
-    assert!(random <= 8.1, "Random order: {random} blocks per run");
-    assert!(kept <= 14.2, "keep_runs: {kept} blocks per run");
+    assert!(dfs <= 6.75, "DFS order: {dfs} blocks per run");
+    assert!(random <= 7.5, "Random order: {random} blocks per run");
+    assert!(kept <= 13.4, "keep_runs: {kept} blocks per run");
 }
 
 /// Blocks per run of `benchmark/`'s `fault-subsume` campaign: the same town
@@ -489,10 +495,13 @@ fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
 /// state-hash subsumption, capped at 10 000, one worker.
 ///
 /// Nine in ten of its runs are answered from the explored-set, so much of
-/// what a run costs there is what recording it costs. It measures 4.12 now
-/// that a claim holds whole base orders (27 runs) and each faulted run
-/// snapshots only where the next runs of its own plan branch off, the
-/// fault-free plan keeping every depth for the others to borrow; 5.23
+/// what a run costs there is what recording it costs. It measures 3.52 now
+/// that the product writes its base order into the slot's buffers instead
+/// of cloning it for each plan, and a snapshot reuses the emptied block of
+/// one no path holds; 4.12 once a claim held whole base orders (27 runs)
+/// and each faulted run snapshotted only where the next runs of its own
+/// plan branch off, the fault-free plan keeping every depth for the others
+/// to borrow; 5.23
 /// while every run kept every depth, once a sync between OR-sets applied
 /// the sender's log in place; 5.43 once
 /// an issue string was shared by the argument, the set and the
@@ -527,7 +536,7 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
     let stats = report.cache_stats.expect("subsuming replay reports stats");
     assert!(stats.subsumed > 9_000, "{} runs subsumed", stats.subsumed);
     let per_run = blocks as f64 / report.explored as f64;
-    assert!(per_run <= 4.2, "fault-subsume: {per_run} blocks per run");
+    assert!(per_run <= 3.6, "fault-subsume: {per_run} blocks per run");
 }
 
 /// Blocks per run of `benchmark/`'s `catalogue` sweep: the twelve bugs of
@@ -536,10 +545,14 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
 ///
 /// Every run ends in the bug's check, pass or fail, so this is the pin on
 /// what a check costs: it reads the replica states in place and formats its
-/// symptom only when the bug manifested. It measures 12.77 blocks per run
-/// now that a run snapshots only the depths a later run of its chunk
+/// symptom only when the bug manifested. It measures 10.68 blocks per run
+/// now that ER-π flattens each candidate into the slot's buffer, its
+/// independence filter reads a per-set index built with the explorer
+/// instead of two hash sets per candidate (ReplicaDB-1 and -2 fall by 3.8
+/// and 3.5), and a snapshot reuses the emptied block of one no path holds;
+/// 12.77 once a run snapshotted only the depths a later run of its chunk
 /// branches off at (no depth inside one of ER-π's grouped units) and a
-/// Yorkie update reads its path and its object in place; 15.44 once a
+/// Yorkie update read its path and its object in place; 15.44 once a
 /// string was allocated once and shared — a `Value::Str`, a
 /// time-series key or member, a document path segment — and a Merkle
 /// entry's hash streamed its fields instead of rendering them; 24.72 while
@@ -552,15 +565,18 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
 ///
 /// The sweep-wide figure averages one bug's regression away, so the two
 /// bugs that allocate most per run are pinned on their own. Roshi-3 (the
-/// bulk of the benchmark's time to first violation) measures 13.43, half
-/// its snapshots gone with the depths inside its units (18.50 once its
+/// bulk of the benchmark's time to first violation) measures 11.65 (13.43
+/// while each run's interleaving and each snapshot were blocks of their
+/// own, half its snapshots gone with the depths inside its units; 18.50
+/// once its
 /// store kept the recorded argument strings by handle; 53.34 while each
 /// insert or delete copied its key and member twice, each cell write copied
 /// the key again, and every copy of the store or a page copied the strings
-/// it held). Yorkie-1 measures 20.88: a local update hands its path to the
-/// document from the stack and reads an object's keys and fields in place
-/// (23.25 once its array elements and ops shared their strings and a path
-/// was the document's own key handles; 39.68).
+/// it held). Yorkie-1 measures 19.40 (20.88 while each run's interleaving
+/// and each snapshot were blocks of their own, once a local update handed
+/// its path to the document from the stack and read an object's keys and
+/// fields in place; 23.25 once its array elements and ops shared their
+/// strings and a path was the document's own key handles; 39.68).
 #[test]
 fn the_catalogue_sweep_allocates_a_pinned_number_of_blocks_per_run() {
     let config = ReplayConfig {
@@ -578,7 +594,7 @@ fn the_catalogue_sweep_allocates_a_pinned_number_of_blocks_per_run() {
     }
     assert_eq!(runs, 92_160, "the sweep is fixed");
     let per_run = blocks as f64 / runs as f64;
-    assert!(per_run <= 12.9, "catalogue: {per_run} blocks per run");
+    assert!(per_run <= 10.8, "catalogue: {per_run} blocks per run");
     let bug = |name: &str| {
         per_bug
             .iter()
@@ -587,24 +603,28 @@ fn the_catalogue_sweep_allocates_a_pinned_number_of_blocks_per_run() {
             .1
     };
     let (roshi, yorkie) = (bug("Roshi-3"), bug("Yorkie-1"));
-    assert!(roshi <= 13.6, "Roshi-3: {roshi} blocks per run");
-    assert!(yorkie <= 21.1, "Yorkie-1: {yorkie} blocks per run");
+    assert!(roshi <= 11.8, "Roshi-3: {roshi} blocks per run");
+    assert!(yorkie <= 19.6, "Yorkie-1: {yorkie} blocks per run");
 }
 
 /// The engine's own blocks: a fault-free DFS campaign over a model whose
 /// state is a `u64` and whose `apply` allocates nothing, checked by an
-/// assertion that reads the states in place. What is left per run is the
-/// interleaving the dispenser hands out and one block per snapshot the path
-/// stores (its states, beside their reference count) — the executor is a
-/// cursor, so a run brings no `states` and no `outcomes` vector of its own,
-/// and the dispenser remembers nothing. 1.73 blocks per run now that a run
-/// snapshots only the depths a later run of its chunk branches off at;
-/// 1.76 while it kept every depth it shared with the next run; 2.47 while a
-/// snapshot was two blocks (a reference count pointing at a `Vec`), 3.98
-/// when every run built its two vectors. Scratch replay is the same cursor
-/// keeping no snapshot, so a run costs the interleaving alone: 1.006 (3.006
-/// while scratch replay had an executor of its own, which built a run's
-/// `states` and `outcomes` afresh).
+/// assertion that reads the states in place. Nothing is left per run: the
+/// dispenser writes each interleaving over a buffer the slot keeps from
+/// claim to claim, a snapshot is built in the emptied block of one no path
+/// holds any more, the executor is a cursor (a run brings no `states` and
+/// no `outcomes` vector of its own) and the dispenser remembers nothing.
+/// What it measures, 0.012 blocks per run, is allocated once per
+/// campaign: the slot's buffers, the cursor's and the path's. 1.73 while each
+/// dispensed interleaving and each stored snapshot was a block of its own,
+/// once a run snapshotted only the depths a later run of its chunk
+/// branches off at; 1.76 while it kept every depth it shared with the next
+/// run; 2.47 while a snapshot was two blocks (a reference count pointing
+/// at a `Vec`), 3.98 when every run built its two vectors. Scratch replay
+/// is the same cursor keeping no snapshot: 0.009 (1.006 while each run
+/// was handed an interleaving of its own, 3.006 while scratch replay had
+/// an executor of its own, which built a run's `states` and `outcomes`
+/// afresh).
 #[test]
 fn the_engine_allocates_a_pinned_number_of_blocks_per_run() {
     struct Tally;
@@ -657,9 +677,9 @@ fn the_engine_allocates_a_pinned_number_of_blocks_per_run() {
     };
     let per_run = blocks_per_run(true);
     assert!(
-        per_run <= 1.75,
+        per_run <= 0.05,
         "the engine alone: {per_run} blocks per run"
     );
     let scratch = blocks_per_run(false);
-    assert!(scratch <= 1.5, "scratch replay: {scratch} blocks per run");
+    assert!(scratch <= 0.015, "scratch replay: {scratch} blocks per run");
 }

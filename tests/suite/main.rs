@@ -20,6 +20,7 @@ mod evaluation_shape;
 mod explorer_distinct;
 mod failure_injection;
 mod fault_equivalence;
+mod fill_equivalence;
 mod forensics_equivalence;
 mod fuzz_corpus;
 mod incremental_equivalence;
