@@ -1088,12 +1088,14 @@ mod tests {
         }
         assert_eq!(exec.stats().hits, 115);
         // 236 copies either way, and all of them fresh while a refill
-        // dropped what it displaced. Still fresh: a copy of a replica whose
-        // displaced value a snapshot also held, and a second copy of one
-        // replica in one run (the first used the retired value up).
+        // dropped what it displaced; (67, 169) while a handle kept one
+        // retired value, which a second copy of one replica in one run
+        // found used up. Still fresh: a copy of a replica whose displaced
+        // values snapshots also held, and a copy after both spares were
+        // used.
         assert_eq!(
             copies,
-            (67, 169),
+            (26, 210),
             "(fresh clones, copies into a retired value)"
         );
     }

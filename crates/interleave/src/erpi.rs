@@ -142,6 +142,8 @@ pub struct ErPiExplorer<'w> {
     /// The declared independent sets, indexed by event: built with the
     /// explorer (so again on a State-4 reseed), read per candidate.
     independent: Vec<IndependentSet>,
+    /// The causal filter's seen-table, kept from candidate to candidate.
+    causal_seen: Vec<bool>,
     perms: crate::Permutations,
     sleep: SleepSet,
     stats: PruneStats,
@@ -183,6 +185,7 @@ impl<'w> ErPiExplorer<'w> {
             perms: crate::Permutations::new(grouped.len()),
             grouped,
             independent,
+            causal_seen: Vec::new(),
             sleep,
             stats: PruneStats {
                 grouping_factor,
@@ -268,7 +271,9 @@ impl<'w> ErPiExplorer<'w> {
         if self.config.require_causal {
             self.stats.causal_checked += 1;
             let t = self.timing.then(std::time::Instant::now);
-            let ok = self.workload.is_causally_valid(il);
+            let ok = self
+                .workload
+                .is_causally_valid_in(il, &mut self.causal_seen);
             if let Some(t) = t {
                 self.timings.causal_ns += t.elapsed().as_nanos() as u64;
             }

@@ -179,21 +179,35 @@ impl Event {
         }
     }
 
+    /// The implicit causal predecessor derived from the event kind, if any.
+    fn implicit_dep(&self) -> Option<EventId> {
+        match &self.kind {
+            EventKind::SyncExec { send, .. } => Some(*send),
+            EventKind::SyncSend { of: Some(of), .. } | EventKind::Sync { of: Some(of), .. } => {
+                Some(*of)
+            }
+            _ => None,
+        }
+    }
+
     /// Implicit causal predecessors derived from the event kind.
     pub fn implicit_deps(&self) -> Vec<EventId> {
-        match &self.kind {
-            EventKind::SyncExec { send, .. } => vec![*send],
-            EventKind::SyncSend { of: Some(of), .. } | EventKind::Sync { of: Some(of), .. } => {
-                vec![*of]
-            }
-            _ => Vec::new(),
-        }
+        self.implicit_dep().into_iter().collect()
+    }
+
+    /// The causal predecessors of [`Event::all_deps`], read in place: the
+    /// implicit one first, then the explicit [`Event::deps`], one of which
+    /// may repeat it.
+    pub fn all_deps_iter(&self) -> impl Iterator<Item = EventId> + '_ {
+        self.implicit_dep()
+            .into_iter()
+            .chain(self.deps.iter().copied())
     }
 
     /// All causal predecessors: implicit ones plus explicit [`Event::deps`].
     pub fn all_deps(&self) -> Vec<EventId> {
-        let mut deps = self.implicit_deps();
-        for &d in &self.deps {
+        let mut deps = Vec::new();
+        for d in self.all_deps_iter() {
             if !deps.contains(&d) {
                 deps.push(d);
             }

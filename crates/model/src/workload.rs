@@ -189,23 +189,38 @@ impl Workload {
     }
 
     /// Checks whether `order` respects the causal partial order (every
-    /// event's dependencies appear before it).
+    /// event's dependencies appear before it). An order that is not a
+    /// permutation of this workload's events — of another length, with an
+    /// id twice or out of range — is not valid.
     ///
     /// The DFS/Random baselines deliberately do *not* restrict themselves to
     /// causally valid orders; executing an invalid order simply wastes an
     /// exploration step (the out-of-order events fail as no-ops).
     pub fn is_causally_valid(&self, order: &Interleaving) -> bool {
-        if !self.is_permutation(order) {
+        self.is_causally_valid_in(order, &mut Vec::new())
+    }
+
+    /// [`Workload::is_causally_valid`] in one pass over `order`, marking
+    /// each event in `seen` (cleared first) as it goes: an event is placed
+    /// validly when it is in range, not seen yet, and every dependency is
+    /// seen already. A caller that checks many orders keeps one `seen` and
+    /// allocates nothing after the first.
+    pub fn is_causally_valid_in(&self, order: &Interleaving, seen: &mut Vec<bool>) -> bool {
+        if order.len() != self.len() {
             return false;
         }
-        let mut pos = vec![0usize; self.len()];
-        for (i, &id) in order.iter().enumerate() {
-            pos[id.index()] = i;
-        }
-        self.events.iter().all(|ev| {
-            ev.all_deps()
-                .iter()
-                .all(|dep| pos[dep.index()] < pos[ev.id.index()])
+        seen.clear();
+        seen.resize(self.len(), false);
+        order.iter().all(|&id| {
+            let Some(ev) = self.events.get(id.index()) else {
+                return false;
+            };
+            let placed = !seen[id.index()]
+                && ev
+                    .all_deps_iter()
+                    .all(|dep| seen.get(dep.index()).copied().unwrap_or(false));
+            seen[id.index()] = true;
+            placed
         })
     }
 }

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use er_pi_model::{
-    factorial, CanonicalEncode, Dot, EventId, Interleaving, LamportClock, LamportTimestamp,
-    ReplicaId, Value, VersionVector, Workload,
+    factorial, CanonicalEncode, Dot, EventId, EventKind, Interleaving, LamportClock,
+    LamportTimestamp, ReplicaId, Value, VersionVector, Workload,
 };
 
 fn arb_replica() -> impl Strategy<Value = ReplicaId> {
@@ -208,4 +208,97 @@ fn factorial_is_monotone_until_saturation() {
     // 34! still fits in u128; 35! is the first to saturate.
     assert!(factorial(34) < u128::MAX);
     assert_eq!(factorial(35), u128::MAX);
+}
+
+/// The causal rule as it read before it ran in one pass: a permutation
+/// check, then every event's dependencies — read off its kind here, not
+/// through the library — looked up in a position table.
+fn naive_causally_valid(w: &Workload, order: &Interleaving) -> bool {
+    if !w.is_permutation(order) {
+        return false;
+    }
+    let mut pos = vec![0usize; w.len()];
+    for (i, &id) in order.iter().enumerate() {
+        pos[id.index()] = i;
+    }
+    w.events().iter().all(|ev| {
+        let implicit = match ev.kind {
+            EventKind::SyncExec { send, .. } => Some(send),
+            EventKind::SyncSend { of, .. } | EventKind::Sync { of, .. } => of,
+            _ => None,
+        };
+        implicit
+            .iter()
+            .chain(&ev.deps)
+            .all(|dep| pos[dep.index()] < pos[ev.id.index()])
+    })
+}
+
+/// A workload of one or two events per kind on two replicas — updates,
+/// fused and split syncs of an earlier update, untracked sends — with
+/// explicit dependencies of later events on earlier ones, some repeating
+/// an implicit one.
+fn workload_of(kinds: &[u8], deps: &[(usize, usize)]) -> Workload {
+    let (a, b) = (ReplicaId::new(0), ReplicaId::new(1));
+    let mut builder = Workload::builder();
+    let mut last_update = None;
+    for (i, kind) in kinds.iter().enumerate() {
+        match (kind % 4, last_update) {
+            (1, Some(of)) => drop(builder.sync_pair(a, b, of)),
+            (2, Some(of)) => drop(builder.sync_split(a, b, Some(of))),
+            (3, _) => drop(builder.sync_send(b, a, None)),
+            _ => last_update = Some(builder.update(a, "op", [Value::from(i as i64)])),
+        }
+    }
+    let n = builder.len();
+    for &(x, y) in deps {
+        let (dep, event) = ((x % n).min(y % n), (x % n).max(y % n));
+        if dep < event {
+            builder.depends(EventId::new(event as u32), EventId::new(dep as u32));
+        }
+    }
+    builder.build()
+}
+
+/// `order` bent by `how`: kept, cut short, one id repeated in place of
+/// another, or one id moved out of range.
+fn bent(mut order: Vec<EventId>, how: u8, at: usize) -> Interleaving {
+    let n = order.len();
+    match how % 6 {
+        0 if n > 0 => drop(order.remove(at % n)),
+        1 if n > 1 => order[at % n] = order[(at + 1) % n],
+        2 if n > 0 => order[at % n] = EventId::new((n + at % 3) as u32),
+        _ => {}
+    }
+    Interleaving::new(order)
+}
+
+proptest! {
+    /// The one-pass causal check agrees with the naive rule on every order
+    /// — causal or not, a permutation or not — and a kept seen-table,
+    /// dirty from another workload's order, changes no answer.
+    #[test]
+    fn the_one_pass_causal_check_is_the_naive_rule(
+        kinds in proptest::collection::vec(0u8..4, 1..8),
+        deps in proptest::collection::vec((0usize..8, 0usize..8), 0..4),
+        order_seed in proptest::collection::vec(0usize..16, 16..17),
+        how in 0u8..12,
+        at in 0usize..8,
+        dirty in proptest::collection::vec(any::<bool>(), 0..12),
+    ) {
+        let w = workload_of(&kinds, &deps);
+        // A shuffle drawn from the seed, so both causal and acausal orders come up.
+        let mut ids: Vec<EventId> = w.event_ids().collect();
+        let n = ids.len();
+        for (i, &j) in order_seed.iter().enumerate().take(n) {
+            ids.swap(i, j % n);
+        }
+        for order in [bent(ids, how, at), w.recorded_order()] {
+            let naive = naive_causally_valid(&w, &order);
+            prop_assert_eq!(w.is_causally_valid(&order), naive, "{}", order);
+            let mut seen = dirty.clone();
+            prop_assert_eq!(w.is_causally_valid_in(&order, &mut seen), naive);
+            prop_assert_eq!(w.is_causally_valid_in(&order, &mut seen), naive, "kept table");
+        }
+    }
 }

@@ -21,14 +21,18 @@ use er_pi_model::CanonicalEncode;
 ///
 /// The engine also resets its replicas to a snapshot before every run, with
 /// `clone_from`, and each reset would free the copies the last run's writes
-/// made. So a handle keeps one of them: `clone_from` *retires* the value it
+/// made. So a handle keeps them: `clone_from` *retires* the value it
 /// displaces when no other handle holds it, and the next write through a
-/// handle that shares its value copies that value into the retired one with
+/// handle that shares its value copies that value into a retired one with
 /// `T::clone_from` — which for the structures of this crate touches only
 /// what the two differ in — instead of allocating a fresh copy
-/// ([`Arc::make_mut`]). A handle retires at most one value, `clone` leaves
-/// it behind, and a write through a handle that holds its value alone stays
-/// in place.
+/// ([`Arc::make_mut`]). One spare is not enough: a run can copy a replica
+/// twice, once after the reset and again after a snapshot shares the copy,
+/// while a reset that follows no write retires a value nothing used. A
+/// handle keeps two, and when both are held a newly displaced value
+/// replaces the newer of them. `clone` leaves the spares behind, and a
+/// write through a handle that holds its value alone stays in place and
+/// keeps them.
 ///
 /// Two handles are *observationally* independent: nothing done through one
 /// can be seen through the other. Equality, `Debug` and the canonical
@@ -60,9 +64,10 @@ use er_pi_model::CanonicalEncode;
 /// ```
 pub struct Shared<T> {
     live: Arc<Inner<T>>,
-    /// A value this handle displaced while it held it alone, kept for the
-    /// next copy to write into. No other handle ever sees it.
-    retired: Option<Arc<Inner<T>>>,
+    /// Values this handle displaced while it held them alone, kept for the
+    /// next copies to write into: the first is used first, and the second
+    /// is held only beside a first. No other handle ever sees one.
+    retired: [Option<Arc<Inner<T>>>; 2],
 }
 
 struct Inner<T> {
@@ -74,7 +79,7 @@ struct Inner<T> {
 
 impl<T: Clone> Clone for Inner<T> {
     /// Only `DerefMut` copies an `Inner`, on its way to a write, when the
-    /// handle has no retired value to copy into.
+    /// handle has no retired value left to copy into.
     fn clone(&self) -> Self {
         Inner {
             value: self.value.clone(),
@@ -119,7 +124,7 @@ impl<T> Shared<T> {
                 value,
                 digest: DigestMemo::default(),
             }),
-            retired: None,
+            retired: [None, None],
         }
     }
 
@@ -145,24 +150,27 @@ impl<T> Shared<T> {
 }
 
 impl<T> Clone for Shared<T> {
-    /// Another handle on the value; the retired value stays behind.
+    /// Another handle on the value; the retired values stay behind.
     fn clone(&self) -> Self {
         Shared {
             live: Arc::clone(&self.live),
-            retired: None,
+            retired: [None, None],
         }
     }
 
     /// Points this handle at `source`'s value. The value it held is
-    /// retired if nothing else holds it (replacing any value retired
-    /// before), so the next write through this handle copies into it.
+    /// retired if nothing else holds it, into the first free slot, or over
+    /// the newer spare when both are held; a later write through this
+    /// handle copies into it.
     fn clone_from(&mut self, source: &Self) {
         if Shared::ptr_eq(self, source) {
             return;
         }
         let mut displaced = std::mem::replace(&mut self.live, Arc::clone(&source.live));
         if Arc::get_mut(&mut displaced).is_some() {
-            self.retired = Some(displaced);
+            let [first, second] = &mut self.retired;
+            let slot = if first.is_none() { first } else { second };
+            *slot = Some(displaced);
         }
     }
 }
@@ -176,17 +184,19 @@ impl<T> Deref for Shared<T> {
 }
 
 impl<T: Clone> DerefMut for Shared<T> {
-    /// Copies into the retired value only when the live one is shared. No
-    /// handle ever makes a `Weak`, so a strong count of one means this
-    /// handle holds its value alone, and no other can start sharing it
-    /// meanwhile: the write then stays in place behind one atomic
-    /// read-modify-write (`make_mut`'s) and keeps the spare.
+    /// Copies into the first retired value only when the live one is
+    /// shared, and the second takes its slot. No handle ever makes a
+    /// `Weak`, so a strong count of one means this handle holds its value
+    /// alone, and no other can start sharing it meanwhile: the write then
+    /// stays in place behind one atomic read-modify-write (`make_mut`'s) and
+    /// keeps the spares.
     fn deref_mut(&mut self) -> &mut T {
-        if self.retired.is_some() && Arc::strong_count(&self.live) > 1 {
-            if let Some(mut spare) = self.retired.take() {
+        if self.retired[0].is_some() && Arc::strong_count(&self.live) > 1 {
+            if let Some(mut spare) = self.retired[0].take() {
                 let copy = Arc::get_mut(&mut spare).expect("no other handle sees a retired value");
                 copy.value.clone_from(&self.live.value);
                 self.live = spare;
+                self.retired.swap(0, 1);
             }
         }
         let inner = Arc::make_mut(&mut self.live);
@@ -306,6 +316,35 @@ mod tests {
         assert_eq!(Shared::digest_with(&c, || Some(5)), Some(u128::MAX));
     }
 
+    /// The cells a handle keeps as spares, first slot first.
+    fn spares<T>(cell: &Shared<T>) -> [Option<*const Inner<T>>; 2] {
+        cell.retired
+            .each_ref()
+            .map(|spare| spare.as_ref().map(Arc::as_ptr))
+    }
+
+    /// Where a `Vec` cell's value and its buffer live: a copy that writes
+    /// into a spare without a block leaves both where the spare had them.
+    type Place = (*const Inner<Vec<i64>>, *const i64);
+
+    fn place(cell: &Shared<Vec<i64>>) -> Place {
+        (Arc::as_ptr(&cell.live), cell.as_ptr())
+    }
+
+    /// `base` shared with a handle that retired two values, `first` then
+    /// `second`, each held alone when it was displaced.
+    fn with_two_spares(base: &Shared<Vec<i64>>) -> (Shared<Vec<i64>>, [Place; 2]) {
+        let mut a = base.clone();
+        a.push(2);
+        let first = place(&a);
+        a.clone_from(&Shared::new(vec![7i64, 8, 9]));
+        let second = place(&a);
+        a.clone_from(base);
+        assert!(Shared::ptr_eq(&a, base));
+        assert_eq!(spares(&a), [Some(first.0), Some(second.0)]);
+        (a, [first, second])
+    }
+
     #[test]
     fn a_retired_value_is_the_handles_own_and_shows_nowhere() {
         let base = Shared::new(vec![1i64]);
@@ -326,9 +365,10 @@ mod tests {
         b.push(3);
         assert_ne!(&*b as *const Vec<i64>, spare);
         // A value the handle shares on reset is not retired; one it holds
-        // alone is, in place of the one retired before.
+        // alone is, beside the one retired before.
         let mut c = a.clone();
         c.push(4);
+        let older: *const Vec<i64> = &*c;
         c.clone_from(&base);
         let other = Shared::new(vec![7i64]);
         let newer: *const Vec<i64> = &*other;
@@ -336,49 +376,90 @@ mod tests {
         drop(other);
         c.clone_from(&base);
         c.push(5);
-        assert_eq!((&*c as *const Vec<i64>, &*c), (newer, &vec![1, 5]));
+        assert_eq!((&*c as *const Vec<i64>, &*c), (older, &vec![1, 5]));
         // The write forgot the digest `c` shared with `base`.
         assert_eq!(Shared::digest_with(&c, || None), None);
+        let snapshot = c.clone();
+        c.push(6);
+        assert_eq!((&*c as *const Vec<i64>, &*c), (newer, &vec![1, 5, 6]));
         a.push(6);
         assert_eq!(&*a as *const Vec<i64>, spare);
-        assert_eq!((&*base, &*a, &*b), (&vec![1], &vec![1, 6], &vec![1, 3]));
+        assert_eq!(
+            (&*base, &*a, &*b, &*snapshot),
+            (&vec![1], &vec![1, 6], &vec![1, 3], &vec![1, 5])
+        );
     }
 
-    /// A handle holding its value alone and a retired one besides: the
-    /// write stays in the live value, and the spare stays for later.
+    /// Both displaced values are kept, and the next two copies through a
+    /// shared handle go into them, cell and buffer, without a block.
     #[test]
-    fn a_unique_handle_with_a_retired_value_writes_in_place_and_keeps_its_spare() {
+    fn two_retired_values_take_the_next_two_copies() {
         let base = Shared::new(vec![1i64]);
-        let mut a = base.clone();
-        a.push(2);
-        let spare: *const Inner<Vec<i64>> = Arc::as_ptr(&a.live);
+        let (mut a, [first, second]) = with_two_spares(&base);
+        a.push(3);
+        assert_eq!(place(&a), first, "the first copy went into the older spare");
+        assert_eq!(spares(&a), [Some(second.0), None], "the newer one moved up");
+        let snapshot = a.clone();
+        a.push(4);
+        assert_eq!(
+            place(&a),
+            second,
+            "the second copy went into the newer spare"
+        );
+        assert_eq!(spares(&a), [None, None]);
+        assert_eq!(
+            (&*base, &*snapshot, &*a),
+            (&vec![1], &vec![1, 3], &vec![1, 3, 4])
+        );
+        // With no spare left the next copy is a fresh one.
+        let snapshot = a.clone();
+        a.push(5);
+        assert!(![first.0, second.0].contains(&Arc::as_ptr(&a.live)));
+        assert_eq!((&*snapshot, &*a), (&vec![1, 3, 4], &vec![1, 3, 4, 5]));
+    }
+
+    /// A third value displaced while two are kept takes the newer one's
+    /// slot: a handle never holds more than two.
+    #[test]
+    fn a_third_retired_value_keeps_two_spares() {
+        let base = Shared::new(vec![1i64]);
+        let (mut a, [first, _]) = with_two_spares(&base);
+        a.clone_from(&Shared::new(vec![5i64]));
+        let third = place(&a);
+        a.clone_from(&base);
+        assert_eq!(spares(&a), [Some(first.0), Some(third.0)]);
+        a.push(6);
+        assert_eq!(place(&a).0, first.0);
+        assert_eq!(spares(&a), [Some(third.0), None]);
+        assert_eq!((&*base, &*a), (&vec![1], &vec![1, 6]));
+    }
+
+    /// A clone of a handle holding two spares holds none: its first write
+    /// copies afresh, and the original's spares stay where they were.
+    #[test]
+    fn a_clone_leaves_the_spares_behind() {
+        let base = Shared::new(vec![1i64]);
+        let (a, [first, second]) = with_two_spares(&base);
+        let mut b = a.clone();
+        assert_eq!(spares(&b), [None, None]);
+        b.push(2);
+        assert!(![first.0, second.0].contains(&Arc::as_ptr(&b.live)));
+        assert_eq!(spares(&a), [Some(first.0), Some(second.0)]);
+        assert_eq!((&*base, &*a, &*b), (&vec![1], &vec![1], &vec![1, 2]));
+    }
+
+    /// A handle holding its value alone and two retired ones besides: the
+    /// write stays in the live value, and both spares stay for later.
+    #[test]
+    fn a_unique_write_keeps_both_spares() {
+        let base = Shared::new(vec![1i64]);
+        let (mut a, [first, second]) = with_two_spares(&base);
         a.clone_from(&Shared::new(vec![9i64]));
-        assert_eq!(a.retired.as_ref().map(Arc::as_ptr), Some(spare));
-        let live: *const Inner<Vec<i64>> = Arc::as_ptr(&a.live);
+        let live = Arc::as_ptr(&a.live);
         a.push(10);
         assert_eq!(Arc::as_ptr(&a.live), live, "written in place");
-        assert_eq!(
-            a.retired.as_ref().map(Arc::as_ptr),
-            Some(spare),
-            "spare kept"
-        );
+        assert_eq!(spares(&a), [Some(first.0), Some(second.0)], "spares kept");
         assert_eq!((&*a, &*base), (&vec![9, 10], &vec![1]));
-    }
-
-    /// A handle sharing its value with another and holding a retired one:
-    /// the write copies into the spare, which becomes the live value.
-    #[test]
-    fn a_shared_handle_with_a_retired_value_copies_into_the_spare() {
-        let base = Shared::new(vec![1i64, 2]);
-        let mut a = base.clone();
-        a.push(3);
-        let spare: *const Inner<Vec<i64>> = Arc::as_ptr(&a.live);
-        a.clone_from(&base);
-        assert!(Shared::ptr_eq(&a, &base));
-        a.push(4);
-        assert_eq!(Arc::as_ptr(&a.live), spare, "the copy went into the spare");
-        assert!(a.retired.is_none(), "the spare is live now");
-        assert_eq!((&*a, &*base), (&vec![1, 2, 4], &vec![1, 2]));
     }
 
     #[test]

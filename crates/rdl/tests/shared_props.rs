@@ -188,6 +188,99 @@ proptest! {
     }
 }
 
+/// One step over [`HANDLES`] cells: a write through one, a reset of one to
+/// another's value or to a value no other handle holds, or a clone.
+#[derive(Debug, Clone)]
+enum ResetAction {
+    Write {
+        handle: usize,
+        action: Action,
+    },
+    /// `to.clone_from(&from)`: retires what `to` held alone.
+    Reset {
+        from: usize,
+        to: usize,
+    },
+    /// `to = from.clone()`: a handle on `from`'s value, none of its spares.
+    Clone {
+        from: usize,
+        to: usize,
+    },
+    /// `to.clone_from(&Shared::new(..))` with a one-element set: `to` then
+    /// holds its value alone, and the next reset retires it.
+    Fresh {
+        to: usize,
+        element: i64,
+    },
+}
+
+fn arb_reset_actions() -> impl Strategy<Value = Vec<ResetAction>> {
+    let handle = 0..HANDLES;
+    let write = prop_oneof![
+        (0i64..6).prop_map(Action::Insert),
+        (0i64..6).prop_map(Action::Remove),
+    ];
+    proptest::collection::vec(
+        prop_oneof![
+            (handle.clone(), write)
+                .prop_map(|(handle, action)| ResetAction::Write { handle, action }),
+            (handle.clone(), handle.clone()).prop_map(|(from, to)| ResetAction::Reset { from, to }),
+            (handle.clone(), handle.clone()).prop_map(|(from, to)| ResetAction::Clone { from, to }),
+            (handle, 0i64..6).prop_map(|(to, element)| ResetAction::Fresh { to, element }),
+        ],
+        0..64,
+    )
+}
+
+proptest! {
+    /// Several resets from different sources between writes fill and
+    /// refill a handle's spares, clones of it share its value but not them,
+    /// and writes through any handle copy into them: every handle still holds what the same steps build on values
+    /// outside any cell, after every step, with a fresh digest.
+    #[test]
+    fn handles_reset_from_many_sources_stay_independent(actions in arb_reset_actions()) {
+        let fresh = |element: Option<i64>| {
+            let mut set = OrSet::new(ReplicaId::new(0));
+            if let Some(element) = element {
+                set.insert(element);
+            }
+            set
+        };
+        let mut cells: Vec<Cell> = (0..HANDLES).map(|_| Shared::new(fresh(None))).collect();
+        let mut plain: Vec<OrSet<i64>> = (0..HANDLES).map(|_| fresh(None)).collect();
+        for step in &actions {
+            match *step {
+                ResetAction::Write { handle, ref action } => {
+                    apply(&mut cells[handle], std::slice::from_ref(action));
+                    match *action {
+                        Action::Insert(v) => drop(plain[handle].insert(v)),
+                        Action::Remove(v) => drop(plain[handle].remove(&v)),
+                        Action::Read(_) => {}
+                    }
+                }
+                ResetAction::Reset { from, to } => {
+                    let source = cells[from].clone();
+                    cells[to].clone_from(&source);
+                    plain[to] = plain[from].clone();
+                }
+                ResetAction::Clone { from, to } => {
+                    cells[to] = cells[from].clone();
+                    plain[to] = plain[from].clone();
+                }
+                ResetAction::Fresh { to, element } => {
+                    cells[to].clone_from(&Shared::new(fresh(Some(element))));
+                    plain[to] = fresh(Some(element));
+                }
+            }
+            for (cell, plain) in cells.iter().zip(&plain) {
+                prop_assert_eq!(&**cell, plain, "after {:?}", step);
+                prop_assert_eq!(bytes(cell), encoded(plain));
+                prop_assert_eq!(digest(cell), fnv1a128(&bytes(cell)), "a stale digest");
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Below the cell: the structures a replica copy shares with its original —
 // the op log and the OR-set's entries — against models that share nothing.

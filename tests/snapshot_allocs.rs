@@ -35,7 +35,8 @@ use er_pi::{
     Attachments, ExploreMode, InlineExecutor, OpOutcome, ReplayConfig, Session, SessionMetrics,
     SystemModel, TimeModel,
 };
-use er_pi_model::{EventKind, ReplicaId, Value, Workload};
+use er_pi_interleave::{ErPiExplorer, Explorer, PruningConfig};
+use er_pi_model::{EventId, EventKind, Interleaving, ReplicaId, Value, Workload};
 use er_pi_subjects::{Bug, CrdtsModel, LedgerApp, OrbitModel, OrbitReplica, TownApp};
 
 thread_local! {
@@ -436,10 +437,12 @@ fn an_attached_registry_allocates_nothing_per_run() {
 /// worker, session defaults.
 ///
 /// DFS order resumes 73 % of its events from snapshots, so nearly every
-/// applied event first copies the replica it writes; it measures 6.69 now
-/// that the dispenser writes each interleaving over a buffer its slot keeps
-/// and a snapshot is built in the emptied block of one no path holds any
-/// more (7.62 once a sync between OR-sets walked the sender's log in place
+/// applied event first copies the replica it writes; it measures 4.85 now
+/// that a handle keeps two values a refill displaced, so a second copy of
+/// one replica in one run goes into the other (6.69 once the dispenser
+/// wrote each interleaving over a buffer its slot keeps and a snapshot was
+/// built in the emptied block of one no path holds any more; 7.62 once a
+/// sync between OR-sets walked the sender's log in place
 /// instead of shipping a delta `Vec`, and the snapshot a run resumes from
 /// was dropped on its last use even when the next run shares more; 8.69
 /// once an issue was
@@ -455,15 +458,16 @@ fn an_attached_registry_allocates_nothing_per_run() {
 /// 99 % of its events to states no snapshot holds and shares next to
 /// nothing with the run before it, so it is the pin on what sharing — of
 /// structures and of buffers — costs where there is nothing to share:
-/// 7.41, a retried shuffle redrawn in the same buffer (8.02, 9.87, 17.58,
-/// 24.85, 25.70, 29.65, 40.35).
+/// 7.10 with two spares per handle, a retried shuffle redrawn in the same
+/// buffer (7.41, 8.02, 9.87, 17.58, 24.85, 25.70, 29.65, 40.35).
 ///
 /// Under default retention a run leaves a `(sim_us, failed_ops)` row and
 /// nothing else — no `observe`, no `RunRecord`. With `keep_runs` every run
 /// builds its record (interleaving + observations): no benchmark workload
-/// takes that path, so this is what holds it: 13.28, the record taking its
-/// run's interleaving out of the slot's buffer, which the next claim
-/// refills (14.00; 15.07, 22.60, 29.97, 30.63, 35.74).
+/// takes that path, so this is what holds it: 11.45 with two spares per
+/// handle, the record taking its run's interleaving out of the slot's
+/// buffer, which the next claim refills (13.28; 14.00; 15.07, 22.60, 29.97,
+/// 30.63, 35.74).
 #[test]
 fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
     let blocks_per_run = |mode: ExploreMode, keep_runs: bool| {
@@ -485,9 +489,9 @@ fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
     let dfs = blocks_per_run(ExploreMode::Dfs, false);
     let random = blocks_per_run(ExploreMode::Random { seed: 7 }, false);
     let kept = blocks_per_run(ExploreMode::Dfs, true);
-    assert!(dfs <= 6.75, "DFS order: {dfs} blocks per run");
-    assert!(random <= 7.5, "Random order: {random} blocks per run");
-    assert!(kept <= 13.4, "keep_runs: {kept} blocks per run");
+    assert!(dfs <= 4.9, "DFS order: {dfs} blocks per run");
+    assert!(random <= 7.17, "Random order: {random} blocks per run");
+    assert!(kept <= 11.56, "keep_runs: {kept} blocks per run");
 }
 
 /// Blocks per run of `benchmark/`'s `fault-subsume` campaign: the same town
@@ -495,10 +499,11 @@ fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
 /// state-hash subsumption, capped at 10 000, one worker.
 ///
 /// Nine in ten of its runs are answered from the explored-set, so much of
-/// what a run costs there is what recording it costs. It measures 3.52 now
-/// that the product writes its base order into the slot's buffers instead
-/// of cloning it for each plan, and a snapshot reuses the emptied block of
-/// one no path holds; 4.12 once a claim held whole base orders (27 runs)
+/// what a run costs there is what recording it costs. It measures 3.45 now
+/// that a handle keeps two values a refill displaced; 3.52 once the product
+/// wrote its base order into the slot's buffers instead of cloning it for
+/// each plan, and a snapshot reused the emptied block of one no path holds;
+/// 4.12 once a claim held whole base orders (27 runs)
 /// and each faulted run snapshotted only where the next runs of its own
 /// plan branch off, the fault-free plan keeping every depth for the others
 /// to borrow; 5.23
@@ -536,7 +541,7 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
     let stats = report.cache_stats.expect("subsuming replay reports stats");
     assert!(stats.subsumed > 9_000, "{} runs subsumed", stats.subsumed);
     let per_run = blocks as f64 / report.explored as f64;
-    assert!(per_run <= 3.6, "fault-subsume: {per_run} blocks per run");
+    assert!(per_run <= 3.48, "fault-subsume: {per_run} blocks per run");
 }
 
 /// Blocks per run of `benchmark/`'s `catalogue` sweep: the twelve bugs of
@@ -545,12 +550,13 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
 ///
 /// Every run ends in the bug's check, pass or fail, so this is the pin on
 /// what a check costs: it reads the replica states in place and formats its
-/// symptom only when the bug manifested. It measures 10.68 blocks per run
-/// now that ER-π flattens each candidate into the slot's buffer, its
-/// independence filter reads a per-set index built with the explorer
-/// instead of two hash sets per candidate (ReplicaDB-1 and -2 fall by 3.8
-/// and 3.5), and a snapshot reuses the emptied block of one no path holds;
-/// 12.77 once a run snapshotted only the depths a later run of its chunk
+/// symptom only when the bug manifested. It measures 8.97 blocks per run
+/// now that a handle keeps two values a refill displaced; 10.68 once ER-π
+/// flattened each candidate into the slot's buffer, its independence
+/// filter read a per-set index built with the explorer instead of two hash
+/// sets per candidate (ReplicaDB-1 and -2 fall by 3.8 and 3.5), and a
+/// snapshot reused the emptied block of one no path holds; 12.77 once a
+/// run snapshotted only the depths a later run of its chunk
 /// branches off at (no depth inside one of ER-π's grouped units) and a
 /// Yorkie update read its path and its object in place; 15.44 once a
 /// string was allocated once and shared — a `Value::Str`, a
@@ -565,18 +571,19 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
 ///
 /// The sweep-wide figure averages one bug's regression away, so the two
 /// bugs that allocate most per run are pinned on their own. Roshi-3 (the
-/// bulk of the benchmark's time to first violation) measures 11.65 (13.43
-/// while each run's interleaving and each snapshot were blocks of their
-/// own, half its snapshots gone with the depths inside its units; 18.50
-/// once its
-/// store kept the recorded argument strings by handle; 53.34 while each
-/// insert or delete copied its key and member twice, each cell write copied
-/// the key again, and every copy of the store or a page copied the strings
-/// it held). Yorkie-1 measures 19.40 (20.88 while each run's interleaving
-/// and each snapshot were blocks of their own, once a local update handed
-/// its path to the document from the stack and read an object's keys and
-/// fields in place; 23.25 once its array elements and ops shared their
-/// strings and a path was the document's own key handles; 39.68).
+/// bulk of the benchmark's time to first violation) measures 8.23 with two
+/// spares per handle (11.65 with one; 13.43 while each run's interleaving
+/// and each snapshot were blocks of their own, half its snapshots gone
+/// with the depths inside its units; 18.50 once its store kept the
+/// recorded argument strings by handle; 53.34 while each insert or delete
+/// copied its key and member twice, each cell write copied the key again,
+/// and every copy of the store or a page copied the strings it held).
+/// Yorkie-1 measures 17.48 with two spares per handle (19.40 with one;
+/// 20.88 while each run's interleaving and each snapshot were blocks of
+/// their own, once a local update handed its path to the document from the
+/// stack and read an object's keys and fields in place; 23.25 once its
+/// array elements and ops shared their strings and a path was the
+/// document's own key handles; 39.68).
 #[test]
 fn the_catalogue_sweep_allocates_a_pinned_number_of_blocks_per_run() {
     let config = ReplayConfig {
@@ -594,7 +601,7 @@ fn the_catalogue_sweep_allocates_a_pinned_number_of_blocks_per_run() {
     }
     assert_eq!(runs, 92_160, "the sweep is fixed");
     let per_run = blocks as f64 / runs as f64;
-    assert!(per_run <= 10.8, "catalogue: {per_run} blocks per run");
+    assert!(per_run <= 9.06, "catalogue: {per_run} blocks per run");
     let bug = |name: &str| {
         per_bug
             .iter()
@@ -603,8 +610,8 @@ fn the_catalogue_sweep_allocates_a_pinned_number_of_blocks_per_run() {
             .1
     };
     let (roshi, yorkie) = (bug("Roshi-3"), bug("Yorkie-1"));
-    assert!(roshi <= 11.8, "Roshi-3: {roshi} blocks per run");
-    assert!(yorkie <= 19.6, "Yorkie-1: {yorkie} blocks per run");
+    assert!(roshi <= 8.32, "Roshi-3: {roshi} blocks per run");
+    assert!(yorkie <= 17.66, "Yorkie-1: {yorkie} blocks per run");
 }
 
 /// The engine's own blocks: a fault-free DFS campaign over a model whose
@@ -682,4 +689,44 @@ fn the_engine_allocates_a_pinned_number_of_blocks_per_run() {
     );
     let scratch = blocks_per_run(false);
     assert!(scratch <= 0.015, "scratch replay: {scratch} blocks per run");
+}
+
+/// The ER-π causal filter allocates nothing per candidate: it checks an
+/// order in one pass over a seen-table the explorer keeps from candidate
+/// to candidate, reading each event's dependencies in place. Eight updates
+/// on two replicas, one of them depending on another, every other filter
+/// off, so each of the 8! candidates reaches it and half of them fail: the
+/// candidates after the first (which sizes the buffer and the table)
+/// allocate no block. 3 blocks per candidate while the check built a
+/// permutation table, a position table and a dependency list per
+/// dependent event.
+#[test]
+fn the_causal_filter_allocates_nothing_per_candidate() {
+    let mut w = Workload::builder();
+    let e: Vec<EventId> = (0..8)
+        .map(|i| w.update(ReplicaId::new(i % 2), "op", [Value::from(i64::from(i))]))
+        .collect();
+    w.depends(e[6], e[1]);
+    let workload = w.build();
+    let config = PruningConfig {
+        require_causal: true,
+        ..PruningConfig::default()
+    };
+    let mut explorer = ErPiExplorer::new(&workload, &config);
+    let mut buf = Interleaving::default();
+    assert!(explorer.fill(&mut buf));
+    let (blocks, emitted) = blocks_during(|| {
+        let mut emitted = 1;
+        while explorer.fill(&mut buf) {
+            emitted += 1;
+        }
+        emitted
+    });
+    let stats = explorer.stats();
+    assert_eq!(
+        (stats.causal_checked, stats.causal_rejected),
+        (40_320, 20_160)
+    );
+    assert_eq!(emitted, 20_160);
+    assert_eq!(blocks, 0, "the causal filter over 40 320 candidates");
 }
