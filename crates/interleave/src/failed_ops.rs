@@ -35,30 +35,44 @@ pub fn failed_ops_canonical(order: &[EventId], rule: &FailedOpsRule) -> bool {
     if rule.predecessors.is_empty() || rule.successors.len() < 2 {
         return true;
     }
+    // Each id stands at its first position in `order`; a rule that names an
+    // absent event never fires.
     let pos = |id: EventId| order.iter().position(|&e| e == id);
-
-    let mut last_pred = None::<usize>;
+    let mut last_pred = 0;
     for &p in &rule.predecessors {
         match pos(p) {
-            Some(i) => last_pred = Some(last_pred.map_or(i, |m: usize| m.max(i))),
-            None => return true, // rule references an absent event
-        }
-    }
-    let mut succ_positions = Vec::with_capacity(rule.successors.len());
-    for &s in &rule.successors {
-        match pos(s) {
-            Some(i) => succ_positions.push((i, s)),
+            Some(i) => last_pred = last_pred.max(i),
             None => return true,
         }
     }
-    let first_succ = succ_positions.iter().map(|&(i, _)| i).min().unwrap_or(0);
-    if last_pred.is_some_and(|lp| lp < first_succ) {
-        // Rule fired: all successors fail; canonical = ascending id order.
-        succ_positions.sort_by_key(|&(i, _)| i);
-        succ_positions.windows(2).all(|w| w[0].1 < w[1].1)
-    } else {
-        true
+    let mut first_succ = usize::MAX;
+    for &s in &rule.successors {
+        match pos(s) {
+            Some(i) => first_succ = first_succ.min(i),
+            None => return true,
+        }
     }
+    if last_pred >= first_succ {
+        return true;
+    }
+    // Rule fired: all successors fail; canonical = ascending id order. The
+    // successors in the order of their positions, read off `order` from the
+    // first of them on, must have strictly ascending ids. A successor stands
+    // there once per time the rule lists it, so one listed twice is not
+    // strictly ascending past itself.
+    let mut previous = None;
+    for (at, &e) in order.iter().enumerate().skip(first_succ) {
+        if order[first_succ..at].contains(&e) {
+            continue; // not the event's first position
+        }
+        for _ in rule.successors.iter().filter(|&&s| s == e) {
+            if previous.is_some_and(|p| p >= e) {
+                return false;
+            }
+            previous = Some(e);
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -126,6 +140,19 @@ mod tests {
             successors: vec![e(1)],
         };
         assert!(failed_ops_canonical(&[e(0), e(1)], &one_succ));
+    }
+
+    #[test]
+    fn a_successor_listed_twice_is_not_ascending_once_the_rule_fires() {
+        let rule = FailedOpsRule {
+            predecessors: vec![e(0)],
+            successors: vec![e(1), e(2), e(1)],
+        };
+        assert!(!failed_ops_canonical(&[e(0), e(1), e(2)], &rule));
+        assert!(
+            failed_ops_canonical(&[e(1), e(0), e(2)], &rule),
+            "not fired"
+        );
     }
 
     #[test]

@@ -87,6 +87,80 @@ fn ids(raw: Vec<u32>) -> Vec<EventId> {
     raw.into_iter().map(e).collect()
 }
 
+/// Algorithm 4 as it was first written: the positions of the rule's
+/// events, each at its first place in `order`; the successors' positions
+/// collected, sorted and checked for strictly ascending ids once every
+/// predecessor stands before every successor.
+fn naive_failed_ops(order: &[EventId], rule: &FailedOpsRule) -> bool {
+    if rule.predecessors.is_empty() || rule.successors.len() < 2 {
+        return true;
+    }
+    let pos = |id: EventId| order.iter().position(|&e| e == id);
+    let mut last_pred = None::<usize>;
+    for &p in &rule.predecessors {
+        match pos(p) {
+            Some(i) => last_pred = Some(last_pred.map_or(i, |m: usize| m.max(i))),
+            None => return true,
+        }
+    }
+    let mut succ_positions = Vec::with_capacity(rule.successors.len());
+    for &s in &rule.successors {
+        match pos(s) {
+            Some(i) => succ_positions.push((i, s)),
+            None => return true,
+        }
+    }
+    let first_succ = succ_positions.iter().map(|&(i, _)| i).min().unwrap_or(0);
+    if last_pred.is_some_and(|lp| lp < first_succ) {
+        succ_positions.sort_by_key(|&(i, _)| i);
+        succ_positions.windows(2).all(|w| w[0].1 < w[1].1)
+    } else {
+        true
+    }
+}
+
+/// The failed-ops corners a random draw may miss, each against the naive
+/// rule: a successor listed twice once the rule fires (rejected) and when
+/// it does not (kept), absent ids on either side, an empty predecessor
+/// list, one successor, a repeated predecessor, and orders that repeat an
+/// id.
+#[test]
+fn the_failed_ops_rule_matches_the_naive_rule_at_the_corners() {
+    let rule = |predecessors: &[u32], successors: &[u32]| FailedOpsRule {
+        predecessors: ids(predecessors.to_vec()),
+        successors: ids(successors.to_vec()),
+    };
+    let order = [e(0), e(1), e(2), e(3)];
+    let cases = [
+        (rule(&[0], &[1, 1]), false),
+        (rule(&[0], &[2, 1, 2]), false),
+        (rule(&[3], &[1, 1]), true),
+        (rule(&[0], &[1, 9]), true),
+        (rule(&[9], &[1, 2]), true),
+        (rule(&[], &[2, 1]), true),
+        (rule(&[0], &[2]), true),
+        (rule(&[0, 1, 0], &[3, 2]), true),
+        (rule(&[1, 1], &[3, 0]), true),
+    ];
+    for (rule, expected) in cases {
+        assert_eq!(failed_ops_canonical(&order, &rule), expected, "{rule:?}");
+        assert_eq!(naive_failed_ops(&order, &rule), expected, "{rule:?}");
+    }
+    for order in [[e(0), e(2), e(1), e(2)], [e(0), e(1), e(0), e(2)]] {
+        for rule in [
+            rule(&[0], &[1, 2]),
+            rule(&[0], &[2, 1]),
+            rule(&[1], &[0, 2]),
+        ] {
+            assert_eq!(
+                failed_ops_canonical(&order, &rule),
+                naive_failed_ops(&order, &rule),
+                "{order:?} under {rule:?}"
+            );
+        }
+    }
+}
+
 /// The corners a random draw may miss, each against the naive rule.
 #[test]
 fn indexed_independence_matches_the_naive_rule_at_the_corners() {
@@ -278,4 +352,36 @@ fn grouped_units_cover_the_full_space() {
         classes.insert(class);
     }
     assert_eq!(classes.len(), 2);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The failed-ops check is the naive rule, for rules that may name ids
+    /// no order holds, have no predecessor or a single successor, and list
+    /// a predecessor or a successor twice: over every order of `n` events,
+    /// and over an order that may repeat and skip ids.
+    #[test]
+    fn the_failed_ops_rule_matches_the_naive_rule(
+        n in 3usize..7,
+        predecessors in proptest::collection::vec(0u32..6, 0..3),
+        successors in proptest::collection::vec(0u32..6, 0..5),
+        bent in proptest::collection::vec(0u32..7, 0..9),
+    ) {
+        let rule = FailedOpsRule {
+            predecessors: ids(predecessors),
+            successors: ids(successors),
+        };
+        let bent = ids(bent);
+        let orders = DfsExplorer::new(&flat_workload(n)).map(|il| il.as_slice().to_vec());
+        for order in orders.chain([bent]) {
+            prop_assert_eq!(
+                failed_ops_canonical(&order, &rule),
+                naive_failed_ops(&order, &rule),
+                "{:?} under {:?}",
+                order,
+                rule
+            );
+        }
+    }
 }

@@ -26,10 +26,36 @@ use crate::{Dot, ReplicaId, VersionVector};
 /// ctx.add(Dot::new(r, 1)); // gap fills, cloud compacts
 /// assert_eq!(ctx.vector().get(r), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+///
+/// `clone_from` copies the cloud into the set it already has: over a copy
+/// that holds the same dots (a refill over a stale copy of the same
+/// replica) it allocates nothing.
+#[derive(Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct DotContext {
     vector: VersionVector,
     cloud: BTreeSet<Dot>,
+}
+
+impl Clone for DotContext {
+    fn clone(&self) -> Self {
+        let DotContext { vector, cloud } = self;
+        DotContext {
+            vector: vector.clone(),
+            cloud: cloud.clone(),
+        }
+    }
+
+    /// Field by field; the cloud keeps the dots both sets hold and gains
+    /// only the rest.
+    fn clone_from(&mut self, source: &Self) {
+        let DotContext { vector, cloud } = source;
+        self.vector.clone_from(vector);
+        if self.cloud.len() == cloud.len() && self.cloud.iter().eq(cloud) {
+            return;
+        }
+        self.cloud.retain(|dot| cloud.contains(dot));
+        self.cloud.extend(cloud);
+    }
 }
 
 impl DotContext {
@@ -154,6 +180,29 @@ mod tests {
         assert_eq!(ctx.next_dot(r(1)), Dot::new(r(1), 1));
         assert_eq!(ctx.next_dot(r(1)), Dot::new(r(1), 2));
         assert_eq!(ctx.vector().get(r(1)), 2);
+    }
+
+    #[test]
+    fn clone_from_leaves_a_copy_equal_to_its_source() {
+        let context = |dots: &[(u16, u64)]| {
+            let mut ctx = DotContext::new();
+            for &(replica, counter) in dots {
+                ctx.add(Dot::new(r(replica), counter));
+            }
+            ctx
+        };
+        let source = context(&[(0, 1), (0, 3), (1, 4), (2, 2)]);
+        for stale in [
+            source.clone(),
+            DotContext::new(),
+            context(&[(0, 3), (1, 2), (1, 7)]),
+            context(&[(0, 1), (0, 2), (0, 3), (0, 5)]),
+        ] {
+            let mut into = stale;
+            into.clone_from(&source);
+            assert_eq!(into, source);
+            assert_eq!(into.cloud_len(), source.cloud_len());
+        }
     }
 
     #[test]

@@ -316,10 +316,16 @@ impl WorkloadBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if either id has not been recorded yet.
+    /// Panics if either id has not been recorded yet, or if `dep` was not
+    /// recorded before `event` (a dependency on the event itself or on a
+    /// later one, which would make the recorded program order cyclic).
     pub fn depends(&mut self, event: EventId, dep: EventId) -> &mut Self {
         assert!(event.index() < self.events.len(), "unknown event {event}");
         assert!(dep.index() < self.events.len(), "unknown dep {dep}");
+        assert!(
+            dep < event,
+            "event {event} cannot depend on {dep}, which was not recorded before it"
+        );
         let ev = &mut self.events[event.index()];
         if !ev.deps.contains(&dep) {
             ev.deps.push(dep);
@@ -498,6 +504,23 @@ mod tests {
         }];
         let err = Workload::from_events(bad).unwrap_err();
         assert!(matches!(err, WorkloadError::UnknownEvent { .. }));
+    }
+
+    #[test]
+    #[should_panic(expected = "event e0 cannot depend on e0")]
+    fn depends_rejects_a_self_dependency_at_the_call() {
+        let mut w = Workload::builder();
+        let e0 = w.update(r(0), "x", [Value::from(0)]);
+        w.depends(e0, e0);
+    }
+
+    #[test]
+    #[should_panic(expected = "event e0 cannot depend on e1")]
+    fn depends_rejects_a_forward_dependency_at_the_call() {
+        let mut w = Workload::builder();
+        let e0 = w.update(r(0), "x", [Value::from(0)]);
+        let e1 = w.update(r(1), "y", [Value::from(1)]);
+        w.depends(e0, e1);
     }
 
     #[test]

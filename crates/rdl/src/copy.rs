@@ -80,7 +80,7 @@ pub(crate) fn clone_set_from<T: Ord + Clone>(into: &mut BTreeSet<T>, from: &BTre
 
 /// `Arc::clone_from` that leaves a handle on the same value alone, instead
 /// of taking one reference and dropping another.
-pub(crate) fn clone_arc_from<T>(into: &mut Arc<T>, from: &Arc<T>) {
+pub(crate) fn clone_arc_from<T: ?Sized>(into: &mut Arc<T>, from: &Arc<T>) {
     if !Arc::ptr_eq(into, from) {
         *into = Arc::clone(from);
     }

@@ -134,12 +134,14 @@ impl<'a> JsonView<'a> {
 
     /// The visible keys in order, if this is an object.
     pub fn keys(self) -> Option<impl Iterator<Item = &'a str> + Clone> {
-        Some(self.entries()?.map(|(key, _)| key))
+        Some(self.entries()?.map(|(key, _)| &**key))
     }
 
     /// The visible entries in key order, each key with a view of its
-    /// subtree, if this is an object.
-    pub fn entries(self) -> Option<impl Iterator<Item = (&'a str, JsonView<'a>)> + Clone> {
+    /// subtree, if this is an object. A key is the document's own handle:
+    /// a write that reuses it (say, [`JsonDoc::set_object`] over what was
+    /// read) clones the handle, not its text.
+    pub fn entries(self) -> Option<impl Iterator<Item = (&'a Arc<str>, JsonView<'a>)> + Clone> {
         match self.0 {
             ViewNode::Object(map) => Some(visible_entries(map)),
             _ => None,
@@ -160,7 +162,7 @@ impl<'a> JsonView<'a> {
             ViewNode::Prim(v) => JsonValue::Prim(v.clone()),
             ViewNode::Object(map) => JsonValue::Object(
                 visible_entries(map)
-                    .map(|(key, view)| (key.to_owned(), view.to_json()))
+                    .map(|(key, view)| ((**key).to_owned(), view.to_json()))
                     .collect(),
             ),
             ViewNode::Array(rga) => JsonValue::Array(rga.visible().cloned().collect()),
@@ -200,8 +202,9 @@ pub enum DocOp {
     SetObject {
         /// Full path, last segment is the replaced key.
         path: Vec<PathSegment>,
-        /// New object content.
-        entries: BTreeMap<String, Value>,
+        /// New object content, each key a handle the document's object
+        /// shares.
+        entries: BTreeMap<Arc<str>, Value>,
         /// Write timestamp (LWW).
         ts: LamportTimestamp,
         /// Delivery-tracking tag.
@@ -437,10 +440,14 @@ impl JsonDoc {
     }
 
     /// LWW-replaces the subtree at `path` with an object of primitives.
+    ///
+    /// The keys are taken by handle: the operation and the object it
+    /// builds (here and at every replica that applies it) share each
+    /// `Arc<str>` passed in, so no key's text is copied.
     pub fn set_object(
         &mut self,
         path: &[&str],
-        entries: BTreeMap<String, Value>,
+        entries: BTreeMap<Arc<str>, Value>,
     ) -> Result<Arc<DocOp>, DocError> {
         assert!(!path.is_empty(), "path must be non-empty");
         let ts = self.clock.tick();
@@ -632,7 +639,7 @@ impl JsonDoc {
                     .iter()
                     .map(|(k, v)| {
                         (
-                            k.as_str().into(),
+                            Arc::clone(k),
                             Arc::new(Entry {
                                 ts: *ts,
                                 replaced_at: None,
@@ -906,10 +913,10 @@ fn array_mut<'a, S: AsRef<str>>(root: &'a mut Obj, path: &[S]) -> Option<&'a mut
 
 /// An object's visible entries in key order: each key with a view of its
 /// subtree, tombstones skipped.
-fn visible_entries(map: &Obj) -> impl Iterator<Item = (&str, JsonView<'_>)> + Clone {
+fn visible_entries(map: &Obj) -> impl Iterator<Item = (&Arc<str>, JsonView<'_>)> + Clone {
     map.0
         .iter()
-        .filter_map(|(key, entry)| Some((&**key, JsonView::of(&entry.node)?)))
+        .filter_map(|(key, entry)| Some((key, JsonView::of(&entry.node)?)))
 }
 
 #[cfg(test)]
@@ -977,7 +984,7 @@ mod tests {
         // Concurrently: b sets a sibling, a replaces the whole object.
         b.set(&["obj", "y"], Value::from(2)).unwrap();
         let mut replacement = BTreeMap::new();
-        replacement.insert("x".to_owned(), Value::from(10));
+        replacement.insert("x".into(), Value::from(10));
         // Ensure a's replacement is the LWW winner (two warm-up ticks push
         // a's clock strictly past b's concurrent write).
         a.set(&["warmup1"], Value::from(0)).unwrap();

@@ -122,7 +122,7 @@ pub use log::Log;
 pub use lwwset::{Bias, LwwElementSet};
 pub use map::{LwwMap, OrMap};
 pub use oplog::{LogEntry, LogSortOrder, MerkleHash, MerkleLog, MerkleLogOp};
-pub use orset::{OrSet, OrSetOp};
+pub use orset::{AddTags, OrSet, OrSetOp};
 pub use register::{LwwRegister, MvRegister};
 pub use rga::{ElementId, Rga, RgaOp};
 pub use set::{GSet, TwoPhaseSet};

@@ -27,6 +27,7 @@ use er_pi_model::{
 };
 use serde::{Deserialize, Serialize};
 
+use crate::copy::clone_arc_from;
 use crate::{fnv1a64, fnv1a64_extend, DeltaSync, Log, StateCrdt};
 
 /// Content hash of one log entry.
@@ -57,8 +58,10 @@ pub struct LogEntry {
     pub hash: MerkleHash,
     /// Lamport timestamp of the append.
     pub clock: LamportTimestamp,
-    /// Writer identity string (OrbitDB's public-key identity).
-    pub identity: String,
+    /// Writer identity (OrbitDB's public-key identity): the handle of the
+    /// log that appended the entry, shared by every entry it appends, and
+    /// not a copy of its text.
+    pub identity: Arc<str>,
     /// Entry payload.
     pub payload: Value,
     /// Hashes of the heads this entry was appended on top of.
@@ -123,7 +126,7 @@ pub type MerkleLogOp = LogEntry;
 #[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MerkleLog {
     replica: ReplicaId,
-    identity: String,
+    identity: Arc<str>,
     clock: LamportClock,
     sort: LogSortOrder,
     /// Entries in arrival order.
@@ -149,7 +152,7 @@ impl Clone for MerkleLog {
         } = self;
         MerkleLog {
             replica: *replica,
-            identity: identity.clone(),
+            identity: Arc::clone(identity),
             clock: clock.clone(),
             sort: *sort,
             entries: entries.clone(),
@@ -172,7 +175,7 @@ impl Clone for MerkleLog {
             rejected,
         } = source;
         self.replica = *replica;
-        self.identity.clone_from(identity);
+        clone_arc_from(&mut self.identity, identity);
         self.clock.clone_from(clock);
         self.sort = *sort;
         self.entries.clone_from(entries);
@@ -184,7 +187,7 @@ impl Clone for MerkleLog {
 
 impl MerkleLog {
     /// Creates an empty log for `replica` writing as `identity`.
-    pub fn new(replica: ReplicaId, identity: impl Into<String>) -> Self {
+    pub fn new(replica: ReplicaId, identity: impl Into<Arc<str>>) -> Self {
         MerkleLog {
             replica,
             identity: identity.into(),
@@ -244,7 +247,7 @@ impl MerkleLog {
         Arc::clone(self.entries.push(LogEntry {
             hash,
             clock,
-            identity: self.identity.clone(),
+            identity: Arc::clone(&self.identity),
             payload,
             refs,
             dot,

@@ -24,8 +24,10 @@ pub enum OrSetOp<T> {
     Remove {
         /// Removed element.
         element: T,
-        /// The add tags observed at the remover; only these die.
-        observed: Vec<Dot>,
+        /// The add tags observed at the remover; only these die. One tag
+        /// inline (an element nearly always has exactly one), so the remove
+        /// copies the entry's tag list without a block of its own.
+        observed: AddTags,
         /// Unique tag of the remove itself (for delta bookkeeping).
         dot: Dot,
     },
@@ -95,6 +97,61 @@ impl From<Vec<Dot>> for Tags {
             [dot] => Tags::One(dot),
             _ => Tags::Many(dots),
         }
+    }
+}
+
+/// The add tags a remove of an [`OrSet`] element observed, in arrival
+/// order: a copy of the element's live tags. The one tag an element nearly
+/// always has is stored inline, so the copy owns no block.
+///
+/// It reads as the slice [`as_slice`](AddTags::as_slice) returns: equality,
+/// `Debug`, the canonical encoding and serde (a plain sequence of dots)
+/// are the slice's, however the tags are stored.
+#[derive(Clone)]
+pub struct AddTags(Tags);
+
+impl AddTags {
+    /// The tags, in arrival order.
+    pub fn as_slice(&self) -> &[Dot] {
+        self.0.as_slice()
+    }
+}
+
+impl From<Vec<Dot>> for AddTags {
+    fn from(dots: Vec<Dot>) -> Self {
+        AddTags(dots.into())
+    }
+}
+
+impl PartialEq for AddTags {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for AddTags {}
+
+impl std::fmt::Debug for AddTags {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
+impl Serialize for AddTags {
+    fn to_content(&self) -> Content {
+        self.as_slice().to_content()
+    }
+}
+
+impl Deserialize for AddTags {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        Vec::<Dot>::from_content(content).map(AddTags::from)
+    }
+}
+
+impl CanonicalEncode for AddTags {
+    fn encode_canonical(&self, out: &mut Vec<u8>) {
+        self.as_slice().encode_canonical(out);
     }
 }
 
@@ -222,7 +279,7 @@ impl<T: Ord + Clone> OrSet<T> {
         if entry.tags.as_slice().is_empty() {
             return None;
         }
-        let (element, observed) = (entry.element().clone(), entry.tags.as_slice().to_vec());
+        let (element, observed) = (entry.element().clone(), AddTags(entry.tags.clone()));
         let dot = self.ctx.next_dot(self.replica);
         Some(self.record(Arc::new(OrSetOp::Remove {
             element,
@@ -306,6 +363,7 @@ impl<T: Ord + Clone> OrSet<T> {
             OrSetOp::Remove {
                 element, observed, ..
             } => {
+                let observed = observed.as_slice();
                 self.removed_tags.extend(observed.iter().copied());
                 if let Ok(at) = self.position(element) {
                     self.entries[at].tags.retain(|t| !observed.contains(t));

@@ -382,7 +382,7 @@ impl PlainOrSet {
         let Some(observed) = self.entries.get(&element).filter(|tags| !tags.is_empty()) else {
             return false;
         };
-        let observed = observed.clone();
+        let observed = observed.clone().into();
         let dot = self.ctx.next_dot(self.replica);
         self.record(OrSetOp::Remove {
             element,
@@ -412,9 +412,9 @@ impl PlainOrSet {
             OrSetOp::Remove {
                 element, observed, ..
             } => {
-                self.removed_tags.extend(observed.iter().copied());
+                self.removed_tags.extend(observed.as_slice());
                 if let Some(tags) = self.entries.get_mut(element) {
-                    tags.retain(|t| !observed.contains(t));
+                    tags.retain(|t| !observed.as_slice().contains(t));
                 }
             }
         }
@@ -572,7 +572,7 @@ fn doc_step(docs: &mut [JsonDoc; 2], (kind, replica, path, a, b): Step) {
     let _ = match kind {
         0 => doc.set(at, payload(a)).map(drop),
         1 => {
-            let entries = (0..b % 3).map(|i| (format!("k{i}"), payload(a + i as i64)));
+            let entries = (0..b % 3).map(|i| (format!("k{i}").into(), payload(a + i as i64)));
             doc.set_object(at, entries.collect()).map(drop)
         }
         2 => doc.remove(at).map(drop),

@@ -160,14 +160,16 @@ impl SystemModel for ReplicaDbModel {
             "read_batch" => {
                 let from = op.arg(0).and_then(Value::as_int).unwrap_or(i64::MIN);
                 let to = op.arg(1).and_then(Value::as_int).unwrap_or(i64::MAX);
-                let rows: Vec<(i64, i64)> = states[Self::SOURCE]
-                    .table
-                    .range(from..=to)
-                    .map(|(&k, &v)| (k, v))
-                    .collect();
-                let job = &mut states[Self::SINK];
-                job.staging.extend(rows.iter().copied());
-                job.staging_bytes += rows.len() as u64 * self.row_bytes;
+                let (source, job) = sender_and_receiver(states, Self::SOURCE, Self::SINK)
+                    .expect("source and sink are distinct replicas");
+                // Straight from the source's range into the sink's buffer:
+                // the batch is counted by how far the buffer grew.
+                let job = &mut **job;
+                let staged = job.staging.len();
+                let batch = source.table.range(from..=to).map(|(&k, &v)| (k, v));
+                job.staging.extend(batch);
+                let rows = (job.staging.len() - staged) as u64;
+                job.staging_bytes += rows * self.row_bytes;
                 job.peak_staging_bytes = job.peak_staging_bytes.max(job.staging_bytes);
                 if job.staging_bytes > self.memory_budget {
                     job.oom = true;

@@ -125,10 +125,10 @@ fn local_update(
             let mut entries = BTreeMap::new();
             let mut i = 1;
             while let (Some(k), Some(v)) = (op.arg(i), op.arg(i + 1)) {
-                let Some(key) = k.as_str() else {
+                let Some(key) = k.as_shared_str() else {
                     return OpOutcome::failed("set_object keys must be strings");
                 };
-                entries.insert(key.to_owned(), v.clone());
+                entries.insert(Arc::clone(key), v.clone());
                 i += 2;
             }
             doc_result(doc.set_object(path, entries))
@@ -151,8 +151,8 @@ fn local_update(
             let Some(fields) = doc.view(path).and_then(JsonView::entries) else {
                 return OpOutcome::failed("refresh_object needs an object path");
             };
-            let entries: BTreeMap<String, Value> = fields
-                .filter_map(|(key, field)| Some((key.to_owned(), field.as_prim()?.clone())))
+            let entries: BTreeMap<Arc<str>, Value> = fields
+                .filter_map(|(key, field)| Some((Arc::clone(key), field.as_prim()?.clone())))
                 .collect();
             doc_result(doc.set_object(path, entries))
         }

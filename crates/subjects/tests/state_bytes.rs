@@ -498,7 +498,7 @@ fn delta_type_json_is_pinned() {
     doc.set(&["profile", "name"], Value::from("ada")).unwrap();
     doc.set_object(
         &["settings"],
-        [("theme".to_owned(), Value::from("dark"))].into(),
+        [("theme".into(), Value::from("dark"))].into(),
     )
     .unwrap();
     doc.new_array(&["todos"]).unwrap();

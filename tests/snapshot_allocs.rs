@@ -272,6 +272,77 @@ fn a_copy_and_the_write_after_it_cost_the_same_at_any_history() {
     });
 }
 
+/// An applied operation allocates only what it keeps: its own `Arc` and
+/// the collections stored inside it. A string it carries is a handle the
+/// caller or the replica already holds, and no temporary is built to be
+/// thrown away.
+///
+/// - An `OrSet` remove of a one-tag element copies the tag inline: with
+///   room in the log and a node in the removed-tag tree, it allocates its
+///   operation's `Arc` and nothing else (2 blocks while the observed tags
+///   were a `Vec`).
+/// - Every entry a `MerkleLog` appends shares the log's writer identity,
+///   and so does every entry a copy of the log appends (one block per
+///   append and per copy while the identity was a `String`).
+/// - A `JsonDoc::set_object` key is the handle passed in, in the operation
+///   and in the document (one block per key for the operation's `String`
+///   and one per key and apply for the document's key).
+/// - A `DotContext` copied over an equal one keeps its cloud (one block per
+///   tree node while `clone_from` cloned the tree).
+#[test]
+fn an_applied_operation_allocates_only_what_it_keeps() {
+    use er_pi_model::{Dot, DotContext};
+    use er_pi_rdl::{DocOp, JsonDoc, JsonView, MerkleLog, OrSet};
+
+    let a = ReplicaId::new(0);
+
+    let mut set = OrSet::new(a);
+    for element in 0..5i64 {
+        set.insert(element);
+    }
+    set.remove(&0);
+    // Six operations in a log of capacity eight, one removed tag.
+    let (blocks, removed) = blocks_during(|| set.remove(&1).is_some());
+    assert!(removed && !set.contains(&1));
+    assert_eq!(blocks, 1, "an OrSet remove of a one-tag element");
+
+    let mut log = MerkleLog::new(a, "alice");
+    let first = log.append(Value::from(1));
+    let mut copy = log.clone();
+    let entries = [log.append(Value::from(2)), copy.append(Value::from(3))];
+    for entry in &entries {
+        assert!(Arc::ptr_eq(&entry.identity, &first.identity));
+    }
+    assert!(std::ptr::eq(
+        first.identity.as_ptr(),
+        log.identity().as_ptr()
+    ));
+
+    let key: Arc<str> = Arc::from("theme");
+    let mut doc = JsonDoc::new(a);
+    let fields = [(Arc::clone(&key), Value::from("dark"))].into();
+    let op = doc
+        .set_object(&["settings"], fields)
+        .expect("an object path");
+    let DocOp::SetObject { entries, .. } = &*op else {
+        panic!("set_object records a SetObject: {op:?}");
+    };
+    assert!(Arc::ptr_eq(entries.keys().next().expect("one key"), &key));
+    let view = doc.view(&["settings"]).and_then(JsonView::entries);
+    let (held, _) = view.and_then(|mut e| e.next()).expect("one visible field");
+    assert!(Arc::ptr_eq(held, &key));
+
+    let mut context = DotContext::new();
+    for counter in [1, 3, 5, 7] {
+        context.add(Dot::new(a, counter));
+    }
+    assert_eq!(context.cloud_len(), 3);
+    let mut stale = context.clone();
+    let (blocks, ()) = blocks_during(|| stale.clone_from(&context));
+    assert_eq!(blocks, 0, "a DotContext copied over an equal one");
+    assert_eq!(stale, context);
+}
+
 /// After a refill, the copy a write makes goes into the value the refill
 /// displaced: for every subject replica, at every step of its recordings
 /// that wrote a replica, copying the snapshot's replica into the value the
@@ -437,9 +508,10 @@ fn an_attached_registry_allocates_nothing_per_run() {
 /// worker, session defaults.
 ///
 /// DFS order resumes 73 % of its events from snapshots, so nearly every
-/// applied event first copies the replica it writes; it measures 4.85 now
-/// that a handle keeps two values a refill displaced, so a second copy of
-/// one replica in one run goes into the other (6.69 once the dispenser
+/// applied event first copies the replica it writes; it measures 4.11 now
+/// that an OR-set remove copies its one observed tag inline (4.85 once a
+/// handle kept two values a refill displaced, so a second copy of
+/// one replica in one run goes into the other; 6.69 once the dispenser
 /// wrote each interleaving over a buffer its slot keeps and a snapshot was
 /// built in the emptied block of one no path holds any more; 7.62 once a
 /// sync between OR-sets walked the sender's log in place
@@ -458,16 +530,17 @@ fn an_attached_registry_allocates_nothing_per_run() {
 /// 99 % of its events to states no snapshot holds and shares next to
 /// nothing with the run before it, so it is the pin on what sharing — of
 /// structures and of buffers — costs where there is nothing to share:
-/// 7.10 with two spares per handle, a retried shuffle redrawn in the same
-/// buffer (7.41, 8.02, 9.87, 17.58, 24.85, 25.70, 29.65, 40.35).
+/// 6.36 with a remove's tag inline (7.10 with two spares per handle, a
+/// retried shuffle redrawn in the same buffer; 7.41, 8.02, 9.87, 17.58,
+/// 24.85, 25.70, 29.65, 40.35).
 ///
 /// Under default retention a run leaves a `(sim_us, failed_ops)` row and
 /// nothing else — no `observe`, no `RunRecord`. With `keep_runs` every run
 /// builds its record (interleaving + observations): no benchmark workload
-/// takes that path, so this is what holds it: 11.45 with two spares per
-/// handle, the record taking its run's interleaving out of the slot's
-/// buffer, which the next claim refills (13.28; 14.00; 15.07, 22.60, 29.97,
-/// 30.63, 35.74).
+/// takes that path, so this is what holds it: 10.70 with a remove's tag
+/// inline (11.45 with two spares per handle, the record taking its run's
+/// interleaving out of the slot's buffer, which the next claim refills;
+/// 13.28; 14.00; 15.07, 22.60, 29.97, 30.63, 35.74).
 #[test]
 fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
     let blocks_per_run = |mode: ExploreMode, keep_runs: bool| {
@@ -489,9 +562,9 @@ fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
     let dfs = blocks_per_run(ExploreMode::Dfs, false);
     let random = blocks_per_run(ExploreMode::Random { seed: 7 }, false);
     let kept = blocks_per_run(ExploreMode::Dfs, true);
-    assert!(dfs <= 4.9, "DFS order: {dfs} blocks per run");
-    assert!(random <= 7.17, "Random order: {random} blocks per run");
-    assert!(kept <= 11.56, "keep_runs: {kept} blocks per run");
+    assert!(dfs <= 4.15, "DFS order: {dfs} blocks per run");
+    assert!(random <= 6.43, "Random order: {random} blocks per run");
+    assert!(kept <= 10.81, "keep_runs: {kept} blocks per run");
 }
 
 /// Blocks per run of `benchmark/`'s `fault-subsume` campaign: the same town
@@ -499,8 +572,9 @@ fn a_town_replay_allocates_a_pinned_number_of_blocks_per_run() {
 /// state-hash subsumption, capped at 10 000, one worker.
 ///
 /// Nine in ten of its runs are answered from the explored-set, so much of
-/// what a run costs there is what recording it costs. It measures 3.45 now
-/// that a handle keeps two values a refill displaced; 3.52 once the product
+/// what a run costs there is what recording it costs. It measures 3.28 now
+/// that an OR-set remove copies its one observed tag inline; 3.45 once a
+/// handle kept two values a refill displaced; 3.52 once the product
 /// wrote its base order into the slot's buffers instead of cloning it for
 /// each plan, and a snapshot reused the emptied block of one no path holds;
 /// 4.12 once a claim held whole base orders (27 runs)
@@ -541,7 +615,7 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
     let stats = report.cache_stats.expect("subsuming replay reports stats");
     assert!(stats.subsumed > 9_000, "{} runs subsumed", stats.subsumed);
     let per_run = blocks as f64 / report.explored as f64;
-    assert!(per_run <= 3.48, "fault-subsume: {per_run} blocks per run");
+    assert!(per_run <= 3.32, "fault-subsume: {per_run} blocks per run");
 }
 
 /// Blocks per run of `benchmark/`'s `catalogue` sweep: the twelve bugs of
@@ -550,8 +624,13 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
 ///
 /// Every run ends in the bug's check, pass or fail, so this is the pin on
 /// what a check costs: it reads the replica states in place and formats its
-/// symptom only when the bug manifested. It measures 8.97 blocks per run
-/// now that a handle keeps two values a refill displaced; 10.68 once ER-π
+/// symptom only when the bug manifested. It measures 7.52 blocks per run
+/// now that an applied operation allocates only what it keeps: a Merkle
+/// entry shares its log's writer identity, a document object shares the
+/// keys its `set_object` was handed, a batch read goes straight into the
+/// sink's staging buffer, a dot context copies its cloud into the one it
+/// has and the failed-ops filter reads positions off the order; 8.97 once
+/// a handle kept two values a refill displaced; 10.68 once ER-π
 /// flattened each candidate into the slot's buffer, its independence
 /// filter read a per-set index built with the explorer instead of two hash
 /// sets per candidate (ReplicaDB-1 and -2 fall by 3.8 and 3.5), and a
@@ -583,7 +662,9 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
 /// their own, once a local update handed its path to the document from the
 /// stack and read an object's keys and fields in place; 23.25 once its
 /// array elements and ops shared their strings and a path was the
-/// document's own key handles; 39.68).
+/// document's own key handles; 39.68). Neither moved when an applied
+/// operation stopped allocating what it does not keep: none of the blocks
+/// that removed occurs in their runs.
 #[test]
 fn the_catalogue_sweep_allocates_a_pinned_number_of_blocks_per_run() {
     let config = ReplayConfig {
@@ -601,7 +682,7 @@ fn the_catalogue_sweep_allocates_a_pinned_number_of_blocks_per_run() {
     }
     assert_eq!(runs, 92_160, "the sweep is fixed");
     let per_run = blocks as f64 / runs as f64;
-    assert!(per_run <= 9.06, "catalogue: {per_run} blocks per run");
+    assert!(per_run <= 7.6, "catalogue: {per_run} blocks per run");
     let bug = |name: &str| {
         per_bug
             .iter()
@@ -729,4 +810,44 @@ fn the_causal_filter_allocates_nothing_per_candidate() {
     );
     assert_eq!(emitted, 20_160);
     assert_eq!(blocks, 0, "the causal filter over 40 320 candidates");
+}
+
+/// The ER-π failed-ops filter allocates nothing per candidate: it reads the
+/// rule's positions off the order in passes. Eight updates on two replicas
+/// and one rule whose three successors all follow its predecessor in a
+/// quarter of the orders, every other filter off, so each of the 8!
+/// candidates reaches it and the rule fires on 10 080 of them: the
+/// candidates after the first (which sizes the buffer) allocate no block.
+/// One block per candidate while the check collected the successors'
+/// positions into a vector to sort.
+#[test]
+fn the_failed_ops_filter_allocates_nothing_per_candidate() {
+    use er_pi_interleave::FailedOpsRule;
+
+    let mut w = Workload::builder();
+    let e: Vec<EventId> = (0..8)
+        .map(|i| w.update(ReplicaId::new(i % 2), "op", [Value::from(i64::from(i))]))
+        .collect();
+    let workload = w.build();
+    let config = PruningConfig::default().with_failed_ops(FailedOpsRule {
+        predecessors: vec![e[0]],
+        successors: vec![e[5], e[6], e[7]],
+    });
+    let mut explorer = ErPiExplorer::new(&workload, &config);
+    let mut buf = Interleaving::default();
+    assert!(explorer.fill(&mut buf));
+    let (blocks, emitted) = blocks_during(|| {
+        let mut emitted = 1;
+        while explorer.fill(&mut buf) {
+            emitted += 1;
+        }
+        emitted
+    });
+    let stats = explorer.stats();
+    assert_eq!(
+        (stats.failed_ops_checked, stats.failed_ops_rejected),
+        (40_320, 8_400)
+    );
+    assert_eq!(emitted, 31_920);
+    assert_eq!(blocks, 0, "the failed-ops filter over 40 320 candidates");
 }
