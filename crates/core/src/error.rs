@@ -16,10 +16,8 @@ pub enum ErPiError {
         /// Underlying cause.
         cause: String,
     },
-    /// A replay worker panicked — either a replica thread of the threaded
-    /// executor or a shard worker of the parallel replay pool. The panic is
-    /// contained: the session stays usable and partial shard results are
-    /// discarded.
+    /// A replay worker of the campaign panicked. The panic is contained:
+    /// the session stays usable and partial results are discarded.
     ExecutorPanic(String),
     /// The campaign was cancelled through its [`CancelToken`] before
     /// exploration finished. Partial results are discarded; the session
@@ -39,7 +37,7 @@ impl fmt::Display for ErPiError {
             ErPiError::Constraints { path, cause } => {
                 write!(f, "constraints file {}: {cause}", path.display())
             }
-            ErPiError::ExecutorPanic(what) => write!(f, "replica thread panicked: {what}"),
+            ErPiError::ExecutorPanic(what) => write!(f, "replay worker panicked: {what}"),
             ErPiError::Cancelled => f.write_str("campaign cancelled before replay finished"),
         }
     }

@@ -2,9 +2,9 @@
 //!
 //! [`FaultInterpreter`] is the one public stepping primitive: the cursor
 //! ([`IncrementalExecutor`](crate::IncrementalExecutor)), the forensic
-//! recorder, the naive reference ([`InlineExecutor`](crate::InlineExecutor))
-//! and the threaded Redlock executor outside this crate all step an
-//! interleaving through it, so the semantics — and therefore the produced
+//! recorder and the naive reference
+//! ([`InlineExecutor`](crate::InlineExecutor)) all step an interleaving
+//! through it, so the semantics — and therefore the produced
 //! `(states, outcomes)` — are byte-identical across execution paths. The
 //! interpreter is pure bookkeeping over the plan:
 //!

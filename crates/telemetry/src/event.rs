@@ -132,7 +132,7 @@ pub struct TelemetryEvent {
     /// The track this event belongs to.
     pub track: TrackId,
     /// Event name (stable, dot-free identifiers like `run`,
-    /// `prune:independence`, `dlock:acquire`).
+    /// `prune:independence`, `cache:low-hit-rate`).
     pub name: Cow<'static, str>,
     /// The payload.
     pub kind: EventKind,

@@ -2,12 +2,8 @@
 //! record → generate → prune → replay → assert pipeline.
 
 use crate::common::r;
-use er_pi::{
-    Assertion, ExploreMode, FailedOpsRule, InlineExecutor, PruningConfig, Session, SystemModel,
-    TestSuite, TimeModel,
-};
+use er_pi::{Assertion, ExploreMode, FailedOpsRule, PruningConfig, Session, TestSuite};
 use er_pi_model::{EventId, Value};
-use er_pi_repro::ThreadedExecutor;
 use er_pi_subjects::{CrdtsModel, RoshiModel, TownApp, YorkieModel};
 
 fn record_motivating(session: &mut Session<TownApp>) -> [EventId; 4] {
@@ -63,29 +59,6 @@ fn all_three_modes_find_the_motivating_violation() {
         let report = session.replay(&TownApp::invariant()).unwrap();
         assert!(!report.passed(), "{mode} must find the violation");
     }
-}
-
-#[test]
-fn threaded_and_inline_executors_agree_on_every_pruned_order() {
-    let mut session = Session::new(TownApp::new(2));
-    record_motivating(&mut session);
-    let workload = session.workload().unwrap().clone();
-    let model = TownApp::new(2);
-    let time = TimeModel::paper_setup();
-
-    let config = PruningConfig::default();
-    let explorer = er_pi_interleave::ErPiExplorer::new(&workload, &config);
-    let mut checked = 0;
-    for il in explorer {
-        let inline = InlineExecutor::execute(&model, &workload, &il, &time);
-        let threaded = ThreadedExecutor::execute(&model, &workload, &il, &time).unwrap();
-        let obs_inline: Vec<Value> = inline.states.iter().map(|s| model.observe(s)).collect();
-        let obs_threaded: Vec<Value> = threaded.states.iter().map(|s| model.observe(s)).collect();
-        assert_eq!(obs_inline, obs_threaded, "divergence on {il}");
-        assert_eq!(inline.outcomes, threaded.outcomes, "outcomes on {il}");
-        checked += 1;
-    }
-    assert_eq!(checked, 24);
 }
 
 #[test]
