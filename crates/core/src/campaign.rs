@@ -101,79 +101,25 @@ fn parse_workers_override(raw: &str) -> Option<usize> {
     }
 }
 
-/// An exploration source over any of the three modes.
-enum AnyExplorer<'w> {
-    ErPi(Box<ErPiExplorer<'w>>),
-    Dfs(DfsExplorer),
-    Rand(RandomExplorer),
-}
-
-impl Iterator for AnyExplorer<'_> {
-    type Item = Interleaving;
-
-    fn next(&mut self) -> Option<Interleaving> {
-        match self {
-            AnyExplorer::ErPi(e) => e.next(),
-            AnyExplorer::Dfs(e) => e.next(),
-            AnyExplorer::Rand(e) => e.next(),
-        }
-    }
-}
-
-impl Explorer for AnyExplorer<'_> {
-    fn name(&self) -> &'static str {
-        match self {
-            AnyExplorer::ErPi(e) => e.name(),
-            AnyExplorer::Dfs(e) => e.name(),
-            AnyExplorer::Rand(e) => e.name(),
-        }
-    }
-
-    fn wasted_work(&self) -> u64 {
-        match self {
-            AnyExplorer::ErPi(e) => e.wasted_work(),
-            AnyExplorer::Dfs(e) => e.wasted_work(),
-            AnyExplorer::Rand(e) => e.wasted_work(),
-        }
-    }
-
-    fn fill(&mut self, buf: &mut Interleaving) -> bool {
-        match self {
-            AnyExplorer::ErPi(e) => e.fill(buf),
-            AnyExplorer::Dfs(e) => e.fill(buf),
-            AnyExplorer::Rand(e) => e.fill(buf),
-        }
-    }
-}
-
-impl AnyExplorer<'_> {
-    /// The deterministic counters: pruning statistics (ER-π mode only) and
-    /// mode-specific wasted work (Random's shuffle retries).
-    fn counters(&self) -> Counters {
-        let stats = match self {
-            AnyExplorer::ErPi(e) => Some(e.stats()),
-            _ => None,
-        };
-        (stats, self.wasted_work())
-    }
-
-    fn timings(&self) -> Option<FilterTimings> {
-        match self {
-            AnyExplorer::ErPi(e) => Some(e.timings()),
-            _ => None,
-        }
-    }
-}
-
-type Source<'w> = IndexedSource<FaultProduct<AnyExplorer<'w>>>;
+/// The dispenser's source: the campaign's explorer, whichever the mode,
+/// read through [`Explorer`] alone.
+type Source<'w> = IndexedSource<FaultProduct<Box<dyn Explorer + Send + 'w>>>;
 
 /// An explorer's deterministic counters as of some dispensed item: pruning
-/// statistics (ER-π mode only) and wasted work.
+/// statistics (ER-π mode only) and mode-specific wasted work (Random's
+/// shuffle retries).
 type Counters = (Option<PruneStats>, u64);
 
-/// Builds the exploration source of one replay: the mode's explorer lifted
-/// to the `orders × plans` product. With no fault configuration the product
-/// holds the single empty plan and is a transparent pass-through — emitted
+/// The counters `explorer` has accumulated so far.
+fn counters(explorer: &impl Explorer) -> Counters {
+    (explorer.prune_stats(), explorer.wasted_work())
+}
+
+/// Builds and observes the exploration source of one replay — the first
+/// explorer and every State-4 replacement alike: the mode's explorer, with
+/// what `instrument` measures of it turned on, lifted to the `orders ×
+/// plans` product. With no fault configuration the product holds the
+/// single empty plan and is a transparent pass-through — emitted
 /// interleavings are bit-identical to the bare explorer's. A `Cow::Owned`
 /// workload yields a `'static` explorer (only ER-π keeps the workload; the
 /// other two modes read it once).
@@ -182,11 +128,16 @@ fn build_explorer<'w>(
     workload: Cow<'w, Workload>,
     config: &PruningConfig,
     plans: &[FaultPlan],
-) -> FaultProduct<AnyExplorer<'w>> {
-    let explorer = match mode {
-        ExploreMode::ErPi => AnyExplorer::ErPi(Box::new(ErPiExplorer::over(workload, config))),
-        ExploreMode::Dfs => AnyExplorer::Dfs(DfsExplorer::new(&workload)),
-        ExploreMode::Random { seed } => AnyExplorer::Rand(RandomExplorer::new(&workload, seed)),
+    instrument: &Instrument,
+) -> FaultProduct<Box<dyn Explorer + Send + 'w>> {
+    let explorer: Box<dyn Explorer + Send + 'w> = match mode {
+        ExploreMode::ErPi => {
+            let mut explorer = ErPiExplorer::over(workload, config);
+            instrument.observe_explorer(&mut explorer);
+            Box::new(explorer)
+        }
+        ExploreMode::Dfs => Box::new(DfsExplorer::new(&workload)),
+        ExploreMode::Random { seed } => Box::new(RandomExplorer::new(&workload, seed)),
     };
     FaultProduct::new(explorer, plans.to_vec())
 }
@@ -319,8 +270,7 @@ impl Dispenser<'_> {
     /// report.
     fn fill(&mut self, buf: &mut Interleaving, counted: bool) -> Option<Dispensed> {
         let index = self.source.fill(buf)?;
-        let counters = counted.then(|| self.source.inner().inner().counters());
-        Some((index, counters))
+        Some((index, counted.then(|| counters(self.source.inner()))))
     }
 }
 
@@ -467,10 +417,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             slots,
             instrument,
         } = params;
-        let mut explorer = build_explorer(replay.mode, workload.clone(), &config, &plans);
-        if let AnyExplorer::ErPi(e) = explorer.inner_mut() {
-            instrument.observe_explorer(e);
-        }
+        let explorer = build_explorer(replay.mode, workload.clone(), &config, &plans, &instrument);
         let explored = replay.subsumption.then(|| Arc::new(SubsumeSet::new()));
         let budget = match replay.incremental {
             true => DEFAULT_CACHE_BUDGET,
@@ -599,7 +546,8 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
                     let mode = self.replay.mode;
                     if matches!(mode, ExploreMode::ErPi) {
                         let workload = self.workload.clone();
-                        let fresh = build_explorer(mode, workload, &disp.config, &self.plans);
+                        let (config, plans) = (&disp.config, &self.plans);
+                        let fresh = build_explorer(mode, workload, config, plans, &self.instrument);
                         disp.source.reseed(fresh);
                     }
                 }
@@ -925,13 +873,13 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             "records are built for every run or for none"
         );
 
-        let explorer = disp.source.inner().inner();
+        let explorer = disp.source.inner();
         let (prune_stats, wasted) = match table.stopped_at.take() {
             Some((run, counters)) if stopped => {
                 assert_eq!(run, lowest, "the lowest violation is a stop point");
                 counters
             }
-            _ => explorer.counters(),
+            _ => counters(explorer),
         };
         Ok(Outcome {
             mode: explorer.name().to_owned(),
@@ -949,7 +897,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             // Timings come from the *live* explorer: they are wall time, so
             // — unlike the counters — what was dispensed past the stop point
             // is exactly what was really spent.
-            filter_timings: explorer.timings(),
+            filter_timings: explorer.filter_timings(),
             config: std::mem::take(&mut disp.config),
         })
     }

@@ -25,7 +25,8 @@ pub struct WorkerLoad {
 /// relative to replaying every interleaving from scratch.
 ///
 /// Carried in [`Report::cache_stats`](crate::Report::cache_stats) when the
-/// session ran incrementally (`None` for a scratch replay). Like
+/// session ran incrementally or subsumed (`None` for a plain scratch
+/// replay). Like
 /// [`WorkerLoad`], the counters are legitimately scheduling-dependent under
 /// a parallel pool (each worker owns its own paths), so they are excluded
 /// from [`Report::diff`](crate::Report::diff).
@@ -33,7 +34,12 @@ pub struct WorkerLoad {
 pub struct CacheStats {
     /// Runs that resumed from a cached prefix checkpoint (depth > 0).
     pub hits: u64,
-    /// Runs that found no usable checkpoint and replayed from scratch.
+    /// Runs that found no usable checkpoint and replayed from scratch. An
+    /// executor that keeps no snapshots (subsumption on, incremental replay
+    /// off) books every run here: [`Report::cache_stats`](crate::Report::cache_stats)
+    /// shows one miss per run, while the session summary, the live progress
+    /// tally and the registry show no hit or miss, there having been no
+    /// cache to miss.
     pub misses: u64,
     /// Event applications skipped by resuming from cached prefixes — what
     /// `core.incr_events_saved_share` reports (see `benchmark/README.md`).

@@ -67,9 +67,13 @@ pub struct Report {
     /// (misconception patterns flagged before any interleaving ran).
     pub diagnostics: Vec<Diagnostic>,
     /// Checkpoint-cache counters of the incremental executor (`None` for a
-    /// scratch replay). The counters are summed over the per-slot
-    /// executors, which makes them scheduling-dependent — like `wall_ms`
-    /// they are excluded from [`Report::diff`].
+    /// scratch replay without subsumption). The counters are summed over
+    /// the per-slot executors, which makes them scheduling-dependent — like
+    /// `wall_ms` they are excluded from [`Report::diff`]. With subsumption
+    /// on and incremental replay off the executors keep no snapshots, and
+    /// these counters book one miss per run; the session summary's
+    /// [`cache`](crate::SessionSummary::cache), the live progress tally and
+    /// the registry show no hit or miss for such a campaign.
     pub cache_stats: Option<CacheStats>,
     /// The end-of-session attribution table unifying the pruning, worker,
     /// cache, and failure counters. Its per-slot rows

@@ -8,21 +8,26 @@
 //! a declared independent set executed adjacently with no declared
 //! interferer inside the set's span — exactly the condition under which
 //! Algorithm 3's canonical-form pruner treats the swapped order as
-//! equivalent and discards it. For each such pair the sanitizer re-executes
-//! the run's prefix, applies the pair in both orders, and compares the
-//! FNV-hashed replica observations ([`er_pi_rdl::fnv1a64`]) plus the two
-//! [`OpOutcome`](crate::OpOutcome)s (per event identity). Any difference is an
-//! [`IndependenceViolation`]: the pruner merged two orders the model can
-//! tell apart, so a pruned interleaving might have exposed a bug.
+//! equivalent and discards it. For each such pair the sanitizer steps the
+//! run's prefix through the run's fault plan
+//! ([`FaultInterpreter::step`](crate::FaultInterpreter::step): a dropped
+//! sync stays dropped and a partitioned one undelivered, as in the run),
+//! applies the pair in both orders at the state the run reached, and
+//! compares the FNV-hashed replica observations ([`er_pi_rdl::fnv1a64`])
+//! plus the two [`OpOutcome`](crate::OpOutcome)s (per event identity). Any
+//! difference is an [`IndependenceViolation`]: the pruner merged two orders
+//! the model can tell apart, so a pruned interleaving might have exposed a
+//! bug.
 //!
-//! The check is exact, not probabilistic: [`SystemModel::apply`] is
-//! deterministic given `(states, event)`, so replaying the identical prefix
-//! and swapping the adjacent pair reproduces precisely the two orders the
-//! pruner identified. A memo keyed by the exact prefix event sequence (and
-//! the pair) deduplicates across runs — campaigns with heavy prefix sharing
-//! pay for each distinct swap once — and runs whose candidate pairs are all
-//! memoized skip state re-execution entirely, which is what keeps the
-//! sanitizer inside its documented overhead contract (see DESIGN.md §12).
+//! The check is exact, not probabilistic: a step is deterministic given
+//! `(states, event, plan)`, so replaying the identical prefix under the
+//! run's plan and swapping the adjacent pair reproduces precisely the two
+//! orders the pruner identified. A memo keyed by the exact prefix event
+//! sequence, the plan and the pair deduplicates across runs — campaigns
+//! with heavy prefix sharing pay for each distinct swap once — and runs
+//! whose candidate pairs are all memoized skip state re-execution entirely,
+//! which is what keeps the sanitizer inside its documented overhead
+//! contract (see DESIGN.md §12).
 //!
 //! The sanitizer is strictly read-only with respect to the [`Report`]:
 //! findings land in a separate [`SanitizerReport`] on the session
@@ -42,7 +47,7 @@ use er_pi_interleave::PruningConfig;
 use er_pi_model::{EventId, Workload};
 use er_pi_rdl::fnv1a64;
 
-use crate::{RunRecord, SystemModel};
+use crate::{FaultInterpreter, RunRecord, SystemModel};
 
 /// One adjacent pair the pruners treated as swappable but whose swap
 /// changes the system — concrete evidence of an unsound independence
@@ -72,9 +77,10 @@ pub struct SanitizerReport {
     pub runs_scanned: usize,
     /// Adjacent in-set pairs encountered, before deduplication.
     pub pairs_considered: usize,
-    /// Distinct (prefix, pair) swaps actually re-executed.
+    /// Distinct (prefix, fault plan, pair) swaps actually re-executed.
     pub pairs_checked: usize,
-    /// Pairs skipped because an identical prefix + pair was already checked.
+    /// Pairs skipped because an identical prefix, plan and pair was already
+    /// checked.
     pub pairs_deduped: usize,
     /// Per-run set occurrences skipped because a declared interferer sat
     /// inside the set's span (the pruner would not have merged there).
@@ -145,13 +151,16 @@ pub(crate) fn sanitize<M: SystemModel>(
         })
         .collect();
 
-    // Memo of swaps already executed: exact prefix event sequence + pair.
-    // Exact-sequence keying is sound because `SystemModel::apply` is
-    // deterministic — an identical prefix reproduces identical states.
-    let mut memo: HashSet<(u64, usize, usize)> = HashSet::new();
+    // Memo of swaps already executed: exact prefix event sequence, the
+    // run's fault plan (by digest) and the pair. Exact-sequence keying is
+    // sound because a step is deterministic — an identical prefix under an
+    // identical plan reproduces identical states.
+    let mut memo: HashSet<(u64, u64, usize, usize)> = HashSet::new();
 
     for (run_idx, run) in runs.iter().enumerate() {
         let order = run.interleaving.as_slice();
+        let plan = run.interleaving.faults();
+        let plan_key = plan.digest();
 
         // Candidate positions: `p` such that order[p] and order[p+1] belong
         // to one declared set whose span (in this run) is interferer-free —
@@ -192,16 +201,21 @@ pub(crate) fn sanitize<M: SystemModel>(
         // First pass (no state execution): resolve each candidate's memo
         // key from the rolling prefix-id buffer and keep only novel swaps.
         let mut id_buf: Vec<u8> = Vec::with_capacity(order.len() * 4);
-        let mut novel: Vec<(usize, (u64, usize, usize))> = Vec::new();
+        let mut novel: Vec<usize> = Vec::new();
         let mut cursor = 0usize;
         for &p in &candidates {
             while cursor < p {
                 id_buf.extend_from_slice(&(order[cursor].index() as u32).to_le_bytes());
                 cursor += 1;
             }
-            let key = (fnv1a64(&id_buf), order[p].index(), order[p + 1].index());
+            let key = (
+                fnv1a64(&id_buf),
+                plan_key,
+                order[p].index(),
+                order[p + 1].index(),
+            );
             if memo.insert(key) {
-                novel.push((p, key));
+                novel.push(p);
             } else {
                 report.pairs_deduped += 1;
             }
@@ -210,13 +224,16 @@ pub(crate) fn sanitize<M: SystemModel>(
             continue;
         }
 
-        // Second pass: one incremental walk over the run, cloning states at
-        // each novel candidate and applying the pair in both orders.
+        // Second pass: one walk over the run under its fault plan, cloning
+        // states at each novel candidate and applying the pair in both
+        // orders.
+        let mut faults = FaultInterpreter::new(plan);
         let mut states = model.init_all();
         let mut cursor = 0usize;
-        for (p, _) in novel {
+        for p in novel {
             while cursor < p {
-                let _ = model.apply(&mut states, &events[order[cursor].index()]);
+                let event = &events[order[cursor].index()];
+                let _ = faults.step(model, &mut states, workload, event, cursor);
                 cursor += 1;
             }
             report.pairs_checked += 1;
@@ -248,4 +265,62 @@ pub(crate) fn sanitize<M: SystemModel>(
         }
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::campaign::testing::RegApp;
+    use er_pi_model::{FaultEvent, FaultKind, FaultPlan, Interleaving, ReplicaId, Value};
+
+    /// A run of `order` under `plan` (the sanitizer reads only the order).
+    fn run(order: &[EventId], plan: FaultPlan) -> RunRecord {
+        RunRecord {
+            interleaving: Interleaving::new(order.to_vec()).with_faults(plan),
+            observations: Vec::new(),
+            failed_ops: 0,
+            sim_us: 0,
+        }
+    }
+
+    /// A sync A→B and a write of 9 at A, declared independent, commute
+    /// exactly when A already holds 9. A sync B→A before them brings B's 9
+    /// to A — unless the run's plan drops it, and then the pair does not
+    /// commute at the state the run really reached.
+    #[test]
+    fn the_pair_is_checked_at_the_state_the_faulted_run_reached() {
+        let (a, b) = (ReplicaId::new(0), ReplicaId::new(1));
+        let mut w = Workload::builder();
+        let one = w.update(a, "set", [Value::from(1)]);
+        let nine = w.update(b, "set", [Value::from(9)]);
+        let to_a = w.sync_pair(b, a, nine);
+        let to_b = w.sync_pair(a, b, one);
+        let again = w.update(a, "set", [Value::from(9)]);
+        let workload = w.build();
+        let config = PruningConfig::default().with_independent_set(vec![to_b, again]);
+        let order = [one, nine, to_a, to_b, again];
+        let dropped = FaultPlan::new(vec![FaultEvent::new(to_a, FaultKind::Drop)]);
+
+        let check = |runs: &[RunRecord]| sanitize(&RegApp, &workload, &config, runs);
+        let clean = check(&[run(&order, FaultPlan::empty())]);
+        assert!(clean.passed(), "fault-free, A holds 9: {clean:?}");
+        let faulted = check(&[run(&order, dropped.clone())]);
+        assert_eq!(faulted.violations.len(), 1, "A holds 1: {faulted:?}");
+
+        // The same base order under both plans: the faulted run is its own
+        // check, not the fault-free one's memo entry.
+        let runs = [run(&order, FaultPlan::empty()), run(&order, dropped)];
+        let report = check(&runs);
+        assert_eq!((report.pairs_checked, report.pairs_deduped), (2, 0));
+        let found: Vec<_> = report
+            .violations
+            .iter()
+            .map(|v| (v.run, v.position))
+            .collect();
+        assert_eq!(
+            found,
+            [(1, 3)],
+            "the dropped sync leaves A at 1: {report:?}"
+        );
+    }
 }

@@ -226,63 +226,66 @@ impl<'w> ErPiExplorer<'w> {
         self.sleep.set_tally(tally);
     }
 
-    /// Checks every configured canonical predicate, updating the per-filter
-    /// count-in counters (and wall-time, when enabled); returns the name of
-    /// the first filter that rejects, or `None` if the order is canonical.
-    fn rejecting_filter(&mut self, il: &Interleaving) -> Option<&'static str> {
-        let order = il.as_slice();
+    /// Whether the flattened candidate `il` passes every configured
+    /// canonical filter, in evaluation order; each filter is booked by
+    /// [`pass`], and the first to reject ends the check.
+    fn canonical(&mut self, il: &Interleaving) -> bool {
+        let (order, s, t) = (il.as_slice(), &mut self.stats, &mut self.timings);
         if let Some(target) = self.config.target_replica {
-            self.stats.replica_specific_checked += 1;
-            let t = self.timing.then(std::time::Instant::now);
-            let ok = replica_specific_canonical(&self.workload, order, target);
-            if let Some(t) = t {
-                self.timings.replica_specific_ns += t.elapsed().as_nanos() as u64;
-            }
-            if !ok {
-                return Some("replica-specific");
+            let book = (
+                &mut s.replica_specific_checked,
+                &mut s.replica_specific_rejected,
+            );
+            let check = || replica_specific_canonical(&self.workload, order, target);
+            if !pass(self.timing, book, &mut t.replica_specific_ns, check) {
+                return false;
             }
         }
         if !self.independent.is_empty() {
-            self.stats.independence_checked += 1;
-            let t = self.timing.then(std::time::Instant::now);
-            let ok = self.independent.iter().all(|set| set.is_canonical(order));
-            if let Some(t) = t {
-                self.timings.independence_ns += t.elapsed().as_nanos() as u64;
-            }
-            if !ok {
-                return Some("independence");
+            let book = (&mut s.independence_checked, &mut s.independence_rejected);
+            let check = || self.independent.iter().all(|set| set.is_canonical(order));
+            if !pass(self.timing, book, &mut t.independence_ns, check) {
+                return false;
             }
         }
-        if !self.config.failed_ops.is_empty() {
-            self.stats.failed_ops_checked += 1;
-            let t = self.timing.then(std::time::Instant::now);
-            let ok = self
-                .config
-                .failed_ops
-                .iter()
-                .all(|rule| failed_ops_canonical(order, rule));
-            if let Some(t) = t {
-                self.timings.failed_ops_ns += t.elapsed().as_nanos() as u64;
-            }
-            if !ok {
-                return Some("failed-ops");
+        let rules = &self.config.failed_ops;
+        if !rules.is_empty() {
+            let book = (&mut s.failed_ops_checked, &mut s.failed_ops_rejected);
+            let check = || rules.iter().all(|rule| failed_ops_canonical(order, rule));
+            if !pass(self.timing, book, &mut t.failed_ops_ns, check) {
+                return false;
             }
         }
         if self.config.require_causal {
-            self.stats.causal_checked += 1;
-            let t = self.timing.then(std::time::Instant::now);
-            let ok = self
-                .workload
-                .is_causally_valid_in(il, &mut self.causal_seen);
-            if let Some(t) = t {
-                self.timings.causal_ns += t.elapsed().as_nanos() as u64;
-            }
-            if !ok {
-                return Some("causal");
-            }
+            let book = (&mut s.causal_checked, &mut s.causal_rejected);
+            let check = || {
+                self.workload
+                    .is_causally_valid_in(il, &mut self.causal_seen)
+            };
+            return pass(self.timing, book, &mut t.causal_ns, check);
         }
-        None
+        true
     }
+}
+
+/// Runs one filter's `check` and books it: the candidate counts as checked
+/// (`book.0`), the check's wall time goes to `ns` when `timing` is on, and
+/// a rejection counts as rejected (`book.1`). Returns whether the candidate
+/// passed.
+fn pass(
+    timing: bool,
+    (checked, rejected): (&mut u64, &mut u64),
+    ns: &mut u64,
+    check: impl FnOnce() -> bool,
+) -> bool {
+    *checked += 1;
+    let started = timing.then(std::time::Instant::now);
+    let ok = check();
+    if let Some(started) = started {
+        *ns += started.elapsed().as_nanos() as u64;
+    }
+    *rejected += u64::from(!ok);
+    ok
 }
 
 impl Iterator for ErPiExplorer<'_> {
@@ -307,34 +310,29 @@ impl Explorer for ErPiExplorer<'_> {
             };
             // The sleep-set check runs on the raw unit permutation, before
             // the flatten: a pruned candidate never pays event-level work.
-            if self.sleep.is_active() {
-                self.stats.sleep_checked += 1;
-                let t = self.timing.then(std::time::Instant::now);
-                let ok = self.sleep.is_canonical(perm);
-                if let Some(t) = t {
-                    self.timings.sleep_ns += t.elapsed().as_nanos() as u64;
-                }
-                if !ok {
-                    self.stats.sleep_rejected += 1;
-                    continue;
-                }
+            let (s, t) = (&mut self.stats, &mut self.timings);
+            let book = (&mut s.sleep_checked, &mut s.sleep_rejected);
+            let check = || self.sleep.is_canonical(perm);
+            if self.sleep.is_active() && !pass(self.timing, book, &mut t.sleep_ns, check) {
+                continue;
             }
             let grouped = &self.grouped;
             buf.refill(self.workload.len(), &FaultPlan::empty(), |order| {
                 grouped.flatten_into(perm, order);
             });
-            match self.rejecting_filter(buf) {
-                None => {
-                    self.stats.emitted += 1;
-                    return true;
-                }
-                Some("replica-specific") => self.stats.replica_specific_rejected += 1,
-                Some("independence") => self.stats.independence_rejected += 1,
-                Some("failed-ops") => self.stats.failed_ops_rejected += 1,
-                Some("causal") => self.stats.causal_rejected += 1,
-                Some(other) => unreachable!("unknown filter {other}"),
+            if self.canonical(buf) {
+                self.stats.emitted += 1;
+                return true;
             }
         }
+    }
+
+    fn prune_stats(&self) -> Option<PruneStats> {
+        Some(self.stats)
+    }
+
+    fn filter_timings(&self) -> Option<FilterTimings> {
+        Some(self.timings)
     }
 }
 

@@ -7,15 +7,20 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::Permutations;
+use crate::{FilterTimings, Permutations, PruneStats};
 
 /// A source of interleavings to replay.
 ///
 /// All explorers are plain iterators; [`Explorer::fill`] is the same
 /// stream written into a buffer the caller keeps, which is how the replay
-/// engine draws it, and [`Explorer::wasted_work`] additionally exposes
-/// mode-specific overhead (the Random explorer's shuffle retries), which
-/// feeds the simulated-time model of Figure 8b.
+/// engine draws it. The rest is what an explorer says about its own work,
+/// each with a default for an explorer that has none of it:
+/// [`wasted_work`](Explorer::wasted_work) (the Random explorer's shuffle
+/// retries, which feed the simulated-time model of Figure 8b),
+/// [`prune_stats`](Explorer::prune_stats) and
+/// [`filter_timings`](Explorer::filter_timings) (ER-π's pruner counters
+/// and per-filter wall time). A campaign holds its explorer as a
+/// `Box<dyn Explorer>` and reads all three the same way for every mode.
 pub trait Explorer: Iterator<Item = Interleaving> {
     /// Short mode name for reports ("ER-π", "DFS", "Rand").
     fn name(&self) -> &'static str;
@@ -33,6 +38,40 @@ pub trait Explorer: Iterator<Item = Interleaving> {
     /// then holds nothing meaningful. An explorer's `next` is this, into a
     /// fresh buffer.
     fn fill(&mut self, buf: &mut Interleaving) -> bool;
+
+    /// The pruning counters accumulated so far; `None` for an explorer
+    /// that prunes nothing.
+    fn prune_stats(&self) -> Option<PruneStats> {
+        None
+    }
+
+    /// Per-filter wall time accumulated so far; `None` for an explorer
+    /// that runs no filter.
+    fn filter_timings(&self) -> Option<FilterTimings> {
+        None
+    }
+}
+
+impl<E: Explorer + ?Sized> Explorer for Box<E> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn wasted_work(&self) -> u64 {
+        (**self).wasted_work()
+    }
+
+    fn fill(&mut self, buf: &mut Interleaving) -> bool {
+        (**self).fill(buf)
+    }
+
+    fn prune_stats(&self) -> Option<PruneStats> {
+        (**self).prune_stats()
+    }
+
+    fn filter_timings(&self) -> Option<FilterTimings> {
+        (**self).filter_timings()
+    }
 }
 
 /// [`Iterator::next`] of an [`Explorer`]: its [`fill`](Explorer::fill)
@@ -288,6 +327,34 @@ mod tests {
         let dfs: Vec<Interleaving> = DfsExplorer::new(&w).take(5).collect();
         let rand: Vec<Interleaving> = RandomExplorer::new(&w, 99).take(5).collect();
         assert_ne!(dfs, rand);
+    }
+
+    /// Behind a `Box<dyn Explorer>` — how a campaign holds every mode —
+    /// each explorer reports what it reports bare: ER-π its counters and
+    /// timings, the baselines none and their wasted work.
+    #[test]
+    fn a_boxed_explorer_reports_what_it_reports_bare() {
+        let w = workload(4);
+        let config = crate::PruningConfig::default();
+        let mut boxed: [Box<dyn Explorer>; 3] = [
+            Box::new(crate::ErPiExplorer::new(&w, &config)),
+            Box::new(DfsExplorer::new(&w)),
+            Box::new(RandomExplorer::new(&w, 1234)),
+        ];
+        for explorer in &mut boxed {
+            assert_eq!(explorer.by_ref().count(), 24, "{}", explorer.name());
+        }
+        let mut erpi = crate::ErPiExplorer::new(&w, &config);
+        erpi.by_ref().for_each(drop);
+        assert_eq!(boxed[0].prune_stats(), Some(erpi.stats()));
+        assert_eq!(boxed[0].filter_timings(), Some(FilterTimings::default()));
+        let mut rand = RandomExplorer::new(&w, 1234);
+        rand.by_ref().for_each(drop);
+        for baseline in &boxed[1..] {
+            assert_eq!(baseline.prune_stats(), None);
+            assert_eq!(baseline.filter_timings(), None);
+        }
+        assert_eq!(boxed[2].wasted_work(), rand.retries());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use er_pi_model::{EventId, FaultEvent, FaultKind, FaultPlan, Interleaving, Workload};
 
 use crate::explorer::pull_next;
-use crate::Explorer;
+use crate::{Explorer, FilterTimings, PruneStats};
 
 /// The configurable fault budget: which faults to schedule, where, and how
 /// many per plan.
@@ -273,11 +273,6 @@ impl<I> FaultProduct<I> {
         &self.inner
     }
 
-    /// The wrapped explorer, mutably.
-    pub fn inner_mut(&mut self) -> &mut I {
-        &mut self.inner
-    }
-
     /// Number of plans in the product (including the baseline).
     pub fn plan_count(&self) -> usize {
         self.plans.len()
@@ -334,6 +329,14 @@ impl<I: Explorer> Explorer for FaultProduct<I> {
 
     fn fill(&mut self, buf: &mut Interleaving) -> bool {
         self.fill_with(buf, I::fill)
+    }
+
+    fn prune_stats(&self) -> Option<PruneStats> {
+        self.inner.prune_stats()
+    }
+
+    fn filter_timings(&self) -> Option<FilterTimings> {
+        self.inner.filter_timings()
     }
 }
 

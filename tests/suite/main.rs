@@ -29,6 +29,7 @@ mod observability_smoke;
 mod parallel_equivalence;
 mod parallel_props;
 mod parallel_soak;
+mod replica_specific_space;
 mod report_identity;
 mod sanitizer_equivalence;
 mod server_equivalence;

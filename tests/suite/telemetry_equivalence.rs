@@ -30,12 +30,12 @@ use er_pi::telemetry::{
     HIT_RATE_WINDOW,
 };
 use er_pi::{
-    Assertion, Attachments, OpOutcome, ReplayConfig, Report, Session, SystemModel, TestSuite,
-    DEFAULT_CACHE_BUDGET,
+    Assertion, Attachments, OpOutcome, PruningConfig, ReplayConfig, Report, Session, SystemModel,
+    TestSuite, DEFAULT_CACHE_BUDGET,
 };
-use er_pi_model::{Event, ReplicaId, Value};
+use er_pi_model::{Event, EventId, ReplicaId, Value};
 use er_pi_subjects::{
-    Bug, OrbitConfig, OrbitModel, ReplicaDbModel, ReplicationMode, RoshiModel, YorkieModel,
+    Bug, OrbitConfig, OrbitModel, ReplicaDbModel, ReplicationMode, RoshiModel, TownApp, YorkieModel,
 };
 
 /// One replay of `bug` under the paper's cap, into `sink` if there is one.
@@ -479,4 +479,68 @@ fn co_tenant_chrome_traces_stay_separate_and_well_formed() {
             "{name}: trace carries no addressed events"
         );
     }
+}
+
+/// A State-4 reseed hands the campaign a new explorer, and the campaign
+/// observes it as it observed the first: per-filter wall time and the live
+/// sleep-set tally go on counting across the reseed. The first explorer
+/// prunes nothing (sleep sets are on, but no pair is declared to commute
+/// yet), so every pruner row and every live sleep prune comes from the
+/// replacement, built after the rule is ingested at the poll after run 99.
+#[test]
+fn a_reseeded_explorer_is_observed_like_the_first() {
+    let dir = std::env::temp_dir().join(format!("er-pi-observed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    // Five ungrouped updates: 5! = 120 interleavings, one poll at run 100.
+    let mut session = Session::new(TownApp::new(2));
+    session.record(|app| {
+        for (i, issue) in ["a", "b", "c", "d", "e"].into_iter().enumerate() {
+            app.invoke(ReplicaId::new((i % 2) as u16), "add", [Value::from(issue)]);
+        }
+    });
+    let rule =
+        PruningConfig::default().with_independent_set(vec![EventId::new(1), EventId::new(3)]);
+    // The rule file appears while run 0 is being checked, so the pre-replay
+    // poll misses it and the poll after run 99 ingests it.
+    let rule_json = serde_json::to_string(&rule).unwrap();
+    let path = dir.join("rule.json");
+    let suite = TestSuite::new().with_assertion("drop-the-rule", move |_ctx| {
+        if !path.exists() {
+            std::fs::write(&path, &rule_json).unwrap();
+        }
+        Ok(())
+    });
+    let last = Arc::new(std::sync::Mutex::new(None));
+    let seen = Arc::clone(&last);
+    session
+        .set_config(PruningConfig::default().with_sleep_sets(true))
+        .set_telemetry(Arc::new(MemorySink::new()))
+        .set_progress_hook(1, move |snap| *seen.lock().unwrap() = Some(snap.clone()))
+        .watch_constraints(&dir)
+        .set_workers(1);
+    let report = session.replay(&suite).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(report.explored < 120, "the ingested rule shrank the space");
+    let stats = report.prune_stats.expect("ER-π mode");
+    assert!(
+        stats.sleep_rejected > 0,
+        "the replacement prunes: {stats:?}"
+    );
+    let pruners = &report.session_summary.pruners;
+    assert!(pruners.iter().any(|row| row.name == "sleep"), "{pruners:?}");
+    for row in pruners.iter().filter(|row| row.checked > 0) {
+        assert!(
+            row.wall_ns > 0,
+            "{} went untimed after the reseed",
+            row.name
+        );
+    }
+    let last = last.lock().unwrap().clone().expect("the hook fired");
+    assert_eq!(
+        last.sleep_prunes, stats.sleep_rejected,
+        "the live tally counts the replacement's sleep prunes"
+    );
 }
