@@ -148,22 +148,87 @@ impl Report {
     /// the campaign server's equivalence suite pins: a report served over
     /// HTTP must match the standalone session byte for byte, regardless of
     /// worker count or co-scheduled campaigns.
+    ///
+    /// The object is written field by field into one buffer, reserved once
+    /// from the violation and run counts, with each [`Violation`] written
+    /// in place; only the small fields go through [`serde_json::push_json`].
+    /// The bytes are those of `serde_json::to_string` of the report's
+    /// fields as one map.
     pub fn canonical_json(&self) -> String {
-        use serde::{Content, Serialize as _};
-        let entry = |k: &str, v: Content| (Content::Str(k.to_owned()), v);
-        let map = Content::Map(vec![
-            entry("mode", self.mode.to_content()),
-            entry("explored", self.explored.to_content()),
-            entry("first_violation_at", self.first_violation_at.to_content()),
-            entry("prune_stats", self.prune_stats.to_content()),
-            entry("wasted_work", self.wasted_work.to_content()),
-            entry("sim_us", self.sim_us.to_content()),
-            entry("stopped_early", self.stopped_early.to_content()),
-            entry("violations", self.violations.to_content()),
-            entry("runs", self.runs.to_content()),
-            entry("diagnostics", self.diagnostics.to_content()),
-        ]);
-        serde_json::to_string(&map).expect("deterministic report fields contain no floats")
+        use serde_json::{push_json, push_str_literal};
+        let push_uint = |x: u64, out: &mut String| serde_json::push_u128(x.into(), out);
+        const NO_FLOATS: &str = "deterministic report fields contain no floats";
+
+        let violation_bytes: usize = self
+            .violations
+            .iter()
+            .map(|v| {
+                let order = v.interleaving.as_ref().map_or(0, |il| 4 * il.len());
+                80 + v.assertion.len() + v.message.len() + order
+            })
+            .sum();
+        let mut out = String::with_capacity(512 + violation_bytes + 256 * self.runs.len());
+
+        out.push_str("{\"mode\":");
+        push_str_literal(&self.mode, &mut out);
+        out.push_str(",\"explored\":");
+        push_uint(self.explored as u64, &mut out);
+        out.push_str(",\"first_violation_at\":");
+        match self.first_violation_at {
+            Some(at) => push_uint(at as u64, &mut out),
+            None => out.push_str("null"),
+        }
+        out.push_str(",\"prune_stats\":");
+        push_json(&self.prune_stats, &mut out).expect(NO_FLOATS);
+        out.push_str(",\"wasted_work\":");
+        push_uint(self.wasted_work, &mut out);
+        out.push_str(",\"sim_us\":");
+        push_uint(self.sim_us, &mut out);
+        out.push_str(",\"stopped_early\":");
+        out.push_str(if self.stopped_early { "true" } else { "false" });
+        out.push_str(",\"violations\":[");
+        for (i, v) in self.violations.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"run\":");
+            match v.run {
+                Some(run) => push_uint(run as u64, &mut out),
+                None => out.push_str("null"),
+            }
+            out.push_str(",\"assertion\":");
+            push_str_literal(&v.assertion, &mut out);
+            out.push_str(",\"message\":");
+            push_str_literal(&v.message, &mut out);
+            out.push_str(",\"interleaving\":");
+            match &v.interleaving {
+                Some(il) => {
+                    out.push_str("{\"order\":[");
+                    for (j, e) in il.as_slice().iter().enumerate() {
+                        if j > 0 {
+                            out.push(',');
+                        }
+                        push_uint(e.raw().into(), &mut out);
+                    }
+                    out.push_str("],\"faults\":");
+                    push_json(il.faults(), &mut out).expect(NO_FLOATS);
+                    out.push('}');
+                }
+                None => out.push_str("null"),
+            }
+            out.push('}');
+        }
+        out.push_str("],\"runs\":[");
+        for (i, run) in self.runs.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_json(run, &mut out).expect(NO_FLOATS);
+        }
+        out.push_str("],\"diagnostics\":");
+        push_json(&self.diagnostics, &mut out).expect(NO_FLOATS);
+        out.push('}');
+        out
     }
 
     /// Compact one-line summary.
@@ -300,6 +365,190 @@ mod tests {
         };
         assert_eq!(quiet.diff(&warned), None);
         assert_eq!(quiet.canonical_json(), warned.canonical_json());
+    }
+
+    /// `canonical_json` as it was before it wrote into one buffer: the
+    /// report's fields as one `Content` map through `serde_json`. The
+    /// reference the written report is held to.
+    fn tree_canonical_json(r: &Report) -> String {
+        use serde::{Content, Serialize as _};
+        let entry = |k: &str, v: Content| (Content::Str(k.to_owned()), v);
+        let map = Content::Map(vec![
+            entry("mode", r.mode.to_content()),
+            entry("explored", r.explored.to_content()),
+            entry("first_violation_at", r.first_violation_at.to_content()),
+            entry("prune_stats", r.prune_stats.to_content()),
+            entry("wasted_work", r.wasted_work.to_content()),
+            entry("sim_us", r.sim_us.to_content()),
+            entry("stopped_early", r.stopped_early.to_content()),
+            entry("violations", r.violations.to_content()),
+            entry("runs", r.runs.to_content()),
+            entry("diagnostics", r.diagnostics.to_content()),
+        ]);
+        serde_json::to_string(&map).expect("deterministic report fields contain no floats")
+    }
+
+    mod generated {
+        use super::*;
+        use er_pi_analysis::LintPattern;
+        use er_pi_model::{EventId, FaultEvent, FaultKind, FaultPlan, ReplicaId};
+        use proptest::prelude::*;
+        use proptest::test_runner::TestRng;
+
+        fn below(rng: &mut TestRng, n: u64) -> usize {
+            rng.below(n) as usize
+        }
+
+        /// Text over quotes, backslashes, every control character,
+        /// non-ASCII and astral characters, and plain ASCII.
+        fn text(rng: &mut TestRng) -> String {
+            const PIECES: &[&str] = &["\"", "\\", "/", "é", "π", "😀", "\u{7f}", "ab", " "];
+            let len = below(rng, 12);
+            let mut s = String::new();
+            for _ in 0..len {
+                match below(rng, 3) {
+                    0 => s.push(char::from(below(rng, 0x20) as u8)),
+                    _ => s.push_str(PIECES[below(rng, PIECES.len() as u64)]),
+                }
+            }
+            s
+        }
+
+        fn int(rng: &mut TestRng) -> u64 {
+            match below(rng, 3) {
+                0 => u64::MAX,
+                1 => rng.next_u64(),
+                _ => rng.below(100),
+            }
+        }
+
+        fn replica(rng: &mut TestRng) -> ReplicaId {
+            ReplicaId::new(rng.below(4) as u16)
+        }
+
+        fn faults(rng: &mut TestRng, events: u32) -> FaultPlan {
+            let mut plan = Vec::new();
+            for _ in 0..below(rng, 3) {
+                let kind = match below(rng, 6) {
+                    0 => FaultKind::Drop,
+                    1 => FaultKind::Duplicate,
+                    2 => FaultKind::Delay {
+                        by: rng.below(5) as u32,
+                    },
+                    3 => FaultKind::Partition {
+                        from: replica(rng),
+                        to: replica(rng),
+                    },
+                    4 => FaultKind::Heal {
+                        from: replica(rng),
+                        to: replica(rng),
+                    },
+                    _ => FaultKind::CrashRestart {
+                        replica: replica(rng),
+                    },
+                };
+                plan.push(FaultEvent::new(
+                    EventId::new(rng.below(events.into()) as u32),
+                    kind,
+                ));
+            }
+            FaultPlan::new(plan)
+        }
+
+        fn interleaving(rng: &mut TestRng) -> Interleaving {
+            let n = rng.below(12) as u32;
+            let order = (0..n)
+                .map(|_| {
+                    EventId::new(if rng.below(8) == 0 {
+                        u32::MAX
+                    } else {
+                        rng.below(30) as u32
+                    })
+                })
+                .collect();
+            let plan = faults(rng, n.max(1));
+            Interleaving::new(order).with_faults(plan)
+        }
+
+        fn value(rng: &mut TestRng, depth: u32) -> Value {
+            match below(rng, if depth == 0 { 4 } else { 5 }) {
+                0 => Value::Null,
+                1 => Value::Bool(rng.below(2) == 0),
+                2 => Value::Int(match below(rng, 3) {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    _ => rng.next_u64() as i64,
+                }),
+                3 => Value::Str(text(rng).into()),
+                _ => Value::List((0..below(rng, 4)).map(|_| value(rng, depth - 1)).collect()),
+            }
+        }
+
+        fn report(mut rng: TestRng) -> Report {
+            let violations = (0..below(&mut rng, 5))
+                .map(|_| Violation {
+                    run: (rng.below(3) != 0).then(|| int(&mut rng) as usize),
+                    assertion: text(&mut rng).into(),
+                    message: text(&mut rng),
+                    interleaving: (rng.below(3) != 0).then(|| interleaving(&mut rng)),
+                })
+                .collect();
+            let runs = (0..below(&mut rng, 3))
+                .map(|_| RunRecord {
+                    interleaving: interleaving(&mut rng),
+                    observations: (0..below(&mut rng, 3))
+                        .map(|_| value(&mut rng, 2))
+                        .collect(),
+                    failed_ops: rng.below(5) as usize,
+                    sim_us: int(&mut rng),
+                })
+                .collect();
+            const PATTERNS: [LintPattern; 3] = [
+                LintPattern::RacingDeliveries,
+                LintPattern::RacingIdMint,
+                LintPattern::IndependenceSoundness,
+            ];
+            let diagnostics = (0..below(&mut rng, 3))
+                .map(|_| Diagnostic {
+                    misconception: rng.below(6) as u8,
+                    pattern: PATTERNS[below(&mut rng, 3)],
+                    message: text(&mut rng),
+                    events: (0..below(&mut rng, 4))
+                        .map(|i| EventId::new(i as u32))
+                        .collect(),
+                    replica: replica(&mut rng),
+                })
+                .collect();
+            Report {
+                mode: text(&mut rng),
+                explored: int(&mut rng) as usize,
+                violations,
+                first_violation_at: (rng.below(2) == 0).then(|| int(&mut rng) as usize),
+                prune_stats: (rng.below(2) == 0).then(|| PruneStats {
+                    grouping_factor: u128::MAX - u128::from(rng.next_u64()),
+                    sleep_checked: int(&mut rng),
+                    causal_rejected: int(&mut rng),
+                    emitted: int(&mut rng),
+                    ..PruneStats::default()
+                }),
+                wasted_work: int(&mut rng),
+                sim_us: int(&mut rng),
+                runs,
+                stopped_early: rng.below(2) == 0,
+                diagnostics,
+                ..Report::default()
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            #[test]
+            fn the_written_report_matches_the_tree_rendering(
+                r in Just(()).prop_perturb(|(), rng| report(rng))
+            ) {
+                prop_assert_eq!(r.canonical_json(), tree_canonical_json(&r));
+            }
+        }
     }
 
     #[test]

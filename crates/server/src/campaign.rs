@@ -1,6 +1,7 @@
 //! One admitted campaign: identity, scheduling key, cancellation handle,
 //! and the mutable status the HTTP layer reads while runners write.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use er_pi::telemetry::ProgressSnapshot;
@@ -50,8 +51,9 @@ pub struct CampaignStatus {
     pub phase: Phase,
     /// Latest live snapshot (present once the replay produced one).
     pub progress: Option<ProgressSnapshot>,
-    /// The final report (present iff `phase == Done`).
-    pub report: Option<Report>,
+    /// The final report (present iff `phase == Done`), shared so a reader
+    /// can render it after releasing the status lock.
+    pub report: Option<Arc<Report>>,
     /// The failure message (present iff `phase == Failed`).
     pub error: Option<String>,
 }
@@ -151,10 +153,12 @@ impl Campaign {
         serde_json::to_string(&body).expect("status bodies are serializable")
     }
 
-    /// Renders the final report, if the campaign is done.
+    /// Renders the final report, if the campaign is done. The render runs
+    /// outside the status lock, so status polls and SSE frames of this
+    /// campaign never wait behind it.
     pub fn report_json(&self) -> Option<String> {
-        let status = self.status.lock();
-        status.report.as_ref().map(Report::canonical_json)
+        let report = self.status.lock().report.clone();
+        report.map(|r| r.canonical_json())
     }
 
     /// Re-executes violation `n` of the final report and renders its

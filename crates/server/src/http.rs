@@ -563,6 +563,28 @@ mod tests {
         );
     }
 
+    /// A spec whose `bug` is a string of about 4 MiB is read in one pass
+    /// and refused well inside the request deadline; a reader that decoded
+    /// the rest of the input at every character took minutes over it.
+    #[test]
+    fn a_four_mib_bug_name_gets_400_within_the_deadline() {
+        let body = format!(r#"{{"bug":"{}"}}"#, "A".repeat(MAX_REQUEST_BYTES - 1024));
+        let head = format!(
+            "POST /campaigns HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        let started = Instant::now();
+        let response = exchange_in_parts(&[head.as_bytes(), body.as_bytes()]);
+        let elapsed = started.elapsed();
+        assert!(
+            response.starts_with("HTTP/1.1 400 Bad Request"),
+            "{}",
+            &response[..response.len().min(200)]
+        );
+        assert!(response.contains("unknown catalogue bug 'AAAA"));
+        assert!(elapsed < REQUEST_DEADLINE, "answered after {elapsed:?}");
+    }
+
     // The route table itself is exercised end-to-end (over a real socket)
     // by the workspace-level `server_equivalence` suite.
 

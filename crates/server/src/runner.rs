@@ -108,7 +108,7 @@ fn run_one(state: &ServerState, campaign: &Arc<Campaign>) {
             state
                 .metrics
                 .observe_submit_to_report_us(campaign.submitted_at.elapsed().as_micros() as u64);
-            campaign.status.lock().report = Some(report);
+            campaign.status.lock().report = Some(Arc::new(report));
             campaign.finish(Phase::Done);
         }
         Err(ErPiError::Cancelled) => {
