@@ -35,7 +35,7 @@
 //! entry per base order, read from each run's own base order on.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -368,6 +368,44 @@ struct Slot<M: SystemModel> {
     executor: IncrementalExecutor<M>,
     load: WorkerLoad,
     chunk: Chunk,
+    messages: Messages,
+}
+
+/// The violation messages a slot has stored, each distinct text once: a
+/// campaign whose thousands of violating runs fail with a handful of
+/// messages keeps a handful of strings. It holds only text the slot's
+/// violations hold too, and goes with the campaign.
+#[derive(Default)]
+struct Messages {
+    /// The message each assertion, by its position in the suite, stored
+    /// last — what a run usually fails with again.
+    last: Vec<Option<Arc<str>>>,
+    /// Every distinct message stored.
+    seen: HashSet<Arc<str>>,
+}
+
+impl Messages {
+    /// The shared copy of `message`, which the suite's `assertion`-th
+    /// assertion returned.
+    fn intern(&mut self, assertion: usize, message: String) -> Arc<str> {
+        if assertion >= self.last.len() {
+            self.last.resize(assertion + 1, None);
+        }
+        let last = &mut self.last[assertion];
+        if let Some(shared) = last.as_ref().filter(|shared| shared[..] == message[..]) {
+            return Arc::clone(shared);
+        }
+        let shared = match self.seen.get(message.as_str()) {
+            Some(shared) => Arc::clone(shared),
+            None => {
+                let shared = Arc::<str>::from(message);
+                self.seen.insert(Arc::clone(&shared));
+                shared
+            }
+        };
+        *last = Some(Arc::clone(&shared));
+        shared
+    }
 }
 
 /// The run table. Exploration indices are dense from 0 and chunks are
@@ -444,6 +482,7 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
                         sim_us: 0,
                     },
                     chunk: Chunk::default(),
+                    messages: Messages::default(),
                 })
             })
             .collect();
@@ -667,7 +706,11 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
             }
             let ahead = window(&lookahead, &bases, at, product && il.faults().is_empty());
             if self.execute_one(slot, state, index, il, ahead, on) {
-                self.lowest_violation.fetch_min(index, Ordering::AcqRel);
+                // A load first: most violating runs lie above the lowest
+                // already, and need no read-modify-write.
+                if index < self.lowest_violation.load(Ordering::Acquire) {
+                    self.lowest_violation.fetch_min(index, Ordering::AcqRel);
+                }
                 if stop_on_first {
                     self.stop.store(true, Ordering::Release);
                     let mut table = self.table.lock();
@@ -712,12 +755,12 @@ impl<'w, M: SystemModel> Campaign<'w, M> {
         let check_started = self.instrument.stamp();
         let done = &mut state.chunk.done;
         let before = done.violations.len();
-        for assertion in on.suite.assertions() {
+        for (at, assertion) in on.suite.assertions().iter().enumerate() {
             if let Err(message) = assertion.check(&ctx) {
                 done.violations.push(Violation {
                     run: Some(index),
                     assertion: Arc::clone(assertion.shared_name()),
-                    message,
+                    message: state.messages.intern(at, message),
                     interleaving: None,
                 });
             }
@@ -1216,6 +1259,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Equal texts come back as one string: from what the assertion stored
+    /// last, or, with another message in between, from the slot's set.
+    #[test]
+    fn equal_messages_share_one_string() {
+        let mut messages = Messages::default();
+        let a = messages.intern(1, "a".to_string());
+        let b = messages.intern(1, "b".to_string());
+        let a_again = messages.intern(1, "a".to_string());
+        let b_again = messages.intern(1, "b".to_string());
+        assert_eq!((&*a, &*b), ("a", "b"));
+        assert!(Arc::ptr_eq(&a, &a_again) && Arc::ptr_eq(&b, &b_again));
+        assert!(Arc::ptr_eq(&b, &messages.intern(1, "b".to_string())));
+        // Another assertion finds the text another one stored.
+        assert!(Arc::ptr_eq(&a, &messages.intern(0, "a".to_string())));
+        assert_eq!(&*messages.intern(0, "c".to_string()), "c");
+        assert_eq!(messages.seen.len(), 3);
     }
 
     /// Stop-on-first replays nothing past the violation on one slot: the

@@ -291,7 +291,7 @@ pub fn explain_violation<M: SystemModel>(
     let hb = HbGraph::build(workload);
     Some(ForensicBundle {
         assertion: violation.assertion.to_string(),
-        message: violation.message.clone(),
+        message: violation.message.to_string(),
         run: violation.run,
         interleaving: il.clone(),
         steps: run.steps,

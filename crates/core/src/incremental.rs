@@ -727,7 +727,7 @@ impl<M: SystemModel> IncrementalExecutor<M> {
                 false => None,
             };
             let key = SubsumeKey {
-                state: digest,
+                state: SubsumeKey::halves(digest),
                 faults: faults.live_digest(),
                 suffix: suffixes[depth],
                 depth: depth as u32,

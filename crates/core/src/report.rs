@@ -29,8 +29,9 @@ pub struct Violation {
     pub run: Option<usize>,
     /// The violated assertion's name, shared with the assertion.
     pub assertion: Arc<str>,
-    /// The assertion's failure message.
-    pub message: String,
+    /// The assertion's failure message, shared by every violation of the
+    /// same text that one replay slot found (see DESIGN.md §9).
+    pub message: Arc<str>,
     /// The violating interleaving, if per-run.
     pub interleaving: Option<Interleaving>,
 }
@@ -489,7 +490,7 @@ mod tests {
                 .map(|_| Violation {
                     run: (rng.below(3) != 0).then(|| int(&mut rng) as usize),
                     assertion: text(&mut rng).into(),
-                    message: text(&mut rng),
+                    message: text(&mut rng).into(),
                     interleaving: (rng.below(3) != 0).then(|| interleaving(&mut rng)),
                 })
                 .collect();

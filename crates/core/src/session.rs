@@ -721,7 +721,7 @@ impl<M: SystemModel> Session<M> {
                 outcome.violations.push(Violation {
                     run: None,
                     assertion: Arc::clone(check.shared_name()),
-                    message,
+                    message: message.into(),
                     interleaving: None,
                 });
             }

@@ -54,8 +54,11 @@ use crate::OpOutcome;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SubsumeKey {
     /// 128-bit digest over all replicas' canonical state encodings
-    /// ([`SystemModel::state_digest`](crate::SystemModel::state_digest)).
-    pub state: u128,
+    /// ([`SystemModel::state_digest`](crate::SystemModel::state_digest)),
+    /// as its low and high halves ([`SubsumeKey::halves`]): a `u128` would
+    /// align the key to 16 bytes and pad each `(key, MemoId)` entry of the
+    /// set from 48 bytes to 64.
+    pub state: [u64; 2],
     /// Digest of what fired faults left live: the interpreter's cut links
     /// and outstanding delayed effects (`FaultInterpreter::live_digest`).
     /// Not the plan: its anchors still ahead are in [`suffix`](Self::suffix),
@@ -72,10 +75,22 @@ pub(crate) struct SubsumeKey {
     pub depth: u32,
 }
 
+impl SubsumeKey {
+    /// A state digest as the key holds it, low half first.
+    pub(crate) fn halves(digest: u128) -> [u64; 2] {
+        [digest as u64, (digest >> 64) as u64]
+    }
+
+    /// The state digest, whole again.
+    fn digest(&self) -> u128 {
+        u128::from(self.state[1]) << 64 | u128::from(self.state[0])
+    }
+}
+
 impl Hash for SubsumeKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let fold = self.state as u64
-            ^ (self.state >> 64) as u64
+        let fold = self.state[0]
+            ^ self.state[1]
             ^ self.faults.rotate_left(21)
             ^ self.suffix.rotate_left(42)
             ^ u64::from(self.depth).wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -340,7 +355,8 @@ impl<S: Clone> SubsumeSet<S> {
             !collides,
             "ER_PI_SUBSUME_AUDIT: 128-bit digest collision at depth {}: \
              distinct canonical states share digest {:#034x}",
-            key.depth, key.state
+            key.depth,
+            key.digest()
         );
         memo
     }
@@ -558,11 +574,21 @@ mod tests {
 
     fn key(state: u128, depth: u32) -> SubsumeKey {
         SubsumeKey {
-            state,
+            state: SubsumeKey::halves(state),
             faults: 0,
             suffix: 0,
             depth,
         }
+    }
+
+    #[test]
+    fn a_key_entry_takes_48_bytes_and_keeps_its_whole_digest() {
+        assert_eq!(std::mem::size_of::<(SubsumeKey, MemoId)>(), 48);
+        let digest = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210_u128;
+        assert_eq!(key(digest, 0).digest(), digest);
+        // Digests that differ in one half only are different keys.
+        assert_ne!(key(digest, 3), key(digest ^ 1 << 100, 3));
+        assert_ne!(key(digest, 3), key(digest ^ 1, 3));
     }
 
     /// Outcomes a run named `run` computed at positions `0..n`.

@@ -168,7 +168,7 @@ pub fn run_case(case: &FuzzCase, replay: &ReplayConfig) -> Option<Finding> {
     Some(Finding {
         case: case.clone(),
         assertion: first.assertion.to_string(),
-        message: first.message.clone(),
+        message: first.message.to_string(),
         fault_dependent,
         fingerprint: case.fingerprint(),
     })

@@ -254,12 +254,27 @@ impl MerkleLog {
         }))
     }
 
-    /// The current heads: entries no other entry references.
+    /// The current heads: entries no other entry references, in log order.
+    /// Counted before they are collected, so an appended entry's `refs`
+    /// holds its heads and no spare capacity. An entry is looked for first
+    /// among the entries after it, where what references it usually sits
+    /// (right after it, in a chain): only a head is checked against all.
     pub fn heads(&self) -> Vec<MerkleHash> {
-        let mut heads: Vec<MerkleHash> = self.entries.iter().map(|e| e.hash).collect();
-        for e in self.entries.iter() {
-            heads.retain(|h| !e.refs.contains(h));
-        }
+        let entries = self.entries.shared().as_slice();
+        let is_head = |at: &usize| {
+            let (before, from) = entries.split_at(*at);
+            let hash = &from[0].hash;
+            !from[1..]
+                .iter()
+                .chain(before)
+                .any(|e| e.refs.contains(hash))
+        };
+        let mut heads = Vec::with_capacity((0..entries.len()).filter(is_head).count());
+        heads.extend(
+            (0..entries.len())
+                .filter(is_head)
+                .map(|at| entries[at].hash),
+        );
         heads
     }
 
@@ -445,6 +460,24 @@ mod tests {
         let e = a.append(Value::from("merge"));
         assert_eq!(e.refs.len(), 2);
         assert_eq!(a.heads(), vec![e.hash]);
+    }
+
+    #[test]
+    fn an_appended_entry_keeps_exactly_its_heads() {
+        let mut a = MerkleLog::new(r(0), "alice");
+        let mut b = MerkleLog::new(r(1), "bob");
+        for i in 0..64 {
+            a.append(Value::from(i));
+        }
+        let b1 = b.append(Value::from("b1"));
+        a.sync_from(&b);
+        let a64 = a.entries.iter().nth(63).expect("64 appends").hash;
+        assert_eq!(a.heads(), vec![a64, b1.hash], "log order");
+        let merge = a.append(Value::from("merge"));
+        assert_eq!(merge.refs, vec![a64, b1.hash]);
+        for e in a.entries.iter() {
+            assert_eq!(e.refs.capacity(), e.refs.len());
+        }
     }
 
     #[test]

@@ -585,6 +585,26 @@ mod tests {
         assert!(elapsed < REQUEST_DEADLINE, "answered after {elapsed:?}");
     }
 
+    /// A spec holding a number outside JSON's grammar is refused as JSON:
+    /// `0200` once read as 200 and queued a campaign.
+    #[test]
+    fn a_number_outside_the_json_grammar_gets_400() {
+        for cap in ["0200", "200.", "2e"] {
+            let body = format!(r#"{{"bug":"Roshi-1","cap":{cap}}}"#);
+            let request = format!(
+                "POST /campaigns HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            let response = exchange_in_parts(&[request.as_bytes()]);
+            assert!(
+                response.starts_with("HTTP/1.1 400 Bad Request"),
+                "{cap}: {response}"
+            );
+            let refusal = format!("invalid number `{cap}`");
+            assert!(response.contains(&refusal), "{cap}: {response}");
+        }
+    }
+
     // The route table itself is exercised end-to-end (over a real socket)
     // by the workspace-level `server_equivalence` suite.
 

@@ -43,15 +43,17 @@ thread_local! {
     /// Blocks allocated by this thread since counting began; `None` while
     /// it is not counting.
     static BLOCKS: Cell<Option<u64>> = const { Cell::new(None) };
+    /// Blocks freed by this thread since counting began.
+    static FREED: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 struct CountingAlloc;
 
 // SAFETY: every request is passed to `System` unchanged; the only addition
-// is a thread-local counter that itself never allocates (`const`
+// is two thread-local counters that themselves never allocate (`const`
 // initializer, no destructor). `realloc` and `alloc_zeroed` keep their
-// default bodies, which go through `alloc`, so a grown block counts as a
-// block.
+// default bodies, which go through `alloc` (and `dealloc`), so a grown block
+// counts as a block.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // A thread that is tearing its locals down is not counting.
@@ -61,6 +63,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = FREED.try_with(|freed| freed.set(freed.get().map(|n| n + 1)));
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -75,6 +78,15 @@ fn blocks_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let out = f();
     let counted = BLOCKS.with(|blocks| blocks.take()).expect("counting");
     (counted, out)
+}
+
+/// Runs `f` and returns how many more blocks this thread allocated than it
+/// freed meanwhile: what `f`'s result (or anything else) still holds.
+fn held_after<R>(f: impl FnOnce() -> R) -> (i64, R) {
+    FREED.with(|freed| freed.set(Some(0)));
+    let (blocks, out) = blocks_during(f);
+    let freed = FREED.with(|freed| freed.take()).expect("counting");
+    (blocks as i64 - freed as i64, out)
 }
 
 /// The final states of `workload`'s recorded order: every replica populated.
@@ -616,6 +628,31 @@ fn a_subsuming_fault_product_allocates_a_pinned_number_of_blocks_per_run() {
     assert!(stats.subsumed > 9_000, "{} runs subsumed", stats.subsumed);
     let per_run = blocks as f64 / report.explored as f64;
     assert!(per_run <= 3.32, "fault-subsume: {per_run} blocks per run");
+}
+
+/// What the town campaign's report holds once the campaign is gone: one
+/// block per violation, the run's order. Its 7 900 violations fail with one
+/// message, which the replay slot stores once and every violation shares.
+/// Each violation kept its own copy of the message, the block `format!`
+/// sized, while the report held 2.0 blocks per violation.
+#[test]
+fn a_town_report_holds_one_block_per_violation() {
+    let config = ReplayConfig {
+        mode: ExploreMode::Dfs,
+        cap: 10_000,
+        workers: 1,
+        ..ReplayConfig::default()
+    };
+    let mut session = Session::with_config(TownApp::new(2), config, Attachments::default());
+    session.record(town::record_town);
+    let suite = TownApp::invariant();
+    let (held, report) = held_after(|| session.replay(&suite).expect("recorded"));
+    assert_eq!(report.violations.len(), 7_900);
+    let per_violation = held as f64 / report.violations.len() as f64;
+    assert!(
+        per_violation <= 1.01,
+        "the town report holds {held} blocks, {per_violation} per violation"
+    );
 }
 
 /// Rendering the town campaign's report (`Report::canonical_json`, what

@@ -100,7 +100,7 @@ pub fn violation_set(report: &Report) -> Vec<(String, String)> {
     let mut v: Vec<(String, String)> = report
         .violations
         .iter()
-        .map(|v| (v.assertion.to_string(), v.message.clone()))
+        .map(|v| (v.assertion.to_string(), v.message.to_string()))
         .collect();
     v.sort();
     v.dedup();

@@ -138,7 +138,7 @@ pub fn reference_replay<M: SystemModel>(
                 reference.violations.push(Violation {
                     run: Some(index),
                     assertion: assertion.name().into(),
-                    message,
+                    message: message.into(),
                     interleaving: Some(il.clone()),
                 });
             }

@@ -9,11 +9,14 @@
 //! the engine (`common::reference_replay`), on every model `tests/` can name
 //! and in every cell of `common::cells()`.
 //!
-//! The last two tests pin the retention rule (`ReplayConfig::keep_runs`): a
-//! report under default retention states exactly what one that kept its run
-//! records states, and `SystemModel::observe` runs only for a reader.
+//! Two tests pin the retention rule (`ReplayConfig::keep_runs`): a report
+//! under default retention states exactly what one that kept its run
+//! records states, and `SystemModel::observe` runs only for a reader. The
+//! last pins what a report keeps of a message: one string per slot.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use crate::common::matrix::sweep;
 use crate::common::town::record_town;
@@ -333,6 +336,40 @@ fn observe_runs_only_when_something_reads_it() {
                 session.model().observed.load(Ordering::Relaxed),
                 per_run * report.explored,
                 "{what} at {workers} workers"
+            );
+        }
+    }
+}
+
+/// A replay slot stores each violation message once: the town recording's
+/// 7 900 violations fail with one text, which the report holds in at most
+/// one string per slot, at one worker and at two.
+#[test]
+fn equal_violation_messages_share_one_string_per_slot() {
+    for workers in [1, 2] {
+        let config = ReplayConfig {
+            mode: ExploreMode::Dfs,
+            cap: 10_000,
+            workers,
+            ..ReplayConfig::default()
+        };
+        let mut session = Session::with_config(TownApp::new(2), config, Default::default());
+        session.record(record_town);
+        let report = session.replay(&TownApp::invariant()).expect("recorded");
+        assert_eq!(report.violations.len(), 7_900);
+        let mut strings: BTreeMap<&str, BTreeSet<*const u8>> = BTreeMap::new();
+        for violation in &report.violations {
+            let message = &violation.message;
+            strings
+                .entry(message)
+                .or_default()
+                .insert(Arc::as_ptr(message).cast());
+        }
+        for (text, copies) in strings {
+            assert!(
+                copies.len() <= workers,
+                "{workers} workers: {} strings of {text:?}",
+                copies.len()
             );
         }
     }
